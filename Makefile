@@ -46,12 +46,6 @@ bench-json:
 	$(GO) run ./cmd/experiments -run ext-obs -epochs 3 -bench-out BENCH_obs.json -obs-check
 	$(GO) run ./cmd/experiments -run ext-shard -epochs 3 -sizes $(SIZES) -bench-out BENCH_shard.json
 
-# Short fuzz passes over the engine and attack-surface invariants:
-# induced-subgraph extraction, tiled-vs-direct execution equivalence,
-# reduced-precision (fp32/int8) accuracy + within-tier bit-identity,
-# sharded-vs-single-enclave bit-identity across fuzzed shapes × shard
-# counts × precisions, and the attack math (AUC/Fidelity in [0,1], no
-# panics) under degenerate observation surfaces.
 # The chaos regression: seeded shard kills (ECALL-abort storms and
 # enclave loss) under a concurrent /predict + /predict_nodes + /metrics
 # client mix, plus the availability-flip race, all under the race
@@ -60,10 +54,20 @@ bench-json:
 chaos-smoke:
 	$(GO) test -race -run 'TestShardedChaosHammer|TestSetShardAvailableMidPass|TestShardedBreakerTripAndRecover' ./internal/serve/
 
+# Short fuzz passes over the engine and attack-surface invariants:
+# induced-subgraph extraction, tiled-vs-direct execution equivalence,
+# reduced-precision (fp32/int8) accuracy + within-tier bit-identity,
+# sharded-vs-single-enclave bit-identity across fuzzed shapes × shard
+# counts × precisions, and the attack math (AUC/Fidelity in [0,1], no
+# panics) under degenerate observation surfaces — plus the row-accumulate
+# kernels (assembly vs the literal contract, fp64 and int8). `make
+# fuzz-smoke TAGS=purego` runs the same passes on the portable kernels.
 FUZZTIME ?= 10s
+TAGS ?=
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzInducedSubgraph -fuzztime $(FUZZTIME) ./internal/subgraph/
-	$(GO) test -run '^$$' -fuzz FuzzTiledExec -fuzztime $(FUZZTIME) ./internal/exec/
-	$(GO) test -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME) ./internal/exec/
-	$(GO) test -run '^$$' -fuzz FuzzShardedExec -fuzztime $(FUZZTIME) ./internal/exec/
-	$(GO) test -run '^$$' -fuzz FuzzAttackSurface -fuzztime $(FUZZTIME) ./internal/attack/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzRowAccumulate -fuzztime $(FUZZTIME) ./internal/mat/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzInducedSubgraph -fuzztime $(FUZZTIME) ./internal/subgraph/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzTiledExec -fuzztime $(FUZZTIME) ./internal/exec/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME) ./internal/exec/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzShardedExec -fuzztime $(FUZZTIME) ./internal/exec/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzAttackSurface -fuzztime $(FUZZTIME) ./internal/attack/

@@ -47,14 +47,13 @@ type PlanConfig struct {
 	// overrides the budget derivation.
 	TileRows int
 	// Workers is this plan's parallelism budget. In the normal world it is
-	// the backbone kernel fan-out (0 = process-global default, 1 =
-	// inline), carried in the workspace so concurrent servers with
-	// different budgets never race on the deprecated mat.SetMaxWorkers
-	// global. For a tiled plan it additionally sets the in-enclave
-	// tile-parallel fan-out — the modelled ECALL enters on that many TCS
-	// threads, each with its own EPC-charged staging tile, so the enclave
-	// charge is Workers × tile bytes (with the derivation above keeping
-	// the product inside the budget). Untiled plans keep the in-enclave
+	// the backbone kernel fan-out (0 = GOMAXPROCS, 1 = inline), carried in
+	// the workspace so concurrent servers can run under different budgets.
+	// For a tiled plan it additionally sets the in-enclave tile-parallel
+	// fan-out — the modelled ECALL enters on that many TCS threads, each
+	// with its own EPC-charged staging tile, so the enclave charge is
+	// Workers × tile bytes (with the derivation above keeping the product
+	// inside the budget). Untiled plans keep the in-enclave
 	// side single-threaded regardless — a direct rectifier forward has no
 	// race-free decomposition to hand the pool.
 	Workers int

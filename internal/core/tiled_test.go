@@ -195,8 +195,7 @@ func TestTileParallelPlanBudgetAndIdentity(t *testing.T) {
 }
 
 // TestTiledConcurrentWorkspaces hammers the tiled hot path from several
-// goroutines with *different* per-plan worker budgets — the scenario the
-// deprecated process-global SetMaxWorkers could not express — and checks
+// goroutines with *different* per-plan worker budgets and checks
 // every stream still produces the untiled reference labels. Run under
 // -race in CI.
 func TestTiledConcurrentWorkspaces(t *testing.T) {

@@ -421,8 +421,8 @@ type Config struct {
 	// Workers means two different things depending on the mode.
 	//
 	// Direct machines: the per-kernel parallelism budget
-	// (mat.ResolveWorkers semantics: 0 = process-global default, 1 =
-	// inline). Enclave-side direct machines must use 1 — a direct
+	// (mat.ResolveWorkers semantics: 0 = GOMAXPROCS, 1 = inline).
+	// Enclave-side direct machines must use 1 — a direct
 	// in-enclave forward is single-threaded.
 	//
 	// Tiled machines: the tile-parallel fan-out. Row tiles of one op are

@@ -115,8 +115,8 @@ func (na *NormAdjacency) MulDenseSerial(h *mat.Matrix) *mat.Matrix {
 
 // MulDenseInto computes dst = Â·H without allocating. dst must be N×H.Cols
 // and must not alias h. Parallelised over nnz-balanced row bands
-// (NNZBound); the worker count resolves the process-global default — see
-// MulDenseWorkersInto for the per-call-budget form.
+// (NNZBound) under GOMAXPROCS workers — see MulDenseWorkersInto for the
+// per-call-budget form.
 func (na *NormAdjacency) MulDenseInto(dst, h *mat.Matrix) {
 	na.mulDenseInto(dst, h, 0)
 }
@@ -128,15 +128,14 @@ func (na *NormAdjacency) MulDenseSerialInto(dst, h *mat.Matrix) {
 }
 
 // MulDenseWorkersInto is MulDenseInto under an explicit per-call worker
-// budget (mat.MatMulWorkersInto semantics: <= 0 resolves to the process
-// global, 1 runs inline, larger budgets are clamped to the row count).
+// budget (mat.MatMulWorkersInto semantics: <= 0 resolves to GOMAXPROCS, 1
+// runs inline, larger budgets are clamped to the row count).
 func (na *NormAdjacency) MulDenseWorkersInto(dst, h *mat.Matrix, workers int) {
 	na.mulDenseInto(dst, h, workers)
 }
 
 // MulDenseWorkers is the allocating form of MulDenseWorkersInto, used by
-// the training backward passes to carry a layer's worker budget instead of
-// consulting the process-global default.
+// the training backward passes to carry a layer's worker budget.
 func (na *NormAdjacency) MulDenseWorkers(h *mat.Matrix, workers int) *mat.Matrix {
 	out := mat.New(na.N, h.Cols)
 	na.mulDenseInto(out, h, workers)
@@ -194,57 +193,14 @@ func (na *NormAdjacency) MulDenseRangeInto(dst, h *mat.Matrix, lo, hi int) {
 	}
 }
 
-// accumRow computes graph row i of Â·H into orow (no prior zeroing
-// needed: the first axpy group initialises the row, empty CSR rows are
-// cleared), feeding the CSR non-zeros through the multi-stream axpy
-// kernels four (then two, then one) at a time. The row gathers of a
-// sparse product are cache-miss bound; batching them gives the CPU
-// independent miss streams to overlap while keeping the per-element
-// accumulation order — and therefore the bits — of the one-at-a-time
-// loop.
+// accumRow computes graph row i of Â·H into orow: the CSR row's values
+// and column indices are the multipliers and row indices of one row
+// accumulate (mat.RowAccumulate), which initialises the row from its
+// first term, clears it when the CSR row is empty, and panics on a
+// column index outside H.
 func (na *NormAdjacency) accumRow(orow []float64, h *mat.Matrix, i int) {
-	d := h.Cols
 	p, end := na.RowPtr[i], na.RowPtr[i+1]
-	switch {
-	case end-p >= 4:
-		c1, c2, c3, c4 := na.ColIdx[p], na.ColIdx[p+1], na.ColIdx[p+2], na.ColIdx[p+3]
-		mat.Axpy4Set(
-			na.Val[p], h.Data[c1*d:(c1+1)*d],
-			na.Val[p+1], h.Data[c2*d:(c2+1)*d],
-			na.Val[p+2], h.Data[c3*d:(c3+1)*d],
-			na.Val[p+3], h.Data[c4*d:(c4+1)*d],
-			orow)
-		p += 4
-	case end-p >= 2:
-		c1, c2 := na.ColIdx[p], na.ColIdx[p+1]
-		mat.Axpy2Set(na.Val[p], h.Data[c1*d:(c1+1)*d], na.Val[p+1], h.Data[c2*d:(c2+1)*d], orow)
-		p += 2
-	case end-p == 1:
-		c := na.ColIdx[p]
-		mat.AxpySet(na.Val[p], h.Data[c*d:(c+1)*d], orow)
-		p++
-	default:
-		clear(orow)
-		return
-	}
-	for ; p+4 <= end; p += 4 {
-		c1, c2, c3, c4 := na.ColIdx[p], na.ColIdx[p+1], na.ColIdx[p+2], na.ColIdx[p+3]
-		mat.Axpy4(
-			na.Val[p], h.Data[c1*d:(c1+1)*d],
-			na.Val[p+1], h.Data[c2*d:(c2+1)*d],
-			na.Val[p+2], h.Data[c3*d:(c3+1)*d],
-			na.Val[p+3], h.Data[c4*d:(c4+1)*d],
-			orow)
-	}
-	if p+2 <= end {
-		c1, c2 := na.ColIdx[p], na.ColIdx[p+1]
-		mat.Axpy2(na.Val[p], h.Data[c1*d:(c1+1)*d], na.Val[p+1], h.Data[c2*d:(c2+1)*d], orow)
-		p += 2
-	}
-	if p < end {
-		c := na.ColIdx[p]
-		mat.Axpy(na.Val[p], h.Data[c*d:(c+1)*d], orow)
-	}
+	mat.RowAccumulate(orow, na.Val[p:end], na.ColIdx[p:end], h.Data, false)
 }
 
 // MulDenseBiasReLURangeInto is MulDenseRangeInto with the epilogue of the

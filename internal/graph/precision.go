@@ -35,9 +35,10 @@ func (na *NormAdjacency) ValMaxAbs() float64 {
 }
 
 // accumRow32 computes graph row i of Â·H into orow over float32,
-// narrowing each CSR value as it is consumed. Same multi-stream axpy
-// structure and per-element order as accumRow, so the fp32 bits are
-// pinned across direct/tiled/banded execution.
+// narrowing each CSR value as it is consumed, four (then two, then one)
+// non-zeros at a time through the generic multi-stream axpy forms. The
+// per-element order is that of the one-at-a-time loop, so the fp32 bits
+// are pinned across direct/tiled/banded execution.
 func (na *NormAdjacency) accumRow32(orow []float32, h *mat.Matrix32, i int) {
 	d := h.Cols
 	p, end := na.RowPtr[i], na.RowPtr[i+1]
@@ -234,27 +235,22 @@ func (na *NormAdjacency) MulDenseI8EpilogueRangeInto(dst, h *mat.MatrixI8, lo, h
 }
 
 // accumRowI8 accumulates graph row i of the quantized Â·H into acc:
-// each stored value is quantized to its int8 code under valScale and
-// zero codes skip their row gather entirely (like matMulRow's zero-skip
-// path — quantization rounds small normalised edge weights to zero,
-// which the skip turns into saved work).
+// each stored value is quantized to its int8 code under valScale into a
+// stack buffer, a chunk at a time, and the chunk runs as one int8 row
+// accumulate over the matching column indices (a zero code contributes
+// an exact zero, so none needs skipping).
 func (na *NormAdjacency) accumRowI8(acc []int32, h *mat.MatrixI8, i int, valScale float64) {
-	d := h.Cols
-	inited := false
-	for p, end := na.RowPtr[i], na.RowPtr[i+1]; p < end; p++ {
-		qv := mat.QuantizeI8(na.Val[p], valScale)
-		if qv == 0 {
-			continue
+	var qb [128]int32
+	cont := false
+	for p, end := na.RowPtr[i], na.RowPtr[i+1]; p < end; p += len(qb) {
+		vals := na.Val[p:min(p+len(qb), end)]
+		for t, v := range vals {
+			qb[t] = int32(mat.QuantizeI8(v, valScale))
 		}
-		c := na.ColIdx[p]
-		if inited {
-			mat.AxpyI8(int32(qv), h.Data[c*d:(c+1)*d], acc)
-		} else {
-			mat.AxpyI8Set(int32(qv), h.Data[c*d:(c+1)*d], acc)
-			inited = true
-		}
+		mat.RowAccumulateI8(acc, qb[:len(vals)], na.ColIdx[p:p+len(vals)], h.Data, cont)
+		cont = true
 	}
-	if !inited {
+	if !cont {
 		clear(acc)
 	}
 }

@@ -1,190 +1,108 @@
 package mat
 
-// The two innermost loops of every forward kernel in this codebase — the
-// dense product, the sparse product in internal/graph, and the transpose
-// gradient kernels — are a scaled vector accumulate (y += α·x) or a dot
-// product over one row. The Go compiler does not vectorise either, so the
-// helpers here unroll them 8-wide with explicit bounds hints instead:
-// ~1.6–1.9× on the activation widths GNN inference lives at (16–64
-// columns). Both preserve the element-wise operation order of the naive
-// loop exactly, so every caller stays bit-identical to its pre-unrolled
-// form — the property the tiled/fused execution-equivalence tests pin.
+import "fmt"
 
-// Axpy accumulates y[j] += alpha·x[j] for j < len(x). len(y) must be at
-// least len(x); each y element receives exactly one fused
-// multiply-accumulate, so the result is bit-identical to the naive loop.
-func Axpy(alpha float64, x, y []float64) {
-	y = y[:len(x)]
-	i := 0
-	for ; i+8 <= len(x); i += 8 {
-		xs := x[i : i+8 : i+8]
-		ys := y[i : i+8 : i+8]
-		ys[0] += alpha * xs[0]
-		ys[1] += alpha * xs[1]
-		ys[2] += alpha * xs[2]
-		ys[3] += alpha * xs[3]
-		ys[4] += alpha * xs[4]
-		ys[5] += alpha * xs[5]
-		ys[6] += alpha * xs[6]
-		ys[7] += alpha * xs[7]
-	}
-	for ; i < len(x); i++ {
-		y[i] += alpha * x[i]
+// Every forward product in this codebase — the dense product here, the
+// sparse product in internal/graph, at fp64 and at int8 — computes each
+// output row under one contract, the row accumulate:
+//
+//	out[0:p] = Σₜ alpha[t] · src[idx[t]·p : idx[t]·p+p]
+//
+// accumulated per element in t order with a separate multiply and add
+// (never a fused multiply-add); the first term is written as a bare
+// product (so a −0 product stays −0), and no term at all clears the row.
+// SpMM hands it a CSR row's values and column indices directly; the dense
+// product first compacts the non-zero multiplicands of an input row into
+// a stack buffer, branch-free, and then runs the same indexed kernel, so
+// no data-dependent branch is left in the MAC loop.
+//
+// The contract has exactly two implementations: AVX2 assembly on amd64
+// (rowacc_amd64.s, chosen once at init from CPUID) and the portable Go
+// below, which is the fallback everywhere else, the only implementation
+// under the purego build tag, and the oracle the differential tests hold
+// the assembly to. Both perform the same IEEE operations on the same
+// operands in the same order for every output element, so they agree to
+// the last bit, and — each output row coming from one kernel call chain
+// in one order regardless of how rows are grouped — tiled == direct,
+// sharded == single and fused == unfused hold by row independence. The
+// int8 form accumulates exactly in int32 and is order-free.
+
+// compactChunk is how many multiplicands the dense products compact
+// into their stack buffers per kernel call; longer rows continue onto
+// the output row chunk by chunk.
+const compactChunk = 128
+
+// RowAccumulate computes the fp64 row accumulate into out (p = len(out)):
+// src is a row-major matrix of p-wide rows, idx[t] names the row scaled
+// by alpha[t]. With cont set the sum continues onto out's current
+// contents instead of starting from the bare first product — how callers
+// feed one long row through in chunks. Operand lengths and every index
+// are validated here, before either implementation runs, so a corrupt
+// index panics instead of reading out of bounds.
+func RowAccumulate(out, alpha []float64, idx []int, src []float64, cont bool) {
+	requireRowAcc(len(out), len(alpha), idx, len(src))
+	switch {
+	case len(alpha) > 0 && len(out) > 0:
+		rowAccF64(out, alpha, idx, src, cont)
+	case !cont:
+		clear(out)
 	}
 }
 
-// Axpy2 accumulates y[j] += a1·x1[j] + a2·x2[j], associating left to
-// right per element — bit-identical to Axpy(a1, x1, y) followed by
-// Axpy(a2, x2, y), but with one pass over y instead of two and two
-// independent load streams the CPU can miss on concurrently. The sparse
-// product feeds pairs of CSR non-zeros through this (and quads through
-// Axpy4): its row gathers are cache-miss-bound, and overlapping the miss
-// streams is worth more than any in-register trick.
-func Axpy2(a1 float64, x1 []float64, a2 float64, x2 []float64, y []float64) {
-	n := len(y)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s1 := x1[i : i+4 : i+4]
-		s2 := x2[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ys[0] = ys[0] + a1*s1[0] + a2*s2[0]
-		ys[1] = ys[1] + a1*s1[1] + a2*s2[1]
-		ys[2] = ys[2] + a1*s1[2] + a2*s2[2]
-		ys[3] = ys[3] + a1*s1[3] + a2*s2[3]
-	}
-	for ; i < n; i++ {
-		y[i] = y[i] + a1*x1[i] + a2*x2[i]
+// RowAccumulateI8 is RowAccumulate over int8 rows with int32 multipliers
+// and an exact int32 accumulator.
+func RowAccumulateI8(out, alpha []int32, idx []int, src []int8, cont bool) {
+	requireRowAcc(len(out), len(alpha), idx, len(src))
+	switch {
+	case len(alpha) > 0 && len(out) > 0:
+		rowAccI8(out, alpha, idx, src, cont)
+	case !cont:
+		clear(out)
 	}
 }
 
-// Axpy4 accumulates four scaled rows into y in one pass, left-associated
-// per element like Axpy2 — bit-identical to four sequential Axpy calls.
-func Axpy4(a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64, a4 float64, x4 []float64, y []float64) {
-	n := len(y)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	x4 = x4[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s1 := x1[i : i+4 : i+4]
-		s2 := x2[i : i+4 : i+4]
-		s3 := x3[i : i+4 : i+4]
-		s4 := x4[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ys[0] = ys[0] + a1*s1[0] + a2*s2[0] + a3*s3[0] + a4*s4[0]
-		ys[1] = ys[1] + a1*s1[1] + a2*s2[1] + a3*s3[1] + a4*s4[1]
-		ys[2] = ys[2] + a1*s1[2] + a2*s2[2] + a3*s3[2] + a4*s4[2]
-		ys[3] = ys[3] + a1*s1[3] + a2*s2[3] + a3*s3[3] + a4*s4[3]
+// requireRowAcc validates one row-accumulate call: one index per
+// multiplier, every index a whole p-wide row inside src.
+func requireRowAcc(p, terms int, idx []int, srcLen int) {
+	if len(idx) != terms {
+		panic(fmt.Sprintf("mat: row accumulate with %d multipliers but %d indices", terms, len(idx)))
 	}
-	for ; i < n; i++ {
-		y[i] = y[i] + a1*x1[i] + a2*x2[i] + a3*x3[i] + a4*x4[i]
+	if p == 0 {
+		return
+	}
+	rows := uint(srcLen / p)
+	for _, c := range idx {
+		if uint(c) >= rows {
+			panic(fmt.Sprintf("mat: row accumulate index %d out of range [0,%d)", c, rows))
+		}
 	}
 }
 
-// AxpySet writes y[j] = alpha·x[j] — the initialising form of Axpy. The
-// product kernels start each output row with a Set variant instead of
-// zero-filling the whole destination first, which removes a full memclr
-// pass over the output matrix (numerically, 0 + α·x ≡ α·x up to the sign
-// of zero, which no comparison in this codebase distinguishes).
-func AxpySet(alpha float64, x, y []float64) {
-	y = y[:len(x)]
-	i := 0
-	for ; i+8 <= len(x); i += 8 {
-		xs := x[i : i+8 : i+8]
-		ys := y[i : i+8 : i+8]
-		ys[0] = alpha * xs[0]
-		ys[1] = alpha * xs[1]
-		ys[2] = alpha * xs[2]
-		ys[3] = alpha * xs[3]
-		ys[4] = alpha * xs[4]
-		ys[5] = alpha * xs[5]
-		ys[6] = alpha * xs[6]
-		ys[7] = alpha * xs[7]
-	}
-	for ; i < len(x); i++ {
-		y[i] = alpha * x[i]
+// rowAccF64Go is the portable fp64 row accumulate. Like the assembly it
+// stands in for, it takes operands the caller has validated and at least
+// one term.
+func rowAccF64Go(out, alpha []float64, idx []int, src []float64, cont bool) {
+	p := len(out)
+	for t, a := range alpha {
+		row := src[idx[t]*p : idx[t]*p+p]
+		if t == 0 && !cont {
+			AxpySetG(a, row, out)
+		} else {
+			AxpyG(a, row, out)
+		}
 	}
 }
 
-// Axpy2Set writes y[j] = a1·x1[j] + a2·x2[j], the initialising form of
-// Axpy2.
-func Axpy2Set(a1 float64, x1 []float64, a2 float64, x2 []float64, y []float64) {
-	n := len(y)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s1 := x1[i : i+4 : i+4]
-		s2 := x2[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ys[0] = a1*s1[0] + a2*s2[0]
-		ys[1] = a1*s1[1] + a2*s2[1]
-		ys[2] = a1*s1[2] + a2*s2[2]
-		ys[3] = a1*s1[3] + a2*s2[3]
-	}
-	for ; i < n; i++ {
-		y[i] = a1*x1[i] + a2*x2[i]
-	}
-}
-
-// Axpy4Set writes four scaled rows into y in one initialising pass, the
-// Set form of Axpy4.
-func Axpy4Set(a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64, a4 float64, x4 []float64, y []float64) {
-	n := len(y)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	x4 = x4[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s1 := x1[i : i+4 : i+4]
-		s2 := x2[i : i+4 : i+4]
-		s3 := x3[i : i+4 : i+4]
-		s4 := x4[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ys[0] = a1*s1[0] + a2*s2[0] + a3*s3[0] + a4*s4[0]
-		ys[1] = a1*s1[1] + a2*s2[1] + a3*s3[1] + a4*s4[1]
-		ys[2] = a1*s1[2] + a2*s2[2] + a3*s3[2] + a4*s4[2]
-		ys[3] = a1*s1[3] + a2*s2[3] + a3*s3[3] + a4*s4[3]
-	}
-	for ; i < n; i++ {
-		y[i] = a1*x1[i] + a2*x2[i] + a3*x3[i] + a4*x4[i]
-	}
-}
-
-// axpy4Pair accumulates four scaled rows into two destinations at once —
-// the dense mat-mul micro-kernel: the four x rows (weight rows) are
-// loaded once per pair of output rows instead of once per row. Each
-// destination element is left-associated exactly like Axpy4.
-func axpy4Pair(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64) {
-	n := len(y1)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	x4 = x4[:n]
-	y2 = y2[:n]
-	for j := 0; j < n; j++ {
-		v1, v2, v3, v4 := x1[j], x2[j], x3[j], x4[j]
-		y1[j] = y1[j] + a11*v1 + a12*v2 + a13*v3 + a14*v4
-		y2[j] = y2[j] + a21*v1 + a22*v2 + a23*v3 + a24*v4
-	}
-}
-
-// axpy4PairSet is the initialising form of axpy4Pair.
-func axpy4PairSet(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64) {
-	n := len(y1)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	x4 = x4[:n]
-	y2 = y2[:n]
-	for j := 0; j < n; j++ {
-		v1, v2, v3, v4 := x1[j], x2[j], x3[j], x4[j]
-		y1[j] = a11*v1 + a12*v2 + a13*v3 + a14*v4
-		y2[j] = a21*v1 + a22*v2 + a23*v3 + a24*v4
+// rowAccI8Go is the portable int8 row accumulate.
+func rowAccI8Go(out, alpha []int32, idx []int, src []int8, cont bool) {
+	p := len(out)
+	for t, a := range alpha {
+		row := src[idx[t]*p : idx[t]*p+p]
+		if t == 0 && !cont {
+			AxpyI8Set(a, row, out)
+		} else {
+			AxpyI8(a, row, out)
+		}
 	}
 }
 

@@ -1,13 +1,12 @@
 package mat
 
-// Generic forms of the multi-stream axpy kernels in axpy.go, shared by the
-// reduced-precision (float32) kernel family. The float64 kernels keep their
-// dedicated definitions — their bits are pinned by the tiled/fused
-// execution-equivalence tests and must not depend on how the compiler
-// instantiates a generic — while the float32 family instantiates these with
-// F = float32 and inherits the same unroll shape, bounds hints and
-// per-element accumulation order, so tiled-vs-direct bit-identity holds
-// within the reduced precision by the same argument as at fp64.
+// Generic scaled-row accumulates. AxpyG/AxpySetG instantiated at float64
+// are the portable fp64 row-accumulate kernel (axpy.go) and the training
+// transpose product's inner loop; the float32 kernel family instantiates
+// the whole set, multi-stream forms included, with F = float32. Every
+// form keeps one per-element accumulation order — a separate multiply and
+// add per term, left to right — so tiled-vs-direct bit-identity holds
+// within each precision.
 
 // Float constrains the generic axpy kernels to the element types the
 // kernel families support.
@@ -15,8 +14,9 @@ type Float interface {
 	~float32 | ~float64
 }
 
-// AxpyG accumulates y[j] += alpha·x[j] for j < len(x) — the generic form
-// of Axpy, 8-wide unrolled with the same per-element order.
+// AxpyG accumulates y[j] += alpha·x[j] for j < len(x), 8-wide unrolled.
+// len(y) must be at least len(x); each y element receives exactly one
+// multiply and one add, so the result is bit-identical to the naive loop.
 func AxpyG[F Float](alpha F, x, y []F) {
 	y = y[:len(x)]
 	i := 0
@@ -37,8 +37,9 @@ func AxpyG[F Float](alpha F, x, y []F) {
 	}
 }
 
-// AxpySetG writes y[j] = alpha·x[j] — the generic initialising form of
-// AxpySet.
+// AxpySetG writes y[j] = alpha·x[j] — the initialising form of AxpyG,
+// which lets the product kernels start each output row from its first
+// term instead of zero-filling the destination first.
 func AxpySetG[F Float](alpha F, x, y []F) {
 	y = y[:len(x)]
 	i := 0
@@ -60,7 +61,7 @@ func AxpySetG[F Float](alpha F, x, y []F) {
 }
 
 // Axpy2G accumulates y[j] += a1·x1[j] + a2·x2[j] in one pass with two
-// load streams — the generic form of Axpy2, left-associated per element.
+// load streams, left-associated per element.
 func Axpy2G[F Float](a1 F, x1 []F, a2 F, x2 []F, y []F) {
 	n := len(y)
 	x1 = x1[:n]
@@ -80,8 +81,8 @@ func Axpy2G[F Float](a1 F, x1 []F, a2 F, x2 []F, y []F) {
 	}
 }
 
-// Axpy2SetG writes y[j] = a1·x1[j] + a2·x2[j], the generic initialising
-// form of Axpy2Set.
+// Axpy2SetG writes y[j] = a1·x1[j] + a2·x2[j], the initialising form of
+// Axpy2G.
 func Axpy2SetG[F Float](a1 F, x1 []F, a2 F, x2 []F, y []F) {
 	n := len(y)
 	x1 = x1[:n]
@@ -101,8 +102,8 @@ func Axpy2SetG[F Float](a1 F, x1 []F, a2 F, x2 []F, y []F) {
 	}
 }
 
-// Axpy4G accumulates four scaled rows into y in one pass — the generic
-// form of Axpy4, left-associated per element.
+// Axpy4G accumulates four scaled rows into y in one pass, left-associated
+// per element.
 func Axpy4G[F Float](a1 F, x1 []F, a2 F, x2 []F, a3 F, x3 []F, a4 F, x4 []F, y []F) {
 	n := len(y)
 	x1 = x1[:n]
@@ -127,7 +128,7 @@ func Axpy4G[F Float](a1 F, x1 []F, a2 F, x2 []F, a3 F, x3 []F, a4 F, x4 []F, y [
 }
 
 // Axpy4SetG writes four scaled rows into y in one initialising pass, the
-// generic form of Axpy4Set.
+// initialising form of Axpy4G.
 func Axpy4SetG[F Float](a1 F, x1 []F, a2 F, x2 []F, a3 F, x3 []F, a4 F, x4 []F, y []F) {
 	n := len(y)
 	x1 = x1[:n]

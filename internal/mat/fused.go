@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -29,11 +30,7 @@ func ApplyEpilogueRow(drow, bias, rrow []float64, relu bool) {
 		// The dominant fused tail (GCN conv): one pass instead of two,
 		// same per-element operation order.
 		for j, bv := range bias {
-			if v := drow[j] + bv; v > 0 {
-				drow[j] = v
-			} else {
-				drow[j] = 0
-			}
+			drow[j] = reluF64(drow[j] + bv)
 		}
 		return
 	case bias != nil:
@@ -48,12 +45,22 @@ func ApplyEpilogueRow(drow, bias, rrow []float64, relu bool) {
 	}
 	if relu {
 		for j, v := range drow {
-			if v > 0 {
-				continue
-			}
-			drow[j] = 0
+			drow[j] = reluF64(v)
 		}
 	}
+}
+
+// reluF64 returns v when v > 0 and +0 otherwise (negatives, −0 and NaN
+// alike — ReLUInto's semantics) without a branch: pre-activation values
+// are of either sign about equally often, so a branch here mispredicts
+// on half its inputs. v > 0 exactly when its bits lie in [1, +Inf's],
+// i.e. bits−1 is below +Inf's bits as an unsigned number.
+func reluF64(v float64) float64 {
+	const inf = 0x7FF0000000000000
+	b := math.Float64bits(v)
+	t := b - 1
+	keep := uint64(int64((t-inf)&^t) >> 63) // all ones iff t < inf, unsigned
+	return math.Float64frombits(b & keep)
 }
 
 // MatMulBiasReLUInto computes dst = epilogue(a·b): the blocked product of
@@ -78,7 +85,7 @@ func MatMulBiasReLUInto(dst, a, b *Matrix, bias []float64, res *Matrix, relu boo
 		res.requireShape(dst.Rows, dst.Cols, "MatMulBiasReLUInto residual")
 	}
 	ops := a.Rows * a.Cols * b.Cols
-	w := resolveWorkers(workers, a.Rows)
+	w := ResolveWorkers(workers, a.Rows)
 	if ops < parallelThreshold || w == 1 {
 		matMulEpilogueRange(a, b, dst, 0, a.Rows, bias, res, relu)
 		return
@@ -101,42 +108,24 @@ func MatMulBiasReLUInto(dst, a, b *Matrix, bias []float64, res *Matrix, relu boo
 }
 
 // matMulEpilogueRange computes rows [lo,hi) of the product and applies
-// the epilogue to each row (or dense-pair of rows) while it is still
-// cache-hot instead of in a trailing full pass — rows are independent, so
-// the element order, and therefore the bits, are unchanged. The caller
-// validated epilogue shapes; with no epilogue set this is the plain
-// banded product body.
+// the epilogue to each row while it is still cache-hot instead of in a
+// trailing full pass — rows are independent, so the element order, and
+// therefore the bits, are unchanged. The caller validated epilogue
+// shapes; with no epilogue set this is the plain banded product body.
 func matMulEpilogueRange(a, b, dst *Matrix, lo, hi int, bias []float64, res *Matrix, relu bool) {
 	n, p := a.Cols, b.Cols
 	epi := bias != nil || res != nil || relu
-	resRow := func(i int) []float64 {
-		if res == nil {
-			return nil
-		}
-		return res.Data[i*p : (i+1)*p]
-	}
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		r1 := a.Data[i*n : (i+1)*n]
-		r2 := a.Data[(i+1)*n : (i+2)*n]
-		o1 := dst.Data[i*p : (i+1)*p]
-		o2 := dst.Data[(i+1)*p : (i+2)*p]
-		if n >= 4 && denseRow(r1) && denseRow(r2) {
-			matMulRowPairDense(r1, r2, b, o1, o2, n, p)
-		} else {
-			matMulRow(r1, b, o1, n, p)
-			matMulRow(r2, b, o2, n, p)
-		}
-		if epi {
-			ApplyEpilogueRow(o1, bias, resRow(i), relu)
-			ApplyEpilogueRow(o2, bias, resRow(i+1), relu)
-		}
-	}
-	if i < hi {
+	var ab [compactChunk]float64
+	var ib [compactChunk]int
+	for i := lo; i < hi; i++ {
 		orow := dst.Data[i*p : (i+1)*p]
-		matMulRow(a.Data[i*n:(i+1)*n], b, orow, n, p)
+		matMulRow(a.Data[i*n:(i+1)*n], b, orow, &ab, &ib)
 		if epi {
-			ApplyEpilogueRow(orow, bias, resRow(i), relu)
+			var rrow []float64
+			if res != nil {
+				rrow = res.Data[i*p : (i+1)*p]
+			}
+			ApplyEpilogueRow(orow, bias, rrow, relu)
 		}
 	}
 }

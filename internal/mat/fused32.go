@@ -6,14 +6,13 @@ import (
 )
 
 // float32 kernel family. These mirror the fp64 kernels (matmul.go,
-// fused.go, into.go) over Matrix32: same zero-skip quad row kernel, same
-// banded parallel driver, same canonical bias → residual → ReLU epilogue
-// order, and the same per-row element order — so tiled, direct and
-// banded-parallel executions are bit-identical *within* fp32 by the same
-// argument that pins the fp64 engine. The only structural difference is
-// that the fp32 row kernel has no dense-pair micro-kernel: reduced
-// precision already halves memory traffic, and the single-row quad path
-// keeps the family small.
+// fused.go, into.go) over Matrix32: same banded parallel driver, same
+// canonical bias → residual → ReLU epilogue order, and one fixed per-row
+// element order — so tiled, direct and banded-parallel executions are
+// bit-identical *within* fp32 by the same row-independence argument that
+// pins the fp64 engine. The row kernel is portable Go on every platform:
+// a zero-skip loop over the generic multi-stream axpy forms (axpyg.go),
+// not the fp64/int8 row-accumulate assembly.
 
 // ApplyEpilogueRow32 applies the fused epilogue to one float32 output
 // row: bias (broadcast), then residual row, then ReLU (non-positive and
@@ -69,8 +68,8 @@ func (m *Matrix32) requireShape(rows, cols int, op string) {
 // epilogue applied while each output row is cache-hot. Any of bias, res
 // may be nil and relu false — with all three unset this is the plain
 // product. dst must be a.Rows×b.Cols and must not alias a, b or res.
-// workers follows MatMulWorkersInto semantics (<= 0 resolves the
-// process-global default, 1 runs inline, clamped to the row count).
+// workers follows MatMulWorkersInto semantics (<= 0 resolves to
+// GOMAXPROCS, 1 runs inline, clamped to the row count).
 func MatMul32BiasReLUInto(dst, a, b *Matrix32, bias []float32, res *Matrix32, relu bool, workers int) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MatMul32BiasReLUInto inner dimension mismatch %s · %s", a.Shape(), b.Shape()))
@@ -86,7 +85,7 @@ func MatMul32BiasReLUInto(dst, a, b *Matrix32, bias []float32, res *Matrix32, re
 		res.requireShape(dst.Rows, dst.Cols, "MatMul32BiasReLUInto residual")
 	}
 	ops := a.Rows * a.Cols * b.Cols
-	w := resolveWorkers(workers, a.Rows)
+	w := ResolveWorkers(workers, a.Rows)
 	if ops < parallelThreshold || w == 1 {
 		matMul32EpilogueRange(a, b, dst, 0, a.Rows, bias, res, relu)
 		return
@@ -127,9 +126,9 @@ func matMul32EpilogueRange(a, b, dst *Matrix32, lo, hi int, bias []float32, res 
 	}
 }
 
-// matMulRow32 computes one float32 output row with the zero-skip quad
-// path of matMulRow: fully non-zero quads of k take the four-stream
-// kernel after one combined test, mixed quads fall back to per-element
+// matMulRow32 computes one float32 output row with a zero-skip quad
+// path: fully non-zero quads of k take the four-stream kernel after one
+// combined test, mixed quads fall back to per-element
 // skip, the first write uses a Set kernel, all-zero rows are cleared.
 func matMulRow32(arow []float32, b *Matrix32, orow []float32, n, p int) {
 	k, inited := 0, false

@@ -62,42 +62,35 @@ func TestMatMulBiasReLUIntoMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestAxpyFamilyBitIdentity checks that the grouped/initialising axpy
-// kernels reproduce the one-at-a-time accumulation bit for bit.
+// TestAxpyFamilyBitIdentity checks that the row accumulate — in one call
+// and continued across two — and Dot reproduce the one-at-a-time
+// accumulation bit for bit.
 func TestAxpyFamilyBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, d := range []int{1, 3, 7, 8, 16, 33} {
-		xs := make([][]float64, 4)
-		as := make([]float64, 4)
-		for i := range xs {
-			xs[i] = fill(rng, New(1, d)).Data
-			as[i] = rng.NormFloat64()
-		}
+		src := fill(rng, New(4, d)).Data
+		as := fill(rng, New(1, 4)).Data
+		idx := []int{0, 1, 2, 3}
 		ref := make([]float64, d)
-		for i := range xs {
+		for i, a := range as {
 			for j := 0; j < d; j++ {
-				ref[j] += as[i] * xs[i][j]
+				ref[j] += a * src[i*d+j]
 			}
 		}
 		got := make([]float64, d)
-		Axpy2Set(as[0], xs[0], as[1], xs[1], got)
-		Axpy2(as[2], xs[2], as[3], xs[3], got)
+		RowAccumulate(got, as, idx, src, false)
+		split := make([]float64, d)
+		RowAccumulate(split, as[:2], idx[:2], src, false)
+		RowAccumulate(split, as[2:], idx[2:], src, true)
 		for j := range ref {
-			if got[j] != ref[j] {
-				t.Fatalf("d=%d Axpy2 path: elem %d = %v, want %v", d, j, got[j], ref[j])
+			if got[j] != ref[j] || split[j] != ref[j] {
+				t.Fatalf("d=%d elem %d: one call %v, continued %v, want %v", d, j, got[j], split[j], ref[j])
 			}
 		}
-		got4 := make([]float64, d)
-		Axpy4Set(as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3], got4)
-		for j := range ref {
-			if got4[j] != ref[j] {
-				t.Fatalf("d=%d Axpy4Set: elem %d = %v, want %v", d, j, got4[j], ref[j])
-			}
-		}
-		gotD := Dot(xs[0], xs[1])
+		gotD := Dot(src[:d], src[d:2*d])
 		refD := 0.0
 		for j := 0; j < d; j++ {
-			refD += xs[0][j] * xs[1][j]
+			refD += src[j] * src[d+j]
 		}
 		if gotD != refD {
 			t.Fatalf("d=%d Dot = %v, want %v", d, gotD, refD)
@@ -135,6 +128,29 @@ func TestMatMulTransWorkersVariants(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
 		if got := MatMulTransBWorkers(a, c, w); !got.Equal(wantB) {
 			t.Fatalf("MatMulTransBWorkers(%d) differs from MatMulTransB", w)
+		}
+	}
+}
+
+// TestReLUBranchFree holds the bit-mask ReLU to the comparison it
+// replaced, bit for bit, over every special value and a random sweep.
+func TestReLUBranchFree(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), math.NaN(), -math.NaN(), math.Float64frombits(0x7FF0000000000001),
+		math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -1,
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, math.Float64frombits(rng.Uint64()))
+	}
+	for _, v := range vals {
+		want := 0.0
+		if v > 0 {
+			want = v
+		}
+		if got := reluF64(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("reluF64(%x) = %x, want %x", math.Float64bits(v), math.Float64bits(got), math.Float64bits(want))
 		}
 	}
 }

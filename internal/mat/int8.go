@@ -99,8 +99,10 @@ func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI
 		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto labels length %d < rows %d", len(labels), a.Rows))
 	}
 	n, p := a.Cols, w.Cols
+	var ab [compactChunk]int32
+	var ib [compactChunk]int
 	for i := 0; i < a.Rows; i++ {
-		matMulRowI8(a.Data[i*n:(i+1)*n], w, acc[:p], n, p)
+		matMulRowI8(a.Data[i*n:(i+1)*n], w, acc[:p], &ab, &ib)
 		var rrow []int8
 		if res != nil {
 			rrow = res.Data[i*p : (i+1)*p]
@@ -112,22 +114,32 @@ func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI
 	}
 }
 
-// matMulRowI8 accumulates one output row into acc with the zero-skip
-// path of matMulRow: zero codes skip a whole row-axpy, the first write
-// uses the Set kernel, all-zero rows clear the accumulator.
-func matMulRowI8(arow []int8, w *MatrixI8, acc []int32, n, p int) {
-	inited := false
-	for k := 0; k < n; k++ {
-		if av := arow[k]; av != 0 {
-			if inited {
-				AxpyI8(int32(av), w.Data[k*p:(k+1)*p], acc)
-			} else {
-				AxpyI8Set(int32(av), w.Data[k*p:(k+1)*p], acc)
-				inited = true
-			}
+// matMulRowI8 accumulates one output row into acc: matMulRow over int8
+// codes, widened to the kernel's int32 multipliers as they are
+// compacted.
+func matMulRowI8(arow []int8, w *MatrixI8, acc []int32, ab *[compactChunk]int32, ib *[compactChunk]int) {
+	cont := false
+	for k0 := 0; k0 < len(arow); k0 += compactChunk {
+		m := compactNonZeroI8(ab, ib, arow[k0:min(k0+compactChunk, len(arow))], k0)
+		if m > 0 {
+			RowAccumulateI8(acc, ab[:m], ib[:m], w.Data, cont)
+			cont = true
 		}
 	}
-	if !inited {
+	if !cont {
 		clear(acc)
 	}
+}
+
+// compactNonZeroI8Go is compactNonZeroGo over int8 codes.
+//
+//go:noinline
+func compactNonZeroI8Go(ab *[compactChunk]int32, ib *[compactChunk]int, chunk []int8, base int) int {
+	m := 0
+	for k, v := range chunk {
+		ab[m&(compactChunk-1)], ib[m&(compactChunk-1)] = int32(v), base+k
+		x := uint32(int32(v))
+		m += int((x | -x) >> 31)
+	}
+	return m
 }

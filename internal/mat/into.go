@@ -52,11 +52,10 @@ func MatMulSerialInto(dst, a, b *Matrix) {
 }
 
 // MatMulWorkersInto is MatMulInto under an explicit per-call worker budget:
-// workers <= 0 resolves to the process-global default (SetMaxWorkers, then
-// GOMAXPROCS), 1 runs inline on the calling goroutine, larger budgets are
-// clamped to the row count. This is the form plan-scoped executors use so
-// concurrent servers with different budgets cannot stomp each other through
-// the global.
+// workers <= 0 resolves to GOMAXPROCS, 1 runs inline on the calling
+// goroutine, larger budgets are clamped to the row count. This is the form
+// plan-scoped executors use, so concurrent servers can run under different
+// budgets.
 func MatMulWorkersInto(dst, a, b *Matrix, workers int) {
 	matMulInto(dst, a, b, workers)
 }
@@ -69,17 +68,15 @@ func matMulInto(dst, a, b *Matrix, budget int) {
 
 // MatMulTransAInto computes dst = aᵀ·b without materialising the transpose.
 // Shapes: a is n×m, b is n×p, dst must be m×p and must not alias a or b.
-// Resolves the process-global default worker count; see
-// MatMulTransAWorkersInto for the per-call-budget form.
+// Runs under GOMAXPROCS workers; see MatMulTransAWorkersInto for the
+// per-call-budget form.
 func MatMulTransAInto(dst, a, b *Matrix) {
 	MatMulTransAWorkersInto(dst, a, b, 0)
 }
 
 // MatMulTransAWorkersInto is MatMulTransAInto under an explicit per-call
-// worker budget (MatMulWorkersInto semantics: <= 0 resolves to the process
-// global, 1 runs inline) — the form plan- and train-scoped callers use so
-// concurrent jobs with different budgets never race on the deprecated
-// SetMaxWorkers global.
+// worker budget (MatMulWorkersInto semantics: <= 0 resolves to GOMAXPROCS,
+// 1 runs inline) — the form plan- and train-scoped callers use.
 func MatMulTransAWorkersInto(dst, a, b *Matrix, budget int) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MatMulTransAInto outer dimension mismatch %s ᵀ· %s", a.Shape(), b.Shape()))
@@ -90,7 +87,7 @@ func MatMulTransAWorkersInto(dst, a, b *Matrix, budget int) {
 	RequireNoAlias(dst, b, "mat: MatMulTransAInto")
 	dst.Zero()
 	ops := a.Rows * m * p
-	workers := resolveWorkers(budget, m)
+	workers := ResolveWorkers(budget, m)
 	if ops < parallelThreshold || workers == 1 {
 		matMulTransARange(a, b, dst, 0, m)
 		return
@@ -125,22 +122,22 @@ func matMulTransARange(a, b, out *Matrix, kLo, kHi int) {
 			if av == 0 {
 				continue
 			}
-			Axpy(av, brow, out.Data[k*p:(k+1)*p])
+			AxpyG(av, brow, out.Data[k*p:(k+1)*p])
 		}
 	}
 }
 
 // MatMulTransBInto computes dst = a·bᵀ without materialising the transpose.
 // Shapes: a is n×m, b is p×m, dst must be n×p and must not alias a or b.
-// Resolves the process-global default worker count; see
-// MatMulTransBWorkersInto for the per-call-budget form.
+// Runs under GOMAXPROCS workers; see MatMulTransBWorkersInto for the
+// per-call-budget form.
 func MatMulTransBInto(dst, a, b *Matrix) {
 	MatMulTransBWorkersInto(dst, a, b, 0)
 }
 
 // MatMulTransBWorkersInto is MatMulTransBInto under an explicit per-call
-// worker budget (MatMulWorkersInto semantics: <= 0 resolves to the process
-// global, 1 runs inline).
+// worker budget (MatMulWorkersInto semantics: <= 0 resolves to GOMAXPROCS,
+// 1 runs inline).
 func MatMulTransBWorkersInto(dst, a, b *Matrix, budget int) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulTransBInto inner dimension mismatch %s · %s ᵀ", a.Shape(), b.Shape()))
@@ -150,7 +147,7 @@ func MatMulTransBWorkersInto(dst, a, b *Matrix, budget int) {
 	RequireNoAlias(dst, a, "mat: MatMulTransBInto")
 	RequireNoAlias(dst, b, "mat: MatMulTransBInto")
 	ops := n * a.Cols * p
-	workers := resolveWorkers(budget, n)
+	workers := ResolveWorkers(budget, n)
 	if ops < parallelThreshold || workers == 1 {
 		matMulTransBRange(a, b, dst, 0, n)
 		return
@@ -205,11 +202,7 @@ func AddBiasInto(dst, x *Matrix, bias []float64) {
 func ReLUInto(dst, x *Matrix) {
 	dst.requireShape(x.Rows, x.Cols, "ReLUInto")
 	for i, v := range x.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
+		dst.Data[i] = reluF64(v)
 	}
 }
 

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 )
 
@@ -10,46 +11,13 @@ import (
 // costs more than the work itself.
 const parallelThreshold = 1 << 16
 
-// maxWorkers bounds the goroutine fan-out of parallel kernels. Tests may
-// lower it; 0 means use GOMAXPROCS.
-var maxWorkers = 0
-
-// SetMaxWorkers overrides the *process-global default* worker count used by
-// parallel kernels (here and in graph's sparse products). n <= 0 restores
-// the default (GOMAXPROCS).
-//
-// Deprecated: the global is racy when concurrent servers want different
-// budgets — it survives only as the default that a zero per-call budget
-// resolves to. New code should carry an explicit worker budget instead:
-// the Workers variants of the kernels (MatMulWorkersInto, graph's
-// MulDenseWorkersInto), nn's LayerWorkspace.Workers, exec.Config.Workers,
-// and core.PlanConfig.Workers all thread one through per plan.
-func SetMaxWorkers(n int) { maxWorkers = n }
-
-// WorkerCount returns the effective parallel worker count for a kernel
-// spanning rows rows, honouring SetMaxWorkers. Exported so sibling packages
-// (graph's sparse kernels) share the same knob.
-func WorkerCount(rows int) int { return workerCount(rows) }
-
-func workerCount(rows int) int {
-	return resolveWorkers(0, rows)
-}
-
 // ResolveWorkers maps a per-call worker budget to an effective count for a
-// kernel spanning rows rows (budget <= 0 means the process-global default;
-// the result is clamped to [1, rows]). Exported so sibling packages' kernels
-// (graph's sparse products) resolve budgets by the same rule.
-func ResolveWorkers(budget, rows int) int { return resolveWorkers(budget, rows) }
-
-// resolveWorkers maps a per-call worker budget to an effective count for a
-// kernel spanning rows rows: budget <= 0 falls back to the process-global
-// default (SetMaxWorkers, then GOMAXPROCS), 1 means inline on the calling
-// goroutine, and any budget is clamped to rows.
-func resolveWorkers(budget, rows int) int {
+// kernel spanning rows rows: budget <= 0 means GOMAXPROCS, 1 means inline
+// on the calling goroutine, and the result is clamped to [1, rows].
+// Exported so sibling packages' kernels (graph's sparse products) resolve
+// budgets by the same rule.
+func ResolveWorkers(budget, rows int) int {
 	w := budget
-	if w <= 0 {
-		w = maxWorkers
-	}
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -88,104 +56,58 @@ func MatMulSerial(a, b *Matrix) *Matrix {
 	return out
 }
 
-// The row kernels below compute out = a·b one output row (or dense pair
-// of rows) at a time, streaming through contiguous rows of b and out.
-// The destination needs no prior zeroing: each output row is initialised
-// by its first axpy group (Set form) and all-zero input rows are cleared
-// explicitly. Zero entries of a are skipped — post-ReLU activations are
-// roughly half zeros, and each skip saves a whole row-axpy — and the
-// surviving non-zeros are fed through the multi-stream axpy kernels four
-// at a time, which quarters the traffic over the output row while
-// keeping the per-element accumulation order (and bits) of the
-// one-at-a-time loop. The banded driver over these kernels lives in
-// matMulEpilogueRange (fused.go) — one copy, epilogue optional.
-
-// denseRow reports whether the row contains no exact zeros.
-func denseRow(r []float64) bool {
-	for _, v := range r {
-		if v == 0 {
-			return false
+// matMulRow computes one output row of a·b under the row-accumulate
+// contract (axpy.go). Zero entries of arow are dropped — post-ReLU
+// activations are roughly half zeros, and each one saves a whole row of
+// MACs — by compacting the survivors and their row indices into the
+// caller's scratch (one per row band, so it is zeroed once, not per row)
+// a chunk at a time. The destination needs no prior zeroing; an all-zero
+// input row clears it.
+func matMulRow(arow []float64, b *Matrix, orow []float64, ab *[compactChunk]float64, ib *[compactChunk]int) {
+	cont := false
+	for k0 := 0; k0 < len(arow); k0 += compactChunk {
+		m := compactNonZero(ab, ib, arow[k0:min(k0+compactChunk, len(arow))], k0)
+		if m > 0 {
+			RowAccumulate(orow, ab[:m], ib[:m], b.Data, cont)
+			cont = true
 		}
 	}
-	return true
-}
-
-// matMulRowPairDense computes two output rows over a pair of fully dense
-// input rows: quads of k feed the shared weight rows through the
-// two-destination four-stream kernel, the first quad initialising both
-// rows (n >= 4 is the caller's guard).
-func matMulRowPairDense(r1, r2 []float64, b *Matrix, o1, o2 []float64, n, p int) {
-	axpy4PairSet(r1[0], r1[1], r1[2], r1[3], r2[0], r2[1], r2[2], r2[3],
-		b.Data[0:p], b.Data[p:2*p], b.Data[2*p:3*p], b.Data[3*p:4*p], o1, o2)
-	k := 4
-	for ; k+4 <= n; k += 4 {
-		axpy4Pair(r1[k], r1[k+1], r1[k+2], r1[k+3], r2[k], r2[k+1], r2[k+2], r2[k+3],
-			b.Data[k*p:(k+1)*p], b.Data[(k+1)*p:(k+2)*p], b.Data[(k+2)*p:(k+3)*p], b.Data[(k+3)*p:(k+4)*p], o1, o2)
-	}
-	for ; k < n; k++ {
-		brow := b.Data[k*p : (k+1)*p]
-		Axpy(r1[k], brow, o1)
-		Axpy(r2[k], brow, o2)
-	}
-}
-
-// matMulRow computes one output row with the zero-skip path: quads of
-// consecutive k that are fully non-zero take the four-stream kernel after
-// one combined test; mixed quads fall back to per-element skip. The first
-// write to the row uses a Set kernel; all-zero rows are cleared.
-func matMulRow(arow []float64, b *Matrix, orow []float64, n, p int) {
-	k, inited := 0, false
-	for ; k+4 <= n; k += 4 {
-		a1, a2, a3, a4 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-		if a1 != 0 && a2 != 0 && a3 != 0 && a4 != 0 {
-			if inited {
-				Axpy4(a1, b.Data[k*p:(k+1)*p], a2, b.Data[(k+1)*p:(k+2)*p],
-					a3, b.Data[(k+2)*p:(k+3)*p], a4, b.Data[(k+3)*p:(k+4)*p], orow)
-			} else {
-				Axpy4Set(a1, b.Data[k*p:(k+1)*p], a2, b.Data[(k+1)*p:(k+2)*p],
-					a3, b.Data[(k+2)*p:(k+3)*p], a4, b.Data[(k+3)*p:(k+4)*p], orow)
-				inited = true
-			}
-			continue
-		}
-		for j := k; j < k+4; j++ {
-			if av := arow[j]; av != 0 {
-				if inited {
-					Axpy(av, b.Data[j*p:(j+1)*p], orow)
-				} else {
-					AxpySet(av, b.Data[j*p:(j+1)*p], orow)
-					inited = true
-				}
-			}
-		}
-	}
-	for ; k < n; k++ {
-		if av := arow[k]; av != 0 {
-			if inited {
-				Axpy(av, b.Data[k*p:(k+1)*p], orow)
-			} else {
-				AxpySet(av, b.Data[k*p:(k+1)*p], orow)
-				inited = true
-			}
-		}
-	}
-	if !inited {
+	if !cont {
 		clear(orow)
 	}
+}
+
+// compactNonZeroGo is the portable compactNonZero: it copies the non-zero
+// entries of chunk (at most compactChunk of them) to the front of ab and
+// their positions, offset by base, to ib, and returns how many there
+// were. It has no data-dependent branch: every entry is stored, and the
+// write cursor advances only past non-zeros. Kept out of line so the
+// cursor stays in a register.
+//
+//go:noinline
+func compactNonZeroGo(ab *[compactChunk]float64, ib *[compactChunk]int, chunk []float64, base int) int {
+	m := 0
+	for k, v := range chunk {
+		ab[m&(compactChunk-1)], ib[m&(compactChunk-1)] = v, base+k
+		// ±0 shifts to 0; anything else, NaN included, sets bit 63 of x
+		// or of −x.
+		x := math.Float64bits(v) << 1
+		m += int((x | -x) >> 63)
+	}
+	return m
 }
 
 // MatMulTransA returns aᵀ·b without materialising the transpose of a.
 // Shapes: a is n×m, b is n×p, result is m×p. This is the gradient kernel
 // dW = Hᵀ·dY in dense and GCN layers. Allocating wrapper over
-// MatMulTransAInto (process-global worker default).
+// MatMulTransAInto (GOMAXPROCS workers).
 func MatMulTransA(a, b *Matrix) *Matrix {
 	return MatMulTransAWorkers(a, b, 0)
 }
 
 // MatMulTransAWorkers is MatMulTransA under an explicit per-call worker
 // budget (MatMulWorkersInto semantics) — the form the training backward
-// passes use so a layer's Serial mode never consults the deprecated
-// process-global worker count.
+// passes use to carry a layer's worker budget.
 func MatMulTransAWorkers(a, b *Matrix, workers int) *Matrix {
 	out := New(a.Cols, b.Cols)
 	MatMulTransAWorkersInto(out, a, b, workers)
@@ -195,7 +117,7 @@ func MatMulTransAWorkers(a, b *Matrix, workers int) *Matrix {
 // MatMulTransB returns a·bᵀ without materialising the transpose of b.
 // Shapes: a is n×m, b is p×m, result is n×p. This is the gradient kernel
 // dH = dY·Wᵀ in dense and GCN layers. Allocating wrapper over
-// MatMulTransBInto (process-global worker default).
+// MatMulTransBInto (GOMAXPROCS workers).
 func MatMulTransB(a, b *Matrix) *Matrix {
 	return MatMulTransBWorkers(a, b, 0)
 }

@@ -127,17 +127,6 @@ func TestMatMulTransMismatchPanics(t *testing.T) {
 	}
 }
 
-func TestSetMaxWorkers(t *testing.T) {
-	SetMaxWorkers(1)
-	defer SetMaxWorkers(0)
-	rng := rand.New(rand.NewSource(9))
-	a := RandNormal(rng, 100, 100, 0, 1)
-	b := RandNormal(rng, 100, 100, 0, 1)
-	if !MatMul(a, b).EqualApprox(naiveMatMul(a, b), 1e-9) {
-		t.Fatal("single-worker MatMul disagrees with naive")
-	}
-}
-
 // randMatrixPair produces shape-compatible random matrices from quick's
 // random source.
 func randMatrixPair(r *rand.Rand) (a, b *Matrix) {

@@ -1,0 +1,116 @@
+//go:build !purego
+
+package mat
+
+// useAVX2 selects the assembly row-accumulate kernels. It is decided
+// once, here, from what the CPU and the OS report; the portable kernels
+// run otherwise.
+var useAVX2 = detectAVX2()
+
+// detectAVX2 reports whether the assembly kernels may be executed: the
+// CPU has POPCNT, AVX and AVX2, and the OS saves the YMM state (OSXSAVE
+// set, XCR0 bits 1 and 2).
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&(popcnt|osxsave|avx) != popcnt|osxsave|avx {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&6 != 6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// packLUT[mask] holds the VPERMD indices that move the quadword lanes
+// set in mask to the front, in order (what follows them is never kept);
+// the compaction kernels read it.
+var packLUT = func() (lut [16][8]uint32) {
+	for mask := range lut {
+		n := 0
+		for lane := uint32(0); lane < 4; lane++ {
+			if mask>>lane&1 == 1 {
+				lut[mask][2*n], lut[mask][2*n+1] = 2*lane, 2*lane+1
+				n++
+			}
+		}
+	}
+	return lut
+}()
+
+//go:noescape
+func compactF64AVX2(ab *float64, ib *int, src *float64, n, base int) int
+
+//go:noescape
+func compactI8AVX2(ab *int32, ib *int, src *int8, n, base int) int
+
+//go:noescape
+func rowAccF64AVX2(out *float64, p int, alpha *float64, idx *int, n int, src *float64, cont bool)
+
+//go:noescape
+func rowAccI8AVX2(out *int32, p int, alpha *int32, idx *int, n int, src *int8, cont bool)
+
+// rowAccF64 runs one validated, non-empty fp64 row accumulate on the
+// implementation chosen at init.
+func rowAccF64(out, alpha []float64, idx []int, src []float64, cont bool) {
+	if !useAVX2 {
+		rowAccF64Go(out, alpha, idx, src, cont)
+		return
+	}
+	rowAccF64AVX2(&out[0], len(out), &alpha[0], &idx[0], len(alpha), &src[0], cont)
+}
+
+// rowAccI8 is rowAccF64's int8 counterpart. The assembly covers the
+// leading multiple of eight columns; the last few are summed here, which
+// exact integer arithmetic makes the same result in any order.
+func rowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
+	if !useAVX2 {
+		rowAccI8Go(out, alpha, idx, src, cont)
+		return
+	}
+	p := len(out)
+	if p >= 8 {
+		rowAccI8AVX2(&out[0], p, &alpha[0], &idx[0], len(alpha), &src[0], cont)
+	}
+	for j := p &^ 7; j < p; j++ {
+		var s int32
+		if cont {
+			s = out[j]
+		}
+		for t, a := range alpha {
+			s += a * int32(src[idx[t]*p+j])
+		}
+		out[j] = s
+	}
+}
+
+// compactNonZero and compactNonZeroI8 pick the dense products'
+// compaction the same way. The assembly writes up to len(chunk) entries
+// unchecked, so a chunk longer than the buffers is refused here.
+func compactNonZero(ab *[compactChunk]float64, ib *[compactChunk]int, chunk []float64, base int) int {
+	if !useAVX2 || len(chunk) == 0 {
+		return compactNonZeroGo(ab, ib, chunk, base)
+	}
+	if len(chunk) > compactChunk {
+		panic("mat: compaction chunk exceeds its buffers")
+	}
+	return compactF64AVX2(&ab[0], &ib[0], &chunk[0], len(chunk), base)
+}
+
+func compactNonZeroI8(ab *[compactChunk]int32, ib *[compactChunk]int, chunk []int8, base int) int {
+	if !useAVX2 || len(chunk) == 0 {
+		return compactNonZeroI8Go(ab, ib, chunk, base)
+	}
+	if len(chunk) > compactChunk {
+		panic("mat: compaction chunk exceeds its buffers")
+	}
+	return compactI8AVX2(&ab[0], &ib[0], &chunk[0], len(chunk), base)
+}

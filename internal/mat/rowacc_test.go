@@ -1,0 +1,318 @@
+package mat
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// naiveRowAcc is the row-accumulate contract written out literally: per
+// element, the first term a bare product (unless continuing), then one
+// rounded multiply and one rounded add per term, in term order.
+func naiveRowAcc(out, alpha []float64, idx []int, src []float64, cont bool) {
+	p := len(out)
+	for j := range out {
+		var s float64
+		if cont {
+			s = out[j]
+		}
+		for t, a := range alpha {
+			prod := a * src[idx[t]*p+j]
+			if t == 0 && !cont {
+				s = prod
+			} else {
+				s = s + prod
+			}
+		}
+		out[j] = s
+	}
+}
+
+func naiveRowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
+	p := len(out)
+	for j := range out {
+		var s int32
+		if cont {
+			s = out[j]
+		}
+		for t, a := range alpha {
+			s += a * int32(src[idx[t]*p+j])
+		}
+		out[j] = s
+	}
+}
+
+var specials = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, math.MaxFloat64,
+}
+
+// zeroPatterns are the multiplier zero layouts of the differential table.
+var zeroPatterns = []struct {
+	name string
+	zero func(t, n int) bool
+}{
+	{"none", func(t, n int) bool { return false }},
+	{"all", func(t, n int) bool { return true }},
+	{"alternating", func(t, n int) bool { return t%2 == 1 }},
+	{"firstLastOnly", func(t, n int) bool { return t != 0 && t != n-1 }},
+}
+
+// rowAccCase builds one differential input: terms multipliers under a zero
+// pattern over a rows×p source, special values sprinkled in when asked.
+func rowAccCase(rng *rand.Rand, p, terms int, zero func(t, n int) bool, special bool) (alpha []float64, idx []int, src []float64) {
+	rows := 1 + rng.Intn(9)
+	src = make([]float64, rows*p)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+		if special && rng.Intn(6) == 0 {
+			src[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	alpha = make([]float64, terms)
+	idx = make([]int, terms)
+	for t := range alpha {
+		idx[t] = rng.Intn(rows)
+		switch {
+		case zero(t, terms):
+			alpha[t] = 0
+		case special && rng.Intn(6) == 0:
+			alpha[t] = specials[1+rng.Intn(len(specials)-1)]
+		default:
+			alpha[t] = rng.NormFloat64()
+		}
+	}
+	return alpha, idx, src
+}
+
+// sameBits returns the first index at which a and b differ in their
+// bits, or -1. Two NaNs count as the same whatever their payloads: which
+// payload survives when two NaNs meet depends on the order the operands
+// reach the instruction, which Go leaves to the compiler — gc orders them
+// differently in the default and the -race build of the portable kernel
+// itself — so no kernel can pin it.
+func sameBits(a, b []float64) int {
+	for j := range a {
+		if math.Float64bits(a[j]) != math.Float64bits(b[j]) && !(a[j] != a[j] && b[j] != b[j]) {
+			return j
+		}
+	}
+	return -1
+}
+
+// termCounts crosses the compaction chunk boundary (128) and its double.
+var termCounts = []int{0, 1, 2, 3, 4, 5, 8, 17, 64, 127, 128, 129, 200, 255, 256, 257, 300}
+
+// TestRowAccumulateDifferential holds the dispatched kernel (AVX2 where
+// the CPU has it), the portable kernel and the literal contract to the
+// same bits over widths 1…70 × term counts 0…300 × zero patterns ×
+// special values, started fresh and continued onto a previous sum — and
+// the dense row kernel, whose compaction drops the zero multipliers, to
+// the contract applied to the survivors.
+func TestRowAccumulateDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for p := 1; p <= 70; p++ {
+		for _, terms := range termCounts {
+			for _, zp := range zeroPatterns {
+				for _, special := range []bool{false, true} {
+					alpha, idx, src := rowAccCase(rng, p, terms, zp.zero, special)
+					for _, cont := range []bool{false, true} {
+						want := make([]float64, p)
+						for j := range want {
+							want[j] = rng.NormFloat64()
+						}
+						got := append([]float64(nil), want...)
+						port := append([]float64(nil), want...)
+						naiveRowAcc(want, alpha, idx, src, cont)
+						RowAccumulate(got, alpha, idx, src, cont)
+						if j := sameBits(got, want); j >= 0 {
+							t.Fatalf("p=%d terms=%d zeros=%s special=%v cont=%v: elem %d = %x, contract %x",
+								p, terms, zp.name, special, cont, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+						}
+						if terms == 0 {
+							continue // the bare kernels take at least one term
+						}
+						rowAccF64Go(port, alpha, idx, src, cont)
+						if j := sameBits(port, want); j >= 0 {
+							t.Fatalf("p=%d terms=%d zeros=%s special=%v cont=%v: portable elem %d = %x, contract %x",
+								p, terms, zp.name, special, cont, j, math.Float64bits(port[j]), math.Float64bits(want[j]))
+						}
+					}
+
+					// The dense product of the 1×terms row alpha with a
+					// terms×p matrix: zeros compacted away, chunk by chunk.
+					b := New(terms, p)
+					for i := range b.Data {
+						b.Data[i] = src[rng.Intn(len(src))]
+					}
+					var ka []float64
+					var ki []int
+					for k, a := range alpha {
+						if a != 0 {
+							ka, ki = append(ka, a), append(ki, k)
+						}
+					}
+					want := make([]float64, p)
+					naiveRowAcc(want, ka, ki, b.Data, false)
+					got := make([]float64, p)
+					got[0] = 7 // matMulRow must overwrite, never read
+					matMulRow(alpha, b, got, new([compactChunk]float64), new([compactChunk]int))
+					if j := sameBits(got, want); j >= 0 {
+						t.Fatalf("matMulRow p=%d n=%d zeros=%s special=%v: elem %d = %x, contract %x",
+							p, terms, zp.name, special, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowAccumulateI8Differential is the int8 table: dispatched, portable
+// and literal kernels agree exactly — including multipliers large enough
+// to wrap int32 — and matMulRowI8's compaction changes nothing.
+func TestRowAccumulateI8Differential(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for p := 1; p <= 70; p++ {
+		for _, terms := range termCounts {
+			for _, zp := range zeroPatterns {
+				rows := 1 + rng.Intn(9)
+				src := make([]int8, rows*p)
+				for i := range src {
+					src[i] = int8(rng.Intn(256) - 128)
+				}
+				alpha := make([]int32, terms)
+				codes := make([]int8, terms)
+				idx := make([]int, terms)
+				for k := range alpha {
+					idx[k] = rng.Intn(rows)
+					if !zp.zero(k, terms) {
+						codes[k] = int8(rng.Intn(256) - 128)
+						alpha[k] = int32(codes[k])
+						if rng.Intn(8) == 0 {
+							alpha[k] = rng.Int31() - 1<<30
+						}
+					}
+				}
+				for _, cont := range []bool{false, true} {
+					want := make([]int32, p)
+					for j := range want {
+						want[j] = rng.Int31()
+					}
+					got := append([]int32(nil), want...)
+					port := append([]int32(nil), want...)
+					naiveRowAccI8(want, alpha, idx, src, cont)
+					RowAccumulateI8(got, alpha, idx, src, cont)
+					if terms > 0 {
+						rowAccI8Go(port, alpha, idx, src, cont)
+					} else {
+						copy(port, want) // the bare kernels take at least one term
+					}
+					for j := range want {
+						if got[j] != want[j] || port[j] != want[j] {
+							t.Fatalf("p=%d terms=%d zeros=%s cont=%v: elem %d = %d, portable %d, contract %d",
+								p, terms, zp.name, cont, j, got[j], port[j], want[j])
+						}
+					}
+				}
+
+				w := NewI8(terms, p)
+				for i := range w.Data {
+					w.Data[i] = int8(rng.Intn(256) - 128)
+				}
+				all := make([]int, terms)
+				wide := make([]int32, terms)
+				for k := range all {
+					all[k], wide[k] = k, int32(codes[k])
+				}
+				want := make([]int32, p)
+				naiveRowAccI8(want, wide, all, w.Data, false)
+				got := make([]int32, p)
+				got[0] = 7
+				matMulRowI8(codes, w, got, new([compactChunk]int32), new([compactChunk]int))
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("matMulRowI8 p=%d n=%d zeros=%s: elem %d = %d, contract %d", p, terms, zp.name, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowAccumulateRejectsBadOperands: an index outside src, or an index
+// list that does not pair with the multipliers, panics before any kernel
+// runs — and the portable kernel, called bare, still refuses to read out
+// of bounds.
+func TestRowAccumulateRejectsBadOperands(t *testing.T) {
+	src := make([]float64, 5*4)
+	src8 := make([]int8, 5*4)
+	for name, fn := range map[string]func(){
+		"f64 index == rows":      func() { RowAccumulate(make([]float64, 4), []float64{1, 1}, []int{0, 5}, src, false) },
+		"f64 negative index":     func() { RowAccumulate(make([]float64, 4), []float64{1}, []int{-1}, src, true) },
+		"f64 ragged last row":    func() { RowAccumulate(make([]float64, 4), []float64{1}, []int{4}, src[:19], false) },
+		"f64 index count":        func() { RowAccumulate(make([]float64, 4), []float64{1, 1}, []int{0}, src, false) },
+		"i8 index == rows":       func() { RowAccumulateI8(make([]int32, 4), []int32{1, 1}, []int{0, 5}, src8, false) },
+		"i8 negative index":      func() { RowAccumulateI8(make([]int32, 4), []int32{1}, []int{-1}, src8, true) },
+		"i8 index count":         func() { RowAccumulateI8(make([]int32, 4), []int32{1}, []int{0, 1}, src8, false) },
+		"portable f64 unchecked": func() { rowAccF64Go(make([]float64, 4), []float64{1}, []int{5}, src, false) },
+		"portable i8 unchecked":  func() { rowAccI8Go(make([]int32, 4), []int32{1}, []int{5}, src8, false) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// FuzzRowAccumulate drives both element types of the row accumulate with
+// fuzzed shapes, term counts and value mixes against the literal
+// contract.
+func FuzzRowAccumulate(f *testing.F) {
+	f.Add(int64(1), uint8(64), uint16(100), uint8(0), true, false)
+	f.Add(int64(2), uint8(7), uint16(0), uint8(1), false, true)
+	f.Add(int64(3), uint8(3), uint16(300), uint8(2), true, true)
+	f.Add(int64(4), uint8(33), uint16(129), uint8(3), false, false)
+	f.Fuzz(func(t *testing.T, seed int64, width uint8, terms uint16, pattern uint8, special, cont bool) {
+		rng := rand.New(rand.NewSource(seed))
+		p, n := 1+int(width)%96, int(terms)%400
+		zero := zeroPatterns[int(pattern)%len(zeroPatterns)].zero
+		alpha, idx, src := rowAccCase(rng, p, n, zero, special)
+		want := make([]float64, p)
+		for j := range want {
+			want[j] = rng.NormFloat64()
+		}
+		got := append([]float64(nil), want...)
+		naiveRowAcc(want, alpha, idx, src, cont)
+		RowAccumulate(got, alpha, idx, src, cont)
+		if j := sameBits(got, want); j >= 0 {
+			t.Fatalf("fp64 p=%d terms=%d: elem %d = %x, contract %x", p, n, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+		}
+
+		src8 := make([]int8, len(src))
+		for i := range src8 {
+			src8[i] = int8(rng.Intn(256) - 128)
+		}
+		alpha32 := make([]int32, n)
+		for k := range alpha32 {
+			if !zero(k, n) {
+				alpha32[k] = int32(rng.Intn(256) - 128)
+			}
+		}
+		want32 := make([]int32, p)
+		for j := range want32 {
+			want32[j] = rng.Int31()
+		}
+		got32 := append([]int32(nil), want32...)
+		naiveRowAccI8(want32, alpha32, idx, src8, cont)
+		RowAccumulateI8(got32, alpha32, idx, src8, cont)
+		for j := range want32 {
+			if got32[j] != want32[j] {
+				t.Fatalf("int8 p=%d terms=%d: elem %d = %d, contract %d", p, n, j, got32[j], want32[j])
+			}
+		}
+	})
+}

@@ -45,9 +45,8 @@ type Param struct {
 }
 
 // kernelBudget maps a layer's Serial flag to a per-call worker budget: 1
-// (inline) for in-enclave layers, 0 (process-global default) otherwise.
-// The training backward passes thread it into the Workers kernel variants
-// so they never resolve parallelism through a racy global in serial mode.
+// (inline) for in-enclave layers, 0 (GOMAXPROCS) otherwise. The training
+// backward passes thread it into the Workers kernel variants.
 func kernelBudget(serial bool) int {
 	if serial {
 		return 1

@@ -27,8 +27,8 @@ type LayerWorkspace struct {
 	VecB []float64   // per-node scratch (GAT target attention scores)
 	Edge []float64   // per-edge scratch (GAT attention coefficients)
 
-	// Workers is this workspace's parallel-kernel budget: 0 resolves to the
-	// process-global default, 1 runs inline, larger values cap the fan-out.
+	// Workers is this workspace's parallel-kernel budget: 0 resolves to
+	// GOMAXPROCS, 1 runs inline, larger values cap the fan-out.
 	// It is carried per plan (not per process) so concurrent servers with
 	// different settings cannot stomp each other; a layer's Serial mode
 	// still forces 1 regardless.

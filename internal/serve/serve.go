@@ -54,7 +54,7 @@ type Config struct {
 	// height / kernel worker budget — see core.PlanConfig). The zero value
 	// plans classic untiled workspaces. Because the budget is carried per
 	// plan, two servers with different settings can coexist in one
-	// process without racing on the deprecated mat.SetMaxWorkers global.
+	// process.
 	//
 	// Plan applies to the single-vault Server only, which plans its own
 	// workspaces up front. MultiServer checks workspaces out of a
