@@ -60,12 +60,15 @@ chaos-smoke:
 # sharded-vs-single-enclave bit-identity across fuzzed shapes × shard
 # counts × precisions, and the attack math (AUC/Fidelity in [0,1], no
 # panics) under degenerate observation surfaces — plus the row-accumulate
-# kernels (assembly vs the literal contract, fp64 and int8). `make
-# fuzz-smoke TAGS=purego` runs the same passes on the portable kernels.
+# and requantise-row kernels (assembly vs the literal contracts). This is
+# the one list of fuzz targets: CI calls it twice, plain and as `make
+# fuzz-smoke TAGS=purego`, which runs the same passes on the portable
+# kernels.
 FUZZTIME ?= 10s
 TAGS ?=
 fuzz-smoke:
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzRowAccumulate -fuzztime $(FUZZTIME) ./internal/mat/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzRequantizeRow -fuzztime $(FUZZTIME) ./internal/mat/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzInducedSubgraph -fuzztime $(FUZZTIME) ./internal/subgraph/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzTiledExec -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME) ./internal/exec/

@@ -536,7 +536,7 @@ func (m *Machine) runDirectI8(idx int, op *Op, rows int, labels []int) {
 		reluI8(&r.views8[op.Dst], &r.views8[op.Srcs[0]], m.cfg.Scales[op.Srcs[0]], m.cfg.Scales[op.Dst])
 	case OpAdd:
 		addI8(&r.views8[op.Dst], &r.views8[op.Srcs[0]], &r.views8[op.Srcs[1]],
-			m.cfg.Scales[op.Srcs[0]], m.cfg.Scales[op.Srcs[1]], m.cfg.Scales[op.Dst])
+			m.cfg.Scales[op.Srcs[0]], m.cfg.Scales[op.Srcs[1]], m.cfg.Scales[op.Dst], r.scr[0].acc)
 	case OpConcat:
 		ptrs := r.scr[0].srcPtrs8
 		for i, s := range op.Srcs {
@@ -596,7 +596,7 @@ func (m *Machine) runTileI8(w, idx int, op *Op, lo, hi int, labels []int) {
 		r.views8[op.Srcs[0]].ViewRows(lo, hi, &s.srcTiles8[0])
 		r.views8[op.Srcs[1]].ViewRows(lo, hi, &s.srcTiles8[1])
 		addI8(&s.tileView8, &s.srcTiles8[0], &s.srcTiles8[1],
-			m.cfg.Scales[op.Srcs[0]], m.cfg.Scales[op.Srcs[1]], dstScales)
+			m.cfg.Scales[op.Srcs[0]], m.cfg.Scales[op.Srcs[1]], dstScales, s.acc)
 	case OpConcat:
 		for i, src := range op.Srcs {
 			r.views8[src].ViewRows(lo, hi, &s.srcTiles8[i])
@@ -608,80 +608,48 @@ func (m *Machine) runTileI8(w, idx int, op *Op, lo, hi int, labels []int) {
 	mat.CopyI8Into(&s.dstTile8, &s.tileView8)
 }
 
-// addBiasI8 is the standalone (unfused) int8 bias add: dequantize under
-// the source's per-column scales, add the float64 bias, requantize under
-// the destination's. dst may alias src.
+// The standalone (unfused) int8 element-wise ops are requantise rows
+// (mat.RequantizeRow) over their operands' codes: dequantize under the
+// source's per-column scales, combine in float64, requantize under the
+// destination's. dst may alias the source.
+
+// addBiasI8 is f = bias + q·srcScale.
 func addBiasI8(dst, src *mat.MatrixI8, bias []float64, srcScales, dstScales []float64) {
-	cols := src.Cols
 	for i := 0; i < src.Rows; i++ {
-		srow := src.Data[i*cols : (i+1)*cols]
-		drow := dst.Data[i*cols : (i+1)*cols]
-		for j, q := range srow {
-			drow[j] = mat.QuantizeI8(float64(q)*srcScales[j]+bias[j], dstScales[j])
-		}
+		mat.RequantizeRow(dst.Row(i), nil, nil, bias, src.Row(i), srcScales, dstScales, false, false)
 	}
 }
 
-// reluI8 is the standalone int8 ReLU: clamp codes at zero, requantizing
-// only where source and destination column scales differ (they are equal
-// for any column whose calibration maxabs was attained at a positive
-// value, making a pure code max the common case).
+// reluI8 is f = max(q·srcScale, +0). Where source and destination column
+// scales are equal — any column whose calibration maxabs was attained at
+// a positive value — the code comes back as max(q, 0).
 func reluI8(dst, src *mat.MatrixI8, srcScales, dstScales []float64) {
-	cols := src.Cols
 	for i := 0; i < src.Rows; i++ {
-		srow := src.Data[i*cols : (i+1)*cols]
-		drow := dst.Data[i*cols : (i+1)*cols]
-		for j, q := range srow {
-			if srcScales[j] == dstScales[j] {
-				if q > 0 {
-					drow[j] = q
-				} else {
-					drow[j] = 0
-				}
-				continue
-			}
-			f := float64(q) * srcScales[j]
-			if !(f > 0) {
-				f = 0
-			}
-			drow[j] = mat.QuantizeI8(f, dstScales[j])
-		}
+		mat.RequantizeRow(dst.Row(i), nil, nil, nil, src.Row(i), srcScales, dstScales, true, false)
 	}
 }
 
-// addI8 is the standalone int8 element-wise add: dequantize both
-// operands, add in float64, requantize at the destination's column scale.
-func addI8(dst, a, b *mat.MatrixI8, sa, sb, sd []float64) {
-	cols := a.Cols
+// addI8 is f = qa·sa + qb·sb: a's codes widen into the int32 scratch row
+// acc (at least a.Cols long) to enter as the accumulator term.
+func addI8(dst, a, b *mat.MatrixI8, sa, sb, sd []float64, acc []int32) {
+	acc = acc[:a.Cols]
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*cols : (i+1)*cols]
-		brow := b.Data[i*cols : (i+1)*cols]
-		drow := dst.Data[i*cols : (i+1)*cols]
-		for j, q := range arow {
-			drow[j] = mat.QuantizeI8(float64(q)*sa[j]+float64(brow[j])*sb[j], sd[j])
+		for j, q := range a.Row(i) {
+			acc[j] = int32(q)
 		}
+		mat.RequantizeRow(dst.Row(i), acc, sa, nil, b.Row(i), sb, sd, false, false)
 	}
 }
 
-// concatI8 writes [srcs[0] | srcs[1] | …] into dst, requantizing each
-// element from its source column scale to the destination's. Destination
+// concatI8 writes [srcs[0] | srcs[1] | …] into dst, each block f =
+// q·srcScale under its slice of the destination scales. Destination
 // columns are source columns (concat moves them, calibration sees the
-// same values), so the scales match exactly and every element is a plain
-// copy in practice; the requantize branch is kept for robustness.
+// same values), so the scales match and every code comes back as it was.
 func concatI8(dst *mat.MatrixI8, srcs []*mat.MatrixI8, cs [][]float64, sd []float64) {
-	cols := dst.Cols
 	for i := 0; i < dst.Rows; i++ {
-		out := dst.Data[i*cols : (i+1)*cols]
-		off := 0
+		out, off := dst.Row(i), 0
 		for k, s := range srcs {
-			srow := s.Data[i*s.Cols : (i+1)*s.Cols]
-			for j, q := range srow {
-				if cs[k][j] == sd[off+j] {
-					out[off+j] = q
-				} else {
-					out[off+j] = mat.QuantizeI8(float64(q)*cs[k][j], sd[off+j])
-				}
-			}
+			mat.RequantizeRow(out[off:off+s.Cols], nil, nil, nil, s.Row(i), cs[k], sd[off:], false, false)
 			off += s.Cols
 		}
 	}

@@ -188,7 +188,7 @@ func (na *NormAdjacency) require32(dst, h *mat.Matrix32, lo, hi, dstRows int, bi
 // res/resScales the optional residual codes aligned to dst and their
 // per-column scales, dstScales the destination value's per-column scales.
 // labels, when non-nil (length ≥ hi-lo), receives each row's wide argmax
-// over the pre-requantization epilogue floats (mat.ApplyEpilogueRowI8),
+// over the pre-requantization epilogue floats (mat.RequantizeRow),
 // labels[0] pairing with graph row lo. Runs inline on the calling
 // goroutine and never allocates; int32 accumulation makes the result
 // independent of tiling and banding by construction.
@@ -221,34 +221,46 @@ func (na *NormAdjacency) MulDenseI8EpilogueRangeInto(dst, h *mat.MatrixI8, lo, h
 		panic(fmt.Sprintf("graph: MulDenseI8EpilogueRangeInto labels length %d < rows %d", len(labels), hi-lo))
 	}
 	d := h.Cols
+	vc := valCodes{scale: valScale, end: na.RowPtr[hi]}
 	for i := lo; i < hi; i++ {
-		na.accumRowI8(acc[:d], h, i, valScale)
+		na.accumRowI8(acc[:d], h, i, &vc)
 		var rrow []int8
 		if res != nil {
 			rrow = res.Data[(i-lo)*d : (i-lo+1)*d]
 		}
-		am := mat.ApplyEpilogueRowI8(dst.Data[(i-lo)*d:(i-lo+1)*d], acc, deq, bias, rrow, resScales, relu, dstScales)
+		am := mat.RequantizeRow(dst.Data[(i-lo)*d:(i-lo+1)*d], acc, deq, bias, rrow, resScales, dstScales, relu, labels != nil)
 		if labels != nil {
 			labels[i-lo] = am
 		}
 	}
 }
 
-// accumRowI8 accumulates graph row i of the quantized Â·H into acc:
-// each stored value is quantized to its int8 code under valScale into a
-// stack buffer, a chunk at a time, and the chunk runs as one int8 row
-// accumulate over the matching column indices (a zero code contributes
-// an exact zero, so none needs skipping).
-func (na *NormAdjacency) accumRowI8(acc []int32, h *mat.MatrixI8, i int, valScale float64) {
-	var qb [128]int32
+// valCodes is the int8 SpMM's window onto the CSR values: q[:hi-lo]
+// holds Val[lo:hi] quantized under scale, as the int32 multipliers the
+// row accumulate takes. It is refilled a chunk at a time as the rows of
+// one call walk Val — never past end, the call's last value — so the
+// codes exist only on the caller's stack, never as an enclave resident.
+type valCodes struct {
+	scale       float64
+	lo, hi, end int
+	q           [mat.RowChunk]int32
+}
+
+// accumRowI8 accumulates graph row i of the quantized Â·H into acc: the
+// row's stored values run as int8 row accumulates over the matching
+// column indices, one per window of codes the row touches (a zero code
+// contributes an exact zero, so none needs skipping, and exact sums make
+// the split at a window's edge free of effect).
+func (na *NormAdjacency) accumRowI8(acc []int32, h *mat.MatrixI8, i int, vc *valCodes) {
 	cont := false
-	for p, end := na.RowPtr[i], na.RowPtr[i+1]; p < end; p += len(qb) {
-		vals := na.Val[p:min(p+len(qb), end)]
-		for t, v := range vals {
-			qb[t] = int32(mat.QuantizeI8(v, valScale))
+	for p, end := na.RowPtr[i], na.RowPtr[i+1]; p < end; {
+		if p >= vc.hi {
+			vc.lo, vc.hi = p, min(p+len(vc.q), vc.end)
+			mat.QuantizeI8WideInto(vc.q[:vc.hi-vc.lo], na.Val[vc.lo:vc.hi], vc.scale)
 		}
-		mat.RowAccumulateI8(acc, qb[:len(vals)], na.ColIdx[p:p+len(vals)], h.Data, cont)
-		cont = true
+		e := min(end, vc.hi)
+		mat.RowAccumulateI8(acc, vc.q[p-vc.lo:e-vc.lo], na.ColIdx[p:e], h.Data, cont)
+		p, cont = e, true
 	}
 	if !cont {
 		clear(acc)

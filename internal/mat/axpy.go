@@ -27,10 +27,12 @@ import "fmt"
 // sharded == single and fused == unfused hold by row independence. The
 // int8 form accumulates exactly in int32 and is order-free.
 
-// compactChunk is how many multiplicands the dense products compact
-// into their stack buffers per kernel call; longer rows continue onto
-// the output row chunk by chunk.
-const compactChunk = 128
+// RowChunk is how many multipliers the products hand the kernel per
+// call from their stack buffers — the dense products' compacted
+// multiplicands here, the int8 SpMM's quantized edge values in
+// internal/graph; longer rows continue onto the output row chunk by
+// chunk.
+const RowChunk = 128
 
 // RowAccumulate computes the fp64 row accumulate into out (p = len(out)):
 // src is a row-major matrix of p-wide rows, idx[t] names the row scaled

@@ -115,8 +115,8 @@ func MatMulBiasReLUInto(dst, a, b *Matrix, bias []float64, res *Matrix, relu boo
 func matMulEpilogueRange(a, b, dst *Matrix, lo, hi int, bias []float64, res *Matrix, relu bool) {
 	n, p := a.Cols, b.Cols
 	epi := bias != nil || res != nil || relu
-	var ab [compactChunk]float64
-	var ib [compactChunk]int
+	var ab [RowChunk]float64
+	var ib [RowChunk]int
 	for i := lo; i < hi; i++ {
 		orow := dst.Data[i*p : (i+1)*p]
 		matMulRow(a.Data[i*n:(i+1)*n], b, orow, &ab, &ib)

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // int8 quantized kernel family. Values are symmetric int8 codes
 // (value ≈ code·scale): activations carry one scale per column of each
@@ -17,49 +14,13 @@ import (
 // bounded by k·127² ≪ 2³¹ for every width in this codebase — and the
 // combined dequantize (acc·deq), float64 bias/residual epilogue and
 // requantize to the destination's per-column scales happen in one pass
-// per output row (ApplyEpilogueRowI8). Integer accumulation is
+// per output row (RequantizeRow, requant.go). Integer accumulation is
 // order-independent, so tiled, direct and tile-parallel int8 executions
 // are bit-identical without any element-order argument.
 //
 // The kernels here are serial range forms: the in-enclave direct path is
 // single-threaded by construction, and the tiled executor gets its
 // parallelism from tile workers, each with a private int32 accumulator.
-
-// ApplyEpilogueRowI8 finishes one int8 output row from its int32
-// accumulator: dst[j] = quantize(acc[j]·deq[j] + bias[j] +
-// rrow[j]·resScales[j], dstScales[j]) with optional ReLU before
-// requantization. deq[j] is the combined dequantization scale (the folded
-// weight's column scale for MatMul, source-column×CSR-value for SpMM);
-// bias and rrow may be nil (resScales only read when rrow isn't).
-// Unchecked, like ApplyEpilogueRow — callers validate shapes once up
-// front.
-//
-// The return value is the row's argmax over the pre-requantization
-// floats f (first maximum wins), the "wide head" the executor uses when
-// this op feeds a fused argmax: the int32 accumulator is exact, so f
-// separates logits that requantization to shared int8 codes would
-// collapse, and f is a per-element function of deterministic inputs, so
-// the label is identical across direct/tiled/tile-parallel execution.
-func ApplyEpilogueRowI8(dst []int8, acc []int32, deq, bias []float64, rrow []int8, resScales []float64, relu bool, dstScales []float64) int {
-	am, best := 0, math.Inf(-1)
-	for j := range dst {
-		f := float64(acc[j]) * deq[j]
-		if bias != nil {
-			f += bias[j]
-		}
-		if rrow != nil {
-			f += float64(rrow[j]) * resScales[j]
-		}
-		if relu && !(f > 0) {
-			f = 0
-		}
-		if f > best {
-			best, am = f, j
-		}
-		dst[j] = QuantizeI8(f, dstScales[j])
-	}
-	return am
-}
 
 // MatMulI8EpilogueInto computes dst = requantize(epilogue(a·w)) over
 // int8 codes with int32 accumulation: the quantized counterpart of
@@ -70,9 +31,12 @@ func ApplyEpilogueRowI8(dst []int8, acc []int32, deq, bias []float64, rrow []int
 // destination value's per-column scales. acc is the caller-owned int32
 // scratch row, at least w.Cols long — tile workers pass private
 // accumulators so the kernel stays alloc-free and race-free. labels,
-// when non-nil (length ≥ a.Rows), receives each row's wide argmax — the
-// pre-requantization epilogue float, see ApplyEpilogueRowI8. Serial;
-// runs on the calling goroutine.
+// when non-nil (length ≥ a.Rows), receives each row's wide argmax: over
+// the pre-requantization epilogue floats, which the exact int32
+// accumulator keeps apart where shared int8 codes would collapse them,
+// and which — a per-element function of deterministic inputs — label a
+// row identically across direct, tiled and tile-parallel execution.
+// Serial; runs on the calling goroutine.
 func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI8, resScales []float64, relu bool, dstScales []float64, acc []int32, labels []int) {
 	if a.Cols != w.Rows {
 		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto inner dimension mismatch %s · %s", a.Shape(), w.Shape()))
@@ -99,15 +63,15 @@ func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI
 		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto labels length %d < rows %d", len(labels), a.Rows))
 	}
 	n, p := a.Cols, w.Cols
-	var ab [compactChunk]int32
-	var ib [compactChunk]int
+	var ab [RowChunk]int32
+	var ib [RowChunk]int
 	for i := 0; i < a.Rows; i++ {
 		matMulRowI8(a.Data[i*n:(i+1)*n], w, acc[:p], &ab, &ib)
 		var rrow []int8
 		if res != nil {
 			rrow = res.Data[i*p : (i+1)*p]
 		}
-		am := ApplyEpilogueRowI8(dst.Data[i*p:(i+1)*p], acc, deq, bias, rrow, resScales, relu, dstScales)
+		am := RequantizeRow(dst.Data[i*p:(i+1)*p], acc, deq, bias, rrow, resScales, dstScales, relu, labels != nil)
 		if labels != nil {
 			labels[i] = am
 		}
@@ -117,10 +81,10 @@ func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI
 // matMulRowI8 accumulates one output row into acc: matMulRow over int8
 // codes, widened to the kernel's int32 multipliers as they are
 // compacted.
-func matMulRowI8(arow []int8, w *MatrixI8, acc []int32, ab *[compactChunk]int32, ib *[compactChunk]int) {
+func matMulRowI8(arow []int8, w *MatrixI8, acc []int32, ab *[RowChunk]int32, ib *[RowChunk]int) {
 	cont := false
-	for k0 := 0; k0 < len(arow); k0 += compactChunk {
-		m := compactNonZeroI8(ab, ib, arow[k0:min(k0+compactChunk, len(arow))], k0)
+	for k0 := 0; k0 < len(arow); k0 += RowChunk {
+		m := compactNonZeroI8(ab, ib, arow[k0:min(k0+RowChunk, len(arow))], k0)
 		if m > 0 {
 			RowAccumulateI8(acc, ab[:m], ib[:m], w.Data, cont)
 			cont = true
@@ -134,10 +98,10 @@ func matMulRowI8(arow []int8, w *MatrixI8, acc []int32, ab *[compactChunk]int32,
 // compactNonZeroI8Go is compactNonZeroGo over int8 codes.
 //
 //go:noinline
-func compactNonZeroI8Go(ab *[compactChunk]int32, ib *[compactChunk]int, chunk []int8, base int) int {
+func compactNonZeroI8Go(ab *[RowChunk]int32, ib *[RowChunk]int, chunk []int8, base int) int {
 	m := 0
 	for k, v := range chunk {
-		ab[m&(compactChunk-1)], ib[m&(compactChunk-1)] = int32(v), base+k
+		ab[m&(RowChunk-1)], ib[m&(RowChunk-1)] = int32(v), base+k
 		x := uint32(int32(v))
 		m += int((x | -x) >> 31)
 	}

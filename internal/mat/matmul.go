@@ -63,10 +63,10 @@ func MatMulSerial(a, b *Matrix) *Matrix {
 // caller's scratch (one per row band, so it is zeroed once, not per row)
 // a chunk at a time. The destination needs no prior zeroing; an all-zero
 // input row clears it.
-func matMulRow(arow []float64, b *Matrix, orow []float64, ab *[compactChunk]float64, ib *[compactChunk]int) {
+func matMulRow(arow []float64, b *Matrix, orow []float64, ab *[RowChunk]float64, ib *[RowChunk]int) {
 	cont := false
-	for k0 := 0; k0 < len(arow); k0 += compactChunk {
-		m := compactNonZero(ab, ib, arow[k0:min(k0+compactChunk, len(arow))], k0)
+	for k0 := 0; k0 < len(arow); k0 += RowChunk {
+		m := compactNonZero(ab, ib, arow[k0:min(k0+RowChunk, len(arow))], k0)
 		if m > 0 {
 			RowAccumulate(orow, ab[:m], ib[:m], b.Data, cont)
 			cont = true
@@ -78,17 +78,17 @@ func matMulRow(arow []float64, b *Matrix, orow []float64, ab *[compactChunk]floa
 }
 
 // compactNonZeroGo is the portable compactNonZero: it copies the non-zero
-// entries of chunk (at most compactChunk of them) to the front of ab and
+// entries of chunk (at most RowChunk of them) to the front of ab and
 // their positions, offset by base, to ib, and returns how many there
 // were. It has no data-dependent branch: every entry is stored, and the
 // write cursor advances only past non-zeros. Kept out of line so the
 // cursor stays in a register.
 //
 //go:noinline
-func compactNonZeroGo(ab *[compactChunk]float64, ib *[compactChunk]int, chunk []float64, base int) int {
+func compactNonZeroGo(ab *[RowChunk]float64, ib *[RowChunk]int, chunk []float64, base int) int {
 	m := 0
 	for k, v := range chunk {
-		ab[m&(compactChunk-1)], ib[m&(compactChunk-1)] = v, base+k
+		ab[m&(RowChunk-1)], ib[m&(RowChunk-1)] = v, base+k
 		// ±0 shifts to 0; anything else, NaN included, sets bit 63 of x
 		// or of −x.
 		x := math.Float64bits(v) << 1

@@ -246,45 +246,14 @@ func SymmetricScale(maxAbs float64) float64 {
 	return maxAbs / 127
 }
 
-// QuantizeI8 maps the real value v to its nearest int8 code under
-// symmetric scale (round half away from zero, clamped to ±127). A
-// non-positive scale quantizes everything to 0.
-func QuantizeI8(v, scale float64) int8 {
-	if scale <= 0 {
-		return 0
-	}
-	q := math.Round(v / scale)
-	if q > 127 {
-		return 127
-	}
-	if q < -127 {
-		return -127
-	}
-	return int8(q)
-}
-
 // QuantizeI8Into quantizes the float64 matrix src into dst under a
-// single symmetric scale. Shapes must match.
+// single symmetric scale: the requantise row (requant.go) over the whole
+// matrix as one row, so its codes are QuantizeI8's. Shapes must match.
 func QuantizeI8Into(dst *MatrixI8, src *Matrix, scale float64) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("mat: QuantizeI8Into shape mismatch %s vs %s", dst.Shape(), src.Shape()))
 	}
-	if scale <= 0 {
-		clear(dst.Data)
-		return
-	}
-	inv := 1 / scale
-	for i, v := range src.Data {
-		q := math.Round(v * inv)
-		switch {
-		case q > 127:
-			dst.Data[i] = 127
-		case q < -127:
-			dst.Data[i] = -127
-		default:
-			dst.Data[i] = int8(q)
-		}
-	}
+	requantRowChecked(dst.Data, nil, nil, nil, src.Data, nil, nil, nil, scale, false, false)
 }
 
 // DequantizeI8Into widens the int8 matrix src into the float64 dst as
@@ -311,11 +280,7 @@ func QuantizeColumnsI8Into(dst *MatrixI8, src *Matrix, scales []float64) {
 	}
 	cols := src.Cols
 	for i := 0; i < src.Rows; i++ {
-		srow := src.Data[i*cols : (i+1)*cols]
-		drow := dst.Data[i*cols : (i+1)*cols]
-		for j, v := range srow {
-			drow[j] = QuantizeI8(v, scales[j])
-		}
+		RequantizeRow(dst.Data[i*cols:(i+1)*cols], nil, nil, src.Data[i*cols:(i+1)*cols], nil, nil, scales, false, false)
 	}
 }
 
@@ -372,12 +337,6 @@ func QuantizeColumnsI8(w *Matrix) (*MatrixI8, []float64) {
 		}
 		scales[j] = SymmetricScale(mx)
 	}
-	for i := 0; i < w.Rows; i++ {
-		wrow := w.Row(i)
-		qrow := q.Row(i)
-		for j, v := range wrow {
-			qrow[j] = QuantizeI8(v, scales[j])
-		}
-	}
+	QuantizeColumnsI8Into(q, w, scales)
 	return q, scales
 }

@@ -14,17 +14,38 @@ func TestQuantizeI8EdgeCases(t *testing.T) {
 	if math.Abs(s-0.1) > 1e-15 {
 		t.Fatalf("SymmetricScale(12.7) = %g, want 0.1", s)
 	}
-	// Round half away from zero, clamp to ±127, zero scale → code 0.
+	// Round half away from zero, clamp to ±127; a non-positive scale or a
+	// NaN quotient → code 0.
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
 	cases := []struct {
 		v, scale float64
 		want     int8
 	}{
 		{0.05, 0.1, 1}, {-0.05, 0.1, -1}, {0.04, 0.1, 0},
 		{1e9, 0.1, 127}, {-1e9, 0.1, -127}, {5, 0, 0},
+		{nan, 0.1, 0}, {5, nan, 0}, {inf, inf, 0},
+		{inf, 0.1, 127}, {-inf, 0.1, -127}, {5, inf, 0},
+		{0, 0.1, 0}, {negZero, 0.1, 0},
+		{0.125, 0.25, 1}, {-0.125, 0.25, -1}, {0.625, 0.25, 3}, {-0.625, 0.25, -3},
+		{31.625, 0.25, 127}, {-31.625, 0.25, -127}, {0.49999999999999994, 1, 0},
+		{31.875, 0.25, 127}, {-31.875, 0.25, -127},
+		{5, -0.1, 0}, {-5, -0.1, 0}, {5, negZero, 0},
 	}
 	for _, c := range cases {
 		if got := QuantizeI8(c.v, c.scale); got != c.want {
 			t.Fatalf("QuantizeI8(%g, %g) = %d, want %d", c.v, c.scale, got, c.want)
+		}
+		// The matrix forms — one scale, per-column scales, wide codes —
+		// are the same quantiser, whichever implementation runs them.
+		src := FromSlice(1, 1, []float64{c.v})
+		one, cols := NewI8(1, 1), NewI8(1, 1)
+		QuantizeI8Into(one, src, c.scale)
+		QuantizeColumnsI8Into(cols, src, []float64{c.scale})
+		var wide [1]int32
+		QuantizeI8WideInto(wide[:], src.Data, c.scale)
+		if one.Data[0] != c.want || cols.Data[0] != c.want || wide[0] != int32(c.want) {
+			t.Fatalf("v=%g scale=%g: one-scale form %d, per-column form %d, wide form %d, want %d",
+				c.v, c.scale, one.Data[0], cols.Data[0], wide[0], c.want)
 		}
 	}
 }

@@ -2,9 +2,9 @@
 
 package mat
 
-// useAVX2 selects the assembly row-accumulate kernels. It is decided
-// once, here, from what the CPU and the OS report; the portable kernels
-// run otherwise.
+// useAVX2 selects the assembly row-accumulate and requantise-row
+// kernels. It is decided once, here, from what the CPU and the OS
+// report; the portable kernels run otherwise.
 var useAVX2 = detectAVX2()
 
 // detectAVX2 reports whether the assembly kernels may be executed: the
@@ -58,6 +58,9 @@ func rowAccF64AVX2(out *float64, p int, alpha *float64, idx *int, n int, src *fl
 //go:noescape
 func rowAccI8AVX2(out *int32, p int, alpha *int32, idx *int, n int, src *int8, cont bool)
 
+//go:noescape
+func requantRowAVX2(dst8 *int8, dst32 *int32, n int, acc *int32, deq, bias *float64, res *int8, resScales, scales *float64, scale float64, relu, argmax bool) int
+
 // rowAccF64 runs one validated, non-empty fp64 row accumulate on the
 // implementation chosen at init.
 func rowAccF64(out, alpha []float64, idx []int, src []float64, cont bool) {
@@ -95,22 +98,40 @@ func rowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
 // compactNonZero and compactNonZeroI8 pick the dense products'
 // compaction the same way. The assembly writes up to len(chunk) entries
 // unchecked, so a chunk longer than the buffers is refused here.
-func compactNonZero(ab *[compactChunk]float64, ib *[compactChunk]int, chunk []float64, base int) int {
+func compactNonZero(ab *[RowChunk]float64, ib *[RowChunk]int, chunk []float64, base int) int {
 	if !useAVX2 || len(chunk) == 0 {
 		return compactNonZeroGo(ab, ib, chunk, base)
 	}
-	if len(chunk) > compactChunk {
+	if len(chunk) > RowChunk {
 		panic("mat: compaction chunk exceeds its buffers")
 	}
 	return compactF64AVX2(&ab[0], &ib[0], &chunk[0], len(chunk), base)
 }
 
-func compactNonZeroI8(ab *[compactChunk]int32, ib *[compactChunk]int, chunk []int8, base int) int {
+func compactNonZeroI8(ab *[RowChunk]int32, ib *[RowChunk]int, chunk []int8, base int) int {
 	if !useAVX2 || len(chunk) == 0 {
 		return compactNonZeroI8Go(ab, ib, chunk, base)
 	}
-	if len(chunk) > compactChunk {
+	if len(chunk) > RowChunk {
 		panic("mat: compaction chunk exceeds its buffers")
 	}
 	return compactI8AVX2(&ab[0], &ib[0], &chunk[0], len(chunk), base)
+}
+
+// requantRow runs one validated, non-empty requantise row on the
+// implementation chosen at init; an absent operand reaches the assembly
+// as a nil pointer.
+func requantRow(dst8 []int8, dst32 []int32, n int, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
+	if !useAVX2 {
+		return requantRowGo(dst8, dst32, n, acc, deq, bias, res, resScales, scales, scale, relu, argmax)
+	}
+	return requantRowAVX2(first(dst8), first(dst32), n, first(acc), first(deq), first(bias), first(res), first(resScales), first(scales), scale, relu, argmax)
+}
+
+// first is &s[0], or nil for a nil slice.
+func first[E any](s []E) *E {
+	if s == nil {
+		return nil
+	}
+	return &s[0]
 }

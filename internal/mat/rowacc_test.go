@@ -156,7 +156,7 @@ func TestRowAccumulateDifferential(t *testing.T) {
 					naiveRowAcc(want, ka, ki, b.Data, false)
 					got := make([]float64, p)
 					got[0] = 7 // matMulRow must overwrite, never read
-					matMulRow(alpha, b, got, new([compactChunk]float64), new([compactChunk]int))
+					matMulRow(alpha, b, got, new([RowChunk]float64), new([RowChunk]int))
 					if j := sameBits(got, want); j >= 0 {
 						t.Fatalf("matMulRow p=%d n=%d zeros=%s special=%v: elem %d = %x, contract %x",
 							p, terms, zp.name, special, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
@@ -228,7 +228,7 @@ func TestRowAccumulateI8Differential(t *testing.T) {
 				naiveRowAccI8(want, wide, all, w.Data, false)
 				got := make([]int32, p)
 				got[0] = 7
-				matMulRowI8(codes, w, got, new([compactChunk]int32), new([compactChunk]int))
+				matMulRowI8(codes, w, got, new([RowChunk]int32), new([RowChunk]int))
 				for j := range want {
 					if got[j] != want[j] {
 						t.Fatalf("matMulRowI8 p=%d n=%d zeros=%s: elem %d = %d, contract %d", p, terms, zp.name, j, got[j], want[j])
