@@ -20,8 +20,9 @@ import (
 // the bias/ReLU tails of each conv collapse into the producing MatMul/SpMM
 // op and the fused-away intermediates are eliminated, which removes whole
 // activation passes in direct mode and whole tile flushes in tiled mode.
-// Block-embedding values are pinned (Builder.Keep) first, so the transfer
-// payload the rectifier reads stays materialised and bit-identical.
+// The block embeddings a rectifier reads are pinned (Builder.Keep) first,
+// so the transfer payload stays materialised and bit-identical; the ops
+// behind blocks it does not read are eliminated with the dead values.
 
 // lowerWorkspaceLayer wraps a layer without a row-tileable kernel
 // decomposition (SAGE, GAT) as an opaque exec op over a planned
@@ -169,20 +170,42 @@ func (r *Rectifier) compileRectifier(maxRows int, csr *graph.NormAdjacency, halo
 }
 
 // compileBackbone builds the backbone program for batches of maxRows rows
-// and epilogue-fuses it, pinning every block-embedding value first so the
-// rectifier's transfer payload survives fusion. csr substitutes the public
-// message-passing operator when non-nil (the subgraph path); workers is
-// the kernel budget baked into any opaque (SAGE/GAT) layer ops, whose
-// workspace footprint accumulates into the second result. The returned
-// value ids identify the block embeddings in the fused program, in
-// RequiredEmbeddings order.
-func (b *Backbone) compileBackbone(maxRows int, csr *graph.NormAdjacency, workers int) (*exec.Program, []int, int64) {
+// and epilogue-fuses it. needed lists the blocks the rectifier reads
+// (RequiredEmbeddings, ascending): those are pinned first so the transfer
+// payload survives fusion, the last of them is the program's output, and
+// every op that feeds only blocks nobody reads is eliminated — a series
+// rectifier takes one hidden block, so its backbone never computes the
+// logits conv. csr substitutes the public message-passing operator when
+// non-nil (the subgraph path); workers is the kernel budget baked into any
+// opaque (SAGE/GAT) layer ops, whose workspace footprint accumulates into
+// the last result. The returned value ids, one per block, identify the
+// block embeddings in the fused program; only the needed ones still exist.
+func (b *Backbone) compileBackbone(maxRows int, csr *graph.NormAdjacency, workers int, needed []int) (*exec.Program, []int, int64) {
 	bld := exec.NewBuilder(maxRows)
 	x := bld.Input(b.FeatureDim)
 	var extra int64
 	blocks := b.lowerIntoExtra(bld, x, csr, maxRows, workers, &extra)
-	for _, bv := range blocks {
-		bld.Keep(bv)
+	for _, i := range needed {
+		bld.Keep(blocks[i])
 	}
+	bld.Output(blocks[needed[len(needed)-1]])
 	return bld.Build().Fused(), blocks, extra
+}
+
+// planBackbone compiles the backbone for the needed blocks and plans its
+// (normal-world, fp64) machine under cfg. The second result holds the
+// machine's stable view of each needed block at the block's index — the
+// headers a plan captures once and reads after every Run — and nil for
+// the blocks the program no longer computes.
+func (b *Backbone) planBackbone(maxRows int, csr *graph.NormAdjacency, needed []int, cfg exec.Config) (*exec.Machine, []*mat.Matrix, error) {
+	prog, vals, _ := b.compileBackbone(maxRows, csr, cfg.Workers, needed)
+	mach, err := prog.NewMachine(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	blocks := make([]*mat.Matrix, len(vals))
+	for _, i := range needed {
+		blocks[i] = mach.Value(vals[i])
+	}
+	return mach, blocks, nil
 }

@@ -209,14 +209,10 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 	}
 	// Backbone first: reduced plans calibrate their scales and agreement
 	// against its fp64 embeddings before the enclave machine exists.
-	bbProg, blockVals, _ := v.Backbone.compileBackbone(rows, nil, cfg.Workers)
-	bbMach, err := bbProg.NewMachine(exec.Config{Workers: cfg.Workers, Recorder: rec})
+	needed := v.rectifier.RequiredEmbeddings()
+	bbMach, blocks, err := v.Backbone.planBackbone(rows, nil, needed, exec.Config{Workers: cfg.Workers, Recorder: rec})
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling backbone plan: %w", err)
-	}
-	blocks := make([]*mat.Matrix, 0, len(blockVals))
-	for _, bv := range blockVals {
-		blocks = append(blocks, bbMach.Value(bv))
 	}
 	var refLabels []int
 	var calibEmbs []*mat.Matrix
@@ -245,7 +241,7 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 		bbMach: bbMach,
 		bbIn:   make([]*mat.Matrix, 1),
 		mach:   mach,
-		needed: v.rectifier.RequiredEmbeddings(),
+		needed: needed,
 		labels: make([]int, rows),
 		blocks: blocks,
 		rec:    rec,

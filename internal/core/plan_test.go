@@ -82,23 +82,49 @@ func TestRectifierForwardWSMatchesForward(t *testing.T) {
 
 // TestCompiledBackboneMatchesEmbeddings pins the compiled (fused)
 // backbone program to the reference nn forward: the block embeddings a
-// plan transfers must match what Backbone.Embeddings computes.
+// plan transfers must match what Backbone.Embeddings computes — to the
+// bit, the program running the same kernels in the same order — and a
+// program compiled for a design that reads fewer blocks computes fewer:
+// the series rectifier takes the last hidden block only, so its backbone
+// drops the logits conv (two ops) that parallel and cascaded keep, and
+// asking its machine for that block panics.
 func TestCompiledBackboneMatchesEmbeddings(t *testing.T) {
-	ds, v := planTestVault(t, Parallel)
-	want := v.Backbone.Embeddings(ds.X)
-	prog, blockVals, _ := v.Backbone.compileBackbone(ds.X.Rows, nil, 1)
-	mach, err := prog.NewMachine(exec.Config{Workers: 1})
-	if err != nil {
-		t.Fatalf("backbone machine: %v", err)
-	}
-	mach.Run(ds.X.Rows, []*mat.Matrix{ds.X}, nil)
-	if len(blockVals) != len(want) {
-		t.Fatalf("%d blocks, want %d", len(blockVals), len(want))
-	}
-	for i, bv := range blockVals {
-		if !mach.Value(bv).EqualApprox(want[i], 1e-12) {
-			t.Fatalf("block %d disagrees", i)
+	ops := map[RectifierDesign]int{}
+	for _, design := range Designs {
+		ds, v := planTestVault(t, design)
+		want := v.Backbone.Embeddings(ds.X)
+		needed := v.rectifier.RequiredEmbeddings()
+		prog, blockVals, _ := v.Backbone.compileBackbone(ds.X.Rows, nil, 1, needed)
+		ops[design] = len(prog.Ops())
+		mach, err := prog.NewMachine(exec.Config{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: backbone machine: %v", design, err)
 		}
+		out := mach.Run(ds.X.Rows, []*mat.Matrix{ds.X}, nil)
+		if len(blockVals) != len(want) {
+			t.Fatalf("%s: %d blocks, want %d", design, len(blockVals), len(want))
+		}
+		for _, i := range needed {
+			if !mach.Value(blockVals[i]).Equal(want[i]) {
+				t.Fatalf("%s: block %d disagrees", design, i)
+			}
+		}
+		if last := needed[len(needed)-1]; out != mach.Value(blockVals[last]) {
+			t.Fatalf("%s: program output is not the last needed block %d", design, last)
+		}
+		if design == Series {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("Machine.Value on the eliminated logits block did not panic")
+					}
+				}()
+				mach.Value(blockVals[len(blockVals)-1])
+			}()
+		}
+	}
+	if ops[Parallel] != ops[Cascaded] || ops[Series] != ops[Parallel]-2 {
+		t.Fatalf("backbone ops parallel %d cascaded %d series %d, want series two fewer", ops[Parallel], ops[Cascaded], ops[Series])
 	}
 }
 

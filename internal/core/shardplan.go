@@ -252,14 +252,10 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 		progs[s] = prog
 	}
 
-	bbProg, blockVals, _ := sv.Backbone.compileBackbone(rows, nil, cfg.Workers)
-	bbMach, err := bbProg.NewMachine(exec.Config{Workers: cfg.Workers, Recorder: rec})
+	needed := sv.rectifier.RequiredEmbeddings()
+	bbMach, blocks, err := sv.Backbone.planBackbone(rows, nil, needed, exec.Config{Workers: cfg.Workers, Recorder: rec})
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling backbone plan: %w", err)
-	}
-	blocks := make([]*mat.Matrix, 0, len(blockVals))
-	for _, bv := range blockVals {
-		blocks = append(blocks, bbMach.Value(bv))
 	}
 
 	// Reduced tiers calibrate against the unsharded reference program —
@@ -315,7 +311,7 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 		bbIn:        make([]*mat.Matrix, 1),
 		blocks:      blocks,
 		fleet:       fleet,
-		needed:      sv.rectifier.RequiredEmbeddings(),
+		needed:      needed,
 		shardEmbs:   make([][]*mat.Matrix, shards),
 		shardLabels: make([][]int, shards),
 		payload:     make([]int64, shards),

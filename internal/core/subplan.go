@@ -153,6 +153,7 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 	}
 
 	n := v.privateGraph.N()
+	needed := v.rectifier.RequiredEmbeddings()
 	elem := pcfg.Precision.Elem()
 	rec := pcfg.Recorder
 	if rec == nil {
@@ -168,14 +169,9 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 		if !fullProg.Tileable() {
 			return nil, fmt.Errorf("core: %s subgraph plan: %w", pcfg.Precision, exec.ErrPrecisionUnsupported)
 		}
-		fullBBProg, fullBlockVals, _ := v.Backbone.compileBackbone(n, nil, pcfg.Workers)
-		fullBB, err := fullBBProg.NewMachine(exec.Config{Workers: pcfg.Workers})
+		fullBB, fullBlocks, err := v.Backbone.planBackbone(n, nil, needed, exec.Config{Workers: pcfg.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling calibration backbone: %w", err)
-		}
-		fullBlocks := make([]*mat.Matrix, 0, len(fullBlockVals))
-		for _, bv := range fullBlockVals {
-			fullBlocks = append(fullBlocks, fullBB.Value(bv))
 		}
 		scales, ref, embs, err := v.calibrateReduced(fullProg, fullBB, fullBlocks, pcfg)
 		if err != nil {
@@ -201,7 +197,7 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 		pubCS:  plan.NewCSRSpace(v.Backbone.adj.NNZ()),
 		privCS: plan.NewCSRSpace(v.rectifier.adj.NNZ()),
 		feat:   mat.New(capRows, v.Backbone.FeatureDim),
-		needed: v.rectifier.RequiredEmbeddings(),
+		needed: needed,
 		labels: make([]int, capRows),
 		rec:    rec,
 	}
@@ -212,16 +208,12 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 	// block embeddings pinned. The backbone machine runs normal-world
 	// (global worker default); the rectifier machine is in-enclave,
 	// single-threaded.
-	bbProg, blockVals, _ := v.Backbone.compileBackbone(capRows, ws.pubCS.Sub(), 0)
-	bbMach, err := bbProg.NewMachine(exec.Config{Recorder: rec})
+	bbMach, blocks, err := v.Backbone.planBackbone(capRows, ws.pubCS.Sub(), needed, exec.Config{Recorder: rec})
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling subgraph backbone: %w", err)
 	}
-	ws.bbMach = bbMach
+	ws.bbMach, ws.blocks = bbMach, blocks
 	ws.featIn = []*mat.Matrix{ws.feat}
-	for _, bv := range blockVals {
-		ws.blocks = append(ws.blocks, bbMach.Value(bv))
-	}
 	rectProg, _ := v.rectifier.compileRectifier(capRows, ws.privCS.Sub(), nil) // GCN-only here: no opaque bytes
 	rectMach, err := rectProg.NewMachine(rectCfg)
 	if err != nil {

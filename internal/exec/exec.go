@@ -387,8 +387,20 @@ func (b *Builder) Argmax(src int) {
 	b.last = src
 }
 
+// Output names v the program's result, for a program without Argmax whose
+// result is not the value it produced last — what comes after v is then
+// live only as far as something kept reads it. Call it last before Build.
+func (b *Builder) Output(v int) {
+	b.width(v) // id check
+	if b.p.hasArgmax {
+		panic("exec: Output after Argmax")
+	}
+	b.last = v
+}
+
 // Build freezes the program. The output value is the Argmax source when
-// one was appended, otherwise the most recently produced value.
+// one was appended, the value named by Output when one was, otherwise the
+// most recently produced value.
 func (b *Builder) Build() *Program {
 	if b.last < 0 {
 		panic("exec: empty program")
@@ -755,8 +767,14 @@ func (m *Machine) opDone(i int, op *Op, rows int, t0 int64) {
 // Run. The header is re-bound by every Run; the pointer itself is stable,
 // so it can be captured once at plan time. Values readable this way must
 // be pinned with Builder.Keep before fusion, or the fusion pass may fold
-// them away (a dead value's header is never bound).
-func (m *Machine) Value(v int) *mat.Matrix { return &m.views[v] }
+// them away; asking for a value the program no longer computes is a
+// planning bug and panics rather than hand back a header no Run binds.
+func (m *Machine) Value(v int) *mat.Matrix {
+	if m.prog.vals[v].dead {
+		panic(fmt.Sprintf("exec: value %d was eliminated from the program (Builder.Keep it before Fused)", v))
+	}
+	return &m.views[v]
+}
 
 // Output returns the stable header of the program's result value.
 func (m *Machine) Output() *mat.Matrix { return &m.views[m.prog.output] }

@@ -24,18 +24,20 @@ type Epilogue struct {
 	ReLU bool      // clamp at zero last
 }
 
-// Fused returns a program with epilogue fusion and dead-value elimination
-// applied; the receiver is unchanged and remains valid. The pass is a
-// peephole over adjacent ops — exactly the shape lowering emits — folding
+// Fused returns a program with epilogue fusion and dead-op and dead-value
+// elimination applied; the receiver is unchanged and remains valid. The
+// fusion is a peephole over adjacent ops — exactly the shape lowering emits — folding
 // an AddBias/Add/ReLU into an immediately preceding MatMul/SpMM when the
 // consumed value has no other consumer, is not an external input, is not
 // marked kept (Builder.Keep) and is not the program output. Folding
 // preserves canonical epilogue order (bias, then residual, then ReLU);
 // chains in any other order are left unfused rather than reassociated,
 // because float addition order is part of the bit-identity contract.
-// Values orphaned by folding are marked dead: machines planned from the
-// fused program allocate no buffers for them and SpillTraffic no longer
-// counts their flushes.
+// Ops whose result nothing reads — no later op, no Keep, not the output —
+// are then dropped, last to first, so a whole unread tail goes. Values
+// orphaned by either step are marked dead: machines planned from the
+// fused program allocate no buffers for them, SpillTraffic no longer
+// counts their flushes, and Machine.Value refuses them.
 func (p *Program) Fused() *Program {
 	q := *p
 	q.vals = append([]value(nil), p.vals...)
@@ -103,6 +105,34 @@ func (p *Program) Fused() *Program {
 		}
 		ops = append(ops, op)
 	}
+
+	// Dead-op elimination, walking backwards: an op goes when nothing
+	// after it reads its destination and the destination is neither kept
+	// nor the output — and with it, in turn, the ops that fed only it (a
+	// backbone lowered whole for a rectifier that reads one hidden block
+	// loses its logits conv here). An in-place op (AddBias) reads what it
+	// writes, so it stands or falls with its value's later readers.
+	live := make([]bool, len(q.vals))
+	for i := range q.vals {
+		live[i] = q.vals[i].keep
+	}
+	live[q.output] = true
+	kept := len(ops)
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := ops[i]
+		if op.Dst >= 0 && !live[op.Dst] {
+			continue
+		}
+		for _, s := range op.Srcs {
+			live[s] = true
+		}
+		if op.Epi.Res >= 0 {
+			live[op.Epi.Res] = true
+		}
+		kept--
+		ops[kept] = op
+	}
+	ops = ops[kept:]
 	q.ops = ops
 
 	// Dead-value elimination: anything no surviving op reads or writes —

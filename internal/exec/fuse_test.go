@@ -157,6 +157,78 @@ func TestFusionKeepsPinnedValues(t *testing.T) {
 	}
 }
 
+// TestFusionEliminatesUnreadOps checks dead-op elimination: with the
+// hidden value named the output, the conv lowered after it feeds nothing
+// — its product, aggregation and in-place bias all go, last to first —
+// the hidden value keeps its bits on direct and tiled machines alike, a
+// Keep on the tail brings every op back, and Machine.Value refuses a
+// value the program no longer computes.
+func TestFusionEliminatesUnreadOps(t *testing.T) {
+	const n = 17
+	csr := testCSR(n, 13)
+	rng := rand.New(rand.NewSource(22))
+	w1 := randMat(rng, 4, 6)
+	b1 := randMat(rng, 1, 6).Data
+	w2 := randMat(rng, 6, 3)
+	b2 := randMat(rng, 1, 3).Data
+
+	build := func(keepTail bool) (p *Program, hidden, tail int) {
+		b := NewBuilder(n)
+		v := b.MatMul(b.Input(4), w1)
+		v = b.SpMM(csr, v)
+		v = b.AddBias(v, b1)
+		hidden = b.ReLU(v)
+		tail = b.MatMul(hidden, w2)
+		tail = b.SpMM(csr, tail)
+		tail = b.AddBias(tail, b2)
+		if keepTail {
+			b.Keep(tail)
+		}
+		b.Output(hidden)
+		return b.Build(), hidden, tail
+	}
+
+	x := randMat(rng, n, 4)
+	whole, hid, _ := build(true)
+	wm, err := whole.NewMachine(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wm.Run(n, []*mat.Matrix{x}, nil).Clone()
+	if got := len(whole.Fused().Ops()); got != 4 {
+		t.Fatalf("kept tail: %d fused ops, want 4", got)
+	}
+
+	prog, hid2, tail := build(false)
+	if hid2 != hid {
+		t.Fatal("builds disagree on value ids")
+	}
+	fused := prog.Fused()
+	if got := len(fused.Ops()); got != 2 {
+		t.Fatalf("unread tail: %d fused ops %v, want the hidden conv's 2", got, countKinds(fused))
+	}
+	if fused.MaxWidth() != 6 {
+		t.Fatalf("MaxWidth %d still counts eliminated values", fused.MaxWidth())
+	}
+	for _, cfg := range []Config{{Workers: 1}, {TileRows: 5, Workers: 2}} {
+		m, err := fused.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := m.Run(n, []*mat.Matrix{x}, nil); !out.Equal(want) || out != m.Value(hid) {
+			t.Fatalf("tile rows %d: output differs from the whole program's hidden value", cfg.TileRows)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Machine.Value on an eliminated value did not panic")
+				}
+			}()
+			m.Value(tail)
+		}()
+	}
+}
+
 // TestTileParallelAllocFree pins the tile-parallel hot path at zero
 // steady-state heap allocations: the worker bodies are pre-built closures
 // and every header lives in per-worker scratch. The GOMAXPROCS=1 run is

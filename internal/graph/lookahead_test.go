@@ -1,0 +1,94 @@
+package graph
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"gnnvault/internal/mat"
+)
+
+// raggedCSR hand-builds an n×cols operator whose rows run from empty to a
+// dozen non-zeros — an empty first row, empty rows scattered through and
+// one among the last few, where the look-ahead window slides off the end
+// of the CSR. cols ≠ n makes it rectangular, as a partition shard is.
+func raggedCSR(rng *rand.Rand, n, cols int) *NormAdjacency {
+	na := &NormAdjacency{N: n, RowPtr: make([]int, n+1)}
+	if cols != n {
+		na.NCols = cols
+	}
+	for i := 0; i < n; i++ {
+		nnz := rng.Intn(13)
+		if i == 0 || i == n-2 || rng.Intn(9) == 0 {
+			nnz = 0
+		}
+		for k := 0; k < nnz; k++ {
+			na.ColIdx = append(na.ColIdx, rng.Intn(cols))
+			na.Val = append(na.Val, rng.NormFloat64())
+		}
+		na.RowPtr[i+1] = len(na.ColIdx)
+	}
+	return na
+}
+
+// TestSpMMLookAheadChangesNoBit holds every SpMM driver — the full-height
+// product serial and banded, the range forms over ragged ranges, with and
+// without an epilogue, on a square CSR and on a rectangular shard CSR — to
+// a loop of plain row accumulates that never look ahead. The sources are
+// over 1 MiB, so on AVX2 hosts the drivers' hints are really issued; the
+// bits must not know.
+func TestSpMMLookAheadChangesNoBit(t *testing.T) {
+	const d = 48
+	rng := rand.New(rand.NewSource(31))
+	bias := benchDense(1, d).Data
+	for _, shape := range []struct {
+		name    string
+		n, cols int
+	}{{"square", 3000, 3000}, {"shard", 2600, 3100}} {
+		na := raggedCSR(rng, shape.n, shape.cols)
+		if na.ColCount() != shape.cols {
+			t.Fatalf("%s: ColCount %d, want %d", shape.name, na.ColCount(), shape.cols)
+		}
+		h := benchDense(shape.cols, d)
+		res := benchDense(shape.n, d)
+
+		plain := mat.New(shape.n, d)
+		fused := mat.New(shape.n, d)
+		for i := 0; i < shape.n; i++ {
+			p, e := na.RowPtr[i], na.RowPtr[i+1]
+			row := plain.Data[i*d : (i+1)*d]
+			row[0] = 7 // an empty row must be cleared, not skipped
+			mat.RowAccumulate(row, na.Val[p:e], na.ColIdx[p:e], h.Data, false, nil)
+			frow := fused.Data[i*d : (i+1)*d]
+			copy(frow, row)
+			mat.ApplyEpilogueRow(frow, bias, res.Data[i*d:(i+1)*d], true)
+		}
+		same := func(what string, got, want *mat.Matrix, lo int) {
+			t.Helper()
+			for k, v := range got.Data {
+				if w := want.Data[lo*d+k]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("%s %s: row %d col %d = %x, row-accumulate loop %x", shape.name, what, lo+k/d, k%d, math.Float64bits(v), math.Float64bits(w))
+				}
+			}
+		}
+
+		for _, workers := range []int{1, 3} {
+			got := mat.New(shape.n, d)
+			na.MulDenseBiasReLUInto(got, h, nil, nil, false, workers)
+			same("MulDenseBiasReLUInto plain", got, plain, 0)
+			na.MulDenseBiasReLUInto(got, h, bias, res, true, workers)
+			same("MulDenseBiasReLUInto fused", got, fused, 0)
+		}
+		n := shape.n
+		for _, r := range [][2]int{{0, 1}, {1, 1}, {1, 7}, {7, n - 3}, {n - 3, n - 1}, {n - 1, n}, {0, n}} {
+			lo, hi := r[0], r[1]
+			got := mat.New(hi-lo, d)
+			na.MulDenseRangeInto(got, h, lo, hi)
+			same("MulDenseRangeInto", got, plain, lo)
+			resRows := mat.New(hi-lo, d)
+			copy(resRows.Data, res.Data[lo*d:hi*d])
+			na.MulDenseBiasReLURangeInto(got, h, lo, hi, bias, resRows, true)
+			same("MulDenseBiasReLURangeInto", got, fused, lo)
+		}
+	}
+}

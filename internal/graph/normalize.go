@@ -193,14 +193,42 @@ func (na *NormAdjacency) MulDenseRangeInto(dst, h *mat.Matrix, lo, hi int) {
 	}
 }
 
+// gatherAhead is how many CSR rows ahead of the row being summed the
+// products below look: while row i accumulates, the row accumulate is
+// handed row i+gatherAhead's column indices as its look-ahead operand
+// (mat.RowAccumulate), so the source rows they name are on their way
+// into cache when their turn comes — a gather from L3 then runs at the
+// cache's bandwidth instead of its latency. The window slides over the
+// whole CSR, not the range being computed: the tile or band after this
+// one usually wants those rows next, and past the last row it is empty.
+// Whether the hints are acted on is the kernel's decision, from the
+// operands it sees (source size, row width); no product here asks.
+//
+// Chosen on the build host (Xeon Sapphire Rapids VM, GOMAXPROCS 1) on the
+// bench's pubmed20k Vault.PredictInto, 25 interleaved rounds, medians of
+// the 64/32/32/16-wide SpMM ops in ms: off 6.74/3.56/4.49/2.68, 1 row
+// 5.17/2.32/2.73/1.56, 2 rows 5.36/2.30/2.67/1.66, 3 rows
+// 5.51/2.44/2.76/1.70, 4 rows 6.44/2.80/3.16/1.90 and 8 rows
+// 7.35/3.01/3.52/2.05 (the last two from a slower session whose "off"
+// read 7.39/4.10/5.34/2.92): anything from one to three rows is within
+// noise of the best, further ahead the lines start leaving L1 before
+// they are used. Two rather than one, so that a row of one or two
+// non-zeros is not all the arithmetic the next row's misses hide behind.
+const gatherAhead = 2
+
 // accumRow computes graph row i of Â·H into orow: the CSR row's values
 // and column indices are the multipliers and row indices of one row
 // accumulate (mat.RowAccumulate), which initialises the row from its
 // first term, clears it when the CSR row is empty, and panics on a
-// column index outside H.
+// column index outside H. The column indices gatherAhead rows on ride
+// along as hints.
 func (na *NormAdjacency) accumRow(orow []float64, h *mat.Matrix, i int) {
 	p, end := na.RowPtr[i], na.RowPtr[i+1]
-	mat.RowAccumulate(orow, na.Val[p:end], na.ColIdx[p:end], h.Data, false)
+	var ahead []int
+	if a := i + gatherAhead; a < na.N {
+		ahead = na.ColIdx[na.RowPtr[a]:na.RowPtr[a+1]]
+	}
+	mat.RowAccumulate(orow, na.Val[p:end], na.ColIdx[p:end], h.Data, false, ahead)
 }
 
 // MulDenseBiasReLURangeInto is MulDenseRangeInto with the epilogue of the

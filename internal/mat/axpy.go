@@ -16,6 +16,18 @@ import "fmt"
 // a stack buffer, branch-free, and then runs the same indexed kernel, so
 // no data-dependent branch is left in the MAC loop.
 //
+// The fp64 form has one more clause, the look-ahead: the caller may pass
+// the indices it will ask for next — SpMM passes a CSR row a fixed
+// distance on — and an implementation may use them to start fetching
+// those source rows while it sums this one. They are hints and nothing
+// else: never validated, the rows they name never read, any length (none,
+// fewer or more than the row's own terms) and any value (out of range
+// included) allowed, and no bit of out depends on them. The assembly
+// issues prefetches for them where that pays (rowacc_amd64.go has the
+// rule and its measurements); the portable kernel ignores them. The int8
+// form takes none: its sources are an eighth the size and L2-resident
+// at the graph sizes served here.
+//
 // The contract has exactly two implementations: AVX2 assembly on amd64
 // (rowacc_amd64.s, chosen once at init from CPUID) and the portable Go
 // below, which is the fallback everywhere else, the only implementation
@@ -38,14 +50,15 @@ const RowChunk = 128
 // src is a row-major matrix of p-wide rows, idx[t] names the row scaled
 // by alpha[t]. With cont set the sum continues onto out's current
 // contents instead of starting from the bare first product — how callers
-// feed one long row through in chunks. Operand lengths and every index
-// are validated here, before either implementation runs, so a corrupt
-// index panics instead of reading out of bounds.
-func RowAccumulate(out, alpha []float64, idx []int, src []float64, cont bool) {
+// feed one long row through in chunks. ahead is the look-ahead operand
+// (nil for none). Operand lengths and every index in idx are validated
+// here, before either implementation runs, so a corrupt index panics
+// instead of reading out of bounds; ahead is deliberately not.
+func RowAccumulate(out, alpha []float64, idx []int, src []float64, cont bool, ahead []int) {
 	requireRowAcc(len(out), len(alpha), idx, len(src))
 	switch {
 	case len(alpha) > 0 && len(out) > 0:
-		rowAccF64(out, alpha, idx, src, cont)
+		rowAccF64(out, alpha, idx, src, cont, ahead)
 	case !cont:
 		clear(out)
 	}

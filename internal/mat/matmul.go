@@ -68,7 +68,7 @@ func matMulRow(arow []float64, b *Matrix, orow []float64, ab *[RowChunk]float64,
 	for k0 := 0; k0 < len(arow); k0 += RowChunk {
 		m := compactNonZero(ab, ib, arow[k0:min(k0+RowChunk, len(arow))], k0)
 		if m > 0 {
-			RowAccumulate(orow, ab[:m], ib[:m], b.Data, cont)
+			RowAccumulate(orow, ab[:m], ib[:m], b.Data, cont, nil)
 			cont = true
 		}
 	}

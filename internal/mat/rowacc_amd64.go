@@ -2,6 +2,8 @@
 
 package mat
 
+import "unsafe"
+
 // useAVX2 selects the assembly row-accumulate and requantise-row
 // kernels. It is decided once, here, from what the CPU and the OS
 // report; the portable kernels run otherwise.
@@ -53,7 +55,7 @@ func compactF64AVX2(ab *float64, ib *int, src *float64, n, base int) int
 func compactI8AVX2(ab *int32, ib *int, src *int8, n, base int) int
 
 //go:noescape
-func rowAccF64AVX2(out *float64, p int, alpha *float64, idx *int, n int, src *float64, cont bool)
+func rowAccF64AVX2(out *float64, p int, alpha *float64, idx *int, n int, src *float64, ahead *int, nahead int, cont bool)
 
 //go:noescape
 func rowAccI8AVX2(out *int32, p int, alpha *int32, idx *int, n int, src *int8, cont bool)
@@ -61,14 +63,42 @@ func rowAccI8AVX2(out *int32, p int, alpha *int32, idx *int, n int, src *int8, c
 //go:noescape
 func requantRowAVX2(dst8 *int8, dst32 *int32, n int, acc *int32, deq, bias *float64, res *int8, resScales, scales *float64, scale float64, relu, argmax bool) int
 
+// The look-ahead clause of the row accumulate (axpy.go) is acted on only
+// here, and only where the operands say a gather can be hidden. Measured
+// on the build host (Xeon Sapphire Rapids VM, 2 MB L2, GOMAXPROCS 1; ns
+// per non-zero of graph.BenchmarkSpMMGather, hints off → on, medians of
+// 21 interleaved rounds):
+//
+//   - a source row under one cache line shares its line with its
+//     neighbours and the hints only add instructions (the 3-wide logits
+//     products got slower in the prototype this came from), so such rows
+//     were never hinted;
+//   - a source the L2 holds gains nothing and pays for the hint loop:
+//     600×16 4.9 → 5.5, 600×64 15.4 → 18.3, 2000×32 12.6 → 13.8, while
+//     2000×64 (1 MB) breaks even at 20.6 → 20.2 and 5000×32 (1.3 MB)
+//     gains, 16.5 → 13.7 — hence aheadMinSource;
+//   - hinting a whole long row floods the fill buffers the row being
+//     summed needs: 20000×128 66 → 75 and 20000×256 127 → 163 with every
+//     line hinted, 66 → 65 and 127 → 129 with the first eight, the
+//     hardware streamer fetching the rest; 64-wide rows (eight lines)
+//     want all eight, 5.9 → 4.6 ms on the bench's 64-wide product against
+//     5.0 with four — hence aheadRowBytes.
+const (
+	aheadMinSource = 1 << 20 / 8 // float64s: sources under 1 MiB are not hinted
+	aheadRowBytes  = 512         // leading bytes hinted per source row (rowacc_amd64.s)
+)
+
 // rowAccF64 runs one validated, non-empty fp64 row accumulate on the
 // implementation chosen at init.
-func rowAccF64(out, alpha []float64, idx []int, src []float64, cont bool) {
+func rowAccF64(out, alpha []float64, idx []int, src []float64, cont bool, ahead []int) {
 	if !useAVX2 {
 		rowAccF64Go(out, alpha, idx, src, cont)
 		return
 	}
-	rowAccF64AVX2(&out[0], len(out), &alpha[0], &idx[0], len(alpha), &src[0], cont)
+	if len(out) < 8 || len(src) < aheadMinSource {
+		ahead = nil
+	}
+	rowAccF64AVX2(&out[0], len(out), &alpha[0], &idx[0], len(alpha), &src[0], unsafe.SliceData(ahead), len(ahead), cont)
 }
 
 // rowAccI8 is rowAccF64's int8 counterpart. The assembly covers the

@@ -1,5 +1,6 @@
 //go:build !purego
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // AVX2 row-accumulate kernels — see the contract at the top of axpy.go.
@@ -11,6 +12,10 @@
 //	DX  src + block offset      R10 src row stride in bytes
 //	CX  columns left            AX  cont         R11 t         R12 row t
 //	Y0–Y7 accumulators          Y8  alpha[t] broadcast         Y9–Y15 products
+//
+// The fp64 kernel's look-ahead prologue runs before out, alpha, idx and n
+// are loaded and borrows R13 (hint cursor), BX (hints left), SI (bytes
+// hinted per row), R12 (line) and R11 (end of the hinted bytes).
 
 // tailMask: four all-ones quadwords, then four zero. Thirty-two bytes
 // read r quadwords before the boundary select the first r lanes.
@@ -68,18 +73,50 @@ GLOBL laneIota<>(SB), RODATA|NOPTR, $72
 	VPMULLD Y8, tmp, tmp \
 	VPADDD tmp, acc, acc
 
-// func rowAccF64AVX2(out *float64, p int, alpha *float64, idx *int, n int, src *float64, cont bool)
-// Requires p ≥ 1, n ≥ 1 and every idx[t]·p+p within src.
-TEXT ·rowAccF64AVX2(SB), NOSPLIT, $0-49
-	MOVQ out+0(FP), DI
+// func rowAccF64AVX2(out *float64, p int, alpha *float64, idx *int, n int, src *float64, ahead *int, nahead int, cont bool)
+// Requires p ≥ 1, n ≥ 1 and every idx[t]·p+p within src. The nahead
+// indices at ahead are the look-ahead clause: hints, read but never
+// validated and the rows they name never dereferenced.
+TEXT ·rowAccF64AVX2(SB), NOSPLIT, $0-65
 	MOVQ p+8(FP), CX
+	MOVQ src+40(FP), DX
+	MOVQ CX, R10
+	SHLQ $3, R10
+
+	// Look ahead, before the row's own registers are claimed: touch the
+	// leading lines (aheadRowBytes at most — the hardware streamer has
+	// the rest of a longer row) of every source row the caller will
+	// gather next, so those misses overlap this row's arithmetic instead
+	// of stalling the row that needs them. PREFETCHT0 never faults, so an
+	// index naming no row of src costs nothing but the hint.
+	MOVQ ahead+48(FP), R13
+	MOVQ nahead+56(FP), BX
+	TESTQ BX, BX
+	JZ f64args
+	MOVQ $const_aheadRowBytes, SI
+	CMPQ R10, SI
+	CMOVQLT R10, SI
+f64ahead:
+	MOVQ (R13), R12
+	IMULQ R10, R12
+	ADDQ DX, R12
+	LEAQ (R12)(SI*1), R11
+	ANDQ $-64, R12
+f64aheadline:
+	PREFETCHT0 (R12)
+	ADDQ $64, R12
+	CMPQ R12, R11
+	JLT f64aheadline
+	ADDQ $8, R13
+	DECQ BX
+	JNZ f64ahead
+
+f64args:
+	MOVQ out+0(FP), DI
 	MOVQ alpha+16(FP), SI
 	MOVQ idx+24(FP), R8
 	MOVQ n+32(FP), R9
-	MOVQ src+40(FP), DX
-	MOVBQZX cont+48(FP), AX
-	MOVQ CX, R10
-	SHLQ $3, R10
+	MOVBQZX cont+64(FP), AX
 
 f64blk32:
 	CMPQ CX, $32

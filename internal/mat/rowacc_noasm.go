@@ -5,7 +5,7 @@ package mat
 // Without the assembly kernels every row accumulate and requantise row
 // runs the portable implementation.
 
-func rowAccF64(out, alpha []float64, idx []int, src []float64, cont bool) {
+func rowAccF64(out, alpha []float64, idx []int, src []float64, cont bool, _ []int) {
 	rowAccF64Go(out, alpha, idx, src, cont)
 }
 

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -85,6 +86,42 @@ func rowAccCase(rng *rand.Rand, p, terms int, zero func(t, n int) bool, special 
 	return alpha, idx, src
 }
 
+// hintedSrc is a source large enough (over 1 MiB) that the assembly acts
+// on look-ahead hints instead of dropping them, shared by the tests that
+// need the hint loop itself to run.
+var hintedSrc = sync.OnceValue(func() []float64 {
+	rng := rand.New(rand.NewSource(15))
+	src := make([]float64, 1<<17+1<<12)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+		if rng.Intn(64) == 0 {
+			src[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return src
+})
+
+// lookAheads returns the look-ahead operands a row of terms indices over a
+// rows-row source is tried with: absent, empty, shorter and longer than
+// the row, and — hints being unvalidated by contract — indices no source
+// has, the extremes included.
+func lookAheads(rng *rand.Rand, terms, rows int) [][]int {
+	inRange := func(n int) []int {
+		a := make([]int, n)
+		for i := range a {
+			a[i] = rng.Intn(rows)
+		}
+		return a
+	}
+	wild := inRange(terms + 2)
+	for i, bad := range []int{-1, rows, math.MinInt, math.MaxInt, 1 << 40, -rows - 7} {
+		if i < len(wild) {
+			wild[rng.Intn(len(wild))] = bad
+		}
+	}
+	return [][]int{nil, {}, inRange(terms / 2), inRange(2*terms + 3), wild}
+}
+
 // sameBits returns the first index at which a and b differ in their
 // bits, or -1. Two NaNs count as the same whatever their payloads: which
 // payload survives when two NaNs meet depends on the order the operands
@@ -106,7 +143,8 @@ var termCounts = []int{0, 1, 2, 3, 4, 5, 8, 17, 64, 127, 128, 129, 200, 255, 256
 // TestRowAccumulateDifferential holds the dispatched kernel (AVX2 where
 // the CPU has it), the portable kernel and the literal contract to the
 // same bits over widths 1…70 × term counts 0…300 × zero patterns ×
-// special values, started fresh and continued onto a previous sum — and
+// special values, started fresh and continued onto a previous sum, under
+// every look-ahead operand (none of which may change a bit) — and
 // the dense row kernel, whose compaction drops the zero multipliers, to
 // the contract applied to the survivors.
 func TestRowAccumulateDifferential(t *testing.T) {
@@ -116,18 +154,22 @@ func TestRowAccumulateDifferential(t *testing.T) {
 			for _, zp := range zeroPatterns {
 				for _, special := range []bool{false, true} {
 					alpha, idx, src := rowAccCase(rng, p, terms, zp.zero, special)
+					aheads := lookAheads(rng, terms, len(src)/p)
 					for _, cont := range []bool{false, true} {
 						want := make([]float64, p)
 						for j := range want {
 							want[j] = rng.NormFloat64()
 						}
-						got := append([]float64(nil), want...)
+						start := append([]float64(nil), want...)
 						port := append([]float64(nil), want...)
 						naiveRowAcc(want, alpha, idx, src, cont)
-						RowAccumulate(got, alpha, idx, src, cont)
-						if j := sameBits(got, want); j >= 0 {
-							t.Fatalf("p=%d terms=%d zeros=%s special=%v cont=%v: elem %d = %x, contract %x",
-								p, terms, zp.name, special, cont, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+						for a, ahead := range aheads {
+							got := append([]float64(nil), start...)
+							RowAccumulate(got, alpha, idx, src, cont, ahead)
+							if j := sameBits(got, want); j >= 0 {
+								t.Fatalf("p=%d terms=%d zeros=%s special=%v cont=%v ahead=%d: elem %d = %x, contract %x",
+									p, terms, zp.name, special, cont, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+							}
 						}
 						if terms == 0 {
 							continue // the bare kernels take at least one term
@@ -160,6 +202,51 @@ func TestRowAccumulateDifferential(t *testing.T) {
 					if j := sameBits(got, want); j >= 0 {
 						t.Fatalf("matMulRow p=%d n=%d zeros=%s special=%v: elem %d = %x, contract %x",
 							p, terms, zp.name, special, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowAccumulateLookAhead runs the look-ahead operands over a source
+// big enough that the assembly issues its hints: rows of every width up
+// to two cache lines past the hinted prefix, including ones that straddle
+// lines, hinted at rows that exist, rows that do not and addresses that
+// are not even mapped — nothing faults, and out is the contract's to the
+// bit whatever was hinted.
+func TestRowAccumulateLookAhead(t *testing.T) {
+	src := hintedSrc()
+	rng := rand.New(rand.NewSource(16))
+	for _, p := range []int{1, 3, 7, 8, 9, 16, 31, 32, 33, 64, 65, 70, 96, 128, 200} {
+		rows := len(src) / p
+		for _, terms := range []int{0, 1, 5, 40} {
+			alpha := make([]float64, terms)
+			idx := make([]int, terms)
+			for k := range alpha {
+				alpha[k], idx[k] = rng.NormFloat64(), rng.Intn(rows)
+			}
+			// The last rows of the source too: a hint may name the
+			// final row, whose lines end the allocation.
+			for k := range idx {
+				if k%3 == 0 {
+					idx[k] = rows - 1 - k%2
+				}
+			}
+			for _, cont := range []bool{false, true} {
+				want := make([]float64, p)
+				for j := range want {
+					want[j] = rng.NormFloat64()
+				}
+				start := append([]float64(nil), want...)
+				naiveRowAcc(want, alpha, idx, src, cont)
+				aheads := append(lookAheads(rng, terms, rows), []int{rows - 1, 0, rows - 1})
+				for a, ahead := range aheads {
+					got := append([]float64(nil), start...)
+					RowAccumulate(got, alpha, idx, src, cont, ahead)
+					if j := sameBits(got, want); j >= 0 {
+						t.Fatalf("p=%d terms=%d cont=%v ahead=%d: elem %d = %x, contract %x",
+							p, terms, cont, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 					}
 				}
 			}
@@ -247,10 +334,10 @@ func TestRowAccumulateRejectsBadOperands(t *testing.T) {
 	src := make([]float64, 5*4)
 	src8 := make([]int8, 5*4)
 	for name, fn := range map[string]func(){
-		"f64 index == rows":      func() { RowAccumulate(make([]float64, 4), []float64{1, 1}, []int{0, 5}, src, false) },
-		"f64 negative index":     func() { RowAccumulate(make([]float64, 4), []float64{1}, []int{-1}, src, true) },
-		"f64 ragged last row":    func() { RowAccumulate(make([]float64, 4), []float64{1}, []int{4}, src[:19], false) },
-		"f64 index count":        func() { RowAccumulate(make([]float64, 4), []float64{1, 1}, []int{0}, src, false) },
+		"f64 index == rows":      func() { RowAccumulate(make([]float64, 4), []float64{1, 1}, []int{0, 5}, src, false, nil) },
+		"f64 negative index":     func() { RowAccumulate(make([]float64, 4), []float64{1}, []int{-1}, src, true, nil) },
+		"f64 ragged last row":    func() { RowAccumulate(make([]float64, 4), []float64{1}, []int{4}, src[:19], false, nil) },
+		"f64 index count":        func() { RowAccumulate(make([]float64, 4), []float64{1, 1}, []int{0}, src, false, nil) },
 		"i8 index == rows":       func() { RowAccumulateI8(make([]int32, 4), []int32{1, 1}, []int{0, 5}, src8, false) },
 		"i8 negative index":      func() { RowAccumulateI8(make([]int32, 4), []int32{1}, []int{-1}, src8, true) },
 		"i8 index count":         func() { RowAccumulateI8(make([]int32, 4), []int32{1}, []int{0, 1}, src8, false) },
@@ -270,34 +357,51 @@ func TestRowAccumulateRejectsBadOperands(t *testing.T) {
 
 // FuzzRowAccumulate drives both element types of the row accumulate with
 // fuzzed shapes, term counts and value mixes against the literal
-// contract.
+// contract; the fp64 row also carries a fuzzed look-ahead operand — its
+// length and how wild its indices are — over the shared source large
+// enough for the assembly to act on it.
 func FuzzRowAccumulate(f *testing.F) {
-	f.Add(int64(1), uint8(64), uint16(100), uint8(0), true, false)
-	f.Add(int64(2), uint8(7), uint16(0), uint8(1), false, true)
-	f.Add(int64(3), uint8(3), uint16(300), uint8(2), true, true)
-	f.Add(int64(4), uint8(33), uint16(129), uint8(3), false, false)
-	f.Fuzz(func(t *testing.T, seed int64, width uint8, terms uint16, pattern uint8, special, cont bool) {
+	f.Add(int64(1), uint8(64), uint16(100), uint8(0), true, false, uint16(0))
+	f.Add(int64(2), uint8(7), uint16(0), uint8(1), false, true, uint16(9))
+	f.Add(int64(3), uint8(3), uint16(300), uint8(2), true, true, uint16(700))
+	f.Add(int64(4), uint8(33), uint16(129), uint8(3), false, false, uint16(0x8005))
+	f.Fuzz(func(t *testing.T, seed int64, width uint8, terms uint16, pattern uint8, special, cont bool, hints uint16) {
 		rng := rand.New(rand.NewSource(seed))
 		p, n := 1+int(width)%96, int(terms)%400
 		zero := zeroPatterns[int(pattern)%len(zeroPatterns)].zero
-		alpha, idx, src := rowAccCase(rng, p, n, zero, special)
+		alpha, idx, _ := rowAccCase(rng, p, n, zero, special)
+		src := hintedSrc()
+		rows := len(src) / p
+		for k := range idx {
+			idx[k] = rng.Intn(rows)
+		}
+		// hints: the low bits are the operand's length, the top bit lets
+		// its indices be anything at all.
+		ahead := make([]int, int(hints&0x7fff)%600)
+		for k := range ahead {
+			ahead[k] = rng.Intn(rows)
+			if hints&0x8000 != 0 && rng.Intn(3) == 0 {
+				ahead[k] = int(rng.Uint64())
+			}
+		}
 		want := make([]float64, p)
 		for j := range want {
 			want[j] = rng.NormFloat64()
 		}
 		got := append([]float64(nil), want...)
 		naiveRowAcc(want, alpha, idx, src, cont)
-		RowAccumulate(got, alpha, idx, src, cont)
+		RowAccumulate(got, alpha, idx, src, cont, ahead)
 		if j := sameBits(got, want); j >= 0 {
-			t.Fatalf("fp64 p=%d terms=%d: elem %d = %x, contract %x", p, n, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			t.Fatalf("fp64 p=%d terms=%d hints=%d: elem %d = %x, contract %x", p, n, len(ahead), j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 		}
 
-		src8 := make([]int8, len(src))
+		src8 := make([]int8, 9*p)
 		for i := range src8 {
 			src8[i] = int8(rng.Intn(256) - 128)
 		}
 		alpha32 := make([]int32, n)
 		for k := range alpha32 {
+			idx[k] = rng.Intn(9)
 			if !zero(k, n) {
 				alpha32[k] = int32(rng.Intn(256) - 128)
 			}

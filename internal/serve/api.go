@@ -22,6 +22,20 @@ import (
 // client sending one is malformed).
 var errEmptyNodes = errors.New("serve: predict_nodes needs a non-empty \"nodes\" list")
 
+// errTooManyNodes rejects a "nodes" list longer than the vault has nodes:
+// no well-formed query needs one (empty already means every label), and
+// checking the length first keeps a hostile list from being walked.
+var errTooManyNodes = errors.New("serve: more nodes requested than the vault holds")
+
+// errMalformedBody marks a predict request whose body did not decode.
+var errMalformedBody = errors.New("serve: malformed request body")
+
+// maxRequestBytes bounds a predict request's body. The largest
+// well-formed one is a "nodes" list as long as its vault — an all-labels
+// /predict sends none — so 1 MiB (≈ 150 000 six-digit ids) is generous,
+// and a client cannot make the decoder buffer more.
+const maxRequestBytes = 1 << 20
+
 // APIVault describes one fleet member in the API catalog. JSON tags match
 // the wire format the gnnvault CLI has always served.
 type APIVault struct {
@@ -164,6 +178,9 @@ func (a *API) lookup(vault string, nodes []int) (*APIVault, error) {
 	info := a.byID[vault]
 	if info == nil {
 		return nil, fmt.Errorf("%w: %q", registry.ErrUnknownVault, vault)
+	}
+	if len(nodes) > info.Nodes {
+		return nil, fmt.Errorf("%w: %d of %d", errTooManyNodes, len(nodes), info.Nodes)
 	}
 	for _, n := range nodes {
 		if n < 0 || n >= info.Nodes {
@@ -392,8 +409,9 @@ func (a *API) handlePredict(w http.ResponseWriter, r *http.Request,
 	scoresOf func(client, vault string, nodes []int) ([][]float64, []int, error),
 ) {
 	var req apiRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		err = fmt.Errorf("%w: %w", errMalformedBody, err)
+		httpError(w, httpStatus(err), err)
 		return
 	}
 	client := clientID(r)
@@ -561,15 +579,19 @@ func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // httpStatus maps an API error to its HTTP status. Client-caused errors
 // are 4xx — a 503 would invite retries of requests that can never
-// succeed. ErrShardUnavailable, enclave.ErrEnclaveLost and the deadline
-// errors are listed explicitly even though they share the default's 503:
+// succeed; a body over maxRequestBytes is 413 (checked before the
+// malformed-body 400 it also is). ErrShardUnavailable,
+// enclave.ErrEnclaveLost and the deadline errors are listed explicitly even though they share the default's 503:
 // each is transient server state where a retry is exactly right (a lost
 // shard is being re-sealed by the recovery loop; a deadline says the
 // fleet was too slow this time, not that the query is bad), and pinning
 // them here keeps the sentinel→status contract under test as the default
 // evolves. Every 503 and 429 carries a Retry-After header (httpError).
 func httpStatus(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrRateLimited):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrShardUnavailable):
@@ -586,7 +608,9 @@ func httpStatus(err error) int {
 		return http.StatusNotImplemented
 	case errors.Is(err, subgraph.ErrTooManySeeds),
 		errors.Is(err, core.ErrNodeOutOfRange),
-		errors.Is(err, errEmptyNodes):
+		errors.Is(err, errEmptyNodes),
+		errors.Is(err, errTooManyNodes),
+		errors.Is(err, errMalformedBody):
 		return http.StatusBadRequest
 	default:
 		return http.StatusServiceUnavailable

@@ -67,7 +67,8 @@ func postJSON(t *testing.T, ts *httptest.Server, path, client string, body map[s
 }
 
 // TestAPIStatusMapping pins every error class to its HTTP status: 404 for
-// unknown vaults, 400 for malformed queries, 403 for score queries
+// unknown vaults, 400 for malformed queries, 413 for an oversized body,
+// 403 for score queries
 // against a label-only fleet, 429 for throttled clients, 501 for node
 // queries on a vault without them.
 func TestAPIStatusMapping(t *testing.T) {
@@ -86,6 +87,33 @@ func TestAPIStatusMapping(t *testing.T) {
 	}
 	if code, _ := postJSON(t, ts, "/predict", "c1", map[string]any{"vault": "parallel", "nodes": []int{0}, "scores": true}); code != http.StatusForbidden {
 		t.Fatalf("scores on label-only fleet: status %d, want 403", code)
+	}
+	// More ids than the vault has nodes is refused on its length, before
+	// any id is looked at — on both endpoints, duplicates or not.
+	flood := make([]int, api.byID["parallel"].Nodes+1)
+	for _, path := range []string{"/predict", "/predict_nodes"} {
+		if code, _ := postJSON(t, ts, path, "c1", map[string]any{"vault": "parallel", "nodes": flood}); code != http.StatusBadRequest {
+			t.Fatalf("%s with %d ids: status %d, want 400", path, len(flood), code)
+		}
+	}
+	// A body that is not JSON is 400; one over the 1 MiB bound is 413 and
+	// is cut off there, however it would have parsed.
+	for _, c := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"truncated JSON", []byte(`{"vault":"parallel","nodes":[1,`), http.StatusBadRequest},
+		{"oversized body", append(bytes.Repeat([]byte(" "), maxRequestBytes), []byte(`{"vault":"parallel"}`)...), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/predict", "application/json", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		resp.Body.Close() //nolint:errcheck
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		}
 	}
 	// series never enabled node queries at the registry; the fleet flag is
 	// on, so the failure surfaces from the registry as 501.
