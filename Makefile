@@ -50,9 +50,17 @@ bench-json:
 # enclave loss) under a concurrent /predict + /predict_nodes + /metrics
 # client mix, plus the availability-flip race, all under the race
 # detector — no deadlocks, counters reconcile, post-recovery answers
-# stay bit-identical.
+# stay bit-identical. A -run pattern that matches nothing passes
+# silently, so the target counts the top-level tests that passed and
+# fails below three.
+CHAOS_TESTS = TestShardedChaosHammer|TestSetShardAvailableMidPass|TestShardedBreakerTripAndRecover
 chaos-smoke:
-	$(GO) test -race -run 'TestShardedChaosHammer|TestSetShardAvailableMidPass|TestShardedBreakerTripAndRecover' ./internal/serve/
+	@out="$$($(GO) test -race -count=1 -v -run '^($(CHAOS_TESTS))$$' ./internal/serve/ 2>&1)"; status=$$?; \
+	echo "$$out" | grep -E '^(--- |ok|FAIL|panic|WARNING)' ; \
+	n="$$(echo "$$out" | grep -c '^--- PASS: Test')"; \
+	if [ $$status -ne 0 ] || [ "$$n" -lt 3 ]; then \
+		echo "$$out" | tail -40; echo "chaos-smoke: exit $$status, $$n tests passed, want 3"; exit 1; \
+	fi
 
 # Short fuzz passes over the engine and attack-surface invariants:
 # induced-subgraph extraction, tiled-vs-direct execution equivalence,

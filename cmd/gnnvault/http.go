@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"time"
 
 	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
@@ -47,9 +48,30 @@ func apiConfig(fl *fleet, limit *serve.RateLimit, precision string, ring *obs.Ri
 	}
 }
 
-// runHTTP serves the fleet API until the process is interrupted.
-func runHTTP(addr string, fl *fleet, srv *serve.MultiServer, limit *serve.RateLimit, precision string, ring *obs.Ring, pprof bool) {
-	api := serve.NewAPI(srv, fl.reg, apiConfig(fl, limit, precision, ring, pprof))
+// Connection timeouts of the API listener. A client that never finishes
+// its request headers, or trickles a (≤ 1 MiB) body, is hung up on instead
+// of pinning a connection and its goroutine for as long as it likes. There
+// is no write timeout: /debug/pprof/profile streams for 30 s by design.
+const (
+	apiReadHeaderTimeout = 5 * time.Second
+	apiReadTimeout       = 30 * time.Second
+	apiIdleTimeout       = 2 * time.Minute
+)
+
+// apiServer wraps a handler in the http.Server every API listener uses.
+func apiServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: apiReadHeaderTimeout,
+		ReadTimeout:       apiReadTimeout,
+		IdleTimeout:       apiIdleTimeout,
+	}
+}
+
+// listenAPI serves the API — over the registry fleet or the shard fleet
+// alike — until the process is interrupted.
+func listenAPI(addr string, api *serve.API, ring *obs.Ring, pprof bool) {
 	extra := ""
 	if ring != nil {
 		extra += ", GET /debug/trace"
@@ -58,7 +80,7 @@ func runHTTP(addr string, fl *fleet, srv *serve.MultiServer, limit *serve.RateLi
 		extra += ", GET /debug/pprof/"
 	}
 	fmt.Printf("HTTP API on %s: POST /predict, POST /predict_nodes, GET /vaults, GET /stats, GET /metrics%s\n", addr, extra)
-	if err := http.ListenAndServe(addr, api.Handler()); err != nil {
+	if err := apiServer(addr, api.Handler()).ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "http server:", err)
 		os.Exit(1)
 	}

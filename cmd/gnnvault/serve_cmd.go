@@ -167,7 +167,7 @@ func cmdServe(args []string) {
 		len(fl.vaults), float64(fl.encl.EPCUsed())/(1<<20), fl.encl.EPCLimit()>>20, *workers, mode)
 
 	if *httpAddr != "" {
-		runHTTP(*httpAddr, fl, srv, limit, prec.String(), ring, *pprofOn)
+		listenAPI(*httpAddr, serve.NewAPI(srv, fl.reg, apiConfig(fl, limit, prec.String(), ring, *pprofOn)), ring, *pprofOn)
 		return
 	}
 	runSyntheticStream(fl, srv, *clients, *requests)

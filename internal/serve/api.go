@@ -84,9 +84,9 @@ type APIConfig struct {
 // below it has no notion of who is asking — which is why the rate limiter
 // lives here.
 type API struct {
-	srv       *MultiServer
-	shard     *ShardedServer // non-nil routes the serving surface to a shard fleet
-	reg       *registry.Registry
+	pool      *scheduler         // the serving core every query is submitted to
+	reg       *registry.Registry // non-nil: /stats, /metrics and /vaults carry the registry sections
+	shard     *ShardedServer     // non-nil: they carry the per-shard sections, and /readyz the breakers
 	cfg       APIConfig
 	lim       *limiter
 	byID      map[string]*APIVault
@@ -97,9 +97,16 @@ type API struct {
 // NewAPI builds the shared serving surface over a running MultiServer and
 // its registry.
 func NewAPI(srv *MultiServer, reg *registry.Registry, cfg APIConfig) *API {
+	return newAPI(srv.scheduler, reg, nil, cfg)
+}
+
+// newAPI builds the surface over a server's scheduler; reg and shard switch
+// on the optional registry and per-shard sections of the read endpoints.
+func newAPI(pool *scheduler, reg *registry.Registry, shard *ShardedServer, cfg APIConfig) *API {
 	a := &API{
-		srv:       srv,
+		pool:      pool,
 		reg:       reg,
+		shard:     shard,
 		cfg:       cfg,
 		byID:      make(map[string]*APIVault, len(cfg.Vaults)),
 		vm:        make(map[string]*vaultMetrics, len(cfg.Vaults)),
@@ -127,50 +134,7 @@ func NewAPI(srv *MultiServer, reg *registry.Registry, cfg APIConfig) *API {
 // is static (every shard holds its slab for the deployment's lifetime),
 // so the scheduler metric families are not emitted.
 func NewShardedAPI(srv *ShardedServer, cfg APIConfig) *API {
-	a := NewAPI(nil, nil, cfg)
-	a.shard = srv
-	return a
-}
-
-// The serve* helpers dispatch one pool call to whichever back-end this API
-// fronts: the multi-vault registry pool or the shard fleet. The sharded
-// path ignores the vault ID — lookup already pinned it to the catalog —
-// and refuses score queries (label-only fleet).
-
-func (a *API) servePredict(vault string, x *mat.Matrix) ([]int, error) {
-	if a.shard != nil {
-		return a.shard.Predict(x)
-	}
-	return a.srv.Predict(vault, x)
-}
-
-func (a *API) servePredictScores(vault string, x *mat.Matrix) ([][]float64, []int, error) {
-	if a.shard != nil {
-		return a.shard.PredictScores(x)
-	}
-	return a.srv.PredictScores(vault, x)
-}
-
-func (a *API) servePredictNodes(vault string, nodes []int) ([]int, error) {
-	if a.shard != nil {
-		return a.shard.PredictNodes(nodes)
-	}
-	return a.srv.PredictNodes(vault, nodes)
-}
-
-func (a *API) servePredictNodesScores(vault string, nodes []int) ([][]float64, []int, error) {
-	if a.shard != nil {
-		return a.shard.PredictNodesScores(nodes)
-	}
-	return a.srv.PredictNodesScores(vault, nodes)
-}
-
-// serveStats snapshots whichever worker pool this API fronts.
-func (a *API) serveStats() Stats {
-	if a.shard != nil {
-		return a.shard.Stats()
-	}
-	return a.srv.Stats()
+	return newAPI(srv.scheduler, nil, srv, cfg)
 }
 
 // lookup resolves a vault ID and validates the requested node indices.
@@ -190,13 +154,48 @@ func (a *API) lookup(vault string, nodes []int) (*APIVault, error) {
 	return info, nil
 }
 
-// allow charges the client for cost answered labels against the
-// configured rate limit, if any.
-func (a *API) allow(client string, cost int) error {
-	if a.lim == nil {
-		return nil
+// query is the one body under the four public query methods: look the
+// vault up and validate the selection, charge the client one answered
+// label per returned entry, submit to the serving core, and — for a
+// full-graph query, where nodes selects which answers to return (empty
+// means all) — pick the selected entries. node routes the query through
+// the sampled subgraph path instead.
+func (a *API) query(client, vault string, nodes []int, node, scores bool) ([][]float64, []int, error) {
+	info, err := a.lookup(vault, nodes)
+	if err != nil {
+		return nil, nil, err
 	}
-	return a.lim.allow(client, cost)
+	cost := len(nodes)
+	switch {
+	case node && !a.cfg.NodeQueries:
+		return nil, nil, registry.ErrNodeQueriesDisabled
+	case node && cost == 0:
+		return nil, nil, errEmptyNodes
+	case cost == 0:
+		cost = info.Nodes
+	}
+	if a.lim != nil {
+		if err := a.lim.allow(client, cost); err != nil {
+			return nil, nil, err
+		}
+	}
+	if node {
+		return a.pool.submit(vault, nil, nodes, true, scores)
+	}
+	rows, labels, err := a.pool.submit(vault, a.cfg.Features(vault), nil, false, scores)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pick(rows, nodes), pick(labels, nodes), nil
+}
+
+// observed runs one query and records its latency and outcome against
+// the vault's endpoint metrics.
+func (a *API) observed(endpoint, client, vault string, nodes []int, scores bool) ([][]float64, []int, error) {
+	start := time.Now()
+	rows, labels, err := a.query(client, vault, nodes, endpoint == epPredictNodes, scores)
+	a.observeReq(vault, endpoint, start, err)
+	return rows, labels, err
 }
 
 // Predict answers a full-graph label query: the exact pass over the
@@ -204,129 +203,37 @@ func (a *API) allow(client string, cost int) error {
 // (empty means all). The client is charged one answered label per
 // returned entry.
 func (a *API) Predict(client, vault string, nodes []int) ([]int, error) {
-	start := time.Now()
-	labels, err := a.predict(client, vault, nodes)
-	a.observeReq(vault, epPredict, start, err)
+	_, labels, err := a.observed(epPredict, client, vault, nodes, false)
 	return labels, err
-}
-
-func (a *API) predict(client, vault string, nodes []int) ([]int, error) {
-	info, err := a.lookup(vault, nodes)
-	if err != nil {
-		return nil, err
-	}
-	cost := len(nodes)
-	if cost == 0 {
-		cost = info.Nodes
-	}
-	if err := a.allow(client, cost); err != nil {
-		return nil, err
-	}
-	labels, err := a.servePredict(vault, a.cfg.Features(vault))
-	if err != nil {
-		return nil, err
-	}
-	return pickInts(labels, nodes), nil
 }
 
 // PredictScores is Predict over the defended score surface: one posterior
 // row and label per selected node. Fails with ErrScoresDisabled unless
 // the fleet exposes scores.
 func (a *API) PredictScores(client, vault string, nodes []int) ([][]float64, []int, error) {
-	start := time.Now()
-	scores, labels, err := a.predictScores(client, vault, nodes)
-	a.observeReq(vault, epPredict, start, err)
-	return scores, labels, err
-}
-
-func (a *API) predictScores(client, vault string, nodes []int) ([][]float64, []int, error) {
-	info, err := a.lookup(vault, nodes)
-	if err != nil {
-		return nil, nil, err
-	}
-	cost := len(nodes)
-	if cost == 0 {
-		cost = info.Nodes
-	}
-	if err := a.allow(client, cost); err != nil {
-		return nil, nil, err
-	}
-	scores, labels, err := a.servePredictScores(vault, a.cfg.Features(vault))
-	if err != nil {
-		return nil, nil, err
-	}
-	return pickRows(scores, nodes), pickInts(labels, nodes), nil
+	return a.observed(epPredict, client, vault, nodes, true)
 }
 
 // PredictNodes answers a node-level label query through the sampled
 // subgraph path: per-query cost O(hops × fanout) instead of O(graph).
 func (a *API) PredictNodes(client, vault string, nodes []int) ([]int, error) {
-	start := time.Now()
-	labels, err := a.predictNodes(client, vault, nodes)
-	a.observeReq(vault, epPredictNodes, start, err)
+	_, labels, err := a.observed(epPredictNodes, client, vault, nodes, false)
 	return labels, err
-}
-
-func (a *API) predictNodes(client, vault string, nodes []int) ([]int, error) {
-	if _, err := a.lookup(vault, nodes); err != nil {
-		return nil, err
-	}
-	if !a.cfg.NodeQueries {
-		return nil, registry.ErrNodeQueriesDisabled
-	}
-	if len(nodes) == 0 {
-		return nil, errEmptyNodes
-	}
-	if err := a.allow(client, len(nodes)); err != nil {
-		return nil, err
-	}
-	return a.servePredictNodes(vault, nodes)
 }
 
 // PredictNodesScores is PredictNodes over the defended score surface.
 func (a *API) PredictNodesScores(client, vault string, nodes []int) ([][]float64, []int, error) {
-	start := time.Now()
-	scores, labels, err := a.predictNodesScores(client, vault, nodes)
-	a.observeReq(vault, epPredictNodes, start, err)
-	return scores, labels, err
+	return a.observed(epPredictNodes, client, vault, nodes, true)
 }
 
-func (a *API) predictNodesScores(client, vault string, nodes []int) ([][]float64, []int, error) {
-	if _, err := a.lookup(vault, nodes); err != nil {
-		return nil, nil, err
-	}
-	if !a.cfg.NodeQueries {
-		return nil, nil, registry.ErrNodeQueriesDisabled
-	}
-	if len(nodes) == 0 {
-		return nil, nil, errEmptyNodes
-	}
-	if err := a.allow(client, len(nodes)); err != nil {
-		return nil, nil, err
-	}
-	return a.servePredictNodesScores(vault, nodes)
-}
-
-// pickInts gathers the selected entries of all, or returns all when no
-// selection was made.
-func pickInts(all, nodes []int) []int {
-	if len(nodes) == 0 {
+// pick gathers the selected entries of all, or returns all when no
+// selection was made (or there is nothing to select from: a label-only
+// query has no score rows).
+func pick[T any](all []T, nodes []int) []T {
+	if len(nodes) == 0 || all == nil {
 		return all
 	}
-	out := make([]int, len(nodes))
-	for i, n := range nodes {
-		out[i] = all[n]
-	}
-	return out
-}
-
-// pickRows gathers the selected rows of all, or returns all when no
-// selection was made.
-func pickRows(all [][]float64, nodes []int) [][]float64 {
-	if len(nodes) == 0 {
-		return all
-	}
-	out := make([][]float64, len(nodes))
+	out := make([]T, len(nodes))
 	for i, n := range nodes {
 		out[i] = all[n]
 	}
@@ -373,10 +280,10 @@ type apiResponse struct {
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /predict", func(w http.ResponseWriter, r *http.Request) {
-		a.handlePredict(w, r, a.Predict, a.PredictScores)
+		a.handlePredict(w, r, epPredict)
 	})
 	mux.HandleFunc("POST /predict_nodes", func(w http.ResponseWriter, r *http.Request) {
-		a.handlePredict(w, r, a.PredictNodes, a.PredictNodesScores)
+		a.handlePredict(w, r, epPredictNodes)
 	})
 	mux.HandleFunc("GET /vaults", a.handleVaults)
 	mux.HandleFunc("GET /stats", a.handleStats)
@@ -402,27 +309,19 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// handlePredict decodes one predict request and dispatches it to the
-// label or score variant of the given endpoint.
-func (a *API) handlePredict(w http.ResponseWriter, r *http.Request,
-	labelsOf func(client, vault string, nodes []int) ([]int, error),
-	scoresOf func(client, vault string, nodes []int) ([][]float64, []int, error),
-) {
+// handlePredict decodes one predict request and answers it through the
+// given endpoint's label or score query.
+func (a *API) handlePredict(w http.ResponseWriter, r *http.Request, endpoint string) {
 	var req apiRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		err = fmt.Errorf("%w: %w", errMalformedBody, err)
 		httpError(w, httpStatus(err), err)
 		return
 	}
-	client := clientID(r)
 	start := time.Now()
 	resp := apiResponse{Vault: req.Vault, Nodes: req.Nodes}
 	var err error
-	if req.Scores {
-		resp.Scores, resp.Labels, err = scoresOf(client, req.Vault, req.Nodes)
-	} else {
-		resp.Labels, err = labelsOf(client, req.Vault, req.Nodes)
-	}
+	resp.Scores, resp.Labels, err = a.observed(endpoint, clientID(r), req.Vault, req.Nodes, req.Scores)
 	if err != nil {
 		httpError(w, httpStatus(err), err)
 		return
@@ -468,7 +367,7 @@ func (a *API) handleVaults(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := a.serveStats()
+	st := a.pool.Stats()
 	resp := map[string]any{
 		"serving": map[string]any{
 			"requests":       st.Requests,

@@ -55,6 +55,7 @@ type limiter struct {
 
 	mu      sync.Mutex
 	clients map[string]*bucket
+	swept   time.Time // last sweep of a full table
 }
 
 func newLimiter(cfg RateLimit) *limiter {
@@ -67,9 +68,21 @@ func newLimiter(cfg RateLimit) *limiter {
 	return &limiter{cfg: cfg, now: time.Now, clients: make(map[string]*bucket)}
 }
 
+// maxClients caps how many client identities the limiter tracks. Identity
+// is a request header, so without a cap a client cycling X-Client values
+// would grow the map without bound. A full table is swept for idle
+// buckets at most once per sweepEvery, so a flood of new identities costs
+// each of them a map lookup, not a scan under the lock.
+const (
+	maxClients = 4096
+	sweepEvery = time.Second
+)
+
 // allow charges cost answered labels to client, returning ErrRateLimited
 // if either the token bucket or the lifetime budget cannot cover it. A
-// rejected request charges nothing.
+// rejected request charges nothing — and a first request that is rejected
+// leaves no bucket behind. A new identity arriving at a full table first
+// sweeps out every idle bucket, and is refused (fail closed) if none was.
 func (l *limiter) allow(client string, cost int) error {
 	if cost <= 0 {
 		return nil
@@ -77,27 +90,48 @@ func (l *limiter) allow(client string, cost int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := l.now()
-	b := l.clients[client]
-	if b == nil {
+	b, known := l.clients[client]
+	if !known {
 		b = &bucket{tokens: float64(l.cfg.Burst), last: now}
-		l.clients[client] = b
 	}
 	if l.cfg.Budget > 0 && b.spent+cost > l.cfg.Budget {
 		return ErrRateLimited
 	}
 	if l.cfg.PerSec > 0 {
-		b.tokens += now.Sub(b.last).Seconds() * l.cfg.PerSec
-		if b.tokens > float64(l.cfg.Burst) {
-			b.tokens = float64(l.cfg.Burst)
-		}
+		b.tokens = l.refilled(b, now)
 		b.last = now
 		if b.tokens < float64(cost) {
 			return ErrRateLimited
 		}
 		b.tokens -= float64(cost)
 	}
+	if !known {
+		if len(l.clients) >= maxClients && (now.Sub(l.swept) < sweepEvery || !l.sweep(now)) {
+			return ErrRateLimited
+		}
+		l.clients[client] = b
+	}
 	b.spent += cost
 	return nil
+}
+
+// refilled returns b's token level at now.
+func (l *limiter) refilled(b *bucket, now time.Time) float64 {
+	return math.Min(float64(l.cfg.Burst), b.tokens+now.Sub(b.last).Seconds()*l.cfg.PerSec)
+}
+
+// sweep drops every bucket indistinguishable from a fresh one — tokens
+// refilled to Burst and, when a lifetime budget is configured, nothing
+// spent against it, so spend is never forgotten — and reports whether that
+// made room.
+func (l *limiter) sweep(now time.Time) bool {
+	l.swept = now
+	for id, b := range l.clients {
+		if (l.cfg.Budget <= 0 || b.spent == 0) && (l.cfg.PerSec <= 0 || l.refilled(b, now) >= float64(l.cfg.Burst)) {
+			delete(l.clients, id)
+		}
+	}
+	return len(l.clients) < maxClients
 }
 
 // defendedRow turns one row of rectifier logits into the posterior row a

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -116,6 +117,58 @@ func TestRateLimiterRefill(t *testing.T) {
 	}
 	if err := lim.allow("c", 20); err != nil {
 		t.Fatalf("full bucket: %v", err)
+	}
+}
+
+// TestRateLimiterBoundsClients floods the limiter with ten times
+// maxClients distinct identities (the X-Client header is remote-
+// controlled) on a fake clock. Under a rate-only limit idle buckets are
+// swept and the table stays within the cap; under a lifetime budget spend
+// is never forgotten, so the table fills, new identities are refused with
+// ErrRateLimited, and an established client's remaining budget is exactly
+// what it was before the flood.
+func TestRateLimiterBoundsClients(t *testing.T) {
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+
+	rate := newLimiter(RateLimit{PerSec: 10, Burst: 5})
+	rate.now = clock
+	for i := 0; i < 10*maxClients; i++ {
+		now = now.Add(time.Millisecond) // a spent token is back 100 requests later
+		if err := rate.allow(fmt.Sprintf("flood-%d", i), 1); err != nil {
+			t.Fatalf("rate-only flood: client %d refused: %v", i, err)
+		}
+		if len(rate.clients) > maxClients {
+			t.Fatalf("rate-only flood: tracking %d clients, cap %d", len(rate.clients), maxClients)
+		}
+	}
+
+	budget := newLimiter(RateLimit{Budget: 40})
+	budget.now = clock
+	if err := budget.allow("alice", 30); err != nil {
+		t.Fatalf("alice within budget: %v", err)
+	}
+	refused := 0
+	for i := 0; i < 10*maxClients; i++ {
+		err := budget.allow(fmt.Sprintf("flood-%d", i), 1)
+		if err != nil && !errors.Is(err, ErrRateLimited) {
+			t.Fatalf("budget flood: client %d: %v, want nil or ErrRateLimited", i, err)
+		}
+		if err != nil {
+			refused++
+		}
+	}
+	if len(budget.clients) > maxClients {
+		t.Fatalf("budget flood: tracking %d clients, cap %d", len(budget.clients), maxClients)
+	}
+	if want := 9*maxClients + 1; refused != want {
+		t.Fatalf("budget flood: %d identities refused, want %d (table full of spenders fails closed)", refused, want)
+	}
+	if err := budget.allow("alice", 11); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("alice past her budget after the flood: %v, want ErrRateLimited (spend forgotten)", err)
+	}
+	if err := budget.allow("alice", 10); err != nil {
+		t.Fatalf("alice's remaining budget after the flood: %v", err)
 	}
 }
 

@@ -134,7 +134,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.WriteSample(w, mRateLimited, []obs.Label{{Name: "vault", Value: id}}, float64(a.vm[id].rateLimited.Load()))
 	}
 
-	st := a.serveStats()
+	st := a.pool.Stats()
 	obs.WriteHeader(w, mServeRequests, "counter", "Requests accepted by the worker pool.")
 	obs.WriteSample(w, mServeRequests, nil, float64(st.Requests))
 	obs.WriteHeader(w, mServeCompleted, "counter", "Requests answered successfully by the worker pool.")

@@ -2,26 +2,31 @@
 // simulated edge device: a pool of workers answering a stream of label
 // queries over deployed vaults.
 //
-// Two front-ends share the worker machinery. Server is the single-tenant
-// form — one vault, one pre-planned core.Workspace per worker, so the hot
-// path allocates nothing. MultiServer is the multi-tenant form: requests
-// carry a vault ID and the shared worker pool routes them across a
-// registry.Registry, which plans workspaces lazily and evicts
-// least-recently-served vaults when the enclave's EPC cannot hold every
-// tenant (see DESIGN.md, "Multi-vault registry and EPC scheduling").
+// There is one serving core, the scheduler (sched.go): one request type,
+// one bounded queue, one admission path, one micro-batch drain loop, one
+// node-query path (validate → group → coalesce seeds → run → scatter) and
+// one Close protocol. Three public front-ends are thin backends under it.
+// Server is the single-tenant form — one vault, one pre-planned
+// core.Workspace per worker, so the hot path allocates nothing.
+// MultiServer is the multi-tenant form: requests carry a vault ID and the
+// workers check workspaces out of a registry.Registry, which plans them
+// lazily and evicts least-recently-served vaults when the enclave's EPC
+// cannot hold every tenant. ShardedServer serves one vault split across a
+// fleet of shard enclaves, with deadlines, per-shard circuit breakers and
+// automatic recovery. What a backend supplies, and the invariants it must
+// keep, are in DESIGN.md ("Serving core").
 //
 // Micro-batching here coalesces queued requests into one worker wake-up:
 // GNN inference is full-graph, so requests cannot be fused into a wider
-// matrix, but draining the queue in batches amortises scheduling and keeps
-// each worker's workspace cache-hot across consecutive requests. The
-// multi-vault worker additionally serves consecutive same-vault requests
-// in a drained batch under one workspace checkout.
+// matrix, but draining the queue in batches amortises scheduling, keeps
+// each worker's workspace cache-hot across consecutive requests, serves
+// consecutive same-vault requests under one workspace checkout, and lets
+// node queries drained together share subgraph extractions.
 package serve
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,7 +34,6 @@ import (
 	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
 	"gnnvault/internal/registry"
-	"gnnvault/internal/subgraph"
 )
 
 // ErrClosed is returned by Predict after Close.
@@ -56,10 +60,10 @@ type Config struct {
 	// plan, two servers with different settings can coexist in one
 	// process.
 	//
-	// Plan applies to the single-vault Server only, which plans its own
-	// workspaces up front. MultiServer checks workspaces out of a
-	// registry.Registry, so its plan shape is the registry's
-	// Config.Plan; this field is ignored there.
+	// Plan applies where the server plans its own workspaces up front:
+	// Server, and ShardedServer per shard (the budget is each shard
+	// enclave's own). MultiServer checks workspaces out of a
+	// registry.Registry, whose Config.Plan shapes them instead.
 	Plan core.PlanConfig
 	// NodeQuery, when non-nil, additionally plans one subgraph workspace
 	// per worker and opens the PredictNodes path: node-level queries
@@ -139,6 +143,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// planned is withDefaults for the servers that plan their own workspaces
+// over a graph of n nodes: it also resolves NodeQuery's defaults and checks
+// that Features, which node extractions gather from, covers the graph.
+func (c Config) planned(n int) (Config, error) {
+	c = c.withDefaults()
+	if c.NodeQuery != nil {
+		nq := c.NodeQuery.WithDefaults()
+		c.NodeQuery = &nq
+		if c.Features == nil || c.Features.Rows != n {
+			return c, fmt.Errorf("serve: node queries need the deployed graph's %d-row feature matrix", n)
+		}
+	}
+	return c, nil
+}
+
 // Stats is a snapshot of the server's counters since New. The latency
 // fields all derive from one pair of histogram snapshots taken at the
 // same instant, so they are mutually consistent — AvgLatency can never
@@ -178,18 +197,7 @@ type Stats struct {
 	DeadlineExceeded uint64
 }
 
-type request struct {
-	x      *mat.Matrix
-	nodes  []int // non-nil marks a node-level query
-	out    []int
-	scores [][]float64 // non-nil marks a score query; one row per label
-	err    error
-	enq    time.Time
-	done   chan struct{}
-}
-
-// counters aggregates the serving statistics shared by Server and
-// MultiServer. Latency lives in two obs histograms (one per endpoint
+// counters aggregates the scheduler's serving statistics. Latency lives in two obs histograms (one per endpoint
 // family) instead of separate sum/max atomics: every derived figure —
 // average, max, quantiles, the /metrics exposition — is cut from the
 // same buckets, so the old inconsistency where a racing sum and CAS-max
@@ -258,21 +266,50 @@ func (c *counters) snapshot(start time.Time) Stats {
 	return st
 }
 
-// Server is a pool of inference workers over one deployed vault.
+// lease is what one worker holds of one vault while it serves a run: the
+// vault, its full-graph or subgraph workspace, and the public features node
+// extractions gather from. Server pins one per worker for life; MultiServer
+// refills its workers' leases from the registry run by run.
+type lease struct {
+	id  string
+	v   *core.Vault
+	ws  *core.Workspace
+	sub *core.SubgraphWorkspace
+	x   *mat.Matrix
+}
+
+// leases is the half of the backend the single-vault and registry servers
+// share — running a request on the calling worker's lease. Their node
+// queries all coalesce together: a run is one vault, so one group.
+type leases []lease
+
+func (l leases) route(*request) (int, error) { return 0, nil }
+
+func (l leases) runFull(w int, r *request) (labels []int, logits *mat.Matrix, spill int64, err error) {
+	h := &l[w]
+	if r.scores != nil {
+		logits, labels, _, err = h.v.PredictScoresInto(r.x, h.ws)
+	} else {
+		labels, _, err = h.v.PredictInto(r.x, h.ws)
+	}
+	return labels, logits, h.ws.SpillBytes(), err
+}
+
+func (l leases) runUnion(w, _ int, union []int, scores bool, _ []*request) (labels []int, logits *mat.Matrix, err error) {
+	h := &l[w]
+	if scores {
+		logits, labels, _, err = h.v.PredictNodesScoresInto(h.x, union, h.sub)
+	} else {
+		labels, _, err = h.v.PredictNodesInto(h.x, union, h.sub)
+	}
+	return labels, logits, err
+}
+
+// Server is a pool of inference workers over one deployed vault: the
+// scheduler over leases pinned at construction.
 type Server struct {
-	vault *core.Vault
-	cfg   Config
-	reqs  chan *request
-	pool  sync.Pool
-
-	// sendMu lets Close wait out in-flight Predict sends before closing
-	// the queue channel.
-	sendMu sync.RWMutex
-	closed atomic.Bool
-	wg     sync.WaitGroup
-	start  time.Time
-
-	counters
+	*scheduler
+	leases
 }
 
 // New plans one workspace per worker against v — plus one subgraph
@@ -281,480 +318,94 @@ type Server struct {
 // not fit the enclave's EPC, which is the real bound on worker concurrency
 // for an enclave-backed deployment.
 func New(v *core.Vault, cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
-	if cfg.NodeQuery != nil {
-		nq := cfg.NodeQuery.WithDefaults()
-		cfg.NodeQuery = &nq
-		if cfg.Features == nil || cfg.Features.Rows != v.Nodes() {
-			return nil, fmt.Errorf("serve: node queries need the deployed graph's %d-row feature matrix", v.Nodes())
-		}
+	cfg, err := cfg.planned(v.Nodes())
+	if err != nil {
+		return nil, err
 	}
-	rows := v.Nodes()
 	if cfg.Features != nil {
 		if err := v.SetCalibrationFeatures(cfg.Features); err != nil {
 			return nil, fmt.Errorf("serve: registering calibration features: %w", err)
 		}
 	}
-	workspaces := make([]*core.Workspace, 0, cfg.Workers)
-	subWS := make([]*core.SubgraphWorkspace, 0, cfg.Workers)
-	release := func() {
-		for _, w := range workspaces {
-			w.Release()
-		}
-		for _, w := range subWS {
-			w.Release()
-		}
-	}
+	s := &Server{scheduler: newScheduler(cfg, cfg.NodeQuery != nil)}
 	for i := 0; i < cfg.Workers; i++ {
-		ws, err := v.PlanWith(rows, cfg.Plan)
-		if err != nil {
-			release()
+		h := lease{v: v, x: cfg.Features}
+		if h.ws, err = v.PlanWith(v.Nodes(), cfg.Plan); err != nil {
+			s.teardown()
 			return nil, fmt.Errorf("serve: planning workspace for worker %d/%d: %w", i+1, cfg.Workers, err)
 		}
-		workspaces = append(workspaces, ws)
+		s.leases = append(s.leases, h)
 		if cfg.NodeQuery != nil {
-			sw, err := v.PlanSubgraphWith(cfg.NodeQuery.MaxSeeds, cfg.NodeQuery.Subgraph(), cfg.Plan)
+			sub, err := v.PlanSubgraphWith(cfg.NodeQuery.MaxSeeds, cfg.NodeQuery.Subgraph(), cfg.Plan)
 			if err != nil {
-				release()
+				s.teardown()
 				return nil, fmt.Errorf("serve: planning node-query workspace for worker %d/%d: %w", i+1, cfg.Workers, err)
 			}
-			subWS = append(subWS, sw)
+			s.leases[i].sub = sub
 		}
 	}
-	s := &Server{
-		vault: v,
-		cfg:   cfg,
-		reqs:  make(chan *request, cfg.QueueDepth),
-		start: time.Now(),
-	}
-	s.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
-	for i, ws := range workspaces {
-		var sw *core.SubgraphWorkspace
-		if cfg.NodeQuery != nil {
-			sw = subWS[i]
-		}
-		s.wg.Add(1)
-		go s.worker(ws, sw)
-	}
+	s.run(s)
 	return s, nil
+}
+
+func (s *Server) checkout(w int, _ string, node bool) (int, int, error) {
+	h := &s.leases[w]
+	if !node {
+		return 0, 0, nil
+	}
+	if h.sub == nil {
+		return 0, 0, ErrNodeQueriesDisabled // unreachable through submit's gate; defence in depth
+	}
+	return h.v.Nodes(), h.sub.MaxSeeds(), nil
+}
+
+func (s *Server) release(int, bool) {}
+
+// teardown releases every planned workspace, returning its EPC.
+func (s *Server) teardown() {
+	for _, h := range s.leases {
+		h.ws.Release()
+		if h.sub != nil {
+			h.sub.Release()
+		}
+	}
 }
 
 // Predict enqueues one inference over x and blocks until a worker answers.
 // The returned slice is freshly allocated and owned by the caller. Safe for
 // concurrent use; blocks for backpressure when the queue is full.
 func (s *Server) Predict(x *mat.Matrix) ([]int, error) {
-	req := s.pool.Get().(*request)
-	req.x = x
-	req.out = make([]int, x.Rows)
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	out, err := req.out, req.err
-	req.x, req.out, req.err = nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	_, labels, err := s.submit("", x, nil, false, false)
+	return labels, err
 }
 
-// PredictScores enqueues one inference over x and blocks until a worker
-// answers with the defended per-class posterior row and label for every
-// input row. The server must have been started with Config.ExposeScores;
-// otherwise it fails with ErrScoresDisabled. Returned slices are freshly
-// allocated and owned by the caller.
+// PredictScores is Predict answering with the defended per-class posterior
+// row and label for every input row. The server must have been started
+// with Config.ExposeScores; otherwise it fails with ErrScoresDisabled.
 func (s *Server) PredictScores(x *mat.Matrix) ([][]float64, []int, error) {
-	if !s.cfg.ExposeScores {
-		return nil, nil, ErrScoresDisabled
-	}
-	req := s.pool.Get().(*request)
-	req.x = x
-	req.out = make([]int, x.Rows)
-	req.scores = make([][]float64, x.Rows)
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	scores, out, err := req.scores, req.out, req.err
-	req.x, req.out, req.scores, req.err = nil, nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return scores, out, nil
-}
-
-// PredictNodesScores is PredictNodes for servers exposing scores: one
-// defended posterior row and label per requested node, served through the
-// same coalesced subgraph extractions. Fails with ErrScoresDisabled when
-// Config.ExposeScores is off and ErrNodeQueriesDisabled when node queries
-// are not planned.
-func (s *Server) PredictNodesScores(nodes []int) ([][]float64, []int, error) {
-	if !s.cfg.ExposeScores {
-		return nil, nil, ErrScoresDisabled
-	}
-	if s.cfg.NodeQuery == nil {
-		return nil, nil, ErrNodeQueriesDisabled
-	}
-	if len(nodes) == 0 {
-		return [][]float64{}, []int{}, nil
-	}
-	req := s.pool.Get().(*request)
-	req.x = nil
-	req.nodes = nodes
-	req.out = make([]int, len(nodes))
-	req.scores = make([][]float64, len(nodes))
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	scores, out, err := req.scores, req.out, req.err
-	req.nodes, req.out, req.scores, req.err = nil, nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return scores, out, nil
+	return s.submit("", x, nil, false, true)
 }
 
 // PredictNodes enqueues one node-level query and blocks until a worker
 // answers with one label per requested node. The server must have been
-// started with Config.NodeQuery; queries whose distinct seed count
-// exceeds NodeQuery.MaxSeeds fail with subgraph.ErrTooManySeeds, and
-// out-of-range nodes with core.ErrNodeOutOfRange. nodes must not be
-// mutated until PredictNodes returns. The returned slice is freshly
-// allocated and owned by the caller.
+// started with Config.NodeQuery (else ErrNodeQueriesDisabled); queries
+// whose distinct seed count exceeds NodeQuery.MaxSeeds fail with
+// subgraph.ErrTooManySeeds, and out-of-range nodes with
+// core.ErrNodeOutOfRange. nodes must not be mutated until PredictNodes
+// returns. The returned slice is freshly allocated and owned by the caller.
 func (s *Server) PredictNodes(nodes []int) ([]int, error) {
-	if s.cfg.NodeQuery == nil {
-		return nil, ErrNodeQueriesDisabled
-	}
-	if len(nodes) == 0 {
-		return []int{}, nil
-	}
-	req := s.pool.Get().(*request)
-	req.x = nil
-	req.nodes = nodes
-	req.out = make([]int, len(nodes))
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	out, err := req.out, req.err
-	req.nodes, req.out, req.err = nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	_, labels, err := s.submit("", nil, nodes, true, false)
+	return labels, err
 }
 
-// worker drains the queue in micro-batches, answering every request with
-// its own pre-planned workspace. Node queries in a drained batch are set
-// aside and served together through the worker's subgraph workspace, so a
-// burst of single-node queries pays for one extraction, not one each.
-func (s *Server) worker(ws *core.Workspace, sub *core.SubgraphWorkspace) {
-	defer s.wg.Done()
-	defer ws.Release()
-	if sub != nil {
-		defer sub.Release()
-	}
-	batch := make([]*request, 0, s.cfg.MaxBatch)
-	nodeReqs := make([]*request, 0, s.cfg.MaxBatch)
-	var co coalescer
-	if sub != nil {
-		co = newCoalescer(sub.MaxSeeds())
-	}
-	for {
-		req, ok := <-s.reqs
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], req)
-		// Coalesce whatever else is already queued, up to MaxBatch.
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		s.batches.Add(1)
-		nodeReqs = nodeReqs[:0]
-		for _, r := range batch {
-			if r.nodes != nil {
-				nodeReqs = append(nodeReqs, r)
-				continue
-			}
-			s.answer(r, ws)
-		}
-		if len(nodeReqs) > 0 {
-			if sub == nil {
-				// Unreachable through PredictNodes' guard; defence in depth.
-				for _, r := range nodeReqs {
-					r.err = ErrNodeQueriesDisabled
-					s.observe(r.err, r.enq, true)
-					r.done <- struct{}{}
-				}
-			} else {
-				s.answerNodeBatch(nodeReqs, sub, &co)
-			}
-		}
-	}
-}
-
-func (s *Server) answer(r *request, ws *core.Workspace) {
-	var labels []int
-	var err error
-	if r.scores != nil {
-		var logits *mat.Matrix
-		logits, labels, _, err = s.vault.PredictScoresInto(r.x, ws)
-		if err == nil {
-			for i := range r.scores { // the machine's output view is reused
-				r.scores[i] = s.cfg.defendedRow(logits.Row(i))
-			}
-		}
-	} else {
-		labels, _, err = s.vault.PredictInto(r.x, ws)
-	}
-	if err != nil {
-		r.err = err
-	} else {
-		copy(r.out, labels) // the workspace's label buffer is reused
-		s.spillBytes.Add(ws.SpillBytes())
-	}
-	s.observe(err, r.enq, false)
-	r.done <- struct{}{}
-}
-
-// answerNodeBatch serves one wake-up's node queries: the coalescer packs
-// their seed sets into as few shared extractions as MaxSeeds admits, each
-// chunk runs one PredictNodesInto, and every request reads its labels off
-// the chunk's union. Requests with out-of-range seeds are rejected
-// individually first, so one bad query can never fail the valid queries
-// coalesced into its chunk.
-func (s *Server) answerNodeBatch(reqs []*request, sub *core.SubgraphWorkspace, co *coalescer) {
-	n := s.vault.Nodes()
-	valid := reqs[:0]
-	for _, r := range reqs {
-		if !nodesInRange(r.nodes, n) {
-			r.err = core.ErrNodeOutOfRange
-			s.observe(r.err, r.enq, true)
-			r.done <- struct{}{}
-			continue
-		}
-		valid = append(valid, r)
-	}
-	reqs = valid
-	co.pack(len(reqs),
-		func(i int) []int { return reqs[i].nodes },
-		func(i int, err error) {
-			reqs[i].err = err
-			s.observe(err, reqs[i].enq, true)
-			reqs[i].done <- struct{}{}
-		},
-		func(idxs, union []int) {
-			// One score query in the chunk upgrades the whole extraction
-			// to the scores variant; label-only requests still read just
-			// their labels.
-			wantScores := false
-			for _, i := range idxs {
-				if reqs[i].scores != nil {
-					wantScores = true
-					break
-				}
-			}
-			var labels []int
-			var logits *mat.Matrix
-			var err error
-			if wantScores {
-				logits, labels, _, err = s.vault.PredictNodesScoresInto(s.cfg.Features, union, sub)
-			} else {
-				labels, _, err = s.vault.PredictNodesInto(s.cfg.Features, union, sub)
-			}
-			for _, i := range idxs {
-				r := reqs[i]
-				if err != nil {
-					r.err = err
-				} else {
-					for k, u := range r.nodes {
-						j := indexOf(union, u)
-						r.out[k] = labels[j]
-						if r.scores != nil {
-							r.scores[k] = s.cfg.defendedRow(logits.Row(j))
-						}
-					}
-				}
-				s.observe(err, r.enq, true)
-				r.done <- struct{}{}
-			}
-		})
-}
-
-// nodesInRange reports whether every seed falls inside [0, n).
-func nodesInRange(nodes []int, n int) bool {
-	for _, u := range nodes {
-		if u < 0 || u >= n {
-			return false
-		}
-	}
-	return true
-}
-
-// indexOf returns the position of u in union (which holds at most
-// MaxSeeds entries — a linear scan beats any map at that size).
-func indexOf(union []int, u int) int {
-	for i, v := range union {
-		if v == u {
-			return i
-		}
-	}
-	return -1 // unreachable: every request node was packed into its union
-}
-
-// coalescer packs a run of node queries' seed sets into shared extraction
-// unions of at most maxSeeds distinct seeds. Buffers are reused across
-// batches, so steady-state packing never allocates beyond the callbacks.
-type coalescer struct {
-	maxSeeds int
-	union    []int
-	idxs     []int
-}
-
-// newCoalescer sizes a coalescer for unions of maxSeeds seeds.
-func newCoalescer(maxSeeds int) coalescer {
-	return coalescer{
-		maxSeeds: maxSeeds,
-		union:    make([]int, 0, maxSeeds),
-		idxs:     make([]int, 0, 16),
-	}
-}
-
-// pack walks requests 0..n-1 in order (their seed sets read through
-// seeds), growing the current union until the next request's unseen seeds
-// would overflow it, then flushes the accumulated request indices and
-// union through serve. Requests whose own distinct seed set cannot fit
-// any union fail through reject with subgraph.ErrTooManySeeds; empty
-// requests complete through reject with a nil error.
-func (c *coalescer) pack(n int, seeds func(int) []int, reject func(int, error), serve func(idxs, union []int)) {
-	c.union = c.union[:0]
-	c.idxs = c.idxs[:0]
-	flush := func() {
-		if len(c.idxs) > 0 {
-			serve(c.idxs, c.union)
-			c.union = c.union[:0]
-			c.idxs = c.idxs[:0]
-		}
-	}
-	for i := 0; i < n; i++ {
-		nodes := seeds(i)
-		if len(nodes) == 0 {
-			reject(i, nil) // zero labels requested: answered without work
-			continue
-		}
-		if distinctCount(nodes) > c.maxSeeds {
-			reject(i, subgraph.ErrTooManySeeds)
-			continue
-		}
-		if len(c.union)+c.countFresh(nodes) > c.maxSeeds {
-			flush()
-		}
-		for _, u := range nodes {
-			if indexOf(c.union, u) < 0 {
-				c.union = append(c.union, u)
-			}
-		}
-		c.idxs = append(c.idxs, i)
-	}
-	flush()
-}
-
-// countFresh returns how many distinct seeds of nodes are not yet in the
-// union — the union growth admitting this request would cost.
-func (c *coalescer) countFresh(nodes []int) int {
-	fresh := 0
-	for i, u := range nodes {
-		if indexOf(c.union, u) >= 0 || indexOf(nodes[:i], u) >= 0 {
-			continue
-		}
-		fresh++
-	}
-	return fresh
-}
-
-// distinctCount returns the number of distinct seeds in nodes.
-func distinctCount(nodes []int) int {
-	n := 0
-	for i, u := range nodes {
-		if indexOf(nodes[:i], u) < 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Stats returns a snapshot of the serving counters.
-func (s *Server) Stats() Stats {
-	return s.snapshot(s.start)
+// PredictNodesScores is PredictNodes for servers exposing scores: one
+// defended posterior row and label per requested node, served through the
+// same coalesced subgraph extractions.
+func (s *Server) PredictNodesScores(nodes []int) ([][]float64, []int, error) {
+	return s.submit("", nil, nodes, true, true)
 }
 
 // Close stops accepting requests, waits for queued work to finish, and
 // releases every worker workspace (returning their EPC to the enclave).
 // Idempotent.
-func (s *Server) Close() {
-	if s.closed.Swap(true) {
-		s.wg.Wait()
-		return
-	}
-	// Wait out in-flight Predict sends, then close the queue so workers
-	// drain and exit.
-	s.sendMu.Lock()
-	close(s.reqs)
-	s.sendMu.Unlock()
-	s.wg.Wait()
-}
+func (s *Server) Close() { s.shutdown() }

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"gnnvault/internal/core"
 	"gnnvault/internal/datasets"
@@ -146,29 +150,6 @@ func TestServerBadInputSurfacesError(t *testing.T) {
 	}
 }
 
-func TestServerCloseReleasesEPCAndRejects(t *testing.T) {
-	ds, v := testVault(t)
-	base := v.Enclave.EPCUsed()
-	s, err := New(v, Config{Workers: 3})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if used := v.Enclave.EPCUsed(); used <= base {
-		t.Fatalf("workers did not charge EPC: %d vs %d", used, base)
-	}
-	if _, err := s.Predict(ds.X); err != nil {
-		t.Fatalf("Predict: %v", err)
-	}
-	s.Close()
-	s.Close() // idempotent
-	if used := v.Enclave.EPCUsed(); used != base {
-		t.Fatalf("EPC after close %d, want %d", used, base)
-	}
-	if _, err := s.Predict(ds.X); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Predict after close: %v, want ErrClosed", err)
-	}
-}
-
 func TestServerTooManyWorkersFailsCleanly(t *testing.T) {
 	_, v := testVault(t)
 	base := v.Enclave.EPCUsed()
@@ -266,34 +247,107 @@ func TestServerPredictNodesDisabled(t *testing.T) {
 	}
 }
 
-func TestServerNodeQueryHammerCoalesces(t *testing.T) {
-	ds, v := testVault(t)
-	s, err := New(v, Config{Workers: 2, MaxBatch: 8, NodeQuery: nodeQueryCfg(), Features: ds.X})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
+// contractStack is one backend stood up for the scheduler contract: the
+// server's entry points behind one shape, the single-enclave deployment of
+// the same model as the direct reference, and the figures taken just before
+// the constructor ran.
+type contractStack struct {
+	predict      func(*mat.Matrix) ([]int, error)
+	predictNodes func([]int) ([]int, error)
+	stats        func() Stats
+	close        func()
+	x            *mat.Matrix
+	ref          *core.Vault
+	epc          func() int64 // EPC charged where the server plans its own workspaces; nil where it owns none
+	epcBase      int64
+	goroutines   int
+}
 
-	// Every client queries the same seed set, so whatever requests get
-	// coalesced, the union — and therefore the deterministic extraction —
-	// is always that set, and every answer must be identical.
-	seeds := []int{7, 41}
-	want := expectedNodeLabels(t, v, ds.X, seeds)
-	const clients, perClient = 8, 10
+// schedulerBackends is the one table the scheduler contract runs over:
+// every behaviour the serving core owes its callers is checked against each
+// backend, all under nodeQueryCfg's geometry. A one-vault registry and a
+// two-shard fleet are ordinary cases of the same scheduler.
+var schedulerBackends = []struct {
+	name string
+	up   func(t *testing.T, cfg Config) *contractStack
+}{
+	{"single vault", func(t *testing.T, cfg Config) *contractStack {
+		ds, v := testVault(t)
+		st := &contractStack{x: ds.X, ref: v, epc: v.Enclave.EPCUsed, epcBase: v.Enclave.EPCUsed(), goroutines: runtime.NumGoroutine()}
+		cfg.NodeQuery, cfg.Features = nodeQueryCfg(), ds.X
+		s, err := New(v, cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		st.predict, st.predictNodes, st.stats, st.close = s.Predict, s.PredictNodes, s.Stats, s.Close
+		return st
+	}},
+	{"one-vault registry", func(t *testing.T, cfg Config) *contractStack {
+		ds, v := testVault(t)
+		reg := registry.New(v.Enclave, registry.Config{NodeQuery: nodeQueryCfg()})
+		t.Cleanup(reg.Close)
+		if err := reg.Register("v", v); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		if err := reg.EnableNodeQueries("v", ds.X); err != nil {
+			t.Fatalf("EnableNodeQueries: %v", err)
+		}
+		st := &contractStack{x: ds.X, ref: v, goroutines: runtime.NumGoroutine()}
+		s := NewMulti(reg, cfg)
+		st.predict = func(x *mat.Matrix) ([]int, error) { return s.Predict("v", x) }
+		st.predictNodes = func(nodes []int) ([]int, error) { return s.PredictNodes("v", nodes) }
+		st.stats, st.close = s.Stats, s.Close
+		return st
+	}},
+	{"2-shard fleet", func(t *testing.T, cfg Config) *contractStack {
+		ds, ref, fleet := testFreshFleet(t, 2)
+		epc := func() int64 { return fleet.Shard(0).Enclave.EPCUsed() + fleet.Shard(1).Enclave.EPCUsed() }
+		st := &contractStack{x: ds.X, ref: ref, epc: epc, epcBase: epc(), goroutines: runtime.NumGoroutine()}
+		cfg.NodeQuery, cfg.Features = nodeQueryCfg(), ds.X
+		s, err := NewSharded(fleet, cfg)
+		if err != nil {
+			t.Fatalf("NewSharded: %v", err)
+		}
+		st.predict, st.predictNodes, st.stats, st.close = s.Predict, s.PredictNodes, s.Stats, s.Close
+		return st
+	}},
+}
+
+// overBackends runs one row of the scheduler contract against every
+// backend in the table.
+func overBackends(t *testing.T, cfg Config, row func(t *testing.T, s *contractStack)) {
+	for _, b := range schedulerBackends {
+		t.Run(b.name, func(t *testing.T) {
+			s := b.up(t, cfg)
+			defer s.close()
+			row(t, s)
+		})
+	}
+}
+
+// fullReference is the direct full-graph answer the served one must equal.
+func (s *contractStack) fullReference(t *testing.T) []int {
+	t.Helper()
+	want, _, err := s.ref.Predict(s.x)
+	if err != nil {
+		t.Fatalf("reference Predict: %v", err)
+	}
+	return want
+}
+
+// hammer runs each client function perClient times on its own goroutine
+// and fails the test on the first error any of them returns.
+func hammer(t *testing.T, perClient int, clients ...func() error) {
+	t.Helper()
 	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
+	errs := make(chan error, len(clients))
+	for _, c := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := 0; r < perClient; r++ {
-				got, err := s.PredictNodes(seeds)
-				if err != nil {
+				if err := c(); err != nil {
 					errs <- err
-					return
-				}
-				if got[0] != want[0] || got[1] != want[1] {
-					errs <- errors.New("answer diverged under concurrency")
 					return
 				}
 			}
@@ -304,99 +358,133 @@ func TestServerNodeQueryHammerCoalesces(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.Completed != clients*perClient {
-		t.Fatalf("completed %d, want %d", st.Completed, clients*perClient)
-	}
+}
+
+// TestServerNodeQueryHammerCoalesces: every client queries the same seed
+// set, so whatever requests get coalesced, the union — and therefore the
+// deterministic extraction — is always that set, and every answer must
+// equal the directly planned reference.
+func TestServerNodeQueryHammerCoalesces(t *testing.T) {
+	overBackends(t, Config{Workers: 2, MaxBatch: 8}, func(t *testing.T, s *contractStack) {
+		seeds := []int{7, 41}
+		want := expectedNodeLabels(t, s.ref, s.x, seeds)
+		const clients, perClient = 8, 10
+		client := func() error {
+			got, err := s.predictNodes(seeds)
+			if err == nil && (got[0] != want[0] || got[1] != want[1]) {
+				err = errors.New("answer diverged under concurrency")
+			}
+			return err
+		}
+		all := make([]func() error, clients)
+		for c := range all {
+			all[c] = client
+		}
+		hammer(t, perClient, all...)
+		if st := s.stats(); st.Completed != clients*perClient || st.Errors != 0 {
+			t.Fatalf("completed/errors %d/%d, want %d/0", st.Completed, st.Errors, clients*perClient)
+		}
+	})
 }
 
 // TestServerMixedTrafficOneQueue drives full-graph and node queries
-// through the same worker pool concurrently.
+// through the same queue concurrently; every full-graph answer must equal
+// the direct reference, label for label.
 func TestServerMixedTrafficOneQueue(t *testing.T) {
-	ds, v := testVault(t)
-	full, _, err := v.Predict(ds.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(v, Config{Workers: 2, NodeQuery: nodeQueryCfg(), Features: ds.X})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for c := 0; c < 4; c++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < 5; r++ {
-				got, err := s.Predict(ds.X)
-				if err != nil {
-					errs <- err
-					return
+	overBackends(t, Config{Workers: 2}, func(t *testing.T, s *contractStack) {
+		full := s.fullReference(t)
+		var clients []func() error
+		for c := 0; c < 4; c++ {
+			clients = append(clients, func() error {
+				got, err := s.predict(s.x)
+				if err == nil && !slices.Equal(got, full) {
+					err = errors.New("full-graph answer drifted from the direct reference")
 				}
-				if got[10] != full[10] {
-					errs <- errors.New("full-graph answer drifted")
-					return
-				}
-			}
-		}()
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < 5; r++ {
-				if _, err := s.PredictNodes([]int{c * 3}); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+				return err
+			}, func() error {
+				_, err := s.predictNodes([]int{c * 3})
+				return err
+			})
+		}
+		hammer(t, 5, clients...)
+	})
 }
 
 // TestServerNodeQueryIsolatesBadSeeds pins the coalescing contract: an
-// out-of-range query that lands in the same worker wake-up as valid
-// queries must fail alone — the valid queries' shared extraction cannot
-// be poisoned by it.
+// out-of-range query and an over-MaxSeeds query that land in the same
+// worker wake-up as valid queries must each fail alone, with their own
+// sentinel — the valid queries' shared extraction cannot be poisoned by
+// them. A zero-length query is answered empty without touching the queue.
 func TestServerNodeQueryIsolatesBadSeeds(t *testing.T) {
-	ds, v := testVault(t)
-	s, err := New(v, Config{Workers: 1, MaxBatch: 8, NodeQuery: nodeQueryCfg(), Features: ds.X})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 4)
-	for c := 0; c < 3; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < 20; r++ {
-				if _, err := s.PredictNodes([]int{c + 1}); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < 20; r++ {
-			if _, err := s.PredictNodes([]int{-1}); !errors.Is(err, core.ErrNodeOutOfRange) {
-				errs <- err
-				return
+	overBackends(t, Config{Workers: 1, MaxBatch: 8}, func(t *testing.T, s *contractStack) {
+		for _, none := range [][]int{nil, {}} {
+			if out, err := s.predictNodes(none); err != nil || out == nil || len(out) != 0 {
+				t.Fatalf("zero-length query: out=%v err=%v, want empty", out, err)
 			}
 		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("valid query failed (or invalid query mis-errored): %v", err)
-	}
+		if st := s.stats(); st.Requests != 0 {
+			t.Fatalf("zero-length queries were enqueued: %d requests", st.Requests)
+		}
+		n := s.x.Rows
+		bad := func(nodes []int, want error) func() error {
+			return func() error {
+				if _, err := s.predictNodes(nodes); !errors.Is(err, want) {
+					return fmt.Errorf("PredictNodes(%v) = %v, want %v", nodes, err, want)
+				}
+				return nil
+			}
+		}
+		clients := []func() error{
+			bad([]int{-1}, core.ErrNodeOutOfRange),
+			bad([]int{3, n}, core.ErrNodeOutOfRange),
+			bad([]int{1, 2, 3, 4, 5}, subgraph.ErrTooManySeeds),
+		}
+		for c := 0; c < 3; c++ {
+			clients = append(clients, func() error {
+				_, err := s.predictNodes([]int{c + 1, n - 1 - c}) // first and last shard of a fleet
+				return err
+			})
+		}
+		hammer(t, 20, clients...)
+		if st := s.stats(); st.Completed != 3*20 || st.Errors != 3*20 {
+			t.Fatalf("completed/errors %d/%d, want 60/60", st.Completed, st.Errors)
+		}
+	})
+}
+
+// TestServerCloseReleasesEPCAndRejects pins the one Close protocol: after
+// Close every entry point returns ErrClosed, a second Close is a no-op,
+// the enclaves a server planned its own workspaces into are back at their
+// pre-constructor EPC, and no goroutine the server started outlives it.
+func TestServerCloseReleasesEPCAndRejects(t *testing.T) {
+	overBackends(t, Config{Workers: 3}, func(t *testing.T, s *contractStack) {
+		if s.epc != nil && s.epc() <= s.epcBase {
+			t.Fatalf("workers did not charge EPC: %d vs %d", s.epc(), s.epcBase)
+		}
+		if _, err := s.predict(s.x); err != nil {
+			t.Fatalf("Predict: %v", err)
+		}
+		if _, err := s.predictNodes([]int{5}); err != nil {
+			t.Fatalf("PredictNodes: %v", err)
+		}
+		s.close()
+		s.close() // idempotent
+		if _, err := s.predict(s.x); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Predict after close: %v, want ErrClosed", err)
+		}
+		if _, err := s.predictNodes([]int{5}); !errors.Is(err, ErrClosed) {
+			t.Fatalf("PredictNodes after close: %v, want ErrClosed", err)
+		}
+		if s.epc != nil && s.epc() != s.epcBase {
+			t.Fatalf("EPC after close %d, want %d", s.epc(), s.epcBase)
+		}
+		// A worker's wg.Done runs a moment before its goroutine is gone.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > s.goroutines {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after close, %d before the constructor", runtime.NumGoroutine(), s.goroutines)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }

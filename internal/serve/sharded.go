@@ -35,7 +35,7 @@ const (
 	breakerHalfOpen int32 = 2
 )
 
-// ShardedServer is the worker pool over a core.ShardedVault: the vault's
+// ShardedServer is the scheduler over a core.ShardedVault: the vault's
 // private CSR split across a fleet of shard enclaves. Each worker owns one
 // sharded full-graph workspace (the backbone plus one rectifier machine
 // per shard, coupled through halo-exchange barriers) and, when node
@@ -60,20 +60,8 @@ const (
 // the fleet, so NewSharded refuses Config.ExposeScores and the score
 // endpoints fail with ErrScoresDisabled.
 type ShardedServer struct {
-	sv   *core.ShardedVault
-	cfg  Config
-	reqs chan *request
-	pool sync.Pool
-
-	// sendMu lets Close wait out in-flight Predict sends before closing
-	// the queue channel (same protocol as Server).
-	sendMu    sync.RWMutex
-	closed    atomic.Bool
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-	start     time.Time
-
-	counters
+	*scheduler
+	sv *core.ShardedVault
 
 	// Per-shard serving state: availability flags flipped by
 	// SetShardAvailable and the breakers, accumulated halo traffic, and
@@ -105,87 +93,61 @@ type ShardedServer struct {
 // enclave, and refuses Config.ExposeScores: the sharded path is
 // label-only.
 func NewSharded(sv *core.ShardedVault, cfg Config) (*ShardedServer, error) {
-	cfg = cfg.withDefaults()
 	if cfg.ExposeScores {
 		return nil, fmt.Errorf("serve: sharded serving is label-only, scores cannot be exposed: %w", ErrScoresDisabled)
 	}
-	if cfg.NodeQuery != nil {
-		nq := cfg.NodeQuery.WithDefaults()
-		cfg.NodeQuery = &nq
-		if cfg.Features == nil || cfg.Features.Rows != sv.Nodes() {
-			return nil, fmt.Errorf("serve: node queries need the deployed graph's %d-row feature matrix", sv.Nodes())
-		}
+	cfg, err := cfg.planned(sv.Nodes())
+	if err != nil {
+		return nil, err
 	}
-	rows := sv.Nodes()
 	if cfg.Features != nil {
 		if err := sv.SetCalibrationFeatures(cfg.Features); err != nil {
 			return nil, fmt.Errorf("serve: registering calibration features: %w", err)
 		}
 	}
-	workspaces := make([]*core.ShardedWorkspace, 0, cfg.Workers)
-	subWS := make([][]*core.SubgraphWorkspace, 0, cfg.Workers)
-	release := func() {
-		for _, w := range workspaces {
-			w.Release()
-		}
-		for _, subs := range subWS {
-			for _, w := range subs {
-				w.Release()
-			}
-		}
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		ws, err := sv.PlanSharded(rows, cfg.Plan)
-		if err != nil {
-			release()
-			return nil, fmt.Errorf("serve: planning sharded workspace for worker %d/%d: %w", i+1, cfg.Workers, err)
-		}
-		workspaces = append(workspaces, ws)
-		if cfg.NodeQuery != nil {
-			subWS = append(subWS, nil)
-			for sh := 0; sh < sv.Shards(); sh++ {
-				sw, err := sv.Shard(sh).PlanSubgraphWith(cfg.NodeQuery.MaxSeeds, cfg.NodeQuery.Subgraph(), cfg.Plan)
-				if err != nil {
-					release()
-					return nil, fmt.Errorf("serve: planning node-query workspace for worker %d/%d shard %d: %w", i+1, cfg.Workers, sh, err)
-				}
-				subWS[i] = append(subWS[i], sw)
-			}
-		}
-	}
+	shards := sv.Shards()
 	s := &ShardedServer{
+		scheduler:    newScheduler(cfg, cfg.NodeQuery != nil),
 		sv:           sv,
-		cfg:          cfg,
-		reqs:         make(chan *request, cfg.QueueDepth),
-		start:        time.Now(),
-		avail:        make([]atomic.Bool, sv.Shards()),
-		shardHalo:    make([]atomic.Int64, sv.Shards()),
-		workspaces:   workspaces,
-		breaker:      make([]atomic.Int32, sv.Shards()),
-		fails:        make([]atomic.Int32, sv.Shards()),
-		restarts:     make([]atomic.Uint64, sv.Shards()),
-		nodeInflight: make([]atomic.Int64, sv.Shards()),
-		trippedAt:    make([]atomic.Int64, sv.Shards()),
+		avail:        make([]atomic.Bool, shards),
+		shardHalo:    make([]atomic.Int64, shards),
+		breaker:      make([]atomic.Int32, shards),
+		fails:        make([]atomic.Int32, shards),
+		restarts:     make([]atomic.Uint64, shards),
+		nodeInflight: make([]atomic.Int64, shards),
+		trippedAt:    make([]atomic.Int64, shards),
 		stop:         make(chan struct{}),
-	}
-	if cfg.NodeQuery != nil {
-		s.subs = make([][]atomic.Pointer[core.SubgraphWorkspace], cfg.Workers)
-		for i := range s.subs {
-			s.subs[i] = make([]atomic.Pointer[core.SubgraphWorkspace], sv.Shards())
-			for sh := range s.subs[i] {
-				s.subs[i][sh].Store(subWS[i][sh])
-			}
-		}
 	}
 	for i := range s.avail {
 		s.avail[i].Store(true)
 	}
-	s.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
 	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker(i)
+		ws, err := sv.PlanSharded(sv.Nodes(), cfg.Plan)
+		if err != nil {
+			s.teardown()
+			return nil, fmt.Errorf("serve: planning sharded workspace for worker %d/%d: %w", i+1, cfg.Workers, err)
+		}
+		s.workspaces = append(s.workspaces, ws)
+		if cfg.NodeQuery == nil {
+			continue
+		}
+		s.subs = append(s.subs, make([]atomic.Pointer[core.SubgraphWorkspace], shards))
+		for sh := 0; sh < shards; sh++ {
+			sw, err := s.planSub(sh)
+			if err != nil {
+				s.teardown()
+				return nil, fmt.Errorf("serve: planning node-query workspace for worker %d/%d shard %d: %w", i+1, cfg.Workers, sh, err)
+			}
+			s.subs[i][sh].Store(sw)
+		}
 	}
+	s.run(s)
 	return s, nil
+}
+
+// planSub plans one node-query workspace against shard sh's enclave.
+func (s *ShardedServer) planSub(sh int) (*core.SubgraphWorkspace, error) {
+	return s.sv.Shard(sh).PlanSubgraphWith(s.cfg.NodeQuery.MaxSeeds, s.cfg.NodeQuery.Subgraph(), s.cfg.Plan)
 }
 
 // Shards returns the served fleet's shard count.
@@ -232,42 +194,20 @@ func (s *ShardedServer) offlineShard() int {
 // a single-enclave server's. Safe for concurrent use; blocks for
 // backpressure when the queue is full.
 func (s *ShardedServer) Predict(x *mat.Matrix) ([]int, error) {
-	req := s.pool.Get().(*request)
-	req.x = x
-	req.out = make([]int, x.Rows)
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	out, err := req.out, req.err
-	req.x, req.out, req.err = nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	_, labels, err := s.submit("", x, nil, false, false)
+	return labels, err
 }
 
 // PredictScores always fails with ErrScoresDisabled: the sharded path is
 // label-only (scores are not wired through the fleet).
 func (s *ShardedServer) PredictScores(x *mat.Matrix) ([][]float64, []int, error) {
-	return nil, nil, ErrScoresDisabled
+	return s.submit("", x, nil, false, true)
 }
 
 // PredictNodesScores always fails with ErrScoresDisabled: the sharded
 // path is label-only.
 func (s *ShardedServer) PredictNodesScores(nodes []int) ([][]float64, []int, error) {
-	return nil, nil, ErrScoresDisabled
+	return s.submit("", nil, nodes, true, true)
 }
 
 // PredictNodes enqueues one node-level query and blocks until a worker
@@ -277,107 +217,36 @@ func (s *ShardedServer) PredictNodesScores(nodes []int) ([][]float64, []int, err
 // waits for the shard to recover. Other semantics match
 // Server.PredictNodes.
 func (s *ShardedServer) PredictNodes(nodes []int) ([]int, error) {
-	if s.cfg.NodeQuery == nil {
-		return nil, ErrNodeQueriesDisabled
-	}
-	if len(nodes) == 0 {
-		return []int{}, nil
-	}
-	req := s.pool.Get().(*request)
-	req.x = nil
-	req.nodes = nodes
-	req.out = make([]int, len(nodes))
-	req.err = nil
-	req.enq = time.Now()
+	_, labels, err := s.submit("", nil, nodes, true, false)
+	return labels, err
+}
 
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
+// checkout has nothing to obtain — worker w's sharded workspace is pinned
+// and its node-query workspaces are loaded per extraction, inside the
+// swap fence (runUnion) — so it only reports the fleet's geometry.
+func (s *ShardedServer) checkout(w int, _ string, node bool) (int, int, error) {
+	if !node {
+		return 0, 0, nil
 	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
+	if s.subs == nil {
+		return 0, 0, ErrNodeQueriesDisabled // unreachable through submit's gate; defence in depth
+	}
+	return s.sv.Nodes(), s.cfg.NodeQuery.MaxSeeds, nil
+}
 
-	<-req.done
-	out, err := req.out, req.err
-	req.nodes, req.out, req.err = nil, nil, nil
-	s.pool.Put(req)
+func (s *ShardedServer) release(int, bool) {}
+
+// route groups a node query with its owning shard's — unions never mix
+// shards — after waiting out a tripped owner under the retry policy.
+func (s *ShardedServer) route(r *request) (int, error) {
+	sh, err := s.sv.RouteSeeds(r.nodes)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return out, nil
-}
-
-// shardWorkerState is one worker's reusable node-query routing buffers:
-// requests bucketed by owning shard, and one seed coalescer per shard so
-// unions never mix shards.
-type shardWorkerState struct {
-	byShard [][]*request
-	cos     []coalescer
-}
-
-// worker drains the queue in micro-batches. Full-graph requests each fan
-// out across the fleet through the worker's sharded workspace; node
-// queries in a drained batch are routed to their owning shards and
-// coalesced per shard, so a burst of same-shard queries pays for one
-// extraction. Workspaces are released by Close, not here: the recovery
-// loop may still be rejoining a re-sealed shard into them after the
-// queue drains.
-func (s *ShardedServer) worker(w int) {
-	defer s.wg.Done()
-	ws := s.workspaces[w]
-	batch := make([]*request, 0, s.cfg.MaxBatch)
-	nodeReqs := make([]*request, 0, s.cfg.MaxBatch)
-	var st shardWorkerState
-	if s.subs != nil {
-		st.byShard = make([][]*request, s.sv.Shards())
-		st.cos = make([]coalescer, s.sv.Shards())
-		for i := range st.cos {
-			st.cos[i] = newCoalescer(s.cfg.NodeQuery.MaxSeeds)
-		}
+	if !s.awaitShard(sh, r.enq) {
+		return 0, fmt.Errorf("%w: shard %d owning node %d is offline", ErrShardUnavailable, sh, r.nodes[0])
 	}
-	for {
-		req, ok := <-s.reqs
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], req)
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		s.batches.Add(1)
-		nodeReqs = nodeReqs[:0]
-		for _, r := range batch {
-			if r.nodes != nil {
-				nodeReqs = append(nodeReqs, r)
-				continue
-			}
-			s.answer(r, ws)
-		}
-		if len(nodeReqs) > 0 {
-			if s.subs == nil {
-				// Unreachable through PredictNodes' guard; defence in depth.
-				for _, r := range nodeReqs {
-					r.err = ErrNodeQueriesDisabled
-					s.observe(r.err, r.enq, true)
-					r.done <- struct{}{}
-				}
-			} else {
-				s.answerNodeBatch(nodeReqs, w, &st)
-			}
-		}
-	}
+	return sh, nil
 }
 
 // requestContext derives the execution context for a request enqueued at
@@ -397,42 +266,60 @@ func (s *ShardedServer) requestContext(enq time.Time) (context.Context, context.
 	return ctx, cancel, nil
 }
 
-// answer serves one full-graph request: admission first (the whole fleet
+// runFull serves one full-graph request: admission first (the whole fleet
 // must be up — a degraded fleet fails fast so clients retry after
-// recovery), then one deadline-bounded fan-out through the sharded
+// recovery), then one deadline-bounded fan-out through worker w's sharded
 // workspace, timed into the fan-out histogram, its halo traffic
 // accumulated per shard and its outcome fed to the breakers.
-func (s *ShardedServer) answer(r *request, ws *core.ShardedWorkspace) {
-	var labels []int
-	var err error
+func (s *ShardedServer) runFull(w int, r *request) ([]int, *mat.Matrix, int64, error) {
 	if off := s.offlineShard(); off >= 0 {
-		err = fmt.Errorf("%w: shard %d is offline and full-graph inference needs the whole fleet", ErrShardUnavailable, off)
-	} else {
-		var ctx context.Context
-		var cancel context.CancelFunc
-		ctx, cancel, err = s.requestContext(r.enq)
-		if err == nil {
-			fan := time.Now()
-			labels, _, err = s.sv.PredictIntoContext(ctx, r.x, ws)
-			s.fanout.Observe(time.Since(fan).Nanoseconds())
-			cancel()
-			s.noteFullGraph(err)
-		}
+		return nil, nil, 0, fmt.Errorf("%w: shard %d is offline and full-graph inference needs the whole fleet", ErrShardUnavailable, off)
 	}
+	ctx, cancel, err := s.requestContext(r.enq)
 	if err != nil {
-		r.err = err
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.deadlineExceeded.Add(1)
-		}
-	} else {
-		copy(r.out, labels) // the workspace's label buffer is reused
-		s.spillBytes.Add(ws.SpillBytes())
-		for sh := range s.shardHalo {
-			s.shardHalo[sh].Add(ws.ShardHaloBytes(sh))
-		}
+		return nil, nil, 0, err
 	}
-	s.observe(err, r.enq, false)
-	r.done <- struct{}{}
+	ws := s.workspaces[w]
+	fan := time.Now()
+	labels, _, err := s.sv.PredictIntoContext(ctx, r.x, ws)
+	s.fanout.Observe(time.Since(fan).Nanoseconds())
+	cancel()
+	s.noteFullGraph(err)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	for sh := range s.shardHalo {
+		s.shardHalo[sh].Add(ws.ShardHaloBytes(sh))
+	}
+	return labels, nil, ws.SpillBytes(), nil
+}
+
+// runUnion serves one coalesced extraction on shard sh's subgraph
+// workspace, deadline-bounded by the chunk's oldest member (requests are
+// packed in arrival order, so that is the first), with the cross-shard
+// rows the extraction touched accumulated as that shard's halo traffic.
+// The workspace pointer is loaded inside the shard's inflight window, the
+// fence recovery waits on before releasing a swapped-out workspace.
+// Queries answered while another shard is down count as degraded serving.
+func (s *ShardedServer) runUnion(w, sh int, union []int, _ bool, chunk []*request) ([]int, *mat.Matrix, error) {
+	ctx, cancel, err := s.requestContext(chunk[0].enq)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.nodeInflight[sh].Add(1)
+	labels, halo, _, err := s.sv.PredictNodesAtContext(ctx, s.cfg.Features, union, sh, s.subs[w][sh].Load())
+	s.nodeInflight[sh].Add(-1)
+	cancel()
+	if err != nil {
+		s.noteShardError(sh, err)
+		return nil, nil, err
+	}
+	s.noteShardSuccess(sh)
+	s.shardHalo[sh].Add(halo)
+	if s.offlineShard() >= 0 {
+		s.degraded.Add(uint64(len(chunk)))
+	}
+	return labels, nil, nil
 }
 
 // noteFullGraph feeds one fan-out's outcome to the breakers: a success
@@ -535,7 +422,7 @@ func (s *ShardedServer) tryRecover(sh int) bool {
 	if s.subs != nil {
 		fresh := make([]*core.SubgraphWorkspace, len(s.subs))
 		for w := range s.subs {
-			sw, err := s.sv.Shard(sh).PlanSubgraphWith(s.cfg.NodeQuery.MaxSeeds, s.cfg.NodeQuery.Subgraph(), s.cfg.Plan)
+			sw, err := s.planSub(sh)
 			if err != nil {
 				for _, f := range fresh {
 					if f != nil {
@@ -627,97 +514,6 @@ func (s *ShardedServer) recordEvent(kind obs.SpanKind, sh int, dur int64) {
 	ring.Record(obs.Span{Kind: kind, Rows: int32(sh), Start: ring.Clock(), Dur: dur})
 }
 
-// answerNodeBatch serves one wake-up's node queries: per-request
-// validation and routing first — out-of-range seeds fail individually
-// and tripped owners are waited out under the retry policy, so one bad
-// query never poisons its batch — then each shard's run is coalesced
-// into shared extractions and answered on that shard's subgraph
-// workspace, deadline-bounded, with the cross-shard rows the extraction
-// touched accumulated as that shard's halo traffic. Queries answered
-// while another shard is down count as degraded serving.
-func (s *ShardedServer) answerNodeBatch(reqs []*request, w int, st *shardWorkerState) {
-	n := s.sv.Nodes()
-	for i := range st.byShard {
-		st.byShard[i] = st.byShard[i][:0]
-	}
-	for _, r := range reqs {
-		if !nodesInRange(r.nodes, n) {
-			s.reject(r, core.ErrNodeOutOfRange)
-			continue
-		}
-		sh, err := s.sv.RouteSeeds(r.nodes)
-		if err != nil {
-			s.reject(r, err)
-			continue
-		}
-		if !s.awaitShard(sh, r.enq) {
-			s.reject(r, fmt.Errorf("%w: shard %d owning node %d is offline", ErrShardUnavailable, sh, r.nodes[0]))
-			continue
-		}
-		st.byShard[sh] = append(st.byShard[sh], r)
-	}
-	for sh := range st.byShard {
-		run := st.byShard[sh]
-		if len(run) == 0 {
-			continue
-		}
-		st.cos[sh].pack(len(run),
-			func(i int) []int { return run[i].nodes },
-			func(i int, err error) {
-				run[i].err = err
-				s.observe(err, run[i].enq, true)
-				run[i].done <- struct{}{}
-			},
-			func(idxs, union []int) {
-				// The chunk shares one extraction; its deadline budget is
-				// the oldest member's (requests are packed in arrival
-				// order, so that is the first index).
-				ctx, cancel, err := s.requestContext(run[idxs[0]].enq)
-				var labels []int
-				if err == nil {
-					s.nodeInflight[sh].Add(1)
-					sw := s.subs[w][sh].Load()
-					var halo int64
-					labels, halo, _, err = s.sv.PredictNodesAtContext(ctx, s.cfg.Features, union, sh, sw)
-					s.nodeInflight[sh].Add(-1)
-					cancel()
-					if err != nil {
-						s.noteShardError(sh, err)
-					} else {
-						s.noteShardSuccess(sh)
-						s.shardHalo[sh].Add(halo)
-					}
-				}
-				degraded := err == nil && s.offlineShard() >= 0
-				for _, i := range idxs {
-					r := run[i]
-					if err != nil {
-						r.err = err
-						if errors.Is(err, context.DeadlineExceeded) {
-							s.deadlineExceeded.Add(1)
-						}
-					} else {
-						for k, u := range r.nodes {
-							r.out[k] = labels[indexOf(union, u)]
-						}
-						if degraded {
-							s.degraded.Add(1)
-						}
-					}
-					s.observe(err, r.enq, true)
-					r.done <- struct{}{}
-				}
-			})
-	}
-}
-
-// reject completes one node request with an error.
-func (s *ShardedServer) reject(r *request, err error) {
-	r.err = err
-	s.observe(err, r.enq, true)
-	r.done <- struct{}{}
-}
-
 // ShardStats is a per-shard snapshot of the fleet's serving state: the
 // availability flags, breaker states and restart counts, accumulated
 // halo traffic, each shard enclave's EPC occupancy, the full-graph
@@ -779,35 +575,28 @@ func (s *ShardedServer) ShardStats() ShardStats {
 	return st
 }
 
-// Stats returns a snapshot of the serving counters.
-func (s *ShardedServer) Stats() Stats {
-	return s.snapshot(s.start)
-}
-
 // Close stops accepting requests, waits for queued work to finish, stops
 // the recovery loops, and releases every worker workspace across every
 // shard enclave (workspaces are released here, not by the workers,
 // because a recovery loop may hold them past queue drain). The fleet
 // itself stays deployed. Idempotent; concurrent callers block until
 // teardown completes.
-func (s *ShardedServer) Close() {
-	s.closeOnce.Do(func() {
-		s.closed.Store(true)
-		s.sendMu.Lock()
-		close(s.reqs)
-		s.sendMu.Unlock()
-		s.wg.Wait()
-		close(s.stop)
-		s.healthWG.Wait()
-		for _, ws := range s.workspaces {
-			ws.Release()
-		}
-		for w := range s.subs {
-			for sh := range s.subs[w] {
-				if sw := s.subs[w][sh].Load(); sw != nil {
-					sw.Release()
-				}
+func (s *ShardedServer) Close() { s.shutdown() }
+
+// teardown stops the recovery loops and releases every worker workspace
+// across every shard enclave. It also unwinds a constructor that failed
+// part-way, where some workspaces were never planned.
+func (s *ShardedServer) teardown() {
+	close(s.stop)
+	s.healthWG.Wait()
+	for _, ws := range s.workspaces {
+		ws.Release()
+	}
+	for w := range s.subs {
+		for sh := range s.subs[w] {
+			if sw := s.subs[w][sh].Load(); sw != nil {
+				sw.Release()
 			}
 		}
-	})
+	}
 }
