@@ -25,23 +25,20 @@ bench:
 # The perf trajectory tracked across PRs, one JSON artifact per serving
 # surface: BENCH_subgraph.json (node-query latency sweep), BENCH_core.json
 # (full-graph PredictInto, untiled vs tiled), BENCH_serve.json (registry
-# serving under EPC pressure), BENCH_exec.json (the shared forward engine:
-# fusion × tiling × tile-parallelism × precision), BENCH_precision.json
-# (calibrated fp64/fp32/int8 tiled plans on trained vaults), and
-# BENCH_attack.json (link-stealing AUC and extraction fidelity per serving
-# defense, priced against throughput — checked against the committed
-# ceilings in ci/attack_thresholds.json), BENCH_obs.json (flight-
-# recorder overhead, no-op vs live span ring — gated at ≤5% by -obs-check),
-# and BENCH_shard.json (multi-enclave shard fleet: full-graph throughput,
-# p99, and halo traffic vs shard count at a fixed per-shard EPC budget).
+# serving under EPC pressure), BENCH_attack.json (link-stealing AUC and
+# extraction fidelity per serving defense, priced against throughput —
+# checked against the committed ceilings in ci/attack_thresholds.json),
+# BENCH_obs.json (flight-recorder overhead, no-op vs live span ring —
+# gated at ≤5% by -obs-check), and BENCH_shard.json (multi-enclave shard
+# fleet: full-graph throughput, p99, and halo traffic vs shard count at a
+# fixed per-shard EPC budget). The engine and precision tiers are tracked
+# by `go run ./bench` (full_fp64, full_int8_tiled), not here.
 # Override SIZES for bigger graphs, e.g. `make bench-json SIZES=100000,200000`.
 SIZES ?= 20000,50000
 bench-json:
 	$(GO) run ./cmd/experiments -run ext-subgraph -epochs 3 -sizes $(SIZES) -bench-out BENCH_subgraph.json
 	$(GO) run ./cmd/experiments -run ext-core -epochs 3 -bench-out BENCH_core.json
 	$(GO) run ./cmd/experiments -run ext-serve -epochs 3 -bench-out BENCH_serve.json
-	$(GO) run ./cmd/experiments -run ext-exec -sizes $(SIZES) -bench-out BENCH_exec.json
-	$(GO) run ./cmd/experiments -run ext-precision -sizes $(SIZES) -bench-out BENCH_precision.json
 	$(GO) run ./cmd/experiments -run ext-attack -epochs 30 -bench-out BENCH_attack.json -attack-check ci/attack_thresholds.json
 	$(GO) run ./cmd/experiments -run ext-obs -epochs 3 -bench-out BENCH_obs.json -obs-check
 	$(GO) run ./cmd/experiments -run ext-shard -epochs 3 -sizes $(SIZES) -bench-out BENCH_shard.json
@@ -63,15 +60,14 @@ chaos-smoke:
 	fi
 
 # Short fuzz passes over the engine and attack-surface invariants:
-# induced-subgraph extraction, tiled-vs-direct execution equivalence,
-# reduced-precision (fp32/int8) accuracy + within-tier bit-identity,
-# sharded-vs-single-enclave bit-identity across fuzzed shapes × shard
-# counts × precisions, and the attack math (AUC/Fidelity in [0,1], no
-# panics) under degenerate observation surfaces — plus the row-accumulate
-# and requantise-row kernels (assembly vs the literal contracts). This is
-# the one list of fuzz targets: CI calls it twice, plain and as `make
-# fuzz-smoke TAGS=purego`, which runs the same passes on the portable
-# kernels.
+# induced-subgraph extraction, tiled-vs-direct execution equivalence, int8
+# accuracy + within-tier bit-identity, sharded-vs-single-enclave
+# bit-identity across fuzzed shapes × shard counts × {fp64, int8}, and the
+# attack math (AUC/Fidelity in [0,1], no panics) under degenerate
+# observation surfaces — plus the row-accumulate and requantise-row
+# kernels (assembly vs the literal contracts). This is the one list of
+# fuzz targets: CI calls it twice, plain and as `make fuzz-smoke
+# TAGS=purego`, which runs the same passes on the portable kernels.
 FUZZTIME ?= 10s
 TAGS ?=
 fuzz-smoke:

@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run: table1|table2|table3|table4|fig4|fig5|fig6|ext-arch|ext-labelonly|ext-extract|ext-stream|ext-subgraph|ext-core|ext-serve|ext-exec|ext-precision|ext-attack|ext-obs|ext-shard|all")
+	run := flag.String("run", "all", "experiment to run: table1|table2|table3|table4|fig4|fig5|fig6|ext-arch|ext-labelonly|ext-extract|ext-stream|ext-subgraph|ext-core|ext-serve|ext-attack|ext-obs|ext-shard|all")
 	epochs := flag.Int("epochs", 200, "training epochs per model")
 	seed := flag.Int64("seed", 1, "random seed")
 	datasetsFlag := flag.String("datasets", "", "comma-separated dataset subset (default: all)")
@@ -92,16 +92,6 @@ func main() {
 			bench.add("registry_serving", rows)
 			return t
 		},
-		"ext-exec": func() string {
-			rows, t := experiments.ExtExec(opts)
-			bench.add("exec_engine", rows)
-			return t
-		},
-		"ext-precision": func() string {
-			rows, t := experiments.ExtPrecision(opts)
-			bench.add("precision_plans", rows)
-			return t
-		},
 		"ext-attack": func() string {
 			rows, t := experiments.ExtAttack(opts)
 			bench.add("attack_surface", rows)
@@ -120,7 +110,7 @@ func main() {
 			return t
 		},
 	}
-	order := []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "table4", "ext-arch", "ext-labelonly", "ext-extract", "ext-stream", "ext-subgraph", "ext-core", "ext-serve", "ext-exec", "ext-precision", "ext-attack", "ext-obs", "ext-shard"}
+	order := []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "table4", "ext-arch", "ext-labelonly", "ext-extract", "ext-stream", "ext-subgraph", "ext-core", "ext-serve", "ext-attack", "ext-obs", "ext-shard"}
 
 	selected := strings.Split(*run, ",")
 	if *run == "all" {

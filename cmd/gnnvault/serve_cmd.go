@@ -58,8 +58,8 @@ func cmdServe(args []string) {
 	epcMB := fs.Int64("epc-mb", 96, "enclave EPC capacity in MB (lower it to force eviction churn)")
 	epcBudgetMB := fs.Int64("epc-budget-mb", 0, "per-workspace EPC budget in MB: plans execute tile-streamed under this bound (0 = classic untiled plans)")
 	planWorkers := fs.Int("plan-workers", 0, "tile workers per budgeted plan: the enclave streams each op's tiles across this many threads, dividing the per-workspace budget across their staging tiles (0 or 1 = serial ECALL)")
-	precision := fs.String("precision", "fp64", "in-enclave kernel precision: fp64|fp32|int8 — reduced tiers shrink EPC, spill and transfer by the element width; int8 plans are calibrated against the fp64 reference and refused below the agreement floor")
-	minAgree := fs.Float64("min-agreement", 0, "argmax-agreement floor for reduced-precision plans on the calibration batch (0 = default 0.99)")
+	precision := fs.String("precision", "fp64", "in-enclave kernel precision: fp64|int8 — int8 shrinks EPC, spill and transfer 8x; int8 plans are calibrated against the fp64 reference and refused below the agreement floor")
+	minAgree := fs.Float64("min-agreement", 0, "argmax-agreement floor for int8 plans on the calibration batch (0 = default 0.99)")
 	clients := fs.Int("clients", 8, "concurrent synthetic clients")
 	requests := fs.Int("requests", 25, "requests per client")
 	httpAddr := fs.String("http", "", "serve the HTTP/JSON API on this address (e.g. :8080) instead of the synthetic stream")

@@ -57,14 +57,14 @@ type PlanConfig struct {
 	// side single-threaded regardless — a direct rectifier forward has no
 	// race-free decomposition to hand the pool.
 	Workers int
-	// Precision selects the in-enclave kernel family (fp64, fp32, int8).
-	// The zero value is fp64 — the bit-exact reference. Reduced tiers
-	// shrink every enclave byte by the element width; int8 plans require
-	// calibration features (Vault.SetCalibrationFeatures) and both reduced
-	// tiers are checked against the fp64 reference when features are
-	// registered, failing with ErrCalibrationFailed below MinAgreement.
+	// Precision selects the in-enclave kernels (fp64 or int8). The zero
+	// value is fp64 — the bit-exact reference. int8 shrinks every enclave
+	// byte 8×; an int8 plan requires calibration features
+	// (Vault.SetCalibrationFeatures, else ErrCalibrationRequired) and is
+	// always checked against the fp64 reference on them, failing with
+	// ErrCalibrationFailed below MinAgreement.
 	Precision Precision
-	// MinAgreement overrides the argmax-agreement floor a reduced plan
+	// MinAgreement overrides the argmax-agreement floor an int8 plan
 	// must reach on the calibration batch (0 = DefaultMinAgreement).
 	MinAgreement float64
 	// Recorder receives the plan's flight-recorder spans: one query root
@@ -217,18 +217,15 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 	var refLabels []int
 	var calibEmbs []*mat.Matrix
 	if elem != exec.F64 {
-		scales, ref, embs, err := v.calibrateReduced(prog, bbMach, blocks, cfg)
-		if err != nil {
+		if machCfg.Scales, refLabels, calibEmbs, err = v.calibrateReduced(prog, bbMach, blocks, cfg); err != nil {
 			return nil, err
 		}
-		machCfg.Scales = scales
-		refLabels, calibEmbs = ref, embs
 	}
 	mach, err := prog.NewMachine(machCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling inference plan: %w", err)
 	}
-	if refLabels != nil {
+	if elem != exec.F64 {
 		// Admission gate: the actual plan machine (tiled or direct) must
 		// reproduce the fp64 reference labels on the calibration batch.
 		if err := checkAgreement(mach, rows, calibEmbs, refLabels, cfg); err != nil {

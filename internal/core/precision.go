@@ -9,13 +9,14 @@ import (
 	"gnnvault/internal/mat"
 )
 
-// Precision tiers. A plan's Precision selects which kernel family the
+// Precision tiers. A plan's Precision selects which kernels the
 // in-enclave rectifier machine runs — the backbone stays fp64 in the
-// normal world, and conversion (or quantization) happens once at the
-// ECALL boundary — so EPC charge, spill traffic and transfer payload all
-// shrink with the element width: fp32 halves every byte, int8 cuts it
-// 8×, turning vaults inadmissible at fp64 into residents. Reduced plans
-// are gated by plan-time calibration against the fp64 reference: like
+// normal world, and quantization happens once at the ECALL boundary — so
+// EPC charge, spill traffic and transfer payload all shrink with the
+// element width: int8 cuts every byte 8×, turning vaults inadmissible at
+// fp64 into residents. There are two tiers: fp64 is exact at any EPC
+// budget through tiling, int8 trades exactness for bytes. An int8 plan is
+// always gated by plan-time calibration against the fp64 reference: like
 // the DAC cost model's lookup-and-clamp precision tables, a requested
 // tier outside what the deployment supports (or below the accuracy
 // floor) is refused rather than silently degraded.
@@ -27,7 +28,6 @@ type Precision uint8
 // PlanConfig literals keep the reference engine.
 const (
 	PrecisionFP64 Precision = iota // float64 reference
-	PrecisionFP32                  // float32 kernels, half the bytes
 	PrecisionInt8                  // calibrated symmetric int8, ⅛ the bytes
 )
 
@@ -37,39 +37,24 @@ func ParsePrecision(s string) (Precision, error) {
 	switch strings.ToLower(s) {
 	case "", "fp64", "f64", "float64":
 		return PrecisionFP64, nil
-	case "fp32", "f32", "float32":
-		return PrecisionFP32, nil
 	case "int8", "i8":
 		return PrecisionInt8, nil
 	}
-	return 0, fmt.Errorf("core: unknown precision %q (want fp64, fp32 or int8)", s)
+	return 0, fmt.Errorf("core: unknown precision %q (want fp64 or int8)", s)
 }
 
 // String names the tier for flags, logs and benchmark rows.
-func (p Precision) String() string {
-	switch p {
-	case PrecisionFP32:
-		return "fp32"
-	case PrecisionInt8:
-		return "int8"
-	default:
-		return "fp64"
-	}
-}
+func (p Precision) String() string { return p.Elem().String() }
 
 // valid reports whether p is a known tier.
 func (p Precision) valid() bool { return p <= PrecisionInt8 }
 
 // Elem returns the exec element type of the tier.
 func (p Precision) Elem() exec.Elem {
-	switch p {
-	case PrecisionFP32:
-		return exec.F32
-	case PrecisionInt8:
+	if p == PrecisionInt8 {
 		return exec.I8
-	default:
-		return exec.F64
 	}
+	return exec.F64
 }
 
 // ElemBytes returns the tier's element width in bytes — the factor the
@@ -88,8 +73,8 @@ const DefaultMinAgreement = 0.99
 // Vault.SetCalibrationFeatures first.
 var ErrCalibrationRequired = errors.New("core: int8 plan needs calibration features (Vault.SetCalibrationFeatures)")
 
-// ErrCalibrationFailed is returned when a reduced-precision plan's
-// argmax agreement with the fp64 reference falls below the configured
+// ErrCalibrationFailed is returned when an int8 plan's argmax
+// agreement with the fp64 reference falls below the configured
 // floor. It is distinct from enclave.ErrEPCExhausted by design: the
 // registry's admission loop evicts residents on EPC pressure, and an
 // accuracy refusal must not trigger evictions.
@@ -104,13 +89,12 @@ func (c PlanConfig) minAgreement() float64 {
 }
 
 // SetCalibrationFeatures registers the deployed graph's public feature
-// matrix as the held-out calibration batch reduced-precision plans
-// verify against: PlanWith (and the subgraph planner) runs the fp64
-// reference on it, derives the int8 activation scales, and refuses any
-// plan whose argmax agreement falls below the floor. The matrix is
-// shared, not copied — serving code passes the same features it predicts
-// with. A nil x clears the registration (fp32 plans then skip the
-// agreement gate; int8 plans fail with ErrCalibrationRequired).
+// matrix as the held-out calibration batch int8 plans verify against:
+// every planner runs the fp64 reference on it, derives the int8
+// activation scales, and refuses any plan whose argmax agreement falls
+// below the floor. The matrix is shared, not copied — serving code passes
+// the same features it predicts with. A nil x clears the registration
+// (int8 plans then fail with ErrCalibrationRequired).
 func (v *Vault) SetCalibrationFeatures(x *mat.Matrix) error {
 	if x != nil {
 		if n := v.privateGraph.N(); x.Rows != n {
@@ -124,21 +108,18 @@ func (v *Vault) SetCalibrationFeatures(x *mat.Matrix) error {
 	return nil
 }
 
-// calibrateReduced derives a reduced plan's quantization state from the
+// calibrateReduced derives an int8 plan's quantization state from the
 // registered calibration features: it runs the given full-graph fp64
 // backbone machine over them, feeds the resulting block embeddings
 // through the fp64 reference of the rectifier program, and returns the
 // per-value per-column activation scales, the reference argmax labels,
 // and the embedding views (still bound into bbMach, valid until its next
-// Run). With no features registered, fp32 plans proceed unverified (nil
-// scales/labels); int8 plans fail with ErrCalibrationRequired.
+// Run). With no features registered it fails with ErrCalibrationRequired:
+// no plan is admitted unverified.
 func (v *Vault) calibrateReduced(prog *exec.Program, bbMach *exec.Machine, blocks []*mat.Matrix, cfg PlanConfig) ([][]float64, []int, []*mat.Matrix, error) {
 	calibX := v.calibX.Load()
 	if calibX == nil {
-		if cfg.Precision == PrecisionInt8 {
-			return nil, nil, nil, ErrCalibrationRequired
-		}
-		return nil, nil, nil, nil
+		return nil, nil, nil, ErrCalibrationRequired
 	}
 	rows := v.privateGraph.N()
 	bbMach.Run(rows, []*mat.Matrix{calibX}, nil)
@@ -154,7 +135,7 @@ func (v *Vault) calibrateReduced(prog *exec.Program, bbMach *exec.Machine, block
 	return scales, ref, embs, nil
 }
 
-// checkAgreement runs the reduced machine over the calibration
+// checkAgreement runs the int8 machine over the calibration
 // embeddings and compares its argmax labels against the fp64 reference,
 // failing with ErrCalibrationFailed below the configured floor. The
 // machine's buffers are scratched; plan-time only.
@@ -164,7 +145,7 @@ func checkAgreement(mach *exec.Machine, rows int, embs []*mat.Matrix, ref []int,
 	return agreementFloor(labels, ref, cfg)
 }
 
-// agreementFloor compares reduced-precision argmax labels against the
+// agreementFloor compares int8 argmax labels against the
 // fp64 reference and enforces the configured floor. Shared by the
 // single-machine gate above and the sharded fleet's gate, which produces
 // its labels by running every shard concurrently.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"gnnvault/internal/exec"
@@ -18,7 +19,6 @@ func subConfigForTest() subgraph.Config {
 func TestParsePrecision(t *testing.T) {
 	cases := map[string]Precision{
 		"": PrecisionFP64, "fp64": PrecisionFP64, "f64": PrecisionFP64, "Float64": PrecisionFP64,
-		"fp32": PrecisionFP32, "F32": PrecisionFP32, "float32": PrecisionFP32,
 		"int8": PrecisionInt8, "I8": PrecisionInt8,
 	}
 	for s, want := range cases {
@@ -27,23 +27,27 @@ func TestParsePrecision(t *testing.T) {
 			t.Fatalf("ParsePrecision(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	for _, s := range []string{"fp16", "int4", "double", "quantized"} {
-		if _, err := ParsePrecision(s); err == nil {
+	// fp32 was a tier once; it is refused like any other unknown name,
+	// by an error that lists exactly the tiers there are.
+	for _, s := range []string{"fp16", "int4", "double", "quantized", "fp32", "F32", "float32"} {
+		_, err := ParsePrecision(s)
+		if err == nil {
 			t.Fatalf("ParsePrecision(%q) accepted, want refusal", s)
 		}
+		if !strings.HasSuffix(err.Error(), "(want fp64 or int8)") {
+			t.Fatalf("ParsePrecision(%q): %q does not name exactly fp64 and int8", s, err)
+		}
 	}
-	if PrecisionFP64.ElemBytes() != 8 || PrecisionFP32.ElemBytes() != 4 || PrecisionInt8.ElemBytes() != 1 {
+	if PrecisionFP64.ElemBytes() != 8 || PrecisionInt8.ElemBytes() != 1 {
 		t.Fatal("ElemBytes mismatch")
 	}
 }
 
 // TestPlanPrecisionAgainstReference is the end-to-end admission +
-// accuracy test on cora: fp32 plans must reproduce the fp64 reference
-// labels exactly (argmax is far more stable than the 2^-29 relative
-// rounding fp32 adds), and calibrated int8 plans must agree on ≥99% of
-// nodes — the same floor plan admission itself enforces. Both reduced
-// tiers are exercised direct and tiled, and tiled output must equal
-// direct output bit-for-bit within each tier.
+// accuracy test on cora: calibrated int8 plans must agree with the fp64
+// reference labels on ≥99% of nodes — the same floor plan admission
+// itself enforces. The tier is exercised direct and tiled, and tiled
+// output must equal direct output bit-for-bit.
 func TestPlanPrecisionAgainstReference(t *testing.T) {
 	ds, v := planTestVault(t, Parallel)
 	if err := v.SetCalibrationFeatures(ds.X); err != nil {
@@ -78,29 +82,20 @@ func TestPlanPrecisionAgainstReference(t *testing.T) {
 		return float64(agree) / float64(len(ref))
 	}
 
-	for _, prec := range []Precision{PrecisionFP32, PrecisionInt8} {
-		direct := labelsFor(PlanConfig{Precision: prec})
-		tiled := labelsFor(PlanConfig{Precision: prec, TileRows: 97, Workers: 3})
-		for i := range direct {
-			if direct[i] != tiled[i] {
-				t.Fatalf("%s: tiled label[%d] = %d != direct %d", prec, i, tiled[i], direct[i])
-			}
+	direct := labelsFor(PlanConfig{Precision: PrecisionInt8})
+	tiled := labelsFor(PlanConfig{Precision: PrecisionInt8, TileRows: 97, Workers: 3})
+	for i := range direct {
+		if direct[i] != tiled[i] {
+			t.Fatalf("int8: tiled label[%d] = %d != direct %d", i, tiled[i], direct[i])
 		}
-		switch prec {
-		case PrecisionFP32:
-			if a := agreement(direct); a != 1.0 {
-				t.Fatalf("fp32 agreement %.4f, want exact argmax", a)
-			}
-		case PrecisionInt8:
-			if a := agreement(direct); a < 0.99 {
-				t.Fatalf("int8 agreement %.4f, want >= 0.99", a)
-			}
-		}
+	}
+	if a := agreement(direct); a < 0.99 {
+		t.Fatalf("int8 agreement %.4f, want >= 0.99", a)
 	}
 }
 
-// TestReducedPlansShrinkBytes pins the accounting the tiers exist for:
-// payload and (tiled) EPC/spill scale with the element width.
+// TestReducedPlansShrinkBytes pins the accounting the int8 tier exists
+// for: payload and (tiled) EPC/spill scale with the element width.
 func TestReducedPlansShrinkBytes(t *testing.T) {
 	ds, v := planTestVault(t, Parallel)
 	if err := v.SetCalibrationFeatures(ds.X); err != nil {
@@ -116,23 +111,18 @@ func TestReducedPlansShrinkBytes(t *testing.T) {
 	}
 	const budget = 1 << 20
 	f64 := plan(PlanConfig{EPCBudgetBytes: budget})
-	f32 := plan(PlanConfig{EPCBudgetBytes: budget, Precision: PrecisionFP32})
 	i8 := plan(PlanConfig{EPCBudgetBytes: budget, Precision: PrecisionInt8})
 	defer f64.Release()
-	defer f32.Release()
 	defer i8.Release()
 
-	if f32.payload*2 != f64.payload || i8.payload*8 != f64.payload {
-		t.Fatalf("payloads fp64=%d fp32=%d int8=%d, want exact 2x/8x ratios", f64.payload, f32.payload, i8.payload)
+	if i8.payload*8 != f64.payload {
+		t.Fatalf("payloads fp64=%d int8=%d, want an exact 8x ratio", f64.payload, i8.payload)
 	}
 	// Same budget buys proportionally taller tiles, so per-call spill
 	// traffic (rows × width × elem bytes summed over spilled values)
 	// shrinks by the element width: int8 must spill ≥4× less than fp64.
 	if i8.spill*4 > f64.spill {
 		t.Fatalf("int8 spill %d vs fp64 %d, want >= 4x reduction", i8.spill, f64.spill)
-	}
-	if f32.spill >= f64.spill {
-		t.Fatalf("fp32 spill %d not below fp64 %d", f32.spill, f64.spill)
 	}
 }
 
@@ -148,12 +138,6 @@ func TestInt8PlanRequiresCalibration(t *testing.T) {
 	if _, err := v.PlanSubgraphWith(4, subConfigForTest(), PlanConfig{Precision: PrecisionInt8}); !errors.Is(err, ErrCalibrationRequired) {
 		t.Fatalf("int8 subgraph plan without features: %v, want ErrCalibrationRequired", err)
 	}
-	// fp32 needs no scales: it plans unverified when no features exist.
-	ws, err := v.PlanWith(ds.X.Rows, PlanConfig{Precision: PrecisionFP32})
-	if err != nil {
-		t.Fatalf("fp32 plan without features: %v", err)
-	}
-	ws.Release()
 }
 
 // TestAgreementFloorRefusesPlan: an unreachable floor turns admission

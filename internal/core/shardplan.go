@@ -265,11 +265,9 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 	var refLabels []int
 	if elem != exec.F64 {
 		fullProg, _ := sv.rectifier.compileRectifier(rows, nil, nil)
-		scales, ref, _, err := sv.vaults[0].Load().calibrateReduced(fullProg, bbMach, blocks, cfg)
-		if err != nil {
+		if baseScales, refLabels, _, err = sv.vaults[0].Load().calibrateReduced(fullProg, bbMach, blocks, cfg); err != nil {
 			return nil, err
 		}
-		baseScales, refLabels = scales, ref
 	}
 
 	workers := cfg.Workers
@@ -285,12 +283,10 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 				mcfg = exec.Config{TileRows: t, Workers: workers, Elem: elem, Recorder: rec}
 			}
 		}
-		if baseScales != nil {
-			shardScales, err := exec.ShardScales(progs[s], baseScales)
-			if err != nil {
+		if elem != exec.F64 {
+			if mcfg.Scales, err = exec.ShardScales(progs[s], baseScales); err != nil {
 				return nil, fmt.Errorf("core: shard %d scales: %w", s, err)
 			}
-			mcfg.Scales = shardScales
 		}
 		mcfgs[s] = mcfg
 		m, err := progs[s].NewMachine(mcfg)
@@ -363,7 +359,7 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 	// Admission gate for reduced tiers: the actual fleet must reproduce
 	// the fp64 reference labels on the calibration batch (the backbone
 	// machine still holds the calibration embeddings from calibrateReduced).
-	if refLabels != nil {
+	if elem != exec.F64 {
 		check := make([]int, rows)
 		ws.bindShardEmbs()
 		if err := ws.runFleet(check); err != nil {
@@ -764,7 +760,7 @@ func (ws *ShardedWorkspace) rejoinShard(s int) error {
 		ws.sv.vaults[s].Load().Enclave.Free(ws.epc[s])
 		return err
 	}
-	if ws.refLabels != nil {
+	if ws.mcfgs[s].Elem != exec.F64 {
 		calibX := ws.sv.vaults[s].Load().calibX.Load()
 		if calibX == nil {
 			return fmt.Errorf("reduced-precision plan lost its calibration batch")

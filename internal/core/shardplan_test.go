@@ -43,7 +43,6 @@ func TestShardedPredictBitIdentical(t *testing.T) {
 	}{
 		{"fp64", PlanConfig{}},
 		{"fp64-tiled", PlanConfig{EPCBudgetBytes: 1 << 20, Workers: 2}},
-		{"fp32", PlanConfig{Precision: PrecisionFP32}},
 		{"int8", PlanConfig{Precision: PrecisionInt8, MinAgreement: 0.5}},
 	}
 	for _, tc := range cfgs {

@@ -178,14 +178,12 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 			return nil, err
 		}
 		rectCfg.Scales = scales
-		if ref != nil {
-			check, err := fullProg.NewMachine(exec.Config{Workers: 1, Elem: elem, Scales: scales})
-			if err != nil {
-				return nil, fmt.Errorf("core: compiling calibration check machine: %w", err)
-			}
-			if err := checkAgreement(check, n, embs, ref, pcfg); err != nil {
-				return nil, err
-			}
+		check, err := fullProg.NewMachine(exec.Config{Workers: 1, Elem: elem, Scales: scales})
+		if err != nil {
+			return nil, fmt.Errorf("core: compiling calibration check machine: %w", err)
+		}
+		if err := checkAgreement(check, n, embs, ref, pcfg); err != nil {
+			return nil, err
 		}
 	}
 	plan := subgraph.NewPlan(cfg, maxSeeds, n)

@@ -30,6 +30,21 @@
 // workers — each with its own EPC-charged staging tile, SpMM spans split
 // by non-zeros — modelling a multi-TCS ECALL.
 //
+// There is one interpreter. Machine.Run is the only op loop — validate,
+// bind, fleet entry barrier, then per op a halo gather, the single span
+// [0, rows) (direct), nnz-balanced spans across the tile workers, or
+// serial tiles, inside one busy-time and span bracket, then finish — and
+// each element type has one op body (runRowsF64, runRowsI8) that executes
+// rows [lo, hi) of an op: a direct machine hands it the whole batch and it
+// writes the value's own view; a tiled machine hands it a tile and it
+// writes the worker's staging tile, then flushes. An int8 machine
+// (Config.Elem I8, precision.go) differs from the fp64 reference in three
+// hooks only: bind quantizes the inputs and refreshes each SpMM's per-run
+// value scale, the op body works on codes, scales, a per-worker int32
+// accumulator and the wide argmax head, and finish dequantizes the output
+// view. The element type is a field fixed at plan time and every choice
+// on it is a plain branch, so Run stays allocation-free.
+//
 // One Machine belongs to one goroutine at a time (its internal tile
 // workers are invisible to the caller); its Run performs zero heap
 // allocations, which the serving hot paths rely on.
@@ -419,11 +434,11 @@ type Config struct {
 	TileRows int
 	// Elem selects the element type the machine's value buffers, staging
 	// tiles and kernels use. The zero value F64 is the reference engine;
-	// F32 and I8 plan a reduced-precision machine: weights are narrowed
-	// (or column-quantized) here at plan time, Run converts its float64
-	// inputs at the boundary, and every byte of buffer, tile, spill and
-	// payload accounting prices the reduced width. Reduced machines
-	// require a tileable program (no OpFunc).
+	// I8 plans a quantized machine: weights are column-quantized here at
+	// plan time, Run quantizes its float64 inputs at the boundary, and
+	// every byte of buffer, tile, spill and payload accounting prices one
+	// byte per element. An I8 machine requires a tileable program (no
+	// OpFunc) and Scales.
 	Elem Elem
 	// Scales holds, per program value, the symmetric per-column (per
 	// feature channel) activation scales of that value. Required when Elem
@@ -470,13 +485,15 @@ type Machine struct {
 	tiled       bool // TileRows > 0: op-major streaming execution
 	tileWorkers int  // resolved tile-parallel fan-out; 1 = serial tiling
 
+	// F64 state. An I8 machine keeps its values in q instead and binds only
+	// the output's entry of views, to the dequantized result.
 	spill []*mat.Matrix // per value; nil for inputs and dead values
 	tiles []*mat.Matrix // tiled mode: per-worker EPC-resident staging buffers
 	views []mat.Matrix  // per value: full-rows header, bound per Run
 
-	// red holds the typed buffers and quantized operands of a
-	// reduced-precision (F32/I8) machine; nil at F64.
-	red *reduced
+	// q holds the code buffers and quantized operands of an I8 machine;
+	// nil at F64.
+	q *quantized
 
 	// Fleet wiring for halo-exchange programs: peers[s] is shard s's
 	// machine (including this one at its own index) and sync is the
@@ -489,7 +506,7 @@ type Machine struct {
 	peers []*Machine
 	sync  func() error
 
-	scratch []workerScratch // per tile worker (index 0 serves direct mode too)
+	scratch []workerScratch // F64, per tile worker (index 0 serves direct mode too)
 	fns     []func()        // pre-built worker bodies, spawned per op
 	wg      sync.WaitGroup
 
@@ -528,11 +545,11 @@ type Machine struct {
 // write disjoint row ranges of the spill buffers, so the only per-worker
 // state is the header scratch and the staging tile it indexes.
 type workerScratch struct {
-	srcTiles []mat.Matrix  // tile headers over source values
-	srcPtrs  []*mat.Matrix // reused variadic argument list
+	srcTiles []mat.Matrix  // rows [lo, hi) of each source value
+	srcPtrs  []*mat.Matrix // the same, as the kernels' argument list
 	tileView mat.Matrix    // staging header over this worker's tile
-	dstTile  mat.Matrix    // flush target header over the dst spill
-	resTile  mat.Matrix    // fused-residual header
+	dstTile  mat.Matrix    // rows [lo, hi) of the destination value
+	resTile  mat.Matrix    // rows [lo, hi) of the fused residual
 }
 
 // NewMachine plans a machine for the program: all value buffers (and, when
@@ -557,7 +574,6 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 		elem:        cfg.Elem,
 		tiled:       cfg.TileRows > 0,
 		tileWorkers: 1,
-		spill:       make([]*mat.Matrix, len(p.vals)),
 		views:       make([]mat.Matrix, len(p.vals)),
 		rec:         cfg.Recorder,
 		profNs:      make([]int64, len(p.ops)),
@@ -565,25 +581,12 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 	if m.rec == nil {
 		m.rec = obs.Nop
 	}
-	if cfg.Elem == F64 {
-		for i, v := range p.vals {
-			if v.input < 0 && !v.funcOut && !v.dead {
-				m.spill[i] = mat.New(p.MaxRows+v.extra, v.width)
-			}
-		}
-	}
-	if cfg.TileRows > 0 {
+	if m.tiled {
 		if w := cfg.Workers; w > 1 {
 			if tiles := (p.MaxRows + cfg.TileRows - 1) / cfg.TileRows; w > tiles {
 				w = tiles // more staging buffers than tiles is pure EPC waste
 			}
 			m.tileWorkers = w
-		}
-		if cfg.Elem == F64 {
-			m.tiles = make([]*mat.Matrix, m.tileWorkers)
-			for w := range m.tiles {
-				m.tiles[w] = mat.New(cfg.TileRows, p.maxWidth)
-			}
 		}
 		m.fns = make([]func(), m.tileWorkers)
 		for w := 1; w < m.tileWorkers; w++ {
@@ -594,15 +597,28 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 			}
 		}
 	}
+	if m.elem == I8 {
+		if err := m.planI8(); err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
+	m.spill = make([]*mat.Matrix, len(p.vals))
+	for i, v := range p.vals {
+		if v.input < 0 && !v.funcOut && !v.dead {
+			m.spill[i] = mat.New(p.MaxRows+v.extra, v.width)
+		}
+	}
+	if m.tiled {
+		m.tiles = make([]*mat.Matrix, m.tileWorkers)
+		for w := range m.tiles {
+			m.tiles[w] = mat.New(cfg.TileRows, p.maxWidth)
+		}
+	}
 	m.scratch = make([]workerScratch, m.tileWorkers)
 	for w := range m.scratch {
 		m.scratch[w].srcTiles = make([]mat.Matrix, p.maxArity)
 		m.scratch[w].srcPtrs = make([]*mat.Matrix, p.maxArity)
-	}
-	if cfg.Elem != F64 {
-		if err := m.planReduced(); err != nil {
-			return nil, err
-		}
 	}
 	return m, nil
 }
@@ -625,8 +641,10 @@ func (m *Machine) TileBytes() int64 {
 	for _, t := range m.tiles {
 		n += t.NumBytes()
 	}
-	if m.red != nil {
-		n += m.red.tileBytes()
+	if m.q != nil {
+		for _, t := range m.q.tiles {
+			n += t.NumBytes()
+		}
 	}
 	return n
 }
@@ -634,10 +652,10 @@ func (m *Machine) TileBytes() int64 {
 // BufferBytes returns the total footprint of the machine's value buffers
 // at the machine's element width — the enclave charge of a *direct*
 // in-enclave machine, and the spilled (untrusted, uncharged) residency
-// of a tiled one. For reduced machines this counts the typed value
-// buffers only; the fp64 boundary-conversion buffers and the widened
-// output live with the caller's payload accounting, not the enclave
-// working set (see the reduced type).
+// of a tiled one. For I8 machines this counts the code buffers only; the
+// boundary quantization buffers and the dequantized output live with the
+// caller's payload accounting, not the enclave working set (see the
+// quantized type).
 func (m *Machine) BufferBytes() int64 {
 	n := int64(0)
 	for _, s := range m.spill {
@@ -645,8 +663,12 @@ func (m *Machine) BufferBytes() int64 {
 			n += s.NumBytes()
 		}
 	}
-	if m.red != nil {
-		n += m.red.bufferBytes()
+	if m.q != nil {
+		for _, s := range m.q.spill {
+			if s != nil {
+				n += s.NumBytes()
+			}
+		}
 	}
 	return n
 }
@@ -790,12 +812,15 @@ func (m *Machine) OutputWidth() int { return m.prog.vals[m.prog.output].width }
 // reduction (callers that only want logits). The returned matrix is the
 // output value's view — machine-owned, overwritten by the next Run.
 //
-// Run never allocates. Direct machines execute ops at full height with the
-// configured worker budget, epilogues applied band-local by the fused
-// kernels; tiled machines execute op-major, each op streaming row tiles
-// through the staging buffers — serially on one goroutine when Workers <=
-// 1 (the single-TCS in-enclave contract), or across the pre-planned tile
-// worker pool otherwise, with SpMM tiles partitioned by non-zeros.
+// Run never allocates, and it is the one op loop of both element types:
+// validate, bind the value views, pass the fleet entry barrier, then per
+// op pick how its rows are walked — a halo gather, the single span
+// [0, rows) on a direct machine, nnz-balanced spans across the tile worker
+// pool when Workers > 1, or serial tiles on one goroutine (the single-TCS
+// in-enclave contract) — with the busy-time and span bookkeeping around
+// it, then finish. An I8 machine differs in three places only: bindI8
+// quantizes the inputs and refreshes each SpMM's value scale, runRows
+// dispatches to the int8 op body, and finishI8 dequantizes the output.
 func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix {
 	p := m.prog
 	if rows < 0 || rows > p.MaxRows {
@@ -809,25 +834,30 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 	if len(inputs) != p.numInputs {
 		panic(fmt.Sprintf("exec: %d inputs, want %d", len(inputs), p.numInputs))
 	}
-	if m.elem != F64 {
-		return m.runReduced(rows, inputs, labels)
+	for _, v := range p.vals {
+		if v.input < 0 {
+			continue
+		}
+		if in := inputs[v.input]; in.Rows != rows || in.Cols != v.width {
+			panic(fmt.Sprintf("exec: input %d is %s, want %dx%d", v.input, in.Shape(), rows, v.width))
+		}
 	}
-	// Bind every value's full-rows view: inputs alias the caller's
-	// matrices, intermediates alias the first rows rows of their buffer
-	// (plus the gathered halo rows for a halo destination). Func outputs
-	// are bound when their op executes (the kernel owns the buffer),
-	// which op order guarantees happens before any consumer; values the
-	// fusion pass eliminated have no buffer to bind.
-	for i, v := range p.vals {
-		switch {
-		case v.input >= 0:
-			in := inputs[v.input]
-			if in.Rows != rows || in.Cols != v.width {
-				panic(fmt.Sprintf("exec: input %d is %s, want %dx%d", v.input, in.Shape(), rows, v.width))
+	if m.elem == I8 {
+		m.bindI8(rows, inputs)
+	} else {
+		// Bind every value's full-rows view: inputs alias the caller's
+		// matrices, intermediates alias the first rows rows of their buffer
+		// (plus the gathered halo rows for a halo destination). Func outputs
+		// are bound when their op executes (the kernel owns the buffer),
+		// which op order guarantees happens before any consumer; values the
+		// fusion pass eliminated have no buffer to bind.
+		for i, v := range p.vals {
+			switch {
+			case v.input >= 0:
+				m.views[i] = *inputs[v.input]
+			case !v.funcOut && !v.dead:
+				m.spill[i].ViewRows(0, rows+v.extra, &m.views[i])
 			}
-			m.views[i] = *in
-		case !v.funcOut && !v.dead:
-			m.spill[i].ViewRows(0, rows+v.extra, &m.views[i])
 		}
 	}
 	recOn := m.rec.Enabled()
@@ -835,8 +865,8 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 		m.profRuns++
 	}
 	if m.sync != nil {
-		// Fleet entry barrier: every peer's views are bound before any
-		// shard starts reading across the fleet.
+		// Fleet entry barrier: every peer's views are bound (and its inputs
+		// quantized) before any shard starts reading across the fleet.
 		if err := m.sync(); err != nil {
 			panic(&fleetAbort{cause: err})
 		}
@@ -851,28 +881,37 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 			t0 = m.rec.Clock()
 		}
 		if op.Kind == OpHalo {
-			m.runHalo(op, rows)
-			if recOn {
-				m.opDone(i, op, rows, t0)
+			// Ops preceding the halo op are identical across shards, so
+			// passing the barrier means every peer's gathered value is
+			// complete. The wait sits outside the busy window below: it is
+			// peer compute that real multi-enclave hardware would overlap.
+			if m.peers == nil {
+				panic("exec: halo op outside a fleet (plan through NewFleet)")
 			}
-			continue
+			if err := m.sync(); err != nil {
+				panic(&fleetAbort{cause: err})
+			}
 		}
 		busy0 := threadCPUNs()
 		switch {
+		case op.Kind == OpHalo:
+			m.runHalo(op, rows)
 		case !m.tiled:
-			m.runDirect(op, rows, labels)
+			m.runRows(0, i, op, 0, rows, labels)
 		case m.tileWorkers > 1 && rows > m.cfg.TileRows:
 			m.runOpParallel(i, op, rows, labels)
 		default:
 			for lo := 0; lo < rows; lo += m.cfg.TileRows {
-				hi := min(lo+m.cfg.TileRows, rows)
-				m.runTile(0, i, op, lo, hi, labels)
+				m.runRows(0, i, op, lo, min(lo+m.cfg.TileRows, rows), labels)
 			}
 		}
 		m.busyNs += threadCPUNs() - busy0
 		if recOn {
 			m.opDone(i, op, rows, t0)
 		}
+	}
+	if m.elem == I8 {
+		m.finishI8(rows)
 	}
 	return &m.views[p.output]
 }
@@ -909,185 +948,119 @@ func (m *Machine) runWorkerSpan(w int) {
 		hi = min(lo+chunk, rows)
 	}
 	for t := lo; t < hi; t += m.cfg.TileRows {
-		m.runTile(w, m.curIdx, op, t, min(t+m.cfg.TileRows, hi), m.curLab)
+		m.runRows(w, m.curIdx, op, t, min(t+m.cfg.TileRows, hi), m.curLab)
 	}
 }
 
-// runDirect executes one op at full height into the resident value views.
-// Fused MatMul/SpMM ops run their epilogue band-local inside the kernel —
-// the direct-mode payoff of fusion: no separate full-matrix bias/ReLU/add
-// passes over the activations. F64 only; reduced machines run their own
-// direct bodies (runDirect32, runDirectI8).
-func (m *Machine) runDirect(op *Op, rows int, labels []int) {
-	w := m.cfg.Workers
-	var res *mat.Matrix
-	if op.Epi.Res >= 0 {
-		res = &m.views[op.Epi.Res]
-	}
-	switch op.Kind {
-	case OpMatMul:
-		mat.MatMulBiasReLUInto(&m.views[op.Dst], &m.views[op.Srcs[0]], op.W, op.Epi.Bias, res, op.Epi.ReLU, w)
-	case OpSpMM:
-		op.CSR.MulDenseBiasReLUInto(&m.views[op.Dst], &m.views[op.Srcs[0]], op.Epi.Bias, res, op.Epi.ReLU, w)
-	case OpAddBias:
-		mat.AddBiasInto(&m.views[op.Dst], &m.views[op.Srcs[0]], op.B)
-	case OpReLU:
-		mat.ReLUInto(&m.views[op.Dst], &m.views[op.Srcs[0]])
-	case OpAdd:
-		mat.AddInto(&m.views[op.Dst], &m.views[op.Srcs[0]], &m.views[op.Srcs[1]])
-	case OpConcat:
-		ptrs := m.scratch[0].srcPtrs
-		for i, s := range op.Srcs {
-			ptrs[i] = &m.views[s]
-		}
-		mat.HConcatInto(&m.views[op.Dst], ptrs[:len(op.Srcs)]...)
-	case OpArgmax:
-		if labels != nil {
-			m.views[op.Srcs[0]].ArgmaxRowsInto(labels[:rows])
-		}
-	case OpFunc:
-		if rows != m.prog.MaxRows {
-			panic(fmt.Sprintf("exec: Func op requires full height %d, got %d", m.prog.MaxRows, rows))
-		}
-		out := op.Fn(&m.views[op.Srcs[0]])
-		if out.Rows != rows || out.Cols != m.prog.vals[op.Dst].width {
-			panic(fmt.Sprintf("exec: Func result %s, want %dx%d", out.Shape(), rows, m.prog.vals[op.Dst].width))
-		}
-		m.views[op.Dst] = *out
+// runRows executes rows [lo, hi) of one op on tile worker w through the
+// op body of the machine's element type — the interpreter's only choice
+// between them, a branch on a field fixed at plan time. idx is the op's
+// program index, by which the int8 body finds its per-op operands.
+func (m *Machine) runRows(w, idx int, op *Op, lo, hi int, labels []int) {
+	if m.elem == I8 {
+		m.runRowsI8(w, idx, op, lo, hi, labels)
+	} else {
+		m.runRowsF64(w, op, lo, hi, labels)
 	}
 }
 
-// runTile executes rows [lo, hi) of one op on tile worker w: sources are
-// viewed in place (spilled/untrusted reads), the result — including any
-// fused epilogue — is computed into the worker's EPC-resident staging
-// tile, then flushed once to the destination's spilled buffer. idx is
-// the op's program index, which the reduced-precision bodies — reached
-// here because the tile-parallel driver is shared across element types —
-// use to find their per-op operands.
-func (m *Machine) runTile(w, idx int, op *Op, lo, hi int, labels []int) {
-	switch m.elem {
-	case F32:
-		m.runTile32(w, idx, op, lo, hi, labels)
-		return
-	case I8:
-		m.runTileI8(w, idx, op, lo, hi, labels)
-		return
-	}
+// runRowsF64 is the fp64 op body. Sources are viewed in place — rows
+// [lo, hi) of each, except that a SpMM reads its whole input, which
+// op-major order guarantees is complete. A direct machine passes the one
+// span [0, rows) and the result, fused epilogue included (band-local
+// inside the kernels: no separate bias/ReLU/add passes over the
+// activations), lands straight in the value's own view under the
+// machine's kernel worker budget. A tiled machine computes into worker
+// w's EPC-resident staging tile, inline, and flushes it once to the
+// destination's spilled buffer.
+func (m *Machine) runRowsF64(w int, op *Op, lo, hi int, labels []int) {
 	s := &m.scratch[w]
+	srcs := s.srcPtrs[:len(op.Srcs)]
+	for i, v := range op.Srcs {
+		srcs[i] = m.views[v].ViewRows(lo, hi, &s.srcTiles[i])
+	}
 	if op.Kind == OpArgmax {
 		if labels != nil {
-			m.views[op.Srcs[0]].ViewRows(lo, hi, &s.srcTiles[0])
-			s.srcTiles[0].ArgmaxRowsInto(labels[lo:hi])
+			srcs[0].ArgmaxRowsInto(labels[lo:hi])
 		}
 		return
 	}
-	width := m.prog.vals[op.Dst].width
-	s.tileView.Rows = hi - lo
-	s.tileView.Cols = width
-	s.tileView.Data = m.tiles[w].Data[:(hi-lo)*width]
+	if op.Kind == OpFunc {
+		// Direct machines only (NewMachine refuses to tile an opaque op),
+		// so [lo, hi) is the whole batch.
+		if hi != m.prog.MaxRows {
+			panic(fmt.Sprintf("exec: Func op requires full height %d, got %d", m.prog.MaxRows, hi))
+		}
+		out := op.Fn(&m.views[op.Srcs[0]])
+		if out.Rows != hi || out.Cols != m.prog.vals[op.Dst].width {
+			panic(fmt.Sprintf("exec: Func result %s, want %dx%d", out.Shape(), hi, m.prog.vals[op.Dst].width))
+		}
+		m.views[op.Dst] = *out
+		return
+	}
+	dst := m.views[op.Dst].ViewRows(lo, hi, &s.dstTile)
+	out, workers := dst, m.cfg.Workers
+	if m.tiled {
+		s.tileView = mat.Matrix{Rows: hi - lo, Cols: dst.Cols, Data: m.tiles[w].Data[:(hi-lo)*dst.Cols]}
+		out, workers = &s.tileView, 1
+	}
 	var res *mat.Matrix
 	if op.Epi.Res >= 0 {
-		m.views[op.Epi.Res].ViewRows(lo, hi, &s.resTile)
-		res = &s.resTile
+		res = m.views[op.Epi.Res].ViewRows(lo, hi, &s.resTile)
 	}
 	switch op.Kind {
 	case OpMatMul:
-		m.views[op.Srcs[0]].ViewRows(lo, hi, &s.srcTiles[0])
-		mat.MatMulBiasReLUInto(&s.tileView, &s.srcTiles[0], op.W, op.Epi.Bias, res, op.Epi.ReLU, 1)
+		mat.MatMulBiasReLUInto(out, srcs[0], op.W, op.Epi.Bias, res, op.Epi.ReLU, workers)
 	case OpSpMM:
-		// The one op whose tile reads outside [lo, hi): it consumes the
-		// full spilled input, which op-major order guarantees is complete.
-		op.CSR.MulDenseBiasReLURangeInto(&s.tileView, &m.views[op.Srcs[0]], lo, hi, op.Epi.Bias, res, op.Epi.ReLU)
+		op.CSR.MulDenseBiasReLURangeInto(out, &m.views[op.Srcs[0]], lo, hi, op.Epi.Bias, res, op.Epi.ReLU, workers)
 	case OpAddBias:
-		m.views[op.Srcs[0]].ViewRows(lo, hi, &s.srcTiles[0])
-		mat.AddBiasInto(&s.tileView, &s.srcTiles[0], op.B)
+		mat.AddBiasInto(out, srcs[0], op.B)
 	case OpReLU:
-		m.views[op.Srcs[0]].ViewRows(lo, hi, &s.srcTiles[0])
-		mat.ReLUInto(&s.tileView, &s.srcTiles[0])
+		mat.ReLUInto(out, srcs[0])
 	case OpAdd:
-		m.views[op.Srcs[0]].ViewRows(lo, hi, &s.srcTiles[0])
-		m.views[op.Srcs[1]].ViewRows(lo, hi, &s.srcTiles[1])
-		mat.AddInto(&s.tileView, &s.srcTiles[0], &s.srcTiles[1])
+		mat.AddInto(out, srcs[0], srcs[1])
 	case OpConcat:
-		for i, src := range op.Srcs {
-			m.views[src].ViewRows(lo, hi, &s.srcTiles[i])
-			s.srcPtrs[i] = &s.srcTiles[i]
-		}
-		mat.HConcatInto(&s.tileView, s.srcPtrs[:len(op.Srcs)]...)
+		mat.HConcatInto(out, srcs...)
 	}
-	m.views[op.Dst].ViewRows(lo, hi, &s.dstTile)
-	mat.CopyInto(&s.dstTile, &s.tileView)
+	if m.tiled {
+		mat.CopyInto(dst, out)
+	}
 }
 
-// runHalo executes one halo-exchange op: wait on the fleet barrier (ops
-// preceding the halo op are identical across shards, so passing it means
-// every peer's gathered value is complete), copy the local rows of src
-// into dst, then gather each slot's peer row below them. The copies are
-// bit-exact row moves at the machine's element width, so sharded
-// execution inherits the engine's bit-identity contract; the op runs
-// full-height in every mode (direct, serial-tiled, tile-parallel) on the
-// calling goroutine.
+// runHalo gathers one halo-exchange op once Run has passed its barrier:
+// copy the local rows of src into dst, then each slot's peer row below
+// them. The copies are bit-exact row moves at the machine's element
+// width, so sharded execution inherits the engine's bit-identity
+// contract; the op runs full-height in every mode (direct, serial-tiled,
+// tile-parallel) on the calling goroutine.
 func (m *Machine) runHalo(op *Op, rows int) {
-	if m.peers == nil {
-		panic("exec: halo op outside a fleet (plan through NewFleet)")
-	}
-	if err := m.sync(); err != nil {
-		panic(&fleetAbort{cause: err})
-	}
-	// Busy time starts after the barrier: only the gather copies are this
-	// shard's own work; the wait is peer compute that real multi-enclave
-	// hardware would overlap.
-	busy0 := threadCPUNs()
 	src, dst := op.Srcs[0], op.Dst
 	d := m.prog.vals[dst].width
+	m.copyRows(dst, 0, m, src, 0, rows, d)
 	// Halo slots are sorted by global column, so consecutive slots owned
 	// by the same peer with adjacent local rows form runs that gather as
 	// one copy each. On power-law graphs the halo is near-all-to-all and
 	// runs span most of a peer's range, collapsing hundreds of thousands
 	// of row-sized copies into a handful of block moves — same bytes,
 	// same layout, so bit-identity is untouched.
-	switch m.elem {
-	case F32:
-		r := m.red
-		dv, sv := &r.views32[dst], &r.views32[src]
-		copy(dv.Data[:rows*d], sv.Data[:rows*d])
-		for k := 0; k < len(op.Halo); {
-			sl := &op.Halo[k]
-			j := k + 1
-			for j < len(op.Halo) && op.Halo[j].Shard == sl.Shard && op.Halo[j].Row == sl.Row+(j-k) {
-				j++
-			}
-			pv := &m.peers[sl.Shard].red.views32[src]
-			copy(dv.Data[(rows+k)*d:(rows+j)*d], pv.Data[sl.Row*d:(sl.Row+j-k)*d])
-			k = j
+	for k := 0; k < len(op.Halo); {
+		sl := &op.Halo[k]
+		j := k + 1
+		for j < len(op.Halo) && op.Halo[j].Shard == sl.Shard && op.Halo[j].Row == sl.Row+(j-k) {
+			j++
 		}
-	case I8:
-		r := m.red
-		dv, sv := &r.views8[dst], &r.views8[src]
-		copy(dv.Data[:rows*d], sv.Data[:rows*d])
-		for k := 0; k < len(op.Halo); {
-			sl := &op.Halo[k]
-			j := k + 1
-			for j < len(op.Halo) && op.Halo[j].Shard == sl.Shard && op.Halo[j].Row == sl.Row+(j-k) {
-				j++
-			}
-			pv := &m.peers[sl.Shard].red.views8[src]
-			copy(dv.Data[(rows+k)*d:(rows+j)*d], pv.Data[sl.Row*d:(sl.Row+j-k)*d])
-			k = j
-		}
-	default:
-		dv, sv := &m.views[dst], &m.views[src]
-		copy(dv.Data[:rows*d], sv.Data[:rows*d])
-		for k := 0; k < len(op.Halo); {
-			sl := &op.Halo[k]
-			j := k + 1
-			for j < len(op.Halo) && op.Halo[j].Shard == sl.Shard && op.Halo[j].Row == sl.Row+(j-k) {
-				j++
-			}
-			pv := &m.peers[sl.Shard].views[src]
-			copy(dv.Data[(rows+k)*d:(rows+j)*d], pv.Data[sl.Row*d:(sl.Row+j-k)*d])
-			k = j
-		}
+		m.copyRows(dst, rows+k, m.peers[sl.Shard], src, sl.Row, j-k, d)
+		k = j
 	}
-	m.busyNs += threadCPUNs() - busy0
+}
+
+// copyRows moves n d-wide rows of peer's value src, from row at on, into
+// this machine's value dst from row to on. Fleets are validated to share
+// one element type, so the peer holds the same kind of view.
+func (m *Machine) copyRows(dst, to int, peer *Machine, src, at, n, d int) {
+	if m.elem == I8 {
+		copy(m.q.views[dst].Data[to*d:(to+n)*d], peer.q.views[src].Data[at*d:(at+n)*d])
+	} else {
+		copy(m.views[dst].Data[to*d:(to+n)*d], peer.views[src].Data[at*d:(at+n)*d])
+	}
 }

@@ -62,68 +62,94 @@ func buildGCNLikeProgram(t testing.TB, n int, csr *graph.NormAdjacency) (*Progra
 	return prog, []*mat.Matrix{x0, x1}
 }
 
+// elemConfigs returns the direct single-threaded config of each element
+// type for prog — int8 calibrated on the given batch — which the
+// element-axis tests below derive their tiled variants from.
+func elemConfigs(t testing.TB, prog *Program, rows int, inputs []*mat.Matrix) []Config {
+	t.Helper()
+	scales, _, err := CalibrateScales(prog, rows, inputs)
+	if err != nil {
+		t.Fatalf("CalibrateScales: %v", err)
+	}
+	return []Config{{Workers: 1}, {Workers: 1, Elem: I8, Scales: scales}}
+}
+
 // TestTiledMatchesDirect is the core tiling property: for tile heights
-// {1, 7, n-1, n} the streamed execution is bit-identical to the direct
-// reference — same kernels, same per-row loop order, only the staging
-// differs.
+// {1, 7, n-1, n}, serial and tile-parallel, the streamed execution is
+// bit-identical to the direct reference of the same element type — same
+// kernels, same per-row loop order, only the staging differs. The program
+// is unfused, so at int8 this is what holds the standalone element-wise
+// ops and the code-space argmax head to the contract.
 func TestTiledMatchesDirect(t *testing.T) {
 	const n = 53
 	csr := testCSR(n, 1)
 	prog, inputs := buildGCNLikeProgram(t, n, csr)
 
-	direct, err := prog.NewMachine(Config{Workers: 1})
-	if err != nil {
-		t.Fatalf("direct machine: %v", err)
-	}
-	wantLabels := make([]int, n)
-	wantLogits := direct.Run(n, inputs, wantLabels).Clone()
-
-	for _, tile := range []int{1, 7, n - 1, n} {
-		m, err := prog.NewMachine(Config{TileRows: tile, Workers: 1})
+	for _, base := range elemConfigs(t, prog, n, inputs) {
+		direct, err := prog.NewMachine(base)
 		if err != nil {
-			t.Fatalf("tile=%d: %v", tile, err)
+			t.Fatalf("%s direct machine: %v", base.Elem, err)
 		}
-		labels := make([]int, n)
-		logits := m.Run(n, inputs, labels)
-		if !logits.Equal(wantLogits) {
-			t.Fatalf("tile=%d: logits differ from direct reference", tile)
-		}
-		for i := range labels {
-			if labels[i] != wantLabels[i] {
-				t.Fatalf("tile=%d: label[%d] = %d, want %d", tile, i, labels[i], wantLabels[i])
+		wantLabels := make([]int, n)
+		wantLogits := direct.Run(n, inputs, wantLabels).Clone()
+
+		for _, tile := range []int{1, 7, n - 1, n} {
+			for _, workers := range []int{1, 4} {
+				cfg := base
+				cfg.TileRows, cfg.Workers = tile, workers
+				m, err := prog.NewMachine(cfg)
+				if err != nil {
+					t.Fatalf("%s tile=%d workers=%d: %v", base.Elem, tile, workers, err)
+				}
+				labels := make([]int, n)
+				logits := m.Run(n, inputs, labels)
+				if !logits.Equal(wantLogits) {
+					t.Fatalf("%s tile=%d workers=%d: logits differ from direct reference", base.Elem, tile, workers)
+				}
+				for i := range labels {
+					if labels[i] != wantLabels[i] {
+						t.Fatalf("%s tile=%d workers=%d: label[%d] = %d, want %d", base.Elem, tile, workers, i, labels[i], wantLabels[i])
+					}
+				}
+				if got := m.TileBytes(); got != int64(m.TileWorkers())*int64(tile)*int64(prog.MaxWidth())*int64(base.Elem.Size()) {
+					t.Fatalf("%s tile=%d workers=%d: TileBytes %d", base.Elem, tile, workers, got)
+				}
 			}
-		}
-		if got := m.TileBytes(); got != int64(tile)*int64(prog.MaxWidth())*8 {
-			t.Fatalf("tile=%d: TileBytes %d", tile, got)
 		}
 	}
 }
 
 // TestRunAllocFree pins the hot-path contract: steady-state Run performs
-// zero heap allocations, in both execution modes.
+// zero heap allocations, at both element types, in every execution mode.
 func TestRunAllocFree(t *testing.T) {
 	const n = 40
 	csr := testCSR(n, 2)
 	prog, inputs := buildGCNLikeProgram(t, n, csr)
 	labels := make([]int, n)
-	for _, tile := range []int{0, 9} {
-		m, err := prog.NewMachine(Config{TileRows: tile, Workers: 1})
-		if err != nil {
-			t.Fatalf("tile=%d: %v", tile, err)
-		}
-		m.Run(n, inputs, labels) // warm-up
-		allocs := testing.AllocsPerRun(10, func() {
-			m.Run(n, inputs, labels)
-		})
-		if allocs > 0 {
-			t.Fatalf("tile=%d: Run allocates %.1f objects/op, want 0", tile, allocs)
+	for _, base := range elemConfigs(t, prog, n, inputs) {
+		for _, mode := range []struct{ tile, workers int }{{0, 1}, {9, 1}, {9, 4}} {
+			cfg := base
+			cfg.TileRows, cfg.Workers = mode.tile, mode.workers
+			m, err := prog.NewMachine(cfg)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", base.Elem, mode, err)
+			}
+			m.Run(n, inputs, labels) // warm-up
+			allocs := testing.AllocsPerRun(10, func() {
+				m.Run(n, inputs, labels)
+			})
+			if allocs > 0 {
+				t.Fatalf("%s %+v: Run allocates %.1f objects/op, want 0", base.Elem, mode, allocs)
+			}
 		}
 	}
 }
 
 // TestVariableRows checks that one machine serves shrinking batch heights
 // (the subgraph path) — for SpMM the operator is re-induced per run, here
-// simulated by swapping the header contents.
+// simulated by swapping the header contents. The fp64 direct machine is
+// held to the kernels' own product; every other machine to the direct
+// machine of its element type, int8's per-run SpMM value scale included.
 func TestVariableRows(t *testing.T) {
 	const cap = 30
 	header := &graph.NormAdjacency{}
@@ -135,19 +161,38 @@ func TestVariableRows(t *testing.T) {
 	v = b.SpMM(header, v)
 	b.Argmax(v)
 	prog := b.Build()
-	m, err := prog.NewMachine(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rows := range []int{cap, 11, 1} {
-		*header = *testCSR(rows, int64(rows))
-		x := randMat(rng, rows, 4)
-		labels := make([]int, rows)
-		got := m.Run(rows, []*mat.Matrix{x}, labels)
 
-		want := header.MulDenseSerial(mat.MatMulSerial(x, w))
-		if !got.Equal(want) {
-			t.Fatalf("rows=%d: output differs from reference", rows)
+	*header = *testCSR(cap, cap)
+	for _, base := range elemConfigs(t, prog, cap, []*mat.Matrix{randMat(rng, cap, 4)}) {
+		var machines []*Machine
+		for _, mode := range []struct{ tile, workers int }{{0, 1}, {4, 1}, {4, 4}} {
+			cfg := base
+			cfg.TileRows, cfg.Workers = mode.tile, mode.workers
+			m, err := prog.NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machines = append(machines, m)
+		}
+		for _, rows := range []int{cap, 11, 1} {
+			*header = *testCSR(rows, int64(rows))
+			x := randMat(rng, rows, 4)
+			wantLabels := make([]int, rows)
+			want := machines[0].Run(rows, []*mat.Matrix{x}, wantLabels).Clone()
+			if base.Elem == F64 && !want.Equal(header.MulDenseSerial(mat.MatMulSerial(x, w))) {
+				t.Fatalf("rows=%d: output differs from reference", rows)
+			}
+			for _, m := range machines[1:] {
+				labels := make([]int, rows)
+				if got := m.Run(rows, []*mat.Matrix{x}, labels); !got.Equal(want) {
+					t.Fatalf("%s rows=%d tile=%d workers=%d: output differs from direct", base.Elem, rows, m.TileRows(), m.TileWorkers())
+				}
+				for i := range labels {
+					if labels[i] != wantLabels[i] {
+						t.Fatalf("%s rows=%d tile=%d workers=%d: label[%d] differs from direct", base.Elem, rows, m.TileRows(), m.TileWorkers(), i)
+					}
+				}
+			}
 		}
 	}
 }

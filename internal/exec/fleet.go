@@ -17,7 +17,7 @@ import (
 // two ordering guarantees, both provided by one reusable barrier: no
 // shard reads across the fleet before every peer has bound its views
 // (the entry barrier in Run), and no halo op gathers before every peer
-// has finished the ops preceding it (the barrier in runHalo — programs
+// has finished the ops preceding it (the barrier before runHalo — programs
 // are lowered with identical op sequences, so "my halo op i" implies
 // "your value from op < i is complete"). Values are written exactly once
 // per run, so no further synchronisation is needed: a shard that races

@@ -11,8 +11,8 @@ import (
 
 // buildPrecisionProg assembles the fuzz/regression program the precision
 // tests share: MatMul → SpMM → bias → residual Add → ReLU → Concat →
-// MatMul → Argmax, fused — every op kind the reduced kernel families
-// implement, in one chain.
+// MatMul → Argmax, fused — every op kind the int8 kernels implement, in
+// one chain.
 func buildPrecisionProg(n, d, h int, seed int64) (*Program, *mat.Matrix) {
 	rng := rand.New(rand.NewSource(seed))
 	csr := testCSR(n, seed)
@@ -41,49 +41,6 @@ func runReducedLabels(t *testing.T, prog *Program, cfg Config, n int, x *mat.Mat
 	labels := make([]int, n)
 	out := m.Run(n, []*mat.Matrix{x}, labels).Clone()
 	return out, labels
-}
-
-// TestFP32MachineNearReference: the fp32 engine tracks the fp64 reference
-// within single-precision rounding, and tiled/tile-parallel fp32 output
-// is bit-identical to direct fp32.
-func TestFP32MachineNearReference(t *testing.T) {
-	const n, d, h = 57, 5, 7
-	prog, x := buildPrecisionProg(n, d, h, 11)
-	scales, refLabels, err := CalibrateScales(prog, n, []*mat.Matrix{x})
-	if err != nil {
-		t.Fatalf("CalibrateScales: %v", err)
-	}
-	if len(scales) == 0 || len(refLabels) != n {
-		t.Fatalf("calibration returned %d scales, %d labels", len(scales), len(refLabels))
-	}
-	ref, _ := runReducedLabels(t, prog, Config{Workers: 1}, n, x)
-
-	direct, dLabels := runReducedLabels(t, prog, Config{Workers: 1, Elem: F32}, n, x)
-	maxRel := 0.0
-	for i, v := range direct.Data {
-		denom := math.Max(math.Abs(ref.Data[i]), 1)
-		if rel := math.Abs(v-ref.Data[i]) / denom; rel > maxRel {
-			maxRel = rel
-		}
-	}
-	if maxRel > 1e-4 {
-		t.Fatalf("fp32 max relative error %g vs fp64", maxRel)
-	}
-	for _, cfg := range []Config{
-		{TileRows: 13, Workers: 1, Elem: F32},
-		{TileRows: 13, Workers: 4, Elem: F32},
-		{TileRows: n, Workers: 2, Elem: F32},
-	} {
-		out, labels := runReducedLabels(t, prog, cfg, n, x)
-		if !out.Equal(direct) {
-			t.Fatalf("fp32 %+v output not bit-identical to fp32 direct", cfg)
-		}
-		for i := range labels {
-			if labels[i] != dLabels[i] {
-				t.Fatalf("fp32 %+v label[%d] differs", cfg, i)
-			}
-		}
-	}
 }
 
 // TestI8MachineCalibrated: a calibrated int8 machine reproduces the fp64
@@ -140,8 +97,8 @@ func TestI8MachineCalibrated(t *testing.T) {
 }
 
 // TestReducedMachineErrors pins the refusal surface: unknown element
-// types, int8 without (or with misshapen) scales, and reduced machines
-// over non-tileable programs.
+// types, int8 without (or with misshapen) scales, and int8 machines over
+// non-tileable programs.
 func TestReducedMachineErrors(t *testing.T) {
 	prog, x := buildPrecisionProg(16, 3, 4, 5)
 	if _, err := prog.NewMachine(Config{Elem: I8}); err == nil {
@@ -174,8 +131,8 @@ func TestReducedMachineErrors(t *testing.T) {
 	v := b.Func(in, 3, func(src *mat.Matrix) *mat.Matrix { return src })
 	b.Keep(v)
 	opaque := b.Build()
-	if _, err := opaque.NewMachine(Config{Elem: F32}); !errors.Is(err, ErrPrecisionUnsupported) {
-		t.Fatalf("opaque fp32 machine: %v, want ErrPrecisionUnsupported", err)
+	if _, err := opaque.NewMachine(Config{Elem: I8}); !errors.Is(err, ErrPrecisionUnsupported) {
+		t.Fatalf("opaque int8 machine: %v, want ErrPrecisionUnsupported", err)
 	}
 }
 
@@ -192,8 +149,6 @@ func TestReducedRunAllocFree(t *testing.T) {
 	labels := make([]int, n)
 	in := []*mat.Matrix{x}
 	for _, cfg := range []Config{
-		{Workers: 1, Elem: F32},
-		{TileRows: 9, Workers: 1, Elem: F32},
 		{Workers: 1, Elem: I8, Scales: scales},
 		{TileRows: 9, Workers: 1, Elem: I8, Scales: scales},
 	} {
@@ -228,26 +183,23 @@ func TestReducedAccountingShrinks(t *testing.T) {
 		return m
 	}
 	f64 := mk(Config{TileRows: 8, Workers: 1})
-	f32 := mk(Config{TileRows: 8, Workers: 1, Elem: F32})
 	i8 := mk(Config{TileRows: 8, Workers: 1, Elem: I8, Scales: scales})
-	if f32.TileBytes()*2 != f64.TileBytes() || i8.TileBytes()*8 != f64.TileBytes() {
-		t.Fatalf("tile bytes fp64=%d fp32=%d int8=%d, want 2x/8x ratios", f64.TileBytes(), f32.TileBytes(), i8.TileBytes())
+	if i8.TileBytes()*8 != f64.TileBytes() {
+		t.Fatalf("tile bytes fp64=%d int8=%d, want an 8x ratio", f64.TileBytes(), i8.TileBytes())
 	}
-	if f32.SpillTraffic(n)*2 != f64.SpillTraffic(n) || i8.SpillTraffic(n)*8 != f64.SpillTraffic(n) {
-		t.Fatalf("spill fp64=%d fp32=%d int8=%d, want 2x/8x ratios", f64.SpillTraffic(n), f32.SpillTraffic(n), i8.SpillTraffic(n))
+	if i8.SpillTraffic(n)*8 != f64.SpillTraffic(n) {
+		t.Fatalf("spill fp64=%d int8=%d, want an 8x ratio", f64.SpillTraffic(n), i8.SpillTraffic(n))
 	}
 }
 
-// FuzzPrecision fuzzes the reduced-precision engine across program
-// shapes × tile heights × worker counts:
+// FuzzPrecision fuzzes the int8 engine across program shapes × tile
+// heights × worker counts:
 //
-//   - fp32 output stays within a generous single-precision relative
-//     bound of the fp64 reference;
 //   - calibrated int8 reproduces the fp64 argmax on every row whose
 //     fp64 margin exceeds twice the error its wide argmax can carry — the
 //     measured dequantized error plus half an output step;
-//   - within each precision, tiled and tile-parallel execution is
-//     bit-identical to that precision's direct execution.
+//   - tiled and tile-parallel int8 execution is bit-identical to direct
+//     int8 execution.
 func FuzzPrecision(f *testing.F) {
 	f.Add(uint8(16), uint8(3), uint8(4), uint8(5), uint8(2), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), int64(2))
@@ -286,23 +238,6 @@ func FuzzPrecision(f *testing.F) {
 				}
 			}
 		}
-
-		// fp32: bounded drift from fp64, bit-identity within the tier.
-		f32cfg := Config{Workers: 1, Elem: F32}
-		f32M, err := prog.NewMachine(f32cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f32Labels := make([]int, n)
-		f32Out := f32M.Run(n, []*mat.Matrix{x}, f32Labels).Clone()
-		for i, v := range f32Out.Data {
-			denom := math.Max(math.Abs(ref.Data[i]), 1)
-			if math.Abs(v-ref.Data[i])/denom > 1e-3 {
-				t.Fatalf("fp32 value[%d] = %g, fp64 %g: beyond single-precision drift", i, v, ref.Data[i])
-			}
-		}
-		check("fp32 tiled", f32Out, f32Labels, Config{TileRows: tile, Workers: 1, Elem: F32})
-		check("fp32 tile-parallel", f32Out, f32Labels, Config{TileRows: tile, Workers: workers, Elem: F32})
 
 		// int8: margin-gated argmax agreement, bit-identity within the tier.
 		i8cfg := Config{Workers: 1, Elem: I8, Scales: scales}

@@ -87,8 +87,10 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 			same("MulDenseRangeInto", got, plain, lo)
 			resRows := mat.New(hi-lo, d)
 			copy(resRows.Data, res.Data[lo*d:hi*d])
-			na.MulDenseBiasReLURangeInto(got, h, lo, hi, bias, resRows, true)
-			same("MulDenseBiasReLURangeInto", got, fused, lo)
+			for _, workers := range []int{1, 3} {
+				na.MulDenseBiasReLURangeInto(got, h, lo, hi, bias, resRows, true, workers)
+				same("MulDenseBiasReLURangeInto", got, fused, lo)
+			}
 		}
 	}
 }

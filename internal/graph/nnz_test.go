@@ -128,7 +128,7 @@ func TestMulDenseBiasReLUMatchesUnfused(t *testing.T) {
 		hi := min(lo+64, na.N)
 		view := &mat.Matrix{Rows: hi - lo, Cols: d, Data: tile.Data[:(hi-lo)*d]}
 		res.ViewRows(lo, hi, resTile)
-		na.MulDenseBiasReLURangeInto(view, h, lo, hi, bias, resTile, true)
+		na.MulDenseBiasReLURangeInto(view, h, lo, hi, bias, resTile, true, 1)
 		copy(got.Data[lo*d:hi*d], view.Data)
 	}
 	if !got.Equal(want) {

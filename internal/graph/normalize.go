@@ -177,20 +177,7 @@ func (na *NormAdjacency) NNZBound(lo, hi, part, parts int) int {
 // output tile by tile. Runs inline on the calling goroutine (the in-enclave
 // form) and never allocates.
 func (na *NormAdjacency) MulDenseRangeInto(dst, h *mat.Matrix, lo, hi int) {
-	if h.Rows != na.ColCount() {
-		panic(fmt.Sprintf("graph: MulDenseRangeInto rows %d != n %d", h.Rows, na.ColCount()))
-	}
-	if lo < 0 || hi > na.N || lo > hi {
-		panic(fmt.Sprintf("graph: MulDenseRangeInto range [%d,%d) out of [0,%d)", lo, hi, na.N))
-	}
-	if dst.Rows != hi-lo || dst.Cols != h.Cols {
-		panic(fmt.Sprintf("graph: MulDenseRangeInto destination %s, want %dx%d", dst.Shape(), hi-lo, h.Cols))
-	}
-	mat.RequireNoAlias(dst, h, "graph: MulDenseRangeInto")
-	d := h.Cols
-	for i := lo; i < hi; i++ {
-		na.accumRow(dst.Data[(i-lo)*d:(i-lo+1)*d], h, i)
-	}
+	na.MulDenseBiasReLURangeInto(dst, h, lo, hi, nil, nil, false, 1)
 }
 
 // gatherAhead is how many CSR rows ahead of the row being summed the
@@ -237,10 +224,12 @@ func (na *NormAdjacency) accumRow(orow []float64, h *mat.Matrix, i int) {
 // res (which must be (hi-lo)×H.Cols, aligned to dst — row 0 pairs with
 // graph row lo) and ReLU applied in canonical order (see
 // mat.ApplyEpilogueRow). With all three unset this is exactly
-// MulDenseRangeInto. Runs inline on the calling goroutine (the in-enclave
-// tile form) and never allocates; results are bit-identical to the unfused
-// op sequence.
-func (na *NormAdjacency) MulDenseBiasReLURangeInto(dst, h *mat.Matrix, lo, hi int, bias []float64, res *mat.Matrix, relu bool) {
+// MulDenseRangeInto. The range is split into nnz-balanced row bands under
+// the worker budget (mat.ResolveWorkers semantics); with workers 1 — the
+// in-enclave tile form — it runs inline on the calling goroutine and
+// never allocates. Rows are independent, so results are bit-identical to
+// the unfused op sequence under any banding.
+func (na *NormAdjacency) MulDenseBiasReLURangeInto(dst, h *mat.Matrix, lo, hi int, bias []float64, res *mat.Matrix, relu bool, workers int) {
 	if h.Rows != na.ColCount() {
 		panic(fmt.Sprintf("graph: MulDenseBiasReLURangeInto rows %d != n %d", h.Rows, na.ColCount()))
 	}
@@ -252,17 +241,25 @@ func (na *NormAdjacency) MulDenseBiasReLURangeInto(dst, h *mat.Matrix, lo, hi in
 	}
 	mat.RequireNoAlias(dst, h, "graph: MulDenseBiasReLURangeInto")
 	na.requireEpilogue(dst, bias, res, "MulDenseBiasReLURangeInto")
-	d := h.Cols
-	for i := lo; i < hi; i++ {
-		// Epilogue per finished row, while it is still cache-hot — the
-		// same element order as a trailing full pass, rows being
-		// independent.
-		drow := dst.Data[(i-lo)*d : (i-lo+1)*d]
-		na.accumRow(drow, h, i)
-		if bias != nil || res != nil || relu {
-			mat.ApplyEpilogueRow(drow, bias, epilogueResRow(res, i-lo, d), relu)
-		}
+	w := mat.ResolveWorkers(workers, hi-lo)
+	if w <= 1 || hi-lo < 256 {
+		na.mulDenseEpilogueRange(dst, h, lo, hi, lo, bias, res, relu)
+		return
 	}
+	var wg sync.WaitGroup
+	for i := 0; i < w; i++ {
+		blo := na.NNZBound(lo, hi, i, w)
+		bhi := na.NNZBound(lo, hi, i+1, w)
+		if blo >= bhi {
+			continue
+		}
+		wg.Add(1)
+		go func(blo, bhi int) {
+			defer wg.Done()
+			na.mulDenseEpilogueRange(dst, h, blo, bhi, lo, bias, res, relu)
+		}(blo, bhi)
+	}
+	wg.Wait()
 }
 
 // requireEpilogue validates the optional epilogue operands against dst:
@@ -289,59 +286,30 @@ func epilogueResRow(res *mat.Matrix, i, d int) []float64 {
 }
 
 // MulDenseBiasReLUInto is the full-height fused product dst =
-// epilogue(Â·H), parallelised over nnz-balanced row bands under an
-// explicit worker budget: each band applies the bias/residual/ReLU
-// epilogue to its own rows right after accumulating them. res, when
-// non-nil, must match dst's shape. This is the kernel fused OpSpMM ops
-// run on direct machines; with no epilogue set it is exactly
+// epilogue(Â·H): MulDenseBiasReLURangeInto over every row. res, when
+// non-nil, must match dst's shape. With no epilogue set it is exactly
 // MulDenseWorkersInto.
 func (na *NormAdjacency) MulDenseBiasReLUInto(dst, h *mat.Matrix, bias []float64, res *mat.Matrix, relu bool, workers int) {
-	if h.Rows != na.ColCount() {
-		panic(fmt.Sprintf("graph: MulDenseBiasReLUInto rows %d != n %d", h.Rows, na.ColCount()))
-	}
-	if dst.Rows != na.N || dst.Cols != h.Cols {
-		panic(fmt.Sprintf("graph: MulDenseBiasReLUInto destination %s, want %dx%d", dst.Shape(), na.N, h.Cols))
-	}
-	mat.RequireNoAlias(dst, h, "graph: MulDenseBiasReLUInto")
-	na.requireEpilogue(dst, bias, res, "MulDenseBiasReLUInto")
-	w := mat.ResolveWorkers(workers, na.N)
-	if w <= 1 || na.N < 256 {
-		na.mulDenseEpilogueRange(dst, h, 0, na.N, bias, res, relu)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo := na.NNZBound(0, na.N, i, w)
-		hi := na.NNZBound(0, na.N, i+1, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			na.mulDenseEpilogueRange(dst, h, lo, hi, bias, res, relu)
-		}(lo, hi)
-	}
-	wg.Wait()
+	na.MulDenseBiasReLURangeInto(dst, h, 0, na.N, bias, res, relu, workers)
 }
 
-// mulDenseEpilogueRange accumulates rows [lo,hi) of Â·H into the
-// same-indexed rows of dst, applying any epilogue to each row while it is
+// mulDenseEpilogueRange accumulates graph rows [lo,hi) of Â·H into dst
+// rows [lo-base, hi-base), applying any epilogue to each row while it is
 // still cache-hot instead of in a trailing full pass (rows are
 // independent, so the element order — and the bits — are unchanged). The
 // caller validated the epilogue operands.
-func (na *NormAdjacency) mulDenseEpilogueRange(dst, h *mat.Matrix, lo, hi int, bias []float64, res *mat.Matrix, relu bool) {
+func (na *NormAdjacency) mulDenseEpilogueRange(dst, h *mat.Matrix, lo, hi, base int, bias []float64, res *mat.Matrix, relu bool) {
 	d := h.Cols
 	if bias == nil && res == nil && !relu {
 		for i := lo; i < hi; i++ {
-			na.accumRow(dst.Data[i*d:(i+1)*d], h, i)
+			na.accumRow(dst.Data[(i-base)*d:(i-base+1)*d], h, i)
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*d : (i+1)*d]
+		drow := dst.Data[(i-base)*d : (i-base+1)*d]
 		na.accumRow(drow, h, i)
-		mat.ApplyEpilogueRow(drow, bias, epilogueResRow(res, i, d), relu)
+		mat.ApplyEpilogueRow(drow, bias, epilogueResRow(res, i-base, d), relu)
 	}
 }
 

@@ -3,19 +3,17 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"gnnvault/internal/mat"
 )
 
-// Reduced-precision sparse products. The CSR itself stays float64 — it
-// is sealed at deploy time and shared by every plan over the graph — and
-// each kernel narrows (fp32) or quantizes (int8) the stored values on
-// the fly, one scalar per non-zero. That keeps the families free of a
-// second materialised value array, which matters for the subgraph path
-// where the CSR is re-induced per query: scalar conversion is
-// deterministic, so full-graph and re-induced executions of the same
-// rows still agree bit-for-bit within a precision.
+// The int8 sparse product. The CSR itself stays float64 — it is sealed
+// at deploy time and shared by every plan over the graph — and the kernel
+// quantizes the stored values on the fly, one scalar per non-zero. That
+// keeps it free of a second materialised value array, which matters for
+// the subgraph path where the CSR is re-induced per query: scalar
+// quantization is deterministic, so full-graph and re-induced executions
+// of the same rows still agree bit-for-bit.
 
 // ValMaxAbs returns the largest absolute stored value (0 when empty),
 // the deploy/plan-time input to the int8 kernels' symmetric value scale.
@@ -32,148 +30,6 @@ func (na *NormAdjacency) ValMaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// accumRow32 computes graph row i of Â·H into orow over float32,
-// narrowing each CSR value as it is consumed, four (then two, then one)
-// non-zeros at a time through the generic multi-stream axpy forms. The
-// per-element order is that of the one-at-a-time loop, so the fp32 bits
-// are pinned across direct/tiled/banded execution.
-func (na *NormAdjacency) accumRow32(orow []float32, h *mat.Matrix32, i int) {
-	d := h.Cols
-	p, end := na.RowPtr[i], na.RowPtr[i+1]
-	switch {
-	case end-p >= 4:
-		c1, c2, c3, c4 := na.ColIdx[p], na.ColIdx[p+1], na.ColIdx[p+2], na.ColIdx[p+3]
-		mat.Axpy4SetG(
-			float32(na.Val[p]), h.Data[c1*d:(c1+1)*d],
-			float32(na.Val[p+1]), h.Data[c2*d:(c2+1)*d],
-			float32(na.Val[p+2]), h.Data[c3*d:(c3+1)*d],
-			float32(na.Val[p+3]), h.Data[c4*d:(c4+1)*d],
-			orow)
-		p += 4
-	case end-p >= 2:
-		c1, c2 := na.ColIdx[p], na.ColIdx[p+1]
-		mat.Axpy2SetG(float32(na.Val[p]), h.Data[c1*d:(c1+1)*d], float32(na.Val[p+1]), h.Data[c2*d:(c2+1)*d], orow)
-		p += 2
-	case end-p == 1:
-		c := na.ColIdx[p]
-		mat.AxpySetG(float32(na.Val[p]), h.Data[c*d:(c+1)*d], orow)
-		p++
-	default:
-		clear(orow)
-		return
-	}
-	for ; p+4 <= end; p += 4 {
-		c1, c2, c3, c4 := na.ColIdx[p], na.ColIdx[p+1], na.ColIdx[p+2], na.ColIdx[p+3]
-		mat.Axpy4G(
-			float32(na.Val[p]), h.Data[c1*d:(c1+1)*d],
-			float32(na.Val[p+1]), h.Data[c2*d:(c2+1)*d],
-			float32(na.Val[p+2]), h.Data[c3*d:(c3+1)*d],
-			float32(na.Val[p+3]), h.Data[c4*d:(c4+1)*d],
-			orow)
-	}
-	if p+2 <= end {
-		c1, c2 := na.ColIdx[p], na.ColIdx[p+1]
-		mat.Axpy2G(float32(na.Val[p]), h.Data[c1*d:(c1+1)*d], float32(na.Val[p+1]), h.Data[c2*d:(c2+1)*d], orow)
-		p += 2
-	}
-	if p < end {
-		c := na.ColIdx[p]
-		mat.AxpyG(float32(na.Val[p]), h.Data[c*d:(c+1)*d], orow)
-	}
-}
-
-// MulDense32BiasReLURangeInto computes rows [lo, hi) of
-// epilogue(Â·H) over float32 into dst ((hi-lo)×H.Cols, row 0 pairing
-// with graph row lo; res aligned to dst likewise). H must span all N
-// rows. The fp32 counterpart of MulDenseBiasReLURangeInto: runs inline
-// on the calling goroutine and never allocates.
-func (na *NormAdjacency) MulDense32BiasReLURangeInto(dst, h *mat.Matrix32, lo, hi int, bias []float32, res *mat.Matrix32, relu bool) {
-	na.require32(dst, h, lo, hi, hi-lo, bias, res, "graph: MulDense32BiasReLURangeInto")
-	d := h.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[(i-lo)*d : (i-lo+1)*d]
-		na.accumRow32(drow, h, i)
-		if bias != nil || res != nil || relu {
-			var rrow []float32
-			if res != nil {
-				rrow = res.Data[(i-lo)*d : (i-lo+1)*d]
-			}
-			mat.ApplyEpilogueRow32(drow, bias, rrow, relu)
-		}
-	}
-}
-
-// MulDense32BiasReLUInto is the full-height fused fp32 product dst =
-// epilogue(Â·H), parallelised over nnz-balanced row bands under an
-// explicit worker budget — the kernel fused OpSpMM ops run on fp32
-// direct machines. res, when non-nil, must match dst's shape.
-func (na *NormAdjacency) MulDense32BiasReLUInto(dst, h *mat.Matrix32, bias []float32, res *mat.Matrix32, relu bool, workers int) {
-	na.require32(dst, h, 0, na.N, na.N, bias, res, "graph: MulDense32BiasReLUInto")
-	w := mat.ResolveWorkers(workers, na.N)
-	if w <= 1 || na.N < 256 {
-		na.mulDense32Range(dst, h, 0, na.N, bias, res, relu)
-		return
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		lo := na.NNZBound(0, na.N, i, w)
-		hi := na.NNZBound(0, na.N, i+1, w)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			na.mulDense32Range(dst, h, lo, hi, bias, res, relu)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// mulDense32Range accumulates rows [lo,hi) of Â·H into the same-indexed
-// rows of dst with the per-row epilogue; the caller validated operands.
-func (na *NormAdjacency) mulDense32Range(dst, h *mat.Matrix32, lo, hi int, bias []float32, res *mat.Matrix32, relu bool) {
-	d := h.Cols
-	epi := bias != nil || res != nil || relu
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*d : (i+1)*d]
-		na.accumRow32(drow, h, i)
-		if epi {
-			var rrow []float32
-			if res != nil {
-				rrow = res.Data[i*d : (i+1)*d]
-			}
-			mat.ApplyEpilogueRow32(drow, bias, rrow, relu)
-		}
-	}
-}
-
-// require32 validates a fp32 kernel call: dst is dstRows×H.Cols, H spans
-// all N rows, [lo,hi) in range, epilogue operands shaped, no aliasing.
-// op must arrive pre-prefixed ("graph: …") so the happy path performs no
-// string concatenation — these checks run on every hot-loop call.
-func (na *NormAdjacency) require32(dst, h *mat.Matrix32, lo, hi, dstRows int, bias []float32, res *mat.Matrix32, op string) {
-	if h.Rows != na.ColCount() {
-		panic(fmt.Sprintf("%s rows %d != n %d", op, h.Rows, na.ColCount()))
-	}
-	if lo < 0 || hi > na.N || lo > hi {
-		panic(fmt.Sprintf("%s range [%d,%d) out of [0,%d)", op, lo, hi, na.N))
-	}
-	if dst.Rows != dstRows || dst.Cols != h.Cols {
-		panic(fmt.Sprintf("%s destination %s, want %dx%d", op, dst.Shape(), dstRows, h.Cols))
-	}
-	mat.RequireNoAlias32(dst, h, op)
-	if bias != nil && len(bias) != dst.Cols {
-		panic(fmt.Sprintf("%s bias length %d != cols %d", op, len(bias), dst.Cols))
-	}
-	if res != nil {
-		mat.RequireNoAlias32(dst, res, op)
-		if res.Rows != dst.Rows || res.Cols != dst.Cols {
-			panic(fmt.Sprintf("%s residual %s != destination %s", op, res.Shape(), dst.Shape()))
-		}
-	}
 }
 
 // MulDenseI8EpilogueRangeInto computes rows [lo, hi) of the quantized

@@ -1,23 +1,15 @@
 package mat
 
-// Generic scaled-row accumulates. AxpyG/AxpySetG instantiated at float64
-// are the portable fp64 row-accumulate kernel (axpy.go) and the training
-// transpose product's inner loop; the float32 kernel family instantiates
-// the whole set, multi-stream forms included, with F = float32. Every
-// form keeps one per-element accumulation order — a separate multiply and
-// add per term, left to right — so tiled-vs-direct bit-identity holds
-// within each precision.
-
-// Float constrains the generic axpy kernels to the element types the
-// kernel families support.
-type Float interface {
-	~float32 | ~float64
-}
+// Portable scaled-row accumulates: the Go form of the row-accumulate
+// contract (axpy.go) at both element types, and the training transpose
+// product's inner loop. Each element receives one multiply and one add
+// per term, left to right, which is what holds the portable kernel to
+// the assembly's bits.
 
 // AxpyG accumulates y[j] += alpha·x[j] for j < len(x), 8-wide unrolled.
 // len(y) must be at least len(x); each y element receives exactly one
 // multiply and one add, so the result is bit-identical to the naive loop.
-func AxpyG[F Float](alpha F, x, y []F) {
+func AxpyG(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	i := 0
 	for ; i+8 <= len(x); i += 8 {
@@ -40,7 +32,7 @@ func AxpyG[F Float](alpha F, x, y []F) {
 // AxpySetG writes y[j] = alpha·x[j] — the initialising form of AxpyG,
 // which lets the product kernels start each output row from its first
 // term instead of zero-filling the destination first.
-func AxpySetG[F Float](alpha F, x, y []F) {
+func AxpySetG(alpha float64, x, y []float64) {
 	y = y[:len(x)]
 	i := 0
 	for ; i+8 <= len(x); i += 8 {
@@ -57,98 +49,6 @@ func AxpySetG[F Float](alpha F, x, y []F) {
 	}
 	for ; i < len(x); i++ {
 		y[i] = alpha * x[i]
-	}
-}
-
-// Axpy2G accumulates y[j] += a1·x1[j] + a2·x2[j] in one pass with two
-// load streams, left-associated per element.
-func Axpy2G[F Float](a1 F, x1 []F, a2 F, x2 []F, y []F) {
-	n := len(y)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s1 := x1[i : i+4 : i+4]
-		s2 := x2[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ys[0] = ys[0] + a1*s1[0] + a2*s2[0]
-		ys[1] = ys[1] + a1*s1[1] + a2*s2[1]
-		ys[2] = ys[2] + a1*s1[2] + a2*s2[2]
-		ys[3] = ys[3] + a1*s1[3] + a2*s2[3]
-	}
-	for ; i < n; i++ {
-		y[i] = y[i] + a1*x1[i] + a2*x2[i]
-	}
-}
-
-// Axpy2SetG writes y[j] = a1·x1[j] + a2·x2[j], the initialising form of
-// Axpy2G.
-func Axpy2SetG[F Float](a1 F, x1 []F, a2 F, x2 []F, y []F) {
-	n := len(y)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s1 := x1[i : i+4 : i+4]
-		s2 := x2[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ys[0] = a1*s1[0] + a2*s2[0]
-		ys[1] = a1*s1[1] + a2*s2[1]
-		ys[2] = a1*s1[2] + a2*s2[2]
-		ys[3] = a1*s1[3] + a2*s2[3]
-	}
-	for ; i < n; i++ {
-		y[i] = a1*x1[i] + a2*x2[i]
-	}
-}
-
-// Axpy4G accumulates four scaled rows into y in one pass, left-associated
-// per element.
-func Axpy4G[F Float](a1 F, x1 []F, a2 F, x2 []F, a3 F, x3 []F, a4 F, x4 []F, y []F) {
-	n := len(y)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	x4 = x4[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s1 := x1[i : i+4 : i+4]
-		s2 := x2[i : i+4 : i+4]
-		s3 := x3[i : i+4 : i+4]
-		s4 := x4[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ys[0] = ys[0] + a1*s1[0] + a2*s2[0] + a3*s3[0] + a4*s4[0]
-		ys[1] = ys[1] + a1*s1[1] + a2*s2[1] + a3*s3[1] + a4*s4[1]
-		ys[2] = ys[2] + a1*s1[2] + a2*s2[2] + a3*s3[2] + a4*s4[2]
-		ys[3] = ys[3] + a1*s1[3] + a2*s2[3] + a3*s3[3] + a4*s4[3]
-	}
-	for ; i < n; i++ {
-		y[i] = y[i] + a1*x1[i] + a2*x2[i] + a3*x3[i] + a4*x4[i]
-	}
-}
-
-// Axpy4SetG writes four scaled rows into y in one initialising pass, the
-// initialising form of Axpy4G.
-func Axpy4SetG[F Float](a1 F, x1 []F, a2 F, x2 []F, a3 F, x3 []F, a4 F, x4 []F, y []F) {
-	n := len(y)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	x4 = x4[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s1 := x1[i : i+4 : i+4]
-		s2 := x2[i : i+4 : i+4]
-		s3 := x3[i : i+4 : i+4]
-		s4 := x4[i : i+4 : i+4]
-		ys := y[i : i+4 : i+4]
-		ys[0] = a1*s1[0] + a2*s2[0] + a3*s3[0] + a4*s4[0]
-		ys[1] = a1*s1[1] + a2*s2[1] + a3*s3[1] + a4*s4[1]
-		ys[2] = a1*s1[2] + a2*s2[2] + a3*s3[2] + a4*s4[2]
-		ys[3] = a1*s1[3] + a2*s2[3] + a3*s3[3] + a4*s4[3]
-	}
-	for ; i < n; i++ {
-		y[i] = a1*x1[i] + a2*x2[i] + a3*x3[i] + a4*x4[i]
 	}
 }
 

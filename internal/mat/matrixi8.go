@@ -5,85 +5,6 @@ import (
 	"math"
 )
 
-// Matrix32 is a dense row-major matrix of float32 values — the storage
-// type of the fp32 kernel family. It mirrors the minimal Matrix surface
-// the tiled executor needs (views, shape checks, argmax, byte
-// accounting); training and the fp64 reference path stay on Matrix.
-type Matrix32 struct {
-	Rows, Cols int
-	Data       []float32
-}
-
-// New32 returns a zero-initialised rows×cols float32 matrix.
-func New32(rows, cols int) *Matrix32 {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("mat: negative dimension %dx%d", rows, cols))
-	}
-	return &Matrix32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
-// Shape returns "RxC" for error messages and logs.
-func (m *Matrix32) Shape() string { return fmt.Sprintf("%dx%d", m.Rows, m.Cols) }
-
-// Row returns a view (not a copy) of row i.
-func (m *Matrix32) Row(i int) []float32 {
-	if i < 0 || i >= m.Rows {
-		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.Rows))
-	}
-	return m.Data[i*m.Cols : (i+1)*m.Cols]
-}
-
-// ViewRows repoints view at rows [lo, hi) of m without copying, exactly
-// like Matrix.ViewRows. Mutating the view mutates m.
-func (m *Matrix32) ViewRows(lo, hi int, view *Matrix32) *Matrix32 {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(fmt.Sprintf("mat: ViewRows [%d,%d) out of range %d", lo, hi, m.Rows))
-	}
-	view.Rows = hi - lo
-	view.Cols = m.Cols
-	view.Data = m.Data[lo*m.Cols : hi*m.Cols]
-	return view
-}
-
-// NumBytes returns the in-memory payload size of the matrix data in
-// bytes (4 per element), used for EPC accounting and transfer costing.
-func (m *Matrix32) NumBytes() int64 { return int64(len(m.Data)) * 4 }
-
-// Equal reports whether m and o are bit-identical in shape and values.
-func (m *Matrix32) Equal(o *Matrix32) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if v != o.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ArgmaxRowsInto writes, for each row, the column index of its maximum
-// value into dst (first maximum wins, matching Matrix.ArgmaxRowsInto).
-func (m *Matrix32) ArgmaxRowsInto(dst []int) {
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("mat: ArgmaxRowsInto dst length %d != %d rows", len(dst), m.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		if len(row) == 0 {
-			dst[i] = 0
-			continue
-		}
-		best, arg := row[0], 0
-		for j, v := range row {
-			if v > best {
-				best, arg = v, j
-			}
-		}
-		dst[i] = arg
-	}
-}
-
 // MatrixI8 is a dense row-major matrix of symmetric-quantized int8
 // codes. A code q represents the real value q·scale; the scale lives
 // outside the matrix (per-value activation scales and per-column weight
@@ -193,38 +114,6 @@ func (m *MatrixI8) ArgmaxRowsInto(dst []int) {
 		}
 		dst[i] = arg
 	}
-}
-
-// Convert32Into narrows the float64 matrix src into dst element-wise
-// (round-to-nearest-even, the hardware float64→float32 conversion).
-// Shapes must match; dst must not alias src's backing array.
-func Convert32Into(dst *Matrix32, src *Matrix) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("mat: Convert32Into shape mismatch %s vs %s", dst.Shape(), src.Shape()))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = float32(v)
-	}
-}
-
-// Widen32Into widens the float32 matrix src into the float64 dst
-// element-wise (exact). Shapes must match.
-func Widen32Into(dst *Matrix, src *Matrix32) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("mat: Widen32Into shape mismatch %s vs %s", dst.Shape(), src.Shape()))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = float64(v)
-	}
-}
-
-// Copy32Into copies src into dst; shapes must match. The float32
-// counterpart of CopyInto, used to flush staged tiles into spill buffers.
-func Copy32Into(dst, src *Matrix32) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("mat: Copy32Into shape mismatch %s vs %s", dst.Shape(), src.Shape()))
-	}
-	copy(dst.Data, src.Data)
 }
 
 // CopyI8Into copies src into dst; shapes must match.

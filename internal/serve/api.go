@@ -64,7 +64,7 @@ type APIConfig struct {
 	// prices exactly what an extraction adversary consumes.
 	Limit *RateLimit
 	// Precision labels every request metric with the fleet's serving
-	// precision tier ("fp64", "fp32", "int8"). Empty defaults to "fp64".
+	// precision tier ("fp64" or "int8"). Empty defaults to "fp64".
 	Precision string
 	// Trace, when non-nil, is the flight recorder's span ring; it opens
 	// the GET /debug/trace endpoint. The same ring should be wired into
