@@ -23,22 +23,21 @@ bench:
 	$(GO) test -run '^$$' -bench 'SubgraphPredict|FullGraphNodeQuery|TiledFullGraph|VaultPredictInto|RegistryServe' -benchmem .
 
 # The perf trajectory tracked across PRs, one JSON artifact per serving
-# surface: BENCH_subgraph.json (node-query latency sweep), BENCH_core.json
-# (full-graph PredictInto, untiled vs tiled), BENCH_serve.json (registry
-# serving under EPC pressure), BENCH_attack.json (link-stealing AUC and
-# extraction fidelity per serving defense, priced against throughput —
-# checked against the committed ceilings in ci/attack_thresholds.json),
+# surface: BENCH_subgraph.json (node-query latency sweep),
+# BENCH_attack.json (link-stealing AUC and extraction fidelity per
+# serving defense, priced against throughput — checked against the
+# committed ceilings in ci/attack_thresholds.json),
 # BENCH_obs.json (flight-recorder overhead, no-op vs live span ring —
 # gated at ≤5% by -obs-check), and BENCH_shard.json (multi-enclave shard
 # fleet: full-graph throughput, p99, and halo traffic vs shard count at a
-# fixed per-shard EPC budget). The engine and precision tiers are tracked
-# by `go run ./bench` (full_fp64, full_int8_tiled), not here.
+# fixed per-shard EPC budget). The engine, the precision tiers, tiled vs
+# untiled full-graph plans and registry serving under EPC pressure are
+# tracked by `go run ./bench` (full_fp64, full_int8_tiled, vault_churn),
+# not here.
 # Override SIZES for bigger graphs, e.g. `make bench-json SIZES=100000,200000`.
 SIZES ?= 20000,50000
 bench-json:
 	$(GO) run ./cmd/experiments -run ext-subgraph -epochs 3 -sizes $(SIZES) -bench-out BENCH_subgraph.json
-	$(GO) run ./cmd/experiments -run ext-core -epochs 3 -bench-out BENCH_core.json
-	$(GO) run ./cmd/experiments -run ext-serve -epochs 3 -bench-out BENCH_serve.json
 	$(GO) run ./cmd/experiments -run ext-attack -epochs 30 -bench-out BENCH_attack.json -attack-check ci/attack_thresholds.json
 	$(GO) run ./cmd/experiments -run ext-obs -epochs 3 -bench-out BENCH_obs.json -obs-check
 	$(GO) run ./cmd/experiments -run ext-shard -epochs 3 -sizes $(SIZES) -bench-out BENCH_shard.json
@@ -62,7 +61,8 @@ chaos-smoke:
 # Short fuzz passes over the engine and attack-surface invariants:
 # induced-subgraph extraction, tiled-vs-direct execution equivalence, int8
 # accuracy + within-tier bit-identity, sharded-vs-single-enclave
-# bit-identity across fuzzed shapes × shard counts × {fp64, int8}, and the
+# bit-identity across fuzzed shapes × shard counts × {fp64, int8}, bundle
+# import under hostile manifests (an error, never a panic), and the
 # attack math (AUC/Fidelity in [0,1], no panics) under degenerate
 # observation surfaces — plus the row-accumulate and requantise-row
 # kernels (assembly vs the literal contracts). This is the one list of
@@ -77,4 +77,5 @@ fuzz-smoke:
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzTiledExec -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzShardedExec -fuzztime $(FUZZTIME) ./internal/exec/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzImport -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzAttackSurface -fuzztime $(FUZZTIME) ./internal/attack/

@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run: table1|table2|table3|table4|fig4|fig5|fig6|ext-arch|ext-labelonly|ext-extract|ext-stream|ext-subgraph|ext-core|ext-serve|ext-attack|ext-obs|ext-shard|all")
+	run := flag.String("run", "all", "experiment to run: table1|table2|table3|table4|fig4|fig5|fig6|ext-arch|ext-labelonly|ext-extract|ext-stream|ext-subgraph|ext-attack|ext-obs|ext-shard|all")
 	epochs := flag.Int("epochs", 200, "training epochs per model")
 	seed := flag.Int64("seed", 1, "random seed")
 	datasetsFlag := flag.String("datasets", "", "comma-separated dataset subset (default: all)")
@@ -82,16 +82,6 @@ func main() {
 			bench.add("subgraph_node_query", rows)
 			return t
 		},
-		"ext-core": func() string {
-			rows, t := experiments.ExtCore(opts)
-			bench.add("core_predict_into", rows)
-			return t
-		},
-		"ext-serve": func() string {
-			rows, t := experiments.ExtServe(opts)
-			bench.add("registry_serving", rows)
-			return t
-		},
 		"ext-attack": func() string {
 			rows, t := experiments.ExtAttack(opts)
 			bench.add("attack_surface", rows)
@@ -110,7 +100,7 @@ func main() {
 			return t
 		},
 	}
-	order := []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "table4", "ext-arch", "ext-labelonly", "ext-extract", "ext-stream", "ext-subgraph", "ext-core", "ext-serve", "ext-attack", "ext-obs", "ext-shard"}
+	order := []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "table4", "ext-arch", "ext-labelonly", "ext-extract", "ext-stream", "ext-subgraph", "ext-attack", "ext-obs", "ext-shard"}
 
 	selected := strings.Split(*run, ",")
 	if *run == "all" {
@@ -236,7 +226,7 @@ type benchDoc map[string]any
 func (d benchDoc) add(key string, rows any) { d[key] = rows }
 
 // write serialises the accumulated document to path (the perf-tracking
-// artifacts: BENCH_subgraph.json, BENCH_core.json, BENCH_serve.json). A
+// artifacts: BENCH_subgraph.json, BENCH_attack.json, …). A
 // run whose selected experiments emitted nothing writes nothing.
 func (d benchDoc) write(path string) error {
 	if len(d) == 0 {

@@ -7,13 +7,15 @@
 //
 // The implementation lives under internal/: mat (dense kernels), graph
 // (sparse adjacency + generators, including a power-law generator for
-// serving-scale graphs), nn (backprop layers + Adam), datasets
+// serving-scale graphs), nn (training: backprop layers + Adam, and the
+// reference forward every planned answer is tested against), datasets
 // (synthetic stand-ins for the paper's datasets), substitute (KNN / cosine
 // / random substitute graphs), subgraph (L-hop frontier expansion and
 // induced-CSR extraction for node-level minibatch serving), exec (the
-// tiled streaming executor: forward passes compiled to flat op programs,
+// tiled streaming executor: forward passes of every conv kind — GCN,
+// GraphSAGE, GAT — compiled to flat op programs with no opaque ops,
 // epilogue-fused, and run direct, row-tile-streamed, or tile-parallel
-// under a fixed EPC budget), core
+// under a fixed EPC budget, at fp64 or int8), core
 // (backbone, rectifiers, vault deployment and allocation-free inference
 // plans — full-graph and subgraph, untiled or EPC-budgeted), enclave
 // (SGX software model), registry (EPC-aware scheduling of a multi-vault

@@ -22,7 +22,9 @@ type Backbone struct {
 	// SubGraph is the substitute graph (nil for the DNN backbone). It is
 	// public by construction: derived from node features only.
 	SubGraph *graph.Graph
-	adj      *graph.NormAdjacency
+	// adj is the operator the convs aggregate over (convOperator of
+	// Spec.Conv on SubGraph); nil for the DNN backbone.
+	adj *graph.NormAdjacency
 	// FeatureDim is the input feature width the model was built for.
 	FeatureDim int
 	// BlockDims are the widths of the per-block embeddings, hidden dims
@@ -32,25 +34,22 @@ type Backbone struct {
 	convIdx []int
 }
 
-// appendBlockOutputs extracts the per-block embeddings from a
-// ForwardCollect activation list into dst: the post-activation output of
-// each hidden block and the final logits. These are the tensors that cross
-// into the enclave. Shared by the allocating and workspace paths so the
+// blockOutputs selects the per-block embeddings from a per-layer list:
+// the post-activation output of each hidden block and the final logits.
+// These are the tensors that cross into the enclave. The reference forward
+// (Embeddings, over ForwardCollect's activations) and the compiler
+// (lowerInto, over program value ids) both select through it, so the
 // block-selection rule lives in one place.
-func (b *Backbone) appendBlockOutputs(dst []*mat.Matrix, acts []*mat.Matrix) []*mat.Matrix {
+func blockOutputs[T any](b *Backbone, acts []T) []T {
+	out := make([]T, 0, len(b.convIdx))
 	for i, ci := range b.convIdx {
 		idx := ci
 		if i < len(b.convIdx)-1 {
 			idx = ci + 1 // the ReLU following the conv
 		}
-		dst = append(dst, acts[idx])
+		out = append(out, acts[idx])
 	}
-	return dst
-}
-
-// blockOutputs is the allocating form of appendBlockOutputs.
-func (b *Backbone) blockOutputs(acts []*mat.Matrix) []*mat.Matrix {
-	return b.appendBlockOutputs(make([]*mat.Matrix, 0, len(b.convIdx)), acts)
+	return out
 }
 
 // Embeddings runs the backbone in inference mode and returns the per-block
@@ -59,7 +58,7 @@ func (b *Backbone) blockOutputs(acts []*mat.Matrix) []*mat.Matrix {
 // world, and the payload GNNVault ships to the rectifier.
 func (b *Backbone) Embeddings(x *mat.Matrix) []*mat.Matrix {
 	_, acts := b.Model.ForwardCollect(x, false)
-	return b.blockOutputs(acts)
+	return blockOutputs(b, acts)
 }
 
 // Logits runs the backbone and returns its raw (low-accuracy) predictions.
@@ -70,34 +69,49 @@ func (b *Backbone) Logits(x *mat.Matrix) *mat.Matrix {
 // NumParams returns θ_bb.
 func (b *Backbone) NumParams() int { return b.Model.NumParams() }
 
-// newGraphConv constructs one conv layer of the requested architecture
-// over g (with adj its precomputed GCN normalisation, shared across
-// layers).
-func newGraphConv(rng *rand.Rand, kind ConvKind, inDim, outDim int, g *graph.Graph, adj *graph.NormAdjacency) nn.GraphConv {
+// convOperator builds, once per model, the operator the convs of the
+// requested architecture aggregate over g with — GCN's normalised Â,
+// GraphSAGE's neighbour mean D⁻¹A, GAT's self-loop structure — and the
+// constructor of a conv layer over it. The operator is what the compiled
+// programs reference and therefore what deployment charges; the transpose
+// SAGE's backward pass needs is built beside it, once, as a training-side
+// cache that is not enclave state.
+func convOperator(kind ConvKind, g *graph.Graph) (*graph.NormAdjacency, func(rng *rand.Rand, inDim, outDim int) nn.GraphConv) {
 	switch kind {
 	case ConvGCN, "":
-		return nn.NewGCNConv(rng, inDim, outDim, adj)
+		op := graph.Normalize(g)
+		return op, func(rng *rand.Rand, in, out int) nn.GraphConv { return nn.NewGCNConv(rng, in, out, op) }
 	case ConvSAGE:
-		return nn.NewSAGEConv(rng, inDim, outDim, g)
+		op := graph.MeanAdjacency(g)
+		opT := op.Transpose()
+		return op, func(rng *rand.Rand, in, out int) nn.GraphConv { return nn.NewSAGEConv(rng, in, out, op, opT) }
 	case ConvGAT:
-		return nn.NewGATConv(rng, inDim, outDim, g)
+		op := graph.SelfLoopAdjacency(g)
+		return op, func(rng *rand.Rand, in, out int) nn.GraphConv { return nn.NewGATConv(rng, in, out, op) }
 	default:
 		panic(fmt.Sprintf("core: unknown conv kind %q", kind))
 	}
 }
 
 // buildBackboneModel assembles the layer stack. For GNN backbones each
-// block is a graph conv (+ReLU+Dropout except the last); the DNN backbone
-// uses Dense layers (an MLP on raw features, Table III's first column).
-func buildBackboneModel(rng *rand.Rand, spec ModelSpec, inDim, classes int, g *graph.Graph, adj *graph.NormAdjacency) (*nn.Model, []int, []int) {
+// block is a graph conv (+ReLU+Dropout except the last) over the spec's
+// convOperator on g, which is returned as the last result; the DNN
+// backbone (nil g) uses Dense layers (an MLP on raw features, Table III's
+// first column) and has no operator.
+func buildBackboneModel(rng *rand.Rand, spec ModelSpec, inDim, classes int, g *graph.Graph) (*nn.Model, []int, []int, *graph.NormAdjacency) {
 	dims := append(append([]int{}, spec.BackboneHidden...), classes)
 	var layers []nn.Layer
 	var convIdx []int
+	var adj *graph.NormAdjacency
+	var newConv func(rng *rand.Rand, inDim, outDim int) nn.GraphConv
+	if g != nil {
+		adj, newConv = convOperator(spec.Conv, g)
+	}
 	prev := inDim
 	for i, d := range dims {
 		convIdx = append(convIdx, len(layers))
 		if g != nil {
-			layers = append(layers, newGraphConv(rng, spec.Conv, prev, d, g, adj))
+			layers = append(layers, newConv(rng, prev, d))
 		} else {
 			layers = append(layers, nn.NewDense(rng, prev, d))
 		}
@@ -109,7 +123,7 @@ func buildBackboneModel(rng *rand.Rand, spec ModelSpec, inDim, classes int, g *g
 		}
 		prev = d
 	}
-	return nn.NewModel(layers...), dims, convIdx
+	return nn.NewModel(layers...), dims, convIdx, adj
 }
 
 // TrainBackbone trains the public backbone of GNNVault on ds using the
@@ -118,11 +132,7 @@ func buildBackboneModel(rng *rand.Rand, spec ModelSpec, inDim, classes int, g *g
 // paper's p_bb.
 func TrainBackbone(ds *datasets.Dataset, spec ModelSpec, kind substitute.Kind, sub *graph.Graph, cfg TrainConfig) *Backbone {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	var adj *graph.NormAdjacency
-	if sub != nil {
-		adj = graph.Normalize(sub)
-	}
-	model, dims, convIdx := buildBackboneModel(rng, spec, ds.X.Cols, ds.NumClasses, sub, adj)
+	model, dims, convIdx, adj := buildBackboneModel(rng, spec, ds.X.Cols, ds.NumClasses, sub)
 	trainModel(model, ds.X, ds.Labels, ds.TrainMask, cfg)
 	return &Backbone{
 		Spec: spec, Kind: kind, Model: model,
@@ -137,8 +147,7 @@ func TrainBackbone(ds *datasets.Dataset, spec ModelSpec, kind substitute.Kind, s
 // surface of Table IV.
 func TrainOriginal(ds *datasets.Dataset, spec ModelSpec, cfg TrainConfig) *Backbone {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	adj := graph.Normalize(ds.Graph)
-	model, dims, convIdx := buildBackboneModel(rng, spec, ds.X.Cols, ds.NumClasses, ds.Graph, adj)
+	model, dims, convIdx, adj := buildBackboneModel(rng, spec, ds.X.Cols, ds.NumClasses, ds.Graph)
 	trainModel(model, ds.X, ds.Labels, ds.TrainMask, cfg)
 	return &Backbone{
 		Spec: spec, Kind: "original", Model: model,

@@ -374,11 +374,10 @@ func TestDeployNonGCNRectifier(t *testing.T) {
 
 func TestNewGraphConvUnknownPanics(t *testing.T) {
 	ds := tinyDataset()
-	rng := rand.New(rand.NewSource(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unknown conv kind did not panic")
 		}
 	}()
-	newGraphConv(rng, ConvKind("transformer"), 3, 2, ds.Graph, nil)
+	convOperator(ConvKind("transformer"), ds.Graph)
 }

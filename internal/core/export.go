@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"gnnvault/internal/bundle"
 	"gnnvault/internal/enclave"
@@ -36,19 +38,86 @@ func (v *Vault) Export(dataset string) ([]byte, error) {
 	return b.Marshal()
 }
 
+// ErrBadBundle is returned by Import, wrapped with the offending field,
+// for a bundle whose manifest does not describe a deployment this build
+// can construct: an unknown model spec, conv kind or design, a
+// non-positive dimension, or dimensions that disagree with the sections
+// they describe. The manifest is outside input — the bundle's hash is an
+// integrity check anyone can recompute, not an authenticator.
+var ErrBadBundle = errors.New("core: bad bundle")
+
+// convParamBytes returns the marshalled size of one in×out conv layer's
+// parameters (nn.Model.MarshalParams: per tensor an 8-byte shape header
+// and 8 bytes a scalar).
+func convParamBytes(kind ConvKind, in, out int64) int64 {
+	switch kind {
+	case ConvSAGE: // W_self, W_nbr, b
+		return 3*8 + 8*(2*in*out+out)
+	case ConvGAT: // W, aₛ, aₜ, b
+		return 4*8 + 8*(in*out+3*out)
+	default: // GCN: W, b
+		return 2*8 + 8*(in*out+out)
+	}
+}
+
+// checkManifest validates a bundle manifest, before any constructor sees
+// it, and resolves its model spec. The backbone parameter section's
+// length must equal what the manifest's dimensions imply — by arithmetic,
+// so a forged FeatureDim or Classes is refused before any weight matrix of
+// that size is allocated.
+func checkManifest(man bundle.Manifest, bbParams []byte) (ModelSpec, error) {
+	newSpec, ok := specs[man.ModelSpec]
+	if !ok {
+		return ModelSpec{}, fmt.Errorf("%w: unknown model spec %q", ErrBadBundle, man.ModelSpec)
+	}
+	spec := newSpec()
+	spec.Conv = ConvKind(man.Conv)
+	if spec.Conv != "" && !slices.Contains(ConvKinds, spec.Conv) {
+		return spec, fmt.Errorf("%w: unknown conv kind %q", ErrBadBundle, man.Conv)
+	}
+	if !slices.Contains(Designs, RectifierDesign(man.Design)) {
+		return spec, fmt.Errorf("%w: unknown rectifier design %q", ErrBadBundle, man.Design)
+	}
+	if man.Nodes <= 0 {
+		return spec, fmt.Errorf("%w: nodes %d", ErrBadBundle, man.Nodes)
+	}
+	// Neither width can exceed the section's scalar count, which also
+	// keeps the products below inside int64.
+	if limit := len(bbParams) / 8; man.Classes <= 0 || man.Classes > limit || man.FeatureDim <= 0 || man.FeatureDim > limit {
+		return spec, fmt.Errorf("%w: classes %d, feature_dim %d with %d parameter bytes", ErrBadBundle, man.Classes, man.FeatureDim, len(bbParams))
+	}
+	want, in := int64(8), int64(man.FeatureDim) // magic + tensor count
+	for _, out := range append(append([]int{}, spec.BackboneHidden...), man.Classes) {
+		want += convParamBytes(spec.Conv, in, int64(out))
+		in = int64(out)
+	}
+	if int64(len(bbParams)) != want {
+		return spec, fmt.Errorf("%w: backbone parameters are %d bytes, manifest dimensions (%s, feature_dim %d, classes %d) imply %d",
+			ErrBadBundle, len(bbParams), man.ModelSpec, man.FeatureDim, man.Classes, want)
+	}
+	return spec, nil
+}
+
 // Import reconstructs a deployable Vault from a bundle on a device: it
-// rebuilds the public backbone from the clear sections, launches a
-// rectifier enclave of the architecture named in the manifest, verifies
-// the measurement matches the bundle's, and unseals the private sections
-// inside it.
+// validates the manifest (ErrBadBundle), rebuilds the public backbone
+// from the clear sections, launches a rectifier enclave of the
+// architecture named in the manifest, verifies the measurement matches
+// the bundle's, unseals the private sections inside it and charges the
+// persistent residents exactly as Deploy does.
 func Import(data []byte, cost enclave.CostModel) (*Vault, error) {
 	b, err := bundle.Unmarshal(data)
 	if err != nil {
 		return nil, err
 	}
 	man := b.Manifest
-	spec := SpecByName(man.ModelSpec)
-	spec.Conv = ConvKind(man.Conv)
+	bbParams, ok := b.Section(bundle.SectionBackboneParams)
+	if !ok {
+		return nil, fmt.Errorf("core: bundle missing backbone parameters")
+	}
+	spec, err := checkManifest(man, bbParams)
+	if err != nil {
+		return nil, err
+	}
 
 	subCOO, ok := b.Section(bundle.SectionSubstituteCOO)
 	if !ok {
@@ -58,15 +127,13 @@ func Import(data []byte, cost enclave.CostModel) (*Vault, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: substitute graph: %w", err)
 	}
+	if sub.N() != man.Nodes {
+		return nil, fmt.Errorf("%w: nodes %d, substitute graph has %d", ErrBadBundle, man.Nodes, sub.N())
+	}
 
 	// Rebuild the public backbone.
 	rng := rand.New(rand.NewSource(0)) // weights are overwritten below
-	adj := graph.Normalize(sub)
-	model, dims, convIdx := buildBackboneModel(rng, spec, man.FeatureDim, man.Classes, sub, adj)
-	bbParams, ok := b.Section(bundle.SectionBackboneParams)
-	if !ok {
-		return nil, fmt.Errorf("core: bundle missing backbone parameters")
-	}
+	model, dims, convIdx, adj := buildBackboneModel(rng, spec, man.FeatureDim, man.Classes, sub)
 	if err := model.UnmarshalParams(bbParams); err != nil {
 		return nil, fmt.Errorf("core: backbone parameters: %w", err)
 	}
@@ -106,6 +173,9 @@ func Import(data []byte, cost enclave.CostModel) (*Vault, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: private graph: %w", err)
 	}
+	if private.N() != man.Nodes {
+		return nil, fmt.Errorf("%w: nodes %d, private graph has %d", ErrBadBundle, man.Nodes, private.N())
+	}
 	rec := NewRectifierConv(rng, RectifierDesign(man.Design), spec.Conv,
 		dims, spec.RectifierHidden, man.Classes, private)
 	recParams, err := encl.Unseal(sealedRec)
@@ -115,20 +185,5 @@ func Import(data []byte, cost enclave.CostModel) (*Vault, error) {
 	if err := rec.UnmarshalParams(recParams); err != nil {
 		return nil, fmt.Errorf("core: rectifier parameters: %w", err)
 	}
-
-	if err := encl.Alloc(rec.ParamBytes()); err != nil {
-		return nil, fmt.Errorf("core: rectifier parameters do not fit EPC: %w", err)
-	}
-	if err := encl.Alloc(rec.Adjacency().NumBytes()); err != nil {
-		return nil, fmt.Errorf("core: private adjacency does not fit EPC: %w", err)
-	}
-	rec.SetSerial(true)
-	return &Vault{
-		Backbone:     bb,
-		Enclave:      encl,
-		rectifier:    rec,
-		privateGraph: private,
-		sealedParams: sealedRec,
-		sealedGraph:  sealedGraph,
-	}, nil
+	return admit(encl, bb, rec, private, sealedRec, sealedGraph, rec.Adjacency().NumBytes())
 }

@@ -1,0 +1,205 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"gnnvault/internal/exec"
+	"gnnvault/internal/graph"
+	"gnnvault/internal/mat"
+	"gnnvault/internal/nn"
+)
+
+// TestPlanModesMatchReference is the one table every planned answer is
+// held to the reference forward from: conv kind × rectifier design ×
+// full-graph plan mode, on the cora fixture. The reference is the nn
+// forward — Vault.Predict's labels, Rectifier.Forward's logits — which
+// shares no code with the compiled programs above the kernels.
+//
+// fp64 modes must reproduce the reference labels exactly and its logits
+// to 1e-9, and the tiled and tile-parallel logits must equal the direct
+// plan's bit for bit. An int8 plan is either admitted by the calibration
+// gate — then its tiled labels equal its direct labels — or refused with
+// ErrCalibrationFailed, the same way in both modes; any other error, or a
+// disagreement between the modes, fails. The budgeted tile-parallel cell
+// also carries the EPC claim: the charge stays inside the budget plus the
+// attention scratch rows the program declares, and below the direct
+// plan's.
+func TestPlanModesMatchReference(t *testing.T) {
+	const budget = 1 << 20
+	modes := []struct {
+		name string
+		cfg  PlanConfig
+	}{
+		{"direct", PlanConfig{}},
+		{"tiled", PlanConfig{TileRows: 97}},
+		{"tile-parallel", PlanConfig{EPCBudgetBytes: budget, Workers: 3}},
+		{"int8", PlanConfig{Precision: PrecisionInt8}},
+		{"int8-tiled", PlanConfig{Precision: PrecisionInt8, TileRows: 97}},
+	}
+	for _, conv := range ConvKinds {
+		for _, design := range Designs {
+			t.Run(fmt.Sprintf("%s/%s", conv, design), func(t *testing.T) {
+				ds, v := convTestVault(t, conv, design, 5)
+				n := ds.X.Rows
+				if err := v.SetCalibrationFeatures(ds.X); err != nil {
+					t.Fatal(err)
+				}
+				wantLabels, _, err := v.Predict(ds.X)
+				if err != nil {
+					t.Fatalf("Predict: %v", err)
+				}
+				wantLogits := v.rectifier.Forward(selectEmbeddings(v.Backbone.Embeddings(ds.X), v.rectifier.RequiredEmbeddings()), false)
+
+				// One attention scratch row is the structure's longest row.
+				scratchRow := int64(0)
+				if st := v.rectifier.Adjacency(); conv == ConvGAT {
+					for i := 0; i < st.N; i++ {
+						scratchRow = max(scratchRow, int64(st.RowPtr[i+1]-st.RowPtr[i])*8)
+					}
+				}
+
+				var directLogits []float64 // fp64 direct plan's, for bit-identity
+				var directEPC int64
+				var i8Labels []int // int8 direct plan's; nil when the gate refused it
+				var i8Err error
+				for _, mode := range modes {
+					t.Run(mode.name, func(t *testing.T) {
+						ws, err := v.PlanWith(n, mode.cfg)
+						if mode.cfg.Precision == PrecisionInt8 {
+							if err != nil && !errors.Is(err, ErrCalibrationFailed) {
+								t.Fatalf("int8 plan failed for something other than its measured agreement: %v", err)
+							}
+							if mode.name == "int8" {
+								i8Err = err
+							} else if (err == nil) != (i8Err == nil) {
+								t.Fatalf("gate admitted one int8 mode and refused the other: direct %v, tiled %v", i8Err, err)
+							}
+							if err != nil {
+								t.Logf("refused: %v", err)
+								return
+							}
+						} else if err != nil {
+							t.Fatalf("PlanWith: %v", err)
+						}
+						defer ws.Release()
+						scores, labels, _, err := v.PredictScoresInto(ds.X, ws)
+						if err != nil {
+							t.Fatalf("PredictScoresInto: %v", err)
+						}
+						if mode.cfg.Precision == PrecisionInt8 {
+							agree := 0
+							for i, l := range labels {
+								if l == wantLabels[i] {
+									agree++
+								}
+							}
+							t.Logf("admitted: %d/%d labels agree with fp64", agree, n)
+							if float64(agree) < DefaultMinAgreement*float64(n) {
+								t.Fatalf("admitted below the floor: %d/%d", agree, n)
+							}
+							if i8Labels == nil {
+								i8Labels = append(i8Labels, labels...)
+							}
+							for i, l := range labels {
+								if l != i8Labels[i] {
+									t.Fatalf("label[%d] = %d, int8 direct plan says %d", i, l, i8Labels[i])
+								}
+							}
+							return
+						}
+						for i, l := range labels {
+							if l != wantLabels[i] {
+								t.Fatalf("label[%d] = %d, Vault.Predict says %d", i, l, wantLabels[i])
+							}
+						}
+						for i, s := range scores.Data {
+							if math.Abs(s-wantLogits.Data[i]) > 1e-9 {
+								t.Fatalf("logit %d = %g, Rectifier.Forward says %g", i, s, wantLogits.Data[i])
+							}
+						}
+						if directLogits == nil {
+							directLogits, directEPC = append(directLogits, scores.Data...), ws.EnclaveBytes()
+						}
+						for i, s := range scores.Data {
+							if math.Float64bits(s) != math.Float64bits(directLogits[i]) {
+								t.Fatalf("logit %d = %x, direct plan computed %x", i, math.Float64bits(s), math.Float64bits(directLogits[i]))
+							}
+						}
+						if mode.cfg.EPCBudgetBytes > 0 {
+							epc, scratch := ws.EnclaveBytes(), int64(ws.TileWorkers())*scratchRow
+							if epc > budget+scratch || epc >= directEPC {
+								t.Fatalf("budgeted plan charges %d B: want <= budget %d + scratch rows %d, and below the direct plan's %d", epc, budget, scratch, directEPC)
+							}
+						}
+					})
+				}
+			})
+		}
+	}
+}
+
+// TestDeployChargesTheOperatorRead: for every conv kind the adjacency a
+// deployment charges is the one operator its compiled rectifier program
+// references — GCN's Â, SAGE's mean, GAT's structure — built once and
+// shared by every conv, not a GCN normalisation the program never reads
+// beside private per-layer copies nobody priced.
+func TestDeployChargesTheOperatorRead(t *testing.T) {
+	for _, conv := range ConvKinds {
+		t.Run(string(conv), func(t *testing.T) {
+			ds, v := convTestVault(t, conv, Parallel, 1)
+			op := v.rectifier.Adjacency()
+			reads := 0
+			for _, o := range v.rectifier.compileRectifier(ds.X.Rows, nil, nil).Ops() {
+				if o.CSR != nil {
+					reads++
+					if o.CSR != op {
+						t.Fatalf("%s op aggregates over an operator other than Rectifier.Adjacency()", o.Kind)
+					}
+				}
+			}
+			if reads != len(v.rectifier.convs) {
+				t.Fatalf("%d ops read an operator, want one per conv (%d)", reads, len(v.rectifier.convs))
+			}
+			if got, want := v.PersistentBytes(), v.rectifier.ParamBytes()+op.NumBytes(); got != want || v.Enclave.EPCUsed() != want {
+				t.Fatalf("persistent charge %d B (%d B used), want parameters + the operator read = %d", got, v.Enclave.EPCUsed(), want)
+			}
+			if est := EnclaveMemoryEstimate(v.rectifier, v.Backbone.BlockDims, ds.X.Rows); est <= v.PersistentBytes() {
+				t.Fatalf("memory estimate %d B does not cover the persistent residents %d B", est, v.PersistentBytes())
+			}
+		})
+	}
+}
+
+// TestMultiHeadGATLowers: a multi-head GAT layer — which no ConvKind
+// builds, but the compiler accepts — lowers to its heads and a Concat,
+// and the compiled backbone reproduces the nn forward's block embeddings.
+func TestMultiHeadGATLowers(t *testing.T) {
+	ds := tinyDataset()
+	rng := rand.New(rand.NewSource(3))
+	st := graph.SelfLoopAdjacency(ds.Graph)
+	bb := &Backbone{
+		Model:      nn.NewModel(nn.NewMultiHeadGAT(rng, ds.X.Cols, 8, 2, st), nn.NewReLU(), nn.NewGATConv(rng, 8, ds.NumClasses, st)),
+		SubGraph:   ds.Graph,
+		adj:        st,
+		FeatureDim: ds.X.Cols,
+		BlockDims:  []int{8, ds.NumClasses},
+		convIdx:    []int{0, 2},
+	}
+	prog, vals := bb.compileBackbone(ds.X.Rows, nil, []int{0, 1})
+	for _, cfg := range []exec.Config{{Workers: 1}, {TileRows: 7, Workers: 3}} {
+		mach, err := prog.NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mach.Run(ds.X.Rows, []*mat.Matrix{ds.X}, nil)
+		for i, want := range bb.Embeddings(ds.X) {
+			if !mach.Value(vals[i]).EqualApprox(want, 1e-9) {
+				t.Fatalf("%+v: block %d disagrees with the nn forward", cfg, i)
+			}
+		}
+	}
+}

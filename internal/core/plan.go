@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -41,7 +40,10 @@ type PlanConfig struct {
 	// budget / (element bytes × widest program value × workers), clamped
 	// to [1, rows] — the whole worker pool's staging tiles fit the
 	// budget, and reduced-precision plans buy proportionally taller
-	// tiles from the same budget.
+	// tiles from the same budget. Every conv kind tiles. A GAT plan
+	// additionally charges one attention scratch row per worker (8 B ×
+	// the structure's longest row), declared by the program, on top of
+	// the tiles the budget sizes.
 	EPCBudgetBytes int64
 	// TileRows, when non-zero, fixes the tile height directly and
 	// overrides the budget derivation.
@@ -77,57 +79,6 @@ type PlanConfig struct {
 
 // tiled reports whether the config selects tiled streaming execution.
 func (c PlanConfig) tiled() bool { return c.EPCBudgetBytes > 0 || c.TileRows > 0 }
-
-// ErrTiledUnsupported is returned by PlanWith when an EPC budget (or tile
-// height) is requested for a deployment whose ops have no row-tileable
-// kernel decomposition — SAGE or GAT convolutions. Such vaults still plan
-// untiled.
-var ErrTiledUnsupported = errors.New("core: deployment has non-tileable convolutions; plan without an EPC budget")
-
-// RectifierWorkspace is a standalone execution context for one rectifier:
-// its design wiring compiled to an exec program plus a direct (fully
-// resident, single-threaded) machine. Vault plans embed the same program
-// in their own machines; this type exists for direct rectifier use in
-// tests and analysis.
-type RectifierWorkspace struct {
-	Rows     int
-	mach     *exec.Machine
-	extra    int64 // closure-held workspace bytes of opaque (non-GCN) convs
-	wantEmbs int
-}
-
-// Plan compiles the rectifier and sizes a direct workspace for inference
-// over rows nodes (rows must equal the private graph's node count; the
-// SpMM kernels check at execution).
-func (r *Rectifier) Plan(rows int) *RectifierWorkspace {
-	bld := exec.NewBuilder(rows)
-	needed := r.RequiredEmbeddings()
-	inputs := make([]int, 0, len(needed))
-	for _, i := range needed {
-		inputs = append(inputs, bld.Input(r.BackboneDims[i]))
-	}
-	var extra int64
-	r.lowerInto(bld, inputs, nil, nil, rows, 1, &extra)
-	mach, err := bld.Build().Fused().NewMachine(exec.Config{Workers: 1})
-	if err != nil {
-		panic(fmt.Sprintf("core: rectifier plan: %v", err))
-	}
-	return &RectifierWorkspace{Rows: rows, mach: mach, extra: extra, wantEmbs: len(needed)}
-}
-
-// NumBytes returns the rectifier workspace's buffer footprint: the
-// quantity an untiled plan charges against the EPC at plan time.
-func (ws *RectifierWorkspace) NumBytes() int64 { return ws.mach.BufferBytes() + ws.extra }
-
-// ForwardWS rectifies the transferred embeddings into logits using only
-// workspace memory. embs must match RequiredEmbeddings, in order; the
-// result aliases the workspace.
-func (r *Rectifier) ForwardWS(embs []*mat.Matrix, ws *RectifierWorkspace) *mat.Matrix {
-	if len(embs) != ws.wantEmbs {
-		panic(fmt.Sprintf("core: rectifier %s wants %d embeddings, got %d", r.Design, ws.wantEmbs, len(embs)))
-	}
-	return ws.mach.Run(ws.Rows, embs, nil)
-}
 
 // Workspace is a full inference plan for one vault: the compiled backbone
 // machine in the normal world, the compiled rectifier machine charged
@@ -170,8 +121,9 @@ func (v *Vault) Plan(rows int) (*Workspace, error) {
 // PlanWith fails with enclave.ErrEPCExhausted wrapped if the working set
 // does not fit — which for untiled plans bounds how many concurrent
 // workspaces one enclave can serve, and for tiled plans essentially never
-// happens — and with ErrTiledUnsupported when a budget is requested for
-// non-tileable (SAGE/GAT) convolutions.
+// happens. Every conv kind (GCN, GraphSAGE, GAT) plans in every mode: a
+// plan is refused for a resource reason or, at int8, a measured accuracy
+// one, never for its architecture.
 func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 	if v.undeployed.Load() {
 		return nil, fmt.Errorf("core: plan on undeployed vault")
@@ -183,19 +135,13 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 		return nil, fmt.Errorf("core: unknown plan precision %d", cfg.Precision)
 	}
 	elem := cfg.Precision.Elem()
-	prog, extra := v.rectifier.compileRectifier(rows, nil, nil)
-	if elem != exec.F64 && !prog.Tileable() {
-		return nil, fmt.Errorf("core: %s plan: %w", cfg.Precision, exec.ErrPrecisionUnsupported)
-	}
+	prog := v.rectifier.compileRectifier(rows, nil, nil)
 	rec := cfg.Recorder
 	if rec == nil {
 		rec = obs.Nop
 	}
 	machCfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec} // direct in-enclave: single-threaded
 	if cfg.tiled() {
-		if !prog.Tileable() {
-			return nil, ErrTiledUnsupported
-		}
 		workers := cfg.Workers
 		if workers < 1 {
 			workers = 1
@@ -248,13 +194,14 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 		ws.payload += int64(v.Backbone.BlockDims[i]) * int64(rows) * cfg.Precision.ElemBytes()
 	}
 	if machCfg.TileRows > 0 {
-		// Tiled: only the staging tiles (one per tile worker) are
-		// enclave-resident; activations and embeddings stream. The
-		// per-call flush traffic is charged as boundary transfer instead.
+		// Tiled: only the staging tiles and attention scratch rows (one
+		// each per tile worker) are enclave-resident; activations and
+		// embeddings stream. The per-call flush traffic is charged as
+		// boundary transfer instead.
 		ws.epc = mach.TileBytes()
 		ws.spill = mach.SpillTraffic(rows)
 	} else {
-		ws.epc = mach.BufferBytes() + extra + ws.payload
+		ws.epc = mach.BufferBytes() + ws.payload
 	}
 	if err := v.Enclave.Alloc(ws.epc); err != nil {
 		return nil, fmt.Errorf("core: inference workspace does not fit EPC: %w", err)

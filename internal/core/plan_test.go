@@ -14,9 +14,17 @@ import (
 // planTestVault trains a small vault quickly for plan/workspace tests.
 func planTestVault(t testing.TB, design RectifierDesign) (*datasets.Dataset, *Vault) {
 	t.Helper()
+	return convTestVault(t, "", design, 20)
+}
+
+// convTestVault is planTestVault with the conv kind of both halves and
+// the epoch count chosen.
+func convTestVault(t testing.TB, conv ConvKind, design RectifierDesign, epochs int) (*datasets.Dataset, *Vault) {
+	t.Helper()
 	ds := datasets.Load("cora")
-	cfg := TrainConfig{Epochs: 20, LR: 0.01, WeightDecay: 5e-4, Seed: 1}
+	cfg := TrainConfig{Epochs: epochs, LR: 0.01, WeightDecay: 5e-4, Seed: 1}
 	spec := SpecForDataset("cora")
+	spec.Conv = conv
 	bb := TrainBackbone(ds, spec, substitute.KindKNN, substitute.KNN(ds.X, 2), cfg)
 	rec := TrainRectifier(ds, bb, design, cfg)
 	v, err := Deploy(bb, rec, ds.Graph, enclave.DefaultCostModel())
@@ -64,22 +72,6 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 	}
 }
 
-func TestRectifierForwardWSMatchesForward(t *testing.T) {
-	for _, design := range Designs {
-		design := design
-		t.Run(string(design), func(t *testing.T) {
-			ds, v := planTestVault(t, design)
-			embs := selectEmbeddings(v.Backbone.Embeddings(ds.X), v.rectifier.RequiredEmbeddings())
-			want := v.rectifier.Forward(embs, false)
-			ws := v.rectifier.Plan(ds.X.Rows)
-			got := v.rectifier.ForwardWS(embs, ws)
-			if !got.EqualApprox(want, 1e-12) {
-				t.Fatal("ForwardWS disagrees with Forward")
-			}
-		})
-	}
-}
-
 // TestCompiledBackboneMatchesEmbeddings pins the compiled (fused)
 // backbone program to the reference nn forward: the block embeddings a
 // plan transfers must match what Backbone.Embeddings computes — to the
@@ -94,7 +86,7 @@ func TestCompiledBackboneMatchesEmbeddings(t *testing.T) {
 		ds, v := planTestVault(t, design)
 		want := v.Backbone.Embeddings(ds.X)
 		needed := v.rectifier.RequiredEmbeddings()
-		prog, blockVals, _ := v.Backbone.compileBackbone(ds.X.Rows, nil, 1, needed)
+		prog, blockVals := v.Backbone.compileBackbone(ds.X.Rows, nil, needed)
 		ops[design] = len(prog.Ops())
 		mach, err := prog.NewMachine(exec.Config{Workers: 1})
 		if err != nil {
@@ -135,22 +127,32 @@ func TestCompiledBackboneMatchesEmbeddings(t *testing.T) {
 // knob; the enclave side is single-threaded (serial kernels) by
 // construction.
 func TestPredictIntoAllocFree(t *testing.T) {
-	ds, v := planTestVault(t, Parallel)
-	ws, err := v.PlanWith(ds.X.Rows, PlanConfig{Workers: 1})
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	defer ws.Release()
-	if _, _, err := v.PredictInto(ds.X, ws); err != nil { // warm-up
-		t.Fatalf("warm-up: %v", err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := v.PredictInto(ds.X, ws); err != nil {
-			t.Fatalf("PredictInto: %v", err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state PredictInto allocates %.1f objects/op, want 0", allocs)
+	requireAllocFree(t, PlanConfig{Workers: 1})
+}
+
+// requireAllocFree pins steady-state PredictInto under cfg at zero heap
+// allocations, for a parallel vault of every conv kind.
+func requireAllocFree(t *testing.T, cfg PlanConfig) {
+	for _, conv := range ConvKinds {
+		t.Run(string(conv), func(t *testing.T) {
+			ds, v := convTestVault(t, conv, Parallel, 5)
+			ws, err := v.PlanWith(ds.X.Rows, cfg)
+			if err != nil {
+				t.Fatalf("PlanWith: %v", err)
+			}
+			defer ws.Release()
+			if _, _, err := v.PredictInto(ds.X, ws); err != nil { // warm-up
+				t.Fatalf("warm-up: %v", err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, _, err := v.PredictInto(ds.X, ws); err != nil {
+					t.Fatalf("PredictInto: %v", err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("steady-state PredictInto allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 

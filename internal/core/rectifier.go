@@ -49,16 +49,17 @@ func NewRectifierConv(rng *rand.Rand, design RectifierDesign, conv ConvKind, bac
 		panic("core: rectifier needs backbone block dims")
 	}
 	dims := append(append([]int{}, hidden...), classes)
+	adj, newConv := convOperator(conv, private)
 	r := &Rectifier{
 		Design:       design,
 		Conv:         conv,
 		BackboneDims: append([]int{}, backboneDims...),
 		Dims:         dims,
 		private:      private,
-		adj:          graph.Normalize(private),
+		adj:          adj,
 	}
 	for k := 0; k < len(dims); k++ {
-		r.convs = append(r.convs, newGraphConv(rng, conv, r.inDim(k), dims[k], private, r.adj))
+		r.convs = append(r.convs, newConv(rng, r.inDim(k), dims[k]))
 		if k < len(dims)-1 {
 			r.relus = append(r.relus, nn.NewReLU())
 		}
@@ -236,8 +237,10 @@ func (r *Rectifier) SetSerial(serial bool) {
 	}
 }
 
-// Adjacency exposes the normalised private adjacency (enclave-side use
-// only: deployment accounting and tests).
+// Adjacency exposes the private operator the rectifier's convs aggregate
+// over and its compiled programs reference — GCN's normalised Â, SAGE's
+// neighbour mean, GAT's self-loop structure (convOperator) — which is the
+// adjacency deployment charges. Enclave-side use only.
 func (r *Rectifier) Adjacency() *graph.NormAdjacency { return r.adj }
 
 // MarshalParams serialises the rectifier parameters (the blob that gets

@@ -35,8 +35,9 @@ import (
 // and throughput move, never an accuracy one.
 
 // ErrShardUnsupported is returned by DeploySharded for rectifiers the
-// fleet cannot run: non-GCN convolutions lower to opaque ops that cannot
-// participate in barrier-synchronised fleet execution.
+// fleet cannot run yet: only GCN has a halo lowering. A SAGE or GAT
+// fleet needs a partition per operator and, for attention, halo slots for
+// two values.
 var ErrShardUnsupported = errors.New("core: deployment not shardable (GCN rectifier required)")
 
 // ShardFault attributes a sharded-inference failure to the shard whose
@@ -245,11 +246,7 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 		if withHalo {
 			hs = exec.HaloSlots(part.Bounds, part.Halo[s])
 		}
-		prog, _ := sv.rectifier.compileRectifier(part.Rows(s), part.CSR[s], hs)
-		if !prog.Tileable() {
-			return nil, ErrShardUnsupported
-		}
-		progs[s] = prog
+		progs[s] = sv.rectifier.compileRectifier(part.Rows(s), part.CSR[s], hs)
 	}
 
 	needed := sv.rectifier.RequiredEmbeddings()
@@ -264,7 +261,7 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 	var baseScales [][]float64
 	var refLabels []int
 	if elem != exec.F64 {
-		fullProg, _ := sv.rectifier.compileRectifier(rows, nil, nil)
+		fullProg := sv.rectifier.compileRectifier(rows, nil, nil)
 		if baseScales, refLabels, _, err = sv.vaults[0].Load().calibrateReduced(fullProg, bbMach, blocks, cfg); err != nil {
 			return nil, err
 		}

@@ -85,18 +85,19 @@ func M3() ModelSpec {
 	return ModelSpec{Name: "M3", BackboneHidden: []int{256, 64, 32, 16}, RectifierHidden: []int{64, 32}, Dropout: 0.5}
 }
 
-// SpecByName returns the named model spec (M1, M2 or M3).
+// specs names the model families. Names that arrive from outside the
+// program (a bundle manifest) are looked up here and reported when
+// unknown; SpecByName is the panicking form for names the program wrote.
+var specs = map[string]func() ModelSpec{"M1": M1, "M2": M2, "M3": M3}
+
+// SpecByName returns the named model spec (M1, M2 or M3); an unknown
+// name is a programmer error and panics.
 func SpecByName(name string) ModelSpec {
-	switch name {
-	case "M1":
-		return M1()
-	case "M2":
-		return M2()
-	case "M3":
-		return M3()
-	default:
+	spec, ok := specs[name]
+	if !ok {
 		panic(fmt.Sprintf("core: unknown model spec %q", name))
 	}
+	return spec()
 }
 
 // SpecForDataset returns the paper's model assignment: M1 for the citation

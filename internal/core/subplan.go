@@ -48,8 +48,8 @@ var ErrNodeOutOfRange = errors.New("core: query node out of range")
 
 // ErrSubgraphUnsupported is returned by PlanSubgraph for deployments the
 // subgraph engine cannot serve: DNN backbones (no public graph to expand
-// over) and non-GCN convolutions (SAGE/GAT kernels are bound to their
-// full-graph operators).
+// over) and non-GCN convolutions (per-query induction re-creates GCN's
+// operator only, on both the public and the private side).
 var ErrSubgraphUnsupported = errors.New("core: deployment not servable via subgraph engine")
 
 // viewRows re-slices a cap-rows workspace buffer to its first rows rows.
@@ -165,10 +165,7 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 		// known at plan time, but the sub program compiles from the same
 		// lowering as the full-graph one, so scales derived here index the
 		// same values the per-query machine computes.
-		fullProg, _ := v.rectifier.compileRectifier(n, nil, nil)
-		if !fullProg.Tileable() {
-			return nil, fmt.Errorf("core: %s subgraph plan: %w", pcfg.Precision, exec.ErrPrecisionUnsupported)
-		}
+		fullProg := v.rectifier.compileRectifier(n, nil, nil)
 		fullBB, fullBlocks, err := v.Backbone.planBackbone(n, nil, needed, exec.Config{Workers: pcfg.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling calibration backbone: %w", err)
@@ -212,8 +209,7 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 	}
 	ws.bbMach, ws.blocks = bbMach, blocks
 	ws.featIn = []*mat.Matrix{ws.feat}
-	rectProg, _ := v.rectifier.compileRectifier(capRows, ws.privCS.Sub(), nil) // GCN-only here: no opaque bytes
-	rectMach, err := rectProg.NewMachine(rectCfg)
+	rectMach, err := v.rectifier.compileRectifier(capRows, ws.privCS.Sub(), nil).NewMachine(rectCfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling subgraph rectifier: %w", err)
 	}

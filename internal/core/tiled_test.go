@@ -4,10 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"gnnvault/internal/datasets"
-	"gnnvault/internal/enclave"
-	"gnnvault/internal/substitute"
 )
 
 // TestTiledPredictIntoMatchesUntiled is the tiling property at the vault
@@ -95,51 +91,7 @@ func TestBudgetDerivesTileRowsAndBoundsEPC(t *testing.T) {
 // steady-state heap allocations, with the kernel worker budget carried in
 // the plan (not the deprecated process global).
 func TestTiledPredictIntoAllocFree(t *testing.T) {
-	ds, v := planTestVault(t, Parallel)
-	ws, err := v.PlanWith(ds.X.Rows, PlanConfig{TileRows: 256, Workers: 1})
-	if err != nil {
-		t.Fatalf("PlanWith: %v", err)
-	}
-	defer ws.Release()
-	if _, _, err := v.PredictInto(ds.X, ws); err != nil { // warm-up
-		t.Fatalf("warm-up: %v", err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := v.PredictInto(ds.X, ws); err != nil {
-			t.Fatalf("PredictInto: %v", err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state tiled PredictInto allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestTiledUnsupportedForNonGCN checks that an EPC budget on a SAGE-conv
-// rectifier fails with the named error instead of silently exceeding the
-// budget (the attention/fused kernels have no row-tileable decomposition).
-func TestTiledUnsupportedForNonGCN(t *testing.T) {
-	ds := datasets.Load("cora")
-	cfg := TrainConfig{Epochs: 2, LR: 0.01, WeightDecay: 5e-4, Seed: 1}
-	spec := SpecForDataset("cora")
-	spec.Conv = ConvSAGE
-	bb := TrainBackbone(ds, spec, substitute.KindKNN, substitute.KNN(ds.X, 2), cfg)
-	rec := TrainRectifier(ds, bb, Series, cfg) // spec.Conv = SAGE → SAGE rectifier
-	v, err := Deploy(bb, rec, ds.Graph, enclave.DefaultCostModel())
-	if err != nil {
-		t.Fatalf("deploy: %v", err)
-	}
-	if _, err := v.PlanWith(ds.X.Rows, PlanConfig{EPCBudgetBytes: 1 << 20}); !errors.Is(err, ErrTiledUnsupported) {
-		t.Fatalf("budgeted SAGE plan: err = %v, want ErrTiledUnsupported", err)
-	}
-	// The untiled plan still serves.
-	ws, err := v.Plan(ds.X.Rows)
-	if err != nil {
-		t.Fatalf("untiled SAGE plan: %v", err)
-	}
-	defer ws.Release()
-	if _, _, err := v.PredictInto(ds.X, ws); err != nil {
-		t.Fatalf("untiled SAGE PredictInto: %v", err)
-	}
+	requireAllocFree(t, PlanConfig{TileRows: 256, Workers: 1})
 }
 
 // TestTileParallelPlanBudgetAndIdentity checks the Workers × tileBytes

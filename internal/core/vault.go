@@ -67,8 +67,8 @@ func (b InferenceBreakdown) Total() time.Duration {
 
 // Deploy provisions a trained GNNVault onto a device: it creates an enclave
 // measured over the sealed rectifier+graph payloads, allocates EPC for the
-// persistent state (parameters, normalised adjacency, precomputed degrees),
-// and returns the deployment handle.
+// persistent state (parameters and the private operator the rectifier's
+// programs read — Rectifier.Adjacency), and returns the deployment handle.
 //
 // Deploy fails with enclave.ErrEPCExhausted if the persistent state cannot
 // fit the EPC — the check that motivates Table I's DenseA column.
@@ -98,20 +98,26 @@ func DeployInto(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *gr
 	return deployInto(encl, bb, rec, private, sealedGraph, rec.Adjacency().NumBytes())
 }
 
-// deployInto seals the rectifier parameters under the enclave's identity,
-// charges the EPC for the persistent residents (parameters + graphBytes of
-// adjacency), and assembles the vault handle. The full-graph path passes
-// the whole normalised adjacency's bytes; a shard deployment
-// (DeploySharded) passes only its row-range slab's bytes — and a nil
-// sealedGraph, because the shard's at-rest adjacency lives inside the
-// partition's shared value slab rather than as a standalone COO blob.
+// deployInto seals the rectifier parameters under the enclave's identity
+// and admits the vault (see admit). The full-graph path passes the whole
+// private operator's bytes; a shard deployment (DeploySharded) passes only
+// its row-range slab's bytes — and a nil sealedGraph, because the shard's
+// at-rest adjacency lives inside the partition's shared value slab rather
+// than as a standalone COO blob.
 func deployInto(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *graph.Graph, sealedGraph []byte, graphBytes int64) (*Vault, error) {
 	sealedParams, err := encl.Seal(rec.MarshalParams())
 	if err != nil {
 		return nil, fmt.Errorf("core: sealing rectifier params: %w", err)
 	}
+	return admit(encl, bb, rec, private, sealedParams, sealedGraph, graphBytes)
+}
 
-	// Persistent EPC residents: parameters + normalised adjacency share.
+// admit is the one place a vault's persistent residents are charged,
+// whether it was just trained (deployInto) or arrived in a bundle
+// (Import): parameters, then graphBytes of adjacency, nothing left
+// allocated if either does not fit, and the sum recorded in the handle so
+// Undeploy returns exactly what was taken.
+func admit(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *graph.Graph, sealedParams, sealedGraph []byte, graphBytes int64) (*Vault, error) {
 	paramBytes := rec.ParamBytes()
 	if err := encl.Alloc(paramBytes); err != nil {
 		return nil, fmt.Errorf("core: rectifier parameters do not fit EPC: %w", err)

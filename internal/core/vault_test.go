@@ -197,7 +197,7 @@ func TestVerifyLabelOnly(t *testing.T) {
 
 // exportableVault builds a vault on a named spec (Import only supports
 // M1/M2/M3) for bundle round-trip tests.
-func exportableVault(t *testing.T) (*Vault, *datasets.Dataset) {
+func exportableVault(t testing.TB) (*Vault, *datasets.Dataset) {
 	t.Helper()
 	ds := tinyDataset()
 	cfg := PipelineConfig{
@@ -268,31 +268,145 @@ func TestImportRejectsTamperedSealedSection(t *testing.T) {
 	}
 }
 
+// editManifest re-marshals an exported bundle with its manifest edited and
+// its integrity hash recomputed — what anyone holding the file can do.
+func editManifest(t testing.TB, data []byte, edit func(*bundle.Manifest)) []byte {
+	t.Helper()
+	b, err := bundle.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := b.Manifest
+	edit(&man)
+	b2 := bundle.New(b.Measurement, man)
+	for _, name := range b.Names() {
+		body, _ := b.Section(name)
+		b2.Add(name, body)
+	}
+	out, err := b2.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestImportRejectsWrongMeasurement(t *testing.T) {
 	v, _ := exportableVault(t)
 	data, err := v.Export("cora")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := bundle.Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Re-declare the bundle as a series-design build: the device's enclave
 	// measurement will not match and the sealed data must stay opaque.
-	man := b.Manifest
-	man.Design = string(Series)
-	b2 := bundle.New(b.Measurement, man)
-	for _, name := range b.Names() {
-		body, _ := b.Section(name)
-		b2.Add(name, body)
+	reData := editManifest(t, data, func(m *bundle.Manifest) { m.Design = string(Series) })
+	if _, err := Import(reData, enclave.DefaultCostModel()); err == nil {
+		t.Fatal("measurement mismatch not detected")
 	}
-	reData, err := b2.Marshal()
+}
+
+// hostileManifestEdits are manifest edits no constructor may ever see:
+// each must come back from Import as ErrBadBundle — not as a panic, and
+// not after allocating anything the size of a forged dimension.
+var hostileManifestEdits = []struct {
+	name string
+	edit func(*bundle.Manifest)
+}{
+	{"unknown spec", func(m *bundle.Manifest) { m.ModelSpec = "M9" }},
+	{"unknown conv", func(m *bundle.Manifest) { m.Conv = "transformer" }},
+	{"unknown design", func(m *bundle.Manifest) { m.Design = "bogus" }},
+	{"negative classes", func(m *bundle.Manifest) { m.Classes = -1 }},
+	{"negative feature dim", func(m *bundle.Manifest) { m.FeatureDim = -5 }},
+	{"huge feature dim", func(m *bundle.Manifest) { m.FeatureDim = 1e9 }},
+	{"huge classes", func(m *bundle.Manifest) { m.Classes = 1 << 40 }},
+	{"other spec", func(m *bundle.Manifest) { m.ModelSpec = "M3" }},
+	{"other conv", func(m *bundle.Manifest) { m.Conv = string(ConvSAGE) }},
+	{"zero nodes", func(m *bundle.Manifest) { m.Nodes = 0 }},
+	{"wrong nodes", func(m *bundle.Manifest) { m.Nodes++ }},
+}
+
+func TestImportRejectsBadManifest(t *testing.T) {
+	v, _ := exportableVault(t)
+	data, err := v.Export("cora")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Import(reData, enclave.DefaultCostModel()); err == nil {
-		t.Fatal("measurement mismatch not detected")
+	for _, h := range hostileManifestEdits {
+		t.Run(h.name, func(t *testing.T) {
+			if _, err := Import(editManifest(t, data, h.edit), enclave.DefaultCostModel()); !errors.Is(err, ErrBadBundle) {
+				t.Fatalf("err = %v, want ErrBadBundle", err)
+			}
+		})
+	}
+}
+
+// FuzzImport: whatever a manifest says, Import answers with a vault or an
+// error — never a panic — and a manifest that differs from the exported
+// one in anything but its free-text fields never yields a vault.
+func FuzzImport(f *testing.F) {
+	v, _ := exportableVault(f)
+	data, err := v.Export("cora")
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := bundle.Unmarshal(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	good := b.Manifest
+	f.Add(good.ModelSpec, good.Design, good.Conv, good.Classes, good.FeatureDim, good.Nodes)
+	for _, h := range hostileManifestEdits {
+		m := good
+		h.edit(&m)
+		f.Add(m.ModelSpec, m.Design, m.Conv, m.Classes, m.FeatureDim, m.Nodes)
+	}
+	f.Fuzz(func(t *testing.T, spec, design, conv string, classes, featureDim, nodes int) {
+		m := good
+		m.ModelSpec, m.Design, m.Conv, m.Classes, m.FeatureDim, m.Nodes = spec, design, conv, classes, featureDim, nodes
+		got, err := Import(editManifest(t, data, func(man *bundle.Manifest) { *man = m }), enclave.DefaultCostModel())
+		if (err == nil) != (m == good) {
+			t.Fatalf("manifest %+v (exported %+v): err = %v", m, good, err)
+		}
+		if err == nil {
+			got.Undeploy()
+		}
+	})
+}
+
+// TestImportChargesAndReturnsEPC: an imported vault holds exactly the
+// persistent EPC its exporter did, knows it, and gives it all back — and
+// a vault whose residents do not fit leaves nothing charged behind.
+func TestImportChargesAndReturnsEPC(t *testing.T) {
+	v, _ := exportableVault(t)
+	data, err := v.Export("cora")
+	if err != nil {
+		t.Fatal(err)
+	}
+	imported, err := Import(data, enclave.DefaultCostModel())
+	if err != nil {
+		t.Fatalf("Import: %v", err)
+	}
+	if got, want := imported.PersistentBytes(), v.PersistentBytes(); got != want || imported.Enclave.EPCUsed() != want {
+		t.Fatalf("imported vault reports %d B persistent with %d B charged, exporter holds %d", got, imported.Enclave.EPCUsed(), want)
+	}
+	imported.Undeploy()
+	if used := imported.Enclave.EPCUsed(); used != 0 {
+		t.Fatalf("%d B still charged after Undeploy", used)
+	}
+
+	// Room for the parameters but not the adjacency: the first charge must
+	// be rolled back. Import and DeployInto share the one helper, and only
+	// DeployInto lets the test keep hold of the enclave.
+	small := enclave.DefaultCostModel()
+	small.EPCBytes = v.rectifier.ParamBytes() + 1
+	if _, err := Import(data, small); !errors.Is(err, enclave.ErrEPCExhausted) {
+		t.Fatalf("Import into %d B of EPC: err = %v, want ErrEPCExhausted", small.EPCBytes, err)
+	}
+	encl := enclave.New(small, v.rectifier.Identity())
+	if _, err := DeployInto(encl, v.Backbone, v.rectifier, v.privateGraph); !errors.Is(err, enclave.ErrEPCExhausted) {
+		t.Fatalf("DeployInto %d B of EPC: err = %v, want ErrEPCExhausted", small.EPCBytes, err)
+	}
+	if used := encl.EPCUsed(); used != 0 {
+		t.Fatalf("failed admission left %d B charged", used)
 	}
 }
 

@@ -1,10 +1,13 @@
 // Package exec is the tiled streaming execution engine behind every
 // GNNVault inference path: a Backbone/Rectifier forward pass is compiled
 // once into a flat op sequence (dense MatMul, sparse SpMM over a CSR row
-// range, bias add, ReLU, element-wise add, horizontal concat, row argmax),
-// and a Machine then executes that program either directly — every buffer
-// resident, the pre-PR-4 behaviour — or row tile by row tile under a fixed
-// working-set bound.
+// range, attention aggregate over a CSR structure, bias add, ReLU,
+// element-wise add, horizontal concat, row argmax), and a Machine then
+// executes that program either directly — every buffer resident, the
+// pre-PR-4 behaviour — or row tile by row tile under a fixed working-set
+// bound. There is no opaque op: every conv kind (GCN, GraphSAGE, GAT) is
+// written in this vocabulary, so every program tiles, quantises, sizes
+// itself and declares all the memory it touches.
 //
 // The tiled mode is what makes full-graph plans admissible on a real
 // enclave: a layer's full activations live in *spilled* host buffers
@@ -17,9 +20,10 @@
 //
 // Row tiling works because every op is row-local in its output: output
 // rows [lo, hi) of a MatMul/bias/ReLU/concat read only input rows
-// [lo, hi), and a SpMM's output rows read arbitrary input rows — which is
-// exactly why execution is op-major (each op finishes all tiles before the
-// next op starts), so a SpMM always finds its full input spilled.
+// [lo, hi), and a SpMM's or attention aggregate's output rows read
+// arbitrary rows of the operands they gather — which is exactly why
+// execution is op-major (each op finishes all tiles before the next op
+// starts), so a gather always finds its full input spilled.
 //
 // Two rewrites make the engine fast on top of admissible. The fusion pass
 // (Program.Fused) folds bias/residual/ReLU chains into their producing
@@ -51,7 +55,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -63,10 +66,8 @@ import (
 // OpKind enumerates the primitive operations a compiled program is made of.
 type OpKind uint8
 
-// The op vocabulary. OpFunc is the escape hatch for layers without a
-// row-tileable kernel decomposition (GAT attention, SAGE's fused form when
-// wrapped whole): it runs an opaque full-width forward and is therefore
-// rejected by tiled machines.
+// The op vocabulary. Every kind is row-decomposable (see the package
+// comment), so every program runs in every mode at either element type.
 const (
 	OpMatMul  OpKind = iota // dst = src · W
 	OpSpMM                  // dst = CSR · src (src must be fully materialised)
@@ -75,7 +76,7 @@ const (
 	OpAdd                   // dst = srcA + srcB
 	OpConcat                // dst = [src0 | src1 | …]
 	OpArgmax                // labels[i] = argmax(src row i); terminal, no dst
-	OpFunc                  // dst = fn(src), opaque full-width layer
+	OpAttn                  // dst[i] = Σⱼ softmaxⱼ(LeakyReLU(s[i] + t[j])) · z[j] over a CSR structure
 	OpHalo                  // dst = [src | peer boundary rows], fleet exchange
 )
 
@@ -96,8 +97,8 @@ func (k OpKind) String() string {
 		return "concat"
 	case OpArgmax:
 		return "argmax"
-	case OpFunc:
-		return "func"
+	case OpAttn:
+		return "attn"
 	case OpHalo:
 		return "halo"
 	default:
@@ -113,23 +114,21 @@ type Op struct {
 	Dst  int   // destination value (-1 for OpArgmax)
 	Srcs []int // source values, in kernel order
 
-	// Epi is the fused element-wise tail of a MatMul/SpMM op. Builders
+	// Epi is the fused element-wise tail of a MatMul/SpMM/Attn op. Builders
 	// emit ops without one (Res == -1); the fusion pass (Program.Fused)
 	// attaches them.
 	Epi Epilogue
 
 	W *mat.Matrix // OpMatMul weight
 	B []float64   // OpAddBias bias
-	// CSR is the sparse operator of an OpSpMM. The header pointer is
-	// captured at compile time but its *contents* may change between runs
-	// (the subgraph path re-induces into a stable header per query); the
-	// only requirement is CSR.N == rows at Run time.
+	// CSR is the sparse operator of an OpSpMM, or the structure an OpAttn
+	// aggregates over (its stored values are not read). The header pointer
+	// is captured at compile time but its *contents* may change between
+	// runs (the subgraph path re-induces into a stable header per query);
+	// the only requirement is CSR.N == rows at Run time.
 	CSR *graph.NormAdjacency
-	// Fn is the opaque kernel of an OpFunc: it consumes src and returns
-	// its full-rows result in a buffer it owns (valid until its next
-	// invocation), which the machine binds as the destination value — no
-	// staging buffer, no copy. Direct mode only.
-	Fn func(src *mat.Matrix) *mat.Matrix
+	// slope is the LeakyReLU negative slope of an OpAttn's scores.
+	slope float64
 	// Halo lists, for an OpHalo, the peer rows gathered below the local
 	// rows of src: dst row rows+k is peer Halo[k].Shard's local row
 	// Halo[k].Row of the same value. Executing one requires a Fleet.
@@ -147,10 +146,6 @@ type HaloSlot struct {
 type value struct {
 	width int
 	input int // ordinal among Run's inputs, or -1 for intermediates
-	// funcOut marks an OpFunc destination: the producing kernel owns the
-	// buffer, so the machine allocates no spill for it and binds its view
-	// when the op executes.
-	funcOut bool
 	// keep pins the value across fusion: callers will read it through
 	// Machine.Value, so the fusion pass must neither fold it away nor
 	// eliminate its buffer.
@@ -181,7 +176,6 @@ type Program struct {
 	hasHalo   bool
 	maxWidth  int
 	maxArity  int
-	tileable  bool
 }
 
 // HasHalo reports whether the program contains halo-exchange ops —
@@ -194,10 +188,6 @@ func (p *Program) NumInputs() int { return p.numInputs }
 // MaxWidth returns the widest value in the program — the column count the
 // tile staging buffer must accommodate.
 func (p *Program) MaxWidth() int { return p.maxWidth }
-
-// Tileable reports whether every op has a row-tileable kernel (no OpFunc).
-// Non-tileable programs still execute on direct machines.
-func (p *Program) Tileable() bool { return p.tileable }
 
 // OutputWidth returns the column count of the program's result value.
 func (p *Program) OutputWidth() int { return p.vals[p.output].width }
@@ -241,7 +231,7 @@ func NewBuilder(maxRows int) *Builder {
 	if maxRows < 0 {
 		panic(fmt.Sprintf("exec: negative maxRows %d", maxRows))
 	}
-	return &Builder{p: Program{MaxRows: maxRows, tileable: true}, last: -1}
+	return &Builder{p: Program{MaxRows: maxRows}, last: -1}
 }
 
 // newValue appends a value of the given width to the table.
@@ -377,19 +367,21 @@ func (b *Builder) Halo(src int, slots []HaloSlot) int {
 	return dst
 }
 
-// Func appends dst = fn(src), an opaque full-width layer of the given
-// output width. fn consumes src and returns its result in a buffer it
-// owns (a planned layer workspace's output, typically); it is invoked
-// only at the program's full MaxRows height, and programs containing Func
-// ops cannot be tiled.
-func (b *Builder) Func(src, width int, fn func(src *mat.Matrix) *mat.Matrix) int {
-	if fn == nil {
-		panic("exec: nil Func kernel")
+// Attn appends the attention aggregate
+//
+//	dst[i] = Σⱼ αᵢⱼ · z[j],  αᵢ· = softmaxⱼ(LeakyReLU(s[i] + t[j]))
+//
+// over the column indices j of row i of csr — an SpMM whose values are
+// computed instead of loaded — and returns dst (z's width). s and t are
+// the width-1 source and target scores; slope is the LeakyReLU negative
+// slope. Like SpMM it reads z (and t) whole and s by row, and it carries
+// the same fusable epilogue. See attn.go for the contract.
+func (b *Builder) Attn(csr *graph.NormAdjacency, s, t, z int, slope float64) int {
+	if b.width(s) != 1 || b.width(t) != 1 {
+		panic(fmt.Sprintf("exec: Attn scores are %d and %d wide, want 1", b.width(s), b.width(t)))
 	}
-	dst := b.newValue(width, -1)
-	b.p.vals[dst].funcOut = true
-	b.push(Op{Kind: OpFunc, Dst: dst, Srcs: []int{src}, Fn: fn})
-	b.p.tileable = false
+	dst := b.newValue(b.width(z), -1)
+	b.push(Op{Kind: OpAttn, Dst: dst, Srcs: []int{s, t, z}, CSR: csr, slope: slope})
 	return dst
 }
 
@@ -437,8 +429,7 @@ type Config struct {
 	// I8 plans a quantized machine: weights are column-quantized here at
 	// plan time, Run quantizes its float64 inputs at the boundary, and
 	// every byte of buffer, tile, spill and payload accounting prices one
-	// byte per element. An I8 machine requires a tileable program (no
-	// OpFunc) and Scales.
+	// byte per element. An I8 machine requires Scales.
 	Elem Elem
 	// Scales holds, per program value, the symmetric per-column (per
 	// feature channel) activation scales of that value. Required when Elem
@@ -466,10 +457,6 @@ type Config struct {
 	// keeps its zero-allocation guarantee either way.
 	Recorder obs.Recorder
 }
-
-// ErrNotTileable is returned when a tiled machine is requested for a
-// program containing ops without a row-tileable kernel (OpFunc).
-var ErrNotTileable = errors.New("exec: program contains non-tileable ops")
 
 // Machine executes one program with pre-sized buffers. Direct machines
 // hold every intermediate resident (BufferBytes is the enclave charge when
@@ -507,7 +494,12 @@ type Machine struct {
 	sync  func() error
 
 	scratch []workerScratch // F64, per tile worker (index 0 serves direct mode too)
-	fns     []func()        // pre-built worker bodies, spawned per op
+	// attnRow is the length of the attention-coefficient row every tile
+	// worker's scratch holds (attn.go): the longest row of any OpAttn
+	// structure, 0 without the op. Enclave-resident working memory at
+	// either element type, so BufferBytes and TileBytes both count it.
+	attnRow int
+	fns     []func() // pre-built worker bodies, spawned per op
 	wg      sync.WaitGroup
 
 	// Per-op broadcast state for tile-parallel execution, written by Run
@@ -550,6 +542,7 @@ type workerScratch struct {
 	tileView mat.Matrix    // staging header over this worker's tile
 	dstTile  mat.Matrix    // rows [lo, hi) of the destination value
 	resTile  mat.Matrix    // rows [lo, hi) of the fused residual
+	alpha    []float64     // attention coefficients of the row in hand
 }
 
 // NewMachine plans a machine for the program: all value buffers (and, when
@@ -558,9 +551,6 @@ type workerScratch struct {
 func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 	if cfg.TileRows < 0 {
 		return nil, fmt.Errorf("exec: negative TileRows %d", cfg.TileRows)
-	}
-	if cfg.TileRows > 0 && !p.tileable {
-		return nil, ErrNotTileable
 	}
 	if cfg.TileRows > p.MaxRows {
 		cfg.TileRows = p.MaxRows
@@ -597,6 +587,7 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 			}
 		}
 	}
+	m.attnRow = p.maxAttnRow()
 	if m.elem == I8 {
 		if err := m.planI8(); err != nil {
 			return nil, err
@@ -605,7 +596,7 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 	}
 	m.spill = make([]*mat.Matrix, len(p.vals))
 	for i, v := range p.vals {
-		if v.input < 0 && !v.funcOut && !v.dead {
+		if v.input < 0 && !v.dead {
 			m.spill[i] = mat.New(p.MaxRows+v.extra, v.width)
 		}
 	}
@@ -619,6 +610,7 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 	for w := range m.scratch {
 		m.scratch[w].srcTiles = make([]mat.Matrix, p.maxArity)
 		m.scratch[w].srcPtrs = make([]*mat.Matrix, p.maxArity)
+		m.scratch[w].alpha = make([]float64, m.attnRow)
 	}
 	return m, nil
 }
@@ -634,10 +626,10 @@ func (m *Machine) TileWorkers() int { return m.tileWorkers }
 func (m *Machine) Elem() Elem { return m.elem }
 
 // TileBytes returns the staging-buffer footprint — Workers × tile bytes
-// at the machine's element width, the only working memory a tiled run
-// keeps enclave-resident.
+// at the machine's element width, plus the attention scratch rows — the
+// only working memory a tiled run keeps enclave-resident.
 func (m *Machine) TileBytes() int64 {
-	n := int64(0)
+	n := int64(m.tileWorkers*m.attnRow) * 8
 	for _, t := range m.tiles {
 		n += t.NumBytes()
 	}
@@ -650,14 +642,14 @@ func (m *Machine) TileBytes() int64 {
 }
 
 // BufferBytes returns the total footprint of the machine's value buffers
-// at the machine's element width — the enclave charge of a *direct*
-// in-enclave machine, and the spilled (untrusted, uncharged) residency
-// of a tiled one. For I8 machines this counts the code buffers only; the
-// boundary quantization buffers and the dequantized output live with the
-// caller's payload accounting, not the enclave working set (see the
-// quantized type).
+// at the machine's element width plus the attention scratch rows — the
+// enclave charge of a *direct* in-enclave machine, and (scratch aside)
+// the spilled, untrusted, uncharged residency of a tiled one. For I8
+// machines this counts the code buffers only; the boundary quantization
+// buffers and the dequantized output live with the caller's payload
+// accounting, not the enclave working set (see the quantized type).
 func (m *Machine) BufferBytes() int64 {
-	n := int64(0)
+	n := int64(m.tileWorkers*m.attnRow) * 8
 	for _, s := range m.spill {
 		if s != nil {
 			n += s.NumBytes()
@@ -855,7 +847,7 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 			switch {
 			case v.input >= 0:
 				m.views[i] = *inputs[v.input]
-			case !v.funcOut && !v.dead:
+			case !v.dead:
 				m.spill[i].ViewRows(0, rows+v.extra, &m.views[i])
 			}
 		}
@@ -873,8 +865,8 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 	}
 	for i := range p.ops {
 		op := &p.ops[i]
-		if op.Kind == OpSpMM && op.CSR.N != rows {
-			panic(fmt.Sprintf("exec: SpMM operator over %d rows, run over %d", op.CSR.N, rows))
+		if op.CSR != nil && op.CSR.N != rows {
+			panic(fmt.Sprintf("exec: %s operator over %d rows, run over %d", op.Kind, op.CSR.N, rows))
 		}
 		var t0 int64
 		if recOn {
@@ -917,13 +909,14 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 }
 
 // runOpParallel executes one op's tiles across the worker pool: the rows
-// are split into one contiguous span per worker — by non-zeros for SpMM
-// (power-law hub rows would otherwise skew row-count spans badly), by row
-// count for everything else — and each worker streams its span through its
-// own staging tile. Workers write disjoint spill rows, so the only shared
-// mutable state is the broadcast op pointer, sequenced by the spawn and
-// the wait. The worker bodies are pre-built closures, so steady-state
-// spawning performs no heap allocation.
+// are split into one contiguous span per worker — by non-zeros for the
+// ops that walk a CSR (SpMM, Attn: power-law hub rows would otherwise
+// skew row-count spans badly), by row count for everything else — and
+// each worker streams its span through its own staging tile. Workers
+// write disjoint spill rows, so the only shared mutable state is the
+// broadcast op pointer, sequenced by the spawn and the wait. The worker
+// bodies are pre-built closures, so steady-state spawning performs no
+// heap allocation.
 func (m *Machine) runOpParallel(idx int, op *Op, rows int, labels []int) {
 	m.curOp, m.curIdx, m.curRows, m.curLab = op, idx, rows, labels
 	m.wg.Add(m.tileWorkers - 1)
@@ -939,7 +932,7 @@ func (m *Machine) runOpParallel(idx int, op *Op, rows int, labels []int) {
 func (m *Machine) runWorkerSpan(w int) {
 	op, rows := m.curOp, m.curRows
 	var lo, hi int
-	if op.Kind == OpSpMM {
+	if op.CSR != nil {
 		lo = op.CSR.NNZBound(0, rows, w, m.tileWorkers)
 		hi = op.CSR.NNZBound(0, rows, w+1, m.tileWorkers)
 	} else {
@@ -965,14 +958,14 @@ func (m *Machine) runRows(w, idx int, op *Op, lo, hi int, labels []int) {
 }
 
 // runRowsF64 is the fp64 op body. Sources are viewed in place — rows
-// [lo, hi) of each, except that a SpMM reads its whole input, which
-// op-major order guarantees is complete. A direct machine passes the one
-// span [0, rows) and the result, fused epilogue included (band-local
-// inside the kernels: no separate bias/ReLU/add passes over the
-// activations), lands straight in the value's own view under the
-// machine's kernel worker budget. A tiled machine computes into worker
-// w's EPC-resident staging tile, inline, and flushes it once to the
-// destination's spilled buffer.
+// [lo, hi) of each, except that a SpMM reads its whole input and an Attn
+// its whole t and z, which op-major order guarantees are complete. A
+// direct machine passes the one span [0, rows) and the result, fused
+// epilogue included (band-local inside the kernels: no separate
+// bias/ReLU/add passes over the activations), lands straight in the
+// value's own view under the machine's kernel worker budget. A tiled
+// machine computes into worker w's EPC-resident staging tile, inline, and
+// flushes it once to the destination's spilled buffer.
 func (m *Machine) runRowsF64(w int, op *Op, lo, hi int, labels []int) {
 	s := &m.scratch[w]
 	srcs := s.srcPtrs[:len(op.Srcs)]
@@ -983,19 +976,6 @@ func (m *Machine) runRowsF64(w int, op *Op, lo, hi int, labels []int) {
 		if labels != nil {
 			srcs[0].ArgmaxRowsInto(labels[lo:hi])
 		}
-		return
-	}
-	if op.Kind == OpFunc {
-		// Direct machines only (NewMachine refuses to tile an opaque op),
-		// so [lo, hi) is the whole batch.
-		if hi != m.prog.MaxRows {
-			panic(fmt.Sprintf("exec: Func op requires full height %d, got %d", m.prog.MaxRows, hi))
-		}
-		out := op.Fn(&m.views[op.Srcs[0]])
-		if out.Rows != hi || out.Cols != m.prog.vals[op.Dst].width {
-			panic(fmt.Sprintf("exec: Func result %s, want %dx%d", out.Shape(), hi, m.prog.vals[op.Dst].width))
-		}
-		m.views[op.Dst] = *out
 		return
 	}
 	dst := m.views[op.Dst].ViewRows(lo, hi, &s.dstTile)
@@ -1021,6 +1001,10 @@ func (m *Machine) runRowsF64(w int, op *Op, lo, hi int, labels []int) {
 		mat.AddInto(out, srcs[0], srcs[1])
 	case OpConcat:
 		mat.HConcatInto(out, srcs...)
+	case OpAttn:
+		m.attnRowsF64(out, w, op, lo, hi, res)
+	default:
+		panic(fmt.Sprintf("exec: no fp64 body for op kind %s", op.Kind))
 	}
 	if m.tiled {
 		mat.CopyInto(dst, out)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -21,6 +22,28 @@ func testCSR(n int, seed int64) *graph.NormAdjacency {
 	return graph.Normalize(graph.New(n, edges))
 }
 
+// testStructure builds a deterministic non-symmetric CSR structure over n
+// nodes for the attention op: rows of 0–4 random columns, empty rows
+// included, and one hub row of 300 (repeats allowed) — more than two
+// mat.RowChunk windows, whatever n is.
+func testStructure(n int, seed int64) *graph.NormAdjacency {
+	rng := rand.New(rand.NewSource(seed))
+	st := &graph.NormAdjacency{N: n, RowPtr: make([]int, n+1)}
+	hub := rng.Intn(n)
+	for i := 0; i < n; i++ {
+		deg := rng.Intn(5)
+		if i == hub {
+			deg = 300
+		}
+		for k := 0; k < deg; k++ {
+			st.ColIdx = append(st.ColIdx, rng.Intn(n))
+			st.Val = append(st.Val, 1)
+		}
+		st.RowPtr[i+1] = len(st.ColIdx)
+	}
+	return st
+}
+
 func randMat(rng *rand.Rand, rows, cols int) *mat.Matrix {
 	m := mat.New(rows, cols)
 	for i := range m.Data {
@@ -29,9 +52,9 @@ func randMat(rng *rand.Rand, rows, cols int) *mat.Matrix {
 	return m
 }
 
-// buildGCNLikeProgram compiles a two-layer parallel-wired forward pass that
-// exercises every tileable op kind: MatMul, SpMM, AddBias, ReLU, Add,
-// Concat, Argmax.
+// buildGCNLikeProgram compiles a parallel-wired forward pass that exercises
+// every op kind a single machine runs: MatMul, SpMM, AddBias, ReLU, Add,
+// Attn (over a second, non-symmetric structure), Concat, Argmax.
 func buildGCNLikeProgram(t testing.TB, n int, csr *graph.NormAdjacency) (*Program, []*mat.Matrix) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -41,6 +64,8 @@ func buildGCNLikeProgram(t testing.TB, n int, csr *graph.NormAdjacency) (*Progra
 	w2 := randMat(rng, h+d1, c)
 	b2 := randMat(rng, 1, c).Data
 	wSkip := randMat(rng, d0, h)
+	aS, aT := randMat(rng, h, 1), randMat(rng, h, 1)
+	bAttn := randMat(rng, 1, h).Data
 
 	b := NewBuilder(n)
 	in0 := b.Input(d0)
@@ -50,6 +75,9 @@ func buildGCNLikeProgram(t testing.TB, n int, csr *graph.NormAdjacency) (*Progra
 	v = b.AddBias(v, b1)
 	skip := b.MatMul(in0, wSkip)
 	v = b.Add(v, skip)
+	v = b.ReLU(v)
+	v = b.Attn(testStructure(n, 5), b.MatMul(v, aS), b.MatMul(v, aT), v, 0.2)
+	v = b.AddBias(v, bAttn)
 	v = b.ReLU(v)
 	v = b.Concat(v, in1)
 	v = b.MatMul(v, w2)
@@ -111,7 +139,9 @@ func TestTiledMatchesDirect(t *testing.T) {
 						t.Fatalf("%s tile=%d workers=%d: label[%d] = %d, want %d", base.Elem, tile, workers, i, labels[i], wantLabels[i])
 					}
 				}
-				if got := m.TileBytes(); got != int64(m.TileWorkers())*int64(tile)*int64(prog.MaxWidth())*int64(base.Elem.Size()) {
+				// Per worker: one staging tile and one 300-long (the hub row)
+				// float64 attention scratch row.
+				if got := m.TileBytes(); got != int64(m.TileWorkers())*(int64(tile)*int64(prog.MaxWidth())*int64(base.Elem.Size())+300*8) {
 					t.Fatalf("%s tile=%d workers=%d: TileBytes %d", base.Elem, tile, workers, got)
 				}
 			}
@@ -197,36 +227,52 @@ func TestVariableRows(t *testing.T) {
 	}
 }
 
-// TestFuncOpDirectOnly checks the opaque-layer escape hatch: it executes on
-// direct machines and is rejected by tiled ones.
-func TestFuncOpDirectOnly(t *testing.T) {
-	const n = 8
+// TestAttnMatchesLiteralSoftmax holds the attention op to its contract
+// written out naively — per row a stable softmax of LeakyReLU(s[i]+t[j])
+// over the structure's columns, the coefficients applied to z's rows in
+// CSR order, an empty row answering zero — before the bias, with the
+// scores taken from the machine's own values so only the op is on trial.
+func TestAttnMatchesLiteralSoftmax(t *testing.T) {
+	const n, d = 37, 5
+	rng := rand.New(rand.NewSource(9))
+	st := testStructure(n, 9)
+	bias := randMat(rng, 1, d).Data
 	b := NewBuilder(n)
-	in := b.Input(2)
-	buf := mat.New(n, 2) // kernel-owned output, like a layer workspace's Out
-	b.Func(in, 2, func(src *mat.Matrix) *mat.Matrix {
-		for i, v := range src.Data {
-			buf.Data[i] = 2 * v
-		}
-		return buf
-	})
-	prog := b.Build()
-	if prog.Tileable() {
-		t.Fatal("Func program reports tileable")
-	}
-	if _, err := prog.NewMachine(Config{TileRows: 4}); err == nil {
-		t.Fatal("tiled machine accepted a Func program")
-	}
-	m, err := prog.NewMachine(Config{})
+	z := b.Input(d)
+	s := b.MatMul(z, randMat(rng, d, 1))
+	tv := b.MatMul(z, randMat(rng, d, 1))
+	b.AddBias(b.Attn(st, s, tv, z, 0.2), bias)
+	m, err := b.Build().NewMachine(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
-	x := randMat(rng, n, 2)
-	out := m.Run(n, []*mat.Matrix{x}, nil)
-	for i := range x.Data {
-		if out.Data[i] != 2*x.Data[i] {
-			t.Fatalf("Func output[%d] = %v, want %v", i, out.Data[i], 2*x.Data[i])
+	x := randMat(rng, n, d)
+	got := m.Run(n, []*mat.Matrix{x}, nil)
+	sc, tc := m.Value(s).Data, m.Value(tv).Data
+	for i := 0; i < n; i++ {
+		cols := st.ColIdx[st.RowPtr[i]:st.RowPtr[i+1]]
+		e, mx := make([]float64, len(cols)), math.Inf(-1)
+		for k, j := range cols {
+			if e[k] = sc[i] + tc[j]; e[k] < 0 {
+				e[k] *= 0.2
+			}
+			mx = math.Max(mx, e[k])
+		}
+		sum := 0.0
+		for k := range e {
+			e[k] = math.Exp(e[k] - mx)
+			sum += e[k]
+		}
+		want := make([]float64, d)
+		for k, j := range cols {
+			for c := 0; c < d; c++ {
+				want[c] += e[k] / sum * x.At(j, c)
+			}
+		}
+		for c := 0; c < d; c++ {
+			if g, w := got.At(i, c), want[c]+bias[c]; math.Abs(g-w) > 1e-12 {
+				t.Fatalf("row %d (%d neighbours) col %d = %g, literal softmax gives %g", i, len(cols), c, g, w)
+			}
 		}
 	}
 }
@@ -252,6 +298,11 @@ func TestBuilderValidation(t *testing.T) {
 		b := NewBuilder(4)
 		in := b.Input(3)
 		b.AddBias(in, make([]float64, 3))
+	})
+	expectPanic("wide attention score", func() {
+		b := NewBuilder(4)
+		in := b.Input(3)
+		b.Attn(testStructure(4, 1), in, in, in, 0.2)
 	})
 	expectPanic("empty program", func() {
 		NewBuilder(4).Build()

@@ -123,10 +123,9 @@ type Fleet struct {
 // same barrier calls per run), that every halo slot addresses a real
 // peer row, and that all machines share an element type; then installs
 // the peer table and barrier into each machine. Machines may belong to
-// at most one fleet. Programs containing OpFunc are rejected — an opaque
-// kernel could fail mid-run between barriers, and fleet execution must
-// be infallible between barrier points (failure enters only through the
-// poisonable barrier itself: Abort / RunShard errors).
+// at most one fleet. Programs containing OpAttn are rejected: the op
+// gathers two values (t and z) through its structure, and there is no
+// halo lowering for that yet — a shard would read rows it does not hold.
 func NewFleet(machines []*Machine) (*Fleet, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("exec: fleet of zero machines")
@@ -145,9 +144,9 @@ func NewFleet(machines []*Machine) (*Fleet, error) {
 }
 
 // validateFleetMachine checks machine m as shard s of the fleet: not yet
-// fleet-bound, tileable, same element type and op-kind sequence as shard
-// 0 (or, when validating a replacement for shard 0 itself, as another
-// shard), and every halo slot in range of its peer.
+// fleet-bound, free of attention ops, same element type and op-kind
+// sequence as shard 0 (or, when validating a replacement for shard 0
+// itself, as another shard), and every halo slot in range of its peer.
 func validateFleetMachine(machines []*Machine, s int, m *Machine) error {
 	ref := machines[0]
 	if s == 0 && m != machines[0] {
@@ -155,9 +154,6 @@ func validateFleetMachine(machines []*Machine, s int, m *Machine) error {
 	}
 	if m.peers != nil {
 		return fmt.Errorf("exec: shard %d machine already belongs to a fleet", s)
-	}
-	if !m.prog.tileable {
-		return fmt.Errorf("exec: shard %d program contains non-tileable ops (OpFunc cannot run in a fleet)", s)
 	}
 	if m.elem != ref.elem {
 		return fmt.Errorf("exec: shard %d element type %s != shard 0 %s", s, m.elem, ref.elem)
@@ -168,6 +164,9 @@ func validateFleetMachine(machines []*Machine, s int, m *Machine) error {
 	for i := range m.prog.ops {
 		if m.prog.ops[i].Kind != ref.prog.ops[i].Kind {
 			return fmt.Errorf("exec: shard %d op %d is %s, shard 0 has %s — shards must lower identically", s, i, m.prog.ops[i].Kind, ref.prog.ops[i].Kind)
+		}
+		if m.prog.ops[i].Kind == OpAttn {
+			return fmt.Errorf("exec: shard %d op %d is %s, which has no halo lowering yet", s, i, OpAttn)
 		}
 	}
 	for i := range m.prog.ops {

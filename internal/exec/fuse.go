@@ -14,20 +14,25 @@ package exec
 // ops, in the same element order (mat.ApplyEpilogueRow is the one
 // definition of the per-row epilogue semantics).
 
-// Epilogue is the element-wise tail fused into a producing MatMul/SpMM
-// op, applied in canonical order: add Bias (broadcast), add the Res value
-// (element-wise), then ReLU. The zero value plus Res == -1 means no
-// epilogue; only the fusion pass sets one.
+// Epilogue is the element-wise tail fused into a producing
+// MatMul/SpMM/Attn op, applied in canonical order: add Bias (broadcast),
+// add the Res value (element-wise), then ReLU. The zero value plus
+// Res == -1 means no epilogue; only the fusion pass sets one.
 type Epilogue struct {
 	Bias []float64 // optional broadcast bias, nil = none
 	Res  int       // value id of the residual operand, -1 = none
 	ReLU bool      // clamp at zero last
 }
 
+// hasEpilogue reports whether ops of kind k — the three products —
+// finish their rows through an Epilogue: what the fusion pass may fold
+// into, and at int8 where the wide argmax head can sit.
+func (k OpKind) hasEpilogue() bool { return k == OpMatMul || k == OpSpMM || k == OpAttn }
+
 // Fused returns a program with epilogue fusion and dead-op and dead-value
 // elimination applied; the receiver is unchanged and remains valid. The
 // fusion is a peephole over adjacent ops — exactly the shape lowering emits — folding
-// an AddBias/Add/ReLU into an immediately preceding MatMul/SpMM when the
+// an AddBias/Add/ReLU into an immediately preceding product op when the
 // consumed value has no other consumer, is not an external input, is not
 // marked kept (Builder.Keep) and is not the program output. Folding
 // preserves canonical epilogue order (bias, then residual, then ReLU);
@@ -64,7 +69,7 @@ func (p *Program) Fused() *Program {
 	for _, op := range p.ops {
 		if len(ops) > 0 {
 			prev := &ops[len(ops)-1]
-			if prev.Kind == OpMatMul || prev.Kind == OpSpMM {
+			if prev.Kind.hasEpilogue() {
 				switch op.Kind {
 				case OpAddBias:
 					// In-place op: folding attaches the bias, the value id

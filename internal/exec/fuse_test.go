@@ -317,7 +317,8 @@ func TestWorkersClampedToTiles(t *testing.T) {
 	if got := m.TileWorkers(); got != 3 { // ceil(10/4)
 		t.Fatalf("TileWorkers = %d, want 3", got)
 	}
-	if got, want := m.TileBytes(), int64(3*4*prog.Fused().MaxWidth()*8); got != want {
+	// Three staging tiles, and three 300-long attention scratch rows.
+	if got, want := m.TileBytes(), int64(3*(4*prog.Fused().MaxWidth()*8+300*8)); got != want {
 		t.Fatalf("TileBytes = %d, want %d", got, want)
 	}
 	m.Run(n, inputs, nil)

@@ -17,8 +17,10 @@ import (
 //
 // must be bit-identical to the unfused direct reference. The fuzzed
 // program includes a residual Add chain so the fusion pass exercises
-// every epilogue step (bias, residual, ReLU). CI runs this as a short
-// smoke; longer local runs just raise -fuzztime.
+// every epilogue step (bias, residual, ReLU), and an attention aggregate
+// over a second, non-symmetric CSR (empty rows, a hub row longer than a
+// kernel window) with a bias/ReLU tail of its own. CI runs this as a
+// short smoke; longer local runs just raise -fuzztime.
 func FuzzTiledExec(f *testing.F) {
 	f.Add(uint8(16), uint8(3), uint8(4), uint8(5), uint8(2), int64(1))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), int64(2))
@@ -43,6 +45,9 @@ func FuzzTiledExec(f *testing.F) {
 		v = b.AddBias(v, b1)
 		skip := b.MatMul(in, wSkip)
 		v = b.Add(v, skip)
+		v = b.ReLU(v)
+		v = b.Attn(testStructure(n, seed), b.MatMul(v, randMat(rng, h, 1)), b.MatMul(v, randMat(rng, h, 1)), v, 0.2)
+		v = b.AddBias(v, randMat(rng, 1, h).Data)
 		v = b.ReLU(v)
 		v = b.Concat(v, in)
 		_ = b.MatMul(v, randMat(rng, h+d, d))

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 
 	"gnnvault/internal/mat"
@@ -49,11 +48,6 @@ func (e Elem) String() string {
 	return "fp64"
 }
 
-// ErrPrecisionUnsupported is returned when an int8 machine is requested
-// for a program containing ops without int8 kernels (OpFunc, whose opaque
-// layer runs float64 internally).
-var ErrPrecisionUnsupported = errors.New("exec: program contains ops without reduced-precision kernels")
-
 // quantized holds an I8 machine's state: code buffers, staging tiles,
 // quantized operands and scratch. The boundary buffers (in receives the
 // quantized inputs; out64 holds the dequantized output) are simulation
@@ -72,9 +66,9 @@ type quantized struct {
 	// wideHead is the op index whose epilogue computes the program's
 	// argmax labels "wide" — from the pre-requantization floats instead of
 	// the output codes — or -1. Set when the argmax source is produced by
-	// a MatMul/SpMM: the exact int32 accumulator separates logits that
-	// requantization to shared int8 codes would collapse, the dominant
-	// quantized-argmax error source on thin-margin heads.
+	// a MatMul/SpMM/Attn: the exact int32 accumulator separates logits
+	// that requantization to shared int8 codes would collapse, the
+	// dominant quantized-argmax error source on thin-margin heads.
 	wideHead int
 }
 
@@ -88,7 +82,8 @@ type opAuxI8 struct {
 	w *mat.MatrixI8
 	// deq is the per-column combined dequantization scale fed to the
 	// epilogue: the folded weight's column scales for MatMul,
-	// source-column scale × value scale for SpMM (refreshed per Run).
+	// source-column scale × value scale for SpMM (refreshed per Run),
+	// z-column scale × attnScale for Attn.
 	deq []float64
 	// vs is the SpMM value scale of the current Run, derived from the
 	// CSR's ValMaxAbs so re-induced subgraph operators stay calibrated.
@@ -108,6 +103,7 @@ type scratchI8 struct {
 	dstTile  mat.MatrixI8
 	resTile  mat.MatrixI8
 	acc      []int32
+	alpha    []float64 // attention coefficients of the row in hand, as workerScratch's
 }
 
 // planI8 allocates the code buffers of an I8 machine and quantizes the
@@ -115,9 +111,6 @@ type scratchI8 struct {
 // (worker/tile) planning.
 func (m *Machine) planI8() error {
 	p, cfg := m.prog, m.cfg
-	if !p.tileable {
-		return ErrPrecisionUnsupported
-	}
 	if len(cfg.Scales) != len(p.vals) {
 		return fmt.Errorf("exec: int8 machine needs %d per-value scale vectors, got %d (run CalibrateScales)", len(p.vals), len(cfg.Scales))
 	}
@@ -137,7 +130,7 @@ func (m *Machine) planI8() error {
 	}
 	m.q = q
 	// Wide argmax head: when the argmax source comes straight out of a
-	// MatMul/SpMM (the argmax op is always last — builders refuse ops
+	// MatMul/SpMM/Attn (the argmax op is always last — builders refuse ops
 	// after it), label from that op's epilogue floats. A head produced by
 	// an element-wise op keeps the code-space argmax.
 	if p.hasArgmax {
@@ -147,7 +140,7 @@ func (m *Machine) planI8() error {
 			if op.Dst != amSrc {
 				continue
 			}
-			if op.Kind == OpMatMul || op.Kind == OpSpMM {
+			if op.Kind.hasEpilogue() {
 				q.wideHead = i
 			}
 			break
@@ -192,12 +185,22 @@ func (m *Machine) planI8() error {
 			for k, s := range op.Srcs {
 				a.cs[k] = cfg.Scales[s]
 			}
+		case OpAttn:
+			a.deq = make([]float64, p.vals[op.Dst].width)
+			for j, zs := range cfg.Scales[op.Srcs[2]] {
+				a.deq[j] = zs * attnScale
+			}
+		case OpAddBias, OpReLU, OpAdd, OpArgmax, OpHalo:
+			// nothing to prepare: these run on the value scales alone
+		default: // fail planning rather than run the kind as a no-op
+			return fmt.Errorf("exec: no int8 kernel for op kind %s", op.Kind)
 		}
 	}
 	for w := range q.scr {
 		q.scr[w].srcTiles = make([]mat.MatrixI8, p.maxArity)
 		q.scr[w].srcPtrs = make([]*mat.MatrixI8, p.maxArity)
 		q.scr[w].acc = make([]int32, p.maxWidth)
+		q.scr[w].alpha = make([]float64, m.attnRow)
 	}
 	return nil
 }
@@ -299,6 +302,10 @@ func (m *Machine) runRowsI8(w, idx int, op *Op, lo, hi int, labels []int) {
 		addI8(out, srcs[0], srcs[1], srcScales, sc[op.Srcs[1]], dstScales, s.acc)
 	case OpConcat:
 		concatI8(out, srcs, a.cs, dstScales)
+	case OpAttn:
+		m.attnRowsI8(out, w, a, op, lo, hi, res, resScales, wide)
+	default:
+		panic(fmt.Sprintf("exec: no int8 body for op kind %s", op.Kind))
 	}
 	if m.tiled {
 		mat.CopyI8Into(dst, out)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -315,6 +316,19 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if _, err := NewFleet([]*Machine{mach(0, Config{Workers: 1}), mach(1, Config{Elem: I8, Scales: ones, Workers: 1})}); err == nil {
 		t.Fatal("fleet with mixed element types accepted")
+	}
+
+	// The attention op has no halo lowering: even a one-shard fleet
+	// refuses a program containing it.
+	ab := NewBuilder(n)
+	z := ab.MatMul(ab.Input(d0), pr.w1)
+	ab.Attn(testStructure(n, 6), ab.MatMul(z, randMat(rng, h, 1)), ab.MatMul(z, randMat(rng, h, 1)), z, 0.2)
+	am, err := ab.Build().NewMachine(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFleet([]*Machine{am}); err == nil || !strings.Contains(err.Error(), "halo lowering") {
+		t.Fatalf("fleet over an attention program: err = %v, want the no-halo-lowering refusal", err)
 	}
 
 	// Halo slots addressing shards or rows outside the fleet.

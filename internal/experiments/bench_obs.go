@@ -35,6 +35,11 @@ type ExtObsRow struct {
 // that would bias a run-A-then-run-B comparison.
 const obsRounds = 7
 
+// obsPlanBudget is the per-workspace EPC budget both legs plan under:
+// small enough that the plans actually tile on cora, so tile spans are
+// part of what the recorder is charged for.
+const obsPlanBudget = 1 << 20
+
 // ExtObs measures telemetry overhead on the two hot serving paths: a
 // tile-streamed full-graph PredictInto workspace and the multi-vault
 // registry server. Both variants execute identical plans — only the
@@ -77,7 +82,7 @@ func obsFullGraph(name string, ds *datasets.Dataset, bb *core.Backbone, rc *core
 	}
 	defer v.Undeploy()
 	plan := func(r obs.Recorder) *core.Workspace {
-		ws, err := v.PlanWith(v.Nodes(), core.PlanConfig{EPCBudgetBytes: extCoreBudget, Recorder: r})
+		ws, err := v.PlanWith(v.Nodes(), core.PlanConfig{EPCBudgetBytes: obsPlanBudget, Recorder: r})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: ExtObs plan: %v", err))
 		}
@@ -116,7 +121,7 @@ func obsServe(name string, ds *datasets.Dataset, bb *core.Backbone, rc *core.Rec
 		encl := enclave.New(enclaveDefaultCost(), rc.Identity())
 		reg := registry.New(encl, registry.Config{
 			WorkspacesPerVault: 2,
-			Plan:               core.PlanConfig{EPCBudgetBytes: extCoreBudget},
+			Plan:               core.PlanConfig{EPCBudgetBytes: obsPlanBudget},
 			Recorder:           r,
 		})
 		v, err := core.DeployInto(encl, bb, rc, ds.Graph)

@@ -61,9 +61,9 @@ func TestMulDenseIntoMatchesMulDense(t *testing.T) {
 			t.Fatalf("n=%d: MulDenseInto disagrees with MulDense", n)
 		}
 		dst.Zero()
-		na.MulDenseSerialInto(dst, h)
+		na.MulDenseWorkersInto(dst, h, 1)
 		if !dst.EqualApprox(want, 1e-12) {
-			t.Fatalf("n=%d: MulDenseSerialInto disagrees with MulDense", n)
+			t.Fatalf("n=%d: serial MulDenseWorkersInto disagrees with MulDense", n)
 		}
 	}
 }
@@ -74,10 +74,10 @@ func TestMulDenseIntoAllocFree(t *testing.T) {
 	h := mat.RandNormal(rand.New(rand.NewSource(5)), 100, 8, 0, 1)
 	dst := mat.New(100, 8)
 	allocs := testing.AllocsPerRun(20, func() {
-		na.MulDenseSerialInto(dst, h)
+		na.MulDenseWorkersInto(dst, h, 1)
 	})
 	if allocs > 0 {
-		t.Fatalf("MulDenseSerialInto allocates %.1f objects/op", allocs)
+		t.Fatalf("serial MulDenseWorkersInto allocates %.1f objects/op", allocs)
 	}
 }
 

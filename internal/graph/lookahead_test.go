@@ -83,8 +83,8 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 		for _, r := range [][2]int{{0, 1}, {1, 1}, {1, 7}, {7, n - 3}, {n - 3, n - 1}, {n - 1, n}, {0, n}} {
 			lo, hi := r[0], r[1]
 			got := mat.New(hi-lo, d)
-			na.MulDenseRangeInto(got, h, lo, hi)
-			same("MulDenseRangeInto", got, plain, lo)
+			na.MulDenseBiasReLURangeInto(got, h, lo, hi, nil, nil, false, 1)
+			same("MulDenseBiasReLURangeInto plain", got, plain, lo)
 			resRows := mat.New(hi-lo, d)
 			copy(resRows.Data, res.Data[lo*d:hi*d])
 			for _, workers := range []int{1, 3} {

@@ -121,12 +121,6 @@ func (na *NormAdjacency) MulDenseInto(dst, h *mat.Matrix) {
 	na.mulDenseInto(dst, h, 0)
 }
 
-// MulDenseSerialInto is MulDenseInto restricted to the calling goroutine,
-// the form in-enclave (single-threaded) code must use.
-func (na *NormAdjacency) MulDenseSerialInto(dst, h *mat.Matrix) {
-	na.mulDenseInto(dst, h, 1)
-}
-
 // MulDenseWorkersInto is MulDenseInto under an explicit per-call worker
 // budget (mat.MatMulWorkersInto semantics: <= 0 resolves to GOMAXPROCS, 1
 // runs inline, larger budgets are clamped to the row count).
@@ -170,16 +164,6 @@ func (na *NormAdjacency) NNZBound(lo, hi, part, parts int) int {
 	return lo + sort.SearchInts(na.RowPtr[lo:hi], target)
 }
 
-// MulDenseRangeInto computes rows [lo, hi) of Â·H into dst, which must be
-// (hi-lo)×H.Cols: dst row 0 receives graph row lo. H must span all N rows —
-// a CSR row's neighbours reach outside [lo, hi) — which is exactly why the
-// tiled executor must materialise a layer's full input before streaming its
-// output tile by tile. Runs inline on the calling goroutine (the in-enclave
-// form) and never allocates.
-func (na *NormAdjacency) MulDenseRangeInto(dst, h *mat.Matrix, lo, hi int) {
-	na.MulDenseBiasReLURangeInto(dst, h, lo, hi, nil, nil, false, 1)
-}
-
 // gatherAhead is how many CSR rows ahead of the row being summed the
 // products below look: while row i accumulates, the row accumulate is
 // handed row i+gatherAhead's column indices as its look-ahead operand
@@ -218,13 +202,16 @@ func (na *NormAdjacency) accumRow(orow []float64, h *mat.Matrix, i int) {
 	mat.RowAccumulate(orow, na.Val[p:end], na.ColIdx[p:end], h.Data, false, ahead)
 }
 
-// MulDenseBiasReLURangeInto is MulDenseRangeInto with the epilogue of the
-// fused exec ops applied to the finished rows while they are still hot:
-// dst = epilogue(Â[lo:hi]·H) with the optional bias (broadcast), residual
-// res (which must be (hi-lo)×H.Cols, aligned to dst — row 0 pairs with
-// graph row lo) and ReLU applied in canonical order (see
-// mat.ApplyEpilogueRow). With all three unset this is exactly
-// MulDenseRangeInto. The range is split into nnz-balanced row bands under
+// MulDenseBiasReLURangeInto computes rows [lo, hi) of Â·H into dst, which
+// must be (hi-lo)×H.Cols — dst row 0 receives graph row lo — with the
+// epilogue of the fused exec ops applied to the finished rows while they
+// are still hot: dst = epilogue(Â[lo:hi]·H) with the optional bias
+// (broadcast), residual res (which must be (hi-lo)×H.Cols, aligned to dst)
+// and ReLU applied in canonical order (see mat.ApplyEpilogueRow); with all
+// three unset it is the plain ranged product. H must span all N rows — a
+// CSR row's neighbours reach outside [lo, hi) — which is exactly why the
+// tiled executor must materialise a layer's full input before streaming
+// its output tile by tile. The range is split into nnz-balanced row bands under
 // the worker budget (mat.ResolveWorkers semantics); with workers 1 — the
 // in-enclave tile form — it runs inline on the calling goroutine and
 // never allocates. Rows are independent, so results are bit-identical to

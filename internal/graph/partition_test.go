@@ -26,7 +26,7 @@ func reassemble(t *testing.T, p *Partition, h *mat.Matrix) *mat.Matrix {
 			copy(ext.Data[(rows+k)*h.Cols:(rows+k+1)*h.Cols], h.Data[c*h.Cols:(c+1)*h.Cols])
 		}
 		dst := mat.New(rows, h.Cols)
-		p.CSR[s].MulDenseRangeInto(dst, ext, 0, rows)
+		p.CSR[s].MulDenseBiasReLURangeInto(dst, ext, 0, rows, nil, nil, false, 1)
 		copy(out.Data[lo*h.Cols:(lo+rows)*h.Cols], dst.Data)
 	}
 	return out

@@ -49,19 +49,6 @@ func (m *MatrixI8) ViewRows(lo, hi int, view *MatrixI8) *MatrixI8 {
 // bytes (1 per element), used for EPC accounting and transfer costing.
 func (m *MatrixI8) NumBytes() int64 { return int64(len(m.Data)) }
 
-// Equal reports whether m and o are identical in shape and codes.
-func (m *MatrixI8) Equal(o *MatrixI8) bool {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if v != o.Data[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ArgmaxRowsScaledInto writes, for each row, the column index of its
 // maximum dequantized value code·scales[col] into dst (first maximum
 // wins). Per-column scales make raw codes incomparable across columns, so
@@ -84,31 +71,6 @@ func (m *MatrixI8) ArgmaxRowsScaledInto(dst []int, scales []float64) {
 		best, arg := float64(row[0])*scales[0], 0
 		for j, q := range row {
 			if v := float64(q) * scales[j]; v > best {
-				best, arg = v, j
-			}
-		}
-		dst[i] = arg
-	}
-}
-
-// ArgmaxRowsInto writes, for each row, the column index of its maximum
-// code into dst (first maximum wins). Only meaningful when every column
-// shares one non-negative scale — requantization is then monotone and the
-// argmax over codes equals the argmax over the dequantized reals; under
-// per-column scales use ArgmaxRowsScaledInto.
-func (m *MatrixI8) ArgmaxRowsInto(dst []int) {
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("mat: ArgmaxRowsInto dst length %d != %d rows", len(dst), m.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		if len(row) == 0 {
-			dst[i] = 0
-			continue
-		}
-		best, arg := row[0], 0
-		for j, v := range row {
-			if v > best {
 				best, arg = v, j
 			}
 		}
@@ -143,17 +105,6 @@ func QuantizeI8Into(dst *MatrixI8, src *Matrix, scale float64) {
 		panic(fmt.Sprintf("mat: QuantizeI8Into shape mismatch %s vs %s", dst.Shape(), src.Shape()))
 	}
 	requantRowChecked(dst.Data, nil, nil, nil, src.Data, nil, nil, nil, scale, false, false)
-}
-
-// DequantizeI8Into widens the int8 matrix src into the float64 dst as
-// code·scale per element. Shapes must match.
-func DequantizeI8Into(dst *Matrix, src *MatrixI8, scale float64) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("mat: DequantizeI8Into shape mismatch %s vs %s", dst.Shape(), src.Shape()))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = float64(v) * scale
-	}
 }
 
 // QuantizeColumnsI8Into quantizes the float64 matrix src into dst under

@@ -40,10 +40,13 @@ type GATConv struct {
 	preCache   []float64 // pre-activation e_ij before LeakyReLU
 }
 
-// NewGATConv constructs a single-head GAT layer over g.
-func NewGATConv(rng *rand.Rand, inDim, outDim int, g *graph.Graph) *GATConv {
-	if g == nil {
-		panic("nn: GATConv requires a graph")
+// NewGATConv constructs a single-head GAT layer over the attention
+// structure st (graph.SelfLoopAdjacency; only its RowPtr/ColIdx are read).
+// The structure is shared, not copied: the layers and heads of one model
+// are handed the same one, as GCN layers are handed one Â.
+func NewGATConv(rng *rand.Rand, inDim, outDim int, st *graph.NormAdjacency) *GATConv {
+	if st == nil {
+		panic("nn: GATConv requires an attention structure")
 	}
 	aSrc := make([]float64, outDim)
 	aDst := make([]float64, outDim)
@@ -64,9 +67,13 @@ func NewGATConv(rng *rand.Rand, inDim, outDim int, g *graph.Graph) *GATConv {
 		dASrc:    make([]float64, outDim),
 		dADst:    make([]float64, outDim),
 		dbAcc:    make([]float64, outDim),
-		struct_:  graph.SelfLoopAdjacency(g),
+		struct_:  st,
 	}
 }
+
+// Structure returns the CSR structure (adjacency with self loops) the
+// layer attends over.
+func (l *GATConv) Structure() *graph.NormAdjacency { return l.struct_ }
 
 // Forward computes attention-weighted aggregation.
 func (l *GATConv) Forward(x *mat.Matrix, train bool) *mat.Matrix {
@@ -225,14 +232,15 @@ type MultiHeadGAT struct {
 	Heads         []*GATConv
 }
 
-// NewMultiHeadGAT builds heads GAT heads of width outDim/heads each.
-func NewMultiHeadGAT(rng *rand.Rand, inDim, outDim, heads int, g *graph.Graph) *MultiHeadGAT {
+// NewMultiHeadGAT builds heads GAT heads of width outDim/heads each over
+// the shared attention structure st.
+func NewMultiHeadGAT(rng *rand.Rand, inDim, outDim, heads int, st *graph.NormAdjacency) *MultiHeadGAT {
 	if heads < 1 || outDim%heads != 0 {
 		panic(fmt.Sprintf("nn: MultiHeadGAT outDim %d not divisible by heads %d", outDim, heads))
 	}
 	m := &MultiHeadGAT{InDim: inDim, OutDim: outDim}
 	for h := 0; h < heads; h++ {
-		m.Heads = append(m.Heads, NewGATConv(rng, inDim, outDim/heads, g))
+		m.Heads = append(m.Heads, NewGATConv(rng, inDim, outDim/heads, st))
 	}
 	return m
 }

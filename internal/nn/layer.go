@@ -1,12 +1,16 @@
-// Package nn implements the neural-network substrate GNNVault trains and
-// deploys: GCN and dense layers with hand-derived backward passes, ReLU and
-// dropout, masked softmax cross-entropy for semi-supervised node
+// Package nn implements the neural-network substrate GNNVault trains:
+// GCN, GraphSAGE, GAT and dense layers with hand-derived backward passes,
+// ReLU and dropout, masked softmax cross-entropy for semi-supervised node
 // classification, and the Adam optimiser.
 //
 // There is no tape autodiff: each layer caches what its backward pass needs
-// during Forward and returns the input gradient from Backward. This keeps
-// the enclave-side inference path allocation-predictable, which matters for
-// EPC accounting.
+// during Forward and returns the input gradient from Backward.
+//
+// The package holds training and the reference forward, nothing else.
+// Deployed inference never runs these layers: internal/core compiles them
+// into internal/exec op programs (reading the weights, and the operators
+// through GCNConv.Adjacency, SAGEConv.Mean and GATConv.Structure), and the
+// tests hold every planned answer to the Forward defined here.
 package nn
 
 import (

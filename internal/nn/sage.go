@@ -30,12 +30,14 @@ type SAGEConv struct {
 	mxCache *mat.Matrix // D⁻¹A·X
 }
 
-// NewSAGEConv constructs a mean-aggregator GraphSAGE layer over g.
-func NewSAGEConv(rng *rand.Rand, inDim, outDim int, g *graph.Graph) *SAGEConv {
-	if g == nil {
-		panic("nn: SAGEConv requires a graph")
+// NewSAGEConv constructs a mean-aggregator GraphSAGE layer over the mean
+// operator agg (graph.MeanAdjacency) and its transpose aggT, which only
+// Backward reads. Both are shared, not copied: the layers of one model are
+// handed the same pair, as GCN layers are handed one Â.
+func NewSAGEConv(rng *rand.Rand, inDim, outDim int, agg, aggT *graph.NormAdjacency) *SAGEConv {
+	if agg == nil || aggT == nil {
+		panic("nn: SAGEConv requires a mean operator and its transpose")
 	}
-	agg := graph.MeanAdjacency(g)
 	return &SAGEConv{
 		InDim:  inDim,
 		OutDim: outDim,
@@ -46,9 +48,12 @@ func NewSAGEConv(rng *rand.Rand, inDim, outDim int, g *graph.Graph) *SAGEConv {
 		dwNbr:  mat.New(inDim, outDim),
 		dbAcc:  make([]float64, outDim),
 		agg:    agg,
-		aggT:   agg.Transpose(),
+		aggT:   aggT,
 	}
 }
+
+// Mean returns the layer's mean-aggregation operator D⁻¹A.
+func (l *SAGEConv) Mean() *graph.NormAdjacency { return l.agg }
 
 // Forward computes X·W_self + (D⁻¹A·X)·W_nbr + b.
 func (l *SAGEConv) Forward(x *mat.Matrix, train bool) *mat.Matrix {

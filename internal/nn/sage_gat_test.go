@@ -13,10 +13,16 @@ import (
 // graph.Transpose moved to internal/graph/aggregate_test.go, next to the
 // code they exercise.
 
+// sageOver builds a SAGE layer over g's mean operator and its transpose.
+func sageOver(rng *rand.Rand, inDim, outDim int, g *graph.Graph) *SAGEConv {
+	agg := graph.MeanAdjacency(g)
+	return NewSAGEConv(rng, inDim, outDim, agg, agg.Transpose())
+}
+
 func TestSAGEConvShapesAndParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.Random(12, 24, 3)
-	l := NewSAGEConv(rng, 6, 4, g)
+	l := sageOver(rng, 6, 4, g)
 	out := l.Forward(mat.RandNormal(rng, 12, 6, 0, 1), false)
 	if out.Rows != 12 || out.Cols != 4 {
 		t.Fatalf("shape = %s", out.Shape())
@@ -29,7 +35,7 @@ func TestSAGEConvShapesAndParams(t *testing.T) {
 func TestSAGEConvIsolatedNodeUsesSelfOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.New(3, []graph.Edge{{U: 0, V: 1}}) // node 2 isolated
-	l := NewSAGEConv(rng, 2, 2, g)
+	l := sageOver(rng, 2, 2, g)
 	x := mat.FromSlice(3, 2, []float64{1, 0, 0, 1, 2, 2})
 	out := l.Forward(x, false)
 	want := mat.MatMul(x.SliceRows(2, 3), l.WSelf).AddRowVector(l.B)
@@ -43,7 +49,7 @@ func TestSAGEConvIsolatedNodeUsesSelfOnly(t *testing.T) {
 func TestGradCheckSAGE(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.Random(9, 18, 5)
-	m := NewModel(NewSAGEConv(rng, 5, 4, g), NewReLU(), NewSAGEConv(rng, 4, 3, g))
+	m := NewModel(sageOver(rng, 5, 4, g), NewReLU(), sageOver(rng, 4, 3, g))
 	x := mat.RandNormal(rng, 9, 5, 0, 1)
 	labels := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
 	lossFn := func(out *mat.Matrix) (float64, *mat.Matrix) {
@@ -57,7 +63,7 @@ func TestGradCheckSAGE(t *testing.T) {
 func TestGATConvShapesAndParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := graph.Random(10, 20, 6)
-	l := NewGATConv(rng, 5, 3, g)
+	l := NewGATConv(rng, 5, 3, graph.SelfLoopAdjacency(g))
 	out := l.Forward(mat.RandNormal(rng, 10, 5, 0, 1), false)
 	if out.Rows != 10 || out.Cols != 3 {
 		t.Fatalf("shape = %s", out.Shape())
@@ -70,7 +76,7 @@ func TestGATConvShapesAndParams(t *testing.T) {
 func TestGATAttentionSumsToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.Random(14, 28, 7)
-	l := NewGATConv(rng, 4, 3, g)
+	l := NewGATConv(rng, 4, 3, graph.SelfLoopAdjacency(g))
 	l.Forward(mat.RandNormal(rng, 14, 4, 0, 1), true)
 	st := graph.SelfLoopAdjacency(g)
 	for i := 0; i < 14; i++ {
@@ -91,7 +97,7 @@ func TestGATAttentionSumsToOne(t *testing.T) {
 func TestGradCheckGAT(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := graph.Random(8, 16, 8)
-	m := NewModel(NewGATConv(rng, 4, 5, g), NewReLU(), NewGATConv(rng, 5, 2, g))
+	m := NewModel(NewGATConv(rng, 4, 5, graph.SelfLoopAdjacency(g)), NewReLU(), NewGATConv(rng, 5, 2, graph.SelfLoopAdjacency(g)))
 	x := mat.RandNormal(rng, 8, 4, 0, 1)
 	labels := []int{0, 1, 0, 1, 0, 1, 0, 1}
 	lossFn := func(out *mat.Matrix) (float64, *mat.Matrix) {
@@ -105,7 +111,7 @@ func TestGradCheckGAT(t *testing.T) {
 func TestGATSingleNodeSelfAttention(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := graph.New(1, nil)
-	l := NewGATConv(rng, 3, 2, g)
+	l := NewGATConv(rng, 3, 2, graph.SelfLoopAdjacency(g))
 	x := mat.FromSlice(1, 3, []float64{1, 2, 3})
 	out := l.Forward(x, false)
 	// With a single self loop, α = 1, so y = Wᵀx + b exactly.
@@ -131,10 +137,10 @@ func TestSAGEGATTrainingConverges(t *testing.T) {
 	}
 	builders := map[string]func() *Model{
 		"sage": func() *Model {
-			return NewModel(NewSAGEConv(rng, 6, 8, g), NewReLU(), NewSAGEConv(rng, 8, 2, g))
+			return NewModel(sageOver(rng, 6, 8, g), NewReLU(), sageOver(rng, 8, 2, g))
 		},
 		"gat": func() *Model {
-			return NewModel(NewGATConv(rng, 6, 8, g), NewReLU(), NewGATConv(rng, 8, 2, g))
+			return NewModel(NewGATConv(rng, 6, 8, graph.SelfLoopAdjacency(g)), NewReLU(), NewGATConv(rng, 8, 2, graph.SelfLoopAdjacency(g)))
 		},
 	}
 	for name, build := range builders {
@@ -160,7 +166,7 @@ func TestSAGEGATTrainingConverges(t *testing.T) {
 func TestSAGESerialMatchesParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := graph.Random(30, 60, 11)
-	l := NewSAGEConv(rng, 8, 4, g)
+	l := sageOver(rng, 8, 4, g)
 	x := mat.RandNormal(rng, 30, 8, 0, 1)
 	par := l.Forward(x, false)
 	l.Serial = true
@@ -172,7 +178,7 @@ func TestSAGESerialMatchesParallel(t *testing.T) {
 func TestMultiHeadGATShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	g := graph.Random(12, 24, 20)
-	l := NewMultiHeadGAT(rng, 5, 8, 4, g)
+	l := NewMultiHeadGAT(rng, 5, 8, 4, graph.SelfLoopAdjacency(g))
 	out := l.Forward(mat.RandNormal(rng, 12, 5, 0, 1), false)
 	if out.Rows != 12 || out.Cols != 8 {
 		t.Fatalf("shape = %s", out.Shape())
@@ -190,13 +196,13 @@ func TestMultiHeadGATInvalidHeadsPanics(t *testing.T) {
 			t.Fatal("outDim % heads != 0 did not panic")
 		}
 	}()
-	NewMultiHeadGAT(rng, 4, 7, 2, g)
+	NewMultiHeadGAT(rng, 4, 7, 2, graph.SelfLoopAdjacency(g))
 }
 
 func TestGradCheckMultiHeadGAT(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	g := graph.Random(8, 16, 22)
-	m := NewModel(NewMultiHeadGAT(rng, 4, 6, 2, g), NewReLU(), NewGATConv(rng, 6, 2, g))
+	m := NewModel(NewMultiHeadGAT(rng, 4, 6, 2, graph.SelfLoopAdjacency(g)), NewReLU(), NewGATConv(rng, 6, 2, graph.SelfLoopAdjacency(g)))
 	x := mat.RandNormal(rng, 8, 4, 0, 1)
 	labels := []int{0, 1, 0, 1, 0, 1, 0, 1}
 	lossFn := func(out *mat.Matrix) (float64, *mat.Matrix) {
@@ -210,7 +216,7 @@ func TestGradCheckMultiHeadGAT(t *testing.T) {
 func TestMultiHeadGATSerialMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := graph.Random(10, 20, 23)
-	l := NewMultiHeadGAT(rng, 4, 4, 2, g)
+	l := NewMultiHeadGAT(rng, 4, 4, 2, graph.SelfLoopAdjacency(g))
 	l.SetSerialMode(true)
 	for _, h := range l.Heads {
 		if !h.Serial {

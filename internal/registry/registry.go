@@ -96,11 +96,10 @@ type Config struct {
 	// Plan.EPCBudgetBytes makes cold plans tile-streamed: a vault whose
 	// untiled plan could never be admitted (or whose admission would evict
 	// the whole fleet) is charged only a tile-sized working set, which
-	// collapses the plan/evict churn an oversubscribed EPC otherwise pays.
-	// Vaults with non-tileable (SAGE/GAT) convolutions fail admission with
-	// core.ErrTiledUnsupported under a budget. Setting Plan.Precision
-	// shrinks every planned workspace by the element width; vaults serving
-	// int8 must have calibration features registered
+	// collapses the plan/evict churn an oversubscribed EPC otherwise pays
+	// (every conv kind tiles). Setting Plan.Precision shrinks every
+	// planned workspace by the element width; vaults serving int8 must
+	// have calibration features registered
 	// (core.Vault.SetCalibrationFeatures) before their first request, or
 	// admission fails with core.ErrCalibrationRequired — an accuracy
 	// refusal, deliberately not an EPC error, so it never triggers
