@@ -233,8 +233,10 @@ func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcM
 			fmt.Fprintf(os.Stderr, "deploy %s failed: %v\n", m.info.ID, err)
 			os.Exit(1)
 		}
-		// Calibration batch for reduced-precision plans: the dataset's own
-		// public features — the same matrix every query passes in.
+		// Register the dataset's own public features — the same matrix
+		// every query passes in: the calibration batch of reduced-precision
+		// plans, and the key under which the vault's public-half store keeps
+		// their backbone embeddings after the first full-graph pass.
 		if err := v.SetCalibrationFeatures(m.ds.X); err != nil {
 			fmt.Fprintf(os.Stderr, "calibration features for %s failed: %v\n", m.info.ID, err)
 			os.Exit(1)
@@ -322,6 +324,8 @@ func runSyntheticStream(fl *fleet, srv *serve.MultiServer, clients, requests int
 		float64(rst.Ledger.BytesOut)/(1<<20), rst.Ledger.PageSwaps)
 	fmt.Printf("  spill       %.2f MB streamed through untrusted scratch\n",
 		float64(st.SpillBytes)/(1<<20))
+	fmt.Printf("  backbone    %d full-graph passes computed it, %d reused the public-half store\n",
+		st.BackboneComputed, st.BackboneReused)
 	fmt.Printf("  EPC         %.2f MB used of %d MB\n",
 		float64(rst.EPCUsed)/(1<<20), rst.EPCLimit>>20)
 }

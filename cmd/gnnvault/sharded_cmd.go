@@ -259,6 +259,8 @@ func runShardedStream(cfg shardedServeConfig, srv *serve.ShardedServer, sv *core
 		float64(sst.Ledger.BytesOut)/(1<<20), float64(halo)/(1<<20))
 	fmt.Printf("  spill       %.2f MB streamed through untrusted scratch\n",
 		float64(st.SpillBytes)/(1<<20))
+	fmt.Printf("  backbone    %d full-graph passes computed it, %d reused the public-half store\n",
+		st.BackboneComputed, st.BackboneReused)
 
 	if cfg.chaos > 0 {
 		fmt.Printf("\nchaos report: %d kills injected, %d requests failed during outages, "+

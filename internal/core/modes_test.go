@@ -28,6 +28,14 @@ import (
 // also carries the EPC claim: the charge stays inside the budget plus the
 // attention scratch rows the program declares, and below the direct
 // plan's.
+//
+// Every cell also answers three times — for the caller's own copy of the
+// features (the backbone runs), for the freshly registered features (the
+// first such pass fills the public-half store; an int8 plan's calibration
+// already has) and for them again (the store is read) — and the three
+// must agree bit for bit: logits at fp64, labels at int8. After each cell
+// the store still equals the reference embeddings: no machine writes its
+// inputs.
 func TestPlanModesMatchReference(t *testing.T) {
 	const budget = 1 << 20
 	modes := []struct {
@@ -45,14 +53,13 @@ func TestPlanModesMatchReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", conv, design), func(t *testing.T) {
 				ds, v := convTestVault(t, conv, design, 5)
 				n := ds.X.Rows
-				if err := v.SetCalibrationFeatures(ds.X); err != nil {
-					t.Fatal(err)
-				}
+				ownX := ds.X.Clone()
 				wantLabels, _, err := v.Predict(ds.X)
 				if err != nil {
 					t.Fatalf("Predict: %v", err)
 				}
-				wantLogits := v.rectifier.Forward(selectEmbeddings(v.Backbone.Embeddings(ds.X), v.rectifier.RequiredEmbeddings()), false)
+				wantEmbs := selectEmbeddings(v.Backbone.Embeddings(ds.X), v.rectifier.RequiredEmbeddings())
+				wantLogits := v.rectifier.Forward(wantEmbs, false)
 
 				// One attention scratch row is the structure's longest row.
 				scratchRow := int64(0)
@@ -68,6 +75,10 @@ func TestPlanModesMatchReference(t *testing.T) {
 				var i8Err error
 				for _, mode := range modes {
 					t.Run(mode.name, func(t *testing.T) {
+						// A fresh registration per cell: its store starts empty.
+						if err := v.SetCalibrationFeatures(ds.X); err != nil {
+							t.Fatal(err)
+						}
 						ws, err := v.PlanWith(n, mode.cfg)
 						if mode.cfg.Precision == PrecisionInt8 {
 							if err != nil && !errors.Is(err, ErrCalibrationFailed) {
@@ -86,11 +97,43 @@ func TestPlanModesMatchReference(t *testing.T) {
 							t.Fatalf("PlanWith: %v", err)
 						}
 						defer ws.Release()
-						scores, labels, _, err := v.PredictScoresInto(ds.X, ws)
-						if err != nil {
-							t.Fatalf("PredictScoresInto: %v", err)
+						reduced := mode.cfg.Precision == PrecisionInt8
+						var scores *mat.Matrix
+						var labels []int
+						var ownLogits []float64
+						var ownLabels []int
+						for _, pass := range []struct {
+							name   string
+							x      *mat.Matrix
+							reused bool
+						}{
+							{"own x", ownX, false},
+							{"registered, first pass", ds.X, reduced},
+							{"registered, second pass", ds.X, true},
+						} {
+							var bd InferenceBreakdown
+							if scores, labels, bd, err = v.PredictScoresInto(pass.x, ws); err != nil {
+								t.Fatalf("%s: PredictScoresInto: %v", pass.name, err)
+							}
+							if bd.BackboneReused != pass.reused {
+								t.Fatalf("%s: BackboneReused = %v, want %v", pass.name, bd.BackboneReused, pass.reused)
+							}
+							if ownLabels == nil {
+								ownLogits, ownLabels = append(ownLogits, scores.Data...), append(ownLabels, labels...)
+							}
+							for i, l := range labels {
+								if l != ownLabels[i] {
+									t.Fatalf("%s: label[%d] = %d, the own-x pass said %d", pass.name, i, l, ownLabels[i])
+								}
+							}
+							for i, s := range scores.Data {
+								if !reduced && math.Float64bits(s) != math.Float64bits(ownLogits[i]) {
+									t.Fatalf("%s: logit %d = %x, the own-x pass computed %x", pass.name, i, math.Float64bits(s), math.Float64bits(ownLogits[i]))
+								}
+							}
 						}
-						if mode.cfg.Precision == PrecisionInt8 {
+						requireStoreBitEqual(t, v.features.Load(), wantEmbs)
+						if reduced {
 							agree := 0
 							for i, l := range labels {
 								if l == wantLabels[i] {
@@ -138,6 +181,30 @@ func TestPlanModesMatchReference(t *testing.T) {
 					})
 				}
 			})
+		}
+	}
+}
+
+// requireStoreBitEqual fails unless reg's public-half store is filled and
+// holds exactly want — the reference embeddings in RequiredEmbeddings
+// order — bit for bit.
+func requireStoreBitEqual(t *testing.T, reg *registration, want []*mat.Matrix) {
+	t.Helper()
+	if reg == nil || reg.embs.Load() == nil {
+		t.Fatal("the public-half store is empty")
+	}
+	kept := *reg.embs.Load()
+	if len(kept) != len(want) {
+		t.Fatalf("store holds %d blocks, want %d", len(kept), len(want))
+	}
+	for k, w := range want {
+		if !kept[k].SameShape(w) {
+			t.Fatalf("store block %d is %s, want %s", k, kept[k].Shape(), w.Shape())
+		}
+		for i, x := range kept[k].Data {
+			if math.Float64bits(x) != math.Float64bits(w.Data[i]) {
+				t.Fatalf("store block %d element %d = %x, Backbone.Embeddings computed %x", k, i, math.Float64bits(x), math.Float64bits(w.Data[i]))
+			}
 		}
 	}
 }

@@ -45,6 +45,41 @@ func TestPredictIntoAllocFreeInstrumented(t *testing.T) {
 	if queries == 0 || ops == 0 {
 		t.Fatalf("expected query and op spans in the ring, got %d queries / %d ops", queries, ops)
 	}
+
+	// Registered features: after the one publishing pass, a pass reads the
+	// public-half store — still 0 allocs/op, and its trace says so: a
+	// backbone stage of zero rows computed, as long as the breakdown says,
+	// with no op beneath it.
+	if err := v.SetCalibrationFeatures(ds.X); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := v.PredictInto(ds.X, ws); err != nil { // publishes
+		t.Fatalf("publishing pass: %v", err)
+	}
+	var bd InferenceBreakdown
+	allocs = testing.AllocsPerRun(10, func() {
+		if _, bd, err = v.PredictInto(ds.X, ws); err != nil {
+			t.Fatalf("PredictInto: %v", err)
+		}
+	})
+	if allocs > 0 || !bd.BackboneReused {
+		t.Fatalf("registered-features pass: %.1f allocs/op, reused %v; want 0 and true", allocs, bd.BackboneReused)
+	}
+	spans := ring.Last(0)
+	var stage obs.Span
+	for _, s := range spans {
+		if s.Kind == obs.SpanBackbone {
+			stage = s // the last pass's
+		}
+	}
+	if stage.Rows != 0 || stage.Dur != int64(bd.BackboneTime) {
+		t.Fatalf("reused backbone stage %+v, want Rows 0 and Dur %d", stage, bd.BackboneTime)
+	}
+	for _, s := range spans {
+		if s.Kind == obs.SpanOp && s.Parent == stage.ID {
+			t.Fatalf("op span %+v under a reused backbone stage", s)
+		}
+	}
 }
 
 // TestPredictNodesIntoAllocFreeInstrumented is the node-query twin: the

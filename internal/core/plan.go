@@ -92,10 +92,9 @@ type Workspace struct {
 	v       *Vault
 	bbMach  *exec.Machine // backbone program, normal world
 	bbIn    []*mat.Matrix // reused single-input list for bbMach.Run
-	blocks  []*mat.Matrix // stable views of the kept block-embedding values
+	own     []*mat.Matrix // bbMach's stable views of the RequiredEmbeddings blocks, in that order
 	mach    *exec.Machine // rectifier program, in-enclave
-	needed  []int
-	embs    []*mat.Matrix
+	embs    []*mat.Matrix // this call's ECALL inputs: own, or the public-half store's blocks
 	labels  []int
 	payload int64 // transferred embedding bytes per call
 	spill   int64 // tiled only: modelled tile-flush traffic per call
@@ -160,10 +159,11 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling backbone plan: %w", err)
 	}
+	own := selectEmbeddings(blocks, needed)
 	var refLabels []int
 	var calibEmbs []*mat.Matrix
 	if elem != exec.F64 {
-		if machCfg.Scales, refLabels, calibEmbs, err = v.calibrateReduced(prog, bbMach, blocks, cfg); err != nil {
+		if machCfg.Scales, refLabels, calibEmbs, err = calibrateReduced(v.features.Load(), prog, bbMach, own, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -183,14 +183,12 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 		v:      v,
 		bbMach: bbMach,
 		bbIn:   make([]*mat.Matrix, 1),
+		own:    own,
 		mach:   mach,
-		needed: needed,
 		labels: make([]int, rows),
-		blocks: blocks,
 		rec:    rec,
 	}
-	ws.embs = make([]*mat.Matrix, 0, len(ws.needed))
-	for _, i := range ws.needed {
+	for _, i := range needed {
 		ws.payload += int64(v.Backbone.BlockDims[i]) * int64(rows) * cfg.Precision.ElemBytes()
 	}
 	if machCfg.TileRows > 0 {
@@ -293,6 +291,13 @@ func (ws *Workspace) Release() {
 // ECALL's transfer payload, so the latency cost of streaming shows up in
 // the modelled breakdown.
 //
+// When x is the vault's registered feature matrix (SetCalibrationFeatures;
+// pointer identity), the backbone runs only on the first such pass: it
+// publishes its embeddings into the vault's public-half store and later
+// passes read them (InferenceBreakdown.BackboneReused). The ECALL carries
+// the same payload into the same machine either way, and answers are
+// bit-identical. Any other x runs the backbone as always.
+//
 // The returned label slice is owned by the workspace and overwritten by the
 // next call. The breakdown is computed from enclave-ledger deltas; when
 // several workspaces share one enclave concurrently, the wall-clock fields
@@ -323,6 +328,9 @@ func (v *Vault) predictInto(x *mat.Matrix, ws *Workspace, wantScores bool) ([]in
 	if ws.v != v {
 		return nil, nil, bd, fmt.Errorf("core: workspace planned for a different vault")
 	}
+	if x == nil {
+		return nil, nil, bd, fmt.Errorf("core: nil input features")
+	}
 	if x.Rows != ws.Rows {
 		return nil, nil, bd, fmt.Errorf("core: input rows %d != planned rows %d", x.Rows, ws.Rows)
 	}
@@ -351,16 +359,14 @@ func (v *Vault) predictInto(x *mat.Matrix, ws *Workspace, wantScores bool) ([]in
 		stageStart = qStart
 	}
 
-	// Normal world: the fused backbone program into machine buffers.
+	// Normal world: the fused backbone program into machine buffers — or,
+	// for the registered features once a pass has published them, the
+	// public-half store's blocks and no backbone op at all.
 	start := time.Now()
-	ws.bbIn[0] = x
-	ws.bbMach.Run(ws.Rows, ws.bbIn, nil)
+	ws.embs, bd.BackboneReused = v.features.Load().embeddings(x, ws.bbMach, ws.bbIn, ws.own)
 	bd.BackboneTime = time.Since(start)
 	if recOn {
-		now := rec.Clock()
-		rec.Record(obs.Span{Trace: trace, ID: bbID, Parent: trace, Kind: obs.SpanBackbone,
-			Rows: int32(ws.Rows), Start: stageStart, Dur: now - stageStart})
-		stageStart = now
+		stageStart = recordBackbone(rec, trace, bbID, stageStart, ws.Rows, bd)
 	}
 
 	// One-way transfer of exactly the embeddings the design requires,
@@ -369,10 +375,6 @@ func (v *Vault) predictInto(x *mat.Matrix, ws *Workspace, wantScores bool) ([]in
 	// tile flushes, through the boundary). By default only the labels
 	// cross back — 8 bytes per node; a scores call pays for the logits
 	// too.
-	ws.embs = ws.embs[:0]
-	for _, i := range ws.needed {
-		ws.embs = append(ws.embs, ws.blocks[i])
-	}
 	resultBytes := int64(ws.Rows) * 8
 	if wantScores {
 		resultBytes += int64(ws.Rows) * int64(ws.mach.OutputWidth()) * 8
@@ -395,6 +397,21 @@ func (v *Vault) predictInto(x *mat.Matrix, ws *Workspace, wantScores bool) ([]in
 		scores = ws.mach.Output()
 	}
 	return ws.labels, scores, bd, nil
+}
+
+// recordBackbone records a full-graph pass's backbone stage span and
+// returns the clock the next stage starts at. The span's duration is the
+// breakdown's BackboneTime — one pair of clock reads behind both, so the
+// two can never disagree, however short the stage — and Rows is the rows
+// computed: 0 marks a pass that reused the public-half store, which also
+// has no op spans beneath it.
+func recordBackbone(rec obs.Recorder, trace, id uint64, start int64, rows int, bd InferenceBreakdown) int64 {
+	if bd.BackboneReused {
+		rows = 0
+	}
+	rec.Record(obs.Span{Trace: trace, ID: id, Parent: trace, Kind: obs.SpanBackbone,
+		Rows: int32(rows), Start: start, Dur: int64(bd.BackboneTime)})
+	return rec.Clock()
 }
 
 // Nodes returns the node count of the deployed private graph — the batch

@@ -131,7 +131,11 @@ func TestPredictIntoAllocFree(t *testing.T) {
 }
 
 // requireAllocFree pins steady-state PredictInto under cfg at zero heap
-// allocations, for a parallel vault of every conv kind.
+// allocations, for a parallel vault of every conv kind — first over the
+// caller's own features (the backbone runs every pass), then over
+// registered ones (every measured pass reads the public-half store). The
+// warm-up of the second row is the one publishing pass of the
+// registration, which copies the blocks into the store and is exempt.
 func requireAllocFree(t *testing.T, cfg PlanConfig) {
 	for _, conv := range ConvKinds {
 		t.Run(string(conv), func(t *testing.T) {
@@ -141,16 +145,27 @@ func requireAllocFree(t *testing.T, cfg PlanConfig) {
 				t.Fatalf("PlanWith: %v", err)
 			}
 			defer ws.Release()
-			if _, _, err := v.PredictInto(ds.X, ws); err != nil { // warm-up
-				t.Fatalf("warm-up: %v", err)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if _, _, err := v.PredictInto(ds.X, ws); err != nil {
-					t.Fatalf("PredictInto: %v", err)
+			for _, registered := range []bool{false, true} {
+				if registered {
+					if err := v.SetCalibrationFeatures(ds.X); err != nil {
+						t.Fatal(err)
+					}
 				}
-			})
-			if allocs > 0 {
-				t.Fatalf("steady-state PredictInto allocates %.1f objects/op, want 0", allocs)
+				if _, _, err := v.PredictInto(ds.X, ws); err != nil { // warm-up
+					t.Fatalf("warm-up: %v", err)
+				}
+				allocs := testing.AllocsPerRun(10, func() {
+					_, bd, err := v.PredictInto(ds.X, ws)
+					if err != nil {
+						t.Fatalf("PredictInto: %v", err)
+					}
+					if bd.BackboneReused != registered {
+						t.Fatalf("registered %v: BackboneReused = %v", registered, bd.BackboneReused)
+					}
+				})
+				if allocs > 0 {
+					t.Fatalf("registered %v: steady-state PredictInto allocates %.1f objects/op, want 0", registered, allocs)
+				}
 			}
 		})
 	}
@@ -235,6 +250,9 @@ func TestPlanRowMismatchRejected(t *testing.T) {
 	bad := mat.New(ds.X.Rows-1, ds.X.Cols)
 	if _, _, err := v.PredictInto(bad, ws); err == nil {
 		t.Fatal("PredictInto accepted mismatched rows")
+	}
+	if _, _, err := v.PredictInto(nil, ws); err == nil { // an error, not a nil dereference
+		t.Fatal("PredictInto accepted nil features")
 	}
 	ws2, _ := v.Plan(ds.X.Rows)
 	ws2.Release()

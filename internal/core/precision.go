@@ -67,10 +67,11 @@ func (p Precision) ElemBytes() int64 { return int64(p.Elem().Size()) }
 const DefaultMinAgreement = 0.99
 
 // ErrCalibrationRequired is returned when an int8 plan is requested for
-// a vault with no registered calibration features: quantization scales
-// are derived from a reference run, so there is nothing to derive them
-// from. Register the deployment's public feature matrix with
-// Vault.SetCalibrationFeatures first.
+// a vault with no registered features: quantization scales are derived
+// from a reference run, so there is nothing to derive them from. Register
+// the deployment's public feature matrix with Vault.SetCalibrationFeatures
+// first — the registered features are the calibration batch and the
+// public-half store's memo key (store.go).
 var ErrCalibrationRequired = errors.New("core: int8 plan needs calibration features (Vault.SetCalibrationFeatures)")
 
 // ErrCalibrationFailed is returned when an int8 plan's argmax
@@ -88,47 +89,22 @@ func (c PlanConfig) minAgreement() float64 {
 	return DefaultMinAgreement
 }
 
-// SetCalibrationFeatures registers the deployed graph's public feature
-// matrix as the held-out calibration batch int8 plans verify against:
-// every planner runs the fp64 reference on it, derives the int8
-// activation scales, and refuses any plan whose argmax agreement falls
-// below the floor. The matrix is shared, not copied — serving code passes
-// the same features it predicts with. A nil x clears the registration
-// (int8 plans then fail with ErrCalibrationRequired).
-func (v *Vault) SetCalibrationFeatures(x *mat.Matrix) error {
-	if x != nil {
-		if n := v.privateGraph.N(); x.Rows != n {
-			return fmt.Errorf("core: calibration features %d rows != deployed graph nodes %d", x.Rows, n)
-		}
-		if x.Cols != v.Backbone.FeatureDim {
-			return fmt.Errorf("core: calibration features %d cols != backbone feature dim %d", x.Cols, v.Backbone.FeatureDim)
-		}
-	}
-	v.calibX.Store(x)
-	return nil
-}
-
 // calibrateReduced derives an int8 plan's quantization state from the
-// registered calibration features: it runs the given full-graph fp64
-// backbone machine over them, feeds the resulting block embeddings
-// through the fp64 reference of the rectifier program, and returns the
-// per-value per-column activation scales, the reference argmax labels,
-// and the embedding views (still bound into bbMach, valid until its next
-// Run). With no features registered it fails with ErrCalibrationRequired:
-// no plan is admitted unverified.
-func (v *Vault) calibrateReduced(prog *exec.Program, bbMach *exec.Machine, blocks []*mat.Matrix, cfg PlanConfig) ([][]float64, []int, []*mat.Matrix, error) {
-	calibX := v.calibX.Load()
-	if calibX == nil {
+// registered features reg: it takes the full-graph fp64 backbone's block
+// embeddings of them — reused from the public-half store when a pass has
+// filled it, else computed on bbMach (whose stable needed-block views are
+// own), which fills it, so the first request after planning already hits —
+// feeds them through the fp64 reference of the rectifier program, and
+// returns the per-value per-column activation scales, the reference argmax
+// labels, and the embeddings (the store's, or views bound into bbMach and
+// valid until its next Run). With nothing registered it fails with
+// ErrCalibrationRequired: no plan is admitted unverified.
+func calibrateReduced(reg *registration, prog *exec.Program, bbMach *exec.Machine, own []*mat.Matrix, cfg PlanConfig) ([][]float64, []int, []*mat.Matrix, error) {
+	if reg == nil {
 		return nil, nil, nil, ErrCalibrationRequired
 	}
-	rows := v.privateGraph.N()
-	bbMach.Run(rows, []*mat.Matrix{calibX}, nil)
-	needed := v.rectifier.RequiredEmbeddings()
-	embs := make([]*mat.Matrix, 0, len(needed))
-	for _, i := range needed {
-		embs = append(embs, blocks[i])
-	}
-	scales, ref, err := exec.CalibrateScales(prog, rows, embs)
+	embs, _ := reg.embeddings(reg.x, bbMach, make([]*mat.Matrix, 1), own)
+	scales, ref, err := exec.CalibrateScales(prog, reg.x.Rows, embs)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: calibrating %s plan: %w", cfg.Precision, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gnnvault/internal/enclave"
+	"gnnvault/internal/mat"
 	"gnnvault/internal/subgraph"
 )
 
@@ -14,7 +15,9 @@ import (
 // fleet, the pass fails with a ShardFault naming that shard (wrapping
 // ErrEnclaveLost — peers unwind instead of deadlocking), the shard stays
 // dead until RecoverShard re-seals and rejoins it, and the recovered
-// fleet's labels are bit-identical to the pre-fault baseline.
+// fleet's labels are bit-identical to the pre-fault baseline — whether the
+// pass runs the backbone over the caller's own copy of the features or
+// reads the public-half store the recovery carried over.
 func TestShardFaultRecoverBitIdentical(t *testing.T) {
 	ds, bb, rec := shardTestModel(t, Parallel)
 	cost := enclave.DefaultCostModel()
@@ -75,10 +78,13 @@ func TestShardFaultRecoverBitIdentical(t *testing.T) {
 			if sv.Shard(dead).Enclave.Lost() {
 				t.Fatal("recovered enclave marked lost")
 			}
-			for pass := 0; pass < 2; pass++ {
-				got, bd, err := sv.PredictInto(ds.X, ws)
+			for pass, x := range []*mat.Matrix{ds.X.Clone(), ds.X, ds.X} {
+				got, bd, err := sv.PredictInto(x, ws)
 				if err != nil {
 					t.Fatalf("post-recovery pass %d: %v", pass, err)
+				}
+				if reused := x == ds.X; bd.BackboneReused != reused {
+					t.Fatalf("post-recovery pass %d: BackboneReused = %v, want %v", pass, bd.BackboneReused, reused)
 				}
 				for i := range want {
 					if got[i] != want[i] {

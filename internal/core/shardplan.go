@@ -75,6 +75,13 @@ type ShardedVault struct {
 	privateGraph *graph.Graph
 	cost         enclave.CostModel
 	vaults       []atomic.Pointer[Vault]
+
+	// features is the fleet's one SetCalibrationFeatures registration and
+	// public-half store (store.go), read by the sharded planner and passes.
+	// Every shard vault points at the same record — per-shard subgraph
+	// planners calibrate against it — and it lives here, not on a shard,
+	// so replacing a shard's vault (RecoverShard) cannot drop it.
+	features atomic.Pointer[registration]
 }
 
 // DeploySharded provisions a trained GNNVault across shards enclaves,
@@ -139,8 +146,10 @@ func (sv *ShardedVault) Classes() int { return sv.vaults[0].Load().Classes() }
 // Design returns the deployed rectifier's communication scheme.
 func (sv *ShardedVault) Design() RectifierDesign { return sv.rectifier.Design }
 
-// Undeploy returns every shard's persistent EPC. Idempotent.
+// Undeploy returns every shard's persistent EPC and drops the fleet's
+// feature registration with its embedding store. Idempotent.
 func (sv *ShardedVault) Undeploy() {
+	sv.features.Store(nil)
 	for s := range sv.vaults {
 		if v := sv.vaults[s].Load(); v != nil {
 			v.Undeploy()
@@ -148,14 +157,21 @@ func (sv *ShardedVault) Undeploy() {
 	}
 }
 
-// SetCalibrationFeatures registers the calibration batch on every shard
-// vault, so both the sharded planner and per-shard subgraph planners can
-// gate reduced-precision plans against the fp64 reference.
+// SetCalibrationFeatures registers the deployed graph's public feature
+// matrix for the whole fleet, with Vault.SetCalibrationFeatures' contract:
+// calibration batch for reduced-precision plans — the sharded planner's and
+// the per-shard subgraph planners' alike — and memo key of the fleet's one
+// public-half store, which full-graph passes over this same matrix reuse.
+// One registration is shared by the fleet and every shard vault. Must not
+// race RecoverShard.
 func (sv *ShardedVault) SetCalibrationFeatures(x *mat.Matrix) error {
+	reg, err := newRegistration(x, sv.privateGraph.N(), sv.Backbone.FeatureDim)
+	if err != nil {
+		return err
+	}
+	sv.features.Store(reg)
 	for s := range sv.vaults {
-		if err := sv.vaults[s].Load().SetCalibrationFeatures(x); err != nil {
-			return err
-		}
+		sv.vaults[s].Load().features.Store(reg)
 	}
 	return nil
 }
@@ -175,14 +191,13 @@ type ShardedWorkspace struct {
 	sv     *ShardedVault
 	bbMach *exec.Machine
 	bbIn   []*mat.Matrix
-	blocks []*mat.Matrix
+	own    []*mat.Matrix // bbMach's stable views of the RequiredEmbeddings blocks, in that order
 	fleet  *exec.Fleet
-	needed []int
 
 	// Per-shard state, indexed by shard. shardEmbs[s] holds reusable view
-	// headers over the backbone block matrices, rebound to the shard's row
-	// range after every backbone run; shardLabels[s] is the shard's slice
-	// of the shared label buffer.
+	// headers over the pass's block embeddings (own, or the public-half
+	// store's), rebound to the shard's row range every pass; shardLabels[s]
+	// is the shard's slice of the shared label buffer.
 	shardEmbs   [][]*mat.Matrix
 	shardLabels [][]int
 	payload     []int64
@@ -254,15 +269,17 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling backbone plan: %w", err)
 	}
+	own := selectEmbeddings(blocks, needed)
 
 	// Reduced tiers calibrate against the unsharded reference program —
 	// the scale grid every shard must share — and remap the scales onto
 	// each shard's value table (halo values copy their source's grid).
 	var baseScales [][]float64
 	var refLabels []int
+	var calibEmbs []*mat.Matrix
 	if elem != exec.F64 {
 		fullProg := sv.rectifier.compileRectifier(rows, nil, nil)
-		if baseScales, refLabels, _, err = sv.vaults[0].Load().calibrateReduced(fullProg, bbMach, blocks, cfg); err != nil {
+		if baseScales, refLabels, calibEmbs, err = calibrateReduced(sv.features.Load(), fullProg, bbMach, own, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -302,9 +319,8 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 		sv:          sv,
 		bbMach:      bbMach,
 		bbIn:        make([]*mat.Matrix, 1),
-		blocks:      blocks,
+		own:         own,
 		fleet:       fleet,
-		needed:      needed,
 		shardEmbs:   make([][]*mat.Matrix, shards),
 		shardLabels: make([][]int, shards),
 		payload:     make([]int64, shards),
@@ -325,13 +341,13 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 		s := s
 		lo, hi := part.Bounds[s], part.Bounds[s+1]
 		local := hi - lo
-		embs := make([]*mat.Matrix, len(ws.needed))
+		embs := make([]*mat.Matrix, len(needed))
 		for k := range embs {
 			embs[k] = &mat.Matrix{}
 		}
 		ws.shardEmbs[s] = embs
 		ws.shardLabels[s] = ws.labels[lo:hi:hi]
-		for _, i := range ws.needed {
+		for _, i := range needed {
 			ws.payload[s] += int64(sv.Backbone.BlockDims[i]) * int64(local) * cfg.Precision.ElemBytes()
 		}
 		m := machines[s]
@@ -354,11 +370,10 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 	}
 
 	// Admission gate for reduced tiers: the actual fleet must reproduce
-	// the fp64 reference labels on the calibration batch (the backbone
-	// machine still holds the calibration embeddings from calibrateReduced).
+	// the fp64 reference labels on the calibration batch's embeddings.
 	if elem != exec.F64 {
 		check := make([]int, rows)
-		ws.bindShardEmbs()
+		ws.bindShardEmbs(calibEmbs)
 		if err := ws.runFleet(check); err != nil {
 			return nil, fmt.Errorf("core: calibration fleet round: %w", err)
 		}
@@ -378,15 +393,16 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 	return ws, nil
 }
 
-// bindShardEmbs rebinds every shard's embedding views onto the backbone
-// block matrices' current contents — called after each backbone run, and
-// zero-alloc: the view headers are planned once.
-func (ws *ShardedWorkspace) bindShardEmbs() {
+// bindShardEmbs rebinds every shard's embedding views onto its row range
+// of embs, a pass's full-height block embeddings in RequiredEmbeddings
+// order — called every pass, and zero-alloc: the view headers are planned
+// once.
+func (ws *ShardedWorkspace) bindShardEmbs(embs []*mat.Matrix) {
 	part := ws.sv.Part
 	for s := range ws.shardEmbs {
 		lo, hi := part.Bounds[s], part.Bounds[s+1]
-		for k, i := range ws.needed {
-			ws.blocks[i].ViewRows(lo, hi, ws.shardEmbs[s][k])
+		for k, m := range embs {
+			m.ViewRows(lo, hi, ws.shardEmbs[s][k])
 		}
 	}
 }
@@ -500,7 +516,10 @@ func (sv *ShardedVault) PredictInto(x *mat.Matrix, ws *ShardedWorkspace) ([]int,
 }
 
 // PredictIntoContext runs one full sharded inference: the backbone once
-// at full height in the normal world, then one modelled ECALL per shard,
+// at full height in the normal world — or, when x is the fleet's registered
+// feature matrix and a pass has already published its embeddings, the
+// public-half store's blocks instead (InferenceBreakdown.BackboneReused;
+// see Vault.PredictInto) — then one modelled ECALL per shard,
 // fanned out concurrently — each carries the shard's embedding rows plus
 // its spill and halo traffic in, and its rows of the label vector out,
 // while the fleet's barriers synchronise the per-layer halo exchange
@@ -526,6 +545,9 @@ func (sv *ShardedVault) PredictIntoContext(ctx context.Context, x *mat.Matrix, w
 	}
 	if ws.sv != sv {
 		return nil, bd, fmt.Errorf("core: workspace planned for a different sharded vault")
+	}
+	if x == nil {
+		return nil, bd, fmt.Errorf("core: nil input features")
 	}
 	if x.Rows != ws.Rows {
 		return nil, bd, fmt.Errorf("core: input rows %d != planned rows %d", x.Rows, ws.Rows)
@@ -574,14 +596,10 @@ func (sv *ShardedVault) PredictIntoContext(ctx context.Context, x *mat.Matrix, w
 	}
 
 	start := time.Now()
-	ws.bbIn[0] = x
-	ws.bbMach.Run(ws.Rows, ws.bbIn, nil)
-	bd.BackboneTime = time.Since(start)
+	embs, reused := sv.features.Load().embeddings(x, ws.bbMach, ws.bbIn, ws.own)
+	bd.BackboneTime, bd.BackboneReused = time.Since(start), reused
 	if recOn {
-		now := rec.Clock()
-		rec.Record(obs.Span{Trace: trace, ID: bbID, Parent: trace, Kind: obs.SpanBackbone,
-			Rows: int32(ws.Rows), Start: stageStart, Dur: now - stageStart})
-		stageStart = now
+		stageStart = recordBackbone(rec, trace, bbID, stageStart, ws.Rows, bd)
 	}
 
 	// Fan out: one ECALL per shard, necessarily concurrent — every shard
@@ -589,7 +607,7 @@ func (sv *ShardedVault) PredictIntoContext(ctx context.Context, x *mat.Matrix, w
 	// poisons the fleet when ctx expires, and a shard whose ECALL fails
 	// at the enclave gate (fault plan, lost enclave) poisons it too — its
 	// peers would otherwise wait forever on a barrier it never reaches.
-	ws.bindShardEmbs()
+	ws.bindShardEmbs(embs)
 	watchDone := make(chan struct{})
 	var watchWG sync.WaitGroup
 	if ctx.Done() != nil {
@@ -685,12 +703,13 @@ func (ws *ShardedWorkspace) firstFault() error {
 // RecoverShard replaces shard s's lost enclave with a freshly
 // provisioned one and rejoins it to every given workspace: the shard's
 // CSR slab and the rectifier parameters are re-sealed into a new enclave
-// (same cost model and measurement as the original deploy), the
-// calibration batch is re-registered, the vault pointer is swapped
-// atomically, and each workspace rebuilds the shard's machine under its
-// original plan config — including the calibrated int8 scales, so the
-// rebuilt shard quantizes on the identical grid — and re-proves label
-// agreement with the stored fp64 reference through a live fleet round.
+// (same cost model and measurement as the original deploy), the fleet's
+// feature registration — with whatever its store already holds — is
+// carried onto it, the vault pointer is swapped atomically, and each
+// workspace rebuilds the shard's machine under its original plan config —
+// including the calibrated int8 scales, so the rebuilt shard quantizes on
+// the identical grid — and re-proves label agreement with the stored fp64
+// reference through a live fleet round.
 //
 // No pass may be in flight on any of the workspaces (the serving layer
 // quiesces first); RecoverShard refuses busy workspaces — and *claims*
@@ -717,20 +736,14 @@ func (sv *ShardedVault) RecoverShard(s int, wss ...*ShardedWorkspace) error {
 		}
 		claimed = append(claimed, ws)
 	}
-	old := sv.vaults[s].Load()
-	calibX := old.calibX.Load()
 	// The old enclave is gone with everything charged to it; Undeploy
 	// only keeps the vault's own books consistent.
-	old.Undeploy()
+	sv.vaults[s].Load().Undeploy()
 	v, err := sv.provisionShard(s)
 	if err != nil {
 		return fmt.Errorf("core: re-provisioning shard %d: %w", s, err)
 	}
-	if calibX != nil {
-		if err := v.SetCalibrationFeatures(calibX); err != nil {
-			return fmt.Errorf("core: re-registering shard %d calibration batch: %w", s, err)
-		}
-	}
+	v.features.Store(sv.features.Load())
 	sv.vaults[s].Store(v)
 	for _, ws := range wss {
 		if err := ws.rejoinShard(s); err != nil {
@@ -758,13 +771,12 @@ func (ws *ShardedWorkspace) rejoinShard(s int) error {
 		return err
 	}
 	if ws.mcfgs[s].Elem != exec.F64 {
-		calibX := ws.sv.vaults[s].Load().calibX.Load()
-		if calibX == nil {
+		reg := ws.sv.features.Load()
+		if reg == nil {
 			return fmt.Errorf("reduced-precision plan lost its calibration batch")
 		}
-		ws.bbIn[0] = calibX
-		ws.bbMach.Run(ws.Rows, ws.bbIn, nil)
-		ws.bindShardEmbs()
+		embs, _ := reg.embeddings(reg.x, ws.bbMach, ws.bbIn, ws.own)
+		ws.bindShardEmbs(embs)
 		check := make([]int, ws.Rows)
 		if err := ws.runFleet(check); err != nil {
 			return fmt.Errorf("agreement fleet round: %w", err)

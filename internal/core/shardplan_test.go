@@ -6,6 +6,7 @@ import (
 
 	"gnnvault/internal/datasets"
 	"gnnvault/internal/enclave"
+	"gnnvault/internal/mat"
 	"gnnvault/internal/subgraph"
 	"gnnvault/internal/substitute"
 )
@@ -26,7 +27,11 @@ func shardTestModel(t testing.TB, design RectifierDesign) (*datasets.Dataset, *B
 // TestShardedPredictBitIdentical pins the tentpole invariant: a sharded
 // plan's labels equal the single-enclave plan's, label for label, at
 // every shard count and precision tier, tiled or not — sharding is a
-// capacity move, never an accuracy one.
+// capacity move, never an accuracy one. Each fleet answers three times:
+// for the caller's own copy of the features (the backbone runs), for the
+// registered features (the first such pass fills the fleet's public-half
+// store; an int8 plan's calibration already has) and for them again (the
+// store is read) — same labels every time.
 func TestShardedPredictBitIdentical(t *testing.T) {
 	ds, bb, rec := shardTestModel(t, Parallel)
 	cost := enclave.DefaultCostModel()
@@ -37,6 +42,7 @@ func TestShardedPredictBitIdentical(t *testing.T) {
 	if err := single.SetCalibrationFeatures(ds.X); err != nil {
 		t.Fatalf("calibration features: %v", err)
 	}
+	ownX := ds.X.Clone()
 	cfgs := []struct {
 		name string
 		cfg  PlanConfig
@@ -71,10 +77,17 @@ func TestShardedPredictBitIdentical(t *testing.T) {
 					t.Fatalf("%d shards: plan: %v", shards, err)
 				}
 				defer sws.Release()
-				for pass := 0; pass < 2; pass++ { // reuse must be stable
-					got, bd, err := sv.PredictInto(ds.X, sws)
+				reduced := tc.cfg.Precision == PrecisionInt8
+				for pass, p := range []struct {
+					x      *mat.Matrix
+					reused bool
+				}{{ownX, false}, {ds.X, reduced}, {ds.X, true}} {
+					got, bd, err := sv.PredictInto(p.x, sws)
 					if err != nil {
 						t.Fatalf("%d shards pass %d: predict: %v", shards, pass, err)
+					}
+					if bd.BackboneReused != p.reused {
+						t.Fatalf("%d shards pass %d: BackboneReused = %v, want %v", shards, pass, bd.BackboneReused, p.reused)
 					}
 					for i := range want {
 						if got[i] != want[i] {
@@ -278,6 +291,9 @@ func TestShardedPlanValidation(t *testing.T) {
 	ws, err := sv.PlanSharded(ds.X.Rows, PlanConfig{})
 	if err != nil {
 		t.Fatalf("plan: %v", err)
+	}
+	if _, _, err := sv.PredictInto(nil, ws); err == nil { // an error, not a nil dereference
+		t.Fatal("nil features accepted")
 	}
 	ws.Release()
 	if _, _, err := sv.PredictInto(ds.X, ws); err == nil {

@@ -170,7 +170,7 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling calibration backbone: %w", err)
 		}
-		scales, ref, embs, err := v.calibrateReduced(fullProg, fullBB, fullBlocks, pcfg)
+		scales, ref, embs, err := calibrateReduced(v.features.Load(), fullProg, fullBB, selectEmbeddings(fullBlocks, needed), pcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -472,36 +472,4 @@ func (v *Vault) predictNodesInto(ctx context.Context, x *mat.Matrix, seeds []int
 		ws.rectMach.Output().ViewRows(0, len(seeds), scores)
 	}
 	return ws.labels[:len(seeds)], scores, bd, nil
-}
-
-// EnableNodeServing plans a vault-owned subgraph workspace and routes
-// subsequent PredictNodes calls through it (guarded by an internal mutex,
-// so the convenience API stays safe for casual concurrent use; serving
-// fleets should plan per-worker workspaces instead). Re-enabling replaces
-// the previous plan.
-func (v *Vault) EnableNodeServing(maxSeeds int, cfg subgraph.Config) error {
-	ws, err := v.PlanSubgraph(maxSeeds, cfg)
-	if err != nil {
-		return err
-	}
-	v.nodeMu.Lock()
-	old := v.nodeWS
-	v.nodeWS = ws
-	v.nodeMu.Unlock()
-	if old != nil {
-		old.Release()
-	}
-	return nil
-}
-
-// DisableNodeServing releases the vault-owned subgraph workspace (if
-// any); PredictNodes reverts to the exact full-graph path.
-func (v *Vault) DisableNodeServing() {
-	v.nodeMu.Lock()
-	old := v.nodeWS
-	v.nodeWS = nil
-	v.nodeMu.Unlock()
-	if old != nil {
-		old.Release()
-	}
 }

@@ -277,11 +277,6 @@ func TestPlanSubgraphUnsupported(t *testing.T) {
 	if _, err := vDNN.PlanSubgraph(2, subgraph.Config{Hops: 2}); !errors.Is(err, ErrSubgraphUnsupported) {
 		t.Fatalf("DNN backbone: err = %v, want ErrSubgraphUnsupported", err)
 	}
-	// But PredictNodes still serves it via the full-graph path.
-	labels, err := vDNN.PredictNodes(ds.X, []int{1, 2})
-	if err != nil || len(labels) != 2 {
-		t.Fatalf("DNN PredictNodes fallback: labels=%v err=%v", labels, err)
-	}
 
 	// SAGE convolutions: kernels bound to their full-graph operator.
 	spec := tinySpec()
@@ -295,53 +290,6 @@ func TestPlanSubgraphUnsupported(t *testing.T) {
 	defer vSAGE.Undeploy()
 	if _, err := vSAGE.PlanSubgraph(2, subgraph.Config{Hops: 2}); !errors.Is(err, ErrSubgraphUnsupported) {
 		t.Fatalf("SAGE: err = %v, want ErrSubgraphUnsupported", err)
-	}
-}
-
-func TestPredictNodesRoutesThroughSubgraphEngine(t *testing.T) {
-	ds := pathDataset(240)
-	v := deploySubgraphExact(t, ds, Parallel)
-	defer v.Undeploy()
-	full, _, err := v.Predict(ds.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.EnableNodeServing(3, subgraph.Config{Hops: 6}); err != nil {
-		t.Fatalf("EnableNodeServing: %v", err)
-	}
-	defer v.DisableNodeServing()
-
-	got, err := v.PredictNodes(ds.X, []int{50, 130})
-	if err != nil {
-		t.Fatalf("PredictNodes: %v", err)
-	}
-	if got[0] != full[50] || got[1] != full[130] {
-		t.Fatalf("routed labels %v != full labels [%d %d]", got, full[50], full[130])
-	}
-
-	// Named error for out-of-range seeds, no formatting on the hot path.
-	if _, err := v.PredictNodes(ds.X, []int{240}); !errors.Is(err, ErrNodeOutOfRange) {
-		t.Fatalf("out of range: err = %v, want ErrNodeOutOfRange", err)
-	}
-
-	// Batches the engine declines (duplicates, oversize) still get exact
-	// full-graph answers.
-	dup, err := v.PredictNodes(ds.X, []int{9, 9})
-	if err != nil {
-		t.Fatalf("duplicate seeds: %v", err)
-	}
-	if dup[0] != full[9] || dup[1] != full[9] {
-		t.Fatalf("duplicate-seed fallback labels %v != %d", dup, full[9])
-	}
-	big, err := v.PredictNodes(ds.X, []int{1, 2, 3, 4})
-	if err != nil || len(big) != 4 {
-		t.Fatalf("oversize batch: labels=%v err=%v", big, err)
-	}
-
-	// After disabling, the exact path also reports range errors by name.
-	v.DisableNodeServing()
-	if _, err := v.PredictNodes(ds.X, []int{-3}); !errors.Is(err, ErrNodeOutOfRange) {
-		t.Fatalf("full path out of range: err = %v, want ErrNodeOutOfRange", err)
 	}
 }
 

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,20 +35,18 @@ type Vault struct {
 	persistentBytes int64
 	undeployed      atomic.Bool
 
-	// nodeWS is the optional vault-owned subgraph workspace installed by
-	// EnableNodeServing; PredictNodes routes through it under nodeMu.
-	nodeMu sync.Mutex
-	nodeWS *SubgraphWorkspace
-
-	// calibX is the optional calibration feature matrix registered by
-	// SetCalibrationFeatures, the fp64-reference input reduced-precision
-	// plans derive their quantization scales and agreement check from.
-	// Atomic: serving code registers it once while planners may already
-	// be running.
-	calibX atomic.Pointer[mat.Matrix]
+	// features is the current SetCalibrationFeatures registration (nil when
+	// nothing is registered): the matrix int8 plans calibrate against and
+	// the public-half store keyed by it (store.go). Atomic: serving code
+	// re-registers while planners and passes are running, and each of them
+	// loads it exactly once.
+	features atomic.Pointer[registration]
 }
 
 // InferenceBreakdown is the Fig. 6 decomposition of one inference pass.
+// When the pass's input is the vault's registered feature matrix and the
+// public-half store already holds its embeddings, the backbone does not run:
+// BackboneReused is set and BackboneTime is the (sub-microsecond) lookup.
 type InferenceBreakdown struct {
 	BackboneTime time.Duration // measured, normal world (parallel kernels)
 	TransferTime time.Duration // modelled: ECALL transitions + marshalling
@@ -58,6 +54,9 @@ type InferenceBreakdown struct {
 	PeakEPCBytes int64
 	BytesIn      int64
 	ECalls       int
+	// BackboneReused reports that the embeddings were read from the
+	// public-half store and no backbone op ran.
+	BackboneReused bool
 }
 
 // Total returns the end-to-end inference latency.
@@ -145,13 +144,15 @@ func admit(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *graph.G
 func (v *Vault) PersistentBytes() int64 { return v.persistentBytes }
 
 // Undeploy returns the vault's persistent EPC to the enclave, making room
-// for other tenants of a shared enclave. The vault must not be used for
-// inference afterwards, and any planned workspaces must be released first.
-// Idempotent.
+// for other tenants of a shared enclave, and drops the feature registration
+// so an undeployed vault pins no embedding memory. The vault must not be
+// used for inference afterwards, and any planned workspaces must be
+// released first. Idempotent.
 func (v *Vault) Undeploy() {
 	if v.undeployed.Swap(true) {
 		return
 	}
+	v.features.Store(nil)
 	v.Enclave.Free(v.persistentBytes)
 }
 
@@ -314,51 +315,6 @@ func VerifyLabelOnly(labels []int, classes int) error {
 
 // compile-time check that nn.Param stays usable for rectifier training.
 var _ = nn.Param{}
-
-// PredictNodes answers queries for specific nodes (the paper's attacker
-// "can query the GNN model with any chosen node").
-//
-// When node serving is planned (EnableNodeServing), the query routes
-// through the subgraph engine: per-query cost is O(hops × fanout) rather
-// than O(graph), at the documented sampling-accuracy trade-off.
-//
-// Otherwise — and whenever the subgraph path declines a batch (too many
-// or duplicate seeds) — the exact full-graph path runs: GNN inference is
-// full-graph — message passing needs every node's features — so the whole
-// pipeline runs, but only the requested labels leave this function.
-// Out-of-range seeds fail with the named ErrNodeOutOfRange on both paths.
-func (v *Vault) PredictNodes(x *mat.Matrix, nodes []int) ([]int, error) {
-	v.nodeMu.Lock()
-	if ws := v.nodeWS; ws != nil && len(nodes) > 0 && len(nodes) <= ws.MaxSeeds() {
-		labels, _, err := v.PredictNodesInto(x, nodes, ws)
-		switch {
-		case err == nil:
-			out := make([]int, len(nodes))
-			copy(out, labels)
-			v.nodeMu.Unlock()
-			return out, nil
-		case errors.Is(err, ErrNodeOutOfRange):
-			v.nodeMu.Unlock()
-			return nil, err
-		}
-		// Batches the engine declines (e.g. duplicate seeds) fall back to
-		// the exact full-graph path below.
-	}
-	v.nodeMu.Unlock()
-
-	all, _, err := v.Predict(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(nodes))
-	for i, u := range nodes {
-		if u < 0 || u >= len(all) {
-			return nil, ErrNodeOutOfRange
-		}
-		out[i] = all[u]
-	}
-	return out, nil
-}
 
 // PredictStreamed is the layer-by-layer variant of Predict for the
 // parallel rectifier (the paper's Fig. 3b narrative: backbone and

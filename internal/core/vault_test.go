@@ -423,24 +423,6 @@ func TestExportDNNBackboneFails(t *testing.T) {
 	}
 }
 
-func TestPredictNodes(t *testing.T) {
-	v, _, ds := deployTiny(t, Series)
-	all, _, err := v.Predict(ds.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := v.PredictNodes(ds.X, []int{5, 0, 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != all[5] || got[1] != all[0] || got[2] != all[17] {
-		t.Fatalf("PredictNodes = %v", got)
-	}
-	if _, err := v.PredictNodes(ds.X, []int{-1}); err == nil {
-		t.Fatal("out-of-range query accepted")
-	}
-}
-
 func TestPredictStreamedMatchesBatched(t *testing.T) {
 	v, _, ds := deployTiny(t, Parallel)
 	batched, bdB, err := v.Predict(ds.X)

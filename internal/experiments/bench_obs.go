@@ -44,7 +44,9 @@ const obsPlanBudget = 1 << 20
 // tile-streamed full-graph PredictInto workspace and the multi-vault
 // registry server. Both variants execute identical plans — only the
 // Recorder differs — so the delta is purely the clock reads, span
-// construction and ring appends the instrumentation adds.
+// construction and ring appends the instrumentation adds. Neither leg
+// registers features with its vault, so every pass is the full pass:
+// the backbone runs, and its per-op spans are part of what is measured.
 func ExtObs(opts Options) ([]ExtObsRow, string) {
 	opts = opts.normalise()
 	name := opts.Datasets[0]

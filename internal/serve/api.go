@@ -52,7 +52,12 @@ type APIConfig struct {
 	// registry.ErrUnknownVault.
 	Vaults []APIVault
 	// Features resolves a vault ID to its deployed public feature matrix
-	// (the full-graph query input). Required.
+	// (the full-graph query input). Required. Return the same matrix the
+	// vault has registered (core.Vault.SetCalibrationFeatures): the
+	// registered features are the int8 calibration batch and the memo key
+	// of the vault's public-half store, so /predict then skips the backbone
+	// after the first pass. A vault it resolves to nil fails its
+	// full-graph queries with an error.
 	Features func(vaultID string) *mat.Matrix
 	// NodeQueries reports whether the fleet serves the sampled-subgraph
 	// node-query path; when false, PredictNodes fails with
@@ -384,6 +389,14 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 			"throughput_rps": st.Throughput,
 			"uptime_s":       st.Uptime.Seconds(),
 		},
+		// The public half: full-graph passes that ran the backbone vs read
+		// the vault's public-half store, and the normal-world (not EPC)
+		// bytes each vault's store holds.
+		"backbone": map[string]any{
+			"passes_computed": st.BackboneComputed,
+			"passes_reused":   st.BackboneReused,
+			"store_bytes":     a.storeBytes(),
+		},
 	}
 	if a.reg != nil {
 		rst := a.reg.Stats()
@@ -432,6 +445,25 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// storeBytes reports each catalogued vault's public-half store size. Every
+// shard vault of a fleet shares the fleet's one registration, so shard 0
+// answers for it.
+func (a *API) storeBytes() map[string]int64 {
+	out := make(map[string]int64, len(a.cfg.Vaults))
+	for _, info := range a.cfg.Vaults {
+		var v *core.Vault
+		if a.shard != nil {
+			v = a.shard.sv.Shard(0)
+		} else if a.reg != nil {
+			v = a.reg.Vault(info.ID)
+		}
+		if v != nil {
+			out[info.ID] = v.EmbeddingStoreBytes()
+		}
+	}
+	return out
 }
 
 // handleHealthz is the liveness probe: the process is up and the serving

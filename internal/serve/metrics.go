@@ -30,6 +30,7 @@ const (
 	mServeBatches   = "gnnvault_serve_batches_total"
 	mServeLatency   = "gnnvault_serve_latency_seconds"
 	mSpillBytes     = "gnnvault_spill_bytes_total"
+	mBackbonePasses = "gnnvault_backbone_passes_total"
 
 	// Registry scheduler: residency and plan/evict churn.
 	mVaultResident = "gnnvault_vault_resident"
@@ -148,6 +149,9 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteHistogram(w, mServeLatency, []obs.Label{{Name: "endpoint", Value: epPredictNodes}}, st.NodeLatency, nsToSeconds)
 	obs.WriteHeader(w, mSpillBytes, "counter", "Modelled tile-flush traffic of answered full-graph requests.")
 	obs.WriteSample(w, mSpillBytes, nil, float64(st.SpillBytes))
+	obs.WriteHeader(w, mBackbonePasses, "counter", "Answered full-graph passes by what they did for the public half: ran the backbone (computed) or read the vault's public-half store (reused).")
+	obs.WriteSample(w, mBackbonePasses, []obs.Label{{Name: "result", Value: "computed"}}, float64(st.BackboneComputed))
+	obs.WriteSample(w, mBackbonePasses, []obs.Label{{Name: "result", Value: "reused"}}, float64(st.BackboneReused))
 
 	if a.reg != nil {
 		rst := a.reg.Stats()
@@ -264,8 +268,12 @@ func renderSpan(s obs.Span) *traceSpan {
 		StartUS: float64(s.Start) / 1e3,
 		DurUS:   float64(s.Dur) / 1e3,
 	}
-	if s.Kind == obs.SpanOp {
+	switch {
+	case s.Kind == obs.SpanOp:
 		t.Op = exec.OpKind(s.Op).String()
+	case s.Kind == obs.SpanBackbone && s.Rows == 0:
+		// No rows computed: the pass read the public-half store.
+		t.Kind += " (reused)"
 	}
 	return t
 }

@@ -89,9 +89,16 @@ func parseProm(t *testing.T, body string) map[string]float64 {
 // TestMetricsEndToEndScrape drives real traffic through the HTTP API and
 // then checks the /metrics exposition parses and reconciles with it:
 // per-endpoint request histogram counts, per-vault error attribution, the
-// worker-pool counters and a live enclave ledger.
+// worker-pool counters and a live enclave ledger. The parallel vault has
+// registered the features the API serves, so of its full-graph passes only
+// the first runs the backbone: /metrics and /stats must count it so, and
+// /stats must show its public-half store (and nothing for series, which
+// registered none).
 func TestMetricsEndToEndScrape(t *testing.T) {
-	_, api, _ := obsAPI(t)
+	ds, api, _ := obsAPI(t)
+	if err := api.reg.Vault("parallel").SetCalibrationFeatures(ds.X); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(api.Handler())
 	defer ts.Close()
 
@@ -127,6 +134,8 @@ func TestMetricsEndToEndScrape(t *testing.T) {
 		`gnnvault_rate_limited_total{vault="parallel"}`:                                              0,
 		`gnnvault_serve_completed_total`:                                                             fulls + nodes,
 		`gnnvault_serve_errors_total`:                                                                1,
+		`gnnvault_backbone_passes_total{result="computed"}`:                                          1,
+		`gnnvault_backbone_passes_total{result="reused"}`:                                            fulls - 1,
 	}
 	for series, want := range wantCounts {
 		if got, ok := m[series]; !ok || got != want {
@@ -156,6 +165,24 @@ func TestMetricsEndToEndScrape(t *testing.T) {
 		if _, ok := m[series]; !ok {
 			t.Errorf("series %s missing from scrape", series)
 		}
+	}
+
+	code, body = scrape(t, ts, "/stats")
+	if code != http.StatusOK {
+		t.Fatalf("/stats status %d", code)
+	}
+	var stats struct {
+		Backbone struct {
+			Computed uint64           `json:"passes_computed"`
+			Reused   uint64           `json:"passes_reused"`
+			Store    map[string]int64 `json:"store_bytes"`
+		} `json:"backbone"`
+	}
+	if err := json.Unmarshal([]byte(body), &stats); err != nil {
+		t.Fatalf("decoding /stats: %v", err)
+	}
+	if b := stats.Backbone; b.Computed != 1 || b.Reused != fulls-1 || b.Store["parallel"] <= 0 || b.Store["series"] != 0 {
+		t.Errorf("/stats backbone section %+v, want 1 computed, %d reused, a filled parallel store and an empty series one", b, fulls-1)
 	}
 }
 
@@ -190,9 +217,11 @@ func findChild(s *jsonSpan, kind string) *jsonSpan {
 // TestDebugTraceSpanTrees checks GET /debug/trace reassembles the flight
 // recorder into per-query trees: a node query shows its expand → induce →
 // backbone → ECALL stages with per-op spans inside the ECALL, and a
-// full-graph query shows backbone and ECALL stages wrapping machine ops.
+// full-graph query shows backbone and ECALL stages wrapping machine ops —
+// or, once the vault has registered the served features and a pass has
+// filled its store, a childless "backbone (reused)" stage.
 func TestDebugTraceSpanTrees(t *testing.T) {
-	_, api, ring := obsAPI(t)
+	ds, api, ring := obsAPI(t)
 	ts := httptest.NewServer(api.Handler())
 	defer ts.Close()
 
@@ -271,6 +300,26 @@ func TestDebugTraceSpanTrees(t *testing.T) {
 	kindCounts(fullTree, counts)
 	if counts["backbone"] == 0 || counts["ecall"] == 0 || counts["op"] == 0 {
 		t.Errorf("full-graph trace missing stages: %v", counts)
+	}
+
+	if err := api.reg.Vault("parallel").SetCalibrationFeatures(ds.X); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ { // fills the store, then reads it
+		if _, err := api.Predict("c1", "parallel", nil); err != nil {
+			t.Fatalf("Predict: %v", err)
+		}
+	}
+	_, body = scrape(t, ts, "/debug/trace")
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatalf("decoding trace response: %v", err)
+	}
+	last := resp.Traces[len(resp.Traces)-1].Root
+	if stage := findChild(last, "backbone (reused)"); stage == nil || len(stage.Children) != 0 || stage.Rows != 0 {
+		t.Errorf("the pass over a filled store shows stage %+v under %+v, want a childless \"backbone (reused)\"", stage, last)
+	}
+	if findChild(last, "ecall") == nil {
+		t.Errorf("the pass over a filled store lost its ECALL stage: %+v", last)
 	}
 
 	// ?n must bound the window and reject garbage.

@@ -50,9 +50,10 @@ type backend interface {
 	// tripped shard's recovery here.
 	route(r *request) (group int, err error)
 	// runFull answers one full-graph request on w's workspace: one label
-	// per row, the logits too when r asks for scores, and the modelled
-	// spill traffic of the pass.
-	runFull(w int, r *request) (labels []int, logits *mat.Matrix, spill int64, err error)
+	// per row, the logits too when r asks for scores, the modelled spill
+	// traffic of the pass, and whether it reused the vault's public-half
+	// store instead of running the backbone.
+	runFull(w int, r *request) (labels []int, logits *mat.Matrix, spill int64, reused bool, err error)
 	// runUnion answers one coalesced extraction for group: a label (and,
 	// with scores, a logits row) per union entry. chunk holds the requests
 	// sharing it, oldest first.
@@ -118,6 +119,9 @@ func (s *scheduler) submit(vault string, x *mat.Matrix, nodes []int, node, score
 	}
 	n := len(nodes)
 	if !node {
+		if x == nil {
+			return nil, nil, errNoFeatures
+		}
 		nodes, n = nil, x.Rows
 	} else if !s.nodeQueries {
 		return nil, nil, ErrNodeQueriesDisabled
@@ -210,13 +214,18 @@ func (s *scheduler) serveFull(w int, vault string, run []*request) {
 	}
 	defer s.be.release(w, false)
 	for _, r := range run {
-		labels, logits, spill, err := s.be.runFull(w, r)
+		labels, logits, spill, reused, err := s.be.runFull(w, r)
 		if err == nil {
 			copy(r.out, labels)
 			for i := range r.scores {
 				r.scores[i] = s.cfg.defendedRow(logits.Row(i))
 			}
 			s.spillBytes.Add(spill)
+			if reused {
+				s.backboneReused.Add(1)
+			} else {
+				s.backboneComputed.Add(1)
+			}
 		}
 		s.finish(r, err)
 	}

@@ -43,6 +43,11 @@ var ErrClosed = errors.New("serve: server closed")
 // without Config.NodeQuery.
 var ErrNodeQueriesDisabled = errors.New("serve: node queries not enabled")
 
+// errNoFeatures fails a full-graph query that arrives without an input
+// matrix — an APIConfig.Features that does not know the vault — at
+// admission, before a worker could dereference it.
+var errNoFeatures = errors.New("serve: no feature matrix for full-graph query")
+
 // Config tunes the worker pool.
 type Config struct {
 	// Workers is the number of inference workers, each with its own
@@ -73,9 +78,11 @@ type Config struct {
 	NodeQuery *registry.NodeQueryConfig
 	// Features is the deployed graph's public feature matrix, gathered
 	// from during subgraph extraction. Required when NodeQuery is set.
-	// When set, it is also registered as the vault's calibration batch, so
-	// reduced-precision plans (Plan.Precision) can derive their scales and
-	// pass the agreement gate.
+	// When set, it is also registered with the vault
+	// (core.Vault.SetCalibrationFeatures): reduced-precision plans
+	// (Plan.Precision) derive their scales from it and pass the agreement
+	// gate, and full-graph requests whose input is this same matrix reuse
+	// its backbone embeddings from the vault's public-half store.
 	Features *mat.Matrix
 	// ExposeScores opens the PredictScores/PredictNodesScores surface:
 	// per-class softmax posteriors cross the enclave boundary alongside
@@ -187,6 +194,12 @@ type Stats struct {
 	// SpillBytes is the accumulated modelled tile-flush traffic of every
 	// answered full-graph request (0 for untiled plans).
 	SpillBytes int64
+	// BackboneComputed and BackboneReused split the answered full-graph
+	// requests by what their pass did for the public half: ran the backbone,
+	// or read the vault's public-half store (the request's input was the
+	// registered feature matrix and an earlier pass had filled it).
+	BackboneComputed uint64
+	BackboneReused   uint64
 
 	// Degraded counts node queries answered successfully while at least
 	// one shard of the fleet was offline — served work the fleet kept
@@ -211,6 +224,9 @@ type counters struct {
 	latFull    obs.Histogram // full-graph enqueue→answer ns
 	latNode    obs.Histogram // node-query enqueue→answer ns
 	spillBytes atomic.Int64  // modelled tile-flush traffic of answered full-graph requests
+
+	backboneComputed atomic.Uint64 // answered full-graph passes that ran the backbone
+	backboneReused   atomic.Uint64 // answered full-graph passes that read the public-half store
 
 	degraded         atomic.Uint64 // node queries answered during a shard outage
 	deadlineExceeded atomic.Uint64 // requests failed by Config.Deadline
@@ -253,6 +269,8 @@ func (c *counters) snapshot(start time.Time) Stats {
 		NodeLatency: node,
 		SpillBytes:  c.spillBytes.Load(),
 
+		BackboneComputed: c.backboneComputed.Load(),
+		BackboneReused:   c.backboneReused.Load(),
 		Degraded:         c.degraded.Load(),
 		DeadlineExceeded: c.deadlineExceeded.Load(),
 	}
@@ -285,14 +303,15 @@ type leases []lease
 
 func (l leases) route(*request) (int, error) { return 0, nil }
 
-func (l leases) runFull(w int, r *request) (labels []int, logits *mat.Matrix, spill int64, err error) {
+func (l leases) runFull(w int, r *request) (labels []int, logits *mat.Matrix, spill int64, reused bool, err error) {
 	h := &l[w]
+	var bd core.InferenceBreakdown
 	if r.scores != nil {
-		logits, labels, _, err = h.v.PredictScoresInto(r.x, h.ws)
+		logits, labels, bd, err = h.v.PredictScoresInto(r.x, h.ws)
 	} else {
-		labels, _, err = h.v.PredictInto(r.x, h.ws)
+		labels, bd, err = h.v.PredictInto(r.x, h.ws)
 	}
-	return labels, logits, h.ws.SpillBytes(), err
+	return labels, logits, h.ws.SpillBytes(), bd.BackboneReused, err
 }
 
 func (l leases) runUnion(w, _ int, union []int, scores bool, _ []*request) (labels []int, logits *mat.Matrix, err error) {

@@ -142,6 +142,11 @@ func TestServerBadInputSurfacesError(t *testing.T) {
 	if _, err := s.Predict(mat.New(ds.X.Rows, ds.X.Cols+3)); err == nil {
 		t.Fatal("mismatched cols did not error")
 	}
+	// No matrix at all is refused at admission — never enqueued, so never
+	// counted — instead of panicking the caller or a worker.
+	if _, err := s.Predict(nil); err == nil {
+		t.Fatal("nil features did not error")
+	}
 	if got, err := s.Predict(ds.X); err != nil || len(got) != ds.X.Rows {
 		t.Fatalf("server unhealthy after bad requests: %v", err)
 	}

@@ -271,27 +271,27 @@ func (s *ShardedServer) requestContext(enq time.Time) (context.Context, context.
 // recovery), then one deadline-bounded fan-out through worker w's sharded
 // workspace, timed into the fan-out histogram, its halo traffic
 // accumulated per shard and its outcome fed to the breakers.
-func (s *ShardedServer) runFull(w int, r *request) ([]int, *mat.Matrix, int64, error) {
+func (s *ShardedServer) runFull(w int, r *request) ([]int, *mat.Matrix, int64, bool, error) {
 	if off := s.offlineShard(); off >= 0 {
-		return nil, nil, 0, fmt.Errorf("%w: shard %d is offline and full-graph inference needs the whole fleet", ErrShardUnavailable, off)
+		return nil, nil, 0, false, fmt.Errorf("%w: shard %d is offline and full-graph inference needs the whole fleet", ErrShardUnavailable, off)
 	}
 	ctx, cancel, err := s.requestContext(r.enq)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, false, err
 	}
 	ws := s.workspaces[w]
 	fan := time.Now()
-	labels, _, err := s.sv.PredictIntoContext(ctx, r.x, ws)
+	labels, bd, err := s.sv.PredictIntoContext(ctx, r.x, ws)
 	s.fanout.Observe(time.Since(fan).Nanoseconds())
 	cancel()
 	s.noteFullGraph(err)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, false, err
 	}
 	for sh := range s.shardHalo {
 		s.shardHalo[sh].Add(ws.ShardHaloBytes(sh))
 	}
-	return labels, nil, ws.SpillBytes(), nil
+	return labels, nil, ws.SpillBytes(), bd.BackboneReused, nil
 }
 
 // runUnion serves one coalesced extraction on shard sh's subgraph

@@ -317,14 +317,16 @@ func TestShardedFanoutHammer(t *testing.T) {
 
 // TestShardedAPISurface drives the HTTP front-end over a shard fleet:
 // /predict answers bit-identically, score queries 403, /metrics exposes
-// the shard families and /stats the per-shard section.
+// the shard families and /stats the per-shard section — and, the fleet
+// having registered the features the API serves, the second answered
+// /predict reads the fleet's public-half store.
 func TestShardedAPISurface(t *testing.T) {
 	ds, ref, fleet := testShardedVault(t)
 	want, _, err := ref.Predict(ds.X)
 	if err != nil {
 		t.Fatalf("reference Predict: %v", err)
 	}
-	s, err := NewSharded(fleet, Config{Workers: 1})
+	s, err := NewSharded(fleet, Config{Workers: 1, Features: ds.X})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
 	}
@@ -377,8 +379,15 @@ func TestShardedAPISurface(t *testing.T) {
 	resp.Body.Close()
 	s.SetShardAvailable(0, true)
 
+	resp, err = http.Post(srv.URL+"/predict", "application/json", strings.NewReader(`{"vault":"cora/parallel"}`))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("second POST /predict: %v, %v", resp, err)
+	}
+	resp.Body.Close()
+
 	body := getBody(t, srv.URL+"/metrics")
-	for _, m := range []string{mHaloBytes, mShardEPCUsed, mShardFanout, mEPCUsed, mECalls} {
+	for _, m := range []string{mHaloBytes, mShardEPCUsed, mShardFanout, mEPCUsed, mECalls,
+		mBackbonePasses + `{result="computed"} 1`, mBackbonePasses + `{result="reused"} 1`} {
 		if !strings.Contains(body, m) {
 			t.Errorf("/metrics missing %s", m)
 		}
@@ -387,8 +396,12 @@ func TestShardedAPISurface(t *testing.T) {
 		t.Error("/metrics exposes registry residency for a registry-less shard fleet")
 	}
 
+	if fleet.Shard(0).EmbeddingStoreBytes() == 0 {
+		t.Error("two registered-features passes left the fleet's store empty")
+	}
 	body = getBody(t, srv.URL+"/stats")
-	for _, k := range []string{`"shards"`, `"halo_bytes"`, `"epc_used_bytes"`} {
+	for _, k := range []string{`"shards"`, `"halo_bytes"`, `"epc_used_bytes"`, `"passes_computed":1`, `"passes_reused":1`,
+		fmt.Sprintf(`"store_bytes":{"cora/parallel":%d}`, fleet.Shard(0).EmbeddingStoreBytes())} {
 		if !strings.Contains(body, k) {
 			t.Errorf("/stats missing %s", k)
 		}

@@ -22,7 +22,10 @@ const tiledBenchBudget = 64 << 20
 // hosts stream tiles in parallel (single-core hosts degrade to the serial
 // path). Compare against BenchmarkFullGraphNodeQuery (the untiled
 // baseline, inadmissible on real EPCs beyond ~60k nodes): "epcB" must
-// stay ≤ the budget, and the hot path stays allocation-free.
+// stay ≤ the budget, and the hot path stays allocation-free. The vault
+// registers no features, so every pass is the full pass — the backbone
+// runs each time; BenchmarkVaultPredictInto has the registered-features
+// legs.
 func BenchmarkTiledFullGraph(b *testing.B) {
 	for _, n := range subgraphBenchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
