@@ -162,8 +162,9 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 	own := selectEmbeddings(blocks, needed)
 	var refLabels []int
 	var calibEmbs []*mat.Matrix
+	reg := v.features.Load()
 	if elem != exec.F64 {
-		if machCfg.Scales, refLabels, calibEmbs, err = calibrateReduced(v.features.Load(), prog, bbMach, own, cfg); err != nil {
+		if machCfg.Scales, refLabels, calibEmbs, err = calibrateReduced(reg, prog, bbMach, own, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -174,7 +175,7 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 	if elem != exec.F64 {
 		// Admission gate: the actual plan machine (tiled or direct) must
 		// reproduce the fp64 reference labels on the calibration batch.
-		if err := checkAgreement(mach, rows, calibEmbs, refLabels, cfg); err != nil {
+		if err := checkAgreement(mach, reg, calibEmbs, refLabels, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -280,6 +281,7 @@ func (ws *Workspace) Release() {
 		return
 	}
 	ws.released = true
+	ws.mach.SetInputEpoch(nil) // drop the store record the machine's codes were keyed on
 	ws.v.Enclave.Free(ws.epc)
 }
 
@@ -363,7 +365,9 @@ func (v *Vault) predictInto(x *mat.Matrix, ws *Workspace, wantScores bool) ([]in
 	// for the registered features once a pass has published them, the
 	// public-half store's blocks and no backbone op at all.
 	start := time.Now()
-	ws.embs, bd.BackboneReused = v.features.Load().embeddings(x, ws.bbMach, ws.bbIn, ws.own)
+	reg := v.features.Load()
+	ws.embs, bd.BackboneReused = reg.embeddings(x, ws.bbMach, ws.bbIn, ws.own)
+	reg.declareInputs(ws.mach, bd.BackboneReused)
 	bd.BackboneTime = time.Since(start)
 	if recOn {
 		stageStart = recordBackbone(rec, trace, bbID, stageStart, ws.Rows, bd)

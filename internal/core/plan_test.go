@@ -171,6 +171,47 @@ func requireAllocFree(t *testing.T, cfg PlanConfig) {
 	}
 }
 
+// TestPredictIntoAllocFreeInt8 is the int8 row of the same pin, direct
+// and tiled: registered passes read the store and keep the boundary codes
+// the machine holds (no backbone, no quantisation), the caller's own copy
+// runs and quantises everything — 0 allocs/op either way.
+func TestPredictIntoAllocFreeInt8(t *testing.T) {
+	ds, v := convTestVault(t, "", Parallel, 5)
+	defer v.Undeploy()
+	if err := v.SetCalibrationFeatures(ds.X); err != nil {
+		t.Fatal(err)
+	}
+	own := ds.X.Clone()
+	for _, cfg := range []PlanConfig{
+		{Workers: 1, Precision: PrecisionInt8, MinAgreement: 0.5},
+		{Workers: 1, Precision: PrecisionInt8, MinAgreement: 0.5, TileRows: 256},
+	} {
+		ws, err := v.PlanWith(ds.X.Rows, cfg)
+		if err != nil {
+			t.Fatalf("PlanWith(%+v): %v", cfg, err)
+		}
+		for _, x := range []*mat.Matrix{ds.X, own} {
+			registered := x == ds.X
+			if _, _, err := v.PredictInto(x, ws); err != nil { // warm-up
+				t.Fatalf("warm-up: %v", err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				_, bd, err := v.PredictInto(x, ws)
+				if err != nil {
+					t.Fatalf("PredictInto: %v", err)
+				}
+				if bd.BackboneReused != registered {
+					t.Fatalf("registered %v: BackboneReused = %v", registered, bd.BackboneReused)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("tile rows %d, registered %v: steady-state int8 PredictInto allocates %.1f objects/op, want 0", cfg.TileRows, registered, allocs)
+			}
+		}
+		ws.Release()
+	}
+}
+
 func TestPlanChargesEPCOnceAndReleaseReturnsIt(t *testing.T) {
 	ds, v := planTestVault(t, Series)
 	base := v.Enclave.EPCUsed()

@@ -91,19 +91,19 @@ func (c PlanConfig) minAgreement() float64 {
 
 // calibrateReduced derives an int8 plan's quantization state from the
 // registered features reg: it takes the full-graph fp64 backbone's block
-// embeddings of them — reused from the public-half store when a pass has
-// filled it, else computed on bbMach (whose stable needed-block views are
-// own), which fills it, so the first request after planning already hits —
-// feeds them through the fp64 reference of the rectifier program, and
-// returns the per-value per-column activation scales, the reference argmax
-// labels, and the embeddings (the store's, or views bound into bbMach and
-// valid until its next Run). With nothing registered it fails with
+// embeddings of them from the public-half store — computing them first on
+// bbMach (whose stable needed-block views are own) if no pass has filled
+// it, so the first request after planning already hits — feeds them
+// through the fp64 reference of the rectifier program, and returns the
+// per-value per-column activation scales, the reference argmax labels,
+// and the store's blocks. With nothing registered it fails with
 // ErrCalibrationRequired: no plan is admitted unverified.
 func calibrateReduced(reg *registration, prog *exec.Program, bbMach *exec.Machine, own []*mat.Matrix, cfg PlanConfig) ([][]float64, []int, []*mat.Matrix, error) {
 	if reg == nil {
 		return nil, nil, nil, ErrCalibrationRequired
 	}
-	embs, _ := reg.embeddings(reg.x, bbMach, make([]*mat.Matrix, 1), own)
+	reg.embeddings(reg.x, bbMach, make([]*mat.Matrix, 1), own)
+	embs := *reg.embs.Load() // published by the pass above, if by none before it
 	scales, ref, err := exec.CalibrateScales(prog, reg.x.Rows, embs)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: calibrating %s plan: %w", cfg.Precision, err)
@@ -111,13 +111,17 @@ func calibrateReduced(reg *registration, prog *exec.Program, bbMach *exec.Machin
 	return scales, ref, embs, nil
 }
 
-// checkAgreement runs the int8 machine over the calibration
-// embeddings and compares its argmax labels against the fp64 reference,
-// failing with ErrCalibrationFailed below the configured floor. The
-// machine's buffers are scratched; plan-time only.
-func checkAgreement(mach *exec.Machine, rows int, embs []*mat.Matrix, ref []int, cfg PlanConfig) error {
-	labels := make([]int, rows)
-	mach.Run(rows, embs, labels)
+// checkAgreement runs the int8 machine over reg's stored embeddings embs
+// and compares its argmax labels against the fp64 reference, failing with
+// ErrCalibrationFailed below the configured floor. The machine's buffers
+// are scratched, except that its boundary buffers are left holding the
+// store's codes, declared as such — so the first registered-features
+// request on a plan machine skips its boundary quantisation too;
+// plan-time only.
+func checkAgreement(mach *exec.Machine, reg *registration, embs []*mat.Matrix, ref []int, cfg PlanConfig) error {
+	labels := make([]int, reg.x.Rows)
+	reg.declareInputs(mach, true)
+	mach.Run(len(labels), embs, labels)
 	return agreementFloor(labels, ref, cfg)
 }
 

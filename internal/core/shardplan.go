@@ -277,9 +277,10 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 	var baseScales [][]float64
 	var refLabels []int
 	var calibEmbs []*mat.Matrix
+	reg := sv.features.Load()
 	if elem != exec.F64 {
 		fullProg := sv.rectifier.compileRectifier(rows, nil, nil)
-		if baseScales, refLabels, calibEmbs, err = calibrateReduced(sv.features.Load(), fullProg, bbMach, own, cfg); err != nil {
+		if baseScales, refLabels, calibEmbs, err = calibrateReduced(reg, fullProg, bbMach, own, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -373,7 +374,7 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 	// the fp64 reference labels on the calibration batch's embeddings.
 	if elem != exec.F64 {
 		check := make([]int, rows)
-		ws.bindShardEmbs(calibEmbs)
+		ws.bindShardEmbs(calibEmbs, reg, true)
 		if err := ws.runFleet(check); err != nil {
 			return nil, fmt.Errorf("core: calibration fleet round: %w", err)
 		}
@@ -395,15 +396,18 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 
 // bindShardEmbs rebinds every shard's embedding views onto its row range
 // of embs, a pass's full-height block embeddings in RequiredEmbeddings
-// order — called every pass, and zero-alloc: the view headers are planned
-// once.
-func (ws *ShardedWorkspace) bindShardEmbs(embs []*mat.Matrix) {
+// order, and declares to every shard machine whether they are reg's
+// stored blocks (registration.declareInputs: a shard's range of the store
+// is as immutable as the whole) — called every pass, and zero-alloc: the
+// view headers are planned once.
+func (ws *ShardedWorkspace) bindShardEmbs(embs []*mat.Matrix, reg *registration, reused bool) {
 	part := ws.sv.Part
 	for s := range ws.shardEmbs {
 		lo, hi := part.Bounds[s], part.Bounds[s+1]
 		for k, m := range embs {
 			m.ViewRows(lo, hi, ws.shardEmbs[s][k])
 		}
+		reg.declareInputs(ws.fleet.Machine(s), reused)
 	}
 }
 
@@ -491,6 +495,7 @@ func (ws *ShardedWorkspace) Release() {
 	}
 	ws.released = true
 	for s := range ws.sv.vaults {
+		ws.fleet.Machine(s).SetInputEpoch(nil) // drop the store record the shard's codes were keyed on
 		ws.sv.vaults[s].Load().Enclave.Free(ws.epc[s])
 	}
 }
@@ -596,7 +601,8 @@ func (sv *ShardedVault) PredictIntoContext(ctx context.Context, x *mat.Matrix, w
 	}
 
 	start := time.Now()
-	embs, reused := sv.features.Load().embeddings(x, ws.bbMach, ws.bbIn, ws.own)
+	reg := sv.features.Load()
+	embs, reused := reg.embeddings(x, ws.bbMach, ws.bbIn, ws.own)
 	bd.BackboneTime, bd.BackboneReused = time.Since(start), reused
 	if recOn {
 		stageStart = recordBackbone(rec, trace, bbID, stageStart, ws.Rows, bd)
@@ -607,7 +613,7 @@ func (sv *ShardedVault) PredictIntoContext(ctx context.Context, x *mat.Matrix, w
 	// poisons the fleet when ctx expires, and a shard whose ECALL fails
 	// at the enclave gate (fault plan, lost enclave) poisons it too — its
 	// peers would otherwise wait forever on a barrier it never reaches.
-	ws.bindShardEmbs(embs)
+	ws.bindShardEmbs(embs, reg, reused)
 	watchDone := make(chan struct{})
 	var watchWG sync.WaitGroup
 	if ctx.Done() != nil {
@@ -775,8 +781,8 @@ func (ws *ShardedWorkspace) rejoinShard(s int) error {
 		if reg == nil {
 			return fmt.Errorf("reduced-precision plan lost its calibration batch")
 		}
-		embs, _ := reg.embeddings(reg.x, ws.bbMach, ws.bbIn, ws.own)
-		ws.bindShardEmbs(embs)
+		embs, reused := reg.embeddings(reg.x, ws.bbMach, ws.bbIn, ws.own)
+		ws.bindShardEmbs(embs, reg, reused)
 		check := make([]int, ws.Rows)
 		if err := ws.runFleet(check); err != nil {
 			return fmt.Errorf("agreement fleet round: %w", err)

@@ -76,6 +76,25 @@ func (r *registration) embeddings(x *mat.Matrix, bbMach *exec.Machine, bbIn, own
 	return own, false
 }
 
+// declareInputs tells a rectifier machine, before the Run that reads
+// them, whether its inputs are r's stored blocks (reused: the pass read
+// the store, or planning is running over it) or embeddings computed for
+// this call. An int8 machine keys its boundary codes on the record
+// (exec.Machine.SetInputEpoch): the store's blocks never change, so a
+// machine that quantised them once does not again, while a computed
+// pass — a caller's own x above all, whose buffers are rewritten every
+// call — always quantises. The key is the record, never a matrix pointer,
+// and a re-registration is a new record. r may be nil (then reused is
+// false); the untyped nil below is deliberate — a nil *registration in
+// the interface would read as a record.
+func (r *registration) declareInputs(m *exec.Machine, reused bool) {
+	if reused {
+		m.SetInputEpoch(r)
+	} else {
+		m.SetInputEpoch(nil)
+	}
+}
+
 // SetCalibrationFeatures registers the deployed graph's public feature
 // matrix. The registered features are two things at once:
 //

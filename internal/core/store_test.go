@@ -6,7 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gnnvault/internal/datasets"
 	"gnnvault/internal/enclave"
+	"gnnvault/internal/exec"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
 )
@@ -27,6 +29,46 @@ func requireLabels(t *testing.T, what string, got, want []int) {
 			t.Errorf("%s: label[%d] = %d, want %d", what, i, got[i], want[i])
 			return
 		}
+	}
+}
+
+// storeTarget is a deployment the store tests drive alike — a Vault, or a
+// 3-shard fleet of the same model: how to register features on it, read
+// its current registration, and plan a workspace (as the pair predict /
+// release).
+type storeTarget struct {
+	name     string
+	register func(*mat.Matrix) error
+	current  func() *registration
+	plan     func(PlanConfig) (predict func(*mat.Matrix) ([]int, InferenceBreakdown, error), release func(), err error)
+}
+
+// storeTargets returns v and a 3-shard fleet deployed from v's model over
+// ds's graph, undeployed with the test.
+func storeTargets(t *testing.T, ds *datasets.Dataset, v *Vault) []storeTarget {
+	t.Helper()
+	sv, err := DeploySharded(v.Backbone, v.rectifier, ds.Graph, enclave.DefaultCostModel(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sv.Undeploy)
+	n := ds.X.Rows
+	type predictFn = func(*mat.Matrix) ([]int, InferenceBreakdown, error)
+	return []storeTarget{
+		{"vault", v.SetCalibrationFeatures, v.features.Load, func(cfg PlanConfig) (predictFn, func(), error) {
+			ws, err := v.PlanWith(n, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func(x *mat.Matrix) ([]int, InferenceBreakdown, error) { return v.PredictInto(x, ws) }, ws.Release, nil
+		}},
+		{"fleet", sv.SetCalibrationFeatures, sv.features.Load, func(cfg PlanConfig) (predictFn, func(), error) {
+			ws, err := sv.PlanSharded(n, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func(x *mat.Matrix) ([]int, InferenceBreakdown, error) { return sv.PredictInto(x, ws) }, ws.Release, nil
+		}},
 	}
 }
 
@@ -60,8 +102,21 @@ func TestRegisteredFeaturesNeverMixed(t *testing.T) {
 		t.Fatal("A and B have the same answers: a mixed pass would go unseen")
 	}
 
+	// Two fp64 workspaces, one int8 direct and one int8 tiled: an int8
+	// machine also keeps the store's codes between passes (declareInputs),
+	// so it has a second way to serve the wrong matrix. An int8 plan is
+	// calibrated once, against whatever is registered when it is planned
+	// (A, here), and its reference is a twin planned with it that is only
+	// ever fed copies — the own-x path, which quantises every pass.
 	const workers, passes = 4, 24
-	hammer := func(t *testing.T, register func(*mat.Matrix) error, predict func(w int, x *mat.Matrix) ([]int, InferenceBreakdown, error)) {
+	cfgs := [workers]PlanConfig{
+		{Workers: 1},
+		{Workers: 1},
+		{Workers: 1, Precision: PrecisionInt8, MinAgreement: 0.5},
+		{Workers: 1, Precision: PrecisionInt8, MinAgreement: 0.5, TileRows: 300},
+	}
+	copies := [2]*mat.Matrix{a.Clone(), b.Clone()}
+	hammer := func(t *testing.T, want [workers][2][]int, register func(*mat.Matrix) error, predict func(w int, x *mat.Matrix) ([]int, InferenceBreakdown, error)) {
 		var done, reused atomic.Int64
 		stop := make(chan struct{})
 		var registrar sync.WaitGroup
@@ -97,7 +152,7 @@ func TestRegisteredFeaturesNeverMixed(t *testing.T) {
 						t.Errorf("worker %d pass %d: %v", w, i, err)
 						return
 					}
-					requireLabels(t, "concurrent pass", got, want[k])
+					requireLabels(t, "concurrent pass", got, want[w][k])
 					if bd.BackboneReused {
 						reused.Add(1)
 					}
@@ -114,35 +169,161 @@ func TestRegisteredFeaturesNeverMixed(t *testing.T) {
 		}
 	}
 
-	t.Run("vault", func(t *testing.T) {
-		wss := make([]*Workspace, workers)
-		for w := range wss {
-			if wss[w], err = v.PlanWith(ds.X.Rows, PlanConfig{Workers: 1}); err != nil {
+	for _, tg := range storeTargets(t, ds, v) {
+		t.Run(tg.name, func(t *testing.T) {
+			if err := tg.register(a); err != nil {
 				t.Fatal(err)
 			}
-			defer wss[w].Release()
-		}
-		hammer(t, v.SetCalibrationFeatures, func(w int, x *mat.Matrix) ([]int, InferenceBreakdown, error) {
-			return v.PredictInto(x, wss[w])
-		})
-	})
-	t.Run("fleet", func(t *testing.T) {
-		sv, err := DeploySharded(v.Backbone, v.rectifier, ds.Graph, enclave.DefaultCostModel(), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sv.Undeploy()
-		wss := make([]*ShardedWorkspace, workers)
-		for w := range wss {
-			if wss[w], err = sv.PlanSharded(ds.X.Rows, PlanConfig{Workers: 1}); err != nil {
-				t.Fatal(err)
+			var predicts [workers]func(*mat.Matrix) ([]int, InferenceBreakdown, error)
+			var wants [workers][2][]int
+			for w := range predicts {
+				predict, release, err := tg.plan(cfgs[w])
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer release()
+				predicts[w], wants[w] = predict, want
+				if cfgs[w].Precision == PrecisionFP64 {
+					continue
+				}
+				twin, releaseTwin, err := tg.plan(cfgs[w])
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer releaseTwin()
+				for k, x := range copies {
+					got, _, err := twin(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wants[w][k] = append([]int(nil), got...)
+				}
 			}
-			defer wss[w].Release()
-		}
-		hammer(t, sv.SetCalibrationFeatures, func(w int, x *mat.Matrix) ([]int, InferenceBreakdown, error) {
-			return sv.PredictInto(x, wss[w])
+			hammer(t, wants, tg.register, func(w int, x *mat.Matrix) ([]int, InferenceBreakdown, error) {
+				return predicts[w](x)
+			})
 		})
-	})
+	}
+}
+
+// TestInt8BoundaryCodesNeverStale walks one int8 workspace — direct and
+// tiled, on a Vault and on a 3-shard fleet — through every way the
+// features behind it can change: registered A, the caller's own copy of
+// B, registered A again, B registered in A's place, B edited in place and
+// registered again under the same pointer; each registered matrix is
+// asked for three times, so the store is filled, read by a machine
+// holding other codes, and read by one holding its own. Every answer
+// must be the answer of a twin workspace that is only ever fed a fresh
+// copy of that call's matrix (so it quantises every pass), and the
+// quantise spans must show the boundary quantisation ran exactly when
+// the pass did not read the store record the machines' codes were
+// already keyed on — the plan's calibration pass having left A's behind.
+func TestInt8BoundaryCodesNeverStale(t *testing.T) {
+	ds, v := convTestVault(t, "", Parallel, 5)
+	defer v.Undeploy()
+	n := ds.X.Rows
+	for _, tg := range storeTargets(t, ds, v) {
+		for _, mode := range []struct {
+			name string
+			cfg  PlanConfig
+		}{
+			{"direct", PlanConfig{Workers: 1, Precision: PrecisionInt8, MinAgreement: 0.5}},
+			{"tiled", PlanConfig{Workers: 2, Precision: PrecisionInt8, MinAgreement: 0.5, TileRows: 300}},
+		} {
+			t.Run(tg.name+"/"+mode.name, func(t *testing.T) {
+				a, b := ds.X.Clone(), ds.X.Clone()
+				rotateRows(b)
+				if err := tg.register(a); err != nil {
+					t.Fatal(err)
+				}
+				ring := obs.NewRing(4096)
+				cfg := mode.cfg
+				cfg.Recorder = ring
+				predict, release, err := tg.plan(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer release()
+				twin, releaseTwin, err := tg.plan(mode.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer releaseTwin()
+
+				held := tg.current() // the calibration pass left A's codes behind
+				skipped, differing := 0, 0
+				var last []int
+				pass := func(what string, x *mat.Matrix) {
+					t.Helper()
+					wantLabels, _, err := twin(x.Clone())
+					if err != nil {
+						t.Fatalf("%s: twin: %v", what, err)
+					}
+					t0 := ring.Clock()
+					got, bd, err := predict(x)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					requireLabels(t, what, got, wantLabels)
+					var key *registration
+					if bd.BackboneReused {
+						key = tg.current()
+					}
+					wantRows := int32(n)
+					if key != nil && key == held {
+						wantRows = 0
+						skipped++
+					}
+					held = key
+					var rows int32
+					spans := 0
+					for _, s := range ring.Last(0) {
+						if s.Start >= t0 && s.Kind == obs.SpanOp && exec.OpKind(s.Op).String() == "quantise" {
+							spans, rows = spans+1, rows+s.Rows
+						}
+					}
+					if spans == 0 || rows != wantRows {
+						t.Fatalf("%s: %d quantise spans over %d rows, want %d rows (store reused: %v)", what, spans, rows, wantRows, bd.BackboneReused)
+					}
+					if last != nil {
+						for i := range got {
+							if got[i] != last[i] {
+								differing++
+								break
+							}
+						}
+					}
+					last = append(last[:0], got...)
+				}
+				thrice := func(what string, x *mat.Matrix) {
+					t.Helper()
+					for i := 0; i < 3; i++ {
+						pass(what, x)
+					}
+				}
+				thrice("registered A", a)
+				pass("own copy of B", b.Clone())
+				thrice("registered A after B", a)
+				if err := tg.register(b); err != nil {
+					t.Fatal(err)
+				}
+				thrice("registered B", b)
+				rotateRows(b)
+				if err := tg.register(b); err != nil {
+					t.Fatal(err)
+				}
+				thrice("B edited in place and registered again", b)
+				// A: 3 of 3, then 2 of 3; each B: 1 of 3 (one pass fills the
+				// store, one reads it into a machine holding no record's codes).
+				if skipped != 7 {
+					t.Errorf("%d passes skipped the boundary quantisation, want 7", skipped)
+				}
+				if differing < 4 {
+					t.Errorf("answers changed %d times over four changes of matrix: a stale pass would go unseen", differing)
+				}
+			})
+		}
+	}
 }
 
 // TestReregisterPublishesInPlaceEdit is the hammer's sequential twin and

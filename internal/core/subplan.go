@@ -170,7 +170,8 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling calibration backbone: %w", err)
 		}
-		scales, ref, embs, err := calibrateReduced(v.features.Load(), fullProg, fullBB, selectEmbeddings(fullBlocks, needed), pcfg)
+		reg := v.features.Load()
+		scales, ref, embs, err := calibrateReduced(reg, fullProg, fullBB, selectEmbeddings(fullBlocks, needed), pcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +180,7 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling calibration check machine: %w", err)
 		}
-		if err := checkAgreement(check, n, embs, ref, pcfg); err != nil {
+		if err := checkAgreement(check, reg, embs, ref, pcfg); err != nil {
 			return nil, err
 		}
 	}

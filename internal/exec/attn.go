@@ -91,8 +91,11 @@ func (m *Machine) attnRowsF64(out *mat.Matrix, w int, op *Op, lo, hi int, res *m
 	st := op.CSR
 	s, t, z := &m.views[op.Srcs[0]], &m.views[op.Srcs[1]], &m.views[op.Srcs[2]]
 	d := z.Cols
+	base := st.RowPtr[lo]
+	checked := mat.CheckIndices(st.ColIdx[base:st.RowPtr[hi]], z.Rows)
 	for i := lo; i < hi; i++ {
-		cols := st.ColIdx[st.RowPtr[i]:st.RowPtr[i+1]]
+		p, end := st.RowPtr[i], st.RowPtr[i+1]
+		cols := st.ColIdx[p:end]
 		alpha := m.scratch[w].alpha[:len(cols)]
 		for k, j := range cols {
 			alpha[k] = t.Data[j]
@@ -103,7 +106,7 @@ func (m *Machine) attnRowsF64(out *mat.Matrix, w int, op *Op, lo, hi int, res *m
 			ahead = st.ColIdx[st.RowPtr[a]:st.RowPtr[a+1]]
 		}
 		orow := out.Data[(i-lo)*d : (i-lo+1)*d]
-		mat.RowAccumulate(orow, alpha, cols, z.Data, false, ahead)
+		mat.RowAccumulate(orow, alpha, checked.Slice(p-base, end-base), z.Data, false, ahead)
 		var rrow []float64
 		if res != nil {
 			rrow = res.Data[(i-lo)*d : (i-lo+1)*d]
@@ -122,8 +125,11 @@ func (m *Machine) attnRowsI8(out *mat.MatrixI8, w int, a *opAuxI8, op *Op, lo, h
 	d := z.Cols
 	acc := q.scr[w].acc[:d]
 	var codes [mat.RowChunk]int32
+	base := st.RowPtr[lo]
+	checked := mat.CheckIndices(st.ColIdx[base:st.RowPtr[hi]], z.Rows)
 	for i := lo; i < hi; i++ {
-		cols := st.ColIdx[st.RowPtr[i]:st.RowPtr[i+1]]
+		p := st.RowPtr[i]
+		cols := st.ColIdx[p:st.RowPtr[i+1]]
 		alpha := q.scr[w].alpha[:len(cols)]
 		for k, j := range cols {
 			alpha[k] = float64(t.Data[j]) * tScale
@@ -132,7 +138,7 @@ func (m *Machine) attnRowsI8(out *mat.MatrixI8, w int, a *opAuxI8, op *Op, lo, h
 		for k := 0; k < len(cols); k += mat.RowChunk {
 			e := min(k+mat.RowChunk, len(cols))
 			mat.QuantizeI8WideInto(codes[:e-k], alpha[k:e], attnScale)
-			mat.RowAccumulateI8(acc, codes[:e-k], cols[k:e], z.Data, k > 0)
+			mat.RowAccumulateI8(acc, codes[:e-k], checked.Slice(p-base+k, p-base+e), z.Data, k > 0)
 		}
 		if len(cols) == 0 {
 			clear(acc)

@@ -101,6 +101,8 @@ func (k OpKind) String() string {
 		return "attn"
 	case OpHalo:
 		return "halo"
+	case opQuantise:
+		return "quantise"
 	default:
 		return fmt.Sprintf("opkind(%d)", uint8(k))
 	}
@@ -531,6 +533,10 @@ type Machine struct {
 	// preempted mid-kernel is charged only its own cycles; the fleet
 	// pins each shard goroutine to its thread for the run.
 	busyNs int64
+
+	// epoch is the record the next Run's inputs were declared to belong
+	// to (SetInputEpoch); spent by that Run's bind step.
+	epoch any
 }
 
 // workerScratch is one tile worker's pre-allocated header set. Workers
@@ -811,7 +817,8 @@ func (m *Machine) OutputWidth() int { return m.prog.vals[m.prog.output].width }
 // pool when Workers > 1, or serial tiles on one goroutine (the single-TCS
 // in-enclave contract) — with the busy-time and span bookkeeping around
 // it, then finish. An I8 machine differs in three places only: bindI8
-// quantizes the inputs and refreshes each SpMM's value scale, runRows
+// quantizes the inputs (unless SetInputEpoch says its buffers hold their
+// codes already) and refreshes each SpMM's value scale, runRows
 // dispatches to the int8 op body, and finishI8 dequantizes the output.
 func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix {
 	p := m.prog
@@ -834,8 +841,9 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 			panic(fmt.Sprintf("exec: input %d is %s, want %dx%d", v.input, in.Shape(), rows, v.width))
 		}
 	}
+	recOn := m.rec.Enabled()
 	if m.elem == I8 {
-		m.bindI8(rows, inputs)
+		m.bindI8(rows, inputs, recOn)
 	} else {
 		// Bind every value's full-rows view: inputs alias the caller's
 		// matrices, intermediates alias the first rows rows of their buffer
@@ -852,7 +860,6 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 			}
 		}
 	}
-	recOn := m.rec.Enabled()
 	if recOn {
 		m.profRuns++
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gnnvault/internal/mat"
+	"gnnvault/internal/obs"
 )
 
 // Quantized execution. A machine planned with Config.Elem I8 runs the
@@ -63,6 +64,13 @@ type quantized struct {
 	scr   []scratchI8     // per tile worker (index 0 serves direct mode)
 	out64 *mat.Matrix     // dequantized output, bound as the output view
 
+	// inEpoch names the immutable record whose blocks in currently holds
+	// the codes of, over inRows rows (Machine.SetInputEpoch); nil when the
+	// last quantised inputs were the caller's own. Holding the record by
+	// pointer keeps its address from being recycled while it is the key.
+	inEpoch any
+	inRows  int
+
 	// wideHead is the op index whose epilogue computes the program's
 	// argmax labels "wide" — from the pre-requantization floats instead of
 	// the output codes — or -1. Set when the argmax source is produced by
@@ -87,7 +95,11 @@ type opAuxI8 struct {
 	deq []float64
 	// vs is the SpMM value scale of the current Run, derived from the
 	// CSR's ValMaxAbs so re-induced subgraph operators stay calibrated.
-	vs float64
+	// vsFrom is the first SpMM op over the same operator: the operator
+	// cannot change inside a Run, so only that op scans its values and
+	// the others copy its scale.
+	vs     float64
+	vsFrom int
 	// cs holds the per-column source scales of an OpConcat, aligned to
 	// Srcs.
 	cs [][]float64
@@ -180,6 +192,13 @@ func (m *Machine) planI8() error {
 			a.w, a.deq = mat.QuantizeColumnsI8(folded)
 		case OpSpMM:
 			a.deq = make([]float64, p.vals[op.Dst].width)
+			a.vsFrom = i
+			for j := 0; j < i; j++ {
+				if p.ops[j].Kind == OpSpMM && p.ops[j].CSR == op.CSR {
+					a.vsFrom = j
+					break
+				}
+			}
 		case OpConcat:
 			a.cs = make([][]float64, len(op.Srcs))
 			for k, s := range op.Srcs {
@@ -205,22 +224,62 @@ func (m *Machine) planI8() error {
 	return nil
 }
 
+// opQuantise is not an instruction — no builder emits it and no op body
+// runs it: it names the bind step's boundary quantisation in the op spans
+// an I8 machine records, so the flight recorder shows that time as its
+// own line instead of leaving it in the ECALL's self time.
+const opQuantise OpKind = 0xff
+
+// SetInputEpoch declares whose blocks the next Run's inputs are: epoch is
+// the identity of an immutable record (core passes its public-half store
+// registration) that those inputs belong to whole, or nil — the default —
+// for inputs the caller owns and may have rewritten. An I8 machine whose
+// boundary buffers already hold the codes of that same record, under its
+// fixed scales and at the same height, skips the boundary quantisation of
+// that Run; any other Run quantises as always. The declaration is spent
+// by the Run it precedes, so a caller that forgets one pays a
+// quantisation, never serves stale codes; nil also drops the machine's
+// reference to the record it last quantised. Shares the machine's
+// one-goroutine-at-a-time contract with Run; a no-op at fp64.
+func (m *Machine) SetInputEpoch(epoch any) {
+	if m.q == nil {
+		return
+	}
+	m.epoch = epoch
+	if epoch == nil {
+		m.q.inEpoch = nil
+	}
+}
+
 // bindI8 is Run's bind step on an I8 machine: quantize the (already
-// shape-checked) inputs at the boundary into their code buffers, bind
-// every intermediate's code view, and refresh each SpMM's value scale.
-// All of it is this machine's own work, so it counts as busy time.
-func (m *Machine) bindI8(rows int, inputs []*mat.Matrix) {
+// shape-checked) inputs at the boundary into their code buffers — unless
+// they are the record's whose codes the buffers hold (SetInputEpoch) —
+// bind every intermediate's code view, and refresh each SpMM's value
+// scale. All of it is this machine's own work, so it counts as busy time,
+// and with the recorder on it is one op-level span (quantise; Rows is the
+// rows quantised, 0 when skipped).
+func (m *Machine) bindI8(rows int, inputs []*mat.Matrix, recOn bool) {
 	p, q := m.prog, m.q
 	busy0 := threadCPUNs()
+	var t0 int64
+	if recOn {
+		t0 = m.rec.Clock()
+	}
+	epoch := m.epoch
+	m.epoch = nil
+	keep := epoch != nil && epoch == q.inEpoch && rows == q.inRows
 	for i, v := range p.vals {
 		switch {
 		case v.input >= 0:
 			q.in[v.input].ViewRows(0, rows, &q.views[i])
-			mat.QuantizeColumnsI8Into(&q.views[i], inputs[v.input], m.cfg.Scales[i])
+			if !keep {
+				mat.QuantizeColumnsI8Into(&q.views[i], inputs[v.input], m.cfg.Scales[i])
+			}
 		case !v.dead:
 			q.spill[i].ViewRows(0, rows+v.extra, &q.views[i])
 		}
 	}
+	q.inEpoch, q.inRows = epoch, rows
 	// The value scale comes from the operator's current contents: the
 	// subgraph path re-induces the CSR between runs, and quantizing values
 	// on the fly under a per-run scale keeps every execution mode (and
@@ -232,13 +291,33 @@ func (m *Machine) bindI8(rows int, inputs []*mat.Matrix) {
 			continue
 		}
 		a := &q.aux[i]
-		a.vs = mat.SymmetricScale(op.CSR.ValMaxAbs())
+		if a.vsFrom == i {
+			a.vs = mat.SymmetricScale(op.CSR.ValMaxAbs())
+		} else {
+			a.vs = q.aux[a.vsFrom].vs
+		}
 		ss := m.cfg.Scales[op.Srcs[0]]
 		for j := range a.deq {
 			a.deq[j] = a.vs * ss[j]
 		}
 	}
 	m.busyNs += threadCPUNs() - busy0
+	if recOn {
+		quantised := rows
+		if keep {
+			quantised = 0
+		}
+		m.rec.Record(obs.Span{
+			Trace:  m.trace,
+			Parent: m.parent,
+			Kind:   obs.SpanOp,
+			Op:     uint8(opQuantise),
+			Rows:   int32(quantised),
+			Tiles:  1,
+			Start:  t0,
+			Dur:    m.rec.Clock() - t0,
+		})
+	}
 }
 
 // finishI8 is Run's last step on an I8 machine: dequantize the output

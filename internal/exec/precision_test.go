@@ -3,10 +3,12 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"gnnvault/internal/mat"
+	"gnnvault/internal/obs"
 )
 
 // buildPrecisionProg assembles the fuzz/regression program the precision
@@ -177,6 +179,96 @@ func TestReducedRunAllocFree(t *testing.T) {
 		if allocs > 0 {
 			t.Fatalf("%s Run allocates %.1f objects/op (cfg %+v)", cfg.Elem, allocs, cfg)
 		}
+		// The skip path: inputs declared as one record's keep their codes.
+		record := new(int)
+		m.SetInputEpoch(record)
+		m.Run(n, in, labels) // quantises, keyed to the record
+		allocs = testing.AllocsPerRun(10, func() {
+			m.SetInputEpoch(record)
+			m.Run(n, in, labels)
+		})
+		if allocs > 0 {
+			t.Fatalf("%s Run over a declared record allocates %.1f objects/op (cfg %+v)", cfg.Elem, allocs, cfg)
+		}
+	}
+}
+
+// TestInputEpochSkipsOnlyItsRecord pins Machine.SetInputEpoch: a Run
+// whose inputs were declared as the record the boundary buffers already
+// hold the codes of does not quantise — shown by editing the matrix
+// behind the machine's back, which such a Run must not notice (the span's
+// Rows say so too) — and every other Run does: no declaration, a spent
+// declaration, another record, a nil declaration. Direct and tiled.
+func TestInputEpochSkipsOnlyItsRecord(t *testing.T) {
+	const n = 40
+	prog, x := buildPrecisionProg(n, 4, 6, 11)
+	scales, _, err := CalibrateScales(prog, n, []*mat.Matrix{x})
+	if err != nil {
+		t.Fatalf("CalibrateScales: %v", err)
+	}
+	edited := x.Clone()
+	for i := range edited.Data {
+		edited.Data[i] = -edited.Data[i]
+	}
+	for _, cfg := range []Config{
+		{Workers: 1, Elem: I8, Scales: scales},
+		{TileRows: 9, Workers: 2, Elem: I8, Scales: scales},
+	} {
+		ring := obs.NewRing(256)
+		cfg.Recorder = ring
+		m, err := prog.NewMachine(cfg)
+		if err != nil {
+			t.Fatalf("NewMachine(%+v): %v", cfg, err)
+		}
+		run := func(what string, epoch any, in *mat.Matrix) (logits []float64, quantised int32) {
+			t.Helper()
+			t0 := ring.Clock()
+			if epoch != nil {
+				m.SetInputEpoch(epoch)
+			}
+			out := m.Run(n, []*mat.Matrix{in}, nil)
+			spans := 0
+			for _, s := range ring.Last(0) {
+				if s.Start >= t0 && s.Kind == obs.SpanOp && OpKind(s.Op).String() == "quantise" {
+					spans, quantised = spans+1, s.Rows
+				}
+			}
+			if spans != 1 {
+				t.Fatalf("%s: %d quantise spans in one Run, want 1", what, spans)
+			}
+			return append([]float64(nil), out.Data...), quantised
+		}
+		recA, recB := new(int), new(int)
+		wantX, q := run("undeclared", nil, x)
+		if q != n {
+			t.Fatalf("undeclared Run quantised %d rows, want %d", q, n)
+		}
+		wantEdited, _ := run("undeclared edited", nil, edited)
+		if slices.Equal(wantX, wantEdited) {
+			t.Fatal("the edit does not change the output: a skipped quantisation would go unseen")
+		}
+		if got, q := run("first of record A", recA, x); q != n || !slices.Equal(got, wantX) {
+			t.Fatalf("first Run of a record quantised %d rows (want %d), output matches: %v", q, n, slices.Equal(got, wantX))
+		}
+		// Same record: the codes stay, whatever the matrix now says.
+		if got, q := run("second of record A", recA, edited); q != 0 || !slices.Equal(got, wantX) {
+			t.Fatalf("declared Run over the held record quantised %d rows (want 0), kept codes: %v", q, slices.Equal(got, wantX))
+		}
+		// The declaration was spent: the next Run reads what it is given.
+		if got, q := run("after a spent declaration", nil, edited); q != n || !slices.Equal(got, wantEdited) {
+			t.Fatalf("undeclared Run quantised %d rows (want %d), fresh codes: %v", q, n, slices.Equal(got, wantEdited))
+		}
+		// …and left the buffers keyed to nothing.
+		if got, q := run("record A after own inputs", recA, x); q != n || !slices.Equal(got, wantX) {
+			t.Fatalf("record after the caller's own inputs quantised %d rows (want %d), fresh codes: %v", q, n, slices.Equal(got, wantX))
+		}
+		if got, q := run("record B", recB, edited); q != n || !slices.Equal(got, wantEdited) {
+			t.Fatalf("another record quantised %d rows (want %d), fresh codes: %v", q, n, slices.Equal(got, wantEdited))
+		}
+		m.SetInputEpoch(nil) // forget
+		if got, q := run("record B after forgetting", recB, x); q != n || !slices.Equal(got, wantX) {
+			t.Fatalf("Run after SetInputEpoch(nil) quantised %d rows (want %d), fresh codes: %v", q, n, slices.Equal(got, wantX))
+		}
 	}
 }
 
@@ -316,4 +408,69 @@ func checkPrecisionProg(t *testing.T, prog *Program, x *mat.Matrix, tile, worker
 	}
 	check("int8 tiled", i8Out, i8Labels, Config{TileRows: tile, Workers: 1, Elem: I8, Scales: scales})
 	check("int8 tile-parallel", i8Out, i8Labels, Config{TileRows: tile, Workers: workers, Elem: I8, Scales: scales})
+}
+
+// TestAttnRejectsCorruptColumnBeforeWriting: the attention aggregate
+// checks a span's structure columns once, ahead of its first row, so a
+// column outside z in the middle of the structure panics at fp64 and at
+// int8, direct and tiled, and the op's destination keeps what the
+// previous Run left there — no row of the new Run was written.
+func TestAttnRejectsCorruptColumnBeforeWriting(t *testing.T) {
+	const n = 60
+	prog, x := buildAttnProg(n, 5, 8, 17)
+	scales, _, err := CalibrateScales(prog, n, []*mat.Matrix{x})
+	if err != nil {
+		t.Fatalf("CalibrateScales: %v", err)
+	}
+	other := x.Clone()
+	for i := range other.Data {
+		other.Data[i] = -other.Data[i]
+	}
+	var attn *Op
+	for i := range prog.ops {
+		if prog.ops[i].Kind == OpAttn {
+			attn = &prog.ops[i]
+		}
+	}
+	st := attn.CSR
+	row := n / 2
+	for st.RowPtr[row] == st.RowPtr[row+1] {
+		row++
+	}
+	pos := st.RowPtr[row]
+	for _, cfg := range []Config{
+		{Workers: 1},
+		{TileRows: n, Workers: 1},
+		{Workers: 1, Elem: I8, Scales: scales},
+		{TileRows: n, Workers: 1, Elem: I8, Scales: scales},
+	} {
+		m, err := prog.NewMachine(cfg)
+		if err != nil {
+			t.Fatalf("NewMachine(%+v): %v", cfg, err)
+		}
+		m.Run(n, []*mat.Matrix{x}, nil)
+		var before []float64
+		var before8 []int8
+		if cfg.Elem == I8 {
+			before8 = append(before8, m.q.views[attn.Dst].Data...)
+		} else {
+			before = append(before, m.views[attn.Dst].Data...)
+		}
+		good := st.ColIdx[pos]
+		st.ColIdx[pos] = n
+		mustPanicExec(t, func() { m.Run(n, []*mat.Matrix{other}, nil) })
+		st.ColIdx[pos] = good
+		for i, v := range before {
+			if m.views[attn.Dst].Data[i] != v {
+				t.Fatalf("%+v: fp64 attention wrote element %d before the panic", cfg, i)
+			}
+		}
+		for i, v := range before8 {
+			if m.q.views[attn.Dst].Data[i] != v {
+				t.Fatalf("%+v: int8 attention wrote element %d before the panic", cfg, i)
+			}
+		}
+		// The machine is whole again once the structure is.
+		m.Run(n, []*mat.Matrix{other}, nil)
+	}
 }

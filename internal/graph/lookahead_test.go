@@ -58,7 +58,7 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 			p, e := na.RowPtr[i], na.RowPtr[i+1]
 			row := plain.Data[i*d : (i+1)*d]
 			row[0] = 7 // an empty row must be cleared, not skipped
-			mat.RowAccumulate(row, na.Val[p:e], na.ColIdx[p:e], h.Data, false, nil)
+			mat.RowAccumulate(row, na.Val[p:e], mat.CheckIndices(na.ColIdx[p:e], h.Rows), h.Data, false, nil)
 			frow := fused.Data[i*d : (i+1)*d]
 			copy(frow, row)
 			mat.ApplyEpilogueRow(frow, bias, res.Data[i*d:(i+1)*d], true)
@@ -92,5 +92,59 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 				same("MulDenseBiasReLURangeInto", got, fused, lo)
 			}
 		}
+	}
+}
+
+// TestSpMMRejectsCorruptColumnBeforeWriting: the products check a
+// range's column indices once, ahead of its first row, so one column
+// outside H in the middle of a range panics — at fp64 and at int8, for
+// the whole operator and for a range whose own rows hold it — with no
+// destination row written, and a range that does not reach the bad
+// column is computed as ever.
+func TestSpMMRejectsCorruptColumnBeforeWriting(t *testing.T) {
+	const n, d = 400, 8
+	rng := rand.New(rand.NewSource(33))
+	na := raggedCSR(rng, n, n)
+	h := benchDense(n, d)
+	h8 := mat.NewI8(n, d)
+	for i := range h8.Data {
+		h8.Data[i] = int8(rng.Intn(255) - 127)
+	}
+	ones := make([]float64, d)
+	for j := range ones {
+		ones[j] = 1
+	}
+	badRow := n / 2
+	for na.RowPtr[badRow] == na.RowPtr[badRow+1] {
+		badRow++
+	}
+	for _, bad := range []int{n, -1} {
+		pos := na.RowPtr[badRow]
+		good := na.ColIdx[pos]
+		na.ColIdx[pos] = bad
+		for _, r := range [][2]int{{0, n}, {badRow - 20, badRow + 20}} {
+			lo, hi := r[0], r[1]
+			dst := mat.New(hi-lo, d)
+			for i := range dst.Data {
+				dst.Data[i] = 7
+			}
+			mustPanic(t, func() { na.MulDenseBiasReLURangeInto(dst, h, lo, hi, nil, nil, false, 1) })
+			dst8 := mat.NewI8(hi-lo, d)
+			for i := range dst8.Data {
+				dst8.Data[i] = 7
+			}
+			mustPanic(t, func() {
+				na.MulDenseI8EpilogueRangeInto(dst8, h8, lo, hi, 1, ones, nil, nil, nil, false, ones, make([]int32, d), nil)
+			})
+			for i := range dst.Data {
+				if dst.Data[i] != 7 || dst8.Data[i] != 7 {
+					t.Fatalf("column %d in row %d, range [%d,%d): element %d written before the panic (fp64 %v, int8 %d)",
+						bad, badRow, lo, hi, i, dst.Data[i], dst8.Data[i])
+				}
+			}
+		}
+		// Rows short of the bad column are none of its business.
+		na.MulDenseBiasReLURangeInto(mat.New(badRow, d), h, 0, badRow, nil, nil, false, 1)
+		na.ColIdx[pos] = good
 	}
 }

@@ -190,16 +190,28 @@ const gatherAhead = 2
 // accumRow computes graph row i of Â·H into orow: the CSR row's values
 // and column indices are the multipliers and row indices of one row
 // accumulate (mat.RowAccumulate), which initialises the row from its
-// first term, clears it when the CSR row is empty, and panics on a
-// column index outside H. The column indices gatherAhead rows on ride
+// first term and clears it when the CSR row is empty. cols is the
+// caller's range of column indices from CSR position base on, checked
+// against H's height once for the whole range (checkedCols); the row
+// takes its slice of them. The column indices gatherAhead rows on ride
 // along as hints.
-func (na *NormAdjacency) accumRow(orow []float64, h *mat.Matrix, i int) {
+func (na *NormAdjacency) accumRow(orow []float64, h *mat.Matrix, i int, cols mat.CheckedIndices, base int) {
 	p, end := na.RowPtr[i], na.RowPtr[i+1]
 	var ahead []int
 	if a := i + gatherAhead; a < na.N {
 		ahead = na.ColIdx[na.RowPtr[a]:na.RowPtr[a+1]]
 	}
-	mat.RowAccumulate(orow, na.Val[p:end], na.ColIdx[p:end], h.Data, false, ahead)
+	mat.RowAccumulate(orow, na.Val[p:end], cols.Slice(p-base, end-base), h.Data, false, ahead)
+}
+
+// checkedCols validates the column indices of graph rows [lo, hi) against
+// a source of rows rows — the one place a product over the CSR checks its
+// indices, once per range and before any output row is written, so a
+// corrupt column panics instead of reading out of bounds — and returns
+// them with the CSR position the first one sits at.
+func (na *NormAdjacency) checkedCols(lo, hi, rows int) (mat.CheckedIndices, int) {
+	base := na.RowPtr[lo]
+	return mat.CheckIndices(na.ColIdx[base:na.RowPtr[hi]], rows), base
 }
 
 // MulDenseBiasReLURangeInto computes rows [lo, hi) of Â·H into dst, which
@@ -287,15 +299,16 @@ func (na *NormAdjacency) MulDenseBiasReLUInto(dst, h *mat.Matrix, bias []float64
 // caller validated the epilogue operands.
 func (na *NormAdjacency) mulDenseEpilogueRange(dst, h *mat.Matrix, lo, hi, base int, bias []float64, res *mat.Matrix, relu bool) {
 	d := h.Cols
+	cols, at := na.checkedCols(lo, hi, h.Rows)
 	if bias == nil && res == nil && !relu {
 		for i := lo; i < hi; i++ {
-			na.accumRow(dst.Data[(i-base)*d:(i-base+1)*d], h, i)
+			na.accumRow(dst.Data[(i-base)*d:(i-base+1)*d], h, i, cols, at)
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
 		drow := dst.Data[(i-base)*d : (i-base+1)*d]
-		na.accumRow(drow, h, i)
+		na.accumRow(drow, h, i, cols, at)
 		mat.ApplyEpilogueRow(drow, bias, epilogueResRow(res, i-base, d), relu)
 	}
 }

@@ -78,6 +78,7 @@ func (na *NormAdjacency) MulDenseI8EpilogueRangeInto(dst, h *mat.MatrixI8, lo, h
 	}
 	d := h.Cols
 	vc := valCodes{scale: valScale, end: na.RowPtr[hi]}
+	vc.cols, vc.base = na.checkedCols(lo, hi, h.Rows)
 	for i := lo; i < hi; i++ {
 		na.accumRowI8(acc[:d], h, i, &vc)
 		var rrow []int8
@@ -96,9 +97,13 @@ func (na *NormAdjacency) MulDenseI8EpilogueRangeInto(dst, h *mat.MatrixI8, lo, h
 // row accumulate takes. It is refilled a chunk at a time as the rows of
 // one call walk Val — never past end, the call's last value — so the
 // codes exist only on the caller's stack, never as an enclave resident.
+// cols is the call's range of column indices, from CSR position base on,
+// checked once against the source's height (checkedCols).
 type valCodes struct {
 	scale       float64
 	lo, hi, end int
+	cols        mat.CheckedIndices
+	base        int
 	q           [mat.RowChunk]int32
 }
 
@@ -115,7 +120,7 @@ func (na *NormAdjacency) accumRowI8(acc []int32, h *mat.MatrixI8, i int, vc *val
 			mat.QuantizeI8WideInto(vc.q[:vc.hi-vc.lo], na.Val[vc.lo:vc.hi], vc.scale)
 		}
 		e := min(end, vc.hi)
-		mat.RowAccumulateI8(acc, vc.q[p-vc.lo:e-vc.lo], na.ColIdx[p:e], h.Data, cont)
+		mat.RowAccumulateI8(acc, vc.q[p-vc.lo:e-vc.lo], vc.cols.Slice(p-vc.base, e-vc.base), h.Data, cont)
 		p, cont = e, true
 	}
 	if !cont {

@@ -28,6 +28,20 @@ import "fmt"
 // form takes none: its sources are an eighth the size and L2-resident
 // at the graph sizes served here.
 //
+// The kernels read src unchecked, so the indices reach them already
+// proved: idx is a CheckedIndices, minted by CheckIndices against a source
+// height — once per op range by the sparse products and the attention
+// aggregate (a CSR's ColIdx[RowPtr[lo]:RowPtr[hi]], before the range's
+// first row is written), by construction in the dense products (the
+// compaction emits positions of an input row whose length the shape
+// checks hold equal to the weight's height) — and sliced per row. What is
+// left to check per call is constant work: the lengths, and that the
+// source holds the rows the indices were proved against. The hints stay
+// unvalidated on purpose: validating a hint would cost what the hint is
+// meant to save, and nothing ever dereferences one — the assembly turns
+// it into a prefetch, which cannot fault, and the portable kernel drops
+// it.
+//
 // The contract has exactly two implementations: AVX2 assembly on amd64
 // (rowacc_amd64.s, chosen once at init from CPUID) and the portable Go
 // below, which is the fallback everywhere else, the only implementation
@@ -46,19 +60,57 @@ import "fmt"
 // chunk.
 const RowChunk = 128
 
+// CheckedIndices is a list of source-row indices proved to lie in
+// [0, rows) for a source of rows rows — the only form the row accumulate
+// takes its indices in. Only CheckIndices mints one from caller data, and
+// slicing keeps the proof, so a product validates the indices of a whole
+// op range once (a CSR's ColIdx[RowPtr[lo]:RowPtr[hi]]) and hands the
+// kernel one row's slice at a time; a kernel that reads unchecked cannot
+// be reached with anything else. The value aliases the caller's slice,
+// which must not change while the value is in use.
+type CheckedIndices struct {
+	idx  []int
+	rows int
+}
+
+// CheckIndices proves every index in idx names a row of a rows-high
+// source and panics on the first that does not — before the caller has
+// written anything.
+func CheckIndices(idx []int, rows int) CheckedIndices {
+	if rows < 0 {
+		panic(fmt.Sprintf("mat: indices checked against %d rows", rows))
+	}
+	for _, c := range idx {
+		if uint(c) >= uint(rows) {
+			panic(fmt.Sprintf("mat: row accumulate index %d out of range [0,%d)", c, rows))
+		}
+	}
+	return CheckedIndices{idx, rows}
+}
+
+// Slice returns the checked indices [lo, hi) of c.
+func (c CheckedIndices) Slice(lo, hi int) CheckedIndices {
+	return CheckedIndices{c.idx[lo:hi], c.rows}
+}
+
 // RowAccumulate computes the fp64 row accumulate into out (p = len(out)):
 // src is a row-major matrix of p-wide rows, idx[t] names the row scaled
 // by alpha[t]. With cont set the sum continues onto out's current
 // contents instead of starting from the bare first product — how callers
 // feed one long row through in chunks. ahead is the look-ahead operand
-// (nil for none). Operand lengths and every index in idx are validated
-// here, before either implementation runs, so a corrupt index panics
-// instead of reading out of bounds; ahead is deliberately not.
-func RowAccumulate(out, alpha []float64, idx []int, src []float64, cont bool, ahead []int) {
+// (nil for none). The indices arrive checked (CheckedIndices: each one
+// was compared against a source height when the caller minted them, once
+// per op range rather than once per row), so what is validated here,
+// before either implementation runs, is constant work: one index per
+// multiplier, and a source at least that many p-wide rows long. A corrupt
+// index therefore still panics instead of reading out of bounds — at
+// CheckIndices. ahead is deliberately not validated anywhere: hints are
+// never dereferenced.
+func RowAccumulate(out, alpha []float64, idx CheckedIndices, src []float64, cont bool, ahead []int) {
 	requireRowAcc(len(out), len(alpha), idx, len(src))
 	switch {
 	case len(alpha) > 0 && len(out) > 0:
-		rowAccF64(out, alpha, idx, src, cont, ahead)
+		rowAccF64(out, alpha, idx.idx, src, cont, ahead)
 	case !cont:
 		clear(out)
 	}
@@ -66,30 +118,25 @@ func RowAccumulate(out, alpha []float64, idx []int, src []float64, cont bool, ah
 
 // RowAccumulateI8 is RowAccumulate over int8 rows with int32 multipliers
 // and an exact int32 accumulator.
-func RowAccumulateI8(out, alpha []int32, idx []int, src []int8, cont bool) {
+func RowAccumulateI8(out, alpha []int32, idx CheckedIndices, src []int8, cont bool) {
 	requireRowAcc(len(out), len(alpha), idx, len(src))
 	switch {
 	case len(alpha) > 0 && len(out) > 0:
-		rowAccI8(out, alpha, idx, src, cont)
+		rowAccI8(out, alpha, idx.idx, src, cont)
 	case !cont:
 		clear(out)
 	}
 }
 
 // requireRowAcc validates one row-accumulate call: one index per
-// multiplier, every index a whole p-wide row inside src.
-func requireRowAcc(p, terms int, idx []int, srcLen int) {
-	if len(idx) != terms {
-		panic(fmt.Sprintf("mat: row accumulate with %d multipliers but %d indices", terms, len(idx)))
+// multiplier, and every row the indices were checked against a whole
+// p-wide row inside src.
+func requireRowAcc(p, terms int, idx CheckedIndices, srcLen int) {
+	if len(idx.idx) != terms {
+		panic(fmt.Sprintf("mat: row accumulate with %d multipliers but %d indices", terms, len(idx.idx)))
 	}
-	if p == 0 {
-		return
-	}
-	rows := uint(srcLen / p)
-	for _, c := range idx {
-		if uint(c) >= rows {
-			panic(fmt.Sprintf("mat: row accumulate index %d out of range [0,%d)", c, rows))
-		}
+	if idx.rows*p > srcLen {
+		panic(fmt.Sprintf("mat: row accumulate indices checked against %d rows of %d over a source of %d elements", idx.rows, p, srcLen))
 	}
 }
 

@@ -70,7 +70,7 @@ func TestAxpyFamilyBitIdentity(t *testing.T) {
 	for _, d := range []int{1, 3, 7, 8, 16, 33} {
 		src := fill(rng, New(4, d)).Data
 		as := fill(rng, New(1, 4)).Data
-		idx := []int{0, 1, 2, 3}
+		idx := CheckIndices([]int{0, 1, 2, 3}, 4)
 		ref := make([]float64, d)
 		for i, a := range as {
 			for j := 0; j < d; j++ {
@@ -80,8 +80,8 @@ func TestAxpyFamilyBitIdentity(t *testing.T) {
 		got := make([]float64, d)
 		RowAccumulate(got, as, idx, src, false, nil)
 		split := make([]float64, d)
-		RowAccumulate(split, as[:2], idx[:2], src, false, nil)
-		RowAccumulate(split, as[2:], idx[2:], src, true, nil)
+		RowAccumulate(split, as[:2], idx.Slice(0, 2), src, false, nil)
+		RowAccumulate(split, as[2:], idx.Slice(2, 4), src, true, nil)
 		for j := range ref {
 			if got[j] != ref[j] || split[j] != ref[j] {
 				t.Fatalf("d=%d elem %d: one call %v, continued %v, want %v", d, j, got[j], split[j], ref[j])

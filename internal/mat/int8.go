@@ -86,7 +86,7 @@ func matMulRowI8(arow []int8, w *MatrixI8, acc []int32, ab *[RowChunk]int32, ib 
 	for k0 := 0; k0 < len(arow); k0 += RowChunk {
 		m := compactNonZeroI8(ab, ib, arow[k0:min(k0+RowChunk, len(arow))], k0)
 		if m > 0 {
-			RowAccumulateI8(acc, ab[:m], ib[:m], w.Data, cont)
+			RowAccumulateI8(acc, ab[:m], CheckedIndices{ib[:m], len(arow)}, w.Data, cont)
 			cont = true
 		}
 	}

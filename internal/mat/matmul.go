@@ -61,14 +61,17 @@ func MatMulSerial(a, b *Matrix) *Matrix {
 // activations are roughly half zeros, and each one saves a whole row of
 // MACs — by compacting the survivors and their row indices into the
 // caller's scratch (one per row band, so it is zeroed once, not per row)
-// a chunk at a time. The destination needs no prior zeroing; an all-zero
-// input row clears it.
+// a chunk at a time. The compaction's indices are positions in arow, so
+// they are checked by construction against len(arow) rows — the inner
+// dimension the drivers' shape checks hold equal to b.Rows — and nothing
+// is scanned. The destination needs no prior zeroing; an all-zero input
+// row clears it.
 func matMulRow(arow []float64, b *Matrix, orow []float64, ab *[RowChunk]float64, ib *[RowChunk]int) {
 	cont := false
 	for k0 := 0; k0 < len(arow); k0 += RowChunk {
 		m := compactNonZero(ab, ib, arow[k0:min(k0+RowChunk, len(arow))], k0)
 		if m > 0 {
-			RowAccumulate(orow, ab[:m], ib[:m], b.Data, cont, nil)
+			RowAccumulate(orow, ab[:m], CheckedIndices{ib[:m], len(arow)}, b.Data, cont, nil)
 			cont = true
 		}
 	}

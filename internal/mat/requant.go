@@ -24,9 +24,10 @@ import (
 // and a row with nothing above −Inf answers 0.
 //
 // Like the row accumulate (axpy.go) the contract has exactly two
-// implementations: AVX2 assembly on amd64 (requant_amd64.s, four columns
-// a step and a one-column tail, chosen by the same useAVX2 flag) and
-// requantRowGo below — the fallback everywhere else, the whole of the
+// implementations: AVX2 assembly on amd64 (requant_amd64.s — eight columns
+// a step for the product epilogues' accumulator forms, four under lane
+// masks for everything else and for every last partial step — chosen by
+// the same useAVX2 flag) and requantRowGo below — the fallback everywhere else, the whole of the
 // purego build and the oracle of TestRequantizeRowDifferential. Both
 // perform the same operations on the same operands per element, so every
 // code and every label agree; and since each is a function of one

@@ -189,10 +189,13 @@ func TestRequantizeRowDifferential(t *testing.T) {
 							return fmt.Sprintf("n=%d acc=%v bias=%v res=%v relu=%v scales=%s values=%s",
 								n, hasAcc, hasBias, hasRes, relu, requantScales[sk].name, requantValues[vk].name)
 						}
-						got := make([]int8, n)
+						got, fenced := fencedRow[int8](n)
 						am := RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu, true)
 						if j := firstDiffI8(got, want); j >= 0 || am != wantAm {
 							t.Fatalf("%s: dispatched elem %d, argmax %d; contract %v argmax %d, got %v", where(), j, am, want, wantAm, got)
+						}
+						if !fenced() {
+							t.Fatalf("%s: dispatched kernel wrote outside its row", where())
 						}
 						port := make([]int8, n)
 						am = requantRowGo(port, nil, n, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, 0, relu, true)
@@ -201,15 +204,16 @@ func TestRequantizeRowDifferential(t *testing.T) {
 						}
 						// Without the argmax the codes are the same and the answer is 0.
 						clear(got)
-						if am := RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu, false); am != 0 || firstDiffI8(got, want) >= 0 {
-							t.Fatalf("%s: no-argmax call returned %d, codes %v, contract %v", where(), am, got, want)
+						if am := RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu, false); am != 0 || firstDiffI8(got, want) >= 0 || !fenced() {
+							t.Fatalf("%s: no-argmax call returned %d, codes %v (fence intact: %v), contract %v", where(), am, got, fenced(), want)
 						}
 						// In place over the residual row.
 						if hasRes {
-							inPlace := append([]int8(nil), c.res...)
+							inPlace, fenced := fencedRow[int8](n)
+							copy(inPlace, c.res)
 							RequantizeRow(inPlace, c.acc, c.deq, c.bias, inPlace, c.resScales, c.dst, relu, false)
-							if j := firstDiffI8(inPlace, want); j >= 0 {
-								t.Fatalf("%s: in-place elem %d = %d, contract %d", where(), j, inPlace[j], want[j])
+							if j := firstDiffI8(inPlace, want); j >= 0 || !fenced() {
+								t.Fatalf("%s: in-place elem %d (fence intact: %v), got %v, contract %v", where(), j, fenced(), inPlace, want)
 							}
 						}
 					}
@@ -219,21 +223,58 @@ func TestRequantizeRowDifferential(t *testing.T) {
 					if !hasBias || hasAcc || hasRes {
 						continue
 					}
-					scale := c.dst[rng.Intn(n)]
-					want, _ := naiveRequantRow(n, nil, nil, c.bias, nil, nil, nil, scale, false)
-					q, src := NewI8(1, n), FromSlice(1, n, c.bias)
-					QuantizeI8Into(q, src, scale)
-					wide := make([]int32, n)
-					QuantizeI8WideInto(wide, c.bias, scale)
-					for j := range want {
-						if q.Data[j] != want[j] || wide[j] != int32(want[j]) {
-							t.Fatalf("n=%d scale=%g values=%s: elem %d (%g) = %d narrow, %d wide, contract %d",
-								n, scale, requantValues[vk].name, j, c.bias[j], q.Data[j], wide[j], want[j])
-						}
-					}
+					requireSingleScaleForms(t, c.bias, c.dst[rng.Intn(n)], requantValues[vk].name)
 				}
 			}
 		}
+	}
+}
+
+// fenceWidth is how many canary elements the fenced rows carry on each
+// side: more than the widest store either kernel issues (eight codes).
+const fenceWidth = 16
+
+// fencedRow returns an n-long row cut out of the middle of a longer
+// buffer (capacity clipped, so an append cannot reach the fence either)
+// and a check that every element before and after the row still holds
+// its canary — what a vector or masked store running past the row would
+// overwrite.
+func fencedRow[E int8 | int32](n int) ([]E, func() bool) {
+	const canary = 0x55
+	buf := make([]E, n+2*fenceWidth)
+	for i := range buf {
+		buf[i] = canary
+	}
+	return buf[fenceWidth : fenceWidth+n : fenceWidth+n], func() bool {
+		for i, v := range buf {
+			if (i < fenceWidth || i >= fenceWidth+n) && v != canary {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// requireSingleScaleForms holds the one-scale-per-row forms — narrow
+// codes (QuantizeI8Into) and wide codes (QuantizeI8WideInto) from a plain
+// float64 source — to the literal contract, each row between canaries.
+func requireSingleScaleForms(t *testing.T, src []float64, scale float64, values string) {
+	t.Helper()
+	n := len(src)
+	want, _ := naiveRequantRow(n, nil, nil, src, nil, nil, nil, scale, false)
+	narrow, narrowFenced := fencedRow[int8](n)
+	QuantizeI8Into(&MatrixI8{Rows: 1, Cols: n, Data: narrow}, FromSlice(1, n, src), scale)
+	wide, wideFenced := fencedRow[int32](n)
+	QuantizeI8WideInto(wide, src, scale)
+	for j := range want {
+		if narrow[j] != want[j] || wide[j] != int32(want[j]) {
+			t.Fatalf("n=%d scale=%g values=%s: elem %d (%g) = %d narrow, %d wide, contract %d",
+				n, scale, values, j, src[j], narrow[j], wide[j], want[j])
+		}
+	}
+	if !narrowFenced() || !wideFenced() {
+		t.Fatalf("n=%d scale=%g values=%s: single-scale form wrote outside its row (narrow intact %v, wide intact %v)",
+			n, scale, values, narrowFenced(), wideFenced())
 	}
 }
 
@@ -280,24 +321,33 @@ func TestRequantizeRowRejectsShortOperands(t *testing.T) {
 }
 
 // FuzzRequantizeRow drives the dispatched requantise row with fuzzed
-// widths, term mixes, scale and value kinds against the literal
-// contract.
+// widths, term mixes, scale and value kinds, with and without the wide
+// argmax, against the literal contract; rows sit between canaries, and a
+// plain float64 source also goes through the single-scale narrow and
+// wide-code forms.
 func FuzzRequantizeRow(f *testing.F) {
-	f.Add(int64(1), uint8(64), uint8(7), uint8(0), uint8(0), true)
-	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(1), false)
-	f.Add(int64(3), uint8(33), uint8(2), uint8(6), uint8(3), true)
-	f.Add(int64(4), uint8(5), uint8(4), uint8(4), uint8(2), false)
-	f.Fuzz(func(t *testing.T, seed int64, width, terms, scaleKind, valueKind uint8, relu bool) {
+	f.Add(int64(1), uint8(64), uint8(7), uint8(0), uint8(0), true, true)
+	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(1), false, true)
+	f.Add(int64(3), uint8(33), uint8(2), uint8(6), uint8(3), true, false)
+	f.Add(int64(4), uint8(5), uint8(4), uint8(4), uint8(2), false, false)
+	f.Add(int64(5), uint8(11), uint8(1), uint8(5), uint8(1), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, width, terms, scaleKind, valueKind uint8, relu, argmax bool) {
 		rng := rand.New(rand.NewSource(seed))
 		n, mix := 1+int(width)%96, 1+int(terms)%7
 		sk, vk := int(scaleKind)%len(requantScales), int(valueKind)%len(requantValues)
 		c := newRequantCase(rng, n, mix&1 != 0, mix&2 != 0, mix&4 != 0, sk, vk)
 		want, wantAm := naiveRequantRow(n, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, 0, relu)
-		got := make([]int8, n)
-		am := RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu, true)
-		if j := firstDiffI8(got, want); j >= 0 || am != wantAm {
-			t.Fatalf("n=%d terms=%d relu=%v scales=%s values=%s: elem %d, argmax %d; contract %v argmax %d, got %v",
-				n, mix, relu, requantScales[sk].name, requantValues[vk].name, j, am, want, wantAm, got)
+		if !argmax {
+			wantAm = 0
+		}
+		got, fenced := fencedRow[int8](n)
+		am := RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu, argmax)
+		if j := firstDiffI8(got, want); j >= 0 || am != wantAm || !fenced() {
+			t.Fatalf("n=%d terms=%d relu=%v argmax=%v scales=%s values=%s: elem %d, argmax %d, fence intact %v; contract %v argmax %d, got %v",
+				n, mix, relu, argmax, requantScales[sk].name, requantValues[vk].name, j, am, fenced(), want, wantAm, got)
+		}
+		if mix == 2 { // a plain float64 source
+			requireSingleScaleForms(t, c.bias, c.dst[rng.Intn(n)], requantValues[vk].name)
 		}
 	})
 }

@@ -165,7 +165,7 @@ func TestRowAccumulateDifferential(t *testing.T) {
 						naiveRowAcc(want, alpha, idx, src, cont)
 						for a, ahead := range aheads {
 							got := append([]float64(nil), start...)
-							RowAccumulate(got, alpha, idx, src, cont, ahead)
+							RowAccumulate(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
 							if j := sameBits(got, want); j >= 0 {
 								t.Fatalf("p=%d terms=%d zeros=%s special=%v cont=%v ahead=%d: elem %d = %x, contract %x",
 									p, terms, zp.name, special, cont, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
@@ -243,7 +243,7 @@ func TestRowAccumulateLookAhead(t *testing.T) {
 				aheads := append(lookAheads(rng, terms, rows), []int{rows - 1, 0, rows - 1})
 				for a, ahead := range aheads {
 					got := append([]float64(nil), start...)
-					RowAccumulate(got, alpha, idx, src, cont, ahead)
+					RowAccumulate(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
 					if j := sameBits(got, want); j >= 0 {
 						t.Fatalf("p=%d terms=%d cont=%v ahead=%d: elem %d = %x, contract %x",
 							p, terms, cont, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
@@ -288,7 +288,7 @@ func TestRowAccumulateI8Differential(t *testing.T) {
 					got := append([]int32(nil), want...)
 					port := append([]int32(nil), want...)
 					naiveRowAccI8(want, alpha, idx, src, cont)
-					RowAccumulateI8(got, alpha, idx, src, cont)
+					RowAccumulateI8(got, alpha, CheckIndices(idx, len(src)/p), src, cont)
 					if terms > 0 {
 						rowAccI8Go(port, alpha, idx, src, cont)
 					} else {
@@ -326,21 +326,33 @@ func TestRowAccumulateI8Differential(t *testing.T) {
 	}
 }
 
-// TestRowAccumulateRejectsBadOperands: an index outside src, or an index
-// list that does not pair with the multipliers, panics before any kernel
-// runs — and the portable kernel, called bare, still refuses to read out
-// of bounds.
+// TestRowAccumulateRejectsBadOperands: an index outside the source
+// panics where the indices are checked, a source shorter than the rows
+// they were checked against or an index list that does not pair with the
+// multipliers panics before any kernel runs — and the portable kernel,
+// called bare, still refuses to read out of bounds.
 func TestRowAccumulateRejectsBadOperands(t *testing.T) {
 	src := make([]float64, 5*4)
 	src8 := make([]int8, 5*4)
 	for name, fn := range map[string]func(){
-		"f64 index == rows":      func() { RowAccumulate(make([]float64, 4), []float64{1, 1}, []int{0, 5}, src, false, nil) },
-		"f64 negative index":     func() { RowAccumulate(make([]float64, 4), []float64{1}, []int{-1}, src, true, nil) },
-		"f64 ragged last row":    func() { RowAccumulate(make([]float64, 4), []float64{1}, []int{4}, src[:19], false, nil) },
-		"f64 index count":        func() { RowAccumulate(make([]float64, 4), []float64{1, 1}, []int{0}, src, false, nil) },
-		"i8 index == rows":       func() { RowAccumulateI8(make([]int32, 4), []int32{1, 1}, []int{0, 5}, src8, false) },
-		"i8 negative index":      func() { RowAccumulateI8(make([]int32, 4), []int32{1}, []int{-1}, src8, true) },
-		"i8 index count":         func() { RowAccumulateI8(make([]int32, 4), []int32{1}, []int{0, 1}, src8, false) },
+		"index == rows":   func() { CheckIndices([]int{0, 5}, 5) },
+		"negative index":  func() { CheckIndices([]int{-1}, 5) },
+		"negative height": func() { CheckIndices(nil, -1) },
+		"f64 ragged last row": func() {
+			RowAccumulate(make([]float64, 4), []float64{1}, CheckIndices([]int{4}, 5), src[:19], false, nil)
+		},
+		"f64 index count": func() {
+			RowAccumulate(make([]float64, 4), []float64{1, 1}, CheckIndices([]int{0}, 5), src, false, nil)
+		},
+		"f64 sliced past its row": func() {
+			RowAccumulate(make([]float64, 4), []float64{1}, CheckIndices([]int{0, 1}, 5).Slice(1, 3), src, false, nil)
+		},
+		"i8 short source": func() {
+			RowAccumulateI8(make([]int32, 4), []int32{1, 1}, CheckIndices([]int{0, 4}, 5), src8[:16], false)
+		},
+		"i8 index count": func() {
+			RowAccumulateI8(make([]int32, 4), []int32{1}, CheckIndices([]int{0, 1}, 5), src8, false)
+		},
 		"portable f64 unchecked": func() { rowAccF64Go(make([]float64, 4), []float64{1}, []int{5}, src, false) },
 		"portable i8 unchecked":  func() { rowAccI8Go(make([]int32, 4), []int32{1}, []int{5}, src8, false) },
 	} {
@@ -352,6 +364,13 @@ func TestRowAccumulateRejectsBadOperands(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+	// The zero value is no indices at all: it pairs with no multipliers
+	// and clears the row.
+	out := []float64{1, 2}
+	RowAccumulate(out, nil, CheckedIndices{}, nil, false, nil)
+	if out[0] != 0 || out[1] != 0 {
+		t.Errorf("zero CheckedIndices left %v", out)
 	}
 }
 
@@ -390,7 +409,7 @@ func FuzzRowAccumulate(f *testing.F) {
 		}
 		got := append([]float64(nil), want...)
 		naiveRowAcc(want, alpha, idx, src, cont)
-		RowAccumulate(got, alpha, idx, src, cont, ahead)
+		RowAccumulate(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
 		if j := sameBits(got, want); j >= 0 {
 			t.Fatalf("fp64 p=%d terms=%d hints=%d: elem %d = %x, contract %x", p, n, len(ahead), j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 		}
@@ -412,11 +431,61 @@ func FuzzRowAccumulate(f *testing.F) {
 		}
 		got32 := append([]int32(nil), want32...)
 		naiveRowAccI8(want32, alpha32, idx, src8, cont)
-		RowAccumulateI8(got32, alpha32, idx, src8, cont)
+		RowAccumulateI8(got32, alpha32, CheckIndices(idx, 9), src8, cont)
 		for j := range want32 {
 			if got32[j] != want32[j] {
 				t.Fatalf("int8 p=%d terms=%d: elem %d = %d, contract %d", p, n, j, got32[j], want32[j])
 			}
 		}
 	})
+}
+
+// TestDenseProductRejectsShortSourceBeforeWriting: the dense products
+// mint their compaction's indices checked against the input row's length,
+// which is only right while that length is the weight's height — the
+// shape check every driver makes before its first row. An input narrower
+// (or wider) than its weight therefore panics at fp64 and at int8 with
+// the destination untouched, and so does a weight whose backing array is
+// shorter than its shape says, which the row accumulate refuses on its
+// first call.
+func TestDenseProductRejectsShortSourceBeforeWriting(t *testing.T) {
+	const rows, inner, p = 5, 12, 6
+	rng := rand.New(rand.NewSource(15))
+	ones := make([]float64, p)
+	for j := range ones {
+		ones[j] = 1
+	}
+	for _, aCols := range []int{inner - 1, inner + 1, inner} {
+		a, a8 := New(rows, aCols), NewI8(rows, aCols)
+		for i := range a.Data {
+			a.Data[i], a8.Data[i] = 1+rng.Float64(), int8(1+rng.Intn(100))
+		}
+		w, w8 := New(inner, p), NewI8(inner, p)
+		if aCols == inner {
+			// Shapes agree; the weights' storage does not reach them.
+			w.Data, w8.Data = w.Data[:len(w.Data)-1], w8.Data[:len(w8.Data)-1]
+		}
+		dst, dst8 := New(rows, p), NewI8(rows, p)
+		for i := range dst.Data {
+			dst.Data[i], dst8.Data[i] = 7, 7
+		}
+		for name, fn := range map[string]func(){
+			"fp64": func() { MatMulBiasReLUInto(dst, a, w, nil, nil, false, 1) },
+			"int8": func() { MatMulI8EpilogueInto(dst8, a8, w8, ones, nil, nil, nil, false, ones, make([]int32, p), nil) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s product of a %d-wide input with a %d-high weight: no panic", name, aCols, inner)
+					}
+				}()
+				fn()
+			}()
+		}
+		for i := range dst.Data {
+			if dst.Data[i] != 7 || dst8.Data[i] != 7 {
+				t.Fatalf("input %d wide: element %d written before the panic (fp64 %v, int8 %d)", aCols, i, dst.Data[i], dst8.Data[i])
+			}
+		}
+	}
 }

@@ -149,6 +149,12 @@ type entry struct {
 	inUseSub    int
 	nodeQueries uint64
 
+	// wsBytes and subBytes are the EPC the vault's last admitted workspace
+	// of each pool charged (0 before the first): what the next plan of
+	// that pool will ask the enclave for, so admission can make the room
+	// before building anything.
+	wsBytes, subBytes int64
+
 	lastServed uint64 // registry clock at the vault's last acquire/release
 	requests   uint64
 	plans      uint64
@@ -421,10 +427,12 @@ func (r *Registry) checkoutSubLocked(e *entry) {
 // requests cannot both out-evict each other.
 func (r *Registry) planLocked(e *entry) (*core.Workspace, error) {
 	var ws *core.Workspace
-	err := r.admitLocked(e, func() error {
+	err := r.admitLocked(e, &e.wsBytes, func() (int64, error) {
 		var err error
-		ws, err = e.vault.PlanWith(e.vault.Nodes(), r.cfg.Plan)
-		return err
+		if ws, err = e.vault.PlanWith(e.vault.Nodes(), r.cfg.Plan); err != nil {
+			return 0, err
+		}
+		return ws.EnclaveBytes(), nil
 	})
 	return ws, err
 }
@@ -433,25 +441,41 @@ func (r *Registry) planLocked(e *entry) (*core.Workspace, error) {
 func (r *Registry) planSubLocked(e *entry) (*core.SubgraphWorkspace, error) {
 	nq := r.cfg.NodeQuery
 	var ws *core.SubgraphWorkspace
-	err := r.admitLocked(e, func() error {
+	err := r.admitLocked(e, &e.subBytes, func() (int64, error) {
 		var err error
-		ws, err = e.vault.PlanSubgraphWith(nq.MaxSeeds, nq.Subgraph(), r.cfg.Plan)
-		return err
+		if ws, err = e.vault.PlanSubgraphWith(nq.MaxSeeds, nq.Subgraph(), r.cfg.Plan); err != nil {
+			return 0, err
+		}
+		return ws.EnclaveBytes(), nil
 	})
 	return ws, err
 }
 
-// admitLocked runs one plan attempt, evicting idle vaults LRU-first for
-// as long as the enclave reports EPC exhaustion and victims remain.
-func (r *Registry) admitLocked(e *entry, plan func() error) error {
+// admitLocked admits one workspace of e: plan (which reports the EPC it
+// charged) is attempted, and idle vaults are evicted LRU-first for as
+// long as the enclave reports EPC exhaustion and victims remain. A plan
+// compiles both programs and allocates both machines before the enclave
+// can refuse it, so where *known — the size the vault's last workspace of
+// this pool was admitted at — says the attempt cannot fit, the same
+// victims go, in the same order, before it instead of after a discarded
+// build. The retry loop still covers the first plan and a size that grew.
+func (r *Registry) admitLocked(e *entry, known *int64, plan func() (int64, error)) error {
+	for *known > 0 && r.encl.EPCFree() < *known {
+		victim := r.lruIdleLocked(e)
+		if victim == nil {
+			break
+		}
+		r.evictLocked(victim)
+	}
 	rec := r.cfg.Recorder
 	for {
 		var t0 int64
 		if rec.Enabled() {
 			t0 = rec.Clock()
 		}
-		err := plan()
+		bytes, err := plan()
 		if err == nil {
+			*known = bytes
 			e.plans++
 			r.plans++
 			if rec.Enabled() {

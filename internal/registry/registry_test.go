@@ -592,3 +592,29 @@ func TestBudgetedPlansFlipEvictionChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmissionEvictsBeforeBuilding: a plan the enclave refuses has
+// already compiled two programs and allocated two machines, so once a
+// vault's workspace size is known the registry makes the room first.
+// Three vaults round-robin through an enclave that admits two
+// workspaces: every request from the third on plans and evicts exactly
+// as before — same counts, same EPC at the end — but the enclave refuses
+// an allocation only while sizes are still unknown, not once per plan.
+func TestAdmissionEvictsBeforeBuilding(t *testing.T) {
+	encl, reg, ids := newFleet(t, 3, 2, Config{WorkspacesPerVault: 1})
+	defer reg.Close()
+	const acquires = 100
+	for i := 0; i < acquires; i++ {
+		serveOne(t, reg, ids[i%len(ids)])
+	}
+	st := reg.Stats()
+	if st.Plans != acquires || st.Evictions != acquires-2 {
+		t.Fatalf("plans/evictions = %d/%d, want %d/%d", st.Plans, st.Evictions, acquires, acquires-2)
+	}
+	if want := int64(len(ids))*regPersist + 2*regWSBytes; st.EPCUsed != want {
+		t.Fatalf("EPC used %d, want %d (every vault's persistent state and two workspaces)", st.EPCUsed, want)
+	}
+	if got := encl.Ledger().AllocFailures; got > len(ids) {
+		t.Fatalf("enclave refused %d allocations over %d plans, want at most one per vault (%d)", got, st.Plans, len(ids))
+	}
+}

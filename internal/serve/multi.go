@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"runtime"
+
 	"gnnvault/internal/mat"
 	"gnnvault/internal/registry"
 )
@@ -15,6 +17,19 @@ import (
 // pay a plan — and possibly evict an idle tenant — on their next request.
 // That churn (plans, evictions, per-vault residency) is in the registry's
 // own Stats; Stats here is the queue-to-answer accounting.
+//
+// A worker yields the processor once after a full-graph checkout, lease
+// in hand. With fewer processors than workers a pass otherwise runs to
+// completion before the handler of a request that arrived beside it can
+// even enqueue it, so two workers hold workspaces of one vault together —
+// which is what makes the registry plan the vault's second workspace —
+// only when the runtime's 10 ms preemption tick lands inside a pass: with
+// passes near 10 ms that is a coin toss per process, and the plan (and its
+// EPC) lands on a random request minutes in, or never. Yielding makes
+// requests that arrive together check out together on any GOMAXPROCS, so
+// residency follows the concurrency the clients offer and the extra plan
+// is paid when that concurrency first shows. Node queries do not yield:
+// they are short and coalesce on one worker.
 type MultiServer struct {
 	*scheduler
 	leases
@@ -41,6 +56,7 @@ func (s *MultiServer) checkout(w int, id string, node bool) (nodes, maxSeeds int
 	h.id = id
 	if !node {
 		h.v, h.ws, err = s.reg.Acquire(id)
+		runtime.Gosched() // lease held: see the type's comment
 		return 0, 0, err
 	}
 	if h.v, h.sub, h.x, err = s.reg.AcquireSubgraph(id); err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -150,6 +151,59 @@ func TestMultiServerEvictionChurnHammer(t *testing.T) {
 	reg.Close()
 	if got := encl.EPCUsed(); got != baseline {
 		t.Fatalf("EPC after close %d, want deploy-time baseline %d", got, baseline)
+	}
+}
+
+// TestMultiServerConcurrentArrivalsCheckOutTogether pins what the
+// post-checkout yield is for: on one processor, where a cora pass is far
+// too short for the runtime to preempt, two requests that arrive together
+// must still hold two workspaces of their vault together — so the registry
+// plans the second one when the concurrency first shows, not when a
+// preemption tick happens to land inside a pass.
+func TestMultiServerConcurrentArrivalsCheckOutTogether(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ds, _, reg, want := multiFleet(t, 4, registry.Config{WorkspacesPerVault: 2})
+	defer reg.Close()
+	s := NewMulti(reg, Config{Workers: 2})
+	defer s.Close()
+
+	workspaces := func() int {
+		for _, vs := range reg.Stats().PerVault {
+			if vs.ID == "parallel" {
+				return vs.Workspaces
+			}
+		}
+		return -1
+	}
+	if _, err := s.Predict("parallel", ds.X); err != nil { // one client: one workspace
+		t.Fatal(err)
+	}
+	if n := workspaces(); n != 1 {
+		t.Fatalf("workspaces after a lone request = %d, want 1", n)
+	}
+	for round := 0; round < 20 && workspaces() < 2; round++ {
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := s.Predict("parallel", ds.X)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, w := range want["parallel"] {
+					if got[i] != w {
+						t.Errorf("label[%d] = %d, want %d", i, got[i], w)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := workspaces(); n != 2 {
+		t.Fatalf("workspaces after 20 rounds of paired requests on one processor = %d, want 2", n)
 	}
 }
 

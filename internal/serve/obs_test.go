@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"gnnvault/internal/core"
 	"gnnvault/internal/datasets"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
@@ -402,5 +403,76 @@ func TestMetricsTraceRaceHammer(t *testing.T) {
 	if m[`gnnvault_serve_requests_total`] != m[`gnnvault_serve_completed_total`]+m[`gnnvault_serve_errors_total`] {
 		t.Errorf("request accounting does not reconcile: %v != %v + %v",
 			m[`gnnvault_serve_requests_total`], m[`gnnvault_serve_completed_total`], m[`gnnvault_serve_errors_total`])
+	}
+}
+
+// TestDebugTraceShowsQuantise: an int8 plan's boundary quantisation is a
+// line of its own in /debug/trace — one "quantise" op span under every
+// ECALL, beside the rectifier's ops — and reads 0 rows on the passes over
+// the registered features, whose codes the plan's calibration pass left
+// in the machine (the same convention as "backbone (reused)").
+func TestDebugTraceShowsQuantise(t *testing.T) {
+	ring := obs.NewRing(4096)
+	ds, _, reg, _ := multiFleet(t, 4, registry.Config{
+		Plan:     core.PlanConfig{Precision: core.PrecisionInt8, MinAgreement: 0.5},
+		Recorder: ring,
+	})
+	defer reg.Close()
+	if err := reg.Vault("parallel").SetCalibrationFeatures(ds.X); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewMulti(reg, Config{Workers: 1})
+	defer srv.Close()
+	api := NewAPI(srv, reg, APIConfig{
+		Vaults:   []APIVault{{ID: "parallel", Dataset: "cora", Design: "parallel", Nodes: ds.Graph.N()}},
+		Features: func(string) *mat.Matrix { return ds.X },
+		Trace:    ring,
+	})
+	ts := httptest.NewServer(api.Handler())
+	defer ts.Close()
+	const passes = 2
+	for i := 0; i < passes; i++ {
+		if _, err := api.Predict("c1", "parallel", nil); err != nil {
+			t.Fatalf("Predict: %v", err)
+		}
+	}
+	_, body := scrape(t, ts, "/debug/trace")
+	var resp struct {
+		Traces []struct {
+			Root *jsonSpan `json:"root"`
+		} `json:"traces"`
+	}
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatalf("decoding trace response: %v", err)
+	}
+	queries := 0
+	for _, tr := range resp.Traces {
+		if tr.Root.Kind != "query" {
+			continue
+		}
+		queries++
+		ecall := findChild(tr.Root, "ecall")
+		if ecall == nil {
+			t.Fatalf("query without an ECALL stage: %+v", tr.Root)
+		}
+		var quantise []*jsonSpan
+		ops := 0
+		for _, c := range ecall.Children {
+			switch {
+			case c.Kind == "op" && c.Op == "quantise":
+				quantise = append(quantise, c)
+			case c.Kind == "op":
+				ops++
+			}
+		}
+		if len(quantise) != 1 || ops == 0 {
+			t.Fatalf("ECALL shows %d quantise spans beside %d ops, want 1 beside the rectifier's", len(quantise), ops)
+		}
+		if quantise[0].Rows != 0 {
+			t.Errorf("registered-features pass quantised %d rows, want 0 (the store's codes were in place)", quantise[0].Rows)
+		}
+	}
+	if queries != passes {
+		t.Fatalf("%d query traces, want %d", queries, passes)
 	}
 }
