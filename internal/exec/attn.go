@@ -32,10 +32,12 @@ import (
 // computed in float64 exactly as above and quantised under the fixed
 // scale attnScale into the int32 multipliers of mat.RowAccumulateI8 over
 // z's codes, a mat.RowChunk window at a time as the int8 SpMM does its
-// edge values; one mat.RequantizeRow with deq[j] = zScale[j]·attnScale
-// finishes the row. Both are the kernel contracts every int8 op already
-// sits on, and the int32 sum is exact and order-free (bounded by
-// 127·(127 + nnz/2) a row), so the bit-identity carries over.
+// edge values; the row's last window goes through the product row
+// (mat.CheckedEpilogueI8.ProductRow), whose requantise with deq[j] =
+// zScale[j]·attnScale finishes the row. Both halves are the kernel
+// contracts every int8 op already sits on, and the int32 sum is exact and
+// order-free (bounded by 127·(127 + nnz/2) a row), so the bit-identity
+// carries over.
 
 // attnScale is the fixed quantisation scale of attention coefficients: a
 // softmax output lies in (0, 1], so codes span [0, 127] uncalibrated.
@@ -126,7 +128,10 @@ func (m *Machine) attnRowsI8(out *mat.MatrixI8, w int, a *opAuxI8, op *Op, lo, h
 	acc := q.scr[w].acc[:d]
 	var codes [mat.RowChunk]int32
 	base := st.RowPtr[lo]
+	// The span's proofs, before its first row: the structure's columns
+	// against z's height, the epilogue operands against z's width.
 	checked := mat.CheckIndices(st.ColIdx[base:st.RowPtr[hi]], z.Rows)
+	epi := mat.CheckEpilogueI8(d, a.deq, op.Epi.Bias, resScales, sc[op.Dst], op.Epi.ReLU, wide != nil)
 	for i := lo; i < hi; i++ {
 		p := st.RowPtr[i]
 		cols := st.ColIdx[p:st.RowPtr[i+1]]
@@ -135,19 +140,19 @@ func (m *Machine) attnRowsI8(out *mat.MatrixI8, w int, a *opAuxI8, op *Op, lo, h
 			alpha[k] = float64(t.Data[j]) * tScale
 		}
 		attnSoftmaxRow(alpha, float64(s.Data[i])*sScale, op.slope)
-		for k := 0; k < len(cols); k += mat.RowChunk {
-			e := min(k+mat.RowChunk, len(cols))
-			mat.QuantizeI8WideInto(codes[:e-k], alpha[k:e], attnScale)
-			mat.RowAccumulateI8(acc, codes[:e-k], checked.Slice(p-base+k, p-base+e), z.Data, k > 0)
+		// Every window of coefficients but the last accumulates into acc;
+		// the last (empty for an empty row) is the product row's.
+		k := 0
+		for ; len(cols)-k > mat.RowChunk; k += mat.RowChunk {
+			mat.QuantizeI8WideInto(codes[:], alpha[k:k+mat.RowChunk], attnScale)
+			mat.RowAccumulateI8(acc, codes[:], checked.Slice(p-base+k, p-base+k+mat.RowChunk), z.Data, k > 0)
 		}
-		if len(cols) == 0 {
-			clear(acc)
-		}
+		mat.QuantizeI8WideInto(codes[:len(cols)-k], alpha[k:], attnScale)
 		var rrow []int8
 		if res != nil {
 			rrow = res.Data[(i-lo)*d : (i-lo+1)*d]
 		}
-		am := mat.RequantizeRow(out.Data[(i-lo)*d:(i-lo+1)*d], acc, a.deq, op.Epi.Bias, rrow, resScales, sc[op.Dst], op.Epi.ReLU, wide != nil)
+		am := epi.ProductRow(out.Data[(i-lo)*d:(i-lo+1)*d], acc, codes[:len(cols)-k], checked.Slice(p-base+k, p-base+len(cols)), z.Data, rrow, k > 0)
 		if wide != nil {
 			wide[i-lo] = am
 		}

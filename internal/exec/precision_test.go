@@ -414,7 +414,8 @@ func checkPrecisionProg(t *testing.T, prog *Program, x *mat.Matrix, tile, worker
 // checks a span's structure columns once, ahead of its first row, so a
 // column outside z in the middle of the structure panics at fp64 and at
 // int8, direct and tiled, and the op's destination keeps what the
-// previous Run left there — no row of the new Run was written.
+// previous Run left there — no row of the new Run was written. A short
+// int8 epilogue operand is refused at the same point.
 func TestAttnRejectsCorruptColumnBeforeWriting(t *testing.T) {
 	const n = 60
 	prog, x := buildAttnProg(n, 5, 8, 17)
@@ -472,5 +473,29 @@ func TestAttnRejectsCorruptColumnBeforeWriting(t *testing.T) {
 		}
 		// The machine is whole again once the structure is.
 		m.Run(n, []*mat.Matrix{other}, nil)
+
+		// At int8 the span's epilogue operands are proved before its first
+		// row as well (mat.CheckEpilogueI8): a short one panics with the
+		// destination as the last Run left it.
+		if cfg.Elem != I8 {
+			continue
+		}
+		var aux *opAuxI8
+		for i := range prog.ops {
+			if &prog.ops[i] == attn {
+				aux = &m.q.aux[i]
+			}
+		}
+		before8 = append(before8[:0], m.q.views[attn.Dst].Data...)
+		deq := aux.deq
+		aux.deq = deq[:len(deq)-1]
+		mustPanicExec(t, func() { m.Run(n, []*mat.Matrix{x}, nil) })
+		aux.deq = deq
+		for i, v := range before8 {
+			if m.q.views[attn.Dst].Data[i] != v {
+				t.Fatalf("%+v: int8 attention wrote element %d before refusing a short deq", cfg, i)
+			}
+		}
+		m.Run(n, []*mat.Matrix{x}, nil)
 	}
 }

@@ -56,14 +56,14 @@ func TestMulDenseIntoMatchesMulDense(t *testing.T) {
 		want := na.MulDense(h)
 		dst := mat.New(n, 7)
 		dst.Data[0] = 42 // stale content must be overwritten
-		na.MulDenseInto(dst, h)
+		na.MulDenseBiasReLUInto(dst, h, nil, nil, false, 0)
 		if !dst.EqualApprox(want, 1e-12) {
-			t.Fatalf("n=%d: MulDenseInto disagrees with MulDense", n)
+			t.Fatalf("n=%d: MulDenseBiasReLUInto disagrees with MulDense", n)
 		}
 		dst.Zero()
-		na.MulDenseWorkersInto(dst, h, 1)
+		na.MulDenseBiasReLUInto(dst, h, nil, nil, false, 1)
 		if !dst.EqualApprox(want, 1e-12) {
-			t.Fatalf("n=%d: serial MulDenseWorkersInto disagrees with MulDense", n)
+			t.Fatalf("n=%d: serial MulDenseBiasReLUInto disagrees with MulDense", n)
 		}
 	}
 }
@@ -74,10 +74,10 @@ func TestMulDenseIntoAllocFree(t *testing.T) {
 	h := mat.RandNormal(rand.New(rand.NewSource(5)), 100, 8, 0, 1)
 	dst := mat.New(100, 8)
 	allocs := testing.AllocsPerRun(20, func() {
-		na.MulDenseWorkersInto(dst, h, 1)
+		na.MulDenseBiasReLUInto(dst, h, nil, nil, false, 1)
 	})
 	if allocs > 0 {
-		t.Fatalf("serial MulDenseWorkersInto allocates %.1f objects/op", allocs)
+		t.Fatalf("serial MulDenseBiasReLUInto allocates %.1f objects/op", allocs)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestMulDenseIntoShapeAndAliasPanics(t *testing.T) {
 	na := Normalize(g)
 	h := mat.RandNormal(rand.New(rand.NewSource(3)), 10, 4, 0, 1)
 	for name, fn := range map[string]func(){
-		"bad shape": func() { na.MulDenseInto(mat.New(10, 5), h) },
-		"alias":     func() { na.MulDenseInto(h, h) },
+		"bad shape": func() { na.MulDenseBiasReLUInto(mat.New(10, 5), h, nil, nil, false, 0) },
+		"alias":     func() { na.MulDenseBiasReLUInto(h, h, nil, nil, false, 0) },
 	} {
 		func() {
 			defer func() {

@@ -35,7 +35,7 @@ func BenchmarkKernelSpMM(b *testing.B) {
 	b.SetBytes(int64(adj.NNZ()) * int64(d) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adj.MulDenseWorkersInto(out, h, 1)
+		adj.MulDenseBiasReLUInto(out, h, nil, nil, false, 1)
 	}
 }
 
@@ -60,7 +60,7 @@ func BenchmarkKernelMatMul(b *testing.B) {
 	b.SetBytes(int64(n) * k * p * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mat.MatMulWorkersInto(out, a, w, 1)
+		mat.MatMulSerialInto(out, a, w)
 	}
 }
 
@@ -93,7 +93,7 @@ func BenchmarkSpMMGather(b *testing.B) {
 				b.Run(fmt.Sprintf("n=%d/d=%d/%s", n, d, c.order), func(b *testing.B) {
 					b.SetBytes(int64(c.adj.NNZ()) * int64(d) * 8)
 					for i := 0; i < b.N; i++ {
-						c.adj.MulDenseWorkersInto(out, h, 1)
+						c.adj.MulDenseBiasReLUInto(out, h, nil, nil, false, 1)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.adj.NNZ()), "ns/nnz")
 				})

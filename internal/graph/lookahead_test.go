@@ -100,7 +100,8 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 // outside H in the middle of a range panics — at fp64 and at int8, for
 // the whole operator and for a range whose own rows hold it — with no
 // destination row written, and a range that does not reach the bad
-// column is computed as ever.
+// column is computed as ever. A short int8 epilogue operand is refused
+// the same way.
 func TestSpMMRejectsCorruptColumnBeforeWriting(t *testing.T) {
 	const n, d = 400, 8
 	rng := rand.New(rand.NewSource(33))
@@ -146,5 +147,30 @@ func TestSpMMRejectsCorruptColumnBeforeWriting(t *testing.T) {
 		// Rows short of the bad column are none of its business.
 		na.MulDenseBiasReLURangeInto(mat.New(badRow, d), h, 0, badRow, nil, nil, false, 1)
 		na.ColIdx[pos] = good
+	}
+
+	// The int8 epilogue operands are proved once per range too
+	// (mat.CheckEpilogueI8): a short one panics before any row is written.
+	dst8, res8 := mat.NewI8(n, d), mat.NewI8(n, d)
+	for i := range dst8.Data {
+		dst8.Data[i] = 7
+	}
+	short, acc := ones[:d-1], make([]int32, d)
+	for name, fn := range map[string]func(){
+		"deq":  func() { na.MulDenseI8EpilogueRangeInto(dst8, h8, 0, n, 1, short, nil, nil, nil, false, ones, acc, nil) },
+		"bias": func() { na.MulDenseI8EpilogueRangeInto(dst8, h8, 0, n, 1, ones, short, nil, nil, true, ones, acc, nil) },
+		"resScales": func() {
+			na.MulDenseI8EpilogueRangeInto(dst8, h8, 0, n, 1, ones, nil, res8, short, false, ones, acc, nil)
+		},
+		"dstScales": func() {
+			na.MulDenseI8EpilogueRangeInto(dst8, h8, 0, n, 1, ones, nil, nil, nil, false, short, acc, make([]int, n))
+		},
+	} {
+		mustPanic(t, fn)
+		for i, q := range dst8.Data {
+			if q != 7 {
+				t.Fatalf("short %s: element %d written before the panic", name, i)
+			}
+		}
 	}
 }

@@ -72,14 +72,14 @@ func TestMulDenseNNZBalancedMatchesSerial(t *testing.T) {
 		h.Data[i] = rng.NormFloat64()
 	}
 	want := mat.New(na.N, 7)
-	na.MulDenseWorkersInto(want, h, 1)
+	na.MulDenseBiasReLUInto(want, h, nil, nil, false, 1)
 	for _, w := range []int{2, 3, 8} {
 		got := mat.New(na.N, 7)
 		// Poison the buffer: unwritten rows would leak through.
 		for i := range got.Data {
 			got.Data[i] = 42
 		}
-		na.MulDenseWorkersInto(got, h, w)
+		na.MulDenseBiasReLUInto(got, h, nil, nil, false, w)
 		if !got.Equal(want) {
 			t.Fatalf("workers=%d: nnz-balanced product differs from serial", w)
 		}
@@ -107,7 +107,7 @@ func TestMulDenseBiasReLUMatchesUnfused(t *testing.T) {
 	}
 
 	want := mat.New(na.N, d)
-	na.MulDenseWorkersInto(want, h, 1)
+	na.MulDenseBiasReLUInto(want, h, nil, nil, false, 1)
 	mat.AddBiasInto(want, want, bias)
 	mat.AddInto(want, want, res)
 	mat.ReLUInto(want, want)

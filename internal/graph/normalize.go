@@ -98,7 +98,7 @@ func (na *NormAdjacency) NumBytes() int64 {
 
 // MulDense returns Â·H where H is a dense N×d matrix. This is the
 // message-passing step; it is parallelised over row bands in the normal
-// world. Allocating wrapper over MulDenseInto.
+// world. Allocating wrapper over MulDenseBiasReLUInto with no epilogue.
 func (na *NormAdjacency) MulDense(h *mat.Matrix) *mat.Matrix {
 	out := mat.New(na.N, h.Cols)
 	na.mulDenseInto(out, h, 0)
@@ -113,23 +113,10 @@ func (na *NormAdjacency) MulDenseSerial(h *mat.Matrix) *mat.Matrix {
 	return out
 }
 
-// MulDenseInto computes dst = Â·H without allocating. dst must be N×H.Cols
-// and must not alias h. Parallelised over nnz-balanced row bands
-// (NNZBound) under GOMAXPROCS workers — see MulDenseWorkersInto for the
-// per-call-budget form.
-func (na *NormAdjacency) MulDenseInto(dst, h *mat.Matrix) {
-	na.mulDenseInto(dst, h, 0)
-}
-
-// MulDenseWorkersInto is MulDenseInto under an explicit per-call worker
-// budget (mat.MatMulWorkersInto semantics: <= 0 resolves to GOMAXPROCS, 1
-// runs inline, larger budgets are clamped to the row count).
-func (na *NormAdjacency) MulDenseWorkersInto(dst, h *mat.Matrix, workers int) {
-	na.mulDenseInto(dst, h, workers)
-}
-
-// MulDenseWorkers is the allocating form of MulDenseWorkersInto, used by
-// the training backward passes to carry a layer's worker budget.
+// MulDenseWorkers is MulDense under an explicit per-call worker budget
+// (mat.ResolveWorkers semantics: <= 0 resolves to GOMAXPROCS, 1 runs
+// inline, larger budgets are clamped to the row count), used by the
+// training backward passes to carry a layer's worker budget.
 func (na *NormAdjacency) MulDenseWorkers(h *mat.Matrix, workers int) *mat.Matrix {
 	out := mat.New(na.N, h.Cols)
 	na.mulDenseInto(out, h, workers)
@@ -286,8 +273,8 @@ func epilogueResRow(res *mat.Matrix, i, d int) []float64 {
 
 // MulDenseBiasReLUInto is the full-height fused product dst =
 // epilogue(Â·H): MulDenseBiasReLURangeInto over every row. res, when
-// non-nil, must match dst's shape. With no epilogue set it is exactly
-// MulDenseWorkersInto.
+// non-nil, must match dst's shape. With no epilogue set it is the plain
+// product MulDense and its allocating siblings run.
 func (na *NormAdjacency) MulDenseBiasReLUInto(dst, h *mat.Matrix, bias []float64, res *mat.Matrix, relu bool, workers int) {
 	na.MulDenseBiasReLURangeInto(dst, h, 0, na.N, bias, res, relu, workers)
 }

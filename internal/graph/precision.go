@@ -44,8 +44,9 @@ func (na *NormAdjacency) ValMaxAbs() float64 {
 // res/resScales the optional residual codes aligned to dst and their
 // per-column scales, dstScales the destination value's per-column scales.
 // labels, when non-nil (length ≥ hi-lo), receives each row's wide argmax
-// over the pre-requantization epilogue floats (mat.RequantizeRow),
-// labels[0] pairing with graph row lo. Runs inline on the calling
+// over the pre-requantization epilogue floats (the requantise row of
+// mat.CheckedEpilogueI8.ProductRow, which every output row here is one
+// call of), labels[0] pairing with graph row lo. Runs inline on the calling
 // goroutine and never allocates; int32 accumulation makes the result
 // independent of tiling and banding by construction.
 func (na *NormAdjacency) MulDenseI8EpilogueRangeInto(dst, h *mat.MatrixI8, lo, hi int, valScale float64, deq, bias []float64, res *mat.MatrixI8, resScales []float64, relu bool, dstScales []float64, acc []int32, labels []int) {
@@ -58,17 +59,8 @@ func (na *NormAdjacency) MulDenseI8EpilogueRangeInto(dst, h *mat.MatrixI8, lo, h
 	if dst.Rows != hi-lo || dst.Cols != h.Cols {
 		panic(fmt.Sprintf("graph: MulDenseI8EpilogueRangeInto destination %s, want %dx%d", dst.Shape(), hi-lo, h.Cols))
 	}
-	if len(deq) != h.Cols {
-		panic(fmt.Sprintf("graph: MulDenseI8EpilogueRangeInto deq length %d != cols %d", len(deq), h.Cols))
-	}
-	if bias != nil && len(bias) != h.Cols {
-		panic(fmt.Sprintf("graph: MulDenseI8EpilogueRangeInto bias length %d != cols %d", len(bias), h.Cols))
-	}
 	if res != nil && (res.Rows != dst.Rows || res.Cols != dst.Cols) {
 		panic(fmt.Sprintf("graph: MulDenseI8EpilogueRangeInto residual %s != destination %s", res.Shape(), dst.Shape()))
-	}
-	if len(dstScales) != h.Cols {
-		panic(fmt.Sprintf("graph: MulDenseI8EpilogueRangeInto dstScales length %d != cols %d", len(dstScales), h.Cols))
 	}
 	if len(acc) < h.Cols {
 		panic(fmt.Sprintf("graph: MulDenseI8EpilogueRangeInto accumulator length %d < cols %d", len(acc), h.Cols))
@@ -76,16 +68,23 @@ func (na *NormAdjacency) MulDenseI8EpilogueRangeInto(dst, h *mat.MatrixI8, lo, h
 	if labels != nil && len(labels) < hi-lo {
 		panic(fmt.Sprintf("graph: MulDenseI8EpilogueRangeInto labels length %d < rows %d", len(labels), hi-lo))
 	}
+	if res == nil {
+		resScales = nil
+	}
+	// The range's proofs, before its first row: the epilogue operands
+	// against the column count, the column indices against H's height.
 	d := h.Cols
+	e := mat.CheckEpilogueI8(d, deq, bias, resScales, dstScales, relu, labels != nil)
 	vc := valCodes{scale: valScale, end: na.RowPtr[hi]}
 	vc.cols, vc.base = na.checkedCols(lo, hi, h.Rows)
+	acc = acc[:d]
 	for i := lo; i < hi; i++ {
-		na.accumRowI8(acc[:d], h, i, &vc)
+		alpha, idx, cont := na.accumRowHeadI8(acc, h, i, &vc)
 		var rrow []int8
 		if res != nil {
 			rrow = res.Data[(i-lo)*d : (i-lo+1)*d]
 		}
-		am := mat.RequantizeRow(dst.Data[(i-lo)*d:(i-lo+1)*d], acc, deq, bias, rrow, resScales, dstScales, relu, labels != nil)
+		am := e.ProductRow(dst.Data[(i-lo)*d:(i-lo+1)*d], acc, alpha, idx, h.Data, rrow, cont)
 		if labels != nil {
 			labels[i-lo] = am
 		}
@@ -107,23 +106,27 @@ type valCodes struct {
 	q           [mat.RowChunk]int32
 }
 
-// accumRowI8 accumulates graph row i of the quantized Â·H into acc: the
-// row's stored values run as int8 row accumulates over the matching
-// column indices, one per window of codes the row touches (a zero code
-// contributes an exact zero, so none needs skipping, and exact sums make
-// the split at a window's edge free of effect).
-func (na *NormAdjacency) accumRowI8(acc []int32, h *mat.MatrixI8, i int, vc *valCodes) {
-	cont := false
-	for p, end := na.RowPtr[i], na.RowPtr[i+1]; p < end; {
+// accumRowHeadI8 walks graph row i of the quantized Â·H up to its last
+// window of value codes: each earlier window the row touches runs as an
+// int8 row accumulate into acc over the matching column indices (a zero
+// code contributes an exact zero, so none needs skipping, and exact sums
+// make the split at a window's edge free of effect). It returns the last
+// stretch — its codes, inside the window, and its column indices; both
+// empty for an empty row — for the product row to finish, and whether acc
+// holds a sum to continue from.
+func (na *NormAdjacency) accumRowHeadI8(acc []int32, h *mat.MatrixI8, i int, vc *valCodes) (alpha []int32, idx mat.CheckedIndices, cont bool) {
+	p, end := na.RowPtr[i], na.RowPtr[i+1]
+	for p < end {
 		if p >= vc.hi {
 			vc.lo, vc.hi = p, min(p+len(vc.q), vc.end)
 			mat.QuantizeI8WideInto(vc.q[:vc.hi-vc.lo], na.Val[vc.lo:vc.hi], vc.scale)
 		}
-		e := min(end, vc.hi)
-		mat.RowAccumulateI8(acc, vc.q[p-vc.lo:e-vc.lo], vc.cols.Slice(p-vc.base, e-vc.base), h.Data, cont)
-		p, cont = e, true
+		if end <= vc.hi {
+			alpha = vc.q[p-vc.lo : end-vc.lo]
+			break
+		}
+		mat.RowAccumulateI8(acc, vc.q[p-vc.lo:vc.hi-vc.lo], vc.cols.Slice(p-vc.base, vc.hi-vc.base), h.Data, cont)
+		p, cont = vc.hi, true
 	}
-	if !cont {
-		clear(acc)
-	}
+	return alpha, vc.cols.Slice(p-vc.base, end-vc.base), cont
 }

@@ -52,6 +52,41 @@ import "fmt"
 // in one order regardless of how rows are grouped — tiled == direct,
 // sharded == single and fused == unfused hold by row independence. The
 // int8 form accumulates exactly in int32 and is order-free.
+//
+// Composition. An int8 product's output row is this contract followed by
+// the requantise row (requant.go), and the three int8 drivers issue the
+// pair as one call, CheckedEpilogueI8.ProductRow (productrow.go). That
+// entry is allowed to be exactly the two contracts back to back: the sums
+// it requantises are the sums RowAccumulateI8 would have left in acc
+// (exact, so how they are held — registers, or acc itself — is invisible),
+// and no operation of either contract is dropped, added or reordered. Its
+// portable form is literally requantRowGo after rowAccI8Go. Validation
+// moves, it is never dropped: the per-column operands are proved once per
+// op range, before the range's first row is written — the indices by
+// CheckIndices, the epilogue operands by CheckEpilogueI8 — and what is
+// left per row is constant work (slice lengths, one index per multiplier,
+// the source holding the rows the indices were proved against). A row
+// with more multipliers than one call takes (a RowChunk window of
+// compacted codes or of quantised edge values) runs every window but its
+// last through RowAccumulateI8 and the last through ProductRow with cont
+// set.
+//
+// The over-read rule. int8 rows are narrower than the eight bytes the
+// assembly widens at a time, so a row's last cols mod 8 columns are read
+// by a narrowed load, and the rule for it is: no load touches a byte
+// outside src[0 : idx.rows·cols]. The assembly keeps it by loading the
+// eight bytes at A = min(W, L), W the address of the wanted columns and
+// L = &src[idx.rows·cols − 8] the source's final eight bytes, and
+// shifting the W − A bytes below them out. Proof: if W ≤ L the load ends
+// at W + 8 ≤ L + 8, the source's end. Otherwise A = L < W, the load is
+// the source's final eight bytes, and since the r wanted columns lie
+// inside the source, W + r ≤ L + 8, i.e. W − A ≤ 8 − r: after the shift
+// at least r bytes remain and the first is the byte at W. A ≥ &src[0]
+// needs idx.rows·cols ≥ 8, which holds for every row of eight columns or
+// more; a narrower row over a source shorter than eight codes never
+// reaches the assembly (productRowI8). The last source row is the only
+// one for which W > L can hold when cols < 8, and
+// TestProductRowI8Differential reads it flush against an unreadable page.
 
 // RowChunk is how many multipliers the products hand the kernel per
 // call from their stack buffers — the dense products' compacted

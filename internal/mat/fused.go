@@ -63,13 +63,16 @@ func reluF64(v float64) float64 {
 	return math.Float64frombits(b & keep)
 }
 
-// MatMulBiasReLUInto computes dst = epilogue(a·b): the blocked product of
-// MatMulWorkersInto with the optional bias/residual/ReLU epilogue applied
-// to each row band while it is still hot, saving the separate full-matrix
-// passes (and, on the tiled engine, their spill flushes). Any of bias, res
-// may be nil and relu false — with all three unset this is exactly
-// MatMulWorkersInto. dst must be a.Rows×b.Cols and must not alias a, b or
-// res. Results are bit-identical to running the unfused op sequence.
+// MatMulBiasReLUInto computes dst = epilogue(a·b): the banded product
+// under a per-call worker budget (workers <= 0 resolves to GOMAXPROCS, 1
+// runs inline on the calling goroutine, larger budgets are clamped to the
+// row count — ResolveWorkers) with the optional bias/residual/ReLU
+// epilogue applied to each row band while it is still hot, saving the
+// separate full-matrix passes (and, on the tiled engine, their spill
+// flushes). Any of bias, res may be nil and relu false — with all three
+// unset this is the plain product, the form MatMulInto and
+// MatMulSerialInto run. dst must be a.Rows×b.Cols and must not alias a, b
+// or res. Results are bit-identical to running the unfused op sequence.
 func MatMulBiasReLUInto(dst, a, b *Matrix, bias []float64, res *Matrix, relu bool, workers int) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: MatMulBiasReLUInto inner dimension mismatch %s · %s", a.Shape(), b.Shape()))

@@ -34,7 +34,7 @@ func TestMatMulBiasReLUIntoMatchesUnfused(t *testing.T) {
 			for _, relu := range []bool{false, true} {
 				for _, workers := range []int{1, 3} {
 					want := New(n, p)
-					MatMulWorkersInto(want, a, b, 1)
+					MatMulSerialInto(want, a, b)
 					bv := []float64(nil)
 					if withBias {
 						bv = bias

@@ -13,10 +13,11 @@ import "fmt"
 // Products accumulate exactly in int32 — a dot of length-k rows is
 // bounded by k·127² ≪ 2³¹ for every width in this codebase — and the
 // combined dequantize (acc·deq), float64 bias/residual epilogue and
-// requantize to the destination's per-column scales happen in one pass
-// per output row (RequantizeRow, requant.go). Integer accumulation is
-// order-independent, so tiled, direct and tile-parallel int8 executions
-// are bit-identical without any element-order argument.
+// requantize to the destination's per-column scales happen in the same
+// call that sums the row (CheckedEpilogueI8.ProductRow, productrow.go:
+// the row accumulate and the requantise row back to back). Integer
+// accumulation is order-independent, so tiled, direct and tile-parallel
+// int8 executions are bit-identical without any element-order argument.
 //
 // The kernels here are serial range forms: the in-enclave direct path is
 // single-threaded by construction, and the tiled executor gets its
@@ -44,17 +45,8 @@ func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI
 	if dst.Rows != a.Rows || dst.Cols != w.Cols {
 		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto destination %s, want %dx%d", dst.Shape(), a.Rows, w.Cols))
 	}
-	if len(deq) != w.Cols {
-		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto deq length %d != cols %d", len(deq), w.Cols))
-	}
-	if bias != nil && len(bias) != w.Cols {
-		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto bias length %d != cols %d", len(bias), w.Cols))
-	}
 	if res != nil && (res.Rows != dst.Rows || res.Cols != dst.Cols) {
 		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto residual %s, want %s", res.Shape(), dst.Shape()))
-	}
-	if len(dstScales) != w.Cols {
-		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto dstScales length %d != cols %d", len(dstScales), w.Cols))
 	}
 	if len(acc) < w.Cols {
 		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto accumulator length %d < cols %d", len(acc), w.Cols))
@@ -63,36 +55,52 @@ func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI
 		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto labels length %d < rows %d", len(labels), a.Rows))
 	}
 	n, p := a.Cols, w.Cols
+	if len(w.Data) < n*p {
+		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto weight %s over %d elements", w.Shape(), len(w.Data)))
+	}
+	if res == nil {
+		resScales = nil
+	}
+	// Everything the rows read unchecked is proved here, once: the
+	// epilogue operands by CheckEpilogueI8, the source by the test above,
+	// and the compaction's indices by construction — positions in an
+	// n-long input row, n the weight's height.
+	e := CheckEpilogueI8(p, deq, bias, resScales, dstScales, relu, labels != nil)
+	if p == 0 {
+		return
+	}
+	acc = acc[:p]
 	var ab [RowChunk]int32
 	var ib [RowChunk]int
 	for i := 0; i < a.Rows; i++ {
-		matMulRowI8(a.Data[i*n:(i+1)*n], w, acc[:p], &ab, &ib)
+		arow := a.Data[i*n : (i+1)*n]
+		m, cont := matMulRowHeadI8(arow, w, acc, &ab, &ib)
 		var rrow []int8
 		if res != nil {
 			rrow = res.Data[i*p : (i+1)*p]
 		}
-		am := RequantizeRow(dst.Data[i*p:(i+1)*p], acc, deq, bias, rrow, resScales, dstScales, relu, labels != nil)
+		am := productRowI8(&e, dst.Data[i*p:(i+1)*p], acc, ab[:m], CheckedIndices{ib[:m], n}, w.Data, rrow, cont)
 		if labels != nil {
 			labels[i] = am
 		}
 	}
 }
 
-// matMulRowI8 accumulates one output row into acc: matMulRow over int8
-// codes, widened to the kernel's int32 multipliers as they are
-// compacted.
-func matMulRowI8(arow []int8, w *MatrixI8, acc []int32, ab *[RowChunk]int32, ib *[RowChunk]int) {
-	cont := false
-	for k0 := 0; k0 < len(arow); k0 += RowChunk {
-		m := compactNonZeroI8(ab, ib, arow[k0:min(k0+RowChunk, len(arow))], k0)
-		if m > 0 {
-			RowAccumulateI8(acc, ab[:m], CheckedIndices{ib[:m], len(arow)}, w.Data, cont)
+// matMulRowHeadI8 compacts the non-zero codes of arow, widened to the
+// kernel's int32 multipliers, a RowChunk window at a time, and
+// accumulates every window but the last into acc. It returns the last
+// window's multiplier count — they and their indices are left in ab and
+// ib for the product row to finish with — and whether acc holds a sum to
+// continue from.
+func matMulRowHeadI8(arow []int8, w *MatrixI8, acc []int32, ab *[RowChunk]int32, ib *[RowChunk]int) (m int, cont bool) {
+	k0 := 0
+	for ; len(arow)-k0 > RowChunk; k0 += RowChunk {
+		if m := compactNonZeroI8(ab, ib, arow[k0:k0+RowChunk], k0); m > 0 {
+			rowAccI8(acc, ab[:m], ib[:m], w.Data, cont)
 			cont = true
 		}
 	}
-	if !cont {
-		clear(acc)
-	}
+	return compactNonZeroI8(ab, ib, arow[k0:], k0), cont
 }
 
 // compactNonZeroI8Go is compactNonZeroGo over int8 codes.

@@ -51,15 +51,6 @@ func MatMulSerialInto(dst, a, b *Matrix) {
 	matMulInto(dst, a, b, 1)
 }
 
-// MatMulWorkersInto is MatMulInto under an explicit per-call worker budget:
-// workers <= 0 resolves to GOMAXPROCS, 1 runs inline on the calling
-// goroutine, larger budgets are clamped to the row count. This is the form
-// plan-scoped executors use, so concurrent servers can run under different
-// budgets.
-func MatMulWorkersInto(dst, a, b *Matrix, workers int) {
-	matMulInto(dst, a, b, workers)
-}
-
 // matMulInto is the plain product: exactly MatMulBiasReLUInto with no
 // epilogue — one banded driver, not two copies to keep in sync.
 func matMulInto(dst, a, b *Matrix, budget int) {
@@ -75,8 +66,9 @@ func MatMulTransAInto(dst, a, b *Matrix) {
 }
 
 // MatMulTransAWorkersInto is MatMulTransAInto under an explicit per-call
-// worker budget (MatMulWorkersInto semantics: <= 0 resolves to GOMAXPROCS,
-// 1 runs inline) — the form plan- and train-scoped callers use.
+// worker budget (MatMulBiasReLUInto semantics: <= 0 resolves to
+// GOMAXPROCS, 1 runs inline) — the form plan- and train-scoped callers
+// use.
 func MatMulTransAWorkersInto(dst, a, b *Matrix, budget int) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MatMulTransAInto outer dimension mismatch %s ᵀ· %s", a.Shape(), b.Shape()))
@@ -136,8 +128,8 @@ func MatMulTransBInto(dst, a, b *Matrix) {
 }
 
 // MatMulTransBWorkersInto is MatMulTransBInto under an explicit per-call
-// worker budget (MatMulWorkersInto semantics: <= 0 resolves to GOMAXPROCS,
-// 1 runs inline).
+// worker budget (MatMulBiasReLUInto semantics: <= 0 resolves to
+// GOMAXPROCS, 1 runs inline).
 func MatMulTransBWorkersInto(dst, a, b *Matrix, budget int) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MatMulTransBInto inner dimension mismatch %s · %s ᵀ", a.Shape(), b.Shape()))

@@ -184,10 +184,10 @@ func TestParallelIntoRespectsMaxWorkers(t *testing.T) {
 	b := RandNormal(rng, 128, 128, 0, 1)
 	dst := New(128, 128)
 	allocs := testing.AllocsPerRun(5, func() {
-		MatMulWorkersInto(dst, a, b, 1)
+		MatMulBiasReLUInto(dst, a, b, nil, nil, false, 1)
 	})
 	if allocs > 0 {
-		t.Fatalf("MatMulWorkersInto with 1 worker allocates %.1f objects/op", allocs)
+		t.Fatalf("MatMulBiasReLUInto with 1 worker allocates %.1f objects/op", allocs)
 	}
 	if !dst.EqualApprox(MatMul(a, b), 1e-12) {
 		t.Fatal("single-worker result disagrees")

@@ -12,11 +12,13 @@ import (
 
 var benchSink int
 
-// BenchmarkRequantizeRow times one requantise row at the widths the
-// served programs have (3 logits, 16/32 hidden, 128 a wide backbone
-// block) in the three forms a GCN rectifier runs: the bare accumulator,
-// accumulator + bias + ReLU, and the wide-argmax head. ns/elem is per
-// output column.
+// BenchmarkRequantizeRow times one requantise row apart from any
+// accumulate — the half RequantizeRow's callers pay for (the boundary
+// quantiser, the standalone element-wise ops) — at the widths the served
+// programs have (3 logits, 16/32 hidden, 128 a wide backbone block) over
+// an accumulator row: bare, + bias + ReLU, and with the wide argmax. The
+// products themselves run these forms inside BenchmarkProductRowI8's one
+// call. ns/elem is per output column.
 func BenchmarkRequantizeRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
 	for _, n := range []int{3, 16, 32, 128} {
@@ -66,6 +68,51 @@ func BenchmarkRowAccumulateI8(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p*terms), "ns/mac")
 			})
+		}
+	}
+}
+
+// BenchmarkProductRowI8 times one int8 product row — accumulate and
+// requantise as the three int8 drivers issue it, one call — at the widths
+// and term counts of the served rectifier (3 logits, 16/32 hidden; a
+// sparse row's six neighbours, a compacted dense row's thirty-two) in the
+// three forms its ops run: the bare accumulator (a dense product), +
+// bias + ReLU (a sparse product's fused tail), and the wide-argmax head.
+// Side by side with BenchmarkRowAccumulateI8 and BenchmarkRequantizeRow
+// in bench-short.txt, ns/row here against the sum of the two there is
+// what the fused entry saves.
+func BenchmarkProductRowI8(b *testing.B) {
+	rng := rand.New(rand.NewSource(22))
+	const rows = 2000
+	for _, p := range []int{3, 16, 32} {
+		c := newRequantCase(rng, p, true, true, false, 0, 0)
+		src := make([]int8, rows*p)
+		for i := range src {
+			src[i] = int8(rng.Intn(255) - 127)
+		}
+		dst, acc := make([]int8, p), make([]int32, p)
+		for _, terms := range []int{6, 32} {
+			alpha, idx := make([]int32, terms), make([]int, terms)
+			for t := range alpha {
+				alpha[t], idx[t] = int32(rng.Intn(255)-127), rng.Intn(rows)
+			}
+			checked := CheckIndices(idx, rows) // once per op range, as the drivers do
+			for _, form := range []struct {
+				name         string
+				bias         []float64
+				relu, argmax bool
+			}{
+				{"acc", nil, false, false},
+				{"acc+bias+relu", c.bias, true, false},
+				{"argmax", c.bias, false, true},
+			} {
+				epi := CheckEpilogueI8(p, c.deq, form.bias, nil, c.dst, form.relu, form.argmax)
+				b.Run(fmt.Sprintf("p=%d/terms=%d/%s", p, terms, form.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						benchSink += epi.ProductRow(dst, acc, alpha, checked, src, nil, false)
+					}
+				})
+			}
 		}
 	}
 }

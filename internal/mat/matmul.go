@@ -109,7 +109,7 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 }
 
 // MatMulTransAWorkers is MatMulTransA under an explicit per-call worker
-// budget (MatMulWorkersInto semantics) — the form the training backward
+// budget (MatMulBiasReLUInto semantics) — the form the training backward
 // passes use to carry a layer's worker budget.
 func MatMulTransAWorkers(a, b *Matrix, workers int) *Matrix {
 	out := New(a.Cols, b.Cols)
@@ -126,7 +126,7 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 }
 
 // MatMulTransBWorkers is MatMulTransB under an explicit per-call worker
-// budget (MatMulWorkersInto semantics).
+// budget (MatMulBiasReLUInto semantics).
 func MatMulTransBWorkers(a, b *Matrix, workers int) *Matrix {
 	out := New(a.Rows, b.Rows)
 	MatMulTransBWorkersInto(out, a, b, workers)

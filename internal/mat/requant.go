@@ -24,15 +24,27 @@ import (
 // and a row with nothing above −Inf answers 0.
 //
 // Like the row accumulate (axpy.go) the contract has exactly two
-// implementations: AVX2 assembly on amd64 (requant_amd64.s — eight columns
-// a step for the product epilogues' accumulator forms, four under lane
-// masks for everything else and for every last partial step — chosen by
-// the same useAVX2 flag) and requantRowGo below — the fallback everywhere else, the whole of the
-// purego build and the oracle of TestRequantizeRowDifferential. Both
+// implementations: AVX2 assembly on amd64 (requant_amd64.s — four columns
+// a step under lane masks here, eight a step inside the product row —
+// chosen by the same useAVX2 flag) and requantRowGo below — the fallback
+// everywhere else, the whole of the purego build and the oracle of
+// TestRequantizeRowDifferential. Both
 // perform the same operations on the same operands per element, so every
 // code and every label agree; and since each is a function of one
 // column's exact int32 accumulator, tiled == direct == tile-parallel at
 // int8 needs no further argument.
+//
+// Composition. The product epilogues do not call RequantizeRow: an int8
+// product's row is the row accumulate (axpy.go) and this contract as one
+// call, CheckedEpilogueI8.ProductRow (productrow.go; axpy.go has the
+// composition clause in full — the two contracts back to back, nothing
+// reordered, the portable form literally requantRowGo ∘ rowAccI8Go). The
+// operands this contract reads per column — deq, bias, resScales, the
+// destination scales — reach that entry as a CheckedEpilogueI8, proved
+// against the column count once per op range by CheckEpilogueI8 instead
+// of once per row here. RequantizeRow remains the door for everything
+// that is not a product's last step: the boundary quantiser, the
+// standalone element-wise ops, the wide codes of QuantizeI8WideInto.
 
 // QuantizeI8 maps the real value v to its nearest int8 code under
 // symmetric scale (round half away from zero, clamped to ±127). A

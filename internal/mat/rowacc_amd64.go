@@ -61,6 +61,9 @@ func rowAccF64AVX2(out *float64, p int, alpha *float64, idx *int, n int, src *fl
 func rowAccI8AVX2(out *int32, p int, alpha *int32, idx *int, n int, src *int8, cont bool)
 
 //go:noescape
+func productRowI8AVX2(e *CheckedEpilogueI8, dst *int8, acc, alpha *int32, idx *int, n int, src, last, res *int8, cont bool) int
+
+//go:noescape
 func requantRowAVX2(dst8 *int8, dst32 *int32, n int, acc *int32, deq, bias *float64, res *int8, resScales, scales *float64, scale float64, relu, argmax bool) int
 
 // The look-ahead clause of the row accumulate (axpy.go) is acted on only
@@ -156,6 +159,23 @@ func requantRow(dst8 []int8, dst32 []int32, n int, acc []int32, deq, bias []floa
 		return requantRowGo(dst8, dst32, n, acc, deq, bias, res, resScales, scales, scale, relu, argmax)
 	}
 	return requantRowAVX2(first(dst8), first(dst32), n, first(acc), first(deq), first(bias), first(res), first(resScales), first(scales), scale, relu, argmax)
+}
+
+// productRowI8 runs one validated product row of at least one column on
+// the implementation chosen at init. The assembly narrows the loads of a
+// row's last cols mod 8 columns against the source's final eight bytes
+// (the over-read rule, axpy.go), so a source shorter than that — fewer
+// than eight codes in all, under a row narrower than eight — stays with
+// the portable kernel.
+func productRowI8(e *CheckedEpilogueI8, dst []int8, acc, alpha []int32, idx CheckedIndices, src, res []int8, cont bool) int {
+	var last *int8
+	if end := idx.rows * e.cols; end >= 8 {
+		last = &src[end-8]
+	}
+	if !useAVX2 || (last == nil && len(alpha) > 0) {
+		return productRowI8Go(e, dst, acc, alpha, idx.idx, src, res, cont)
+	}
+	return productRowI8AVX2(e, &dst[0], &acc[0], unsafe.SliceData(alpha), unsafe.SliceData(idx.idx), len(alpha), unsafe.SliceData(src), last, unsafe.SliceData(res), cont)
 }
 
 // first is &s[0], or nil for a nil slice.

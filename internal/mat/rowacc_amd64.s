@@ -2,6 +2,7 @@
 
 #include "go_asm.h"
 #include "textflag.h"
+#include "rowacc_amd64.h"
 
 // AVX2 row-accumulate kernels — see the contract at the top of axpy.go.
 // Both walk the output row in column blocks and, per block, hold the
@@ -44,18 +45,13 @@ DATA laneIota<>+64(SB)/8, $0
 GLOBL laneIota<>(SB), RODATA|NOPTR, $72
 
 // TERM points R12 at this block's slice of row idx[t] and broadcasts
-// alpha[t].
+// alpha[t] (TERMI8 and MACI8, which the product row shares, are in
+// rowacc_amd64.h).
 #define TERMF64 \
 	MOVQ (R8)(R11*8), R12 \
 	IMULQ R10, R12 \
 	ADDQ DX, R12 \
 	VBROADCASTSD (SI)(R11*8), Y8
-
-#define TERMI8 \
-	MOVQ (R8)(R11*8), R12 \
-	IMULQ R10, R12 \
-	ADDQ DX, R12 \
-	VPBROADCASTD (SI)(R11*4), Y8
 
 // MULF64 is the bare product of four columns of row t with alpha[t].
 // MACF64 adds that product to the accumulator as a separate, separately
@@ -66,12 +62,6 @@ GLOBL laneIota<>(SB), RODATA|NOPTR, $72
 #define MACF64(off, tmp, acc) \
 	MULF64(off, tmp) \
 	VADDPD tmp, acc, acc
-
-// MACI8 widens eight int8 columns to int32, multiplies and adds.
-#define MACI8(off, tmp, acc) \
-	VPMOVSXBD off(R12), tmp \
-	VPMULLD Y8, tmp, tmp \
-	VPADDD tmp, acc, acc
 
 // func rowAccF64AVX2(out *float64, p int, alpha *float64, idx *int, n int, src *float64, ahead *int, nahead int, cont bool)
 // Requires p ≥ 1, n ≥ 1 and every idx[t]·p+p within src. The nahead

@@ -256,7 +256,8 @@ func TestRowAccumulateLookAhead(t *testing.T) {
 
 // TestRowAccumulateI8Differential is the int8 table: dispatched, portable
 // and literal kernels agree exactly — including multipliers large enough
-// to wrap int32 — and matMulRowI8's compaction changes nothing.
+// to wrap int32 — and the dense row's compaction (matMulRowHeadI8, then
+// the last window) changes nothing.
 func TestRowAccumulateI8Differential(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for p := 1; p <= 70; p++ {
@@ -315,10 +316,14 @@ func TestRowAccumulateI8Differential(t *testing.T) {
 				naiveRowAccI8(want, wide, all, w.Data, false)
 				got := make([]int32, p)
 				got[0] = 7
-				matMulRowI8(codes, w, got, new([RowChunk]int32), new([RowChunk]int))
+				// The dense row's sums: every window but the last through
+				// matMulRowHeadI8, the last as the product row takes it.
+				ab, ib := new([RowChunk]int32), new([RowChunk]int)
+				m, cont := matMulRowHeadI8(codes, w, got, ab, ib)
+				RowAccumulateI8(got, ab[:m], CheckedIndices{ib[:m], terms}, w.Data, cont)
 				for j := range want {
 					if got[j] != want[j] {
-						t.Fatalf("matMulRowI8 p=%d n=%d zeros=%s: elem %d = %d, contract %d", p, terms, zp.name, j, got[j], want[j])
+						t.Fatalf("matMulRowHeadI8 p=%d n=%d zeros=%s: elem %d = %d, contract %d", p, terms, zp.name, j, got[j], want[j])
 					}
 				}
 			}
@@ -446,8 +451,9 @@ func FuzzRowAccumulate(f *testing.F) {
 // shape check every driver makes before its first row. An input narrower
 // (or wider) than its weight therefore panics at fp64 and at int8 with
 // the destination untouched, and so does a weight whose backing array is
-// shorter than its shape says, which the row accumulate refuses on its
-// first call.
+// shorter than its shape says, which the drivers refuse before their
+// first row — and, at int8, an epilogue operand shorter than the product
+// is wide.
 func TestDenseProductRejectsShortSourceBeforeWriting(t *testing.T) {
 	const rows, inner, p = 5, 12, 6
 	rng := rand.New(rand.NewSource(15))
@@ -486,6 +492,38 @@ func TestDenseProductRejectsShortSourceBeforeWriting(t *testing.T) {
 			if dst.Data[i] != 7 || dst8.Data[i] != 7 {
 				t.Fatalf("input %d wide: element %d written before the panic (fp64 %v, int8 %d)", aCols, i, dst.Data[i], dst8.Data[i])
 			}
+		}
+	}
+
+	// The int8 epilogue operands are proved once, before the first row
+	// (CheckEpilogueI8): a short one panics with the destination untouched.
+	a8, w8, res8 := NewI8(rows, inner), NewI8(inner, p), NewI8(rows, p)
+	for i := range a8.Data {
+		a8.Data[i] = int8(1 + rng.Intn(100))
+	}
+	dst8 := NewI8(rows, p)
+	for i := range dst8.Data {
+		dst8.Data[i] = 7
+	}
+	short, acc := ones[:p-1], make([]int32, p)
+	for name, fn := range map[string]func(){
+		"deq":       func() { MatMulI8EpilogueInto(dst8, a8, w8, short, nil, nil, nil, false, ones, acc, nil) },
+		"bias":      func() { MatMulI8EpilogueInto(dst8, a8, w8, ones, short, nil, nil, true, ones, acc, nil) },
+		"resScales": func() { MatMulI8EpilogueInto(dst8, a8, w8, ones, nil, res8, short, false, ones, acc, nil) },
+		"dstScales": func() { MatMulI8EpilogueInto(dst8, a8, w8, ones, nil, nil, nil, false, short, acc, make([]int, rows)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("int8 product with short %s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	for i, q := range dst8.Data {
+		if q != 7 {
+			t.Fatalf("short epilogue operand: element %d written before the panic", i)
 		}
 	}
 }

@@ -458,11 +458,20 @@ func (r *Registry) planSubLocked(e *entry) (*core.SubgraphWorkspace, error) {
 // can refuse it, so where *known — the size the vault's last workspace of
 // this pool was admitted at — says the attempt cannot fit, the same
 // victims go, in the same order, before it instead of after a discarded
-// build. The retry loop still covers the first plan and a size that grew.
+// build — and where it still cannot fit once every idle victim is gone
+// and workspaces are checked out, nothing is built at all: the caller
+// waits for a release either way, and the build it would discard is the
+// expensive part. With nothing checked out the attempt is made whatever
+// *known says, so the first plan, a size that shrank and the "cannot be
+// admitted" error all still come from the enclave. The retry loop covers
+// the first plan and a size that grew.
 func (r *Registry) admitLocked(e *entry, known *int64, plan func() (int64, error)) error {
 	for *known > 0 && r.encl.EPCFree() < *known {
 		victim := r.lruIdleLocked(e)
 		if victim == nil {
+			if r.inUse > 0 {
+				return fmt.Errorf("registry: %d-byte workspace, %d bytes free, no idle vault left to evict: %w", *known, r.encl.EPCFree(), enclave.ErrEPCExhausted)
+			}
 			break
 		}
 		r.evictLocked(victim)

@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -616,5 +617,101 @@ func TestAdmissionEvictsBeforeBuilding(t *testing.T) {
 	}
 	if got := encl.Ledger().AllocFailures; got > len(ids) {
 		t.Fatalf("enclave refused %d allocations over %d plans, want at most one per vault (%d)", got, st.Plans, len(ids))
+	}
+}
+
+// TestAdmissionDoesNotBuildWhatCannotFit: with both admissible workspaces
+// checked out and no idle vault left to evict, a third vault whose
+// workspace size is known is refused without a build — the enclave sees
+// no allocation attempt (AllocFailures flat), the plan function is never
+// called, no plan is counted — and its Acquire waits for a release, after
+// which it evicts and plans exactly as it always did: the same Plans,
+// Evictions and EPC at the end. With nothing checked out the build is
+// still attempted, so a size that was never learnt, or shrank, reaches
+// the enclave.
+func TestAdmissionDoesNotBuildWhatCannotFit(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	encl, reg, ids := newFleet(t, 3, 2, Config{WorkspacesPerVault: 1})
+	defer reg.Close()
+	for _, id := range ids { // learn every size; v0 is evicted for v2
+		serveOne(t, reg, id)
+	}
+	_, ws1, err := reg.Acquire(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ws2, err := reg.Acquire(ids[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, failures := reg.Stats(), encl.Ledger().AllocFailures
+	if before.Plans != 3 || before.Evictions != 1 {
+		t.Fatalf("plans/evictions = %d/%d after the warm-up, want 3/1", before.Plans, before.Evictions)
+	}
+
+	// The admission itself, both holders in place.
+	reg.mu.Lock()
+	e := reg.vaults[ids[0]]
+	calls := 0
+	err = reg.admitLocked(e, &e.wsBytes, func() (int64, error) {
+		calls++
+		return 0, enclave.ErrEPCExhausted
+	})
+	reg.mu.Unlock()
+	if !errors.Is(err, enclave.ErrEPCExhausted) || calls != 0 {
+		t.Fatalf("admission with every workspace held: err %v after %d plan calls, want ErrEPCExhausted after none", err, calls)
+	}
+
+	// Through Acquire: it waits, having built nothing.
+	acquired := make(chan error, 1)
+	go func() {
+		_, ws, err := reg.Acquire(ids[0])
+		if err == nil {
+			reg.Release(ids[0], ws)
+		}
+		acquired <- err
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.Gosched() // one processor: the waiter runs until it blocks
+	}
+	select {
+	case err := <-acquired:
+		t.Fatalf("acquire returned (%v) while both workspaces were held", err)
+	default:
+	}
+	if st := reg.Stats(); st.Plans != before.Plans || st.Evictions != before.Evictions {
+		t.Fatalf("plans/evictions moved to %d/%d while both workspaces were held", st.Plans, st.Evictions)
+	}
+	if got := encl.Ledger().AllocFailures; got != failures {
+		t.Fatalf("enclave refused %d allocations while both workspaces were held, want 0", got-failures)
+	}
+
+	reg.Release(ids[1], ws1)
+	if err := <-acquired; err != nil {
+		t.Fatalf("acquire after a release: %v", err)
+	}
+	reg.Release(ids[2], ws2)
+	st := reg.Stats()
+	if st.Plans != before.Plans+1 || st.Evictions != before.Evictions+1 {
+		t.Fatalf("plans/evictions = %d/%d, want %d/%d (v1 evicted for v0)", st.Plans, st.Evictions, before.Plans+1, before.Evictions+1)
+	}
+	if want := int64(len(ids))*regPersist + 2*regWSBytes; st.EPCUsed != want {
+		t.Fatalf("EPC used %d, want %d", st.EPCUsed, want)
+	}
+	if got := encl.Ledger().AllocFailures; got != failures {
+		t.Fatalf("enclave refused %d allocations after the release, want 0", got-failures)
+	}
+
+	// Nothing checked out: the build is attempted even though the
+	// remembered size says it cannot fit (here: an absurd one).
+	reg.mu.Lock()
+	huge := encl.EPCFree() + regWSBytes*10
+	err = reg.admitLocked(e, &huge, func() (int64, error) {
+		calls++
+		return 0, enclave.ErrEPCExhausted
+	})
+	reg.mu.Unlock()
+	if !errors.Is(err, enclave.ErrEPCExhausted) || calls == 0 {
+		t.Fatalf("admission with nothing held: err %v after %d plan calls, want the enclave's refusal after at least one", err, calls)
 	}
 }
