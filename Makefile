@@ -26,20 +26,20 @@ bench:
 # surface: BENCH_subgraph.json (node-query latency sweep),
 # BENCH_attack.json (link-stealing AUC and extraction fidelity per
 # serving defense, priced against throughput — checked against the
-# committed ceilings in ci/attack_thresholds.json),
-# BENCH_obs.json (flight-recorder overhead, no-op vs live span ring —
-# gated at ≤5% by -obs-check), and BENCH_shard.json (multi-enclave shard
-# fleet: full-graph throughput, p99, and halo traffic vs shard count at a
-# fixed per-shard EPC budget). The engine, the precision tiers, tiled vs
-# untiled full-graph plans and registry serving under EPC pressure are
-# tracked by `go run ./bench` (full_fp64, full_int8_tiled, vault_churn),
-# not here.
+# committed ceilings in ci/attack_thresholds.json) and BENCH_shard.json
+# (multi-enclave shard fleet: full-graph throughput, p99, and halo traffic
+# vs shard count at a fixed per-shard EPC budget). The engine, the
+# precision tiers, tiled vs untiled full-graph plans and registry serving
+# under EPC pressure are tracked by `go run ./bench` (full_fp64,
+# full_int8_tiled, vault_churn), not here — and so is the flight
+# recorder's overhead: `go run ./bench -trace 1` reports
+# obs.trace_overhead_share on every workload, which is the one
+# measurement of it (CI's perf job runs it for all five).
 # Override SIZES for bigger graphs, e.g. `make bench-json SIZES=100000,200000`.
 SIZES ?= 20000,50000
 bench-json:
 	$(GO) run ./cmd/experiments -run ext-subgraph -epochs 3 -sizes $(SIZES) -bench-out BENCH_subgraph.json
 	$(GO) run ./cmd/experiments -run ext-attack -epochs 30 -bench-out BENCH_attack.json -attack-check ci/attack_thresholds.json
-	$(GO) run ./cmd/experiments -run ext-obs -epochs 3 -bench-out BENCH_obs.json -obs-check
 	$(GO) run ./cmd/experiments -run ext-shard -epochs 3 -sizes $(SIZES) -bench-out BENCH_shard.json
 
 # The chaos regression: seeded shard kills (ECALL-abort storms and

@@ -123,23 +123,6 @@ func BenchmarkFig6Overhead(b *testing.B) {
 	}
 }
 
-// BenchmarkVaultPredict isolates the deployed inference path (no training
-// in the loop): the per-query cost a device would see.
-func BenchmarkVaultPredict(b *testing.B) {
-	for _, design := range core.Designs {
-		b.Run(string(design), func(b *testing.B) {
-			ds, vault := deployedVault(b, design)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := vault.Predict(ds.X); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkUnprotectedInference is the Fig. 6 CPU baseline.
 func BenchmarkUnprotectedInference(b *testing.B) {
 	ds, orig := trainedOriginal(b)

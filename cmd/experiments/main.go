@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment to run: table1|table2|table3|table4|fig4|fig5|fig6|ext-arch|ext-labelonly|ext-extract|ext-stream|ext-subgraph|ext-attack|ext-obs|ext-shard|all")
+	run := flag.String("run", "all", "experiment to run: table1|table2|table3|table4|fig4|fig5|fig6|ext-arch|ext-labelonly|ext-extract|ext-stream|ext-subgraph|ext-attack|ext-shard|all")
 	epochs := flag.Int("epochs", 200, "training epochs per model")
 	seed := flag.Int64("seed", 1, "random seed")
 	datasetsFlag := flag.String("datasets", "", "comma-separated dataset subset (default: all)")
@@ -33,12 +33,10 @@ func main() {
 	sizesFlag := flag.String("sizes", "", "comma-separated power-law graph sizes for ext-subgraph and ext-shard (default 20000,50000; ext-shard uses the largest, floor 50000 — shard scale-out is degenerate on tiny graphs)")
 	benchOut := flag.String("bench-out", "", "write ext-subgraph results as JSON to this path (e.g. BENCH_subgraph.json)")
 	attackCheck := flag.String("attack-check", "", "validate ext-attack rows against this thresholds JSON (e.g. ci/attack_thresholds.json); exits non-zero on a privacy regression")
-	obsCheck := flag.Bool("obs-check", false, "fail when any ext-obs telemetry overhead row exceeds the committed ceiling; exits non-zero on an observability tax")
 	flag.Parse()
 
 	bench := benchDoc{}
 	var attackRows []experiments.ExtAttackRow
-	var obsRows []experiments.ExtObsRow
 	opts := experiments.Options{Epochs: *epochs, Seed: *seed}
 	if *datasetsFlag != "" {
 		opts.Datasets = strings.Split(*datasetsFlag, ",")
@@ -88,19 +86,13 @@ func main() {
 			attackRows = rows
 			return t
 		},
-		"ext-obs": func() string {
-			rows, t := experiments.ExtObs(opts)
-			bench.add("telemetry_overhead", rows)
-			obsRows = rows
-			return t
-		},
 		"ext-shard": func() string {
 			rows, t := experiments.ExtShard(opts)
 			bench.add("shard_fleet", rows)
 			return t
 		},
 	}
-	order := []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "table4", "ext-arch", "ext-labelonly", "ext-extract", "ext-stream", "ext-subgraph", "ext-attack", "ext-obs", "ext-shard"}
+	order := []string{"table1", "table2", "table3", "fig4", "fig5", "fig6", "table4", "ext-arch", "ext-labelonly", "ext-extract", "ext-stream", "ext-subgraph", "ext-attack", "ext-shard"}
 
 	selected := strings.Split(*run, ",")
 	if *run == "all" {
@@ -129,41 +121,6 @@ func main() {
 		}
 		fmt.Printf("attack thresholds OK (%s)\n", *attackCheck)
 	}
-	if *obsCheck {
-		if err := checkObs(obsRows); err != nil {
-			fmt.Fprintln(os.Stderr, "telemetry overhead regression:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("telemetry overhead OK (≤ %.0f%%)\n", obsOverheadLimitPct)
-	}
-}
-
-// obsOverheadLimitPct is the committed ceiling on flight-recorder overhead:
-// a live span ring may cost at most this much relative to the no-op
-// recorder on either hot serving path.
-const obsOverheadLimitPct = 5.0
-
-// obsOverheadSlackUS forgives percentage blips whose absolute per-query
-// delta is below timer resolution on these µs-scale rounds — a 3µs wiggle
-// on a 50µs round is noise, not instrumentation cost.
-const obsOverheadSlackUS = 50.0
-
-// checkObs enforces the overhead ceiling over an ext-obs run.
-func checkObs(rows []experiments.ExtObsRow) error {
-	if len(rows) == 0 {
-		return fmt.Errorf("-obs-check given but no ext-obs rows were produced (add ext-obs to -run)")
-	}
-	for _, r := range rows {
-		if r.OverheadPct <= obsOverheadLimitPct {
-			continue
-		}
-		if r.InstrumentedUS-r.NopUS < obsOverheadSlackUS {
-			continue
-		}
-		return fmt.Errorf("%s: instrumented %.0fµs vs no-op %.0fµs = %+.2f%% overhead, limit %.0f%%",
-			r.Bench, r.InstrumentedUS, r.NopUS, r.OverheadPct, obsOverheadLimitPct)
-	}
-	return nil
 }
 
 // attackThresholds are the committed privacy-regression ceilings

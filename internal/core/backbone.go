@@ -76,18 +76,18 @@ func (b *Backbone) NumParams() int { return b.Model.NumParams() }
 // programs reference and therefore what deployment charges; the transpose
 // SAGE's backward pass needs is built beside it, once, as a training-side
 // cache that is not enclave state.
-func convOperator(kind ConvKind, g *graph.Graph) (*graph.NormAdjacency, func(rng *rand.Rand, inDim, outDim int) nn.GraphConv) {
+func convOperator(kind ConvKind, g *graph.Graph) (*graph.NormAdjacency, func(rng *rand.Rand, inDim, outDim int) nn.Layer) {
 	switch kind {
 	case ConvGCN, "":
 		op := graph.Normalize(g)
-		return op, func(rng *rand.Rand, in, out int) nn.GraphConv { return nn.NewGCNConv(rng, in, out, op) }
+		return op, func(rng *rand.Rand, in, out int) nn.Layer { return nn.NewGCNConv(rng, in, out, op) }
 	case ConvSAGE:
 		op := graph.MeanAdjacency(g)
 		opT := op.Transpose()
-		return op, func(rng *rand.Rand, in, out int) nn.GraphConv { return nn.NewSAGEConv(rng, in, out, op, opT) }
+		return op, func(rng *rand.Rand, in, out int) nn.Layer { return nn.NewSAGEConv(rng, in, out, op, opT) }
 	case ConvGAT:
 		op := graph.SelfLoopAdjacency(g)
-		return op, func(rng *rand.Rand, in, out int) nn.GraphConv { return nn.NewGATConv(rng, in, out, op) }
+		return op, func(rng *rand.Rand, in, out int) nn.Layer { return nn.NewGATConv(rng, in, out, op) }
 	default:
 		panic(fmt.Sprintf("core: unknown conv kind %q", kind))
 	}
@@ -103,7 +103,7 @@ func buildBackboneModel(rng *rand.Rand, spec ModelSpec, inDim, classes int, g *g
 	var layers []nn.Layer
 	var convIdx []int
 	var adj *graph.NormAdjacency
-	var newConv func(rng *rand.Rand, inDim, outDim int) nn.GraphConv
+	var newConv func(rng *rand.Rand, inDim, outDim int) nn.Layer
 	if g != nil {
 		adj, newConv = convOperator(spec.Conv, g)
 	}

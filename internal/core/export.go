@@ -41,8 +41,10 @@ func (v *Vault) Export(dataset string) ([]byte, error) {
 // ErrBadBundle is returned by Import, wrapped with the offending field,
 // for a bundle whose manifest does not describe a deployment this build
 // can construct: an unknown model spec, conv kind or design, a
-// non-positive dimension, or dimensions that disagree with the sections
-// they describe. The manifest is outside input — the bundle's hash is an
+// non-positive dimension, a node count no enclave of the importing cost
+// model could hold, or dimensions that disagree with the sections they
+// describe — a graph section that does not parse as the manifest's graph
+// included. The manifest is outside input — the bundle's hash is an
 // integrity check anyone can recompute, not an authenticator.
 var ErrBadBundle = errors.New("core: bad bundle")
 
@@ -64,8 +66,11 @@ func convParamBytes(kind ConvKind, in, out int64) int64 {
 // it, and resolves its model spec. The backbone parameter section's
 // length must equal what the manifest's dimensions imply — by arithmetic,
 // so a forged FeatureDim or Classes is refused before any weight matrix of
-// that size is allocated.
-func checkManifest(man bundle.Manifest, bbParams []byte) (ModelSpec, error) {
+// that size is allocated. The node count sizes both graphs' row pointers,
+// so it is bounded by what could ever be admitted under cost: the private
+// operator's persistent charge (NormAdjacency.NumBytes) is 8 bytes of row
+// pointer a node before its first edge.
+func checkManifest(man bundle.Manifest, bbParams []byte, cost enclave.CostModel) (ModelSpec, error) {
 	newSpec, ok := specs[man.ModelSpec]
 	if !ok {
 		return ModelSpec{}, fmt.Errorf("%w: unknown model spec %q", ErrBadBundle, man.ModelSpec)
@@ -78,8 +83,8 @@ func checkManifest(man bundle.Manifest, bbParams []byte) (ModelSpec, error) {
 	if !slices.Contains(Designs, RectifierDesign(man.Design)) {
 		return spec, fmt.Errorf("%w: unknown rectifier design %q", ErrBadBundle, man.Design)
 	}
-	if man.Nodes <= 0 {
-		return spec, fmt.Errorf("%w: nodes %d", ErrBadBundle, man.Nodes)
+	if man.Nodes <= 0 || int64(man.Nodes) >= cost.EPCBytes/8 {
+		return spec, fmt.Errorf("%w: nodes %d with an EPC of %d bytes", ErrBadBundle, man.Nodes, cost.EPCBytes)
 	}
 	// Neither width can exceed the section's scalar count, which also
 	// keeps the products below inside int64.
@@ -114,7 +119,7 @@ func Import(data []byte, cost enclave.CostModel) (*Vault, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: bundle missing backbone parameters")
 	}
-	spec, err := checkManifest(man, bbParams)
+	spec, err := checkManifest(man, bbParams, cost)
 	if err != nil {
 		return nil, err
 	}
@@ -123,12 +128,9 @@ func Import(data []byte, cost enclave.CostModel) (*Vault, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: bundle missing substitute graph")
 	}
-	sub, err := graph.UnmarshalCOO(subCOO)
+	sub, err := graph.UnmarshalCOO(subCOO, man.Nodes)
 	if err != nil {
-		return nil, fmt.Errorf("core: substitute graph: %w", err)
-	}
-	if sub.N() != man.Nodes {
-		return nil, fmt.Errorf("%w: nodes %d, substitute graph has %d", ErrBadBundle, man.Nodes, sub.N())
+		return nil, fmt.Errorf("%w: substitute graph: %v", ErrBadBundle, err)
 	}
 
 	// Rebuild the public backbone.
@@ -169,12 +171,9 @@ func Import(data []byte, cost enclave.CostModel) (*Vault, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: unsealing private graph: %w", err)
 	}
-	private, err := graph.UnmarshalCOO(cooBytes)
+	private, err := graph.UnmarshalCOO(cooBytes, man.Nodes)
 	if err != nil {
-		return nil, fmt.Errorf("core: private graph: %w", err)
-	}
-	if private.N() != man.Nodes {
-		return nil, fmt.Errorf("%w: nodes %d, private graph has %d", ErrBadBundle, man.Nodes, private.N())
+		return nil, fmt.Errorf("%w: private graph: %v", ErrBadBundle, err)
 	}
 	rec := NewRectifierConv(rng, RectifierDesign(man.Design), spec.Conv,
 		dims, spec.RectifierHidden, man.Classes, private)

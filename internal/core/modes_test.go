@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gnnvault/internal/enclave"
 	"gnnvault/internal/exec"
 	"gnnvault/internal/graph"
 	"gnnvault/internal/mat"
@@ -16,8 +17,9 @@ import (
 // TestPlanModesMatchReference is the one table every planned answer is
 // held to the reference forward from: conv kind × rectifier design ×
 // full-graph plan mode, on the cora fixture. The reference is the nn
-// forward — Vault.Predict's labels, Rectifier.Forward's logits — which
-// shares no code with the compiled programs above the kernels.
+// forward — Rectifier.Forward over Backbone.Embeddings, its logits and
+// their argmax — which shares no code with the compiled programs above the
+// kernels.
 //
 // fp64 modes must reproduce the reference labels exactly and its logits
 // to 1e-9, and the tiled and tile-parallel logits must equal the direct
@@ -36,6 +38,11 @@ import (
 // must agree bit for bit: logits at fp64, labels at int8. After each cell
 // the store still equals the reference embeddings: no machine writes its
 // inputs.
+//
+// The last row of every cell is the one-shot form: Vault.Predict's labels
+// equal the direct plan's, whether or not the backbone ran, and it leaves
+// the enclave holding the persistent residents only — when it answers and
+// when the workspace it needs does not fit.
 func TestPlanModesMatchReference(t *testing.T) {
 	const budget = 1 << 20
 	modes := []struct {
@@ -54,12 +61,9 @@ func TestPlanModesMatchReference(t *testing.T) {
 				ds, v := convTestVault(t, conv, design, 5)
 				n := ds.X.Rows
 				ownX := ds.X.Clone()
-				wantLabels, _, err := v.Predict(ds.X)
-				if err != nil {
-					t.Fatalf("Predict: %v", err)
-				}
 				wantEmbs := selectEmbeddings(v.Backbone.Embeddings(ds.X), v.rectifier.RequiredEmbeddings())
 				wantLogits := v.rectifier.Forward(wantEmbs, false)
+				wantLabels := wantLogits.ArgmaxRows()
 
 				// One attention scratch row is the structure's longest row.
 				scratchRow := int64(0)
@@ -70,6 +74,7 @@ func TestPlanModesMatchReference(t *testing.T) {
 				}
 
 				var directLogits []float64 // fp64 direct plan's, for bit-identity
+				var directLabels []int
 				var directEPC int64
 				var i8Labels []int // int8 direct plan's; nil when the gate refused it
 				var i8Err error
@@ -156,7 +161,7 @@ func TestPlanModesMatchReference(t *testing.T) {
 						}
 						for i, l := range labels {
 							if l != wantLabels[i] {
-								t.Fatalf("label[%d] = %d, Vault.Predict says %d", i, l, wantLabels[i])
+								t.Fatalf("label[%d] = %d, Rectifier.Forward says %d", i, l, wantLabels[i])
 							}
 						}
 						for i, s := range scores.Data {
@@ -166,6 +171,7 @@ func TestPlanModesMatchReference(t *testing.T) {
 						}
 						if directLogits == nil {
 							directLogits, directEPC = append(directLogits, scores.Data...), ws.EnclaveBytes()
+							directLabels = append(directLabels, labels...)
 						}
 						for i, s := range scores.Data {
 							if math.Float64bits(s) != math.Float64bits(directLogits[i]) {
@@ -180,6 +186,33 @@ func TestPlanModesMatchReference(t *testing.T) {
 						}
 					})
 				}
+				t.Run("one-shot", func(t *testing.T) {
+					for _, x := range []*mat.Matrix{ownX, ds.X} {
+						labels, _, err := v.Predict(x)
+						if err != nil {
+							t.Fatalf("Predict: %v", err)
+						}
+						for i, l := range labels {
+							if l != directLabels[i] {
+								t.Fatalf("label[%d] = %d, direct plan says %d", i, l, directLabels[i])
+							}
+						}
+						if used := v.Enclave.EPCUsed(); used != v.PersistentBytes() {
+							t.Fatalf("Predict returned with %d B of EPC in use, persistent residents are %d B", used, v.PersistentBytes())
+						}
+					}
+					filler := v.Enclave.EPCFree()
+					if err := v.Enclave.Alloc(filler); err != nil {
+						t.Fatal(err)
+					}
+					defer v.Enclave.Free(filler)
+					if _, _, err := v.Predict(ownX); !errors.Is(err, enclave.ErrEPCExhausted) {
+						t.Fatalf("Predict in a full enclave: err = %v, want ErrEPCExhausted", err)
+					}
+					if used := v.Enclave.EPCUsed(); used != v.PersistentBytes()+filler {
+						t.Fatalf("refused Predict left %d B of EPC in use, want %d", used, v.PersistentBytes()+filler)
+					}
+				})
 			})
 		}
 	}

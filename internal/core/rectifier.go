@@ -32,7 +32,7 @@ type Rectifier struct {
 
 	private *graph.Graph
 	adj     *graph.NormAdjacency
-	convs   []nn.GraphConv
+	convs   []nn.Layer
 	relus   []*nn.ReLU
 }
 
@@ -229,14 +229,6 @@ func (r *Rectifier) NumParams() int {
 	return n
 }
 
-// SetSerial toggles single-threaded kernels on every conv (in-enclave
-// execution mode).
-func (r *Rectifier) SetSerial(serial bool) {
-	for _, c := range r.convs {
-		c.SetSerialMode(serial)
-	}
-}
-
 // Adjacency exposes the private operator the rectifier's convs aggregate
 // over and its compiled programs reference — GCN's normalised Â, SAGE's
 // neighbour mean, GAT's self-loop structure (convOperator) — which is the
@@ -309,25 +301,4 @@ func (r *Rectifier) ForwardCollect(embs []*mat.Matrix) []*mat.Matrix {
 func (r *Rectifier) Identity() []byte {
 	s := fmt.Sprintf("gnnvault-rectifier-v1|%s|%s|%v|%v", r.Design, r.Conv, r.BackboneDims, r.Dims)
 	return []byte(s)
-}
-
-// forwardLayer runs exactly one rectifier layer in inference mode, for the
-// streamed (layer-by-layer) deployment path of the parallel design. prev is
-// the previous layer's activation (nil for k=0); emb is the backbone
-// embedding this layer consumes.
-func (r *Rectifier) forwardLayer(k int, prev, emb *mat.Matrix) *mat.Matrix {
-	var in *mat.Matrix
-	switch {
-	case k == 0:
-		in = emb
-	case r.Design == Parallel:
-		in = mat.HConcat(prev, emb)
-	default:
-		in = prev
-	}
-	z := r.convs[k].Forward(in, false)
-	if k < len(r.convs)-1 {
-		return r.relus[k].Forward(z, false)
-	}
-	return z
 }

@@ -76,9 +76,10 @@ func storeTargets(t *testing.T, ds *datasets.Dataset, v *Vault) []storeTarget {
 // store, run under -race in CI: several workspaces of one deployment
 // predict concurrently over matrix A or matrix B, chosen per call, while
 // another goroutine keeps re-registering A, B and nothing. Every answer
-// must be the uncached reference (Vault.Predict, the nn path) for the
-// matrix that call passed — never the other's, whatever was registered or
-// published while it ran. Once on a Vault, once on a 3-shard fleet.
+// must be the uncached reference (Vault.Predict before anything is
+// registered, so the backbone runs) for the matrix that call passed —
+// never the other's, whatever was registered or published while it ran.
+// Once on a Vault, once on a 3-shard fleet.
 func TestRegisteredFeaturesNeverMixed(t *testing.T) {
 	ds, v := convTestVault(t, "", Parallel, 5)
 	defer v.Undeploy()
@@ -347,7 +348,7 @@ func TestReregisterPublishesInPlaceEdit(t *testing.T) {
 		if err := v.SetCalibrationFeatures(x); err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := v.Predict(x)
+		want, _, err := v.Predict(x.Clone()) // not the registered pointer: the backbone runs, the store stays empty
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -301,10 +301,13 @@ func (ws *SubgraphWorkspace) Release() {
 // is overwritten by the next call. Out-of-range seeds fail with
 // ErrNodeOutOfRange before any work happens.
 //
-// When the expanded frontier covers more than ¾ of the graph, the sampled
+// When the expanded frontier covers ¾ of the graph or more, the sampled
 // pass would cost full-graph money anyway, so the query falls back to the
-// exact full-graph Predict (allocating — the subgraph plan's buffers
-// cannot hold the whole graph) and returns exact-GCN labels.
+// one-shot Vault.Predict — the subgraph plan's buffers cannot hold the
+// whole graph, so that call plans, runs and releases a direct fp64
+// full-graph workspace (allocating, and refused with ErrEPCExhausted when
+// the enclave has no room for it) — and returns the exact full-graph
+// labels, leaving the enclave's EPC use where it found it.
 func (v *Vault) PredictNodesInto(x *mat.Matrix, seeds []int, ws *SubgraphWorkspace) ([]int, InferenceBreakdown, error) {
 	labels, _, bd, err := v.predictNodesInto(context.Background(), x, seeds, ws, false)
 	return labels, bd, err

@@ -184,19 +184,26 @@ func TestPredictNodesIntoFallbackWhenFrontierCoversGraph(t *testing.T) {
 	ds := tinyDataset() // dense enough that a deep unlimited expansion covers it
 	v := deploySubgraphExact(t, ds, Series)
 	defer v.Undeploy()
-	full, _, err := v.Predict(ds.X)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Exact labels from the reference forward, not from the engine the
+	// fallback runs.
+	embs := selectEmbeddings(v.Backbone.Embeddings(ds.X), v.rectifier.RequiredEmbeddings())
+	full := v.rectifier.Forward(embs, false).ArgmaxRows()
 	ws, err := v.PlanSubgraph(2, subgraph.Config{Hops: 8})
 	if err != nil {
 		t.Fatalf("PlanSubgraph: %v", err)
 	}
 	defer ws.Release()
 	seeds := []int{0, 60}
-	got, _, err := v.PredictNodesInto(ds.X, seeds, ws)
+	epc := v.Enclave.EPCUsed()
+	got, bd, err := v.PredictNodesInto(ds.X, seeds, ws)
 	if err != nil {
 		t.Fatalf("PredictNodesInto: %v", err)
+	}
+	if bd.ECalls != 1 {
+		t.Fatalf("fallback issued %d ECALLs, want the one full-graph pass", bd.ECalls)
+	}
+	if used := v.Enclave.EPCUsed(); used != epc {
+		t.Fatalf("fallback left %d B of EPC in use, found %d B", used, epc)
 	}
 	for i, s := range seeds {
 		if got[i] != full[s] {
@@ -290,34 +297,6 @@ func TestPlanSubgraphUnsupported(t *testing.T) {
 	defer vSAGE.Undeploy()
 	if _, err := vSAGE.PlanSubgraph(2, subgraph.Config{Hops: 2}); !errors.Is(err, ErrSubgraphUnsupported) {
 		t.Fatalf("SAGE: err = %v, want ErrSubgraphUnsupported", err)
-	}
-}
-
-func TestPredictStreamedFallsBackForCascaded(t *testing.T) {
-	// PredictStreamed is the parallel design's layer-by-layer deployment;
-	// every other design must transparently serve the batched path.
-	v, _, ds := deployTiny(t, Cascaded)
-	a, aBD, err := v.Predict(ds.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, bBD, err := v.PredictStreamed(ds.X)
-	if err != nil {
-		t.Fatalf("PredictStreamed: %v", err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("cascaded fallback differs from batched Predict")
-		}
-	}
-	// The fallback must follow the batched path's transfer pattern (one
-	// channel send per embedding + the inference ECALL), not the parallel
-	// design's per-layer streaming pattern.
-	if aBD.ECalls != bBD.ECalls {
-		t.Fatalf("cascaded fallback used %d ECALLs, batched Predict uses %d", bBD.ECalls, aBD.ECalls)
-	}
-	if err := VerifyLabelOnly(b, ds.NumClasses); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"gnnvault/internal/enclave"
+	"gnnvault/internal/exec"
 	"gnnvault/internal/graph"
 	"gnnvault/internal/mat"
-	"gnnvault/internal/nn"
 )
 
 // Vault is a deployed GNNVault instance (paper step 4, Fig. 2): the public
@@ -126,7 +126,6 @@ func admit(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *graph.G
 		return nil, fmt.Errorf("core: private adjacency does not fit EPC: %w", err)
 	}
 
-	rec.SetSerial(true) // enclave execution is single-threaded
 	return &Vault{
 		Backbone:        bb,
 		Enclave:         encl,
@@ -169,77 +168,42 @@ func (v *Vault) Design() RectifierDesign { return v.rectifier.Design }
 // RectifierParams returns θ_rec of the deployed rectifier.
 func (v *Vault) RectifierParams() int { return v.rectifier.NumParams() }
 
-// Predict runs one full GNNVault inference over the node features:
-// backbone in the normal world, one-way transfer of the required
-// embeddings, rectification inside the enclave, label-only output.
+// Predict is the one-shot form of the engine: plan an untiled fp64
+// workspace (PlanWith with the PlanConfig zero value), run one PredictInto
+// pass — backbone in the normal world, one ECALL carrying the embeddings
+// the design requires, rectification inside the enclave, label-only output
+// — copy the labels out and release the workspace, so the enclave's EPC
+// use is back where it was when Predict returns. It fails with
+// enclave.ErrEPCExhausted wrapped when that working set does not fit.
+// Goroutine-safe: every call owns its workspace.
+//
+// Every call compiles both programs and allocates every buffer again — on
+// cora (2 708 nodes) ≈ 4 MB and 140 allocations, about a third more wall
+// time than the pass — and the breakdown covers the pass only, so this is
+// not the call to benchmark: anything that answers more than once plans
+// once and calls PredictInto.
 func (v *Vault) Predict(x *mat.Matrix) ([]int, InferenceBreakdown, error) {
 	labels, _, bd, err := v.predict(x, false)
 	return labels, bd, err
 }
 
 // predict is Predict's body. With wantScores the rectified logits leave
-// the enclave too — the deliberately weakened output mode the privacy
-// harness attacks — and their exposure is priced into the ECALL result
-// payload (classes × 8 extra bytes per node). The returned logits matrix
-// is freshly allocated and owned by the caller.
+// the enclave too (see PredictScoresInto). Labels and logits are copies
+// owned by the caller.
 func (v *Vault) predict(x *mat.Matrix, wantScores bool) ([]int, *mat.Matrix, InferenceBreakdown, error) {
-	var bd InferenceBreakdown
-	before := v.Enclave.Ledger()
-	v.Enclave.ResetPeak()
-
-	// Normal world: backbone forward (parallel kernels, GPU-class side).
-	start := time.Now()
-	all := v.Backbone.Embeddings(x)
-	bd.BackboneTime = time.Since(start)
-
-	// One-way transfer of exactly the embeddings the design requires.
-	ch, uplink := enclave.NewChannel(v.Enclave)
-	needed := selectEmbeddings(all, v.rectifier.RequiredEmbeddings())
-	for _, e := range needed {
-		if err := uplink.Send(e); err != nil {
-			return nil, nil, bd, fmt.Errorf("core: transferring embeddings: %w", err)
-		}
-	}
-	uplink.Close()
-
-	// Enclave: rectify and reduce to labels. By default only `labels`
-	// crosses back (modelled as the ECALL result payload: 8 bytes per
-	// node); a scores-exposing deployment additionally pays for the
-	// logits.
-	resultBytes := int64(x.Rows) * 8
-	if wantScores {
-		resultBytes += int64(x.Rows) * int64(v.Classes()) * 8
-	}
-	var labels []int
-	var scores *mat.Matrix
-	err := v.Enclave.Ecall(0, resultBytes, func() error {
-		embs := make([]*mat.Matrix, 0, len(needed))
-		for {
-			m, ok := ch.Recv()
-			if !ok {
-				break
-			}
-			embs = append(embs, m)
-		}
-		actBytes := v.rectifier.ActivationBytes(x.Rows)
-		if err := v.Enclave.Alloc(actBytes); err != nil {
-			return err
-		}
-		defer v.Enclave.Free(actBytes)
-		logits := v.rectifier.Forward(embs, false)
-		labels = logits.ArgmaxRows()
-		if wantScores {
-			scores = logits
-		}
-		return nil
-	})
-	ch.Drain()
+	ws, err := v.PlanWith(v.Nodes(), PlanConfig{}) // predictInto holds x to the plan's shape
 	if err != nil {
-		return nil, nil, bd, fmt.Errorf("core: enclave inference: %w", err)
+		return nil, nil, InferenceBreakdown{}, err
 	}
-
-	fillBreakdown(&bd, before, v.Enclave.Ledger())
-	return labels, scores, bd, nil
+	defer ws.Release()
+	labels, scores, bd, err := v.predictInto(x, ws, wantScores)
+	if err != nil {
+		return nil, nil, bd, err
+	}
+	if wantScores {
+		scores = scores.Clone()
+	}
+	return append([]int(nil), labels...), scores, bd, nil
 }
 
 // Classes returns the deployed rectifier's output dimension — the label
@@ -259,15 +223,21 @@ func fillBreakdown(bd *InferenceBreakdown, before, after enclave.Ledger) {
 }
 
 // UnprotectedInference measures the baseline of Fig. 6: the original GNN
-// running entirely on the normal-world CPU (single-threaded, as the paper's
-// CPU baseline), returning its labels and wall time.
+// running entirely on the normal-world CPU, single-threaded as the paper's
+// CPU baseline — its compiled program on a one-worker exec machine, the
+// engine the protected path runs, so the figure compares deployments and
+// not runtimes. Returns its labels and the wall time of the pass (planning
+// excluded, as it is from a vault's breakdown).
 func UnprotectedInference(orig *Backbone, x *mat.Matrix) ([]int, time.Duration) {
-	orig.Model.SetSerial(true)
-	defer orig.Model.SetSerial(false)
+	lastBlock := []int{len(orig.BlockDims) - 1} // the logits: the program's output
+	mach, _, err := orig.planBackbone(x.Rows, nil, lastBlock, exec.Config{Workers: 1})
+	if err != nil {
+		panic(fmt.Sprintf("core: compiling the original model: %v", err))
+	}
 	start := time.Now()
-	logits := orig.Model.Forward(x, false)
+	out := mach.Run(x.Rows, []*mat.Matrix{x}, nil)
 	elapsed := time.Since(start)
-	return logits.ArgmaxRows(), elapsed
+	return out.ArgmaxRows(), elapsed
 }
 
 // EnclaveMemoryEstimate returns the static Fig. 6 (bottom) estimate for a
@@ -311,60 +281,4 @@ func VerifyLabelOnly(labels []int, classes int) error {
 		}
 	}
 	return nil
-}
-
-// compile-time check that nn.Param stays usable for rectifier training.
-var _ = nn.Param{}
-
-// PredictStreamed is the layer-by-layer variant of Predict for the
-// parallel rectifier (the paper's Fig. 3b narrative: backbone and
-// rectifier run layer-by-layer in parallel). Each backbone embedding is
-// sent in its own ECALL and freed as soon as the matching rectifier layer
-// consumed it, trading more world transitions for a smaller peak EPC
-// footprint. Other designs need the full payload at once and fall back to
-// Predict.
-func (v *Vault) PredictStreamed(x *mat.Matrix) ([]int, InferenceBreakdown, error) {
-	if v.rectifier.Design != Parallel {
-		return v.Predict(x)
-	}
-	var bd InferenceBreakdown
-	before := v.Enclave.Ledger()
-	v.Enclave.ResetPeak()
-
-	start := time.Now()
-	all := v.Backbone.Embeddings(x)
-	bd.BackboneTime = time.Since(start)
-
-	needed := selectEmbeddings(all, v.rectifier.RequiredEmbeddings())
-	var labels []int
-	var prev *mat.Matrix
-	actBytes := v.rectifier.ActivationBytes(x.Rows)
-	if err := v.Enclave.Alloc(actBytes); err != nil {
-		return nil, bd, fmt.Errorf("core: streamed inference: %w", err)
-	}
-	defer v.Enclave.Free(actBytes)
-	for k, emb := range needed {
-		k, emb := k, emb
-		resultBytes := int64(0)
-		if k == len(needed)-1 {
-			resultBytes = int64(x.Rows) * 8 // the final labels
-		}
-		err := v.Enclave.Ecall(emb.NumBytes(), resultBytes, func() error {
-			if err := v.Enclave.Alloc(emb.NumBytes()); err != nil {
-				return err
-			}
-			defer v.Enclave.Free(emb.NumBytes())
-			prev = v.rectifier.forwardLayer(k, prev, emb)
-			if k == len(needed)-1 {
-				labels = prev.ArgmaxRows()
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, bd, fmt.Errorf("core: streamed inference layer %d: %w", k, err)
-		}
-	}
-
-	fillBreakdown(&bd, before, v.Enclave.Ledger())
-	return labels, bd, nil
 }

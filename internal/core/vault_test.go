@@ -2,13 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"gnnvault/internal/bundle"
 	"gnnvault/internal/datasets"
 	"gnnvault/internal/enclave"
-	"gnnvault/internal/nn"
+	"gnnvault/internal/graph"
 	"gnnvault/internal/substitute"
 )
 
@@ -142,10 +146,11 @@ func TestUnprotectedInference(t *testing.T) {
 	if len(labels) != ds.X.Rows || elapsed <= 0 {
 		t.Fatalf("labels=%d elapsed=%v", len(labels), elapsed)
 	}
-	// SetSerial must have been restored after the measurement.
-	for _, l := range orig.Model.Layers {
-		if conv, ok := l.(*nn.GCNConv); ok && conv.Serial {
-			t.Fatal("UnprotectedInference left the model in serial mode")
+	// One engine: the compiled program answers as the training forward does.
+	want := orig.Logits(ds.X).ArgmaxRows()
+	for i := range want {
+		if labels[i] != want[i] {
+			t.Fatalf("node %d: compiled baseline says %d, nn forward %d", i, labels[i], want[i])
 		}
 	}
 }
@@ -173,6 +178,38 @@ func TestPredictEPCReleasedBetweenRuns(t *testing.T) {
 		if v.Enclave.EPCUsed() != base {
 			t.Fatalf("run %d leaked EPC: %d != %d", i, v.Enclave.EPCUsed(), base)
 		}
+	}
+}
+
+// TestPredictConcurrentCallers: Predict owns a workspace per call, so
+// callers sharing one vault need no lock and all read the same answer.
+func TestPredictConcurrentCallers(t *testing.T) {
+	v, _, ds := deployTiny(t, Parallel)
+	want, _, err := v.Predict(ds.X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, _, err := v.Predict(ds.X)
+			if err != nil {
+				t.Errorf("Predict: %v", err)
+				return
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("node %d: concurrent caller read %d, want %d", i, got[i], want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if used := v.Enclave.EPCUsed(); used != v.PersistentBytes() {
+		t.Fatalf("%d B of EPC in use after every caller returned, persistent residents are %d B", used, v.PersistentBytes())
 	}
 }
 
@@ -272,6 +309,13 @@ func TestImportRejectsTamperedSealedSection(t *testing.T) {
 // its integrity hash recomputed — what anyone holding the file can do.
 func editManifest(t testing.TB, data []byte, edit func(*bundle.Manifest)) []byte {
 	t.Helper()
+	return editBundle(t, data, edit, "", nil)
+}
+
+// editBundle is editManifest that also replaces the body of one section
+// (none when section is empty).
+func editBundle(t testing.TB, data []byte, edit func(*bundle.Manifest), section string, forged []byte) []byte {
+	t.Helper()
 	b, err := bundle.Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +325,9 @@ func editManifest(t testing.TB, data []byte, edit func(*bundle.Manifest)) []byte
 	b2 := bundle.New(b.Measurement, man)
 	for _, name := range b.Names() {
 		body, _ := b.Section(name)
+		if name == section {
+			body = forged
+		}
 		b2.Add(name, body)
 	}
 	out, err := b2.Marshal()
@@ -322,6 +369,7 @@ var hostileManifestEdits = []struct {
 	{"other conv", func(m *bundle.Manifest) { m.Conv = string(ConvSAGE) }},
 	{"zero nodes", func(m *bundle.Manifest) { m.Nodes = 0 }},
 	{"wrong nodes", func(m *bundle.Manifest) { m.Nodes++ }},
+	{"huge nodes", func(m *bundle.Manifest) { m.Nodes = math.MaxUint32 }},
 }
 
 func TestImportRejectsBadManifest(t *testing.T) {
@@ -334,6 +382,46 @@ func TestImportRejectsBadManifest(t *testing.T) {
 		t.Run(h.name, func(t *testing.T) {
 			if _, err := Import(editManifest(t, data, h.edit), enclave.DefaultCostModel()); !errors.Is(err, ErrBadBundle) {
 				t.Fatalf("err = %v, want ErrBadBundle", err)
+			}
+		})
+	}
+}
+
+// TestImportRejectsForgedCOOHeader: the substitute graph travels in the
+// clear, and its 12-byte header names a node count that sizes the CSR's
+// row pointers. A header claiming 2³²−1 nodes and no edges must come back
+// as ErrBadBundle having allocated nothing of that size — whether the
+// manifest still tells the truth (the header disagrees with it) or was
+// edited to agree (no enclave under the importing cost model holds that
+// many rows).
+func TestImportRejectsForgedCOOHeader(t *testing.T) {
+	v, _ := exportableVault(t)
+	data, err := v.Export("cora")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := graph.MarshalCOO(graph.New(0, nil))
+	binary.LittleEndian.PutUint32(forged[4:], math.MaxUint32)
+	for _, c := range []struct {
+		name string
+		edit func(*bundle.Manifest)
+	}{
+		{"honest manifest", func(*bundle.Manifest) {}},
+		{"agreeing manifest", func(m *bundle.Manifest) { m.Nodes = math.MaxUint32 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hostile := editBundle(t, data, c.edit, bundle.SectionSubstituteCOO, forged)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Import(hostile, enclave.DefaultCostModel())
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadBundle) {
+				t.Fatalf("err = %v, want ErrBadBundle", err)
+			}
+			// Parsing copies the bundle a few times over; the forged count
+			// would be 32 GB of row pointers.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(hostile))+1<<20 {
+				t.Fatalf("refusing the bundle allocated %d B for a %d B file", grew, len(hostile))
 			}
 		})
 	}
@@ -420,59 +508,5 @@ func TestExportDNNBackboneFails(t *testing.T) {
 	}
 	if _, err := v.Export("cora"); err == nil {
 		t.Fatal("DNN backbone export should fail")
-	}
-}
-
-func TestPredictStreamedMatchesBatched(t *testing.T) {
-	v, _, ds := deployTiny(t, Parallel)
-	batched, bdB, err := v.Predict(ds.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, bdS, err := v.PredictStreamed(ds.X)
-	if err != nil {
-		t.Fatalf("PredictStreamed: %v", err)
-	}
-	for i := range batched {
-		if batched[i] != streamed[i] {
-			t.Fatalf("streamed label differs at node %d", i)
-		}
-	}
-	// Batched: one ECALL per embedding + one compute ECALL. Streamed folds
-	// compute into each transfer: exactly one ECALL per rectifier layer.
-	if bdS.ECalls != bdB.ECalls-1 {
-		t.Fatalf("ECALLs: streamed %d, batched %d (want streamed = batched-1)", bdS.ECalls, bdB.ECalls)
-	}
-	if bdS.PeakEPCBytes >= bdB.PeakEPCBytes {
-		t.Fatalf("streamed peak EPC (%d) should be below batched (%d)",
-			bdS.PeakEPCBytes, bdB.PeakEPCBytes)
-	}
-}
-
-func TestPredictStreamedFallsBackForSeries(t *testing.T) {
-	v, _, ds := deployTiny(t, Series)
-	a, _, err := v.Predict(ds.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := v.PredictStreamed(ds.X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("series fallback differs")
-		}
-	}
-}
-
-func TestPredictStreamedEPCReleased(t *testing.T) {
-	v, _, ds := deployTiny(t, Parallel)
-	base := v.Enclave.EPCUsed()
-	if _, _, err := v.PredictStreamed(ds.X); err != nil {
-		t.Fatal(err)
-	}
-	if v.Enclave.EPCUsed() != base {
-		t.Fatalf("streamed inference leaked EPC: %d != %d", v.Enclave.EPCUsed(), base)
 	}
 }

@@ -233,19 +233,15 @@ func (e *Enclave) Free(n int64) {
 	e.epcUsed -= n
 }
 
-// Ecall models a call into the enclave carrying payloadBytes of input and
-// returning resultBytes: one transition each way plus marshalling time,
-// then runs fn and charges its wall time scaled by ComputeSlowdown.
-//
-// fn runs on the calling goroutine; in-enclave code must be written
-// single-threaded (the nn layers' Serial mode) for the model to be honest.
-//
-// When a FaultPlan aborts the call (or the enclave is already lost), fn
-// never runs, nothing is charged, and the error wraps ErrEnclaveLost.
-func (e *Enclave) Ecall(payloadBytes, resultBytes int64, fn func() error) error {
+// enter is the prologue of every modelled enclave entry: the fault gate,
+// then the call and byte counters, one transition each way and the
+// marshalling time of payloadBytes in plus resultBytes out. When a
+// FaultPlan aborts the call (or the enclave is already lost) nothing is
+// charged and the error wraps ErrEnclaveLost.
+func (e *Enclave) enter(payloadBytes, resultBytes int64) error {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := e.faultECallLocked(); err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	e.ledger.ECalls++
@@ -256,7 +252,23 @@ func (e *Enclave) Ecall(payloadBytes, resultBytes int64, fn func() error) error 
 		ns := float64(payloadBytes+resultBytes) / e.cost.TransferBytesPerSec * 1e9
 		e.ledger.TransferNs += int64(ns)
 	}
-	e.mu.Unlock()
+	return nil
+}
+
+// Ecall models a call into the enclave carrying payloadBytes of input and
+// returning resultBytes: one transition each way plus marshalling time,
+// then runs fn and charges its wall time scaled by ComputeSlowdown.
+//
+// fn runs on the calling goroutine; in-enclave code must be written
+// single-threaded (an exec machine planned with Workers: 1, or a tiled one
+// whose fan-out the plan charged for) for the model to be honest.
+//
+// When a FaultPlan aborts the call (or the enclave is already lost), fn
+// never runs, nothing is charged, and the error wraps ErrEnclaveLost.
+func (e *Enclave) Ecall(payloadBytes, resultBytes int64, fn func() error) error {
+	if err := e.enter(payloadBytes, resultBytes); err != nil {
+		return err
+	}
 	// fn runs without the lock so it may re-enter Alloc/Free (and so a slow
 	// body does not block unrelated ledger reads).
 	start := time.Now()
@@ -270,7 +282,7 @@ func (e *Enclave) Ecall(payloadBytes, resultBytes int64, fn func() error) error 
 
 // EcallMeasured models an enclave entry whose body reports its own
 // in-enclave busy time instead of having it measured from the wall clock.
-// Transition, transfer and byte accounting match Ecall exactly; the
+// Transition, transfer and byte accounting are Ecall's (enter); the
 // returned busy nanoseconds are charged as compute (scaled by
 // ComputeSlowdown like measured compute). Fleet shard ECALLs use it: on a
 // shared simulation host a shard's wall time includes fleet-barrier waits
@@ -278,20 +290,9 @@ func (e *Enclave) Ecall(payloadBytes, resultBytes int64, fn func() error) error 
 // multi-enclave hardware would overlap — charging wall time would bill
 // the whole fleet's work to every shard.
 func (e *Enclave) EcallMeasured(payloadBytes, resultBytes int64, fn func() (busyNs int64, err error)) error {
-	e.mu.Lock()
-	if err := e.faultECallLocked(); err != nil {
-		e.mu.Unlock()
+	if err := e.enter(payloadBytes, resultBytes); err != nil {
 		return err
 	}
-	e.ledger.ECalls++
-	e.ledger.BytesIn += payloadBytes
-	e.ledger.BytesOut += resultBytes
-	e.ledger.TransitionNs += e.cost.ECallLatency.Nanoseconds() + e.cost.OCallLatency.Nanoseconds()
-	if e.cost.TransferBytesPerSec > 0 {
-		ns := float64(payloadBytes+resultBytes) / e.cost.TransferBytesPerSec * 1e9
-		e.ledger.TransferNs += int64(ns)
-	}
-	e.mu.Unlock()
 	busyNs, err := fn()
 	e.mu.Lock()
 	e.ledger.ComputeNs += int64(float64(busyNs) * e.cost.ComputeSlowdown)

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"gnnvault/internal/mat"
 )
 
 func testEnclave() *Enclave {
@@ -252,81 +250,6 @@ func TestAttestationWrongMeasurementRejected(t *testing.T) {
 	}
 }
 
-func TestChannelSendRecv(t *testing.T) {
-	e := testEnclave()
-	ch, up := NewChannel(e)
-	m := mat.FromSlice(2, 2, []float64{1, 2, 3, 4})
-	if err := up.Send(m); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	got, ok := ch.Recv()
-	if !ok || !got.Equal(m) {
-		t.Fatal("Recv lost the payload")
-	}
-	if _, ok := ch.Recv(); ok {
-		t.Fatal("Recv on empty channel returned ok")
-	}
-}
-
-func TestChannelDeepCopies(t *testing.T) {
-	e := testEnclave()
-	ch, up := NewChannel(e)
-	m := mat.FromSlice(1, 1, []float64{1})
-	up.Send(m) //nolint:errcheck
-	m.Data[0] = 999
-	got, _ := ch.Recv()
-	if got.Data[0] != 1 {
-		t.Fatal("untrusted mutation reached enclave memory")
-	}
-}
-
-func TestChannelAccountsEPC(t *testing.T) {
-	e := testEnclave()
-	ch, up := NewChannel(e)
-	m := mat.New(16, 16) // 2048 bytes
-	up.Send(m)           //nolint:errcheck
-	if e.EPCUsed() != 2048 {
-		t.Fatalf("EPCUsed = %d, want 2048", e.EPCUsed())
-	}
-	ch.Drain()
-	if e.EPCUsed() != 0 {
-		t.Fatalf("EPCUsed after drain = %d", e.EPCUsed())
-	}
-}
-
-func TestChannelClosedRejectsSend(t *testing.T) {
-	e := testEnclave()
-	ch, up := NewChannel(e)
-	up.Close()
-	if err := up.Send(mat.New(1, 1)); !errors.Is(err, ErrChannelClosed) {
-		t.Fatalf("err = %v, want ErrChannelClosed", err)
-	}
-	ch.Drain() // reopens
-	if err := up.Send(mat.New(1, 1)); err != nil {
-		t.Fatalf("Send after drain: %v", err)
-	}
-}
-
-func TestChannelSendFailsWhenEPCFull(t *testing.T) {
-	cm := DefaultCostModel()
-	cm.EPCBytes = 100
-	e := New(cm, []byte("tiny"))
-	_, up := NewChannel(e)
-	if err := up.Send(mat.New(16, 16)); !errors.Is(err, ErrEPCExhausted) {
-		t.Fatalf("err = %v, want ErrEPCExhausted", err)
-	}
-}
-
-func TestChannelPending(t *testing.T) {
-	e := testEnclave()
-	ch, up := NewChannel(e)
-	up.Send(mat.New(1, 1)) //nolint:errcheck
-	up.Send(mat.New(1, 1)) //nolint:errcheck
-	if ch.Pending() != 2 {
-		t.Fatalf("Pending = %d", ch.Pending())
-	}
-}
-
 func TestPropSealRoundTrip(t *testing.T) {
 	e := testEnclave()
 	f := func(data []byte) bool {
@@ -360,21 +283,5 @@ func TestPropAllocFreeBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestChannelDrainFreesReceived(t *testing.T) {
-	e := testEnclave()
-	ch, up := NewChannel(e)
-	up.Send(mat.New(8, 8)) //nolint:errcheck
-	if _, ok := ch.Recv(); !ok {
-		t.Fatal("Recv failed")
-	}
-	if e.EPCUsed() == 0 {
-		t.Fatal("received embedding should stay EPC-resident until Drain")
-	}
-	ch.Drain()
-	if e.EPCUsed() != 0 {
-		t.Fatalf("EPCUsed after drain = %d", e.EPCUsed())
 	}
 }

@@ -209,7 +209,7 @@ func TestVariableRows(t *testing.T) {
 			x := randMat(rng, rows, 4)
 			wantLabels := make([]int, rows)
 			want := machines[0].Run(rows, []*mat.Matrix{x}, wantLabels).Clone()
-			if base.Elem == F64 && !want.Equal(header.MulDenseSerial(mat.MatMulSerial(x, w))) {
+			if base.Elem == F64 && !want.Equal(header.MulDense(mat.MatMul(x, w))) {
 				t.Fatalf("rows=%d: output differs from reference", rows)
 			}
 			for _, m := range machines[1:] {

@@ -266,11 +266,14 @@ func TestExtExtractionShape(t *testing.T) {
 
 func TestExtStreamingShape(t *testing.T) {
 	rows, _ := ExtStreaming(quick())
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(rows) != 2*len(core.Designs) {
+		t.Fatalf("rows = %d, want a batched and a streamed row per design", len(rows))
 	}
-	if rows[1].PeakEPCBytes >= rows[0].PeakEPCBytes {
-		t.Errorf("streamed peak EPC (%d) should be below batched (%d)",
-			rows[1].PeakEPCBytes, rows[0].PeakEPCBytes)
+	for i := 0; i < len(rows); i += 2 {
+		batched, streamed := rows[i], rows[i+1]
+		if streamed.PeakEPCBytes >= batched.PeakEPCBytes {
+			t.Errorf("%s peak EPC (%d) should be below %s (%d)",
+				streamed.Mode, streamed.PeakEPCBytes, batched.Mode, batched.PeakEPCBytes)
+		}
 	}
 }

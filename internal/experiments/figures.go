@@ -227,14 +227,7 @@ func Fig6(opts Options) ([]Fig6Row, string) {
 			if err != nil {
 				panic(fmt.Sprintf("experiments: Fig6 deploy %s/%s: %v", pair.Model, design, err))
 			}
-			// Warm up once, then measure.
-			if _, _, err := vault.Predict(ds.X); err != nil {
-				panic(fmt.Sprintf("experiments: Fig6 warmup: %v", err))
-			}
-			_, bd, err := vault.Predict(ds.X)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: Fig6 predict: %v", err))
-			}
+			bd := measurePlanned(vault, ds.X, core.PlanConfig{})
 			mem := core.EnclaveMemoryEstimate(rec, bb.BlockDims, ds.X.Rows)
 			full := core.FullModelMemoryEstimate(orig, ds.X.Rows, ds.X.Cols)
 			row := Fig6Row{

@@ -37,8 +37,12 @@ func MarshalCOO(g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// UnmarshalCOO parses the binary COO layout produced by MarshalCOO.
-func UnmarshalCOO(data []byte) (*Graph, error) {
+// UnmarshalCOO parses the binary COO layout produced by MarshalCOO for a
+// graph the caller knows to have nodes nodes. The header's own count is
+// outside input and sizes the adjacency's row pointers, so one that
+// disagrees with nodes is refused before anything is allocated from it;
+// the edge count is bounded by the payload length the same way.
+func UnmarshalCOO(data []byte, nodes int) (*Graph, error) {
 	r := bytes.NewReader(data)
 	var magic, n, nnz uint32
 	for _, p := range []*uint32{&magic, &n, &nnz} {
@@ -48,6 +52,9 @@ func UnmarshalCOO(data []byte) (*Graph, error) {
 	}
 	if magic != cooMagic {
 		return nil, fmt.Errorf("graph: bad COO magic %#x", magic)
+	}
+	if int64(n) != int64(nodes) {
+		return nil, fmt.Errorf("graph: COO header says %d nodes, want %d", n, nodes)
 	}
 	want := int64(12) + int64(nnz)*8
 	if int64(len(data)) != want {

@@ -101,25 +101,7 @@ func (na *NormAdjacency) NumBytes() int64 {
 // world. Allocating wrapper over MulDenseBiasReLUInto with no epilogue.
 func (na *NormAdjacency) MulDense(h *mat.Matrix) *mat.Matrix {
 	out := mat.New(na.N, h.Cols)
-	na.mulDenseInto(out, h, 0)
-	return out
-}
-
-// MulDenseSerial is MulDense restricted to the calling goroutine, used to
-// model single-threaded in-enclave execution.
-func (na *NormAdjacency) MulDenseSerial(h *mat.Matrix) *mat.Matrix {
-	out := mat.New(na.N, h.Cols)
-	na.mulDenseInto(out, h, 1)
-	return out
-}
-
-// MulDenseWorkers is MulDense under an explicit per-call worker budget
-// (mat.ResolveWorkers semantics: <= 0 resolves to GOMAXPROCS, 1 runs
-// inline, larger budgets are clamped to the row count), used by the
-// training backward passes to carry a layer's worker budget.
-func (na *NormAdjacency) MulDenseWorkers(h *mat.Matrix, workers int) *mat.Matrix {
-	out := mat.New(na.N, h.Cols)
-	na.mulDenseInto(out, h, workers)
+	na.MulDenseBiasReLUInto(out, h, nil, nil, false, 0)
 	return out
 }
 
@@ -298,13 +280,6 @@ func (na *NormAdjacency) mulDenseEpilogueRange(dst, h *mat.Matrix, lo, hi, base 
 		na.accumRow(drow, h, i, cols, at)
 		mat.ApplyEpilogueRow(drow, bias, epilogueResRow(res, i-base, d), relu)
 	}
-}
-
-// mulDenseInto is the plain product: exactly MulDenseBiasReLUInto with no
-// epilogue — one nnz-balanced banded driver, not two copies to keep in
-// sync.
-func (na *NormAdjacency) mulDenseInto(dst, h *mat.Matrix, budget int) {
-	na.MulDenseBiasReLUInto(dst, h, nil, nil, false, budget)
 }
 
 // Dense materialises Â as a dense matrix. Tests only.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -69,9 +70,6 @@ func TestMulDenseMatchesDense(t *testing.T) {
 	if !na.MulDense(h).EqualApprox(want, 1e-10) {
 		t.Fatal("sparse MulDense disagrees with dense product")
 	}
-	if !na.MulDenseSerial(h).EqualApprox(want, 1e-10) {
-		t.Fatal("MulDenseSerial disagrees with dense product")
-	}
 }
 
 func TestMulDenseParallelPath(t *testing.T) {
@@ -79,8 +77,10 @@ func TestMulDenseParallelPath(t *testing.T) {
 	g := Random(600, 2400, 5) // above the parallel threshold
 	na := Normalize(g)
 	h := mat.RandNormal(rng, 600, 8, 0, 1)
-	if !na.MulDense(h).EqualApprox(na.MulDenseSerial(h), 1e-10) {
-		t.Fatal("parallel and serial sparse products disagree")
+	inline := mat.New(na.N, h.Cols)
+	na.MulDenseBiasReLUInto(inline, h, nil, nil, false, 1)
+	if !na.MulDense(h).Equal(inline) {
+		t.Fatal("parallel and one-worker sparse products disagree")
 	}
 }
 
@@ -244,7 +244,7 @@ func TestRandomGraphClampsToMax(t *testing.T) {
 func TestCOORoundTrip(t *testing.T) {
 	g := Random(64, 200, 17)
 	data := MarshalCOO(g)
-	got, err := UnmarshalCOO(data)
+	got, err := UnmarshalCOO(data, g.N())
 	if err != nil {
 		t.Fatalf("UnmarshalCOO: %v", err)
 	}
@@ -266,13 +266,20 @@ func TestCOOBytesAccounting(t *testing.T) {
 }
 
 func TestUnmarshalCOORejectsGarbage(t *testing.T) {
+	// The header's node count sizes the CSR, so it must be the caller's
+	// before anything is built from it: 12 bytes claiming 2³²−1 nodes cost
+	// an error, not 32 GB.
+	forged := MarshalCOO(New(3, nil))
+	binary.LittleEndian.PutUint32(forged[4:], math.MaxUint32)
 	cases := map[string][]byte{
-		"empty":     {},
-		"short":     {1, 2, 3},
-		"bad magic": append([]byte{0, 0, 0, 0}, make([]byte, 8)...),
+		"empty":              {},
+		"short":              {1, 2, 3},
+		"bad magic":          append([]byte{0, 0, 0, 0}, make([]byte, 8)...),
+		"foreign node count": MarshalCOO(New(4, []Edge{{0, 1}})),
+		"forged node count":  forged,
 	}
 	for name, data := range cases {
-		if _, err := UnmarshalCOO(data); err == nil {
+		if _, err := UnmarshalCOO(data, 3); err == nil {
 			t.Errorf("%s: UnmarshalCOO accepted invalid input", name)
 		}
 	}
@@ -281,7 +288,7 @@ func TestUnmarshalCOORejectsGarbage(t *testing.T) {
 func TestUnmarshalCOORejectsTruncatedPayload(t *testing.T) {
 	g := Random(10, 20, 23)
 	data := MarshalCOO(g)
-	if _, err := UnmarshalCOO(data[:len(data)-4]); err == nil {
+	if _, err := UnmarshalCOO(data[:len(data)-4], g.N()); err == nil {
 		t.Fatal("truncated COO accepted")
 	}
 }
@@ -291,7 +298,7 @@ func TestUnmarshalCOORejectsOutOfRangeIndex(t *testing.T) {
 	data := MarshalCOO(g)
 	// Corrupt a column index to point beyond n.
 	data[len(data)-4] = 0xFF
-	if _, err := UnmarshalCOO(data); err == nil {
+	if _, err := UnmarshalCOO(data, g.N()); err == nil {
 		t.Fatal("out-of-range COO index accepted")
 	}
 }
@@ -301,7 +308,7 @@ func TestPropCOORoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
 		g := Random(n, rng.Intn(3*n), seed)
-		got, err := UnmarshalCOO(MarshalCOO(g))
+		got, err := UnmarshalCOO(MarshalCOO(g), n)
 		return err == nil && got.Equal(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

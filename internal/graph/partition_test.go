@@ -130,7 +130,7 @@ func TestPartition(t *testing.T) {
 			for i := range h.Data {
 				h.Data[i] = rng.NormFloat64()
 			}
-			want := na.MulDenseSerial(h)
+			want := na.MulDense(h)
 			got := reassemble(t, p, h)
 			for i, v := range want.Data {
 				if math.Float64bits(v) != math.Float64bits(got.Data[i]) {

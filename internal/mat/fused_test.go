@@ -119,15 +119,17 @@ func TestMatMulTransWorkersVariants(t *testing.T) {
 	b := fill(rng, New(19, 4))
 	wantA := MatMulTransA(a, b)
 	for _, w := range []int{1, 2, 4} {
-		if got := MatMulTransAWorkers(a, b, w); !got.Equal(wantA) {
-			t.Fatalf("MatMulTransAWorkers(%d) differs from MatMulTransA", w)
+		got := New(wantA.Rows, wantA.Cols)
+		if MatMulTransAWorkersInto(got, a, b, w); !got.Equal(wantA) {
+			t.Fatalf("MatMulTransAWorkersInto(%d) differs from MatMulTransA", w)
 		}
 	}
 	c := fill(rng, New(5, 6))
 	wantB := MatMulTransB(a, c)
 	for _, w := range []int{1, 2, 4} {
-		if got := MatMulTransBWorkers(a, c, w); !got.Equal(wantB) {
-			t.Fatalf("MatMulTransBWorkers(%d) differs from MatMulTransB", w)
+		got := New(wantB.Rows, wantB.Cols)
+		if MatMulTransBWorkersInto(got, a, c, w); !got.Equal(wantB) {
+			t.Fatalf("MatMulTransBWorkersInto(%d) differs from MatMulTransB", w)
 		}
 	}
 }

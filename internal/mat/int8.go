@@ -37,7 +37,7 @@ import "fmt"
 // accumulator keeps apart where shared int8 codes would collapse them,
 // and which — a per-element function of deterministic inputs — label a
 // row identically across direct, tiled and tile-parallel execution.
-// Serial; runs on the calling goroutine.
+// Single-threaded: runs on the calling goroutine.
 func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI8, resScales []float64, relu bool, dstScales []float64, acc []int32, labels []int) {
 	if a.Cols != w.Rows {
 		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto inner dimension mismatch %s · %s", a.Shape(), w.Shape()))

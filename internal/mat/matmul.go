@@ -45,17 +45,6 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MatMulSerial computes a·b on the calling goroutine only. The enclave
-// simulator uses it to model single-threaded in-enclave execution.
-func MatMulSerial(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MatMulSerial inner dimension mismatch %s · %s", a.Shape(), b.Shape()))
-	}
-	out := New(a.Rows, b.Cols)
-	matMulInto(out, a, b, 1)
-	return out
-}
-
 // matMulRow computes one output row of a·b under the row-accumulate
 // contract (axpy.go). Zero entries of arow are dropped — post-ReLU
 // activations are roughly half zeros, and each one saves a whole row of
@@ -105,15 +94,8 @@ func compactNonZeroGo(ab *[RowChunk]float64, ib *[RowChunk]int, chunk []float64,
 // dW = Hᵀ·dY in dense and GCN layers. Allocating wrapper over
 // MatMulTransAInto (GOMAXPROCS workers).
 func MatMulTransA(a, b *Matrix) *Matrix {
-	return MatMulTransAWorkers(a, b, 0)
-}
-
-// MatMulTransAWorkers is MatMulTransA under an explicit per-call worker
-// budget (MatMulBiasReLUInto semantics) — the form the training backward
-// passes use to carry a layer's worker budget.
-func MatMulTransAWorkers(a, b *Matrix, workers int) *Matrix {
 	out := New(a.Cols, b.Cols)
-	MatMulTransAWorkersInto(out, a, b, workers)
+	MatMulTransAInto(out, a, b)
 	return out
 }
 
@@ -122,13 +104,7 @@ func MatMulTransAWorkers(a, b *Matrix, workers int) *Matrix {
 // dH = dY·Wᵀ in dense and GCN layers. Allocating wrapper over
 // MatMulTransBInto (GOMAXPROCS workers).
 func MatMulTransB(a, b *Matrix) *Matrix {
-	return MatMulTransBWorkers(a, b, 0)
-}
-
-// MatMulTransBWorkers is MatMulTransB under an explicit per-call worker
-// budget (MatMulBiasReLUInto semantics).
-func MatMulTransBWorkers(a, b *Matrix, workers int) *Matrix {
 	out := New(a.Rows, b.Rows)
-	MatMulTransBWorkersInto(out, a, b, workers)
+	MatMulTransBInto(out, a, b)
 	return out
 }

@@ -62,15 +62,6 @@ func TestMatMulMatchesNaiveLarge(t *testing.T) {
 	}
 }
 
-func TestMatMulSerialMatchesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := RandNormal(rng, 64, 48, 0, 1)
-	b := RandNormal(rng, 48, 32, 0, 1)
-	if !MatMulSerial(a, b).EqualApprox(MatMul(a, b), 1e-12) {
-		t.Fatal("serial and parallel MatMul disagree")
-	}
-}
-
 func TestMatMulTransA(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := RandNormal(rng, 40, 30, 0, 1)
@@ -223,17 +214,6 @@ func BenchmarkMatMul256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMulSerial256(b *testing.B) {
-	rng := rand.New(rand.NewSource(14))
-	x := RandNormal(rng, 256, 256, 0, 1)
-	y := RandNormal(rng, 256, 256, 0, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulSerial(x, y)
 	}
 }
 

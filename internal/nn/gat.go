@@ -31,7 +31,6 @@ type GATConv struct {
 	dbAcc        []float64
 
 	struct_ *graph.NormAdjacency // adjacency structure incl. self loops
-	Serial  bool
 
 	// training caches
 	xCache     *mat.Matrix
@@ -80,12 +79,7 @@ func (l *GATConv) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	if x.Cols != l.InDim {
 		panic(fmt.Sprintf("nn: GATConv input dim %d, want %d", x.Cols, l.InDim))
 	}
-	var z *mat.Matrix
-	if l.Serial {
-		z = mat.MatMulSerial(x, l.W)
-	} else {
-		z = mat.MatMul(x, l.W)
-	}
+	z := mat.MatMul(x, l.W)
 	n := z.Rows
 	s := make([]float64, n) // aₛ·z_i
 	t := make([]float64, n) // aₜ·z_j
@@ -203,8 +197,8 @@ func (l *GATConv) Backward(dOut *mat.Matrix) *mat.Matrix {
 	for j, v := range dOut.ColSums() {
 		l.dbAcc[j] += v
 	}
-	l.dW.AddInPlace(mat.MatMulTransAWorkers(l.xCache, dz, kernelBudget(l.Serial)))
-	return mat.MatMulTransBWorkers(dz, l.W, kernelBudget(l.Serial))
+	l.dW.AddInPlace(mat.MatMulTransA(l.xCache, dz))
+	return mat.MatMulTransB(dz, l.W)
 }
 
 // Params exposes W, aₛ, aₜ and b.
@@ -219,10 +213,6 @@ func (l *GATConv) Params() []Param {
 
 // NumParams returns InDim·OutDim + 3·OutDim.
 func (l *GATConv) NumParams() int { return l.InDim*l.OutDim + 3*l.OutDim }
-
-// SetSerialMode switches the dense projection between parallel and
-// single-threaded execution (attention itself is always serial).
-func (l *GATConv) SetSerialMode(serial bool) { l.Serial = serial }
 
 // MultiHeadGAT concatenates H independent GAT heads (the standard
 // multi-head attention of Veličković et al. for hidden layers). OutDim is
@@ -286,11 +276,4 @@ func (m *MultiHeadGAT) NumParams() int {
 		n += head.NumParams()
 	}
 	return n
-}
-
-// SetSerialMode forwards to every head.
-func (m *MultiHeadGAT) SetSerialMode(serial bool) {
-	for _, head := range m.Heads {
-		head.SetSerialMode(serial)
-	}
 }

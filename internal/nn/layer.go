@@ -35,27 +35,10 @@ type Layer interface {
 	NumParams() int
 }
 
-// GraphConv is a layer whose kernels can be switched to single-threaded
-// execution, the mode the enclave simulator requires for in-enclave code.
-type GraphConv interface {
-	Layer
-	SetSerialMode(serial bool)
-}
-
 // Param couples a parameter matrix with its gradient accumulator.
 type Param struct {
 	Name    string
 	W, Grad *mat.Matrix
-}
-
-// kernelBudget maps a layer's Serial flag to a per-call worker budget: 1
-// (inline) for in-enclave layers, 0 (GOMAXPROCS) otherwise. The training
-// backward passes thread it into the Workers kernel variants.
-func kernelBudget(serial bool) int {
-	if serial {
-		return 1
-	}
-	return 0
 }
 
 // GCNConv is one graph-convolution layer: H' = Â·(H·W) + b, with Â fixed at
@@ -69,10 +52,6 @@ type GCNConv struct {
 	dwAcc         *mat.Matrix
 	dbAcc         []float64
 	adj           *graph.NormAdjacency
-
-	// Serial forces single-threaded sparse/dense kernels; the enclave
-	// simulator sets it to model in-enclave execution.
-	Serial bool
 
 	xCache  *mat.Matrix // input H
 	xwCache *mat.Matrix // H·W before propagation
@@ -107,23 +86,12 @@ func (l *GCNConv) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	if x.Cols != l.InDim {
 		panic(fmt.Sprintf("nn: GCNConv input dim %d, want %d", x.Cols, l.InDim))
 	}
-	var xw *mat.Matrix
-	if l.Serial {
-		xw = mat.MatMulSerial(x, l.W)
-	} else {
-		xw = mat.MatMul(x, l.W)
-	}
-	var out *mat.Matrix
-	if l.Serial {
-		out = l.adj.MulDenseSerial(xw)
-	} else {
-		out = l.adj.MulDense(xw)
-	}
+	xw := mat.MatMul(x, l.W)
 	if train {
 		l.xCache = x
 		l.xwCache = xw
 	}
-	return out.AddRowVector(l.B)
+	return l.adj.MulDense(xw).AddRowVector(l.B)
 }
 
 // Backward receives dL/dOut and returns dL/dX.
@@ -138,12 +106,12 @@ func (l *GCNConv) Backward(dOut *mat.Matrix) *mat.Matrix {
 	if l.xCache == nil {
 		panic("nn: GCNConv.Backward before Forward(train=true)")
 	}
-	dxw := l.adj.MulDenseWorkers(dOut, kernelBudget(l.Serial)) // Â symmetric ⇒ Âᵀ = Â
-	l.dwAcc.AddInPlace(mat.MatMulTransAWorkers(l.xCache, dxw, kernelBudget(l.Serial)))
+	dxw := l.adj.MulDense(dOut) // Â symmetric ⇒ Âᵀ = Â
+	l.dwAcc.AddInPlace(mat.MatMulTransA(l.xCache, dxw))
 	for j, s := range dOut.ColSums() {
 		l.dbAcc[j] += s
 	}
-	return mat.MatMulTransBWorkers(dxw, l.W, kernelBudget(l.Serial))
+	return mat.MatMulTransB(dxw, l.W)
 }
 
 // Params exposes W and b (as a 1×OutDim matrix view) for the optimiser.
@@ -157,10 +125,6 @@ func (l *GCNConv) Params() []Param {
 // NumParams returns InDim·OutDim + OutDim.
 func (l *GCNConv) NumParams() int { return l.InDim*l.OutDim + l.OutDim }
 
-// SetSerialMode switches the layer's kernels between parallel and
-// single-threaded execution.
-func (l *GCNConv) SetSerialMode(serial bool) { l.Serial = serial }
-
 // Dense is a fully-connected layer Y = XW + b, used for the paper's DNN
 // (MLP) backbone baseline.
 type Dense struct {
@@ -169,7 +133,6 @@ type Dense struct {
 	B             []float64
 	dwAcc         *mat.Matrix
 	dbAcc         []float64
-	Serial        bool
 
 	xCache *mat.Matrix
 }
@@ -194,13 +157,7 @@ func (l *Dense) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	if train {
 		l.xCache = x
 	}
-	var xw *mat.Matrix
-	if l.Serial {
-		xw = mat.MatMulSerial(x, l.W)
-	} else {
-		xw = mat.MatMul(x, l.W)
-	}
-	return xw.AddRowVector(l.B)
+	return mat.MatMul(x, l.W).AddRowVector(l.B)
 }
 
 // Backward returns dL/dX and accumulates dW, db.
@@ -208,11 +165,11 @@ func (l *Dense) Backward(dOut *mat.Matrix) *mat.Matrix {
 	if l.xCache == nil {
 		panic("nn: Dense.Backward before Forward(train=true)")
 	}
-	l.dwAcc.AddInPlace(mat.MatMulTransAWorkers(l.xCache, dOut, kernelBudget(l.Serial)))
+	l.dwAcc.AddInPlace(mat.MatMulTransA(l.xCache, dOut))
 	for j, s := range dOut.ColSums() {
 		l.dbAcc[j] += s
 	}
-	return mat.MatMulTransBWorkers(dOut, l.W, kernelBudget(l.Serial))
+	return mat.MatMulTransB(dOut, l.W)
 }
 
 // Params exposes W and b for the optimiser.
@@ -225,10 +182,6 @@ func (l *Dense) Params() []Param {
 
 // NumParams returns InDim·OutDim + OutDim.
 func (l *Dense) NumParams() int { return l.InDim*l.OutDim + l.OutDim }
-
-// SetSerialMode switches the layer's kernels between parallel and
-// single-threaded execution.
-func (l *Dense) SetSerialMode(serial bool) { l.Serial = serial }
 
 // ReLU is the element-wise rectifier.
 type ReLU struct {

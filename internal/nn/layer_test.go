@@ -71,18 +71,6 @@ func TestGCNConvMatchesDenseFormula(t *testing.T) {
 	}
 }
 
-func TestGCNConvSerialMatchesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	l := NewGCNConv(rng, 8, 4, testAdj(30, 6))
-	x := mat.RandNormal(rng, 30, 8, 0, 1)
-	par := l.Forward(x, false)
-	l.Serial = true
-	ser := l.Forward(x, false)
-	if !par.EqualApprox(ser, 1e-12) {
-		t.Fatal("serial and parallel GCNConv disagree")
-	}
-}
-
 func TestGCNConvSetAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a1 := testAdj(12, 7)

@@ -68,17 +68,6 @@ func (m *Model) NumParams() int {
 	return n
 }
 
-// SetSerial toggles single-threaded execution on every layer that supports
-// it. The enclave simulator switches the rectifier to serial mode to model
-// in-enclave execution.
-func (m *Model) SetSerial(serial bool) {
-	for _, l := range m.Layers {
-		if gc, ok := l.(GraphConv); ok {
-			gc.SetSerialMode(serial)
-		}
-	}
-}
-
 // ParamBytes returns the in-memory size of all parameters in bytes, used
 // for enclave EPC accounting and sealing.
 func (m *Model) ParamBytes() int64 { return int64(m.NumParams()) * 8 }

@@ -51,20 +51,6 @@ func TestModelNumParams(t *testing.T) {
 	}
 }
 
-func TestModelSetSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	adj := testAdj(8, 22)
-	m := NewModel(NewGCNConv(rng, 3, 2, adj), NewReLU(), NewDense(rng, 2, 2))
-	m.SetSerial(true)
-	if !m.Layers[0].(*GCNConv).Serial || !m.Layers[2].(*Dense).Serial {
-		t.Fatal("SetSerial did not reach all layers")
-	}
-	m.SetSerial(false)
-	if m.Layers[0].(*GCNConv).Serial {
-		t.Fatal("SetSerial(false) did not clear")
-	}
-}
-
 func TestGradCheckGCN(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n := 9

@@ -24,7 +24,6 @@ type SAGEConv struct {
 	dbAcc         []float64
 
 	agg, aggT *graph.NormAdjacency
-	Serial    bool
 
 	xCache  *mat.Matrix
 	mxCache *mat.Matrix // D⁻¹A·X
@@ -60,16 +59,9 @@ func (l *SAGEConv) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	if x.Cols != l.InDim {
 		panic(fmt.Sprintf("nn: SAGEConv input dim %d, want %d", x.Cols, l.InDim))
 	}
-	var mx, self, nbr *mat.Matrix
-	if l.Serial {
-		mx = l.agg.MulDenseSerial(x)
-		self = mat.MatMulSerial(x, l.WSelf)
-		nbr = mat.MatMulSerial(mx, l.WNbr)
-	} else {
-		mx = l.agg.MulDense(x)
-		self = mat.MatMul(x, l.WSelf)
-		nbr = mat.MatMul(mx, l.WNbr)
-	}
+	mx := l.agg.MulDense(x)
+	self := mat.MatMul(x, l.WSelf)
+	nbr := mat.MatMul(mx, l.WNbr)
 	if train {
 		l.xCache = x
 		l.mxCache = mx
@@ -87,14 +79,13 @@ func (l *SAGEConv) Backward(dOut *mat.Matrix) *mat.Matrix {
 	if l.xCache == nil {
 		panic("nn: SAGEConv.Backward before Forward(train=true)")
 	}
-	w := kernelBudget(l.Serial)
-	l.dwSelf.AddInPlace(mat.MatMulTransAWorkers(l.xCache, dOut, w))
-	l.dwNbr.AddInPlace(mat.MatMulTransAWorkers(l.mxCache, dOut, w))
+	l.dwSelf.AddInPlace(mat.MatMulTransA(l.xCache, dOut))
+	l.dwNbr.AddInPlace(mat.MatMulTransA(l.mxCache, dOut))
 	for j, s := range dOut.ColSums() {
 		l.dbAcc[j] += s
 	}
-	dx := mat.MatMulTransBWorkers(dOut, l.WSelf, w)
-	dxNbr := l.aggT.MulDenseWorkers(mat.MatMulTransBWorkers(dOut, l.WNbr, w), w)
+	dx := mat.MatMulTransB(dOut, l.WSelf)
+	dxNbr := l.aggT.MulDense(mat.MatMulTransB(dOut, l.WNbr))
 	return dx.AddInPlace(dxNbr)
 }
 
@@ -109,7 +100,3 @@ func (l *SAGEConv) Params() []Param {
 
 // NumParams returns 2·InDim·OutDim + OutDim.
 func (l *SAGEConv) NumParams() int { return 2*l.InDim*l.OutDim + l.OutDim }
-
-// SetSerialMode switches the layer's kernels between parallel and
-// single-threaded execution.
-func (l *SAGEConv) SetSerialMode(serial bool) { l.Serial = serial }

@@ -163,18 +163,6 @@ func TestSAGEGATTrainingConverges(t *testing.T) {
 	}
 }
 
-func TestSAGESerialMatchesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := graph.Random(30, 60, 11)
-	l := sageOver(rng, 8, 4, g)
-	x := mat.RandNormal(rng, 30, 8, 0, 1)
-	par := l.Forward(x, false)
-	l.Serial = true
-	if !par.EqualApprox(l.Forward(x, false), 1e-12) {
-		t.Fatal("SAGE serial/parallel mismatch")
-	}
-}
-
 func TestMultiHeadGATShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	g := graph.Random(12, 24, 20)
@@ -210,17 +198,5 @@ func TestGradCheckMultiHeadGAT(t *testing.T) {
 	}
 	if worst := GradCheck(m, x, lossFn, 0); worst > 1e-4 {
 		t.Fatalf("multi-head GAT gradient check failed: worst %v", worst)
-	}
-}
-
-func TestMultiHeadGATSerialMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	g := graph.Random(10, 20, 23)
-	l := NewMultiHeadGAT(rng, 4, 4, 2, graph.SelfLoopAdjacency(g))
-	l.SetSerialMode(true)
-	for _, h := range l.Heads {
-		if !h.Serial {
-			t.Fatal("SetSerialMode did not reach heads")
-		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // recorder model. Recording takes a mutex (spans are multi-word structs;
 // a lock is the race-free way to publish them to readers) but never
 // allocates; at serving rates of ~10 spans per millisecond-scale query
-// the lock is far below measurement noise, which the obs overhead gate
-// (BENCH_obs.json) holds at ≤5%.
+// the lock is far below measurement noise; `go run ./bench -trace 1`
+// reports what a live ring costs a workload as obs.trace_overhead_share.
 type Ring struct {
 	start time.Time
 	ids   atomic.Uint64

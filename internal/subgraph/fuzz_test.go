@@ -66,8 +66,8 @@ func FuzzInducedSubgraph(f *testing.F) {
 		GatherRowsInto(gathered, x, ws.Nodes())
 
 		// Dense reference: full Â as a dense matrix times X.
-		want := mat.MatMulSerial(adj.Dense(), x)
-		got := sub.MulDenseSerial(gathered)
+		want := mat.MatMul(adj.Dense(), x)
+		got := sub.MulDense(gathered)
 
 		for i, seed := range seeds {
 			for j := 0; j < d; j++ {

@@ -183,8 +183,8 @@ func TestInduceHop1Exact(t *testing.T) {
 
 	gathered := mat.New(n, x.Cols)
 	GatherRowsInto(gathered, x, ws.Nodes())
-	got := sub.MulDenseSerial(gathered)
-	want := adj.MulDenseSerial(x)
+	got := sub.MulDense(gathered)
+	want := adj.MulDense(x)
 
 	for i, s := range seeds {
 		for j := 0; j < x.Cols; j++ {
