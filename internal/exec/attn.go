@@ -15,8 +15,9 @@ import (
 //	dst[i] = epilogue(Σⱼ α[j] · z[j])
 //
 // — the stable softmax of GAT's edge scores, whose coefficients are then
-// simply the multipliers of one row accumulate (mat.RowAccumulate) over
-// z's rows, look-ahead hints included. It therefore shares SpMM's operand
+// simply the multipliers of one row accumulate over z's rows, look-ahead
+// hints included, finished by the fused epilogue in the same kernel call
+// (mat.CheckedEpilogue.ProductRow). It therefore shares SpMM's operand
 // rule (z and t are read whole, s and dst by row), its nnz-balanced split
 // across tile workers and its fusable epilogue, and its rows are
 // independent: tiled == direct == tile-parallel bit for bit.
@@ -94,7 +95,10 @@ func (m *Machine) attnRowsF64(out *mat.Matrix, w int, op *Op, lo, hi int, res *m
 	s, t, z := &m.views[op.Srcs[0]], &m.views[op.Srcs[1]], &m.views[op.Srcs[2]]
 	d := z.Cols
 	base := st.RowPtr[lo]
+	// The span's proofs, before its first row: the structure's columns
+	// against z's height, the epilogue operands against the rows' shape.
 	checked := mat.CheckIndices(st.ColIdx[base:st.RowPtr[hi]], z.Rows)
+	epi := mat.CheckEpilogue(hi-lo, d, op.Epi.Bias, res, op.Epi.ReLU)
 	for i := lo; i < hi; i++ {
 		p, end := st.RowPtr[i], st.RowPtr[i+1]
 		cols := st.ColIdx[p:end]
@@ -107,13 +111,7 @@ func (m *Machine) attnRowsF64(out *mat.Matrix, w int, op *Op, lo, hi int, res *m
 		if a := i + attnAhead; a < st.N {
 			ahead = st.ColIdx[st.RowPtr[a]:st.RowPtr[a+1]]
 		}
-		orow := out.Data[(i-lo)*d : (i-lo+1)*d]
-		mat.RowAccumulate(orow, alpha, checked.Slice(p-base, end-base), z.Data, false, ahead)
-		var rrow []float64
-		if res != nil {
-			rrow = res.Data[(i-lo)*d : (i-lo+1)*d]
-		}
-		mat.ApplyEpilogueRow(orow, op.Epi.Bias, rrow, op.Epi.ReLU)
+		epi.ProductRow(out.Data[(i-lo)*d:(i-lo+1)*d], alpha, checked.Slice(p-base, end-base), z.Data, i-lo, ahead)
 	}
 }
 

@@ -184,6 +184,29 @@ type Program struct {
 // machines planned from it can only Run inside a Fleet, at full height.
 func (p *Program) HasHalo() bool { return p.hasHalo }
 
+// haloHosts returns, per value, the halo destination that hosts it — the
+// value gathered into dst by an OpHalo is, row for row, the first
+// MaxRows rows of dst (a halo program runs at full height only), so
+// machines make its buffer a view of them instead of a second buffer
+// copied over every run — or -1. An input is never hosted: it aliases
+// the caller's matrix, and neither is a halo destination gathered
+// again. A value gathered twice is hosted by its first halo op and copied
+// by the others.
+func (p *Program) haloHosts() []int {
+	hosts := make([]int, len(p.vals))
+	for i := range hosts {
+		hosts[i] = -1
+	}
+	for i := range p.ops {
+		if op := &p.ops[i]; op.Kind == OpHalo {
+			if src := op.Srcs[0]; p.vals[src].input < 0 && p.vals[src].extra == 0 && hosts[src] < 0 {
+				hosts[src] = op.Dst
+			}
+		}
+	}
+	return hosts
+}
+
 // NumInputs returns how many external input matrices Run expects.
 func (p *Program) NumInputs() int { return p.numInputs }
 
@@ -477,6 +500,11 @@ type Machine struct {
 	// F64 state. An I8 machine keeps its values in q instead and binds only
 	// the output's entry of views, to the dequantized result.
 	spill []*mat.Matrix // per value; nil for inputs and dead values
+	// host is, per value, the halo destination whose buffer's first
+	// MaxRows rows are the value's own buffer, or -1 (haloHosts): a
+	// gathered value's producer writes the local rows of the
+	// halo-extended operand in place. Either element type.
+	host  []int
 	tiles []*mat.Matrix // tiled mode: per-worker EPC-resident staging buffers
 	views []mat.Matrix  // per value: full-rows header, bound per Run
 
@@ -594,6 +622,7 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 		}
 	}
 	m.attnRow = p.maxAttnRow()
+	m.host = p.haloHosts()
 	if m.elem == I8 {
 		if err := m.planI8(); err != nil {
 			return nil, err
@@ -602,8 +631,13 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 	}
 	m.spill = make([]*mat.Matrix, len(p.vals))
 	for i, v := range p.vals {
-		if v.input < 0 && !v.dead {
+		if v.input < 0 && !v.dead && m.host[i] < 0 {
 			m.spill[i] = mat.New(p.MaxRows+v.extra, v.width)
+		}
+	}
+	for i, host := range m.host {
+		if host >= 0 {
+			m.spill[i] = m.spill[host].ViewRows(0, p.MaxRows, new(mat.Matrix))
 		}
 	}
 	if m.tiled {
@@ -650,20 +684,21 @@ func (m *Machine) TileBytes() int64 {
 // BufferBytes returns the total footprint of the machine's value buffers
 // at the machine's element width plus the attention scratch rows — the
 // enclave charge of a *direct* in-enclave machine, and (scratch aside)
-// the spilled, untrusted, uncharged residency of a tiled one. For I8
+// the spilled, untrusted, uncharged residency of a tiled one. A value
+// hosted in its halo destination's buffer is counted there, once. For I8
 // machines this counts the code buffers only; the boundary quantization
 // buffers and the dequantized output live with the caller's payload
 // accounting, not the enclave working set (see the quantized type).
 func (m *Machine) BufferBytes() int64 {
 	n := int64(m.tileWorkers*m.attnRow) * 8
-	for _, s := range m.spill {
-		if s != nil {
+	for i, s := range m.spill {
+		if s != nil && m.host[i] < 0 {
 			n += s.NumBytes()
 		}
 	}
 	if m.q != nil {
-		for _, s := range m.q.spill {
-			if s != nil {
+		for i, s := range m.q.spill {
+			if s != nil && m.host[i] < 0 {
 				n += s.NumBytes()
 			}
 		}
@@ -1019,15 +1054,19 @@ func (m *Machine) runRowsF64(w int, op *Op, lo, hi int, labels []int) {
 }
 
 // runHalo gathers one halo-exchange op once Run has passed its barrier:
-// copy the local rows of src into dst, then each slot's peer row below
-// them. The copies are bit-exact row moves at the machine's element
-// width, so sharded execution inherits the engine's bit-identity
+// the local rows of src are dst's first rows already when src is hosted
+// there (its producer wrote them in place) and are copied otherwise (an
+// input, which lives in the caller's memory); each slot's peer row goes
+// below them. The copies are bit-exact row moves at the machine's
+// element width, so sharded execution inherits the engine's bit-identity
 // contract; the op runs full-height in every mode (direct, serial-tiled,
 // tile-parallel) on the calling goroutine.
 func (m *Machine) runHalo(op *Op, rows int) {
 	src, dst := op.Srcs[0], op.Dst
 	d := m.prog.vals[dst].width
-	m.copyRows(dst, 0, m, src, 0, rows, d)
+	if m.host[src] != dst {
+		m.copyRows(dst, 0, m, src, 0, rows, d)
+	}
 	// Halo slots are sorted by global column, so consecutive slots owned
 	// by the same peer with adjacent local rows form runs that gather as
 	// one copy each. On power-law graphs the halo is near-all-to-all and

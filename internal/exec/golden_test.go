@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -14,14 +16,18 @@ import (
 	"gnnvault/internal/mat"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/int8_golden.json from this build's int8 codes")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files of the golden tests that run (testdata/int8_golden.json, testdata/fp64_golden.json) from this build's values")
 
-const goldenI8Path = "testdata/int8_golden.json"
+const (
+	goldenI8Path  = "testdata/int8_golden.json"
+	goldenF64Path = "testdata/fp64_golden.json"
+)
 
-// goldenI8 is one program's int8 fingerprint: an FNV-1a hash of every
-// live value's codes after a Run (inputs' boundary codes included, in
-// value order) and one of the labels.
-type goldenI8 struct {
+// golden is one program's fingerprint at one element type: an FNV-1a
+// hash of every live value after a Run (inputs included — at int8 their
+// boundary codes — in value order; int8 codes a byte each, fp64 elements
+// their eight bytes little-endian) and one of the labels.
+type golden struct {
 	Values []string `json:"values"`
 	Labels string   `json:"labels"`
 }
@@ -75,8 +81,8 @@ func goldenPrograms() map[string]func() (*Program, *mat.Matrix) {
 	}
 }
 
-// fingerprintI8 runs prog at int8 under cfg and hashes what it left.
-func fingerprintI8(t *testing.T, prog *Program, cfg Config, x *mat.Matrix) goldenI8 {
+// fingerprint runs prog under cfg and hashes what it left.
+func fingerprint(t *testing.T, prog *Program, cfg Config, x *mat.Matrix) golden {
 	t.Helper()
 	m, err := prog.NewMachine(cfg)
 	if err != nil {
@@ -84,16 +90,26 @@ func fingerprintI8(t *testing.T, prog *Program, cfg Config, x *mat.Matrix) golde
 	}
 	labels := make([]int, x.Rows)
 	m.Run(x.Rows, []*mat.Matrix{x}, labels)
-	var g goldenI8
+	var g golden
 	for i, v := range prog.vals {
 		if v.dead {
 			continue
 		}
 		h := fnv.New64a()
-		view := &m.q.views[i]
-		fmt.Fprintf(h, "%d:%dx%d:", i, view.Rows, view.Cols)
-		for _, q := range view.Data {
-			h.Write([]byte{byte(q)})
+		if cfg.Elem == I8 {
+			view := &m.q.views[i]
+			fmt.Fprintf(h, "%d:%dx%d:", i, view.Rows, view.Cols)
+			for _, q := range view.Data {
+				h.Write([]byte{byte(q)})
+			}
+		} else {
+			view := &m.views[i]
+			fmt.Fprintf(h, "%d:%dx%d:", i, view.Rows, view.Cols)
+			var b [8]byte
+			for _, f := range view.Data {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+				h.Write(b[:])
+			}
 		}
 		g.Values = append(g.Values, fmt.Sprintf("%016x", h.Sum64()))
 	}
@@ -114,43 +130,61 @@ func fingerprintI8(t *testing.T, prog *Program, cfg Config, x *mat.Matrix) golde
 // include float64 calibration and math.Exp results, so they are
 // recorded on, and checked on, amd64 only — the AVX2 and purego builds
 // both.
-func TestI8GoldenCodes(t *testing.T) {
+func TestI8GoldenCodes(t *testing.T) { requireGolden(t, goldenI8Path, I8) }
+
+// TestF64GoldenValues is the same fence at fp64: every bit of every live
+// value and every label of the three programs, in direct, tiled and
+// tile-parallel plans, against hashes recorded by the commit before the
+// fp64 product rows moved into range kernel calls with the epilogue
+// finished in the accumulators (testdata/fp64_golden.json) — so the
+// AVX2 and purego builds are compared with what the per-row kernels
+// computed, not assumed equal to it. The programs' values hold no NaN,
+// whose payload no kernel can pin.
+func TestF64GoldenValues(t *testing.T) { requireGolden(t, goldenF64Path, F64) }
+
+// requireGolden holds the golden programs at elem, in the three plan
+// modes, to the fingerprints in path — or, under -update-golden, records
+// them there, refusing if the modes disagree.
+func requireGolden(t *testing.T, path string, elem Elem) {
 	if runtime.GOARCH != "amd64" {
-		t.Skip("golden int8 codes are recorded on amd64")
+		t.Skip("golden values are recorded on amd64")
 	}
-	golden := map[string]goldenI8{}
+	recorded := map[string]golden{}
 	if !*updateGolden {
-		raw, err := os.ReadFile(goldenI8Path)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Unmarshal(raw, &golden); err != nil {
-			t.Fatalf("%s: %v", goldenI8Path, err)
+		if err := json.Unmarshal(raw, &recorded); err != nil {
+			t.Fatalf("%s: %v", path, err)
 		}
 	}
 	for name, build := range goldenPrograms() {
 		prog, x := build()
-		scales, _, err := CalibrateScales(prog, x.Rows, []*mat.Matrix{x})
-		if err != nil {
-			t.Fatalf("%s: CalibrateScales: %v", name, err)
+		var scales [][]float64
+		if elem == I8 {
+			var err error
+			if scales, _, err = CalibrateScales(prog, x.Rows, []*mat.Matrix{x}); err != nil {
+				t.Fatalf("%s: CalibrateScales: %v", name, err)
+			}
 		}
 		for _, mode := range []struct {
 			name string
 			cfg  Config
 		}{
-			{"direct", Config{Workers: 1, Elem: I8, Scales: scales}},
-			{"tiled", Config{TileRows: 13, Workers: 1, Elem: I8, Scales: scales}},
-			{"tile-parallel", Config{TileRows: 13, Workers: 3, Elem: I8, Scales: scales}},
+			{"direct", Config{Workers: 1, Elem: elem, Scales: scales}},
+			{"tiled", Config{TileRows: 13, Workers: 1, Elem: elem, Scales: scales}},
+			{"tile-parallel", Config{TileRows: 13, Workers: 3, Elem: elem, Scales: scales}},
 		} {
-			got := fingerprintI8(t, prog, mode.cfg, x)
+			got := fingerprint(t, prog, mode.cfg, x)
 			if *updateGolden {
-				if prev, ok := golden[name]; ok && !(slices.Equal(prev.Values, got.Values) && prev.Labels == got.Labels) {
+				if prev, ok := recorded[name]; ok && !(slices.Equal(prev.Values, got.Values) && prev.Labels == got.Labels) {
 					t.Fatalf("%s %s differs from %s direct: nothing to record", name, mode.name, name)
 				}
-				golden[name] = got
+				recorded[name] = got
 				continue
 			}
-			want, ok := golden[name]
+			want, ok := recorded[name]
 			if !ok {
 				t.Fatalf("%s: no golden entry", name)
 			}
@@ -168,11 +202,11 @@ func TestI8GoldenCodes(t *testing.T) {
 		}
 	}
 	if *updateGolden {
-		raw, err := json.MarshalIndent(golden, "", "  ")
+		raw, err := json.MarshalIndent(recorded, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenI8Path, append(raw, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -162,8 +162,13 @@ func (m *Machine) planI8() error {
 		switch {
 		case v.input >= 0:
 			q.in[v.input] = mat.NewI8(p.MaxRows, v.width)
-		case !v.dead:
+		case !v.dead && m.host[i] < 0:
 			q.spill[i] = mat.NewI8(p.MaxRows+v.extra, v.width)
+		}
+	}
+	for i, host := range m.host {
+		if host >= 0 {
+			q.spill[i] = q.spill[host].ViewRows(0, p.MaxRows, new(mat.MatrixI8))
 		}
 	}
 	if m.tiled {

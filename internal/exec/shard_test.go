@@ -218,8 +218,10 @@ func TestShardedExecBitIdentical(t *testing.T) {
 }
 
 // TestShardedHaloAccounting pins the halo/spill pricing: HaloBytes sums
-// slot×width bytes per halo op at the element width, and a halo
-// destination's extra rows join SpillTraffic.
+// slot×width bytes per halo op at the element width, a halo
+// destination's extra rows join SpillTraffic, and a gathered value is
+// hosted in its destination's first rows — one buffer, counted once in
+// BufferBytes, not a second one copied over every run.
 func TestShardedHaloAccounting(t *testing.T) {
 	const n, d0, h, classes = 40, 3, 6, 4
 	rng := rand.New(rand.NewSource(5))
@@ -264,6 +266,22 @@ func TestShardedHaloAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		machines[s] = m
+		wantBuf := int64(0)
+		for _, op := range p.Ops() {
+			switch {
+			case op.Kind == OpHalo:
+				src, dst := m.spill[op.Srcs[0]], m.spill[op.Dst]
+				if &src.Data[0] != &dst.Data[0] || src.Rows != p.MaxRows {
+					t.Fatalf("shard %d: halo source %d is not the first %d rows of its destination", s, op.Srcs[0], p.MaxRows)
+				}
+				wantBuf += int64(p.MaxRows+len(op.Halo)) * int64(p.vals[op.Dst].width) * 8
+			case op.Dst >= 0 && m.host[op.Dst] < 0:
+				wantBuf += int64(p.MaxRows) * int64(p.vals[op.Dst].width) * 8
+			}
+		}
+		if got := m.BufferBytes(); got != wantBuf {
+			t.Fatalf("shard %d BufferBytes %d, want %d (halo sources counted in their destinations)", s, got, wantBuf)
+		}
 	}
 	fleet, err := NewFleet(machines)
 	if err != nil {

@@ -100,8 +100,8 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 // outside H in the middle of a range panics — at fp64 and at int8, for
 // the whole operator and for a range whose own rows hold it — with no
 // destination row written, and a range that does not reach the bad
-// column is computed as ever. A short int8 epilogue operand is refused
-// the same way.
+// column is computed as ever. A short epilogue operand — fp64 bias or
+// residual, any of int8's — is refused the same way.
 func TestSpMMRejectsCorruptColumnBeforeWriting(t *testing.T) {
 	const n, d = 400, 8
 	rng := rand.New(rand.NewSource(33))
@@ -149,6 +149,31 @@ func TestSpMMRejectsCorruptColumnBeforeWriting(t *testing.T) {
 		na.ColIdx[pos] = good
 	}
 
+	// The fp64 epilogue operands are proved once per op too
+	// (mat.CheckEpilogue): a bias or a residual that does not fit the
+	// destination panics before any row is written, serial or banded.
+	dst := mat.New(n, d)
+	for i := range dst.Data {
+		dst.Data[i] = 7
+	}
+	cutRes := mat.New(n, d)
+	cutRes.Data = cutRes.Data[:n*d-1]
+	for name, fn := range map[string]func(){
+		"bias":             func() { na.MulDenseBiasReLUInto(dst, h, ones[:d-1], nil, true, 1) },
+		"long bias":        func() { na.MulDenseBiasReLUInto(dst, h, append(ones, 1), nil, false, 3) },
+		"residual rows":    func() { na.MulDenseBiasReLUInto(dst, h, nil, mat.New(n-1, d), false, 1) },
+		"residual cols":    func() { na.MulDenseBiasReLUInto(dst, h, ones, mat.New(n, d+1), true, 3) },
+		"residual storage": func() { na.MulDenseBiasReLUInto(dst, h, nil, cutRes, false, 1) },
+		"ranged residual":  func() { na.MulDenseBiasReLURangeInto(mat.New(10, d), h, 5, 15, nil, mat.New(11, d), false, 1) },
+	} {
+		mustPanic(t, fn)
+		for i, v := range dst.Data {
+			if v != 7 {
+				t.Fatalf("mis-shaped fp64 %s: element %d written before the panic", name, i)
+			}
+		}
+	}
+
 	// The int8 epilogue operands are proved once per range too
 	// (mat.CheckEpilogueI8): a short one panics before any row is written.
 	dst8, res8 := mat.NewI8(n, d), mat.NewI8(n, d)
@@ -172,5 +197,64 @@ func TestSpMMRejectsCorruptColumnBeforeWriting(t *testing.T) {
 				t.Fatalf("short %s: element %d written before the panic", name, i)
 			}
 		}
+	}
+}
+
+// TestSpMMRejectsCorruptRowPtrBeforeWriting: the fp64 kernel walks a
+// range's row pointers without Go's slicing to bound them, so they are
+// proved with the columns, once per range and ahead of its first row
+// (mat.CheckCSR): a pointer that falls, goes negative or runs past the
+// non-zeros — in the range, or in the look-ahead rows after it — panics
+// at fp64 and at int8 with no destination row written, where slicing used
+// to stop such a range only when it reached the bad row, the rows before
+// it already stored. A range that ends short of the bad pointer and of
+// the rows it hints at is computed as ever.
+func TestSpMMRejectsCorruptRowPtrBeforeWriting(t *testing.T) {
+	const n, d = 400, 8
+	rng := rand.New(rand.NewSource(34))
+	na := raggedCSR(rng, n, n)
+	h := benchDense(n, d)
+	h8 := mat.NewI8(n, d)
+	ones := make([]float64, d)
+	for j := range ones {
+		ones[j] = 1
+	}
+	badRow := n / 2
+	for na.RowPtr[badRow] == na.RowPtr[badRow-1] || na.RowPtr[badRow] == na.RowPtr[badRow+1] {
+		badRow++
+	}
+	good := na.RowPtr[badRow]
+	for name, bad := range map[string]int{
+		"falling":       na.RowPtr[badRow-1] - 1,
+		"negative":      -3,
+		"past the end":  na.NNZ() + 1,
+		"past its next": na.RowPtr[badRow+1] + 1,
+	} {
+		na.RowPtr[badRow] = bad
+		for _, r := range [][2]int{{0, n}, {badRow - 20, badRow + 20}, {badRow - 20, badRow - 1}, {badRow - 1, badRow + 20}} {
+			lo, hi := r[0], r[1]
+			dst := mat.New(hi-lo, d)
+			for i := range dst.Data {
+				dst.Data[i] = 7
+			}
+			mustPanic(t, func() { na.MulDenseBiasReLURangeInto(dst, h, lo, hi, ones, nil, true, 1) })
+			dst8 := mat.NewI8(hi-lo, d)
+			for i := range dst8.Data {
+				dst8.Data[i] = 7
+			}
+			mustPanic(t, func() {
+				na.MulDenseI8EpilogueRangeInto(dst8, h8, lo, hi, 1, ones, nil, nil, nil, false, ones, make([]int32, d), nil)
+			})
+			for i := range dst.Data {
+				if dst.Data[i] != 7 || dst8.Data[i] != 7 {
+					t.Fatalf("%s pointer %d at row %d, range [%d,%d): element %d written before the panic (fp64 %v, int8 %d)",
+						name, bad, badRow, lo, hi, i, dst.Data[i], dst8.Data[i])
+				}
+			}
+		}
+		// Rows that neither hold the bad pointer nor look ahead to it are
+		// none of its business.
+		na.MulDenseBiasReLURangeInto(mat.New(badRow-gatherAhead-1, d), h, 0, badRow-gatherAhead-1, nil, nil, false, 1)
+		na.RowPtr[badRow] = good
 	}
 }

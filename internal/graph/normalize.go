@@ -134,10 +134,10 @@ func (na *NormAdjacency) NNZBound(lo, hi, part, parts int) int {
 }
 
 // gatherAhead is how many CSR rows ahead of the row being summed the
-// products below look: while row i accumulates, the row accumulate is
-// handed row i+gatherAhead's column indices as its look-ahead operand
-// (mat.RowAccumulate), so the source rows they name are on their way
-// into cache when their turn comes — a gather from L3 then runs at the
+// products below look: while row i accumulates, row i+gatherAhead's
+// column indices are its look-ahead operand (the row contract's
+// look-ahead clause, mat/axpy.go), so the source rows they name are on
+// their way into cache when their turn comes — a gather from L3 then runs at the
 // cache's bandwidth instead of its latency. The window slides over the
 // whole CSR, not the range being computed: the tile or band after this
 // one usually wants those rows next, and past the last row it is empty.
@@ -156,31 +156,15 @@ func (na *NormAdjacency) NNZBound(lo, hi, part, parts int) int {
 // non-zeros is not all the arithmetic the next row's misses hide behind.
 const gatherAhead = 2
 
-// accumRow computes graph row i of Â·H into orow: the CSR row's values
-// and column indices are the multipliers and row indices of one row
-// accumulate (mat.RowAccumulate), which initialises the row from its
-// first term and clears it when the CSR row is empty. cols is the
-// caller's range of column indices from CSR position base on, checked
-// against H's height once for the whole range (checkedCols); the row
-// takes its slice of them. The column indices gatherAhead rows on ride
-// along as hints.
-func (na *NormAdjacency) accumRow(orow []float64, h *mat.Matrix, i int, cols mat.CheckedIndices, base int) {
-	p, end := na.RowPtr[i], na.RowPtr[i+1]
-	var ahead []int
-	if a := i + gatherAhead; a < na.N {
-		ahead = na.ColIdx[na.RowPtr[a]:na.RowPtr[a+1]]
-	}
-	mat.RowAccumulate(orow, na.Val[p:end], cols.Slice(p-base, end-base), h.Data, false, ahead)
-}
-
-// checkedCols validates the column indices of graph rows [lo, hi) against
-// a source of rows rows — the one place a product over the CSR checks its
-// indices, once per range and before any output row is written, so a
-// corrupt column panics instead of reading out of bounds — and returns
-// them with the CSR position the first one sits at.
-func (na *NormAdjacency) checkedCols(lo, hi, rows int) (mat.CheckedIndices, int) {
-	base := na.RowPtr[lo]
-	return mat.CheckIndices(na.ColIdx[base:na.RowPtr[hi]], rows), base
+// checkedCols proves graph rows [lo, hi) safe to walk against a source
+// of rows rows — the one place a product over the CSR validates it, once
+// per range and before any output row is written (mat.CheckCSR): the row
+// pointers of the range and of the gatherAhead rows after it, which the
+// fp64 kernel reads without Go's slicing to bound them, and the range's
+// column indices, so a corrupt row pointer or column panics instead of
+// reading out of bounds, with no row of the destination touched.
+func (na *NormAdjacency) checkedCols(lo, hi, rows int) mat.CheckedCSR {
+	return mat.CheckCSR(na.RowPtr[:na.N+1], na.ColIdx, na.Val, lo, hi, gatherAhead, rows)
 }
 
 // MulDenseBiasReLURangeInto computes rows [lo, hi) of Â·H into dst, which
@@ -188,7 +172,7 @@ func (na *NormAdjacency) checkedCols(lo, hi, rows int) (mat.CheckedIndices, int)
 // epilogue of the fused exec ops applied to the finished rows while they
 // are still hot: dst = epilogue(Â[lo:hi]·H) with the optional bias
 // (broadcast), residual res (which must be (hi-lo)×H.Cols, aligned to dst)
-// and ReLU applied in canonical order (see mat.ApplyEpilogueRow); with all
+// and ReLU applied in canonical order (see mat.CheckedEpilogue); with all
 // three unset it is the plain ranged product. H must span all N rows — a
 // CSR row's neighbours reach outside [lo, hi) — which is exactly why the
 // tiled executor must materialise a layer's full input before streaming
@@ -208,10 +192,13 @@ func (na *NormAdjacency) MulDenseBiasReLURangeInto(dst, h *mat.Matrix, lo, hi in
 		panic(fmt.Sprintf("graph: MulDenseBiasReLURangeInto destination %s, want %dx%d", dst.Shape(), hi-lo, h.Cols))
 	}
 	mat.RequireNoAlias(dst, h, "graph: MulDenseBiasReLURangeInto")
-	na.requireEpilogue(dst, bias, res, "MulDenseBiasReLURangeInto")
+	if res != nil {
+		mat.RequireNoAlias(dst, res, "graph: MulDenseBiasReLURangeInto")
+	}
+	e := mat.CheckEpilogue(dst.Rows, dst.Cols, bias, res, relu)
 	w := mat.ResolveWorkers(workers, hi-lo)
 	if w <= 1 || hi-lo < 256 {
-		na.mulDenseEpilogueRange(dst, h, lo, hi, lo, bias, res, relu)
+		na.mulDenseEpilogueRange(dst, h, lo, hi, lo, &e)
 		return
 	}
 	var wg sync.WaitGroup
@@ -222,35 +209,14 @@ func (na *NormAdjacency) MulDenseBiasReLURangeInto(dst, h *mat.Matrix, lo, hi in
 			continue
 		}
 		wg.Add(1)
-		go func(blo, bhi int) {
+		// e by value: captured, it would move to the heap on the inline
+		// path too, which must not allocate.
+		go func(blo, bhi int, e mat.CheckedEpilogue) {
 			defer wg.Done()
-			na.mulDenseEpilogueRange(dst, h, blo, bhi, lo, bias, res, relu)
-		}(blo, bhi)
+			na.mulDenseEpilogueRange(dst, h, blo, bhi, lo, &e)
+		}(blo, bhi, e)
 	}
 	wg.Wait()
-}
-
-// requireEpilogue validates the optional epilogue operands against dst:
-// done once per kernel call so the per-row epilogue can run unchecked.
-func (na *NormAdjacency) requireEpilogue(dst *mat.Matrix, bias []float64, res *mat.Matrix, op string) {
-	if bias != nil && len(bias) != dst.Cols {
-		panic(fmt.Sprintf("graph: %s bias length %d != cols %d", op, len(bias), dst.Cols))
-	}
-	if res != nil {
-		mat.RequireNoAlias(dst, res, "graph: "+op)
-		if res.Rows != dst.Rows || res.Cols != dst.Cols {
-			panic(fmt.Sprintf("graph: %s residual %s != destination %s", op, res.Shape(), dst.Shape()))
-		}
-	}
-}
-
-// epilogueResRow returns local row i of the residual operand, nil when
-// there is none.
-func epilogueResRow(res *mat.Matrix, i, d int) []float64 {
-	if res == nil {
-		return nil
-	}
-	return res.Data[i*d : (i+1)*d]
 }
 
 // MulDenseBiasReLUInto is the full-height fused product dst =
@@ -261,25 +227,17 @@ func (na *NormAdjacency) MulDenseBiasReLUInto(dst, h *mat.Matrix, bias []float64
 	na.MulDenseBiasReLURangeInto(dst, h, 0, na.N, bias, res, relu, workers)
 }
 
-// mulDenseEpilogueRange accumulates graph rows [lo,hi) of Â·H into dst
-// rows [lo-base, hi-base), applying any epilogue to each row while it is
-// still cache-hot instead of in a trailing full pass (rows are
-// independent, so the element order — and the bits — are unchanged). The
-// caller validated the epilogue operands.
-func (na *NormAdjacency) mulDenseEpilogueRange(dst, h *mat.Matrix, lo, hi, base int, bias []float64, res *mat.Matrix, relu bool) {
-	d := h.Cols
-	cols, at := na.checkedCols(lo, hi, h.Rows)
-	if bias == nil && res == nil && !relu {
-		for i := lo; i < hi; i++ {
-			na.accumRow(dst.Data[(i-base)*d:(i-base+1)*d], h, i, cols, at)
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[(i-base)*d : (i-base+1)*d]
-		na.accumRow(drow, h, i, cols, at)
-		mat.ApplyEpilogueRow(drow, bias, epilogueResRow(res, i-base, d), relu)
-	}
+// mulDenseEpilogueRange computes graph rows [lo,hi) of Â·H into dst rows
+// [lo-base, hi-base), each finished by e's epilogue, as one sparse range
+// (mat.CheckedEpilogue.SparseRange): a CSR row's values and column
+// indices are the multipliers and row indices of one row accumulate,
+// which starts the row from its first term and clears it when the CSR row
+// is empty, and the column indices gatherAhead rows on ride along as
+// hints. Rows are independent, so the element order — and the bits — are
+// those of the unfused op sequence under any banding.
+func (na *NormAdjacency) mulDenseEpilogueRange(dst, h *mat.Matrix, lo, hi, base int, e *mat.CheckedEpilogue) {
+	c := na.checkedCols(lo, hi, h.Rows)
+	e.SparseRange(dst.Data[(lo-base)*h.Cols:(hi-base)*h.Cols], &c, h.Data, lo-base)
 }
 
 // Dense materialises Â as a dense matrix. Tests only.

@@ -75,8 +75,9 @@ func (na *NormAdjacency) MulDenseI8EpilogueRangeInto(dst, h *mat.MatrixI8, lo, h
 	// against the column count, the column indices against H's height.
 	d := h.Cols
 	e := mat.CheckEpilogueI8(d, deq, bias, resScales, dstScales, relu, labels != nil)
+	c := na.checkedCols(lo, hi, h.Rows)
 	vc := valCodes{scale: valScale, end: na.RowPtr[hi]}
-	vc.cols, vc.base = na.checkedCols(lo, hi, h.Rows)
+	vc.cols, vc.base = c.Indices()
 	acc = acc[:d]
 	for i := lo; i < hi; i++ {
 		alpha, idx, cont := na.accumRowHeadI8(acc, h, i, &vc)

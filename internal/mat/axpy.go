@@ -42,16 +42,61 @@ import "fmt"
 // it into a prefetch, which cannot fault, and the portable kernel drops
 // it.
 //
+// The range clause. The fp64 products do not cross into the kernel once
+// per row. A range call — CheckedEpilogue.SparseRange for the sparse
+// product, the dense range beneath MatMulBiasReLUInto for the dense one
+// (fused.go) — is this contract applied to rows lo … hi−1 of the product,
+// in that order, each row followed by the op's epilogue (bias add,
+// residual add, ReLU; fused.go has that composition clause), and nothing
+// else: row i's multipliers and indices are CSR row i's values and column
+// indices (dense: the non-zero entries of input row i and their
+// positions), its look-ahead operand the column indices of CSR row
+// i+ahead, and no operation of any row is dropped, added, reordered or
+// shared with another row. A range is therefore, bit for bit, the loop of
+// row calls it replaces; the portable range is literally that loop —
+// rowAccF64Go, then ApplyEpilogueRow, per row. A row with no term (an
+// isolated node's row of D⁻¹A, an all-zero input row) is cleared and then
+// finished like any other. An input row longer than RowChunk runs every
+// window of its compaction but the last bare, continuing onto the row,
+// and its last window carries the epilogue — the rule the int8 dense
+// product follows. The row door stays for products whose multipliers are
+// computed row by row (the attention aggregate: CheckedEpilogue.ProductRow)
+// and as the contract's bare entry (RowAccumulate); on amd64 it is the
+// range routine handed one row.
+//
+// What a range reads unchecked is proved once, before its first row is
+// written, when its caller mints two values. CheckCSR: the row pointers
+// from the range's first row through the end of its last look-ahead row
+// are non-negative, non-decreasing and inside the operator's values and
+// column indices — the kernel reads them where Go's slicing used to bound
+// every row — and the range's column indices name source rows
+// (CheckIndices). CheckEpilogue: the bias is one per column, the residual
+// as many rows and columns as the destination. The dense range's indices
+// are positions in an input row, in range by construction; its driver
+// proves that the weight, the input and the destination hold what their
+// shapes say. So a corrupt row pointer or column, a short bias and a
+// mis-shaped residual each panic before any destination byte changes,
+// and per call what is left is constant work.
+//
+// The masked-tail rule. A row's last p mod 4 columns are loaded — source
+// rows, bias and residual alike — under a lane mask (VMASKMOVPD: a masked
+// lane is not accessed and cannot fault) and stored by element, so at any
+// width no byte outside out[0:p], the p-wide source rows, bias[0:p] and
+// the residual row is touched. TestProductRangeF64Differential reads all
+// three operands flush against an unreadable page and writes out between
+// canaries.
+//
 // The contract has exactly two implementations: AVX2 assembly on amd64
 // (rowacc_amd64.s, chosen once at init from CPUID) and the portable Go
-// below, which is the fallback everywhere else, the only implementation
-// under the purego build tag, and the oracle the differential tests hold
-// the assembly to. Both perform the same IEEE operations on the same
-// operands in the same order for every output element, so they agree to
-// the last bit, and — each output row coming from one kernel call chain
-// in one order regardless of how rows are grouped — tiled == direct,
-// sharded == single and fused == unfused hold by row independence. The
-// int8 form accumulates exactly in int32 and is order-free.
+// below and in fused.go, which is the fallback everywhere else, the only
+// implementation under the purego build tag, and the oracle the
+// differential tests hold the assembly to. Both perform the same IEEE
+// operations on the same operands in the same order for every output
+// element, so they agree to the last bit, and — each output row being
+// computed in one order from its own operands alone, however rows are
+// grouped into ranges, tiles, bands or shards — tiled == direct, sharded
+// == single and fused == unfused hold by row independence. The int8 form
+// accumulates exactly in int32 and is order-free.
 //
 // Composition. An int8 product's output row is this contract followed by
 // the requantise row (requant.go), and the three int8 drivers issue the
@@ -128,6 +173,62 @@ func (c CheckedIndices) Slice(lo, hi int) CheckedIndices {
 	return CheckedIndices{c.idx[lo:hi], c.rows}
 }
 
+// CheckedCSR is rows [lo, hi) of a CSR operator proved safe to walk
+// unchecked — the only form the sparse range (CheckedEpilogue.SparseRange)
+// takes its rows in, as CheckedIndices is the only form a row takes its
+// indices in. Only CheckCSR mints one. The value aliases the operator's
+// slices, which must not change while it is in use.
+type CheckedCSR struct {
+	rowPtr  []int // RowPtr[lo:] through the last look-ahead row's end
+	rows    int   // hi − lo
+	col     []int // the operator's column indices, whole
+	val     []float64
+	srcRows int // the source height col[rowPtr[0]:rowPtr[rows]] was proved against
+	ahead   int // row i's look-ahead hints are row i+ahead's column indices
+	hinted  int // how many of the rows have such a row inside the operator
+}
+
+// CheckCSR proves rows [lo, hi) of the CSR (rowPtr, colIdx, val) against
+// a source of srcRows rows, once, before the caller has written anything:
+// the row pointers from rowPtr[lo] through the end of row hi+ahead−1 (or
+// of the operator's last row) — the rows the range walks and the rows
+// whose column indices ride along as its look-ahead hints — are
+// non-negative, non-decreasing and end inside colIdx, which is as long
+// as val; and every column index of rows [lo, hi) names a source row
+// (CheckIndices). It panics on the first that does not hold. The hint
+// rows' column indices are bounded, never validated: they are hints.
+func CheckCSR(rowPtr, colIdx []int, val []float64, lo, hi, ahead, srcRows int) CheckedCSR {
+	n := len(rowPtr) - 1
+	if lo < 0 || hi < lo || hi > n || ahead < 0 {
+		panic(fmt.Sprintf("mat: CSR rows [%d,%d) looking %d ahead, of %d", lo, hi, ahead, n))
+	}
+	if len(colIdx) != len(val) {
+		panic(fmt.Sprintf("mat: CSR with %d column indices for %d values", len(colIdx), len(val)))
+	}
+	end := min(hi+ahead, n)
+	prev := 0
+	for i, at := range rowPtr[lo : end+1] {
+		if at < prev {
+			panic(fmt.Sprintf("mat: CSR row pointer %d at row %d below its predecessor %d", at, lo+i, prev))
+		}
+		prev = at
+	}
+	if prev > len(colIdx) {
+		panic(fmt.Sprintf("mat: CSR row pointer %d past its %d non-zeros", prev, len(colIdx)))
+	}
+	CheckIndices(colIdx[rowPtr[lo]:rowPtr[hi]], srcRows)
+	return CheckedCSR{
+		rowPtr: rowPtr[lo : end+1], rows: hi - lo, col: colIdx, val: val,
+		srcRows: srcRows, ahead: ahead, hinted: max(0, min(hi, n-ahead)-lo),
+	}
+}
+
+// Indices returns the checked column indices of the rows and the CSR
+// position the first of them sits at.
+func (c *CheckedCSR) Indices() (CheckedIndices, int) {
+	return CheckedIndices{c.col[c.rowPtr[0]:c.rowPtr[c.rows]], c.srcRows}, c.rowPtr[0]
+}
+
 // RowAccumulate computes the fp64 row accumulate into out (p = len(out)):
 // src is a row-major matrix of p-wide rows, idx[t] names the row scaled
 // by alpha[t]. With cont set the sum continues onto out's current
@@ -140,14 +241,12 @@ func (c CheckedIndices) Slice(lo, hi int) CheckedIndices {
 // multiplier, and a source at least that many p-wide rows long. A corrupt
 // index therefore still panics instead of reading out of bounds — at
 // CheckIndices. ahead is deliberately not validated anywhere: hints are
-// never dereferenced.
+// never dereferenced. This is the row door with no epilogue; a product
+// row that ends in one goes through CheckedEpilogue.ProductRow (fused.go).
 func RowAccumulate(out, alpha []float64, idx CheckedIndices, src []float64, cont bool, ahead []int) {
 	requireRowAcc(len(out), len(alpha), idx, len(src))
-	switch {
-	case len(alpha) > 0 && len(out) > 0:
-		rowAccF64(out, alpha, idx.idx, src, cont, ahead)
-	case !cont:
-		clear(out)
+	if len(out) > 0 {
+		productRowF64(&CheckedEpilogue{}, out, alpha, idx.idx, src, 0, cont, ahead)
 	}
 }
 
@@ -175,9 +274,8 @@ func requireRowAcc(p, terms int, idx CheckedIndices, srcLen int) {
 	}
 }
 
-// rowAccF64Go is the portable fp64 row accumulate. Like the assembly it
-// stands in for, it takes operands the caller has validated and at least
-// one term.
+// rowAccF64Go is the portable fp64 row accumulate of at least one term,
+// over operands the caller has validated.
 func rowAccF64Go(out, alpha []float64, idx []int, src []float64, cont bool) {
 	p := len(out)
 	for t, a := range alpha {

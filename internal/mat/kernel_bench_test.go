@@ -116,3 +116,67 @@ func BenchmarkProductRowI8(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProductRangeF64 times the fp64 range entries — the sparse
+// product's and the dense product's, each one kernel call per range — at
+// the widths of the served programs (3 logits, 16/32/64 hidden) with a
+// mean of 6 and of 32 terms a row (a citation graph's neighbours, a
+// compacted activation row) in the three forms the fused ops run: bare,
+// + bias + ReLU, + bias + residual + ReLU. The sparse rows hold 0…2·mean
+// terms over a 2000-row (L2-resident, so never hinted) source; the dense
+// input rows are 2·mean wide and half zeros. An op is one output row —
+// ranges are 2000 rows, the last one of a run shorter — so ns/op is ns
+// per row, the figure to set beside BenchmarkProductRowI8's.
+func BenchmarkProductRangeF64(b *testing.B) {
+	rng := rand.New(rand.NewSource(24))
+	const rows = 2000
+	for _, p := range []int{3, 16, 32, 64} {
+		src := New(rows, p)
+		bias, res, dst := make([]float64, p), New(rows, p), New(rows, p)
+		for _, m := range []*Matrix{src, res, {Data: bias}} {
+			for i := range m.Data {
+				m.Data[i] = rng.NormFloat64()
+			}
+		}
+		for _, terms := range []int{6, 32} {
+			rowPtr, col, val := make([]int, rows+1), []int(nil), []float64(nil)
+			a := New(rows, 2*terms)
+			for i := 0; i < rows; i++ {
+				for k := rng.Intn(2*terms + 1); k > 0; k-- {
+					col, val = append(col, rng.Intn(rows)), append(val, rng.NormFloat64())
+				}
+				rowPtr[i+1] = len(col)
+				for k := 0; k < 2*terms; k++ {
+					if rng.Intn(2) == 0 {
+						a.Data[i*2*terms+k] = rng.NormFloat64()
+					}
+				}
+			}
+			weights := &Matrix{Rows: 2 * terms, Cols: p, Data: src.Data[:2*terms*p]}
+			for _, form := range []struct {
+				name string
+				bias []float64
+				res  *Matrix
+				relu bool
+			}{
+				{"bare", nil, nil, false},
+				{"bias+relu", bias, nil, true},
+				{"bias+res+relu", bias, res, true},
+			} {
+				e := CheckEpilogue(rows, p, form.bias, form.res, form.relu)
+				b.Run(fmt.Sprintf("sparse/p=%d/terms=%d/%s", p, terms, form.name), func(b *testing.B) {
+					for done := 0; done < b.N; done += rows {
+						hi := min(rows, b.N-done)
+						c := CheckCSR(rowPtr, col, val, 0, hi, 2, rows) // once per op range, as the drivers do
+						e.SparseRange(dst.Data[:hi*p], &c, src.Data, 0)
+					}
+				})
+				b.Run(fmt.Sprintf("dense/p=%d/terms=%d/%s", p, terms, form.name), func(b *testing.B) {
+					for done := 0; done < b.N; done += rows {
+						matMulEpilogueRange(a, weights, dst, 0, min(rows, b.N-done), &e)
+					}
+				})
+			}
+		}
+	}
+}

@@ -45,34 +45,10 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// matMulRow computes one output row of a·b under the row-accumulate
-// contract (axpy.go). Zero entries of arow are dropped — post-ReLU
-// activations are roughly half zeros, and each one saves a whole row of
-// MACs — by compacting the survivors and their row indices into the
-// caller's scratch (one per row band, so it is zeroed once, not per row)
-// a chunk at a time. The compaction's indices are positions in arow, so
-// they are checked by construction against len(arow) rows — the inner
-// dimension the drivers' shape checks hold equal to b.Rows — and nothing
-// is scanned. The destination needs no prior zeroing; an all-zero input
-// row clears it.
-func matMulRow(arow []float64, b *Matrix, orow []float64, ab *[RowChunk]float64, ib *[RowChunk]int) {
-	cont := false
-	for k0 := 0; k0 < len(arow); k0 += RowChunk {
-		m := compactNonZero(ab, ib, arow[k0:min(k0+RowChunk, len(arow))], k0)
-		if m > 0 {
-			RowAccumulate(orow, ab[:m], CheckedIndices{ib[:m], len(arow)}, b.Data, cont, nil)
-			cont = true
-		}
-	}
-	if !cont {
-		clear(orow)
-	}
-}
-
-// compactNonZeroGo is the portable compactNonZero: it copies the non-zero
-// entries of chunk (at most RowChunk of them) to the front of ab and
-// their positions, offset by base, to ib, and returns how many there
-// were. It has no data-dependent branch: every entry is stored, and the
+// compactNonZeroGo is the portable form of the dense range's window
+// compaction: it copies the non-zero entries of chunk (at most RowChunk
+// of them) to the front of ab and their positions, offset by base, to
+// ib, and returns how many there were. It has no data-dependent branch: every entry is stored, and the
 // write cursor advances only past non-zeros. Kept out of line so the
 // cursor stays in a register.
 //

@@ -239,7 +239,7 @@ const fenceWidth = 16
 // and a check that every element before and after the row still holds
 // its canary — what a vector or masked store running past the row would
 // overwrite.
-func fencedRow[E int8 | int32](n int) ([]E, func() bool) {
+func fencedRow[E int8 | int32 | float64](n int) ([]E, func() bool) {
 	const canary = 0x55
 	buf := make([]E, n+2*fenceWidth)
 	for i := range buf {

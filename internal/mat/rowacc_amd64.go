@@ -49,13 +49,10 @@ var packLUT = func() (lut [16][8]uint32) {
 }()
 
 //go:noescape
-func compactF64AVX2(ab *float64, ib *int, src *float64, n, base int) int
-
-//go:noescape
 func compactI8AVX2(ab *int32, ib *int, src *int8, n, base int) int
 
 //go:noescape
-func rowAccF64AVX2(out *float64, p int, alpha *float64, idx *int, n int, src *float64, ahead *int, nahead int, cont bool)
+func productRangeF64AVX2(a *rangeF64)
 
 //go:noescape
 func rowAccI8AVX2(out *int32, p int, alpha *int32, idx *int, n int, src *int8, cont bool)
@@ -91,20 +88,136 @@ const (
 	aheadRowBytes  = 512         // leading bytes hinted per source row (rowacc_amd64.s)
 )
 
-// rowAccF64 runs one validated, non-empty fp64 row accumulate on the
-// implementation chosen at init.
-func rowAccF64(out, alpha []float64, idx []int, src []float64, cont bool, ahead []int) {
-	if !useAVX2 {
-		rowAccF64Go(out, alpha, idx, src, cont)
-		return
-	}
-	if len(out) < 8 || len(src) < aheadMinSource {
-		ahead = nil
-	}
-	rowAccF64AVX2(&out[0], len(out), &alpha[0], &idx[0], len(alpha), &src[0], unsafe.SliceData(ahead), len(ahead), cont)
+// rangeF64 is the argument block of productRangeF64AVX2 (rowacc_amd64.s
+// reads it by the offsets go_asm.h exports): rows output rows of p
+// columns from dst on, contiguous, each the row contract over src
+// finished by the epilogue flags names — bias p long, res the residual
+// row of the first output row, the rest following it. A sparse call walks
+// rowPtr: row i's multipliers and indices are val and col from position
+// rowPtr[i] to rowPtr[i+1], and its look-ahead hints are hint from
+// position rowPtr[i+ahead] to rowPtr[i+ahead+1] (aheadOff is ahead in
+// bytes) unless it is one of the last unhinted rows. A dense call
+// (rangeDense) walks the n-wide input rows from a on, compacting each
+// into ab and ib, RowChunk entries long. rows, k and state are the
+// routine's own cursors.
+type rangeF64 struct {
+	dst       *float64
+	p         int
+	src       *float64
+	bias, res *float64
+	flags     uint64
+	rows      int
+
+	rowPtr   *int
+	val      *float64
+	col      *int
+	hint     *int
+	aheadOff int
+	unhinted int
+
+	a     *float64
+	n     int
+	ab    *float64
+	ib    *int
+	k     int
+	state uint64
 }
 
-// rowAccI8 is rowAccF64's int8 counterpart. The assembly covers the
+// The flags of a rangeF64. The first four are the caller's (rangeCont
+// only from the row door); rangeDense selects the dense walk and
+// rangeLast is the routine's own mark on a dense row's last window.
+const (
+	rangeCont = 1 << iota
+	rangeBias
+	rangeRes
+	rangeReLU
+	rangeDense
+	rangeLast
+)
+
+// epilogue fills in the argument block's epilogue operands: e's bias and
+// ReLU, and its residual from row r0 on.
+func (a *rangeF64) epilogue(e *CheckedEpilogue, r0 int) {
+	if e.bias != nil {
+		a.bias, a.flags = &e.bias[0], a.flags|rangeBias
+	}
+	if e.res != nil {
+		a.res, a.flags = &e.res[r0*e.cols], a.flags|rangeRes
+	}
+	if e.relu {
+		a.flags |= rangeReLU
+	}
+}
+
+// actsOnHints reports whether look-ahead hints are acted on for p-wide rows
+// gathered from src — the rule above, decided once per call.
+func actsOnHints(p int, src []float64) bool {
+	return p >= 8 && len(src) >= aheadMinSource
+}
+
+// productRowF64 runs one validated fp64 row of at least one column — the
+// row contract, then e's epilogue with residual row r — on the
+// implementation chosen at init. The assembly's row door is its range
+// routine handed a one-row CSR: the row's terms at positions [0, n), its
+// hints at positions [0, len(ahead)) of their own list.
+func productRowF64(e *CheckedEpilogue, out, alpha []float64, idx []int, src []float64, r int, cont bool, ahead []int) {
+	if !useAVX2 {
+		productRowF64Go(e, out, alpha, idx, src, r, cont)
+		return
+	}
+	rowPtr := [4]int{0, len(alpha), 0, len(ahead)}
+	var a rangeF64 // filled field by field: a composite literal is built aside and copied in, per row
+	a.dst, a.p, a.src, a.rows = &out[0], len(out), unsafe.SliceData(src), 1
+	a.rowPtr, a.val, a.col = &rowPtr[0], unsafe.SliceData(alpha), unsafe.SliceData(idx)
+	a.hint, a.aheadOff, a.unhinted = unsafe.SliceData(ahead), 2*8, 1
+	if actsOnHints(len(out), src) {
+		a.unhinted = 0
+	}
+	if cont {
+		a.flags = rangeCont
+	}
+	a.epilogue(e, r)
+	productRangeF64AVX2(&a)
+}
+
+// sparseRangeF64 runs the validated rows of c, at least one of at least
+// one column, on the implementation chosen at init.
+func sparseRangeF64(e *CheckedEpilogue, dst []float64, c *CheckedCSR, src []float64, r0 int) {
+	if !useAVX2 {
+		sparseRangeF64Go(e, dst, c, src, r0)
+		return
+	}
+	a := rangeF64{
+		dst: &dst[0], p: e.cols, src: unsafe.SliceData(src), rows: c.rows,
+		rowPtr: &c.rowPtr[0], val: unsafe.SliceData(c.val), col: unsafe.SliceData(c.col),
+		hint: unsafe.SliceData(c.col), aheadOff: c.ahead * 8, unhinted: c.rows,
+	}
+	if actsOnHints(e.cols, src) {
+		a.unhinted = c.rows - c.hinted
+	}
+	a.epilogue(e, r0)
+	productRangeF64AVX2(&a)
+}
+
+// denseRangeF64 is sparseRangeF64 for the dense product: rows input rows
+// of n entries from a on, times the n×e.cols matrix b.
+func denseRangeF64(e *CheckedEpilogue, dst, a []float64, n int, b []float64, rows, r0 int) {
+	if !useAVX2 {
+		denseRangeF64Go(e, dst, a, n, b, rows, r0)
+		return
+	}
+	var ab [RowChunk]float64
+	var ib [RowChunk]int
+	args := rangeF64{
+		dst: &dst[0], p: e.cols, src: unsafe.SliceData(b), flags: rangeDense, rows: rows,
+		a: unsafe.SliceData(a), n: n, ab: &ab[0], ib: &ib[0],
+	}
+	args.epilogue(e, r0)
+	productRangeF64AVX2(&args)
+}
+
+// rowAccI8 runs one validated, non-empty int8 row accumulate on the
+// implementation chosen at init. The assembly covers the
 // leading multiple of eight columns; the last few are summed here, which
 // exact integer arithmetic makes the same result in any order.
 func rowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
@@ -128,19 +241,9 @@ func rowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
 	}
 }
 
-// compactNonZero and compactNonZeroI8 pick the dense products'
-// compaction the same way. The assembly writes up to len(chunk) entries
-// unchecked, so a chunk longer than the buffers is refused here.
-func compactNonZero(ab *[RowChunk]float64, ib *[RowChunk]int, chunk []float64, base int) int {
-	if !useAVX2 || len(chunk) == 0 {
-		return compactNonZeroGo(ab, ib, chunk, base)
-	}
-	if len(chunk) > RowChunk {
-		panic("mat: compaction chunk exceeds its buffers")
-	}
-	return compactF64AVX2(&ab[0], &ib[0], &chunk[0], len(chunk), base)
-}
-
+// compactNonZeroI8 picks the int8 dense product's compaction the same
+// way. The assembly writes up to len(chunk) entries unchecked, so a chunk
+// longer than the buffers is refused here.
 func compactNonZeroI8(ab *[RowChunk]int32, ib *[RowChunk]int, chunk []int8, base int) int {
 	if !useAVX2 || len(chunk) == 0 {
 		return compactNonZeroI8Go(ab, ib, chunk, base)

@@ -2,19 +2,23 @@
 
 package mat
 
-// Without the assembly kernels every row accumulate, requantise row and
-// product row runs the portable implementation.
+// Without the assembly kernels every product range, row accumulate,
+// requantise row and product row runs the portable implementation.
 
-func rowAccF64(out, alpha []float64, idx []int, src []float64, cont bool, _ []int) {
-	rowAccF64Go(out, alpha, idx, src, cont)
+func productRowF64(e *CheckedEpilogue, out, alpha []float64, idx []int, src []float64, r int, cont bool, _ []int) {
+	productRowF64Go(e, out, alpha, idx, src, r, cont)
+}
+
+func sparseRangeF64(e *CheckedEpilogue, dst []float64, c *CheckedCSR, src []float64, r0 int) {
+	sparseRangeF64Go(e, dst, c, src, r0)
+}
+
+func denseRangeF64(e *CheckedEpilogue, dst, a []float64, n int, b []float64, rows, r0 int) {
+	denseRangeF64Go(e, dst, a, n, b, rows, r0)
 }
 
 func rowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
 	rowAccI8Go(out, alpha, idx, src, cont)
-}
-
-func compactNonZero(ab *[RowChunk]float64, ib *[RowChunk]int, chunk []float64, base int) int {
-	return compactNonZeroGo(ab, ib, chunk, base)
 }
 
 func compactNonZeroI8(ab *[RowChunk]int32, ib *[RowChunk]int, chunk []int8, base int) int {

@@ -197,10 +197,10 @@ func TestRowAccumulateDifferential(t *testing.T) {
 					want := make([]float64, p)
 					naiveRowAcc(want, ka, ki, b.Data, false)
 					got := make([]float64, p)
-					got[0] = 7 // matMulRow must overwrite, never read
-					matMulRow(alpha, b, got, new([RowChunk]float64), new([RowChunk]int))
+					got[0] = 7 // the dense range must overwrite, never read
+					matMulEpilogueRange(FromSlice(1, terms, alpha), b, FromSlice(1, p, got), 0, 1, &CheckedEpilogue{rows: 1, cols: p})
 					if j := sameBits(got, want); j >= 0 {
-						t.Fatalf("matMulRow p=%d n=%d zeros=%s special=%v: elem %d = %x, contract %x",
+						t.Fatalf("dense range p=%d n=%d zeros=%s special=%v: elem %d = %x, contract %x",
 							p, terms, zp.name, special, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 					}
 				}
@@ -452,8 +452,8 @@ func FuzzRowAccumulate(f *testing.F) {
 // (or wider) than its weight therefore panics at fp64 and at int8 with
 // the destination untouched, and so does a weight whose backing array is
 // shorter than its shape says, which the drivers refuse before their
-// first row — and, at int8, an epilogue operand shorter than the product
-// is wide.
+// first row — and an epilogue operand that does not fit the product: a
+// bias or residual at fp64 (CheckEpilogue), any of the four at int8.
 func TestDenseProductRejectsShortSourceBeforeWriting(t *testing.T) {
 	const rows, inner, p = 5, 12, 6
 	rng := rand.New(rand.NewSource(15))
@@ -495,8 +495,39 @@ func TestDenseProductRejectsShortSourceBeforeWriting(t *testing.T) {
 		}
 	}
 
-	// The int8 epilogue operands are proved once, before the first row
-	// (CheckEpilogueI8): a short one panics with the destination untouched.
+	// The fp64 epilogue operands are proved once, before the first row
+	// (CheckEpilogue): a bias or residual that does not fit panics with the
+	// destination untouched, serial or banded.
+	a, w, dst := New(rows, inner), New(inner, p), New(rows, p)
+	for i := range dst.Data {
+		dst.Data[i] = 7
+	}
+	cutRes := New(rows, p)
+	cutRes.Data = cutRes.Data[:rows*p-1]
+	for name, fn := range map[string]func(){
+		"bias":             func() { MatMulBiasReLUInto(dst, a, w, ones[:p-1], nil, true, 1) },
+		"long bias":        func() { MatMulBiasReLUInto(dst, a, w, append(ones, 1), nil, false, 2) },
+		"residual rows":    func() { MatMulBiasReLUInto(dst, a, w, nil, New(rows+1, p), false, 1) },
+		"residual cols":    func() { MatMulBiasReLUInto(dst, a, w, ones, New(rows, p-1), true, 2) },
+		"residual storage": func() { MatMulBiasReLUInto(dst, a, w, nil, cutRes, false, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("fp64 product with mis-shaped %s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	for i, v := range dst.Data {
+		if v != 7 {
+			t.Fatalf("mis-shaped fp64 epilogue operand: element %d written before the panic", i)
+		}
+	}
+
+	// The int8 epilogue operands are proved once too (CheckEpilogueI8): a
+	// short one panics with the destination untouched.
 	a8, w8, res8 := NewI8(rows, inner), NewI8(inner, p), NewI8(rows, p)
 	for i := range a8.Data {
 		a8.Data[i] = int8(1 + rng.Intn(100))
