@@ -65,9 +65,10 @@ chaos-smoke:
 # import under hostile manifests (an error, never a panic), and the
 # attack math (AUC/Fidelity in [0,1], no panics) under degenerate
 # observation surfaces — plus the row-accumulate and requantise-row
-# kernels (assembly vs the literal contracts), the int8 product row (the
-# fused entry vs their composition) and the fp64 product ranges (one
-# kernel call per range vs the per-row oracle). This is the one list of
+# kernels (assembly vs the literal contracts, through the row doors), the
+# int8 product row (the door vs their composition, sums steered onto
+# ties and clamps) and the fp64 and int8 product ranges (one kernel call
+# per range vs the per-row oracle). This is the one list of
 # fuzz targets: CI calls it twice, plain and as `make fuzz-smoke
 # TAGS=purego`, which runs the same passes on the portable kernels.
 FUZZTIME ?= 10s
@@ -77,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzRequantizeRow -fuzztime $(FUZZTIME) ./internal/mat/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzProductRowI8 -fuzztime $(FUZZTIME) ./internal/mat/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzProductRangeF64 -fuzztime $(FUZZTIME) ./internal/mat/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzProductRangeI8 -fuzztime $(FUZZTIME) ./internal/mat/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzInducedSubgraph -fuzztime $(FUZZTIME) ./internal/subgraph/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzTiledExec -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME) ./internal/exec/

@@ -30,15 +30,14 @@ import (
 // nnz-sized coefficient buffer.
 //
 // At int8 the scores are read as code × their one column scale, α is
-// computed in float64 exactly as above and quantised under the fixed
-// scale attnScale into the int32 multipliers of mat.RowAccumulateI8 over
-// z's codes, a mat.RowChunk window at a time as the int8 SpMM does its
-// edge values; the row's last window goes through the product row
-// (mat.CheckedEpilogueI8.ProductRow), whose requantise with deq[j] =
-// zScale[j]·attnScale finishes the row. Both halves are the kernel
-// contracts every int8 op already sits on, and the int32 sum is exact and
-// order-free (bounded by 127·(127 + nnz/2) a row), so the bit-identity
-// carries over.
+// computed in float64 exactly as above and handed, with the fixed scale
+// attnScale, to the int8 row door (mat.CheckedEpilogueI8.ProductRow): a
+// row of α under attnScale is exactly a CSR row under its value scale, so
+// the kernel quantises the coefficients as the int8 SpMM's does its edge
+// values, sums the row over z's codes and requantises it with deq[j] =
+// zScale[j]·attnScale. Both halves are the kernel contracts every int8 op
+// already sits on, and the int32 sum is exact and order-free (bounded by
+// 127·(127 + nnz/2) a row), so the bit-identity carries over.
 
 // attnScale is the fixed quantisation scale of attention coefficients: a
 // softmax output lies in (0, 1], so codes span [0, 127] uncalibrated.
@@ -124,7 +123,6 @@ func (m *Machine) attnRowsI8(out *mat.MatrixI8, w int, a *opAuxI8, op *Op, lo, h
 	sScale, tScale := sc[op.Srcs[0]][0], sc[op.Srcs[1]][0]
 	d := z.Cols
 	acc := q.scr[w].acc[:d]
-	var codes [mat.RowChunk]int32
 	base := st.RowPtr[lo]
 	// The span's proofs, before its first row: the structure's columns
 	// against z's height, the epilogue operands against z's width.
@@ -138,19 +136,11 @@ func (m *Machine) attnRowsI8(out *mat.MatrixI8, w int, a *opAuxI8, op *Op, lo, h
 			alpha[k] = float64(t.Data[j]) * tScale
 		}
 		attnSoftmaxRow(alpha, float64(s.Data[i])*sScale, op.slope)
-		// Every window of coefficients but the last accumulates into acc;
-		// the last (empty for an empty row) is the product row's.
-		k := 0
-		for ; len(cols)-k > mat.RowChunk; k += mat.RowChunk {
-			mat.QuantizeI8WideInto(codes[:], alpha[k:k+mat.RowChunk], attnScale)
-			mat.RowAccumulateI8(acc, codes[:], checked.Slice(p-base+k, p-base+k+mat.RowChunk), z.Data, k > 0)
-		}
-		mat.QuantizeI8WideInto(codes[:len(cols)-k], alpha[k:], attnScale)
 		var rrow []int8
 		if res != nil {
 			rrow = res.Data[(i-lo)*d : (i-lo+1)*d]
 		}
-		am := epi.ProductRow(out.Data[(i-lo)*d:(i-lo+1)*d], acc, codes[:len(cols)-k], checked.Slice(p-base+k, p-base+len(cols)), z.Data, rrow, k > 0)
+		am := epi.ProductRow(out.Data[(i-lo)*d:(i-lo+1)*d], acc, alpha, attnScale, checked.Slice(p-base, p-base+len(cols)), z.Data, rrow)
 		if wide != nil {
 			wide[i-lo] = am
 		}

@@ -54,11 +54,12 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 
 		plain := mat.New(shape.n, d)
 		fused := mat.New(shape.n, d)
+		bare := mat.CheckEpilogue(shape.n, d, nil, nil, false)
 		for i := 0; i < shape.n; i++ {
 			p, e := na.RowPtr[i], na.RowPtr[i+1]
 			row := plain.Data[i*d : (i+1)*d]
 			row[0] = 7 // an empty row must be cleared, not skipped
-			mat.RowAccumulate(row, na.Val[p:e], mat.CheckIndices(na.ColIdx[p:e], h.Rows), h.Data, false, nil)
+			bare.ProductRow(row, na.Val[p:e], mat.CheckIndices(na.ColIdx[p:e], h.Rows), h.Data, i, nil)
 			frow := fused.Data[i*d : (i+1)*d]
 			copy(frow, row)
 			mat.ApplyEpilogueRow(frow, bias, res.Data[i*d:(i+1)*d], true)
@@ -101,7 +102,8 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 // the whole operator and for a range whose own rows hold it — with no
 // destination row written, and a range that does not reach the bad
 // column is computed as ever. A short epilogue operand — fp64 bias or
-// residual, any of int8's — is refused the same way.
+// residual, any of int8's — is refused the same way, and so is int8
+// source, destination, residual or label storage short of its shape.
 func TestSpMMRejectsCorruptColumnBeforeWriting(t *testing.T) {
 	const n, d = 400, 8
 	rng := rand.New(rand.NewSource(33))
@@ -195,6 +197,36 @@ func TestSpMMRejectsCorruptColumnBeforeWriting(t *testing.T) {
 		for i, q := range dst8.Data {
 			if q != 7 {
 				t.Fatalf("short %s: element %d written before the panic", name, i)
+			}
+		}
+	}
+
+	// And so is the storage the int8 range reads and writes unchecked: a
+	// source, a destination or a residual whose backing array is shorter
+	// than its shape says, and labels short of the rows, panic before any
+	// row is written — where Go's slicing used to stop such a range only
+	// at the row that crossed the end.
+	cut := func(m *mat.MatrixI8) *mat.MatrixI8 {
+		return &mat.MatrixI8{Rows: m.Rows, Cols: m.Cols, Data: m.Data[:len(m.Data)-1]}
+	}
+	for name, fn := range map[string]func(){
+		"source": func() {
+			na.MulDenseI8EpilogueRangeInto(dst8, cut(h8), 0, n, 1, ones, nil, nil, nil, false, ones, acc, nil)
+		},
+		"destination": func() {
+			na.MulDenseI8EpilogueRangeInto(cut(dst8), h8, 0, n, 1, ones, nil, nil, nil, false, ones, acc, nil)
+		},
+		"residual": func() {
+			na.MulDenseI8EpilogueRangeInto(dst8, h8, 0, n, 1, ones, nil, cut(res8), ones, false, ones, acc, nil)
+		},
+		"labels": func() {
+			na.MulDenseI8EpilogueRangeInto(dst8, h8, 0, n, 1, ones, nil, nil, nil, false, ones, acc, make([]int, n-1))
+		},
+	} {
+		mustPanic(t, fn)
+		for i, q := range dst8.Data {
+			if q != 7 {
+				t.Fatalf("short %s storage: element %d written before the panic", name, i)
 			}
 		}
 	}

@@ -9,11 +9,12 @@ import (
 
 // The int8 sparse product. The CSR itself stays float64 — it is sealed
 // at deploy time and shared by every plan over the graph — and the kernel
-// quantizes the stored values on the fly, one scalar per non-zero. That
-// keeps it free of a second materialised value array, which matters for
-// the subgraph path where the CSR is re-induced per query: scalar
-// quantization is deterministic, so full-graph and re-induced executions
-// of the same rows still agree bit-for-bit.
+// quantizes the stored values on the fly, each as mat.QuantizeI8 defines,
+// never holding more than a mat.RowChunk window of codes. That keeps it
+// free of a second materialised value array, which matters for the
+// subgraph path where the CSR is re-induced per query: quantization is a
+// function of the value and the scale alone, so full-graph and re-induced
+// executions of the same rows still agree bit-for-bit.
 
 // ValMaxAbs returns the largest absolute stored value (0 when empty),
 // the deploy/plan-time input to the int8 kernels' symmetric value scale.
@@ -45,7 +46,7 @@ func (na *NormAdjacency) ValMaxAbs() float64 {
 // per-column scales, dstScales the destination value's per-column scales.
 // labels, when non-nil (length ≥ hi-lo), receives each row's wide argmax
 // over the pre-requantization epilogue floats (the requantise row of
-// mat.CheckedEpilogueI8.ProductRow, which every output row here is one
+// mat.CheckedEpilogueI8.SparseRange, which the whole range here is one
 // call of), labels[0] pairing with graph row lo. Runs inline on the calling
 // goroutine and never allocates; int32 accumulation makes the result
 // independent of tiling and banding by construction.
@@ -72,62 +73,19 @@ func (na *NormAdjacency) MulDenseI8EpilogueRangeInto(dst, h *mat.MatrixI8, lo, h
 		resScales = nil
 	}
 	// The range's proofs, before its first row: the epilogue operands
-	// against the column count, the column indices against H's height.
+	// against the column count, the row pointers and column indices
+	// against the operator and H's height (checkedCols), and that H, the
+	// destination and the residual hold what their shapes say — the
+	// kernel reads and writes all of it unchecked.
 	d := h.Cols
 	e := mat.CheckEpilogueI8(d, deq, bias, resScales, dstScales, relu, labels != nil)
 	c := na.checkedCols(lo, hi, h.Rows)
-	vc := valCodes{scale: valScale, end: na.RowPtr[hi]}
-	vc.cols, vc.base = c.Indices()
-	acc = acc[:d]
-	for i := lo; i < hi; i++ {
-		alpha, idx, cont := na.accumRowHeadI8(acc, h, i, &vc)
-		var rrow []int8
-		if res != nil {
-			rrow = res.Data[(i-lo)*d : (i-lo+1)*d]
-		}
-		am := e.ProductRow(dst.Data[(i-lo)*d:(i-lo+1)*d], acc, alpha, idx, h.Data, rrow, cont)
-		if labels != nil {
-			labels[i-lo] = am
-		}
+	if len(h.Data) < h.Rows*d || len(dst.Data) < dst.Rows*d || (res != nil && len(res.Data) < res.Rows*d) {
+		panic(fmt.Sprintf("graph: MulDenseI8EpilogueRangeInto source %s, destination %s or residual over fewer elements than their shapes (%d, %d)", h.Shape(), dst.Shape(), len(h.Data), len(dst.Data)))
 	}
-}
-
-// valCodes is the int8 SpMM's window onto the CSR values: q[:hi-lo]
-// holds Val[lo:hi] quantized under scale, as the int32 multipliers the
-// row accumulate takes. It is refilled a chunk at a time as the rows of
-// one call walk Val — never past end, the call's last value — so the
-// codes exist only on the caller's stack, never as an enclave resident.
-// cols is the call's range of column indices, from CSR position base on,
-// checked once against the source's height (checkedCols).
-type valCodes struct {
-	scale       float64
-	lo, hi, end int
-	cols        mat.CheckedIndices
-	base        int
-	q           [mat.RowChunk]int32
-}
-
-// accumRowHeadI8 walks graph row i of the quantized Â·H up to its last
-// window of value codes: each earlier window the row touches runs as an
-// int8 row accumulate into acc over the matching column indices (a zero
-// code contributes an exact zero, so none needs skipping, and exact sums
-// make the split at a window's edge free of effect). It returns the last
-// stretch — its codes, inside the window, and its column indices; both
-// empty for an empty row — for the product row to finish, and whether acc
-// holds a sum to continue from.
-func (na *NormAdjacency) accumRowHeadI8(acc []int32, h *mat.MatrixI8, i int, vc *valCodes) (alpha []int32, idx mat.CheckedIndices, cont bool) {
-	p, end := na.RowPtr[i], na.RowPtr[i+1]
-	for p < end {
-		if p >= vc.hi {
-			vc.lo, vc.hi = p, min(p+len(vc.q), vc.end)
-			mat.QuantizeI8WideInto(vc.q[:vc.hi-vc.lo], na.Val[vc.lo:vc.hi], vc.scale)
-		}
-		if end <= vc.hi {
-			alpha = vc.q[p-vc.lo : end-vc.lo]
-			break
-		}
-		mat.RowAccumulateI8(acc, vc.q[p-vc.lo:vc.hi-vc.lo], vc.cols.Slice(p-vc.base, vc.hi-vc.base), h.Data, cont)
-		p, cont = vc.hi, true
+	var rdata []int8
+	if res != nil {
+		rdata = res.Data[:res.Rows*d]
 	}
-	return alpha, vc.cols.Slice(p-vc.base, end-vc.base), cont
+	e.SparseRange(dst.Data[:dst.Rows*d], &c, valScale, h.Data, rdata, acc, labels)
 }

@@ -60,9 +60,9 @@ import "fmt"
 // window of its compaction but the last bare, continuing onto the row,
 // and its last window carries the epilogue — the rule the int8 dense
 // product follows. The row door stays for products whose multipliers are
-// computed row by row (the attention aggregate: CheckedEpilogue.ProductRow)
-// and as the contract's bare entry (RowAccumulate); on amd64 it is the
-// range routine handed one row.
+// computed row by row (the attention aggregate: CheckedEpilogue.ProductRow,
+// which with no epilogue is the contract's bare entry); on amd64 it is
+// the range routine handed one row.
 //
 // What a range reads unchecked is proved once, before its first row is
 // written, when its caller mints two values. CheckCSR: the row pointers
@@ -98,23 +98,51 @@ import "fmt"
 // == single and fused == unfused hold by row independence. The int8 form
 // accumulates exactly in int32 and is order-free.
 //
-// Composition. An int8 product's output row is this contract followed by
-// the requantise row (requant.go), and the three int8 drivers issue the
-// pair as one call, CheckedEpilogueI8.ProductRow (productrow.go). That
-// entry is allowed to be exactly the two contracts back to back: the sums
-// it requantises are the sums RowAccumulateI8 would have left in acc
-// (exact, so how they are held — registers, or acc itself — is invisible),
-// and no operation of either contract is dropped, added or reordered. Its
-// portable form is literally requantRowGo after rowAccI8Go. Validation
-// moves, it is never dropped: the per-column operands are proved once per
-// op range, before the range's first row is written — the indices by
-// CheckIndices, the epilogue operands by CheckEpilogueI8 — and what is
-// left per row is constant work (slice lengths, one index per multiplier,
-// the source holding the rows the indices were proved against). A row
-// with more multipliers than one call takes (a RowChunk window of
-// compacted codes or of quantised edge values) runs every window but its
-// last through RowAccumulateI8 and the last through ProductRow with cont
-// set.
+// The int8 range clause. An int8 product's output row is this contract —
+// into exact int32 sums — followed by the requantise row (requant.go) of
+// those sums, and the int8 products cross into the kernel once per op
+// range too: CheckedEpilogueI8.SparseRange for the sparse product, the
+// dense range beneath MatMulI8EpilogueInto (productrow.go). A range call
+// is that composition applied to rows lo … hi−1 in order and nothing
+// else. Row i's multipliers are the int8 codes of CSR row i's float64
+// values under the range's one value scale — each value quantised as
+// QuantizeI8 defines, inside the call, never more than a RowChunk window
+// of codes in existence, on the caller's stack — and its indices that
+// row's column indices (dense: the non-zero codes of input row i and
+// their positions); the sums a row's requantise reads are the sums the
+// row accumulate would have left in acc (exact, so how they are held —
+// registers, or acc itself — is invisible); and no operation of either
+// contract or of the value quantisation is dropped, added or reordered.
+// The portable range is literally that loop — QuantizeI8 per value,
+// rowAccI8Go, then requantRowGo, per row. Because the sums are exact,
+// every split of a row's terms is free of effect: a row with more
+// multipliers than one window holds runs every window but its last bare,
+// continuing in acc, and its last carries the requantise, and an
+// implementation may let its windows fall wherever is simplest (the
+// assembly quantises a window of the range's values at a time, across
+// rows; its dense compaction windows are RowChunk input entries). A row
+// with no term — an isolated node, an all-zero input row — requantises
+// cleared sums: bias and residual still apply. The row door
+// (CheckedEpilogueI8.ProductRow) stays for products whose multipliers are
+// computed row by row — the attention aggregate, whose coefficients under
+// their fixed scale are exactly a CSR row under its value scale — and on
+// amd64 it is the range routine handed one row.
+//
+// Validation moves, it is never dropped. What an int8 range reads and
+// writes unchecked is proved once, before its first row is written.
+// CheckCSR (the sparse range; CheckIndices for the row door): the row
+// pointers non-negative, non-decreasing and inside the operator's values
+// and column indices, the column indices naming source rows.
+// CheckEpilogueI8: deq, bias, residual scales and destination scales one
+// per column. The entry itself (requireRows, and the two drivers for
+// their matrices): the destination and the residual hold rows·cols codes,
+// the input rows·n, the source the rows the indices were proved against,
+// acc a row of sums, labels one per row. The value scale is passed
+// through untouched — a scale that is not above zero, NaN included,
+// yields zero codes, as QuantizeI8 defines. So a corrupt row pointer or
+// column, a short epilogue operand and short input, destination, residual
+// or label storage each panic before any destination byte changes, and
+// per call what is left is constant work.
 //
 // The over-read rule. int8 rows are narrower than the eight bytes the
 // assembly widens at a time, so a row's last cols mod 8 columns are read
@@ -128,16 +156,17 @@ import "fmt"
 // inside the source, W + r ≤ L + 8, i.e. W − A ≤ 8 − r: after the shift
 // at least r bytes remain and the first is the byte at W. A ≥ &src[0]
 // needs idx.rows·cols ≥ 8, which holds for every row of eight columns or
-// more; a narrower row over a source shorter than eight codes never
-// reaches the assembly (productRowI8). The last source row is the only
-// one for which W > L can hold when cols < 8, and
-// TestProductRowI8Differential reads it flush against an unreadable page.
+// more; a range or a row over a source shorter than eight codes never
+// reaches the assembly (haveI8Kernel). L is established once per range.
+// The last source row is the only one for which W > L can hold when
+// cols < 8, and TestProductRangeI8Differential and
+// TestProductRowI8Differential read it flush against an unreadable page.
 
-// RowChunk is how many multipliers the products hand the kernel per
-// call from their stack buffers — the dense products' compacted
-// multiplicands here, the int8 SpMM's quantized edge values in
-// internal/graph; longer rows continue onto the output row chunk by
-// chunk.
+// RowChunk is how many multipliers the kernels take per window from
+// their callers' stack buffers — the dense products' compacted
+// multiplicands, the int8 products' quantized edge values and attention
+// coefficients; longer rows continue onto the output row window by
+// window.
 const RowChunk = 128
 
 // CheckedIndices is a list of source-row indices proved to lie in
@@ -220,57 +249,6 @@ func CheckCSR(rowPtr, colIdx []int, val []float64, lo, hi, ahead, srcRows int) C
 	return CheckedCSR{
 		rowPtr: rowPtr[lo : end+1], rows: hi - lo, col: colIdx, val: val,
 		srcRows: srcRows, ahead: ahead, hinted: max(0, min(hi, n-ahead)-lo),
-	}
-}
-
-// Indices returns the checked column indices of the rows and the CSR
-// position the first of them sits at.
-func (c *CheckedCSR) Indices() (CheckedIndices, int) {
-	return CheckedIndices{c.col[c.rowPtr[0]:c.rowPtr[c.rows]], c.srcRows}, c.rowPtr[0]
-}
-
-// RowAccumulate computes the fp64 row accumulate into out (p = len(out)):
-// src is a row-major matrix of p-wide rows, idx[t] names the row scaled
-// by alpha[t]. With cont set the sum continues onto out's current
-// contents instead of starting from the bare first product — how callers
-// feed one long row through in chunks. ahead is the look-ahead operand
-// (nil for none). The indices arrive checked (CheckedIndices: each one
-// was compared against a source height when the caller minted them, once
-// per op range rather than once per row), so what is validated here,
-// before either implementation runs, is constant work: one index per
-// multiplier, and a source at least that many p-wide rows long. A corrupt
-// index therefore still panics instead of reading out of bounds — at
-// CheckIndices. ahead is deliberately not validated anywhere: hints are
-// never dereferenced. This is the row door with no epilogue; a product
-// row that ends in one goes through CheckedEpilogue.ProductRow (fused.go).
-func RowAccumulate(out, alpha []float64, idx CheckedIndices, src []float64, cont bool, ahead []int) {
-	requireRowAcc(len(out), len(alpha), idx, len(src))
-	if len(out) > 0 {
-		productRowF64(&CheckedEpilogue{}, out, alpha, idx.idx, src, 0, cont, ahead)
-	}
-}
-
-// RowAccumulateI8 is RowAccumulate over int8 rows with int32 multipliers
-// and an exact int32 accumulator.
-func RowAccumulateI8(out, alpha []int32, idx CheckedIndices, src []int8, cont bool) {
-	requireRowAcc(len(out), len(alpha), idx, len(src))
-	switch {
-	case len(alpha) > 0 && len(out) > 0:
-		rowAccI8(out, alpha, idx.idx, src, cont)
-	case !cont:
-		clear(out)
-	}
-}
-
-// requireRowAcc validates one row-accumulate call: one index per
-// multiplier, and every row the indices were checked against a whole
-// p-wide row inside src.
-func requireRowAcc(p, terms int, idx CheckedIndices, srcLen int) {
-	if len(idx.idx) != terms {
-		panic(fmt.Sprintf("mat: row accumulate with %d multipliers but %d indices", terms, len(idx.idx)))
-	}
-	if idx.rows*p > srcLen {
-		panic(fmt.Sprintf("mat: row accumulate indices checked against %d rows of %d over a source of %d elements", idx.rows, p, srcLen))
 	}
 }
 

@@ -78,10 +78,10 @@ func TestAxpyFamilyBitIdentity(t *testing.T) {
 			}
 		}
 		got := make([]float64, d)
-		RowAccumulate(got, as, idx, src, false, nil)
+		rowAccF64(got, as, idx, src, false, nil)
 		split := make([]float64, d)
-		RowAccumulate(split, as[:2], idx.Slice(0, 2), src, false, nil)
-		RowAccumulate(split, as[2:], idx.Slice(2, 4), src, true, nil)
+		rowAccF64(split, as[:2], idx.Slice(0, 2), src, false, nil)
+		rowAccF64(split, as[2:], idx.Slice(2, 4), src, true, nil)
 		for j := range ref {
 			if got[j] != ref[j] || split[j] != ref[j] {
 				t.Fatalf("d=%d elem %d: one call %v, continued %v, want %v", d, j, got[j], split[j], ref[j])

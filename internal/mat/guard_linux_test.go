@@ -43,26 +43,34 @@ func guardedI8(t testing.TB, n int, atEnd bool) []int8 {
 	return page[:n:n]
 }
 
-// guardedF64Regions are the fp64 range tests' three guarded regions —
-// source, residual and bias are live together — of guardedF64Len float64s
-// each.
-const guardedF64Len = 1 << 15
+// guardedRegions are the range tests' guarded regions, guardedLen bytes
+// each, numbered by their callers: the operands of one product are live
+// together, one slice per region at a time.
+const guardedLen = 1 << 18
 
-var guardedF64Regions [3]struct {
+var guardedRegions [9]struct {
 	once sync.Once
-	mem  []float64
+	mem  []byte
+}
+
+// guardedBytes returns n bytes that end exactly where the readable
+// memory of the given region does.
+func guardedBytes(t testing.TB, region, n int) []byte {
+	r := &guardedRegions[region]
+	r.once.Do(func() { r.mem = guardRegion(guardedLen / syscall.Getpagesize()) })
+	if n > guardedLen {
+		t.Fatalf("guarded slice of %d bytes exceeds the region's %d", n, guardedLen)
+	}
+	return r.mem[guardedLen-n:]
 }
 
 // guardedF64 returns n float64s that end exactly where the readable
-// memory of the given region does. One slice per region is live at a time.
+// memory of the given region does.
 func guardedF64(t testing.TB, region, n int) []float64 {
-	r := &guardedF64Regions[region]
-	r.once.Do(func() {
-		m := guardRegion(guardedF64Len * 8 / syscall.Getpagesize())
-		r.mem = unsafe.Slice((*float64)(unsafe.Pointer(&m[0])), guardedF64Len)
-	})
-	if n > guardedF64Len {
-		t.Fatalf("guarded slice of %d float64s exceeds the region's %d", n, guardedF64Len)
-	}
-	return r.mem[guardedF64Len-n:]
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(guardedBytes(t, region, 8*n)))), n)
+}
+
+// guardedI8At is guardedF64 for int8s.
+func guardedI8At(t testing.TB, region, n int) []int8 {
+	return unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(guardedBytes(t, region, n)))), n)
 }

@@ -14,10 +14,11 @@ import "fmt"
 // bounded by k·127² ≪ 2³¹ for every width in this codebase — and the
 // combined dequantize (acc·deq), float64 bias/residual epilogue and
 // requantize to the destination's per-column scales happen in the same
-// call that sums the row (CheckedEpilogueI8.ProductRow, productrow.go:
-// the row accumulate and the requantise row back to back). Integer
-// accumulation is order-independent, so tiled, direct and tile-parallel
-// int8 executions are bit-identical without any element-order argument.
+// kernel call that sums the row (one call per op range, productrow.go:
+// the row accumulate and the requantise row back to back, row after
+// row). Integer accumulation is order-independent, so tiled, direct and
+// tile-parallel int8 executions are bit-identical without any
+// element-order argument.
 //
 // The kernels here are serial range forms: the in-enclave direct path is
 // single-threaded by construction, and the tiled executor gets its
@@ -54,53 +55,32 @@ func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI
 	if labels != nil && len(labels) < a.Rows {
 		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto labels length %d < rows %d", len(labels), a.Rows))
 	}
-	n, p := a.Cols, w.Cols
-	if len(w.Data) < n*p {
-		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto weight %s over %d elements", w.Shape(), len(w.Data)))
-	}
 	if res == nil {
 		resScales = nil
 	}
-	// Everything the rows read unchecked is proved here, once: the
-	// epilogue operands by CheckEpilogueI8, the source by the test above,
-	// and the compaction's indices by construction — positions in an
-	// n-long input row, n the weight's height.
+	// Everything the rows read and write unchecked is proved here, once:
+	// the epilogue operands by CheckEpilogueI8, and that the input, the
+	// weight, the destination, the residual and the accumulator hold what
+	// their shapes say; the compaction's indices are in range by
+	// construction — positions in an n-long input row, n the weight's
+	// height.
+	n, p := a.Cols, w.Cols
 	e := CheckEpilogueI8(p, deq, bias, resScales, dstScales, relu, labels != nil)
-	if p == 0 {
-		return
+	if len(a.Data) < a.Rows*n || len(dst.Data) < dst.Rows*p {
+		panic(fmt.Sprintf("mat: MatMulI8EpilogueInto input %s over %d elements, destination %s over %d", a.Shape(), len(a.Data), dst.Shape(), len(dst.Data)))
 	}
-	acc = acc[:p]
-	var ab [RowChunk]int32
-	var ib [RowChunk]int
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		m, cont := matMulRowHeadI8(arow, w, acc, &ab, &ib)
-		var rrow []int8
-		if res != nil {
-			rrow = res.Data[i*p : (i+1)*p]
+	var rdata []int8
+	if res != nil {
+		if len(res.Data) < res.Rows*p {
+			panic(fmt.Sprintf("mat: MatMulI8EpilogueInto residual %s over %d elements", res.Shape(), len(res.Data)))
 		}
-		am := productRowI8(&e, dst.Data[i*p:(i+1)*p], acc, ab[:m], CheckedIndices{ib[:m], n}, w.Data, rrow, cont)
-		if labels != nil {
-			labels[i] = am
-		}
+		rdata = res.Data[:res.Rows*p]
 	}
-}
-
-// matMulRowHeadI8 compacts the non-zero codes of arow, widened to the
-// kernel's int32 multipliers, a RowChunk window at a time, and
-// accumulates every window but the last into acc. It returns the last
-// window's multiplier count — they and their indices are left in ab and
-// ib for the product row to finish with — and whether acc holds a sum to
-// continue from.
-func matMulRowHeadI8(arow []int8, w *MatrixI8, acc []int32, ab *[RowChunk]int32, ib *[RowChunk]int) (m int, cont bool) {
-	k0 := 0
-	for ; len(arow)-k0 > RowChunk; k0 += RowChunk {
-		if m := compactNonZeroI8(ab, ib, arow[k0:k0+RowChunk], k0); m > 0 {
-			rowAccI8(acc, ab[:m], ib[:m], w.Data, cont)
-			cont = true
-		}
+	out := dst.Data[:dst.Rows*p]
+	rdata, acc = e.requireRows(out, a.Rows, rdata, acc, w.Data, n)
+	if len(out) > 0 {
+		denseRangeI8(&e, out, a.Data[:a.Rows*n], n, w.Data, rdata, a.Rows, acc, labels)
 	}
-	return compactNonZeroI8(ab, ib, arow[k0:], k0), cont
 }
 
 // compactNonZeroI8Go is compactNonZeroGo over int8 codes.

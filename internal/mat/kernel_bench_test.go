@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// The int8 kernels' micro-benchmarks, the counterparts of graph's
+// The kernels' micro-benchmarks, the counterparts of graph's
 // BenchmarkSpMMGather for the fp64 gather: CI's bench-short step runs
 // them at GOMAXPROCS=1 so both tiers' kernels are on the trajectory.
 
@@ -17,8 +17,8 @@ var benchSink int
 // quantiser, the standalone element-wise ops) — at the widths the served
 // programs have (3 logits, 16/32 hidden, 128 a wide backbone block) over
 // an accumulator row: bare, + bias + ReLU, and with the wide argmax. The
-// products themselves run these forms inside BenchmarkProductRowI8's one
-// call. ns/elem is per output column.
+// products themselves run these forms inside BenchmarkProductRangeI8's one
+// call per range. ns/elem is per output column.
 func BenchmarkRequantizeRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
 	for _, n := range []int{3, 16, 32, 128} {
@@ -43,73 +43,66 @@ func BenchmarkRequantizeRow(b *testing.B) {
 	}
 }
 
-// BenchmarkRowAccumulateI8 times one int8 row accumulate of p columns
-// over terms source rows drawn from a 2000-row (L2-resident) source, as
-// the int8 SpMM and the compacted dense product issue it. ns/mac is per
-// multiply-accumulate.
-func BenchmarkRowAccumulateI8(b *testing.B) {
-	rng := rand.New(rand.NewSource(21))
-	const rows = 2000
-	for _, p := range []int{3, 16, 32} {
-		src := make([]int8, rows*p)
-		for i := range src {
-			src[i] = int8(rng.Intn(255) - 127)
-		}
-		out := make([]int32, p)
-		for _, terms := range []int{6, 16, 32} {
-			alpha, idx := make([]int32, terms), make([]int, terms)
-			for t := range alpha {
-				alpha[t], idx[t] = int32(rng.Intn(255)-127), rng.Intn(rows)
-			}
-			checked := CheckIndices(idx, rows) // once per op range, as the drivers do
-			b.Run(fmt.Sprintf("p=%d/terms=%d", p, terms), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					RowAccumulateI8(out, alpha, checked, src, false)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p*terms), "ns/mac")
-			})
-		}
-	}
-}
-
-// BenchmarkProductRowI8 times one int8 product row — accumulate and
-// requantise as the three int8 drivers issue it, one call — at the widths
-// and term counts of the served rectifier (3 logits, 16/32 hidden; a
-// sparse row's six neighbours, a compacted dense row's thirty-two) in the
-// three forms its ops run: the bare accumulator (a dense product), +
-// bias + ReLU (a sparse product's fused tail), and the wide-argmax head.
-// Side by side with BenchmarkRowAccumulateI8 and BenchmarkRequantizeRow
-// in bench-short.txt, ns/row here against the sum of the two there is
-// what the fused entry saves.
-func BenchmarkProductRowI8(b *testing.B) {
+// BenchmarkProductRangeI8 times the int8 range entries — the sparse
+// product's and the dense product's, each one kernel call per range,
+// accumulate and requantise row after row — at the widths of the served
+// programs (3 logits, 16/32/64 hidden) with a mean of 6 and of 32 terms a
+// row (a citation graph's neighbours, a compacted activation row) in the
+// three forms their ops run: the bare accumulator, + bias + ReLU (a
+// product's fused tail), and the wide-argmax head. The sparse rows hold
+// 0…2·mean float64 values, quantised inside the call, over a 2000-row
+// (L2-resident) source; the dense input rows are 2·mean wide and half
+// zeros. An op is one output row — ranges are 2000 rows, the last one of a
+// run shorter — so ns/op is ns per row, the figure to set beside
+// BenchmarkProductRangeF64's.
+func BenchmarkProductRangeI8(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
 	const rows = 2000
-	for _, p := range []int{3, 16, 32} {
+	for _, p := range []int{3, 16, 32, 64} {
 		c := newRequantCase(rng, p, true, true, false, 0, 0)
-		src := make([]int8, rows*p)
-		for i := range src {
-			src[i] = int8(rng.Intn(255) - 127)
+		src, dst := NewI8(rows, p), NewI8(rows, p)
+		for i := range src.Data {
+			src.Data[i] = int8(rng.Intn(255) - 127)
 		}
-		dst, acc := make([]int8, p), make([]int32, p)
+		acc, labels := make([]int32, p), make([]int, rows)
 		for _, terms := range []int{6, 32} {
-			alpha, idx := make([]int32, terms), make([]int, terms)
-			for t := range alpha {
-				alpha[t], idx[t] = int32(rng.Intn(255)-127), rng.Intn(rows)
+			rowPtr, col, val := make([]int, rows+1), []int(nil), []float64(nil)
+			a := NewI8(rows, 2*terms)
+			for i := 0; i < rows; i++ {
+				for k := rng.Intn(2*terms + 1); k > 0; k-- {
+					col, val = append(col, rng.Intn(rows)), append(val, 2*rng.Float64()-1)
+				}
+				rowPtr[i+1] = len(col)
+				for k := 0; k < 2*terms; k++ {
+					if rng.Intn(2) == 0 {
+						a.Data[i*2*terms+k] = int8(rng.Intn(255) - 127)
+					}
+				}
 			}
-			checked := CheckIndices(idx, rows) // once per op range, as the drivers do
+			weights := &MatrixI8{Rows: 2 * terms, Cols: p, Data: src.Data[:2*terms*p]}
 			for _, form := range []struct {
-				name         string
-				bias         []float64
-				relu, argmax bool
+				name   string
+				bias   []float64
+				relu   bool
+				labels []int
 			}{
-				{"acc", nil, false, false},
-				{"acc+bias+relu", c.bias, true, false},
-				{"argmax", c.bias, false, true},
+				{"acc", nil, false, nil},
+				{"acc+bias+relu", c.bias, true, nil},
+				{"argmax", c.bias, false, labels},
 			} {
-				epi := CheckEpilogueI8(p, c.deq, form.bias, nil, c.dst, form.relu, form.argmax)
-				b.Run(fmt.Sprintf("p=%d/terms=%d/%s", p, terms, form.name), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						benchSink += epi.ProductRow(dst, acc, alpha, checked, src, nil, false)
+				e := CheckEpilogueI8(p, c.deq, form.bias, nil, c.dst, form.relu, form.labels != nil)
+				b.Run(fmt.Sprintf("sparse/p=%d/terms=%d/%s", p, terms, form.name), func(b *testing.B) {
+					for done := 0; done < b.N; done += rows {
+						hi := min(rows, b.N-done)
+						cc := CheckCSR(rowPtr, col, val, 0, hi, 0, rows) // once per op range, as the drivers do
+						e.SparseRange(dst.Data[:hi*p], &cc, 1.0/127, src.Data, nil, acc, form.labels)
+					}
+				})
+				b.Run(fmt.Sprintf("dense/p=%d/terms=%d/%s", p, terms, form.name), func(b *testing.B) {
+					for done := 0; done < b.N; done += rows {
+						hi := min(rows, b.N-done)
+						MatMulI8EpilogueInto(&MatrixI8{Rows: hi, Cols: p, Data: dst.Data[:hi*p]}, &MatrixI8{Rows: hi, Cols: 2 * terms, Data: a.Data[:hi*2*terms]},
+							weights, c.deq, form.bias, nil, nil, form.relu, c.dst, acc, form.labels)
 					}
 				})
 			}
@@ -126,7 +119,7 @@ func BenchmarkProductRowI8(b *testing.B) {
 // terms over a 2000-row (L2-resident, so never hinted) source; the dense
 // input rows are 2·mean wide and half zeros. An op is one output row —
 // ranges are 2000 rows, the last one of a run shorter — so ns/op is ns
-// per row, the figure to set beside BenchmarkProductRowI8's.
+// per row, the figure to set beside BenchmarkProductRangeI8's.
 func BenchmarkProductRangeF64(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	const rows = 2000

@@ -35,17 +35,17 @@ func TestQuantizeI8EdgeCases(t *testing.T) {
 		if got := QuantizeI8(c.v, c.scale); got != c.want {
 			t.Fatalf("QuantizeI8(%g, %g) = %d, want %d", c.v, c.scale, got, c.want)
 		}
-		// The matrix forms — one scale, per-column scales, wide codes —
-		// are the same quantiser, whichever implementation runs them.
+		// The matrix forms — one scale, per-column scales — and the
+		// product kernels' quantisation of a multiplier are the same
+		// quantiser, whichever implementation runs them.
 		src := FromSlice(1, 1, []float64{c.v})
 		one, cols := NewI8(1, 1), NewI8(1, 1)
 		QuantizeI8Into(one, src, c.scale)
 		QuantizeColumnsI8Into(cols, src, []float64{c.scale})
-		var wide [1]int32
-		QuantizeI8WideInto(wide[:], src.Data, c.scale)
-		if one.Data[0] != c.want || cols.Data[0] != c.want || wide[0] != int32(c.want) {
-			t.Fatalf("v=%g scale=%g: one-scale form %d, per-column form %d, wide form %d, want %d",
-				c.v, c.scale, one.Data[0], cols.Data[0], wide[0], c.want)
+		mult := valueCodesI8(t, src.Data, c.scale)
+		if one.Data[0] != c.want || cols.Data[0] != c.want || mult[0] != c.want {
+			t.Fatalf("v=%g scale=%g: one-scale form %d, per-column form %d, multiplier %d, want %d",
+				c.v, c.scale, one.Data[0], cols.Data[0], mult[0], c.want)
 		}
 	}
 }

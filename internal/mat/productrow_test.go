@@ -12,11 +12,13 @@ import (
 var productRowTerms = []int{0, 1, 5, 127, 128, 129, 300}
 
 // productRowCase is one product row's operands: the epilogue's, the
-// accumulate's, and start, the int32 row the accumulate begins from.
+// accumulate's — float64 multipliers under their scale, as the row door
+// takes them — and start, the int32 row the accumulate begins from.
 type productRowCase struct {
 	p          int
 	epilogue   requantCase
-	alpha      []int32
+	alpha      []float64
+	scale      float64
 	idx        []int
 	rows       int
 	src        []int8 // exactly rows·p long, flush against unreadable memory
@@ -25,29 +27,40 @@ type productRowCase struct {
 	relu, wide bool
 }
 
+// codes are the row's multipliers as the contract quantises them.
+func (c *productRowCase) codes() []int32 {
+	q := make([]int32, len(c.alpha))
+	for k, v := range c.alpha {
+		q[k] = int32(QuantizeI8(v, c.scale))
+	}
+	return q
+}
+
 // newProductRowCase draws a p-column row of terms multipliers over a
 // source of one to nine rows that ends where readable memory does
 // (guardedI8), the last source row always among the terms — or, one time
-// in three, starts where it does, the first row among them. The epilogue
-// operands come from the requantise table's kinds (newRequantCase); its
-// accumulator column is the target the sums are steered to when the row
-// continues — the starting accumulator is the target minus the terms,
-// wrapping — so the exact ties, the clamps and the argmax rows of those
-// kinds reach the fused requantise as they reach the unfused one. A row
-// that starts fresh requantises whatever its terms sum to.
+// in three, starts where it does, the first row among them. The
+// multipliers are reals under a scale that puts one in four at zero and a
+// few past the clamp. The epilogue operands come from the requantise
+// table's kinds (newRequantCase); its accumulator column is the target
+// the sums are steered to when the row continues — the starting
+// accumulator is the target minus the terms, wrapping — so the exact
+// ties, the clamps and the argmax rows of those kinds reach the fused
+// requantise as they reach the unfused one. A row that starts fresh
+// requantises whatever its terms sum to.
 func newProductRowCase(t testing.TB, rng *rand.Rand, p, terms int, hasBias, hasRes, relu, wide, cont bool, scaleKind, valueKind int) productRowCase {
-	c := productRowCase{p: p, cont: cont, relu: relu, wide: wide, rows: 1 + rng.Intn(9)}
+	c := productRowCase{p: p, cont: cont, relu: relu, wide: wide, rows: 1 + rng.Intn(9), scale: 0.01 + rng.Float64()}
 	c.epilogue = newRequantCase(rng, p, true, hasBias, hasRes, scaleKind, valueKind)
 	atEnd := rng.Intn(3) > 0
 	c.src = guardedI8(t, c.rows*p, atEnd)
 	for i := range c.src {
 		c.src[i] = int8(rng.Intn(256) - 128)
 	}
-	c.alpha, c.idx = make([]int32, terms), make([]int, terms)
+	c.alpha, c.idx = make([]float64, terms), make([]int, terms)
 	for k := range c.alpha {
 		c.idx[k] = rng.Intn(c.rows)
 		if rng.Intn(4) > 0 {
-			c.alpha[k] = int32(rng.Intn(255) - 127)
+			c.alpha[k] = c.scale * 130 * (2*rng.Float64() - 1)
 		}
 	}
 	if terms > 0 { // the row flush against the guard is always read
@@ -63,7 +76,7 @@ func newProductRowCase(t testing.TB, rng *rand.Rand, p, terms int, hasBias, hasR
 	}
 	if cont {
 		copy(c.start, c.epilogue.acc)
-		for k, a := range c.alpha {
+		for k, a := range c.codes() {
 			for j := range c.start {
 				c.start[j] -= a * int32(c.src[c.idx[k]*p+j])
 			}
@@ -78,52 +91,50 @@ func (c *productRowCase) String() string {
 }
 
 // oracle is the composition written out: the portable requantise row of
-// the portable row accumulate, on copies.
+// the portable row accumulate of the multipliers' QuantizeI8 codes, on
+// copies.
 func (c *productRowCase) oracle() ([]int8, int) {
 	e := &c.epilogue
 	acc := append([]int32(nil), c.start...)
 	switch {
 	case len(c.alpha) > 0:
-		rowAccI8Go(acc, c.alpha, c.idx, c.src, c.cont)
+		rowAccI8Go(acc, c.codes(), c.idx, c.src, c.cont)
 	case !c.cont:
 		clear(acc)
 	}
 	dst := make([]int8, c.p)
-	am := requantRowGo(dst, nil, c.p, acc, e.deq, e.bias, e.res, e.resScales, e.dst, 0, c.relu, c.wide)
+	am := requantRowGo(dst, acc, e.deq, e.bias, e.res, e.resScales, e.dst, 0, c.relu, c.wide)
 	return dst, am
 }
 
-// check holds the dispatched product row to the oracle: the whole row in
-// one call, the row fed a RowChunk window at a time as the drivers feed a
-// long one, and — with a residual — in place over the residual row; every
-// destination between canaries.
+// check holds the dispatched product row to the oracle — through the
+// exported door, or, for a row that continues a sum (which no caller of
+// the door asks for; the routine continues its own windows), the dispatch
+// beneath it — and, with a residual, in place over the residual row;
+// every destination between canaries.
 func (c *productRowCase) check(t testing.TB, where string) {
 	t.Helper()
 	e := &c.epilogue
 	want, wantAm := c.oracle()
 	epi := CheckEpilogueI8(c.p, e.deq, e.bias, e.resScales, e.dst, c.relu, c.wide)
 	checked := CheckIndices(c.idx, c.rows)
-	for _, form := range []string{"one call", "chunked", "in place"} {
+	for _, form := range []string{"one call", "in place"} {
 		got, fenced := fencedRow[int8](c.p)
 		acc := append([]int32(nil), c.start...)
-		res, lo, cont := e.res, 0, c.cont
-		switch form {
-		case "chunked":
-			for ; len(c.alpha)-lo > RowChunk; lo += RowChunk {
-				RowAccumulateI8(acc, c.alpha[lo:lo+RowChunk], checked.Slice(lo, lo+RowChunk), c.src, cont)
-				cont = true
-			}
-			if lo == 0 {
-				continue // one window: the same call as above
-			}
-		case "in place":
+		res := e.res
+		if form == "in place" {
 			if e.res == nil {
 				continue
 			}
 			copy(got, e.res)
 			res = got
 		}
-		am := epi.ProductRow(got, acc, c.alpha[lo:], checked.Slice(lo, len(c.idx)), c.src, res, cont)
+		var am int
+		if c.cont {
+			am = productRowI8(&epi, got, acc, c.alpha, c.scale, checked, c.src, res, true)
+		} else {
+			am = epi.ProductRow(got, acc, c.alpha, c.scale, checked, c.src, res)
+		}
 		if j := firstDiffI8(got, want); j >= 0 || am != wantAm || !fenced() {
 			t.Fatalf("%s, %s (%s): elem %d, argmax %d, fence intact %v; composition %v argmax %d, got %v",
 				c, where, form, j, am, fenced(), want, wantAm, got)
@@ -131,13 +142,14 @@ func (c *productRowCase) check(t testing.TB, where string) {
 	}
 }
 
-// TestProductRowI8Differential holds the one product-row entry (the
-// fused AVX2 routine where the CPU has it) to the composition it stands
-// for, requantRowGo ∘ rowAccI8Go: widths 1…40 and 64 (across 3, 7, 8, 9,
-// 16, 31, 32, 33) × terms {0, 1, 5, 127, 128, 129, 300} × bias × residual
-// (separate and aliasing dst) × ReLU × wide argmax × fresh and continued
-// rows × the seven destination-scale kinds and six value kinds of the
-// requantise table (exact ties, clamps, NaN and ±Inf, all-equal and
+// TestProductRowI8Differential holds the int8 row door (the AVX2 range
+// routine handed one row where the CPU has it) to the composition it
+// stands for, requantRowGo ∘ rowAccI8Go over QuantizeI8's codes: widths
+// 1…40 and 64 (across 3, 7, 8, 9, 16, 31, 32, 33) × terms {0, 1, 5, 127,
+// 128, 129, 300} — one window of multipliers, and across two and three —
+// × bias × residual (separate and aliasing dst) × ReLU × wide argmax ×
+// fresh and continued rows × the seven destination-scale kinds and six
+// value kinds of the requantise table (exact ties, clamps, NaN and ±Inf, all-equal and
 // all-−Inf rows for the argmax rules). The source ends at a page the
 // process cannot read and its last row is always a term, so a load that
 // strays past idx.rows·p faults; dst sits between canaries.
@@ -175,7 +187,7 @@ func TestProductRowRejectsBadOperands(t *testing.T) {
 	withRes := CheckEpilogueI8(5, f5, nil, f5, f5, false, false)
 	src := make([]int8, 3*5)
 	idx := CheckIndices([]int{0, 2}, 3)
-	alpha := []int32{1, 1}
+	alpha := []float64{1, 1}
 	dst := []int8{7, 7, 7, 7, 7}
 	acc := make([]int32, 5)
 	for name, fn := range map[string]func(){
@@ -185,15 +197,15 @@ func TestProductRowRejectsBadOperands(t *testing.T) {
 		"short dstScales": func() { CheckEpilogueI8(5, f5, nil, nil, f4, false, false) },
 		"long dstScales":  func() { CheckEpilogueI8(4, f4, nil, nil, f5, false, false) },
 		"negative width":  func() { CheckEpilogueI8(-1, nil, nil, nil, nil, false, false) },
-		"short dst":       func() { epi.ProductRow(dst[:4], acc, alpha, idx, src, nil, false) },
-		"short acc":       func() { epi.ProductRow(dst, acc[:4], alpha, idx, src, nil, false) },
-		"index count":     func() { epi.ProductRow(dst, acc, alpha[:1], idx, src, nil, false) },
-		"short source":    func() { epi.ProductRow(dst, acc, alpha, idx, src[:14], nil, false) },
-		"stray residual":  func() { epi.ProductRow(dst, acc, alpha, idx, src, make([]int8, 5), false) },
+		"short dst":       func() { epi.ProductRow(dst[:4], acc, alpha, 1, idx, src, nil) },
+		"short acc":       func() { epi.ProductRow(dst, acc[:4], alpha, 1, idx, src, nil) },
+		"index count":     func() { epi.ProductRow(dst, acc, alpha[:1], 1, idx, src, nil) },
+		"short source":    func() { epi.ProductRow(dst, acc, alpha, 1, idx, src[:14], nil) },
+		"stray residual":  func() { epi.ProductRow(dst, acc, alpha, 1, idx, src, make([]int8, 5)) },
 		"missing residual": func() {
-			withRes.ProductRow(dst, acc, alpha, idx, src, nil, false)
+			withRes.ProductRow(dst, acc, alpha, 1, idx, src, nil)
 		},
-		"short residual": func() { withRes.ProductRow(dst, acc, alpha, idx, src, make([]int8, 4), false) },
+		"short residual": func() { withRes.ProductRow(dst, acc, alpha, 1, idx, src, make([]int8, 4)) },
 	} {
 		func() {
 			defer func() {
@@ -210,7 +222,7 @@ func TestProductRowRejectsBadOperands(t *testing.T) {
 		}
 	}
 	var none CheckedEpilogueI8 // the zero value: a product of no columns
-	if am := none.ProductRow(nil, nil, nil, CheckedIndices{}, nil, nil, false); am != 0 {
+	if am := none.ProductRow(nil, nil, nil, 1, CheckedIndices{}, nil, nil); am != 0 {
 		t.Errorf("empty row answered %d", am)
 	}
 }

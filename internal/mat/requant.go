@@ -25,7 +25,7 @@ import (
 //
 // Like the row accumulate (axpy.go) the contract has exactly two
 // implementations: AVX2 assembly on amd64 (requant_amd64.s — four columns
-// a step under lane masks here, eight a step inside the product row —
+// a step under lane masks here, eight a step inside the product range —
 // chosen by the same useAVX2 flag) and requantRowGo below — the fallback
 // everywhere else, the whole of the purego build and the oracle of
 // TestRequantizeRowDifferential. Both
@@ -35,16 +35,21 @@ import (
 // int8 needs no further argument.
 //
 // Composition. The product epilogues do not call RequantizeRow: an int8
-// product's row is the row accumulate (axpy.go) and this contract as one
-// call, CheckedEpilogueI8.ProductRow (productrow.go; axpy.go has the
-// composition clause in full — the two contracts back to back, nothing
-// reordered, the portable form literally requantRowGo ∘ rowAccI8Go). The
-// operands this contract reads per column — deq, bias, resScales, the
-// destination scales — reach that entry as a CheckedEpilogueI8, proved
-// against the column count once per op range by CheckEpilogueI8 instead
-// of once per row here. RequantizeRow remains the door for everything
-// that is not a product's last step: the boundary quantiser, the
-// standalone element-wise ops, the wide codes of QuantizeI8WideInto.
+// product's rows are the row accumulate (axpy.go) and this contract, row
+// after row, in one kernel call per op range — CheckedEpilogueI8.SparseRange,
+// the dense range under MatMulI8EpilogueInto, and the row door
+// CheckedEpilogueI8.ProductRow for the attention aggregate (productrow.go;
+// axpy.go has the int8 range clause in full — the two contracts back to
+// back, nothing reordered, the portable form literally requantRowGo ∘
+// rowAccI8Go per row). The operands this contract reads per column — deq,
+// bias, resScales, the destination scales — reach those entries as a
+// CheckedEpilogueI8, proved against the column count once per op range by
+// CheckEpilogueI8 instead of once per row here. The same clause covers
+// the multipliers: a CSR value or an attention coefficient becomes its
+// int8 code inside the range call by this contract's last line under one
+// scale — QuantizeI8 per value. RequantizeRow remains the door for
+// everything that is not a product's last step: the boundary quantiser
+// and the standalone element-wise ops.
 
 // QuantizeI8 maps the real value v to its nearest int8 code under
 // symmetric scale (round half away from zero, clamped to ±127). A
@@ -78,26 +83,15 @@ func RequantizeRow(dst []int8, acc []int32, deq, bias []float64, res []int8, res
 	if dstScales == nil && len(dst) > 0 {
 		panic("mat: requantise row without destination scales")
 	}
-	return requantRowChecked(dst, nil, acc, deq, bias, res, resScales, dstScales, 0, relu, argmax)
+	return requantRowChecked(dst, acc, deq, bias, res, resScales, dstScales, 0, relu, argmax)
 }
 
-// QuantizeI8WideInto writes the int8 codes of src under one scale into
-// dst as int32 — the multiplier form RowAccumulateI8 takes, which is how
-// the int8 SpMM quantises a chunk of CSR values per run.
-func QuantizeI8WideInto(dst []int32, src []float64, scale float64) {
-	requantRowChecked(nil, dst, nil, nil, src, nil, nil, nil, scale, false, false)
-}
-
-// requantRowChecked is the one door to both implementations: the row is
-// dst8, or dst32 when that is non-nil (codes stored wide); scales nil
+// requantRowChecked is the one door to both implementations: scales nil
 // means the single scale quantises every column. It validates that each
 // present operand covers the row — the assembly reads and writes
 // unchecked — and skips the empty row.
-func requantRowChecked(dst8 []int8, dst32 []int32, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
-	n := len(dst8)
-	if dst32 != nil {
-		n = len(dst32)
-	}
+func requantRowChecked(dst []int8, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
+	n := len(dst)
 	if n == 0 {
 		return 0
 	}
@@ -109,15 +103,15 @@ func requantRowChecked(dst8 []int8, dst32 []int32, acc []int32, deq, bias []floa
 		panic(fmt.Sprintf("mat: requantise row of %d columns over shorter operands (acc %d, deq %d, bias %d, res %d, resScales %d, scales %d)",
 			n, len(acc), len(deq), len(bias), len(res), len(resScales), len(scales)))
 	}
-	return requantRow(dst8, dst32, n, acc, deq, bias, res, resScales, scales, scale, relu, argmax)
+	return requantRow(dst, acc, deq, bias, res, resScales, scales, scale, relu, argmax)
 }
 
 // requantRowGo is the portable requantise row, one column at a time
 // through QuantizeI8. Like the assembly it stands in for, it takes
 // operands the caller has validated.
-func requantRowGo(dst8 []int8, dst32 []int32, n int, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
+func requantRowGo(dst []int8, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
 	am, best := 0, math.Inf(-1)
-	for j := 0; j < n; j++ {
+	for j := range dst {
 		// The explicit conversions round each product on its own, which
 		// keeps a compiler that may fuse from fusing it into the add.
 		var f float64
@@ -149,12 +143,7 @@ func requantRowGo(dst8 []int8, dst32 []int32, n int, acc []int32, deq, bias []fl
 		if scales != nil {
 			scale = scales[j]
 		}
-		code := QuantizeI8(f, scale)
-		if dst32 != nil {
-			dst32[j] = int32(code)
-		} else {
-			dst8[j] = code
-		}
+		dst[j] = QuantizeI8(f, scale)
 	}
 	return am
 }

@@ -173,8 +173,8 @@ func newRequantCase(rng *rand.Rand, n int, hasAcc, hasBias, hasRes bool, scaleKi
 // accumulator, bias, residual and ReLU × destination scales {normal,
 // power of two, 0, negative, denormal, huge, mixed} × values {random,
 // exact ±k.5 ties, at and beyond ±127.5, ±0/±Inf/NaN, all-equal and
-// all-−Inf rows for the argmax tie rule} — and the single-scale and
-// wide-code forms to the same contract.
+// all-−Inf rows for the argmax tie rule} — and the single-scale form and
+// the product kernels' multiplier codes to the same contract.
 func TestRequantizeRowDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for n := 1; n <= 70; n++ {
@@ -198,7 +198,7 @@ func TestRequantizeRowDifferential(t *testing.T) {
 							t.Fatalf("%s: dispatched kernel wrote outside its row", where())
 						}
 						port := make([]int8, n)
-						am = requantRowGo(port, nil, n, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, 0, relu, true)
+						am = requantRowGo(port, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, 0, relu, true)
 						if j := firstDiffI8(port, want); j >= 0 || am != wantAm {
 							t.Fatalf("%s: portable elem %d, argmax %d; contract %v argmax %d, got %v", where(), j, am, want, wantAm, port)
 						}
@@ -239,7 +239,7 @@ const fenceWidth = 16
 // and a check that every element before and after the row still holds
 // its canary — what a vector or masked store running past the row would
 // overwrite.
-func fencedRow[E int8 | int32 | float64](n int) ([]E, func() bool) {
+func fencedRow[E int8 | int32 | int | float64](n int) ([]E, func() bool) {
 	const canary = 0x55
 	buf := make([]E, n+2*fenceWidth)
 	for i := range buf {
@@ -255,26 +255,26 @@ func fencedRow[E int8 | int32 | float64](n int) ([]E, func() bool) {
 	}
 }
 
-// requireSingleScaleForms holds the one-scale-per-row forms — narrow
-// codes (QuantizeI8Into) and wide codes (QuantizeI8WideInto) from a plain
-// float64 source — to the literal contract, each row between canaries.
-func requireSingleScaleForms(t *testing.T, src []float64, scale float64, values string) {
+// requireSingleScaleForms holds the one-scale forms of a plain float64
+// source — the codes of QuantizeI8Into, its row between canaries, and the
+// multiplier codes the product kernels quantise CSR values and attention
+// coefficients to inside their range call (valueCodesI8) — to the literal
+// contract.
+func requireSingleScaleForms(t testing.TB, src []float64, scale float64, values string) {
 	t.Helper()
 	n := len(src)
 	want, _ := naiveRequantRow(n, nil, nil, src, nil, nil, nil, scale, false)
 	narrow, narrowFenced := fencedRow[int8](n)
 	QuantizeI8Into(&MatrixI8{Rows: 1, Cols: n, Data: narrow}, FromSlice(1, n, src), scale)
-	wide, wideFenced := fencedRow[int32](n)
-	QuantizeI8WideInto(wide, src, scale)
+	mult := valueCodesI8(t, src, scale)
 	for j := range want {
-		if narrow[j] != want[j] || wide[j] != int32(want[j]) {
-			t.Fatalf("n=%d scale=%g values=%s: elem %d (%g) = %d narrow, %d wide, contract %d",
-				n, scale, values, j, src[j], narrow[j], wide[j], want[j])
+		if narrow[j] != want[j] || mult[j] != want[j] {
+			t.Fatalf("n=%d scale=%g values=%s: elem %d (%g) = %d as a code, %d as a multiplier, contract %d",
+				n, scale, values, j, src[j], narrow[j], mult[j], want[j])
 		}
 	}
-	if !narrowFenced() || !wideFenced() {
-		t.Fatalf("n=%d scale=%g values=%s: single-scale form wrote outside its row (narrow intact %v, wide intact %v)",
-			n, scale, values, narrowFenced(), wideFenced())
+	if !narrowFenced() {
+		t.Fatalf("n=%d scale=%g values=%s: single-scale form wrote outside its row", n, scale, values)
 	}
 }
 
@@ -301,7 +301,6 @@ func TestRequantizeRowRejectsShortOperands(t *testing.T) {
 		"short dstScales": func() { RequantizeRow(make([]int8, 5), nil, nil, f5, nil, nil, f4, false, false) },
 		"nil dstScales":   func() { RequantizeRow(make([]int8, 5), nil, nil, f5, nil, nil, nil, false, false) },
 		"no source":       func() { RequantizeRow(make([]int8, 5), nil, nil, nil, nil, nil, f5, false, false) },
-		"wide short src":  func() { QuantizeI8WideInto(make([]int32, 5), f4, 1) },
 		"matrix short src": func() {
 			QuantizeI8Into(&MatrixI8{Rows: 1, Cols: 5, Data: make([]int8, 5)}, &Matrix{Rows: 1, Cols: 5, Data: f4}, 1)
 		},
@@ -323,8 +322,8 @@ func TestRequantizeRowRejectsShortOperands(t *testing.T) {
 // FuzzRequantizeRow drives the dispatched requantise row with fuzzed
 // widths, term mixes, scale and value kinds, with and without the wide
 // argmax, against the literal contract; rows sit between canaries, and a
-// plain float64 source also goes through the single-scale narrow and
-// wide-code forms.
+// plain float64 source also goes through the single-scale form and the
+// product kernels' multiplier quantisation.
 func FuzzRequantizeRow(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint8(7), uint8(0), uint8(0), true, true)
 	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(1), false, true)

@@ -34,7 +34,7 @@ func xgetbv() (eax, edx uint32)
 
 // packLUT[mask] holds the VPERMD indices that move the quadword lanes
 // set in mask to the front, in order (what follows them is never kept);
-// the compaction kernels read it.
+// the two range routines' compactions read it.
 var packLUT = func() (lut [16][8]uint32) {
 	for mask := range lut {
 		n := 0
@@ -49,19 +49,13 @@ var packLUT = func() (lut [16][8]uint32) {
 }()
 
 //go:noescape
-func compactI8AVX2(ab *int32, ib *int, src *int8, n, base int) int
-
-//go:noescape
 func productRangeF64AVX2(a *rangeF64)
 
 //go:noescape
-func rowAccI8AVX2(out *int32, p int, alpha *int32, idx *int, n int, src *int8, cont bool)
+func productRangeI8AVX2(a *rangeI8)
 
 //go:noescape
-func productRowI8AVX2(e *CheckedEpilogueI8, dst *int8, acc, alpha *int32, idx *int, n int, src, last, res *int8, cont bool) int
-
-//go:noescape
-func requantRowAVX2(dst8 *int8, dst32 *int32, n int, acc *int32, deq, bias *float64, res *int8, resScales, scales *float64, scale float64, relu, argmax bool) int
+func requantRowAVX2(dst *int8, n int, acc *int32, deq, bias *float64, res *int8, resScales, scales *float64, scale float64, relu, argmax bool) int
 
 // The look-ahead clause of the row accumulate (axpy.go) is acted on only
 // here, and only where the operands say a gather can be hidden. Measured
@@ -123,9 +117,11 @@ type rangeF64 struct {
 	state uint64
 }
 
-// The flags of a rangeF64. The first four are the caller's (rangeCont
-// only from the row door); rangeDense selects the dense walk and
-// rangeLast is the routine's own mark on a dense row's last window.
+// The flags of a rangeF64 and a rangeI8. rangeCont (only ever from a row
+// door), rangeBias, rangeRes, rangeReLU and rangeArgmax are the caller's —
+// the int8 routine reads its bias and residual as present when their
+// pointers are — rangeDense selects the dense walk, and rangeLast is the
+// routines' own mark on the window that finishes a row.
 const (
 	rangeCont = 1 << iota
 	rangeBias
@@ -133,6 +129,7 @@ const (
 	rangeReLU
 	rangeDense
 	rangeLast
+	rangeArgmax
 )
 
 // epilogue fills in the argument block's epilogue operands: e's bias and
@@ -216,75 +213,137 @@ func denseRangeF64(e *CheckedEpilogue, dst, a []float64, n int, b []float64, row
 	productRangeF64AVX2(&args)
 }
 
-// rowAccI8 runs one validated, non-empty int8 row accumulate on the
-// implementation chosen at init. The assembly covers the
-// leading multiple of eight columns; the last few are summed here, which
-// exact integer arithmetic makes the same result in any order.
-func rowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
-	if !useAVX2 {
-		rowAccI8Go(out, alpha, idx, src, cont)
-		return
+// rangeI8 is the argument block of productRangeI8AVX2 (requant_amd64.s
+// reads it by the offsets go_asm.h exports): rows output rows of p codes
+// from dst on, contiguous, each the int8 row contract over src — at least
+// eight codes, last its final eight (the over-read rule, axpy.go) —
+// requantised under the epilogue operands: deq, the optional bias, the
+// optional residual codes (res the first output row's, the rest following
+// it) under resScales, dstScales, and the rangeReLU and rangeArgmax flags;
+// labels, with rangeArgmax, receives one wide argmax a row. acc is the p
+// int32 sums a row longer than one window continues through. A sparse
+// call walks rowPtr: row i's multipliers are val from position rowPtr[i]
+// to rowPtr[i+1] quantised under scale, a window of at most RowChunk at a
+// time into codes, never past position end; its indices col over the same
+// positions. A dense call (rangeDense) walks the n-wide input rows from a
+// on, compacting each into alpha and idx, RowChunk entries long. The
+// fields from alpha on are the routine's own cursors (a dense caller
+// points alpha and idx at its buffers): the current window's multipliers,
+// the row's state, and where the row and the window of codes stand.
+type rangeI8 struct {
+	dst, res  *int8
+	labels    *int
+	acc       *int32
+	p, rows   int
+	src, last *int8
+	flags     uint64
+
+	deq, bias, resScales, dstScales *float64
+
+	rowPtr *int
+	val    *float64
+	col    *int
+	scale  float64
+	codes  *int32
+	end    int
+
+	a *int8
+	n int
+
+	alpha         *int32
+	idx           *int
+	terms         int
+	state         uint64
+	at, rowEnd, k int
+	wlo, whi      int
+}
+
+// epilogue fills in the argument block's requantise operands: e's
+// column count, scales, bias and flags.
+func (a *rangeI8) epilogue(e *CheckedEpilogueI8) {
+	a.p = e.cols
+	a.deq, a.bias, a.resScales, a.dstScales = &e.deq[0], unsafe.SliceData(e.bias), unsafe.SliceData(e.resScales), &e.dstScales[0]
+	if e.relu {
+		a.flags |= rangeReLU
 	}
-	p := len(out)
-	if p >= 8 {
-		rowAccI8AVX2(&out[0], p, &alpha[0], &idx[0], len(alpha), &src[0], cont)
-	}
-	for j := p &^ 7; j < p; j++ {
-		var s int32
-		if cont {
-			s = out[j]
-		}
-		for t, a := range alpha {
-			s += a * int32(src[idx[t]*p+j])
-		}
-		out[j] = s
+	if e.argmax {
+		a.flags |= rangeArgmax
 	}
 }
 
-// compactNonZeroI8 picks the int8 dense product's compaction the same
-// way. The assembly writes up to len(chunk) entries unchecked, so a chunk
-// longer than the buffers is refused here.
-func compactNonZeroI8(ab *[RowChunk]int32, ib *[RowChunk]int, chunk []int8, base int) int {
-	if !useAVX2 || len(chunk) == 0 {
-		return compactNonZeroI8Go(ab, ib, chunk, base)
+// The assembly narrows the loads of a row's last cols mod 8 columns
+// against the source's final eight bytes (the over-read rule, axpy.go),
+// so a source shorter than that — fewer than eight codes in all, under
+// rows narrower than eight — stays with the portable kernel, range and
+// row door alike: haveI8Kernel decides it once per call.
+func haveI8Kernel(srcRows, p int) bool { return useAVX2 && srcRows*p >= 8 }
+
+// productRowI8 runs one validated int8 product row of at least one
+// column on the implementation chosen at init. The assembly's row door is
+// its range routine handed a one-row CSR: the row's float64 multipliers
+// and indices at positions [0, len(alpha)).
+func productRowI8(e *CheckedEpilogueI8, dst []int8, acc []int32, alpha []float64, scale float64, idx CheckedIndices, src, res []int8, cont bool) int {
+	if !haveI8Kernel(idx.rows, e.cols) {
+		return productRowI8Go(e, dst, acc, alpha, scale, idx.idx, src, res, cont)
 	}
-	if len(chunk) > RowChunk {
-		panic("mat: compaction chunk exceeds its buffers")
+	rowPtr := [2]int{0, len(alpha)}
+	var codes [RowChunk]int32
+	var label int
+	var a rangeI8 // filled field by field: a composite literal is built aside and copied in, per row
+	a.dst, a.res, a.acc, a.labels, a.rows = &dst[0], unsafe.SliceData(res), &acc[0], &label, 1
+	a.src, a.last = &src[0], &src[idx.rows*e.cols-8]
+	a.rowPtr, a.val, a.col = &rowPtr[0], unsafe.SliceData(alpha), unsafe.SliceData(idx.idx)
+	a.scale, a.codes, a.end = scale, &codes[0], len(alpha)
+	if cont {
+		a.flags = rangeCont
 	}
-	return compactI8AVX2(&ab[0], &ib[0], &chunk[0], len(chunk), base)
+	a.epilogue(e)
+	productRangeI8AVX2(&a)
+	return label
+}
+
+// sparseRangeI8 runs the validated rows of c, at least one of at least
+// one column, on the implementation chosen at init.
+func sparseRangeI8(e *CheckedEpilogueI8, dst []int8, c *CheckedCSR, valScale float64, src, res []int8, acc []int32, labels []int) {
+	if !haveI8Kernel(c.srcRows, e.cols) {
+		sparseRangeI8Go(e, dst, c, valScale, src, res, acc, labels)
+		return
+	}
+	var codes [RowChunk]int32
+	a := rangeI8{
+		dst: &dst[0], res: unsafe.SliceData(res), acc: &acc[0], labels: unsafe.SliceData(labels), rows: c.rows,
+		src: &src[0], last: &src[c.srcRows*e.cols-8],
+		rowPtr: &c.rowPtr[0], val: unsafe.SliceData(c.val), col: unsafe.SliceData(c.col),
+		scale: valScale, codes: &codes[0], end: c.rowPtr[c.rows],
+	}
+	a.epilogue(e)
+	productRangeI8AVX2(&a)
+}
+
+// denseRangeI8 is sparseRangeI8 for the dense product: rows input rows
+// of n codes from a on, times the n×e.cols matrix w.
+func denseRangeI8(e *CheckedEpilogueI8, dst, a []int8, n int, w, res []int8, rows int, acc []int32, labels []int) {
+	if !haveI8Kernel(n, e.cols) {
+		denseRangeI8Go(e, dst, a, n, w, res, rows, acc, labels)
+		return
+	}
+	var ab [RowChunk]int32
+	var ib [RowChunk]int
+	args := rangeI8{
+		dst: &dst[0], res: unsafe.SliceData(res), acc: &acc[0], labels: unsafe.SliceData(labels), rows: rows,
+		src: &w[0], last: &w[n*e.cols-8],
+		flags: rangeDense, a: unsafe.SliceData(a), n: n, alpha: &ab[0], idx: &ib[0],
+	}
+	args.epilogue(e)
+	productRangeI8AVX2(&args)
 }
 
 // requantRow runs one validated, non-empty requantise row on the
 // implementation chosen at init; an absent operand reaches the assembly
 // as a nil pointer.
-func requantRow(dst8 []int8, dst32 []int32, n int, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
+func requantRow(dst []int8, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
 	if !useAVX2 {
-		return requantRowGo(dst8, dst32, n, acc, deq, bias, res, resScales, scales, scale, relu, argmax)
+		return requantRowGo(dst, acc, deq, bias, res, resScales, scales, scale, relu, argmax)
 	}
-	return requantRowAVX2(first(dst8), first(dst32), n, first(acc), first(deq), first(bias), first(res), first(resScales), first(scales), scale, relu, argmax)
-}
-
-// productRowI8 runs one validated product row of at least one column on
-// the implementation chosen at init. The assembly narrows the loads of a
-// row's last cols mod 8 columns against the source's final eight bytes
-// (the over-read rule, axpy.go), so a source shorter than that — fewer
-// than eight codes in all, under a row narrower than eight — stays with
-// the portable kernel.
-func productRowI8(e *CheckedEpilogueI8, dst []int8, acc, alpha []int32, idx CheckedIndices, src, res []int8, cont bool) int {
-	var last *int8
-	if end := idx.rows * e.cols; end >= 8 {
-		last = &src[end-8]
-	}
-	if !useAVX2 || (last == nil && len(alpha) > 0) {
-		return productRowI8Go(e, dst, acc, alpha, idx.idx, src, res, cont)
-	}
-	return productRowI8AVX2(e, &dst[0], &acc[0], unsafe.SliceData(alpha), unsafe.SliceData(idx.idx), len(alpha), unsafe.SliceData(src), last, unsafe.SliceData(res), cont)
-}
-
-// first is &s[0], or nil for a nil slice.
-func first[E any](s []E) *E {
-	if s == nil {
-		return nil
-	}
-	return &s[0]
+	return requantRowAVX2(&dst[0], len(dst), unsafe.SliceData(acc), unsafe.SliceData(deq), unsafe.SliceData(bias), unsafe.SliceData(res), unsafe.SliceData(resScales), unsafe.SliceData(scales), scale, relu, argmax)
 }

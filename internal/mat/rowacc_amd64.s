@@ -2,22 +2,20 @@
 
 #include "go_asm.h"
 #include "textflag.h"
-#include "rowacc_amd64.h"
 
-// AVX2 product kernels — see the contract at the top of axpy.go (the row
-// contract, then its range clause). Every fp64 output row of the codebase
-// is computed by the one routine below, productRangeF64AVX2: a range call
-// walks rows lo…hi of a sparse or a dense product without returning to Go
-// between them, and the row door (RowAccumulate, CheckedEpilogue.ProductRow)
-// is the same routine handed one row. The int8 row accumulate and the
-// int8 compaction follow it; the int8 product row is in requant_amd64.s.
+// AVX2 product kernel, fp64 — see the contract at the top of axpy.go (the
+// row contract, then its range clause). Every fp64 output row of the
+// codebase is computed by the one routine below, productRangeF64AVX2: a
+// range call walks rows lo…hi of a sparse or a dense product without
+// returning to Go between them, and the row door
+// (CheckedEpilogue.ProductRow) is the same routine handed one row. Its
+// int8 counterpart, productRangeI8AVX2, is in requant_amd64.s.
 //
-// All of them walk the output row in column blocks and, per block, hold
-// the block in YMM accumulators across every term t, so out is read at
-// most once and written once per block. The fp64 routine also finishes
-// the block there — bias add, residual add, ReLU, in that order — before
-// its single store. Register use of the fp64 routine (the int8 row
-// accumulate shares the block's):
+// It walks the output row in column blocks and, per block, holds the
+// block in YMM accumulators across every term t, so out is read at most
+// once and written once per block, and finishes the block there — bias
+// add, residual add, ReLU, in that order — before its single store.
+// Register use:
 //
 //	R14 the argument block (rangeF64, rowacc_amd64.go)
 //	DI  out cursor: rows are contiguous, so it runs on from row to row
@@ -53,23 +51,17 @@ DATA tailMask<>+48(SB)/8, $0
 DATA tailMask<>+56(SB)/8, $0
 GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 
-// laneIota: the lane offsets 0,1,2,3 of a four-quadword step; the step
-// width 4; and the VPERMD indices 0,2,4,6 that gather the low doublewords
-// of four quadwords (the upper four indices are don't-cares).
+// laneIota: the lane offsets 0,1,2,3 of a four-quadword step, and the
+// step width 4.
 DATA laneIota<>+0(SB)/8, $0
 DATA laneIota<>+8(SB)/8, $1
 DATA laneIota<>+16(SB)/8, $2
 DATA laneIota<>+24(SB)/8, $3
 DATA laneIota<>+32(SB)/8, $4
-DATA laneIota<>+40(SB)/8, $0x0000000200000000
-DATA laneIota<>+48(SB)/8, $0x0000000600000004
-DATA laneIota<>+56(SB)/8, $0
-DATA laneIota<>+64(SB)/8, $0
-GLOBL laneIota<>(SB), RODATA|NOPTR, $72
+GLOBL laneIota<>(SB), RODATA|NOPTR, $40
 
-// TERM points R12 at this block's slice of row idx[t] and broadcasts
-// alpha[t] (TERMI8 and MACI8, which the product row shares, are in
-// rowacc_amd64.h).
+// TERMF64 points R12 at this block's slice of row idx[t] and broadcasts
+// alpha[t].
 #define TERMF64 \
 	MOVQ (R8)(R11*8), R12 \
 	IMULQ R10, R12 \
@@ -629,219 +621,6 @@ f64denseRowDone:
 	DECQ rangeF64_rows(R14)
 	JNZ f64denseRow
 	VZEROUPPER
-	RET
-
-// func rowAccI8AVX2(out *int32, p int, alpha *int32, idx *int, n int, src *int8, cont bool)
-// Handles the leading p&^7 columns; the caller finishes the last p&7.
-// Integer accumulation is exact, so the accumulators start from zero (or
-// from out when cont) rather than from a bare first product.
-TEXT ·rowAccI8AVX2(SB), NOSPLIT, $0-49
-	MOVQ out+0(FP), DI
-	MOVQ p+8(FP), CX
-	MOVQ alpha+16(FP), SI
-	MOVQ idx+24(FP), R8
-	MOVQ n+32(FP), R9
-	MOVQ src+40(FP), DX
-	MOVBQZX cont+48(FP), AX
-	MOVQ CX, R10
-
-i8blk64:
-	CMPQ CX, $64
-	JLT i8blk32
-	TESTQ AX, AX
-	JNZ i8load64
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-	JMP i8start64
-i8load64:
-	VMOVDQU 0(DI), Y0
-	VMOVDQU 32(DI), Y1
-	VMOVDQU 64(DI), Y2
-	VMOVDQU 96(DI), Y3
-	VMOVDQU 128(DI), Y4
-	VMOVDQU 160(DI), Y5
-	VMOVDQU 192(DI), Y6
-	VMOVDQU 224(DI), Y7
-i8start64:
-	XORQ R11, R11
-i8loop64:
-	TERMI8
-	MACI8(0, Y9, Y0)
-	MACI8(8, Y10, Y1)
-	MACI8(16, Y11, Y2)
-	MACI8(24, Y12, Y3)
-	MACI8(32, Y13, Y4)
-	MACI8(40, Y14, Y5)
-	MACI8(48, Y15, Y6)
-	MACI8(56, Y9, Y7)
-	INCQ R11
-	CMPQ R11, R9
-	JLT i8loop64
-	VMOVDQU Y0, 0(DI)
-	VMOVDQU Y1, 32(DI)
-	VMOVDQU Y2, 64(DI)
-	VMOVDQU Y3, 96(DI)
-	VMOVDQU Y4, 128(DI)
-	VMOVDQU Y5, 160(DI)
-	VMOVDQU Y6, 192(DI)
-	VMOVDQU Y7, 224(DI)
-	ADDQ $256, DI
-	ADDQ $64, DX
-	SUBQ $64, CX
-	JMP i8blk64
-
-i8blk32:
-	CMPQ CX, $32
-	JLT i8blk16
-	TESTQ AX, AX
-	JNZ i8load32
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	JMP i8start32
-i8load32:
-	VMOVDQU 0(DI), Y0
-	VMOVDQU 32(DI), Y1
-	VMOVDQU 64(DI), Y2
-	VMOVDQU 96(DI), Y3
-i8start32:
-	XORQ R11, R11
-i8loop32:
-	TERMI8
-	MACI8(0, Y9, Y0)
-	MACI8(8, Y10, Y1)
-	MACI8(16, Y11, Y2)
-	MACI8(24, Y12, Y3)
-	INCQ R11
-	CMPQ R11, R9
-	JLT i8loop32
-	VMOVDQU Y0, 0(DI)
-	VMOVDQU Y1, 32(DI)
-	VMOVDQU Y2, 64(DI)
-	VMOVDQU Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ $32, DX
-	SUBQ $32, CX
-
-i8blk16:
-	CMPQ CX, $16
-	JLT i8blk8
-	TESTQ AX, AX
-	JNZ i8load16
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	JMP i8start16
-i8load16:
-	VMOVDQU 0(DI), Y0
-	VMOVDQU 32(DI), Y1
-i8start16:
-	XORQ R11, R11
-i8loop16:
-	TERMI8
-	MACI8(0, Y9, Y0)
-	MACI8(8, Y10, Y1)
-	INCQ R11
-	CMPQ R11, R9
-	JLT i8loop16
-	VMOVDQU Y0, 0(DI)
-	VMOVDQU Y1, 32(DI)
-	ADDQ $64, DI
-	ADDQ $16, DX
-	SUBQ $16, CX
-
-i8blk8:
-	CMPQ CX, $8
-	JLT i8done
-	TESTQ AX, AX
-	JNZ i8load8
-	VPXOR Y0, Y0, Y0
-	JMP i8start8
-i8load8:
-	VMOVDQU 0(DI), Y0
-i8start8:
-	XORQ R11, R11
-i8loop8:
-	TERMI8
-	MACI8(0, Y9, Y0)
-	INCQ R11
-	CMPQ R11, R9
-	JLT i8loop8
-	VMOVDQU Y0, 0(DI)
-
-i8done:
-	VZEROUPPER
-	RET
-
-// compactI8AVX2 copies the non-zero codes of src[0:n] to the front of ab
-// (widened to the kernel's int32 multipliers) and base plus their
-// positions to ib, the way the fp64 routine's window compaction does:
-// codes are widened to quadwords to share the packing table, then
-// narrowed as they are stored.
-//
-//	DI ab    BX ib    SI src    CX n    AX cursor    DX position
-//	Y5 base + position of the four lanes    Y6 fours    Y7 zero
-
-// func compactI8AVX2(ab *int32, ib *int, src *int8, n, base int) int
-TEXT ·compactI8AVX2(SB), NOSPLIT, $0-48
-	MOVQ ab+0(FP), DI
-	MOVQ ib+8(FP), BX
-	MOVQ src+16(FP), SI
-	MOVQ n+24(FP), CX
-	MOVQ base+32(FP), R8
-	XORQ AX, AX
-	XORQ DX, DX
-	MOVQ R8, X5
-	VPBROADCASTQ X5, Y5
-	VPADDQ laneIota<>(SB), Y5, Y5
-	VPBROADCASTQ laneIota<>+32(SB), Y6
-	VPXOR Y7, Y7, Y7
-	VMOVDQU laneIota<>+40(SB), Y8
-	LEAQ ·packLUT(SB), R9
-	MOVQ CX, R11
-	ANDQ $-4, R11
-	JMP ci8test4
-ci8loop4:
-	VPMOVSXBQ (SI)(DX*1), Y0
-	VPCMPEQQ Y7, Y0, Y1
-	VMOVMSKPD Y1, R12
-	XORQ $15, R12
-	MOVQ R12, R13
-	SHLQ $5, R13
-	VMOVDQU (R9)(R13*1), Y2
-	VPERMD Y0, Y2, Y3
-	VPERMD Y3, Y8, Y3
-	VMOVDQU X3, (DI)(AX*4)
-	VPERMD Y5, Y2, Y4
-	VMOVDQU Y4, (BX)(AX*8)
-	VPADDQ Y6, Y5, Y5
-	POPCNTQ R12, R12
-	ADDQ R12, AX
-	ADDQ $4, DX
-ci8test4:
-	CMPQ DX, R11
-	JLT ci8loop4
-	ADDQ DX, R8
-	JMP ci8test1
-ci8loop1:
-	MOVBQSX (SI)(DX*1), R12
-	MOVL R12, (DI)(AX*4)
-	MOVQ R8, (BX)(AX*8)
-	NEGQ R12 // carry set unless zero
-	ADCQ $0, AX
-	INCQ DX
-	INCQ R8
-ci8test1:
-	CMPQ DX, CX
-	JLT ci8loop1
-	VZEROUPPER
-	MOVQ AX, ret+40(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -2,8 +2,8 @@
 
 package mat
 
-// Without the assembly kernels every product range, row accumulate,
-// requantise row and product row runs the portable implementation.
+// Without the assembly kernels every product range, row door and
+// requantise row runs the portable implementation.
 
 func productRowF64(e *CheckedEpilogue, out, alpha []float64, idx []int, src []float64, r int, cont bool, _ []int) {
 	productRowF64Go(e, out, alpha, idx, src, r, cont)
@@ -17,18 +17,18 @@ func denseRangeF64(e *CheckedEpilogue, dst, a []float64, n int, b []float64, row
 	denseRangeF64Go(e, dst, a, n, b, rows, r0)
 }
 
-func rowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
-	rowAccI8Go(out, alpha, idx, src, cont)
+func productRowI8(e *CheckedEpilogueI8, dst []int8, acc []int32, alpha []float64, scale float64, idx CheckedIndices, src, res []int8, cont bool) int {
+	return productRowI8Go(e, dst, acc, alpha, scale, idx.idx, src, res, cont)
 }
 
-func compactNonZeroI8(ab *[RowChunk]int32, ib *[RowChunk]int, chunk []int8, base int) int {
-	return compactNonZeroI8Go(ab, ib, chunk, base)
+func sparseRangeI8(e *CheckedEpilogueI8, dst []int8, c *CheckedCSR, valScale float64, src, res []int8, acc []int32, labels []int) {
+	sparseRangeI8Go(e, dst, c, valScale, src, res, acc, labels)
 }
 
-func requantRow(dst8 []int8, dst32 []int32, n int, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
-	return requantRowGo(dst8, dst32, n, acc, deq, bias, res, resScales, scales, scale, relu, argmax)
+func denseRangeI8(e *CheckedEpilogueI8, dst, a []int8, n int, w, res []int8, rows int, acc []int32, labels []int) {
+	denseRangeI8Go(e, dst, a, n, w, res, rows, acc, labels)
 }
 
-func productRowI8(e *CheckedEpilogueI8, dst []int8, acc, alpha []int32, idx CheckedIndices, src, res []int8, cont bool) int {
-	return productRowI8Go(e, dst, acc, alpha, idx.idx, src, res, cont)
+func requantRow(dst []int8, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
+	return requantRowGo(dst, acc, deq, bias, res, resScales, scales, scale, relu, argmax)
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -40,6 +41,45 @@ func naiveRowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
 			s += a * int32(src[idx[t]*p+j])
 		}
 		out[j] = s
+	}
+}
+
+// rowAccF64 is the fp64 row contract's bare entry as the tests drive it:
+// the row door with no epilogue (CheckedEpilogue.ProductRow — its
+// validation, then the dispatched kernel), and, continuing onto out, the
+// dispatch beneath it, which the door itself never asks to continue.
+func rowAccF64(out, alpha []float64, idx CheckedIndices, src []float64, cont bool, ahead []int) {
+	e := CheckEpilogue(1, len(out), nil, nil, false)
+	if !cont {
+		e.ProductRow(out, alpha, idx, src, 0, ahead)
+	} else if len(out) > 0 {
+		productRowF64(&e, out, alpha, idx.idx, src, 0, true, ahead)
+	}
+}
+
+// requireSumsI8 holds the int32 sums an int8 product leaves its
+// requantise to want, exactly, through codes alone: under unit scales and
+// the bias δ[j] − want[j], δ[j] = j mod 5 − 2, column j's code is δ[j]
+// when its sum is want[j] and something else when it is not (every step
+// is exact below 2⁵³, and a clamp never lands a non-zero difference on
+// δ). product runs the row under those operands into dst.
+func requireSumsI8(t testing.TB, what string, want []int32, product func(e *CheckedEpilogueI8, dst []int8)) {
+	t.Helper()
+	p := len(want)
+	ones, bias := make([]float64, p), make([]float64, p)
+	for j := range ones {
+		ones[j], bias[j] = 1, float64(j%5-2)-float64(want[j])
+	}
+	e := CheckEpilogueI8(p, ones, bias, nil, ones, false, false)
+	dst, fenced := fencedRow[int8](p)
+	product(&e, dst)
+	for j, q := range dst {
+		if int(q) != j%5-2 {
+			t.Fatalf("%s: elem %d sums to contract %d %+d", what, j, want[j], int(q)-(j%5-2))
+		}
+	}
+	if !fenced() {
+		t.Fatalf("%s: wrote outside its row", what)
 	}
 }
 
@@ -165,7 +205,7 @@ func TestRowAccumulateDifferential(t *testing.T) {
 						naiveRowAcc(want, alpha, idx, src, cont)
 						for a, ahead := range aheads {
 							got := append([]float64(nil), start...)
-							RowAccumulate(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
+							rowAccF64(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
 							if j := sameBits(got, want); j >= 0 {
 								t.Fatalf("p=%d terms=%d zeros=%s special=%v cont=%v ahead=%d: elem %d = %x, contract %x",
 									p, terms, zp.name, special, cont, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
@@ -243,7 +283,7 @@ func TestRowAccumulateLookAhead(t *testing.T) {
 				aheads := append(lookAheads(rng, terms, rows), []int{rows - 1, 0, rows - 1})
 				for a, ahead := range aheads {
 					got := append([]float64(nil), start...)
-					RowAccumulate(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
+					rowAccF64(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
 					if j := sameBits(got, want); j >= 0 {
 						t.Fatalf("p=%d terms=%d cont=%v ahead=%d: elem %d = %x, contract %x",
 							p, terms, cont, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
@@ -254,10 +294,13 @@ func TestRowAccumulateLookAhead(t *testing.T) {
 	}
 }
 
-// TestRowAccumulateI8Differential is the int8 table: dispatched, portable
-// and literal kernels agree exactly — including multipliers large enough
-// to wrap int32 — and the dense row's compaction (matMulRowHeadI8, then
-// the last window) changes nothing.
+// TestRowAccumulateI8Differential is the int8 table: the portable and
+// literal kernels agree exactly — including multipliers large enough to
+// wrap int32 — and so do the sums the dispatched kernel requantises,
+// fresh and continued, through the row door (its multipliers are codes
+// by construction, so it is driven with the table's code multipliers) and
+// through the dense product, whose compaction drops the zero codes a
+// RowChunk window at a time and changes nothing.
 func TestRowAccumulateI8Differential(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for p := 1; p <= 70; p++ {
@@ -268,39 +311,45 @@ func TestRowAccumulateI8Differential(t *testing.T) {
 				for i := range src {
 					src[i] = int8(rng.Intn(256) - 128)
 				}
-				alpha := make([]int32, terms)
+				alpha, wide := make([]int32, terms), make([]int32, terms)
 				codes := make([]int8, terms)
+				vals := make([]float64, terms)
 				idx := make([]int, terms)
 				for k := range alpha {
 					idx[k] = rng.Intn(rows)
 					if !zp.zero(k, terms) {
-						codes[k] = int8(rng.Intn(256) - 128)
-						alpha[k] = int32(codes[k])
+						codes[k] = int8(rng.Intn(255) - 127)
+						alpha[k], wide[k], vals[k] = int32(codes[k]), int32(codes[k]), float64(codes[k])
 						if rng.Intn(8) == 0 {
 							alpha[k] = rng.Int31() - 1<<30
 						}
 					}
 				}
 				for _, cont := range []bool{false, true} {
-					want := make([]int32, p)
-					for j := range want {
-						want[j] = rng.Int31()
+					start := make([]int32, p)
+					for j := range start {
+						start[j] = rng.Int31()
 					}
-					got := append([]int32(nil), want...)
-					port := append([]int32(nil), want...)
+					want := append([]int32(nil), start...)
+					port := append([]int32(nil), start...)
 					naiveRowAccI8(want, alpha, idx, src, cont)
-					RowAccumulateI8(got, alpha, CheckIndices(idx, len(src)/p), src, cont)
 					if terms > 0 {
 						rowAccI8Go(port, alpha, idx, src, cont)
 					} else {
 						copy(port, want) // the bare kernels take at least one term
 					}
 					for j := range want {
-						if got[j] != want[j] || port[j] != want[j] {
-							t.Fatalf("p=%d terms=%d zeros=%s cont=%v: elem %d = %d, portable %d, contract %d",
-								p, terms, zp.name, cont, j, got[j], port[j], want[j])
+						if port[j] != want[j] {
+							t.Fatalf("p=%d terms=%d zeros=%s cont=%v: portable elem %d = %d, contract %d",
+								p, terms, zp.name, cont, j, port[j], want[j])
 						}
 					}
+					copy(want, start)
+					naiveRowAccI8(want, wide, idx, src, cont)
+					requireSumsI8(t, fmt.Sprintf("row door p=%d terms=%d zeros=%s cont=%v", p, terms, zp.name, cont), want, func(e *CheckedEpilogueI8, dst []int8) {
+						acc := append([]int32(nil), start...)
+						productRowI8(e, dst, acc, vals, 1, CheckIndices(idx, rows), src, nil, cont)
+					})
 				}
 
 				w := NewI8(terms, p)
@@ -308,24 +357,16 @@ func TestRowAccumulateI8Differential(t *testing.T) {
 					w.Data[i] = int8(rng.Intn(256) - 128)
 				}
 				all := make([]int, terms)
-				wide := make([]int32, terms)
 				for k := range all {
-					all[k], wide[k] = k, int32(codes[k])
+					all[k] = k
 				}
 				want := make([]int32, p)
 				naiveRowAccI8(want, wide, all, w.Data, false)
-				got := make([]int32, p)
-				got[0] = 7
-				// The dense row's sums: every window but the last through
-				// matMulRowHeadI8, the last as the product row takes it.
-				ab, ib := new([RowChunk]int32), new([RowChunk]int)
-				m, cont := matMulRowHeadI8(codes, w, got, ab, ib)
-				RowAccumulateI8(got, ab[:m], CheckedIndices{ib[:m], terms}, w.Data, cont)
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("matMulRowHeadI8 p=%d n=%d zeros=%s: elem %d = %d, contract %d", p, terms, zp.name, j, got[j], want[j])
-					}
-				}
+				requireSumsI8(t, fmt.Sprintf("dense product p=%d n=%d zeros=%s", p, terms, zp.name), want, func(e *CheckedEpilogueI8, dst []int8) {
+					acc := make([]int32, p)
+					acc[0] = 7 // the dense range must overwrite, never read
+					MatMulI8EpilogueInto(&MatrixI8{Rows: 1, Cols: p, Data: dst}, &MatrixI8{Rows: 1, Cols: terms, Data: codes}, w, e.deq, e.bias, nil, nil, false, e.dstScales, acc, nil)
+				})
 			}
 		}
 	}
@@ -334,29 +375,30 @@ func TestRowAccumulateI8Differential(t *testing.T) {
 // TestRowAccumulateRejectsBadOperands: an index outside the source
 // panics where the indices are checked, a source shorter than the rows
 // they were checked against or an index list that does not pair with the
-// multipliers panics before any kernel runs — and the portable kernel,
-// called bare, still refuses to read out of bounds.
+// multipliers panics at either row door before any kernel runs — and the
+// portable kernel, called bare, still refuses to read out of bounds.
 func TestRowAccumulateRejectsBadOperands(t *testing.T) {
 	src := make([]float64, 5*4)
 	src8 := make([]int8, 5*4)
+	e8 := CheckEpilogueI8(4, make([]float64, 4), nil, nil, make([]float64, 4), false, false)
 	for name, fn := range map[string]func(){
 		"index == rows":   func() { CheckIndices([]int{0, 5}, 5) },
 		"negative index":  func() { CheckIndices([]int{-1}, 5) },
 		"negative height": func() { CheckIndices(nil, -1) },
 		"f64 ragged last row": func() {
-			RowAccumulate(make([]float64, 4), []float64{1}, CheckIndices([]int{4}, 5), src[:19], false, nil)
+			rowAccF64(make([]float64, 4), []float64{1}, CheckIndices([]int{4}, 5), src[:19], false, nil)
 		},
 		"f64 index count": func() {
-			RowAccumulate(make([]float64, 4), []float64{1, 1}, CheckIndices([]int{0}, 5), src, false, nil)
+			rowAccF64(make([]float64, 4), []float64{1, 1}, CheckIndices([]int{0}, 5), src, false, nil)
 		},
 		"f64 sliced past its row": func() {
-			RowAccumulate(make([]float64, 4), []float64{1}, CheckIndices([]int{0, 1}, 5).Slice(1, 3), src, false, nil)
+			rowAccF64(make([]float64, 4), []float64{1}, CheckIndices([]int{0, 1}, 5).Slice(1, 3), src, false, nil)
 		},
 		"i8 short source": func() {
-			RowAccumulateI8(make([]int32, 4), []int32{1, 1}, CheckIndices([]int{0, 4}, 5), src8[:16], false)
+			e8.ProductRow(make([]int8, 4), make([]int32, 4), []float64{1, 1}, 1, CheckIndices([]int{0, 4}, 5), src8[:16], nil)
 		},
 		"i8 index count": func() {
-			RowAccumulateI8(make([]int32, 4), []int32{1}, CheckIndices([]int{0, 1}, 5), src8, false)
+			e8.ProductRow(make([]int8, 4), make([]int32, 4), []float64{1}, 1, CheckIndices([]int{0, 1}, 5), src8, nil)
 		},
 		"portable f64 unchecked": func() { rowAccF64Go(make([]float64, 4), []float64{1}, []int{5}, src, false) },
 		"portable i8 unchecked":  func() { rowAccI8Go(make([]int32, 4), []int32{1}, []int{5}, src8, false) },
@@ -373,17 +415,18 @@ func TestRowAccumulateRejectsBadOperands(t *testing.T) {
 	// The zero value is no indices at all: it pairs with no multipliers
 	// and clears the row.
 	out := []float64{1, 2}
-	RowAccumulate(out, nil, CheckedIndices{}, nil, false, nil)
+	rowAccF64(out, nil, CheckedIndices{}, nil, false, nil)
 	if out[0] != 0 || out[1] != 0 {
 		t.Errorf("zero CheckedIndices left %v", out)
 	}
 }
 
-// FuzzRowAccumulate drives both element types of the row accumulate with
-// fuzzed shapes, term counts and value mixes against the literal
-// contract; the fp64 row also carries a fuzzed look-ahead operand — its
-// length and how wild its indices are — over the shared source large
-// enough for the assembly to act on it.
+// FuzzRowAccumulate drives both element types of the row accumulate —
+// through the row doors, the fp64 one with no epilogue, the int8 one under
+// requireSumsI8's exact operands — with fuzzed shapes, term counts and
+// value mixes against the literal contract; the fp64 row also carries a
+// fuzzed look-ahead operand — its length and how wild its indices are —
+// over the shared source large enough for the assembly to act on it.
 func FuzzRowAccumulate(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint16(100), uint8(0), true, false, uint16(0))
 	f.Add(int64(2), uint8(7), uint16(0), uint8(1), false, true, uint16(9))
@@ -414,7 +457,7 @@ func FuzzRowAccumulate(f *testing.F) {
 		}
 		got := append([]float64(nil), want...)
 		naiveRowAcc(want, alpha, idx, src, cont)
-		RowAccumulate(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
+		rowAccF64(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
 		if j := sameBits(got, want); j >= 0 {
 			t.Fatalf("fp64 p=%d terms=%d hints=%d: elem %d = %x, contract %x", p, n, len(ahead), j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 		}
@@ -423,25 +466,23 @@ func FuzzRowAccumulate(f *testing.F) {
 		for i := range src8 {
 			src8[i] = int8(rng.Intn(256) - 128)
 		}
-		alpha32 := make([]int32, n)
+		alpha32, vals := make([]int32, n), make([]float64, n)
 		for k := range alpha32 {
 			idx[k] = rng.Intn(9)
 			if !zero(k, n) {
-				alpha32[k] = int32(rng.Intn(256) - 128)
+				alpha32[k] = int32(rng.Intn(255) - 127)
+				vals[k] = float64(alpha32[k])
 			}
 		}
-		want32 := make([]int32, p)
-		for j := range want32 {
-			want32[j] = rng.Int31()
+		start := make([]int32, p)
+		for j := range start {
+			start[j] = rng.Int31()
 		}
-		got32 := append([]int32(nil), want32...)
+		want32 := append([]int32(nil), start...)
 		naiveRowAccI8(want32, alpha32, idx, src8, cont)
-		RowAccumulateI8(got32, alpha32, CheckIndices(idx, 9), src8, cont)
-		for j := range want32 {
-			if got32[j] != want32[j] {
-				t.Fatalf("int8 p=%d terms=%d: elem %d = %d, contract %d", p, n, j, got32[j], want32[j])
-			}
-		}
+		requireSumsI8(t, fmt.Sprintf("int8 p=%d terms=%d cont=%v", p, n, cont), want32, func(e *CheckedEpilogueI8, dst []int8) {
+			productRowI8(e, dst, start, vals, 1, CheckIndices(idx, 9), src8, nil, cont)
+		})
 	})
 }
 
@@ -453,7 +494,9 @@ func FuzzRowAccumulate(f *testing.F) {
 // the destination untouched, and so does a weight whose backing array is
 // shorter than its shape says, which the drivers refuse before their
 // first row — and an epilogue operand that does not fit the product: a
-// bias or residual at fp64 (CheckEpilogue), any of the four at int8.
+// bias or residual at fp64 (CheckEpilogue), any of the four at int8 —
+// and, at int8, an input, destination or residual whose storage is
+// shorter than its shape, or labels short of the rows.
 func TestDenseProductRejectsShortSourceBeforeWriting(t *testing.T) {
 	const rows, inner, p = 5, 12, 6
 	rng := rand.New(rand.NewSource(15))
@@ -555,6 +598,37 @@ func TestDenseProductRejectsShortSourceBeforeWriting(t *testing.T) {
 	for i, q := range dst8.Data {
 		if q != 7 {
 			t.Fatalf("short epilogue operand: element %d written before the panic", i)
+		}
+	}
+
+	// And so is the storage the range reads and writes unchecked: an
+	// input, a destination or a residual whose backing array is shorter
+	// than its shape says, and labels short of the rows, panic with the
+	// destination untouched — where Go's slicing used to stop such a
+	// product only at the row that crossed the end, the rows before it
+	// already written.
+	cut := func(m *MatrixI8) *MatrixI8 {
+		return &MatrixI8{Rows: m.Rows, Cols: m.Cols, Data: m.Data[:len(m.Data)-1]}
+	}
+	for name, fn := range map[string]func(){
+		"input":       func() { MatMulI8EpilogueInto(dst8, cut(a8), w8, ones, nil, nil, nil, false, ones, acc, nil) },
+		"destination": func() { MatMulI8EpilogueInto(cut(dst8), a8, w8, ones, nil, nil, nil, false, ones, acc, nil) },
+		"residual":    func() { MatMulI8EpilogueInto(dst8, a8, w8, ones, nil, cut(res8), ones, false, ones, acc, nil) },
+		"labels":      func() { MatMulI8EpilogueInto(dst8, a8, w8, ones, nil, nil, nil, false, ones, acc, make([]int, rows-1)) },
+		"accumulator": func() { MatMulI8EpilogueInto(dst8, a8, w8, ones, nil, nil, nil, false, ones, acc[:p-1], nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("int8 product with short %s storage: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	for i, q := range dst8.Data {
+		if q != 7 {
+			t.Fatalf("short operand storage: element %d written before the panic", i)
 		}
 	}
 }
