@@ -62,7 +62,9 @@ chaos-smoke:
 # induced-subgraph extraction, tiled-vs-direct execution equivalence, int8
 # accuracy + within-tier bit-identity, sharded-vs-single-enclave
 # bit-identity across fuzzed shapes × shard counts × {fp64, int8}, bundle
-# import under hostile manifests (an error, never a panic), and the
+# import under hostile manifests and under flipped, truncated or extended
+# section bytes (an error, never a panic; a changed sealed section never
+# imports), and the
 # attack math (AUC/Fidelity in [0,1], no panics) under degenerate
 # observation surfaces — plus the row-accumulate and requantise-row
 # kernels (assembly vs the literal contracts, through the row doors), the
@@ -86,5 +88,6 @@ fuzz-smoke:
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzShardedExec -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzImport -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzBundleLoad -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzAttackSurface -fuzztime $(FUZZTIME) ./internal/attack/
 	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzAPIRequest -fuzztime $(FUZZTIME) ./internal/serve/

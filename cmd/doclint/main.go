@@ -17,6 +17,12 @@
 // string literal from the given Go source file and fails unless each name
 // appears verbatim in -metrics-doc, so the /metrics scrape surface and the
 // README's metrics reference cannot drift apart.
+//
+// With -flags-src it additionally extracts every flag the given Go source
+// file defines as fs.<Type>("name", …) and fails unless each is a row of
+// the flag table in -flags-doc (a line starting "| `-name`"), and unless
+// every flag that table names is defined in the source, so the serve
+// command's flags and the README's flag table cannot drift apart.
 package main
 
 import (
@@ -38,6 +44,8 @@ func main() {
 	mdRoot := flag.String("md", "", "also check relative links in *.md files under this directory")
 	metricsSrc := flag.String("metrics-src", "", "Go file whose gnnvault_* metric-name string literals must all be documented")
 	metricsDoc := flag.String("metrics-doc", "README.md", "markdown file that must mention every metric name found in -metrics-src")
+	flagsSrc := flag.String("flags-src", "", "Go file whose fs.<Type>(\"name\", …) flags must each have a row in the -flags-doc flag table, and vice versa")
+	flagsDoc := flag.String("flags-doc", "README.md", "markdown file holding the flag table checked against -flags-src")
 	flag.Parse()
 
 	problems := 0
@@ -49,6 +57,9 @@ func main() {
 	}
 	if *metricsSrc != "" {
 		problems += lintMetrics(*metricsSrc, *metricsDoc)
+	}
+	if *flagsSrc != "" {
+		problems += lintFlags(*flagsSrc, *flagsDoc)
 	}
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", problems)
@@ -203,6 +214,71 @@ func lintMetrics(src, doc string) int {
 		fmt.Fprintf(os.Stderr, "%s: metric %s is not documented in %s\n", src, name, doc)
 	}
 	return len(missing)
+}
+
+// flagCell matches the first cell of a markdown flag-table row (group 1);
+// cellFlag matches one `-name` inside it (group 1 is the name).
+var (
+	flagCell = regexp.MustCompile("(?m)^\\| (`-[^|]*)\\|")
+	cellFlag = regexp.MustCompile("`-([a-z0-9-]+)`")
+)
+
+// lintFlags reports every flag the Go source file src defines as
+// fs.<Type>("name", …) that no flag-table row of the markdown file doc
+// names, and every name such a row gives that src does not define,
+// returning the problem count. No flags on either side is itself a
+// problem.
+func lintFlags(src, doc string) int {
+	f, err := parser.ParseFile(token.NewFileSet(), src, nil, 0)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %s: %v\n", src, err)
+		return 1
+	}
+	data, err := os.ReadFile(doc)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %s: %v\n", doc, err)
+		return 1
+	}
+	defined, documented := map[string]bool{}, map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, _ := call.Fun.(*ast.SelectorExpr)
+		lit, _ := call.Args[0].(*ast.BasicLit)
+		if sel == nil || lit == nil || lit.Kind != token.STRING {
+			return true
+		}
+		if recv, _ := sel.X.(*ast.Ident); recv != nil && recv.Name == "fs" {
+			name, _ := strconv.Unquote(lit.Value)
+			defined[name] = true
+		}
+		return true
+	})
+	for _, cell := range flagCell.FindAllStringSubmatch(string(data), -1) {
+		for _, m := range cellFlag.FindAllStringSubmatch(cell[1], -1) {
+			documented[m[1]] = true
+		}
+	}
+	if len(defined) == 0 || len(documented) == 0 {
+		fmt.Fprintf(os.Stderr, "doclint: %d flags defined in %s, %d in the flag table of %s\n", len(defined), src, len(documented), doc)
+		return 1
+	}
+	var problems []string
+	for name := range defined {
+		if !documented[name] {
+			problems = append(problems, fmt.Sprintf("%s: flag -%s has no row in the flag table of %s", src, name, doc))
+		}
+	}
+	for name := range documented {
+		if !defined[name] {
+			problems = append(problems, fmt.Sprintf("%s: flag table row -%s names no flag defined in %s", doc, name, src))
+		}
+	}
+	sort.Strings(problems)
+	fmt.Fprint(os.Stderr, strings.Join(append(problems, ""), "\n"))
+	return len(problems)
 }
 
 // mdLink matches markdown links and images; group 1 is the target.

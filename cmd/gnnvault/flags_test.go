@@ -20,9 +20,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestServeRejectsBadEPCFlags: an EPC capacity below 1 MB, a negative
-// workspace budget and a size whose byte count overflows int64 each exit 2
-// at parse time, before any training, with a message naming the flag — on
-// the single-enclave and the -shards paths alike.
+// workspace budget, a size whose byte count overflows int64 and an
+// agreement floor outside [0, 1] each exit 2 at parse time, before any
+// training, with a message naming the flag — on the single-enclave and
+// the -shards paths alike.
 func TestServeRejectsBadEPCFlags(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -33,6 +34,9 @@ func TestServeRejectsBadEPCFlags(t *testing.T) {
 		{[]string{"-epc-mb", "9223372036854775807"}, "-epc-mb"},
 		{[]string{"-epc-budget-mb", "-1"}, "-epc-budget-mb"},
 		{[]string{"-epc-budget-mb", "8796093022208"}, "-epc-budget-mb"}, // 1<<43: << 20 wraps negative
+		{[]string{"-min-agreement", "1.5"}, "-min-agreement"},
+		{[]string{"-min-agreement", "-0.1"}, "-min-agreement"},
+		{[]string{"-min-agreement", "NaN"}, "-min-agreement"},
 	}
 	for _, shards := range []string{"1", "2"} {
 		for _, c := range cases {

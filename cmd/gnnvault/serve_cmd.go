@@ -58,7 +58,6 @@ func cmdServe(args []string) {
 	wsPerVault := fs.Int("ws-per-vault", 2, "max concurrent inference workspaces per vault")
 	epcMB := fs.Int64("epc-mb", 96, "enclave EPC capacity in MB (lower it to force eviction churn)")
 	epcBudgetMB := fs.Int64("epc-budget-mb", 0, "per-workspace EPC budget in MB: plans execute tile-streamed under this bound (0 = classic untiled plans)")
-	planWorkers := fs.Int("plan-workers", 0, "tile workers per budgeted plan: the enclave streams each op's tiles across this many threads, dividing the per-workspace budget across their staging tiles (0 or 1 = serial ECALL)")
 	precision := fs.String("precision", "fp64", "in-enclave kernel precision: fp64|int8 — int8 shrinks EPC, spill and transfer 8x; int8 plans are calibrated against the fp64 reference and refused below the agreement floor")
 	minAgree := fs.Float64("min-agreement", 0, "argmax-agreement floor for int8 plans on the calibration batch (0 = default 0.99)")
 	clients := fs.Int("clients", 8, "concurrent synthetic clients")
@@ -81,7 +80,7 @@ func cmdServe(args []string) {
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the HTTP API")
 	fs.Parse(args) //nolint:errcheck
 
-	if err := checkEPCFlags(*epcMB, *epcBudgetMB); err != nil {
+	if err := checkServeFlags(*epcMB, *epcBudgetMB, *minAgree); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
 	}
@@ -99,7 +98,6 @@ func cmdServe(args []string) {
 	}
 	plan := core.PlanConfig{
 		EPCBudgetBytes: *epcBudgetMB << 20,
-		Workers:        *planWorkers,
 		Precision:      prec,
 		MinAgreement:   *minAgree,
 	}
@@ -178,17 +176,20 @@ func cmdServe(args []string) {
 	runSyntheticStream(fl, srv, *clients, *requests)
 }
 
-// checkEPCFlags rejects EPC sizes no serve path can use: a capacity below
-// 1 MB (every deploy would fail as "EPC exhausted"), a negative workspace
-// budget (0 already means untiled plans), and any size whose byte count,
-// MB << 20, overflows int64.
-func checkEPCFlags(epcMB, budgetMB int64) error {
+// checkServeFlags rejects flag values no serve path can use: an EPC
+// capacity below 1 MB (every deploy would fail as "EPC exhausted"), a
+// negative workspace budget (0 already means untiled plans), any size
+// whose byte count, MB << 20, overflows int64, and an agreement floor
+// that is not a share (NaN included).
+func checkServeFlags(epcMB, budgetMB int64, minAgree float64) error {
 	const maxMB = math.MaxInt64 >> 20
 	switch {
 	case epcMB < 1 || epcMB > maxMB:
 		return fmt.Errorf("-epc-mb %d outside [1, %d]", epcMB, int64(maxMB))
 	case budgetMB < 0 || budgetMB > maxMB:
 		return fmt.Errorf("-epc-budget-mb %d outside [0, %d]", budgetMB, int64(maxMB))
+	case !(minAgree >= 0 && minAgree <= 1):
+		return fmt.Errorf("-min-agreement %v outside [0, 1]", minAgree)
 	}
 	return nil
 }

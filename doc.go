@@ -14,8 +14,9 @@
 // induced-CSR extraction for node-level minibatch serving), exec (the
 // tiled streaming executor: forward passes of every conv kind — GCN,
 // GraphSAGE, GAT — compiled to flat op programs with no opaque ops,
-// epilogue-fused, and run direct, row-tile-streamed, or tile-parallel
-// under a fixed EPC budget, at fp64 or int8), core
+// epilogue-fused, and run direct or row-tile-streamed under a fixed EPC
+// budget, on the one enclave thread an ECALL enters on, at fp64 or int8),
+// core
 // (backbone, rectifiers, vault deployment and allocation-free inference
 // plans — full-graph and subgraph, untiled or EPC-budgeted), enclave
 // (SGX software model), registry (EPC-aware scheduling of a multi-vault

@@ -22,14 +22,13 @@ import (
 // kernels.
 //
 // fp64 modes must reproduce the reference labels exactly and its logits
-// to 1e-9, and the tiled and tile-parallel logits must equal the direct
-// plan's bit for bit. An int8 plan is either admitted by the calibration
-// gate — then its tiled labels equal its direct labels — or refused with
+// to 1e-9, and the tiled and budgeted logits must equal the direct plan's
+// bit for bit. An int8 plan is either admitted by the calibration gate —
+// then its tiled labels equal its direct labels — or refused with
 // ErrCalibrationFailed, the same way in both modes; any other error, or a
-// disagreement between the modes, fails. The budgeted tile-parallel cell
-// also carries the EPC claim: the charge stays inside the budget plus the
-// attention scratch rows the program declares, and below the direct
-// plan's.
+// disagreement between the modes, fails. The budgeted cell also carries
+// the EPC claim: the charge stays inside the budget plus the attention
+// scratch row the program declares, and below the direct plan's.
 //
 // Every cell also answers three times — for the caller's own copy of the
 // features (the backbone runs), for the freshly registered features (the
@@ -51,7 +50,7 @@ func TestPlanModesMatchReference(t *testing.T) {
 	}{
 		{"direct", PlanConfig{}},
 		{"tiled", PlanConfig{TileRows: 97}},
-		{"tile-parallel", PlanConfig{EPCBudgetBytes: budget, Workers: 3}},
+		{"budgeted", PlanConfig{EPCBudgetBytes: budget}},
 		{"int8", PlanConfig{Precision: PrecisionInt8}},
 		{"int8-tiled", PlanConfig{Precision: PrecisionInt8, TileRows: 97}},
 	}
@@ -179,9 +178,8 @@ func TestPlanModesMatchReference(t *testing.T) {
 							}
 						}
 						if mode.cfg.EPCBudgetBytes > 0 {
-							epc, scratch := ws.EnclaveBytes(), int64(ws.TileWorkers())*scratchRow
-							if epc > budget+scratch || epc >= directEPC {
-								t.Fatalf("budgeted plan charges %d B: want <= budget %d + scratch rows %d, and below the direct plan's %d", epc, budget, scratch, directEPC)
+							if epc := ws.EnclaveBytes(); epc > budget+scratchRow || epc >= directEPC {
+								t.Fatalf("budgeted plan charges %d B: want <= budget %d + scratch row %d, and below the direct plan's %d", epc, budget, scratchRow, directEPC)
 							}
 						}
 					})
@@ -290,7 +288,7 @@ func TestMultiHeadGATLowers(t *testing.T) {
 		convIdx:    []int{0, 2},
 	}
 	prog, vals := bb.compileBackbone(ds.X.Rows, nil, []int{0, 1})
-	for _, cfg := range []exec.Config{{Workers: 1}, {TileRows: 7, Workers: 3}} {
+	for _, cfg := range []exec.Config{{Workers: 1}, {TileRows: 7}} {
 		mach, err := prog.NewMachine(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -23,9 +23,11 @@ import (
 // A plan with an EPCBudgetBytes (or explicit TileRows) instead executes the
 // same program row tile by row tile: full activations spill to untrusted
 // memory (modelled as sealed pages, like SGX paging) and the enclave is
-// charged only for the tile-sized staging buffers — one per tile worker —
-// so the footprint becomes O(workers × tileRows × width): a 200k-node
-// full-graph plan fits a 64 MB budget that its untiled form exceeds 4×.
+// charged only for the one tile-sized staging buffer, so the footprint
+// becomes O(tileRows × width): a 200k-node full-graph plan fits a 64 MB
+// budget that its untiled form exceeds 4×. Either shape runs on the one
+// enclave thread its ECALL entered on; the multi-thread enclave path is
+// the shard fleet (shardplan.go), one ECALL per shard.
 // Since the fusion pass, both plan shapes also run fewer, fatter ops: the
 // compilers fold each conv's bias/ReLU tail into its product op and erase
 // the fused-away intermediates, so untiled plans charge less EPC and tiled
@@ -37,27 +39,20 @@ type PlanConfig struct {
 	// EPCBudgetBytes caps the enclave bytes this plan's *workspace* may
 	// charge (persistent deploy-time residents are separate). A non-zero
 	// budget selects tiled execution with TileRows derived as
-	// budget / (element bytes × widest program value × workers), clamped
-	// to [1, rows] — the whole worker pool's staging tiles fit the
-	// budget, and reduced-precision plans buy proportionally taller
-	// tiles from the same budget. Every conv kind tiles. A GAT plan
-	// additionally charges one attention scratch row per worker (8 B ×
-	// the structure's longest row), declared by the program, on top of
-	// the tiles the budget sizes.
+	// budget / (element bytes × widest program value), clamped to
+	// [1, rows] — the staging tile fits the budget, and reduced-precision
+	// plans buy proportionally taller tiles from the same budget. Every
+	// conv kind tiles. A GAT plan additionally charges one attention
+	// scratch row (8 B × the structure's longest row), declared by the
+	// program, on top of the tile the budget sizes. Negative is refused.
 	EPCBudgetBytes int64
 	// TileRows, when non-zero, fixes the tile height directly and
-	// overrides the budget derivation.
+	// overrides the budget derivation. Negative is refused.
 	TileRows int
-	// Workers is this plan's parallelism budget. In the normal world it is
-	// the backbone kernel fan-out (0 = GOMAXPROCS, 1 = inline), carried in
-	// the workspace so concurrent servers can run under different budgets.
-	// For a tiled plan it additionally sets the in-enclave tile-parallel
-	// fan-out — the modelled ECALL enters on that many TCS threads, each
-	// with its own EPC-charged staging tile, so the enclave charge is
-	// Workers × tile bytes (with the derivation above keeping the product
-	// inside the budget). Untiled plans keep the in-enclave
-	// side single-threaded regardless — a direct rectifier forward has no
-	// race-free decomposition to hand the pool.
+	// Workers is the normal-world backbone's kernel parallelism budget
+	// (0 = GOMAXPROCS, 1 = inline), carried in the workspace so concurrent
+	// servers can run under different budgets. The in-enclave rectifier
+	// always runs on the one thread its ECALL entered on.
 	Workers int
 	// Precision selects the in-enclave kernels (fp64 or int8). The zero
 	// value is fp64 — the bit-exact reference. int8 shrinks every enclave
@@ -67,7 +62,8 @@ type PlanConfig struct {
 	// ErrCalibrationFailed below MinAgreement.
 	Precision Precision
 	// MinAgreement overrides the argmax-agreement floor an int8 plan
-	// must reach on the calibration batch (0 = DefaultMinAgreement).
+	// must reach on the calibration batch (0 = DefaultMinAgreement). A
+	// share: values outside [0, 1], and NaN, are refused.
 	MinAgreement float64
 	// Recorder receives the plan's flight-recorder spans: one query root
 	// per call plus backbone/ECALL stage spans and the executor's per-op
@@ -79,6 +75,25 @@ type PlanConfig struct {
 
 // tiled reports whether the config selects tiled streaming execution.
 func (c PlanConfig) tiled() bool { return c.EPCBudgetBytes > 0 || c.TileRows > 0 }
+
+// validate refuses a config whose fields are out of range, naming the
+// field, instead of letting a planner reinterpret it: a negative tile
+// height or budget would plan untiled, a NaN or negative floor would
+// become the default, and a floor above 1 would refuse every int8 plan
+// as an accuracy failure.
+func (c PlanConfig) validate() error {
+	switch {
+	case !c.Precision.valid():
+		return fmt.Errorf("core: unknown plan precision %d", c.Precision)
+	case c.EPCBudgetBytes < 0:
+		return fmt.Errorf("core: negative PlanConfig.EPCBudgetBytes %d", c.EPCBudgetBytes)
+	case c.TileRows < 0:
+		return fmt.Errorf("core: negative PlanConfig.TileRows %d", c.TileRows)
+	case !(c.MinAgreement >= 0 && c.MinAgreement <= 1):
+		return fmt.Errorf("core: PlanConfig.MinAgreement %v outside [0, 1]", c.MinAgreement)
+	}
+	return nil
+}
 
 // Workspace is a full inference plan for one vault: the compiled backbone
 // machine in the normal world, the compiled rectifier machine charged
@@ -130,8 +145,8 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 	if n := v.privateGraph.N(); rows != n {
 		return nil, fmt.Errorf("core: plan rows %d != deployed graph nodes %d", rows, n)
 	}
-	if !cfg.Precision.valid() {
-		return nil, fmt.Errorf("core: unknown plan precision %d", cfg.Precision)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	elem := cfg.Precision.Elem()
 	prog := v.rectifier.compileRectifier(rows, nil, nil)
@@ -139,18 +154,9 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 	if rec == nil {
 		rec = obs.Nop
 	}
-	machCfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec} // direct in-enclave: single-threaded
+	machCfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec} // in-enclave: the ECALL's one thread
 	if cfg.tiled() {
-		workers := cfg.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		machCfg = exec.Config{
-			TileRows: deriveTileRows(cfg, prog.MaxWidth(), rows, workers, cfg.Precision.ElemBytes()),
-			Workers:  workers,
-			Elem:     elem,
-			Recorder: rec,
-		}
+		machCfg.TileRows = deriveTileRows(cfg, prog.MaxWidth(), rows, cfg.Precision.ElemBytes())
 	}
 	// Backbone first: reduced plans calibrate their scales and agreement
 	// against its fp64 embeddings before the enclave machine exists.
@@ -193,10 +199,9 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 		ws.payload += int64(v.Backbone.BlockDims[i]) * int64(rows) * cfg.Precision.ElemBytes()
 	}
 	if machCfg.TileRows > 0 {
-		// Tiled: only the staging tiles and attention scratch rows (one
-		// each per tile worker) are enclave-resident; activations and
-		// embeddings stream. The per-call flush traffic is charged as
-		// boundary transfer instead.
+		// Tiled: only the staging tile and the attention scratch row are
+		// enclave-resident; activations and embeddings stream. The
+		// per-call flush traffic is charged as boundary transfer instead.
 		ws.epc = mach.TileBytes()
 		ws.spill = mach.SpillTraffic(rows)
 	} else {
@@ -222,25 +227,19 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 const cacheTileBytes = 2 << 20
 
 // deriveTileRows maps a plan config to a tile height: an explicit TileRows
-// wins; otherwise the EPC budget buys budget/(elemBytes·maxWidth·workers)
-// rows of the widest program value — every tile worker charges its own
-// staging tile, so the pool as a whole stays inside the budget, and a
-// narrower element type buys proportionally taller tiles (int8 tiles hold
-// 8× the rows of fp64 ones for the same budget). Budget-derived heights
-// are additionally capped at one worker's row share (taller tiles would
-// idle workers without saving anything) and at a cache-resident staging
-// size (taller tiles are measurably slower, not just pointless), and the
-// result is clamped to [1, rows] — a budget too small for even one row
-// still plans, charging its actual (minimal) tiles.
-func deriveTileRows(cfg PlanConfig, maxWidth, rows, workers int, elemBytes int64) int {
+// wins; otherwise the EPC budget buys budget/(elemBytes·maxWidth) rows of
+// the widest program value, so a narrower element type buys
+// proportionally taller tiles (int8 tiles hold 8× the rows of fp64 ones
+// for the same budget). Budget-derived heights are additionally capped at
+// a cache-resident staging size (taller tiles are measurably slower, not
+// just pointless), and the result is clamped to [1, rows] — a budget too
+// small for even one row still plans, charging its actual (minimal) tile.
+func deriveTileRows(cfg PlanConfig, maxWidth, rows int, elemBytes int64) int {
 	t := cfg.TileRows
 	if t <= 0 {
-		t = int(cfg.EPCBudgetBytes / (elemBytes * int64(maxWidth) * int64(workers)))
+		t = int(cfg.EPCBudgetBytes / (elemBytes * int64(maxWidth)))
 		if lim := int(cacheTileBytes / (elemBytes * int64(maxWidth))); t > lim {
 			t = lim
-		}
-		if share := (rows + workers - 1) / workers; t > share {
-			t = share
 		}
 	}
 	if t < 1 {
@@ -257,10 +256,6 @@ func (ws *Workspace) EnclaveBytes() int64 { return ws.epc }
 
 // TileRows returns the plan's tile height (0 for untiled plans).
 func (ws *Workspace) TileRows() int { return ws.mach.TileRows() }
-
-// TileWorkers returns the tile-parallel fan-out of the plan's enclave
-// machine (1 for untiled and serially tiled plans).
-func (ws *Workspace) TileWorkers() int { return ws.mach.TileWorkers() }
 
 // SpillBytes returns the modelled per-call tile-flush traffic the plan
 // charges to the ECALL transfer payload (0 for untiled plans). Fusion

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"gnnvault/internal/enclave"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/subgraph"
 )
@@ -82,7 +84,7 @@ func TestPlanPrecisionAgainstReference(t *testing.T) {
 	}
 
 	direct := labelsFor(PlanConfig{Precision: PrecisionInt8})
-	tiled := labelsFor(PlanConfig{Precision: PrecisionInt8, TileRows: 97, Workers: 3})
+	tiled := labelsFor(PlanConfig{Precision: PrecisionInt8, TileRows: 97})
 	for i := range direct {
 		if direct[i] != tiled[i] {
 			t.Fatalf("int8: tiled label[%d] = %d != direct %d", i, tiled[i], direct[i])
@@ -139,16 +141,58 @@ func TestInt8PlanRequiresCalibration(t *testing.T) {
 	}
 }
 
-// TestAgreementFloorRefusesPlan: an unreachable floor turns admission
-// into a refusal with the distinct calibration error.
+// TestAgreementFloorRefusesPlan: a floor the plan does not reach — every
+// label, on a vault whose int8 plan flips some — turns admission into a
+// refusal with the distinct calibration error.
 func TestAgreementFloorRefusesPlan(t *testing.T) {
 	ds, v := planTestVault(t, Parallel)
 	if err := v.SetCalibrationFeatures(ds.X); err != nil {
 		t.Fatalf("SetCalibrationFeatures: %v", err)
 	}
-	_, err := v.PlanWith(ds.X.Rows, PlanConfig{Precision: PrecisionInt8, MinAgreement: 1.5})
+	_, err := v.PlanWith(ds.X.Rows, PlanConfig{Precision: PrecisionInt8, MinAgreement: 1})
 	if !errors.Is(err, ErrCalibrationFailed) {
 		t.Fatalf("unreachable floor: %v, want ErrCalibrationFailed", err)
+	}
+}
+
+// TestPlanConfigOutOfRangeRefused: every planner refuses an out-of-range
+// PlanConfig field by name, before planning anything — a negative tile
+// height or budget is not an untiled plan, a NaN or negative floor not
+// the default one, and a floor above 1 not an accuracy failure.
+func TestPlanConfigOutOfRangeRefused(t *testing.T) {
+	ds, v := planTestVault(t, Parallel)
+	if err := v.SetCalibrationFeatures(ds.X); err != nil {
+		t.Fatalf("SetCalibrationFeatures: %v", err)
+	}
+	sv, err := DeploySharded(v.Backbone, v.rectifier, ds.Graph, enclave.DefaultCostModel(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Undeploy()
+	n := ds.X.Rows
+	for _, c := range []struct {
+		field string
+		cfg   PlanConfig
+	}{
+		{"precision", PlanConfig{Precision: PrecisionInt8 + 1}},
+		{"EPCBudgetBytes", PlanConfig{EPCBudgetBytes: -1}},
+		{"TileRows", PlanConfig{TileRows: -7}},
+		{"MinAgreement", PlanConfig{Precision: PrecisionInt8, MinAgreement: -0.5}},
+		{"MinAgreement", PlanConfig{Precision: PrecisionInt8, MinAgreement: math.NaN()}},
+		{"MinAgreement", PlanConfig{Precision: PrecisionInt8, MinAgreement: 1.5}},
+	} {
+		used := v.Enclave.EPCUsed()
+		_, err1 := v.PlanWith(n, c.cfg)
+		_, err2 := v.PlanSubgraphWith(4, subConfigForTest(), c.cfg)
+		_, err3 := sv.PlanSharded(n, c.cfg)
+		for _, err := range []error{err1, err2, err3} {
+			if err == nil || errors.Is(err, ErrCalibrationFailed) || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("%+v: err = %v, want a config error naming %s", c.cfg, err, c.field)
+			}
+		}
+		if got := v.Enclave.EPCUsed(); got != used {
+			t.Fatalf("%+v: refused plans left %d B of EPC in use, had %d", c.cfg, got, used)
+		}
 	}
 }
 

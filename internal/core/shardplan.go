@@ -238,8 +238,8 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 	if n := sv.privateGraph.N(); rows != n {
 		return nil, fmt.Errorf("core: sharded plan rows %d != deployed graph nodes %d", rows, n)
 	}
-	if !cfg.Precision.valid() {
-		return nil, fmt.Errorf("core: unknown plan precision %d", cfg.Precision)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	part := sv.Part
 	shards := sv.Shards()
@@ -285,18 +285,12 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace
 		}
 	}
 
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	machines := make([]*exec.Machine, shards)
 	mcfgs := make([]exec.Config, shards)
 	for s := range machines {
-		mcfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec} // direct in-enclave: single-threaded
+		mcfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec} // in-enclave: the shard ECALL's one thread
 		if cfg.tiled() {
-			if t := deriveTileRows(cfg, progs[s].MaxWidth(), part.Rows(s), workers, cfg.Precision.ElemBytes()); t > 0 {
-				mcfg = exec.Config{TileRows: t, Workers: workers, Elem: elem, Recorder: rec}
-			}
+			mcfg.TileRows = deriveTileRows(cfg, progs[s].MaxWidth(), part.Rows(s), cfg.Precision.ElemBytes())
 		}
 		if elem != exec.F64 {
 			if mcfg.Scales, err = exec.ShardScales(progs[s], baseScales); err != nil {

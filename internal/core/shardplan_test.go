@@ -48,7 +48,7 @@ func TestShardedPredictBitIdentical(t *testing.T) {
 		cfg  PlanConfig
 	}{
 		{"fp64", PlanConfig{}},
-		{"fp64-tiled", PlanConfig{EPCBudgetBytes: 1 << 20, Workers: 2}},
+		{"fp64-tiled", PlanConfig{EPCBudgetBytes: 1 << 20}},
 		{"int8", PlanConfig{Precision: PrecisionInt8, MinAgreement: 0.5}},
 	}
 	for _, tc := range cfgs {

@@ -229,7 +229,7 @@ func TestInt8BoundaryCodesNeverStale(t *testing.T) {
 			cfg  PlanConfig
 		}{
 			{"direct", PlanConfig{Workers: 1, Precision: PrecisionInt8, MinAgreement: 0.5}},
-			{"tiled", PlanConfig{Workers: 2, Precision: PrecisionInt8, MinAgreement: 0.5, TileRows: 300}},
+			{"tiled", PlanConfig{Workers: 1, Precision: PrecisionInt8, MinAgreement: 0.5, TileRows: 300}},
 		} {
 			t.Run(tg.name+"/"+mode.name, func(t *testing.T) {
 				a, b := ds.X.Clone(), ds.X.Clone()

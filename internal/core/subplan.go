@@ -133,8 +133,8 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 	if v.undeployed.Load() {
 		return nil, fmt.Errorf("core: subgraph plan on undeployed vault")
 	}
-	if !pcfg.Precision.valid() {
-		return nil, fmt.Errorf("core: unknown plan precision %d", pcfg.Precision)
+	if err := pcfg.validate(); err != nil {
+		return nil, err
 	}
 	if v.Backbone.adj == nil {
 		return nil, fmt.Errorf("%w: DNN backbone has no public graph to expand over", ErrSubgraphUnsupported)

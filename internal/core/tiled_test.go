@@ -94,12 +94,11 @@ func TestTiledPredictIntoAllocFree(t *testing.T) {
 	requireAllocFree(t, PlanConfig{TileRows: 256, Workers: 1})
 }
 
-// TestTileParallelPlanBudgetAndIdentity checks the Workers × tileBytes
-// EPC accounting: a budgeted plan with a tile-worker pool must keep the
-// whole pool's staging tiles inside the budget (tileRows shrinks as
-// workers grow), report positive spill traffic, and still produce
-// bit-identical labels to the untiled reference.
-func TestTileParallelPlanBudgetAndIdentity(t *testing.T) {
+// TestTiledPlanBudgetAndIdentity checks a budgeted plan's accounting: it
+// must keep its staging tile inside the budget, report positive spill
+// traffic, and still produce bit-identical labels to the untiled
+// reference.
+func TestTiledPlanBudgetAndIdentity(t *testing.T) {
 	ds, v := planTestVault(t, Series)
 	n := ds.X.Rows
 	ref, err := v.Plan(n)
@@ -114,42 +113,32 @@ func TestTileParallelPlanBudgetAndIdentity(t *testing.T) {
 	ref.Release()
 
 	const budget = 256 << 10
-	prevRows := 0
-	for _, workers := range []int{1, 2, 4} {
-		ws, err := v.PlanWith(n, PlanConfig{EPCBudgetBytes: budget, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	ws, err := v.PlanWith(n, PlanConfig{EPCBudgetBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Release()
+	if got := ws.EnclaveBytes(); got > budget {
+		t.Fatalf("charged %d bytes over the %d budget", got, budget)
+	}
+	if ws.SpillBytes() <= 0 {
+		t.Fatal("no spill traffic reported")
+	}
+	got, _, err := v.PredictInto(ds.X, ws)
+	if err != nil {
+		t.Fatalf("PredictInto: %v", err)
+	}
+	for i := range got {
+		if got[i] != wantCopy[i] {
+			t.Fatalf("label[%d] = %d, want %d", i, got[i], wantCopy[i])
 		}
-		if got := ws.EnclaveBytes(); got > budget {
-			t.Fatalf("workers=%d: charged %d bytes over the %d budget", workers, got, budget)
-		}
-		if got := ws.TileWorkers(); got < 1 || got > workers {
-			t.Fatalf("workers=%d: TileWorkers %d", workers, got)
-		}
-		if prevRows > 0 && ws.TileRows() > prevRows {
-			t.Fatalf("workers=%d: tileRows grew to %d from %d — budget not divided across the pool", workers, ws.TileRows(), prevRows)
-		}
-		prevRows = ws.TileRows()
-		if ws.SpillBytes() <= 0 {
-			t.Fatalf("workers=%d: no spill traffic reported", workers)
-		}
-		got, _, err := v.PredictInto(ds.X, ws)
-		if err != nil {
-			t.Fatalf("workers=%d PredictInto: %v", workers, err)
-		}
-		for i := range got {
-			if got[i] != wantCopy[i] {
-				t.Fatalf("workers=%d: label[%d] = %d, want %d", workers, i, got[i], wantCopy[i])
-			}
-		}
-		ws.Release()
 	}
 }
 
 // TestTiledConcurrentWorkspaces hammers the tiled hot path from several
-// goroutines with *different* per-plan worker budgets and checks
-// every stream still produces the untiled reference labels. Run under
-// -race in CI.
+// goroutines with *different* tile heights and backbone worker budgets and
+// checks every stream still produces the untiled reference labels. Run
+// under -race in CI.
 func TestTiledConcurrentWorkspaces(t *testing.T) {
 	ds, v := planTestVault(t, Parallel)
 	n := ds.X.Rows

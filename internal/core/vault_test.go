@@ -460,6 +460,58 @@ func FuzzImport(f *testing.F) {
 	})
 }
 
+// FuzzBundleLoad: a bundle with one section's bytes flipped, truncated or
+// extended — and its integrity hash recomputed, as anyone holding the file
+// can — imports as a vault or fails with an error, never a panic; a
+// changed sealed section never yields a vault.
+func FuzzBundleLoad(f *testing.F) {
+	v, _ := exportableVault(f)
+	data, err := v.Export("cora")
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := bundle.Unmarshal(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	names := b.Names()
+	for i := range names {
+		f.Add(uint8(i), uint8(0), uint32(5), byte(0x80)) // flip
+		f.Add(uint8(i), uint8(1), uint32(11), byte(0))   // truncate
+		f.Add(uint8(i), uint8(2), uint32(3), byte(0xff)) // append
+	}
+	f.Fuzz(func(t *testing.T, sec, op uint8, at uint32, x byte) {
+		name := names[int(sec)%len(names)]
+		body, _ := b.Section(name)
+		mut := append([]byte(nil), body...)
+		switch op % 3 {
+		case 0:
+			if len(mut) == 0 {
+				return
+			}
+			mut[int(at%uint32(len(mut)))] ^= x | 1
+		case 1:
+			if len(mut) == 0 {
+				return
+			}
+			mut = mut[:int(at%uint32(len(mut)))]
+		case 2:
+			mut = append(mut, bytes.Repeat([]byte{x}, 1+int(at%64))...)
+		}
+		got, err := Import(editBundle(t, data, func(*bundle.Manifest) {}, name, mut), enclave.DefaultCostModel())
+		if (got == nil) == (err == nil) {
+			t.Fatalf("section %s, op %d: vault %v with err %v", name, op%3, got != nil, err)
+		}
+		if err != nil {
+			return
+		}
+		got.Undeploy()
+		if name == bundle.SectionSealedRectifier || name == bundle.SectionSealedGraph {
+			t.Fatalf("section %s changed (op %d) and still imported", name, op%3)
+		}
+	})
+}
+
 // TestImportChargesAndReturnsEPC: an imported vault holds exactly the
 // persistent EPC its exporter did, knows it, and gives it all back — and
 // a vault whose residents do not fit leaves nothing charged behind.

@@ -245,10 +245,9 @@ func (e *Enclave) Free(n int64) {
 // preempted (another request's slices on a shared host) or parked (a
 // fleet shard at its barriers while peers compute, which real
 // multi-enclave hardware would overlap) is not. Work fn hands to other
-// goroutines is not billed either: in-enclave code must be written
-// single-threaded (an exec machine planned with Workers: 1), or, for a
-// tile-parallel plan, the entering thread's own span of each op stands
-// for the op's critical path.
+// goroutines is not billed either, so in-enclave code is single-threaded
+// (an exec machine planned with Workers: 1); multi-thread enclave work is
+// a shard fleet, one ECALL per shard.
 //
 // When a FaultPlan aborts the call (or the enclave is already lost), fn
 // never runs, nothing is charged, and the error wraps ErrEnclaveLost.

@@ -18,12 +18,11 @@ import (
 // simply the multipliers of one row accumulate over z's rows, look-ahead
 // hints included, finished by the fused epilogue in the same kernel call
 // (mat.CheckedEpilogue.ProductRow). It therefore shares SpMM's operand
-// rule (z and t are read whole, s and dst by row), its nnz-balanced split
-// across tile workers and its fusable epilogue, and its rows are
-// independent: tiled == direct == tile-parallel bit for bit.
+// rule (z and t are read whole, s and dst by row) and its fusable
+// epilogue, and its rows are independent: tiled == direct bit for bit.
 //
 // The only memory the op needs beyond its operands is one row of
-// coefficients in each tile worker's scratch, sized at NewMachine from
+// coefficients in the machine's scratch, sized at NewMachine from
 // the longest row of the structures as they are then (a structure
 // re-filled with a longer row afterwards is a planning bug and panics on
 // the slice) and charged in BufferBytes and TileBytes. There is no
@@ -88,8 +87,8 @@ func attnSoftmaxRow(alpha []float64, si, slope float64) {
 }
 
 // attnRowsF64 computes rows [lo, hi) of an attention aggregate into out
-// (row 0 pairing with row lo; res likewise) on tile worker w.
-func (m *Machine) attnRowsF64(out *mat.Matrix, w int, op *Op, lo, hi int, res *mat.Matrix) {
+// (row 0 pairing with row lo; res likewise).
+func (m *Machine) attnRowsF64(out *mat.Matrix, op *Op, lo, hi int, res *mat.Matrix) {
 	st := op.CSR
 	s, t, z := &m.views[op.Srcs[0]], &m.views[op.Srcs[1]], &m.views[op.Srcs[2]]
 	d := z.Cols
@@ -101,7 +100,7 @@ func (m *Machine) attnRowsF64(out *mat.Matrix, w int, op *Op, lo, hi int, res *m
 	for i := lo; i < hi; i++ {
 		p, end := st.RowPtr[i], st.RowPtr[i+1]
 		cols := st.ColIdx[p:end]
-		alpha := m.scratch[w].alpha[:len(cols)]
+		alpha := m.scratch.alpha[:len(cols)]
 		for k, j := range cols {
 			alpha[k] = t.Data[j]
 		}
@@ -117,12 +116,12 @@ func (m *Machine) attnRowsF64(out *mat.Matrix, w int, op *Op, lo, hi int, res *m
 // attnRowsI8 is attnRowsF64 over codes: a is the op's prepared operands
 // (deq), wide receives the rows' wide-argmax labels when the op is the
 // program's head.
-func (m *Machine) attnRowsI8(out *mat.MatrixI8, w int, a *opAuxI8, op *Op, lo, hi int, res *mat.MatrixI8, resScales []float64, wide []int) {
+func (m *Machine) attnRowsI8(out *mat.MatrixI8, a *opAuxI8, op *Op, lo, hi int, res *mat.MatrixI8, resScales []float64, wide []int) {
 	q, sc, st := m.q, m.cfg.Scales, op.CSR
 	s, t, z := &q.views[op.Srcs[0]], &q.views[op.Srcs[1]], &q.views[op.Srcs[2]]
 	sScale, tScale := sc[op.Srcs[0]][0], sc[op.Srcs[1]][0]
 	d := z.Cols
-	acc := q.scr[w].acc[:d]
+	acc := q.scr.acc[:d]
 	base := st.RowPtr[lo]
 	// The span's proofs, before its first row: the structure's columns
 	// against z's height, the epilogue operands against z's width.
@@ -131,7 +130,7 @@ func (m *Machine) attnRowsI8(out *mat.MatrixI8, w int, a *opAuxI8, op *Op, lo, h
 	for i := lo; i < hi; i++ {
 		p := st.RowPtr[i]
 		cols := st.ColIdx[p:st.RowPtr[i+1]]
-		alpha := q.scr[w].alpha[:len(cols)]
+		alpha := q.scr.alpha[:len(cols)]
 		for k, j := range cols {
 			alpha[k] = float64(t.Data[j]) * tScale
 		}

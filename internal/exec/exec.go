@@ -25,38 +25,36 @@
 // execution is op-major (each op finishes all tiles before the next op
 // starts), so a gather always finds its full input spilled.
 //
-// Two rewrites make the engine fast on top of admissible. The fusion pass
-// (Program.Fused) folds bias/residual/ReLU chains into their producing
+// The fusion pass (Program.Fused) makes the engine fast on top of
+// admissible: it folds bias/residual/ReLU chains into their producing
 // product op as an Epilogue and erases the fused-away intermediates, so a
 // GCN layer flushes one tile instead of three and the dead values cost no
-// spill buffers at all. And because row tiles of one op are independent, a
-// tiled machine with Config.Workers > 1 streams them across a pool of tile
-// workers — each with its own EPC-charged staging tile, SpMM spans split
-// by non-zeros — modelling a multi-TCS ECALL.
+// spill buffers at all.
 //
 // There is one interpreter. Machine.Run is the only op loop — validate,
 // bind, fleet entry barrier, then per op a halo gather, the single span
-// [0, rows) (direct), nnz-balanced spans across the tile workers, or
-// serial tiles, inside one span bracket, then finish — and
-// each element type has one op body (runRowsF64, runRowsI8) that executes
-// rows [lo, hi) of an op: a direct machine hands it the whole batch and it
-// writes the value's own view; a tiled machine hands it a tile and it
-// writes the worker's staging tile, then flushes. An int8 machine
+// [0, rows) (direct) or serial tiles, inside one span bracket, then
+// finish — and each element type has one op body (runRowsF64, runRowsI8)
+// that executes rows [lo, hi) of an op: a direct machine hands it the
+// whole batch and it writes the value's own view; a tiled machine hands
+// it a tile and it writes the staging tile, then flushes. An int8 machine
 // (Config.Elem I8, precision.go) differs from the fp64 reference in three
 // hooks only: bind quantizes the inputs and refreshes each SpMM's per-run
-// value scale, the op body works on codes, scales, a per-worker int32
-// accumulator and the wide argmax head, and finish dequantizes the output
-// view. The element type is a field fixed at plan time and every choice
-// on it is a plain branch, so Run stays allocation-free.
+// value scale, the op body works on codes, scales, an int32 accumulator
+// and the wide argmax head, and finish dequantizes the output view. The
+// element type is a field fixed at plan time and every choice on it is a
+// plain branch, so Run stays allocation-free.
 //
-// One Machine belongs to one goroutine at a time (its internal tile
-// workers are invisible to the caller); its Run performs zero heap
-// allocations, which the serving hot paths rely on.
+// A Machine runs on the goroutine that calls Run and starts none of its
+// own: an in-enclave machine is one enclave thread, the one its ECALL
+// entered on and is billed for. Multi-thread enclave execution is a
+// Fleet of shard machines, each on its own ECALL. One Machine belongs to
+// one goroutine at a time; its Run performs zero heap allocations, which
+// the serving hot paths rely on.
 package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"gnnvault/internal/graph"
 	"gnnvault/internal/mat"
@@ -461,20 +459,11 @@ type Config struct {
 	// is I8 (exec.CalibrateScales produces it) and ignored otherwise; dead
 	// values may carry nil.
 	Scales [][]float64
-	// Workers means two different things depending on the mode.
-	//
-	// Direct machines: the per-kernel parallelism budget
-	// (mat.ResolveWorkers semantics: 0 = GOMAXPROCS, 1 = inline).
-	// Enclave-side direct machines must use 1 — a direct
-	// in-enclave forward is single-threaded.
-	//
-	// Tiled machines: the tile-parallel fan-out. Row tiles of one op are
-	// independent (op-major order guarantees SpMM's full input is already
-	// spilled), so Workers > 1 executes them across a worker pool, each
-	// worker with its own EPC-charged staging tile — the model of an
-	// enclave entered through that many TCS threads. Values <= 1 keep the
-	// single-threaded ECALL of PR 4; the fan-out is clamped to the tile
-	// count. Per-tile kernels always run inline.
+	// Workers is a direct machine's per-kernel parallelism budget
+	// (mat.ResolveWorkers semantics: 0 = GOMAXPROCS, 1 = inline). An
+	// in-enclave machine must use 1: the enclave runs on the one thread
+	// its ECALL entered on. Tiled machines ignore it; their per-tile
+	// kernels always run inline.
 	Workers int
 	// Recorder receives one obs.SpanOp span per executed op (kind, rows,
 	// tile count, flush bytes, duration) and feeds the machine's per-op
@@ -486,16 +475,14 @@ type Config struct {
 // Machine executes one program with pre-sized buffers. Direct machines
 // hold every intermediate resident (BufferBytes is the enclave charge when
 // the machine runs in-enclave); tiled machines hold full intermediates in
-// spilled (untrusted) buffers and stage every op's output through
-// tile-sized buffers, one per tile worker (TileBytes is the enclave
-// charge). One machine belongs to one goroutine at a time; its tile
-// workers are internal.
+// spilled (untrusted) buffers and stage every op's output through one
+// tile-sized buffer (TileBytes is the enclave charge). One machine
+// belongs to one goroutine at a time.
 type Machine struct {
-	prog        *Program
-	cfg         Config
-	elem        Elem // element type of buffers, tiles and kernels
-	tiled       bool // TileRows > 0: op-major streaming execution
-	tileWorkers int  // resolved tile-parallel fan-out; 1 = serial tiling
+	prog  *Program
+	cfg   Config
+	elem  Elem // element type of buffers, tiles and kernels
+	tiled bool // TileRows > 0: op-major streaming execution
 
 	// F64 state. An I8 machine keeps its values in q instead and binds only
 	// the output's entry of views, to the dequantized result.
@@ -505,8 +492,8 @@ type Machine struct {
 	// gathered value's producer writes the local rows of the
 	// halo-extended operand in place. Either element type.
 	host  []int
-	tiles []*mat.Matrix // tiled mode: per-worker EPC-resident staging buffers
-	views []mat.Matrix  // per value: full-rows header, bound per Run
+	tile  *mat.Matrix  // tiled mode: the EPC-resident staging buffer
+	views []mat.Matrix // per value: full-rows header, bound per Run
 
 	// q holds the code buffers and quantized operands of an I8 machine;
 	// nil at F64.
@@ -523,22 +510,12 @@ type Machine struct {
 	peers []*Machine
 	sync  func() error
 
-	scratch []workerScratch // F64, per tile worker (index 0 serves direct mode too)
-	// attnRow is the length of the attention-coefficient row every tile
-	// worker's scratch holds (attn.go): the longest row of any OpAttn
-	// structure, 0 without the op. Enclave-resident working memory at
-	// either element type, so BufferBytes and TileBytes both count it.
+	scratch scratchF64 // F64 op-body headers
+	// attnRow is the length of the attention-coefficient row the scratch
+	// holds (attn.go): the longest row of any OpAttn structure, 0 without
+	// the op. Enclave-resident working memory at either element type, so
+	// BufferBytes and TileBytes both count it.
 	attnRow int
-	fns     []func() // pre-built worker bodies, spawned per op
-	wg      sync.WaitGroup
-
-	// Per-op broadcast state for tile-parallel execution, written by Run
-	// between waits and read by workers after spawn (the go statement and
-	// wg.Wait provide the happens-before edges).
-	curOp   *Op
-	curIdx  int // index of curOp in the op sequence
-	curRows int
-	curLab  []int
 
 	// Flight-recorder state. rec is never nil (obs.Nop by default); trace
 	// and parent are the IDs the next Run's op spans attach to, bound by
@@ -556,21 +533,18 @@ type Machine struct {
 	epoch any
 }
 
-// workerScratch is one tile worker's pre-allocated header set. Workers
-// write disjoint row ranges of the spill buffers, so the only per-worker
-// state is the header scratch and the staging tile it indexes.
-type workerScratch struct {
+// scratchF64 is the fp64 op body's pre-allocated header set.
+type scratchF64 struct {
 	srcTiles []mat.Matrix  // rows [lo, hi) of each source value
 	srcPtrs  []*mat.Matrix // the same, as the kernels' argument list
-	tileView mat.Matrix    // staging header over this worker's tile
+	tileView mat.Matrix    // staging header over the tile
 	dstTile  mat.Matrix    // rows [lo, hi) of the destination value
 	resTile  mat.Matrix    // rows [lo, hi) of the fused residual
 	alpha    []float64     // attention coefficients of the row in hand
 }
 
 // NewMachine plans a machine for the program: all value buffers (and, when
-// tiling, the per-worker staging tiles) are allocated here, never during
-// Run.
+// tiling, the staging tile) are allocated here, never during Run.
 func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 	if cfg.TileRows < 0 {
 		return nil, fmt.Errorf("exec: negative TileRows %d", cfg.TileRows)
@@ -582,35 +556,18 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("exec: unknown element type %d", cfg.Elem)
 	}
 	m := &Machine{
-		prog:        p,
-		cfg:         cfg,
-		elem:        cfg.Elem,
-		tiled:       cfg.TileRows > 0,
-		tileWorkers: 1,
-		views:       make([]mat.Matrix, len(p.vals)),
-		rec:         cfg.Recorder,
-		profNs:      make([]int64, len(p.ops)),
+		prog:    p,
+		cfg:     cfg,
+		elem:    cfg.Elem,
+		tiled:   cfg.TileRows > 0,
+		views:   make([]mat.Matrix, len(p.vals)),
+		rec:     cfg.Recorder,
+		profNs:  make([]int64, len(p.ops)),
+		attnRow: p.maxAttnRow(),
 	}
 	if m.rec == nil {
 		m.rec = obs.Nop
 	}
-	if m.tiled {
-		if w := cfg.Workers; w > 1 {
-			if tiles := (p.MaxRows + cfg.TileRows - 1) / cfg.TileRows; w > tiles {
-				w = tiles // more staging buffers than tiles is pure EPC waste
-			}
-			m.tileWorkers = w
-		}
-		m.fns = make([]func(), m.tileWorkers)
-		for w := 1; w < m.tileWorkers; w++ {
-			w := w
-			m.fns[w] = func() {
-				m.runWorkerSpan(w)
-				m.wg.Done()
-			}
-		}
-	}
-	m.attnRow = p.maxAttnRow()
 	m.host = p.haloHosts()
 	if m.elem == I8 {
 		if err := m.planI8(); err != nil {
@@ -630,16 +587,12 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 		}
 	}
 	if m.tiled {
-		m.tiles = make([]*mat.Matrix, m.tileWorkers)
-		for w := range m.tiles {
-			m.tiles[w] = mat.New(cfg.TileRows, p.maxWidth)
-		}
+		m.tile = mat.New(cfg.TileRows, p.maxWidth)
 	}
-	m.scratch = make([]workerScratch, m.tileWorkers)
-	for w := range m.scratch {
-		m.scratch[w].srcTiles = make([]mat.Matrix, p.maxArity)
-		m.scratch[w].srcPtrs = make([]*mat.Matrix, p.maxArity)
-		m.scratch[w].alpha = make([]float64, m.attnRow)
+	m.scratch = scratchF64{
+		srcTiles: make([]mat.Matrix, p.maxArity),
+		srcPtrs:  make([]*mat.Matrix, p.maxArity),
+		alpha:    make([]float64, m.attnRow),
 	}
 	return m, nil
 }
@@ -647,25 +600,19 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 // TileRows returns the tile height (0 for direct machines).
 func (m *Machine) TileRows() int { return m.cfg.TileRows }
 
-// TileWorkers returns the resolved tile-parallel fan-out (1 for direct and
-// serially tiled machines).
-func (m *Machine) TileWorkers() int { return m.tileWorkers }
-
 // Elem returns the machine's element type.
 func (m *Machine) Elem() Elem { return m.elem }
 
-// TileBytes returns the staging-buffer footprint — Workers × tile bytes
-// at the machine's element width, plus the attention scratch rows — the
-// only working memory a tiled run keeps enclave-resident.
+// TileBytes returns the staging-buffer footprint — one tile at the
+// machine's element width, plus the attention scratch row — the only
+// working memory a tiled run keeps enclave-resident.
 func (m *Machine) TileBytes() int64 {
-	n := int64(m.tileWorkers*m.attnRow) * 8
-	for _, t := range m.tiles {
-		n += t.NumBytes()
+	n := int64(m.attnRow) * 8
+	if m.tile != nil {
+		n += m.tile.NumBytes()
 	}
-	if m.q != nil {
-		for _, t := range m.q.tiles {
-			n += t.NumBytes()
-		}
+	if m.q != nil && m.q.tile != nil {
+		n += m.q.tile.NumBytes()
 	}
 	return n
 }
@@ -679,7 +626,7 @@ func (m *Machine) TileBytes() int64 {
 // buffers and the dequantized output live with the caller's payload
 // accounting, not the enclave working set (see the quantized type).
 func (m *Machine) BufferBytes() int64 {
-	n := int64(m.tileWorkers*m.attnRow) * 8
+	n := int64(m.attnRow) * 8
 	for i, s := range m.spill {
 		if s != nil && m.host[i] < 0 {
 			n += s.NumBytes()
@@ -823,14 +770,13 @@ func (m *Machine) OutputWidth() int { return m.prog.vals[m.prog.output].width }
 // Run never allocates, and it is the one op loop of both element types:
 // validate, bind the value views, pass the fleet entry barrier, then per
 // op pick how its rows are walked — a halo gather, the single span
-// [0, rows) on a direct machine, nnz-balanced spans across the tile worker
-// pool when Workers > 1, or serial tiles on one goroutine (the single-TCS
-// in-enclave contract) — with the span bookkeeping around it, then
-// finish. Run keeps no clock of its own: an in-enclave Run is billed by
-// the enclave.Ecall that encloses it. An I8 machine differs in three places only: bindI8
-// quantizes the inputs (unless SetInputEpoch says its buffers hold their
-// codes already) and refreshes each SpMM's value scale, runRows
-// dispatches to the int8 op body, and finishI8 dequantizes the output.
+// [0, rows) on a direct machine, or serial tiles on a tiled one — with
+// the span bookkeeping around it, then finish. Run keeps no clock of its
+// own: an in-enclave Run is billed by the enclave.Ecall that encloses it.
+// An I8 machine differs in three places only: bindI8 quantizes the inputs
+// (unless SetInputEpoch says its buffers hold their codes already) and
+// refreshes each SpMM's value scale, runRows dispatches to the int8 op
+// body, and finishI8 dequantizes the output.
 func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix {
 	p := m.prog
 	if rows < 0 || rows > p.MaxRows {
@@ -905,12 +851,10 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 		case op.Kind == OpHalo:
 			m.runHalo(op, rows)
 		case !m.tiled:
-			m.runRows(0, i, op, 0, rows, labels)
-		case m.tileWorkers > 1 && rows > m.cfg.TileRows:
-			m.runOpParallel(i, op, rows, labels)
+			m.runRows(i, op, 0, rows, labels)
 		default:
 			for lo := 0; lo < rows; lo += m.cfg.TileRows {
-				m.runRows(0, i, op, lo, min(lo+m.cfg.TileRows, rows), labels)
+				m.runRows(i, op, lo, min(lo+m.cfg.TileRows, rows), labels)
 			}
 		}
 		if recOn {
@@ -923,52 +867,15 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 	return &m.views[p.output]
 }
 
-// runOpParallel executes one op's tiles across the worker pool: the rows
-// are split into one contiguous span per worker — by non-zeros for the
-// ops that walk a CSR (SpMM, Attn: power-law hub rows would otherwise
-// skew row-count spans badly), by row count for everything else — and
-// each worker streams its span through its own staging tile. Workers
-// write disjoint spill rows, so the only shared mutable state is the
-// broadcast op pointer, sequenced by the spawn and the wait. The worker
-// bodies are pre-built closures, so steady-state spawning performs no
-// heap allocation.
-func (m *Machine) runOpParallel(idx int, op *Op, rows int, labels []int) {
-	m.curOp, m.curIdx, m.curRows, m.curLab = op, idx, rows, labels
-	m.wg.Add(m.tileWorkers - 1)
-	for w := 1; w < m.tileWorkers; w++ {
-		go m.fns[w]()
-	}
-	m.runWorkerSpan(0)
-	m.wg.Wait()
-}
-
-// runWorkerSpan computes worker w's row span of the current op and streams
-// it tile by tile.
-func (m *Machine) runWorkerSpan(w int) {
-	op, rows := m.curOp, m.curRows
-	var lo, hi int
-	if op.CSR != nil {
-		lo = op.CSR.NNZBound(0, rows, w, m.tileWorkers)
-		hi = op.CSR.NNZBound(0, rows, w+1, m.tileWorkers)
-	} else {
-		chunk := (rows + m.tileWorkers - 1) / m.tileWorkers
-		lo = min(w*chunk, rows)
-		hi = min(lo+chunk, rows)
-	}
-	for t := lo; t < hi; t += m.cfg.TileRows {
-		m.runRows(w, m.curIdx, op, t, min(t+m.cfg.TileRows, hi), m.curLab)
-	}
-}
-
-// runRows executes rows [lo, hi) of one op on tile worker w through the
-// op body of the machine's element type — the interpreter's only choice
-// between them, a branch on a field fixed at plan time. idx is the op's
-// program index, by which the int8 body finds its per-op operands.
-func (m *Machine) runRows(w, idx int, op *Op, lo, hi int, labels []int) {
+// runRows executes rows [lo, hi) of one op through the op body of the
+// machine's element type — the interpreter's only choice between them, a
+// branch on a field fixed at plan time. idx is the op's program index, by
+// which the int8 body finds its per-op operands.
+func (m *Machine) runRows(idx int, op *Op, lo, hi int, labels []int) {
 	if m.elem == I8 {
-		m.runRowsI8(w, idx, op, lo, hi, labels)
+		m.runRowsI8(idx, op, lo, hi, labels)
 	} else {
-		m.runRowsF64(w, op, lo, hi, labels)
+		m.runRowsF64(op, lo, hi, labels)
 	}
 }
 
@@ -979,10 +886,10 @@ func (m *Machine) runRows(w, idx int, op *Op, lo, hi int, labels []int) {
 // epilogue included (band-local inside the kernels: no separate
 // bias/ReLU/add passes over the activations), lands straight in the
 // value's own view under the machine's kernel worker budget. A tiled
-// machine computes into worker w's EPC-resident staging tile, inline, and
+// machine computes into its EPC-resident staging tile, inline, and
 // flushes it once to the destination's spilled buffer.
-func (m *Machine) runRowsF64(w int, op *Op, lo, hi int, labels []int) {
-	s := &m.scratch[w]
+func (m *Machine) runRowsF64(op *Op, lo, hi int, labels []int) {
+	s := &m.scratch
 	srcs := s.srcPtrs[:len(op.Srcs)]
 	for i, v := range op.Srcs {
 		srcs[i] = m.views[v].ViewRows(lo, hi, &s.srcTiles[i])
@@ -996,7 +903,7 @@ func (m *Machine) runRowsF64(w int, op *Op, lo, hi int, labels []int) {
 	dst := m.views[op.Dst].ViewRows(lo, hi, &s.dstTile)
 	out, workers := dst, m.cfg.Workers
 	if m.tiled {
-		s.tileView = mat.Matrix{Rows: hi - lo, Cols: dst.Cols, Data: m.tiles[w].Data[:(hi-lo)*dst.Cols]}
+		s.tileView = mat.Matrix{Rows: hi - lo, Cols: dst.Cols, Data: m.tile.Data[:(hi-lo)*dst.Cols]}
 		out, workers = &s.tileView, 1
 	}
 	var res *mat.Matrix
@@ -1017,7 +924,7 @@ func (m *Machine) runRowsF64(w int, op *Op, lo, hi int, labels []int) {
 	case OpConcat:
 		mat.HConcatInto(out, srcs...)
 	case OpAttn:
-		m.attnRowsF64(out, w, op, lo, hi, res)
+		m.attnRowsF64(out, op, lo, hi, res)
 	default:
 		panic(fmt.Sprintf("exec: no fp64 body for op kind %s", op.Kind))
 	}
@@ -1032,8 +939,7 @@ func (m *Machine) runRowsF64(w int, op *Op, lo, hi int, labels []int) {
 // input, which lives in the caller's memory); each slot's peer row goes
 // below them. The copies are bit-exact row moves at the machine's
 // element width, so sharded execution inherits the engine's bit-identity
-// contract; the op runs full-height in every mode (direct, serial-tiled,
-// tile-parallel) on the calling goroutine.
+// contract; the op runs full-height in both modes (direct, tiled).
 func (m *Machine) runHalo(op *Op, rows int) {
 	src, dst := op.Srcs[0], op.Dst
 	d := m.prog.vals[dst].width

@@ -103,11 +103,11 @@ func elemConfigs(t testing.TB, prog *Program, rows int, inputs []*mat.Matrix) []
 }
 
 // TestTiledMatchesDirect is the core tiling property: for tile heights
-// {1, 7, n-1, n}, serial and tile-parallel, the streamed execution is
-// bit-identical to the direct reference of the same element type — same
-// kernels, same per-row loop order, only the staging differs. The program
-// is unfused, so at int8 this is what holds the standalone element-wise
-// ops and the code-space argmax head to the contract.
+// {1, 7, n-1, n}, the streamed execution is bit-identical to the direct
+// reference of the same element type — same kernels, same per-row loop
+// order, only the staging differs. The program is unfused, so at int8 this
+// is what holds the standalone element-wise ops and the code-space argmax
+// head to the contract.
 func TestTiledMatchesDirect(t *testing.T) {
 	const n = 53
 	csr := testCSR(n, 1)
@@ -122,28 +122,26 @@ func TestTiledMatchesDirect(t *testing.T) {
 		wantLogits := direct.Run(n, inputs, wantLabels).Clone()
 
 		for _, tile := range []int{1, 7, n - 1, n} {
-			for _, workers := range []int{1, 4} {
-				cfg := base
-				cfg.TileRows, cfg.Workers = tile, workers
-				m, err := prog.NewMachine(cfg)
-				if err != nil {
-					t.Fatalf("%s tile=%d workers=%d: %v", base.Elem, tile, workers, err)
+			cfg := base
+			cfg.TileRows = tile
+			m, err := prog.NewMachine(cfg)
+			if err != nil {
+				t.Fatalf("%s tile=%d: %v", base.Elem, tile, err)
+			}
+			labels := make([]int, n)
+			logits := m.Run(n, inputs, labels)
+			if !logits.Equal(wantLogits) {
+				t.Fatalf("%s tile=%d: logits differ from direct reference", base.Elem, tile)
+			}
+			for i := range labels {
+				if labels[i] != wantLabels[i] {
+					t.Fatalf("%s tile=%d: label[%d] = %d, want %d", base.Elem, tile, i, labels[i], wantLabels[i])
 				}
-				labels := make([]int, n)
-				logits := m.Run(n, inputs, labels)
-				if !logits.Equal(wantLogits) {
-					t.Fatalf("%s tile=%d workers=%d: logits differ from direct reference", base.Elem, tile, workers)
-				}
-				for i := range labels {
-					if labels[i] != wantLabels[i] {
-						t.Fatalf("%s tile=%d workers=%d: label[%d] = %d, want %d", base.Elem, tile, workers, i, labels[i], wantLabels[i])
-					}
-				}
-				// Per worker: one staging tile and one 300-long (the hub row)
-				// float64 attention scratch row.
-				if got := m.TileBytes(); got != int64(m.TileWorkers())*(int64(tile)*int64(prog.MaxWidth())*int64(base.Elem.Size())+300*8) {
-					t.Fatalf("%s tile=%d workers=%d: TileBytes %d", base.Elem, tile, workers, got)
-				}
+			}
+			// One staging tile and one 300-long (the hub row) float64
+			// attention scratch row.
+			if got := m.TileBytes(); got != int64(tile)*int64(prog.MaxWidth())*int64(base.Elem.Size())+300*8 {
+				t.Fatalf("%s tile=%d: TileBytes %d", base.Elem, tile, got)
 			}
 		}
 	}
@@ -157,19 +155,19 @@ func TestRunAllocFree(t *testing.T) {
 	prog, inputs := buildGCNLikeProgram(t, n, csr)
 	labels := make([]int, n)
 	for _, base := range elemConfigs(t, prog, n, inputs) {
-		for _, mode := range []struct{ tile, workers int }{{0, 1}, {9, 1}, {9, 4}} {
+		for _, tile := range []int{0, 9} {
 			cfg := base
-			cfg.TileRows, cfg.Workers = mode.tile, mode.workers
+			cfg.TileRows = tile
 			m, err := prog.NewMachine(cfg)
 			if err != nil {
-				t.Fatalf("%s %+v: %v", base.Elem, mode, err)
+				t.Fatalf("%s tile=%d: %v", base.Elem, tile, err)
 			}
 			m.Run(n, inputs, labels) // warm-up
 			allocs := testing.AllocsPerRun(10, func() {
 				m.Run(n, inputs, labels)
 			})
 			if allocs > 0 {
-				t.Fatalf("%s %+v: Run allocates %.1f objects/op, want 0", base.Elem, mode, allocs)
+				t.Fatalf("%s tile=%d: Run allocates %.1f objects/op, want 0", base.Elem, tile, allocs)
 			}
 		}
 	}
@@ -195,9 +193,9 @@ func TestVariableRows(t *testing.T) {
 	*header = *testCSR(cap, cap)
 	for _, base := range elemConfigs(t, prog, cap, []*mat.Matrix{randMat(rng, cap, 4)}) {
 		var machines []*Machine
-		for _, mode := range []struct{ tile, workers int }{{0, 1}, {4, 1}, {4, 4}} {
+		for _, tile := range []int{0, 4} {
 			cfg := base
-			cfg.TileRows, cfg.Workers = mode.tile, mode.workers
+			cfg.TileRows = tile
 			m, err := prog.NewMachine(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -215,11 +213,11 @@ func TestVariableRows(t *testing.T) {
 			for _, m := range machines[1:] {
 				labels := make([]int, rows)
 				if got := m.Run(rows, []*mat.Matrix{x}, labels); !got.Equal(want) {
-					t.Fatalf("%s rows=%d tile=%d workers=%d: output differs from direct", base.Elem, rows, m.TileRows(), m.TileWorkers())
+					t.Fatalf("%s rows=%d tile=%d: output differs from direct", base.Elem, rows, m.TileRows())
 				}
 				for i := range labels {
 					if labels[i] != wantLabels[i] {
-						t.Fatalf("%s rows=%d tile=%d workers=%d: label[%d] differs from direct", base.Elem, rows, m.TileRows(), m.TileWorkers(), i)
+						t.Fatalf("%s rows=%d tile=%d: label[%d] differs from direct", base.Elem, rows, m.TileRows(), i)
 					}
 				}
 			}

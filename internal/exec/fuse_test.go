@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"gnnvault/internal/mat"
@@ -19,8 +18,7 @@ func countKinds(p *Program) map[OpKind]int {
 
 // TestFusedMatchesUnfused is the fusion property the pass rests on: the
 // fused program must be bit-identical to the unfused direct reference in
-// every execution mode — direct, serially tiled at several heights, and
-// tile-parallel at several fan-outs.
+// every execution mode — direct and tiled at several heights.
 func TestFusedMatchesUnfused(t *testing.T) {
 	const n = 53
 	csr := testCSR(n, 11)
@@ -60,13 +58,11 @@ func TestFusedMatchesUnfused(t *testing.T) {
 	}
 	check("fused direct", fd)
 	for _, tile := range []int{1, 7, n} {
-		for _, workers := range []int{1, 2, 5} {
-			m, err := fused.NewMachine(Config{TileRows: tile, Workers: workers})
-			if err != nil {
-				t.Fatalf("tile=%d workers=%d: %v", tile, workers, err)
-			}
-			check("fused tiled", m)
+		m, err := fused.NewMachine(Config{TileRows: tile})
+		if err != nil {
+			t.Fatalf("tile=%d: %v", tile, err)
 		}
+		check("fused tiled", m)
 	}
 }
 
@@ -80,11 +76,11 @@ func TestFusionCutsSpillTrafficAndBuffers(t *testing.T) {
 	prog, _ := buildGCNLikeProgram(t, n, csr)
 	fused := prog.Fused()
 
-	um, err := prog.NewMachine(Config{TileRows: 8, Workers: 1})
+	um, err := prog.NewMachine(Config{TileRows: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm, err := fused.NewMachine(Config{TileRows: 8, Workers: 1})
+	fm, err := fused.NewMachine(Config{TileRows: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +135,7 @@ func TestFusionKeepsPinnedValues(t *testing.T) {
 	if kinds := countKinds(fused); kinds[OpAddBias] != 0 {
 		t.Fatalf("bias survived fusion: %v", kinds)
 	}
-	fm, err := fused.NewMachine(Config{TileRows: 5, Workers: 2})
+	fm, err := fused.NewMachine(Config{TileRows: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +206,7 @@ func TestFusionEliminatesUnreadOps(t *testing.T) {
 	if fused.MaxWidth() != 6 {
 		t.Fatalf("MaxWidth %d still counts eliminated values", fused.MaxWidth())
 	}
-	for _, cfg := range []Config{{Workers: 1}, {TileRows: 5, Workers: 2}} {
+	for _, cfg := range []Config{{Workers: 1}, {TileRows: 5}} {
 		m, err := fused.NewMachine(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -228,104 +224,3 @@ func TestFusionEliminatesUnreadOps(t *testing.T) {
 		}()
 	}
 }
-
-// TestTileParallelAllocFree pins the tile-parallel hot path at zero
-// steady-state heap allocations: the worker bodies are pre-built closures
-// and every header lives in per-worker scratch. The GOMAXPROCS=1 run is
-// the degenerate case the single-threaded-host CI leg exercises — the
-// pool still spawns, the goroutines just timeshare one P.
-func TestTileParallelAllocFree(t *testing.T) {
-	const n = 40
-	csr := testCSR(n, 14)
-	prog, inputs := buildGCNLikeProgram(t, n, csr)
-	fused := prog.Fused()
-	labels := make([]int, n)
-	run := func(name string) {
-		t.Helper()
-		m, err := fused.NewMachine(Config{TileRows: 7, Workers: 4})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := m.TileWorkers(); got != 4 {
-			t.Fatalf("%s: TileWorkers = %d, want 4", name, got)
-		}
-		m.Run(n, inputs, labels) // warm-up
-		allocs := testing.AllocsPerRun(10, func() {
-			m.Run(n, inputs, labels)
-		})
-		if allocs > 0 {
-			t.Fatalf("%s: tile-parallel Run allocates %.1f objects/op, want 0", name, allocs)
-		}
-	}
-	run("default")
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	run("GOMAXPROCS=1")
-}
-
-// TestTileParallelConcurrentMachines hammers several tile-parallel
-// machines planned from one shared (immutable) fused program on separate
-// goroutines — the registry serving shape — and checks every stream
-// reproduces the direct reference. Run under -race in CI: the workers of
-// different machines interleave freely and must share nothing mutable.
-func TestTileParallelConcurrentMachines(t *testing.T) {
-	const n = 61
-	csr := testCSR(n, 15)
-	prog, inputs := buildGCNLikeProgram(t, n, csr)
-	direct, err := prog.NewMachine(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := direct.Run(n, inputs, nil).Clone()
-	fused := prog.Fused()
-
-	const goroutines = 4
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func(g int) {
-			m, err := fused.NewMachine(Config{TileRows: 3 + 2*g, Workers: 1 + g})
-			if err != nil {
-				errs <- err
-				return
-			}
-			for pass := 0; pass < 5; pass++ {
-				if got := m.Run(n, inputs, nil); !got.Equal(want) {
-					errs <- errDiverged
-					return
-				}
-			}
-			errs <- nil
-		}(g)
-	}
-	for g := 0; g < goroutines; g++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestWorkersClampedToTiles checks the EPC-honesty clamp: a fan-out larger
-// than the tile count allocates no extra staging buffers.
-func TestWorkersClampedToTiles(t *testing.T) {
-	const n = 10
-	csr := testCSR(n, 16)
-	prog, inputs := buildGCNLikeProgram(t, n, csr)
-	m, err := prog.Fused().NewMachine(Config{TileRows: 4, Workers: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.TileWorkers(); got != 3 { // ceil(10/4)
-		t.Fatalf("TileWorkers = %d, want 3", got)
-	}
-	// Three staging tiles, and three 300-long attention scratch rows.
-	if got, want := m.TileBytes(), int64(3*(4*prog.Fused().MaxWidth()*8+300*8)); got != want {
-		t.Fatalf("TileBytes = %d, want %d", got, want)
-	}
-	m.Run(n, inputs, nil)
-}
-
-var errDiverged = errorString("exec_test: tile-parallel output diverged from direct reference")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }

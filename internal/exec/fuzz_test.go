@@ -9,11 +9,10 @@ import (
 
 // FuzzTiledExec fuzzes the execution-equivalence invariants the whole
 // engine rests on: for any program shape (row count, layer widths,
-// sparsity seed), any tile height and any tile-parallel fan-out, all of
+// sparsity seed) and any tile height, both of
 //
-//   - tiled streaming execution,
-//   - the epilogue-fused program (direct and tiled), and
-//   - tile-parallel execution of the fused program
+//   - tiled streaming execution and
+//   - the epilogue-fused program (direct and tiled)
 //
 // must be bit-identical to the unfused direct reference. The fuzzed
 // program includes a residual Add chain so the fusion pass exercises
@@ -22,15 +21,14 @@ import (
 // kernel window) with a bias/ReLU tail of its own. CI runs this as a
 // short smoke; longer local runs just raise -fuzztime.
 func FuzzTiledExec(f *testing.F) {
-	f.Add(uint8(16), uint8(3), uint8(4), uint8(5), uint8(2), int64(1))
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), int64(2))
-	f.Add(uint8(64), uint8(8), uint8(2), uint8(63), uint8(7), int64(3))
-	f.Fuzz(func(t *testing.T, nRaw, dRaw, hRaw, tileRaw, workersRaw uint8, seed int64) {
+	f.Add(uint8(16), uint8(3), uint8(4), uint8(5), int64(1))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), int64(2))
+	f.Add(uint8(64), uint8(8), uint8(2), uint8(63), int64(3))
+	f.Fuzz(func(t *testing.T, nRaw, dRaw, hRaw, tileRaw uint8, seed int64) {
 		n := int(nRaw)%64 + 1
 		d := int(dRaw)%8 + 1
 		h := int(hRaw)%8 + 1
 		tile := int(tileRaw)%n + 1
-		workers := int(workersRaw)%8 + 1
 		rng := rand.New(rand.NewSource(seed))
 
 		csr := testCSR(n, seed)
@@ -67,13 +65,12 @@ func FuzzTiledExec(f *testing.F) {
 				t.Fatal(err)
 			}
 			if got := m.Run(n, []*mat.Matrix{x}, nil); !got.Equal(want) {
-				t.Fatalf("n=%d d=%d h=%d tile=%d workers=%d: %s output differs from direct", n, d, h, tile, workers, name)
+				t.Fatalf("n=%d d=%d h=%d tile=%d: %s output differs from direct", n, d, h, tile, name)
 			}
 		}
-		check("tiled", prog, Config{TileRows: tile, Workers: 1})
+		check("tiled", prog, Config{TileRows: tile})
 		fused := prog.Fused()
 		check("fused direct", fused, Config{Workers: 1})
-		check("fused tiled", fused, Config{TileRows: tile, Workers: 1})
-		check("fused tile-parallel", fused, Config{TileRows: tile, Workers: workers})
+		check("fused tiled", fused, Config{TileRows: tile})
 	})
 }

@@ -122,7 +122,7 @@ func fingerprint(t *testing.T, prog *Program, cfg Config, x *mat.Matrix) golden 
 }
 
 // TestI8GoldenCodes pins every int8 code and every label of the three
-// conv kinds, in direct, tiled and tile-parallel plans, to hashes
+// conv kinds, in direct and tiled plans, to hashes
 // recorded before the product rows went through one fused entry
 // (testdata/int8_golden.json, written by the commit before that change
 // with -update-golden): a kernel or driver rewrite that moves one code of
@@ -133,8 +133,8 @@ func fingerprint(t *testing.T, prog *Program, cfg Config, x *mat.Matrix) golden 
 func TestI8GoldenCodes(t *testing.T) { requireGolden(t, goldenI8Path, I8) }
 
 // TestF64GoldenValues is the same fence at fp64: every bit of every live
-// value and every label of the three programs, in direct, tiled and
-// tile-parallel plans, against hashes recorded by the commit before the
+// value and every label of the three programs, in direct and tiled
+// plans, against hashes recorded by the commit before the
 // fp64 product rows moved into range kernel calls with the epilogue
 // finished in the accumulators (testdata/fp64_golden.json) — so the
 // AVX2 and purego builds are compared with what the per-row kernels
@@ -142,9 +142,9 @@ func TestI8GoldenCodes(t *testing.T) { requireGolden(t, goldenI8Path, I8) }
 // whose payload no kernel can pin.
 func TestF64GoldenValues(t *testing.T) { requireGolden(t, goldenF64Path, F64) }
 
-// requireGolden holds the golden programs at elem, in the three plan
-// modes, to the fingerprints in path — or, under -update-golden, records
-// them there, refusing if the modes disagree.
+// requireGolden holds the golden programs at elem, in both plan modes, to
+// the fingerprints in path — or, under -update-golden, records them there,
+// refusing if the modes disagree.
 func requireGolden(t *testing.T, path string, elem Elem) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden values are recorded on amd64")
@@ -173,8 +173,7 @@ func requireGolden(t *testing.T, path string, elem Elem) {
 			cfg  Config
 		}{
 			{"direct", Config{Workers: 1, Elem: elem, Scales: scales}},
-			{"tiled", Config{TileRows: 13, Workers: 1, Elem: elem, Scales: scales}},
-			{"tile-parallel", Config{TileRows: 13, Workers: 3, Elem: elem, Scales: scales}},
+			{"tiled", Config{TileRows: 13, Elem: elem, Scales: scales}},
 		} {
 			got := fingerprint(t, prog, mode.cfg, x)
 			if *updateGolden {

@@ -15,9 +15,9 @@ import (
 // element, and the output is dequantized back to float64 so callers see
 // the same interface at either element type. Dequantization is folded
 // into the existing epilogue — an int8 fused conv is still 2 ops — and
-// the tiling drivers are the fp64 engine's own, so the bit-identity
-// contract (tiled == direct == tile-parallel) carries over: int8
-// accumulates exactly in int32, which is order-free. Fused and unfused
+// the tiling driver is the fp64 engine's own, so the bit-identity
+// contract (tiled == direct) carries over: int8 accumulates exactly in
+// int32, which is order-free. Fused and unfused
 // int8 programs are each internally bit-stable but legitimately differ
 // from one another, unlike fp64 — fusion moves the requantization point
 // (a fused bias adds to the exact accumulator, an unfused one to
@@ -59,9 +59,9 @@ type quantized struct {
 	spill []*mat.MatrixI8 // per value; nil for inputs and dead values
 	views []mat.MatrixI8  // per value, bound per Run
 	in    []*mat.MatrixI8 // per program input: boundary quantization buffer
-	tiles []*mat.MatrixI8 // per worker staging tile (tiled mode)
+	tile  *mat.MatrixI8   // staging tile (tiled mode)
 	aux   []opAuxI8       // per op
-	scr   []scratchI8     // per tile worker (index 0 serves direct mode)
+	scr   scratchI8       // op-body headers and accumulator
 	out64 *mat.Matrix     // dequantized output, bound as the output view
 
 	// inEpoch names the immutable record whose blocks in currently holds
@@ -105,9 +105,8 @@ type opAuxI8 struct {
 	cs [][]float64
 }
 
-// scratchI8 is one tile worker's pre-allocated header set, mirroring
-// workerScratch, plus the int32 accumulator row the int8 kernels require
-// (per worker, so tile-parallel runs never share one).
+// scratchI8 is the int8 op body's pre-allocated header set, mirroring
+// scratchF64, plus the int32 accumulator row the int8 kernels require.
 type scratchI8 struct {
 	srcTiles []mat.MatrixI8
 	srcPtrs  []*mat.MatrixI8
@@ -115,12 +114,12 @@ type scratchI8 struct {
 	dstTile  mat.MatrixI8
 	resTile  mat.MatrixI8
 	acc      []int32
-	alpha    []float64 // attention coefficients of the row in hand, as workerScratch's
+	alpha    []float64 // attention coefficients of the row in hand, as scratchF64's
 }
 
 // planI8 allocates the code buffers of an I8 machine and quantizes the
 // program's weights, called once from NewMachine after the shared
-// (worker/tile) planning.
+// planning.
 func (m *Machine) planI8() error {
 	p, cfg := m.prog, m.cfg
 	if len(cfg.Scales) != len(p.vals) {
@@ -137,8 +136,13 @@ func (m *Machine) planI8() error {
 		views:    make([]mat.MatrixI8, len(p.vals)),
 		in:       make([]*mat.MatrixI8, p.numInputs),
 		aux:      make([]opAuxI8, len(p.ops)),
-		scr:      make([]scratchI8, m.tileWorkers),
-		out64:    mat.New(p.MaxRows, p.vals[p.output].width),
+		scr: scratchI8{
+			srcTiles: make([]mat.MatrixI8, p.maxArity),
+			srcPtrs:  make([]*mat.MatrixI8, p.maxArity),
+			acc:      make([]int32, p.maxWidth),
+			alpha:    make([]float64, m.attnRow),
+		},
+		out64: mat.New(p.MaxRows, p.vals[p.output].width),
 	}
 	m.q = q
 	// Wide argmax head: when the argmax source comes straight out of a
@@ -172,10 +176,7 @@ func (m *Machine) planI8() error {
 		}
 	}
 	if m.tiled {
-		q.tiles = make([]*mat.MatrixI8, m.tileWorkers)
-		for w := range q.tiles {
-			q.tiles[w] = mat.NewI8(cfg.TileRows, p.maxWidth)
-		}
+		q.tile = mat.NewI8(cfg.TileRows, p.maxWidth)
 	}
 	for i := range p.ops {
 		op, a := &p.ops[i], &q.aux[i]
@@ -219,12 +220,6 @@ func (m *Machine) planI8() error {
 		default: // fail planning rather than run the kind as a no-op
 			return fmt.Errorf("exec: no int8 kernel for op kind %s", op.Kind)
 		}
-	}
-	for w := range q.scr {
-		q.scr[w].srcTiles = make([]mat.MatrixI8, p.maxArity)
-		q.scr[w].srcPtrs = make([]*mat.MatrixI8, p.maxArity)
-		q.scr[w].acc = make([]int32, p.maxWidth)
-		q.scr[w].alpha = make([]float64, m.attnRow)
 	}
 	return nil
 }
@@ -331,13 +326,13 @@ func (m *Machine) finishI8(rows int) {
 
 // runRowsI8 is the int8 op body, runRowsF64 over codes: the same source
 // views, the same direct-or-staged destination, plus what int8 adds — the
-// per-value scales, worker w's private int32 accumulator row (so
-// tile-parallel spans never share one) and, on the wide head, the labels
-// its epilogue writes. The in-enclave direct form is single-threaded by
-// construction, so the int8 kernels are serial and take no worker budget.
-func (m *Machine) runRowsI8(w, idx int, op *Op, lo, hi int, labels []int) {
+// per-value scales, the int32 accumulator row and, on the wide head, the
+// labels its epilogue writes. The in-enclave direct form is
+// single-threaded by construction, so the int8 kernels are serial and take
+// no worker budget.
+func (m *Machine) runRowsI8(idx int, op *Op, lo, hi int, labels []int) {
 	q, sc := m.q, m.cfg.Scales
-	s := &q.scr[w]
+	s := &q.scr
 	srcs := s.srcPtrs[:len(op.Srcs)]
 	for i, v := range op.Srcs {
 		srcs[i] = q.views[v].ViewRows(lo, hi, &s.srcTiles[i])
@@ -354,7 +349,7 @@ func (m *Machine) runRowsI8(w, idx int, op *Op, lo, hi int, labels []int) {
 	dst := q.views[op.Dst].ViewRows(lo, hi, &s.dstTile)
 	out := dst
 	if m.tiled {
-		s.tileView = mat.MatrixI8{Rows: hi - lo, Cols: dst.Cols, Data: q.tiles[w].Data[:(hi-lo)*dst.Cols]}
+		s.tileView = mat.MatrixI8{Rows: hi - lo, Cols: dst.Cols, Data: q.tile.Data[:(hi-lo)*dst.Cols]}
 		out = &s.tileView
 	}
 	var res *mat.MatrixI8
@@ -382,7 +377,7 @@ func (m *Machine) runRowsI8(w, idx int, op *Op, lo, hi int, labels []int) {
 	case OpConcat:
 		concatI8(out, srcs, a.cs, dstScales)
 	case OpAttn:
-		m.attnRowsI8(out, w, a, op, lo, hi, res, resScales, wide)
+		m.attnRowsI8(out, a, op, lo, hi, res, resScales, wide)
 	default:
 		panic(fmt.Sprintf("exec: no int8 body for op kind %s", op.Kind))
 	}

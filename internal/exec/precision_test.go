@@ -63,8 +63,8 @@ func runReducedLabels(t *testing.T, prog *Program, cfg Config, n int, x *mat.Mat
 
 // TestI8MachineCalibrated: a calibrated int8 machine reproduces the fp64
 // argmax on every row whose fp64 top-1/top-2 margin exceeds twice the
-// measured quantization error, and tiled/tile-parallel int8 output is
-// bit-identical to direct int8 (int32 accumulation is order-free).
+// measured quantization error, and tiled int8 output is bit-identical to
+// direct int8 (int32 accumulation is order-free).
 func TestI8MachineCalibrated(t *testing.T) {
 	const n, d, h = 57, 5, 7
 	prog, x := buildPrecisionProg(n, d, h, 12)
@@ -98,18 +98,13 @@ func TestI8MachineCalibrated(t *testing.T) {
 				r, dLabels[r], refLabels[r], top-second, maxErr)
 		}
 	}
-	for _, cfg := range []Config{
-		{TileRows: 13, Workers: 1, Elem: I8, Scales: scales},
-		{TileRows: 13, Workers: 4, Elem: I8, Scales: scales},
-	} {
-		out, labels := runReducedLabels(t, prog, cfg, n, x)
-		if !out.Equal(direct) {
-			t.Fatalf("int8 %+v output not bit-identical to int8 direct", cfg)
-		}
-		for i := range labels {
-			if labels[i] != dLabels[i] {
-				t.Fatalf("int8 %+v label[%d] differs", cfg, i)
-			}
+	out, labels := runReducedLabels(t, prog, Config{TileRows: 13, Elem: I8, Scales: scales}, n, x)
+	if !out.Equal(direct) {
+		t.Fatal("int8 tiled output not bit-identical to int8 direct")
+	}
+	for i := range labels {
+		if labels[i] != dLabels[i] {
+			t.Fatalf("int8 tiled label[%d] differs", i)
 		}
 	}
 }
@@ -166,7 +161,7 @@ func TestReducedRunAllocFree(t *testing.T) {
 	in := []*mat.Matrix{x}
 	for _, cfg := range []Config{
 		{Workers: 1, Elem: I8, Scales: scales},
-		{TileRows: 9, Workers: 1, Elem: I8, Scales: scales},
+		{TileRows: 9, Elem: I8, Scales: scales},
 	} {
 		m, err := prog.NewMachine(cfg)
 		if err != nil {
@@ -212,7 +207,7 @@ func TestInputEpochSkipsOnlyItsRecord(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{Workers: 1, Elem: I8, Scales: scales},
-		{TileRows: 9, Workers: 2, Elem: I8, Scales: scales},
+		{TileRows: 9, Elem: I8, Scales: scales},
 	} {
 		ring := obs.NewRing(256)
 		cfg.Recorder = ring
@@ -288,8 +283,8 @@ func TestReducedAccountingShrinks(t *testing.T) {
 		}
 		return m
 	}
-	f64 := mk(Config{TileRows: 8, Workers: 1})
-	i8 := mk(Config{TileRows: 8, Workers: 1, Elem: I8, Scales: scales})
+	f64 := mk(Config{TileRows: 8})
+	i8 := mk(Config{TileRows: 8, Elem: I8, Scales: scales})
 	if i8.TileBytes()*8 != f64.TileBytes() {
 		t.Fatalf("tile bytes fp64=%d int8=%d, want an 8x ratio", f64.TileBytes(), i8.TileBytes())
 	}
@@ -299,13 +294,12 @@ func TestReducedAccountingShrinks(t *testing.T) {
 }
 
 // FuzzPrecision fuzzes the int8 engine across program shapes × tile
-// heights × worker counts:
+// heights:
 //
 //   - calibrated int8 reproduces the fp64 argmax on every row whose
 //     fp64 margin exceeds twice the error its wide argmax can carry — the
 //     measured dequantized error plus half an output step;
-//   - tiled and tile-parallel int8 execution is bit-identical to direct
-//     int8 execution.
+//   - tiled int8 execution is bit-identical to direct int8 execution.
 //
 // Both are held on the product-chain program and on a GAT-like one whose
 // conv is the attention op; the second only has to keep the margin
@@ -313,27 +307,26 @@ func TestReducedAccountingShrinks(t *testing.T) {
 // property reasons from is measured on clamped output codes, which a plan
 // that far off its calibration saturates).
 func FuzzPrecision(f *testing.F) {
-	f.Add(uint8(16), uint8(3), uint8(4), uint8(5), uint8(2), int64(1))
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), int64(2))
-	f.Add(uint8(64), uint8(8), uint8(2), uint8(63), uint8(7), int64(3))
-	f.Fuzz(func(t *testing.T, nRaw, dRaw, hRaw, tileRaw, workersRaw uint8, seed int64) {
+	f.Add(uint8(16), uint8(3), uint8(4), uint8(5), int64(1))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), int64(2))
+	f.Add(uint8(64), uint8(8), uint8(2), uint8(63), int64(3))
+	f.Fuzz(func(t *testing.T, nRaw, dRaw, hRaw, tileRaw uint8, seed int64) {
 		n := int(nRaw)%64 + 1
 		d := int(dRaw)%8 + 1
 		h := int(hRaw)%8 + 1
 		tile := int(tileRaw)%n + 1
-		workers := int(workersRaw)%8 + 1
 
 		prog, x := buildPrecisionProg(n, d, h, seed)
-		checkPrecisionProg(t, prog, x, tile, workers, false)
+		checkPrecisionProg(t, prog, x, tile, false)
 		prog, x = buildAttnProg(n, d, h, seed)
-		checkPrecisionProg(t, prog, x, tile, workers, true)
+		checkPrecisionProg(t, prog, x, tile, true)
 	})
 }
 
 // checkPrecisionProg holds one fused program to FuzzPrecision's two
 // properties on the batch x; gated restricts the margin property to runs
 // whose int8 labels agree with fp64 on at least 0.99 of the rows.
-func checkPrecisionProg(t *testing.T, prog *Program, x *mat.Matrix, tile, workers int, gated bool) {
+func checkPrecisionProg(t *testing.T, prog *Program, x *mat.Matrix, tile int, gated bool) {
 	t.Helper()
 	n := x.Rows
 	scales, refLabels, err := CalibrateScales(prog, n, []*mat.Matrix{x})
@@ -345,23 +338,6 @@ func checkPrecisionProg(t *testing.T, prog *Program, x *mat.Matrix, tile, worker
 		t.Fatal(err)
 	}
 	ref := refM.Run(n, []*mat.Matrix{x}, nil).Clone()
-
-	check := func(name string, base *mat.Matrix, baseLabels []int, cfg Config) {
-		t.Helper()
-		m, err := prog.NewMachine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		labels := make([]int, n)
-		if got := m.Run(n, []*mat.Matrix{x}, labels); !got.Equal(base) {
-			t.Fatalf("n=%d tile=%d workers=%d: %s output differs from its direct form", n, tile, workers, name)
-		}
-		for i := range labels {
-			if labels[i] != baseLabels[i] {
-				t.Fatalf("%s label[%d] differs from direct", name, i)
-			}
-		}
-	}
 
 	// int8: margin-gated argmax agreement, bit-identity within the tier.
 	i8cfg := Config{Workers: 1, Elem: I8, Scales: scales}
@@ -406,8 +382,19 @@ func checkPrecisionProg(t *testing.T, prog *Program, x *mat.Matrix, tile, worker
 			t.Fatalf("int8 label[%d] flips despite fp64 margin %g > 2×(err %g + half a step) = %g", r, top-second, maxErr, 2*wideErr)
 		}
 	}
-	check("int8 tiled", i8Out, i8Labels, Config{TileRows: tile, Workers: 1, Elem: I8, Scales: scales})
-	check("int8 tile-parallel", i8Out, i8Labels, Config{TileRows: tile, Workers: workers, Elem: I8, Scales: scales})
+	tiled, err := prog.NewMachine(Config{TileRows: tile, Elem: I8, Scales: scales})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]int, n)
+	if got := tiled.Run(n, []*mat.Matrix{x}, labels); !got.Equal(i8Out) {
+		t.Fatalf("n=%d tile=%d: int8 tiled output differs from int8 direct", n, tile)
+	}
+	for i := range labels {
+		if labels[i] != i8Labels[i] {
+			t.Fatalf("int8 tiled label[%d] differs from direct", i)
+		}
+	}
 }
 
 // TestAttnRejectsCorruptColumnBeforeWriting: the attention aggregate

@@ -199,8 +199,7 @@ func TestShardedExecBitIdentical(t *testing.T) {
 			cfg  Config
 		}{
 			{"direct", Config{Workers: 1}},
-			{"tiled", Config{TileRows: 8, Workers: 1}},
-			{"tile-parallel", Config{TileRows: 4, Workers: 3}},
+			{"tiled", Config{TileRows: 8}},
 		} {
 			outs := runFleet(t, part, progs, func(int) Config { return mode.cfg }, x, labels)
 			checkSharded(t, mode.name, part, outs, labels, want, wantLabels)
@@ -234,7 +233,7 @@ func TestShardedHaloAccounting(t *testing.T) {
 	progs := buildShardProgs(part, d0, pr)
 	total := int64(0)
 	for s, p := range progs {
-		m, err := p.NewMachine(Config{TileRows: 8, Workers: 1})
+		m, err := p.NewMachine(Config{TileRows: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

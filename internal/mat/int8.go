@@ -16,13 +16,11 @@ import "fmt"
 // requantize to the destination's per-column scales happen in the same
 // kernel call that sums the row (one call per op range, productrow.go:
 // the row accumulate and the requantise row back to back, row after
-// row). Integer accumulation is order-independent, so tiled, direct and
-// tile-parallel int8 executions are bit-identical without any
-// element-order argument.
+// row). Integer accumulation is order-independent, so tiled and direct
+// int8 executions are bit-identical without any element-order argument.
 //
-// The kernels here are serial range forms: the in-enclave direct path is
-// single-threaded by construction, and the tiled executor gets its
-// parallelism from tile workers, each with a private int32 accumulator.
+// The kernels here are serial range forms: the in-enclave executor is
+// single-threaded by construction, direct and tiled alike.
 
 // MatMulI8EpilogueInto computes dst = requantize(epilogue(a·w)) over
 // int8 codes with int32 accumulation: the quantized counterpart of
@@ -31,13 +29,13 @@ import "fmt"
 // scales, bias the float64 bias (nil for none), res/resScales the
 // optional residual codes and their per-column scales, dstScales the
 // destination value's per-column scales. acc is the caller-owned int32
-// scratch row, at least w.Cols long — tile workers pass private
-// accumulators so the kernel stays alloc-free and race-free. labels,
+// scratch row, at least w.Cols long, so the kernel stays alloc-free;
+// concurrent callers pass private ones. labels,
 // when non-nil (length ≥ a.Rows), receives each row's wide argmax: over
 // the pre-requantization epilogue floats, which the exact int32
 // accumulator keeps apart where shared int8 codes would collapse them,
 // and which — a per-element function of deterministic inputs — label a
-// row identically across direct, tiled and tile-parallel execution.
+// row identically across direct and tiled execution.
 // Single-threaded: runs on the calling goroutine.
 func MatMulI8EpilogueInto(dst, a, w *MatrixI8, deq, bias []float64, res *MatrixI8, resScales []float64, relu bool, dstScales []float64, acc []int32, labels []int) {
 	if a.Cols != w.Rows {

@@ -31,8 +31,8 @@ import (
 // TestRequantizeRowDifferential. Both
 // perform the same operations on the same operands per element, so every
 // code and every label agree; and since each is a function of one
-// column's exact int32 accumulator, tiled == direct == tile-parallel at
-// int8 needs no further argument.
+// column's exact int32 accumulator, tiled == direct at int8 needs no
+// further argument.
 //
 // Composition. The product epilogues do not call RequantizeRow: an int8
 // product's rows are the row accumulate (axpy.go) and this contract, row

@@ -2,7 +2,6 @@ package gnnvault_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"gnnvault/internal/core"
@@ -16,11 +15,9 @@ const tiledBenchBudget = 64 << 20
 
 // BenchmarkTiledFullGraph measures full-graph PredictInto through a
 // fused, tile-streamed plan admitted under a 64 MB EPC budget, across the
-// same power-law graphs as the subgraph sweep. The plan asks for
-// GOMAXPROCS tile workers — the budget math divides the same 64 MB across
-// the pool's staging tiles, so admission is unchanged while multi-core
-// hosts stream tiles in parallel (single-core hosts degrade to the serial
-// path). Compare against BenchmarkFullGraphNodeQuery (the untiled
+// same power-law graphs as the subgraph sweep. The enclave streams the
+// tiles on the one thread its ECALL entered on. Compare against
+// BenchmarkFullGraphNodeQuery (the untiled
 // baseline, inadmissible on real EPCs beyond ~60k nodes): "epcB" must
 // stay ≤ the budget, and the hot path stays allocation-free. The vault
 // registers no features, so every pass is the full pass — the backbone
@@ -30,10 +27,7 @@ func BenchmarkTiledFullGraph(b *testing.B) {
 	for _, n := range subgraphBenchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			st := subgraphBenchVault(b, n)
-			ws, err := st.v.PlanWith(st.v.Nodes(), core.PlanConfig{
-				EPCBudgetBytes: tiledBenchBudget,
-				Workers:        runtime.GOMAXPROCS(0),
-			})
+			ws, err := st.v.PlanWith(st.v.Nodes(), core.PlanConfig{EPCBudgetBytes: tiledBenchBudget})
 			if err != nil {
 				b.Fatalf("PlanWith: %v", err)
 			}
@@ -51,7 +45,6 @@ func BenchmarkTiledFullGraph(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(ws.EnclaveBytes()), "epcB")
 			b.ReportMetric(float64(ws.TileRows()), "tileRows")
-			b.ReportMetric(float64(ws.TileWorkers()), "tileW")
 			b.ReportMetric(float64(ws.SpillBytes()), "spillB")
 		})
 	}
