@@ -20,10 +20,11 @@ func TestMain(m *testing.M) {
 }
 
 // TestServeRejectsBadEPCFlags: an EPC capacity below 1 MB, a negative
-// workspace budget, a size whose byte count overflows int64 and an
-// agreement floor outside [0, 1] each exit 2 at parse time, before any
-// training, with a message naming the flag — on the single-enclave and
-// the -shards paths alike.
+// workspace budget, a size whose byte count overflows int64, an agreement
+// floor outside [0, 1], and every other numeric flag below its floor (0
+// where 0 means nothing, negative where 0 is a documented setting) each
+// exit 2 at parse time, before any training, with a message naming the
+// flag — on the single-enclave and the -shards paths alike.
 func TestServeRejectsBadEPCFlags(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -37,6 +38,22 @@ func TestServeRejectsBadEPCFlags(t *testing.T) {
 		{[]string{"-min-agreement", "1.5"}, "-min-agreement"},
 		{[]string{"-min-agreement", "-0.1"}, "-min-agreement"},
 		{[]string{"-min-agreement", "NaN"}, "-min-agreement"},
+		{[]string{"-workers", "0"}, "-workers"},
+		{[]string{"-batch", "0"}, "-batch"},
+		{[]string{"-shards", "0"}, "-shards"},
+		{[]string{"-ws-per-vault", "0"}, "-ws-per-vault"},
+		{[]string{"-max-seeds", "0"}, "-max-seeds"},
+		{[]string{"-fanout", "-1"}, "-fanout"},
+		{[]string{"-hops", "-1"}, "-hops"},
+		{[]string{"-round-digits", "-1"}, "-round-digits"},
+		{[]string{"-topk", "-1"}, "-topk"},
+		{[]string{"-rate-limit", "-1"}, "-rate-limit"},
+		{[]string{"-rate-burst", "-1"}, "-rate-burst"},
+		{[]string{"-query-budget", "-1"}, "-query-budget"},
+		{[]string{"-deadline", "-1s"}, "-deadline"},
+		{[]string{"-max-retries", "-1"}, "-max-retries"},
+		{[]string{"-chaos", "-1"}, "-chaos"},
+		{[]string{"-trace-buffer", "-1"}, "-trace-buffer"},
 	}
 	for _, shards := range []string{"1", "2"} {
 		for _, c := range cases {

@@ -80,12 +80,9 @@ func cmdServe(args []string) {
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the HTTP API")
 	fs.Parse(args) //nolint:errcheck
 
-	if err := checkServeFlags(*epcMB, *epcBudgetMB, *minAgree); err != nil {
+	if err := checkServeFlags(fs); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
-	}
-	if *workers <= 0 {
-		*workers = 2 // serve.Config's default, surfaced so the banner is honest
 	}
 	var nq *registry.NodeQueryConfig
 	if *hops > 0 {
@@ -176,12 +173,29 @@ func cmdServe(args []string) {
 	runSyntheticStream(fl, srv, *clients, *requests)
 }
 
+// serveFlagFloors is the least legal value of every other integer serve
+// flag: 1 where 0 means nothing, 0 where 0 is the documented "off",
+// "unlimited" or "derived" setting. Below it a value would otherwise be
+// reinterpreted silently — as a default, as "off", or as unsharded.
+var serveFlagFloors = []struct {
+	name string
+	min  int
+}{
+	{"workers", 1}, {"batch", 1}, {"shards", 1}, {"ws-per-vault", 1}, {"max-seeds", 1},
+	{"hops", 0}, {"fanout", 0}, {"round-digits", 0}, {"topk", 0}, {"rate-burst", 0},
+	{"query-budget", 0}, {"max-retries", 0}, {"chaos", 0}, {"trace-buffer", 0},
+}
+
 // checkServeFlags rejects flag values no serve path can use: an EPC
 // capacity below 1 MB (every deploy would fail as "EPC exhausted"), a
 // negative workspace budget (0 already means untiled plans), any size
-// whose byte count, MB << 20, overflows int64, and an agreement floor
-// that is not a share (NaN included).
-func checkServeFlags(epcMB, budgetMB int64, minAgree float64) error {
+// whose byte count, MB << 20, overflows int64, an agreement floor that is
+// not a share (NaN included), a negative or NaN -rate-limit, a negative
+// -deadline, and any integer flag below its serveFlagFloors entry.
+func checkServeFlags(fs *flag.FlagSet) error {
+	get := func(name string) any { return fs.Lookup(name).Value.(flag.Getter).Get() }
+	epcMB, budgetMB, minAgree := get("epc-mb").(int64), get("epc-budget-mb").(int64), get("min-agreement").(float64)
+	rate, deadline := get("rate-limit").(float64), get("deadline").(time.Duration)
 	const maxMB = math.MaxInt64 >> 20
 	switch {
 	case epcMB < 1 || epcMB > maxMB:
@@ -190,6 +204,15 @@ func checkServeFlags(epcMB, budgetMB int64, minAgree float64) error {
 		return fmt.Errorf("-epc-budget-mb %d outside [0, %d]", budgetMB, int64(maxMB))
 	case !(minAgree >= 0 && minAgree <= 1):
 		return fmt.Errorf("-min-agreement %v outside [0, 1]", minAgree)
+	case !(rate >= 0):
+		return fmt.Errorf("-rate-limit %v must be ≥ 0", rate)
+	case deadline < 0:
+		return fmt.Errorf("-deadline %v must be ≥ 0", deadline)
+	}
+	for _, f := range serveFlagFloors {
+		if v := get(f.name).(int); v < f.min {
+			return fmt.Errorf("-%s %d must be ≥ %d", f.name, v, f.min)
+		}
 	}
 	return nil
 }

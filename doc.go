@@ -20,8 +20,9 @@
 // (backbone, rectifiers, vault deployment and allocation-free inference
 // plans — full-graph and subgraph, untiled or EPC-budgeted), enclave
 // (SGX software model), registry (EPC-aware scheduling of a multi-vault
-// fleet on one enclave), serve (single-vault and fleet-routing batched
-// serving with node-query coalescing), attack (link stealing), and
+// fleet on one enclave), serve (batched serving with node-query
+// coalescing: registry-backed for the vaults of one enclave, fan-out for a
+// shard fleet), attack (link stealing), and
 // experiments (one generator per paper table/figure).
 //
 // See README.md for a walkthrough, package map, serving ops guide, and

@@ -65,8 +65,8 @@ type NodeQueryConfig struct {
 }
 
 // WithDefaults returns the config with unset fields replaced by the
-// documented defaults (hops 2, fanout 10, 16 seeds). Exported so other
-// front-ends (serve.Server) share one default table.
+// documented defaults (hops 2, fanout 10, 16 seeds). Exported so the
+// sharded front-end (serve.NewSharded) shares one default table.
 func (c NodeQueryConfig) WithDefaults() NodeQueryConfig {
 	if c.Hops <= 0 {
 		c.Hops = 2

@@ -61,7 +61,7 @@ type APIConfig struct {
 	Features func(vaultID string) *mat.Matrix
 	// NodeQueries reports whether the fleet serves the sampled-subgraph
 	// node-query path; when false, PredictNodes fails with
-	// registry.ErrNodeQueriesDisabled.
+	// ErrNodeQueriesDisabled.
 	NodeQueries bool
 	// Limit, when non-nil, applies a per-client token-bucket/budget rate
 	// limit. Cost is counted in answered labels, so a full-graph query
@@ -173,7 +173,7 @@ func (a *API) query(client, vault string, nodes []int, node, scores bool) ([][]f
 	cost := len(nodes)
 	switch {
 	case node && !a.cfg.NodeQueries:
-		return nil, nil, registry.ErrNodeQueriesDisabled
+		return nil, nil, ErrNodeQueriesDisabled
 	case node && cost == 0:
 		return nil, nil, errEmptyNodes
 	case cost == 0:
@@ -535,7 +535,7 @@ func httpStatus(err error) int {
 		return http.StatusForbidden
 	case errors.Is(err, registry.ErrUnknownVault):
 		return http.StatusNotFound
-	case errors.Is(err, registry.ErrNodeQueriesDisabled), errors.Is(err, ErrNodeQueriesDisabled):
+	case errors.Is(err, ErrNodeQueriesDisabled):
 		return http.StatusNotImplemented
 	case errors.Is(err, subgraph.ErrTooManySeeds),
 		errors.Is(err, core.ErrNodeOutOfRange),
@@ -548,11 +548,18 @@ func httpStatus(err error) int {
 	}
 }
 
-// writeJSON sends one JSON response.
+// writeJSON sends one JSON response. The body is encoded before the
+// header is written, so a value JSON cannot carry (a NaN or infinite
+// float) answers 500 with an error body instead of an empty 200.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "serve: encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // retryAfterSeconds is the Retry-After hint attached to every throttled

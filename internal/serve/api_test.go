@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -140,6 +141,21 @@ func TestAPIStatusMapping(t *testing.T) {
 
 // TestAPIRateLimitTyped checks the programmatic surface returns the
 // sentinel the harness keys on.
+// TestWriteJSONUnencodableIs500: a body JSON cannot carry is refused before
+// the header goes out, so the client gets a 500 with an error body, never
+// the intended status with an empty body.
+func TestWriteJSONUnencodableIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"scores": []float64{0.5, math.NaN()}})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("body %q (%v), want a JSON error", rec.Body.String(), err)
+	}
+}
+
 func TestAPIRateLimitTyped(t *testing.T) {
 	_, api, _, _ := testAPI(t, Config{Workers: 1}, &RateLimit{Budget: 5})
 	if _, err := api.Predict("atk", "parallel", []int{0, 1, 2, 3, 4}); err != nil {

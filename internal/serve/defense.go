@@ -190,7 +190,15 @@ func topKRow(row []float64, k int) {
 // down, so floor(other) <= other < top <= ceil(top) keeps the original
 // winner on top (ties resolve to the first maximum, matching how labels
 // are computed from the raw logits).
+//
+// Past 17 digits, a float64's decimal resolution, the row comes back
+// unrounded. That also keeps unit a normal float: at 309 digits it is
+// subnormal and from about 324 it is 0, where v/unit turns +Inf or NaN and
+// the argmax moves.
 func roundRow(row []float64, digits int) {
+	if digits > 17 {
+		return
+	}
 	unit := math.Pow(10, -float64(digits))
 	top := argmaxRow(row)
 	for i, v := range row {

@@ -22,7 +22,7 @@ func TestDefendedRowPreservesArgmax(t *testing.T) {
 		{10.0, -10.0, 0.0, 9.9999},
 		{0.30103, 0.30102, 0.30101, 0.301},
 	}
-	for _, digits := range []int{0, 1, 2, 3, 6} {
+	for _, digits := range []int{0, 1, 2, 3, 6, 17, 18, 308, 309, 400} {
 		for _, topk := range []int{0, 1, 2, 3, 4} {
 			cfg := Config{RoundDigits: digits, TopK: topk}
 			for ri, logits := range rows {
@@ -172,23 +172,20 @@ func TestRateLimiterBoundsClients(t *testing.T) {
 	}
 }
 
-// TestServerScoresSurface runs the defended scores path end to end on the
-// single-vault server: labels equal the label-only path, each score row's
+// TestServerScoresSurface runs the defended scores path end to end on a
+// one-vault registry: labels equal the label-only path, each score row's
 // argmax equals its label, and a label-only server refuses score queries
 // with the typed error.
 func TestServerScoresSurface(t *testing.T) {
 	ds, v := testVault(t)
-	s, err := New(v, Config{Workers: 2, ExposeScores: true, RoundDigits: 2, TopK: 3})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := oneVault(t, v, nil, nil, Config{Workers: 2, ExposeScores: true, RoundDigits: 2, TopK: 3})
 	defer s.Close()
 
-	want, err := s.Predict(ds.X)
+	want, err := s.Predict(oneVaultID, ds.X)
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
-	scores, labels, err := s.PredictScores(ds.X)
+	scores, labels, err := s.PredictScores(oneVaultID, ds.X)
 	if err != nil {
 		t.Fatalf("PredictScores: %v", err)
 	}
@@ -204,15 +201,12 @@ func TestServerScoresSurface(t *testing.T) {
 		}
 	}
 
-	labelOnly, err := New(v, Config{Workers: 1})
-	if err != nil {
-		t.Fatalf("New(label-only): %v", err)
-	}
+	labelOnly := oneVault(t, v, nil, nil, Config{Workers: 1})
 	defer labelOnly.Close()
-	if _, _, err := labelOnly.PredictScores(ds.X); !errors.Is(err, ErrScoresDisabled) {
+	if _, _, err := labelOnly.PredictScores(oneVaultID, ds.X); !errors.Is(err, ErrScoresDisabled) {
 		t.Fatalf("label-only PredictScores: %v, want ErrScoresDisabled", err)
 	}
-	if _, _, err := labelOnly.PredictNodesScores([]int{1}); !errors.Is(err, ErrScoresDisabled) {
+	if _, _, err := labelOnly.PredictNodesScores(oneVaultID, []int{1}); !errors.Is(err, ErrScoresDisabled) {
 		t.Fatalf("label-only PredictNodesScores: %v, want ErrScoresDisabled", err)
 	}
 }
@@ -221,15 +215,12 @@ func TestServerScoresSurface(t *testing.T) {
 // including a mixed batch of label and score node queries.
 func TestServerNodeScoresSurface(t *testing.T) {
 	ds, v := testVault(t)
-	s, err := New(v, Config{Workers: 1, NodeQuery: nodeQueryCfg(), Features: ds.X, ExposeScores: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := oneVault(t, v, ds.X, nodeQueryCfg(), Config{Workers: 1, ExposeScores: true})
 	defer s.Close()
 
 	seeds := []int{3, 99, 280}
 	want := expectedNodeLabels(t, v, ds.X, seeds)
-	scores, labels, err := s.PredictNodesScores(seeds)
+	scores, labels, err := s.PredictNodesScores(oneVaultID, seeds)
 	if err != nil {
 		t.Fatalf("PredictNodesScores: %v", err)
 	}
@@ -242,7 +233,7 @@ func TestServerNodeScoresSurface(t *testing.T) {
 		}
 	}
 	// Label-only node queries still work beside score queries.
-	plain, err := s.PredictNodes(seeds)
+	plain, err := s.PredictNodes(oneVaultID, seeds)
 	if err != nil {
 		t.Fatalf("PredictNodes: %v", err)
 	}

@@ -6,13 +6,15 @@ import (
 	"gnnvault/internal/core"
 	"gnnvault/internal/datasets"
 	"gnnvault/internal/enclave"
+	"gnnvault/internal/registry"
 	"gnnvault/internal/serve"
 	"gnnvault/internal/substitute"
 )
 
-// ExampleServer deploys one vault and answers label queries through the
-// batched worker pool — the single-tenant serving path.
-func ExampleServer() {
+// ExampleMultiServer deploys one vault, registers it as the only tenant of
+// its enclave's registry, and answers label queries through the batched
+// worker pool.
+func ExampleMultiServer() {
 	ds := datasets.Load("cora")
 	cfg := core.TrainConfig{Epochs: 3, LR: 0.01, WeightDecay: 5e-4, Seed: 1}
 	spec := core.SpecForDataset("cora")
@@ -23,13 +25,15 @@ func ExampleServer() {
 		panic(err)
 	}
 
-	srv, err := serve.New(vault, serve.Config{Workers: 2})
-	if err != nil {
+	reg := registry.New(vault.Enclave, registry.Config{})
+	defer reg.Close()
+	if err := reg.Register("cora/parallel", vault); err != nil {
 		panic(err)
 	}
+	srv := serve.NewMulti(reg, serve.Config{Workers: 2})
 	defer srv.Close()
 
-	labels, err := srv.Predict(ds.X)
+	labels, err := srv.Predict("cora/parallel", ds.X)
 	if err != nil {
 		panic(err)
 	}

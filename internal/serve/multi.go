@@ -3,6 +3,7 @@ package serve
 import (
 	"runtime"
 
+	"gnnvault/internal/core"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/registry"
 )
@@ -32,18 +33,30 @@ import (
 // they are short and coalesce on one worker.
 type MultiServer struct {
 	*scheduler
-	leases
-	reg *registry.Registry
+	leases []lease // one per worker, refilled from the registry run by run
+	reg    *registry.Registry
 }
 
-// NewMulti starts a worker pool over the registry's vault fleet. Unlike
-// New, nothing is planned up front: workspace residency is entirely
-// demand-driven, so a fleet larger than the EPC starts instantly and pages
-// vaults in as traffic arrives. The caller keeps ownership of the
-// registry; Close stops the workers without closing it.
+// lease is what one worker holds of one vault while it serves a run: the
+// vault, its full-graph or subgraph workspace, and the public features node
+// extractions gather from.
+type lease struct {
+	id  string
+	v   *core.Vault
+	ws  *core.Workspace
+	sub *core.SubgraphWorkspace
+	x   *mat.Matrix
+}
+
+// NewMulti starts a worker pool over the registry's vault fleet. Nothing
+// is planned up front: workspace residency is entirely demand-driven, so a
+// fleet larger than the EPC starts instantly and pages vaults in as
+// traffic arrives. A single vault is served the same way, as a one-vault
+// registry. The caller keeps ownership of the registry; Close stops the
+// workers without closing it.
 func NewMulti(reg *registry.Registry, cfg Config) *MultiServer {
 	cfg = cfg.withDefaults()
-	s := &MultiServer{scheduler: newScheduler(cfg, true), leases: make(leases, cfg.Workers), reg: reg}
+	s := &MultiServer{scheduler: newScheduler(cfg, true), leases: make([]lease, cfg.Workers), reg: reg}
 	s.run(s)
 	return s
 }
@@ -74,6 +87,30 @@ func (s *MultiServer) release(w int, node bool) {
 	}
 }
 
+// route puts every node query of a run in one group: a run is one vault.
+func (s *MultiServer) route(*request) (int, error) { return 0, nil }
+
+func (s *MultiServer) runFull(w int, r *request) (labels []int, logits *mat.Matrix, spill int64, reused bool, err error) {
+	h := &s.leases[w]
+	var bd core.InferenceBreakdown
+	if r.scores != nil {
+		logits, labels, bd, err = h.v.PredictScoresInto(r.x, h.ws)
+	} else {
+		labels, bd, err = h.v.PredictInto(r.x, h.ws)
+	}
+	return labels, logits, h.ws.SpillBytes(), bd.BackboneReused, err
+}
+
+func (s *MultiServer) runUnion(w, _ int, union []int, scores bool, _ []*request) (labels []int, logits *mat.Matrix, err error) {
+	h := &s.leases[w]
+	if scores {
+		logits, labels, _, err = h.v.PredictNodesScoresInto(h.x, union, h.sub)
+	} else {
+		labels, _, err = h.v.PredictNodesInto(h.x, union, h.sub)
+	}
+	return labels, logits, err
+}
+
 // teardown has nothing to return: every checkout was released with its
 // run, and the registry is the caller's.
 func (s *MultiServer) teardown() {}
@@ -99,11 +136,13 @@ func (s *MultiServer) PredictScores(vaultID string, x *mat.Matrix) ([][]float64,
 // under vaultID and blocks until a worker answers with one label per
 // requested node. The registry must be configured for node queries and
 // the vault enabled via registry.EnableNodeQueries; otherwise the request
-// fails with registry.ErrNodeQueriesDisabled. Consecutive same-vault node
-// queries drained in one worker wake-up are coalesced into shared
-// subgraph extractions. nodes must not be mutated until PredictNodes
-// returns; the returned slice is freshly allocated and owned by the
-// caller.
+// fails with ErrNodeQueriesDisabled. A query whose distinct seeds exceed
+// the registry's NodeQuery.MaxSeeds fails with subgraph.ErrTooManySeeds,
+// and one naming a node outside the graph with core.ErrNodeOutOfRange.
+// Consecutive same-vault node queries drained in one worker wake-up are
+// coalesced into shared subgraph extractions. nodes must not be mutated
+// until PredictNodes returns; the returned slice is freshly allocated and
+// owned by the caller.
 func (s *MultiServer) PredictNodes(vaultID string, nodes []int) ([]int, error) {
 	_, labels, err := s.submit(vaultID, nil, nodes, true, false)
 	return labels, err

@@ -15,7 +15,7 @@ import (
 // request is one queued inference — full-graph or node-level, for any
 // backend. Requests are pooled; submit fills one in and clears it again.
 type request struct {
-	vault  string      // the registry backend's routing key; the other two ignore it
+	vault  string      // the registry backend's routing key; the fleet ignores it
 	x      *mat.Matrix // full-graph input
 	nodes  []int       // non-nil marks a node-level query
 	out    []int
@@ -25,7 +25,7 @@ type request struct {
 	done   chan struct{}
 }
 
-// backend is everything that differs between the three servers; the
+// backend is everything that differs between the two servers; the
 // scheduler owns the rest (queue, admission, micro-batching, validation,
 // coalescing, scatter, counters, shutdown). w is the calling worker's
 // index: a backend keeps whatever it pins or checks out per worker, and
@@ -62,12 +62,12 @@ type backend interface {
 	teardown()
 }
 
-// scheduler is the one serving core under Server, MultiServer and
-// ShardedServer: a bounded queue, one admission protocol (submit), workers
-// that drain it in micro-batches, and per batch the split into same-vault
-// runs, full-graph requests answered one by one and node queries
-// validated, grouped, coalesced into shared extractions and scattered
-// back. Everything vault-, registry- or fleet-specific is behind backend.
+// scheduler is the one serving core under MultiServer and ShardedServer:
+// a bounded queue, one admission protocol (submit), workers that drain it
+// in micro-batches, and per batch the split into same-vault runs,
+// full-graph requests answered one by one and node queries validated,
+// grouped, coalesced into shared extractions and scattered back.
+// Everything vault-, registry- or fleet-specific is behind backend.
 type scheduler struct {
 	be          backend
 	cfg         Config

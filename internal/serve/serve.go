@@ -5,16 +5,15 @@
 // There is one serving core, the scheduler (sched.go): one request type,
 // one bounded queue, one admission path, one micro-batch drain loop, one
 // node-query path (validate → group → coalesce seeds → run → scatter) and
-// one Close protocol. Three public front-ends are thin backends under it.
-// Server is the single-tenant form — one vault, one pre-planned
-// core.Workspace per worker, so the hot path allocates nothing.
-// MultiServer is the multi-tenant form: requests carry a vault ID and the
-// workers check workspaces out of a registry.Registry, which plans them
-// lazily and evicts least-recently-served vaults when the enclave's EPC
-// cannot hold every tenant. ShardedServer serves one vault split across a
-// fleet of shard enclaves, with deadlines, per-shard circuit breakers and
-// automatic recovery. What a backend supplies, and the invariants it must
-// keep, are in DESIGN.md ("Serving core").
+// one Close protocol. Two public front-ends are thin backends under it.
+// MultiServer serves every vault of one enclave, one or many: requests
+// carry a vault ID and the workers check workspaces out of a
+// registry.Registry, which plans them lazily and evicts
+// least-recently-served vaults when the enclave's EPC cannot hold every
+// tenant. ShardedServer serves one vault split across a fleet of shard
+// enclaves, with deadlines, per-shard circuit breakers and automatic
+// recovery. What a backend supplies, and the invariants it must keep, are
+// in DESIGN.md ("Serving core").
 //
 // Micro-batching here coalesces queued requests into one worker wake-up:
 // GNN inference is full-graph, so requests cannot be fused into a wider
@@ -26,7 +25,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -39,9 +37,10 @@ import (
 // ErrClosed is returned by Predict after Close.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrNodeQueriesDisabled is returned by PredictNodes on a server started
-// without Config.NodeQuery.
-var ErrNodeQueriesDisabled = errors.New("serve: node queries not enabled")
+// ErrNodeQueriesDisabled is every front-end's node-query refusal (a
+// ShardedServer without Config.NodeQuery, a vault the registry has not
+// enabled, an API with NodeQueries off): registry.ErrNodeQueriesDisabled.
+var ErrNodeQueriesDisabled = registry.ErrNodeQueriesDisabled
 
 // errNoFeatures fails a full-graph query that arrives without an input
 // matrix — an APIConfig.Features that does not know the vault — at
@@ -50,8 +49,9 @@ var errNoFeatures = errors.New("serve: no feature matrix for full-graph query")
 
 // Config tunes the worker pool.
 type Config struct {
-	// Workers is the number of inference workers, each with its own
-	// planned workspace (and therefore its own EPC charge). Default 2.
+	// Workers is the number of inference workers. Default 2. A
+	// ShardedServer plans one workspace per worker; a MultiServer's
+	// workers share the registry's.
 	Workers int
 	// MaxBatch caps how many queued requests one worker drains per
 	// wake-up. Default 8.
@@ -59,27 +59,26 @@ type Config struct {
 	// QueueDepth bounds the request queue; Predict blocks when it is
 	// full (backpressure). Default Workers·MaxBatch·2.
 	QueueDepth int
-	// Plan shapes each worker's full-graph workspace (EPC budget / tile
-	// height / kernel worker budget — see core.PlanConfig). The zero value
-	// plans classic untiled workspaces. Because the budget is carried per
-	// plan, two servers with different settings can coexist in one
-	// process.
+	// Plan, NodeQuery and Features are read by ShardedServer only. A
+	// MultiServer takes the same three from its registry: registry.Config's
+	// Plan and NodeQuery, registry.EnableNodeQueries and
+	// core.Vault.SetCalibrationFeatures.
 	//
-	// Plan applies where the server plans its own workspaces up front:
-	// Server, and ShardedServer per shard (the budget is each shard
-	// enclave's own). MultiServer checks workspaces out of a
-	// registry.Registry, whose Config.Plan shapes them instead.
+	// Plan shapes each worker's sharded workspace, per shard (the EPC
+	// budget is each shard enclave's own — see core.PlanConfig). The zero
+	// value plans classic untiled workspaces.
 	Plan core.PlanConfig
 	// NodeQuery, when non-nil, additionally plans one subgraph workspace
-	// per worker and opens the PredictNodes path: node-level queries
-	// served from sampled L-hop subgraphs at O(hops × fanout) per query.
-	// Seed nodes from every node query a worker drains in one wake-up are
-	// coalesced into shared extractions of up to MaxSeeds seeds.
+	// per worker per shard and opens the PredictNodes path: node-level
+	// queries served from sampled L-hop subgraphs at O(hops × fanout) per
+	// query. Seed nodes from every node query a worker drains in one
+	// wake-up are coalesced into shared extractions of up to MaxSeeds
+	// seeds.
 	NodeQuery *registry.NodeQueryConfig
 	// Features is the deployed graph's public feature matrix, gathered
 	// from during subgraph extraction. Required when NodeQuery is set.
 	// When set, it is also registered with the vault
-	// (core.Vault.SetCalibrationFeatures): reduced-precision plans
+	// (core.ShardedVault.SetCalibrationFeatures): reduced-precision plans
 	// (Plan.Precision) derive their scales from it and pass the agreement
 	// gate, and full-graph requests whose input is this same matrix reuse
 	// its backbone embeddings from the vault's public-half store.
@@ -150,22 +149,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// planned is withDefaults for the servers that plan their own workspaces
-// over a graph of n nodes: it also resolves NodeQuery's defaults and checks
-// that Features, which node extractions gather from, covers the graph.
-func (c Config) planned(n int) (Config, error) {
-	c = c.withDefaults()
-	if c.NodeQuery != nil {
-		nq := c.NodeQuery.WithDefaults()
-		c.NodeQuery = &nq
-		if c.Features == nil || c.Features.Rows != n {
-			return c, fmt.Errorf("serve: node queries need the deployed graph's %d-row feature matrix", n)
-		}
-	}
-	return c, nil
-}
-
-// Stats is a snapshot of the server's counters since New. The latency
+// Stats is a snapshot of the server's counters since it started. The latency
 // fields all derive from one pair of histogram snapshots taken at the
 // same instant, so they are mutually consistent — AvgLatency can never
 // exceed MaxLatency, and the quantiles are cut from the same
@@ -283,148 +267,3 @@ func (c *counters) snapshot(start time.Time) Stats {
 	}
 	return st
 }
-
-// lease is what one worker holds of one vault while it serves a run: the
-// vault, its full-graph or subgraph workspace, and the public features node
-// extractions gather from. Server pins one per worker for life; MultiServer
-// refills its workers' leases from the registry run by run.
-type lease struct {
-	id  string
-	v   *core.Vault
-	ws  *core.Workspace
-	sub *core.SubgraphWorkspace
-	x   *mat.Matrix
-}
-
-// leases is the half of the backend the single-vault and registry servers
-// share — running a request on the calling worker's lease. Their node
-// queries all coalesce together: a run is one vault, so one group.
-type leases []lease
-
-func (l leases) route(*request) (int, error) { return 0, nil }
-
-func (l leases) runFull(w int, r *request) (labels []int, logits *mat.Matrix, spill int64, reused bool, err error) {
-	h := &l[w]
-	var bd core.InferenceBreakdown
-	if r.scores != nil {
-		logits, labels, bd, err = h.v.PredictScoresInto(r.x, h.ws)
-	} else {
-		labels, bd, err = h.v.PredictInto(r.x, h.ws)
-	}
-	return labels, logits, h.ws.SpillBytes(), bd.BackboneReused, err
-}
-
-func (l leases) runUnion(w, _ int, union []int, scores bool, _ []*request) (labels []int, logits *mat.Matrix, err error) {
-	h := &l[w]
-	if scores {
-		logits, labels, _, err = h.v.PredictNodesScoresInto(h.x, union, h.sub)
-	} else {
-		labels, _, err = h.v.PredictNodesInto(h.x, union, h.sub)
-	}
-	return labels, logits, err
-}
-
-// Server is a pool of inference workers over one deployed vault: the
-// scheduler over leases pinned at construction.
-type Server struct {
-	*scheduler
-	leases
-}
-
-// New plans one workspace per worker against v — plus one subgraph
-// workspace per worker when cfg.NodeQuery is set — and starts the pool.
-// It fails — releasing anything it planned — if the combined workspaces do
-// not fit the enclave's EPC, which is the real bound on worker concurrency
-// for an enclave-backed deployment.
-func New(v *core.Vault, cfg Config) (*Server, error) {
-	cfg, err := cfg.planned(v.Nodes())
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Features != nil {
-		if err := v.SetCalibrationFeatures(cfg.Features); err != nil {
-			return nil, fmt.Errorf("serve: registering calibration features: %w", err)
-		}
-	}
-	s := &Server{scheduler: newScheduler(cfg, cfg.NodeQuery != nil)}
-	for i := 0; i < cfg.Workers; i++ {
-		h := lease{v: v, x: cfg.Features}
-		if h.ws, err = v.PlanWith(v.Nodes(), cfg.Plan); err != nil {
-			s.teardown()
-			return nil, fmt.Errorf("serve: planning workspace for worker %d/%d: %w", i+1, cfg.Workers, err)
-		}
-		s.leases = append(s.leases, h)
-		if cfg.NodeQuery != nil {
-			sub, err := v.PlanSubgraphWith(cfg.NodeQuery.MaxSeeds, cfg.NodeQuery.Subgraph(), cfg.Plan)
-			if err != nil {
-				s.teardown()
-				return nil, fmt.Errorf("serve: planning node-query workspace for worker %d/%d: %w", i+1, cfg.Workers, err)
-			}
-			s.leases[i].sub = sub
-		}
-	}
-	s.run(s)
-	return s, nil
-}
-
-func (s *Server) checkout(w int, _ string, node bool) (int, int, error) {
-	h := &s.leases[w]
-	if !node {
-		return 0, 0, nil
-	}
-	if h.sub == nil {
-		return 0, 0, ErrNodeQueriesDisabled // unreachable through submit's gate; defence in depth
-	}
-	return h.v.Nodes(), h.sub.MaxSeeds(), nil
-}
-
-func (s *Server) release(int, bool) {}
-
-// teardown releases every planned workspace, returning its EPC.
-func (s *Server) teardown() {
-	for _, h := range s.leases {
-		h.ws.Release()
-		if h.sub != nil {
-			h.sub.Release()
-		}
-	}
-}
-
-// Predict enqueues one inference over x and blocks until a worker answers.
-// The returned slice is freshly allocated and owned by the caller. Safe for
-// concurrent use; blocks for backpressure when the queue is full.
-func (s *Server) Predict(x *mat.Matrix) ([]int, error) {
-	_, labels, err := s.submit("", x, nil, false, false)
-	return labels, err
-}
-
-// PredictScores is Predict answering with the defended per-class posterior
-// row and label for every input row. The server must have been started
-// with Config.ExposeScores; otherwise it fails with ErrScoresDisabled.
-func (s *Server) PredictScores(x *mat.Matrix) ([][]float64, []int, error) {
-	return s.submit("", x, nil, false, true)
-}
-
-// PredictNodes enqueues one node-level query and blocks until a worker
-// answers with one label per requested node. The server must have been
-// started with Config.NodeQuery (else ErrNodeQueriesDisabled); queries
-// whose distinct seed count exceeds NodeQuery.MaxSeeds fail with
-// subgraph.ErrTooManySeeds, and out-of-range nodes with
-// core.ErrNodeOutOfRange. nodes must not be mutated until PredictNodes
-// returns. The returned slice is freshly allocated and owned by the caller.
-func (s *Server) PredictNodes(nodes []int) ([]int, error) {
-	_, labels, err := s.submit("", nil, nodes, true, false)
-	return labels, err
-}
-
-// PredictNodesScores is PredictNodes for servers exposing scores: one
-// defended posterior row and label per requested node, served through the
-// same coalesced subgraph extractions.
-func (s *Server) PredictNodesScores(nodes []int) ([][]float64, []int, error) {
-	return s.submit("", nil, nodes, true, true)
-}
-
-// Close stops accepting requests, waits for queued work to finish, and
-// releases every worker workspace (returning their EPC to the enclave).
-// Idempotent.
-func (s *Server) Close() { s.shutdown() }

@@ -42,18 +42,42 @@ func testVault(t testing.TB) (*datasets.Dataset, *core.Vault) {
 	return serveDS, serveVault
 }
 
+// oneVaultID is the ID oneVault serves its vault under.
+const oneVaultID = "v"
+
+// oneVault serves v as the only vault of a registry on v.Enclave — how one
+// enclave's vault is served. x, when non-nil, is registered as the vault's
+// calibration features, and a non-nil nq opens node queries gathering from
+// x. The registry closes when the test ends.
+func oneVault(t *testing.T, v *core.Vault, x *mat.Matrix, nq *registry.NodeQueryConfig, cfg Config) *MultiServer {
+	t.Helper()
+	reg := registry.New(v.Enclave, registry.Config{NodeQuery: nq})
+	t.Cleanup(reg.Close)
+	if err := reg.Register(oneVaultID, v); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if x != nil {
+		if err := v.SetCalibrationFeatures(x); err != nil {
+			t.Fatalf("SetCalibrationFeatures: %v", err)
+		}
+	}
+	if nq != nil {
+		if err := reg.EnableNodeQueries(oneVaultID, x); err != nil {
+			t.Fatalf("EnableNodeQueries: %v", err)
+		}
+	}
+	return NewMulti(reg, cfg)
+}
+
 func TestServerMatchesDirectPredict(t *testing.T) {
 	ds, v := testVault(t)
 	want, _, err := v.Predict(ds.X)
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
-	s, err := New(v, Config{Workers: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := oneVault(t, v, nil, nil, Config{Workers: 2})
 	defer s.Close()
-	got, err := s.Predict(ds.X)
+	got, err := s.Predict(oneVaultID, ds.X)
 	if err != nil {
 		t.Fatalf("server Predict: %v", err)
 	}
@@ -73,10 +97,7 @@ func TestServerConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
-	s, err := New(v, Config{Workers: 4, MaxBatch: 4})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := oneVault(t, v, nil, nil, Config{Workers: 4, MaxBatch: 4})
 	defer s.Close()
 
 	const clients, perClient = 16, 5
@@ -87,7 +108,7 @@ func TestServerConcurrentHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < perClient; r++ {
-				got, err := s.Predict(ds.X)
+				got, err := s.Predict(oneVaultID, ds.X)
 				if err != nil {
 					errCh <- err
 					return
@@ -130,42 +151,25 @@ func TestServerConcurrentHammer(t *testing.T) {
 
 func TestServerBadInputSurfacesError(t *testing.T) {
 	ds, v := testVault(t)
-	s, err := New(v, Config{Workers: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := oneVault(t, v, nil, nil, Config{Workers: 1})
 	defer s.Close()
-	if _, err := s.Predict(mat.New(ds.X.Rows-1, ds.X.Cols)); err == nil {
+	if _, err := s.Predict(oneVaultID, mat.New(ds.X.Rows-1, ds.X.Cols)); err == nil {
 		t.Fatal("mismatched rows did not error")
 	}
 	// Wrong feature width must surface as an error, not panic the worker.
-	if _, err := s.Predict(mat.New(ds.X.Rows, ds.X.Cols+3)); err == nil {
+	if _, err := s.Predict(oneVaultID, mat.New(ds.X.Rows, ds.X.Cols+3)); err == nil {
 		t.Fatal("mismatched cols did not error")
 	}
 	// No matrix at all is refused at admission — never enqueued, so never
 	// counted — instead of panicking the caller or a worker.
-	if _, err := s.Predict(nil); err == nil {
+	if _, err := s.Predict(oneVaultID, nil); err == nil {
 		t.Fatal("nil features did not error")
 	}
-	if got, err := s.Predict(ds.X); err != nil || len(got) != ds.X.Rows {
+	if got, err := s.Predict(oneVaultID, ds.X); err != nil || len(got) != ds.X.Rows {
 		t.Fatalf("server unhealthy after bad requests: %v", err)
 	}
 	if st := s.Stats(); st.Errors != 2 {
 		t.Fatalf("errors %d, want 2", st.Errors)
-	}
-}
-
-func TestServerTooManyWorkersFailsCleanly(t *testing.T) {
-	_, v := testVault(t)
-	base := v.Enclave.EPCUsed()
-	// The cora workspace is ~1.5 MB; thousands of workers cannot fit 96 MB.
-	if _, err := New(v, Config{Workers: 1 << 14}); err == nil {
-		t.Fatal("oversubscribed pool did not fail")
-	} else if !errors.Is(err, enclave.ErrEPCExhausted) {
-		t.Fatalf("error %v, want ErrEPCExhausted", err)
-	}
-	if used := v.Enclave.EPCUsed(); used != base {
-		t.Fatalf("failed New leaked EPC: %d vs %d", used, base)
 	}
 }
 
@@ -196,15 +200,12 @@ func expectedNodeLabels(t *testing.T, v *core.Vault, x *mat.Matrix, seeds []int)
 
 func TestServerPredictNodes(t *testing.T) {
 	ds, v := testVault(t)
-	s, err := New(v, Config{Workers: 1, NodeQuery: nodeQueryCfg(), Features: ds.X})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := oneVault(t, v, ds.X, nodeQueryCfg(), Config{Workers: 1})
 	defer s.Close()
 
 	seeds := []int{3, 99, 280}
 	want := expectedNodeLabels(t, v, ds.X, seeds)
-	got, err := s.PredictNodes(seeds)
+	got, err := s.PredictNodes(oneVaultID, seeds)
 	if err != nil {
 		t.Fatalf("PredictNodes: %v", err)
 	}
@@ -215,7 +216,7 @@ func TestServerPredictNodes(t *testing.T) {
 	}
 
 	// Duplicate seeds inside one request resolve through the union.
-	dup, err := s.PredictNodes([]int{99, 99, 3})
+	dup, err := s.PredictNodes(oneVaultID, []int{99, 99, 3})
 	if err != nil {
 		t.Fatalf("duplicate PredictNodes: %v", err)
 	}
@@ -224,13 +225,13 @@ func TestServerPredictNodes(t *testing.T) {
 	}
 
 	// Error surfaces, by name.
-	if _, err := s.PredictNodes([]int{ds.Graph.N()}); !errors.Is(err, core.ErrNodeOutOfRange) {
+	if _, err := s.PredictNodes(oneVaultID, []int{ds.Graph.N()}); !errors.Is(err, core.ErrNodeOutOfRange) {
 		t.Fatalf("out of range: err = %v, want core.ErrNodeOutOfRange", err)
 	}
-	if _, err := s.PredictNodes([]int{1, 2, 3, 4, 5}); !errors.Is(err, subgraph.ErrTooManySeeds) {
+	if _, err := s.PredictNodes(oneVaultID, []int{1, 2, 3, 4, 5}); !errors.Is(err, subgraph.ErrTooManySeeds) {
 		t.Fatalf("oversize: err = %v, want subgraph.ErrTooManySeeds", err)
 	}
-	if out, err := s.PredictNodes(nil); err != nil || len(out) != 0 {
+	if out, err := s.PredictNodes(oneVaultID, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty query: out=%v err=%v", out, err)
 	}
 
@@ -242,12 +243,9 @@ func TestServerPredictNodes(t *testing.T) {
 
 func TestServerPredictNodesDisabled(t *testing.T) {
 	_, v := testVault(t)
-	s, err := New(v, Config{Workers: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s := oneVault(t, v, nil, nil, Config{Workers: 1})
 	defer s.Close()
-	if _, err := s.PredictNodes([]int{1}); !errors.Is(err, ErrNodeQueriesDisabled) {
+	if _, err := s.PredictNodes(oneVaultID, []int{1}); !errors.Is(err, ErrNodeQueriesDisabled) {
 		t.Fatalf("err = %v, want ErrNodeQueriesDisabled", err)
 	}
 }
@@ -276,31 +274,12 @@ var schedulerBackends = []struct {
 	name string
 	up   func(t *testing.T, cfg Config) *contractStack
 }{
-	{"single vault", func(t *testing.T, cfg Config) *contractStack {
-		ds, v := testVault(t)
-		st := &contractStack{x: ds.X, ref: v, epc: v.Enclave.EPCUsed, epcBase: v.Enclave.EPCUsed(), goroutines: runtime.NumGoroutine()}
-		cfg.NodeQuery, cfg.Features = nodeQueryCfg(), ds.X
-		s, err := New(v, cfg)
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		st.predict, st.predictNodes, st.stats, st.close = s.Predict, s.PredictNodes, s.Stats, s.Close
-		return st
-	}},
 	{"one-vault registry", func(t *testing.T, cfg Config) *contractStack {
 		ds, v := testVault(t)
-		reg := registry.New(v.Enclave, registry.Config{NodeQuery: nodeQueryCfg()})
-		t.Cleanup(reg.Close)
-		if err := reg.Register("v", v); err != nil {
-			t.Fatalf("Register: %v", err)
-		}
-		if err := reg.EnableNodeQueries("v", ds.X); err != nil {
-			t.Fatalf("EnableNodeQueries: %v", err)
-		}
 		st := &contractStack{x: ds.X, ref: v, goroutines: runtime.NumGoroutine()}
-		s := NewMulti(reg, cfg)
-		st.predict = func(x *mat.Matrix) ([]int, error) { return s.Predict("v", x) }
-		st.predictNodes = func(nodes []int) ([]int, error) { return s.PredictNodes("v", nodes) }
+		s := oneVault(t, v, ds.X, nodeQueryCfg(), cfg)
+		st.predict = func(x *mat.Matrix) ([]int, error) { return s.Predict(oneVaultID, x) }
+		st.predictNodes = func(nodes []int) ([]int, error) { return s.PredictNodes(oneVaultID, nodes) }
 		st.stats, st.close = s.Stats, s.Close
 		return st
 	}},

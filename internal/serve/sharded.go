@@ -87,18 +87,21 @@ type ShardedServer struct {
 
 // NewSharded plans one sharded workspace per worker against sv — plus one
 // subgraph workspace per worker per shard when cfg.NodeQuery is set — and
-// starts the pool. Config knobs keep their Server meaning; Plan applies
-// per shard (an EPC budget is each shard enclave's own budget). Fails,
-// releasing anything it planned, when a shard's share does not fit its
-// enclave, and refuses Config.ExposeScores: the sharded path is
-// label-only.
+// starts the pool. Plan applies per shard (an EPC budget is each shard
+// enclave's own budget). Fails, releasing anything it planned, when a
+// shard's share does not fit its enclave, and refuses Config.ExposeScores:
+// the sharded path is label-only.
 func NewSharded(sv *core.ShardedVault, cfg Config) (*ShardedServer, error) {
 	if cfg.ExposeScores {
 		return nil, fmt.Errorf("serve: sharded serving is label-only, scores cannot be exposed: %w", ErrScoresDisabled)
 	}
-	cfg, err := cfg.planned(sv.Nodes())
-	if err != nil {
-		return nil, err
+	cfg = cfg.withDefaults()
+	if cfg.NodeQuery != nil {
+		nq := cfg.NodeQuery.WithDefaults()
+		cfg.NodeQuery = &nq
+		if cfg.Features == nil || cfg.Features.Rows != sv.Nodes() {
+			return nil, fmt.Errorf("serve: node queries need the deployed graph's %d-row feature matrix", sv.Nodes())
+		}
 	}
 	if cfg.Features != nil {
 		if err := sv.SetCalibrationFeatures(cfg.Features); err != nil {
@@ -214,8 +217,9 @@ func (s *ShardedServer) PredictNodesScores(nodes []int) ([][]float64, []int, err
 // answers with one label per requested node. The query routes to the
 // shard owning its first seed; an offline owner fails the query with
 // ErrShardUnavailable after up to Config.MaxRetries jittered backoff
-// waits for the shard to recover. Other semantics match
-// Server.PredictNodes.
+// waits for the shard to recover; a server started without
+// Config.NodeQuery fails it with ErrNodeQueriesDisabled. Other semantics
+// match MultiServer.PredictNodes.
 func (s *ShardedServer) PredictNodes(nodes []int) ([]int, error) {
 	_, labels, err := s.submit("", nil, nodes, true, false)
 	return labels, err

@@ -93,14 +93,11 @@ func TestShardedServerMatchesSingleEnclave(t *testing.T) {
 
 	// Node queries route to the owning shard but answer identically to a
 	// single-enclave server with the same sampling geometry.
-	single, err := New(ref, Config{Workers: 1, NodeQuery: &nq, Features: ds.X})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	single := oneVault(t, ref, ds.X, &nq, Config{Workers: 1})
 	defer single.Close()
 	n := fleet.Nodes()
 	for _, seeds := range [][]int{{0}, {n - 1}, {n / 2, n/2 + 1}, {1, n - 2, n / 3}} {
-		wantN, err := single.PredictNodes(seeds)
+		wantN, err := single.PredictNodes(oneVaultID, seeds)
 		if err != nil {
 			t.Fatalf("single PredictNodes(%v): %v", seeds, err)
 		}
@@ -331,9 +328,12 @@ func TestShardedAPISurface(t *testing.T) {
 		t.Fatalf("NewSharded: %v", err)
 	}
 	defer s.Close()
+	// The API opens node queries, but the server was started without
+	// Config.NodeQuery: the refusal comes from the scheduler, not the API.
 	api := NewShardedAPI(s, APIConfig{
-		Vaults:   []APIVault{{ID: "cora/parallel", Dataset: "cora", Design: "parallel", Nodes: fleet.Nodes()}},
-		Features: func(string) *mat.Matrix { return ds.X },
+		Vaults:      []APIVault{{ID: "cora/parallel", Dataset: "cora", Design: "parallel", Nodes: fleet.Nodes()}},
+		Features:    func(string) *mat.Matrix { return ds.X },
+		NodeQueries: true,
 	})
 	srv := httptest.NewServer(api.Handler())
 	defer srv.Close()
@@ -364,6 +364,16 @@ func TestShardedAPISurface(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("score query against sharded fleet: status %d, want 403", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	resp, err = http.Post(srv.URL+"/predict_nodes", "application/json",
+		strings.NewReader(`{"vault":"cora/parallel","nodes":[0,1]}`))
+	if err != nil {
+		t.Fatalf("POST /predict_nodes: %v", err)
+	}
+	if resp.StatusCode != http.StatusNotImplemented {
+		t.Fatalf("node query against a fleet without Config.NodeQuery: status %d, want 501", resp.StatusCode)
 	}
 	resp.Body.Close()
 

@@ -1,11 +1,9 @@
 package gnnvault_test
 
 import (
-	"fmt"
 	"testing"
 
 	"gnnvault/internal/core"
-	"gnnvault/internal/serve"
 )
 
 // BenchmarkVaultPredictInto is BenchmarkVaultPredict over a planned
@@ -80,32 +78,5 @@ func BenchmarkVaultPredictInto(b *testing.B) {
 				leg.run(b, ws)
 			})
 		}
-	}
-}
-
-// BenchmarkServe measures end-to-end serving throughput: concurrent
-// clients pushing label queries through the batched worker pool, each
-// worker reusing its own pre-planned workspace. The server is given no
-// Config.Features, so nothing is registered and every request is the full
-// pass, backbone included.
-func BenchmarkServe(b *testing.B) {
-	ds, vault := deployedVault(b, core.Parallel)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			srv, err := serve.New(vault, serve.Config{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := srv.Predict(ds.X); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
 	}
 }
