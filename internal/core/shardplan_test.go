@@ -255,8 +255,8 @@ func TestShardedEPCChargedPerShardAndReleased(t *testing.T) {
 	}
 }
 
-// TestDeployShardedRejectsNonGCN: non-GCN rectifiers lower to opaque ops
-// that cannot join barrier-synchronised fleet execution.
+// TestDeployShardedRejectsNonGCN: only GCN convs have a halo lowering, so
+// a SAGE or GAT rectifier cannot be partitioned across a fleet.
 func TestDeployShardedRejectsNonGCN(t *testing.T) {
 	ds := datasets.Load("cora")
 	cfg := TrainConfig{Epochs: 2, LR: 0.01, Seed: 1}

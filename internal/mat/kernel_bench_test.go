@@ -46,7 +46,8 @@ func BenchmarkRequantizeRow(b *testing.B) {
 // BenchmarkProductRangeI8 times the int8 range entries — the sparse
 // product's and the dense product's, each one kernel call per range,
 // accumulate and requantise row after row — at the widths of the served
-// programs (3 logits, 16/32/64 hidden) with a mean of 6 and of 32 terms a
+// programs (3 logits, 16/32/64 hidden) and at 8, the one width that
+// reaches the eight-column block, with a mean of 6 and of 32 terms a
 // row (a citation graph's neighbours, a compacted activation row) in the
 // three forms their ops run: the bare accumulator, + bias + ReLU (a
 // product's fused tail), and the wide-argmax head. The sparse rows hold
@@ -58,7 +59,7 @@ func BenchmarkRequantizeRow(b *testing.B) {
 func BenchmarkProductRangeI8(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
 	const rows = 2000
-	for _, p := range []int{3, 16, 32, 64} {
+	for _, p := range []int{3, 16, 32, 64, 8} { // 8 last: the others keep their random draws
 		c := newRequantCase(rng, p, true, true, false, 0, 0)
 		src, dst := NewI8(rows, p), NewI8(rows, p)
 		for i := range src.Data {

@@ -347,6 +347,44 @@ func TestProductRangeI8Differential(t *testing.T) {
 	}
 }
 
+// TestProductRangeI8ExtremeCodes runs the dense range over the largest
+// products an int8 code pair makes — inputs and weights all −128, so every
+// pair of terms sums to 2¹⁵, then drawn from {−128, 0, 127} — against the
+// portable range. The destination scale maps n·128² to 127, so a sum
+// short by one product's worth changes a code.
+func TestProductRangeI8ExtremeCodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const rows = 4
+	for _, p := range productRangeWidths() {
+		for _, n := range []int{1, 2, 3, 128, 129, 300} {
+			deq, scales := make([]float64, p), make([]float64, p)
+			for j := range deq {
+				deq[j], scales[j] = 1, float64(n)*128*128/127
+			}
+			e := CheckEpilogueI8(p, deq, nil, nil, scales, false, false)
+			for _, mixed := range []bool{false, true} {
+				a, w := make([]int8, rows*n), make([]int8, n*p)
+				for _, codes := range [][]int8{a, w} {
+					for i := range codes {
+						codes[i] = -128
+						if mixed {
+							codes[i] = []int8{-128, 0, 127}[rng.Intn(3)]
+						}
+					}
+				}
+				got, want, acc := make([]int8, rows*p), make([]int8, rows*p), make([]int32, p)
+				denseRangeI8(&e, got, a, n, w, nil, rows, acc, nil)
+				denseRangeI8Go(&e, want, a, n, w, nil, rows, acc, nil)
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("p=%d n=%d mixed=%v: code %d (row %d col %d) = %d, portable %d", p, n, mixed, k, k/p, k%p, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzProductRangeI8 drives the int8 range entries and the row door with
 // fuzzed widths, row lengths, inner dimensions, operand mixes and scale
 // kinds against the composition, under TestProductRangeI8Differential's

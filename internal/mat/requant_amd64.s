@@ -294,6 +294,17 @@ out:
 // block the int32 sums are built in Y0–Y7 across every term and, on the
 // row's last window, requantised before the next block starts.
 //
+// Two terms per multiply. The blocks of whole eights take a window's
+// terms in pairs t, t+1: the two source rows' bytes interleaved
+// (VPUNPCKLBW/VPUNPCKHBW), widened to int16 (VPMOVSXBW) and multiplied
+// against the int16 pair (alpha[t], alpha[t+1]) by VPMADDWD, which adds
+// each column's two products into one int32 — one multiply for sixteen
+// products where VPMULLD, two micro-ops, made eight. The operands are int8
+// codes, so a product is at most 128² and a pair's sum at most 2¹⁵: no
+// saturation, and the int32 sums are exact in any order. An odd last term,
+// and every term of the last 1–7 columns with its clamped load, is widened
+// to int32 and multiplied alone (VPMOVSXBD, VPMULLD).
+//
 // Where the sums go. The last 1–7 columns are requantised out of Y0 —
 // the general step of requantRowAVX2, four columns under a lane mask, fed
 // from the accumulator's halves instead of memory: a row narrower than
@@ -338,9 +349,11 @@ out:
 //	             Y8 the low-doubleword gather   Y0–Y3 scratch
 //	block:       BX column    CX columns left    R10 p
 //	multiply-accumulate:
-//	SI  alpha   R8  idx   R9  n   DX  src + column   R11 t   R12 row t
-//	DI  acc + 4·column    R13 cont   R14 last   R15 bytes to shift out
-//	Y0–Y7 accumulators (Y0–Y3 below 64 columns)   Y8 alpha[t]   Y4, Y9, Y12 scratch
+//	SI  alpha   R8  idx   R9  n−1   DX  src + column   R11 t
+//	R12 row t   R15 row t+1 (tail: bytes to shift out)   DI  acc + 4·column
+//	R13 cont   R14 last
+//	Y0–Y7 accumulators (Y0–Y3 below 64 columns)   Y8 alpha[t], or the pair
+//	Y4, Y9, Y12 scratch (Y9, Y12 in the 64-column block)
 //	requantise:
 //	DI  dst   SI  deq   R8  bias   R9  res   R11 resScales   R12 dstScales
 //	DX  state    R14 eights (general step: fours) left in the block
@@ -384,6 +397,36 @@ GLOBL lowDoublewords<>(SB), RODATA|NOPTR, $32
 	VPMOVSXBD off(R12), tmp \
 	VPMULLD Y8, tmp, tmp \
 	VPADDD tmp, acc, acc
+
+// TERMI8PAIR points R12 and R15 at this block's slices of rows idx[t] and
+// idx[t+1] and puts the int16 pair (alpha[t], alpha[t+1]) in every
+// doubleword of Y8: the two int32 multipliers broadcast as one quadword,
+// then packed to words. They are int8 codes, so the saturating pack keeps
+// them.
+#define TERMI8PAIR \
+	MOVQ (R8)(R11*8), R12 \
+	IMULQ R10, R12 \
+	ADDQ DX, R12 \
+	MOVQ 8(R8)(R11*8), R15 \
+	IMULQ R10, R15 \
+	ADDQ DX, R15 \
+	VPBROADCASTQ (SI)(R11*4), Y8 \
+	VPACKSSDW Y8, Y8, Y8
+
+// MACI8PAIR16 interleaves sixteen int8 columns of rows t and t+1, widens
+// the byte pairs to int16 and multiply-adds each pair into one int32:
+// columns off…off+7 into acc0, off+8…off+15 into acc1. Row t+1 is read
+// as the unpacks' memory operand, so lo and hi are all the scratch.
+#define MACI8PAIR16(off, xlo, lo, xhi, hi, acc0, acc1) \
+	VMOVDQU off(R12), xlo \
+	VPUNPCKHBW off(R15), xlo, xhi \
+	VPUNPCKLBW off(R15), xlo, xlo \
+	VPMOVSXBW xlo, lo \
+	VPMOVSXBW xhi, hi \
+	VPMADDWD Y8, lo, lo \
+	VPMADDWD Y8, hi, hi \
+	VPADDD lo, acc0, acc0 \
+	VPADDD hi, acc1, acc1
 
 // func productRangeI8AVX2(a *rangeI8)
 // Computes a.rows output rows of a.p ≥ 1 columns. Everything the routine
@@ -598,7 +641,11 @@ riBlock:
 	JZ riRowDone
 	MOVQ rangeI8_alpha(AX), SI
 	MOVQ rangeI8_idx(AX), R8
+	// R9 = n−1: the blocks of whole eights take their terms in pairs
+	// while t < n−1, then an odd last term, t = n−1, alone; the tail takes
+	// every term alone, while t ≤ n−1.
 	MOVQ rangeI8_terms(AX), R9
+	DECQ R9
 	MOVQ rangeI8_src(AX), DX
 	ADDQ BX, DX
 	MOVQ rangeI8_acc(AX), DI
@@ -623,12 +670,22 @@ riNarrower:
 	VMOVDQU 0(DI), Y0
 	JMP riTest8
 riLoop8:
-	TERMI8
-	MACI8(0, Y4, Y0)
-	INCQ R11
+	// Eight bytes a row, never sixteen: the over-read rule.
+	TERMI8PAIR
+	VMOVQ (R12), X4
+	VMOVQ (R15), X9
+	VPUNPCKLBW X9, X4, X4
+	VPMOVSXBW X4, Y4
+	VPMADDWD Y8, Y4, Y4
+	VPADDD Y4, Y0, Y0
+	ADDQ $2, R11
 riTest8:
 	CMPQ R11, R9
 	JLT riLoop8
+	JNE riStore8
+	TERMI8
+	MACI8(0, Y4, Y0)
+riStore8:
 	VMOVDQU Y0, 0(DI)
 	JMP riSummed
 
@@ -642,13 +699,17 @@ riBlock16:
 	VMOVDQU 32(DI), Y1
 	JMP riTest16
 riLoop16:
-	TERMI8
-	MACI8(0, Y4, Y0)
-	MACI8(8, Y9, Y1)
-	INCQ R11
+	TERMI8PAIR
+	MACI8PAIR16(0, X4, Y4, X9, Y9, Y0, Y1)
+	ADDQ $2, R11
 riTest16:
 	CMPQ R11, R9
 	JLT riLoop16
+	JNE riStore16
+	TERMI8
+	MACI8(0, Y4, Y0)
+	MACI8(8, Y9, Y1)
+riStore16:
 	VMOVDQU Y0, 0(DI)
 	VMOVDQU Y1, 32(DI)
 	JMP riSummed
@@ -667,15 +728,20 @@ riBlock32:
 	VMOVDQU 96(DI), Y3
 	JMP riTest32
 riLoop32:
+	TERMI8PAIR
+	MACI8PAIR16(0, X4, Y4, X9, Y9, Y0, Y1)
+	MACI8PAIR16(16, X12, Y12, X4, Y4, Y2, Y3)
+	ADDQ $2, R11
+riTest32:
+	CMPQ R11, R9
+	JLT riLoop32
+	JNE riStore32
 	TERMI8
 	MACI8(0, Y4, Y0)
 	MACI8(8, Y9, Y1)
 	MACI8(16, Y12, Y2)
 	MACI8(24, Y4, Y3)
-	INCQ R11
-riTest32:
-	CMPQ R11, R9
-	JLT riLoop32
+riStore32:
 	VMOVDQU Y0, 0(DI)
 	VMOVDQU Y1, 32(DI)
 	VMOVDQU Y2, 64(DI)
@@ -708,6 +774,16 @@ riBlock64:
 	VMOVDQU 224(DI), Y7
 	JMP riTest64
 riLoop64:
+	TERMI8PAIR
+	MACI8PAIR16(0, X9, Y9, X12, Y12, Y0, Y1)
+	MACI8PAIR16(16, X9, Y9, X12, Y12, Y2, Y3)
+	MACI8PAIR16(32, X9, Y9, X12, Y12, Y4, Y5)
+	MACI8PAIR16(48, X9, Y9, X12, Y12, Y6, Y7)
+	ADDQ $2, R11
+riTest64:
+	CMPQ R11, R9
+	JLT riLoop64
+	JNE riStore64
 	TERMI8
 	MACI8(0, Y9, Y0)
 	MACI8(8, Y12, Y1)
@@ -717,10 +793,7 @@ riLoop64:
 	MACI8(40, Y12, Y5)
 	MACI8(48, Y9, Y6)
 	MACI8(56, Y12, Y7)
-	INCQ R11
-riTest64:
-	CMPQ R11, R9
-	JLT riLoop64
+riStore64:
 	VMOVDQU Y0, 0(DI)
 	VMOVDQU Y1, 32(DI)
 	VMOVDQU Y2, 64(DI)
@@ -774,7 +847,7 @@ riLoopTail:
 	INCQ R11
 riTestTail:
 	CMPQ R11, R9
-	JLT riLoopTail
+	JLE riLoopTail
 	MOVQ rangeI8_state(AX), DX
 	MOVQ $1, R14
 	TESTQ $const_rangeLast, DX
