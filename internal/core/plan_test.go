@@ -126,16 +126,32 @@ func TestCompiledBackboneMatchesEmbeddings(t *testing.T) {
 // goroutine spawns allocate — rather than the deprecated process-global
 // knob; the enclave side is single-threaded (serial kernels) by
 // construction.
+//
+// A one-shard fleet runs the same pass body, so it is held to the same
+// pin: which entry point planned a one-part workspace does not matter.
 func TestPredictIntoAllocFree(t *testing.T) {
 	requireAllocFree(t, PlanConfig{Workers: 1})
+	t.Run("one-shard", func(t *testing.T) {
+		ds, v := convTestVault(t, ConvGCN, Parallel, 5)
+		sv, err := DeploySharded(v.Backbone, v.rectifier, ds.Graph, enclave.DefaultCostModel(), 1)
+		if err != nil {
+			t.Fatalf("DeploySharded: %v", err)
+		}
+		defer sv.Undeploy()
+		ws, err := sv.PlanSharded(ds.X.Rows, PlanConfig{Workers: 1})
+		if err != nil {
+			t.Fatalf("PlanSharded: %v", err)
+		}
+		defer ws.Release()
+		requirePassAllocFree(t, ds.X, sv.SetCalibrationFeatures, func(x *mat.Matrix) (InferenceBreakdown, error) {
+			_, bd, err := sv.PredictInto(x, ws)
+			return bd, err
+		})
+	})
 }
 
 // requireAllocFree pins steady-state PredictInto under cfg at zero heap
-// allocations, for a parallel vault of every conv kind — first over the
-// caller's own features (the backbone runs every pass), then over
-// registered ones (every measured pass reads the public-half store). The
-// warm-up of the second row is the one publishing pass of the
-// registration, which copies the blocks into the store and is exempt.
+// allocations, for a parallel vault of every conv kind.
 func requireAllocFree(t *testing.T, cfg PlanConfig) {
 	for _, conv := range ConvKinds {
 		t.Run(string(conv), func(t *testing.T) {
@@ -145,29 +161,43 @@ func requireAllocFree(t *testing.T, cfg PlanConfig) {
 				t.Fatalf("PlanWith: %v", err)
 			}
 			defer ws.Release()
-			for _, registered := range []bool{false, true} {
-				if registered {
-					if err := v.SetCalibrationFeatures(ds.X); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if _, _, err := v.PredictInto(ds.X, ws); err != nil { // warm-up
-					t.Fatalf("warm-up: %v", err)
-				}
-				allocs := testing.AllocsPerRun(10, func() {
-					_, bd, err := v.PredictInto(ds.X, ws)
-					if err != nil {
-						t.Fatalf("PredictInto: %v", err)
-					}
-					if bd.BackboneReused != registered {
-						t.Fatalf("registered %v: BackboneReused = %v", registered, bd.BackboneReused)
-					}
-				})
-				if allocs > 0 {
-					t.Fatalf("registered %v: steady-state PredictInto allocates %.1f objects/op, want 0", registered, allocs)
-				}
+			requirePassAllocFree(t, ds.X, v.SetCalibrationFeatures, func(x *mat.Matrix) (InferenceBreakdown, error) {
+				_, bd, err := v.PredictInto(x, ws)
+				return bd, err
+			})
+		})
+	}
+}
+
+// requirePassAllocFree pins a planned full-graph pass at zero heap
+// allocations — first over the caller's own features x (the backbone runs
+// every pass), then over x registered through register (every measured
+// pass reads the public-half store). The warm-up of the second row is the
+// one publishing pass of the registration, which copies the blocks into
+// the store and is exempt.
+func requirePassAllocFree(t *testing.T, x *mat.Matrix, register func(*mat.Matrix) error, pass func(*mat.Matrix) (InferenceBreakdown, error)) {
+	t.Helper()
+	for _, registered := range []bool{false, true} {
+		if registered {
+			if err := register(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := pass(x); err != nil { // warm-up
+			t.Fatalf("warm-up: %v", err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			bd, err := pass(x)
+			if err != nil {
+				t.Fatalf("PredictInto: %v", err)
+			}
+			if bd.BackboneReused != registered {
+				t.Fatalf("registered %v: BackboneReused = %v", registered, bd.BackboneReused)
 			}
 		})
+		if allocs > 0 {
+			t.Fatalf("registered %v: steady-state PredictInto allocates %.1f objects/op, want 0", registered, allocs)
+		}
 	}
 }
 
@@ -278,26 +308,120 @@ func TestPlanFailsWhenEPCExhausted(t *testing.T) {
 	t.Fatal("EPC never exhausted")
 }
 
-func TestPlanRowMismatchRejected(t *testing.T) {
-	ds, v := planTestVault(t, Parallel)
-	if _, err := v.Plan(ds.X.Rows + 1); err == nil {
-		t.Fatal("Plan accepted a row count != graph nodes")
+// TestPlanRowMismatchRejected runs the plan/predict guard-rail table
+// against a Vault; TestShardedPlanValidation runs it against a 2-shard
+// ShardedVault.
+func TestPlanRowMismatchRejected(t *testing.T) { runPlanGuardRails(t, 0) }
+
+// runPlanGuardRails is the one guard-rail table of the two full-graph
+// front doors, a Vault (door 0) and a 2-shard ShardedVault (door 1) of the
+// same model, which plan and answer through the one planner and pass body.
+// Every row runs against door `at`; the other door is the foreign owner of
+// the "workspace of a different owner" row. The last row undeploys door at.
+func runPlanGuardRails(t *testing.T, at int) {
+	ds, bb, rec := shardTestModel(t, Parallel)
+	rows := ds.X.Rows
+	type door struct {
+		name     string
+		plan     func(rows int, cfg PlanConfig) (*Workspace, error)
+		predict  func(x *mat.Matrix, ws *Workspace) error
+		epc      func() int64 // EPC in use, summed over the door's enclaves
+		undeploy func()
 	}
-	ws, err := v.Plan(ds.X.Rows)
+	v, err := Deploy(bb, rec, ds.Graph, enclave.DefaultCostModel())
 	if err != nil {
-		t.Fatalf("Plan: %v", err)
+		t.Fatalf("deploy: %v", err)
 	}
-	defer ws.Release()
-	bad := mat.New(ds.X.Rows-1, ds.X.Cols)
-	if _, _, err := v.PredictInto(bad, ws); err == nil {
-		t.Fatal("PredictInto accepted mismatched rows")
+	defer v.Undeploy()
+	sv, err := DeploySharded(bb, rec, ds.Graph, enclave.DefaultCostModel(), 2)
+	if err != nil {
+		t.Fatalf("deploy sharded: %v", err)
 	}
-	if _, _, err := v.PredictInto(nil, ws); err == nil { // an error, not a nil dereference
-		t.Fatal("PredictInto accepted nil features")
+	defer sv.Undeploy()
+	doors := []door{
+		{"vault", v.PlanWith,
+			func(x *mat.Matrix, ws *Workspace) error { _, _, err := v.PredictInto(x, ws); return err },
+			v.Enclave.EPCUsed, v.Undeploy},
+		{"2-shard", sv.PlanSharded,
+			func(x *mat.Matrix, ws *Workspace) error { _, _, err := sv.PredictInto(x, ws); return err },
+			func() int64 { return sv.Shard(0).Enclave.EPCUsed() + sv.Shard(1).Enclave.EPCUsed() }, sv.Undeploy},
 	}
-	ws2, _ := v.Plan(ds.X.Rows)
-	ws2.Release()
-	if _, _, err := v.PredictInto(ds.X, ws2); err == nil {
-		t.Fatal("PredictInto accepted a released workspace")
+	mustPlan := func(t *testing.T, d door) *Workspace {
+		t.Helper()
+		ws, err := d.plan(rows, PlanConfig{})
+		if err != nil {
+			t.Fatalf("plan: %v", err)
+		}
+		return ws
+	}
+	refused := func(t *testing.T, d door, x *mat.Matrix, what string) {
+		t.Helper()
+		ws := mustPlan(t, d)
+		defer ws.Release()
+		if err := d.predict(x, ws); err == nil { // an error, not a panic
+			t.Fatalf("PredictInto accepted %s", what)
+		}
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, d, other door)
+	}{
+		{"row mismatch at plan", func(t *testing.T, d, _ door) {
+			if _, err := d.plan(rows+1, PlanConfig{}); err == nil {
+				t.Fatal("plan accepted a row count != graph nodes")
+			}
+		}},
+		{"int8 without registered features", func(t *testing.T, d, _ door) {
+			if _, err := d.plan(rows, PlanConfig{Precision: PrecisionInt8}); !errors.Is(err, ErrCalibrationRequired) {
+				t.Fatalf("int8 without calibration: %v, want ErrCalibrationRequired", err)
+			}
+		}},
+		{"nil features", func(t *testing.T, d, _ door) { refused(t, d, nil, "nil features") }},
+		{"wrong-row features", func(t *testing.T, d, _ door) {
+			refused(t, d, mat.New(rows-1, ds.X.Cols), "mismatched rows")
+		}},
+		{"wrong-width features", func(t *testing.T, d, _ door) {
+			refused(t, d, mat.New(rows, ds.X.Cols+1), "features wider than FeatureDim")
+		}},
+		{"workspace of a different owner", func(t *testing.T, d, other door) {
+			ws := mustPlan(t, other)
+			defer ws.Release()
+			if err := d.predict(ds.X, ws); err == nil {
+				t.Fatalf("PredictInto accepted a workspace planned on the %s", other.name)
+			}
+		}},
+		{"released workspace", func(t *testing.T, d, _ door) {
+			ws := mustPlan(t, d)
+			ws.Release()
+			if err := d.predict(ds.X, ws); err == nil {
+				t.Fatal("PredictInto accepted a released workspace")
+			}
+		}},
+		{"release twice", func(t *testing.T, d, _ door) {
+			base := d.epc()
+			ws := mustPlan(t, d)
+			if d.epc() == base {
+				t.Fatal("plan charged no EPC")
+			}
+			ws.Release()
+			ws.Release()
+			if got := d.epc(); got != base {
+				t.Fatalf("EPC after two releases %d, want %d", got, base)
+			}
+		}},
+		{"plan after undeploy", func(t *testing.T, d, _ door) {
+			d.undeploy()
+			base := d.epc()
+			if ws, err := d.plan(rows, PlanConfig{}); err == nil {
+				ws.Release()
+				t.Fatal("plan on an undeployed deployment accepted")
+			}
+			if got := d.epc(); got != base {
+				t.Fatalf("refused plan left %d EPC bytes charged", got-base)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { c.run(t, doors[at], doors[1-at]) })
 	}
 }

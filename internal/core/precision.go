@@ -127,8 +127,8 @@ func checkAgreement(mach *exec.Machine, reg *registration, embs []*mat.Matrix, r
 
 // agreementFloor compares int8 argmax labels against the
 // fp64 reference and enforces the configured floor. Shared by the
-// single-machine gate above and the sharded fleet's gate, which produces
-// its labels by running every shard concurrently.
+// subgraph planner's single-machine gate above and the full-graph fleet's
+// round (Workspace.agree), which runs every part concurrently.
 func agreementFloor(labels, ref []int, cfg PlanConfig) error {
 	agree := 0
 	for i, l := range labels {

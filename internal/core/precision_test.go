@@ -116,14 +116,14 @@ func TestReducedPlansShrinkBytes(t *testing.T) {
 	defer f64.Release()
 	defer i8.Release()
 
-	if i8.payload*8 != f64.payload {
-		t.Fatalf("payloads fp64=%d int8=%d, want an exact 8x ratio", f64.payload, i8.payload)
+	if i8.PayloadBytes()*8 != f64.PayloadBytes() {
+		t.Fatalf("payloads fp64=%d int8=%d, want an exact 8x ratio", f64.PayloadBytes(), i8.PayloadBytes())
 	}
 	// Same budget buys proportionally taller tiles, so per-call spill
 	// traffic (rows × width × elem bytes summed over spilled values)
 	// shrinks by the element width: int8 must spill ≥4× less than fp64.
-	if i8.spill*4 > f64.spill {
-		t.Fatalf("int8 spill %d vs fp64 %d, want >= 4x reduction", i8.spill, f64.spill)
+	if i8.SpillBytes()*4 > f64.SpillBytes() {
+		t.Fatalf("int8 spill %d vs fp64 %d, want >= 4x reduction", i8.SpillBytes(), f64.SpillBytes())
 	}
 }
 

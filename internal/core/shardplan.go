@@ -4,16 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"gnnvault/internal/enclave"
 	"gnnvault/internal/exec"
 	"gnnvault/internal/graph"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/nn"
-	"gnnvault/internal/obs"
 )
 
 // Sharded deployment: the vault split across a multi-enclave fleet. One
@@ -40,9 +37,10 @@ import (
 // two values.
 var ErrShardUnsupported = errors.New("core: deployment not shardable (GCN rectifier required)")
 
-// ShardFault attributes a sharded-inference failure to the shard whose
-// enclave caused it, so the serving layer can trip that shard's circuit
-// breaker instead of guessing from an opaque error string. It wraps the
+// ShardFault attributes a full-graph inference failure to the part whose
+// enclave caused it — a shard of a fleet, or part 0 of a single vault's
+// plan — so the serving layer can trip that shard's circuit breaker
+// instead of guessing from an opaque error string. It wraps the
 // underlying cause (errors.Is sees enclave.ErrEnclaveLost through it)
 // and also rides inside the abort cause every peer unwinds with, so
 // errors.As recovers the culprit shard from echo errors too.
@@ -77,7 +75,7 @@ type ShardedVault struct {
 	vaults       []atomic.Pointer[Vault]
 
 	// features is the fleet's one SetCalibrationFeatures registration and
-	// public-half store (store.go), read by the sharded planner and passes.
+	// public-half store (store.go), read by the fleet's plans and passes.
 	// Every shard vault points at the same record — per-shard subgraph
 	// planners calibrate against it — and it lives here, not on a shard,
 	// so replacing a shard's vault (RecoverShard) cannot drop it.
@@ -176,334 +174,25 @@ func (sv *ShardedVault) SetCalibrationFeatures(x *mat.Matrix) error {
 	return nil
 }
 
-// ShardedWorkspace is a full-graph inference plan over the shard fleet:
-// the backbone compiled once at full height in the normal world, one
-// rectifier machine per shard — lowered against the shard's rectangular
-// CSR with a halo gather per conv layer — coupled into an exec.Fleet, and
-// per-shard EPC, payload, spill and halo accounting. PredictInto fans one
-// modelled ECALL out per shard (concurrently — the fleet's barriers
-// require it) and the shards write disjoint ranges of one label buffer,
-// so stitching is free. Like Workspace, it belongs to one goroutine at a
-// time.
-type ShardedWorkspace struct {
-	Rows int
-
-	sv     *ShardedVault
-	bbMach *exec.Machine
-	bbIn   []*mat.Matrix
-	own    []*mat.Matrix // bbMach's stable views of the RequiredEmbeddings blocks, in that order
-	fleet  *exec.Fleet
-
-	// Per-shard state, indexed by shard. shardEmbs[s] holds reusable view
-	// headers over the pass's block embeddings (own, or the public-half
-	// store's), rebound to the shard's row range every pass; shardLabels[s]
-	// is the shard's slice of the shared label buffer.
-	shardEmbs   [][]*mat.Matrix
-	shardLabels [][]int
-	payload     []int64
-	spill       []int64
-	halo        []int64
-	epc         []int64
-	ecalls      []func() error
-	errs        []error
-	ecIDs       []uint64
-
-	// Replan state for shard recovery: the per-shard programs and machine
-	// configs (including the calibrated scales, so a rebuilt machine
-	// quantizes on the identical grid), the fp64 reference labels of the
-	// calibration batch, and the plan config — everything rejoinShard
-	// needs to rebuild one shard's machine and re-prove bit-identity.
-	progs     []*exec.Program
-	mcfgs     []exec.Config
-	refLabels []int
-	planCfg   PlanConfig
-
-	// inflight guards the workspace's single-pass-at-a-time contract and
-	// lets Abort know whether a poison could still reach a live pass.
-	inflight atomic.Bool
-
-	labels   []int
-	rec      obs.Recorder
-	released bool
-}
+// ShardedWorkspace is the name the sharded planner's callers know a
+// Workspace by; a sharded plan is the same type with one part per shard.
+type ShardedWorkspace = Workspace
 
 // PlanSharded builds a reusable sharded inference workspace for batches
-// of rows nodes (rows must equal the deployed graph's node count). Every
-// PlanConfig knob keeps its PlanWith meaning, applied per shard: an
-// EPCBudgetBytes is each *shard's* budget — tiles derive from the shard's
-// own row count — and reduced precisions calibrate once against the
-// unsharded fp64 reference, so every shard quantizes on the same grid and
-// the fleet's labels stay bit-identical to the single-enclave plan's.
-func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*ShardedWorkspace, error) {
-	if n := sv.privateGraph.N(); rows != n {
-		return nil, fmt.Errorf("core: sharded plan rows %d != deployed graph nodes %d", rows, n)
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	part := sv.Part
-	shards := sv.Shards()
-	elem := cfg.Precision.Elem()
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = obs.Nop
-	}
-
-	// Per-shard rectifier programs: identical lowering everywhere (the
-	// fleet checks), with a halo gather between each conv's MatMul and
-	// SpMM whenever the partition has boundary columns at all — shards
-	// whose own halo is empty still emit the op, as a barrier the peers'
-	// gathers rely on.
-	withHalo := part.HaloCols() > 0
-	progs := make([]*exec.Program, shards)
-	for s := range progs {
-		var hs []exec.HaloSlot
-		if withHalo {
-			hs = exec.HaloSlots(part.Bounds, part.Halo[s])
-		}
-		progs[s] = sv.rectifier.compileRectifier(part.Rows(s), part.CSR[s], hs)
-	}
-
-	needed := sv.rectifier.RequiredEmbeddings()
-	bbMach, blocks, err := sv.Backbone.planBackbone(rows, nil, needed, exec.Config{Workers: cfg.Workers, Recorder: rec})
-	if err != nil {
-		return nil, fmt.Errorf("core: compiling backbone plan: %w", err)
-	}
-	own := selectEmbeddings(blocks, needed)
-
-	// Reduced tiers calibrate against the unsharded reference program —
-	// the scale grid every shard must share — and remap the scales onto
-	// each shard's value table (halo values copy their source's grid).
-	var baseScales [][]float64
-	var refLabels []int
-	var calibEmbs []*mat.Matrix
-	reg := sv.features.Load()
-	if elem != exec.F64 {
-		fullProg := sv.rectifier.compileRectifier(rows, nil, nil)
-		if baseScales, refLabels, calibEmbs, err = calibrateReduced(reg, fullProg, bbMach, own, cfg); err != nil {
-			return nil, err
-		}
-	}
-
-	machines := make([]*exec.Machine, shards)
-	mcfgs := make([]exec.Config, shards)
-	for s := range machines {
-		mcfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec} // in-enclave: the shard ECALL's one thread
-		if cfg.tiled() {
-			mcfg.TileRows = deriveTileRows(cfg, progs[s].MaxWidth(), part.Rows(s), cfg.Precision.ElemBytes())
-		}
-		if elem != exec.F64 {
-			if mcfg.Scales, err = exec.ShardScales(progs[s], baseScales); err != nil {
-				return nil, fmt.Errorf("core: shard %d scales: %w", s, err)
-			}
-		}
-		mcfgs[s] = mcfg
-		m, err := progs[s].NewMachine(mcfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: compiling shard %d plan: %w", s, err)
-		}
-		machines[s] = m
-	}
-	fleet, err := exec.NewFleet(machines)
-	if err != nil {
-		return nil, fmt.Errorf("core: assembling shard fleet: %w", err)
-	}
-
-	ws := &ShardedWorkspace{
-		Rows:        rows,
-		sv:          sv,
-		bbMach:      bbMach,
-		bbIn:        make([]*mat.Matrix, 1),
-		own:         own,
-		fleet:       fleet,
-		shardEmbs:   make([][]*mat.Matrix, shards),
-		shardLabels: make([][]int, shards),
-		payload:     make([]int64, shards),
-		spill:       make([]int64, shards),
-		halo:        make([]int64, shards),
-		epc:         make([]int64, shards),
-		ecalls:      make([]func() error, shards),
-		errs:        make([]error, shards),
-		ecIDs:       make([]uint64, shards),
-		progs:       progs,
-		mcfgs:       mcfgs,
-		refLabels:   refLabels,
-		planCfg:     cfg,
-		labels:      make([]int, rows),
-		rec:         rec,
-	}
-	for s := 0; s < shards; s++ {
-		s := s
-		lo, hi := part.Bounds[s], part.Bounds[s+1]
-		local := hi - lo
-		embs := make([]*mat.Matrix, len(needed))
-		for k := range embs {
-			embs[k] = &mat.Matrix{}
-		}
-		ws.shardEmbs[s] = embs
-		ws.shardLabels[s] = ws.labels[lo:hi:hi]
-		for _, i := range needed {
-			ws.payload[s] += int64(sv.Backbone.BlockDims[i]) * int64(local) * cfg.Precision.ElemBytes()
-		}
-		m := machines[s]
-		ws.halo[s] = m.HaloBytes()
-		if m.TileRows() > 0 {
-			// Tiled shard: only the staging tiles are enclave-resident;
-			// activations — including the halo extension rows — stream
-			// through sealed spill buffers, charged as transfer.
-			ws.epc[s] = m.TileBytes()
-			ws.spill[s] = m.SpillTraffic(local)
-		} else {
-			ws.epc[s] = m.BufferBytes() + ws.payload[s]
-		}
-		ws.ecalls[s] = func() error {
-			_, err := ws.fleet.RunShard(s, local, ws.shardEmbs[s], ws.shardLabels[s])
-			return err
-		}
-	}
-
-	// Admission gate for reduced tiers: the actual fleet must reproduce
-	// the fp64 reference labels on the calibration batch's embeddings.
-	if elem != exec.F64 {
-		check := make([]int, rows)
-		ws.bindShardEmbs(calibEmbs, reg, true)
-		if err := ws.runFleet(check); err != nil {
-			return nil, fmt.Errorf("core: calibration fleet round: %w", err)
-		}
-		if err := agreementFloor(check, refLabels, cfg); err != nil {
-			return nil, err
-		}
-	}
-
-	for s := 0; s < shards; s++ {
-		if err := sv.vaults[s].Load().Enclave.Alloc(ws.epc[s]); err != nil {
-			for t := 0; t < s; t++ {
-				sv.vaults[t].Load().Enclave.Free(ws.epc[t])
-			}
-			return nil, fmt.Errorf("core: shard %d inference workspace does not fit EPC: %w", s, err)
-		}
-	}
-	return ws, nil
-}
-
-// bindShardEmbs rebinds every shard's embedding views onto its row range
-// of embs, a pass's full-height block embeddings in RequiredEmbeddings
-// order, and declares to every shard machine whether they are reg's
-// stored blocks (registration.declareInputs: a shard's range of the store
-// is as immutable as the whole) — called every pass, and zero-alloc: the
-// view headers are planned once.
-func (ws *ShardedWorkspace) bindShardEmbs(embs []*mat.Matrix, reg *registration, reused bool) {
-	part := ws.sv.Part
-	for s := range ws.shardEmbs {
-		lo, hi := part.Bounds[s], part.Bounds[s+1]
-		for k, m := range embs {
-			m.ViewRows(lo, hi, ws.shardEmbs[s][k])
-		}
-		reg.declareInputs(ws.fleet.Machine(s), reused)
-	}
-}
-
-// runFleet executes one fleet round outside any enclave accounting —
-// plan-time and recovery only (the calibration agreement gate). labels
-// must have Rows entries; each shard writes its own range.
-func (ws *ShardedWorkspace) runFleet(labels []int) error {
-	part := ws.sv.Part
-	errs := make([]error, ws.fleet.Shards())
-	var wg sync.WaitGroup
-	for s := 0; s < ws.fleet.Shards(); s++ {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := part.Bounds[s], part.Bounds[s+1]
-			_, errs[s] = ws.fleet.RunShard(s, hi-lo, ws.shardEmbs[s], labels[lo:hi])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Shards returns the workspace's shard count.
-func (ws *ShardedWorkspace) Shards() int { return ws.fleet.Shards() }
-
-// EnclaveBytes returns the total EPC charged across all shard enclaves at
-// plan time.
-func (ws *ShardedWorkspace) EnclaveBytes() int64 {
-	var n int64
-	for _, b := range ws.epc {
-		n += b
-	}
-	return n
-}
-
-// ShardEnclaveBytes returns the EPC charged to shard s's enclave.
-func (ws *ShardedWorkspace) ShardEnclaveBytes(s int) int64 { return ws.epc[s] }
-
-// HaloBytes returns the boundary-activation bytes one inference exchanges
-// across the fleet — the per-call halo traffic priced into the shard
-// ECALL payloads and surfaced on /metrics.
-func (ws *ShardedWorkspace) HaloBytes() int64 { return ws.fleet.HaloBytes() }
-
-// ShardHaloBytes returns shard s's gathered halo bytes per call.
-func (ws *ShardedWorkspace) ShardHaloBytes(s int) int64 { return ws.halo[s] }
-
-// PayloadBytes returns the total per-call ECALL embedding payload summed
-// over shards — each shard receives exactly its own rows of each required
-// block, so the fleet total matches the unsharded plan's payload.
-func (ws *ShardedWorkspace) PayloadBytes() int64 {
-	var n int64
-	for _, b := range ws.payload {
-		n += b
-	}
-	return n
-}
-
-// SpillBytes returns the total per-call tile-flush traffic over shards
-// (0 when every shard planned untiled).
-func (ws *ShardedWorkspace) SpillBytes() int64 {
-	var n int64
-	for _, b := range ws.spill {
-		n += b
-	}
-	return n
-}
-
-// Release returns every shard's workspace EPC (on each shard's current
-// vault — after a recovery the charge lives on the replacement enclave).
-// Idempotent.
-func (ws *ShardedWorkspace) Release() {
-	if ws.released {
-		return
-	}
-	ws.released = true
-	for s := range ws.sv.vaults {
-		ws.fleet.Machine(s).SetInputEpoch(nil) // drop the store record the shard's codes were keyed on
-		ws.sv.vaults[s].Load().Enclave.Free(ws.epc[s])
-	}
-}
-
-// Abort poisons any pass currently in flight on this workspace with the
-// given cause: every shard unwinds at its next fleet barrier and the
-// pass returns an error wrapping the cause instead of hanging — the hook
-// the serving layer uses when a shard is administratively pulled or a
-// deadline expires from outside. Aborting an idle workspace is a no-op,
-// and a pass already past its last barrier may still complete
-// successfully; the contract is "clean error or clean success, never a
-// hung barrier".
-func (ws *ShardedWorkspace) Abort(cause error) {
-	if ws.inflight.Load() {
-		ws.fleet.Abort(cause)
-	}
+// of rows nodes (rows must equal the deployed graph's node count): the
+// fleet planner with one part per shard. Every PlanConfig knob keeps its
+// PlanWith meaning, applied per shard: an EPCBudgetBytes is each *shard's*
+// budget — tiles derive from the shard's own row count — and reduced
+// precisions calibrate once against the unsharded fp64 reference, so every
+// shard quantizes on the same grid and the fleet's labels stay
+// bit-identical to the single-enclave plan's.
+func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*Workspace, error) {
+	return planFull(sv, sv.Part, rows, cfg)
 }
 
 // PredictInto runs one full sharded inference with no deadline; see
 // PredictIntoContext.
-func (sv *ShardedVault) PredictInto(x *mat.Matrix, ws *ShardedWorkspace) ([]int, InferenceBreakdown, error) {
+func (sv *ShardedVault) PredictInto(x *mat.Matrix, ws *Workspace) ([]int, InferenceBreakdown, error) {
 	return sv.PredictIntoContext(context.Background(), x, ws)
 }
 
@@ -511,13 +200,13 @@ func (sv *ShardedVault) PredictInto(x *mat.Matrix, ws *ShardedWorkspace) ([]int,
 // at full height in the normal world — or, when x is the fleet's registered
 // feature matrix and a pass has already published its embeddings, the
 // public-half store's blocks instead (InferenceBreakdown.BackboneReused;
-// see Vault.PredictInto) — then one modelled ECALL per shard,
-// fanned out concurrently — each carries the shard's embedding rows plus
-// its spill and halo traffic in, and its rows of the label vector out,
-// while the fleet's barriers synchronise the per-layer halo exchange
-// between the enclaves. The returned labels are in seed (global row)
-// order, owned by the workspace and overwritten by the next call; they
-// are bit-identical to the single-enclave plan's at every precision tier.
+// see Vault.PredictInto) — then one modelled ECALL per shard, fanned out
+// concurrently — each carries the shard's embedding rows plus its spill
+// and halo traffic in, and its rows of the label vector out, while the
+// fleet's barriers synchronise the per-layer halo exchange between the
+// enclaves. The returned labels are in seed (global row) order, owned by
+// the workspace and overwritten by the next call; they are bit-identical
+// to the single-enclave plan's at every precision tier.
 //
 // Cancelling or expiring ctx aborts the fleet pass: every shard unwinds
 // at its next barrier and the call returns an error wrapping ctx.Err()
@@ -530,167 +219,9 @@ func (sv *ShardedVault) PredictInto(x *mat.Matrix, ws *ShardedWorkspace) ([]int,
 // components follow the slowest shard, since the fleet runs them in
 // parallel. PeakEPCBytes is the busiest single enclave — each shard has
 // its own EPC.
-func (sv *ShardedVault) PredictIntoContext(ctx context.Context, x *mat.Matrix, ws *ShardedWorkspace) ([]int, InferenceBreakdown, error) {
-	var bd InferenceBreakdown
-	if ws.released {
-		return nil, bd, fmt.Errorf("core: PredictInto on released sharded workspace")
-	}
-	if ws.sv != sv {
-		return nil, bd, fmt.Errorf("core: workspace planned for a different sharded vault")
-	}
-	if x == nil {
-		return nil, bd, fmt.Errorf("core: nil input features")
-	}
-	if x.Rows != ws.Rows {
-		return nil, bd, fmt.Errorf("core: input rows %d != planned rows %d", x.Rows, ws.Rows)
-	}
-	if x.Cols != sv.Backbone.FeatureDim {
-		return nil, bd, fmt.Errorf("core: input features %d != backbone feature dim %d", x.Cols, sv.Backbone.FeatureDim)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, bd, fmt.Errorf("core: sharded inference: %w", err)
-	}
-	if !ws.inflight.CompareAndSwap(false, true) {
-		return nil, bd, fmt.Errorf("core: sharded workspace already has a pass in flight")
-	}
-	defer ws.inflight.Store(false)
-	// An Abort that landed while the workspace was idle left the barrier
-	// poisoned with a stale cause; re-arm before the pass begins.
-	ws.fleet.Reset()
-
-	shards := sv.Shards()
-	vaults := make([]*Vault, shards)
-	before := make([]enclave.Ledger, shards)
-	for s := range vaults {
-		v := sv.vaults[s].Load()
-		vaults[s] = v
-		before[s] = v.Enclave.Ledger()
-		v.Enclave.ResetPeak()
-	}
-
-	// Flight recorder: one trace per call — a query root, the backbone
-	// stage, and one ECALL span per shard, so the trace tree shows the
-	// fan-out and each shard's halo-priced payload.
-	rec := ws.rec
-	recOn := rec.Enabled()
-	var trace, bbID uint64
-	var qStart, stageStart int64
-	if recOn {
-		trace = rec.NewSpan()
-		bbID = rec.NewSpan()
-		ws.bbMach.SetTrace(trace, bbID)
-		for s := range ws.ecIDs {
-			ws.ecIDs[s] = rec.NewSpan()
-			ws.fleet.Machine(s).SetTrace(trace, ws.ecIDs[s])
-		}
-		qStart = rec.Clock()
-		stageStart = qStart
-	}
-
-	start := time.Now()
-	reg := sv.features.Load()
-	embs, reused := reg.embeddings(x, ws.bbMach, ws.bbIn, ws.own)
-	bd.BackboneTime, bd.BackboneReused = time.Since(start), reused
-	if recOn {
-		stageStart = recordBackbone(rec, trace, bbID, stageStart, ws.Rows, bd)
-	}
-
-	// Fan out: one ECALL per shard, necessarily concurrent — every shard
-	// must reach the fleet barriers for any to pass them. A watcher
-	// poisons the fleet when ctx expires, and a shard whose ECALL fails
-	// at the enclave gate (fault plan, lost enclave) poisons it too — its
-	// peers would otherwise wait forever on a barrier it never reaches.
-	ws.bindShardEmbs(embs, reg, reused)
-	watchDone := make(chan struct{})
-	var watchWG sync.WaitGroup
-	if ctx.Done() != nil {
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			select {
-			case <-ctx.Done():
-				ws.fleet.Abort(ctx.Err())
-			case <-watchDone:
-			}
-		}()
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resultBytes := int64(len(ws.shardLabels[s])) * 8
-			err := vaults[s].Enclave.Ecall(ws.payload[s]+ws.spill[s]+ws.halo[s], resultBytes, ws.ecalls[s])
-			if err != nil {
-				ws.errs[s] = err
-				if !errors.Is(err, exec.ErrFleetAborted) {
-					ws.fleet.Abort(&ShardFault{Shard: s, Err: err})
-				}
-				return
-			}
-			ws.errs[s] = nil
-		}()
-	}
-	wg.Wait()
-	close(watchDone)
-	watchWG.Wait()
-	// Re-arm the barrier for the next pass whether or not this one was
-	// poisoned; every RunShard of this pass has returned.
-	ws.fleet.Reset()
-	if err := ws.firstFault(); err != nil {
-		return nil, bd, err
-	}
-	if recOn {
-		now := rec.Clock()
-		for s := range ws.ecIDs {
-			rec.Record(obs.Span{Trace: trace, ID: ws.ecIDs[s], Parent: trace, Kind: obs.SpanECall,
-				Rows:  int32(len(ws.shardLabels[s])),
-				Bytes: ws.payload[s] + ws.spill[s] + ws.halo[s] + int64(len(ws.shardLabels[s]))*8,
-				Start: stageStart, Dur: now - stageStart})
-		}
-		rec.Record(obs.Span{Trace: trace, ID: trace, Kind: obs.SpanQuery,
-			Rows: int32(ws.Rows), Start: qStart, Dur: now - qStart})
-	}
-
-	var slowest time.Duration
-	for s, v := range vaults {
-		after := v.Enclave.Ledger()
-		tr := after.TransferTime() - before[s].TransferTime()
-		en := after.EnclaveTime() - before[s].EnclaveTime()
-		if tr+en >= slowest {
-			slowest = tr + en
-			bd.TransferTime, bd.EnclaveTime = tr, en
-		}
-		bd.BytesIn += after.BytesIn - before[s].BytesIn
-		bd.ECalls += after.ECalls - before[s].ECalls
-		if after.PeakEPCBytes > bd.PeakEPCBytes {
-			bd.PeakEPCBytes = after.PeakEPCBytes
-		}
-	}
-	return ws.labels, bd, nil
-}
-
-// firstFault selects the error a failed sharded pass returns. A shard
-// that failed for its own reason — not merely the poisoned barrier — is
-// the culprit and is reported as a *ShardFault; otherwise the first echo
-// error is returned (it wraps the abort cause, so errors.Is still sees
-// the context error or the culprit's ShardFault through it). Nil when
-// every shard succeeded.
-func (ws *ShardedWorkspace) firstFault() error {
-	var echo error
-	for s, err := range ws.errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, exec.ErrFleetAborted) {
-			return &ShardFault{Shard: s, Err: err}
-		}
-		if echo == nil {
-			echo = fmt.Errorf("core: sharded inference: %w", err)
-		}
-	}
-	return echo
+func (sv *ShardedVault) PredictIntoContext(ctx context.Context, x *mat.Matrix, ws *Workspace) ([]int, InferenceBreakdown, error) {
+	labels, _, bd, err := ws.predict(ctx, sv, x, false)
+	return labels, bd, err
 }
 
 // RecoverShard replaces shard s's lost enclave with a freshly
@@ -710,18 +241,18 @@ func (ws *ShardedWorkspace) firstFault() error {
 // racing the recovery is refused by the same CAS rather than running
 // through a fleet whose machine is being swapped. On a mid-recovery
 // error the shard stays dead and the call can simply be retried.
-func (sv *ShardedVault) RecoverShard(s int, wss ...*ShardedWorkspace) error {
+func (sv *ShardedVault) RecoverShard(s int, wss ...*Workspace) error {
 	if s < 0 || s >= len(sv.vaults) {
 		return fmt.Errorf("core: recover shard %d of %d", s, len(sv.vaults))
 	}
-	claimed := make([]*ShardedWorkspace, 0, len(wss))
+	claimed := make([]*Workspace, 0, len(wss))
 	defer func() {
 		for _, ws := range claimed {
 			ws.inflight.Store(false)
 		}
 	}()
 	for _, ws := range wss {
-		if ws.sv != sv {
+		if ws.owner != fleetOwner(sv) {
 			return fmt.Errorf("core: recover shard %d: workspace planned for a different sharded vault", s)
 		}
 		if !ws.inflight.CompareAndSwap(false, true) {
@@ -751,31 +282,26 @@ func (sv *ShardedVault) RecoverShard(s int, wss ...*ShardedWorkspace) error {
 // enclave, and — for reduced precision tiers — re-runs the calibration
 // agreement gate through a fleet round so the recovered shard is proven
 // bit-compatible before it serves.
-func (ws *ShardedWorkspace) rejoinShard(s int) error {
+func (ws *Workspace) rejoinShard(s int) error {
 	m, err := ws.progs[s].NewMachine(ws.mcfgs[s])
 	if err != nil {
 		return fmt.Errorf("recompiling machine: %w", err)
 	}
-	if err := ws.sv.vaults[s].Load().Enclave.Alloc(ws.epc[s]); err != nil {
+	v := ws.owner.part(s)
+	if err := v.Enclave.Alloc(ws.epc[s]); err != nil {
 		return fmt.Errorf("workspace does not fit replacement EPC: %w", err)
 	}
 	if err := ws.fleet.Replace(s, m); err != nil {
-		ws.sv.vaults[s].Load().Enclave.Free(ws.epc[s])
+		v.Enclave.Free(ws.epc[s])
 		return err
 	}
 	if ws.mcfgs[s].Elem != exec.F64 {
-		reg := ws.sv.features.Load()
+		reg := ws.owner.reg()
 		if reg == nil {
 			return fmt.Errorf("reduced-precision plan lost its calibration batch")
 		}
-		embs, reused := reg.embeddings(reg.x, ws.bbMach, ws.bbIn, ws.own)
-		ws.bindShardEmbs(embs, reg, reused)
-		check := make([]int, ws.Rows)
-		if err := ws.runFleet(check); err != nil {
-			return fmt.Errorf("agreement fleet round: %w", err)
-		}
-		if err := agreementFloor(check, ws.refLabels, ws.planCfg); err != nil {
-			return fmt.Errorf("recovered shard failed calibration agreement: %w", err)
+		if err := ws.agree(reg); err != nil {
+			return fmt.Errorf("recovered shard: %w", err)
 		}
 	}
 	return nil

@@ -274,29 +274,6 @@ func TestDeployShardedRejectsNonGCN(t *testing.T) {
 	}
 }
 
-// TestShardedPlanValidation covers the plan/predict guard rails.
-func TestShardedPlanValidation(t *testing.T) {
-	ds, bb, rec := shardTestModel(t, Parallel)
-	sv, err := DeploySharded(bb, rec, ds.Graph, enclave.DefaultCostModel(), 2)
-	if err != nil {
-		t.Fatalf("deploy: %v", err)
-	}
-	defer sv.Undeploy()
-	if _, err := sv.PlanSharded(ds.X.Rows+1, PlanConfig{}); err == nil {
-		t.Fatal("row mismatch accepted")
-	}
-	if _, err := sv.PlanSharded(ds.X.Rows, PlanConfig{Precision: PrecisionInt8}); !errors.Is(err, ErrCalibrationRequired) {
-		t.Fatalf("int8 without calibration: %v, want ErrCalibrationRequired", err)
-	}
-	ws, err := sv.PlanSharded(ds.X.Rows, PlanConfig{})
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	if _, _, err := sv.PredictInto(nil, ws); err == nil { // an error, not a nil dereference
-		t.Fatal("nil features accepted")
-	}
-	ws.Release()
-	if _, _, err := sv.PredictInto(ds.X, ws); err == nil {
-		t.Fatal("released workspace accepted")
-	}
-}
+// TestShardedPlanValidation runs the plan/predict guard-rail table of
+// runPlanGuardRails against a 2-shard ShardedVault.
+func TestShardedPlanValidation(t *testing.T) { runPlanGuardRails(t, 1) }

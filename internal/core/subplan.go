@@ -468,7 +468,7 @@ func (v *Vault) predictNodesInto(ctx context.Context, x *mat.Matrix, seeds []int
 			Rows: int32(len(seeds)), Start: qStart, Dur: now - qStart})
 	}
 
-	fillBreakdown(&bd, before, v.Enclave.Ledger())
+	bd.addPart(before, v.Enclave.Ledger())
 	// Seeds occupy local rows 0..len(seeds)-1 by construction.
 	var scores *mat.Matrix
 	if wantScores {

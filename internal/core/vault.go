@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -191,12 +192,12 @@ func (v *Vault) Predict(x *mat.Matrix) ([]int, InferenceBreakdown, error) {
 // the enclave too (see PredictScoresInto). Labels and logits are copies
 // owned by the caller.
 func (v *Vault) predict(x *mat.Matrix, wantScores bool) ([]int, *mat.Matrix, InferenceBreakdown, error) {
-	ws, err := v.PlanWith(v.Nodes(), PlanConfig{}) // predictInto holds x to the plan's shape
+	ws, err := v.PlanWith(v.Nodes(), PlanConfig{}) // the pass holds x to the plan's shape
 	if err != nil {
 		return nil, nil, InferenceBreakdown{}, err
 	}
 	defer ws.Release()
-	labels, scores, bd, err := v.predictInto(x, ws, wantScores)
+	labels, scores, bd, err := ws.predict(context.Background(), v, x, wantScores)
 	if err != nil {
 		return nil, nil, bd, err
 	}
@@ -210,16 +211,22 @@ func (v *Vault) predict(x *mat.Matrix, wantScores bool) ([]int, *mat.Matrix, Inf
 // space every served prediction reduces to.
 func (v *Vault) Classes() int { return v.rectifier.Dims[len(v.rectifier.Dims)-1] }
 
-// fillBreakdown derives the enclave components of a breakdown from
-// before/after ledger snapshots, so inference paths never reset the shared
-// ledger (which would corrupt concurrent callers' deltas). PeakEPCBytes is
-// the ledger's running peak, rebased per call via ResetPeak.
-func fillBreakdown(bd *InferenceBreakdown, before, after enclave.Ledger) {
-	bd.TransferTime = after.TransferTime() - before.TransferTime()
-	bd.EnclaveTime = after.EnclaveTime() - before.EnclaveTime()
-	bd.PeakEPCBytes = after.PeakEPCBytes
-	bd.BytesIn = after.BytesIn - before.BytesIn
-	bd.ECalls = after.ECalls - before.ECalls
+// addPart folds one part's before/after ledger snapshots into a
+// breakdown, so inference paths never reset the shared ledger (which would
+// corrupt concurrent callers' deltas): byte and call counts sum over
+// parts, the modelled times are the slowest part's (parts run in
+// parallel), and PeakEPCBytes is the busiest enclave's running peak,
+// rebased per call via ResetPeak. Folding one part into a zero breakdown
+// gives that part's deltas.
+func (bd *InferenceBreakdown) addPart(before, after enclave.Ledger) {
+	tr := after.TransferTime() - before.TransferTime()
+	en := after.EnclaveTime() - before.EnclaveTime()
+	if tr+en >= bd.TransferTime+bd.EnclaveTime {
+		bd.TransferTime, bd.EnclaveTime = tr, en
+	}
+	bd.PeakEPCBytes = max(bd.PeakEPCBytes, after.PeakEPCBytes)
+	bd.BytesIn += after.BytesIn - before.BytesIn
+	bd.ECalls += after.ECalls - before.ECalls
 }
 
 // UnprotectedInference measures the baseline of Fig. 6: the original GNN

@@ -122,9 +122,11 @@ type Fleet struct {
 // same barrier calls per run), that every halo slot addresses a real
 // peer row, and that all machines share an element type; then installs
 // the peer table and barrier into each machine. Machines may belong to
-// at most one fleet. Programs containing OpAttn are rejected: the op
-// gathers two values (t and z) through its structure, and there is no
-// halo lowering for that yet — a shard would read rows it does not hold.
+// at most one fleet. A fleet of more than one machine rejects programs
+// containing OpAttn: the op gathers two values (t and z) through its
+// structure, and there is no halo lowering for that yet — a shard would
+// read rows it does not hold. A one-machine fleet holds every row and has
+// no peer to gather from, so it runs any program.
 func NewFleet(machines []*Machine) (*Fleet, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("exec: fleet of zero machines")
@@ -143,9 +145,10 @@ func NewFleet(machines []*Machine) (*Fleet, error) {
 }
 
 // validateFleetMachine checks machine m as shard s of the fleet: not yet
-// fleet-bound, free of attention ops, same element type and op-kind
-// sequence as shard 0 (or, when validating a replacement for shard 0
-// itself, as another shard), and every halo slot in range of its peer.
+// fleet-bound, free of attention ops unless it is the fleet's only
+// machine, same element type and op-kind sequence as shard 0 (or, when
+// validating a replacement for shard 0 itself, as another shard), and
+// every halo slot in range of its peer.
 func validateFleetMachine(machines []*Machine, s int, m *Machine) error {
 	ref := machines[0]
 	if s == 0 && m != machines[0] {
@@ -164,7 +167,7 @@ func validateFleetMachine(machines []*Machine, s int, m *Machine) error {
 		if m.prog.ops[i].Kind != ref.prog.ops[i].Kind {
 			return fmt.Errorf("exec: shard %d op %d is %s, shard 0 has %s — shards must lower identically", s, i, m.prog.ops[i].Kind, ref.prog.ops[i].Kind)
 		}
-		if m.prog.ops[i].Kind == OpAttn {
+		if m.prog.ops[i].Kind == OpAttn && len(machines) > 1 {
 			return fmt.Errorf("exec: shard %d op %d is %s, which has no halo lowering yet", s, i, OpAttn)
 		}
 	}
@@ -271,17 +274,6 @@ func (f *Fleet) RunShard(s, rows int, inputs []*mat.Matrix, labels []int) (out *
 		}
 	}()
 	return f.machines[s].Run(rows, inputs, labels), nil
-}
-
-// HaloBytes returns the total boundary-activation traffic one fleet
-// round exchanges, summed over shards — the quantity the sharded plans
-// price into each ECALL payload and surface on /metrics.
-func (f *Fleet) HaloBytes() int64 {
-	n := int64(0)
-	for _, m := range f.machines {
-		n += m.HaloBytes()
-	}
-	return n
 }
 
 // HaloSlots resolves global halo column indices to fleet slots under the

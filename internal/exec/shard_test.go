@@ -231,7 +231,6 @@ func TestShardedHaloAccounting(t *testing.T) {
 		t.Fatal("test graph produced no halo columns")
 	}
 	progs := buildShardProgs(part, d0, pr)
-	total := int64(0)
 	for s, p := range progs {
 		m, err := p.NewMachine(Config{TileRows: 8})
 		if err != nil {
@@ -243,7 +242,6 @@ func TestShardedHaloAccounting(t *testing.T) {
 		if got := m.HaloBytes(); got != wantHalo {
 			t.Fatalf("shard %d HaloBytes %d, want %d", s, got, wantHalo)
 		}
-		total += m.HaloBytes()
 		rows := part.Rows(s)
 		// SpillTraffic counts the halo rows of each halo destination on
 		// top of the local rows of every op output.
@@ -282,12 +280,8 @@ func TestShardedHaloAccounting(t *testing.T) {
 			t.Fatalf("shard %d BufferBytes %d, want %d (halo sources counted in their destinations)", s, got, wantBuf)
 		}
 	}
-	fleet, err := NewFleet(machines)
-	if err != nil {
+	if _, err := NewFleet(machines); err != nil {
 		t.Fatal(err)
-	}
-	if got := fleet.HaloBytes(); got != total {
-		t.Fatalf("fleet HaloBytes %d, want %d", got, total)
 	}
 }
 
@@ -335,17 +329,37 @@ func TestFleetValidation(t *testing.T) {
 		t.Fatal("fleet with mixed element types accepted")
 	}
 
-	// The attention op has no halo lowering: even a one-shard fleet
-	// refuses a program containing it.
+	// The attention op has no halo lowering, but a one-machine fleet has
+	// no peer to gather from: it runs the attention program, bit for bit
+	// as the bare machine does, while a two-machine fleet still refuses it.
 	ab := NewBuilder(n)
 	z := ab.MatMul(ab.Input(d0), pr.w1)
 	ab.Attn(testStructure(n, 6), ab.MatMul(z, randMat(rng, h, 1)), ab.MatMul(z, randMat(rng, h, 1)), z, 0.2)
-	am, err := ab.Build().NewMachine(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	attn := ab.Build()
+	amach := func() *Machine {
+		m, err := attn.NewMachine(Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	if _, err := NewFleet([]*Machine{am}); err == nil || !strings.Contains(err.Error(), "halo lowering") {
-		t.Fatalf("fleet over an attention program: err = %v, want the no-halo-lowering refusal", err)
+	in := []*mat.Matrix{randMat(rng, n, d0)}
+	want := amach().Run(n, in, nil).Clone()
+	one, err := NewFleet([]*Machine{amach()})
+	if err != nil {
+		t.Fatalf("one-machine fleet over an attention program: %v", err)
+	}
+	got, err := one.RunShard(0, n, in, nil)
+	if err != nil {
+		t.Fatalf("one-machine attention fleet: %v", err)
+	}
+	for i, w := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+			t.Fatalf("one-machine attention fleet element %d: %v, want %v", i, got.Data[i], w)
+		}
+	}
+	if _, err := NewFleet([]*Machine{amach(), amach()}); err == nil || !strings.Contains(err.Error(), "halo lowering") {
+		t.Fatalf("two-machine fleet over an attention program: err = %v, want the no-halo-lowering refusal", err)
 	}
 
 	// Halo slots addressing shards or rows outside the fleet.
