@@ -49,19 +49,22 @@ bench-json:
 # stay bit-identical. Every full-graph pass, a single vault's included,
 # fans out through exec.Fleet.RunShard's abort/unwind path, so the core
 # tests of that path (deadline abort, idle abort, fault and recovery)
-# run here too, three times each. A -run pattern that matches nothing
-# passes silently, so the target counts the top-level tests that passed
-# and fails below twelve (3 serve + 3 core × 3).
+# run here too, three times each, and so does the registry's recovery of a
+# lost fleet part under concurrent checkouts. A -run pattern that matches
+# nothing passes silently, so the target counts the top-level tests that
+# passed and fails below thirteen (3 serve + 3 core × 3 + 1 registry).
 CHAOS_TESTS = TestShardedChaosHammer|TestSetShardAvailableMidPass|TestShardedBreakerTripAndRecover
 CHAOS_CORE_TESTS = TestShardedPredictContextDeadline|TestShardedWorkspaceAbortIdleIsBenign|TestShardFaultRecoverBitIdentical
+CHAOS_REGISTRY_TESTS = TestRegistryRecoverFleetPart
 chaos-smoke:
 	@out="$$( { $(GO) test -race -count=1 -v -run '^($(CHAOS_TESTS))$$' ./internal/serve/ || fail=1; \
 		$(GO) test -race -count=3 -v -run '^($(CHAOS_CORE_TESTS))$$' ./internal/core/ || fail=1; \
+		$(GO) test -race -count=1 -v -run '^($(CHAOS_REGISTRY_TESTS))$$' ./internal/registry/ || fail=1; \
 		exit $${fail:-0}; } 2>&1)"; status=$$?; \
 	echo "$$out" | grep -E '^(--- |ok|FAIL|panic|WARNING)' ; \
 	n="$$(echo "$$out" | grep -c '^--- PASS: Test')"; \
-	if [ $$status -ne 0 ] || [ "$$n" -lt 12 ]; then \
-		echo "$$out" | tail -40; echo "chaos-smoke: exit $$status, $$n tests passed, want 12"; exit 1; \
+	if [ $$status -ne 0 ] || [ "$$n" -lt 13 ]; then \
+		echo "$$out" | tail -40; echo "chaos-smoke: exit $$status, $$n tests passed, want 13"; exit 1; \
 	fi
 
 # Short fuzz passes over the engine and attack-surface invariants:

@@ -72,3 +72,32 @@ func TestServeRejectsBadEPCFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestServeShardFleetRuns: -shards N is one more registry entry behind the
+// one serve path, so the flags that path takes run on a fleet too — the
+// chaos stream settles back to bit-identical answers, scores are exposed
+// from a fleet, and -deadline bounds a single vault's requests — each
+// exiting 0.
+func TestServeShardFleetRuns(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-dataset", "cora", "-shards", "2", "-chaos", "4", "-clients", "2", "-requests", "10"},
+			"post-recovery predictions bit-identical with pre-chaos baseline"},
+		{[]string{"-shards", "2", "-expose-scores", "-clients", "1", "-requests", "2"}, "served 2 requests"},
+		{[]string{"-shards", "1", "-deadline", "1s", "-clients", "1", "-requests", "2"}, "served 2 requests"},
+	} {
+		args := append([]string{"serve", "-epochs", "1"}, c.args...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "GNNVAULT_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Errorf("gnnvault %s: %v, want exit status 0\n%s", strings.Join(args, " "), err, out)
+			continue
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("gnnvault %s: output lacks %q:\n%s", strings.Join(args, " "), c.want, out)
+		}
+	}
+}

@@ -69,7 +69,7 @@ func apiServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// listenAPI serves the API — over the registry fleet or the shard fleet
+// listenAPI serves the API — over vaults of one enclave or a shard fleet
 // alike — until the process is interrupted.
 func listenAPI(addr string, api *serve.API, ring *obs.Ring, pprof bool) {
 	extra := ""

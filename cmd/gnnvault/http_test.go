@@ -19,7 +19,7 @@ import (
 // server (it used to be held open forever), and while it stalls a
 // well-formed /predict on another connection still answers.
 func TestAPIServerHangsUpOnStalledHeaders(t *testing.T) {
-	fl := buildFleet("cora", "parallel", "knn", 2, 1, 96, 2, core.PlanConfig{}, nil, nil)
+	fl := buildFleet("cora", "parallel", "knn", 2, 1, 96, 1, 2, core.PlanConfig{}, nil, nil)
 	defer fl.reg.Close()
 	srv := serve.NewMulti(fl.reg, serve.Config{Workers: 1})
 	defer srv.Close()

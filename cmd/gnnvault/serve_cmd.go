@@ -4,9 +4,11 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gnnvault/internal/core"
@@ -27,10 +29,13 @@ type vaultInfo struct {
 	Params  int    `json:"rectifier_params"`
 }
 
-// fleet is the multi-vault serving state: one enclave, one registry, the
-// deployed vaults, and each dataset's public features for query routing.
+// fleet is the serving state: one registry over either one shared enclave
+// holding every deployed vault, or (-shards > 1) one vault cut across a
+// shard fleet; the catalog, and each dataset's public features for query
+// routing.
 type fleet struct {
-	encl   *enclave.Enclave
+	encl   *enclave.Enclave   // the shared enclave; nil for a shard fleet
+	sv     *core.ShardedVault // the shard fleet; nil unless -shards > 1
 	reg    *registry.Registry
 	vaults []vaultInfo
 	data   map[string]*datasets.Dataset
@@ -40,11 +45,12 @@ type fleet struct {
 }
 
 // cmdServe trains and deploys a fleet of vaults — every requested dataset ×
-// design pair — into one shared enclave behind the EPC-aware registry, then
-// serves label queries through the routed worker pool: either a synthetic
-// concurrent stream (default) or an HTTP/JSON API (-http). Lowering -epc-mb
-// below the fleet's working set makes the scheduler's plan/evict churn
-// visible in the reported stats.
+// design pair — into one shared enclave behind the EPC-aware registry, or
+// with -shards > 1 one pair across a multi-enclave shard fleet registered
+// as one registry entry, then serves label queries through the routed
+// worker pool: either a synthetic concurrent stream (default) or an
+// HTTP/JSON API (-http). Lowering -epc-mb below the fleet's working set
+// makes the scheduler's plan/evict churn visible in the reported stats.
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	dataset := fs.String("dataset", "cora", "comma-separated built-in dataset names")
@@ -54,7 +60,7 @@ func cmdServe(args []string) {
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 2, "inference workers shared across the fleet")
 	batch := fs.Int("batch", 8, "max requests coalesced per worker wake-up")
-	shards := fs.Int("shards", 1, "shard the vault across this many enclaves: the private CSR splits at nnz-balanced row boundaries, each shard sealed in its own enclave with its own -epc-mb budget, coupled through halo-exchange SpMM (>1 requires a single dataset × design; label-only)")
+	shards := fs.Int("shards", 1, "shard the vault across this many enclaves: the private CSR splits at nnz-balanced row boundaries, each shard sealed in its own enclave with its own -epc-mb budget, coupled through halo-exchange SpMM (>1 requires a single dataset × design)")
 	wsPerVault := fs.Int("ws-per-vault", 2, "max concurrent inference workspaces per vault")
 	epcMB := fs.Int64("epc-mb", 96, "enclave EPC capacity in MB (lower it to force eviction churn)")
 	epcBudgetMB := fs.Int64("epc-budget-mb", 0, "per-workspace EPC budget in MB: plans execute tile-streamed under this bound (0 = classic untiled plans)")
@@ -72,7 +78,7 @@ func cmdServe(args []string) {
 	rateLimit := fs.Float64("rate-limit", 0, "per-client sustained answered-labels/second over the HTTP API (0 = unlimited)")
 	rateBurst := fs.Int("rate-burst", 0, "per-client token-bucket capacity in labels (0 = derived from -rate-limit)")
 	queryBudget := fs.Int("query-budget", 0, "per-client lifetime cap on total answered labels (0 = unlimited)")
-	deadline := fs.Duration("deadline", 0, "per-request serving deadline on a shard fleet, enqueue to answer — expired requests fail with 503 and a Retry-After (0 = unbounded; sharded only)")
+	deadline := fs.Duration("deadline", 0, "per-request serving deadline, enqueue to answer — expired requests fail with 503 and a Retry-After (0 = unbounded)")
 	maxRetries := fs.Int("max-retries", 0, "node-query admission retries while the owning shard's breaker is open, each a jittered backoff bounded by -deadline (sharded only)")
 	chaosKills := fs.Int("chaos", 0, "inject this many seeded shard kills (alternating ECALL-abort storms and enclave loss) during the sharded synthetic stream and report breaker trips, restarts and time-to-recovery (requires -shards > 1, no -http)")
 	metricsOn := fs.Bool("metrics", false, "record flight-recorder spans (per-op, ECALL, plan/evict) into a live telemetry ring; implied by -trace-buffer")
@@ -111,45 +117,41 @@ func cmdServe(args []string) {
 		ring = obs.NewRing(capacity)
 		recorder = ring
 	}
-	if *shards > 1 {
-		var limit *serve.RateLimit
-		if *rateLimit > 0 || *queryBudget > 0 {
-			limit = &serve.RateLimit{PerSec: *rateLimit, Burst: *rateBurst, Budget: *queryBudget}
-		}
-		if *exposeScores {
-			fmt.Fprintln(os.Stderr, "serve: -shards is label-only; -expose-scores is not supported on a shard fleet")
-			os.Exit(2)
-		}
-		if *chaosKills > 0 && *httpAddr != "" {
-			fmt.Fprintln(os.Stderr, "serve: -chaos drives the synthetic stream; it cannot be combined with -http")
-			os.Exit(2)
-		}
-		runSharded(shardedServeConfig{
-			dataset: *dataset, design: *design, sub: *sub,
-			epochs: *epochs, seed: *seed, shards: *shards, epcMB: *epcMB,
-			workers: *workers, batch: *batch, plan: plan, nq: nq,
-			clients: *clients, requests: *requests,
-			httpAddr: *httpAddr, limit: limit, precision: prec.String(),
-			ring: ring, recorder: recorder, pprof: *pprofOn,
-			deadline: *deadline, maxRetries: *maxRetries, chaos: *chaosKills,
-		})
-		return
-	}
-	if *deadline > 0 || *maxRetries > 0 || *chaosKills > 0 {
-		fmt.Fprintln(os.Stderr, "serve: -deadline, -max-retries and -chaos apply to a shard fleet; set -shards > 1")
+	if *shards > 1 && (len(splitCSV(*dataset)) != 1 || len(splitCSV(*design)) != 1) {
+		fmt.Fprintln(os.Stderr, "serve: -shards > 1 serves a single dataset × design pair")
 		os.Exit(2)
 	}
-	fl := buildFleet(*dataset, *design, *sub, *epochs, *seed, *epcMB, *wsPerVault, plan, nq, recorder)
+	if *shards == 1 && (*maxRetries > 0 || *chaosKills > 0) {
+		fmt.Fprintln(os.Stderr, "serve: -max-retries and -chaos apply to a shard fleet; set -shards > 1")
+		os.Exit(2)
+	}
+	if *chaosKills > 0 && *httpAddr != "" {
+		fmt.Fprintln(os.Stderr, "serve: -chaos drives the synthetic stream; it cannot be combined with -http")
+		os.Exit(2)
+	}
+	// -chaos reports per-outage recovery times from the fault/recover
+	// spans, so it gets a trace ring even when -metrics is off.
+	if ring == nil && *chaosKills > 0 {
+		ring = obs.NewRing(256)
+	}
+	fl := buildFleet(*dataset, *design, *sub, *epochs, *seed, *epcMB, *shards, *wsPerVault, plan, nq, recorder)
 	srv := serve.NewMulti(fl.reg, serve.Config{
 		Workers:      *workers,
 		MaxBatch:     *batch,
 		ExposeScores: *exposeScores,
 		RoundDigits:  *roundDigits,
 		TopK:         *topK,
+		Deadline:     *deadline,
+		MaxRetries:   *maxRetries,
+		Seed:         *seed,
+		Trace:        ring,
 	})
 	defer func() {
 		srv.Close()
 		fl.reg.Close()
+		if fl.sv != nil {
+			fl.sv.Undeploy()
+		}
 	}()
 	var limit *serve.RateLimit
 	if *rateLimit > 0 || *queryBudget > 0 {
@@ -163,14 +165,23 @@ func cmdServe(args []string) {
 	if prec != core.PrecisionFP64 {
 		mode += ", " + prec.String() + " enclave kernels"
 	}
-	fmt.Printf("fleet of %d vaults on one enclave (EPC %.2f MB used of %d MB), %d workers, %s\n",
-		len(fl.vaults), float64(fl.encl.EPCUsed())/(1<<20), fl.encl.EPCLimit()>>20, *workers, mode)
+	if fl.sv != nil {
+		fmt.Printf("shard fleet: %d enclaves (EPC %d MB each), rows cut at %v, %d workers, %s\n",
+			fl.sv.Shards(), *epcMB, fl.sv.Part.Bounds, *workers, mode)
+		for i := 0; i < fl.sv.Shards(); i++ {
+			fmt.Printf("  shard %d: rows %d, %.2f MB EPC used\n",
+				i, fl.sv.Part.Rows(i), float64(fl.sv.Shard(i).Enclave.EPCUsed())/(1<<20))
+		}
+	} else {
+		fmt.Printf("fleet of %d vaults on one enclave (EPC %.2f MB used of %d MB), %d workers, %s\n",
+			len(fl.vaults), float64(fl.encl.EPCUsed())/(1<<20), fl.encl.EPCLimit()>>20, *workers, mode)
+	}
 
 	if *httpAddr != "" {
 		listenAPI(*httpAddr, serve.NewAPI(srv, fl.reg, apiConfig(fl, limit, prec.String(), ring, *pprofOn)), ring, *pprofOn)
 		return
 	}
-	runSyntheticStream(fl, srv, *clients, *requests)
+	runSyntheticStream(fl, srv, *clients, *requests, *chaosKills, *seed, ring)
 }
 
 // serveFlagFloors is the least legal value of every other integer serve
@@ -219,11 +230,13 @@ func checkServeFlags(fs *flag.FlagSet) error {
 
 // buildFleet trains one backbone per dataset and one rectifier per
 // dataset × design pair, then deploys every pair into a single enclave
-// measured over all rectifier identities. plan shapes every workspace the
-// registry admits (EPC budget → tiled streaming); a non-nil nq
-// additionally enables node-level (subgraph) serving on every GNN-backed
-// vault.
-func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcMB int64, wsPerVault int, plan core.PlanConfig, nq *registry.NodeQueryConfig, rec obs.Recorder) *fleet {
+// measured over all rectifier identities — or, with shards > 1, the one
+// pair across a shard fleet, every shard its own enclave of epcMB,
+// registered as one entry of an enclave-less registry. plan shapes every
+// workspace the registry admits (EPC budget → tiled streaming; per shard on
+// a fleet); a non-nil nq additionally enables node-level (subgraph)
+// serving on every GNN-backed vault.
+func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcMB int64, shards, wsPerVault int, plan core.PlanConfig, nq *registry.NodeQueryConfig, rec obs.Recorder) *fleet {
 	dsNames := splitCSV(datasetCSV)
 	designs := splitCSV(designCSV)
 	if len(dsNames) == 0 || len(designs) == 0 {
@@ -267,25 +280,42 @@ func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcM
 	}
 
 	cost := enclave.DefaultCostModel()
-	cost.EPCBytes = epcMB << 20
-	encl := enclave.New(cost, identities...)
-	reg := registry.New(encl, registry.Config{WorkspacesPerVault: wsPerVault, Plan: plan, NodeQuery: nq, Recorder: rec})
-	fl := &fleet{encl: encl, reg: reg, data: data, nodeQueries: nq != nil}
-	for _, m := range fleetMembers {
-		v, err := core.DeployInto(encl, m.bb, m.rec, m.ds.Graph)
+	cost.EPCBytes = epcMB << 20 // per shard on a fleet: each enclave has its own EPC
+	fl := &fleet{data: data, nodeQueries: nq != nil}
+	if shards > 1 {
+		m := fleetMembers[0]
+		sv, err := core.DeploySharded(m.bb, m.rec, m.ds.Graph, cost, shards)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "deploy %s failed: %v\n", m.info.ID, err)
+			fmt.Fprintf(os.Stderr, "sharded deploy failed: %v\n", err)
 			os.Exit(1)
 		}
+		fl.sv = sv
+	} else {
+		fl.encl = enclave.New(cost, identities...)
+	}
+	reg := registry.New(fl.encl, registry.Config{WorkspacesPerVault: wsPerVault, Plan: plan, NodeQuery: nq, Recorder: rec})
+	fl.reg = reg
+	for _, m := range fleetMembers {
 		// Register the dataset's own public features — the same matrix
 		// every query passes in: the calibration batch of reduced-precision
 		// plans, and the key under which the vault's public-half store keeps
 		// their backbone embeddings after the first full-graph pass.
-		if err := v.SetCalibrationFeatures(m.ds.X); err != nil {
-			fmt.Fprintf(os.Stderr, "calibration features for %s failed: %v\n", m.info.ID, err)
-			os.Exit(1)
+		var err error
+		if fl.sv != nil {
+			if err = fl.sv.SetCalibrationFeatures(m.ds.X); err == nil {
+				err = reg.RegisterFleet(m.info.ID, fl.sv)
+			}
+		} else {
+			var v *core.Vault
+			if v, err = core.DeployInto(fl.encl, m.bb, m.rec, m.ds.Graph); err != nil {
+				fmt.Fprintf(os.Stderr, "deploy %s failed: %v\n", m.info.ID, err)
+				os.Exit(1)
+			}
+			if err = v.SetCalibrationFeatures(m.ds.X); err == nil {
+				err = reg.Register(m.info.ID, v)
+			}
 		}
-		if err := reg.Register(m.info.ID, v); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "register %s failed: %v\n", m.info.ID, err)
 			os.Exit(1)
 		}
@@ -301,18 +331,33 @@ func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcM
 }
 
 // runSyntheticStream drives concurrent clients round-robin across the
-// fleet and prints serving + scheduler statistics. With node-level
-// serving enabled, every other request is a two-seed node query instead
-// of a full-graph pass, exercising both paths through one queue.
-func runSyntheticStream(fl *fleet, srv *serve.MultiServer, clients, requests int) {
+// fleet and prints serving + scheduler statistics — on a shard fleet also
+// the fan-out and per-shard figures. With node-level serving enabled,
+// every other request is a two-seed node query instead of a full-graph
+// pass, exercising both paths through one queue. With chaos > 0 a seeded
+// injector kills shards mid-stream — alternating ECALL-abort storms with
+// outright enclave loss — and the report gains a recovery section: outage
+// errors become expected (counted, not fatal) and the run ends by proving
+// the fleet settled back to bit-identical answers.
+func runSyntheticStream(fl *fleet, srv *serve.MultiServer, clients, requests, chaos int, seed int64, ring *obs.Ring) {
 	mix := ""
 	if fl.nodeQueries {
 		mix = " (50% node queries)"
 	}
 	fmt.Printf("synthetic stream: %d clients × %d requests across %d vaults%s\n",
 		clients, requests, len(fl.vaults), mix)
+	var baseline []int
+	if chaos > 0 {
+		fmt.Printf("chaos: %d seeded shard kills over the stream (seed %d)\n", chaos, seed)
+		var err error
+		if baseline, err = srv.Predict(fl.vaults[0].ID, fl.data[fl.vaults[0].Dataset].X); err != nil {
+			fmt.Fprintln(os.Stderr, "chaos baseline predict:", err)
+			os.Exit(1)
+		}
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
+	var outageErrs atomic.Uint64
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -320,6 +365,7 @@ func runSyntheticStream(fl *fleet, srv *serve.MultiServer, clients, requests int
 			defer wg.Done()
 			for r := 0; r < requests; r++ {
 				info := fl.vaults[(c+r)%len(fl.vaults)]
+				var err error
 				// r alone picks the kind so the mix decorrelates from the
 				// round-robin vault choice above.
 				if fl.nodeQueries && r%2 == 1 {
@@ -328,18 +374,40 @@ func runSyntheticStream(fl *fleet, srv *serve.MultiServer, clients, requests int
 					if seeds[0] == seeds[1] {
 						seeds[1] = (seeds[1] + 1) % n
 					}
-					if _, err := srv.PredictNodes(info.ID, seeds[:]); err != nil {
-						errs <- fmt.Errorf("%s node query: %w", info.ID, err)
-						return
+					if _, err = srv.PredictNodes(info.ID, seeds[:]); err != nil {
+						err = fmt.Errorf("%s node query: %w", info.ID, err)
 					}
-					continue
+				} else if _, err = srv.Predict(info.ID, fl.data[info.Dataset].X); err != nil {
+					err = fmt.Errorf("%s: %w", info.ID, err)
 				}
-				if _, err := srv.Predict(info.ID, fl.data[info.Dataset].X); err != nil {
-					errs <- fmt.Errorf("%s: %w", info.ID, err)
+				if err != nil {
+					if chaos > 0 {
+						outageErrs.Add(1)
+						continue
+					}
+					errs <- err
 					return
 				}
 			}
 		}(c)
+	}
+	if chaos > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for k := 0; k < chaos; k++ {
+				time.Sleep(time.Duration(2+rng.Intn(8)) * time.Millisecond)
+				sh := rng.Intn(fl.sv.Shards())
+				if k%2 == 0 {
+					fl.sv.Shard(sh).Enclave.SetFaultPlan(&enclave.FaultPlan{AbortRate: 1, Seed: int64(k + 1)})
+					fmt.Printf("chaos: kill %d — shard %d ECALL-abort storm\n", k, sh)
+				} else {
+					fl.sv.Shard(sh).Enclave.MarkLost()
+					fmt.Printf("chaos: kill %d — shard %d enclave lost\n", k, sh)
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -348,6 +416,9 @@ func runSyntheticStream(fl *fleet, srv *serve.MultiServer, clients, requests int
 		os.Exit(1)
 	}
 	wall := time.Since(start)
+	if chaos > 0 {
+		settle(srv, fl, baseline)
+	}
 
 	st := srv.Stats()
 	rst := fl.reg.Stats()
@@ -363,8 +434,21 @@ func runSyntheticStream(fl *fleet, srv *serve.MultiServer, clients, requests int
 	fmt.Printf("  errors      %d\n", st.Errors)
 	fmt.Printf("  scheduler   %d plans, %d evictions, %d/%d vaults resident\n",
 		rst.Plans, rst.Evictions, rst.Resident, rst.Vaults)
-	fmt.Printf("  enclave     %d ECALLs, %.2f MB in, %.2f MB out, %d page swaps\n",
-		rst.Ledger.ECalls, float64(rst.Ledger.BytesIn)/(1<<20),
+	sst, sharded := srv.ShardStats(fl.vaults[0].ID)
+	if sharded {
+		if sst.Fanout.Count > 0 {
+			fmt.Printf("  fan-out     p50 %v, p99 %v across %d shards\n",
+				time.Duration(sst.Fanout.Quantile(0.50)).Round(time.Microsecond),
+				time.Duration(sst.Fanout.Quantile(0.99)).Round(time.Microsecond), sst.Shards)
+		}
+		for i := 0; i < sst.Shards; i++ {
+			fmt.Printf("  shard %d     %.2f MB EPC used of %d MB, %.2f MB halo gathered\n",
+				i, float64(sst.EPCUsed[i])/(1<<20), sst.EPCLimit[i]>>20,
+				float64(sst.HaloBytes[i])/(1<<20))
+		}
+	}
+	fmt.Printf("  enclave     %d ECALLs, %d OCALLs, %.2f MB in, %.2f MB out, %d page swaps\n",
+		rst.Ledger.ECalls, rst.Ledger.OCalls, float64(rst.Ledger.BytesIn)/(1<<20),
 		float64(rst.Ledger.BytesOut)/(1<<20), rst.Ledger.PageSwaps)
 	fmt.Printf("  spill       %.2f MB streamed through untrusted scratch\n",
 		float64(st.SpillBytes)/(1<<20))
@@ -372,6 +456,49 @@ func runSyntheticStream(fl *fleet, srv *serve.MultiServer, clients, requests int
 		st.BackboneComputed, st.BackboneReused)
 	fmt.Printf("  EPC         %.2f MB used of %d MB\n",
 		float64(rst.EPCUsed)/(1<<20), rst.EPCLimit>>20)
+
+	if chaos > 0 {
+		fmt.Printf("\nchaos report: %d kills injected, %d requests failed during outages, "+
+			"%d requests past deadline\n", chaos, outageErrs.Load(), st.DeadlineExceeded)
+		breakerName := map[int32]string{0: "closed", 1: "open", 2: "half-open"}
+		for i := 0; i < sst.Shards; i++ {
+			fmt.Printf("  shard %d     %d restarts, breaker %s\n",
+				i, sst.Restarts[i], breakerName[sst.Breaker[i]])
+		}
+		for _, sp := range ring.Last(0) {
+			if sp.Kind == obs.SpanRecover {
+				fmt.Printf("  recovery    shard %d back in %v\n",
+					sp.Rows, time.Duration(sp.Dur).Round(time.Microsecond))
+			}
+		}
+		fmt.Println("  post-recovery predictions bit-identical with pre-chaos baseline")
+	}
+}
+
+// settle waits, for up to 30 s, until the fleet answers a full-graph
+// query again, and exits the process unless that answer is bit-identical
+// to the pre-chaos baseline.
+func settle(srv *serve.MultiServer, fl *fleet, baseline []int) {
+	info := fl.vaults[0]
+	for start := time.Now(); time.Since(start) < 30*time.Second; time.Sleep(2 * time.Millisecond) {
+		labels, err := srv.Predict(info.ID, fl.data[info.Dataset].X)
+		if err != nil {
+			continue
+		}
+		if len(labels) != len(baseline) {
+			fmt.Fprintln(os.Stderr, "chaos: post-recovery prediction has wrong length")
+			os.Exit(1)
+		}
+		for i := range labels {
+			if labels[i] != baseline[i] {
+				fmt.Fprintf(os.Stderr, "chaos: post-recovery prediction diverged at node %d\n", i)
+				os.Exit(1)
+			}
+		}
+		return
+	}
+	fmt.Fprintln(os.Stderr, "chaos: fleet did not settle within 30s")
+	os.Exit(1)
 }
 
 // printEndpointLatency prints one endpoint's latency quantiles from its

@@ -109,8 +109,8 @@ func (c PlanConfig) validate() error {
 // fleet of one part over its own adjacency, or a ShardedVault, one part
 // per shard over the shard's CSR slab.
 type fleetOwner interface {
-	// part returns part s's current vault. A shard's vault may be swapped
-	// by RecoverShard between passes, so passes load it once each.
+	// part returns part s's current vault. RecoverShard may swap a shard's
+	// vault; a plan keeps the vaults it was planned against.
 	part(s int) *Vault
 	// reg returns the owner's current feature registration (store.go);
 	// nil when nothing is registered.
@@ -130,7 +130,9 @@ func (sv *ShardedVault) reg() *registration { return sv.features.Load() }
 // against each part's enclave (wholly, or tiles-only under a budget), the
 // label buffer the parts write disjoint ranges of, and per-part payload,
 // spill and halo accounting. A Workspace belongs to one goroutine at a
-// time; a serving fleet plans one per worker.
+// time. It stays bound to the part vaults it was planned against: once one
+// of them is undeployed — a shard RecoverShard replaced — every pass is
+// refused, and the plan is released and planned afresh.
 type Workspace struct {
 	Rows int
 
@@ -144,9 +146,9 @@ type Workspace struct {
 	// [bounds[s], bounds[s+1]). partEmbs[s] holds reusable view headers
 	// over a round's block embeddings (own, or the public-half store's),
 	// rebound to the part's rows every round; partLabels[s] is the part's
-	// slice of labels. vaults and before are a pass's snapshots of each
-	// part's vault and ledger, and ecIDs its ECALL span IDs — preallocated,
-	// so a pass allocates nothing.
+	// slice of labels. vaults are the part vaults the plan charged, before
+	// a pass's snapshots of their ledgers, and ecIDs its ECALL span IDs —
+	// preallocated, so a pass allocates nothing.
 	bounds     []int
 	partEmbs   [][]*mat.Matrix
 	partLabels [][]int
@@ -162,21 +164,11 @@ type Workspace struct {
 	parts      sync.WaitGroup // joins a round's parts
 	watch      sync.WaitGroup // joins a pass's ctx watcher
 
-	// Replan state for shard recovery: the per-part programs and machine
-	// configs (including the calibrated scales, so a rebuilt machine
-	// quantizes on the identical grid), the fp64 reference labels of the
-	// calibration batch, and the plan config — everything rejoinShard
-	// needs to rebuild one part's machine and re-prove agreement.
-	progs     []*exec.Program
-	mcfgs     []exec.Config
-	refLabels []int
-	planCfg   PlanConfig
-
-	// inflight guards the workspace's single-pass-at-a-time contract and
-	// lets Abort know whether a poison could still reach a live pass.
+	// inflight guards the workspace's single-pass-at-a-time contract.
 	inflight atomic.Bool
 
 	labels   []int
+	logits   *mat.Matrix  // multi-part plans only: every part's logit rows, stitched for a scores pass
 	rec      obs.Recorder // never nil; obs.Nop when unconfigured
 	released bool
 }
@@ -280,7 +272,6 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 	}
 
 	machines := make([]*exec.Machine, parts)
-	mcfgs := make([]exec.Config, parts)
 	for s := range machines {
 		mcfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec} // in-enclave: the ECALL's one thread
 		if cfg.tiled() {
@@ -292,7 +283,6 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 				return nil, fmt.Errorf("core: part %d scales: %w", s, err)
 			}
 		}
-		mcfgs[s] = mcfg
 		if machines[s], err = progs[s].NewMachine(mcfg); err != nil {
 			return nil, fmt.Errorf("core: compiling inference plan (part %d): %w", s, err)
 		}
@@ -321,12 +311,11 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 		ecIDs:      make([]uint64, parts),
 		vaults:     vaults,
 		before:     make([]enclave.Ledger, parts),
-		progs:      progs,
-		mcfgs:      mcfgs,
-		refLabels:  refLabels,
-		planCfg:    cfg,
 		labels:     make([]int, rows),
 		rec:        rec,
+	}
+	if parts > 1 {
+		ws.logits = mat.New(rows, machines[0].OutputWidth())
 	}
 	for s := 0; s < parts; s++ {
 		lo, hi := bounds[s], bounds[s+1]
@@ -362,7 +351,7 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 	// Admission gate for reduced tiers: the actual fleet (tiled or direct)
 	// must reproduce the fp64 reference labels on the calibration batch.
 	if elem != exec.F64 {
-		if err := ws.agree(reg); err != nil {
+		if err := ws.agree(reg, refLabels, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -449,31 +438,18 @@ func sum(xs []int64) int64 {
 	return n
 }
 
-// Release returns every part's workspace EPC — on each part's current
-// vault, so after a shard recovery the charge leaves the replacement
-// enclave. The workspace must not be used afterwards. Idempotent.
+// Release returns every part's workspace EPC to the enclave it was charged
+// on — the part vaults the plan was made against, never a replacement
+// RecoverShard swapped in since. The workspace must not be used afterwards.
+// Idempotent.
 func (ws *Workspace) Release() {
 	if ws.released {
 		return
 	}
 	ws.released = true
-	for s := range ws.epc {
+	for s, v := range ws.vaults {
 		ws.fleet.Machine(s).SetInputEpoch(nil) // drop the store record the part's codes were keyed on
-		ws.owner.part(s).Enclave.Free(ws.epc[s])
-	}
-}
-
-// Abort poisons any pass currently in flight on this workspace with the
-// given cause: every part unwinds at its next fleet barrier and the pass
-// returns an error wrapping the cause instead of hanging — the hook the
-// serving layer uses when a shard is administratively pulled or a
-// deadline expires from outside. Aborting an idle workspace is a no-op,
-// and a pass already past its last barrier may still complete
-// successfully; the contract is "clean error or clean success, never a
-// hung barrier".
-func (ws *Workspace) Abort(cause error) {
-	if ws.inflight.Load() {
-		ws.fleet.Abort(cause)
+		v.Enclave.Free(ws.epc[s])
 	}
 }
 
@@ -492,31 +468,31 @@ func (ws *Workspace) bindParts(embs []*mat.Matrix, reg *registration, reused boo
 	}
 }
 
-// agree is the reduced tiers' admission gate, at plan time and again when
-// a recovered shard rejoins: one unaccounted fleet round over the
-// backbone's embeddings of the registered features, whose labels must
-// reach the configured agreement with the fp64 reference. The part
-// machines are left holding the store's boundary codes, declared as such,
-// so the first registered-features pass skips its quantisation too.
-func (ws *Workspace) agree(reg *registration) error {
+// agree is the reduced tiers' plan-time admission gate: one unaccounted
+// fleet round over the backbone's embeddings of the registered features,
+// whose labels must reach cfg's agreement with the fp64 reference labels
+// ref. The part machines are left holding the store's boundary codes,
+// declared as such, so the first registered-features pass skips its
+// quantisation too.
+func (ws *Workspace) agree(reg *registration, ref []int, cfg PlanConfig) error {
 	embs, reused := reg.embeddings(reg.x, ws.bbMach, ws.bbIn, ws.own)
 	ws.bindParts(embs, reg, reused)
 	if err := ws.fanOut(context.Background(), false, 0); err != nil {
 		return fmt.Errorf("core: calibration fleet round: %w", err)
 	}
-	return agreementFloor(ws.labels, ws.refLabels, ws.planCfg)
+	return agreementFloor(ws.labels, ref, cfg)
 }
 
 // fanOut runs one fleet round over the bound part inputs into the
 // workspace's labels. Part 0 runs on the calling goroutine and parts
 // 1…n−1 on one goroutine each — every part must reach the fleet barriers
-// for any to pass them. In a pass, each part is one ECALL on its
-// snapshotted enclave carrying the part's payload, spill and halo in and
-// resultWidth bytes per row out; plan-time and recovery rounds run the
-// bodies outside any enclave accounting. A watcher poisons the fleet when
-// ctx expires — started only for a ctx that can — and a part whose ECALL
-// fails at the enclave gate poisons it too, since its peers would
-// otherwise wait forever on a barrier it never reaches. Returns
+// for any to pass them. In a pass, each part is one ECALL on its part
+// vault's enclave carrying the part's payload, spill and halo in and
+// resultWidth bytes per row out; the plan-time agreement round runs the
+// bodies outside any enclave accounting. A watcher poisons the fleet with
+// ctx's cause when ctx ends — started only for a ctx that can — and a part
+// whose ECALL fails at the enclave gate poisons it too, since its peers
+// would otherwise wait forever on a barrier it never reaches. Returns
 // firstFault.
 func (ws *Workspace) fanOut(ctx context.Context, pass bool, resultWidth int64) error {
 	var quit chan struct{}
@@ -546,7 +522,7 @@ func (ws *Workspace) watchCtx(ctx context.Context, quit chan struct{}) {
 	defer ws.watch.Done()
 	select {
 	case <-ctx.Done():
-		ws.fleet.Abort(ctx.Err())
+		ws.fleet.Abort(context.Cause(ctx))
 	case <-quit:
 	}
 }
@@ -627,13 +603,26 @@ func (v *Vault) PredictScoresInto(x *mat.Matrix, ws *Workspace) (*mat.Matrix, []
 	return scores, labels, bd, err
 }
 
+// PredictContext is the serving layer's full-graph pass, for a Vault plan
+// and a sharded plan alike: PredictScoresInto (wantScores) or PredictInto
+// over the owner the workspace was planned for, under ctx. Cancelling or
+// expiring ctx aborts the pass: every part unwinds at its next fleet
+// barrier and the call returns an error wrapping context.Cause(ctx) —
+// bounded unwind, never a hung barrier. A sharded plan's logits are every
+// shard's rows stitched into one workspace-owned matrix, bit-identical to
+// a single vault's.
+func (ws *Workspace) PredictContext(ctx context.Context, x *mat.Matrix, wantScores bool) ([]int, *mat.Matrix, InferenceBreakdown, error) {
+	return ws.predict(ctx, ws.owner, x, wantScores)
+}
+
 // predict is the one full-graph pass body, behind every PredictInto: the
 // backbone once at full height in the normal world (or the public-half
 // store's blocks), then one modelled ECALL per part (fanOut), then the
 // breakdown — counts summed over parts, modelled times from the slowest
 // part (the parts run in parallel), PeakEPCBytes from the busiest enclave
-// (each part has its own EPC). With wantScores the logits of part 0 — a
-// Vault plan's only part — are returned and priced too.
+// (each part has its own EPC). With wantScores the logits are returned and
+// priced too: part 0's output view for a one-part plan, every part's rows
+// stitched into ws.logits otherwise.
 func (ws *Workspace) predict(ctx context.Context, owner fleetOwner, x *mat.Matrix, wantScores bool) ([]int, *mat.Matrix, InferenceBreakdown, error) {
 	var bd InferenceBreakdown
 	switch {
@@ -648,19 +637,22 @@ func (ws *Workspace) predict(ctx context.Context, owner fleetOwner, x *mat.Matri
 	case x.Cols != ws.vaults[0].Backbone.FeatureDim:
 		return nil, nil, bd, fmt.Errorf("core: input features %d != backbone feature dim %d", x.Cols, ws.vaults[0].Backbone.FeatureDim)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, bd, fmt.Errorf("core: inference: %w", err)
+	for s, v := range ws.vaults {
+		if v.undeployed.Load() {
+			return nil, nil, bd, fmt.Errorf("core: workspace planned against part %d's undeployed vault", s)
+		}
+	}
+	if ctx.Err() != nil {
+		return nil, nil, bd, fmt.Errorf("core: inference: %w", context.Cause(ctx))
 	}
 	if !ws.inflight.CompareAndSwap(false, true) {
 		return nil, nil, bd, fmt.Errorf("core: workspace already has a pass in flight")
 	}
 	defer ws.inflight.Store(false)
-	// An Abort that landed while the workspace was idle left the barrier
-	// poisoned with a stale cause; re-arm before the pass begins.
+	// An abort that landed after the last pass's parts returned left the
+	// barrier poisoned with a stale cause; re-arm before the pass begins.
 	ws.fleet.Reset()
-	for s := range ws.vaults {
-		v := owner.part(s)
-		ws.vaults[s] = v
+	for s, v := range ws.vaults {
 		ws.before[s] = v.Enclave.Ledger()
 		v.Enclave.ResetPeak()
 	}
@@ -726,8 +718,16 @@ func (ws *Workspace) predict(ctx context.Context, owner fleetOwner, x *mat.Matri
 		bd.addPart(ws.before[s], v.Enclave.Ledger())
 	}
 	var scores *mat.Matrix
-	if wantScores {
+	switch {
+	case !wantScores:
+	case ws.logits == nil:
 		scores = ws.fleet.Machine(0).Output()
+	default:
+		for s := range ws.vaults {
+			out := ws.fleet.Machine(s).Output()
+			copy(ws.logits.Data[ws.bounds[s]*out.Cols:], out.Data[:len(ws.partLabels[s])*out.Cols])
+		}
+		scores = ws.logits
 	}
 	return ws.labels, scores, bd, nil
 }

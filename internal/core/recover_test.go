@@ -14,10 +14,11 @@ import (
 // end, at fp64 and int8: a fault plan kills one shard's enclave mid-
 // fleet, the pass fails with a ShardFault naming that shard (wrapping
 // ErrEnclaveLost — peers unwind instead of deadlocking), the shard stays
-// dead until RecoverShard re-seals and rejoins it, and the recovered
-// fleet's labels are bit-identical to the pre-fault baseline — whether the
-// pass runs the backbone over the caller's own copy of the features or
-// reads the public-half store the recovery carried over.
+// dead until RecoverShard re-seals it, the workspace planned before the
+// fault refuses every later pass, and a workspace re-planned on the
+// recovered fleet answers bit-identically to the pre-fault baseline —
+// whether the pass runs the backbone over the caller's own copy of the
+// features or reads the public-half store the recovery carried over.
 func TestShardFaultRecoverBitIdentical(t *testing.T) {
 	ds, bb, rec := shardTestModel(t, Parallel)
 	cost := enclave.DefaultCostModel()
@@ -69,7 +70,7 @@ func TestShardFaultRecoverBitIdentical(t *testing.T) {
 			}
 
 			oldVault := sv.Shard(dead)
-			if err := sv.RecoverShard(dead, ws); err != nil {
+			if err := sv.RecoverShard(dead); err != nil {
 				t.Fatalf("RecoverShard: %v", err)
 			}
 			if sv.Shard(dead) == oldVault {
@@ -78,6 +79,14 @@ func TestShardFaultRecoverBitIdentical(t *testing.T) {
 			if sv.Shard(dead).Enclave.Lost() {
 				t.Fatal("recovered enclave marked lost")
 			}
+			if _, _, err := sv.PredictInto(ds.X, ws); err == nil {
+				t.Fatal("a workspace planned before the fault served a pass after recovery")
+			}
+			ws.Release()
+			if ws, err = sv.PlanSharded(ds.X.Rows, tc.cfg); err != nil {
+				t.Fatalf("re-plan after recovery: %v", err)
+			}
+			defer ws.Release()
 			for pass, x := range []*mat.Matrix{ds.X.Clone(), ds.X, ds.X} {
 				got, bd, err := sv.PredictInto(x, ws)
 				if err != nil {
@@ -122,7 +131,7 @@ func TestShardedPredictContextDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := sv.PredictIntoContext(ctx, ds.X, ws); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := ws.PredictContext(ctx, ds.X, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled predict: %v, want context.Canceled", err)
 	}
 	for s := 0; s < sv.Shards(); s++ {
@@ -141,9 +150,9 @@ func TestShardedPredictContextDeadline(t *testing.T) {
 	}
 }
 
-// TestShardedWorkspaceAbortIdleIsBenign pins that an Abort landing while
-// no pass is in flight (the SetShardAvailable race window) leaves no
-// stale poison: the next pass runs clean.
+// TestShardedWorkspaceAbortIdleIsBenign pins that a fleet abort landing
+// while no pass is in flight (a cancelled context's watcher racing the
+// pass's end) leaves no stale poison: the next pass runs clean.
 func TestShardedWorkspaceAbortIdleIsBenign(t *testing.T) {
 	ds, bb, rec := shardTestModel(t, Parallel)
 	sv, err := DeploySharded(bb, rec, ds.Graph, enclave.DefaultCostModel(), 2)
@@ -156,17 +165,17 @@ func TestShardedWorkspaceAbortIdleIsBenign(t *testing.T) {
 		t.Fatalf("plan: %v", err)
 	}
 	defer ws.Release()
-	ws.Abort(errors.New("administrative"))
-	// Poison the barrier directly too — the worst case Abort could race
-	// into — and the pass must still recover by re-arming on entry.
 	ws.fleet.Abort(errors.New("stale"))
 	if _, _, err := sv.PredictInto(ds.X, ws); err != nil {
 		t.Fatalf("predict after idle abort: %v", err)
 	}
 }
 
-// TestRecoverShardRefusals covers the guard rails: bad index, foreign
-// workspace, and a workspace with a pass in flight.
+// TestRecoverShardRefusals covers the guard rails: a bad index is
+// refused, and after a recovery the workspace planned before it refuses
+// every pass, and releasing it frees its EPC on the enclaves it charged —
+// the replaced shard's old enclave and the live peers — never on the
+// replacement, which it never charged.
 func TestRecoverShardRefusals(t *testing.T) {
 	ds, bb, rec := shardTestModel(t, Parallel)
 	sv, err := DeploySharded(bb, rec, ds.Graph, enclave.DefaultCostModel(), 2)
@@ -179,24 +188,36 @@ func TestRecoverShardRefusals(t *testing.T) {
 		t.Fatalf("plan: %v", err)
 	}
 	defer ws.Release()
-	if err := sv.RecoverShard(5, ws); err == nil {
+	if err := sv.RecoverShard(5); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
-	other, err := DeploySharded(bb, rec, ds.Graph, enclave.DefaultCostModel(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Undeploy()
-	if err := other.RecoverShard(0, ws); err == nil {
-		t.Fatal("foreign workspace accepted")
-	}
-	ws.inflight.Store(true)
-	if err := sv.RecoverShard(0, ws); err == nil {
-		t.Fatal("busy workspace accepted")
-	}
-	ws.inflight.Store(false)
-	if err := sv.RecoverShard(0, ws); err != nil {
+	old, peer := sv.Shard(0).Enclave, sv.Shard(1).Enclave
+	oldUsed, peerUsed := old.EPCUsed(), peer.EPCUsed()
+	if err := sv.RecoverShard(0); err != nil {
 		t.Fatalf("recovery of a healthy shard (idempotent restart): %v", err)
+	}
+	fresh := sv.Shard(0).Enclave
+	freshUsed := fresh.EPCUsed()
+	if _, _, err := sv.PredictInto(ds.X, ws); err == nil {
+		t.Fatal("a workspace planned against the replaced vault served a pass")
+	}
+	ws.Release()
+	if got, want := fresh.EPCUsed(), freshUsed; got != want {
+		t.Fatalf("release freed %d bytes on the replacement enclave it never charged", want-got)
+	}
+	if got, want := peer.EPCUsed(), peerUsed-ws.ShardEnclaveBytes(1); got != want {
+		t.Fatalf("peer EPC after release = %d, want %d", got, want)
+	}
+	if got, want := old.EPCUsed(), oldUsed-sv.Shard(0).PersistentBytes()-ws.ShardEnclaveBytes(0); got != want {
+		t.Fatalf("replaced enclave EPC after release = %d, want %d", got, want)
+	}
+	re, err := sv.PlanSharded(ds.X.Rows, PlanConfig{})
+	if err != nil {
+		t.Fatalf("re-plan after recovery: %v", err)
+	}
+	defer re.Release()
+	if _, _, err := sv.PredictInto(ds.X, re); err != nil {
+		t.Fatalf("pass on the re-planned workspace: %v", err)
 	}
 }
 
@@ -230,7 +251,7 @@ func TestShardedNodeQueryLostAndRecovered(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := sv.PredictNodesAtContext(ctx, ds.X, seeds, s, ws); !errors.Is(err, context.Canceled) {
+	if _, _, _, _, err := sv.PredictNodesAtContext(ctx, ds.X, seeds, s, ws, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled node query: %v, want context.Canceled", err)
 	}
 

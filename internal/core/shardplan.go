@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"gnnvault/internal/enclave"
-	"gnnvault/internal/exec"
 	"gnnvault/internal/graph"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/nn"
@@ -190,17 +189,11 @@ func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*Workspace, error
 	return planFull(sv, sv.Part, rows, cfg)
 }
 
-// PredictInto runs one full sharded inference with no deadline; see
-// PredictIntoContext.
-func (sv *ShardedVault) PredictInto(x *mat.Matrix, ws *Workspace) ([]int, InferenceBreakdown, error) {
-	return sv.PredictIntoContext(context.Background(), x, ws)
-}
-
-// PredictIntoContext runs one full sharded inference: the backbone once
-// at full height in the normal world — or, when x is the fleet's registered
-// feature matrix and a pass has already published its embeddings, the
-// public-half store's blocks instead (InferenceBreakdown.BackboneReused;
-// see Vault.PredictInto) — then one modelled ECALL per shard, fanned out
+// PredictInto runs one full sharded inference: the backbone once at full
+// height in the normal world — or, when x is the fleet's registered feature
+// matrix and a pass has already published its embeddings, the public-half
+// store's blocks instead (InferenceBreakdown.BackboneReused; see
+// Vault.PredictInto) — then one modelled ECALL per shard, fanned out
 // concurrently — each carries the shard's embedding rows plus its spill
 // and halo traffic in, and its rows of the label vector out, while the
 // fleet's barriers synchronise the per-layer halo exchange between the
@@ -208,57 +201,35 @@ func (sv *ShardedVault) PredictInto(x *mat.Matrix, ws *Workspace) ([]int, Infere
 // the workspace and overwritten by the next call; they are bit-identical
 // to the single-enclave plan's at every precision tier.
 //
-// Cancelling or expiring ctx aborts the fleet pass: every shard unwinds
-// at its next barrier and the call returns an error wrapping ctx.Err()
-// — bounded unwind, never a hung barrier. A shard enclave failure (e.g.
-// enclave.ErrEnclaveLost under a fault plan) likewise aborts the pass;
-// the returned error is a *ShardFault naming the culprit shard, so the
-// serving layer can trip that shard's breaker and recover it.
+// A shard enclave failure (e.g. enclave.ErrEnclaveLost under a fault plan)
+// aborts the pass: every shard unwinds at its next barrier, and the
+// returned error is a *ShardFault naming the culprit shard, so the serving
+// layer can trip that shard's breaker and recover it. A deadline-bounded
+// pass is Workspace.PredictContext.
 //
 // The breakdown's byte and call counts sum over shards; its modelled time
 // components follow the slowest shard, since the fleet runs them in
 // parallel. PeakEPCBytes is the busiest single enclave — each shard has
 // its own EPC.
-func (sv *ShardedVault) PredictIntoContext(ctx context.Context, x *mat.Matrix, ws *Workspace) ([]int, InferenceBreakdown, error) {
-	labels, _, bd, err := ws.predict(ctx, sv, x, false)
+func (sv *ShardedVault) PredictInto(x *mat.Matrix, ws *Workspace) ([]int, InferenceBreakdown, error) {
+	labels, _, bd, err := ws.predict(context.Background(), sv, x, false)
 	return labels, bd, err
 }
 
-// RecoverShard replaces shard s's lost enclave with a freshly
-// provisioned one and rejoins it to every given workspace: the shard's
-// CSR slab and the rectifier parameters are re-sealed into a new enclave
-// (same cost model and measurement as the original deploy), the fleet's
-// feature registration — with whatever its store already holds — is
-// carried onto it, the vault pointer is swapped atomically, and each
-// workspace rebuilds the shard's machine under its original plan config —
-// including the calibrated int8 scales, so the rebuilt shard quantizes on
-// the identical grid — and re-proves label agreement with the stored fp64
-// reference through a live fleet round.
-//
-// No pass may be in flight on any of the workspaces (the serving layer
-// quiesces first); RecoverShard refuses busy workspaces — and *claims*
-// each idle workspace's in-flight slot for the duration, so a pass
-// racing the recovery is refused by the same CAS rather than running
-// through a fleet whose machine is being swapped. On a mid-recovery
-// error the shard stays dead and the call can simply be retried.
-func (sv *ShardedVault) RecoverShard(s int, wss ...*Workspace) error {
+// RecoverShard replaces shard s's lost enclave with a freshly provisioned
+// one: the shard's CSR slab and the rectifier parameters are re-sealed into
+// a new enclave (same cost model and measurement as the original deploy),
+// the fleet's feature registration — with whatever its store already holds
+// — is carried onto it, and the vault pointer is swapped atomically. It
+// only re-provisions: every workspace planned before — full-graph or a
+// shard's subgraph plan — stays bound to the vaults it was planned against
+// and refuses passes once one of them is undeployed, so the caller
+// releases those workspaces (Release frees their EPC where it was charged)
+// and plans fresh ones, which calibrate and prove agreement like any plan.
+// On an error the shard stays dead and the call can simply be retried.
+func (sv *ShardedVault) RecoverShard(s int) error {
 	if s < 0 || s >= len(sv.vaults) {
 		return fmt.Errorf("core: recover shard %d of %d", s, len(sv.vaults))
-	}
-	claimed := make([]*Workspace, 0, len(wss))
-	defer func() {
-		for _, ws := range claimed {
-			ws.inflight.Store(false)
-		}
-	}()
-	for _, ws := range wss {
-		if ws.owner != fleetOwner(sv) {
-			return fmt.Errorf("core: recover shard %d: workspace planned for a different sharded vault", s)
-		}
-		if !ws.inflight.CompareAndSwap(false, true) {
-			return fmt.Errorf("core: recover shard %d: workspace has a pass in flight", s)
-		}
-		claimed = append(claimed, ws)
 	}
 	// The old enclave is gone with everything charged to it; Undeploy
 	// only keeps the vault's own books consistent.
@@ -269,41 +240,6 @@ func (sv *ShardedVault) RecoverShard(s int, wss ...*Workspace) error {
 	}
 	v.features.Store(sv.features.Load())
 	sv.vaults[s].Store(v)
-	for _, ws := range wss {
-		if err := ws.rejoinShard(s); err != nil {
-			return fmt.Errorf("core: rejoining shard %d: %w", s, err)
-		}
-	}
-	return nil
-}
-
-// rejoinShard rebuilds shard s's machine from the stored plan state,
-// swaps it into the fleet, charges the workspace EPC on the replacement
-// enclave, and — for reduced precision tiers — re-runs the calibration
-// agreement gate through a fleet round so the recovered shard is proven
-// bit-compatible before it serves.
-func (ws *Workspace) rejoinShard(s int) error {
-	m, err := ws.progs[s].NewMachine(ws.mcfgs[s])
-	if err != nil {
-		return fmt.Errorf("recompiling machine: %w", err)
-	}
-	v := ws.owner.part(s)
-	if err := v.Enclave.Alloc(ws.epc[s]); err != nil {
-		return fmt.Errorf("workspace does not fit replacement EPC: %w", err)
-	}
-	if err := ws.fleet.Replace(s, m); err != nil {
-		v.Enclave.Free(ws.epc[s])
-		return err
-	}
-	if ws.mcfgs[s].Elem != exec.F64 {
-		reg := ws.owner.reg()
-		if reg == nil {
-			return fmt.Errorf("reduced-precision plan lost its calibration batch")
-		}
-		if err := ws.agree(reg); err != nil {
-			return fmt.Errorf("recovered shard: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -326,7 +262,8 @@ func (sv *ShardedVault) RouteSeeds(seeds []int) (int, error) {
 // PredictNodesAt answers a node-level query on shard s's vault with no
 // deadline; see PredictNodesAtContext.
 func (sv *ShardedVault) PredictNodesAt(x *mat.Matrix, seeds []int, s int, ws *SubgraphWorkspace) ([]int, int64, InferenceBreakdown, error) {
-	return sv.PredictNodesAtContext(context.Background(), x, seeds, s, ws)
+	labels, _, halo, bd, err := sv.PredictNodesAtContext(context.Background(), x, seeds, s, ws, false)
+	return labels, halo, bd, err
 }
 
 // PredictNodesAtContext answers a node-level query on shard s's vault
@@ -335,13 +272,15 @@ func (sv *ShardedVault) PredictNodesAt(x *mat.Matrix, seeds []int, s int, ws *Su
 // by a peer shard models one OCALL from s's enclave — the sealed fetch
 // of that node's embedding row — and the fetched bytes are returned as
 // halo traffic for the caller's accounting. Labels alias ws, one per
-// seed. A cancelled or expired ctx fails the query before its ECALL; a
-// lost shard enclave fails it with enclave.ErrEnclaveLost (wrapped).
-func (sv *ShardedVault) PredictNodesAtContext(ctx context.Context, x *mat.Matrix, seeds []int, s int, ws *SubgraphWorkspace) ([]int, int64, InferenceBreakdown, error) {
+// seed; with wantScores so do the seeds' logit rows (see
+// Vault.PredictNodesIntoContext). A cancelled or expired ctx fails the
+// query before its ECALL; a lost shard enclave fails it with
+// enclave.ErrEnclaveLost (wrapped).
+func (sv *ShardedVault) PredictNodesAtContext(ctx context.Context, x *mat.Matrix, seeds []int, s int, ws *SubgraphWorkspace, wantScores bool) ([]int, *mat.Matrix, int64, InferenceBreakdown, error) {
 	v := sv.vaults[s].Load()
-	labels, bd, err := v.PredictNodesIntoContext(ctx, x, seeds, ws)
+	labels, scores, bd, err := v.PredictNodesIntoContext(ctx, x, seeds, ws, wantScores)
 	if err != nil {
-		return nil, 0, bd, err
+		return nil, nil, 0, bd, err
 	}
 	var haloBytes int64
 	for _, u := range ws.ExtractedNodes() {
@@ -350,5 +289,5 @@ func (sv *ShardedVault) PredictNodesAtContext(ctx context.Context, x *mat.Matrix
 			haloBytes += ws.payload
 		}
 	}
-	return labels, haloBytes, bd, nil
+	return labels, scores, haloBytes, bd, nil
 }

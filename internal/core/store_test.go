@@ -464,7 +464,7 @@ func TestRecoverShardCarriesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ws.Release()
+	defer func() { ws.Release() }()          // the last re-plan
 	base, _, err := sv.PredictInto(ds.X, ws) // fills the store
 	if err != nil {
 		t.Fatal(err)
@@ -477,8 +477,12 @@ func TestRecoverShardCarriesStore(t *testing.T) {
 		if _, _, err := sv.PredictInto(ds.X, ws); err == nil {
 			t.Fatalf("shard %d lost: pass succeeded", dead)
 		}
-		if err := sv.RecoverShard(dead, ws); err != nil {
+		if err := sv.RecoverShard(dead); err != nil {
 			t.Fatalf("RecoverShard(%d): %v", dead, err)
+		}
+		ws.Release()
+		if ws, err = sv.PlanSharded(ds.X.Rows, PlanConfig{Recorder: ring}); err != nil {
+			t.Fatalf("re-plan after recovering shard %d: %v", dead, err)
 		}
 		if sv.features.Load() != reg || sv.Shard(dead).features.Load() != reg {
 			t.Fatalf("recovering shard %d minted or dropped a registration", dead)

@@ -313,13 +313,14 @@ func (v *Vault) PredictNodesInto(x *mat.Matrix, seeds []int, ws *SubgraphWorkspa
 	return labels, bd, err
 }
 
-// PredictNodesIntoContext is PredictNodesInto with a deadline: a
-// cancelled or expired ctx fails the query at the next boundary — on
-// entry or just before the ECALL — with an error wrapping ctx.Err(),
-// so a query routed to a slow or dead shard never outlives its budget.
-func (v *Vault) PredictNodesIntoContext(ctx context.Context, x *mat.Matrix, seeds []int, ws *SubgraphWorkspace) ([]int, InferenceBreakdown, error) {
-	labels, _, bd, err := v.predictNodesInto(ctx, x, seeds, ws, false)
-	return labels, bd, err
+// PredictNodesIntoContext is the serving layer's node query:
+// PredictNodesScoresInto (wantScores) or PredictNodesInto with a
+// deadline — a cancelled or expired ctx fails the query at the next
+// boundary, on entry or just before the ECALL, with an error wrapping
+// ctx.Err(), so a query routed to a slow or dead shard never outlives its
+// budget.
+func (v *Vault) PredictNodesIntoContext(ctx context.Context, x *mat.Matrix, seeds []int, ws *SubgraphWorkspace, wantScores bool) ([]int, *mat.Matrix, InferenceBreakdown, error) {
+	return v.predictNodesInto(ctx, x, seeds, ws, wantScores)
 }
 
 // PredictNodesScoresInto is PredictNodesInto for deployments that expose

@@ -85,6 +85,23 @@ type Ledger struct {
 	AllocFailures int
 }
 
+// Add returns the sum of two enclaves' ledgers: every count and modelled
+// time summed, PeakEPCBytes the busier enclave's — each has its own EPC.
+func (l Ledger) Add(o Ledger) Ledger {
+	l.ECalls += o.ECalls
+	l.OCalls += o.OCalls
+	l.BytesIn += o.BytesIn
+	l.BytesOut += o.BytesOut
+	l.PageSwaps += o.PageSwaps
+	l.TransitionNs += o.TransitionNs
+	l.TransferNs += o.TransferNs
+	l.PagingNs += o.PagingNs
+	l.ComputeNs += o.ComputeNs
+	l.AllocFailures += o.AllocFailures
+	l.PeakEPCBytes = max(l.PeakEPCBytes, o.PeakEPCBytes)
+	return l
+}
+
 // TransferTime returns the total modelled boundary-crossing time.
 func (l Ledger) TransferTime() time.Duration {
 	return time.Duration(l.TransitionNs + l.TransferNs)

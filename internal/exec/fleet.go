@@ -146,14 +146,10 @@ func NewFleet(machines []*Machine) (*Fleet, error) {
 
 // validateFleetMachine checks machine m as shard s of the fleet: not yet
 // fleet-bound, free of attention ops unless it is the fleet's only
-// machine, same element type and op-kind sequence as shard 0 (or, when
-// validating a replacement for shard 0 itself, as another shard), and
-// every halo slot in range of its peer.
+// machine, same element type and op-kind sequence as shard 0, and every
+// halo slot in range of its peer.
 func validateFleetMachine(machines []*Machine, s int, m *Machine) error {
 	ref := machines[0]
-	if s == 0 && m != machines[0] {
-		ref = machines[len(machines)-1]
-	}
 	if m.peers != nil {
 		return fmt.Errorf("exec: shard %d machine already belongs to a fleet", s)
 	}
@@ -185,34 +181,6 @@ func validateFleetMachine(machines []*Machine, s int, m *Machine) error {
 			}
 		}
 	}
-	return nil
-}
-
-// Replace swaps a fresh machine in as shard s — the rejoin step of shard
-// recovery, after the shard's enclave was lost and re-provisioned. The
-// replacement must lower identically to its peers (same validation as
-// NewFleet) and match the old machine's height, since peer halo slots
-// address its rows. The peer table is shared, so every machine in the
-// fleet sees the replacement immediately; the caller must guarantee no
-// pass is in flight.
-func (f *Fleet) Replace(s int, m *Machine) error {
-	if s < 0 || s >= len(f.machines) {
-		return fmt.Errorf("exec: replace shard %d of %d", s, len(f.machines))
-	}
-	if m.peers != nil {
-		return fmt.Errorf("exec: replacement machine already belongs to a fleet")
-	}
-	if m.prog.MaxRows != f.machines[s].prog.MaxRows {
-		return fmt.Errorf("exec: replacement shard %d is %d rows, fleet expects %d", s, m.prog.MaxRows, f.machines[s].prog.MaxRows)
-	}
-	if err := validateFleetMachine(f.machines, s, m); err != nil {
-		return err
-	}
-	old := f.machines[s]
-	f.machines[s] = m // shared peer slice: visible to every machine
-	old.peers, old.sync = nil, nil
-	m.peers = f.machines
-	m.sync = f.bar.wait
 	return nil
 }
 

@@ -77,13 +77,16 @@ type ExtShardRow struct {
 // ExtShardFailure is the shards=4 row's injected-failure leg: one
 // enclave of the fleet is marked lost mid-serving, node-query
 // throughput is measured while the fleet runs degraded, then the
-// shard's re-provision + re-seal + rejoin is timed and the recovered
+// shard's re-provision + re-seal + re-plan is timed and the recovered
 // fleet is required to reproduce the pre-fault full-graph labels.
 type ExtShardFailure struct {
 	KilledShard int `json:"killed_shard"`
-	// RecoveryMS is the wall time of RecoverShard: provisioning a fresh
-	// enclave, re-sealing the shard's CSR slice and models, rejoining
-	// the halo topology and re-proving fleet agreement.
+	// RecoveryMS is the wall time until the fleet serves again:
+	// RecoverShard — provisioning a fresh enclave, re-sealing the shard's
+	// CSR slice and models — plus the first re-plan of the full-graph
+	// workspace, which recompiles the halo topology and re-proves fleet
+	// agreement. Re-provisioning alone would leave the fleet without a
+	// workspace to serve from.
 	RecoveryMS float64 `json:"recovery_ms"`
 	// HealthyNodesPerSec and DegradedNodesPerSec are seed nodes
 	// labelled per wall second by a round-robin node-query stream over
@@ -150,7 +153,8 @@ func ExtShard(opts Options) ([]ExtShardRow, string) {
 			panic(fmt.Sprintf("experiments: ExtShard deploy n=%d shards=%d: %v", n, shards, err))
 		}
 		mode := "untiled"
-		ws, err := sv.PlanSharded(sv.Nodes(), core.PlanConfig{})
+		var pcfg core.PlanConfig
+		ws, err := sv.PlanSharded(sv.Nodes(), pcfg)
 		if errors.Is(err, enclave.ErrEPCExhausted) {
 			// The fixed budget cannot hold this shard count's untiled
 			// workspace: re-plan tiled against the tightest shard's free
@@ -162,7 +166,8 @@ func ExtShard(opts Options) ([]ExtShardRow, string) {
 				}
 			}
 			mode = "tiled"
-			ws, err = sv.PlanSharded(sv.Nodes(), core.PlanConfig{EPCBudgetBytes: free})
+			pcfg.EPCBudgetBytes = free
+			ws, err = sv.PlanSharded(sv.Nodes(), pcfg)
 		}
 		if err != nil {
 			panic(fmt.Sprintf("experiments: ExtShard plan n=%d shards=%d: %v", n, shards, err))
@@ -214,7 +219,7 @@ func ExtShard(opts Options) ([]ExtShardRow, string) {
 			MaxAdmissibleNodes: int(budget / perNode),
 		}
 		if shards == 4 {
-			r.Failure = extShardFailureLeg(sv, ds, ws)
+			r.Failure, ws = extShardFailureLeg(sv, ds, ws, pcfg)
 		}
 		rows = append(rows, r)
 		cells = append(cells, []string{
@@ -243,9 +248,11 @@ func ExtShard(opts Options) ([]ExtShardRow, string) {
 // fleet: a round-robin node-query stream prices the fleet's healthy
 // capacity, one shard's enclave is marked lost and the stream re-run to
 // price graceful degradation (dead-shard queries fail fast, the
-// survivors keep answering), then RecoverShard is timed and the
-// recovered fleet must reproduce the pre-fault full-graph labels.
-func extShardFailureLeg(sv *core.ShardedVault, ds *datasets.Dataset, ws *core.ShardedWorkspace) *ExtShardFailure {
+// survivors keep answering), then RecoverShard and the re-plan of ws under
+// cfg are timed and the recovered fleet must reproduce the pre-fault
+// full-graph labels. It returns the re-planned workspace, which replaces ws
+// for the caller to release.
+func extShardFailureLeg(sv *core.ShardedVault, ds *datasets.Dataset, ws *core.ShardedWorkspace, cfg core.PlanConfig) (*ExtShardFailure, *core.ShardedWorkspace) {
 	baseline, _, err := sv.PredictInto(ds.X, ws)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: ExtShard failure-leg baseline: %v", err))
@@ -309,8 +316,12 @@ func extShardFailureLeg(sv *core.ShardedVault, ds *datasets.Dataset, ws *core.Sh
 	degraded := stream(killed)
 
 	recStart := time.Now()
-	if err := sv.RecoverShard(killed, ws); err != nil {
+	if err := sv.RecoverShard(killed); err != nil {
 		panic(fmt.Sprintf("experiments: ExtShard failure-leg recover: %v", err))
+	}
+	ws.Release()
+	if ws, err = sv.PlanSharded(sv.Nodes(), cfg); err != nil {
+		panic(fmt.Sprintf("experiments: ExtShard failure-leg re-plan: %v", err))
 	}
 	recovery := time.Since(recStart)
 	// The killed shard's subgraph workspace died with its enclave;
@@ -336,5 +347,5 @@ func extShardFailureLeg(sv *core.ShardedVault, ds *datasets.Dataset, ws *core.Sh
 		HealthyNodesPerSec:    healthy,
 		DegradedNodesPerSec:   degraded,
 		RecoveredBitIdentical: identical,
-	}
+	}, ws
 }

@@ -19,13 +19,24 @@
 // workspaces, and fails only when no admission order could ever fit the
 // request. See DESIGN.md ("Multi-vault registry and EPC scheduling") for
 // the eviction policy and the accounting invariants the tests enforce.
+//
+// A shard fleet (core.ShardedVault, RegisterFleet) is one more entry: its
+// full-graph workspaces span every shard enclave and its node-query pool is
+// kept per part, each part's workspaces planned against that shard's vault.
+// A fleet plans into its own enclaves, so it never evicts, and is never
+// evicted for, the vaults of the registry's enclave; only its own
+// checkouts can make room for it. A part whose enclave
+// was lost is recovered through the same free lists (RecoverPart): drain,
+// re-provision, drop the stale cache, plan afresh on the next Acquire.
 package registry
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"gnnvault/internal/core"
 	"gnnvault/internal/enclave"
@@ -45,6 +56,19 @@ var ErrUnknownVault = errors.New("registry: unknown vault")
 // EnableNodeQueries (no feature matrix to gather from).
 var ErrNodeQueriesDisabled = errors.New("registry: node queries not enabled")
 
+// NodeQueryRangeError refuses a NodeQueryConfig field below zero — which
+// WithDefaults would otherwise have to reinterpret — naming the field.
+// EnableNodeQueries and RegisterFleet return it.
+type NodeQueryRangeError struct {
+	Field string
+	Value int
+}
+
+// Error names the field and its value.
+func (e *NodeQueryRangeError) Error() string {
+	return fmt.Sprintf("registry: negative NodeQueryConfig.%s %d", e.Field, e.Value)
+}
+
 // NodeQueryConfig fixes the subgraph sampling geometry for the
 // registry's node-level serving path. Subgraph workspaces are planned
 // (and evicted) by the same scheduler as full-graph workspaces, but their
@@ -52,32 +76,42 @@ var ErrNodeQueriesDisabled = errors.New("registry: node queries not enabled")
 // size — a vault whose full-graph plan can never be admitted may still
 // serve node queries.
 type NodeQueryConfig struct {
-	// Hops is the neighborhood expansion depth L. Default 2.
+	// Hops is the neighborhood expansion depth L; 0 means the default, 2.
 	Hops int
-	// Fanout caps sampled neighbours per node per hop; 0 = unlimited
-	// (exact L-hop, worst-case O(graph)). Default 10.
+	// Fanout caps sampled neighbours per node per hop; 0 means unlimited
+	// (exact L-hop, worst-case O(graph)).
 	Fanout int
-	// MaxSeeds bounds the seed nodes one coalesced extraction serves.
-	// Default 16.
+	// MaxSeeds bounds the seed nodes one coalesced extraction serves; 0
+	// means the default, 16.
 	MaxSeeds int
 	// Seed drives the deterministic sampler.
 	Seed uint64
 }
 
-// WithDefaults returns the config with unset fields replaced by the
-// documented defaults (hops 2, fanout 10, 16 seeds). Exported so the
-// sharded front-end (serve.NewSharded) shares one default table.
+// WithDefaults returns the config with its zero Hops and MaxSeeds replaced
+// by the documented defaults (hops 2, 16 seeds); a zero Fanout stays
+// unlimited. Negative fields are left as they are, for check to refuse.
 func (c NodeQueryConfig) WithDefaults() NodeQueryConfig {
-	if c.Hops <= 0 {
+	if c.Hops == 0 {
 		c.Hops = 2
 	}
-	if c.Fanout < 0 {
-		c.Fanout = 10
-	}
-	if c.MaxSeeds <= 0 {
+	if c.MaxSeeds == 0 {
 		c.MaxSeeds = 16
 	}
 	return c
+}
+
+// check refuses a negative field with a *NodeQueryRangeError.
+func (c NodeQueryConfig) check() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Hops", c.Hops}, {"Fanout", c.Fanout}, {"MaxSeeds", c.MaxSeeds}} {
+		if f.v < 0 {
+			return &NodeQueryRangeError{Field: f.name, Value: f.v}
+		}
+	}
+	return nil
 }
 
 // Subgraph returns the sampling geometry as a subgraph.Config.
@@ -133,21 +167,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one registered vault's residency state.
+// entry is one registered vault's — or shard fleet's — residency state.
 type entry struct {
 	id    string
-	vault *core.Vault
+	vault *core.Vault        // a vault entry's vault; nil for a fleet
+	fleet *core.ShardedVault // a fleet entry's fleet; nil for a vault
 
 	free  []*core.Workspace // planned, idle workspaces (cap fixed at Register)
 	inUse int               // workspaces currently checked out via Acquire
 
-	// Node-query pool: the subgraph-plan mirror of free/inUse, populated
-	// only after EnableNodeQueries. x is the vault's public feature
-	// matrix, handed out with every subgraph checkout.
+	// Node-query pools, the subgraph-plan mirror of free/inUse: one per
+	// part — a vault has one, a fleet one per shard — populated only after
+	// EnableNodeQueries. x is the public feature matrix, handed out with
+	// every subgraph checkout.
 	x           *mat.Matrix
-	freeSub     []*core.SubgraphWorkspace
-	inUseSub    int
+	parts       []part
 	nodeQueries uint64
+
+	// recovering counts the parts RecoverPart is re-provisioning; the
+	// full-graph pool, whose workspaces span every part, is closed to
+	// checkouts while it is non-zero.
+	recovering int
 
 	// wsBytes and subBytes are the EPC the vault's last admitted workspace
 	// of each pool charged (0 before the first): what the next plan of
@@ -155,22 +195,66 @@ type entry struct {
 	// before building anything.
 	wsBytes, subBytes int64
 
+	// A fleet's enclaves get EPC back only when the registry releases the
+	// entry's cached workspaces, which — a fleet is never evicted — only
+	// RecoverPart does while it is registered; recoveries counts those.
+	// refused is recoveries+1 when the full-graph pool's last plan was
+	// refused for EPC (0 otherwise): until the count moves, the same plan
+	// would be built and refused again.
+	recoveries, refused uint64
+
 	lastServed uint64 // registry clock at the vault's last acquire/release
 	requests   uint64
 	plans      uint64
 	evictions  uint64
 }
 
+// part is one part's node-query pool.
+type part struct {
+	free       []*core.SubgraphWorkspace // planned, idle subgraph workspaces
+	inUse      int                       // checked out via AcquireSubgraphPart
+	recovering bool                      // RecoverPart holds the pool closed
+	refused    uint64                    // entry.refused for this pool
+}
+
+// nodes returns the entry's deployed graph size.
+func (e *entry) nodes() int {
+	if e.fleet != nil {
+		return e.fleet.Nodes()
+	}
+	return e.vault.Nodes()
+}
+
+// partVault returns part p's current vault: a shard's, or the vault itself.
+func (e *entry) partVault(p int) *core.Vault {
+	if e.fleet != nil {
+		return e.fleet.Shard(p)
+	}
+	return e.vault
+}
+
+// subCounts returns the node-query workspaces checked out and cached,
+// summed over parts.
+func (e *entry) subCounts() (inUse, cached int) {
+	for i := range e.parts {
+		inUse += e.parts[i].inUse
+		cached += len(e.parts[i].free)
+	}
+	return inUse, cached
+}
+
 // resident reports whether the vault holds any workspace EPC (of either
 // kind).
 func (e *entry) resident() bool {
-	return e.inUse > 0 || len(e.free) > 0 || e.inUseSub > 0 || len(e.freeSub) > 0
+	inUse, cached := e.subCounts()
+	return e.inUse > 0 || len(e.free) > 0 || inUse > 0 || cached > 0
 }
 
 // idle reports whether the vault holds cached EPC with nothing checked
 // out — the eviction candidates.
 func (e *entry) idle() bool {
-	return e.inUse == 0 && e.inUseSub == 0 && (len(e.free) > 0 || len(e.freeSub) > 0)
+	inUse, cached := e.subCounts()
+	return e.inUse == 0 && inUse == 0 && (len(e.free) > 0 || cached > 0)
 }
 
 // Registry schedules per-vault inference workspaces for a fleet of vaults
@@ -187,6 +271,11 @@ type Registry struct {
 	inUse  int    // workspaces checked out across all vaults
 	closed bool
 
+	// fleets maps each fleet entry's ID to its fleet. It is copied on
+	// every change, so Fleet — on the serving path of every node query —
+	// reads it without the mutex.
+	fleets atomic.Pointer[map[string]*core.ShardedVault]
+
 	plans     uint64
 	evictions uint64
 	requests  uint64
@@ -194,7 +283,9 @@ type Registry struct {
 
 // New creates an empty registry over the shared enclave. The enclave is
 // typically created with enclave.New over every hosted rectifier's
-// Identity, then populated via core.DeployInto and Register.
+// Identity, then populated via core.DeployInto and Register. A registry
+// that only holds shard fleets, which bring their own enclaves, may be
+// created over a nil enclave.
 func New(encl *enclave.Enclave, cfg Config) *Registry {
 	r := &Registry{
 		encl:   encl,
@@ -214,19 +305,55 @@ func (r *Registry) Register(id string, v *core.Vault) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.addLocked(&entry{id: id, vault: v, parts: make([]part, 1)})
+}
+
+// RegisterFleet adds a deployed shard fleet under id, as one entry: its
+// full-graph workspaces come from core.ShardedVault.PlanSharded, charged
+// on every shard enclave, and its node-query pool is kept per shard
+// (AcquireSubgraphPart). Fails with a *NodeQueryRangeError when the
+// registry's NodeQuery config has a negative field.
+func (r *Registry) RegisterFleet(id string, sv *core.ShardedVault) error {
+	if nq := r.cfg.NodeQuery; nq != nil {
+		if err := nq.check(); err != nil {
+			return err
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.addLocked(&entry{id: id, fleet: sv, parts: make([]part, sv.Shards())})
+}
+
+// addLocked registers e under its ID.
+func (r *Registry) addLocked(e *entry) error {
 	if r.closed {
 		return ErrClosed
 	}
-	if _, dup := r.vaults[id]; dup {
-		return fmt.Errorf("registry: vault %q already registered", id)
+	if _, dup := r.vaults[e.id]; dup {
+		return fmt.Errorf("registry: vault %q already registered", e.id)
 	}
-	r.vaults[id] = &entry{
-		id:    id,
-		vault: v,
-		// Fixed capacity so the hot-path Release append never allocates.
-		free: make([]*core.Workspace, 0, r.cfg.WorkspacesPerVault),
+	// Fixed capacity so the hot-path Release append never allocates.
+	e.free = make([]*core.Workspace, 0, r.cfg.WorkspacesPerVault)
+	r.vaults[e.id] = e
+	if e.fleet != nil {
+		r.publishFleetLocked(e.id, e.fleet)
 	}
 	return nil
+}
+
+// publishFleetLocked replaces the fleets map with a copy mapping id to sv,
+// or without id when sv is nil.
+func (r *Registry) publishFleetLocked(id string, sv *core.ShardedVault) {
+	m := map[string]*core.ShardedVault{}
+	if old := r.fleets.Load(); old != nil {
+		maps.Copy(m, *old)
+	}
+	if sv != nil {
+		m[id] = sv
+	} else {
+		delete(m, id)
+	}
+	r.fleets.Store(&m)
 }
 
 // Remove releases the vault's cached workspaces (without counting them as
@@ -241,11 +368,14 @@ func (r *Registry) Remove(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownVault, id)
 	}
-	if e.inUse > 0 || e.inUseSub > 0 {
-		return fmt.Errorf("registry: vault %q has %d workspaces in use", id, e.inUse+e.inUseSub)
+	if inUse, _ := e.subCounts(); e.inUse > 0 || inUse > 0 {
+		return fmt.Errorf("registry: vault %q has %d workspaces in use", id, e.inUse+inUse)
 	}
 	r.releaseAllLocked(e) // administrative removal, not EPC pressure
 	delete(r.vaults, id)
+	if e.fleet != nil {
+		r.publishFleetLocked(id, nil)
+	}
 	r.cond.Broadcast() // freed EPC may admit a waiting Acquire
 	return nil
 }
@@ -262,7 +392,7 @@ func (r *Registry) IDs() []string {
 	return ids
 }
 
-// Vault returns the registered vault for id, or nil.
+// Vault returns the registered vault for id, or nil (also for a fleet).
 func (r *Registry) Vault(id string) *core.Vault {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -272,10 +402,21 @@ func (r *Registry) Vault(id string) *core.Vault {
 	return nil
 }
 
-// EnableNodeQueries registers the vault's public feature matrix and opens
-// the node-level serving path for it: subsequent AcquireSubgraph calls may
-// plan subgraph workspaces against the registry's NodeQuery geometry. The
-// registry itself must have been created with Config.NodeQuery set.
+// Fleet returns the shard fleet registered under id, or nil. It takes no
+// lock.
+func (r *Registry) Fleet(id string) *core.ShardedVault {
+	if m := r.fleets.Load(); m != nil {
+		return (*m)[id]
+	}
+	return nil
+}
+
+// EnableNodeQueries registers the vault's (or fleet's) public feature
+// matrix and opens the node-level serving path for it: subsequent
+// AcquireSubgraph calls may plan subgraph workspaces against the
+// registry's NodeQuery geometry. The registry itself must have been
+// created with Config.NodeQuery set, without a negative field (else a
+// *NodeQueryRangeError).
 func (r *Registry) EnableNodeQueries(id string, x *mat.Matrix) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -285,16 +426,21 @@ func (r *Registry) EnableNodeQueries(id string, x *mat.Matrix) error {
 	if r.cfg.NodeQuery == nil {
 		return fmt.Errorf("%w: registry has no NodeQuery config", ErrNodeQueriesDisabled)
 	}
+	if err := r.cfg.NodeQuery.check(); err != nil {
+		return err
+	}
 	e, ok := r.vaults[id]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownVault, id)
 	}
-	if x == nil || x.Rows != e.vault.Nodes() {
-		return fmt.Errorf("registry: vault %q features must cover %d nodes", id, e.vault.Nodes())
+	if x == nil || x.Rows != e.nodes() {
+		return fmt.Errorf("registry: vault %q features must cover %d nodes", id, e.nodes())
 	}
 	e.x = x
-	if e.freeSub == nil {
-		e.freeSub = make([]*core.SubgraphWorkspace, 0, r.cfg.WorkspacesPerVault)
+	for i := range e.parts {
+		if e.parts[i].free == nil {
+			e.parts[i].free = make([]*core.SubgraphWorkspace, 0, r.cfg.WorkspacesPerVault)
+		}
 	}
 	return nil
 }
@@ -309,8 +455,13 @@ func (r *Registry) EnableNodeQueries(id string, x *mat.Matrix) error {
 // If the vault is at its workspace cap, or the EPC cannot admit the plan
 // while other requests hold workspaces, Acquire blocks until a Release or
 // Remove changes the picture. It fails with enclave.ErrEPCExhausted
-// (wrapped) only when nothing is checked out anywhere and no eviction
-// could make the plan fit — the request is simply too big for the device.
+// (wrapped) only when nothing is checked out anywhere — for a fleet,
+// nothing of its own — and no eviction could make the plan fit: the
+// request is simply too big for the device.
+//
+// A fleet entry's workspace comes back with a nil vault: it is served
+// through core.Workspace.PredictContext. While RecoverPart is recovering
+// one of a fleet's parts, Acquire for that fleet waits for it.
 //
 // Every successful Acquire must be paired with Release.
 func (r *Registry) Acquire(id string) (*core.Vault, *core.Workspace, error) {
@@ -323,6 +474,10 @@ func (r *Registry) Acquire(id string) (*core.Vault, *core.Workspace, error) {
 		e, ok := r.vaults[id]
 		if !ok {
 			return nil, nil, fmt.Errorf("%w: %q", ErrUnknownVault, id)
+		}
+		if e.recovering > 0 {
+			r.cond.Wait()
+			continue
 		}
 		if n := len(e.free); n > 0 {
 			ws := e.free[n-1]
@@ -339,7 +494,7 @@ func (r *Registry) Acquire(id string) (*core.Vault, *core.Workspace, error) {
 			if !errors.Is(err, enclave.ErrEPCExhausted) {
 				return nil, nil, err
 			}
-			if r.inUse == 0 {
+			if r.holdersLocked(e) == 0 {
 				// Nothing left to wait for: every workspace is evicted and
 				// the plan still does not fit.
 				return nil, nil, fmt.Errorf("registry: vault %q cannot be admitted: %w", id, err)
@@ -364,6 +519,14 @@ func (r *Registry) Acquire(id string) (*core.Vault, *core.Workspace, error) {
 // has a NodeQuery config and the vault called EnableNodeQueries. Every
 // successful call must be paired with ReleaseSubgraph.
 func (r *Registry) AcquireSubgraph(id string) (*core.Vault, *core.SubgraphWorkspace, *mat.Matrix, error) {
+	return r.AcquireSubgraphPart(id, 0)
+}
+
+// AcquireSubgraphPart is AcquireSubgraph from part p's pool: for a fleet,
+// a workspace planned against shard p's vault, which comes back with it;
+// a vault has only part 0. While RecoverPart is recovering part p it
+// waits. Every successful call must be paired with ReleaseSubgraphPart.
+func (r *Registry) AcquireSubgraphPart(id string, p int) (*core.Vault, *core.SubgraphWorkspace, *mat.Matrix, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -377,27 +540,87 @@ func (r *Registry) AcquireSubgraph(id string) (*core.Vault, *core.SubgraphWorksp
 		if r.cfg.NodeQuery == nil || e.x == nil {
 			return nil, nil, nil, fmt.Errorf("%w: vault %q", ErrNodeQueriesDisabled, id)
 		}
-		if n := len(e.freeSub); n > 0 {
-			ws := e.freeSub[n-1]
-			e.freeSub = e.freeSub[:n-1]
-			r.checkoutSubLocked(e)
-			return e.vault, ws, e.x, nil
+		if p < 0 || p >= len(e.parts) {
+			return nil, nil, nil, fmt.Errorf("registry: vault %q has no part %d", id, p)
 		}
-		if e.inUseSub < r.cfg.WorkspacesPerVault {
-			ws, err := r.planSubLocked(e)
+		pt := &e.parts[p]
+		if pt.recovering {
+			r.cond.Wait()
+			continue
+		}
+		if n := len(pt.free); n > 0 {
+			ws := pt.free[n-1]
+			pt.free = pt.free[:n-1]
+			r.checkoutSubLocked(e, pt)
+			return e.partVault(p), ws, e.x, nil
+		}
+		if pt.inUse < r.cfg.WorkspacesPerVault {
+			ws, err := r.planSubLocked(e, p)
 			if err == nil {
-				r.checkoutSubLocked(e)
-				return e.vault, ws, e.x, nil
+				r.checkoutSubLocked(e, pt)
+				return e.partVault(p), ws, e.x, nil
 			}
 			if !errors.Is(err, enclave.ErrEPCExhausted) {
 				return nil, nil, nil, err
 			}
-			if r.inUse == 0 {
+			if r.holdersLocked(e) == 0 {
 				return nil, nil, nil, fmt.Errorf("registry: vault %q node-query plan cannot be admitted: %w", id, err)
 			}
 		}
 		r.cond.Wait()
 	}
+}
+
+// holdersLocked counts the checkouts whose release could make room for a
+// plan of e: every checkout for a vault, and for a fleet, whose enclaves
+// no other entry shares, only its own.
+func (r *Registry) holdersLocked(e *entry) int {
+	if e.fleet == nil {
+		return r.inUse
+	}
+	inUse, _ := e.subCounts()
+	return e.inUse + inUse
+}
+
+// Warm plans workspaces into the free lists of the entry registered under
+// id until each of its pools — the full-graph pool, and every part's
+// node-query pool once EnableNodeQueries ran — holds n (at most
+// WorkspacesPerVault), so the first requests are served hot. Unlike
+// Acquire it never waits for a release: a plan the EPC cannot admit fails
+// Warm with enclave.ErrEPCExhausted (wrapped), and the workspaces planned
+// before it stay cached.
+func (r *Registry) Warm(id string, n int) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	defer r.cond.Broadcast() // waiters may take what was planned
+	e, ok := r.vaults[id]
+	switch {
+	case r.closed:
+		return ErrClosed
+	case !ok:
+		return fmt.Errorf("%w: %q", ErrUnknownVault, id)
+	case e.recovering > 0:
+		return fmt.Errorf("registry: %q is recovering a part", id)
+	}
+	n = min(n, r.cfg.WorkspacesPerVault)
+	for i := e.inUse + len(e.free); i < n; i++ {
+		ws, err := r.planLocked(e)
+		if err != nil {
+			return fmt.Errorf("registry: warming %q: full-graph workspace %d/%d: %w", id, i+1, n, err)
+		}
+		e.free = append(e.free, ws)
+	}
+	for p := range e.parts {
+		pt := &e.parts[p]
+		for i := pt.inUse + len(pt.free); e.x != nil && i < n; i++ {
+			ws, err := r.planSubLocked(e, p)
+			if err != nil {
+				return fmt.Errorf("registry: warming %q: part %d node-query workspace %d/%d: %w", id, p, i+1, n, err)
+			}
+			pt.free = append(pt.free, ws)
+		}
+	}
+	return nil
 }
 
 // checkoutLocked records one workspace handed to a caller.
@@ -410,9 +633,9 @@ func (r *Registry) checkoutLocked(e *entry) {
 	e.lastServed = r.clock
 }
 
-// checkoutSubLocked records one subgraph workspace handed to a caller.
-func (r *Registry) checkoutSubLocked(e *entry) {
-	e.inUseSub++
+// checkoutSubLocked records one subgraph workspace of pt handed to a caller.
+func (r *Registry) checkoutSubLocked(e *entry, pt *part) {
+	pt.inUse++
 	r.inUse++
 	e.requests++
 	e.nodeQueries++
@@ -427,9 +650,14 @@ func (r *Registry) checkoutSubLocked(e *entry) {
 // requests cannot both out-evict each other.
 func (r *Registry) planLocked(e *entry) (*core.Workspace, error) {
 	var ws *core.Workspace
-	err := r.admitLocked(e, &e.wsBytes, func() (int64, error) {
+	err := r.admitLocked(e, &e.wsBytes, &e.refused, func() (int64, error) {
 		var err error
-		if ws, err = e.vault.PlanWith(e.vault.Nodes(), r.cfg.Plan); err != nil {
+		if e.fleet != nil {
+			ws, err = e.fleet.PlanSharded(e.fleet.Nodes(), r.cfg.Plan)
+		} else {
+			ws, err = e.vault.PlanWith(e.vault.Nodes(), r.cfg.Plan)
+		}
+		if err != nil {
 			return 0, err
 		}
 		return ws.EnclaveBytes(), nil
@@ -437,13 +665,13 @@ func (r *Registry) planLocked(e *entry) (*core.Workspace, error) {
 	return ws, err
 }
 
-// planSubLocked is planLocked for the node-query pool.
-func (r *Registry) planSubLocked(e *entry) (*core.SubgraphWorkspace, error) {
+// planSubLocked is planLocked for part p's node-query pool.
+func (r *Registry) planSubLocked(e *entry, p int) (*core.SubgraphWorkspace, error) {
 	nq := r.cfg.NodeQuery
 	var ws *core.SubgraphWorkspace
-	err := r.admitLocked(e, &e.subBytes, func() (int64, error) {
+	err := r.admitLocked(e, &e.subBytes, &e.parts[p].refused, func() (int64, error) {
 		var err error
-		if ws, err = e.vault.PlanSubgraphWith(nq.MaxSeeds, nq.Subgraph(), r.cfg.Plan); err != nil {
+		if ws, err = e.partVault(p).PlanSubgraphWith(nq.MaxSeeds, nq.Subgraph(), r.cfg.Plan); err != nil {
 			return 0, err
 		}
 		return ws.EnclaveBytes(), nil
@@ -464,9 +692,16 @@ func (r *Registry) planSubLocked(e *entry) (*core.SubgraphWorkspace, error) {
 // expensive part. With nothing checked out the attempt is made whatever
 // *known says, so the first plan, a size that shrank and the "cannot be
 // admitted" error all still come from the enclave. The retry loop covers
-// the first plan and a size that grew.
-func (r *Registry) admitLocked(e *entry, known *int64, plan func() (int64, error)) error {
-	for *known > 0 && r.encl.EPCFree() < *known {
+// the first plan and a size that grew. A fleet plans into its own
+// enclaves, which no victim shares: the plan alone admits or refuses it,
+// and once refused (*refused, see entry) it is not built again while the
+// fleet's own checkouts are out and no recovery has freed its EPC — the
+// caller waits for one of those checkouts instead.
+func (r *Registry) admitLocked(e *entry, known *int64, refused *uint64, plan func() (int64, error)) error {
+	if e.fleet != nil && *refused == e.recoveries+1 && r.holdersLocked(e) > 0 {
+		return fmt.Errorf("registry: fleet %q: its enclaves refused this plan and nothing has freed their EPC since: %w", e.id, enclave.ErrEPCExhausted)
+	}
+	for e.fleet == nil && *known > 0 && r.encl.EPCFree() < *known {
 		victim := r.lruIdleLocked(e)
 		if victim == nil {
 			if r.inUse > 0 {
@@ -484,7 +719,7 @@ func (r *Registry) admitLocked(e *entry, known *int64, plan func() (int64, error
 		}
 		bytes, err := plan()
 		if err == nil {
-			*known = bytes
+			*known, *refused = bytes, 0
 			e.plans++
 			r.plans++
 			if rec.Enabled() {
@@ -497,6 +732,7 @@ func (r *Registry) admitLocked(e *entry, known *int64, plan func() (int64, error
 		}
 		victim := r.lruIdleLocked(e)
 		if victim == nil {
+			*refused = e.recoveries + 1
 			return err
 		}
 		r.evictLocked(victim)
@@ -506,11 +742,15 @@ func (r *Registry) admitLocked(e *entry, known *int64, plan func() (int64, error
 // lruIdleLocked returns the least-recently-served vault that holds
 // workspace EPC but has none checked out (evicting a busy vault would pull
 // buffers out from under a running inference), or nil. The requesting
-// vault's own cache is never a victim.
+// vault's own cache is never a victim, and fleets — whose EPC is their own
+// enclaves' — are neither victims nor evict any.
 func (r *Registry) lruIdleLocked(requester *entry) *entry {
+	if requester.fleet != nil {
+		return nil
+	}
 	var victim *entry
 	for _, e := range r.vaults {
-		if e == requester || !e.idle() {
+		if e == requester || e.fleet != nil || !e.idle() {
 			continue
 		}
 		if victim == nil || e.lastServed < victim.lastServed {
@@ -523,13 +763,14 @@ func (r *Registry) lruIdleLocked(requester *entry) *entry {
 // evictLocked releases every cached workspace of e (both pools) to make
 // room for another vault, counting each as an eviction.
 func (r *Registry) evictLocked(e *entry) {
-	n := uint64(len(e.free) + len(e.freeSub))
+	_, cached := e.subCounts()
+	n := uint64(len(e.free) + cached)
 	if rec := r.cfg.Recorder; rec.Enabled() {
 		var bytes int64
 		for _, ws := range e.free {
 			bytes += ws.EnclaveBytes()
 		}
-		for _, ws := range e.freeSub {
+		for _, ws := range e.parts[0].free { // a vault's only part
 			bytes += ws.EnclaveBytes()
 		}
 		rec.Record(obs.Span{Kind: obs.SpanEvict, Rows: int32(n), Bytes: bytes, Start: rec.Clock()})
@@ -543,14 +784,26 @@ func (r *Registry) evictLocked(e *entry) {
 // enclave without touching the eviction counters — for administrative
 // paths (Remove, Close) that are not EPC pressure.
 func (r *Registry) releaseAllLocked(e *entry) {
+	releaseFull(e)
+	for p := range e.parts {
+		releasePart(&e.parts[p])
+	}
+}
+
+// releaseFull returns e's cached full-graph workspaces' EPC.
+func releaseFull(e *entry) {
 	for _, ws := range e.free {
 		ws.Release()
 	}
 	e.free = e.free[:0]
-	for _, ws := range e.freeSub {
+}
+
+// releasePart returns pt's cached subgraph workspaces' EPC.
+func releasePart(pt *part) {
+	for _, ws := range pt.free {
 		ws.Release()
 	}
-	e.freeSub = e.freeSub[:0]
+	pt.free = pt.free[:0]
 }
 
 // Release returns a workspace checked out by Acquire to the vault's free
@@ -580,13 +833,20 @@ func (r *Registry) Release(id string, ws *core.Workspace) {
 // the vault's node-query free list and refreshes its last-served time.
 // Never allocates.
 func (r *Registry) ReleaseSubgraph(id string, ws *core.SubgraphWorkspace) {
+	r.ReleaseSubgraphPart(id, 0, ws)
+}
+
+// ReleaseSubgraphPart returns a workspace checked out by
+// AcquireSubgraphPart to part p's free list. Never allocates.
+func (r *Registry) ReleaseSubgraphPart(id string, p int, ws *core.SubgraphWorkspace) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.vaults[id]
-	if !ok || e.inUseSub <= 0 {
-		panic(fmt.Sprintf("registry: subgraph release of %q without matching acquire", id))
+	if !ok || p < 0 || p >= len(e.parts) || e.parts[p].inUse <= 0 {
+		panic(fmt.Sprintf("registry: subgraph release of %q part %d without matching acquire", id, p))
 	}
-	e.inUseSub--
+	pt := &e.parts[p]
+	pt.inUse--
 	r.inUse--
 	r.clock++
 	e.lastServed = r.clock
@@ -596,8 +856,53 @@ func (r *Registry) ReleaseSubgraph(id string, ws *core.SubgraphWorkspace) {
 		r.cond.Broadcast()
 		return
 	}
-	e.freeSub = append(e.freeSub, ws)
+	pt.free = append(pt.free, ws)
 	r.cond.Broadcast()
+}
+
+// RecoverPart brings part p of the fleet registered under id back after
+// its enclave was lost, as the registry's own eviction: it closes the
+// fleet's full-graph pool and part p's node-query pool to checkouts, waits
+// until every checkout of them has been released, re-provisions the part
+// (core.ShardedVault.RecoverShard), then releases what the entry cached of
+// those pools — without counting evictions, since recovery is not EPC
+// pressure — so the next Acquire plans afresh against the recovered
+// fleet. The other parts' node queries keep being served throughout. On an
+// error the part stays dead and the call can be retried.
+func (r *Registry) RecoverPart(id string, p int) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e, ok := r.vaults[id]
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: %q", ErrUnknownVault, id)
+	case e.fleet == nil:
+		return fmt.Errorf("registry: %q is not a fleet", id)
+	case p < 0 || p >= len(e.parts):
+		return fmt.Errorf("registry: fleet %q has no part %d", id, p)
+	case e.parts[p].recovering:
+		return fmt.Errorf("registry: fleet %q part %d is already recovering", id, p)
+	}
+	pt := &e.parts[p]
+	pt.recovering = true
+	e.recovering++
+	defer func() {
+		pt.recovering = false
+		e.recovering--
+		r.cond.Broadcast()
+	}()
+	for e.inUse > 0 || pt.inUse > 0 {
+		r.cond.Wait()
+	}
+	r.mu.Unlock()
+	err := e.fleet.RecoverShard(p)
+	r.mu.Lock()
+	// Planned against the replaced vault, these refuse every pass;
+	// Release frees their EPC on the enclaves they charged.
+	releaseFull(e)
+	releasePart(pt)
+	e.recoveries++
+	return err
 }
 
 // VaultStats is one vault's slice of the registry counters.
@@ -623,16 +928,29 @@ type Stats struct {
 	Plans     uint64
 	Evictions uint64
 
+	// The EPC figures and the ledger sum the shared enclave and every
+	// fleet's shard enclaves.
 	EPCUsed  int64 // persistent + workspace bytes currently charged
 	EPCFree  int64 // headroom before the next plan must evict
 	EPCLimit int64
 
-	// Ledger is the shared enclave's transition ledger at snapshot time —
-	// ECALL/OCALL counts, boundary bytes, page swaps — the numbers the
-	// serving /metrics surface exposes as enclave counters.
+	// Ledger is the transition ledger at snapshot time — ECALL/OCALL
+	// counts, boundary bytes, page swaps — the numbers the serving
+	// /metrics surface exposes as enclave counters.
 	Ledger enclave.Ledger
 
 	PerVault []VaultStats // sorted by ID
+}
+
+// addEnclave adds encl's occupancy and ledger, if there is one.
+func (st *Stats) addEnclave(encl *enclave.Enclave) {
+	if encl == nil {
+		return
+	}
+	st.EPCUsed += encl.EPCUsed()
+	st.EPCFree += encl.EPCFree()
+	st.EPCLimit += encl.EPCLimit()
+	st.Ledger = st.Ledger.Add(encl.Ledger())
 }
 
 // Stats returns a snapshot of the registry and per-vault counters.
@@ -644,21 +962,22 @@ func (r *Registry) Stats() Stats {
 		Requests:  r.requests,
 		Plans:     r.plans,
 		Evictions: r.evictions,
-		EPCUsed:   r.encl.EPCUsed(),
-		EPCFree:   r.encl.EPCFree(),
-		EPCLimit:  r.encl.EPCLimit(),
-		Ledger:    r.encl.Ledger(),
 		PerVault:  make([]VaultStats, 0, len(r.vaults)),
 	}
+	st.addEnclave(r.encl)
 	for _, e := range r.vaults {
 		if e.resident() {
 			st.Resident++
 		}
+		for p := 0; e.fleet != nil && p < e.fleet.Shards(); p++ {
+			st.addEnclave(e.fleet.Shard(p).Enclave)
+		}
+		inUse, cached := e.subCounts()
 		st.PerVault = append(st.PerVault, VaultStats{
 			ID:             e.id,
 			Resident:       e.resident(),
 			Workspaces:     e.inUse + len(e.free),
-			NodeWorkspaces: e.inUseSub + len(e.freeSub),
+			NodeWorkspaces: inUse + cached,
 			Requests:       e.requests,
 			NodeQueries:    e.nodeQueries,
 			Plans:          e.plans,

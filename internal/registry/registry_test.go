@@ -1,12 +1,15 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gnnvault/internal/core"
 	"gnnvault/internal/datasets"
@@ -124,6 +127,294 @@ func TestRegistryRegisterValidation(t *testing.T) {
 	}
 	if _, _, err := reg.Acquire("nope"); !errors.Is(err, ErrUnknownVault) {
 		t.Fatalf("unknown vault: %v, want ErrUnknownVault", err)
+	}
+
+	// NodeQueryConfig: a negative field is refused by name from both
+	// calls that take the config in; zero keeps its documented meaning.
+	sv, err := core.DeploySharded(regBB, regRec, regDS.Graph, enclave.DefaultCostModel(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Undeploy()
+	for _, tc := range []struct {
+		nq    NodeQueryConfig
+		field string // "" = accepted
+		want  NodeQueryConfig
+	}{
+		{NodeQueryConfig{}, "", NodeQueryConfig{Hops: 2, Fanout: 0, MaxSeeds: 16}},
+		{NodeQueryConfig{Hops: 3, Fanout: 5, MaxSeeds: 4}, "", NodeQueryConfig{Hops: 3, Fanout: 5, MaxSeeds: 4}},
+		{NodeQueryConfig{Hops: -1}, "Hops", NodeQueryConfig{}},
+		{NodeQueryConfig{Fanout: -1}, "Fanout", NodeQueryConfig{}},
+		{NodeQueryConfig{MaxSeeds: -2}, "MaxSeeds", NodeQueryConfig{}},
+	} {
+		_, nqReg, nqIDs := newFleet(t, 1, 1, Config{NodeQuery: &tc.nq})
+		errs := []error{nqReg.EnableNodeQueries(nqIDs[0], regDS.X), nqReg.RegisterFleet("fleet", sv)}
+		for i, err := range errs {
+			var rangeErr *NodeQueryRangeError
+			switch {
+			case tc.field == "" && err != nil:
+				t.Errorf("%+v: call %d refused a valid config: %v", tc.nq, i, err)
+			case tc.field != "" && (!errors.As(err, &rangeErr) || rangeErr.Field != tc.field):
+				t.Errorf("%+v: call %d = %v, want a NodeQueryRangeError naming %s", tc.nq, i, err, tc.field)
+			}
+		}
+		if got := *nqReg.cfg.NodeQuery; tc.field == "" && got != tc.want {
+			t.Errorf("%+v: effective config %+v, want %+v", tc.nq, got, tc.want)
+		}
+		nqReg.Close()
+	}
+}
+
+// TestRegistryRecoverFleetPart recovers a lost part of a 3-shard fleet
+// entry through the registry while full-graph and node-query checkouts of
+// every part run concurrently: no workspace checked out after the
+// recovery is stale, the fleet answers the pre-fault labels, and every
+// shard enclave — the replacement included — holds exactly its deploy
+// residents plus the workspaces the entry caches, so no workspace ever
+// freed EPC on an enclave it did not charge.
+func TestRegistryRecoverFleetPart(t *testing.T) {
+	trained(t)
+	sv, err := core.DeploySharded(regBB, regRec, regDS.Graph, enclave.DefaultCostModel(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Undeploy()
+	if err := sv.SetCalibrationFeatures(regDS.X); err != nil {
+		t.Fatal(err)
+	}
+	nq := nodeQueryGeometry()
+	reg := New(nil, Config{NodeQuery: &nq})
+	defer reg.Close()
+	const id = "fleet"
+	if err := reg.RegisterFleet(id, sv); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.EnableNodeQueries(id, regDS.X); err != nil {
+		t.Fatal(err)
+	}
+	full := func() ([]int, error) {
+		_, ws, err := reg.Acquire(id)
+		if err != nil {
+			return nil, err
+		}
+		defer reg.Release(id, ws)
+		labels, _, _, err := ws.PredictContext(context.Background(), regDS.X, false)
+		return append([]int(nil), labels...), err
+	}
+	want, err := full()
+	if err != nil {
+		t.Fatalf("pre-fault pass: %v", err)
+	}
+
+	const dead = 1
+	var recovered atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	stop := make(chan struct{})
+	client := func(serve func() error) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			after := recovered.Load()
+			if err := serve(); err != nil && after {
+				errs <- err
+				return
+			}
+		}
+	}
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go client(func() error {
+			got, err := full()
+			if err == nil && !slices.Equal(got, want) {
+				err = errors.New("full-graph labels drifted from the pre-fault answer")
+			}
+			return err
+		})
+	}
+	for p := 0; p < sv.Shards(); p++ {
+		seed := sv.Part.Bounds[p]
+		wg.Add(1)
+		go client(func() error {
+			_, ws, x, err := reg.AcquireSubgraphPart(id, p)
+			if err != nil {
+				return err
+			}
+			defer reg.ReleaseSubgraphPart(id, p, ws)
+			_, _, _, _, err = sv.PredictNodesAtContext(context.Background(), x, []int{seed}, p, ws, false)
+			return err
+		})
+	}
+	sv.Shard(dead).Enclave.MarkLost()
+	if err := reg.RecoverPart(id, dead); err != nil {
+		t.Fatalf("RecoverPart: %v", err)
+	}
+	recovered.Store(true)
+	for deadline := time.Now().Add(5 * time.Second); reg.Stats().Requests < 200 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("checkout after recovery: %v", err)
+	}
+	if sv.Shard(dead).Enclave.Lost() {
+		t.Fatal("the recovered part still runs on the lost enclave")
+	}
+	if got, err := full(); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("post-recovery pass: %v, labels equal %v", err, slices.Equal(got, want))
+	}
+
+	reg.mu.Lock()
+	e := reg.vaults[id]
+	for s := 0; s < sv.Shards(); s++ {
+		v := sv.Shard(s)
+		wantEPC := v.PersistentBytes()
+		for _, ws := range e.free {
+			wantEPC += ws.ShardEnclaveBytes(s)
+		}
+		for _, ws := range e.parts[s].free {
+			wantEPC += ws.EnclaveBytes()
+		}
+		if got := v.Enclave.EPCUsed(); got != wantEPC {
+			t.Errorf("shard %d enclave holds %d EPC bytes, want %d (deploy residents plus the cached workspaces)", s, got, wantEPC)
+		}
+	}
+	reg.mu.Unlock()
+}
+
+// tightFleet deploys a shards-part fleet whose enclaves each hold one
+// full-graph workspace and no second: the EPC limit is the largest shard's
+// deploy residents plus its share of one workspace, measured on a roomy
+// throwaway deployment.
+func tightFleet(t *testing.T, shards int) *core.ShardedVault {
+	t.Helper()
+	trained(t)
+	probe, err := core.DeploySharded(regBB, regRec, regDS.Graph, enclave.DefaultCostModel(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := probe.PlanSharded(probe.Nodes(), core.PlanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := enclave.DefaultCostModel()
+	cost.EPCBytes = 0
+	for s := 0; s < shards; s++ {
+		cost.EPCBytes = max(cost.EPCBytes, probe.Shard(s).PersistentBytes()+ws.ShardEnclaveBytes(s))
+	}
+	ws.Release()
+	probe.Undeploy()
+	sv, err := core.DeploySharded(regBB, regRec, regDS.Graph, cost, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sv.Undeploy)
+	return sv
+}
+
+// TestFleetAdmissionWaitsForItsOwnRelease: a fleet entry whose enclaves
+// hold one full-graph workspace, at two per vault. A second Acquire while
+// the first workspace is out waits — and however often it is woken, it
+// does not build again the plan the fleet's enclaves refused, since only
+// the fleet's own release can make room — then takes the released
+// workspace. Warm never waits: asked for a second workspace it fails with
+// the EPC error, held first workspace or not. Every refused plan leaves
+// the enclaves as it found them.
+func TestFleetAdmissionWaitsForItsOwnRelease(t *testing.T) {
+	sv := tightFleet(t, 2)
+	reg := New(nil, Config{WorkspacesPerVault: 2})
+	const id = "fleet"
+	if err := reg.RegisterFleet(id, sv); err != nil {
+		t.Fatal(err)
+	}
+	failures := func() (n int) {
+		for s := 0; s < sv.Shards(); s++ {
+			n += sv.Shard(s).Enclave.Ledger().AllocFailures
+		}
+		return n
+	}
+	within := func(what string, ch <-chan error) error {
+		t.Helper()
+		select {
+		case err := <-ch:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return", what)
+			return nil
+		}
+	}
+
+	_, held, err := reg.Acquire(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acquired := make(chan error, 1)
+	go func() {
+		_, ws, err := reg.Acquire(id)
+		if err == nil {
+			reg.Release(id, ws)
+		}
+		acquired <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		reg.mu.Lock()
+		refused := reg.vaults[id].refused != 0
+		reg.mu.Unlock()
+		if refused {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second acquire never tried to plan")
+		}
+	}
+	refusals := failures()
+	for i := 0; i < 50; i++ { // wake-ups a release elsewhere would cause
+		reg.mu.Lock()
+		reg.cond.Broadcast()
+		reg.mu.Unlock()
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case err := <-acquired:
+		t.Fatalf("second acquire returned (%v) while the first workspace was held", err)
+	default:
+	}
+	if got, st := failures(), reg.Stats(); got != refusals || st.Plans != 1 {
+		t.Fatalf("woken waiter: %d more refused allocations, %d plans; want none and 1", got-refusals, st.Plans)
+	}
+	reg.Release(id, held)
+	if err := within("the waiting acquire", acquired); err != nil {
+		t.Fatalf("waiting acquire: %v", err)
+	}
+
+	_, held, err = reg.Acquire(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmed := make(chan error, 1)
+	go func() { warmed <- reg.Warm(id, 2) }()
+	if err := within("Warm with a workspace held", warmed); !errors.Is(err, enclave.ErrEPCExhausted) {
+		t.Fatalf("Warm with a workspace held: %v, want ErrEPCExhausted", err)
+	}
+	reg.Release(id, held)
+	go func() { warmed <- reg.Warm(id, 2) }()
+	if err := within("Warm with nothing held", warmed); !errors.Is(err, enclave.ErrEPCExhausted) {
+		t.Fatalf("Warm with nothing held: %v, want ErrEPCExhausted", err)
+	}
+	if st := reg.Stats(); st.Plans != 1 || st.PerVault[0].Workspaces != 1 {
+		t.Fatalf("plans %d, workspaces %d; want 1 and 1", st.Plans, st.PerVault[0].Workspaces)
+	}
+	reg.Close()
+	for s := 0; s < sv.Shards(); s++ {
+		if v := sv.Shard(s); v.Enclave.EPCUsed() != v.PersistentBytes() {
+			t.Errorf("shard %d enclave holds %d EPC bytes after Close, want its %d deploy bytes", s, v.Enclave.EPCUsed(), v.PersistentBytes())
+		}
 	}
 }
 
@@ -653,7 +944,7 @@ func TestAdmissionDoesNotBuildWhatCannotFit(t *testing.T) {
 	reg.mu.Lock()
 	e := reg.vaults[ids[0]]
 	calls := 0
-	err = reg.admitLocked(e, &e.wsBytes, func() (int64, error) {
+	err = reg.admitLocked(e, &e.wsBytes, &e.refused, func() (int64, error) {
 		calls++
 		return 0, enclave.ErrEPCExhausted
 	})
@@ -706,7 +997,7 @@ func TestAdmissionDoesNotBuildWhatCannotFit(t *testing.T) {
 	// remembered size says it cannot fit (here: an absurd one).
 	reg.mu.Lock()
 	huge := encl.EPCFree() + regWSBytes*10
-	err = reg.admitLocked(e, &huge, func() (int64, error) {
+	err = reg.admitLocked(e, &huge, &e.refused, func() (int64, error) {
 		calls++
 		return 0, enclave.ErrEPCExhausted
 	})

@@ -89,9 +89,9 @@ type APIConfig struct {
 // below it has no notion of who is asking — which is why the rate limiter
 // lives here.
 type API struct {
-	pool      *scheduler         // the serving core every query is submitted to
-	reg       *registry.Registry // non-nil: /stats, /metrics and /vaults carry the registry sections
-	shard     *ShardedServer     // non-nil: they carry the per-shard sections, and /readyz the breakers
+	srv       *MultiServer       // the serving core every query is submitted to
+	reg       *registry.Registry // its registry: /stats, /metrics and /vaults carry its sections
+	fleetID   string             // NewShardedAPI: the registry ID every catalogued vault is served from
 	cfg       APIConfig
 	lim       *limiter
 	byID      map[string]*APIVault
@@ -100,18 +100,13 @@ type API struct {
 }
 
 // NewAPI builds the shared serving surface over a running MultiServer and
-// its registry.
+// its registry. A catalogued vault that is a shard fleet in the registry
+// also gets the per-shard sections of /stats and /metrics, and its
+// breakers decide /readyz.
 func NewAPI(srv *MultiServer, reg *registry.Registry, cfg APIConfig) *API {
-	return newAPI(srv.scheduler, reg, nil, cfg)
-}
-
-// newAPI builds the surface over a server's scheduler; reg and shard switch
-// on the optional registry and per-shard sections of the read endpoints.
-func newAPI(pool *scheduler, reg *registry.Registry, shard *ShardedServer, cfg APIConfig) *API {
 	a := &API{
-		pool:      pool,
+		srv:       srv,
 		reg:       reg,
-		shard:     shard,
 		cfg:       cfg,
 		byID:      make(map[string]*APIVault, len(cfg.Vaults)),
 		vm:        make(map[string]*vaultMetrics, len(cfg.Vaults)),
@@ -130,16 +125,12 @@ func newAPI(pool *scheduler, reg *registry.Registry, shard *ShardedServer, cfg A
 	return a
 }
 
-// NewShardedAPI builds the same serving surface over a shard fleet: every
-// endpoint, defense and metric behaves as under NewAPI, except that the
-// one catalogued vault is served by the ShardedServer's fan-out router
-// instead of a registry checkout, /metrics grows the per-shard families
-// (halo bytes, per-shard EPC, fan-out latency), and the score surface is
-// closed — sharded serving is label-only. There is no registry: residency
-// is static (every shard holds its slab for the deployment's lifetime),
-// so the scheduler metric families are not emitted.
-func NewShardedAPI(srv *ShardedServer, cfg APIConfig) *API {
-	return newAPI(srv.scheduler, nil, srv, cfg)
+// regID returns the registry ID the catalogued vault is served from.
+func (a *API) regID(vault string) string {
+	if a.fleetID != "" {
+		return a.fleetID
+	}
+	return vault
 }
 
 // lookup resolves a vault ID and validates the requested node indices.
@@ -185,9 +176,9 @@ func (a *API) query(client, vault string, nodes []int, node, scores bool) ([][]f
 		}
 	}
 	if node {
-		return a.pool.submit(vault, nil, nodes, true, scores)
+		return a.srv.submit(a.regID(vault), nil, nodes, true, scores)
 	}
-	rows, labels, err := a.pool.submit(vault, a.cfg.Features(vault), nil, false, scores)
+	rows, labels, err := a.srv.submit(a.regID(vault), a.cfg.Features(vault), nil, false, scores)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -345,20 +336,12 @@ func (a *API) handleVaults(w http.ResponseWriter, r *http.Request) {
 		Evictions  uint64 `json:"evictions"`
 	}
 	byID := map[string]registry.VaultStats{}
-	if a.reg != nil {
-		rst := a.reg.Stats()
-		for _, vs := range rst.PerVault {
-			byID[vs.ID] = vs
-		}
+	for _, vs := range a.reg.Stats().PerVault {
+		byID[vs.ID] = vs
 	}
 	out := make([]vaultEntry, 0, len(a.cfg.Vaults))
 	for _, info := range a.cfg.Vaults {
-		vs := byID[info.ID]
-		if a.reg == nil {
-			// Shard fleet: no scheduler, residency is static for the
-			// deployment's lifetime.
-			vs.Resident = true
-		}
+		vs := byID[a.regID(info.ID)]
 		out = append(out, vaultEntry{
 			APIVault:   info,
 			Resident:   vs.Resident,
@@ -372,7 +355,7 @@ func (a *API) handleVaults(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := a.pool.Stats()
+	st := a.srv.Stats()
 	resp := map[string]any{
 		"serving": map[string]any{
 			"requests":       st.Requests,
@@ -398,40 +381,28 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 			"store_bytes":     a.storeBytes(),
 		},
 	}
-	if a.reg != nil {
-		rst := a.reg.Stats()
-		resp["scheduler"] = map[string]any{
-			"vaults":    rst.Vaults,
-			"resident":  rst.Resident,
-			"requests":  rst.Requests,
-			"plans":     rst.Plans,
-			"evictions": rst.Evictions,
-		}
-		resp["enclave"] = map[string]any{
-			"epc_used_bytes":  rst.EPCUsed,
-			"epc_free_bytes":  rst.EPCFree,
-			"epc_limit_bytes": rst.EPCLimit,
-			"epc_used_mb":     float64(rst.EPCUsed) / (1 << 20),
-			"epc_limit_mb":    float64(rst.EPCLimit) / (1 << 20),
-		}
+	rst := a.reg.Stats()
+	resp["scheduler"] = map[string]any{
+		"vaults":    rst.Vaults,
+		"resident":  rst.Resident,
+		"requests":  rst.Requests,
+		"plans":     rst.Plans,
+		"evictions": rst.Evictions,
 	}
-	if a.shard != nil {
-		sst := a.shard.ShardStats()
-		var used, free, limit, halo int64
-		for i := 0; i < sst.Shards; i++ {
-			used += sst.EPCUsed[i]
-			free += sst.EPCFree[i]
-			limit += sst.EPCLimit[i]
-			halo += sst.HaloBytes[i]
+	resp["enclave"] = map[string]any{
+		"epc_used_bytes":  rst.EPCUsed,
+		"epc_free_bytes":  rst.EPCFree,
+		"epc_limit_bytes": rst.EPCLimit,
+		"epc_used_mb":     float64(rst.EPCUsed) / (1 << 20),
+		"epc_limit_mb":    float64(rst.EPCLimit) / (1 << 20),
+	}
+	shards := map[string]any{}
+	for id, sst := range a.fleetStats() {
+		var halo int64
+		for _, h := range sst.HaloBytes {
+			halo += h
 		}
-		resp["enclave"] = map[string]any{
-			"epc_used_bytes":  used,
-			"epc_free_bytes":  free,
-			"epc_limit_bytes": limit,
-			"epc_used_mb":     float64(used) / (1 << 20),
-			"epc_limit_mb":    float64(limit) / (1 << 20),
-		}
-		resp["shards"] = map[string]any{
+		shards[id] = map[string]any{
 			"shards":               sst.Shards,
 			"available":            sst.Available,
 			"halo_bytes":           sst.HaloBytes,
@@ -444,7 +415,22 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 			"ecall_bytes_in_total": sst.Ledger.BytesIn,
 		}
 	}
+	if len(shards) > 0 {
+		resp["shards"] = shards
+	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// fleetStats returns the per-shard snapshot of every catalogued vault that
+// is a shard fleet, by catalogue ID.
+func (a *API) fleetStats() map[string]ShardStats {
+	out := map[string]ShardStats{}
+	for _, info := range a.cfg.Vaults {
+		if sst, ok := a.srv.ShardStats(a.regID(info.ID)); ok {
+			out[info.ID] = sst
+		}
+	}
+	return out
 }
 
 // storeBytes reports each catalogued vault's public-half store size. Every
@@ -453,11 +439,9 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 func (a *API) storeBytes() map[string]int64 {
 	out := make(map[string]int64, len(a.cfg.Vaults))
 	for _, info := range a.cfg.Vaults {
-		var v *core.Vault
-		if a.shard != nil {
-			v = a.shard.sv.Shard(0)
-		} else if a.reg != nil {
-			v = a.reg.Vault(info.ID)
+		v := a.reg.Vault(a.regID(info.ID))
+		if sv := a.reg.Fleet(a.regID(info.ID)); sv != nil {
+			v = sv.Shard(0)
 		}
 		if v != nil {
 			out[info.ID] = v.EmbeddingStoreBytes()
@@ -473,30 +457,29 @@ func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReadyz is the readiness probe. A registry-backed fleet is ready
-// whenever it is up (residency is the scheduler's business). A shard
-// fleet is ready only when every shard admits queries: a degraded fleet
-// answers 503 with Retry-After and the per-shard availability, breaker
-// state and restart counts, so a load balancer drains it while node
-// queries on healthy shards keep being served to whoever still asks.
+// handleReadyz is the readiness probe. The server is ready whenever it is
+// up (residency is the registry's business) and every shard of every
+// catalogued fleet admits queries: a degraded fleet answers 503 with
+// Retry-After and, per fleet, the shard availability, breaker state and
+// restart counts, so a load balancer drains it while node queries on
+// healthy shards keep being served to whoever still asks.
 func (a *API) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if a.shard == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-		return
-	}
-	sst := a.shard.ShardStats()
 	ready := true
-	for _, ok := range sst.Available {
-		if !ok {
-			ready = false
-			break
+	fleets := map[string]any{}
+	for id, sst := range a.fleetStats() {
+		for _, ok := range sst.Available {
+			ready = ready && ok
+		}
+		fleets[id] = map[string]any{
+			"shards":    sst.Shards,
+			"available": sst.Available,
+			"breaker":   sst.Breaker,
+			"restarts":  sst.Restarts,
 		}
 	}
-	body := map[string]any{
-		"shards":    sst.Shards,
-		"available": sst.Available,
-		"breaker":   sst.Breaker,
-		"restarts":  sst.Restarts,
+	body := map[string]any{}
+	if len(fleets) > 0 {
+		body["fleets"] = fleets
 	}
 	if ready {
 		body["status"] = "ready"

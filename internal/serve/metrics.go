@@ -47,14 +47,14 @@ const (
 	mBytesOut  = "gnnvault_ecall_bytes_out_total"
 	mPageSwaps = "gnnvault_page_swaps_total"
 
-	// Shard fleet (sharded serving only): per-shard halo traffic and EPC
-	// occupancy, plus the full-graph fan-out latency distribution.
+	// Shard fleets: per-shard halo traffic and EPC occupancy, plus the
+	// full-graph fan-out latency distribution, labelled by fleet and shard.
 	mHaloBytes    = "gnnvault_halo_bytes_total"
 	mShardEPCUsed = "gnnvault_shard_epc_used_bytes"
 	mShardFanout  = "gnnvault_shard_fanout_seconds"
 
-	// Fault tolerance (sharded serving only): breaker and recovery state
-	// plus the degradation and deadline counters.
+	// Fault tolerance: per-shard breaker and recovery state, plus the
+	// degradation and deadline counters.
 	mShardRestarts    = "gnnvault_shard_restarts_total"
 	mBreakerState     = "gnnvault_breaker_state"
 	mDegraded         = "gnnvault_requests_degraded_total"
@@ -135,7 +135,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.WriteSample(w, mRateLimited, []obs.Label{{Name: "vault", Value: id}}, float64(a.vm[id].rateLimited.Load()))
 	}
 
-	st := a.pool.Stats()
+	st := a.srv.Stats()
 	obs.WriteHeader(w, mServeRequests, "counter", "Requests accepted by the worker pool.")
 	obs.WriteSample(w, mServeRequests, nil, float64(st.Requests))
 	obs.WriteHeader(w, mServeCompleted, "counter", "Requests answered successfully by the worker pool.")
@@ -153,62 +153,54 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteSample(w, mBackbonePasses, []obs.Label{{Name: "result", Value: "computed"}}, float64(st.BackboneComputed))
 	obs.WriteSample(w, mBackbonePasses, []obs.Label{{Name: "result", Value: "reused"}}, float64(st.BackboneReused))
 
-	if a.reg != nil {
-		rst := a.reg.Stats()
-		obs.WriteHeader(w, mVaultResident, "gauge", "Whether the vault currently holds workspace EPC (1) or not (0).")
-		for _, vs := range rst.PerVault {
-			val := 0.0
-			if vs.Resident {
-				val = 1
+	rst := a.reg.Stats()
+	obs.WriteHeader(w, mVaultResident, "gauge", "Whether the vault currently holds workspace EPC (1) or not (0).")
+	for _, vs := range rst.PerVault {
+		val := 0.0
+		if vs.Resident {
+			val = 1
+		}
+		obs.WriteSample(w, mVaultResident, []obs.Label{{Name: "vault", Value: vs.ID}}, val)
+	}
+	obs.WriteHeader(w, mPlans, "counter", "Cold-start workspace plans across the fleet.")
+	obs.WriteSample(w, mPlans, nil, float64(rst.Plans))
+	obs.WriteHeader(w, mEvictions, "counter", "Workspaces evicted to admit other vaults.")
+	obs.WriteSample(w, mEvictions, nil, float64(rst.Evictions))
+	writeEnclaveGauges(w, rst.EPCUsed, rst.EPCFree, rst.EPCLimit, rst.Ledger)
+
+	fleets := a.fleetStats()
+	perShard := func(name, typ, help string, val func(sst ShardStats, i int) float64) {
+		obs.WriteHeader(w, name, typ, help)
+		for _, id := range ids {
+			sst, ok := fleets[id]
+			for i := 0; ok && i < sst.Shards; i++ {
+				obs.WriteSample(w, name, []obs.Label{{Name: "vault", Value: id}, {Name: "shard", Value: strconv.Itoa(i)}}, val(sst, i))
 			}
-			obs.WriteSample(w, mVaultResident, []obs.Label{{Name: "vault", Value: vs.ID}}, val)
 		}
-		obs.WriteHeader(w, mPlans, "counter", "Cold-start workspace plans across the fleet.")
-		obs.WriteSample(w, mPlans, nil, float64(rst.Plans))
-		obs.WriteHeader(w, mEvictions, "counter", "Workspaces evicted to admit other vaults.")
-		obs.WriteSample(w, mEvictions, nil, float64(rst.Evictions))
-
-		writeEnclaveGauges(w, rst.EPCUsed, rst.EPCFree, rst.EPCLimit, rst.Ledger)
 	}
-	if a.shard != nil {
-		sst := a.shard.ShardStats()
-		var used, free, limit int64
-		for i := 0; i < sst.Shards; i++ {
-			used += sst.EPCUsed[i]
-			free += sst.EPCFree[i]
-			limit += sst.EPCLimit[i]
+	perShard(mHaloBytes, "counter", "Boundary-activation bytes gathered across shard enclaves, by fleet and shard.",
+		func(sst ShardStats, i int) float64 { return float64(sst.HaloBytes[i]) })
+	perShard(mShardEPCUsed, "gauge", "Enclave Page Cache bytes charged per shard enclave.",
+		func(sst ShardStats, i int) float64 { return float64(sst.EPCUsed[i]) })
+	obs.WriteHeader(w, mShardFanout, "histogram", "Full-graph fan-out wall time across a shard fleet.")
+	for _, id := range ids {
+		if sst, ok := fleets[id]; ok {
+			obs.WriteHistogram(w, mShardFanout, []obs.Label{{Name: "vault", Value: id}}, sst.Fanout, nsToSeconds)
 		}
-		writeEnclaveGauges(w, used, free, limit, sst.Ledger)
-
-		obs.WriteHeader(w, mHaloBytes, "counter", "Boundary-activation bytes gathered across shard enclaves, by shard.")
-		for i := 0; i < sst.Shards; i++ {
-			obs.WriteSample(w, mHaloBytes, []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}}, float64(sst.HaloBytes[i]))
-		}
-		obs.WriteHeader(w, mShardEPCUsed, "gauge", "Enclave Page Cache bytes charged per shard enclave.")
-		for i := 0; i < sst.Shards; i++ {
-			obs.WriteSample(w, mShardEPCUsed, []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}}, float64(sst.EPCUsed[i]))
-		}
-		obs.WriteHeader(w, mShardFanout, "histogram", "Full-graph fan-out wall time across the shard fleet.")
-		obs.WriteHistogram(w, mShardFanout, nil, sst.Fanout, nsToSeconds)
-
-		obs.WriteHeader(w, mShardRestarts, "counter", "Successful automatic shard recoveries (re-seal, rejoin, re-prove), by shard.")
-		for i := 0; i < sst.Shards; i++ {
-			obs.WriteSample(w, mShardRestarts, []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}}, float64(sst.Restarts[i]))
-		}
-		obs.WriteHeader(w, mBreakerState, "gauge", "Per-shard circuit breaker state: 0 closed, 1 open, 2 half-open.")
-		for i := 0; i < sst.Shards; i++ {
-			obs.WriteSample(w, mBreakerState, []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}}, float64(sst.Breaker[i]))
-		}
-		obs.WriteHeader(w, mDegraded, "counter", "Node queries answered successfully while some shard was offline.")
-		obs.WriteSample(w, mDegraded, nil, float64(st.Degraded))
-		obs.WriteHeader(w, mDeadlineExceeded, "counter", "Requests that failed their serving deadline (queued or mid-fan-out).")
-		obs.WriteSample(w, mDeadlineExceeded, nil, float64(st.DeadlineExceeded))
 	}
+	perShard(mShardRestarts, "counter", "Successful automatic shard recoveries (drain, re-seal, re-plan), by fleet and shard.",
+		func(sst ShardStats, i int) float64 { return float64(sst.Restarts[i]) })
+	perShard(mBreakerState, "gauge", "Per-shard circuit breaker state: 0 closed, 1 open, 2 half-open.",
+		func(sst ShardStats, i int) float64 { return float64(sst.Breaker[i]) })
+	obs.WriteHeader(w, mDegraded, "counter", "Node queries answered successfully while some shard was offline.")
+	obs.WriteSample(w, mDegraded, nil, float64(st.Degraded))
+	obs.WriteHeader(w, mDeadlineExceeded, "counter", "Requests that failed their serving deadline (queued or mid-pass).")
+	obs.WriteSample(w, mDeadlineExceeded, nil, float64(st.DeadlineExceeded))
 }
 
 // writeEnclaveGauges renders the EPC occupancy gauges and transition
-// ledger counters shared by the registry-backed and sharded expositions
-// (the sharded form sums them over shard enclaves).
+// ledger counters, summed over the registry's enclave and every fleet's
+// shard enclaves.
 func writeEnclaveGauges(w http.ResponseWriter, used, free, limit int64, led enclave.Ledger) {
 	obs.WriteHeader(w, mEPCUsed, "gauge", "Enclave Page Cache bytes currently charged.")
 	obs.WriteSample(w, mEPCUsed, nil, float64(used))

@@ -9,13 +9,15 @@ import (
 
 	"gnnvault/internal/core"
 	"gnnvault/internal/mat"
+	"gnnvault/internal/registry"
 	"gnnvault/internal/subgraph"
 )
 
 // request is one queued inference — full-graph or node-level, for any
-// backend. Requests are pooled; submit fills one in and clears it again.
+// vault or fleet. Requests are pooled; submit fills one in and clears it
+// again.
 type request struct {
-	vault  string      // the registry backend's routing key; the fleet ignores it
+	vault  string      // the registry ID the request is served from
 	x      *mat.Matrix // full-graph input
 	nodes  []int       // non-nil marks a node-level query
 	out    []int
@@ -25,57 +27,42 @@ type request struct {
 	done   chan struct{}
 }
 
-// backend is everything that differs between the two servers; the
-// scheduler owns the rest (queue, admission, micro-batching, validation,
-// coalescing, scatter, counters, shutdown). w is the calling worker's
-// index: a backend keeps whatever it pins or checks out per worker, and
-// the scheduler never runs two calls with the same w concurrently.
-//
-// The invariants a backend must keep (DESIGN.md, "Serving core"): one
-// checkout serves a whole same-vault run; a union never mixes groups;
-// runUnion bounds a chunk by its oldest member; and the views run*
-// return stay valid until the same worker's next run* or release, so the
-// scheduler can copy answers out of them before the workspace is reused.
-type backend interface {
-	// checkout obtains what worker w needs to serve a run of same-vault
-	// requests — its full-graph workspace, or for node its subgraph
-	// workspace, in which case it also reports the vault's node count and
-	// the most distinct seeds one union may hold. An error fails the run.
-	checkout(w int, vault string, node bool) (nodes, maxSeeds int, err error)
-	// release returns what the matching successful checkout obtained.
-	release(w int, node bool)
-	// route names the group (a small non-negative int) whose node queries
-	// r may share an extraction with, once r's seeds are known to be in
-	// range. An error fails r alone. It may block: the fleet waits out a
-	// tripped shard's recovery here.
-	route(r *request) (group int, err error)
-	// runFull answers one full-graph request on w's workspace: one label
-	// per row, the logits too when r asks for scores, the modelled spill
-	// traffic of the pass, and whether it reused the vault's public-half
-	// store instead of running the backbone.
-	runFull(w int, r *request) (labels []int, logits *mat.Matrix, spill int64, reused bool, err error)
-	// runUnion answers one coalesced extraction for group: a label (and,
-	// with scores, a logits row) per union entry. chunk holds the requests
-	// sharing it, oldest first.
-	runUnion(w, group int, union []int, scores bool, chunk []*request) (labels []int, logits *mat.Matrix, err error)
-	// teardown runs once, after the last worker has exited.
-	teardown()
-}
-
-// scheduler is the one serving core under MultiServer and ShardedServer:
+// MultiServer is the package's one serving core over a registry.Registry:
 // a bounded queue, one admission protocol (submit), workers that drain it
 // in micro-batches, and per batch the split into same-vault runs,
 // full-graph requests answered one by one and node queries validated,
-// grouped, coalesced into shared extractions and scattered back.
-// Everything vault-, registry- or fleet-specific is behind backend.
-type scheduler struct {
-	be          backend
-	cfg         Config
-	nodeQueries bool // node queries can be served at all (planned up front, or left to the registry)
-	reqs        chan *request
-	pool        sync.Pool
+// grouped by part, coalesced into shared extractions and scattered back.
+// Workers check a workspace out of the registry for each run of
+// consecutive same-vault requests in a drained batch — so a burst of
+// same-vault traffic pays the registry exactly once — and which vaults
+// hold EPC at any moment follows the traffic: hot vaults keep cached
+// workspaces (and stay on the allocation-free path), cold vaults pay a
+// plan — and possibly evict an idle tenant — on their next request. That
+// churn (plans, evictions, per-vault residency) is in the registry's own
+// Stats; Stats here is the queue-to-answer accounting. A shard fleet
+// registered in the registry is one more entry, with per-part
+// availability, circuit breakers and recovery (fleet.go).
+//
+// A worker yields the processor once after a full-graph checkout, lease
+// in hand. With fewer processors than workers a pass otherwise runs to
+// completion before the handler of a request that arrived beside it can
+// even enqueue it, so two workers hold workspaces of one vault together —
+// which is what makes the registry plan the vault's second workspace —
+// only when the runtime's 10 ms preemption tick lands inside a pass: with
+// passes near 10 ms that is a coin toss per process, and the plan (and its
+// EPC) lands on a random request minutes in, or never. Yielding makes
+// requests that arrive together check out together on any GOMAXPROCS, so
+// residency follows the concurrency the clients offer and the extra plan
+// is paid when that concurrency first shows. Node queries do not yield:
+// they are short and coalesce on one worker.
+type MultiServer struct {
+	cfg    Config
+	reg    *registry.Registry
+	leases []lease // one per worker, refilled from the registry run by run
+	reqs   chan *request
+	pool   sync.Pool
 
-	// sendMu lets shutdown wait out in-flight sends before closing the
+	// sendMu lets Close wait out in-flight sends before closing the
 	// queue channel.
 	sendMu  sync.RWMutex
 	closed  atomic.Bool
@@ -83,29 +70,39 @@ type scheduler struct {
 	wg      sync.WaitGroup
 	started time.Time
 
+	// Per-fleet serving state (fleet.go), made on first use, and the
+	// recovery loops it starts: stop ends them at Close.
+	fleetMu  sync.Mutex
+	fleets   map[string]*fleet
+	stop     chan struct{}
+	healthWG sync.WaitGroup
+
 	counters
 }
 
-// newScheduler builds an idle scheduler; cfg must already carry its
-// defaults. run starts it once the backend around it is complete.
-func newScheduler(cfg Config, nodeQueries bool) *scheduler {
-	s := &scheduler{
-		cfg:         cfg,
-		nodeQueries: nodeQueries,
-		reqs:        make(chan *request, cfg.QueueDepth),
-		started:     time.Now(),
+// NewMulti starts a worker pool over the registry's vaults and fleets.
+// Nothing is planned up front: workspace residency is entirely
+// demand-driven, so a fleet larger than the EPC starts instantly and pages
+// vaults in as traffic arrives. A single vault is served the same way, as
+// a one-vault registry. The caller keeps ownership of the registry; Close
+// stops the workers without closing it.
+func NewMulti(reg *registry.Registry, cfg Config) *MultiServer {
+	cfg = cfg.withDefaults()
+	s := &MultiServer{
+		cfg:     cfg,
+		reg:     reg,
+		leases:  make([]lease, cfg.Workers),
+		reqs:    make(chan *request, cfg.QueueDepth),
+		started: time.Now(),
+		fleets:  map[string]*fleet{},
+		stop:    make(chan struct{}),
 	}
 	s.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
-	return s
-}
-
-// run starts the workers over be.
-func (s *scheduler) run(be backend) {
-	s.be = be
-	for w := 0; w < s.cfg.Workers; w++ {
+	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker(w)
 	}
+	return s
 }
 
 // submit is the one admission path under every public Predict* method:
@@ -113,7 +110,7 @@ func (s *scheduler) run(be backend) {
 // for a worker, hand back freshly allocated results. node marks a
 // node-level query over nodes — which must not be mutated until submit
 // returns — otherwise the query is the full-graph pass over x.
-func (s *scheduler) submit(vault string, x *mat.Matrix, nodes []int, node, scores bool) ([][]float64, []int, error) {
+func (s *MultiServer) submit(vault string, x *mat.Matrix, nodes []int, node, scores bool) ([][]float64, []int, error) {
 	if scores && !s.cfg.ExposeScores {
 		return nil, nil, ErrScoresDisabled
 	}
@@ -123,8 +120,6 @@ func (s *scheduler) submit(vault string, x *mat.Matrix, nodes []int, node, score
 			return nil, nil, errNoFeatures
 		}
 		nodes, n = nil, x.Rows
-	} else if !s.nodeQueries {
-		return nil, nil, ErrNodeQueriesDisabled
 	} else if n == 0 {
 		return [][]float64{}, []int{}, nil // nothing asked: answered without enqueuing
 	}
@@ -162,7 +157,7 @@ func (s *scheduler) submit(vault string, x *mat.Matrix, nodes []int, node, score
 // served as runs of consecutive same-vault requests, each run's
 // full-graph requests under one checkout and its node queries under
 // another.
-func (s *scheduler) worker(w int) {
+func (s *MultiServer) worker(w int) {
 	defer s.wg.Done()
 	batch := make([]*request, 0, s.cfg.MaxBatch)
 	st := &workerState{}
@@ -204,17 +199,16 @@ func (s *scheduler) worker(w int) {
 // serveFull answers one run's full-graph requests under a single
 // checkout, copying each answer out before the next pass reuses the
 // workspace.
-func (s *scheduler) serveFull(w int, vault string, run []*request) {
-	_, _, err := s.be.checkout(w, vault, false)
-	if err != nil {
+func (s *MultiServer) serveFull(w int, vault string, run []*request) {
+	if err := s.checkout(w, vault); err != nil {
 		for _, r := range run {
 			s.finish(r, err)
 		}
 		return
 	}
-	defer s.be.release(w, false)
+	defer s.release(w)
 	for _, r := range run {
-		labels, logits, spill, reused, err := s.be.runFull(w, r)
+		labels, logits, spill, reused, err := s.runFull(w, r)
 		if err == nil {
 			copy(r.out, labels)
 			for i := range r.scores {
@@ -240,30 +234,21 @@ type workerState struct {
 	cos        []coalescer
 }
 
-// serveNodes answers one run's node queries under a single checkout.
-// Validation and routing are per request — out-of-range seeds and
-// unroutable queries fail alone, so one bad query can never fail the valid
-// ones coalesced beside it — then each group's requests are packed into as
-// few shared extractions as maxSeeds admits, and every request reads its
-// labels (and defended score rows) off its chunk's union.
-func (s *scheduler) serveNodes(w int, vault string, st *workerState) {
-	n, maxSeeds, err := s.be.checkout(w, vault, true)
-	if err != nil {
-		for _, r := range st.node {
-			s.finish(r, err)
-		}
-		return
-	}
-	defer s.be.release(w, true)
+// serveNodes answers one run's node queries. Routing is per request —
+// unroutable queries fail alone — and groups them by the part that owns
+// their first seed (a vault has one part). Each group is served under one
+// checkout of its part's subgraph workspace: out-of-range seeds fail alone,
+// so one bad query can never fail the valid ones coalesced beside it, then
+// the group's requests are packed into as few shared extractions as the
+// workspace's seed cap admits, and every request reads its labels (and
+// defended score rows) off its chunk's union.
+func (s *MultiServer) serveNodes(w int, vault string, st *workerState) {
+	f := s.fleet(vault)
 	for g := range st.groups {
 		st.groups[g] = st.groups[g][:0]
 	}
 	for _, r := range st.node {
-		if !nodesInRange(r.nodes, n) {
-			s.finish(r, core.ErrNodeOutOfRange)
-			continue
-		}
-		g, err := s.be.route(r)
+		g, err := s.route(f, r)
 		if err != nil {
 			s.finish(r, err)
 			continue
@@ -275,40 +260,61 @@ func (s *scheduler) serveNodes(w int, vault string, st *workerState) {
 		st.groups[g] = append(st.groups[g], r)
 	}
 	for g, reqs := range st.groups {
-		if len(reqs) == 0 {
-			continue
+		if len(reqs) > 0 {
+			s.serveGroup(w, vault, f, g, reqs, &st.cos[g])
 		}
-		if st.cos[g].maxSeeds != maxSeeds {
-			st.cos[g] = newCoalescer(maxSeeds)
+	}
+}
+
+// serveGroup answers one group's node queries under a single checkout of
+// part g's subgraph workspace.
+func (s *MultiServer) serveGroup(w int, vault string, f *fleet, g int, reqs []*request, co *coalescer) {
+	n, maxSeeds, err := s.checkoutPart(w, vault, f, g)
+	if err != nil {
+		for _, r := range reqs {
+			s.finish(r, err)
 		}
-		st.cos[g].pack(reqs, s.finish, func(chunk []*request, union []int) {
-			// One score query in the chunk upgrades the whole extraction
-			// to the scores variant; label-only requests still read just
-			// their labels.
-			scores := false
-			for _, r := range chunk {
-				scores = scores || r.scores != nil
-			}
-			labels, logits, err := s.be.runUnion(w, g, union, scores, chunk)
-			for _, r := range chunk {
-				if err == nil {
-					for k, u := range r.nodes {
-						j := indexOf(union, u)
-						r.out[k] = labels[j]
-						if r.scores != nil {
-							r.scores[k] = s.cfg.defendedRow(logits.Row(j))
-						}
+		return
+	}
+	defer s.releasePart(w)
+	valid := reqs[:0]
+	for _, r := range reqs {
+		if nodesInRange(r.nodes, n) {
+			valid = append(valid, r)
+		} else {
+			s.finish(r, core.ErrNodeOutOfRange)
+		}
+	}
+	if co.maxSeeds != maxSeeds {
+		*co = newCoalescer(maxSeeds)
+	}
+	co.pack(valid, s.finish, func(chunk []*request, union []int) {
+		// One score query in the chunk upgrades the whole extraction to
+		// the scores variant; label-only requests still read just their
+		// labels.
+		scores := false
+		for _, r := range chunk {
+			scores = scores || r.scores != nil
+		}
+		labels, logits, err := s.runUnion(w, union, scores, chunk)
+		for _, r := range chunk {
+			if err == nil {
+				for k, u := range r.nodes {
+					j := indexOf(union, u)
+					r.out[k] = labels[j]
+					if r.scores != nil {
+						r.scores[k] = s.cfg.defendedRow(logits.Row(j))
 					}
 				}
-				s.finish(r, err)
 			}
-		})
-	}
+			s.finish(r, err)
+		}
+	})
 }
 
 // finish completes one request: outcome and enqueue→answer latency into
 // the counters, then the wake-up its submit is waiting on.
-func (s *scheduler) finish(r *request, err error) {
+func (s *MultiServer) finish(r *request, err error) {
 	r.err = err
 	if errors.Is(err, context.DeadlineExceeded) {
 		s.deadlineExceeded.Add(1)
@@ -318,22 +324,24 @@ func (s *scheduler) finish(r *request, err error) {
 }
 
 // Stats returns a snapshot of the serving counters.
-func (s *scheduler) Stats() Stats {
+func (s *MultiServer) Stats() Stats {
 	return s.snapshot(s.started)
 }
 
-// shutdown is the one Close protocol: refuse new requests, wait out
-// in-flight sends, close the queue so the workers drain it and exit, then
-// tear the backend down. Idempotent; concurrent callers block until
-// teardown completes.
-func (s *scheduler) shutdown() {
+// Close is the one Close protocol: refuse new requests, wait out in-flight
+// sends, close the queue so the workers drain it and exit — releasing
+// every checkout to the registry as they go — then stop the fleets'
+// recovery loops. The registry itself (and the deployed vaults and fleets)
+// remain usable. Idempotent; concurrent callers block until it completes.
+func (s *MultiServer) Close() {
 	s.closing.Do(func() {
 		s.closed.Store(true)
 		s.sendMu.Lock()
 		close(s.reqs)
 		s.sendMu.Unlock()
 		s.wg.Wait()
-		s.be.teardown()
+		close(s.stop)
+		s.healthWG.Wait()
 	})
 }
 

@@ -2,18 +2,17 @@
 // simulated edge device: a pool of workers answering a stream of label
 // queries over deployed vaults.
 //
-// There is one serving core, the scheduler (sched.go): one request type,
+// There is one serving core, MultiServer (sched.go): one request type,
 // one bounded queue, one admission path, one micro-batch drain loop, one
-// node-query path (validate → group → coalesce seeds → run → scatter) and
-// one Close protocol. Two public front-ends are thin backends under it.
-// MultiServer serves every vault of one enclave, one or many: requests
-// carry a vault ID and the workers check workspaces out of a
-// registry.Registry, which plans them lazily and evicts
-// least-recently-served vaults when the enclave's EPC cannot hold every
-// tenant. ShardedServer serves one vault split across a fleet of shard
-// enclaves, with deadlines, per-shard circuit breakers and automatic
-// recovery. What a backend supplies, and the invariants it must keep, are
-// in DESIGN.md ("Serving core").
+// node-query path (route → group → coalesce seeds → run → scatter) and
+// one Close protocol, over a registry.Registry. Requests carry a vault ID
+// and the workers check workspaces out of the registry, which plans them
+// lazily and evicts least-recently-served vaults when the enclave's EPC
+// cannot hold every tenant. A shard fleet — one vault split across shard
+// enclaves — is one more registry entry; the server keeps its per-shard
+// availability and circuit breakers and has the registry recover a lost
+// shard (fleet.go). Config.Deadline bounds every request. The invariants
+// the core keeps are in DESIGN.md ("Serving core").
 //
 // Micro-batching here coalesces queued requests into one worker wake-up:
 // GNN inference is full-graph, so requests cannot be fused into a wider
@@ -37,9 +36,9 @@ import (
 // ErrClosed is returned by Predict after Close.
 var ErrClosed = errors.New("serve: server closed")
 
-// ErrNodeQueriesDisabled is every front-end's node-query refusal (a
-// ShardedServer without Config.NodeQuery, a vault the registry has not
-// enabled, an API with NodeQueries off): registry.ErrNodeQueriesDisabled.
+// ErrNodeQueriesDisabled is every node-query refusal (a registry without
+// a NodeQuery config, a vault or fleet it has not enabled, an API with
+// NodeQueries off): registry.ErrNodeQueriesDisabled.
 var ErrNodeQueriesDisabled = registry.ErrNodeQueriesDisabled
 
 // errNoFeatures fails a full-graph query that arrives without an input
@@ -47,11 +46,11 @@ var ErrNodeQueriesDisabled = registry.ErrNodeQueriesDisabled
 // admission, before a worker could dereference it.
 var errNoFeatures = errors.New("serve: no feature matrix for full-graph query")
 
-// Config tunes the worker pool.
+// Config tunes the worker pool. Every field is read by NewMulti, except
+// Plan, NodeQuery and Features, which only NewSharded reads.
 type Config struct {
-	// Workers is the number of inference workers. Default 2. A
-	// ShardedServer plans one workspace per worker; a MultiServer's
-	// workers share the registry's.
+	// Workers is the number of inference workers. Default 2. They share
+	// the registry's workspaces; NewSharded plans one per worker up front.
 	Workers int
 	// MaxBatch caps how many queued requests one worker drains per
 	// wake-up. Default 8.
@@ -59,29 +58,26 @@ type Config struct {
 	// QueueDepth bounds the request queue; Predict blocks when it is
 	// full (backpressure). Default Workers·MaxBatch·2.
 	QueueDepth int
-	// Plan, NodeQuery and Features are read by ShardedServer only. A
-	// MultiServer takes the same three from its registry: registry.Config's
-	// Plan and NodeQuery, registry.EnableNodeQueries and
-	// core.Vault.SetCalibrationFeatures.
+	// Plan, NodeQuery and Features are read by NewSharded only, which
+	// builds its registry from them. A MultiServer takes the same three
+	// from its registry: registry.Config's Plan and NodeQuery,
+	// registry.EnableNodeQueries and SetCalibrationFeatures.
 	//
-	// Plan shapes each worker's sharded workspace, per shard (the EPC
-	// budget is each shard enclave's own — see core.PlanConfig). The zero
-	// value plans classic untiled workspaces.
+	// Plan shapes the fleet's workspaces, per shard (the EPC budget is each
+	// shard enclave's own — see core.PlanConfig). The zero value plans
+	// classic untiled workspaces.
 	Plan core.PlanConfig
-	// NodeQuery, when non-nil, additionally plans one subgraph workspace
-	// per worker per shard and opens the PredictNodes path: node-level
+	// NodeQuery, when non-nil, opens the PredictNodes path: node-level
 	// queries served from sampled L-hop subgraphs at O(hops × fanout) per
-	// query. Seed nodes from every node query a worker drains in one
-	// wake-up are coalesced into shared extractions of up to MaxSeeds
-	// seeds.
+	// query, one subgraph workspace per worker per shard planned up front.
 	NodeQuery *registry.NodeQueryConfig
 	// Features is the deployed graph's public feature matrix, gathered
 	// from during subgraph extraction. Required when NodeQuery is set.
-	// When set, it is also registered with the vault
+	// When set, it is also registered with the fleet
 	// (core.ShardedVault.SetCalibrationFeatures): reduced-precision plans
 	// (Plan.Precision) derive their scales from it and pass the agreement
 	// gate, and full-graph requests whose input is this same matrix reuse
-	// its backbone embeddings from the vault's public-half store.
+	// its backbone embeddings from the fleet's public-half store.
 	Features *mat.Matrix
 	// ExposeScores opens the PredictScores/PredictNodesScores surface:
 	// per-class softmax posteriors cross the enclave boundary alongside
@@ -95,12 +91,15 @@ type Config struct {
 	// TopK, when > 0, keeps only the K largest entries of each exposed
 	// score row and zeroes the rest (the argmax entry always survives).
 	TopK int
-	// Deadline, when > 0, bounds each request's enqueue→answer time on
-	// the sharded path: a request still queued past its deadline fails
-	// without running, and a fan-out in flight past it is aborted through
-	// the fleet's poisonable barriers (context.DeadlineExceeded, HTTP
-	// 503). Zero serves without a deadline.
+	// Deadline, when > 0, bounds every request's enqueue→answer time: a
+	// request still queued past its deadline fails without running, and a
+	// pass in flight past it is aborted — through the fleet's poisonable
+	// barriers on a full-graph pass (context.DeadlineExceeded, HTTP 503).
+	// Zero serves without a deadline.
 	Deadline time.Duration
+	// MaxRetries, BreakerThreshold, RecoveryBackoff, Seed and Trace tune
+	// the serving of shard fleets only.
+	//
 	// MaxRetries is how many times a node query routed to a tripped
 	// shard waits out a jittered exponential backoff for the shard to
 	// recover before failing with ErrShardUnavailable. Each wait is
@@ -186,15 +185,15 @@ type Stats struct {
 	BackboneReused   uint64
 
 	// Degraded counts node queries answered successfully while at least
-	// one shard of the fleet was offline — served work the fleet kept
-	// doing through an outage.
+	// one other shard of their fleet was offline — served work the fleet
+	// kept doing through an outage.
 	Degraded uint64
 	// DeadlineExceeded counts requests that failed their Config.Deadline,
 	// whether still queued or aborted mid-fan-out.
 	DeadlineExceeded uint64
 }
 
-// counters aggregates the scheduler's serving statistics. Latency lives in two obs histograms (one per endpoint
+// counters aggregates the server's serving statistics. Latency lives in two obs histograms (one per endpoint
 // family) instead of separate sum/max atomics: every derived figure —
 // average, max, quantiles, the /metrics exposition — is cut from the
 // same buckets, so the old inconsistency where a racing sum and CAS-max

@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gnnvault/internal/core"
 	"gnnvault/internal/datasets"
@@ -134,6 +136,60 @@ func TestShardedServerMatchesSingleEnclave(t *testing.T) {
 	}
 }
 
+// TestNewShardedOversubscribedFails: a fleet whose shard enclaves hold
+// one full-graph workspace each cannot serve two workers. NewSharded says
+// so promptly, with the EPC error, and leaves every shard enclave at its
+// deploy residents; with one worker it serves.
+func TestNewShardedOversubscribedFails(t *testing.T) {
+	ds, _, probe := testShardedVault(t)
+	ws, err := probe.PlanSharded(probe.Nodes(), core.PlanConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := enclave.DefaultCostModel()
+	cost.EPCBytes = 0
+	for s := 0; s < probe.Shards(); s++ {
+		cost.EPCBytes = max(cost.EPCBytes, probe.Shard(s).PersistentBytes()+ws.ShardEnclaveBytes(s))
+	}
+	ws.Release()
+	sv, err := core.DeploySharded(shardBB, shardRec, ds.Graph, cost, probe.Shards())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sv.Undeploy)
+
+	done := make(chan error, 1)
+	go func() {
+		srv, err := NewSharded(sv, Config{Workers: 2})
+		if err == nil {
+			srv.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, enclave.ErrEPCExhausted) {
+			t.Fatalf("NewSharded with two workers: %v, want ErrEPCExhausted", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("NewSharded with two workers did not return")
+	}
+	for s := 0; s < sv.Shards(); s++ {
+		if v := sv.Shard(s); v.Enclave.EPCUsed() != v.PersistentBytes() {
+			t.Errorf("shard %d enclave holds %d EPC bytes, want its %d deploy bytes", s, v.Enclave.EPCUsed(), v.PersistentBytes())
+		}
+	}
+
+	srv, err := NewSharded(sv, Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("NewSharded with one worker: %v", err)
+	}
+	defer srv.Close()
+	if _, err := srv.Predict(ds.X); err != nil {
+		t.Fatalf("Predict: %v", err)
+	}
+}
+
 func TestShardedServerShardOutage(t *testing.T) {
 	ds, _, fleet := testShardedVault(t)
 	nq := registry.NodeQueryConfig{}
@@ -163,24 +219,75 @@ func TestShardedServerShardOutage(t *testing.T) {
 	}
 }
 
-func TestShardedServerLabelOnly(t *testing.T) {
-	ds, _, fleet := testShardedVault(t)
-	if _, err := NewSharded(fleet, Config{ExposeScores: true}); !errors.Is(err, ErrScoresDisabled) {
-		t.Fatalf("NewSharded with ExposeScores: err = %v, want ErrScoresDisabled", err)
-	}
-	s, err := NewSharded(fleet, Config{Workers: 1})
+// TestFleetScoresMatchSingleVault: logits come through the fleet — every
+// shard's rows stitched in seed order — so the defended score rows a 2- and
+// a 3-shard fleet entry of a registry serve, full-graph and node-level,
+// equal a single vault's bit for bit under the same RoundDigits and TopK
+// defenses.
+func TestFleetScoresMatchSingleVault(t *testing.T) {
+	ds, ref, _ := testShardedVault(t)
+	nq := nodeQueryCfg()
+	cfg := Config{Workers: 1, ExposeScores: true, RoundDigits: 3, TopK: 2}
+	single := oneVault(t, ref, ds.X, nq, cfg)
+	defer single.Close()
+	wantRows, wantLabels, err := single.PredictScores(oneVaultID, ds.X)
 	if err != nil {
-		t.Fatalf("NewSharded: %v", err)
+		t.Fatalf("single PredictScores: %v", err)
 	}
-	defer s.Close()
-	if _, _, err := s.PredictScores(ds.X); !errors.Is(err, ErrScoresDisabled) {
-		t.Fatalf("PredictScores: err = %v, want ErrScoresDisabled", err)
+	n := ds.X.Rows
+	seedSets := [][]int{{0}, {n - 1}, {n / 2, n/2 + 1}}
+	for _, shards := range []int{2, 3} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			_, _, fleet := testFreshFleet(t, shards)
+			reg := registry.New(nil, registry.Config{NodeQuery: nq})
+			defer reg.Close()
+			if err := fleet.SetCalibrationFeatures(ds.X); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.RegisterFleet("f", fleet); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.EnableNodeQueries("f", ds.X); err != nil {
+				t.Fatal(err)
+			}
+			s := NewMulti(reg, cfg)
+			defer s.Close()
+			rows, labels, err := s.PredictScores("f", ds.X)
+			if err != nil {
+				t.Fatalf("fleet PredictScores: %v", err)
+			}
+			requireRows(t, "full-graph", rows, labels, wantRows, wantLabels)
+			for _, seeds := range seedSets {
+				want, wantL, err := single.PredictNodesScores(oneVaultID, seeds)
+				if err != nil {
+					t.Fatalf("single PredictNodesScores(%v): %v", seeds, err)
+				}
+				got, gotL, err := s.PredictNodesScores("f", seeds)
+				if err != nil {
+					t.Fatalf("fleet PredictNodesScores(%v): %v", seeds, err)
+				}
+				requireRows(t, fmt.Sprintf("nodes %v", seeds), got, gotL, want, wantL)
+			}
+		})
 	}
-	if _, _, err := s.PredictNodesScores([]int{0}); !errors.Is(err, ErrScoresDisabled) {
-		t.Fatalf("PredictNodesScores: err = %v, want ErrScoresDisabled", err)
+}
+
+// requireRows fails unless every score row and label equals the wanted one
+// bit for bit.
+func requireRows(t *testing.T, what string, rows [][]float64, labels []int, want [][]float64, wantLabels []int) {
+	t.Helper()
+	if len(rows) != len(want) || len(labels) != len(wantLabels) {
+		t.Fatalf("%s: %d rows / %d labels, want %d / %d", what, len(rows), len(labels), len(want), len(wantLabels))
 	}
-	if _, err := s.PredictNodes([]int{0}); !errors.Is(err, ErrNodeQueriesDisabled) {
-		t.Fatalf("PredictNodes without NodeQuery: err = %v, want ErrNodeQueriesDisabled", err)
+	for i := range want {
+		if labels[i] != wantLabels[i] || len(rows[i]) != len(want[i]) {
+			t.Fatalf("%s: row %d label %d (%d entries), want %d (%d)", what, i, labels[i], len(rows[i]), wantLabels[i], len(want[i]))
+		}
+		for c, v := range want[i] {
+			if math.Float64bits(rows[i][c]) != math.Float64bits(v) {
+				t.Fatalf("%s: row %d class %d = %v, want %v", what, i, c, rows[i][c], v)
+			}
+		}
 	}
 }
 
@@ -313,8 +420,9 @@ func TestShardedFanoutHammer(t *testing.T) {
 }
 
 // TestShardedAPISurface drives the HTTP front-end over a shard fleet:
-// /predict answers bit-identically, score queries 403, /metrics exposes
-// the shard families and /stats the per-shard section — and, the fleet
+// /predict answers bit-identically, score queries 403 unless scores are
+// exposed, /metrics exposes the shard families beside the fleet entry's
+// registry residency and /stats the per-shard section — and, the fleet
 // having registered the features the API serves, the second answered
 // /predict reads the fleet's public-half store.
 func TestShardedAPISurface(t *testing.T) {
@@ -329,7 +437,7 @@ func TestShardedAPISurface(t *testing.T) {
 	}
 	defer s.Close()
 	// The API opens node queries, but the server was started without
-	// Config.NodeQuery: the refusal comes from the scheduler, not the API.
+	// Config.NodeQuery: the refusal comes from the registry, not the API.
 	api := NewShardedAPI(s, APIConfig{
 		Vaults:      []APIVault{{ID: "cora/parallel", Dataset: "cora", Design: "parallel", Nodes: fleet.Nodes()}},
 		Features:    func(string) *mat.Matrix { return ds.X },
@@ -402,8 +510,8 @@ func TestShardedAPISurface(t *testing.T) {
 			t.Errorf("/metrics missing %s", m)
 		}
 	}
-	if strings.Contains(body, mVaultResident) {
-		t.Error("/metrics exposes registry residency for a registry-less shard fleet")
+	if !strings.Contains(body, mVaultResident) {
+		t.Error("/metrics omits the fleet entry's registry residency")
 	}
 
 	if fleet.Shard(0).EmbeddingStoreBytes() == 0 {
