@@ -76,27 +76,35 @@ chaos-smoke:
 # imports), and the
 # attack math (AUC/Fidelity in [0,1], no panics) under degenerate
 # observation surfaces — plus the row-accumulate and requantise-row
-# kernels (assembly vs the literal contracts, through the row doors), the
-# int8 product row (the door vs their composition, sums steered onto
-# ties and clamps) and the fp64 and int8 product ranges (one kernel call
-# per range vs the per-row oracle) — and the HTTP predict endpoints under
-# arbitrary request bodies (no panic, no status outside the API's table).
-# This is the one list of
-# fuzz targets: CI calls it twice, plain and as `make fuzz-smoke
-# TAGS=purego`, which runs the same passes on the portable kernels.
+# kernels (assembly vs the literal contracts, the row accumulate as
+# one-row sparse ranges) and the fp64 and int8 product ranges (one kernel
+# call per range, and per batch of a range, vs the per-row oracle) — and
+# the HTTP predict endpoints under arbitrary request bodies (no panic, no
+# status outside the API's table). This is the one list of fuzz targets,
+# each Name:package: CI calls it twice, plain and as `make fuzz-smoke
+# TAGS=purego`, which runs the same passes on the portable kernels. A
+# -fuzz pattern that matches no target passes silently ("testing: warning:
+# no fuzz tests to fuzz", exit 0), so the target fails on that warning.
 FUZZTIME ?= 10s
 TAGS ?=
+FUZZ_TARGETS = \
+	FuzzRowAccumulate:./internal/mat/ \
+	FuzzRequantizeRow:./internal/mat/ \
+	FuzzProductRangeF64:./internal/mat/ \
+	FuzzProductRangeI8:./internal/mat/ \
+	FuzzInducedSubgraph:./internal/subgraph/ \
+	FuzzTiledExec:./internal/exec/ \
+	FuzzPrecision:./internal/exec/ \
+	FuzzShardedExec:./internal/exec/ \
+	FuzzImport:./internal/core/ \
+	FuzzBundleLoad:./internal/core/ \
+	FuzzAttackSurface:./internal/attack/ \
+	FuzzAPIRequest:./internal/serve/
 fuzz-smoke:
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzRowAccumulate -fuzztime $(FUZZTIME) ./internal/mat/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzRequantizeRow -fuzztime $(FUZZTIME) ./internal/mat/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzProductRowI8 -fuzztime $(FUZZTIME) ./internal/mat/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzProductRangeF64 -fuzztime $(FUZZTIME) ./internal/mat/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzProductRangeI8 -fuzztime $(FUZZTIME) ./internal/mat/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzInducedSubgraph -fuzztime $(FUZZTIME) ./internal/subgraph/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzTiledExec -fuzztime $(FUZZTIME) ./internal/exec/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME) ./internal/exec/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzShardedExec -fuzztime $(FUZZTIME) ./internal/exec/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzImport -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzBundleLoad -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzAttackSurface -fuzztime $(FUZZTIME) ./internal/attack/
-	$(GO) test -tags '$(TAGS)' -run '^$$' -fuzz FuzzAPIRequest -fuzztime $(FUZZTIME) ./internal/serve/
+	@for t in $(FUZZ_TARGETS); do \
+		name="$${t%%:*}"; pkg="$${t#*:}"; \
+		out="$$($(GO) test -tags '$(TAGS)' -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) "$$pkg" 2>&1)"; status=$$?; \
+		echo "$$out"; \
+		if [ $$status -ne 0 ]; then echo "fuzz-smoke: $$name in $$pkg failed"; exit 1; fi; \
+		if echo "$$out" | grep -q 'no fuzz tests to fuzz'; then echo "fuzz-smoke: no fuzz target $$name in $$pkg"; exit 1; fi; \
+	done

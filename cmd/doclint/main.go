@@ -23,6 +23,17 @@
 // the flag table in -flags-doc (a line starting "| `-name`"), and unless
 // every flag that table names is defined in the source, so the serve
 // command's flags and the README's flag table cannot drift apart.
+//
+// With -idents it additionally resolves every backticked identifier in
+// the given markdown files — `Name`, `pkg.Name`, `Type.Method`, `Name()`
+// — against the tree under the current directory: each dotted part must
+// be an identifier or a string literal (struct tags included) of some Go
+// file there, a TEXT symbol or label of some *.s file, a Go keyword, a
+// build tag, or the name of a file or directory. All-caps spans
+// (instruction mnemonics, register names) and file names are not
+// identifiers and are skipped, and a short allowlist covers the names
+// that are not this repo's (runtime routines, PromQL). A miss is a doc
+// naming code that no longer exists.
 package main
 
 import (
@@ -46,6 +57,7 @@ func main() {
 	metricsDoc := flag.String("metrics-doc", "README.md", "markdown file that must mention every metric name found in -metrics-src")
 	flagsSrc := flag.String("flags-src", "", "Go file whose fs.<Type>(\"name\", …) flags must each have a row in the -flags-doc flag table, and vice versa")
 	flagsDoc := flag.String("flags-doc", "README.md", "markdown file holding the flag table checked against -flags-src")
+	idents := flag.String("idents", "", "comma-separated markdown files whose backticked identifiers must resolve in the Go and assembly sources under the current directory")
 	flag.Parse()
 
 	problems := 0
@@ -60,6 +72,9 @@ func main() {
 	}
 	if *flagsSrc != "" {
 		problems += lintFlags(*flagsSrc, *flagsDoc)
+	}
+	if *idents != "" {
+		problems += lintIdents(".", strings.Split(*idents, ","))
 	}
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doclint: %d problem(s)\n", problems)
@@ -330,3 +345,135 @@ func lintMarkdown(root string) int {
 	}
 	return problems
 }
+
+// notOurs are backticked names the docs may use that no source here
+// declares: runtime routines a profile shows and PromQL functions.
+var notOurs = map[string]bool{"memmove": true, "duffcopy": true, "histogram_quantile": true}
+
+var (
+	// docSpan matches one backticked span of a line (group 1).
+	docSpan = regexp.MustCompile("`([^`]+)`")
+	// docIdent matches an identifier span — dotted parts, optionally
+	// called with plain arguments; group 1 is the name.
+	docIdent = regexp.MustCompile(`^([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([\w., ]*\))?$`)
+	// allCaps matches mnemonics and register names.
+	allCaps = regexp.MustCompile(`^[A-Z0-9_]+$`)
+	// fileName matches a span naming a file by its extension.
+	fileName = regexp.MustCompile(`\.(go|s|h|json|md|yml|txt|sh)$`)
+	// asmName matches an assembly TEXT symbol (group 1) or label (group 2).
+	asmName = regexp.MustCompile(`(?m)^(?:TEXT\s+·(\w+)|(\w+):)`)
+	// buildTag matches a build-constraint line (group 1 its expression).
+	buildTag = regexp.MustCompile(`(?m)^//go:build (.*)$`)
+)
+
+// lintIdents resolves every backticked identifier of the markdown files
+// docs against the names the tree under root defines (see the package
+// comment), reporting each miss and returning the problem count.
+func lintIdents(root string, docs []string) int {
+	known, err := treeNames(root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %s: %v\n", root, err)
+		return 1
+	}
+	problems := 0
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %s: %v\n", doc, err)
+			problems++
+			continue
+		}
+		fenced := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			}
+			if fenced {
+				continue
+			}
+			for _, m := range docSpan.FindAllStringSubmatch(line, -1) {
+				name := docIdent.FindStringSubmatch(m[1])
+				if name == nil || allCaps.MatchString(name[1]) || fileName.MatchString(m[1]) || known[name[1]] || notOurs[name[1]] {
+					continue
+				}
+				for _, part := range strings.Split(name[1], ".") {
+					if !known[part] {
+						fmt.Fprintf(os.Stderr, "%s:%d: `%s` names nothing in the sources (%s)\n", doc, i+1, m[1], part)
+						problems++
+						break
+					}
+				}
+			}
+		}
+	}
+	return problems
+}
+
+// treeNames collects the names lintIdents resolves against: every
+// identifier, string literal and struct-tag value of the Go files under
+// root, the build tags they are constrained by, the TEXT symbols and
+// labels of its assembly, the Go keywords, and the base name of every
+// file and directory.
+func treeNames(root string) (map[string]bool, error) {
+	known := map[string]bool{}
+	for tok := token.BREAK; tok <= token.VAR; tok++ {
+		known[tok.String()] = true
+	}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		known[d.Name()] = true
+		switch filepath.Ext(path) {
+		case ".s":
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range asmName.FindAllStringSubmatch(string(data), -1) {
+				known[m[1]+m[2]] = true
+			}
+		case ".go":
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, g := range f.Comments {
+				for _, c := range g.List {
+					for _, m := range buildTag.FindAllStringSubmatch(c.Text, -1) {
+						for _, w := range strings.FieldsFunc(m[1], func(r rune) bool { return strings.ContainsRune(" !&|()", r) }) {
+							known[w] = true
+						}
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					known[n.Name] = true
+				case *ast.BasicLit:
+					if v, err := strconv.Unquote(n.Value); err == nil && n.Kind == token.STRING {
+						known[v] = true
+					}
+				case *ast.Field:
+					if n.Tag != nil {
+						tag, _ := strconv.Unquote(n.Tag.Value)
+						for _, m := range tagValue.FindAllStringSubmatch(tag, -1) {
+							known[m[1]] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	return known, err
+}
+
+// tagValue matches the name a struct-tag value gives (group 1): the part
+// of key:"value" before any comma.
+var tagValue = regexp.MustCompile(`\w+:"([^",]*)`)

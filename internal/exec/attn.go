@@ -15,28 +15,33 @@ import (
 //	dst[i] = epilogue(Σⱼ α[j] · z[j])
 //
 // — the stable softmax of GAT's edge scores, whose coefficients are then
-// simply the multipliers of one row accumulate over z's rows, look-ahead
-// hints included, finished by the fused epilogue in the same kernel call
-// (mat.CheckedEpilogue.ProductRow). It therefore shares SpMM's operand
-// rule (z and t are read whole, s and dst by row) and its fusable
-// epilogue, and its rows are independent: tiled == direct bit for bit.
+// simply the values of a CSR row: the op is the sparse range
+// (mat.CheckedEpilogue.SparseRange) over z's rows, look-ahead hints
+// included, finished by the fused epilogue in the same kernel call. It
+// therefore shares SpMM's operand rule (z and t are read whole, s and dst
+// by row) and its fusable epilogue, and its rows are independent: tiled
+// == direct bit for bit.
 //
-// The only memory the op needs beyond its operands is one row of
-// coefficients in the machine's scratch, sized at NewMachine from
-// the longest row of the structures as they are then (a structure
-// re-filled with a longer row afterwards is a planning bug and panics on
-// the slice) and charged in BufferBytes and TileBytes. There is no
-// nnz-sized coefficient buffer.
+// A span proves its structure rows and columns once (mat.CheckCSR), before
+// its first row is written, and is then computed in batches: as many
+// consecutive rows as the coefficient scratch holds, at most attnBatch,
+// have their coefficients written into it and go to the kernel in one
+// range call (mat.CheckedCSR.Batch rebases the batch's row pointers onto
+// the scratch). The only memory the op needs beyond its operands is that
+// scratch, sized at NewMachine from the longest row of the structures as
+// they are then (a structure re-filled with a longer row afterwards is a
+// planning bug and panics on the slice) and charged in BufferBytes and
+// TileBytes. There is no nnz-sized coefficient buffer.
 //
 // At int8 the scores are read as code × their one column scale, α is
 // computed in float64 exactly as above and handed, with the fixed scale
-// attnScale, to the int8 row door (mat.CheckedEpilogueI8.ProductRow): a
-// row of α under attnScale is exactly a CSR row under its value scale, so
-// the kernel quantises the coefficients as the int8 SpMM's does its edge
-// values, sums the row over z's codes and requantises it with deq[j] =
-// zScale[j]·attnScale. Both halves are the kernel contracts every int8 op
-// already sits on, and the int32 sum is exact and order-free (bounded by
-// 127·(127 + nnz/2) a row), so the bit-identity carries over.
+// attnScale, to the int8 sparse range (mat.CheckedEpilogueI8.SparseRange):
+// a row of α under attnScale is exactly a CSR row under its value scale,
+// so the kernel quantises the coefficients as the int8 SpMM's does its
+// edge values, sums each row over z's codes and requantises it with
+// deq[j] = zScale[j]·attnScale. Both halves are the kernel contracts every
+// int8 op already sits on, and the int32 sum is exact and order-free
+// (bounded by 127·(127 + nnz/2) a row), so the bit-identity carries over.
 
 // attnScale is the fixed quantisation scale of attention coefficients: a
 // softmax output lies in (0, 1], so codes span [0, 127] uncalibrated.
@@ -45,6 +50,10 @@ const attnScale = 1.0 / 127
 // attnAhead is how many structure rows ahead the fp64 body hands the row
 // accumulate as look-ahead hints — graph's gatherAhead, same gather.
 const attnAhead = 2
+
+// attnBatch is the most rows one kernel call of an attention span takes:
+// it sizes the stack array a batch's row pointers are rebased into.
+const attnBatch = 64
 
 // maxAttnRow returns the longest CSR row any attention op of the program
 // aggregates over — the length of the coefficient scratch row — and 0 for
@@ -86,30 +95,45 @@ func attnSoftmaxRow(alpha []float64, si, slope float64) {
 	}
 }
 
+// attnBatchEnd returns the end of the batch of structure rows that
+// starts at row b of a span ending at hi: at most attnBatch rows whose
+// terms fit in a coefficient scratch of room, and always row b itself,
+// which the scratch was sized for.
+func attnBatchEnd(rowPtr []int, b, hi, room int) int {
+	e := b + 1
+	for e < hi && e-b < attnBatch && rowPtr[e+1]-rowPtr[b] <= room {
+		e++
+	}
+	return e
+}
+
 // attnRowsF64 computes rows [lo, hi) of an attention aggregate into out
 // (row 0 pairing with row lo; res likewise).
 func (m *Machine) attnRowsF64(out *mat.Matrix, op *Op, lo, hi int, res *mat.Matrix) {
 	st := op.CSR
 	s, t, z := &m.views[op.Srcs[0]], &m.views[op.Srcs[1]], &m.views[op.Srcs[2]]
 	d := z.Cols
-	base := st.RowPtr[lo]
-	// The span's proofs, before its first row: the structure's columns
-	// against z's height, the epilogue operands against the rows' shape.
-	checked := mat.CheckIndices(st.ColIdx[base:st.RowPtr[hi]], z.Rows)
+	// The span's proofs, before its first row: the structure's rows and
+	// columns against z's height, the epilogue operands against the
+	// rows' shape.
+	span := mat.CheckCSR(st.RowPtr[:st.N+1], st.ColIdx, st.Val, lo, hi, attnAhead, z.Rows)
 	epi := mat.CheckEpilogue(hi-lo, d, op.Epi.Bias, res, op.Epi.ReLU)
-	for i := lo; i < hi; i++ {
-		p, end := st.RowPtr[i], st.RowPtr[i+1]
-		cols := st.ColIdx[p:end]
-		alpha := m.scratch.alpha[:len(cols)]
-		for k, j := range cols {
-			alpha[k] = t.Data[j]
+	var ptr [attnBatch + attnAhead + 1]int
+	for b := lo; b < hi; {
+		e := attnBatchEnd(st.RowPtr, b, hi, len(m.scratch.alpha))
+		base := st.RowPtr[b]
+		coef := m.scratch.alpha[:st.RowPtr[e]-base]
+		for i := b; i < e; i++ {
+			at, end := st.RowPtr[i], st.RowPtr[i+1]
+			row := coef[at-base : end-base]
+			for k, j := range st.ColIdx[at:end] {
+				row[k] = t.Data[j]
+			}
+			attnSoftmaxRow(row, s.Data[i], op.slope)
 		}
-		attnSoftmaxRow(alpha, s.Data[i], op.slope)
-		var ahead []int
-		if a := i + attnAhead; a < st.N {
-			ahead = st.ColIdx[st.RowPtr[a]:st.RowPtr[a+1]]
-		}
-		epi.ProductRow(out.Data[(i-lo)*d:(i-lo+1)*d], alpha, checked.Slice(p-base, end-base), z.Data, i-lo, ahead)
+		c := span.Batch(ptr[:], b-lo, e-lo, coef)
+		epi.SparseRange(out.Data[(b-lo)*d:(e-lo)*d], &c, z.Data, b-lo)
+		b = e
 	}
 }
 
@@ -121,27 +145,33 @@ func (m *Machine) attnRowsI8(out *mat.MatrixI8, a *opAuxI8, op *Op, lo, hi int, 
 	s, t, z := &q.views[op.Srcs[0]], &q.views[op.Srcs[1]], &q.views[op.Srcs[2]]
 	sScale, tScale := sc[op.Srcs[0]][0], sc[op.Srcs[1]][0]
 	d := z.Cols
-	acc := q.scr.acc[:d]
-	base := st.RowPtr[lo]
-	// The span's proofs, before its first row: the structure's columns
-	// against z's height, the epilogue operands against z's width.
-	checked := mat.CheckIndices(st.ColIdx[base:st.RowPtr[hi]], z.Rows)
+	// The span's proofs, before its first row: the structure's rows and
+	// columns against z's height, the epilogue operands against z's width.
+	span := mat.CheckCSR(st.RowPtr[:st.N+1], st.ColIdx, st.Val, lo, hi, 0, z.Rows)
 	epi := mat.CheckEpilogueI8(d, a.deq, op.Epi.Bias, resScales, sc[op.Dst], op.Epi.ReLU, wide != nil)
-	for i := lo; i < hi; i++ {
-		p := st.RowPtr[i]
-		cols := st.ColIdx[p:st.RowPtr[i+1]]
-		alpha := q.scr.alpha[:len(cols)]
-		for k, j := range cols {
-			alpha[k] = float64(t.Data[j]) * tScale
+	var ptr [attnBatch + 1]int
+	for b := lo; b < hi; {
+		e := attnBatchEnd(st.RowPtr, b, hi, len(q.scr.alpha))
+		base := st.RowPtr[b]
+		coef := q.scr.alpha[:st.RowPtr[e]-base]
+		for i := b; i < e; i++ {
+			at, end := st.RowPtr[i], st.RowPtr[i+1]
+			row := coef[at-base : end-base]
+			for k, j := range st.ColIdx[at:end] {
+				row[k] = float64(t.Data[j]) * tScale
+			}
+			attnSoftmaxRow(row, float64(s.Data[i])*sScale, op.slope)
 		}
-		attnSoftmaxRow(alpha, float64(s.Data[i])*sScale, op.slope)
-		var rrow []int8
+		var rrows []int8
 		if res != nil {
-			rrow = res.Data[(i-lo)*d : (i-lo+1)*d]
+			rrows = res.Data[(b-lo)*d : (e-lo)*d]
 		}
-		am := epi.ProductRow(out.Data[(i-lo)*d:(i-lo+1)*d], acc, alpha, attnScale, checked.Slice(p-base, p-base+len(cols)), z.Data, rrow)
+		var labels []int
 		if wide != nil {
-			wide[i-lo] = am
+			labels = wide[b-lo : e-lo]
 		}
+		c := span.Batch(ptr[:], b-lo, e-lo, coef)
+		epi.SparseRange(out.Data[(b-lo)*d:(e-lo)*d], &c, attnScale, z.Data, rrows, q.scr.acc[:d], labels)
+		b = e
 	}
 }

@@ -178,10 +178,6 @@ type Program struct {
 	maxArity  int
 }
 
-// HasHalo reports whether the program contains halo-exchange ops —
-// machines planned from it can only Run inside a Fleet, at full height.
-func (p *Program) HasHalo() bool { return p.hasHalo }
-
 // haloHosts returns, per value, the halo destination that hosts it — the
 // value gathered into dst by an OpHalo is, row for row, the first
 // MaxRows rows of dst (a halo program runs at full height only), so
@@ -205,9 +201,6 @@ func (p *Program) haloHosts() []int {
 	return hosts
 }
 
-// NumInputs returns how many external input matrices Run expects.
-func (p *Program) NumInputs() int { return p.numInputs }
-
 // MaxWidth returns the widest value in the program — the column count the
 // tile staging buffer must accommodate.
 func (p *Program) MaxWidth() int { return p.maxWidth }
@@ -217,28 +210,6 @@ func (p *Program) OutputWidth() int { return p.vals[p.output].width }
 
 // Ops returns the compiled op sequence (shared, not a copy; read-only).
 func (p *Program) Ops() []Op { return p.ops }
-
-// EpilogueOps counts the element-wise operations riding inside fused
-// epilogues: one per attached bias, residual and ReLU across all ops.
-// len(Ops()) + EpilogueOps() is the work-equivalent op count of the
-// unfused program, which is what makes fused and unfused benchmark rows
-// comparable — a fused program's bare op count undercounts what it does.
-func (p *Program) EpilogueOps() int {
-	n := 0
-	for i := range p.ops {
-		epi := &p.ops[i].Epi
-		if epi.Bias != nil {
-			n++
-		}
-		if epi.Res >= 0 {
-			n++
-		}
-		if epi.ReLU {
-			n++
-		}
-	}
-	return n
-}
 
 // Builder assembles a Program. Methods return value ids to wire into later
 // ops; Build freezes the sequence. Builders are single-use.
@@ -519,14 +490,10 @@ type Machine struct {
 
 	// Flight-recorder state. rec is never nil (obs.Nop by default); trace
 	// and parent are the IDs the next Run's op spans attach to, bound by
-	// SetTrace from the caller that owns the enclosing query span. profNs
-	// accumulates per-op wall time across recorded runs — the plan-owned
-	// profile — under the machine's one-goroutine-at-a-time contract.
-	rec      obs.Recorder
-	trace    uint64
-	parent   uint64
-	profNs   []int64
-	profRuns int64
+	// SetTrace from the caller that owns the enclosing query span.
+	rec    obs.Recorder
+	trace  uint64
+	parent uint64
 
 	// epoch is the record the next Run's inputs were declared to belong
 	// to (SetInputEpoch); spent by that Run's bind step.
@@ -562,7 +529,6 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 		tiled:   cfg.TileRows > 0,
 		views:   make([]mat.Matrix, len(p.vals)),
 		rec:     cfg.Recorder,
-		profNs:  make([]int64, len(p.ops)),
 		attnRow: p.maxAttnRow(),
 	}
 	if m.rec == nil {
@@ -687,32 +653,11 @@ func (m *Machine) HaloBytes() int64 {
 // contract.
 func (m *Machine) SetTrace(trace, parent uint64) { m.trace, m.parent = trace, parent }
 
-// OpProfile is one op's accumulated execution profile across every run
-// recorded while the machine's Recorder was enabled.
-type OpProfile struct {
-	Kind OpKind
-	Ns   int64 // total wall time across recorded runs
-	Runs int64 // recorded run count (shared by all ops of the program)
-}
-
-// Profile returns the plan-owned per-op profile. It allocates (cold
-// path) and shares the machine's one-goroutine-at-a-time contract with
-// Run.
-func (m *Machine) Profile() []OpProfile {
-	out := make([]OpProfile, len(m.prog.ops))
-	for i := range m.prog.ops {
-		out[i] = OpProfile{Kind: m.prog.ops[i].Kind, Ns: m.profNs[i], Runs: m.profRuns}
-	}
-	return out
-}
-
-// opDone closes one op's span: accumulates the plan-owned profile and
-// records a SpanOp carrying the op kind, batch height, tile count and
-// the bytes the op's tiles flushed across the boundary. Called only when
-// the recorder is enabled.
-func (m *Machine) opDone(i int, op *Op, rows int, t0 int64) {
+// opDone closes one op's span: it records a SpanOp carrying the op
+// kind, batch height, tile count and the bytes the op's tiles flushed
+// across the boundary. Called only when the recorder is enabled.
+func (m *Machine) opDone(op *Op, rows int, t0 int64) {
 	dur := m.rec.Clock() - t0
-	m.profNs[i] += dur
 	tiles := int32(1)
 	var bytes int64
 	switch {
@@ -817,9 +762,6 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 			}
 		}
 	}
-	if recOn {
-		m.profRuns++
-	}
 	if m.sync != nil {
 		// Fleet entry barrier: every peer's views are bound (and its inputs
 		// quantized) before any shard starts reading across the fleet.
@@ -858,7 +800,7 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 			}
 		}
 		if recOn {
-			m.opDone(i, op, rows, t0)
+			m.opDone(op, rows, t0)
 		}
 	}
 	if m.elem == I8 {

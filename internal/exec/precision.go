@@ -394,7 +394,7 @@ func (m *Machine) runRowsI8(idx int, op *Op, lo, hi int, labels []int) {
 // addBiasI8 is f = bias + q·srcScale.
 func addBiasI8(dst, src *mat.MatrixI8, bias []float64, srcScales, dstScales []float64) {
 	for i := 0; i < src.Rows; i++ {
-		mat.RequantizeRow(dst.Row(i), nil, nil, bias, src.Row(i), srcScales, dstScales, false, false)
+		mat.RequantizeRow(dst.Row(i), nil, nil, bias, src.Row(i), srcScales, dstScales, false)
 	}
 }
 
@@ -403,7 +403,7 @@ func addBiasI8(dst, src *mat.MatrixI8, bias []float64, srcScales, dstScales []fl
 // a positive value — the code comes back as max(q, 0).
 func reluI8(dst, src *mat.MatrixI8, srcScales, dstScales []float64) {
 	for i := 0; i < src.Rows; i++ {
-		mat.RequantizeRow(dst.Row(i), nil, nil, nil, src.Row(i), srcScales, dstScales, true, false)
+		mat.RequantizeRow(dst.Row(i), nil, nil, nil, src.Row(i), srcScales, dstScales, true)
 	}
 }
 
@@ -415,7 +415,7 @@ func addI8(dst, a, b *mat.MatrixI8, sa, sb, sd []float64, acc []int32) {
 		for j, q := range a.Row(i) {
 			acc[j] = int32(q)
 		}
-		mat.RequantizeRow(dst.Row(i), acc, sa, nil, b.Row(i), sb, sd, false, false)
+		mat.RequantizeRow(dst.Row(i), acc, sa, nil, b.Row(i), sb, sd, false)
 	}
 }
 
@@ -427,7 +427,7 @@ func concatI8(dst *mat.MatrixI8, srcs []*mat.MatrixI8, cs [][]float64, sd []floa
 	for i := 0; i < dst.Rows; i++ {
 		out, off := dst.Row(i), 0
 		for k, s := range srcs {
-			mat.RequantizeRow(out[off:off+s.Cols], nil, nil, nil, s.Row(i), cs[k], sd[off:], false, false)
+			mat.RequantizeRow(out[off:off+s.Cols], nil, nil, nil, s.Row(i), cs[k], sd[off:], false)
 			off += s.Cols
 		}
 	}

@@ -399,12 +399,15 @@ func checkPrecisionProg(t *testing.T, prog *Program, x *mat.Matrix, tile int, ga
 
 // TestAttnRejectsCorruptColumnBeforeWriting: the attention aggregate
 // checks a span's structure columns once, ahead of its first row, so a
-// column outside z in the middle of the structure panics at fp64 and at
-// int8, direct and tiled, and the op's destination keeps what the
-// previous Run left there — no row of the new Run was written. A short
-// int8 epilogue operand is refused at the same point.
+// column outside z — in the middle of the structure, or in its last
+// non-empty row, which sits in the span's last batch — panics at fp64 and
+// at int8, direct and tiled, and the op's destination keeps what the
+// previous Run left there — no row of the new Run was written, so no
+// batch before the corrupt one ran. The structure is over twice attnBatch
+// rows high, so a span holds several batches whatever their length. A
+// short int8 epilogue operand is refused at the same point.
 func TestAttnRejectsCorruptColumnBeforeWriting(t *testing.T) {
-	const n = 60
+	const n = 2*attnBatch + 22
 	prog, x := buildAttnProg(n, 5, 8, 17)
 	scales, _, err := CalibrateScales(prog, n, []*mat.Matrix{x})
 	if err != nil {
@@ -421,11 +424,16 @@ func TestAttnRejectsCorruptColumnBeforeWriting(t *testing.T) {
 		}
 	}
 	st := attn.CSR
-	row := n / 2
-	for st.RowPtr[row] == st.RowPtr[row+1] {
-		row++
+	mid, last := n/2, n-1
+	for st.RowPtr[mid] == st.RowPtr[mid+1] {
+		mid++
 	}
-	pos := st.RowPtr[row]
+	for st.RowPtr[last] == st.RowPtr[last+1] {
+		last--
+	}
+	if last < 2*attnBatch {
+		t.Fatalf("last non-empty structure row %d is not past two full batches", last)
+	}
 	for _, cfg := range []Config{
 		{Workers: 1},
 		{TileRows: n, Workers: 1},
@@ -436,30 +444,32 @@ func TestAttnRejectsCorruptColumnBeforeWriting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewMachine(%+v): %v", cfg, err)
 		}
-		m.Run(n, []*mat.Matrix{x}, nil)
 		var before []float64
 		var before8 []int8
-		if cfg.Elem == I8 {
-			before8 = append(before8, m.q.views[attn.Dst].Data...)
-		} else {
-			before = append(before, m.views[attn.Dst].Data...)
-		}
-		good := st.ColIdx[pos]
-		st.ColIdx[pos] = n
-		mustPanicExec(t, func() { m.Run(n, []*mat.Matrix{other}, nil) })
-		st.ColIdx[pos] = good
-		for i, v := range before {
-			if m.views[attn.Dst].Data[i] != v {
-				t.Fatalf("%+v: fp64 attention wrote element %d before the panic", cfg, i)
+		for _, pos := range []int{st.RowPtr[mid], st.RowPtr[last+1] - 1} {
+			m.Run(n, []*mat.Matrix{x}, nil)
+			if cfg.Elem == I8 {
+				before8 = append(before8[:0], m.q.views[attn.Dst].Data...)
+			} else {
+				before = append(before[:0], m.views[attn.Dst].Data...)
 			}
-		}
-		for i, v := range before8 {
-			if m.q.views[attn.Dst].Data[i] != v {
-				t.Fatalf("%+v: int8 attention wrote element %d before the panic", cfg, i)
+			good := st.ColIdx[pos]
+			st.ColIdx[pos] = n
+			mustPanicExec(t, func() { m.Run(n, []*mat.Matrix{other}, nil) })
+			st.ColIdx[pos] = good
+			for i, v := range before {
+				if m.views[attn.Dst].Data[i] != v {
+					t.Fatalf("%+v, corrupt term %d: fp64 attention wrote element %d before the panic", cfg, pos, i)
+				}
 			}
+			for i, v := range before8 {
+				if m.q.views[attn.Dst].Data[i] != v {
+					t.Fatalf("%+v, corrupt term %d: int8 attention wrote element %d before the panic", cfg, pos, i)
+				}
+			}
+			// The machine is whole again once the structure is.
+			m.Run(n, []*mat.Matrix{other}, nil)
 		}
-		// The machine is whole again once the structure is.
-		m.Run(n, []*mat.Matrix{other}, nil)
 
 		// At int8 the span's epilogue operands are proved before its first
 		// row as well (mat.CheckEpilogueI8): a short one panics with the

@@ -34,9 +34,9 @@ func raggedCSR(rng *rand.Rand, n, cols int) *NormAdjacency {
 // TestSpMMLookAheadChangesNoBit holds every SpMM driver — the full-height
 // product serial and banded, the range forms over ragged ranges, with and
 // without an epilogue, on a square CSR and on a rectangular shard CSR — to
-// a loop of plain row accumulates that never look ahead. The sources are
-// over 1 MiB, so on AVX2 hosts the drivers' hints are really issued; the
-// bits must not know.
+// the row contract written out as a plain loop that never looks ahead.
+// The sources are over 1 MiB, so on AVX2 hosts the drivers' hints are
+// really issued; the bits must not know.
 func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 	const d = 48
 	rng := rand.New(rand.NewSource(31))
@@ -54,12 +54,24 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 
 		plain := mat.New(shape.n, d)
 		fused := mat.New(shape.n, d)
-		bare := mat.CheckEpilogue(shape.n, d, nil, nil, false)
 		for i := 0; i < shape.n; i++ {
 			p, e := na.RowPtr[i], na.RowPtr[i+1]
 			row := plain.Data[i*d : (i+1)*d]
-			row[0] = 7 // an empty row must be cleared, not skipped
-			bare.ProductRow(row, na.Val[p:e], mat.CheckIndices(na.ColIdx[p:e], h.Rows), h.Data, i, nil)
+			for j := range row {
+				// The row contract written out: the first term a bare
+				// product, then one rounded multiply and add per term
+				// (the conversion keeps them from fusing); an empty row
+				// is zero.
+				s := 0.0
+				for k := p; k < e; k++ {
+					if prod := float64(na.Val[k] * h.Data[na.ColIdx[k]*d+j]); k == p {
+						s = prod
+					} else {
+						s += prod
+					}
+				}
+				row[j] = s
+			}
 			frow := fused.Data[i*d : (i+1)*d]
 			copy(frow, row)
 			mat.ApplyEpilogueRow(frow, bias, res.Data[i*d:(i+1)*d], true)
@@ -68,7 +80,7 @@ func TestSpMMLookAheadChangesNoBit(t *testing.T) {
 			t.Helper()
 			for k, v := range got.Data {
 				if w := want.Data[lo*d+k]; math.Float64bits(v) != math.Float64bits(w) {
-					t.Fatalf("%s %s: row %d col %d = %x, row-accumulate loop %x", shape.name, what, lo+k/d, k%d, math.Float64bits(v), math.Float64bits(w))
+					t.Fatalf("%s %s: row %d col %d = %x, row-contract loop %x", shape.name, what, lo+k/d, k%d, math.Float64bits(v), math.Float64bits(w))
 				}
 			}
 		}

@@ -250,15 +250,3 @@ func (na *NormAdjacency) Dense() *mat.Matrix {
 	}
 	return d
 }
-
-// RowSumsOfSquares returns Σ_j Â[i,j]² per row; used by tests to check the
-// normalisation invariants.
-func (na *NormAdjacency) RowSumsOfSquares() []float64 {
-	out := make([]float64, na.N)
-	for i := 0; i < na.N; i++ {
-		for p := na.RowPtr[i]; p < na.RowPtr[i+1]; p++ {
-			out[i] += na.Val[p] * na.Val[p]
-		}
-	}
-	return out
-}

@@ -16,31 +16,28 @@ import "fmt"
 // a stack buffer, branch-free, and then runs the same indexed kernel, so
 // no data-dependent branch is left in the MAC loop.
 //
-// The fp64 form has one more clause, the look-ahead: the caller may pass
-// the indices it will ask for next — SpMM passes a CSR row a fixed
-// distance on — and an implementation may use them to start fetching
-// those source rows while it sums this one. They are hints and nothing
-// else: never validated, the rows they name never read, any length (none,
-// fewer or more than the row's own terms) and any value (out of range
-// included) allowed, and no bit of out depends on them. The assembly
-// issues prefetches for them where that pays (rowacc_amd64.go has the
-// rule and its measurements); the portable kernel ignores them. The int8
-// form takes none: its sources are an eighth the size and L2-resident
-// at the graph sizes served here.
+// The fp64 form has one more clause, the look-ahead: the multipliers of
+// CSR row i ride with the column indices of row i+ahead of the same CSR,
+// and an implementation may use them to start fetching those source rows
+// while it sums row i. They are hints and nothing else: never validated,
+// the rows they name never read, any value (out of range included)
+// allowed, and no bit of out depends on them. The assembly issues
+// prefetches for them where that pays (rowacc_amd64.go has the rule and
+// its measurements); the portable kernel ignores them. The int8 form
+// takes none: its sources are an eighth the size and L2-resident at the
+// graph sizes served here.
 //
 // The kernels read src unchecked, so the indices reach them already
-// proved: idx is a CheckedIndices, minted by CheckIndices against a source
-// height — once per op range by the sparse products and the attention
-// aggregate (a CSR's ColIdx[RowPtr[lo]:RowPtr[hi]], before the range's
-// first row is written), by construction in the dense products (the
-// compaction emits positions of an input row whose length the shape
-// checks hold equal to the weight's height) — and sliced per row. What is
-// left to check per call is constant work: the lengths, and that the
-// source holds the rows the indices were proved against. The hints stay
-// unvalidated on purpose: validating a hint would cost what the hint is
-// meant to save, and nothing ever dereferences one — the assembly turns
-// it into a prefetch, which cannot fault, and the portable kernel drops
-// it.
+// proved: a sparse product's inside a CheckedCSR, whose column indices
+// CheckCSR holds against the source height once per op range (before the
+// range's first row is written), the dense products' by construction
+// (the compaction emits positions of an input row whose length the shape
+// checks hold equal to the weight's height). What is left to check per
+// call is constant work: the lengths, and that the source holds the rows
+// the indices were proved against. The hints stay unvalidated on
+// purpose: validating a hint would cost what the hint is meant to save,
+// and nothing ever dereferences one — the assembly turns it into a
+// prefetch, which cannot fault, and the portable kernel drops it.
 //
 // The range clause. The fp64 products do not cross into the kernel once
 // per row. A range call — CheckedEpilogue.SparseRange for the sparse
@@ -59,22 +56,22 @@ import "fmt"
 // finished like any other. An input row longer than RowChunk runs every
 // window of its compaction but the last bare, continuing onto the row,
 // and its last window carries the epilogue — the rule the int8 dense
-// product follows. The row door stays for products whose multipliers are
-// computed row by row (the attention aggregate: CheckedEpilogue.ProductRow,
-// which with no epilogue is the contract's bare entry); on amd64 it is
-// the range routine handed one row.
+// product follows. A product whose multipliers are computed rather than
+// loaded (the attention aggregate) is a sparse range too: it proves its
+// whole span once and then hands the kernel batches of rows whose values
+// it has just computed (CheckedCSR.Batch).
 //
 // What a range reads unchecked is proved once, before its first row is
 // written, when its caller mints two values. CheckCSR: the row pointers
 // from the range's first row through the end of its last look-ahead row
 // are non-negative, non-decreasing and inside the operator's values and
 // column indices — the kernel reads them where Go's slicing used to bound
-// every row — and the range's column indices name source rows
-// (CheckIndices). CheckEpilogue: the bias is one per column, the residual
-// as many rows and columns as the destination. The dense range's indices
-// are positions in an input row, in range by construction; its driver
-// proves that the weight, the input and the destination hold what their
-// shapes say. So a corrupt row pointer or column, a short bias and a
+// every row — and the range's column indices name source rows.
+// CheckEpilogue: the bias is one per column, the residual as many rows
+// and columns as the destination. The dense range's indices are
+// positions in an input row, in range by construction; its driver proves
+// that the weight, the input and the destination hold what their shapes
+// say. So a corrupt row pointer or column, a short bias and a
 // mis-shaped residual each panic before any destination byte changes,
 // and per call what is left is constant work.
 //
@@ -122,17 +119,16 @@ import "fmt"
 // assembly quantises a window of the range's values at a time, across
 // rows; its dense compaction windows are RowChunk input entries). A row
 // with no term — an isolated node, an all-zero input row — requantises
-// cleared sums: bias and residual still apply. The row door
-// (CheckedEpilogueI8.ProductRow) stays for products whose multipliers are
-// computed row by row — the attention aggregate, whose coefficients under
-// their fixed scale are exactly a CSR row under its value scale — and on
-// amd64 it is the range routine handed one row.
+// cleared sums: bias and residual still apply. The attention aggregate's
+// coefficients under their fixed scale are exactly CSR rows under their
+// value scale, so it runs as batches of a sparse range (CheckedCSR.Batch)
+// here too.
 //
 // Validation moves, it is never dropped. What an int8 range reads and
 // writes unchecked is proved once, before its first row is written.
-// CheckCSR (the sparse range; CheckIndices for the row door): the row
-// pointers non-negative, non-decreasing and inside the operator's values
-// and column indices, the column indices naming source rows.
+// CheckCSR: the row pointers non-negative, non-decreasing and inside the
+// operator's values and column indices, the column indices naming source
+// rows.
 // CheckEpilogueI8: deq, bias, residual scales and destination scales one
 // per column. The entry itself (requireRows, and the two drivers for
 // their matrices): the destination and the residual hold rows·cols codes,
@@ -147,20 +143,20 @@ import "fmt"
 // The over-read rule. int8 rows are narrower than the eight bytes the
 // assembly widens at a time, so a row's last cols mod 8 columns are read
 // by a narrowed load, and the rule for it is: no load touches a byte
-// outside src[0 : idx.rows·cols]. The assembly keeps it by loading the
+// outside src[0 : srcRows·cols]. The assembly keeps it by loading the
 // eight bytes at A = min(W, L), W the address of the wanted columns and
-// L = &src[idx.rows·cols − 8] the source's final eight bytes, and
+// L = &src[srcRows·cols − 8] the source's final eight bytes, and
 // shifting the W − A bytes below them out. Proof: if W ≤ L the load ends
 // at W + 8 ≤ L + 8, the source's end. Otherwise A = L < W, the load is
 // the source's final eight bytes, and since the r wanted columns lie
 // inside the source, W + r ≤ L + 8, i.e. W − A ≤ 8 − r: after the shift
 // at least r bytes remain and the first is the byte at W. A ≥ &src[0]
-// needs idx.rows·cols ≥ 8, which holds for every row of eight columns or
-// more; a range or a row over a source shorter than eight codes never
-// reaches the assembly (haveI8Kernel). L is established once per range.
+// needs srcRows·cols ≥ 8, which holds for every row of eight columns or
+// more; a range over a source shorter than eight codes never reaches the
+// assembly (haveI8Kernel). L is established once per range.
 // The last source row is the only one for which W > L can hold when
-// cols < 8, and TestProductRangeI8Differential and
-// TestProductRowI8Differential read it flush against an unreadable page.
+// cols < 8, and TestProductRangeI8Differential reads it flush against an
+// unreadable page.
 
 // RowChunk is how many multipliers the kernels take per window from
 // their callers' stack buffers — the dense products' compacted
@@ -169,44 +165,12 @@ import "fmt"
 // window.
 const RowChunk = 128
 
-// CheckedIndices is a list of source-row indices proved to lie in
-// [0, rows) for a source of rows rows — the only form the row accumulate
-// takes its indices in. Only CheckIndices mints one from caller data, and
-// slicing keeps the proof, so a product validates the indices of a whole
-// op range once (a CSR's ColIdx[RowPtr[lo]:RowPtr[hi]]) and hands the
-// kernel one row's slice at a time; a kernel that reads unchecked cannot
-// be reached with anything else. The value aliases the caller's slice,
-// which must not change while the value is in use.
-type CheckedIndices struct {
-	idx  []int
-	rows int
-}
-
-// CheckIndices proves every index in idx names a row of a rows-high
-// source and panics on the first that does not — before the caller has
-// written anything.
-func CheckIndices(idx []int, rows int) CheckedIndices {
-	if rows < 0 {
-		panic(fmt.Sprintf("mat: indices checked against %d rows", rows))
-	}
-	for _, c := range idx {
-		if uint(c) >= uint(rows) {
-			panic(fmt.Sprintf("mat: row accumulate index %d out of range [0,%d)", c, rows))
-		}
-	}
-	return CheckedIndices{idx, rows}
-}
-
-// Slice returns the checked indices [lo, hi) of c.
-func (c CheckedIndices) Slice(lo, hi int) CheckedIndices {
-	return CheckedIndices{c.idx[lo:hi], c.rows}
-}
-
 // CheckedCSR is rows [lo, hi) of a CSR operator proved safe to walk
-// unchecked — the only form the sparse range (CheckedEpilogue.SparseRange)
-// takes its rows in, as CheckedIndices is the only form a row takes its
-// indices in. Only CheckCSR mints one. The value aliases the operator's
-// slices, which must not change while it is in use.
+// unchecked — the only form the sparse ranges (CheckedEpilogue.SparseRange,
+// CheckedEpilogueI8.SparseRange) take their rows in. Only CheckCSR mints
+// one from caller data, and Batch cuts one into batches of rows. The
+// value aliases the operator's slices, which must not change while it is
+// in use.
 type CheckedCSR struct {
 	rowPtr  []int // RowPtr[lo:] through the last look-ahead row's end
 	rows    int   // hi − lo
@@ -223,9 +187,9 @@ type CheckedCSR struct {
 // of the operator's last row) — the rows the range walks and the rows
 // whose column indices ride along as its look-ahead hints — are
 // non-negative, non-decreasing and end inside colIdx, which is as long
-// as val; and every column index of rows [lo, hi) names a source row
-// (CheckIndices). It panics on the first that does not hold. The hint
-// rows' column indices are bounded, never validated: they are hints.
+// as val; and every column index of rows [lo, hi) names a source row.
+// It panics on the first that does not hold. The hint rows' column
+// indices are bounded, never validated: they are hints.
 func CheckCSR(rowPtr, colIdx []int, val []float64, lo, hi, ahead, srcRows int) CheckedCSR {
 	n := len(rowPtr) - 1
 	if lo < 0 || hi < lo || hi > n || ahead < 0 {
@@ -245,10 +209,45 @@ func CheckCSR(rowPtr, colIdx []int, val []float64, lo, hi, ahead, srcRows int) C
 	if prev > len(colIdx) {
 		panic(fmt.Sprintf("mat: CSR row pointer %d past its %d non-zeros", prev, len(colIdx)))
 	}
-	CheckIndices(colIdx[rowPtr[lo]:rowPtr[hi]], srcRows)
+	if srcRows < 0 {
+		panic(fmt.Sprintf("mat: CSR columns checked against %d rows", srcRows))
+	}
+	for _, c := range colIdx[rowPtr[lo]:rowPtr[hi]] {
+		if uint(c) >= uint(srcRows) {
+			panic(fmt.Sprintf("mat: CSR column %d out of range [0,%d)", c, srcRows))
+		}
+	}
 	return CheckedCSR{
 		rowPtr: rowPtr[lo : end+1], rows: hi - lo, col: colIdx, val: val,
 		srcRows: srcRows, ahead: ahead, hinted: max(0, min(hi, n-ahead)-lo),
+	}
+}
+
+// Batch returns rows [lo, hi) of c, counted from c's first row, as a
+// range of their own whose values are val instead of the operator's —
+// one per term of those rows, in CSR order — for a product whose
+// multipliers are computed a batch of rows at a time (the attention
+// aggregate). Their row pointers, and their look-ahead rows', are rebased
+// into ptr, which must hold hi−lo+ahead+1 of them; the column indices and
+// the hints are c's. Every column was proved when c was minted, so what
+// is checked here is the batch's bounds and the lengths of ptr and val.
+func (c *CheckedCSR) Batch(ptr []int, lo, hi int, val []float64) CheckedCSR {
+	if lo < 0 || hi < lo || hi > c.rows {
+		panic(fmt.Sprintf("mat: CSR batch [%d,%d) of %d rows", lo, hi, c.rows))
+	}
+	rp := c.rowPtr[lo : min(hi+c.ahead, len(c.rowPtr)-1)+1]
+	base := rp[0]
+	if len(ptr) < len(rp) || len(val) != c.rowPtr[hi]-base {
+		panic(fmt.Sprintf("mat: CSR batch [%d,%d) of %d terms with %d values and room for %d of its %d row pointers",
+			lo, hi, c.rowPtr[hi]-base, len(val), len(ptr), len(rp)))
+	}
+	ptr = ptr[:len(rp)]
+	for i, at := range rp {
+		ptr[i] = at - base
+	}
+	return CheckedCSR{
+		rowPtr: ptr, rows: hi - lo, col: c.col[base:], val: val,
+		srcRows: c.srcRows, ahead: c.ahead, hinted: max(0, min(c.hinted-lo, hi-lo)),
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 // the unfused program by construction.
 //
 // Composition. On the fp64 product paths the epilogue is not a pass over
-// a stored row: the range and row entries below (axpy.go, the range
-// clause) finish each block of accumulators — bias add, residual add,
-// ReLU, in that order — before the block's single store. That is allowed
+// a stored row: the range entries below (axpy.go, the range clause)
+// finish each block of accumulators — bias add, residual add, ReLU, in
+// that order — before the block's single store. That is allowed
 // to be exactly ApplyEpilogueRow after the row accumulate and nothing
 // else: the adds are the same IEEE additions on the same operands in the
 // same order (VADDPD with the accumulator as first source, never FMA),
@@ -85,10 +85,10 @@ func reluF64(v float64) float64 {
 // to fit the product's destination: the optional bias, one per column;
 // the optional residual, as many rows and columns as the destination;
 // and the ReLU flag. Only CheckEpilogue mints one, once per op and before
-// the op's first row is written — what CheckedIndices is to a range's
-// column indices and CheckedEpilogueI8 to the int8 epilogue — so the
-// range and row entries, which read these operands unchecked, cannot be
-// reached with a short one. The zero value is no epilogue at all. The
+// the op's first row is written — what CheckCSR is to a range's column
+// indices and CheckedEpilogueI8 to the int8 epilogue — so the range
+// entries, which read these operands unchecked, cannot be reached with a
+// short one. The zero value is no epilogue at all. The
 // value aliases the caller's slices, which must not change while it is in
 // use.
 type CheckedEpilogue struct {
@@ -133,25 +133,6 @@ func (e *CheckedEpilogue) requireRows(dst []float64, rows, r0 int) {
 	}
 }
 
-// ProductRow is the fp64 row door with the epilogue inside: out becomes
-// the row accumulate of alpha, idx and src (RowAccumulate, never
-// continuing) finished by e's epilogue as destination row r — the
-// residual row it takes — in one kernel call. It is for products whose
-// multipliers are computed row by row (the attention aggregate); a
-// product whose rows can be named up front is a range. What is validated
-// here is constant work, as in RowAccumulate; the operands per column
-// were proved when e and idx were minted.
-func (e *CheckedEpilogue) ProductRow(out, alpha []float64, idx CheckedIndices, src []float64, r int, ahead []int) {
-	p := e.cols
-	if len(out) != p || uint(r) >= uint(e.rows) || len(idx.idx) != len(alpha) || idx.rows*p > len(src) {
-		panic(fmt.Sprintf("mat: product row %d of a %dx%d destination: out %d, %d multipliers for %d indices, %d rows of source in %d elements",
-			r, e.rows, p, len(out), len(alpha), len(idx.idx), idx.rows, len(src)))
-	}
-	if p > 0 {
-		productRowF64(e, out, alpha, idx.idx, src, r, false, ahead)
-	}
-}
-
 // SparseRange computes the rows of c times the e.cols-wide rows of src
 // into dst — len(dst) = rows·cols, destination rows [r0, r0+rows) of the
 // op e was checked for — each finished by e's epilogue: the range
@@ -169,14 +150,13 @@ func (e *CheckedEpilogue) SparseRange(dst []float64, c *CheckedCSR, src []float6
 }
 
 // productRowF64Go, sparseRangeF64Go and denseRangeF64Go are the portable
-// row door and ranges — the whole of the purego build, and the oracle the
-// assembly is held to: literally the Go loop of rowAccF64Go, then
+// product row and ranges — the whole of the purego build, and the oracle
+// the assembly is held to: literally the Go loop of rowAccF64Go, then
 // ApplyEpilogueRow, per row.
-func productRowF64Go(e *CheckedEpilogue, out, alpha []float64, idx []int, src []float64, r int, cont bool) {
-	switch {
-	case len(alpha) > 0:
-		rowAccF64Go(out, alpha, idx, src, cont)
-	case !cont:
+func productRowF64Go(e *CheckedEpilogue, out, alpha []float64, idx []int, src []float64, r int) {
+	if len(alpha) > 0 {
+		rowAccF64Go(out, alpha, idx, src, false)
+	} else {
 		clear(out)
 	}
 	e.applyRow(out, r)
@@ -186,7 +166,7 @@ func sparseRangeF64Go(e *CheckedEpilogue, dst []float64, c *CheckedCSR, src []fl
 	p := e.cols
 	for i := 0; i < c.rows; i++ {
 		at, end := c.rowPtr[i], c.rowPtr[i+1]
-		productRowF64Go(e, dst[i*p:(i+1)*p], c.val[at:end], c.col[at:end], src, r0+i, false)
+		productRowF64Go(e, dst[i*p:(i+1)*p], c.val[at:end], c.col[at:end], src, r0+i)
 	}
 }
 

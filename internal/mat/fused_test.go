@@ -62,15 +62,15 @@ func TestMatMulBiasReLUIntoMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestAxpyFamilyBitIdentity checks that the row accumulate — in one call
-// and continued across two — and Dot reproduce the one-at-a-time
-// accumulation bit for bit.
+// TestAxpyFamilyBitIdentity checks that the row accumulate — in one
+// dispatched call, and the portable kernel continued across two — and Dot
+// reproduce the one-at-a-time accumulation bit for bit.
 func TestAxpyFamilyBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, d := range []int{1, 3, 7, 8, 16, 33} {
 		src := fill(rng, New(4, d)).Data
 		as := fill(rng, New(1, 4)).Data
-		idx := CheckIndices([]int{0, 1, 2, 3}, 4)
+		idx := []int{0, 1, 2, 3}
 		ref := make([]float64, d)
 		for i, a := range as {
 			for j := 0; j < d; j++ {
@@ -78,10 +78,10 @@ func TestAxpyFamilyBitIdentity(t *testing.T) {
 			}
 		}
 		got := make([]float64, d)
-		rowAccF64(got, as, idx, src, false, nil)
+		rowAccF64(got, as, idx, 4, src, nil)
 		split := make([]float64, d)
-		rowAccF64(split, as[:2], idx.Slice(0, 2), src, false, nil)
-		rowAccF64(split, as[2:], idx.Slice(2, 4), src, true, nil)
+		rowAccF64Go(split, as[:2], idx[:2], src, false)
+		rowAccF64Go(split, as[2:], idx[2:], src, true)
 		for j := range ref {
 			if got[j] != ref[j] || split[j] != ref[j] {
 				t.Fatalf("d=%d elem %d: one call %v, continued %v, want %v", d, j, got[j], split[j], ref[j])

@@ -10,14 +10,12 @@ import (
 // BenchmarkSpMMGather for the fp64 gather: CI's bench-short step runs
 // them at GOMAXPROCS=1 so both tiers' kernels are on the trajectory.
 
-var benchSink int
-
 // BenchmarkRequantizeRow times one requantise row apart from any
 // accumulate — the half RequantizeRow's callers pay for (the boundary
 // quantiser, the standalone element-wise ops) — at the widths the served
 // programs have (3 logits, 16/32 hidden, 128 a wide backbone block) over
-// an accumulator row: bare, + bias + ReLU, and with the wide argmax. The
-// products themselves run these forms inside BenchmarkProductRangeI8's one
+// an accumulator row: bare, and + bias + ReLU. The products themselves run
+// these forms, and the wide argmax, inside BenchmarkProductRangeI8's one
 // call per range. ns/elem is per output column.
 func BenchmarkRequantizeRow(b *testing.B) {
 	rng := rand.New(rand.NewSource(20))
@@ -25,17 +23,16 @@ func BenchmarkRequantizeRow(b *testing.B) {
 		c := newRequantCase(rng, n, true, true, false, 0, 0)
 		dst := make([]int8, n)
 		for _, form := range []struct {
-			name         string
-			bias         []float64
-			relu, argmax bool
+			name string
+			bias []float64
+			relu bool
 		}{
-			{"acc", nil, false, false},
-			{"acc+bias+relu", c.bias, true, false},
-			{"argmax", c.bias, false, true},
+			{"acc", nil, false},
+			{"acc+bias+relu", c.bias, true},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, form.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					benchSink += RequantizeRow(dst, c.acc, c.deq, form.bias, nil, nil, c.dst, form.relu, form.argmax)
+					RequantizeRow(dst, c.acc, c.deq, form.bias, nil, nil, c.dst, form.relu)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 			})

@@ -104,7 +104,7 @@ func QuantizeI8Into(dst *MatrixI8, src *Matrix, scale float64) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("mat: QuantizeI8Into shape mismatch %s vs %s", dst.Shape(), src.Shape()))
 	}
-	requantRowChecked(dst.Data, nil, nil, src.Data, nil, nil, nil, scale, false, false)
+	requantRowChecked(dst.Data, nil, nil, src.Data, nil, nil, nil, scale, false)
 }
 
 // QuantizeColumnsI8Into quantizes the float64 matrix src into dst under
@@ -120,7 +120,7 @@ func QuantizeColumnsI8Into(dst *MatrixI8, src *Matrix, scales []float64) {
 	}
 	cols := src.Cols
 	for i := 0; i < src.Rows; i++ {
-		RequantizeRow(dst.Data[i*cols:(i+1)*cols], nil, nil, src.Data[i*cols:(i+1)*cols], nil, nil, scales, false, false)
+		RequantizeRow(dst.Data[i*cols:(i+1)*cols], nil, nil, src.Data[i*cols:(i+1)*cols], nil, nil, scales, false)
 	}
 }
 

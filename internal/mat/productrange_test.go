@@ -57,10 +57,11 @@ func requireRows(t testing.TB, what string, got, want []float64, lo, hi, p int, 
 	}
 }
 
-// checkSparseRange holds the sparse range entry and the row door to the
-// per-row oracle — rowAccF64Go, then ApplyEpilogueRow (productRowF64Go)
-// — over a CSR whose rows hold counts terms, bit for bit, on every
-// sub-range. The source is either a few rows ending where readable memory
+// checkSparseRange holds the sparse range entry to the per-row oracle —
+// rowAccF64Go, then ApplyEpilogueRow (productRowF64Go) — over a CSR whose
+// rows hold counts terms, bit for bit, on every sub-range, and on the
+// whole range cut into batches (CheckedCSR.Batch) whose values are copies
+// of the CSR's. The source is either a few rows ending where readable memory
 // does, its last row always read, or (big) the shared source large enough
 // that the assembly issues its look-ahead hints. The column indices after
 // a range are only ever hints, so they are overwritten with anything at
@@ -98,7 +99,7 @@ func checkSparseRange(t testing.TB, rng *rand.Rand, p int, counts []int, mix uin
 	want := make([]float64, rows*p)
 	for i := range counts {
 		at, end := rowPtr[i], rowPtr[i+1]
-		productRowF64Go(&e, want[i*p:(i+1)*p], val[at:end], col[at:end], src, i, false)
+		productRowF64Go(&e, want[i*p:(i+1)*p], val[at:end], col[at:end], src, i)
 	}
 	for _, r := range subRanges(rows) {
 		lo, hi := r[0], r[1]
@@ -113,16 +114,16 @@ func checkSparseRange(t testing.TB, rng *rand.Rand, p int, counts []int, mix uin
 		e.SparseRange(got, &c, src, lo)
 		requireRows(t, what, got, want, lo, hi, p, fenced)
 	}
-	for i := range counts {
-		at, end := rowPtr[i], rowPtr[i+1]
-		var ahead []int
-		if i+2 < rows {
-			ahead = col[rowPtr[i+2]:rowPtr[i+3]]
-		}
-		got, fenced := fencedRow[float64](p)
-		e.ProductRow(got, val[at:end], CheckIndices(col[at:end], srcRows), src, i, ahead)
-		requireRows(t, what+" row door", got, want, i, i+1, p, fenced)
+	span := CheckCSR(rowPtr, col, val, 0, rows, 2, srcRows)
+	got, fenced := fencedRow[float64](rows * p)
+	var ptr [6]int
+	for b := 0; b < rows; {
+		e2 := min(rows, b+1+rng.Intn(3))
+		batch := span.Batch(ptr[:], b, e2, append([]float64(nil), val[rowPtr[b]:rowPtr[e2]]...))
+		e.SparseRange(got[b*p:e2*p], &batch, src, b)
+		b = e2
 	}
+	requireRows(t, what+" batches", got, want, 0, rows, p, fenced)
 }
 
 // checkDenseRange holds the dense range entry to the same oracle applied
@@ -162,7 +163,7 @@ func checkDenseRange(t testing.TB, rng *rand.Rand, p, n int, mix uint8, special 
 				ka, ki = append(ka, v), append(ki, k)
 			}
 		}
-		productRowF64Go(&e, want[i*p:(i+1)*p], ka, ki, b.Data, i, false)
+		productRowF64Go(&e, want[i*p:(i+1)*p], ka, ki, b.Data, i)
 	}
 	for _, r := range subRanges(rows) {
 		lo, hi := r[0], r[1]
@@ -180,6 +181,11 @@ func checkDenseRange(t testing.TB, rng *rand.Rand, p, n int, mix uint8, special 
 	}
 }
 
+// productRowTerms are the row lengths of the differential tables: none
+// (the row clears to its epilogue), one, a few, and counts around one
+// RowChunk window and beyond two.
+var productRowTerms = []int{0, 1, 5, 127, 128, 129, 300}
+
 // productRangeWidths cross every column block and tail of the kernel:
 // 1…40, 64 and 100.
 func productRangeWidths() []int {
@@ -191,11 +197,11 @@ func productRangeWidths() []int {
 }
 
 // TestProductRangeF64Differential holds the two fp64 range entries and
-// the row door (one AVX2 routine where the CPU has it) to the per-row
-// oracle, rowAccF64Go then ApplyEpilogueRow, bit for bit: widths 1…40, 64
-// and 100 × bias × residual × ReLU × plain and special values (NaN, ±0,
-// ±Inf, denormals) × lo/hi sub-ranges, the CSR's last rows (no hint rows
-// left) among them. Sparse: rows of {0, 1, 5, 127, 128, 129, 300} terms
+// the sparse range's batches (one AVX2 routine where the CPU has it) to
+// the per-row oracle, rowAccF64Go then ApplyEpilogueRow, bit for bit:
+// widths 1…40, 64 and 100 × bias × residual × ReLU × plain and special
+// values (NaN, ±0, ±Inf, denormals) × lo/hi sub-ranges, the CSR's last
+// rows (no hint rows left) among them. Sparse: rows of {0, 1, 5, 127, 128, 129, 300} terms
 // with empty rows first, in the middle and last, over a small source and
 // over one large enough for the look-ahead hints to be issued. Dense:
 // inner dimensions {0, 1, 127, 128, 129, 300} (one window of the
@@ -220,10 +226,12 @@ func TestProductRangeF64Differential(t *testing.T) {
 	}
 }
 
-// TestProductRangeRejectsBadOperands: a bias, a residual or a CSR that
-// does not fit panics where it is checked, and a range or row whose
-// slices do not fit what was checked panics before the kernel runs — with
-// the destination untouched.
+// TestProductRangeRejectsBadOperands: a bias, a residual, an int8
+// epilogue operand or a CSR that does not fit panics where it is checked,
+// and a range of either tier whose slices do not fit what was checked —
+// destination, source, residual present or absent against the epilogue,
+// accumulator row, labels — panics before the kernel runs, with the
+// destination untouched.
 func TestProductRangeRejectsBadOperands(t *testing.T) {
 	const rows, p = 3, 5
 	src := make([]float64, 4*p)
@@ -236,26 +244,42 @@ func TestProductRangeRejectsBadOperands(t *testing.T) {
 	}
 	shortRes := New(rows, p)
 	shortRes.Data = shortRes.Data[:rows*p-1]
+	f5, f4 := make([]float64, p), make([]float64, p-1)
+	e8 := CheckEpilogueI8(p, f5, f5, nil, f5, true, true)
+	withRes8 := CheckEpilogueI8(p, f5, nil, f5, f5, false, false)
+	src8, dst8, res8, acc, labels := make([]int8, 4*p), make([]int8, rows*p), make([]int8, rows*p), make([]int32, p), make([]int, rows)
+	for j := range dst8 {
+		dst8[j] = 7
+	}
 	for name, fn := range map[string]func(){
-		"short bias":        func() { CheckEpilogue(rows, p, make([]float64, p-1), nil, false) },
-		"long bias":         func() { CheckEpilogue(rows, p, make([]float64, p+1), nil, false) },
-		"short residual":    func() { CheckEpilogue(rows, p, nil, New(rows-1, p), false) },
-		"narrow residual":   func() { CheckEpilogue(rows, p, nil, New(rows, p-1), false) },
-		"residual storage":  func() { CheckEpilogue(rows, p, nil, shortRes, false) },
-		"negative row ptr":  func() { CheckCSR([]int{-1, 2, 2, 3}, col, val, 0, rows, 2, 4) },
-		"falling row ptr":   func() { CheckCSR([]int{0, 2, 1, 3}, col, val, 0, rows, 2, 4) },
-		"row ptr past nnz":  func() { CheckCSR([]int{0, 2, 2, 4}, col, val, 0, rows, 2, 4) },
-		"hint row past nnz": func() { CheckCSR([]int{0, 2, 2, 4}, col, val, 0, 1, 2, 4) },
-		"column == rows":    func() { CheckCSR(rowPtr, col, val, 0, rows, 2, 3) },
-		"values != columns": func() { CheckCSR(rowPtr, col, val[:2], 0, rows, 2, 4) },
-		"range past rows":   func() { CheckCSR(rowPtr, col, val, 1, rows+1, 2, 4) },
-		"short dst":         func() { e.SparseRange(dst[:rows*p-1], &c, src, 0) },
-		"rows past the op":  func() { e.SparseRange(dst, &c, src, 1) },
-		"short source":      func() { e.SparseRange(dst, &c, src[:4*p-1], 0) },
-		"row door width":    func() { e.ProductRow(dst[:p-1], val[:2], CheckIndices(col[:2], 4), src, 0, nil) },
-		"row door past op":  func() { e.ProductRow(dst[:p], val[:2], CheckIndices(col[:2], 4), src, rows, nil) },
-		"row door source":   func() { e.ProductRow(dst[:p], val[:2], CheckIndices(col[:2], 4), src[:4*p-1], 0, nil) },
-		"row door indices":  func() { e.ProductRow(dst[:p], val[:1], CheckIndices(col[:2], 4), src, 0, nil) },
+		"int8 short deq":        func() { CheckEpilogueI8(p, f4, nil, nil, f5, false, false) },
+		"int8 short bias":       func() { CheckEpilogueI8(p, f5, f4, nil, f5, false, false) },
+		"int8 short resScales":  func() { CheckEpilogueI8(p, f5, nil, f4, f5, false, false) },
+		"int8 short dstScales":  func() { CheckEpilogueI8(p, f5, nil, nil, f4, false, false) },
+		"int8 long dstScales":   func() { CheckEpilogueI8(p-1, f4, nil, nil, f5, false, false) },
+		"int8 negative width":   func() { CheckEpilogueI8(-1, nil, nil, nil, nil, false, false) },
+		"int8 short dst":        func() { e8.SparseRange(dst8[:rows*p-1], &c, 1, src8, nil, acc, labels) },
+		"int8 short acc":        func() { e8.SparseRange(dst8, &c, 1, src8, nil, acc[:p-1], labels) },
+		"int8 short source":     func() { e8.SparseRange(dst8, &c, 1, src8[:4*p-1], nil, acc, labels) },
+		"int8 short labels":     func() { e8.SparseRange(dst8, &c, 1, src8, nil, acc, labels[:rows-1]) },
+		"int8 stray residual":   func() { e8.SparseRange(dst8, &c, 1, src8, res8, acc, labels) },
+		"int8 missing residual": func() { withRes8.SparseRange(dst8, &c, 1, src8, nil, acc, nil) },
+		"int8 short residual":   func() { withRes8.SparseRange(dst8, &c, 1, src8, res8[:rows*p-1], acc, nil) },
+		"short bias":            func() { CheckEpilogue(rows, p, make([]float64, p-1), nil, false) },
+		"long bias":             func() { CheckEpilogue(rows, p, make([]float64, p+1), nil, false) },
+		"short residual":        func() { CheckEpilogue(rows, p, nil, New(rows-1, p), false) },
+		"narrow residual":       func() { CheckEpilogue(rows, p, nil, New(rows, p-1), false) },
+		"residual storage":      func() { CheckEpilogue(rows, p, nil, shortRes, false) },
+		"negative row ptr":      func() { CheckCSR([]int{-1, 2, 2, 3}, col, val, 0, rows, 2, 4) },
+		"falling row ptr":       func() { CheckCSR([]int{0, 2, 1, 3}, col, val, 0, rows, 2, 4) },
+		"row ptr past nnz":      func() { CheckCSR([]int{0, 2, 2, 4}, col, val, 0, rows, 2, 4) },
+		"hint row past nnz":     func() { CheckCSR([]int{0, 2, 2, 4}, col, val, 0, 1, 2, 4) },
+		"column == rows":        func() { CheckCSR(rowPtr, col, val, 0, rows, 2, 3) },
+		"values != columns":     func() { CheckCSR(rowPtr, col, val[:2], 0, rows, 2, 4) },
+		"range past rows":       func() { CheckCSR(rowPtr, col, val, 1, rows+1, 2, 4) },
+		"short dst":             func() { e.SparseRange(dst[:rows*p-1], &c, src, 0) },
+		"rows past the op":      func() { e.SparseRange(dst, &c, src, 1) },
+		"short source":          func() { e.SparseRange(dst, &c, src[:4*p-1], 0) },
 		"dense weight storage": func() {
 			matMulEpilogueRange(New(rows, 4), &Matrix{Rows: 4, Cols: p, Data: src[:4*p-1]}, FromSlice(rows, p, dst), 0, rows, &e)
 		},
@@ -270,8 +294,8 @@ func TestProductRangeRejectsBadOperands(t *testing.T) {
 		}()
 	}
 	for j, v := range dst {
-		if v != 7 {
-			t.Fatalf("a refused range wrote dst[%d] = %v", j, v)
+		if v != 7 || dst8[j] != 7 {
+			t.Fatalf("a refused range wrote dst[%d] = %v, int8 %d", j, v, dst8[j])
 		}
 	}
 	// A hint row's pointers are proved with the range's own, its column
@@ -279,9 +303,10 @@ func TestProductRangeRejectsBadOperands(t *testing.T) {
 	CheckCSR(rowPtr, []int{0, 3, 1 << 40}, val, 0, 2, 2, 4)
 }
 
-// FuzzProductRangeF64 drives the fp64 range entries and the row door with
-// fuzzed widths, row lengths, inner dimensions and operand mixes against
-// the per-row oracle, under TestProductRangeF64Differential's guards.
+// FuzzProductRangeF64 drives the fp64 range entries and the sparse
+// range's batches with fuzzed widths, row lengths, inner dimensions and
+// operand mixes against the per-row oracle, under
+// TestProductRangeF64Differential's guards.
 func FuzzProductRangeF64(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint16(300), uint16(100), uint8(7), true, false)
 	f.Add(int64(2), uint8(3), uint16(6), uint16(129), uint8(1), false, true)

@@ -199,17 +199,23 @@ func (c *rangeCaseI8) requireRangeI8(t testing.TB, what string, rows int, want [
 	}
 }
 
-// checkSparseRangeI8 holds the sparse range entry and the row door to
+// checkSparseRangeI8 holds the sparse range entry, whole and cut into
+// batches (CheckedCSR.Batch) whose values are copies of the CSR's, to
 // requantRowGo ∘ rowAccI8Go over QuantizeI8's codes: a CSR whose rows
 // hold counts float64 values under the value scale, over a source of one
 // to nine rows — at least eight codes, so the assembly runs where there
-// is one — whose last row is always read. Source, CSR values, residual,
-// bias and the three scale vectors each end where readable memory does.
+// is one. CSR values, residual, bias and the three scale vectors each end
+// where readable memory does, and so does the source, its last row always
+// read — or, at every third width, it starts where readable memory does,
+// its first row always read.
 func checkSparseRangeI8(t testing.TB, rng *rand.Rand, p int, counts []int, mix uint8, scaleKind, valueScale int, special bool) {
 	t.Helper()
 	rows := len(counts)
 	srcRows := (7+p)/p + rng.Intn(9)
-	src := guardedI8At(t, guardSrc, srcRows*p)
+	src, flush := guardedI8At(t, guardSrc, srcRows*p), srcRows-1
+	if p%3 == 0 {
+		src, flush = guardedI8(t, srcRows*p, false), 0
+	}
 	for j := range src {
 		src[j] = int8(rng.Intn(256) - 128)
 	}
@@ -226,7 +232,7 @@ func checkSparseRangeI8(t testing.TB, rng *rand.Rand, p int, counts []int, mix u
 		col[k], val[k] = rng.Intn(srcRows), drawValueI8(rng, vs.scale, special)
 	}
 	if nnz > 0 {
-		col[rng.Intn(nnz)] = srcRows - 1
+		col[rng.Intn(nnz)] = flush
 	}
 	c := newRangeCaseI8(t, rng, rows, p, most, mix, scaleKind, special)
 	e := c.epilogue()
@@ -247,13 +253,22 @@ func checkSparseRangeI8(t testing.TB, rng *rand.Rand, p int, counts []int, mix u
 		cc := CheckCSR(rowPtr, col, val, lo, hi, 0, srcRows)
 		e.SparseRange(dst, &cc, vs.scale, src, res, acc, labels)
 	})
-	c.requireRangeI8(t, what+" row door", rows, want, wantAm, func(dst, res []int8, lo, hi int, acc []int32, labels []int) {
-		for i := lo; i < hi; i++ {
-			at, end := rowPtr[i], rowPtr[i+1]
-			am := e.ProductRow(dst[(i-lo)*p:(i-lo+1)*p], acc, val[at:end], vs.scale, CheckIndices(col[at:end], srcRows), src, rowOf(res, i-lo, p))
+	c.requireRangeI8(t, what+" batches", rows, want, wantAm, func(dst, res []int8, lo, hi int, acc []int32, labels []int) {
+		span := CheckCSR(rowPtr, col, val, lo, hi, 0, srcRows)
+		var ptr [4]int
+		for b := 0; b < hi-lo; {
+			e2 := min(hi-lo, b+1+rng.Intn(3))
+			batch := span.Batch(ptr[:], b, e2, append([]float64(nil), val[rowPtr[lo+b]:rowPtr[lo+e2]]...))
+			var bl []int
 			if labels != nil {
-				labels[i-lo] = am
+				bl = labels[b:e2]
 			}
+			var br []int8
+			if res != nil {
+				br = res[b*p : e2*p]
+			}
+			e.SparseRange(dst[b*p:e2*p], &batch, vs.scale, src, br, acc, bl)
+			b = e2
 		}
 	})
 }
@@ -309,16 +324,16 @@ func checkDenseRangeI8(t testing.TB, rng *rand.Rand, p, n int, mix uint8, scaleK
 }
 
 // TestProductRangeI8Differential holds the two int8 range entries and
-// the row door (one AVX2 routine where the CPU has it) to the composition
-// they stand for, requantRowGo ∘ rowAccI8Go with the multipliers through
-// QuantizeI8, code for code and label for label: widths 1…40, 64 and 100 ×
-// bias × residual (separate and aliasing the destination) × ReLU × wide
-// argmax × lo/hi sub-ranges, the operator's last rows among them, × the
-// destination-scale kinds of the requantise table. Sparse: rows of {0, 1,
-// 5, 127, 128, 129, 300} terms with empty rows first, in the middle and
-// last — so rows end inside a window of value codes, on its edge and
-// across two and three — under value scales {normal, 0, negative, NaN,
-// tiny}, the values plain (a few clamp) and with NaN, ±0, ±Inf and
+// the sparse range's batches (one AVX2 routine where the CPU has it) to
+// the composition they stand for, requantRowGo ∘ rowAccI8Go with the
+// multipliers through QuantizeI8, code for code and label for label:
+// widths 1…40, 64 and 100 × bias × residual (separate and aliasing the
+// destination) × ReLU × wide argmax × lo/hi sub-ranges, the operator's
+// last rows among them, × the destination-scale kinds of the requantise
+// table. Sparse: rows of {0, 1, 5, 127, 128, 129, 300} terms with empty
+// rows first, in the middle and last — so rows end inside a window of
+// value codes, on its edge and across two and three — under value scales
+// {normal, 0, negative, NaN, tiny}, the values plain (a few clamp) and with NaN, ±0, ±Inf and
 // extremes among them. Dense: inner dimensions {0, 1, 127, 128, 129, 300}
 // × input rows all-zero, half-zero, zero but for their ends, full. Every
 // destination and label row sits between canaries; the source's last row,
@@ -385,10 +400,10 @@ func TestProductRangeI8ExtremeCodes(t *testing.T) {
 	}
 }
 
-// FuzzProductRangeI8 drives the int8 range entries and the row door with
-// fuzzed widths, row lengths, inner dimensions, operand mixes and scale
-// kinds against the composition, under TestProductRangeI8Differential's
-// guards.
+// FuzzProductRangeI8 drives the int8 range entries and the sparse
+// range's batches with fuzzed widths, row lengths, inner dimensions,
+// operand mixes and scale kinds against the composition, under
+// TestProductRangeI8Differential's guards.
 func FuzzProductRangeI8(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint16(300), uint16(100), uint8(15), uint8(0), uint8(0), true)
 	f.Add(int64(2), uint8(3), uint16(6), uint16(129), uint8(1), uint8(1), uint8(1), false)

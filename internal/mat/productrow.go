@@ -6,23 +6,22 @@ import "fmt"
 // product (MatMulI8EpilogueInto), the sparse product
 // (graph.MulDenseI8EpilogueRangeInto) and the attention aggregate — is
 // the two kernel contracts back to back: a row accumulate (axpy.go) into
-// exact int32 sums, then a requantise row (requant.go) of those sums. The
-// first two name their rows up front and cross into the kernel once per
-// op range (SparseRange here, the dense range under MatMulI8EpilogueInto);
-// attention computes its multipliers row by row and goes through the row
-// door, ProductRow — the same routine handed one row. None of them adds a
-// contract of its own: see the int8 range clause in axpy.go and the
-// composition clause in requant.go for what an implementation may and may
-// not do.
+// exact int32 sums, then a requantise row (requant.go) of those sums. Each
+// crosses into the kernel once per op range — SparseRange here, the dense
+// range under MatMulI8EpilogueInto — or, for attention, whose multipliers
+// are computed, once per batch of a span it proved whole (CheckedCSR.Batch).
+// None of them adds a contract of its own: see the int8 range clause in
+// axpy.go and the composition clause in requant.go for what an
+// implementation may and may not do.
 
 // CheckedEpilogueI8 is the requantise operands of one int8 product op,
 // proved to cover the product's column count: the accumulator's
 // dequantisation scales, the optional float64 bias, the optional residual
 // scales, the destination scales, and the ReLU and wide-argmax flags.
 // Only CheckEpilogueI8 mints one, once per op range and before the
-// range's first row is written — what CheckedIndices is to a range's
-// column indices — so the range and row entries, which read these
-// operands unchecked, cannot be reached with a short one. The value
+// range's first row is written — what CheckCSR is to a range's column
+// indices — so the range entries, which read these operands unchecked,
+// cannot be reached with a short one. The value
 // aliases the caller's slices, which must not change while it is in use.
 type CheckedEpilogueI8 struct {
 	cols                            int
@@ -48,8 +47,8 @@ func CheckEpilogueI8(cols int, deq, bias, resScales, dstScales []float64, relu, 
 // requireRows panics unless dst is rows whole rows of the product, res
 // the residual codes of exactly those rows (present exactly when e was
 // checked with residual scales), acc a row of sums and src the srcRows
-// source rows the indices were proved against — the storage a range or a
-// row reads and writes unchecked, proved before its first row. It returns
+// source rows the indices were proved against — the storage a range
+// reads and writes unchecked, proved before its first row. It returns
 // res and acc cut to what the kernel uses.
 func (e *CheckedEpilogueI8) requireRows(dst []int8, rows int, res []int8, acc []int32, src []int8, srcRows int) ([]int8, []int32) {
 	p := e.cols
@@ -65,35 +64,6 @@ func (e *CheckedEpilogueI8) requireRows(dst []int8, rows int, res []int8, acc []
 		res = nil
 	}
 	return res, acc[:p]
-}
-
-// ProductRow computes one output row of an int8 product into dst:
-//
-//	sums = Σₜ QuantizeI8(alpha[t], scale) · src[idx[t]·cols : idx[t]·cols+cols]
-//	dst  = requantise(sums, e's operands, res)
-//
-// that is, the row accumulate of alpha's codes under scale followed by
-// RequantizeRow(dst, sums, …) under e — a one-row sparse range whose
-// values are alpha (attention's coefficients under their fixed scale are
-// exactly a CSR row under its value scale) — and returns the wide argmax
-// (0 unless e asks for it). It is for products whose multipliers are
-// computed row by row; a product whose rows can be named up front is a
-// range. acc is the caller's int32 scratch row, left in an unspecified
-// state. res is the row's residual codes, present exactly when e was
-// checked with residual scales; dst may be that same row. What is
-// validated here is constant work per row — the row slices are cols long,
-// one index per multiplier, the source holds the rows the indices were
-// proved against — everything per column was proved when e and idx were
-// minted.
-func (e *CheckedEpilogueI8) ProductRow(dst []int8, acc []int32, alpha []float64, scale float64, idx CheckedIndices, src, res []int8) int {
-	if len(idx.idx) != len(alpha) {
-		panic(fmt.Sprintf("mat: int8 product row with %d multipliers but %d indices", len(alpha), len(idx.idx)))
-	}
-	res, acc = e.requireRows(dst, 1, res, acc, src, idx.rows)
-	if e.cols == 0 {
-		return 0
-	}
-	return productRowI8(e, dst, acc, alpha, scale, idx, src, res, false)
 }
 
 // SparseRange computes the rows of c — its float64 values quantised under
@@ -119,13 +89,14 @@ func (e *CheckedEpilogueI8) SparseRange(dst []int8, c *CheckedCSR, valScale floa
 }
 
 // productRowI8Go, sparseRangeI8Go and denseRangeI8Go are the portable
-// row door and ranges — the whole of the purego build, and the oracle the
-// assembly is held to: literally the Go loop of QuantizeI8 per
+// product row and ranges — the whole of the purego build, and the oracle
+// the assembly is held to: literally the Go loop of QuantizeI8 per
 // multiplier, rowAccI8Go a RowChunk window at a time, then requantRowGo,
 // per row. Like the assembly they take operands their callers have
 // validated and at least one column.
-func productRowI8Go(e *CheckedEpilogueI8, dst []int8, acc []int32, alpha []float64, scale float64, idx []int, src, res []int8, cont bool) int {
+func productRowI8Go(e *CheckedEpilogueI8, dst []int8, acc []int32, alpha []float64, scale float64, idx []int, src, res []int8) int {
 	var codes [RowChunk]int32
+	cont := false
 	for k := 0; k < len(alpha); k += RowChunk {
 		m := min(RowChunk, len(alpha)-k)
 		for t, v := range alpha[k : k+m] {
@@ -159,7 +130,7 @@ func sparseRangeI8Go(e *CheckedEpilogueI8, dst []int8, c *CheckedCSR, valScale f
 	p := e.cols
 	for i := 0; i < c.rows; i++ {
 		at, end := c.rowPtr[i], c.rowPtr[i+1]
-		am := productRowI8Go(e, dst[i*p:(i+1)*p], acc, c.val[at:end], valScale, c.col[at:end], src, rowOf(res, i, p), false)
+		am := productRowI8Go(e, dst[i*p:(i+1)*p], acc, c.val[at:end], valScale, c.col[at:end], src, rowOf(res, i, p))
 		if labels != nil {
 			labels[i] = am
 		}

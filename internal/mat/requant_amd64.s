@@ -12,13 +12,13 @@
 // a step under lane masks, the operand tests inside it, for everything
 // RequantizeRow and the single-scale form are called with — a plain
 // float64 source (the boundary quantiser), residual codes (the standalone
-// element-wise ops), one scale for the row, the argmax. productRangeI8AVX2
-// is every int8 product: it walks rows lo…hi−1 of a sparse or a dense
-// product without returning to Go between them — per row the exact int32
-// multiply-accumulate, then the requantise of those sums — and the row
-// door (CheckedEpilogueI8.ProductRow) is the same routine handed one row.
-// The int8 multiply-accumulate blocks, the eight-column requantise step,
-// the CSR value quantisation and the dense compaction exist once, there.
+// element-wise ops), one scale for the row. productRangeI8AVX2 is every
+// int8 product: it walks rows lo…hi−1 of a sparse or a dense product
+// without returning to Go between them — per row the exact int32
+// multiply-accumulate, then the requantise of those sums, and the wide
+// argmax where the product asks for it. The int8 multiply-accumulate
+// blocks, the eight-column requantise step, the CSR value quantisation
+// and the dense compaction exist once, there.
 //
 // Rounding. The contract's clamp±127(roundHalfAway(q)) is computed as
 //
@@ -60,12 +60,10 @@
 //	DI  dst      CX  n        BX  column j
 //	SI  acc      R8  deq      R9  bias     R10 res      R11 resScales
 //	R12 scales (nil: Y3 holds the one scale for the whole call)
-//	R14 relu     AX  argmax   R13 columns left / scratch   R15 scratch
+//	R14 relu     R13 columns left / scratch   R15 scratch
 //	Y10 −127   Y11 127   Y13 pred(½)   Y14 sign bit   Y15 zero
-//	general step: Y0 f   Y1, Y2, Y4 scratch   Y3 scale[j]
-//	              Y5 column numbers of the lanes   Y6 best column   Y7 best f
+//	general step: Y0 f   Y1, Y2 scratch   Y3 scale[j]
 //	              Y8 lane mask, quadwords   X12 lane mask, doublewords
-//	              Y9 the step, 4 per lane
 
 DATA requantConst<>+0(SB)/8, $0x8000000000000000 // sign bit
 DATA requantConst<>+8(SB)/8, $0x3fdfffffffffffff // pred(½) = ½ − 2⁻⁵⁴
@@ -123,10 +121,10 @@ GLOBL laneNumbers32<>(SB), RODATA|NOPTR, $16
 	VBLENDVPD Y1, vals, Y7, Y7 \
 	VBLENDVPD Y1, cols, Y6, Y6
 
-// func requantRowAVX2(dst *int8, n int, acc *int32, deq, bias *float64, res *int8, resScales, scales *float64, scale float64, relu, argmax bool) int
+// func requantRowAVX2(dst *int8, n int, acc *int32, deq, bias *float64, res *int8, resScales, scales *float64, scale float64, relu bool)
 // Requires n ≥ 1, one of acc/bias/res, deq with acc, resScales with res,
 // and every present operand n long.
-TEXT ·requantRowAVX2(SB), NOSPLIT, $0-88
+TEXT ·requantRowAVX2(SB), NOSPLIT, $0-73
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), CX
 	MOVQ acc+16(FP), SI
@@ -137,7 +135,6 @@ TEXT ·requantRowAVX2(SB), NOSPLIT, $0-88
 	MOVQ scales+56(FP), R12
 	VBROADCASTSD scale+64(FP), Y3
 	MOVBQZX relu+72(FP), R14
-	MOVBQZX argmax+73(FP), AX
 	VBROADCASTSD requantConst<>+0(SB), Y14
 	VBROADCASTSD requantConst<>+8(SB), Y13
 	VBROADCASTSD requantConst<>+16(SB), Y11
@@ -152,10 +149,6 @@ TEXT ·requantRowAVX2(SB), NOSPLIT, $0-88
 general:
 	VPCMPEQD Y8, Y8, Y8
 	VPCMPEQD X12, X12, X12
-	VBROADCASTSD requantConst<>+32(SB), Y7
-	VPBROADCASTQ requantConst<>+40(SB), Y9
-	VMOVDQU laneNumbers<>(SB), Y5
-	VMOVDQA Y5, Y6
 
 step:
 	MOVQ CX, R13
@@ -215,19 +208,8 @@ resOnly:
 	VMOVAPD Y1, Y0
 relu:
 	TESTQ R14, R14
-	JZ argmax
-	VMAXPD Y15, Y0, Y0
-
-	// f and its column move into the live lanes where f > best (ordered:
-	// a NaN never wins, an equal value never replaces an earlier one).
-argmax:
-	TESTQ AX, AX
 	JZ scales
-	VCMPPD $0x1e, Y7, Y0, Y1
-	VANDPD Y8, Y1, Y1
-	VBLENDVPD Y1, Y0, Y7, Y7
-	VBLENDVPD Y1, Y5, Y6, Y6
-	VPADDQ Y9, Y5, Y5
+	VMAXPD Y15, Y0, Y0
 scales:
 	TESTQ R12, R12
 	JZ quant
@@ -251,21 +233,8 @@ next:
 	ADDQ $4, BX
 	JMP step
 
-	// The four lanes' candidates fold into lane 0, which holds the answer.
 done:
-	XORQ BX, BX
-	TESTQ AX, AX
-	JZ out
-	VEXTRACTF128 $1, Y7, X0
-	VEXTRACTI128 $1, Y6, X5
-	FOLD(Y0, Y5)
-	VPERMILPD $1, X7, X0
-	VPSHUFD $0xee, X6, X5
-	FOLD(Y0, Y5)
-	VMOVQ X6, BX
-out:
 	VZEROUPPER
-	MOVQ BX, ret+80(FP)
 	RET
 
 

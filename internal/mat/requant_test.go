@@ -169,12 +169,13 @@ func newRequantCase(rng *rand.Rand, n int, hasAcc, hasBias, hasRes bool, scaleKi
 
 // TestRequantizeRowDifferential holds the dispatched kernel (AVX2 where
 // the CPU has it), the portable kernel and the literal contract to the
-// same codes and the same wide argmax over widths 1…70 × every mix of
-// accumulator, bias, residual and ReLU × destination scales {normal,
-// power of two, 0, negative, denormal, huge, mixed} × values {random,
-// exact ±k.5 ties, at and beyond ±127.5, ±0/±Inf/NaN, all-equal and
-// all-−Inf rows for the argmax tie rule} — and the single-scale form and
-// the product kernels' multiplier codes to the same contract.
+// same codes — and the portable kernel to the same wide argmax — over
+// widths 1…70 × every mix of accumulator, bias, residual and ReLU ×
+// destination scales {normal, power of two, 0, negative, denormal, huge,
+// mixed} × values {random, exact ±k.5 ties, at and beyond ±127.5,
+// ±0/±Inf/NaN, all-equal and all-−Inf rows for the argmax tie rule} — and
+// the single-scale form and the product kernels' multiplier codes to the
+// same contract.
 func TestRequantizeRowDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for n := 1; n <= 70; n++ {
@@ -190,28 +191,28 @@ func TestRequantizeRowDifferential(t *testing.T) {
 								n, hasAcc, hasBias, hasRes, relu, requantScales[sk].name, requantValues[vk].name)
 						}
 						got, fenced := fencedRow[int8](n)
-						am := RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu, true)
-						if j := firstDiffI8(got, want); j >= 0 || am != wantAm {
-							t.Fatalf("%s: dispatched elem %d, argmax %d; contract %v argmax %d, got %v", where(), j, am, want, wantAm, got)
+						RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu)
+						if j := firstDiffI8(got, want); j >= 0 {
+							t.Fatalf("%s: dispatched elem %d; contract %v, got %v", where(), j, want, got)
 						}
 						if !fenced() {
 							t.Fatalf("%s: dispatched kernel wrote outside its row", where())
 						}
 						port := make([]int8, n)
-						am = requantRowGo(port, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, 0, relu, true)
+						am := requantRowGo(port, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, 0, relu, true)
 						if j := firstDiffI8(port, want); j >= 0 || am != wantAm {
 							t.Fatalf("%s: portable elem %d, argmax %d; contract %v argmax %d, got %v", where(), j, am, want, wantAm, port)
 						}
 						// Without the argmax the codes are the same and the answer is 0.
-						clear(got)
-						if am := RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu, false); am != 0 || firstDiffI8(got, want) >= 0 || !fenced() {
-							t.Fatalf("%s: no-argmax call returned %d, codes %v (fence intact: %v), contract %v", where(), am, got, fenced(), want)
+						clear(port)
+						if am := requantRowGo(port, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, 0, relu, false); am != 0 || firstDiffI8(port, want) >= 0 {
+							t.Fatalf("%s: portable no-argmax call returned %d, codes %v, contract %v", where(), am, port, want)
 						}
 						// In place over the residual row.
 						if hasRes {
 							inPlace, fenced := fencedRow[int8](n)
 							copy(inPlace, c.res)
-							RequantizeRow(inPlace, c.acc, c.deq, c.bias, inPlace, c.resScales, c.dst, relu, false)
+							RequantizeRow(inPlace, c.acc, c.deq, c.bias, inPlace, c.resScales, c.dst, relu)
 							if j := firstDiffI8(inPlace, want); j >= 0 || !fenced() {
 								t.Fatalf("%s: in-place elem %d (fence intact: %v), got %v, contract %v", where(), j, fenced(), inPlace, want)
 							}
@@ -292,15 +293,15 @@ func firstDiffI8(a, b []int8) int {
 func TestRequantizeRowRejectsShortOperands(t *testing.T) {
 	f5, f4 := make([]float64, 5), make([]float64, 4)
 	for name, fn := range map[string]func(){
-		"short acc":       func() { RequantizeRow(make([]int8, 5), make([]int32, 4), f5, nil, nil, nil, f5, false, false) },
-		"short deq":       func() { RequantizeRow(make([]int8, 5), make([]int32, 5), f4, nil, nil, nil, f5, false, false) },
-		"acc without deq": func() { RequantizeRow(make([]int8, 5), make([]int32, 5), nil, nil, nil, nil, f5, false, false) },
-		"short bias":      func() { RequantizeRow(make([]int8, 5), nil, nil, f4, nil, nil, f5, false, true) },
-		"short res":       func() { RequantizeRow(make([]int8, 5), nil, nil, f5, make([]int8, 4), f5, f5, false, false) },
-		"short resScales": func() { RequantizeRow(make([]int8, 5), nil, nil, nil, make([]int8, 5), f4, f5, true, false) },
-		"short dstScales": func() { RequantizeRow(make([]int8, 5), nil, nil, f5, nil, nil, f4, false, false) },
-		"nil dstScales":   func() { RequantizeRow(make([]int8, 5), nil, nil, f5, nil, nil, nil, false, false) },
-		"no source":       func() { RequantizeRow(make([]int8, 5), nil, nil, nil, nil, nil, f5, false, false) },
+		"short acc":       func() { RequantizeRow(make([]int8, 5), make([]int32, 4), f5, nil, nil, nil, f5, false) },
+		"short deq":       func() { RequantizeRow(make([]int8, 5), make([]int32, 5), f4, nil, nil, nil, f5, false) },
+		"acc without deq": func() { RequantizeRow(make([]int8, 5), make([]int32, 5), nil, nil, nil, nil, f5, false) },
+		"short bias":      func() { RequantizeRow(make([]int8, 5), nil, nil, f4, nil, nil, f5, false) },
+		"short res":       func() { RequantizeRow(make([]int8, 5), nil, nil, f5, make([]int8, 4), f5, f5, false) },
+		"short resScales": func() { RequantizeRow(make([]int8, 5), nil, nil, nil, make([]int8, 5), f4, f5, true) },
+		"short dstScales": func() { RequantizeRow(make([]int8, 5), nil, nil, f5, nil, nil, f4, false) },
+		"nil dstScales":   func() { RequantizeRow(make([]int8, 5), nil, nil, f5, nil, nil, nil, false) },
+		"no source":       func() { RequantizeRow(make([]int8, 5), nil, nil, nil, nil, nil, f5, false) },
 		"matrix short src": func() {
 			QuantizeI8Into(&MatrixI8{Rows: 1, Cols: 5, Data: make([]int8, 5)}, &Matrix{Rows: 1, Cols: 5, Data: f4}, 1)
 		},
@@ -314,16 +315,14 @@ func TestRequantizeRowRejectsShortOperands(t *testing.T) {
 			fn()
 		}()
 	}
-	if am := RequantizeRow(nil, nil, nil, nil, nil, nil, nil, true, true); am != 0 {
-		t.Errorf("empty row answered %d", am)
-	}
+	RequantizeRow(nil, nil, nil, nil, nil, nil, nil, true) // the empty row needs no operand
 }
 
 // FuzzRequantizeRow drives the dispatched requantise row with fuzzed
-// widths, term mixes, scale and value kinds, with and without the wide
-// argmax, against the literal contract; rows sit between canaries, and a
-// plain float64 source also goes through the single-scale form and the
-// product kernels' multiplier quantisation.
+// widths, term mixes, scale and value kinds against the literal contract
+// — and, with argmax, the portable row's wide argmax too; rows sit
+// between canaries, and a plain float64 source also goes through the
+// single-scale form and the product kernels' multiplier quantisation.
 func FuzzRequantizeRow(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint8(7), uint8(0), uint8(0), true, true)
 	f.Add(int64(2), uint8(3), uint8(1), uint8(1), uint8(1), false, true)
@@ -336,14 +335,17 @@ func FuzzRequantizeRow(f *testing.F) {
 		sk, vk := int(scaleKind)%len(requantScales), int(valueKind)%len(requantValues)
 		c := newRequantCase(rng, n, mix&1 != 0, mix&2 != 0, mix&4 != 0, sk, vk)
 		want, wantAm := naiveRequantRow(n, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, 0, relu)
-		if !argmax {
-			wantAm = 0
-		}
 		got, fenced := fencedRow[int8](n)
-		am := RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu, argmax)
-		if j := firstDiffI8(got, want); j >= 0 || am != wantAm || !fenced() {
-			t.Fatalf("n=%d terms=%d relu=%v argmax=%v scales=%s values=%s: elem %d, argmax %d, fence intact %v; contract %v argmax %d, got %v",
-				n, mix, relu, argmax, requantScales[sk].name, requantValues[vk].name, j, am, fenced(), want, wantAm, got)
+		RequantizeRow(got, c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, relu)
+		if j := firstDiffI8(got, want); j >= 0 || !fenced() {
+			t.Fatalf("n=%d terms=%d relu=%v scales=%s values=%s: elem %d, fence intact %v; contract %v, got %v",
+				n, mix, relu, requantScales[sk].name, requantValues[vk].name, j, fenced(), want, got)
+		}
+		if argmax {
+			if am := requantRowGo(make([]int8, n), c.acc, c.deq, c.bias, c.res, c.resScales, c.dst, 0, relu, true); am != wantAm {
+				t.Fatalf("n=%d terms=%d relu=%v scales=%s values=%s: portable argmax %d, contract %d",
+					n, mix, relu, requantScales[sk].name, requantValues[vk].name, am, wantAm)
+			}
 		}
 		if mix == 2 { // a plain float64 source
 			requireSingleScaleForms(t, c.bias, c.dst[rng.Intn(n)], requantValues[vk].name)

@@ -55,7 +55,7 @@ func productRangeF64AVX2(a *rangeF64)
 func productRangeI8AVX2(a *rangeI8)
 
 //go:noescape
-func requantRowAVX2(dst *int8, n int, acc *int32, deq, bias *float64, res *int8, resScales, scales *float64, scale float64, relu, argmax bool) int
+func requantRowAVX2(dst *int8, n int, acc *int32, deq, bias *float64, res *int8, resScales, scales *float64, scale float64, relu bool)
 
 // The look-ahead clause of the row accumulate (axpy.go) is acted on only
 // here, and only where the operands say a gather can be hidden. Measured
@@ -88,7 +88,7 @@ const (
 // finished by the epilogue flags names — bias p long, res the residual
 // row of the first output row, the rest following it. A sparse call walks
 // rowPtr: row i's multipliers and indices are val and col from position
-// rowPtr[i] to rowPtr[i+1], and its look-ahead hints are hint from
+// rowPtr[i] to rowPtr[i+1], and its look-ahead hints are col from
 // position rowPtr[i+ahead] to rowPtr[i+ahead+1] (aheadOff is ahead in
 // bytes) unless it is one of the last unhinted rows. A dense call
 // (rangeDense) walks the n-wide input rows from a on, compacting each
@@ -105,7 +105,6 @@ type rangeF64 struct {
 	rowPtr   *int
 	val      *float64
 	col      *int
-	hint     *int
 	aheadOff int
 	unhinted int
 
@@ -117,11 +116,12 @@ type rangeF64 struct {
 	state uint64
 }
 
-// The flags of a rangeF64 and a rangeI8. rangeCont (only ever from a row
-// door), rangeBias, rangeRes, rangeReLU and rangeArgmax are the caller's —
-// the int8 routine reads its bias and residual as present when their
-// pointers are — rangeDense selects the dense walk, and rangeLast is the
-// routines' own mark on the window that finishes a row.
+// The flags of a rangeF64 and a rangeI8. rangeBias, rangeRes, rangeReLU
+// and rangeArgmax are the caller's — the int8 routine reads its bias and
+// residual as present when their pointers are — and rangeDense selects
+// the dense walk. rangeCont and rangeLast are the routines' own marks on
+// a row's windows: one that continues the row's sums, and the one that
+// finishes the row.
 const (
 	rangeCont = 1 << iota
 	rangeBias
@@ -152,31 +152,6 @@ func actsOnHints(p int, src []float64) bool {
 	return p >= 8 && len(src) >= aheadMinSource
 }
 
-// productRowF64 runs one validated fp64 row of at least one column — the
-// row contract, then e's epilogue with residual row r — on the
-// implementation chosen at init. The assembly's row door is its range
-// routine handed a one-row CSR: the row's terms at positions [0, n), its
-// hints at positions [0, len(ahead)) of their own list.
-func productRowF64(e *CheckedEpilogue, out, alpha []float64, idx []int, src []float64, r int, cont bool, ahead []int) {
-	if !useAVX2 {
-		productRowF64Go(e, out, alpha, idx, src, r, cont)
-		return
-	}
-	rowPtr := [4]int{0, len(alpha), 0, len(ahead)}
-	var a rangeF64 // filled field by field: a composite literal is built aside and copied in, per row
-	a.dst, a.p, a.src, a.rows = &out[0], len(out), unsafe.SliceData(src), 1
-	a.rowPtr, a.val, a.col = &rowPtr[0], unsafe.SliceData(alpha), unsafe.SliceData(idx)
-	a.hint, a.aheadOff, a.unhinted = unsafe.SliceData(ahead), 2*8, 1
-	if actsOnHints(len(out), src) {
-		a.unhinted = 0
-	}
-	if cont {
-		a.flags = rangeCont
-	}
-	a.epilogue(e, r)
-	productRangeF64AVX2(&a)
-}
-
 // sparseRangeF64 runs the validated rows of c, at least one of at least
 // one column, on the implementation chosen at init.
 func sparseRangeF64(e *CheckedEpilogue, dst []float64, c *CheckedCSR, src []float64, r0 int) {
@@ -187,7 +162,7 @@ func sparseRangeF64(e *CheckedEpilogue, dst []float64, c *CheckedCSR, src []floa
 	a := rangeF64{
 		dst: &dst[0], p: e.cols, src: unsafe.SliceData(src), rows: c.rows,
 		rowPtr: &c.rowPtr[0], val: unsafe.SliceData(c.val), col: unsafe.SliceData(c.col),
-		hint: unsafe.SliceData(c.col), aheadOff: c.ahead * 8, unhinted: c.rows,
+		aheadOff: c.ahead * 8, unhinted: c.rows,
 	}
 	if actsOnHints(e.cols, src) {
 		a.unhinted = c.rows - c.hinted
@@ -274,33 +249,9 @@ func (a *rangeI8) epilogue(e *CheckedEpilogueI8) {
 // The assembly narrows the loads of a row's last cols mod 8 columns
 // against the source's final eight bytes (the over-read rule, axpy.go),
 // so a source shorter than that — fewer than eight codes in all, under
-// rows narrower than eight — stays with the portable kernel, range and
-// row door alike: haveI8Kernel decides it once per call.
+// rows narrower than eight — stays with the portable kernel:
+// haveI8Kernel decides it once per call.
 func haveI8Kernel(srcRows, p int) bool { return useAVX2 && srcRows*p >= 8 }
-
-// productRowI8 runs one validated int8 product row of at least one
-// column on the implementation chosen at init. The assembly's row door is
-// its range routine handed a one-row CSR: the row's float64 multipliers
-// and indices at positions [0, len(alpha)).
-func productRowI8(e *CheckedEpilogueI8, dst []int8, acc []int32, alpha []float64, scale float64, idx CheckedIndices, src, res []int8, cont bool) int {
-	if !haveI8Kernel(idx.rows, e.cols) {
-		return productRowI8Go(e, dst, acc, alpha, scale, idx.idx, src, res, cont)
-	}
-	rowPtr := [2]int{0, len(alpha)}
-	var codes [RowChunk]int32
-	var label int
-	var a rangeI8 // filled field by field: a composite literal is built aside and copied in, per row
-	a.dst, a.res, a.acc, a.labels, a.rows = &dst[0], unsafe.SliceData(res), &acc[0], &label, 1
-	a.src, a.last = &src[0], &src[idx.rows*e.cols-8]
-	a.rowPtr, a.val, a.col = &rowPtr[0], unsafe.SliceData(alpha), unsafe.SliceData(idx.idx)
-	a.scale, a.codes, a.end = scale, &codes[0], len(alpha)
-	if cont {
-		a.flags = rangeCont
-	}
-	a.epilogue(e)
-	productRangeI8AVX2(&a)
-	return label
-}
 
 // sparseRangeI8 runs the validated rows of c, at least one of at least
 // one column, on the implementation chosen at init.
@@ -341,9 +292,10 @@ func denseRangeI8(e *CheckedEpilogueI8, dst, a []int8, n int, w, res []int8, row
 // requantRow runs one validated, non-empty requantise row on the
 // implementation chosen at init; an absent operand reaches the assembly
 // as a nil pointer.
-func requantRow(dst []int8, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu, argmax bool) int {
+func requantRow(dst []int8, acc []int32, deq, bias []float64, res []int8, resScales, scales []float64, scale float64, relu bool) {
 	if !useAVX2 {
-		return requantRowGo(dst, acc, deq, bias, res, resScales, scales, scale, relu, argmax)
+		requantRowGo(dst, acc, deq, bias, res, resScales, scales, scale, relu, false)
+		return
 	}
-	return requantRowAVX2(&dst[0], len(dst), unsafe.SliceData(acc), unsafe.SliceData(deq), unsafe.SliceData(bias), unsafe.SliceData(res), unsafe.SliceData(resScales), unsafe.SliceData(scales), scale, relu, argmax)
+	requantRowAVX2(&dst[0], len(dst), unsafe.SliceData(acc), unsafe.SliceData(deq), unsafe.SliceData(bias), unsafe.SliceData(res), unsafe.SliceData(resScales), unsafe.SliceData(scales), scale, relu)
 }

@@ -7,9 +7,8 @@
 // row contract, then its range clause). Every fp64 output row of the
 // codebase is computed by the one routine below, productRangeF64AVX2: a
 // range call walks rows lo…hi of a sparse or a dense product without
-// returning to Go between them, and the row door
-// (CheckedEpilogue.ProductRow) is the same routine handed one row. Its
-// int8 counterpart, productRangeI8AVX2, is in requant_amd64.s.
+// returning to Go between them. Its int8 counterpart, productRangeI8AVX2,
+// is in requant_amd64.s.
 //
 // It walks the output row in column blocks and, per block, holds the
 // block in YMM accumulators across every term t, so out is read at most
@@ -141,7 +140,7 @@ f64sparseRow:
 	MOVQ 8(R15)(R12*1), R9
 	SUBQ R8, R9
 	JZ f64sparseTerms
-	MOVQ rangeF64_hint(R14), R11
+	MOVQ rangeF64_col(R14), R11
 	LEAQ (R11)(R8*8), R8
 	MOVQ rangeF64_src(R14), DX
 	MOVQ $const_aheadRowBytes, SI

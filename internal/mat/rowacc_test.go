@@ -44,17 +44,28 @@ func naiveRowAccI8(out, alpha []int32, idx []int, src []int8, cont bool) {
 	}
 }
 
-// rowAccF64 is the fp64 row contract's bare entry as the tests drive it:
-// the row door with no epilogue (CheckedEpilogue.ProductRow — its
-// validation, then the dispatched kernel), and, continuing onto out, the
-// dispatch beneath it, which the door itself never asks to continue.
-func rowAccF64(out, alpha []float64, idx CheckedIndices, src []float64, cont bool, ahead []int) {
-	e := CheckEpilogue(1, len(out), nil, nil, false)
-	if !cont {
-		e.ProductRow(out, alpha, idx, src, 0, ahead)
-	} else if len(out) > 0 {
-		productRowF64(&e, out, alpha, idx.idx, src, 0, true, ahead)
+// rowAccF64 is the fp64 row contract as the tests drive it: a one-row
+// sparse range with no epilogue (CheckCSR, then CheckedEpilogue.SparseRange
+// — their validation, then the dispatched kernel) over a source of
+// srcRows rows, its look-ahead hints ahead — when there are any — the
+// column indices of the CSR's third row, two on.
+func rowAccF64(out, alpha []float64, idx []int, srcRows int, src []float64, ahead []int) {
+	rowPtr, col, val := []int{0, len(idx)}, idx, alpha
+	if ahead != nil {
+		rowPtr = append(rowPtr, len(idx), len(idx)+len(ahead))
+		col = append(append([]int(nil), idx...), ahead...)
+		val = append(append([]float64(nil), alpha...), make([]float64, len(ahead))...)
 	}
+	c := CheckCSR(rowPtr, col, val, 0, 1, 2, srcRows)
+	e := CheckEpilogue(1, len(out), nil, nil, false)
+	e.SparseRange(out, &c, src, 0)
+}
+
+// rowAccI8 is the int8 row contract's dispatched form: a one-row sparse
+// range of the codes vals under value scale 1, requantised under e.
+func rowAccI8(e *CheckedEpilogueI8, dst []int8, acc []int32, vals []float64, idx []int, srcRows int, src []int8) {
+	c := CheckCSR([]int{0, len(idx)}, idx, vals, 0, 1, 0, srcRows)
+	e.SparseRange(dst, &c, 1, src, nil, acc, nil)
 }
 
 // requireSumsI8 holds the int32 sums an int8 product leaves its
@@ -141,7 +152,7 @@ var hintedSrc = sync.OnceValue(func() []float64 {
 	return src
 })
 
-// lookAheads returns the look-ahead operands a row of terms indices over a
+// lookAheads returns the look-ahead rows a row of terms indices over a
 // rows-row source is tried with: absent, empty, shorter and longer than
 // the row, and — hints being unvalidated by contract — indices no source
 // has, the extremes included.
@@ -181,12 +192,13 @@ func sameBits(a, b []float64) int {
 var termCounts = []int{0, 1, 2, 3, 4, 5, 8, 17, 64, 127, 128, 129, 200, 255, 256, 257, 300}
 
 // TestRowAccumulateDifferential holds the dispatched kernel (AVX2 where
-// the CPU has it), the portable kernel and the literal contract to the
-// same bits over widths 1…70 × term counts 0…300 × zero patterns ×
-// special values, started fresh and continued onto a previous sum, under
-// every look-ahead operand (none of which may change a bit) — and
-// the dense row kernel, whose compaction drops the zero multipliers, to
-// the contract applied to the survivors.
+// the CPU has it, as a one-row sparse range), the portable kernel and the
+// literal contract to the same bits over widths 1…70 × term counts 0…300
+// × zero patterns × special values, under every look-ahead row (none of
+// which may change a bit); the portable kernel also continued onto a
+// previous sum, as the dense windows use it — and the dense row kernel,
+// whose compaction drops the zero multipliers, to the contract applied to
+// the survivors.
 func TestRowAccumulateDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for p := 1; p <= 70; p++ {
@@ -204,11 +216,14 @@ func TestRowAccumulateDifferential(t *testing.T) {
 						port := append([]float64(nil), want...)
 						naiveRowAcc(want, alpha, idx, src, cont)
 						for a, ahead := range aheads {
+							if cont {
+								break // the range starts every row fresh
+							}
 							got := append([]float64(nil), start...)
-							rowAccF64(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
+							rowAccF64(got, alpha, idx, len(src)/p, src, ahead)
 							if j := sameBits(got, want); j >= 0 {
-								t.Fatalf("p=%d terms=%d zeros=%s special=%v cont=%v ahead=%d: elem %d = %x, contract %x",
-									p, terms, zp.name, special, cont, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+								t.Fatalf("p=%d terms=%d zeros=%s special=%v ahead=%d: elem %d = %x, contract %x",
+									p, terms, zp.name, special, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 							}
 						}
 						if terms == 0 {
@@ -249,9 +264,9 @@ func TestRowAccumulateDifferential(t *testing.T) {
 	}
 }
 
-// TestRowAccumulateLookAhead runs the look-ahead operands over a source
-// big enough that the assembly issues its hints: rows of every width up
-// to two cache lines past the hinted prefix, including ones that straddle
+// TestRowAccumulateLookAhead runs the look-ahead rows over a source big
+// enough that the assembly issues its hints: rows of every width up to
+// two cache lines past the hinted prefix, including ones that straddle
 // lines, hinted at rows that exist, rows that do not and addresses that
 // are not even mapped — nothing faults, and out is the contract's to the
 // bit whatever was hinted.
@@ -273,21 +288,19 @@ func TestRowAccumulateLookAhead(t *testing.T) {
 					idx[k] = rows - 1 - k%2
 				}
 			}
-			for _, cont := range []bool{false, true} {
-				want := make([]float64, p)
-				for j := range want {
-					want[j] = rng.NormFloat64()
-				}
-				start := append([]float64(nil), want...)
-				naiveRowAcc(want, alpha, idx, src, cont)
-				aheads := append(lookAheads(rng, terms, rows), []int{rows - 1, 0, rows - 1})
-				for a, ahead := range aheads {
-					got := append([]float64(nil), start...)
-					rowAccF64(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
-					if j := sameBits(got, want); j >= 0 {
-						t.Fatalf("p=%d terms=%d cont=%v ahead=%d: elem %d = %x, contract %x",
-							p, terms, cont, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
-					}
+			want := make([]float64, p)
+			for j := range want {
+				want[j] = rng.NormFloat64()
+			}
+			start := append([]float64(nil), want...)
+			naiveRowAcc(want, alpha, idx, src, false)
+			aheads := append(lookAheads(rng, terms, rows), []int{rows - 1, 0, rows - 1})
+			for a, ahead := range aheads {
+				got := append([]float64(nil), start...)
+				rowAccF64(got, alpha, idx, rows, src, ahead)
+				if j := sameBits(got, want); j >= 0 {
+					t.Fatalf("p=%d terms=%d ahead=%d: elem %d = %x, contract %x",
+						p, terms, a, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
 				}
 			}
 		}
@@ -295,12 +308,12 @@ func TestRowAccumulateLookAhead(t *testing.T) {
 }
 
 // TestRowAccumulateI8Differential is the int8 table: the portable and
-// literal kernels agree exactly — including multipliers large enough to
-// wrap int32 — and so do the sums the dispatched kernel requantises,
-// fresh and continued, through the row door (its multipliers are codes
-// by construction, so it is driven with the table's code multipliers) and
-// through the dense product, whose compaction drops the zero codes a
-// RowChunk window at a time and changes nothing.
+// literal kernels agree exactly, fresh and continued — including
+// multipliers large enough to wrap int32 — and so do the sums the
+// dispatched kernel requantises, through a one-row sparse range (driven
+// with the table's code multipliers as values under scale 1) and through
+// the dense product, whose compaction drops the zero codes a RowChunk
+// window at a time and changes nothing.
 func TestRowAccumulateI8Differential(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for p := 1; p <= 70; p++ {
@@ -344,11 +357,13 @@ func TestRowAccumulateI8Differential(t *testing.T) {
 								p, terms, zp.name, cont, j, port[j], want[j])
 						}
 					}
+					if cont {
+						continue // the range starts every row fresh
+					}
 					copy(want, start)
-					naiveRowAccI8(want, wide, idx, src, cont)
-					requireSumsI8(t, fmt.Sprintf("row door p=%d terms=%d zeros=%s cont=%v", p, terms, zp.name, cont), want, func(e *CheckedEpilogueI8, dst []int8) {
-						acc := append([]int32(nil), start...)
-						productRowI8(e, dst, acc, vals, 1, CheckIndices(idx, rows), src, nil, cont)
+					naiveRowAccI8(want, wide, idx, src, false)
+					requireSumsI8(t, fmt.Sprintf("sparse range p=%d terms=%d zeros=%s", p, terms, zp.name), want, func(e *CheckedEpilogueI8, dst []int8) {
+						rowAccI8(e, dst, append([]int32(nil), start...), vals, idx, rows, src)
 					})
 				}
 
@@ -373,33 +388,30 @@ func TestRowAccumulateI8Differential(t *testing.T) {
 }
 
 // TestRowAccumulateRejectsBadOperands: an index outside the source
-// panics where the indices are checked, a source shorter than the rows
-// they were checked against or an index list that does not pair with the
-// multipliers panics at either row door before any kernel runs — and the
-// portable kernel, called bare, still refuses to read out of bounds.
+// panics where the indices are checked (CheckCSR), a source shorter than
+// the rows they were checked against panics at either range entry before
+// any kernel runs, a batch that does not fit its proof panics where it is
+// cut — and the portable kernel, called bare, still refuses to read out
+// of bounds.
 func TestRowAccumulateRejectsBadOperands(t *testing.T) {
 	src := make([]float64, 5*4)
 	src8 := make([]int8, 5*4)
 	e8 := CheckEpilogueI8(4, make([]float64, 4), nil, nil, make([]float64, 4), false, false)
+	span := CheckCSR([]int{0, 1, 3, 3}, []int{0, 1, 4}, []float64{1, 1, 1}, 0, 3, 2, 5)
+	var ptr [6]int
 	for name, fn := range map[string]func(){
-		"index == rows":   func() { CheckIndices([]int{0, 5}, 5) },
-		"negative index":  func() { CheckIndices([]int{-1}, 5) },
-		"negative height": func() { CheckIndices(nil, -1) },
+		"index == rows":   func() { CheckCSR([]int{0, 2}, []int{0, 5}, []float64{1, 1}, 0, 1, 0, 5) },
+		"negative index":  func() { CheckCSR([]int{0, 1}, []int{-1}, []float64{1}, 0, 1, 0, 5) },
+		"negative height": func() { CheckCSR([]int{0, 0}, nil, nil, 0, 1, 0, -1) },
 		"f64 ragged last row": func() {
-			rowAccF64(make([]float64, 4), []float64{1}, CheckIndices([]int{4}, 5), src[:19], false, nil)
-		},
-		"f64 index count": func() {
-			rowAccF64(make([]float64, 4), []float64{1, 1}, CheckIndices([]int{0}, 5), src, false, nil)
-		},
-		"f64 sliced past its row": func() {
-			rowAccF64(make([]float64, 4), []float64{1}, CheckIndices([]int{0, 1}, 5).Slice(1, 3), src, false, nil)
+			rowAccF64(make([]float64, 4), []float64{1}, []int{4}, 5, src[:19], nil)
 		},
 		"i8 short source": func() {
-			e8.ProductRow(make([]int8, 4), make([]int32, 4), []float64{1, 1}, 1, CheckIndices([]int{0, 4}, 5), src8[:16], nil)
+			rowAccI8(&e8, make([]int8, 4), make([]int32, 4), []float64{1, 1}, []int{0, 4}, 5, src8[:16])
 		},
-		"i8 index count": func() {
-			e8.ProductRow(make([]int8, 4), make([]int32, 4), []float64{1}, 1, CheckIndices([]int{0, 1}, 5), src8, nil)
-		},
+		"batch past the span":    func() { span.Batch(ptr[:], 2, 4, nil) },
+		"batch values":           func() { span.Batch(ptr[:], 1, 2, []float64{1}) },
+		"batch row pointers":     func() { span.Batch(ptr[:2], 0, 2, []float64{1, 1, 1}) },
 		"portable f64 unchecked": func() { rowAccF64Go(make([]float64, 4), []float64{1}, []int{5}, src, false) },
 		"portable i8 unchecked":  func() { rowAccI8Go(make([]int32, 4), []int32{1}, []int{5}, src8, false) },
 	} {
@@ -412,21 +424,22 @@ func TestRowAccumulateRejectsBadOperands(t *testing.T) {
 			fn()
 		}()
 	}
-	// The zero value is no indices at all: it pairs with no multipliers
-	// and clears the row.
+	// A row of no terms pairs with no source at all and clears the row.
 	out := []float64{1, 2}
-	rowAccF64(out, nil, CheckedIndices{}, nil, false, nil)
+	rowAccF64(out, nil, nil, 0, nil, nil)
 	if out[0] != 0 || out[1] != 0 {
-		t.Errorf("zero CheckedIndices left %v", out)
+		t.Errorf("a row of no terms left %v", out)
 	}
 }
 
 // FuzzRowAccumulate drives both element types of the row accumulate —
-// through the row doors, the fp64 one with no epilogue, the int8 one under
-// requireSumsI8's exact operands — with fuzzed shapes, term counts and
-// value mixes against the literal contract; the fp64 row also carries a
-// fuzzed look-ahead operand — its length and how wild its indices are —
-// over the shared source large enough for the assembly to act on it.
+// as one-row sparse ranges, the fp64 one with no epilogue, the int8 one
+// under requireSumsI8's exact operands — with fuzzed shapes, term counts
+// and value mixes against the literal contract; the fp64 row also carries
+// a fuzzed look-ahead row — its length and how wild its indices are —
+// over the shared source large enough for the assembly to act on it. With
+// cont the portable kernels are also held to the contract continued onto
+// a previous sum, as the dense windows use them.
 func FuzzRowAccumulate(f *testing.F) {
 	f.Add(int64(1), uint8(64), uint16(100), uint8(0), true, false, uint16(0))
 	f.Add(int64(2), uint8(7), uint16(0), uint8(1), false, true, uint16(9))
@@ -442,8 +455,8 @@ func FuzzRowAccumulate(f *testing.F) {
 		for k := range idx {
 			idx[k] = rng.Intn(rows)
 		}
-		// hints: the low bits are the operand's length, the top bit lets
-		// its indices be anything at all.
+		// hints: the low bits are the look-ahead row's length, the top
+		// bit lets its indices be anything at all.
 		ahead := make([]int, int(hints&0x7fff)%600)
 		for k := range ahead {
 			ahead[k] = rng.Intn(rows)
@@ -451,15 +464,24 @@ func FuzzRowAccumulate(f *testing.F) {
 				ahead[k] = int(rng.Uint64())
 			}
 		}
-		want := make([]float64, p)
-		for j := range want {
-			want[j] = rng.NormFloat64()
+		start := make([]float64, p)
+		for j := range start {
+			start[j] = rng.NormFloat64()
 		}
-		got := append([]float64(nil), want...)
-		naiveRowAcc(want, alpha, idx, src, cont)
-		rowAccF64(got, alpha, CheckIndices(idx, len(src)/p), src, cont, ahead)
+		want := append([]float64(nil), start...)
+		naiveRowAcc(want, alpha, idx, src, false)
+		got := append([]float64(nil), start...)
+		rowAccF64(got, alpha, idx, rows, src, ahead)
 		if j := sameBits(got, want); j >= 0 {
 			t.Fatalf("fp64 p=%d terms=%d hints=%d: elem %d = %x, contract %x", p, n, len(ahead), j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+		}
+		if cont && n > 0 {
+			want, got = append(want[:0], start...), append(got[:0], start...)
+			naiveRowAcc(want, alpha, idx, src, true)
+			rowAccF64Go(got, alpha, idx, src, true)
+			if j := sameBits(got, want); j >= 0 {
+				t.Fatalf("portable fp64 p=%d terms=%d continued: elem %d = %x, contract %x", p, n, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
 		}
 
 		src8 := make([]int8, 9*p)
@@ -474,15 +496,25 @@ func FuzzRowAccumulate(f *testing.F) {
 				vals[k] = float64(alpha32[k])
 			}
 		}
-		start := make([]int32, p)
-		for j := range start {
-			start[j] = rng.Int31()
+		start32 := make([]int32, p)
+		for j := range start32 {
+			start32[j] = rng.Int31()
 		}
-		want32 := append([]int32(nil), start...)
-		naiveRowAccI8(want32, alpha32, idx, src8, cont)
-		requireSumsI8(t, fmt.Sprintf("int8 p=%d terms=%d cont=%v", p, n, cont), want32, func(e *CheckedEpilogueI8, dst []int8) {
-			productRowI8(e, dst, start, vals, 1, CheckIndices(idx, 9), src8, nil, cont)
+		want32 := make([]int32, p)
+		naiveRowAccI8(want32, alpha32, idx, src8, false)
+		requireSumsI8(t, fmt.Sprintf("int8 p=%d terms=%d", p, n), want32, func(e *CheckedEpilogueI8, dst []int8) {
+			rowAccI8(e, dst, append([]int32(nil), start32...), vals, idx, 9, src8)
 		})
+		if cont && n > 0 {
+			want32 = append(want32[:0], start32...)
+			naiveRowAccI8(want32, alpha32, idx, src8, true)
+			rowAccI8Go(start32, alpha32, idx, src8, true)
+			for j := range want32 {
+				if start32[j] != want32[j] {
+					t.Fatalf("portable int8 p=%d terms=%d continued: elem %d = %d, contract %d", p, n, j, start32[j], want32[j])
+				}
+			}
+		}
 	})
 }
 

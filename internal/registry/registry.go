@@ -123,8 +123,9 @@ func (c NodeQueryConfig) Subgraph() subgraph.Config {
 type Config struct {
 	// WorkspacesPerVault caps how many concurrent inference workspaces one
 	// vault may hold (its maximum worker parallelism). Default 2, matching
-	// serve.Config's worker default. Full-graph and subgraph workspaces
-	// are capped independently.
+	// serve.Config's worker default; a negative value is programmer error
+	// and New panics on it. Full-graph and subgraph workspaces are capped
+	// independently.
 	WorkspacesPerVault int
 	// Plan shapes every full-graph workspace the registry plans. Setting
 	// Plan.EPCBudgetBytes makes cold plans tile-streamed: a vault whose
@@ -151,7 +152,10 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.WorkspacesPerVault <= 0 {
+	if c.WorkspacesPerVault < 0 {
+		panic(fmt.Sprintf("registry: negative Config.WorkspacesPerVault (%d)", c.WorkspacesPerVault))
+	}
+	if c.WorkspacesPerVault == 0 {
 		c.WorkspacesPerVault = 2
 	}
 	if c.NodeQuery != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,23 +132,38 @@ func TestRegistryRegisterValidation(t *testing.T) {
 
 	// NodeQueryConfig: a negative field is refused by name from both
 	// calls that take the config in; zero keeps its documented meaning.
+	// A negative WorkspacesPerVault is programmer error: New panics,
+	// naming it.
 	sv, err := core.DeploySharded(regBB, regRec, regDS.Graph, enclave.DefaultCostModel(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sv.Undeploy()
 	for _, tc := range []struct {
-		nq    NodeQueryConfig
-		field string // "" = accepted
-		want  NodeQueryConfig
+		nq       NodeQueryConfig
+		field    string // "" = accepted
+		want     NodeQueryConfig
+		perVault int
 	}{
-		{NodeQueryConfig{}, "", NodeQueryConfig{Hops: 2, Fanout: 0, MaxSeeds: 16}},
-		{NodeQueryConfig{Hops: 3, Fanout: 5, MaxSeeds: 4}, "", NodeQueryConfig{Hops: 3, Fanout: 5, MaxSeeds: 4}},
-		{NodeQueryConfig{Hops: -1}, "Hops", NodeQueryConfig{}},
-		{NodeQueryConfig{Fanout: -1}, "Fanout", NodeQueryConfig{}},
-		{NodeQueryConfig{MaxSeeds: -2}, "MaxSeeds", NodeQueryConfig{}},
+		{NodeQueryConfig{}, "", NodeQueryConfig{Hops: 2, Fanout: 0, MaxSeeds: 16}, 0},
+		{NodeQueryConfig{Hops: 3, Fanout: 5, MaxSeeds: 4}, "", NodeQueryConfig{Hops: 3, Fanout: 5, MaxSeeds: 4}, 0},
+		{NodeQueryConfig{Hops: -1}, "Hops", NodeQueryConfig{}, 0},
+		{NodeQueryConfig{Fanout: -1}, "Fanout", NodeQueryConfig{}, 0},
+		{NodeQueryConfig{MaxSeeds: -2}, "MaxSeeds", NodeQueryConfig{}, 0},
+		{NodeQueryConfig{}, "WorkspacesPerVault", NodeQueryConfig{}, -1},
 	} {
-		_, nqReg, nqIDs := newFleet(t, 1, 1, Config{NodeQuery: &tc.nq})
+		if tc.perVault < 0 {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, tc.field) {
+						t.Errorf("WorkspacesPerVault %d: New panicked with %q, want a panic naming %s", tc.perVault, msg, tc.field)
+					}
+				}()
+				New(nil, Config{NodeQuery: &tc.nq, WorkspacesPerVault: tc.perVault})
+			}()
+			continue
+		}
+		_, nqReg, nqIDs := newFleet(t, 1, 1, Config{NodeQuery: &tc.nq, WorkspacesPerVault: tc.perVault})
 		errs := []error{nqReg.EnableNodeQueries(nqIDs[0], regDS.X), nqReg.RegisterFleet("fleet", sv)}
 		for i, err := range errs {
 			var rangeErr *NodeQueryRangeError

@@ -26,7 +26,7 @@ import (
 var ErrShardUnavailable = errors.New("serve: shard unavailable")
 
 // Circuit-breaker states, per shard. The life cycle is closed → open
-// (BreakerThreshold consecutive failures, or one enclave loss) →
+// (breakerThreshold consecutive failures, or one enclave loss) →
 // half-open (the registry re-provisioned the shard, and it serves again
 // on probation) → closed (first successful query).
 const (
@@ -40,7 +40,7 @@ const (
 // the full-graph fan-out latency histogram surfaced on /metrics, and the
 // outage context every full-graph pass of the fleet runs under.
 //
-// Failure domain: an enclave loss (or BreakerThreshold consecutive
+// Failure domain: an enclave loss (or breakerThreshold consecutive
 // failures) trips a shard's breaker: the shard goes offline, in-flight
 // full-graph passes are aborted by cancelling the outage context (the
 // fleet's barriers unwind), and a per-shard recovery loop has the registry
@@ -53,7 +53,7 @@ type fleet struct {
 
 	avail     []atomic.Bool
 	breaker   []atomic.Int32  // breakerClosed / breakerOpen / breakerHalfOpen
-	fails     []atomic.Int32  // consecutive failures toward BreakerThreshold
+	fails     []atomic.Int32  // consecutive failures toward breakerThreshold
 	restarts  []atomic.Uint64 // successful recoveries per shard
 	trippedAt []atomic.Int64  // wall ns of the breaker trip, for the recovery span
 	halo      []atomic.Int64
@@ -163,7 +163,7 @@ func (s *MultiServer) noteFullGraph(f *fleet, err error) {
 
 // noteShardError counts one shard-attributed failure. Enclave loss is
 // unambiguous and trips the breaker immediately; other faults trip it
-// after BreakerThreshold consecutive failures. Outage echoes
+// after breakerThreshold consecutive failures. Outage echoes
 // (ErrShardUnavailable) and deadline/cancellation errors never count —
 // tripping a healthy shard because a client's deadline was tight would
 // turn load into an outage.
@@ -176,7 +176,7 @@ func (s *MultiServer) noteShardError(f *fleet, sh int, err error) {
 	case errors.Is(err, enclave.ErrEnclaveLost):
 		s.tripShard(f, sh, err)
 	default:
-		if int(f.fails[sh].Add(1)) >= s.cfg.BreakerThreshold {
+		if f.fails[sh].Add(1) >= breakerThreshold {
 			s.tripShard(f, sh, err)
 		}
 	}

@@ -92,7 +92,7 @@ func NewMulti(reg *registry.Registry, cfg Config) *MultiServer {
 		cfg:     cfg,
 		reg:     reg,
 		leases:  make([]lease, cfg.Workers),
-		reqs:    make(chan *request, cfg.QueueDepth),
+		reqs:    make(chan *request, cfg.Workers*cfg.MaxBatch*queueSlack),
 		started: time.Now(),
 		fleets:  map[string]*fleet{},
 		stop:    make(chan struct{}),

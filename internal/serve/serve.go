@@ -24,6 +24,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -47,17 +48,19 @@ var ErrNodeQueriesDisabled = registry.ErrNodeQueriesDisabled
 var errNoFeatures = errors.New("serve: no feature matrix for full-graph query")
 
 // Config tunes the worker pool. Every field is read by NewMulti, except
-// Plan, NodeQuery and Features, which only NewSharded reads.
+// Plan, NodeQuery and Features, which only NewSharded reads. A negative
+// Workers, MaxBatch, MaxRetries or RecoveryBackoff is programmer error
+// (gnnvault serve refuses one when it parses its flags): NewMulti and
+// NewSharded panic on it, naming the field.
 type Config struct {
 	// Workers is the number of inference workers. Default 2. They share
 	// the registry's workspaces; NewSharded plans one per worker up front.
 	Workers int
 	// MaxBatch caps how many queued requests one worker drains per
-	// wake-up. Default 8.
+	// wake-up. Default 8. The request queue holds
+	// Workers·MaxBatch·queueSlack requests; Predict blocks when it is full
+	// (backpressure).
 	MaxBatch int
-	// QueueDepth bounds the request queue; Predict blocks when it is
-	// full (backpressure). Default Workers·MaxBatch·2.
-	QueueDepth int
 	// Plan, NodeQuery and Features are read by NewSharded only, which
 	// builds its registry from them. A MultiServer takes the same three
 	// from its registry: registry.Config's Plan and NodeQuery,
@@ -97,18 +100,14 @@ type Config struct {
 	// barriers on a full-graph pass (context.DeadlineExceeded, HTTP 503).
 	// Zero serves without a deadline.
 	Deadline time.Duration
-	// MaxRetries, BreakerThreshold, RecoveryBackoff, Seed and Trace tune
-	// the serving of shard fleets only.
+	// MaxRetries, RecoveryBackoff, Seed and Trace tune the serving of
+	// shard fleets only.
 	//
 	// MaxRetries is how many times a node query routed to a tripped
 	// shard waits out a jittered exponential backoff for the shard to
 	// recover before failing with ErrShardUnavailable. Each wait is
 	// bounded by the request's remaining Deadline. Default 0: fail fast.
 	MaxRetries int
-	// BreakerThreshold is how many consecutive failures on one shard trip
-	// its circuit breaker (an enclave loss trips it immediately
-	// regardless). Default 3.
-	BreakerThreshold int
 	// RecoveryBackoff is the base delay of the breaker's automatic
 	// recovery loop; attempts back off exponentially (with deterministic
 	// jitter) from it. It also paces the node-query retry waits. Default
@@ -123,24 +122,32 @@ type Config struct {
 	Trace *obs.Ring
 }
 
+// queueSlack is how many batches per worker the request queue holds.
+const queueSlack = 2
+
+// breakerThreshold is how many consecutive failures on one shard trip its
+// circuit breaker (an enclave loss trips it immediately regardless).
+const breakerThreshold = 3
+
+// withDefaults gives the zero fields their documented defaults and
+// panics on a negative one.
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"Workers", int64(c.Workers)}, {"MaxBatch", int64(c.MaxBatch)}, {"MaxRetries", int64(c.MaxRetries)}, {"RecoveryBackoff", int64(c.RecoveryBackoff)}} {
+		if f.v < 0 {
+			panic(fmt.Sprintf("serve: negative Config.%s (%d)", f.name, f.v))
+		}
+	}
+	if c.Workers == 0 {
 		c.Workers = 2
 	}
-	if c.MaxBatch <= 0 {
+	if c.MaxBatch == 0 {
 		c.MaxBatch = 8
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = c.Workers * c.MaxBatch * 2
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.RecoveryBackoff <= 0 {
+	if c.RecoveryBackoff == 0 {
 		c.RecoveryBackoff = 5 * time.Millisecond
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

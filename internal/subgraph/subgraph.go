@@ -165,9 +165,6 @@ func (ws *Workspace) NumBytes() int64 {
 // next Expand.
 func (ws *Workspace) Nodes() []int { return ws.nodes }
 
-// NumNodes returns the extracted node count of the last Expand.
-func (ws *Workspace) NumNodes() int { return len(ws.nodes) }
-
 // xorshift64* step; splitmix-style seeding happens in reseed.
 func (ws *Workspace) next() uint64 {
 	x := ws.rng
