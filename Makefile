@@ -70,7 +70,8 @@ chaos-smoke:
 # Short fuzz passes over the engine and attack-surface invariants:
 # induced-subgraph extraction, tiled-vs-direct execution equivalence, int8
 # accuracy + within-tier bit-identity, sharded-vs-single-enclave
-# bit-identity across fuzzed shapes × shard counts × {fp64, int8}, bundle
+# bit-identity across fuzzed shapes × shard counts × {fp64, int8}, the
+# buffer plan (random chains with shared slots vs every value kept), bundle
 # import under hostile manifests and under flipped, truncated or extended
 # section bytes (an error, never a panic; a changed sealed section never
 # imports), and the
@@ -96,6 +97,7 @@ FUZZ_TARGETS = \
 	FuzzTiledExec:./internal/exec/ \
 	FuzzPrecision:./internal/exec/ \
 	FuzzShardedExec:./internal/exec/ \
+	FuzzBufferPlan:./internal/exec/ \
 	FuzzImport:./internal/core/ \
 	FuzzBundleLoad:./internal/core/ \
 	FuzzAttackSurface:./internal/attack/ \

@@ -166,11 +166,12 @@ func cmdServe(args []string) {
 		mode += ", " + prec.String() + " enclave kernels"
 	}
 	if fl.sv != nil {
+		bounds := fl.sv.Bounds()
 		fmt.Printf("shard fleet: %d enclaves (EPC %d MB each), rows cut at %v, %d workers, %s\n",
-			fl.sv.Shards(), *epcMB, fl.sv.Part.Bounds, *workers, mode)
+			fl.sv.Shards(), *epcMB, bounds, *workers, mode)
 		for i := 0; i < fl.sv.Shards(); i++ {
 			fmt.Printf("  shard %d: rows %d, %.2f MB EPC used\n",
-				i, fl.sv.Part.Rows(i), float64(fl.sv.Shard(i).Enclave.EPCUsed())/(1<<20))
+				i, bounds[i+1]-bounds[i], float64(fl.sv.Shard(i).Enclave.EPCUsed())/(1<<20))
 		}
 	} else {
 		fmt.Printf("fleet of %d vaults on one enclave (EPC %.2f MB used of %d MB), %d workers, %s\n",

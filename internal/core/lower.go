@@ -17,8 +17,12 @@ import (
 // programs compiled here on the one shared engine, tiled or direct.
 //
 // Every conv kind lowers onto the op vocabulary — there is no opaque op —
-// so every program tiles, quantises and declares all the memory it
-// touches: BufferBytes/TileBytes are a machine's whole working set.
+// so every program tiles, quantises and declares the memory its ops
+// touch: BufferBytes counts a machine's value slots (values share them by
+// liveness) and TileBytes its staging tile, each with the attention
+// scratch row. Neither counts inputs, which are the caller's, nor an int8
+// machine's boundary codes and dequantised output; a plan charges those
+// as payload.
 //
 // Every program leaves the compilers epilogue-fused (exec.Program.Fused):
 // the bias/ReLU tails of each conv collapse into the producing product op

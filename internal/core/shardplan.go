@@ -66,7 +66,12 @@ func (f *ShardFault) Unwrap() error { return f.Err }
 // a consistent snapshot.
 type ShardedVault struct {
 	Backbone *Backbone
-	Part     *graph.Partition
+
+	// partition is the private operator cut into shards: each shard's CSR slab
+	// and, in Halo[s], its private cross-shard neighbours. It stays
+	// unexported like the vault's private graph; Bounds hands out the row
+	// ranges alone.
+	partition *graph.Partition
 
 	rectifier    *Rectifier
 	privateGraph *graph.Graph
@@ -99,7 +104,7 @@ func DeploySharded(bb *Backbone, rec *Rectifier, private *graph.Graph, cost encl
 		}
 	}
 	part := graph.NewPartition(rec.Adjacency(), shards)
-	sv := &ShardedVault{Backbone: bb, Part: part, rectifier: rec, privateGraph: private, cost: cost}
+	sv := &ShardedVault{Backbone: bb, partition: part, rectifier: rec, privateGraph: private, cost: cost}
 	sv.vaults = make([]atomic.Pointer[Vault], shards)
 	for s := 0; s < shards; s++ {
 		v, err := sv.provisionShard(s)
@@ -119,7 +124,7 @@ func (sv *ShardedVault) provisionShard(s int) (*Vault, error) {
 	// Each shard enclave's measurement covers the rectifier identity
 	// plus its shard index, so peers have distinct sealing keys.
 	encl := enclave.New(sv.cost, sv.rectifier.Identity(), []byte{byte(s)})
-	return deployInto(encl, sv.Backbone, sv.rectifier, sv.privateGraph, nil, sv.Part.CSR[s].NumBytes())
+	return deployInto(encl, sv.Backbone, sv.rectifier, sv.privateGraph, nil, sv.partition.CSR[s].NumBytes())
 }
 
 // Shards returns the fleet's shard count.
@@ -131,8 +136,14 @@ func (sv *ShardedVault) Shards() int { return len(sv.vaults) }
 // the replaced vault, so callers must not cache it across failures.
 func (sv *ShardedVault) Shard(s int) *Vault { return sv.vaults[s].Load() }
 
+// Bounds returns a copy of the shard row boundaries: shard s owns global
+// rows [Bounds()[s], Bounds()[s+1]). The ranges are no secret — each
+// ECALL's row count already shows them to the host — but the partition
+// behind them (CSR slabs, halo neighbours) is, so only they leave.
+func (sv *ShardedVault) Bounds() []int { return append([]int(nil), sv.partition.Bounds...) }
+
 // Owner returns the shard owning global node u.
-func (sv *ShardedVault) Owner(u int) int { return sv.Part.Owner(u) }
+func (sv *ShardedVault) Owner(u int) int { return sv.partition.Owner(u) }
 
 // Nodes returns the node count of the deployed private graph.
 func (sv *ShardedVault) Nodes() int { return sv.privateGraph.N() }
@@ -186,7 +197,7 @@ type ShardedWorkspace = Workspace
 // shard quantizes on the same grid and the fleet's labels stay
 // bit-identical to the single-enclave plan's.
 func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*Workspace, error) {
-	return planFull(sv, sv.Part, rows, cfg)
+	return planFull(sv, sv.partition, rows, cfg)
 }
 
 // PredictInto runs one full sharded inference: the backbone once at full
@@ -254,7 +265,7 @@ func (sv *ShardedVault) RouteSeeds(seeds []int) (int, error) {
 		return 0, ErrNodeOutOfRange
 	}
 	if u := seeds[0]; u >= 0 && u < sv.privateGraph.N() {
-		return sv.Part.Owner(u), nil
+		return sv.partition.Owner(u), nil
 	}
 	return 0, ErrNodeOutOfRange
 }
@@ -284,7 +295,7 @@ func (sv *ShardedVault) PredictNodesAtContext(ctx context.Context, x *mat.Matrix
 	}
 	var haloBytes int64
 	for _, u := range ws.ExtractedNodes() {
-		if sv.Part.Owner(u) != s {
+		if sv.partition.Owner(u) != s {
 			v.Enclave.Ocall()
 			haloBytes += ws.payload
 		}

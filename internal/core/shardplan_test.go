@@ -219,10 +219,10 @@ func TestShardedEPCChargedPerShardAndReleased(t *testing.T) {
 	base := make([]int64, sv.Shards())
 	for s := 0; s < sv.Shards(); s++ {
 		base[s] = sv.Shard(s).Enclave.EPCUsed()
-		if want := rec.ParamBytes() + sv.Part.CSR[s].NumBytes(); base[s] != want {
+		if want := rec.ParamBytes() + sv.partition.CSR[s].NumBytes(); base[s] != want {
 			t.Fatalf("shard %d residents %d, want params+slab %d", s, base[s], want)
 		}
-		slabs += sv.Part.CSR[s].NumBytes()
+		slabs += sv.partition.CSR[s].NumBytes()
 	}
 	// nnz and row-pointer arrays are disjoint slices of the parent's, so
 	// the fleet's total adjacency residency stays in the same ballpark as

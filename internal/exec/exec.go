@@ -3,11 +3,11 @@
 // once into a flat op sequence (dense MatMul, sparse SpMM over a CSR row
 // range, attention aggregate over a CSR structure, bias add, ReLU,
 // element-wise add, horizontal concat, row argmax), and a Machine then
-// executes that program either directly — every buffer resident, the
-// pre-PR-4 behaviour — or row tile by row tile under a fixed working-set
-// bound. There is no opaque op: every conv kind (GCN, GraphSAGE, GAT) is
-// written in this vocabulary, so every program tiles, quantises, sizes
-// itself and declares all the memory it touches.
+// executes that program either directly — every value slot resident, the
+// values sharing slots by liveness (buffers.go) — or row tile by row tile
+// under a fixed working-set bound. There is no opaque op: every conv kind
+// (GCN, GraphSAGE, GAT) is written in this vocabulary, so every program
+// tiles, quantises, sizes itself and declares all the memory it touches.
 //
 // The tiled mode is what makes full-graph plans admissible on a real
 // enclave: a layer's full activations live in *spilled* host buffers
@@ -146,9 +146,10 @@ type HaloSlot struct {
 type value struct {
 	width int
 	input int // ordinal among Run's inputs, or -1 for intermediates
-	// keep pins the value across fusion: callers will read it through
-	// Machine.Value, so the fusion pass must neither fold it away nor
-	// eliminate its buffer.
+	// keep pins the value across fusion and the buffer plan: callers will
+	// read it through Machine.Value, so the fusion pass must neither fold
+	// it away nor eliminate its buffer, and no later value may reuse its
+	// slot.
 	keep bool
 	// dead marks a value orphaned by fusion: no surviving op touches it,
 	// machines allocate no buffer for it.
@@ -262,10 +263,11 @@ func (b *Builder) push(op Op) {
 	}
 }
 
-// Keep pins a value against the fusion pass: the caller will read it via
-// Machine.Value after Run (backbone block embeddings, typically), so
-// Fused must keep it materialised even when its only in-program consumer
-// could otherwise absorb it.
+// Keep pins a value against the fusion pass and the buffer plan: the
+// caller will read it via Machine.Value after Run (backbone block
+// embeddings, typically), so Fused must keep it materialised even when
+// its only in-program consumer could otherwise absorb it, and its slot
+// holds it to the end of the run.
 func (b *Builder) Keep(v int) {
 	b.width(v) // id check
 	b.p.vals[v].keep = true
@@ -444,9 +446,9 @@ type Config struct {
 }
 
 // Machine executes one program with pre-sized buffers. Direct machines
-// hold every intermediate resident (BufferBytes is the enclave charge when
+// hold their value slots resident (BufferBytes is the enclave charge when
 // the machine runs in-enclave); tiled machines hold full intermediates in
-// spilled (untrusted) buffers and stage every op's output through one
+// spilled (untrusted) slots and stage every op's output through one
 // tile-sized buffer (TileBytes is the enclave charge). One machine
 // belongs to one goroutine at a time.
 type Machine struct {
@@ -457,7 +459,7 @@ type Machine struct {
 
 	// F64 state. An I8 machine keeps its values in q instead and binds only
 	// the output's entry of views, to the dequantized result.
-	spill []*mat.Matrix // per value; nil for inputs and dead values
+	spill []*mat.Matrix // per value, over its slot; nil for inputs and dead values
 	// host is, per value, the halo destination whose buffer's first
 	// MaxRows rows are the value's own buffer, or -1 (haloHosts): a
 	// gathered value's producer writes the local rows of the
@@ -480,6 +482,10 @@ type Machine struct {
 	// outside a fleet.
 	peers []*Machine
 	sync  func() error
+
+	// bufBytes is the size of the value slots the buffer plan allocated,
+	// at the machine's element width (BufferBytes).
+	bufBytes int64
 
 	scratch scratchF64 // F64 op-body headers
 	// attnRow is the length of the attention-coefficient row the scratch
@@ -510,8 +516,9 @@ type scratchF64 struct {
 	alpha    []float64     // attention coefficients of the row in hand
 }
 
-// NewMachine plans a machine for the program: all value buffers (and, when
-// tiling, the staging tile) are allocated here, never during Run.
+// NewMachine plans a machine for the program: the buffer plan assigns
+// every value a slot (buffers.go), and all slots (and, when tiling, the
+// staging tile) are allocated here, never during Run.
 func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 	if cfg.TileRows < 0 {
 		return nil, fmt.Errorf("exec: negative TileRows %d", cfg.TileRows)
@@ -535,21 +542,24 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 		m.rec = obs.Nop
 	}
 	m.host = p.haloHosts()
+	bp := p.planBuffers(m.host)
+	for _, n := range bp.sizes {
+		m.bufBytes += int64(n) * int64(m.elem.Size())
+	}
 	if m.elem == I8 {
-		if err := m.planI8(); err != nil {
+		if err := m.planI8(bp); err != nil {
 			return nil, err
 		}
 		return m, nil
 	}
-	m.spill = make([]*mat.Matrix, len(p.vals))
-	for i, v := range p.vals {
-		if v.input < 0 && !v.dead && m.host[i] < 0 {
-			m.spill[i] = mat.New(p.MaxRows+v.extra, v.width)
-		}
+	data, err := allocSlots[float64](p, bp, m.host)
+	if err != nil {
+		return nil, err
 	}
-	for i, host := range m.host {
-		if host >= 0 {
-			m.spill[i] = m.spill[host].ViewRows(0, p.MaxRows, new(mat.Matrix))
+	m.spill = make([]*mat.Matrix, len(p.vals))
+	for i, k := range bp.slot {
+		if k >= 0 {
+			m.spill[i] = &mat.Matrix{Rows: p.MaxRows + p.vals[i].extra, Cols: p.vals[i].width, Data: data[i]}
 		}
 	}
 	if m.tiled {
@@ -583,30 +593,17 @@ func (m *Machine) TileBytes() int64 {
 	return n
 }
 
-// BufferBytes returns the total footprint of the machine's value buffers
-// at the machine's element width plus the attention scratch rows — the
-// enclave charge of a *direct* in-enclave machine, and (scratch aside)
-// the spilled, untrusted, uncharged residency of a tiled one. A value
-// hosted in its halo destination's buffer is counted there, once. For I8
-// machines this counts the code buffers only; the boundary quantization
-// buffers and the dequantized output live with the caller's payload
-// accounting, not the enclave working set (see the quantized type).
-func (m *Machine) BufferBytes() int64 {
-	n := int64(m.attnRow) * 8
-	for i, s := range m.spill {
-		if s != nil && m.host[i] < 0 {
-			n += s.NumBytes()
-		}
-	}
-	if m.q != nil {
-		for i, s := range m.q.spill {
-			if s != nil && m.host[i] < 0 {
-				n += s.NumBytes()
-			}
-		}
-	}
-	return n
-}
+// BufferBytes returns the footprint of the machine's value slots
+// (buffers.go) at the machine's element width plus the attention scratch
+// row — the enclave charge of a *direct* in-enclave machine, and (scratch
+// aside) the spilled, untrusted, uncharged residency of a tiled one. Values
+// share slots by liveness, so this is what is live at once, not the sum
+// of every value; a value hosted in its halo destination's buffer is
+// counted there, once. Inputs are the caller's. For I8 machines this
+// counts the code slots only; the boundary quantization buffers and the
+// dequantized output live with the caller's payload accounting, not the
+// enclave working set (see the quantized type).
+func (m *Machine) BufferBytes() int64 { return int64(m.attnRow)*8 + m.bufBytes }
 
 // SpillTraffic returns the bytes a tiled run over rows rows streams from
 // the staging tiles out to spilled buffers (one flush per op per row),
@@ -684,16 +681,21 @@ func (m *Machine) opDone(op *Op, rows int, t0 int64) {
 	})
 }
 
-// Value returns the machine's stable header for a program value — the way
-// callers read intermediate results (e.g. backbone block embeddings) after
-// Run. The header is re-bound by every Run; the pointer itself is stable,
-// so it can be captured once at plan time. Values readable this way must
-// be pinned with Builder.Keep before fusion, or the fusion pass may fold
-// them away; asking for a value the program no longer computes is a
-// planning bug and panics rather than hand back a header no Run binds.
+// Value returns the machine's stable header for a kept value or the
+// output — the way callers read intermediate results (e.g. backbone block
+// embeddings) after Run. The header is re-bound by every Run; the pointer
+// itself is stable, so it can be captured once at plan time. Values
+// readable this way must be pinned with Builder.Keep before fusion: the
+// fusion pass may fold any other value away, and the buffer plan reuses
+// its slot once its last reader has run. Asking for any other value is a
+// planning bug and panics rather than hand back a header whose storage a
+// later op overwrote.
 func (m *Machine) Value(v int) *mat.Matrix {
-	if m.prog.vals[v].dead {
+	switch val := m.prog.vals[v]; {
+	case val.dead:
 		panic(fmt.Sprintf("exec: value %d was eliminated from the program (Builder.Keep it before Fused)", v))
+	case !val.keep && v != m.prog.output:
+		panic(fmt.Sprintf("exec: value %d is not kept, so its slot is reused after its last reader (Builder.Keep it)", v))
 	}
 	return &m.views[v]
 }

@@ -239,6 +239,8 @@ func TestAttnMatchesLiteralSoftmax(t *testing.T) {
 	z := b.Input(d)
 	s := b.MatMul(z, randMat(rng, d, 1))
 	tv := b.MatMul(z, randMat(rng, d, 1))
+	b.Keep(s) // read after Run below
+	b.Keep(tv)
 	b.AddBias(b.Attn(st, s, tv, z, 0.2), bias)
 	m, err := b.Build().NewMachine(Config{Workers: 1})
 	if err != nil {

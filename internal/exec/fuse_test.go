@@ -119,7 +119,7 @@ func TestFusionKeepsPinnedValues(t *testing.T) {
 		return b.Build(), hidden
 	}
 
-	ref, hid := build(false)
+	ref, hid := build(true) // unfused; kept so Value reads it after Run
 	rm, err := ref.NewMachine(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)

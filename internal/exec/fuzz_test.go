@@ -74,3 +74,91 @@ func FuzzTiledExec(f *testing.F) {
 		check("fused tiled", fused, Config{TileRows: tile})
 	})
 }
+
+// FuzzBufferPlan fuzzes the buffer plan (buffers.go): a random fused chain
+// of MatMul/SpMM/ReLU/Add/Concat ops, each reading the last value or an
+// older one — so live ranges nest, cross and end at every distance — at
+// random widths, must give the same output and labels, bit for bit, as
+// the same program with every value kept, where no two values share a
+// slot. Both element types, direct and tiled; the int8 machines run on
+// one calibration of the planned program.
+func FuzzBufferPlan(f *testing.F) {
+	f.Add(uint8(20), uint8(4), []byte{0, 1, 2, 3, 4, 0, 1, 5, 9, 13}, int64(1))
+	f.Add(uint8(1), uint8(1), []byte{3, 3, 3}, int64(2))
+	f.Add(uint8(63), uint8(7), []byte{4, 7, 1, 0, 2, 4, 4, 3, 6, 2, 0, 1, 8, 1, 3}, int64(3))
+	f.Fuzz(func(t *testing.T, nRaw, dRaw uint8, chain []byte, seed int64) {
+		n := int(nRaw)%64 + 1
+		d := int(dRaw)%8 + 1
+		if len(chain) > 24 {
+			chain = chain[:24]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		csr := testCSR(n, seed)
+		b := NewBuilder(n)
+		vals := []int{b.Input(d)}
+		widths := []int{d}
+		for k, c := range chain {
+			// The op reads the newest value, or one up to three back.
+			a := len(vals) - 1 - int(c>>3)%min(len(vals), 4)
+			var v int
+			switch c % 6 {
+			case 0: // product, a fresh width
+				v = b.MatMul(vals[a], randMat(rng, widths[a], int(c>>4)%7+1))
+			case 1:
+				v = b.SpMM(csr, vals[a])
+			case 2:
+				v = b.ReLU(vals[a])
+			case 3: // biased product, which the fusion pass folds
+				v = b.AddBias(b.MatMul(vals[a], randMat(rng, widths[a], widths[a])), randMat(rng, 1, widths[a]).Data)
+			case 4: // residual: a product of the newest value plus an older one
+				last := len(vals) - 1
+				v = b.Add(b.MatMul(vals[last], randMat(rng, widths[last], widths[a])), vals[a])
+			case 5:
+				v = b.Concat(vals[len(vals)-1], vals[a])
+			}
+			if k == len(chain)-1 || c%13 == 12 {
+				v = b.ReLU(v)
+			}
+			vals = append(vals, v)
+			widths = append(widths, b.width(v))
+		}
+		b.Argmax(b.MatMul(vals[len(vals)-1], randMat(rng, widths[len(vals)-1], 3)))
+		prog := b.Build().Fused()
+		ref := prog.keepAll()
+
+		x := randMat(rng, n, d)
+		scales, _, err := CalibrateScales(prog, n, []*mat.Matrix{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tile := int(seed&0xff)%n + 1
+		for _, cfg := range []Config{
+			{Workers: 1},
+			{TileRows: tile},
+			{Workers: 1, Elem: I8, Scales: scales},
+			{TileRows: tile, Elem: I8, Scales: scales},
+		} {
+			wantLabels, gotLabels := make([]int, n), make([]int, n)
+			rm, err := ref.NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rm.Run(n, []*mat.Matrix{x}, wantLabels)
+			m, err := prog.NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.BufferBytes() > rm.BufferBytes() {
+				t.Fatalf("%s tile=%d: planned buffers %d B exceed a buffer per value's %d B", cfg.Elem, cfg.TileRows, m.BufferBytes(), rm.BufferBytes())
+			}
+			if got := m.Run(n, []*mat.Matrix{x}, gotLabels); !got.Equal(want) {
+				t.Fatalf("%s tile=%d, chain %v: planned output differs from the keep-all program's", cfg.Elem, cfg.TileRows, chain)
+			}
+			for i := range wantLabels {
+				if gotLabels[i] != wantLabels[i] {
+					t.Fatalf("%s tile=%d, chain %v: label[%d] differs from the keep-all program's", cfg.Elem, cfg.TileRows, chain, i)
+				}
+			}
+		}
+	})
+}

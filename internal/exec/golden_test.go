@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"gnnvault/internal/mat"
+	"gnnvault/internal/obs"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files of the golden tests that run (testdata/int8_golden.json, testdata/fp64_golden.json) from this build's values")
@@ -24,9 +25,11 @@ const (
 )
 
 // golden is one program's fingerprint at one element type: an FNV-1a
-// hash of every live value after a Run (inputs included — at int8 their
-// boundary codes — in value order; int8 codes a byte each, fp64 elements
-// their eight bytes little-endian) and one of the labels.
+// hash of every live value (inputs included — at int8 their boundary
+// codes — in value order; int8 codes a byte each, fp64 elements their
+// eight bytes little-endian) and one of the labels. A value is hashed
+// right after the op that last writes it, because the buffer plan reuses
+// its slot once its last reader has run; an input, after Run.
 type golden struct {
 	Values []string `json:"values"`
 	Labels string   `json:"labels"`
@@ -81,37 +84,83 @@ func goldenPrograms() map[string]func() (*Program, *mat.Matrix) {
 	}
 }
 
-// fingerprint runs prog under cfg and hashes what it left.
+// capture is the obs.Recorder fingerprint plans its machine with: op
+// spans arrive in op order, so the k-th one (the int8 bind step's
+// quantise span aside) closes op k, and capture then hashes the values
+// whose last writer op k is — before a later op can reuse their slots.
+type capture struct {
+	m      *Machine
+	last   [][]int // per op: the values it writes last
+	op     int     // index of the op the next span closes
+	hashes map[int]string
+}
+
+func (c *capture) Enabled() bool   { return true }
+func (c *capture) NewSpan() uint64 { return 0 }
+func (c *capture) Clock() int64    { return 0 }
+
+func (c *capture) Record(s obs.Span) {
+	if s.Kind != obs.SpanOp || OpKind(s.Op) == opQuantise {
+		return
+	}
+	for _, v := range c.last[c.op] {
+		c.hashes[v] = hashValue(c.m, v)
+	}
+	c.op++
+}
+
+// hashValue hashes value v as m's views hold it now.
+func hashValue(m *Machine, v int) string {
+	h := fnv.New64a()
+	if m.elem == I8 {
+		view := &m.q.views[v]
+		fmt.Fprintf(h, "%d:%dx%d:", v, view.Rows, view.Cols)
+		for _, q := range view.Data {
+			h.Write([]byte{byte(q)})
+		}
+	} else {
+		view := &m.views[v]
+		fmt.Fprintf(h, "%d:%dx%d:", v, view.Rows, view.Cols)
+		var b [8]byte
+		for _, f := range view.Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+			h.Write(b[:])
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// fingerprint runs prog under cfg and hashes every live value as it was
+// last written, and the labels.
 func fingerprint(t *testing.T, prog *Program, cfg Config, x *mat.Matrix) golden {
 	t.Helper()
+	c := &capture{last: make([][]int, len(prog.ops)), hashes: map[int]string{}}
+	lastWrite := map[int]int{}
+	for i, op := range prog.ops {
+		if op.Dst >= 0 {
+			lastWrite[op.Dst] = i
+		}
+	}
+	for v, i := range lastWrite {
+		c.last[i] = append(c.last[i], v)
+	}
+	cfg.Recorder = c
 	m, err := prog.NewMachine(cfg)
 	if err != nil {
 		t.Fatalf("NewMachine(%+v): %v", cfg, err)
 	}
+	c.m = m
 	labels := make([]int, x.Rows)
 	m.Run(x.Rows, []*mat.Matrix{x}, labels)
 	var g golden
 	for i, v := range prog.vals {
-		if v.dead {
-			continue
+		switch {
+		case v.dead:
+		case v.input >= 0:
+			g.Values = append(g.Values, hashValue(m, i))
+		default:
+			g.Values = append(g.Values, c.hashes[i])
 		}
-		h := fnv.New64a()
-		if cfg.Elem == I8 {
-			view := &m.q.views[i]
-			fmt.Fprintf(h, "%d:%dx%d:", i, view.Rows, view.Cols)
-			for _, q := range view.Data {
-				h.Write([]byte{byte(q)})
-			}
-		} else {
-			view := &m.views[i]
-			fmt.Fprintf(h, "%d:%dx%d:", i, view.Rows, view.Cols)
-			var b [8]byte
-			for _, f := range view.Data {
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-				h.Write(b[:])
-			}
-		}
-		g.Values = append(g.Values, fmt.Sprintf("%016x", h.Sum64()))
 	}
 	h := fnv.New64a()
 	for _, l := range labels {

@@ -56,7 +56,7 @@ func (e Elem) String() string {
 // charge only spill and tiles, matching what a real enclave would keep
 // resident.
 type quantized struct {
-	spill []*mat.MatrixI8 // per value; nil for inputs and dead values
+	spill []*mat.MatrixI8 // per value, over its slot; nil for inputs and dead values
 	views []mat.MatrixI8  // per value, bound per Run
 	in    []*mat.MatrixI8 // per program input: boundary quantization buffer
 	tile  *mat.MatrixI8   // staging tile (tiled mode)
@@ -117,10 +117,10 @@ type scratchI8 struct {
 	alpha    []float64 // attention coefficients of the row in hand, as scratchF64's
 }
 
-// planI8 allocates the code buffers of an I8 machine and quantizes the
-// program's weights, called once from NewMachine after the shared
-// planning.
-func (m *Machine) planI8() error {
+// planI8 allocates the code slots of an I8 machine under the buffer plan
+// and quantizes the program's weights, called once from NewMachine after
+// the shared planning.
+func (m *Machine) planI8(bp bufferPlan) error {
 	p, cfg := m.prog, m.cfg
 	if len(cfg.Scales) != len(p.vals) {
 		return fmt.Errorf("exec: int8 machine needs %d per-value scale vectors, got %d (run CalibrateScales)", len(p.vals), len(cfg.Scales))
@@ -162,17 +162,16 @@ func (m *Machine) planI8() error {
 			break
 		}
 	}
+	data, err := allocSlots[int8](p, bp, m.host)
+	if err != nil {
+		return err
+	}
 	for i, v := range p.vals {
 		switch {
 		case v.input >= 0:
 			q.in[v.input] = mat.NewI8(p.MaxRows, v.width)
-		case !v.dead && m.host[i] < 0:
-			q.spill[i] = mat.NewI8(p.MaxRows+v.extra, v.width)
-		}
-	}
-	for i, host := range m.host {
-		if host >= 0 {
-			q.spill[i] = q.spill[host].ViewRows(0, p.MaxRows, new(mat.MatrixI8))
+		case bp.slot[i] >= 0:
+			q.spill[i] = &mat.MatrixI8{Rows: p.MaxRows + v.extra, Cols: v.width, Data: data[i]}
 		}
 	}
 	if m.tiled {
@@ -442,9 +441,11 @@ func concatI8(dst *mat.MatrixI8, srcs []*mat.MatrixI8, cs [][]float64, sd []floa
 // checks a quantized plan's agreement against. The reference machine is
 // direct with the default worker budget; the fp64 kernels are
 // bit-deterministic under banding, so the labels match a serial
-// in-enclave fp64 run.
+// in-enclave fp64 run. It is planned from a copy of the program with
+// every value kept, because the scales read every value after Run and
+// the buffer plan would otherwise have reused their slots.
 func CalibrateScales(p *Program, rows int, inputs []*mat.Matrix) ([][]float64, []int, error) {
-	m, err := p.NewMachine(Config{})
+	m, err := p.keepAll().NewMachine(Config{})
 	if err != nil {
 		return nil, nil, err
 	}

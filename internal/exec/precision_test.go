@@ -44,6 +44,10 @@ func buildAttnProg(n, d, h int, seed int64) (*Program, *mat.Matrix) {
 	v := b.Attn(testStructure(n, seed), b.MatMul(z, randMat(rng, h, 1)), b.MatMul(z, randMat(rng, h, 1)), z, 0.2)
 	v = b.AddBias(v, randMat(rng, 1, h).Data)
 	v = b.ReLU(v)
+	// v is the fused attention op's destination: kept, so it has a slot of
+	// its own that TestAttnRejectsCorruptColumnBeforeWriting can compare
+	// across a panicking run without an earlier op's write showing there.
+	b.Keep(v)
 	b.Argmax(b.MatMul(v, randMat(rng, h, d)))
 	return b.Build().Fused(), randMat(rng, n, d)
 }

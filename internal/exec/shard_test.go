@@ -220,7 +220,10 @@ func TestShardedExecBitIdentical(t *testing.T) {
 // slot×width bytes per halo op at the element width, a halo
 // destination's extra rows join SpillTraffic, and a gathered value is
 // hosted in its destination's first rows — one buffer, counted once in
-// BufferBytes, not a second one copied over every run.
+// BufferBytes, not a second one copied over every run. BufferBytes is the
+// buffer plan's figure: every distinct slot once, which is less than a
+// buffer per value because the second layer's output reuses the first
+// layer's hidden slot.
 func TestShardedHaloAccounting(t *testing.T) {
 	const n, d0, h, classes = 40, 3, 6, 4
 	rng := rand.New(rand.NewSource(5))
@@ -263,7 +266,15 @@ func TestShardedHaloAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		machines[s] = m
-		wantBuf := int64(0)
+		// The slots behind the value buffers, each once by address.
+		slots := map[*float64]int64{}
+		for _, sp := range m.spill {
+			if sp != nil && cap(sp.Data) > 0 {
+				full := sp.Data[:cap(sp.Data)]
+				slots[&full[0]] = int64(len(full)) * 8
+			}
+		}
+		perValue := int64(0)
 		for _, op := range p.Ops() {
 			switch {
 			case op.Kind == OpHalo:
@@ -271,13 +282,20 @@ func TestShardedHaloAccounting(t *testing.T) {
 				if &src.Data[0] != &dst.Data[0] || src.Rows != p.MaxRows {
 					t.Fatalf("shard %d: halo source %d is not the first %d rows of its destination", s, op.Srcs[0], p.MaxRows)
 				}
-				wantBuf += int64(p.MaxRows+len(op.Halo)) * int64(p.vals[op.Dst].width) * 8
+				if got, want := slots[&dst.Data[0]], int64(p.MaxRows+len(op.Halo))*int64(p.vals[op.Dst].width)*8; got != want {
+					t.Fatalf("shard %d: halo destination %d's slot is %d B, want its own %d B", s, op.Dst, got, want)
+				}
+				perValue += int64(p.MaxRows+len(op.Halo)) * int64(p.vals[op.Dst].width) * 8
 			case op.Dst >= 0 && m.host[op.Dst] < 0:
-				wantBuf += int64(p.MaxRows) * int64(p.vals[op.Dst].width) * 8
+				perValue += int64(p.MaxRows) * int64(p.vals[op.Dst].width) * 8
 			}
 		}
-		if got := m.BufferBytes(); got != wantBuf {
-			t.Fatalf("shard %d BufferBytes %d, want %d (halo sources counted in their destinations)", s, got, wantBuf)
+		wantBuf := int64(0)
+		for _, n := range slots {
+			wantBuf += n
+		}
+		if got := m.BufferBytes(); got != wantBuf || got >= perValue {
+			t.Fatalf("shard %d BufferBytes %d, want its slots' %d (halo sources counted in their destinations), below a buffer per value's %d", s, got, wantBuf, perValue)
 		}
 	}
 	if _, err := NewFleet(machines); err != nil {

@@ -277,8 +277,9 @@ func extShardFailureLeg(sv *core.ShardedVault, ds *datasets.Dataset, ws *core.Sh
 	// shardSeeds picks seedsPerQuery distinct rows owned by shard s,
 	// sliding the window with q so successive queries touch fresh
 	// neighbourhoods.
+	bounds := sv.Bounds()
 	shardSeeds := func(s, q int) []int {
-		lo, rows := sv.Part.Bounds[s], sv.Part.Rows(s)
+		lo, rows := bounds[s], bounds[s+1]-bounds[s]
 		seeds := make([]int, seedsPerQuery)
 		base := (q * 131) % rows
 		for i := range seeds {

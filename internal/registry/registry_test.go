@@ -253,7 +253,7 @@ func TestRegistryRecoverFleetPart(t *testing.T) {
 		})
 	}
 	for p := 0; p < sv.Shards(); p++ {
-		seed := sv.Part.Bounds[p]
+		seed := sv.Bounds()[p]
 		wg.Add(1)
 		go client(func() error {
 			_, ws, x, err := reg.AcquireSubgraphPart(id, p)

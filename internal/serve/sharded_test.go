@@ -205,7 +205,7 @@ func TestShardedServerShardOutage(t *testing.T) {
 	}
 	// A node query owned by the offline shard fails; one owned by a
 	// serving shard still answers.
-	offSeed := fleet.Part.Bounds[1] // first row of shard 1
+	offSeed := fleet.Bounds()[1] // first row of shard 1
 	if _, err := s.PredictNodes([]int{offSeed}); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("PredictNodes on offline shard: err = %v, want ErrShardUnavailable", err)
 	}
