@@ -74,7 +74,9 @@ chaos-smoke:
 # buffer plan (random chains with shared slots vs every value kept), bundle
 # import under hostile manifests and under flipped, truncated or extended
 # section bytes (an error, never a panic; a changed sealed section never
-# imports), and the
+# imports), deployment over a fuzzed private graph (Deploy answers as
+# Export → Import of the same vault; a node count that is not the
+# backbone's is an error, never a panic), and the
 # attack math (AUC/Fidelity in [0,1], no panics) under degenerate
 # observation surfaces — plus the row-accumulate and requantise-row
 # kernels (assembly vs the literal contracts, the row accumulate as
@@ -100,6 +102,7 @@ FUZZ_TARGETS = \
 	FuzzBufferPlan:./internal/exec/ \
 	FuzzImport:./internal/core/ \
 	FuzzBundleLoad:./internal/core/ \
+	FuzzDeployGraph:./internal/core/ \
 	FuzzAttackSurface:./internal/attack/ \
 	FuzzAPIRequest:./internal/serve/
 fuzz-smoke:

@@ -69,27 +69,36 @@ func (b *Backbone) Logits(x *mat.Matrix) *mat.Matrix {
 // NumParams returns θ_bb.
 func (b *Backbone) NumParams() int { return b.Model.NumParams() }
 
-// convOperator builds, once per model, the operator the convs of the
-// requested architecture aggregate over g with — GCN's normalised Â,
-// GraphSAGE's neighbour mean D⁻¹A, GAT's self-loop structure — and the
-// constructor of a conv layer over it. The operator is what the compiled
-// programs reference and therefore what deployment charges; the transpose
-// SAGE's backward pass needs is built beside it, once, as a training-side
-// cache that is not enclave state.
-func convOperator(kind ConvKind, g *graph.Graph) (*graph.NormAdjacency, func(rng *rand.Rand, inDim, outDim int) nn.Layer) {
+// convOperator builds the operator the convs of the requested
+// architecture aggregate over g with — GCN's normalised Â, GraphSAGE's
+// neighbour mean D⁻¹A, GAT's self-loop structure: what a model's layers
+// are built over (convLayers) and what a deployment derives from its
+// private graph (privateOperator).
+func convOperator(kind ConvKind, g *graph.Graph) *graph.NormAdjacency {
 	switch kind {
 	case ConvGCN, "":
-		op := graph.Normalize(g)
-		return op, func(rng *rand.Rand, in, out int) nn.Layer { return nn.NewGCNConv(rng, in, out, op) }
+		return graph.Normalize(g)
 	case ConvSAGE:
-		op := graph.MeanAdjacency(g)
-		opT := op.Transpose()
-		return op, func(rng *rand.Rand, in, out int) nn.Layer { return nn.NewSAGEConv(rng, in, out, op, opT) }
+		return graph.MeanAdjacency(g)
 	case ConvGAT:
-		op := graph.SelfLoopAdjacency(g)
-		return op, func(rng *rand.Rand, in, out int) nn.Layer { return nn.NewGATConv(rng, in, out, op) }
+		return graph.SelfLoopAdjacency(g)
 	default:
 		panic(fmt.Sprintf("core: unknown conv kind %q", kind))
+	}
+}
+
+// convLayers returns the constructor of conv layers of the requested
+// architecture over op, shared by every layer of one model. SAGE's
+// backward transpose is built here, once: training-side, not enclave state.
+func convLayers(kind ConvKind, op *graph.NormAdjacency) func(rng *rand.Rand, inDim, outDim int) nn.Layer {
+	switch kind {
+	case ConvSAGE:
+		opT := op.Transpose()
+		return func(rng *rand.Rand, in, out int) nn.Layer { return nn.NewSAGEConv(rng, in, out, op, opT) }
+	case ConvGAT:
+		return func(rng *rand.Rand, in, out int) nn.Layer { return nn.NewGATConv(rng, in, out, op) }
+	default:
+		return func(rng *rand.Rand, in, out int) nn.Layer { return nn.NewGCNConv(rng, in, out, op) }
 	}
 }
 
@@ -105,7 +114,8 @@ func buildBackboneModel(rng *rand.Rand, spec ModelSpec, inDim, classes int, g *g
 	var adj *graph.NormAdjacency
 	var newConv func(rng *rand.Rand, inDim, outDim int) nn.Layer
 	if g != nil {
-		adj, newConv = convOperator(spec.Conv, g)
+		adj = convOperator(spec.Conv, g)
+		newConv = convLayers(spec.Conv, adj)
 	}
 	prev := inDim
 	for i, d := range dims {

@@ -48,7 +48,7 @@ func TestBufferPlanChargesPeakLive(t *testing.T) {
 					t.Fatalf("%+v: %v", cfg, err)
 				}
 				if cfg == (PlanConfig{}) {
-					payload, peak := int64(0), peakLiveBytes(v.rectifier.compileRectifier(n, nil, nil), v.rectifier.BackboneDims, v.rectifier.RequiredEmbeddings())
+					payload, peak := int64(0), peakLiveBytes(v.rectifier.compileRectifier(n, v.op, nil), v.rectifier.BackboneDims, v.rectifier.RequiredEmbeddings())
 					for _, i := range v.rectifier.RequiredEmbeddings() {
 						payload += int64(v.Backbone.BlockDims[i]) * int64(n) * 8
 					}

@@ -139,12 +139,12 @@ func TestRectifierDesignsDimsAndRequirements(t *testing.T) {
 	ds := tinyDataset()
 	bbDims := []int{16, 8, ds.NumClasses}
 
-	rec := NewRectifier(rng, Parallel, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
+	rec := NewRectifierConv(rng, Parallel, ConvGCN, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
 	if got := rec.RequiredEmbeddings(); len(got) != 3 || got[0] != 0 {
 		t.Fatalf("parallel required = %v", got)
 	}
 
-	rec = NewRectifier(rng, Cascaded, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
+	rec = NewRectifierConv(rng, Cascaded, ConvGCN, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
 	if got := rec.RequiredEmbeddings(); len(got) != 3 {
 		t.Fatalf("cascaded required = %v", got)
 	}
@@ -152,7 +152,7 @@ func TestRectifierDesignsDimsAndRequirements(t *testing.T) {
 		t.Fatalf("cascaded first input = %d", rec.inDim(0))
 	}
 
-	rec = NewRectifier(rng, Series, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
+	rec = NewRectifierConv(rng, Series, ConvGCN, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
 	if got := rec.RequiredEmbeddings(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("series required = %v (want final hidden block)", got)
 	}
@@ -166,7 +166,7 @@ func TestParallelRectifierUnequalDepth(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ds := tinyDataset()
 	bbDims := []int{64, 32, 16, 8, ds.NumClasses}
-	rec := NewRectifier(rng, Parallel, bbDims, []int{12, 6}, ds.NumClasses, ds.Graph)
+	rec := NewRectifierConv(rng, Parallel, ConvGCN, bbDims, []int{12, 6}, ds.NumClasses, ds.Graph)
 	got := rec.RequiredEmbeddings()
 	want := []int{2, 3, 4}
 	if len(got) != 3 || got[0] != want[0] || got[2] != want[2] {
@@ -185,7 +185,7 @@ func TestParallelDeeperThanBackbonePanics(t *testing.T) {
 			t.Fatal("too-deep parallel rectifier did not panic")
 		}
 	}()
-	NewRectifier(rng, Parallel, []int{8, 4}, []int{8, 8, 8}, 4, ds.Graph)
+	NewRectifierConv(rng, Parallel, ConvGCN, []int{8, 4}, []int{8, 8, 8}, 4, ds.Graph)
 }
 
 func TestRectifierSeriesSmallest(t *testing.T) {
@@ -195,7 +195,7 @@ func TestRectifierSeriesSmallest(t *testing.T) {
 	bbDims := []int{16, 8, ds.NumClasses}
 	sizes := map[RectifierDesign]int{}
 	for _, d := range Designs {
-		rec := NewRectifier(rng, d, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
+		rec := NewRectifierConv(rng, d, ConvGCN, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
 		sizes[d] = rec.NumParams()
 	}
 	if sizes[Series] >= sizes[Parallel] || sizes[Series] >= sizes[Cascaded] {
@@ -219,7 +219,7 @@ func TestRectifierGradCheck(t *testing.T) {
 
 	for _, design := range Designs {
 		rng := rand.New(rand.NewSource(12))
-		rec := NewRectifier(rng, design, bb.BlockDims, spec.RectifierHidden, ds.NumClasses, ds.Graph)
+		rec := NewRectifierConv(rng, design, ConvGCN, bb.BlockDims, spec.RectifierHidden, ds.NumClasses, ds.Graph)
 		embs := selectEmbeddings(all, rec.RequiredEmbeddings())
 
 		lossOf := func() float64 {
@@ -260,7 +260,7 @@ func TestRectifierGradCheck(t *testing.T) {
 func TestRectifierForwardWrongEmbeddingCountPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ds := tinyDataset()
-	rec := NewRectifier(rng, Series, []int{16, 8, 4}, []int{8}, 4, ds.Graph)
+	rec := NewRectifierConv(rng, Series, ConvGCN, []int{16, 8, 4}, []int{8}, 4, ds.Graph)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong embedding count did not panic")
@@ -273,8 +273,8 @@ func TestRectifierParamsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ds := tinyDataset()
 	bbDims := []int{16, 8, ds.NumClasses}
-	r1 := NewRectifier(rng, Parallel, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
-	r2 := NewRectifier(rand.New(rand.NewSource(15)), Parallel, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
+	r1 := NewRectifierConv(rng, Parallel, ConvGCN, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
+	r2 := NewRectifierConv(rand.New(rand.NewSource(15)), Parallel, ConvGCN, bbDims, []int{16, 8}, ds.NumClasses, ds.Graph)
 	if err := r2.UnmarshalParams(r1.MarshalParams()); err != nil {
 		t.Fatalf("UnmarshalParams: %v", err)
 	}

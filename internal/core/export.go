@@ -26,7 +26,7 @@ func (v *Vault) Export(dataset string) ([]byte, error) {
 		Conv:           string(v.rectifier.Conv),
 		Classes:        v.Backbone.BlockDims[len(v.Backbone.BlockDims)-1],
 		FeatureDim:     v.Backbone.FeatureDim,
-		Nodes:          v.privateGraph.N(),
+		Nodes:          v.op.N,
 		ThetaBackbone:  v.Backbone.NumParams(),
 		ThetaRectifier: v.rectifier.NumParams(),
 	}
@@ -175,8 +175,12 @@ func Import(data []byte, cost enclave.CostModel) (*Vault, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: private graph: %v", ErrBadBundle, err)
 	}
-	rec := NewRectifierConv(rng, RectifierDesign(man.Design), spec.Conv,
-		dims, spec.RectifierHidden, man.Classes, private)
+	op, err := privateOperator(bb, spec.Conv, private)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadBundle, err)
+	}
+	rec := newRectifier(rng, RectifierDesign(man.Design), spec.Conv,
+		dims, spec.RectifierHidden, man.Classes, op)
 	recParams, err := encl.Unseal(sealedRec)
 	if err != nil {
 		return nil, fmt.Errorf("core: unsealing rectifier: %w", err)
@@ -184,5 +188,5 @@ func Import(data []byte, cost enclave.CostModel) (*Vault, error) {
 	if err := rec.UnmarshalParams(recParams); err != nil {
 		return nil, fmt.Errorf("core: rectifier parameters: %w", err)
 	}
-	return admit(encl, bb, rec, private, sealedRec, sealedGraph, rec.Adjacency().NumBytes())
+	return admit(encl, bb, rec, op, sealedRec, sealedGraph, op.NumBytes())
 }

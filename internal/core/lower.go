@@ -42,21 +42,16 @@ import (
 //	SAGE: in·W_self + (D⁻¹A·in)·W_nbr + b
 //	GAT:  z = in·W;  attention aggregate of z under the scores z·aₛ, z·aₜ;  + b
 //
-// and a multi-head GAT is its heads, concatenated. csr, when non-nil,
-// substitutes the operator the conv aggregates over (an induced sub-CSR,
-// a partition shard); nil keeps the conv's own. halo, when non-nil, marks
-// a sharded lowering: the MatMul output is row-local, so the SpMM over a
-// rectangular shard CSR gathers the out-of-range rows from the peers that
-// own them through a halo op in between. Only GCN has a halo lowering
+// and a multi-head GAT is its heads, concatenated. op is the operator the
+// conv aggregates over, always the caller's and never the conv's own: the
+// backbone's, a vault's private operator, an induced sub-CSR or a
+// partition shard. halo, when non-nil, marks a sharded lowering: the
+// MatMul output is row-local, so the SpMM over a rectangular shard CSR
+// gathers the out-of-range rows from the peers that own them through a
+// halo op in between. Only GCN has a halo lowering
 // (DeploySharded refuses the rest up front); a layer that is no graph
 // convolution is a compiler bug.
-func lowerConv(bld *exec.Builder, conv nn.Layer, in int, csr *graph.NormAdjacency, halo []exec.HaloSlot) int {
-	own := func(op *graph.NormAdjacency) *graph.NormAdjacency {
-		if csr != nil {
-			return csr
-		}
-		return op
-	}
+func lowerConv(bld *exec.Builder, conv nn.Layer, in int, op *graph.NormAdjacency, halo []exec.HaloSlot) int {
 	if _, gcn := conv.(*nn.GCNConv); halo != nil && !gcn {
 		panic(fmt.Sprintf("core: no halo lowering for %T", conv))
 	}
@@ -66,9 +61,9 @@ func lowerConv(bld *exec.Builder, conv nn.Layer, in int, csr *graph.NormAdjacenc
 		if halo != nil {
 			v = bld.Halo(v, halo)
 		}
-		return bld.AddBias(bld.SpMM(own(c.Adjacency()), v), c.B)
+		return bld.AddBias(bld.SpMM(op, v), c.B)
 	case *nn.SAGEConv:
-		mx := bld.SpMM(own(c.Mean()), in)
+		mx := bld.SpMM(op, in)
 		self := bld.MatMul(in, c.WSelf)
 		nbr := bld.MatMul(mx, c.WNbr)
 		return bld.AddBias(bld.Add(self, nbr), c.B)
@@ -77,11 +72,11 @@ func lowerConv(bld *exec.Builder, conv nn.Layer, in int, csr *graph.NormAdjacenc
 		z := bld.MatMul(in, c.W)
 		s := bld.MatMul(z, mat.FromSlice(c.OutDim, 1, c.ASrc))
 		t := bld.MatMul(z, mat.FromSlice(c.OutDim, 1, c.ADst))
-		return bld.AddBias(bld.Attn(own(c.Structure()), s, t, z, c.NegSlope), c.B)
+		return bld.AddBias(bld.Attn(op, s, t, z, c.NegSlope), c.B)
 	case *nn.MultiHeadGAT:
 		heads := make([]int, len(c.Heads))
 		for h, head := range c.Heads {
-			heads[h] = lowerConv(bld, head, in, csr, nil)
+			heads[h] = lowerConv(bld, head, in, op, nil)
 		}
 		return bld.Concat(heads...)
 	default:
@@ -90,14 +85,14 @@ func lowerConv(bld *exec.Builder, conv nn.Layer, in int, csr *graph.NormAdjacenc
 }
 
 // lowerInto compiles the backbone's inference stack into bld, reading
-// node features from the program value x. csr, when non-nil, substitutes
-// the message-passing operator (the subgraph path passes its induced
-// public sub-CSR header); nil keeps each conv's own.
+// node features from the program value x, message passing over op (the
+// backbone's own operator for a full-graph program, the subgraph path's
+// induced public sub-CSR header for a node query).
 //
 // It returns one program value per backbone block (post-activation hidden
 // embeddings plus final logits) — the transfer payload RequiredEmbeddings
 // indexes into.
-func (b *Backbone) lowerInto(bld *exec.Builder, x int, csr *graph.NormAdjacency) []int {
+func (b *Backbone) lowerInto(bld *exec.Builder, x int, op *graph.NormAdjacency) []int {
 	h := x
 	acts := make([]int, 0, len(b.Model.Layers))
 	for _, l := range b.Model.Layers {
@@ -110,7 +105,7 @@ func (b *Backbone) lowerInto(bld *exec.Builder, x int, csr *graph.NormAdjacency)
 		case *nn.Dropout:
 			// inference-mode identity: the value passes through
 		default:
-			h = lowerConv(bld, l, h, csr, nil)
+			h = lowerConv(bld, l, h, op, nil)
 		}
 		acts = append(acts, h)
 	}
@@ -119,13 +114,13 @@ func (b *Backbone) lowerInto(bld *exec.Builder, x int, csr *graph.NormAdjacency)
 
 // lowerInto compiles the rectifier's design wiring into bld. inputs are
 // the program values of the transferred embeddings, in RequiredEmbeddings
-// order; csr, when non-nil, substitutes the private message-passing
-// operator (the subgraph path passes its induced private sub-CSR header,
-// the sharded path its rectangular row-range shard) and halo, when
+// order; op is the private message-passing operator (the vault's own for
+// a full-graph program, the subgraph path's induced private sub-CSR
+// header, the sharded path's rectangular row-range shard) and halo, when
 // non-nil, marks a sharded lowering (see lowerConv). The slots are
 // identical for every layer because the shard's halo column set is a
 // property of the partition, not of the layer. Returns the logits value.
-func (r *Rectifier) lowerInto(bld *exec.Builder, inputs []int, csr *graph.NormAdjacency, halo []exec.HaloSlot) int {
+func (r *Rectifier) lowerInto(bld *exec.Builder, inputs []int, op *graph.NormAdjacency, halo []exec.HaloSlot) int {
 	if want := len(r.RequiredEmbeddings()); len(inputs) != want {
 		panic(fmt.Sprintf("core: rectifier %s wants %d embeddings, got %d", r.Design, want, len(inputs)))
 	}
@@ -142,7 +137,7 @@ func (r *Rectifier) lowerInto(bld *exec.Builder, inputs []int, csr *graph.NormAd
 		default: // cascaded/series: layer input is exactly prev
 			in = prev
 		}
-		v := lowerConv(bld, r.convs[k], in, csr, halo)
+		v := lowerConv(bld, r.convs[k], in, op, halo)
 		if k == len(r.convs)-1 {
 			return v
 		}
@@ -153,17 +148,17 @@ func (r *Rectifier) lowerInto(bld *exec.Builder, inputs []int, csr *graph.NormAd
 
 // compileRectifier builds the full rectifier program for batches of
 // maxRows rows — one input per required embedding, the design wiring, the
-// terminal label reduction — and epilogue-fuses it. csr substitutes the
-// private operator when non-nil; halo, when non-nil, lowers the sharded
-// variant (see lowerConv).
-func (r *Rectifier) compileRectifier(maxRows int, csr *graph.NormAdjacency, halo []exec.HaloSlot) *exec.Program {
+// terminal label reduction — over the private operator op — and
+// epilogue-fuses it; halo, when non-nil, lowers the sharded variant (see
+// lowerConv).
+func (r *Rectifier) compileRectifier(maxRows int, op *graph.NormAdjacency, halo []exec.HaloSlot) *exec.Program {
 	bld := exec.NewBuilder(maxRows)
 	needed := r.RequiredEmbeddings()
 	inputs := make([]int, 0, len(needed))
 	for _, i := range needed {
 		inputs = append(inputs, bld.Input(r.BackboneDims[i]))
 	}
-	bld.Argmax(r.lowerInto(bld, inputs, csr, halo))
+	bld.Argmax(r.lowerInto(bld, inputs, op, halo))
 	return bld.Build().Fused()
 }
 
@@ -173,13 +168,13 @@ func (r *Rectifier) compileRectifier(maxRows int, csr *graph.NormAdjacency, halo
 // payload survives fusion, the last of them is the program's output, and
 // every op that feeds only blocks nobody reads is eliminated — a series
 // rectifier takes one hidden block, so its backbone never computes the
-// logits conv. csr substitutes the public message-passing operator when
-// non-nil (the subgraph path). The returned value ids, one per block,
+// logits conv. op is the public message-passing operator (b.adj, or the
+// subgraph path's induced sub-CSR). The returned value ids, one per block,
 // identify the block embeddings in the fused program; only the needed ones
 // still exist.
-func (b *Backbone) compileBackbone(maxRows int, csr *graph.NormAdjacency, needed []int) (*exec.Program, []int) {
+func (b *Backbone) compileBackbone(maxRows int, op *graph.NormAdjacency, needed []int) (*exec.Program, []int) {
 	bld := exec.NewBuilder(maxRows)
-	blocks := b.lowerInto(bld, bld.Input(b.FeatureDim), csr)
+	blocks := b.lowerInto(bld, bld.Input(b.FeatureDim), op)
 	for _, i := range needed {
 		bld.Keep(blocks[i])
 	}
@@ -192,8 +187,8 @@ func (b *Backbone) compileBackbone(maxRows int, csr *graph.NormAdjacency, needed
 // machine's stable view of each needed block at the block's index — the
 // headers a plan captures once and reads after every Run — and nil for
 // the blocks the program no longer computes.
-func (b *Backbone) planBackbone(maxRows int, csr *graph.NormAdjacency, needed []int, cfg exec.Config) (*exec.Machine, []*mat.Matrix, error) {
-	prog, vals := b.compileBackbone(maxRows, csr, needed)
+func (b *Backbone) planBackbone(maxRows int, op *graph.NormAdjacency, needed []int, cfg exec.Config) (*exec.Machine, []*mat.Matrix, error) {
+	prog, vals := b.compileBackbone(maxRows, op, needed)
 	mach, err := prog.NewMachine(cfg)
 	if err != nil {
 		return nil, nil, err

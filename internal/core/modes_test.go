@@ -66,7 +66,7 @@ func TestPlanModesMatchReference(t *testing.T) {
 
 				// One attention scratch row is the structure's longest row.
 				scratchRow := int64(0)
-				if st := v.rectifier.Adjacency(); conv == ConvGAT {
+				if st := v.op; conv == ConvGAT {
 					for i := 0; i < st.N; i++ {
 						scratchRow = max(scratchRow, int64(st.RowPtr[i+1]-st.RowPtr[i])*8)
 					}
@@ -249,13 +249,13 @@ func TestDeployChargesTheOperatorRead(t *testing.T) {
 	for _, conv := range ConvKinds {
 		t.Run(string(conv), func(t *testing.T) {
 			ds, v := convTestVault(t, conv, Parallel, 1)
-			op := v.rectifier.Adjacency()
+			op := v.op
 			reads := 0
-			for _, o := range v.rectifier.compileRectifier(ds.X.Rows, nil, nil).Ops() {
+			for _, o := range v.rectifier.compileRectifier(ds.X.Rows, op, nil).Ops() {
 				if o.CSR != nil {
 					reads++
 					if o.CSR != op {
-						t.Fatalf("%s op aggregates over an operator other than Rectifier.Adjacency()", o.Kind)
+						t.Fatalf("%s op aggregates over an operator other than the vault's", o.Kind)
 					}
 				}
 			}
@@ -287,7 +287,7 @@ func TestMultiHeadGATLowers(t *testing.T) {
 		BlockDims:  []int{8, ds.NumClasses},
 		convIdx:    []int{0, 2},
 	}
-	prog, vals := bb.compileBackbone(ds.X.Rows, nil, []int{0, 1})
+	prog, vals := bb.compileBackbone(ds.X.Rows, bb.adj, []int{0, 1})
 	for _, cfg := range []exec.Config{{Workers: 1}, {TileRows: 7}} {
 		mach, err := prog.NewMachine(cfg)
 		if err != nil {

@@ -106,7 +106,7 @@ func (c PlanConfig) validate() error {
 }
 
 // fleetOwner is what a full-graph plan is made for: a Vault, which is a
-// fleet of one part over its own adjacency, or a ShardedVault, one part
+// fleet of one part over its private operator, or a ShardedVault, one part
 // per shard over the shard's CSR slab.
 type fleetOwner interface {
 	// part returns part s's current vault. RecoverShard may swap a shard's
@@ -197,7 +197,7 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 }
 
 // planFull is the one full-graph planner. It plans one part per shard of
-// part, or — part nil — one part over the rectifier's own adjacency. It
+// part, or — part nil — one part over the vault's private operator. It
 // validates, compiles one rectifier program per part (with halo slots
 // only when the partition has halo columns), plans the backbone once,
 // calibrates a reduced tier once against the unsharded program and maps
@@ -219,7 +219,7 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 		}
 	}
 	v0 := vaults[0]
-	if n := v0.privateGraph.N(); rows != n {
+	if n := v0.op.N; rows != n {
 		return nil, fmt.Errorf("core: plan rows %d != deployed graph nodes %d", rows, n)
 	}
 	if err := cfg.validate(); err != nil {
@@ -238,7 +238,7 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 	progs := make([]*exec.Program, parts)
 	for s := range progs {
 		if part == nil {
-			progs[s] = v0.rectifier.compileRectifier(rows, nil, nil)
+			progs[s] = v0.rectifier.compileRectifier(rows, v0.op, nil)
 			continue
 		}
 		var hs []exec.HaloSlot
@@ -253,7 +253,7 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 	// against the unsharded reference program (the one part's own program
 	// when there is no partition), the scale grid every part must share.
 	needed := v0.rectifier.RequiredEmbeddings()
-	bbMach, blocks, err := v0.Backbone.planBackbone(rows, nil, needed, exec.Config{Workers: cfg.Workers, Recorder: rec})
+	bbMach, blocks, err := v0.Backbone.planBackbone(rows, v0.Backbone.adj, needed, exec.Config{Workers: cfg.Workers, Recorder: rec})
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling backbone plan: %w", err)
 	}
@@ -264,7 +264,7 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 	if elem != exec.F64 {
 		ref := progs[0]
 		if part != nil {
-			ref = v0.rectifier.compileRectifier(rows, nil, nil)
+			ref = v0.rectifier.compileRectifier(rows, v0.op, nil)
 		}
 		if baseScales, refLabels, _, err = calibrateReduced(reg, ref, bbMach, own, cfg); err != nil {
 			return nil, err
@@ -749,4 +749,4 @@ func recordBackbone(rec obs.Recorder, trace, id uint64, start int64, rows int, b
 
 // Nodes returns the node count of the deployed private graph — the batch
 // height every inference over this vault uses.
-func (v *Vault) Nodes() int { return v.privateGraph.N() }
+func (v *Vault) Nodes() int { return v.op.N }

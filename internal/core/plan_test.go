@@ -86,7 +86,7 @@ func TestCompiledBackboneMatchesEmbeddings(t *testing.T) {
 		ds, v := planTestVault(t, design)
 		want := v.Backbone.Embeddings(ds.X)
 		needed := v.rectifier.RequiredEmbeddings()
-		prog, blockVals := v.Backbone.compileBackbone(ds.X.Rows, nil, needed)
+		prog, blockVals := v.Backbone.compileBackbone(ds.X.Rows, v.Backbone.adj, needed)
 		ops[design] = len(prog.Ops())
 		mach, err := prog.NewMachine(exec.Config{Workers: 1})
 		if err != nil {

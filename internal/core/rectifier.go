@@ -30,33 +30,33 @@ type Rectifier struct {
 	// Conv is the convolution architecture (default ConvGCN).
 	Conv ConvKind
 
-	private *graph.Graph
-	adj     *graph.NormAdjacency
-	convs   []nn.Layer
-	relus   []*nn.ReLU
+	// adj is the training operator (Adjacency); deployment never reads it.
+	adj   *graph.NormAdjacency
+	convs []nn.Layer
+	relus []*nn.ReLU
 }
 
-// NewRectifier builds an untrained rectifier for the given design against a
-// backbone with block widths backboneDims, over the real private graph.
-func NewRectifier(rng *rand.Rand, design RectifierDesign, backboneDims []int, hidden []int, classes int, private *graph.Graph) *Rectifier {
-	return NewRectifierConv(rng, design, ConvGCN, backboneDims, hidden, classes, private)
-}
-
-// NewRectifierConv is NewRectifier with an explicit convolution
-// architecture (GCN, GraphSAGE, or GAT).
+// NewRectifierConv builds an untrained rectifier of the given design and
+// convolution architecture (GCN, GraphSAGE, or GAT) against a backbone
+// with block widths backboneDims, over the real private graph.
 func NewRectifierConv(rng *rand.Rand, design RectifierDesign, conv ConvKind, backboneDims []int, hidden []int, classes int, private *graph.Graph) *Rectifier {
+	return newRectifier(rng, design, conv, backboneDims, hidden, classes, convOperator(conv, private))
+}
+
+// newRectifier is NewRectifierConv over an already derived operator op,
+// which Import builds its rectifier over.
+func newRectifier(rng *rand.Rand, design RectifierDesign, conv ConvKind, backboneDims []int, hidden []int, classes int, op *graph.NormAdjacency) *Rectifier {
 	if len(backboneDims) == 0 {
 		panic("core: rectifier needs backbone block dims")
 	}
 	dims := append(append([]int{}, hidden...), classes)
-	adj, newConv := convOperator(conv, private)
+	newConv := convLayers(conv, op)
 	r := &Rectifier{
 		Design:       design,
 		Conv:         conv,
 		BackboneDims: append([]int{}, backboneDims...),
 		Dims:         dims,
-		private:      private,
-		adj:          adj,
+		adj:          op,
 	}
 	for k := 0; k < len(dims); k++ {
 		r.convs = append(r.convs, newConv(rng, r.inDim(k), dims[k]))
@@ -170,21 +170,8 @@ func (r *Rectifier) assembleInput(k int, prev *mat.Matrix, embs []*mat.Matrix) *
 // Forward rectifies the transferred backbone embeddings into logits. embs
 // must contain exactly the blocks listed by RequiredEmbeddings, in order.
 func (r *Rectifier) Forward(embs []*mat.Matrix, train bool) *mat.Matrix {
-	want := len(r.RequiredEmbeddings())
-	if len(embs) != want {
-		panic(fmt.Sprintf("core: rectifier %s wants %d embeddings, got %d", r.Design, want, len(embs)))
-	}
-	var h *mat.Matrix
-	for k, conv := range r.convs {
-		in := r.assembleInput(k, h, embs)
-		z := conv.Forward(in, train)
-		if k < len(r.convs)-1 {
-			h = r.relus[k].Forward(z, train)
-		} else {
-			h = z
-		}
-	}
-	return h
+	acts := r.forward(embs, train)
+	return acts[len(acts)-1]
 }
 
 // Backward propagates dL/dLogits through the rectifier, accumulating
@@ -229,10 +216,9 @@ func (r *Rectifier) NumParams() int {
 	return n
 }
 
-// Adjacency exposes the private operator the rectifier's convs aggregate
-// over and its compiled programs reference — GCN's normalised Â, SAGE's
-// neighbour mean, GAT's self-loop structure (convOperator) — which is the
-// adjacency deployment charges. Enclave-side use only.
+// Adjacency returns the training operator — convOperator over the graph
+// the rectifier was built with — which training and the reference Forward
+// read; a deployed vault computes over its own. Enclave-side use only.
 func (r *Rectifier) Adjacency() *graph.NormAdjacency { return r.adj }
 
 // MarshalParams serialises the rectifier parameters (the blob that gets
@@ -274,7 +260,10 @@ func (r *Rectifier) ParamBytes() int64 { return int64(r.NumParams()) * 8 }
 // ForwardCollect runs inference and returns every layer's activation
 // (hidden post-ReLU outputs plus final logits). Enclave-internal analysis
 // only — these never cross the boundary in a deployment.
-func (r *Rectifier) ForwardCollect(embs []*mat.Matrix) []*mat.Matrix {
+func (r *Rectifier) ForwardCollect(embs []*mat.Matrix) []*mat.Matrix { return r.forward(embs, false) }
+
+// forward is the one body behind Forward and ForwardCollect.
+func (r *Rectifier) forward(embs []*mat.Matrix, train bool) []*mat.Matrix {
 	want := len(r.RequiredEmbeddings())
 	if len(embs) != want {
 		panic(fmt.Sprintf("core: rectifier %s wants %d embeddings, got %d", r.Design, want, len(embs)))
@@ -283,9 +272,9 @@ func (r *Rectifier) ForwardCollect(embs []*mat.Matrix) []*mat.Matrix {
 	acts := make([]*mat.Matrix, 0, len(r.convs))
 	for k, conv := range r.convs {
 		in := r.assembleInput(k, h, embs)
-		z := conv.Forward(in, false)
+		z := conv.Forward(in, train)
 		if k < len(r.convs)-1 {
-			h = r.relus[k].Forward(z, false)
+			h = r.relus[k].Forward(z, train)
 		} else {
 			h = z
 		}

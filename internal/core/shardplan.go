@@ -73,10 +73,12 @@ type ShardedVault struct {
 	// ranges alone.
 	partition *graph.Partition
 
-	rectifier    *Rectifier
-	privateGraph *graph.Graph
-	cost         enclave.CostModel
-	vaults       []atomic.Pointer[Vault]
+	// op is the fleet's one private operator, partition's parent; every
+	// shard vault points at it.
+	op        *graph.NormAdjacency
+	rectifier *Rectifier
+	cost      enclave.CostModel
+	vaults    []atomic.Pointer[Vault]
 
 	// features is the fleet's one SetCalibrationFeatures registration and
 	// public-half store (store.go), read by the fleet's plans and passes.
@@ -103,8 +105,11 @@ func DeploySharded(bb *Backbone, rec *Rectifier, private *graph.Graph, cost encl
 			return nil, fmt.Errorf("%w: rectifier conv %T", ErrShardUnsupported, c)
 		}
 	}
-	part := graph.NewPartition(rec.Adjacency(), shards)
-	sv := &ShardedVault{Backbone: bb, partition: part, rectifier: rec, privateGraph: private, cost: cost}
+	op, err := privateOperator(bb, rec.Conv, private)
+	if err != nil {
+		return nil, err
+	}
+	sv := &ShardedVault{Backbone: bb, partition: graph.NewPartition(op, shards), op: op, rectifier: rec, cost: cost}
 	sv.vaults = make([]atomic.Pointer[Vault], shards)
 	for s := 0; s < shards; s++ {
 		v, err := sv.provisionShard(s)
@@ -124,7 +129,7 @@ func (sv *ShardedVault) provisionShard(s int) (*Vault, error) {
 	// Each shard enclave's measurement covers the rectifier identity
 	// plus its shard index, so peers have distinct sealing keys.
 	encl := enclave.New(sv.cost, sv.rectifier.Identity(), []byte{byte(s)})
-	return deployInto(encl, sv.Backbone, sv.rectifier, sv.privateGraph, nil, sv.partition.CSR[s].NumBytes())
+	return deployInto(encl, sv.Backbone, sv.rectifier, sv.op, nil, sv.partition.CSR[s].NumBytes())
 }
 
 // Shards returns the fleet's shard count.
@@ -146,7 +151,7 @@ func (sv *ShardedVault) Bounds() []int { return append([]int(nil), sv.partition.
 func (sv *ShardedVault) Owner(u int) int { return sv.partition.Owner(u) }
 
 // Nodes returns the node count of the deployed private graph.
-func (sv *ShardedVault) Nodes() int { return sv.privateGraph.N() }
+func (sv *ShardedVault) Nodes() int { return sv.op.N }
 
 // Classes returns the label-space width every served prediction reduces to.
 func (sv *ShardedVault) Classes() int { return sv.vaults[0].Load().Classes() }
@@ -173,7 +178,7 @@ func (sv *ShardedVault) Undeploy() {
 // One registration is shared by the fleet and every shard vault. Must not
 // race RecoverShard.
 func (sv *ShardedVault) SetCalibrationFeatures(x *mat.Matrix) error {
-	reg, err := newRegistration(x, sv.privateGraph.N(), sv.Backbone.FeatureDim)
+	reg, err := newRegistration(x, sv.op.N, sv.Backbone.FeatureDim)
 	if err != nil {
 		return err
 	}
@@ -264,7 +269,7 @@ func (sv *ShardedVault) RouteSeeds(seeds []int) (int, error) {
 	if len(seeds) == 0 {
 		return 0, ErrNodeOutOfRange
 	}
-	if u := seeds[0]; u >= 0 && u < sv.privateGraph.N() {
+	if u := seeds[0]; u >= 0 && u < sv.op.N {
 		return sv.partition.Owner(u), nil
 	}
 	return 0, ErrNodeOutOfRange

@@ -227,7 +227,7 @@ func TestShardedEPCChargedPerShardAndReleased(t *testing.T) {
 	// nnz and row-pointer arrays are disjoint slices of the parent's, so
 	// the fleet's total adjacency residency stays in the same ballpark as
 	// the single enclave's (halo columns do not duplicate values).
-	if full := rec.Adjacency().NumBytes(); slabs > full+int64(sv.Shards())*64 {
+	if full := sv.op.NumBytes(); slabs > full+int64(sv.Shards())*64 {
 		t.Fatalf("slab total %d far exceeds full adjacency %d", slabs, full)
 	}
 

@@ -115,7 +115,7 @@ func (r *registration) declareInputs(m *exec.Machine, reused bool) {
 // int8 plans then fail with ErrCalibrationRequired and every pass runs its
 // backbone.
 func (v *Vault) SetCalibrationFeatures(x *mat.Matrix) error {
-	reg, err := newRegistration(x, v.privateGraph.N(), v.Backbone.FeatureDim)
+	reg, err := newRegistration(x, v.op.N, v.Backbone.FeatureDim)
 	if err != nil {
 		return err
 	}

@@ -152,7 +152,7 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 		}
 	}
 
-	n := v.privateGraph.N()
+	n := v.op.N
 	needed := v.rectifier.RequiredEmbeddings()
 	elem := pcfg.Precision.Elem()
 	rec := pcfg.Recorder
@@ -165,8 +165,8 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 		// known at plan time, but the sub program compiles from the same
 		// lowering as the full-graph one, so scales derived here index the
 		// same values the per-query machine computes.
-		fullProg := v.rectifier.compileRectifier(n, nil, nil)
-		fullBB, fullBlocks, err := v.Backbone.planBackbone(n, nil, needed, exec.Config{Workers: pcfg.Workers})
+		fullProg := v.rectifier.compileRectifier(n, v.op, nil)
+		fullBB, fullBlocks, err := v.Backbone.planBackbone(n, v.Backbone.adj, needed, exec.Config{Workers: pcfg.Workers})
 		if err != nil {
 			return nil, fmt.Errorf("core: compiling calibration backbone: %w", err)
 		}
@@ -191,7 +191,7 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 		plan:   plan,
 		exp:    plan.NewWorkspace(),
 		pubCS:  plan.NewCSRSpace(v.Backbone.adj.NNZ()),
-		privCS: plan.NewCSRSpace(v.rectifier.adj.NNZ()),
+		privCS: plan.NewCSRSpace(v.op.NNZ()),
 		feat:   mat.New(capRows, v.Backbone.FeatureDim),
 		needed: needed,
 		labels: make([]int, capRows),
@@ -246,7 +246,7 @@ func (ws *SubgraphWorkspace) rectifyExtracted() error {
 	if recOn {
 		t0 = rec.Clock()
 	}
-	if _, err := ws.exp.Induce(ws.v.rectifier.adj, ws.privCS); err != nil {
+	if _, err := ws.exp.Induce(ws.v.op, ws.privCS); err != nil {
 		return err
 	}
 	if recOn {
@@ -346,7 +346,7 @@ func (v *Vault) predictNodesInto(ctx context.Context, x *mat.Matrix, seeds []int
 	if ws.v != v {
 		return nil, nil, bd, fmt.Errorf("core: workspace planned for a different vault")
 	}
-	n := v.privateGraph.N()
+	n := v.op.N
 	if x.Rows != n {
 		return nil, nil, bd, fmt.Errorf("core: input rows %d != deployed graph nodes %d", x.Rows, n)
 	}

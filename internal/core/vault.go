@@ -21,10 +21,11 @@ type Vault struct {
 	Backbone *Backbone
 	Enclave  *enclave.Enclave
 
-	// rectifier and privateGraph are enclave-resident state. They are
-	// unexported: untrusted callers of this package cannot reach them.
-	rectifier    *Rectifier
-	privateGraph *graph.Graph
+	// rectifier and op (the private operator every plan computes over;
+	// a shard vault's is the fleet's whole one) are enclave-resident
+	// state, unexported: untrusted callers of this package cannot reach them.
+	rectifier *Rectifier
+	op        *graph.NormAdjacency
 
 	sealedParams []byte
 	sealedGraph  []byte
@@ -67,8 +68,9 @@ func (b InferenceBreakdown) Total() time.Duration {
 
 // Deploy provisions a trained GNNVault onto a device: it creates an enclave
 // measured over the sealed rectifier+graph payloads, allocates EPC for the
-// persistent state (parameters and the private operator the rectifier's
-// programs read — Rectifier.Adjacency), and returns the deployment handle.
+// persistent state (parameters and the operator derived from private,
+// which the vault computes over whatever the rectifier was trained with),
+// and returns the deployment handle.
 //
 // Deploy fails with enclave.ErrEPCExhausted if the persistent state cannot
 // fit the EPC — the check that motivates Table I's DenseA column.
@@ -91,25 +93,40 @@ func Deploy(bb *Backbone, rec *Rectifier, private *graph.Graph, cost enclave.Cos
 // A multi-vault enclave's measurement covers whatever identities the caller
 // passed to enclave.New, typically every hosted rectifier's Identity.
 func DeployInto(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *graph.Graph) (*Vault, error) {
+	op, err := privateOperator(bb, rec.Conv, private)
+	if err != nil {
+		return nil, err
+	}
 	sealedGraph, err := encl.Seal(graph.MarshalCOO(private))
 	if err != nil {
 		return nil, fmt.Errorf("core: sealing private graph: %w", err)
 	}
-	return deployInto(encl, bb, rec, private, sealedGraph, rec.Adjacency().NumBytes())
+	return deployInto(encl, bb, rec, op, sealedGraph, op.NumBytes())
+}
+
+// privateOperator is where DeployInto, DeploySharded and Import derive the
+// operator a deployment computes over, once. A GNN backbone's graph fixes
+// the node count every pass runs at, so a private graph of another size
+// is refused; a DNN backbone has no graph to match.
+func privateOperator(bb *Backbone, kind ConvKind, private *graph.Graph) (*graph.NormAdjacency, error) {
+	if bb.SubGraph != nil && private.N() != bb.SubGraph.N() {
+		return nil, fmt.Errorf("core: private graph has %d nodes, the backbone's graph %d", private.N(), bb.SubGraph.N())
+	}
+	return convOperator(kind, private), nil
 }
 
 // deployInto seals the rectifier parameters under the enclave's identity
-// and admits the vault (see admit). The full-graph path passes the whole
-// private operator's bytes; a shard deployment (DeploySharded) passes only
+// and admits the vault over op (see admit). The full-graph path passes the
+// whole operator's bytes; a shard deployment (DeploySharded) passes only
 // its row-range slab's bytes — and a nil sealedGraph, because the shard's
 // at-rest adjacency lives inside the partition's shared value slab rather
 // than as a standalone COO blob.
-func deployInto(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *graph.Graph, sealedGraph []byte, graphBytes int64) (*Vault, error) {
+func deployInto(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, op *graph.NormAdjacency, sealedGraph []byte, graphBytes int64) (*Vault, error) {
 	sealedParams, err := encl.Seal(rec.MarshalParams())
 	if err != nil {
 		return nil, fmt.Errorf("core: sealing rectifier params: %w", err)
 	}
-	return admit(encl, bb, rec, private, sealedParams, sealedGraph, graphBytes)
+	return admit(encl, bb, rec, op, sealedParams, sealedGraph, graphBytes)
 }
 
 // admit is the one place a vault's persistent residents are charged,
@@ -117,7 +134,7 @@ func deployInto(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *gr
 // (Import): parameters, then graphBytes of adjacency, nothing left
 // allocated if either does not fit, and the sum recorded in the handle so
 // Undeploy returns exactly what was taken.
-func admit(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *graph.Graph, sealedParams, sealedGraph []byte, graphBytes int64) (*Vault, error) {
+func admit(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, op *graph.NormAdjacency, sealedParams, sealedGraph []byte, graphBytes int64) (*Vault, error) {
 	paramBytes := rec.ParamBytes()
 	if err := encl.Alloc(paramBytes); err != nil {
 		return nil, fmt.Errorf("core: rectifier parameters do not fit EPC: %w", err)
@@ -131,7 +148,7 @@ func admit(encl *enclave.Enclave, bb *Backbone, rec *Rectifier, private *graph.G
 		Backbone:        bb,
 		Enclave:         encl,
 		rectifier:       rec,
-		privateGraph:    private,
+		op:              op,
 		sealedParams:    sealedParams,
 		sealedGraph:     sealedGraph,
 		persistentBytes: paramBytes + graphBytes,
@@ -237,7 +254,7 @@ func (bd *InferenceBreakdown) addPart(before, after enclave.Ledger) {
 // excluded, as it is from a vault's breakdown).
 func UnprotectedInference(orig *Backbone, x *mat.Matrix) ([]int, time.Duration) {
 	lastBlock := []int{len(orig.BlockDims) - 1} // the logits: the program's output
-	mach, _, err := orig.planBackbone(x.Rows, nil, lastBlock, exec.Config{Workers: 1})
+	mach, _, err := orig.planBackbone(x.Rows, orig.adj, lastBlock, exec.Config{Workers: 1})
 	if err != nil {
 		panic(fmt.Sprintf("core: compiling the original model: %v", err))
 	}
@@ -249,7 +266,7 @@ func UnprotectedInference(orig *Backbone, x *mat.Matrix) ([]int, time.Duration) 
 
 // EnclaveMemoryEstimate returns the static Fig. 6 (bottom) estimate for a
 // rectifier deployment over n nodes: persistent parameters + adjacency +
-// transferred embeddings + peak activations.
+// transferred embeddings + peak activations, over the training operator.
 func EnclaveMemoryEstimate(rec *Rectifier, backboneDims []int, n int) int64 {
 	embBytes := int64(0)
 	for _, i := range rec.RequiredEmbeddings() {

@@ -128,9 +128,9 @@ func TestPredictTooLargeForEPCFails(t *testing.T) {
 	// Shrink the EPC post-deploy is not possible; instead deploy with a
 	// limit that fits the static state but not the per-inference payload.
 	cm := enclave.DefaultCostModel()
-	static := v.rectifier.ParamBytes() + v.rectifier.Adjacency().NumBytes()
+	static := v.PersistentBytes()
 	cm.EPCBytes = static + 100 // embeddings won't fit
-	v2, err := Deploy(v.Backbone, v.rectifier, v.privateGraph, cm)
+	v2, err := Deploy(v.Backbone, v.rectifier, ds.Graph, cm)
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
@@ -516,7 +516,7 @@ func FuzzBundleLoad(f *testing.F) {
 // persistent EPC its exporter did, knows it, and gives it all back — and
 // a vault whose residents do not fit leaves nothing charged behind.
 func TestImportChargesAndReturnsEPC(t *testing.T) {
-	v, _ := exportableVault(t)
+	v, ds := exportableVault(t)
 	data, err := v.Export("cora")
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +542,7 @@ func TestImportChargesAndReturnsEPC(t *testing.T) {
 		t.Fatalf("Import into %d B of EPC: err = %v, want ErrEPCExhausted", small.EPCBytes, err)
 	}
 	encl := enclave.New(small, v.rectifier.Identity())
-	if _, err := DeployInto(encl, v.Backbone, v.rectifier, v.privateGraph); !errors.Is(err, enclave.ErrEPCExhausted) {
+	if _, err := DeployInto(encl, v.Backbone, v.rectifier, ds.Graph); !errors.Is(err, enclave.ErrEPCExhausted) {
 		t.Fatalf("DeployInto %d B of EPC: err = %v, want ErrEPCExhausted", small.EPCBytes, err)
 	}
 	if used := encl.EPCUsed(); used != 0 {

@@ -113,7 +113,13 @@ func FuzzBufferPlan(f *testing.F) {
 			case 4: // residual: a product of the newest value plus an older one
 				last := len(vals) - 1
 				v = b.Add(b.MatMul(vals[last], randMat(rng, widths[last], widths[a])), vals[a])
-			case 5:
+			case 5: // concat, unless it would pass 256 columns: 24 concats of
+				// the newest value double its width 24 times, a program
+				// of gigabytes that no machine here can plan
+				if widths[len(vals)-1]+widths[a] > 256 {
+					v = b.ReLU(vals[a])
+					break
+				}
 				v = b.Concat(vals[len(vals)-1], vals[a])
 			}
 			if k == len(chain)-1 || c%13 == 12 {

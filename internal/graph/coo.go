@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // The private adjacency matrix is persisted and sealed in the Coordinate
@@ -22,19 +20,21 @@ const cooMagic = uint32(0x474E4E56) // "GNNV"
 //	nnz    uint32 (directed edge count)
 //	rows   [nnz]uint32
 //	cols   [nnz]uint32
+//
+// The bytes go into one buffer sized up front: one allocation, whatever
+// the edge count.
 func MarshalCOO(g *Graph) []byte {
-	var buf bytes.Buffer
-	write := func(v uint32) { binary.Write(&buf, binary.LittleEndian, v) } //nolint:errcheck
-	write(cooMagic)
-	write(uint32(g.n))
-	write(uint32(len(g.edges)))
+	buf := make([]byte, 0, 12+8*len(g.edges))
+	buf = binary.LittleEndian.AppendUint32(buf, cooMagic)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.n))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(g.edges)))
 	for _, e := range g.edges {
-		write(uint32(e.U))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.U))
 	}
 	for _, e := range g.edges {
-		write(uint32(e.V))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.V))
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // UnmarshalCOO parses the binary COO layout produced by MarshalCOO for a
@@ -43,37 +43,28 @@ func MarshalCOO(g *Graph) []byte {
 // disagrees with nodes is refused before anything is allocated from it;
 // the edge count is bounded by the payload length the same way.
 func UnmarshalCOO(data []byte, nodes int) (*Graph, error) {
-	r := bytes.NewReader(data)
-	var magic, n, nnz uint32
-	for _, p := range []*uint32{&magic, &n, &nnz} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("graph: COO header truncated: %w", err)
-		}
+	if len(data) < 12 {
+		return nil, fmt.Errorf("graph: COO header truncated: %d bytes", len(data))
 	}
+	le := binary.LittleEndian
+	magic, n, nnz := le.Uint32(data), le.Uint32(data[4:]), le.Uint32(data[8:])
 	if magic != cooMagic {
 		return nil, fmt.Errorf("graph: bad COO magic %#x", magic)
 	}
 	if int64(n) != int64(nodes) {
 		return nil, fmt.Errorf("graph: COO header says %d nodes, want %d", n, nodes)
 	}
-	want := int64(12) + int64(nnz)*8
-	if int64(len(data)) != want {
+	if want := int64(12) + int64(nnz)*8; int64(len(data)) != want {
 		return nil, fmt.Errorf("graph: COO payload length %d, want %d", len(data), want)
 	}
-	rows := make([]uint32, nnz)
-	cols := make([]uint32, nnz)
-	if err := binary.Read(r, binary.LittleEndian, rows); err != nil {
-		return nil, fmt.Errorf("graph: COO rows truncated: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, cols); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("graph: COO cols truncated: %w", err)
-	}
+	rows, cols := data[12:12+4*int(nnz)], data[12+4*int(nnz):]
 	edges := make([]Edge, nnz)
 	for i := range edges {
-		if rows[i] >= n || cols[i] >= n {
-			return nil, fmt.Errorf("graph: COO edge (%d,%d) out of range n=%d", rows[i], cols[i], n)
+		u, v := le.Uint32(rows[4*i:]), le.Uint32(cols[4*i:])
+		if u >= n || v >= n {
+			return nil, fmt.Errorf("graph: COO edge (%d,%d) out of range n=%d", u, v, n)
 		}
-		edges[i] = Edge{int(rows[i]), int(cols[i])}
+		edges[i] = Edge{int(u), int(v)}
 	}
 	return NewFromDirected(int(n), edges), nil
 }

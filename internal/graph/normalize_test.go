@@ -253,6 +253,34 @@ func TestCOORoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalCOOLayout pins the sealed COO layout word by word — magic,
+// node count, directed edge count, every row index, then every column
+// index, little-endian uint32s — and holds the marshaller to the one
+// allocation of its output buffer.
+func TestMarshalCOOLayout(t *testing.T) {
+	g := New(5, []Edge{{0, 1}, {1, 4}, {2, 3}})
+	want := []uint32{cooMagic, 5, 6}
+	for _, e := range g.edges {
+		want = append(want, uint32(e.U))
+	}
+	for _, e := range g.edges {
+		want = append(want, uint32(e.V))
+	}
+	data := MarshalCOO(g)
+	if len(data) != 4*len(want) {
+		t.Fatalf("%d bytes, want %d", len(data), 4*len(want))
+	}
+	for i, w := range want {
+		if got := binary.LittleEndian.Uint32(data[4*i:]); got != w {
+			t.Fatalf("word %d = %d, want %d", i, got, w)
+		}
+	}
+	big := Random(2000, 4500, 3)
+	if allocs := testing.AllocsPerRun(5, func() { MarshalCOO(big) }); allocs > 1 {
+		t.Fatalf("MarshalCOO made %.0f allocations, want at most 1", allocs)
+	}
+}
+
 func TestCOOBytesAccounting(t *testing.T) {
 	g := Random(100, 300, 19)
 	// Two int32 per directed edge + 8 bytes per node for the degree vector.

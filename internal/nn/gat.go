@@ -70,10 +70,6 @@ func NewGATConv(rng *rand.Rand, inDim, outDim int, st *graph.NormAdjacency) *GAT
 	}
 }
 
-// Structure returns the CSR structure (adjacency with self loops) the
-// layer attends over.
-func (l *GATConv) Structure() *graph.NormAdjacency { return l.struct_ }
-
 // Forward computes attention-weighted aggregation.
 func (l *GATConv) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	if x.Cols != l.InDim {

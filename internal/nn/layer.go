@@ -8,9 +8,9 @@
 //
 // The package holds training and the reference forward, nothing else.
 // Deployed inference never runs these layers: internal/core compiles them
-// into internal/exec op programs (reading the weights, and the operators
-// through GCNConv.Adjacency, SAGEConv.Mean and GATConv.Structure), and the
-// tests hold every planned answer to the Forward defined here.
+// into internal/exec op programs, reading only the weights — a program
+// aggregates over the operator its compiler is handed, never a layer's —
+// and the tests hold every planned answer to the Forward defined here.
 package nn
 
 import (
@@ -42,9 +42,7 @@ type Param struct {
 }
 
 // GCNConv is one graph-convolution layer: H' = Â·(H·W) + b, with Â fixed at
-// construction (Eq. 1 of the paper). The adjacency can be swapped with
-// SetAdjacency, which is how a trained backbone is re-used with a different
-// substitute graph in ablations.
+// construction (Eq. 1 of the paper).
 type GCNConv struct {
 	InDim, OutDim int
 	W             *mat.Matrix
@@ -73,13 +71,6 @@ func NewGCNConv(rng *rand.Rand, inDim, outDim int, adj *graph.NormAdjacency) *GC
 		adj:    adj,
 	}
 }
-
-// SetAdjacency replaces the propagation operator (the layer parameters are
-// untouched).
-func (l *GCNConv) SetAdjacency(adj *graph.NormAdjacency) { l.adj = adj }
-
-// Adjacency returns the current propagation operator.
-func (l *GCNConv) Adjacency() *graph.NormAdjacency { return l.adj }
 
 // Forward computes Â(XW) + b.
 func (l *GCNConv) Forward(x *mat.Matrix, train bool) *mat.Matrix {

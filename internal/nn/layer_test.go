@@ -71,23 +71,6 @@ func TestGCNConvMatchesDenseFormula(t *testing.T) {
 	}
 }
 
-func TestGCNConvSetAdjacency(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a1 := testAdj(12, 7)
-	a2 := testAdj(12, 8)
-	l := NewGCNConv(rng, 4, 3, a1)
-	x := mat.RandNormal(rng, 12, 4, 0, 1)
-	o1 := l.Forward(x, false)
-	l.SetAdjacency(a2)
-	if l.Adjacency() != a2 {
-		t.Fatal("Adjacency not swapped")
-	}
-	o2 := l.Forward(x, false)
-	if o1.EqualApprox(o2, 1e-12) {
-		t.Fatal("swapping adjacency did not change the output")
-	}
-}
-
 func TestGCNConvNumParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	l := NewGCNConv(rng, 128, 32, testAdj(5, 9))

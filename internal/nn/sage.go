@@ -51,9 +51,6 @@ func NewSAGEConv(rng *rand.Rand, inDim, outDim int, agg, aggT *graph.NormAdjacen
 	}
 }
 
-// Mean returns the layer's mean-aggregation operator D⁻¹A.
-func (l *SAGEConv) Mean() *graph.NormAdjacency { return l.agg }
-
 // Forward computes X·W_self + (D⁻¹A·X)·W_nbr + b.
 func (l *SAGEConv) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	if x.Cols != l.InDim {
