@@ -9,6 +9,20 @@
 // Test files are skipped; runnable Example functions are vetted by `go
 // vet` in the same CI job.
 //
+// Over the same package directories it also fails on code no caller
+// reaches: an exported top-level identifier, or an exported method of an
+// exported type, of an internal/ package that no non-test file of the
+// given packages uses. The packages are type-checked with go/types (the
+// standard library from source) once per build CI compiles — the default
+// one, -tags purego, and a !linux one — and a use under any of them
+// counts. A method counts as used when its receiver type implements an
+// interface that has it; a type's own method receivers are not uses of
+// the type. The few names only tests reach are listed in callerAllow,
+// each with the tests that need it. The fix for a finding is to delete
+// the identifier, to unexport it or move it into its package's tests when
+// only those read it, or, when other packages' tests need it, to give it
+// an allowlist entry.
+//
 // With -md it additionally walks *.md files under the given directory and
 // fails on relative links to files that do not exist, catching doc drift
 // like renamed files still referenced from README.md or DESIGN.md.
@@ -64,6 +78,7 @@ func main() {
 	for _, dir := range flag.Args() {
 		problems += lintPackage(dir)
 	}
+	problems += lintCallers(flag.Args(), callerAllow)
 	if *mdRoot != "" {
 		problems += lintMarkdown(*mdRoot)
 	}

@@ -58,7 +58,7 @@ func main() {
 		float64(recMem)/(1<<20), ds.Paper.Nodes, ds.Paper.Features,
 		float64(fullMem)/(1<<20), enclave.DefaultCostModel().EPCBytes>>20)
 
-	// Provisioning handshake: attest, then unseal.
+	// Deploy, then attest the enclave and show what it seals at rest.
 	vault, err := core.Deploy(bb, rec, ds.Graph, enclave.DefaultCostModel())
 	if err != nil {
 		log.Fatal(err)

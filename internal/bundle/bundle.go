@@ -86,9 +86,6 @@ func (b *Bundle) Section(name string) ([]byte, bool) {
 	return s, ok
 }
 
-// Names lists section names in insertion order.
-func (b *Bundle) Names() []string { return append([]string(nil), b.order...) }
-
 // Marshal serialises the bundle.
 func (b *Bundle) Marshal() ([]byte, error) {
 	var buf bytes.Buffer

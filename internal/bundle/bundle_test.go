@@ -37,7 +37,7 @@ func TestRoundTrip(t *testing.T) {
 	if got.Manifest != b.Manifest {
 		t.Errorf("manifest = %+v, want %+v", got.Manifest, b.Manifest)
 	}
-	for _, name := range b.Names() {
+	for _, name := range b.order {
 		want, _ := b.Section(name)
 		gotBody, ok := got.Section(name)
 		if !ok || !bytes.Equal(gotBody, want) {
@@ -50,7 +50,7 @@ func TestSectionOrderPreserved(t *testing.T) {
 	b := sampleBundle()
 	data, _ := b.Marshal()
 	got, _ := Unmarshal(data)
-	names := got.Names()
+	names := got.order
 	if names[0] != SectionBackboneParams || names[3] != SectionSealedGraph {
 		t.Fatalf("order = %v", names)
 	}
@@ -59,7 +59,7 @@ func TestSectionOrderPreserved(t *testing.T) {
 func TestAddReplaces(t *testing.T) {
 	b := sampleBundle()
 	b.Add(SectionBackboneParams, []byte("new"))
-	if len(b.Names()) != 4 {
+	if len(b.order) != 4 {
 		t.Fatal("Add duplicated a section")
 	}
 	body, _ := b.Section(SectionBackboneParams)
@@ -120,7 +120,7 @@ func TestPropRoundTripArbitrarySections(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, name := range b.Names() {
+		for _, name := range b.order {
 			want, _ := b.Section(name)
 			gotBody, ok := got.Section(name)
 			if !ok || !bytes.Equal(gotBody, want) {

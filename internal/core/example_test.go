@@ -47,7 +47,7 @@ func Example() {
 
 	fmt.Println("design:", vault.Design())
 	fmt.Println("one label per node:", len(labels) == vault.Nodes())
-	fmt.Println("labels in class range:", core.VerifyLabelOnly(labels, ds.NumClasses) == nil)
+	fmt.Println("labels in class range:", inClassRange(labels, ds.NumClasses))
 	fmt.Println("enclave charged:", vault.Enclave.EPCUsed() > 0)
 	fmt.Println("one ECALL per query:", bd.ECalls == 1)
 	// Output:
@@ -89,7 +89,7 @@ func ExampleVault_PredictNodesInto() {
 	}
 
 	fmt.Println("one label per seed:", len(labels) == len(seeds))
-	fmt.Println("labels in class range:", core.VerifyLabelOnly(labels, ds.NumClasses) == nil)
+	fmt.Println("labels in class range:", inClassRange(labels, ds.NumClasses))
 	fmt.Println("subgraph smaller than graph:", ws.LastExtracted() < vault.Nodes())
 	fmt.Println("answered in one ECALL:", bd.ECalls == 1)
 	// Output:
@@ -97,4 +97,15 @@ func ExampleVault_PredictNodesInto() {
 	// labels in class range: true
 	// subgraph smaller than graph: true
 	// answered in one ECALL: true
+}
+
+// inClassRange reports whether every label is a class index in
+// [0, classes): the vault answers labels, never logits.
+func inClassRange(labels []int, classes int) bool {
+	for _, l := range labels {
+		if l < 0 || l >= classes {
+			return false
+		}
+	}
+	return true
 }

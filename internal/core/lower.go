@@ -42,8 +42,7 @@ import (
 //	SAGE: in·W_self + (D⁻¹A·in)·W_nbr + b
 //	GAT:  z = in·W;  attention aggregate of z under the scores z·aₛ, z·aₜ;  + b
 //
-// and a multi-head GAT is its heads, concatenated. op is the operator the
-// conv aggregates over, always the caller's and never the conv's own: the
+// op is the operator the conv aggregates over, always the caller's and never the conv's own: the
 // backbone's, a vault's private operator, an induced sub-CSR or a
 // partition shard. halo, when non-nil, marks a sharded lowering: the
 // MatMul output is row-local, so the SpMM over a rectangular shard CSR
@@ -73,12 +72,6 @@ func lowerConv(bld *exec.Builder, conv nn.Layer, in int, op *graph.NormAdjacency
 		s := bld.MatMul(z, mat.FromSlice(c.OutDim, 1, c.ASrc))
 		t := bld.MatMul(z, mat.FromSlice(c.OutDim, 1, c.ADst))
 		return bld.AddBias(bld.Attn(op, s, t, z, c.NegSlope), c.B)
-	case *nn.MultiHeadGAT:
-		heads := make([]int, len(c.Heads))
-		for h, head := range c.Heads {
-			heads[h] = lowerConv(bld, head, in, op, nil)
-		}
-		return bld.Concat(heads...)
 	default:
 		panic(fmt.Sprintf("core: no lowering for layer %T", conv))
 	}

@@ -1,17 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"gnnvault/internal/enclave"
-	"gnnvault/internal/exec"
-	"gnnvault/internal/graph"
 	"gnnvault/internal/mat"
-	"gnnvault/internal/nn"
 )
 
 // TestPlanModesMatchReference is the one table every planned answer is
@@ -116,8 +113,8 @@ func TestPlanModesMatchReference(t *testing.T) {
 							{"registered, second pass", ds.X, true},
 						} {
 							var bd InferenceBreakdown
-							if scores, labels, bd, err = v.PredictScoresInto(pass.x, ws); err != nil {
-								t.Fatalf("%s: PredictScoresInto: %v", pass.name, err)
+							if labels, scores, bd, err = ws.PredictContext(context.Background(), pass.x, true); err != nil {
+								t.Fatalf("%s: PredictContext: %v", pass.name, err)
 							}
 							if bd.BackboneReused != pass.reused {
 								t.Fatalf("%s: BackboneReused = %v, want %v", pass.name, bd.BackboneReused, pass.reused)
@@ -269,35 +266,5 @@ func TestDeployChargesTheOperatorRead(t *testing.T) {
 				t.Fatalf("memory estimate %d B does not cover the persistent residents %d B", est, v.PersistentBytes())
 			}
 		})
-	}
-}
-
-// TestMultiHeadGATLowers: a multi-head GAT layer — which no ConvKind
-// builds, but the compiler accepts — lowers to its heads and a Concat,
-// and the compiled backbone reproduces the nn forward's block embeddings.
-func TestMultiHeadGATLowers(t *testing.T) {
-	ds := tinyDataset()
-	rng := rand.New(rand.NewSource(3))
-	st := graph.SelfLoopAdjacency(ds.Graph)
-	bb := &Backbone{
-		Model:      nn.NewModel(nn.NewMultiHeadGAT(rng, ds.X.Cols, 8, 2, st), nn.NewReLU(), nn.NewGATConv(rng, 8, ds.NumClasses, st)),
-		SubGraph:   ds.Graph,
-		adj:        st,
-		FeatureDim: ds.X.Cols,
-		BlockDims:  []int{8, ds.NumClasses},
-		convIdx:    []int{0, 2},
-	}
-	prog, vals := bb.compileBackbone(ds.X.Rows, bb.adj, []int{0, 1})
-	for _, cfg := range []exec.Config{{Workers: 1}, {TileRows: 7}} {
-		mach, err := prog.NewMachine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mach.Run(ds.X.Rows, []*mat.Matrix{ds.X}, nil)
-		for i, want := range bb.Embeddings(ds.X) {
-			if !mach.Value(vals[i]).EqualApprox(want, 1e-9) {
-				t.Fatalf("%+v: block %d disagrees with the nn forward", cfg, i)
-			}
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -38,7 +39,7 @@ func TestDeployComputesOverTheGivenGraph(t *testing.T) {
 				}
 				defer v.Undeploy()
 
-				ref := NewRectifierConv(rand.New(rand.NewSource(0)), design, conv, bb.BlockDims, rec.Dims[:len(rec.Dims)-1], v.Classes(), gp)
+				ref := NewRectifierConv(rand.New(rand.NewSource(0)), design, conv, bb.BlockDims, rec.Dims[:len(rec.Dims)-1], v.classes(), gp)
 				if err := ref.UnmarshalParams(rec.MarshalParams()); err != nil {
 					t.Fatal(err)
 				}
@@ -133,12 +134,15 @@ type boundaryTrace struct {
 // the same boundary trace on every single-enclave plan — fp64 and int8,
 // direct and tiled, and node queries.
 //
+// The int8-refusal row holds two lookalikes the default floor refuses at
+// different agreements to the same error text.
+//
 // Two known gaps stay outside the table. Fleet plans: their halo bytes and
 // rows per shard follow the private partition. And the int8 gate: whether
-// the default agreement floor admits a plan — and the agreement figure its
-// refusal names — is measured over the private graph (here cora's clears
-// 0.99, the lookalike's does not), so the int8 cells plan under a floor
-// both clear and hold the trace of an admitted plan to be public.
+// the default agreement floor admits a plan is measured over the private
+// graph (here cora's clears 0.99, the lookalike's does not), so the int8
+// cells plan under a floor both clear and hold the trace of an admitted
+// plan to be public.
 func TestBoundaryTraceIsPublic(t *testing.T) {
 	ds, bb, rec := shardTestModel(t, Parallel)
 	var vaults [2]*Vault
@@ -211,6 +215,30 @@ func TestBoundaryTraceIsPublic(t *testing.T) {
 			}
 		})
 	}
+	// The default floor refuses an int8 plan over both lookalikes, at
+	// agreements of 0.9667 and 0.9850: the refusal the host reads must
+	// not say which.
+	t.Run("int8-refusal", func(t *testing.T) {
+		other, err := Deploy(bb, rec, lookalikeGraph(ds.Graph, 12), enclave.DefaultCostModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer other.Undeploy()
+		if err := other.SetCalibrationFeatures(ds.X); err != nil {
+			t.Fatal(err)
+		}
+		var texts [2]string
+		for i, v := range []*Vault{vaults[1], other} {
+			_, err := v.PlanWith(v.Nodes(), PlanConfig{Precision: PrecisionInt8})
+			if !errors.Is(err, ErrCalibrationFailed) {
+				t.Fatalf("lookalike %d: PlanWith = %v, want ErrCalibrationFailed", i, err)
+			}
+			texts[i] = err.Error()
+		}
+		if texts[0] != texts[1] {
+			t.Fatalf("the refusal follows the private graph:\n%s\n%s", texts[0], texts[1])
+		}
+	})
 }
 
 // ledger fills the trace's boundary counts from a ledger delta.

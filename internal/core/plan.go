@@ -416,12 +416,6 @@ func (ws *Workspace) TileRows() int { return ws.fleet.Machine(0).TileRows() }
 // element-wise op.
 func (ws *Workspace) SpillBytes() int64 { return sum(ws.spill) }
 
-// PayloadBytes returns the modelled per-call ECALL embedding payload: the
-// backbone blocks the rectifier consumes, priced at the plan's element
-// width and summed over parts — each part receives exactly its own rows of
-// each block, so a sharded plan's total matches the unsharded plan's.
-func (ws *Workspace) PayloadBytes() int64 { return sum(ws.payload) }
-
 // HaloBytes returns the boundary-activation bytes one inference exchanges
 // across the fleet — the per-call halo traffic priced into the part
 // ECALL payloads and surfaced on /metrics; 0 for a one-part plan.
@@ -590,27 +584,21 @@ func (v *Vault) PredictInto(x *mat.Matrix, ws *Workspace) ([]int, InferenceBreak
 	return labels, bd, err
 }
 
-// PredictScoresInto is PredictInto for deployments that expose per-class
-// scores: the rectified logits cross the boundary alongside the labels,
-// priced into the ECALL result payload at classes × 8 extra bytes per
-// node. This is the deliberately weakened output mode the privacy
-// harness (internal/privharness) attacks — the paper's label-only rule
-// (Sec. IV-E) corresponds to never calling it. The returned matrix is the
-// plan machine's output view: machine-owned, overwritten by the next
-// call, so serving code must copy what it sends out.
-func (v *Vault) PredictScoresInto(x *mat.Matrix, ws *Workspace) (*mat.Matrix, []int, InferenceBreakdown, error) {
-	labels, scores, bd, err := ws.predict(context.Background(), v, x, true)
-	return scores, labels, bd, err
-}
-
 // PredictContext is the serving layer's full-graph pass, for a Vault plan
-// and a sharded plan alike: PredictScoresInto (wantScores) or PredictInto
-// over the owner the workspace was planned for, under ctx. Cancelling or
-// expiring ctx aborts the pass: every part unwinds at its next fleet
-// barrier and the call returns an error wrapping context.Cause(ctx) —
-// bounded unwind, never a hung barrier. A sharded plan's logits are every
-// shard's rows stitched into one workspace-owned matrix, bit-identical to
-// a single vault's.
+// and a sharded plan alike: PredictInto over the owner the workspace was
+// planned for, under ctx. Cancelling or expiring ctx aborts the pass:
+// every part unwinds at its next fleet barrier and the call returns an
+// error wrapping context.Cause(ctx) — bounded unwind, never a hung
+// barrier.
+//
+// With wantScores the rectified logits cross the boundary beside the
+// labels, priced into the ECALL result payload at classes × 8 extra bytes
+// per node: the weakened output mode the privacy harness attacks (the
+// paper's label-only rule, Sec. IV-E, never asks for it). The logits are
+// the plan's output view — a sharded plan's every shard's rows stitched
+// into one matrix, bit-identical to a single vault's — owned by the
+// workspace and overwritten by the next call, so serving code copies what
+// it sends out.
 func (ws *Workspace) PredictContext(ctx context.Context, x *mat.Matrix, wantScores bool) ([]int, *mat.Matrix, InferenceBreakdown, error) {
 	return ws.predict(ctx, ws.owner, x, wantScores)
 }

@@ -425,3 +425,9 @@ func runPlanGuardRails(t *testing.T, at int) {
 		t.Run(c.name, func(t *testing.T) { c.run(t, doors[at], doors[1-at]) })
 	}
 }
+
+// payloadBytes returns the modelled per-call ECALL embedding payload: the
+// backbone blocks the rectifier consumes, priced at the plan's element
+// width and summed over parts — each part receives exactly its own rows of
+// each block, so a sharded plan's total matches the unsharded plan's.
+func (ws *Workspace) payloadBytes() int64 { return sum(ws.payload) }

@@ -128,7 +128,10 @@ func checkAgreement(mach *exec.Machine, reg *registration, embs []*mat.Matrix, r
 // agreementFloor compares int8 argmax labels against the
 // fp64 reference and enforces the configured floor. Shared by the
 // subgraph planner's single-machine gate above and the full-graph fleet's
-// round (Workspace.agree), which runs every part concurrently.
+// round (Workspace.agree), which runs every part concurrently. The
+// agreement is measured over the private operator, so a refusal names
+// only the precision and the floor, both public configuration, and never
+// the figure.
 func agreementFloor(labels, ref []int, cfg PlanConfig) error {
 	agree := 0
 	for i, l := range labels {
@@ -141,7 +144,7 @@ func agreementFloor(labels, ref []int, cfg PlanConfig) error {
 		frac = float64(agree) / float64(len(labels))
 	}
 	if floor := cfg.minAgreement(); frac < floor {
-		return fmt.Errorf("%w: %s agrees with fp64 on %.4f of calibration nodes, floor %.4f", ErrCalibrationFailed, cfg.Precision, frac, floor)
+		return fmt.Errorf("%w: %s plan under the agreement floor %.4f", ErrCalibrationFailed, cfg.Precision, floor)
 	}
 	return nil
 }

@@ -116,8 +116,8 @@ func TestReducedPlansShrinkBytes(t *testing.T) {
 	defer f64.Release()
 	defer i8.Release()
 
-	if i8.PayloadBytes()*8 != f64.PayloadBytes() {
-		t.Fatalf("payloads fp64=%d int8=%d, want an exact 8x ratio", f64.PayloadBytes(), i8.PayloadBytes())
+	if i8.payloadBytes()*8 != f64.payloadBytes() {
+		t.Fatalf("payloads fp64=%d int8=%d, want an exact 8x ratio", f64.payloadBytes(), i8.payloadBytes())
 	}
 	// Same budget buys proportionally taller tiles, so per-call spill
 	// traffic (rows × width × elem bytes summed over spilled values)

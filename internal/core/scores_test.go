@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gnnvault/internal/subgraph"
 )
 
-// TestPredictScoresIntoMatchesLabels pins the scores surface to the
-// label surface: the score rows' argmax must reproduce PredictInto's
+// TestPredictScoresIntoMatchesLabels pins the full-graph scores surface
+// (Workspace.PredictContext with wantScores) to the label surface: the score rows' argmax must reproduce PredictInto's
 // labels exactly, the row width must be the class count, and exposing
 // scores must charge a larger ECALL result payload than labels alone.
 func TestPredictScoresIntoMatchesLabels(t *testing.T) {
@@ -25,12 +26,12 @@ func TestPredictScoresIntoMatchesLabels(t *testing.T) {
 	}
 	want := append([]int{}, labels...)
 
-	scores, got, bd, err := v.PredictScoresInto(ds.X, ws)
+	got, scores, bd, err := ws.PredictContext(context.Background(), ds.X, true)
 	if err != nil {
-		t.Fatalf("PredictScoresInto: %v", err)
+		t.Fatalf("PredictContext: %v", err)
 	}
-	if scores.Rows != n || scores.Cols != v.Classes() {
-		t.Fatalf("scores shape %dx%d, want %dx%d", scores.Rows, scores.Cols, n, v.Classes())
+	if scores.Rows != n || scores.Cols != v.classes() {
+		t.Fatalf("scores shape %dx%d, want %dx%d", scores.Rows, scores.Cols, n, v.classes())
 	}
 	if bd.ECalls != 1 {
 		t.Fatalf("scores pass used %d ECALLs, want 1", bd.ECalls)
@@ -64,7 +65,7 @@ func TestPredictScoresAllocating(t *testing.T) {
 	if err != nil {
 		t.Fatalf("predict(scores): %v", err)
 	}
-	if scores.Rows != ds.Graph.N() || scores.Cols != v.Classes() {
+	if scores.Rows != ds.Graph.N() || scores.Cols != v.classes() {
 		t.Fatalf("scores shape %dx%d", scores.Rows, scores.Cols)
 	}
 	for i, w := range labels {
@@ -75,7 +76,7 @@ func TestPredictScoresAllocating(t *testing.T) {
 }
 
 // TestPredictNodesScoresIntoMatchesLabels checks the subgraph scores
-// path: per-seed score rows whose argmax equals the node-query labels,
+// path (PredictNodesIntoContext with wantScores): per-seed score rows whose argmax equals the node-query labels,
 // on both the extracted path and the full-graph fallback.
 func TestPredictNodesScoresIntoMatchesLabels(t *testing.T) {
 	ds := pathDataset(240)
@@ -93,12 +94,12 @@ func TestPredictNodesScoresIntoMatchesLabels(t *testing.T) {
 		t.Fatalf("PredictNodesInto: %v", err)
 	}
 	wantCopy := append([]int{}, want...)
-	scores, got, _, err := v.PredictNodesScoresInto(ds.X, seeds, ws)
+	got, scores, _, err := v.PredictNodesIntoContext(context.Background(), ds.X, seeds, ws, true)
 	if err != nil {
-		t.Fatalf("PredictNodesScoresInto: %v", err)
+		t.Fatalf("PredictNodesIntoContext: %v", err)
 	}
-	if scores.Rows != len(seeds) || scores.Cols != v.Classes() {
-		t.Fatalf("scores shape %dx%d, want %dx%d", scores.Rows, scores.Cols, len(seeds), v.Classes())
+	if scores.Rows != len(seeds) || scores.Cols != v.classes() {
+		t.Fatalf("scores shape %dx%d, want %dx%d", scores.Rows, scores.Cols, len(seeds), v.classes())
 	}
 	for i := range seeds {
 		if got[i] != wantCopy[i] {
@@ -123,9 +124,9 @@ func TestPredictNodesScoresIntoMatchesLabels(t *testing.T) {
 		t.Fatalf("PlanSubgraph(fallback): %v", err)
 	}
 	defer wsAll.Release()
-	fbScores, fbLabels, _, err := v.PredictNodesScoresInto(ds.X, seeds, wsAll)
+	fbLabels, fbScores, _, err := v.PredictNodesIntoContext(context.Background(), ds.X, seeds, wsAll, true)
 	if err != nil {
-		t.Fatalf("fallback PredictNodesScoresInto: %v", err)
+		t.Fatalf("fallback PredictNodesIntoContext: %v", err)
 	}
 	full, _, err := v.Predict(ds.X)
 	if err != nil {
@@ -147,3 +148,7 @@ func TestPredictNodesScoresIntoMatchesLabels(t *testing.T) {
 		}
 	}
 }
+
+// classes returns the deployed rectifier's output dimension — the label
+// space every served prediction reduces to.
+func (v *Vault) classes() int { return v.rectifier.Dims[len(v.rectifier.Dims)-1] }

@@ -147,17 +147,8 @@ func (sv *ShardedVault) Shard(s int) *Vault { return sv.vaults[s].Load() }
 // behind them (CSR slabs, halo neighbours) is, so only they leave.
 func (sv *ShardedVault) Bounds() []int { return append([]int(nil), sv.partition.Bounds...) }
 
-// Owner returns the shard owning global node u.
-func (sv *ShardedVault) Owner(u int) int { return sv.partition.Owner(u) }
-
 // Nodes returns the node count of the deployed private graph.
 func (sv *ShardedVault) Nodes() int { return sv.op.N }
-
-// Classes returns the label-space width every served prediction reduces to.
-func (sv *ShardedVault) Classes() int { return sv.vaults[0].Load().Classes() }
-
-// Design returns the deployed rectifier's communication scheme.
-func (sv *ShardedVault) Design() RectifierDesign { return sv.rectifier.Design }
 
 // Undeploy returns every shard's persistent EPC and drops the fleet's
 // feature registration with its embedding store. Idempotent.

@@ -98,7 +98,7 @@ func TestShardedPredictBitIdentical(t *testing.T) {
 					if bd.ECalls != shards {
 						t.Fatalf("%d shards: %d ECALLs, want one per shard", shards, bd.ECalls)
 					}
-					if wantIn := sws.PayloadBytes() + sws.SpillBytes() + sws.HaloBytes(); bd.BytesIn != wantIn {
+					if wantIn := sws.payloadBytes() + sws.SpillBytes() + sws.HaloBytes(); bd.BytesIn != wantIn {
 						t.Fatalf("%d shards: BytesIn %d, want payload+spill+halo %d", shards, bd.BytesIn, wantIn)
 					}
 				}
@@ -162,7 +162,7 @@ func TestShardedNodeQueriesBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("route %v: %v", seeds, err)
 		}
-		if own := sv.Owner(seeds[0]); s != own {
+		if own := sv.partition.Owner(seeds[0]); s != own {
 			t.Fatalf("route %v to shard %d, owner is %d", seeds, s, own)
 		}
 		before := sv.Shard(s).Enclave.Ledger()
@@ -177,7 +177,7 @@ func TestShardedNodeQueriesBitIdentical(t *testing.T) {
 		}
 		cross := 0
 		for _, u := range shardWS[s].ExtractedNodes() {
-			if sv.Owner(u) != s {
+			if sv.partition.Owner(u) != s {
 				cross++
 			}
 		}

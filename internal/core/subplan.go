@@ -263,12 +263,6 @@ func (ws *SubgraphWorkspace) EnclaveBytes() int64 { return ws.epc }
 // MaxSeeds returns the largest seed batch one query accepts.
 func (ws *SubgraphWorkspace) MaxSeeds() int { return ws.plan.MaxSeeds }
 
-// Config returns the sampling geometry the workspace was planned with.
-func (ws *SubgraphWorkspace) Config() subgraph.Config { return ws.plan.Cfg }
-
-// CapNodes returns the worst-case extracted node count per query.
-func (ws *SubgraphWorkspace) CapNodes() int { return ws.plan.CapNodes }
-
 // LastExtracted returns the node count of the most recent extraction —
 // the effective batch height of the last query's forward pass.
 func (ws *SubgraphWorkspace) LastExtracted() int { return ws.curRows }
@@ -314,25 +308,16 @@ func (v *Vault) PredictNodesInto(x *mat.Matrix, seeds []int, ws *SubgraphWorkspa
 }
 
 // PredictNodesIntoContext is the serving layer's node query:
-// PredictNodesScoresInto (wantScores) or PredictNodesInto with a
-// deadline — a cancelled or expired ctx fails the query at the next
-// boundary, on entry or just before the ECALL, with an error wrapping
-// ctx.Err(), so a query routed to a slow or dead shard never outlives its
-// budget.
+// PredictNodesInto with a deadline — a cancelled or expired ctx fails the
+// query at the next boundary, on entry or just before the ECALL, with an
+// error wrapping ctx.Err(), so a query routed to a slow or dead shard
+// never outlives its budget. With wantScores the seeds' rectified logit
+// rows cross the boundary beside their labels, priced into the ECALL
+// result payload (see Workspace.PredictContext); the matrix has one row
+// per seed and aliases workspace memory, overwritten by the next call,
+// except on the full-graph fallback path, where it is freshly allocated.
 func (v *Vault) PredictNodesIntoContext(ctx context.Context, x *mat.Matrix, seeds []int, ws *SubgraphWorkspace, wantScores bool) ([]int, *mat.Matrix, InferenceBreakdown, error) {
 	return v.predictNodesInto(ctx, x, seeds, ws, wantScores)
-}
-
-// PredictNodesScoresInto is PredictNodesInto for deployments that expose
-// per-class scores: the seeds' rectified logit rows cross the boundary
-// alongside their labels, priced into the ECALL result payload. The
-// returned matrix has one row per seed and aliases workspace memory —
-// overwritten by the next call — except on the full-graph fallback path,
-// where it is freshly allocated. See Vault.PredictScoresInto for what
-// exposing scores means for the threat model.
-func (v *Vault) PredictNodesScoresInto(x *mat.Matrix, seeds []int, ws *SubgraphWorkspace) (*mat.Matrix, []int, InferenceBreakdown, error) {
-	labels, scores, bd, err := v.predictNodesInto(context.Background(), x, seeds, ws, true)
-	return scores, labels, bd, err
 }
 
 func (v *Vault) predictNodesInto(ctx context.Context, x *mat.Matrix, seeds []int, ws *SubgraphWorkspace, wantScores bool) ([]int, *mat.Matrix, InferenceBreakdown, error) {

@@ -206,7 +206,7 @@ func (v *Vault) Predict(x *mat.Matrix) ([]int, InferenceBreakdown, error) {
 }
 
 // predict is Predict's body. With wantScores the rectified logits leave
-// the enclave too (see PredictScoresInto). Labels and logits are copies
+// the enclave too (see Workspace.PredictContext). Labels and logits are copies
 // owned by the caller.
 func (v *Vault) predict(x *mat.Matrix, wantScores bool) ([]int, *mat.Matrix, InferenceBreakdown, error) {
 	ws, err := v.PlanWith(v.Nodes(), PlanConfig{}) // the pass holds x to the plan's shape
@@ -223,10 +223,6 @@ func (v *Vault) predict(x *mat.Matrix, wantScores bool) ([]int, *mat.Matrix, Inf
 	}
 	return append([]int(nil), labels...), scores, bd, nil
 }
-
-// Classes returns the deployed rectifier's output dimension — the label
-// space every served prediction reduces to.
-func (v *Vault) Classes() int { return v.rectifier.Dims[len(v.rectifier.Dims)-1] }
 
 // addPart folds one part's before/after ledger snapshots into a
 // breakdown, so inference paths never reset the shared ledger (which would
@@ -293,16 +289,4 @@ func FullModelMemoryEstimate(orig *Backbone, n, featureDim int) int64 {
 	actBytes := int64(widest) * int64(n) * 8 * 2 // in+out coexist
 	featBytes := int64(featureDim) * int64(n) * 8
 	return orig.Model.ParamBytes() + adj + featBytes + actBytes
-}
-
-// VerifyLabelOnly is a compile-time style assertion helper used in tests:
-// it re-runs Predict and confirms the outputs are class indices, not
-// logits.
-func VerifyLabelOnly(labels []int, classes int) error {
-	for i, l := range labels {
-		if l < 0 || l >= classes {
-			return fmt.Errorf("core: output %d = %d outside label space [0,%d)", i, l, classes)
-		}
-	}
-	return nil
 }

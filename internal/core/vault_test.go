@@ -44,7 +44,7 @@ func TestDeployAndPredictAllDesigns(t *testing.T) {
 		if len(labels) != ds.X.Rows {
 			t.Fatalf("%s: %d labels for %d nodes", design, len(labels), ds.X.Rows)
 		}
-		if err := VerifyLabelOnly(labels, ds.NumClasses); err != nil {
+		if err := labelsInRange(labels, ds.NumClasses); err != nil {
 			t.Fatalf("%s: %v", design, err)
 		}
 		// The deployed prediction must match the software rectifier.
@@ -223,15 +223,6 @@ func TestVaultDesignAndParams(t *testing.T) {
 	}
 }
 
-func TestVerifyLabelOnly(t *testing.T) {
-	if err := VerifyLabelOnly([]int{0, 1, 2}, 3); err != nil {
-		t.Fatalf("valid labels rejected: %v", err)
-	}
-	if err := VerifyLabelOnly([]int{0, 3}, 3); err == nil {
-		t.Fatal("out-of-range label accepted")
-	}
-}
-
 // exportableVault builds a vault on a named spec (Import only supports
 // M1/M2/M3) for bundle round-trip tests.
 func exportableVault(t testing.TB) (*Vault, *datasets.Dataset) {
@@ -312,6 +303,10 @@ func editManifest(t testing.TB, data []byte, edit func(*bundle.Manifest)) []byte
 	return editBundle(t, data, edit, "", nil)
 }
 
+// exportSections names Export's bundle sections in the order it writes
+// them.
+var exportSections = []string{bundle.SectionBackboneParams, bundle.SectionSubstituteCOO, bundle.SectionSealedRectifier, bundle.SectionSealedGraph}
+
 // editBundle is editManifest that also replaces the body of one section
 // (none when section is empty).
 func editBundle(t testing.TB, data []byte, edit func(*bundle.Manifest), section string, forged []byte) []byte {
@@ -323,7 +318,7 @@ func editBundle(t testing.TB, data []byte, edit func(*bundle.Manifest), section 
 	man := b.Manifest
 	edit(&man)
 	b2 := bundle.New(b.Measurement, man)
-	for _, name := range b.Names() {
+	for _, name := range exportSections {
 		body, _ := b.Section(name)
 		if name == section {
 			body = forged
@@ -474,7 +469,7 @@ func FuzzBundleLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	names := b.Names()
+	names := exportSections
 	for i := range names {
 		f.Add(uint8(i), uint8(0), uint32(5), byte(0x80)) // flip
 		f.Add(uint8(i), uint8(1), uint32(11), byte(0))   // truncate

@@ -112,11 +112,6 @@ func (l Ledger) EnclaveTime() time.Duration {
 	return time.Duration(l.ComputeNs + l.PagingNs)
 }
 
-// Total returns the full modelled enclave-side cost.
-func (l Ledger) Total() time.Duration {
-	return l.TransferTime() + l.EnclaveTime()
-}
-
 // ErrEPCExhausted is returned when an allocation would exceed the hard EPC
 // budget and paging is disabled.
 var ErrEPCExhausted = errors.New("enclave: EPC exhausted")
@@ -171,13 +166,6 @@ func (e *Enclave) Ledger() Ledger {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.ledger
-}
-
-// ResetLedger clears the cost counters (EPC usage is preserved).
-func (e *Enclave) ResetLedger() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.ledger = Ledger{PeakEPCBytes: e.epcUsed}
 }
 
 // ResetPeak rebases the ledger's EPC peak to the current usage without

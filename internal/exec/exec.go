@@ -206,9 +206,6 @@ func (p *Program) haloHosts() []int {
 // tile staging buffer must accommodate.
 func (p *Program) MaxWidth() int { return p.maxWidth }
 
-// OutputWidth returns the column count of the program's result value.
-func (p *Program) OutputWidth() int { return p.vals[p.output].width }
-
 // Ops returns the compiled op sequence (shared, not a copy; read-only).
 func (p *Program) Ops() []Op { return p.ops }
 
@@ -575,9 +572,6 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 
 // TileRows returns the tile height (0 for direct machines).
 func (m *Machine) TileRows() int { return m.cfg.TileRows }
-
-// Elem returns the machine's element type.
-func (m *Machine) Elem() Elem { return m.elem }
 
 // TileBytes returns the staging-buffer footprint — one tile at the
 // machine's element width, plus the attention scratch row — the only

@@ -207,9 +207,6 @@ func (f *Fleet) Reset() {
 	f.bar.reset()
 }
 
-// Shards returns the fleet's shard count.
-func (f *Fleet) Shards() int { return len(f.machines) }
-
 // Machine returns shard s's machine (for Value/Output reads and
 // accounting; it stays owned by the fleet).
 func (f *Fleet) Machine(s int) *Machine { return f.machines[s] }

@@ -91,7 +91,7 @@ func newTestFleet(t testing.TB, progs []*Program, cfg func(s int) Config) *Fleet
 // cause once the survivors have launched. Returns per-shard outputs and
 // errors.
 func fleetPass(fleet *Fleet, part *graph.Partition, x *mat.Matrix, labels []int, skip int, cause error) ([]*mat.Matrix, []error) {
-	shards := fleet.Shards()
+	shards := len(fleet.machines)
 	outs := make([]*mat.Matrix, shards)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup

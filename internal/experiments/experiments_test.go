@@ -242,13 +242,6 @@ func TestExtLabelOnlyShape(t *testing.T) {
 	}
 }
 
-func TestExtSilhouetteGap(t *testing.T) {
-	bb, rec, _ := ExtSilhouetteGap(quick())
-	if rec <= bb {
-		t.Errorf("rectifier silhouette (%v) should exceed backbone's (%v)", rec, bb)
-	}
-}
-
 func TestExtExtractionShape(t *testing.T) {
 	rows, text := ExtExtraction(quick())
 	if len(rows) != 2 {

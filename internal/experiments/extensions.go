@@ -134,14 +134,6 @@ func oneHot(labels []int, classes int) *mat.Matrix {
 	return m
 }
 
-// ExtSilhouetteGap is a compact numeric summary of Fig. 4 used by the
-// ablation bench: the silhouette gap closed by the rectifier.
-func ExtSilhouetteGap(opts Options) (backbone, rectifier, original float64) {
-	res, _ := Fig4(opts)
-	last := func(s []float64) float64 { return s[len(s)-1] }
-	return last(res.BackboneSilhouette), last(res.RectifierSilhouette), last(res.OriginalSilhouette)
-}
-
 // ExtExtractionRow is one model-extraction result.
 type ExtExtractionRow struct {
 	Dataset  string

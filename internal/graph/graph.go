@@ -8,8 +8,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-
-	"gnnvault/internal/mat"
 )
 
 // Edge is a single directed edge (u → v). Undirected graphs store both
@@ -119,13 +117,6 @@ func (g *Graph) HasEdge(u, v int) bool {
 	return i < len(nb) && nb[i] == v
 }
 
-// Edges returns a copy of the directed edge list.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, len(g.edges))
-	copy(out, g.edges)
-	return out
-}
-
 // UndirectedEdges returns one representative (u < v) per undirected edge.
 func (g *Graph) UndirectedEdges() []Edge {
 	out := make([]Edge, 0, len(g.edges)/2)
@@ -185,16 +176,6 @@ func (g *Graph) Homophily(labels []int) float64 {
 		}
 	}
 	return float64(same) / float64(len(g.edges))
-}
-
-// Dense returns the dense {0,1} adjacency matrix. Intended for tests and
-// small graphs only.
-func (g *Graph) Dense() *mat.Matrix {
-	a := mat.New(g.n, g.n)
-	for _, e := range g.edges {
-		a.Set(e.U, e.V, 1)
-	}
-	return a
 }
 
 // Equal reports whether two graphs have identical node counts and edge sets.

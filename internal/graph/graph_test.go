@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"gnnvault/internal/mat"
 )
 
 func pathGraph(n int) *Graph {
@@ -120,7 +122,7 @@ func TestHomophilyBadLabelsPanics(t *testing.T) {
 
 func TestDenseMatchesHasEdge(t *testing.T) {
 	g := New(4, []Edge{{0, 1}, {1, 3}})
-	d := g.Dense()
+	d := g.dense()
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			want := 0.0
@@ -155,7 +157,7 @@ func TestPropSymmetryInvariant(t *testing.T) {
 			edges = append(edges, Edge{rng.Intn(n), rng.Intn(n)})
 		}
 		g := New(n, edges)
-		for _, e := range g.Edges() {
+		for _, e := range g.edges {
 			if !g.HasEdge(e.V, e.U) {
 				return false
 			}
@@ -184,4 +186,13 @@ func TestPropDegreeSumEqualsDirectedEdges(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// dense returns the dense {0,1} adjacency matrix.
+func (g *Graph) dense() *mat.Matrix {
+	a := mat.New(g.n, g.n)
+	for _, e := range g.edges {
+		a.Set(e.U, e.V, 1)
+	}
+	return a
 }

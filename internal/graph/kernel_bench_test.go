@@ -60,7 +60,7 @@ func BenchmarkKernelMatMul(b *testing.B) {
 	b.SetBytes(int64(n) * k * p * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mat.MatMulSerialInto(out, a, w)
+		mat.MatMulBiasReLUInto(out, a, w, nil, nil, false, 1)
 	}
 }
 

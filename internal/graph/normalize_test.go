@@ -50,7 +50,7 @@ func TestNormalizeDiagonalPresent(t *testing.T) {
 func TestNormalizeMatchesDenseFormula(t *testing.T) {
 	g := Random(25, 50, 3)
 	n := g.N()
-	aPlusI := g.Dense().Add(mat.Identity(n))
+	aPlusI := g.dense().Add(mat.Identity(n))
 	dInvSqrt := mat.New(n, n)
 	for i := 0; i < n; i++ {
 		dInvSqrt.Set(i, i, 1/math.Sqrt(float64(g.Degree(i)+1)))

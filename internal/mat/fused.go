@@ -197,8 +197,7 @@ func denseRangeF64Go(e *CheckedEpilogue, dst, a []float64, n int, b []float64, r
 // epilogue applied to each row band while it is still hot, saving the
 // separate full-matrix passes (and, on the tiled engine, their spill
 // flushes). Any of bias, res may be nil and relu false — with all three
-// unset this is the plain product, the form MatMulInto and
-// MatMulSerialInto run. dst must be a.Rows×b.Cols and must not alias a, b
+// unset this is the plain product, the form MatMulInto runs. dst must be a.Rows×b.Cols and must not alias a, b
 // or res. Results are bit-identical to running the unfused op sequence.
 func MatMulBiasReLUInto(dst, a, b *Matrix, bias []float64, res *Matrix, relu bool, workers int) {
 	if a.Cols != b.Rows {

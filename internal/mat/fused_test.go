@@ -34,7 +34,7 @@ func TestMatMulBiasReLUIntoMatchesUnfused(t *testing.T) {
 			for _, relu := range []bool{false, true} {
 				for _, workers := range []int{1, 3} {
 					want := New(n, p)
-					MatMulSerialInto(want, a, b)
+					matMulInto(want, a, b, 1)
 					bv := []float64(nil)
 					if withBias {
 						bv = bias

@@ -45,12 +45,6 @@ func MatMulInto(dst, a, b *Matrix) {
 	matMulInto(dst, a, b, 0)
 }
 
-// MatMulSerialInto is MatMulInto restricted to the calling goroutine, the
-// form in-enclave (single-threaded) code must use.
-func MatMulSerialInto(dst, a, b *Matrix) {
-	matMulInto(dst, a, b, 1)
-}
-
 // matMulInto is the plain product: exactly MatMulBiasReLUInto with no
 // epilogue — one banded driver, not two copies to keep in sync.
 func matMulInto(dst, a, b *Matrix, budget int) {

@@ -27,9 +27,9 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 			t.Fatalf("%v: MatMulInto disagrees", dims)
 		}
 		fillGarbage(dst)
-		MatMulSerialInto(dst, a, b)
+		matMulInto(dst, a, b, 1)
 		if !dst.EqualApprox(want, 1e-12) {
-			t.Fatalf("%v: MatMulSerialInto disagrees", dims)
+			t.Fatalf("%v: serial matMulInto disagrees", dims)
 		}
 	}
 }
@@ -165,7 +165,7 @@ func TestSerialIntoKernelsAllocFree(t *testing.T) {
 	bias := make([]float64, 30)
 	labels := make([]int, 60)
 	allocs := testing.AllocsPerRun(20, func() {
-		MatMulSerialInto(dst, a, b)
+		matMulInto(dst, a, b, 1)
 		AddBiasInto(dst, dst, bias)
 		ReLUInto(dst, dst)
 		dst.ArgmaxRowsInto(labels)

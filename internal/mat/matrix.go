@@ -40,22 +40,6 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	m := New(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic(fmt.Sprintf("mat: FromRows ragged input: row %d has %d cols, want %d", i, len(r), c))
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
@@ -143,52 +127,6 @@ func (m *Matrix) AddInPlace(o *Matrix) *Matrix {
 	return m
 }
 
-// Sub returns m - o element-wise.
-func (m *Matrix) Sub(o *Matrix) *Matrix {
-	m.requireSameShape(o, "Sub")
-	r := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		r.Data[i] = m.Data[i] - o.Data[i]
-	}
-	return r
-}
-
-// Hadamard returns the element-wise product m ⊙ o.
-func (m *Matrix) Hadamard(o *Matrix) *Matrix {
-	m.requireSameShape(o, "Hadamard")
-	r := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		r.Data[i] = m.Data[i] * o.Data[i]
-	}
-	return r
-}
-
-// Scale returns s·m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	r := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		r.Data[i] = s * m.Data[i]
-	}
-	return r
-}
-
-// ScaleInPlace multiplies every element by s and returns m.
-func (m *Matrix) ScaleInPlace(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// Apply returns f applied element-wise to m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	r := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		r.Data[i] = f(v)
-	}
-	return r
-}
-
 // AddRowVector adds the 1×Cols vector v to every row of m, returning a new
 // matrix. Used for bias addition. Allocating wrapper over AddBiasInto.
 func (m *Matrix) AddRowVector(v []float64) *Matrix {
@@ -209,15 +147,6 @@ func (m *Matrix) ColSums() []float64 {
 	return s
 }
 
-// Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
 // MaxAbs returns the largest absolute element value (0 for empty matrices).
 func (m *Matrix) MaxAbs() float64 {
 	mx := 0.0
@@ -227,15 +156,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// Norm returns the Frobenius norm of m.
-func (m *Matrix) Norm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // ArgmaxRows returns, for each row, the column index of its maximum value.
@@ -258,16 +178,6 @@ func (m *Matrix) ViewRows(lo, hi int, view *Matrix) *Matrix {
 	view.Cols = m.Cols
 	view.Data = m.Data[lo*m.Cols : hi*m.Cols]
 	return view
-}
-
-// SliceRows returns a copy of rows[lo:hi).
-func (m *Matrix) SliceRows(lo, hi int) *Matrix {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(fmt.Sprintf("mat: SliceRows [%d,%d) out of range %d", lo, hi, m.Rows))
-	}
-	r := New(hi-lo, m.Cols)
-	copy(r.Data, m.Data[lo*m.Cols:hi*m.Cols])
-	return r
 }
 
 // SelectRows returns a new matrix containing the given rows of m, in order.

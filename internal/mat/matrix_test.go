@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -41,29 +40,6 @@ func TestFromSliceSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	FromSlice(2, 2, []float64{1, 2, 3})
-}
-
-func TestFromRows(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if m.Rows != 3 || m.Cols != 2 || m.At(2, 1) != 6 {
-		t.Fatalf("FromRows wrong: %+v", m)
-	}
-}
-
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ragged FromRows did not panic")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
-func TestFromRowsEmpty(t *testing.T) {
-	m := FromRows(nil)
-	if m.Rows != 0 || m.Cols != 0 {
-		t.Fatalf("empty FromRows = %s", m.Shape())
-	}
 }
 
 func TestIdentity(t *testing.T) {
@@ -151,15 +127,6 @@ func TestAddSubHadamardScale(t *testing.T) {
 	if got := a.Add(b); !got.Equal(FromSlice(2, 2, []float64{6, 8, 10, 12})) {
 		t.Errorf("Add = %v", got.Data)
 	}
-	if got := b.Sub(a); !got.Equal(FromSlice(2, 2, []float64{4, 4, 4, 4})) {
-		t.Errorf("Sub = %v", got.Data)
-	}
-	if got := a.Hadamard(b); !got.Equal(FromSlice(2, 2, []float64{5, 12, 21, 32})) {
-		t.Errorf("Hadamard = %v", got.Data)
-	}
-	if got := a.Scale(2); !got.Equal(FromSlice(2, 2, []float64{2, 4, 6, 8})) {
-		t.Errorf("Scale = %v", got.Data)
-	}
 }
 
 func TestAddShapeMismatchPanics(t *testing.T) {
@@ -176,18 +143,6 @@ func TestInPlaceOps(t *testing.T) {
 	a.AddInPlace(FromSlice(1, 3, []float64{1, 1, 1}))
 	if !a.Equal(FromSlice(1, 3, []float64{2, 3, 4})) {
 		t.Errorf("AddInPlace = %v", a.Data)
-	}
-	a.ScaleInPlace(0.5)
-	if !a.Equal(FromSlice(1, 3, []float64{1, 1.5, 2})) {
-		t.Errorf("ScaleInPlace = %v", a.Data)
-	}
-}
-
-func TestApply(t *testing.T) {
-	a := FromSlice(1, 3, []float64{-1, 0, 2})
-	got := a.Apply(math.Abs)
-	if !got.Equal(FromSlice(1, 3, []float64{1, 0, 2})) {
-		t.Errorf("Apply(abs) = %v", got.Data)
 	}
 }
 
@@ -206,18 +161,12 @@ func TestColSumsSum(t *testing.T) {
 	if cs[0] != 5 || cs[1] != 7 || cs[2] != 9 {
 		t.Errorf("ColSums = %v", cs)
 	}
-	if a.Sum() != 21 {
-		t.Errorf("Sum = %v", a.Sum())
-	}
 }
 
 func TestMaxAbsNorm(t *testing.T) {
 	a := FromSlice(1, 3, []float64{3, -4, 0})
 	if a.MaxAbs() != 4 {
 		t.Errorf("MaxAbs = %v", a.MaxAbs())
-	}
-	if math.Abs(a.Norm()-5) > 1e-12 {
-		t.Errorf("Norm = %v, want 5", a.Norm())
 	}
 }
 
@@ -234,10 +183,6 @@ func TestArgmaxRows(t *testing.T) {
 
 func TestSliceSelectRows(t *testing.T) {
 	a := FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
-	s := a.SliceRows(1, 3)
-	if !s.Equal(FromSlice(2, 2, []float64{3, 4, 5, 6})) {
-		t.Errorf("SliceRows = %v", s.Data)
-	}
 	sel := a.SelectRows([]int{2, 0})
 	if !sel.Equal(FromSlice(2, 2, []float64{5, 6, 1, 2})) {
 		t.Errorf("SelectRows = %v", sel.Data)

@@ -132,43 +132,3 @@ func ROCAUC(scores []float64, positive []bool) float64 {
 	u := rankSum - float64(nPos)*float64(nPos+1)/2
 	return u / (float64(nPos) * float64(nNeg))
 }
-
-// ConfusionMatrix returns the classes×classes confusion counts
-// (rows = true label, cols = predicted).
-func ConfusionMatrix(pred, labels []int, classes int) [][]int {
-	if len(pred) != len(labels) {
-		panic("metrics: confusion matrix length mismatch")
-	}
-	cm := make([][]int, classes)
-	for i := range cm {
-		cm[i] = make([]int, classes)
-	}
-	for i := range pred {
-		cm[labels[i]][pred[i]]++
-	}
-	return cm
-}
-
-// MacroF1 returns the unweighted mean of per-class F1 scores.
-func MacroF1(pred, labels []int, classes int) float64 {
-	cm := ConfusionMatrix(pred, labels, classes)
-	total := 0.0
-	for c := 0; c < classes; c++ {
-		tp := cm[c][c]
-		fp, fn := 0, 0
-		for o := 0; o < classes; o++ {
-			if o == c {
-				continue
-			}
-			fp += cm[o][c]
-			fn += cm[c][o]
-		}
-		if tp == 0 {
-			continue
-		}
-		prec := float64(tp) / float64(tp+fp)
-		rec := float64(tp) / float64(tp+fn)
-		total += 2 * prec * rec / (prec + rec)
-	}
-	return total / float64(classes)
-}

@@ -12,9 +12,9 @@ import (
 
 func TestSilhouettePerfectClusters(t *testing.T) {
 	// Two tight, far-apart clusters → silhouette near 1.
-	x := mat.FromRows([][]float64{
-		{0, 0}, {0.1, 0}, {0, 0.1},
-		{10, 10}, {10.1, 10}, {10, 10.1},
+	x := mat.FromSlice(6, 2, []float64{
+		0, 0, 0.1, 0, 0, 0.1,
+		10, 10, 10.1, 10, 10, 10.1,
 	})
 	labels := []int{0, 0, 0, 1, 1, 1}
 	if s := Silhouette(x, labels); s < 0.95 {
@@ -36,9 +36,7 @@ func TestSilhouetteRandomLabelsNearZero(t *testing.T) {
 
 func TestSilhouetteSwappedClustersNegative(t *testing.T) {
 	// Deliberately wrong labels → negative score.
-	x := mat.FromRows([][]float64{
-		{0, 0}, {0.1, 0}, {10, 10}, {10.1, 10},
-	})
+	x := mat.FromSlice(4, 2, []float64{0, 0, 0.1, 0, 10, 10, 10.1, 10})
 	labels := []int{0, 1, 0, 1}
 	if s := Silhouette(x, labels); s >= 0 {
 		t.Fatalf("silhouette with crossed labels = %v, want < 0", s)
@@ -46,7 +44,7 @@ func TestSilhouetteSwappedClustersNegative(t *testing.T) {
 }
 
 func TestSilhouetteSingleClass(t *testing.T) {
-	x := mat.FromRows([][]float64{{1}, {2}, {3}})
+	x := mat.FromSlice(3, 1, []float64{1, 2, 3})
 	if s := Silhouette(x, []int{0, 0, 0}); s != 0 {
 		t.Fatalf("single class silhouette = %v, want 0", s)
 	}
@@ -59,7 +57,7 @@ func TestSilhouetteEmpty(t *testing.T) {
 }
 
 func TestSilhouetteSingletonCluster(t *testing.T) {
-	x := mat.FromRows([][]float64{{0}, {0.1}, {5}})
+	x := mat.FromSlice(3, 1, []float64{0, 0.1, 5})
 	// Must not panic or NaN; singleton contributes 0.
 	s := Silhouette(x, []int{0, 0, 1})
 	if math.IsNaN(s) {
@@ -181,28 +179,6 @@ func TestPropROCAUCRange(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	cm := ConfusionMatrix([]int{0, 1, 1, 0}, []int{0, 1, 0, 0}, 2)
-	if cm[0][0] != 2 || cm[0][1] != 1 || cm[1][1] != 1 || cm[1][0] != 0 {
-		t.Fatalf("confusion = %v", cm)
-	}
-}
-
-func TestMacroF1Perfect(t *testing.T) {
-	pred := []int{0, 1, 2, 0, 1, 2}
-	if f1 := MacroF1(pred, pred, 3); math.Abs(f1-1) > 1e-12 {
-		t.Fatalf("perfect F1 = %v", f1)
-	}
-}
-
-func TestMacroF1Zero(t *testing.T) {
-	pred := []int{1, 1}
-	labels := []int{0, 0}
-	if f1 := MacroF1(pred, labels, 2); f1 != 0 {
-		t.Fatalf("all-wrong F1 = %v", f1)
-	}
-}
-
 func TestTSNESeparatesClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 60
@@ -255,7 +231,7 @@ func TestTSNEOutputCentred(t *testing.T) {
 }
 
 func TestTSNEToCSV(t *testing.T) {
-	y := mat.FromRows([][]float64{{1, 2}, {3, 4}})
+	y := mat.FromSlice(2, 2, []float64{1, 2, 3, 4})
 	csv := TSNEToCSV(y, []int{0, 1})
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 3 || lines[0] != "x,y,label" {

@@ -209,67 +209,3 @@ func (l *GATConv) Params() []Param {
 
 // NumParams returns InDim·OutDim + 3·OutDim.
 func (l *GATConv) NumParams() int { return l.InDim*l.OutDim + 3*l.OutDim }
-
-// MultiHeadGAT concatenates H independent GAT heads (the standard
-// multi-head attention of Veličković et al. for hidden layers). OutDim is
-// the total width; it must be divisible by the head count.
-type MultiHeadGAT struct {
-	InDim, OutDim int
-	Heads         []*GATConv
-}
-
-// NewMultiHeadGAT builds heads GAT heads of width outDim/heads each over
-// the shared attention structure st.
-func NewMultiHeadGAT(rng *rand.Rand, inDim, outDim, heads int, st *graph.NormAdjacency) *MultiHeadGAT {
-	if heads < 1 || outDim%heads != 0 {
-		panic(fmt.Sprintf("nn: MultiHeadGAT outDim %d not divisible by heads %d", outDim, heads))
-	}
-	m := &MultiHeadGAT{InDim: inDim, OutDim: outDim}
-	for h := 0; h < heads; h++ {
-		m.Heads = append(m.Heads, NewGATConv(rng, inDim, outDim/heads, st))
-	}
-	return m
-}
-
-// Forward concatenates the head outputs.
-func (m *MultiHeadGAT) Forward(x *mat.Matrix, train bool) *mat.Matrix {
-	outs := make([]*mat.Matrix, len(m.Heads))
-	for h, head := range m.Heads {
-		outs[h] = head.Forward(x, train)
-	}
-	return mat.HConcat(outs...)
-}
-
-// Backward splits the output gradient per head and sums the input
-// gradients.
-func (m *MultiHeadGAT) Backward(dOut *mat.Matrix) *mat.Matrix {
-	width := m.OutDim / len(m.Heads)
-	var dx *mat.Matrix
-	for h, head := range m.Heads {
-		d := head.Backward(dOut.SliceCols(h*width, (h+1)*width))
-		if dx == nil {
-			dx = d
-		} else {
-			dx.AddInPlace(d)
-		}
-	}
-	return dx
-}
-
-// Params concatenates every head's parameters.
-func (m *MultiHeadGAT) Params() []Param {
-	var ps []Param
-	for _, head := range m.Heads {
-		ps = append(ps, head.Params()...)
-	}
-	return ps
-}
-
-// NumParams sums the heads.
-func (m *MultiHeadGAT) NumParams() int {
-	n := 0
-	for _, head := range m.Heads {
-		n += head.NumParams()
-	}
-	return n
-}

@@ -38,7 +38,7 @@ func TestSAGEConvIsolatedNodeUsesSelfOnly(t *testing.T) {
 	l := sageOver(rng, 2, 2, g)
 	x := mat.FromSlice(3, 2, []float64{1, 0, 0, 1, 2, 2})
 	out := l.Forward(x, false)
-	want := mat.MatMul(x.SliceRows(2, 3), l.WSelf).AddRowVector(l.B)
+	want := mat.MatMul(x.SelectRows([]int{2}), l.WSelf).AddRowVector(l.B)
 	for k := 0; k < 2; k++ {
 		if math.Abs(out.At(2, k)-want.At(0, k)) > 1e-12 {
 			t.Fatalf("isolated node output %v, want self-term only %v", out.Row(2), want.Row(0))
@@ -160,43 +160,5 @@ func TestSAGEGATTrainingConverges(t *testing.T) {
 		if last >= first/2 {
 			t.Errorf("%s: did not converge (%v → %v)", name, first, last)
 		}
-	}
-}
-
-func TestMultiHeadGATShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	g := graph.Random(12, 24, 20)
-	l := NewMultiHeadGAT(rng, 5, 8, 4, graph.SelfLoopAdjacency(g))
-	out := l.Forward(mat.RandNormal(rng, 12, 5, 0, 1), false)
-	if out.Rows != 12 || out.Cols != 8 {
-		t.Fatalf("shape = %s", out.Shape())
-	}
-	if l.NumParams() != 4*(5*2+3*2) {
-		t.Fatalf("NumParams = %d", l.NumParams())
-	}
-}
-
-func TestMultiHeadGATInvalidHeadsPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := graph.Random(5, 8, 21)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("outDim % heads != 0 did not panic")
-		}
-	}()
-	NewMultiHeadGAT(rng, 4, 7, 2, graph.SelfLoopAdjacency(g))
-}
-
-func TestGradCheckMultiHeadGAT(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	g := graph.Random(8, 16, 22)
-	m := NewModel(NewMultiHeadGAT(rng, 4, 6, 2, graph.SelfLoopAdjacency(g)), NewReLU(), NewGATConv(rng, 6, 2, graph.SelfLoopAdjacency(g)))
-	x := mat.RandNormal(rng, 8, 4, 0, 1)
-	labels := []int{0, 1, 0, 1, 0, 1, 0, 1}
-	lossFn := func(out *mat.Matrix) (float64, *mat.Matrix) {
-		return MaskedCrossEntropy(out, labels, []int{0, 1, 2, 3, 4})
-	}
-	if worst := GradCheck(m, x, lossFn, 0); worst > 1e-4 {
-		t.Fatalf("multi-head GAT gradient check failed: worst %v", worst)
 	}
 }

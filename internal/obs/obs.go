@@ -1,6 +1,6 @@
 // Package obs is the flight recorder behind every GNNVault serving
-// surface: a zero-alloc-on-hot-path telemetry core of atomic counters,
-// gauges and fixed-bucket log-scale histograms, plus a preallocated
+// surface: a zero-alloc-on-hot-path telemetry core of atomic counters
+// and fixed-bucket log-scale histograms, plus a preallocated
 // ring-buffer span recorder that captures where inside a query time and
 // bytes go (expand → induce → ECALL → per-op tiles → spill).
 //
@@ -30,26 +30,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value (queue depth, residency). The
-// zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // SpanKind names what a recorded span measures. Query kinds are trace
 // roots; the rest nest under them.

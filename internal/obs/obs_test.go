@@ -197,18 +197,13 @@ func TestWriteHistogramExposition(t *testing.T) {
 	}
 }
 
-// TestCounterGauge smoke-tests the scalar primitives.
+// TestCounterGauge smoke-tests the scalar primitive, the counter.
 func TestCounterGauge(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	if c.Load() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Load())
-	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Load() != 4 {
-		t.Fatalf("gauge = %d, want 4", g.Load())
 	}
 }

@@ -345,55 +345,14 @@ func (r *Registry) addLocked(e *entry) error {
 	return nil
 }
 
-// publishFleetLocked replaces the fleets map with a copy mapping id to sv,
-// or without id when sv is nil.
+// publishFleetLocked replaces the fleets map with a copy mapping id to sv.
 func (r *Registry) publishFleetLocked(id string, sv *core.ShardedVault) {
 	m := map[string]*core.ShardedVault{}
 	if old := r.fleets.Load(); old != nil {
 		maps.Copy(m, *old)
 	}
-	if sv != nil {
-		m[id] = sv
-	} else {
-		delete(m, id)
-	}
+	m[id] = sv
 	r.fleets.Store(&m)
-}
-
-// Remove releases the vault's cached workspaces (without counting them as
-// evictions — removal is administrative, not EPC pressure) and unregisters
-// it. The vault's persistent EPC stays charged; call core.Vault.Undeploy to
-// release that too. Remove fails while any of the vault's workspaces are
-// checked out.
-func (r *Registry) Remove(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.vaults[id]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownVault, id)
-	}
-	if inUse, _ := e.subCounts(); e.inUse > 0 || inUse > 0 {
-		return fmt.Errorf("registry: vault %q has %d workspaces in use", id, e.inUse+inUse)
-	}
-	r.releaseAllLocked(e) // administrative removal, not EPC pressure
-	delete(r.vaults, id)
-	if e.fleet != nil {
-		r.publishFleetLocked(id, nil)
-	}
-	r.cond.Broadcast() // freed EPC may admit a waiting Acquire
-	return nil
-}
-
-// IDs returns the registered vault IDs, sorted.
-func (r *Registry) IDs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]string, 0, len(r.vaults))
-	for id := range r.vaults {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Vault returns the registered vault for id, or nil (also for a fleet).

@@ -518,7 +518,9 @@ func TestRegistryUnservableRequestFails(t *testing.T) {
 	}
 }
 
-func TestRegistryRemoveAndUndeploy(t *testing.T) {
+// TestVaultUndeployFreesPersistentEPC: a served vault's Undeploy returns
+// exactly its persistent EPC, is idempotent, and leaves it unplannable.
+func TestVaultUndeployFreesPersistentEPC(t *testing.T) {
 	encl, reg, ids := newFleet(t, 2, 4, Config{})
 	defer reg.Close()
 	id := ids[0]
@@ -527,19 +529,8 @@ func TestRegistryRemoveAndUndeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Remove(id); err == nil {
-		t.Fatal("Remove succeeded with a workspace checked out")
-	}
 	reg.Release(id, ws)
-	if err := reg.Remove(id); err != nil {
-		t.Fatalf("Remove: %v", err)
-	}
-	if _, _, err := reg.Acquire(id); !errors.Is(err, ErrUnknownVault) {
-		t.Fatalf("acquire after remove: %v", err)
-	}
-	if st := reg.Stats(); st.Evictions != 0 {
-		t.Fatalf("administrative Remove counted %d evictions, want 0", st.Evictions)
-	}
+	reg.Close()
 	before := encl.EPCUsed()
 	v.Undeploy()
 	v.Undeploy() // idempotent

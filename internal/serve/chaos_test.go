@@ -57,30 +57,30 @@ func TestShardedBreakerTripAndRecover(t *testing.T) {
 		t.Fatalf("NewSharded: %v", err)
 	}
 	defer s.Close()
-	if _, err := s.Predict(ds.X); err != nil {
+	if _, err := s.Predict(shardedID, ds.X); err != nil {
 		t.Fatalf("baseline Predict: %v", err)
 	}
 
 	// Administrative outage (no breaker, no auto-recovery): healthy-shard
 	// node queries keep serving and count as degraded.
-	s.SetShardAvailable(2, false)
-	if _, err := s.PredictNodes([]int{0}); err != nil {
+	s.setShardAvailable(shardedID, 2, false)
+	if _, err := s.PredictNodes(shardedID, []int{0}); err != nil {
 		t.Fatalf("node query on healthy shard during outage: %v", err)
 	}
 	if got := s.Stats().Degraded; got == 0 {
 		t.Fatal("degraded counter did not count the outage-time answer")
 	}
-	if _, err := s.Predict(ds.X); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := s.Predict(shardedID, ds.X); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("full-graph during administrative outage: %v, want ErrShardUnavailable", err)
 	}
 	if st := s.ShardStats(); st.Restarts[2] != 0 {
 		t.Fatal("administrative outage must not trigger the recovery loop")
 	}
-	s.SetShardAvailable(2, true)
+	s.setShardAvailable(shardedID, 2, true)
 
 	// Chaos: shard 1's next ECALL aborts, losing the enclave for good.
 	fleet.Shard(1).Enclave.SetFaultPlan(&enclave.FaultPlan{AbortECalls: []int64{0}})
-	if _, err := s.Predict(ds.X); !errors.Is(err, enclave.ErrEnclaveLost) {
+	if _, err := s.Predict(shardedID, ds.X); !errors.Is(err, enclave.ErrEnclaveLost) {
 		t.Fatalf("faulted Predict: %v, want ErrEnclaveLost", err)
 	}
 	deadline := time.Now().Add(15 * time.Second)
@@ -94,7 +94,7 @@ func TestShardedBreakerTripAndRecover(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	got, err := s.Predict(ds.X)
+	got, err := s.Predict(shardedID, ds.X)
 	if err != nil {
 		t.Fatalf("post-recovery Predict: %v", err)
 	}
@@ -130,10 +130,10 @@ func TestShardedDeadline(t *testing.T) {
 		t.Fatalf("NewSharded: %v", err)
 	}
 	defer s.Close()
-	if _, err := s.Predict(ds.X); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.Predict(shardedID, ds.X); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Predict under 1ns deadline: %v, want DeadlineExceeded", err)
 	}
-	if _, err := s.PredictNodes([]int{0}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.PredictNodes(shardedID, []int{0}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("PredictNodes under 1ns deadline: %v, want DeadlineExceeded", err)
 	}
 	st := s.Stats()
@@ -177,12 +177,12 @@ func TestSetShardAvailableMidPass(t *testing.T) {
 				return
 			default:
 			}
-			s.SetShardAvailable(1, false)
-			s.SetShardAvailable(1, true)
+			s.setShardAvailable(shardedID, 1, false)
+			s.setShardAvailable(shardedID, 1, true)
 		}
 	}()
 	for i := 0; i < 40; i++ {
-		got, err := s.Predict(ds.X)
+		got, err := s.Predict(shardedID, ds.X)
 		if err != nil {
 			if !errors.Is(err, ErrShardUnavailable) {
 				close(stop)
@@ -199,7 +199,7 @@ func TestSetShardAvailableMidPass(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if _, err := s.Predict(ds.X); err != nil {
+	if _, err := s.Predict(shardedID, ds.X); err != nil {
 		t.Fatalf("Predict after the flipper settled: %v", err)
 	}
 }
@@ -244,13 +244,13 @@ func TestShardedHealthEndpoints(t *testing.T) {
 		t.Fatalf("/readyz healthy body = %s", body)
 	}
 
-	s.SetShardAvailable(1, false)
+	s.setShardAvailable(shardedID, 1, false)
 	check("/healthz", http.StatusOK, false)
 	body = check("/readyz", http.StatusServiceUnavailable, true)
 	if !strings.Contains(body, `"degraded"`) || !strings.Contains(body, `"available":[true,false,true]`) {
 		t.Fatalf("/readyz degraded body = %s", body)
 	}
-	s.SetShardAvailable(1, true)
+	s.setShardAvailable(shardedID, 1, true)
 	check("/readyz", http.StatusOK, false)
 }
 
@@ -373,7 +373,7 @@ func TestShardedChaosHammer(t *testing.T) {
 	// probe until the recovery loops settle.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		got, err := s.Predict(ds.X)
+		got, err := s.Predict(shardedID, ds.X)
 		if err == nil {
 			for i := range want {
 				if got[i] != want[i] {

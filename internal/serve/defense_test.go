@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gnnvault/internal/enclave"
+	"gnnvault/internal/mat"
 )
 
 // TestDefendedRowPreservesArgmax sweeps rounding digits × top-k over
@@ -185,7 +186,7 @@ func TestServerScoresSurface(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
-	scores, labels, err := s.PredictScores(oneVaultID, ds.X)
+	scores, labels, err := s.predictScores(oneVaultID, ds.X)
 	if err != nil {
 		t.Fatalf("PredictScores: %v", err)
 	}
@@ -203,10 +204,10 @@ func TestServerScoresSurface(t *testing.T) {
 
 	labelOnly := oneVault(t, v, nil, nil, Config{Workers: 1})
 	defer labelOnly.Close()
-	if _, _, err := labelOnly.PredictScores(oneVaultID, ds.X); !errors.Is(err, ErrScoresDisabled) {
+	if _, _, err := labelOnly.predictScores(oneVaultID, ds.X); !errors.Is(err, ErrScoresDisabled) {
 		t.Fatalf("label-only PredictScores: %v, want ErrScoresDisabled", err)
 	}
-	if _, _, err := labelOnly.PredictNodesScores(oneVaultID, []int{1}); !errors.Is(err, ErrScoresDisabled) {
+	if _, _, err := labelOnly.predictNodesScores(oneVaultID, []int{1}); !errors.Is(err, ErrScoresDisabled) {
 		t.Fatalf("label-only PredictNodesScores: %v, want ErrScoresDisabled", err)
 	}
 }
@@ -220,7 +221,7 @@ func TestServerNodeScoresSurface(t *testing.T) {
 
 	seeds := []int{3, 99, 280}
 	want := expectedNodeLabels(t, v, ds.X, seeds)
-	scores, labels, err := s.PredictNodesScores(oneVaultID, seeds)
+	scores, labels, err := s.predictNodesScores(oneVaultID, seeds)
 	if err != nil {
 		t.Fatalf("PredictNodesScores: %v", err)
 	}
@@ -242,4 +243,18 @@ func TestServerNodeScoresSurface(t *testing.T) {
 			t.Fatalf("plain label[%d] = %d, want %d", i, plain[i], want[i])
 		}
 	}
+}
+
+// predictScores is Predict answering with the defended per-class posterior
+// row and label for every input row. Fails with ErrScoresDisabled unless
+// the server was started with Config.ExposeScores.
+func (s *MultiServer) predictScores(vaultID string, x *mat.Matrix) ([][]float64, []int, error) {
+	return s.submit(vaultID, x, nil, false, true)
+}
+
+// predictNodesScores is PredictNodes for servers exposing scores: one
+// defended posterior row and label per requested node, served through the
+// same coalesced subgraph extractions.
+func (s *MultiServer) predictNodesScores(vaultID string, nodes []int) ([][]float64, []int, error) {
+	return s.submit(vaultID, nil, nodes, true, true)
 }

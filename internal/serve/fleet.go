@@ -9,13 +9,12 @@ import (
 
 	"gnnvault/internal/core"
 	"gnnvault/internal/enclave"
-	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
 	"gnnvault/internal/registry"
 )
 
 // ErrShardUnavailable is returned when a query's target shard enclave is
-// offline (SetShardAvailable or a tripped circuit breaker), or — for
+// offline (setShardAvailable or a tripped circuit breaker), or — for
 // full-graph queries — when any shard of the fleet is: the halo exchange
 // barriers need every enclave. It is deliberately distinct from both
 // enclave.ErrEPCExhausted (a capacity failure the registry answers with
@@ -122,7 +121,7 @@ func (s *MultiServer) fleet(id string) *fleet {
 	return f
 }
 
-// SetShardAvailable marks shard sh of the fleet registered under vaultID
+// setShardAvailable marks shard sh of the fleet registered under vaultID
 // as serving or offline. An offline shard fails node queries it owns —
 // and every full-graph query, since the fleet's halo barriers need all
 // shards — with ErrShardUnavailable. Taking a shard offline also aborts
@@ -131,7 +130,7 @@ func (s *MultiServer) fleet(id string) *fleet {
 // time from any goroutine; it does not touch the breaker, so an
 // administratively pulled shard is not "recovered" behind the operator's
 // back.
-func (s *MultiServer) SetShardAvailable(vaultID string, sh int, ok bool) error {
+func (s *MultiServer) setShardAvailable(vaultID string, sh int, ok bool) error {
 	f := s.fleet(vaultID)
 	if f == nil || sh < 0 || sh >= len(f.avail) {
 		return fmt.Errorf("serve: %q has no shard %d", vaultID, sh)
@@ -403,21 +402,6 @@ func warmFleet(reg *registry.Registry, sv *core.ShardedVault, cfg Config) error 
 		return fmt.Errorf("serve: planning the fleet's workspaces for %d workers: %w", cfg.Workers, err)
 	}
 	return nil
-}
-
-// SetShardAvailable is MultiServer.SetShardAvailable on the fleet.
-func (s *ShardedServer) SetShardAvailable(sh int, ok bool) {
-	s.MultiServer.SetShardAvailable(shardedID, sh, ok) //nolint:errcheck // sh is the caller's to keep in range
-}
-
-// Predict is MultiServer.Predict on the fleet.
-func (s *ShardedServer) Predict(x *mat.Matrix) ([]int, error) {
-	return s.MultiServer.Predict(shardedID, x)
-}
-
-// PredictNodes is MultiServer.PredictNodes on the fleet.
-func (s *ShardedServer) PredictNodes(nodes []int) ([]int, error) {
-	return s.MultiServer.PredictNodes(shardedID, nodes)
 }
 
 // ShardStats is MultiServer.ShardStats on the fleet. It stays because

@@ -181,13 +181,6 @@ func (s *MultiServer) Predict(vaultID string, x *mat.Matrix) ([]int, error) {
 	return labels, err
 }
 
-// PredictScores is Predict answering with the defended per-class posterior
-// row and label for every input row. Fails with ErrScoresDisabled unless
-// the server was started with Config.ExposeScores.
-func (s *MultiServer) PredictScores(vaultID string, x *mat.Matrix) ([][]float64, []int, error) {
-	return s.submit(vaultID, x, nil, false, true)
-}
-
 // PredictNodes enqueues one node-level query for the vault registered
 // under vaultID and blocks until a worker answers with one label per
 // requested node. The registry must be configured for node queries and
@@ -205,11 +198,4 @@ func (s *MultiServer) PredictScores(vaultID string, x *mat.Matrix) ([][]float64,
 func (s *MultiServer) PredictNodes(vaultID string, nodes []int) ([]int, error) {
 	_, labels, err := s.submit(vaultID, nil, nodes, true, false)
 	return labels, err
-}
-
-// PredictNodesScores is PredictNodes for servers exposing scores: one
-// defended posterior row and label per requested node, served through the
-// same coalesced subgraph extractions.
-func (s *MultiServer) PredictNodesScores(vaultID string, nodes []int) ([][]float64, []int, error) {
-	return s.submit(vaultID, nil, nodes, true, true)
 }

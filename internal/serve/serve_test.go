@@ -318,7 +318,9 @@ var schedulerBackends = []struct {
 		if err != nil {
 			t.Fatalf("NewSharded: %v", err)
 		}
-		st.predict, st.predictNodes, st.stats, st.close = s.Predict, s.PredictNodes, s.Stats, s.Close
+		st.predict = func(x *mat.Matrix) ([]int, error) { return s.Predict(shardedID, x) }
+		st.predictNodes = func(nodes []int) ([]int, error) { return s.PredictNodes(shardedID, nodes) }
+		st.stats, st.close = s.Stats, s.Close
 		return st
 	}},
 }

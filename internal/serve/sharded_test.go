@@ -83,7 +83,7 @@ func TestShardedServerMatchesSingleEnclave(t *testing.T) {
 	}
 	defer s.Close()
 
-	got, err := s.Predict(ds.X)
+	got, err := s.Predict(shardedID, ds.X)
 	if err != nil {
 		t.Fatalf("sharded Predict: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestShardedServerMatchesSingleEnclave(t *testing.T) {
 		if err != nil {
 			t.Fatalf("single PredictNodes(%v): %v", seeds, err)
 		}
-		gotN, err := s.PredictNodes(seeds)
+		gotN, err := s.PredictNodes(shardedID, seeds)
 		if err != nil {
 			t.Fatalf("sharded PredictNodes(%v): %v", seeds, err)
 		}
@@ -185,7 +185,7 @@ func TestNewShardedOversubscribedFails(t *testing.T) {
 		t.Fatalf("NewSharded with one worker: %v", err)
 	}
 	defer srv.Close()
-	if _, err := srv.Predict(ds.X); err != nil {
+	if _, err := srv.Predict(shardedID, ds.X); err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
 }
@@ -199,22 +199,22 @@ func TestShardedServerShardOutage(t *testing.T) {
 	}
 	defer s.Close()
 
-	s.SetShardAvailable(1, false)
-	if _, err := s.Predict(ds.X); !errors.Is(err, ErrShardUnavailable) {
+	s.setShardAvailable(shardedID, 1, false)
+	if _, err := s.Predict(shardedID, ds.X); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("full-graph Predict with shard 1 offline: err = %v, want ErrShardUnavailable", err)
 	}
 	// A node query owned by the offline shard fails; one owned by a
 	// serving shard still answers.
 	offSeed := fleet.Bounds()[1] // first row of shard 1
-	if _, err := s.PredictNodes([]int{offSeed}); !errors.Is(err, ErrShardUnavailable) {
+	if _, err := s.PredictNodes(shardedID, []int{offSeed}); !errors.Is(err, ErrShardUnavailable) {
 		t.Fatalf("PredictNodes on offline shard: err = %v, want ErrShardUnavailable", err)
 	}
-	if _, err := s.PredictNodes([]int{0}); err != nil {
+	if _, err := s.PredictNodes(shardedID, []int{0}); err != nil {
 		t.Fatalf("PredictNodes on serving shard: %v", err)
 	}
 
-	s.SetShardAvailable(1, true)
-	if _, err := s.Predict(ds.X); err != nil {
+	s.setShardAvailable(shardedID, 1, true)
+	if _, err := s.Predict(shardedID, ds.X); err != nil {
 		t.Fatalf("Predict after shard rejoin: %v", err)
 	}
 }
@@ -230,7 +230,7 @@ func TestFleetScoresMatchSingleVault(t *testing.T) {
 	cfg := Config{Workers: 1, ExposeScores: true, RoundDigits: 3, TopK: 2}
 	single := oneVault(t, ref, ds.X, nq, cfg)
 	defer single.Close()
-	wantRows, wantLabels, err := single.PredictScores(oneVaultID, ds.X)
+	wantRows, wantLabels, err := single.predictScores(oneVaultID, ds.X)
 	if err != nil {
 		t.Fatalf("single PredictScores: %v", err)
 	}
@@ -252,17 +252,17 @@ func TestFleetScoresMatchSingleVault(t *testing.T) {
 			}
 			s := NewMulti(reg, cfg)
 			defer s.Close()
-			rows, labels, err := s.PredictScores("f", ds.X)
+			rows, labels, err := s.predictScores("f", ds.X)
 			if err != nil {
 				t.Fatalf("fleet PredictScores: %v", err)
 			}
 			requireRows(t, "full-graph", rows, labels, wantRows, wantLabels)
 			for _, seeds := range seedSets {
-				want, wantL, err := single.PredictNodesScores(oneVaultID, seeds)
+				want, wantL, err := single.predictNodesScores(oneVaultID, seeds)
 				if err != nil {
 					t.Fatalf("single PredictNodesScores(%v): %v", seeds, err)
 				}
-				got, gotL, err := s.PredictNodesScores("f", seeds)
+				got, gotL, err := s.predictNodesScores("f", seeds)
 				if err != nil {
 					t.Fatalf("fleet PredictNodesScores(%v): %v", seeds, err)
 				}
@@ -375,7 +375,7 @@ func TestShardedFanoutHammer(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < perClient; r++ {
 				if c%2 == 0 {
-					got, err := s.Predict(ds.X)
+					got, err := s.Predict(shardedID, ds.X)
 					if errors.Is(err, ErrShardUnavailable) {
 						continue // the flipper got there first; admission refusals are expected
 					}
@@ -391,7 +391,7 @@ func TestShardedFanoutHammer(t *testing.T) {
 					}
 				} else {
 					seed := (c*perClient + r) * (n / (clients * perClient))
-					if _, err := s.PredictNodes([]int{seed}); err != nil && !errors.Is(err, ErrShardUnavailable) {
+					if _, err := s.PredictNodes(shardedID, []int{seed}); err != nil && !errors.Is(err, ErrShardUnavailable) {
 						errCh <- err
 						return
 					}
@@ -404,8 +404,8 @@ func TestShardedFanoutHammer(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
 			sh := i % fleet.Shards()
-			s.SetShardAvailable(sh, false)
-			s.SetShardAvailable(sh, true)
+			s.setShardAvailable(shardedID, sh, false)
+			s.setShardAvailable(shardedID, sh, true)
 		}
 	}()
 	wg.Wait()
@@ -485,7 +485,7 @@ func TestShardedAPISurface(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	s.SetShardAvailable(0, false)
+	s.setShardAvailable(shardedID, 0, false)
 	resp, err = http.Post(srv.URL+"/predict", "application/json",
 		strings.NewReader(`{"vault":"cora/parallel"}`))
 	if err != nil {
@@ -495,7 +495,7 @@ func TestShardedAPISurface(t *testing.T) {
 		t.Fatalf("predict with shard offline: status %d, want 503", resp.StatusCode)
 	}
 	resp.Body.Close()
-	s.SetShardAvailable(0, true)
+	s.setShardAvailable(shardedID, 0, true)
 
 	resp, err = http.Post(srv.URL+"/predict", "application/json", strings.NewReader(`{"vault":"cora/parallel"}`))
 	if err != nil || resp.StatusCode != http.StatusOK {

@@ -150,16 +150,6 @@ func (p Plan) NewWorkspace() *Workspace {
 	}
 }
 
-// Plan returns the sizing this workspace was built from.
-func (ws *Workspace) Plan() Plan { return ws.plan }
-
-// NumBytes returns the workspace's buffer footprint (stamps, relabeling,
-// node list, reservoir), for memory accounting.
-func (ws *Workspace) NumBytes() int64 {
-	return int64(len(ws.stamp))*4 +
-		int64(len(ws.local)+cap(ws.nodes)+cap(ws.hopEnd)+cap(ws.resv))*8
-}
-
 // Nodes returns the extracted global node IDs of the last Expand, seeds
 // first. The slice aliases workspace memory and is overwritten by the
 // next Expand.

@@ -36,21 +36,6 @@ const (
 	KindDNN Kind = "dnn"
 )
 
-// CosineSim returns the cosine similarity of two feature vectors, 0 when
-// either has zero norm.
-func CosineSim(a, b []float64) float64 {
-	dot, na, nb := 0.0, 0.0, 0.0
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
 // KNN connects each node to its k most similar nodes by cosine similarity
 // of the public features (ties broken by lower index). The result is
 // symmetrised, so degrees may exceed k.

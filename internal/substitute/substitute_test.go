@@ -1,7 +1,6 @@
 package substitute
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -24,21 +23,6 @@ func clusteredFeatures(rng *rand.Rand, n, d, classes int) (*mat.Matrix, []int) {
 		row[c%d] += 3
 	}
 	return x, labels
-}
-
-func TestCosineSim(t *testing.T) {
-	if got := CosineSim([]float64{1, 0}, []float64{1, 0}); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("identical vectors: %v", got)
-	}
-	if got := CosineSim([]float64{1, 0}, []float64{0, 1}); math.Abs(got) > 1e-12 {
-		t.Fatalf("orthogonal vectors: %v", got)
-	}
-	if got := CosineSim([]float64{1, 0}, []float64{-1, 0}); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("opposite vectors: %v", got)
-	}
-	if got := CosineSim([]float64{0, 0}, []float64{1, 1}); got != 0 {
-		t.Fatalf("zero vector: %v", got)
-	}
 }
 
 func TestKNNDegreesAtLeastK(t *testing.T) {
@@ -196,24 +180,6 @@ func TestPropKNNDeterministic(t *testing.T) {
 		return KNN(x, 2).Equal(KNN(x, 2))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropCosineSymmetricRange(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := make([]float64, 6)
-		b := make([]float64, 6)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-			b[i] = rng.NormFloat64()
-		}
-		s1 := CosineSim(a, b)
-		s2 := CosineSim(b, a)
-		return math.Abs(s1-s2) < 1e-12 && s1 >= -1-1e-12 && s1 <= 1+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
