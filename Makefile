@@ -87,7 +87,10 @@ chaos-smoke:
 # each Name:package: CI calls it twice, plain and as `make fuzz-smoke
 # TAGS=purego`, which runs the same passes on the portable kernels. A
 # -fuzz pattern that matches no target passes silently ("testing: warning:
-# no fuzz tests to fuzz", exit 0), so the target fails on that warning.
+# no fuzz tests to fuzz", exit 0), so the target fails on that warning;
+# and a fuzz target left off the list would never run, so before any pass
+# the target fails on a `func Fuzz…` in a _test.go file that is not listed
+# here with its package.
 FUZZTIME ?= 10s
 TAGS ?=
 FUZZ_TARGETS = \
@@ -106,6 +109,13 @@ FUZZ_TARGETS = \
 	FuzzAttackSurface:./internal/attack/ \
 	FuzzAPIRequest:./internal/serve/
 fuzz-smoke:
+	@missing=0; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' .); do \
+		pkg="./$$(dirname "$${f#./}")/"; \
+		for name in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$f"); do \
+			case " $(FUZZ_TARGETS) " in *" $$name:$$pkg "*) ;; \
+			*) echo "fuzz-smoke: $$name in $$pkg is missing from FUZZ_TARGETS"; missing=1;; esac; \
+		done; \
+	done; [ $$missing -eq 0 ]
 	@for t in $(FUZZ_TARGETS); do \
 		name="$${t%%:*}"; pkg="$${t#*:}"; \
 		out="$$($(GO) test -tags '$(TAGS)' -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) "$$pkg" 2>&1)"; status=$$?; \

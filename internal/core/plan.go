@@ -200,11 +200,9 @@ func (v *Vault) PlanWith(rows int, cfg PlanConfig) (*Workspace, error) {
 // part, or — part nil — one part over the vault's private operator. It
 // validates, compiles one rectifier program per part (with halo slots
 // only when the partition has halo columns), plans the backbone once,
-// calibrates a reduced tier once against the unsharded program and maps
-// its scales onto every part's value table, couples the part machines
-// into a fleet, holds a reduced fleet to the fp64 reference on the
-// calibration batch, and charges every part's enclave, rolling back on
-// failure.
+// admits a reduced tier on the registration's calibration (int8Scales) and
+// maps its scales onto every part's value table, couples the part machines
+// into a fleet, and charges every part's enclave, rolling back on failure.
 func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig) (*Workspace, error) {
 	bounds := []int{0, rows}
 	if part != nil {
@@ -248,10 +246,9 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 		progs[s] = v0.rectifier.compileRectifier(part.Rows(s), part.CSR[s], hs)
 	}
 
-	// Backbone first: reduced plans calibrate their scales and agreement
-	// against its fp64 embeddings before the enclave machines exist — once,
-	// against the unsharded reference program (the one part's own program
-	// when there is no partition), the scale grid every part must share.
+	// Backbone first: a reduced plan's calibration, if the registration has
+	// none yet, fills the store with its embeddings. The scales are the
+	// unsharded program's, the grid every part must share.
 	needed := v0.rectifier.RequiredEmbeddings()
 	bbMach, blocks, err := v0.Backbone.planBackbone(rows, v0.Backbone.adj, needed, exec.Config{Workers: cfg.Workers, Recorder: rec})
 	if err != nil {
@@ -259,14 +256,8 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 	}
 	own := selectEmbeddings(blocks, needed)
 	var baseScales [][]float64
-	var refLabels []int
-	reg := owner.reg()
 	if elem != exec.F64 {
-		ref := progs[0]
-		if part != nil {
-			ref = v0.rectifier.compileRectifier(rows, v0.op, nil)
-		}
-		if baseScales, refLabels, _, err = calibrateReduced(reg, ref, bbMach, own, cfg); err != nil {
+		if baseScales, err = int8Scales(v0, owner.reg(), bbMach, own, cfg); err != nil {
 			return nil, err
 		}
 	}
@@ -345,14 +336,6 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 		ws.ecalls[s] = func() error {
 			_, err := ws.fleet.RunShard(s, local, ws.partEmbs[s], ws.partLabels[s])
 			return err
-		}
-	}
-
-	// Admission gate for reduced tiers: the actual fleet (tiled or direct)
-	// must reproduce the fp64 reference labels on the calibration batch.
-	if elem != exec.F64 {
-		if err := ws.agree(reg, refLabels, cfg); err != nil {
-			return nil, err
 		}
 	}
 
@@ -447,48 +430,17 @@ func (ws *Workspace) Release() {
 	}
 }
 
-// bindParts rebinds every part's embedding views onto its rows of embs, a
-// round's full-height block embeddings in RequiredEmbeddings order, and
-// declares to every part machine whether they are reg's stored blocks
-// (registration.declareInputs: a part's rows of the store are as
-// immutable as the whole) — called every round, and zero-alloc: the view
-// headers are planned once.
-func (ws *Workspace) bindParts(embs []*mat.Matrix, reg *registration, reused bool) {
-	for s, views := range ws.partEmbs {
-		for k, m := range embs {
-			m.ViewRows(ws.bounds[s], ws.bounds[s+1], views[k])
-		}
-		reg.declareInputs(ws.fleet.Machine(s), reused)
-	}
-}
-
-// agree is the reduced tiers' plan-time admission gate: one unaccounted
-// fleet round over the backbone's embeddings of the registered features,
-// whose labels must reach cfg's agreement with the fp64 reference labels
-// ref. The part machines are left holding the store's boundary codes,
-// declared as such, so the first registered-features pass skips its
-// quantisation too.
-func (ws *Workspace) agree(reg *registration, ref []int, cfg PlanConfig) error {
-	embs, reused := reg.embeddings(reg.x, ws.bbMach, ws.bbIn, ws.own)
-	ws.bindParts(embs, reg, reused)
-	if err := ws.fanOut(context.Background(), false, 0); err != nil {
-		return fmt.Errorf("core: calibration fleet round: %w", err)
-	}
-	return agreementFloor(ws.labels, ref, cfg)
-}
-
 // fanOut runs one fleet round over the bound part inputs into the
 // workspace's labels. Part 0 runs on the calling goroutine and parts
 // 1…n−1 on one goroutine each — every part must reach the fleet barriers
 // for any to pass them. In a pass, each part is one ECALL on its part
 // vault's enclave carrying the part's payload, spill and halo in and
-// resultWidth bytes per row out; the plan-time agreement round runs the
-// bodies outside any enclave accounting. A watcher poisons the fleet with
+// resultWidth bytes per row out. A watcher poisons the fleet with
 // ctx's cause when ctx ends — started only for a ctx that can — and a part
 // whose ECALL fails at the enclave gate poisons it too, since its peers
 // would otherwise wait forever on a barrier it never reaches. Returns
 // firstFault.
-func (ws *Workspace) fanOut(ctx context.Context, pass bool, resultWidth int64) error {
+func (ws *Workspace) fanOut(ctx context.Context, resultWidth int64) error {
 	var quit chan struct{}
 	if done := ctx.Done(); done != nil {
 		quit = make(chan struct{})
@@ -497,9 +449,9 @@ func (ws *Workspace) fanOut(ctx context.Context, pass bool, resultWidth int64) e
 	}
 	ws.parts.Add(len(ws.errs))
 	for s := 1; s < len(ws.errs); s++ {
-		go ws.runPart(s, pass, resultWidth)
+		go ws.runPart(s, resultWidth)
 	}
-	ws.runPart(0, pass, resultWidth)
+	ws.runPart(0, resultWidth)
 	ws.parts.Wait()
 	if quit != nil {
 		close(quit)
@@ -522,14 +474,9 @@ func (ws *Workspace) watchCtx(ctx context.Context, quit chan struct{}) {
 }
 
 // runPart runs part s's share of a fanOut round and records its error.
-func (ws *Workspace) runPart(s int, pass bool, resultWidth int64) {
+func (ws *Workspace) runPart(s int, resultWidth int64) {
 	defer ws.parts.Done()
-	var err error
-	if pass {
-		err = ws.vaults[s].Enclave.Ecall(ws.payload[s]+ws.spill[s]+ws.halo[s], int64(len(ws.partLabels[s]))*resultWidth, ws.ecalls[s])
-	} else {
-		err = ws.ecalls[s]()
-	}
+	err := ws.vaults[s].Enclave.Ecall(ws.payload[s]+ws.spill[s]+ws.halo[s], int64(len(ws.partLabels[s]))*resultWidth, ws.ecalls[s])
 	if err != nil && !errors.Is(err, exec.ErrFleetAborted) {
 		ws.fleet.Abort(&ShardFault{Shard: s, Err: err})
 	}
@@ -681,13 +628,22 @@ func (ws *Workspace) predict(ctx context.Context, owner fleetOwner, x *mat.Matri
 	// modelled ECALL per part (untiled plans hold the buffers EPC-resident
 	// since plan time; tiled plans stream them, plus the tile flushes,
 	// through the boundary). By default only the labels cross back — 8
-	// bytes per node; a scores call pays for the logits too.
-	ws.bindParts(embs, reg, reused)
+	// bytes per node; a scores call pays for the logits too. Every part's
+	// view headers are rebound onto its rows of embs, zero-alloc, and its
+	// machine told whether they are reg's stored blocks
+	// (registration.declareInputs: a part's rows of the store are as
+	// immutable as the whole).
+	for s, views := range ws.partEmbs {
+		for k, m := range embs {
+			m.ViewRows(ws.bounds[s], ws.bounds[s+1], views[k])
+		}
+		reg.declareInputs(ws.fleet.Machine(s), reused)
+	}
 	resultWidth := int64(8)
 	if wantScores {
 		resultWidth += int64(ws.fleet.Machine(0).OutputWidth()) * 8
 	}
-	if err := ws.fanOut(ctx, true, resultWidth); err != nil {
+	if err := ws.fanOut(ctx, resultWidth); err != nil {
 		return nil, nil, bd, err
 	}
 	if recOn {

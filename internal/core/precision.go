@@ -16,7 +16,8 @@ import (
 // element width: int8 cuts every byte 8×, turning vaults inadmissible at
 // fp64 into residents. There are two tiers: fp64 is exact at any EPC
 // budget through tiling, int8 trades exactness for bytes. An int8 plan is
-// always gated by plan-time calibration against the fp64 reference: like
+// always gated by calibration against the fp64 reference, taken once per
+// registration (calibration, below): like
 // the DAC cost model's lookup-and-clamp precision tables, a requested
 // tier outside what the deployment supports (or below the accuracy
 // floor) is refused rather than silently degraded.
@@ -89,62 +90,87 @@ func (c PlanConfig) minAgreement() float64 {
 	return DefaultMinAgreement
 }
 
-// calibrateReduced derives an int8 plan's quantization state from the
-// registered features reg: it takes the full-graph fp64 backbone's block
-// embeddings of them from the public-half store — computing them first on
-// bbMach (whose stable needed-block views are own) if no pass has filled
-// it, so the first request after planning already hits — feeds them
-// through the fp64 reference of the rectifier program, and returns the
-// per-value per-column activation scales, the reference argmax labels,
-// and the store's blocks. With nothing registered it fails with
-// ErrCalibrationRequired: no plan is admitted unverified.
-func calibrateReduced(reg *registration, prog *exec.Program, bbMach *exec.Machine, own []*mat.Matrix, cfg PlanConfig) ([][]float64, []int, []*mat.Matrix, error) {
+// calibration is a registration's int8 calibration, taken by the first
+// int8 plan of any kind on it and read by every later one: the per-value
+// per-column activation scales of the unsharded rectifier program over the
+// vault's private operator (exec.CalibrateScales on the store's embeddings
+// of the registered features), and on how many nodes a direct int8 run
+// under those scales labels as the fp64 reference does. Its inputs — the
+// registered features, the rectifier and the private operator — are fixed
+// for as long as the registration lives, and int8 labels are bit-identical
+// across direct, tiled and sharded plans, so one figure admits or refuses
+// them all. It is enclave-side state: the scales never leave it, and a
+// refusal names only the precision and the floor, never the figure.
+type calibration struct {
+	scales [][]float64
+	agree  int
+}
+
+// int8Scales returns the int8 activation scales of reg's calibration,
+// taking it first if no plan has (calibrate), once the calibration's
+// agreement reaches cfg's floor. With nothing registered it fails with
+// ErrCalibrationRequired and below the floor with ErrCalibrationFailed: no
+// plan is admitted unverified. bbMach and own, a full-height backbone
+// machine and its stable views of the RequiredEmbeddings blocks, fill the
+// store if it is empty; nil plans one for that.
+func int8Scales(v *Vault, reg *registration, bbMach *exec.Machine, own []*mat.Matrix, cfg PlanConfig) ([][]float64, error) {
 	if reg == nil {
-		return nil, nil, nil, ErrCalibrationRequired
+		return nil, ErrCalibrationRequired
 	}
-	reg.embeddings(reg.x, bbMach, make([]*mat.Matrix, 1), own)
-	embs := *reg.embs.Load() // published by the pass above, if by none before it
-	scales, ref, err := exec.CalibrateScales(prog, reg.x.Rows, embs)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("core: calibrating %s plan: %w", cfg.Precision, err)
-	}
-	return scales, ref, embs, nil
-}
-
-// checkAgreement runs the int8 machine over reg's stored embeddings embs
-// and compares its argmax labels against the fp64 reference, failing with
-// ErrCalibrationFailed below the configured floor. The machine's buffers
-// are scratched, except that its boundary buffers are left holding the
-// store's codes, declared as such — so the first registered-features
-// request on a plan machine skips its boundary quantisation too;
-// plan-time only.
-func checkAgreement(mach *exec.Machine, reg *registration, embs []*mat.Matrix, ref []int, cfg PlanConfig) error {
-	labels := make([]int, reg.x.Rows)
-	reg.declareInputs(mach, true)
-	mach.Run(len(labels), embs, labels)
-	return agreementFloor(labels, ref, cfg)
-}
-
-// agreementFloor compares int8 argmax labels against the
-// fp64 reference and enforces the configured floor. Shared by the
-// subgraph planner's single-machine gate above and the full-graph fleet's
-// round (Workspace.agree), which runs every part concurrently. The
-// agreement is measured over the private operator, so a refusal names
-// only the precision and the floor, both public configuration, and never
-// the figure.
-func agreementFloor(labels, ref []int, cfg PlanConfig) error {
-	agree := 0
-	for i, l := range labels {
-		if l == ref[i] {
-			agree++
+	c := reg.calib.Load()
+	if c == nil {
+		fresh, err := calibrate(v, reg, bbMach, own)
+		if err != nil {
+			return nil, fmt.Errorf("core: calibrating %s plan: %w", cfg.Precision, err)
 		}
+		reg.calib.CompareAndSwap(nil, fresh)
+		c = reg.calib.Load()
 	}
 	frac := 1.0
-	if len(labels) > 0 {
-		frac = float64(agree) / float64(len(labels))
+	if n := reg.x.Rows; n > 0 {
+		frac = float64(c.agree) / float64(n)
 	}
 	if floor := cfg.minAgreement(); frac < floor {
-		return fmt.Errorf("%w: %s plan under the agreement floor %.4f", ErrCalibrationFailed, cfg.Precision, floor)
+		return nil, fmt.Errorf("%w: %s plan under the agreement floor %.4f", ErrCalibrationFailed, cfg.Precision, floor)
 	}
-	return nil
+	return c.scales, nil
+}
+
+// calibrate takes reg's calibration on v: the store's embeddings of the
+// registered features (computed on bbMach, or on a backbone planned here,
+// if no pass has published them, so the first request after planning
+// already hits), the fp64 reference of the unsharded rectifier program
+// over them, and one direct int8 run under the derived scales.
+func calibrate(v *Vault, reg *registration, bbMach *exec.Machine, own []*mat.Matrix) (*calibration, error) {
+	n := reg.x.Rows
+	if reg.embs.Load() == nil {
+		if bbMach == nil {
+			needed := v.rectifier.RequiredEmbeddings()
+			bb, blocks, err := v.Backbone.planBackbone(n, v.Backbone.adj, needed, exec.Config{})
+			if err != nil {
+				return nil, err
+			}
+			bbMach, own = bb, selectEmbeddings(blocks, needed)
+		}
+		reg.embeddings(reg.x, bbMach, make([]*mat.Matrix, 1), own)
+	}
+	embs := *reg.embs.Load() // published by the pass above, if by none before it
+	prog := v.rectifier.compileRectifier(n, v.op, nil)
+	scales, ref, err := exec.CalibrateScales(prog, n, embs)
+	if err != nil {
+		return nil, err
+	}
+	m, err := prog.NewMachine(exec.Config{Workers: 1, Elem: exec.I8, Scales: scales})
+	if err != nil {
+		return nil, err
+	}
+	labels := make([]int, n)
+	m.Run(n, embs, labels)
+	c := &calibration{scales: scales}
+	for i, l := range labels {
+		if l == ref[i] {
+			c.agree++
+		}
+	}
+	return c, nil
 }

@@ -82,9 +82,10 @@ type ShardedVault struct {
 
 	// features is the fleet's one SetCalibrationFeatures registration and
 	// public-half store (store.go), read by the fleet's plans and passes.
-	// Every shard vault points at the same record — per-shard subgraph
-	// planners calibrate against it — and it lives here, not on a shard,
-	// so replacing a shard's vault (RecoverShard) cannot drop it.
+	// Every shard vault points at the same record — the fleet's plans and
+	// per-shard subgraph plans share its one int8 calibration — and it
+	// lives here, not on a shard, so replacing a shard's vault
+	// (RecoverShard) cannot drop it.
 	features atomic.Pointer[registration]
 }
 
@@ -189,9 +190,9 @@ type ShardedWorkspace = Workspace
 // fleet planner with one part per shard. Every PlanConfig knob keeps its
 // PlanWith meaning, applied per shard: an EPCBudgetBytes is each *shard's*
 // budget — tiles derive from the shard's own row count — and reduced
-// precisions calibrate once against the unsharded fp64 reference, so every
-// shard quantizes on the same grid and the fleet's labels stay
-// bit-identical to the single-enclave plan's.
+// precisions take the registration's scales, calibrated once against the
+// unsharded fp64 reference, so every shard quantizes on the same grid and
+// the fleet's labels stay bit-identical to the single-enclave plan's.
 func (sv *ShardedVault) PlanSharded(rows int, cfg PlanConfig) (*Workspace, error) {
 	return planFull(sv, sv.partition, rows, cfg)
 }
@@ -226,13 +227,13 @@ func (sv *ShardedVault) PredictInto(x *mat.Matrix, ws *Workspace) ([]int, Infere
 // RecoverShard replaces shard s's lost enclave with a freshly provisioned
 // one: the shard's CSR slab and the rectifier parameters are re-sealed into
 // a new enclave (same cost model and measurement as the original deploy),
-// the fleet's feature registration — with whatever its store already holds
-// — is carried onto it, and the vault pointer is swapped atomically. It
-// only re-provisions: every workspace planned before — full-graph or a
+// the fleet's feature registration — with whatever its store and
+// calibration already hold — is carried onto it, and the vault pointer is
+// swapped atomically. It only re-provisions: every workspace planned before — full-graph or a
 // shard's subgraph plan — stays bound to the vaults it was planned against
 // and refuses passes once one of them is undeployed, so the caller
 // releases those workspaces (Release frees their EPC where it was charged)
-// and plans fresh ones, which calibrate and prove agreement like any plan.
+// and plans fresh ones, admitted on the carried calibration like any plan.
 // On an error the shard stays dead and the call can simply be retried.
 func (sv *ShardedVault) RecoverShard(s int) error {
 	if s < 0 || s >= len(sv.vaults) {

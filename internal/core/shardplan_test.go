@@ -50,6 +50,7 @@ func TestShardedPredictBitIdentical(t *testing.T) {
 		{"fp64", PlanConfig{}},
 		{"fp64-tiled", PlanConfig{EPCBudgetBytes: 1 << 20}},
 		{"int8", PlanConfig{Precision: PrecisionInt8, MinAgreement: 0.5}},
+		{"int8-tiled", PlanConfig{Precision: PrecisionInt8, MinAgreement: 0.5, TileRows: 97}},
 	}
 	for _, tc := range cfgs {
 		tc := tc

@@ -122,9 +122,6 @@ type TrainConfig struct {
 	LR          float64
 	WeightDecay float64
 	Seed        int64
-	// Quiet suppresses per-epoch logging (always quiet in this build;
-	// kept for CLI verbosity control).
-	Quiet bool
 }
 
 // DefaultTrainConfig is the full-batch Adam recipe used by all experiments.

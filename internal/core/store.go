@@ -18,11 +18,12 @@ import (
 // backbone. DESIGN.md ("Public-half store") has the argument in full.
 
 // registration is one SetCalibrationFeatures call: the registered matrix
-// and a set-once slot for the backbone's embeddings of it. Its identity is
-// the feature epoch — a pass loads the current registration once, at entry,
-// and reads and publishes only through that pointer, so a pass straddling a
-// re-registration can at worst fill a record nobody loads any more. There
-// is no counter and no lock to get wrong.
+// and two set-once slots, for the backbone's embeddings of it and for its
+// int8 calibration. Its identity is the feature epoch — a pass loads the
+// current registration once, at entry, and reads and publishes only
+// through that pointer, so a pass straddling a re-registration can at
+// worst fill a record nobody loads any more. There is no counter and no
+// lock to get wrong.
 type registration struct {
 	x *mat.Matrix
 	// embs holds the RequiredEmbeddings blocks of x in that order, in
@@ -30,6 +31,10 @@ type registration struct {
 	// over x publishes; immutable afterwards — machines only read their
 	// inputs.
 	embs atomic.Pointer[[]*mat.Matrix]
+	// calib holds x's int8 calibration (precision.go). Nil until the first
+	// int8 plan on the registration fills it, in the same CompareAndSwap
+	// style; immutable afterwards.
+	calib atomic.Pointer[calibration]
 }
 
 // newRegistration validates x against a deployment of n nodes and dim
@@ -98,22 +103,24 @@ func (r *registration) declareInputs(m *exec.Machine, reused bool) {
 // SetCalibrationFeatures registers the deployed graph's public feature
 // matrix. The registered features are two things at once:
 //
-//   - the calibration batch: every int8 planner runs the fp64 reference on
-//     them, derives its activation scales, and refuses a plan whose argmax
-//     agreement falls below the floor;
+//   - the calibration batch: the first int8 plan on the registration, of
+//     any kind, runs the fp64 reference on them once, derives the
+//     activation scales and the argmax agreement every later int8 plan
+//     reads, and each plan is refused if that agreement falls below its
+//     floor;
 //   - the memo key of the public-half store: a full-graph pass whose input
 //     *is* this matrix (pointer identity) reuses the backbone embeddings
 //     the first such pass computed, and skips the backbone.
 //
 // The matrix is shared, not copied — serving code passes the same features
 // it predicts with — and must not be modified while registered. Each call
-// starts a fresh, empty store, so publishing a feature update, in place or
-// as a new matrix, is calling SetCalibrationFeatures again (edit in place
-// without re-registering and registered-features passes keep answering for
-// the old contents). Int8 plans made earlier keep the scales they were
-// calibrated with. A nil x clears the registration and frees the store:
-// int8 plans then fail with ErrCalibrationRequired and every pass runs its
-// backbone.
+// starts a fresh, empty store and calibration, so publishing a feature
+// update, in place or as a new matrix, is calling SetCalibrationFeatures
+// again (edit in place without re-registering and registered-features
+// passes keep answering for the old contents). Int8 plans made earlier
+// keep the scales they were made with. A nil x clears the registration
+// and frees the store: int8 plans then fail with ErrCalibrationRequired
+// and every pass runs its backbone.
 func (v *Vault) SetCalibrationFeatures(x *mat.Matrix) error {
 	reg, err := newRegistration(x, v.op.N, v.Backbone.FeatureDim)
 	if err != nil {

@@ -119,16 +119,14 @@ func (v *Vault) PlanSubgraph(maxSeeds int, cfg subgraph.Config) (*SubgraphWorksp
 }
 
 // PlanSubgraphWith is PlanSubgraph under a plan configuration: only the
-// Precision, MinAgreement and Workers fields apply (subgraph rectifier
+// Precision, MinAgreement and Recorder fields apply (subgraph rectifier
 // execution is direct, never tiled — the induced batch is already small).
-// A reduced-precision subgraph plan calibrates against the *full* graph:
-// the fp64 reference backbone and rectifier run once over the registered
-// calibration features, the derived scales carry over to the per-query
-// machine (both machines compile from the same lowering, so their value
-// tables — and hence scale indices — align), and a full-graph reduced
-// check machine must meet the agreement floor before the plan is
-// admitted. Like PlanWith, int8 without registered calibration features
-// fails with ErrCalibrationRequired.
+// A reduced-precision subgraph plan is admitted on the registration's
+// full-graph calibration, the one every int8 plan of the vault shares
+// (int8Scales), and hands its scales to the per-query machine: both
+// compile from the same lowering, so their value tables — and hence scale
+// indices — align. Like PlanWith, int8 without registered calibration
+// features fails with ErrCalibrationRequired.
 func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanConfig) (*SubgraphWorkspace, error) {
 	if v.undeployed.Load() {
 		return nil, fmt.Errorf("core: subgraph plan on undeployed vault")
@@ -161,26 +159,8 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 	}
 	rectCfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec}
 	if elem != exec.F64 {
-		// Calibrate against the full graph: the per-query sub-CSR is not
-		// known at plan time, but the sub program compiles from the same
-		// lowering as the full-graph one, so scales derived here index the
-		// same values the per-query machine computes.
-		fullProg := v.rectifier.compileRectifier(n, v.op, nil)
-		fullBB, fullBlocks, err := v.Backbone.planBackbone(n, v.Backbone.adj, needed, exec.Config{Workers: pcfg.Workers})
-		if err != nil {
-			return nil, fmt.Errorf("core: compiling calibration backbone: %w", err)
-		}
-		reg := v.features.Load()
-		scales, ref, embs, err := calibrateReduced(reg, fullProg, fullBB, selectEmbeddings(fullBlocks, needed), pcfg)
-		if err != nil {
-			return nil, err
-		}
-		rectCfg.Scales = scales
-		check, err := fullProg.NewMachine(exec.Config{Workers: 1, Elem: elem, Scales: scales})
-		if err != nil {
-			return nil, fmt.Errorf("core: compiling calibration check machine: %w", err)
-		}
-		if err := checkAgreement(check, reg, embs, ref, pcfg); err != nil {
+		var err error
+		if rectCfg.Scales, err = int8Scales(v, v.features.Load(), nil, nil, pcfg); err != nil {
 			return nil, err
 		}
 	}

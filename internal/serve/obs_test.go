@@ -409,8 +409,9 @@ func TestMetricsTraceRaceHammer(t *testing.T) {
 // TestDebugTraceShowsQuantise: an int8 plan's boundary quantisation is a
 // line of its own in /debug/trace — one "quantise" op span under every
 // ECALL, beside the rectifier's ops — and reads 0 rows on the passes over
-// the registered features, whose codes the plan's calibration pass left
-// in the machine (the same convention as "backbone (reused)").
+// the registered features whose codes an earlier pass left in the machine
+// (the same convention as "backbone (reused)"). Planning runs no pass, so
+// the workspace's first one quantises every row.
 func TestDebugTraceShowsQuantise(t *testing.T) {
 	ring := obs.NewRing(4096)
 	ds, _, reg, _ := multiFleet(t, 4, registry.Config{
@@ -430,7 +431,7 @@ func TestDebugTraceShowsQuantise(t *testing.T) {
 	})
 	ts := httptest.NewServer(api.Handler())
 	defer ts.Close()
-	const passes = 2
+	const passes = 3
 	for i := 0; i < passes; i++ {
 		if _, err := api.Predict("c1", "parallel", nil); err != nil {
 			t.Fatalf("Predict: %v", err)
@@ -445,7 +446,7 @@ func TestDebugTraceShowsQuantise(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatalf("decoding trace response: %v", err)
 	}
-	queries := 0
+	queries, quantised := 0, 0
 	for _, tr := range resp.Traces {
 		if tr.Root.Kind != "query" {
 			continue
@@ -468,11 +469,18 @@ func TestDebugTraceShowsQuantise(t *testing.T) {
 		if len(quantise) != 1 || ops == 0 {
 			t.Fatalf("ECALL shows %d quantise spans beside %d ops, want 1 beside the rectifier's", len(quantise), ops)
 		}
-		if quantise[0].Rows != 0 {
-			t.Errorf("registered-features pass quantised %d rows, want 0 (the store's codes were in place)", quantise[0].Rows)
+		switch quantise[0].Rows {
+		case 0:
+		case int32(ds.Graph.N()):
+			quantised++
+		default:
+			t.Errorf("registered-features pass quantised %d rows, want 0 or all %d", quantise[0].Rows, ds.Graph.N())
 		}
 	}
 	if queries != passes {
 		t.Fatalf("%d query traces, want %d", queries, passes)
+	}
+	if quantised != 1 {
+		t.Errorf("%d of %d passes quantised, want only the workspace's first (the store's codes were in place after it)", quantised, passes)
 	}
 }
