@@ -19,10 +19,13 @@ import (
 // Every conv kind lowers onto the op vocabulary — there is no opaque op —
 // so every program tiles, quantises and declares the memory its ops
 // touch: BufferBytes counts a machine's value slots (values share them by
-// liveness) and TileBytes its staging tile, each with the attention
-// scratch row. Neither counts inputs, which are the caller's, nor an int8
-// machine's boundary codes and dequantised output; a plan charges those
-// as payload.
+// liveness) and TileBytes its staging tile and chaining band, each with
+// the attention scratch row. Neither counts inputs, which are the
+// caller's, nor an int8 machine's boundary codes and dequantised output.
+// A plan prices the input codes as payload: every plan bills them as
+// ECALL transfer, only a direct plan also charges them to the EPC (a
+// tiled one streams them), and the dequantised output is charged nowhere
+// (ROADMAP item 11).
 //
 // Every program leaves the compilers epilogue-fused (exec.Program.Fused):
 // the bias/ReLU tails of each conv collapse into the producing product op

@@ -266,7 +266,7 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 	for s := range machines {
 		mcfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec} // in-enclave: the ECALL's one thread
 		if cfg.tiled() {
-			mcfg.TileRows = deriveTileRows(cfg, progs[s].MaxWidth(), bounds[s+1]-bounds[s], cfg.Precision.ElemBytes())
+			mcfg.TileRows = deriveTileRows(cfg, progs[s], bounds[s+1]-bounds[s], elem)
 		}
 		if elem != exec.F64 {
 			// Halo values copy their source's grid.
@@ -316,16 +316,21 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 			ws.partEmbs[s][k] = &mat.Matrix{}
 		}
 		ws.partLabels[s] = ws.labels[lo:hi:hi]
+		// The payload is the input embeddings at the plan's element width
+		// (at int8, the boundary codes): every plan bills it as ECALL
+		// transfer, and a direct plan also charges it to the EPC. The
+		// dequantised int8 output is charged nowhere (ROADMAP item 11).
 		for _, i := range needed {
 			ws.payload[s] += int64(v0.Backbone.BlockDims[i]) * int64(local) * cfg.Precision.ElemBytes()
 		}
 		m := machines[s]
 		ws.halo[s] = m.HaloBytes()
 		if m.TileRows() > 0 {
-			// Tiled: only the staging tile and the attention scratch row
-			// are enclave-resident; activations and embeddings — including
-			// halo extension rows — stream through sealed spill buffers.
-			// The per-call flush traffic is charged as boundary transfer.
+			// Tiled: only the staging tile, the attention scratch row and
+			// the chaining band are enclave-resident; activations and
+			// embeddings — including halo extension rows — stream through
+			// sealed spill buffers, so the payload is transfer only. The
+			// per-call flush traffic is charged as boundary transfer.
 			ws.epc[s] = m.TileBytes()
 			ws.spill[s] = m.SpillTraffic(local)
 		} else {
@@ -358,18 +363,21 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 const cacheTileBytes = 2 << 20
 
 // deriveTileRows maps a plan config to a tile height: an explicit TileRows
-// wins; otherwise the EPC budget buys budget/(elemBytes·maxWidth) rows of
-// the widest program value, so a narrower element type buys
+// wins; otherwise the EPC budget buys the tallest tile whose machine's
+// TileBytes — the staging tile of the widest live program value plus the
+// attention row and the chaining band scratch — fits it
+// (exec.Program.TileRowsWithin), so a narrower element type buys
 // proportionally taller tiles (int8 tiles hold 8× the rows of fp64 ones
 // for the same budget). Budget-derived heights are additionally capped at
 // a cache-resident staging size (taller tiles are measurably slower, not
 // just pointless), and the result is clamped to [1, rows] — a budget too
 // small for even one row still plans, charging its actual (minimal) tile.
-func deriveTileRows(cfg PlanConfig, maxWidth, rows int, elemBytes int64) int {
+func deriveTileRows(cfg PlanConfig, prog *exec.Program, rows int, elem exec.Elem) int {
 	t := cfg.TileRows
 	if t <= 0 {
-		t = int(cfg.EPCBudgetBytes / (elemBytes * int64(maxWidth)))
-		if lim := int(cacheTileBytes / (elemBytes * int64(maxWidth))); t > lim {
+		t = prog.TileRowsWithin(cfg.EPCBudgetBytes, elem)
+		elemBytes := int64(elem.Size())
+		if lim := int(cacheTileBytes / (elemBytes * int64(prog.MaxWidth()))); t > lim {
 			t = lim
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // largest free one; only when no slot is free does it open a new one.
 // Slot sizes are final after the sweep, and the slots are allocated then.
 //
-// Three kinds of value break the rule:
+// Four kinds of value break the rule:
 //   - Inputs are never pooled: they alias the caller's matrices (an int8
 //     machine's boundary codes persist on their own for SetInputEpoch).
 //   - Kept values (Builder.Keep) and the output are pinned: their slots
@@ -30,13 +30,16 @@ import (
 //     pool. A hosted producer writes the destination before the halo op
 //     runs, and peers copy from these buffers after this shard has moved
 //     on to later ops.
+//   - Chained values (fuse.go) get no slot: a tiled machine hands them to
+//     their MatMul band by band through its band scratch.
 //
 // Every other value's storage is reused once its last reader has run, so
 // after Run it holds whatever came later: Machine.Value refuses it.
 
 // bufferPlan is the planner's answer: per value the slot that holds it
-// (-1 for inputs and dead values; a value hosted in a halo destination's
-// buffer names its host's), and per slot its size in elements.
+// (-1 for inputs, dead and chained values; a value hosted in a halo
+// destination's buffer names its host's), and per slot its size in
+// elements.
 type bufferPlan struct {
 	slot  []int
 	sizes []int
@@ -95,12 +98,18 @@ func (p *Program) planBuffers(host []int) bufferPlan {
 			continue
 		}
 		v := owner(p.ops[i].Dst)
-		if dedicated[v] || bp.slot[v] >= 0 {
+		if dedicated[v] || bp.slot[v] >= 0 || p.vals[v].chained {
 			continue
+		}
+		// A chained MatMul (fuse.go) writes its destination while its
+		// producer, op i-1, still reads: the slot must be free there.
+		at := i
+		if i > 0 && p.chains(i-1) {
+			at = i - 1
 		}
 		need, best, largest := p.elems(v), -1, -1
 		for k, size := range bp.sizes {
-			if busy[k] >= i {
+			if busy[k] >= at {
 				continue
 			}
 			if size >= need && (best < 0 || size < bp.sizes[best]) {
@@ -141,7 +150,8 @@ func (p *Program) planBuffers(host []int) bufferPlan {
 // allocSlots allocates the plan's slots at element type T and returns,
 // per value, the elements it owns — the first of its slot, which for a
 // value hosted in a halo destination are the host's first MaxRows rows —
-// once checkStorage has proved them; nil for inputs and dead values.
+// once checkStorage has proved them; nil for inputs, dead and chained
+// values.
 func allocSlots[T any](p *Program, bp bufferPlan, host []int) ([][]T, error) {
 	slots := make([][]T, len(bp.sizes))
 	for k, n := range bp.sizes {
@@ -183,10 +193,17 @@ func (p *Program) checkStorage(host []int, storage func(v int) (base, n uintptr)
 	}
 	for i := len(p.ops) - 1; i >= 0; i-- {
 		op := &p.ops[i]
+		// d is the value op i writes to memory: a chained value has none,
+		// and the MatMul it chains writes its destination while op i still
+		// reads its operands (fuse.go).
+		d := op.Dst
+		if p.chains(i) {
+			d = p.ops[i+1].Dst
+		}
 		if op.Dst >= 0 {
 			for v, l := range live {
-				if l && overlap(op.Dst, v) {
-					return fmt.Errorf("exec: buffer plan puts op %d's %s destination %d over value %d, live across it", i, op.Kind, op.Dst, v)
+				if l && overlap(d, v) {
+					return fmt.Errorf("exec: buffer plan puts op %d's %s destination %d over value %d, live across it", i, op.Kind, d, v)
 				}
 			}
 			if op.Kind != OpAddBias { // in place: it reads what it writes
@@ -194,14 +211,14 @@ func (p *Program) checkStorage(host []int, storage func(v int) (base, n uintptr)
 			}
 		}
 		for _, s := range op.Srcs {
-			if op.Dst >= 0 && overlap(op.Dst, s) {
-				return fmt.Errorf("exec: buffer plan puts op %d's %s destination %d over its source %d", i, op.Kind, op.Dst, s)
+			if d >= 0 && overlap(d, s) {
+				return fmt.Errorf("exec: buffer plan puts op %d's %s destination %d over its source %d", i, op.Kind, d, s)
 			}
 			live[s] = true
 		}
 		if r := op.Epi.Res; r >= 0 {
-			if overlap(op.Dst, r) {
-				return fmt.Errorf("exec: buffer plan puts op %d's %s destination %d over its residual %d", i, op.Kind, op.Dst, r)
+			if overlap(d, r) {
+				return fmt.Errorf("exec: buffer plan puts op %d's %s destination %d over its residual %d", i, op.Kind, d, r)
 			}
 			live[r] = true
 		}

@@ -29,7 +29,10 @@
 // admissible: it folds bias/residual/ReLU chains into their producing
 // product op as an Epilogue and erases the fused-away intermediates, so a
 // GCN layer flushes one tile instead of three and the dead values cost no
-// spill buffers at all.
+// spill buffers at all. A tiled machine also chains a product into the
+// MatMul right after it when that MatMul is its only reader (fuse.go): the
+// pair runs band by band inside the enclave and only the MatMul's output
+// is flushed.
 //
 // There is one interpreter. Machine.Run is the only op loop — validate,
 // bind, fleet entry barrier, then per op a halo gather, the single span
@@ -154,6 +157,10 @@ type value struct {
 	// dead marks a value orphaned by fusion: no surviving op touches it,
 	// machines allocate no buffer for it.
 	dead bool
+	// chained marks, in a tiled machine's program, a value its producer
+	// hands to the next op, a MatMul, band by band (Program.chained): it
+	// keeps its scales but has no buffer.
+	chained bool
 	// extra is the halo row count of an OpHalo destination: its buffer
 	// holds MaxRows local rows plus extra gathered peer rows, and views
 	// bind rows+extra high so the shard's rectangular SpMM can consume
@@ -177,6 +184,9 @@ type Program struct {
 	hasHalo   bool
 	maxWidth  int
 	maxArity  int
+	// chainWidth is the widest chained value, 0 when none is (the
+	// unchained programs of builders, Fused and direct machines).
+	chainWidth int
 }
 
 // haloHosts returns, per value, the halo destination that hosts it — the
@@ -456,7 +466,7 @@ type Machine struct {
 
 	// F64 state. An I8 machine keeps its values in q instead and binds only
 	// the output's entry of views, to the dequantized result.
-	spill []*mat.Matrix // per value, over its slot; nil for inputs and dead values
+	spill []*mat.Matrix // per value, over its slot; nil for inputs, dead and chained values
 	// host is, per value, the halo destination whose buffer's first
 	// MaxRows rows are the value's own buffer, or -1 (haloHosts): a
 	// gathered value's producer writes the local rows of the
@@ -511,6 +521,14 @@ type scratchF64 struct {
 	dstTile  mat.Matrix    // rows [lo, hi) of the destination value
 	resTile  mat.Matrix    // rows [lo, hi) of the fused residual
 	alpha    []float64     // attention coefficients of the row in hand
+
+	// Chaining (fuse.go): the band scratch, its header, the chained
+	// MatMul's one-source argument list over it, and the band's rows of
+	// the staging tile.
+	band    []float64
+	bandMat mat.Matrix
+	bandSrc [1]*mat.Matrix
+	bandOut mat.Matrix
 }
 
 // NewMachine plans a machine for the program: the buffer plan assigns
@@ -525,6 +543,9 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 	}
 	if cfg.Elem > I8 {
 		return nil, fmt.Errorf("exec: unknown element type %d", cfg.Elem)
+	}
+	if cfg.TileRows > 0 {
+		p = p.chained()
 	}
 	m := &Machine{
 		prog:    p,
@@ -566,6 +587,7 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 		srcTiles: make([]mat.Matrix, p.maxArity),
 		srcPtrs:  make([]*mat.Matrix, p.maxArity),
 		alpha:    make([]float64, m.attnRow),
+		band:     make([]float64, min(chainBand, cfg.TileRows)*p.chainWidth),
 	}
 	return m, nil
 }
@@ -574,10 +596,11 @@ func (p *Program) NewMachine(cfg Config) (*Machine, error) {
 func (m *Machine) TileRows() int { return m.cfg.TileRows }
 
 // TileBytes returns the staging-buffer footprint — one tile at the
-// machine's element width, plus the attention scratch row — the only
-// working memory a tiled run keeps enclave-resident.
+// machine's element width, plus the attention scratch row and the chaining
+// band scratch — the only working memory a tiled run keeps
+// enclave-resident (Program.TileRowsWithin inverts it).
 func (m *Machine) TileBytes() int64 {
-	n := int64(m.attnRow) * 8
+	n := int64(m.attnRow)*8 + m.prog.bandBytes(m.cfg.TileRows, m.elem)
 	if m.tile != nil {
 		n += m.tile.NumBytes()
 	}
@@ -594,9 +617,8 @@ func (m *Machine) TileBytes() int64 {
 // share slots by liveness, so this is what is live at once, not the sum
 // of every value; a value hosted in its halo destination's buffer is
 // counted there, once. Inputs are the caller's. For I8 machines this
-// counts the code slots only; the boundary quantization buffers and the
-// dequantized output live with the caller's payload accounting, not the
-// enclave working set (see the quantized type).
+// counts the code slots only, not the boundary buffers (see the quantized
+// type for what a plan charges for them).
 func (m *Machine) BufferBytes() int64 { return int64(m.attnRow)*8 + m.bufBytes }
 
 // SpillTraffic returns the bytes a tiled run over rows rows streams from
@@ -604,8 +626,8 @@ func (m *Machine) BufferBytes() int64 { return int64(m.attnRow)*8 + m.bufBytes }
 // priced at the machine's element width: the quantity charged as
 // boundary-transfer payload per call. The count reflects the machine's
 // actual program — for a fused program, chains folded into an epilogue
-// flush once instead of once per element-wise op. Direct machines spill
-// nothing.
+// flush once instead of once per element-wise op, and a chained value
+// (fuse.go) is never flushed. Direct machines spill nothing.
 func (m *Machine) SpillTraffic(rows int) int64 {
 	if !m.tiled {
 		return 0
@@ -613,7 +635,7 @@ func (m *Machine) SpillTraffic(rows int) int64 {
 	es := int64(m.elem.Size())
 	n := int64(0)
 	for _, op := range m.prog.ops {
-		if op.Dst >= 0 {
+		if op.Dst >= 0 && !m.prog.vals[op.Dst].chained {
 			n += int64(rows+m.prog.vals[op.Dst].extra) * int64(m.prog.vals[op.Dst].width) * es
 		}
 	}
@@ -644,11 +666,16 @@ func (m *Machine) HaloBytes() int64 {
 // contract.
 func (m *Machine) SetTrace(trace, parent uint64) { m.trace, m.parent = trace, parent }
 
-// opDone closes one op's span: it records a SpanOp carrying the op
-// kind, batch height, tile count and the bytes the op's tiles flushed
-// across the boundary. Called only when the recorder is enabled.
-func (m *Machine) opDone(op *Op, rows int, t0 int64) {
+// opDone closes op i's span: it records a SpanOp carrying the op kind,
+// batch height, tile count and the bytes the op's tiles flushed across the
+// boundary — for a chained pair, one span under the product's kind and the
+// MatMul's flush. Called only when the recorder is enabled.
+func (m *Machine) opDone(i, rows int, t0 int64) {
 	dur := m.rec.Clock() - t0
+	op, staged := &m.prog.ops[i], m.prog.ops[i].Dst
+	if m.prog.chains(i) {
+		staged = m.prog.ops[i+1].Dst
+	}
 	tiles := int32(1)
 	var bytes int64
 	switch {
@@ -658,8 +685,8 @@ func (m *Machine) opDone(op *Op, rows int, t0 int64) {
 		bytes = int64(len(op.Halo)) * int64(m.prog.vals[op.Dst].width) * int64(m.elem.Size())
 	case m.tiled:
 		tiles = int32((rows + m.cfg.TileRows - 1) / m.cfg.TileRows)
-		if op.Dst >= 0 {
-			bytes = int64(rows) * int64(m.prog.vals[op.Dst].width) * int64(m.elem.Size())
+		if staged >= 0 {
+			bytes = int64(rows) * int64(m.prog.vals[staged].width) * int64(m.elem.Size())
 		}
 	}
 	m.rec.Record(obs.Span{
@@ -688,6 +715,8 @@ func (m *Machine) Value(v int) *mat.Matrix {
 	switch val := m.prog.vals[v]; {
 	case val.dead:
 		panic(fmt.Sprintf("exec: value %d was eliminated from the program (Builder.Keep it before Fused)", v))
+	case val.chained:
+		panic(fmt.Sprintf("exec: value %d is chained into the next MatMul and never stored (Builder.Keep it)", v))
 	case !val.keep && v != m.prog.output:
 		panic(fmt.Sprintf("exec: value %d is not kept, so its slot is reused after its last reader (Builder.Keep it)", v))
 	}
@@ -745,15 +774,13 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 	} else {
 		// Bind every value's full-rows view: inputs alias the caller's
 		// matrices, intermediates alias the first rows rows of their buffer
-		// (plus the gathered halo rows for a halo destination). Func outputs
-		// are bound when their op executes (the kernel owns the buffer),
-		// which op order guarantees happens before any consumer; values the
-		// fusion pass eliminated have no buffer to bind.
+		// (plus the gathered halo rows for a halo destination); values the
+		// fusion pass eliminated and chained values have no buffer to bind.
 		for i, v := range p.vals {
 			switch {
 			case v.input >= 0:
 				m.views[i] = *inputs[v.input]
-			case !v.dead:
+			case m.spill[i] != nil:
 				m.spill[i].ViewRows(0, rows+v.extra, &m.views[i])
 			}
 		}
@@ -765,7 +792,7 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 			panic(&fleetAbort{cause: err})
 		}
 	}
-	for i := range p.ops {
+	for i := 0; i < len(p.ops); i++ {
 		op := &p.ops[i]
 		if op.CSR != nil && op.CSR.N != rows {
 			panic(fmt.Sprintf("exec: %s operator over %d rows, run over %d", op.Kind, op.CSR.N, rows))
@@ -796,7 +823,10 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 			}
 		}
 		if recOn {
-			m.opDone(op, rows, t0)
+			m.opDone(i, rows, t0)
+		}
+		if p.chains(i) {
+			i++ // the chained MatMul ran inside op i, band by band
 		}
 	}
 	if m.elem == I8 {
@@ -805,15 +835,16 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 	return &m.views[p.output]
 }
 
-// runRows executes rows [lo, hi) of one op through the op body of the
-// machine's element type — the interpreter's only choice between them, a
-// branch on a field fixed at plan time. idx is the op's program index, by
-// which the int8 body finds its per-op operands.
+// runRows executes rows [lo, hi) of one op — and of the MatMul it chains,
+// if it chains one — through the op body of the machine's element type:
+// the interpreter's only choice between them, a branch on a field fixed
+// at plan time. idx is the op's program index, by which the bodies find
+// the chained MatMul and the int8 body its per-op operands.
 func (m *Machine) runRows(idx int, op *Op, lo, hi int, labels []int) {
 	if m.elem == I8 {
 		m.runRowsI8(idx, op, lo, hi, labels)
 	} else {
-		m.runRowsF64(op, lo, hi, labels)
+		m.runRowsF64(idx, op, lo, hi, labels)
 	}
 }
 
@@ -825,28 +856,61 @@ func (m *Machine) runRows(idx int, op *Op, lo, hi int, labels []int) {
 // bias/ReLU/add passes over the activations), lands straight in the
 // value's own view under the machine's kernel worker budget. A tiled
 // machine computes into its EPC-resident staging tile, inline, and
-// flushes it once to the destination's spilled buffer.
-func (m *Machine) runRowsF64(op *Op, lo, hi int, labels []int) {
+// flushes it once to the destination's spilled buffer; when the op chains
+// the next MatMul, each band of its rows goes into the band scratch and
+// from there, through the MatMul, into the tile, which is then flushed to
+// the MatMul's destination.
+func (m *Machine) runRowsF64(idx int, op *Op, lo, hi int, labels []int) {
 	s := &m.scratch
-	srcs := s.srcPtrs[:len(op.Srcs)]
-	for i, v := range op.Srcs {
-		srcs[i] = m.views[v].ViewRows(lo, hi, &s.srcTiles[i])
-	}
 	if op.Kind == OpArgmax {
 		if labels != nil {
-			srcs[0].ArgmaxRowsInto(labels[lo:hi])
+			m.views[op.Srcs[0]].ViewRows(lo, hi, &s.srcTiles[0]).ArgmaxRowsInto(labels[lo:hi])
 		}
 		return
 	}
-	dst := m.views[op.Dst].ViewRows(lo, hi, &s.dstTile)
+	last := op
+	if m.prog.chains(idx) {
+		last = &m.prog.ops[idx+1]
+	}
+	dst := m.views[last.Dst].ViewRows(lo, hi, &s.dstTile)
 	out, workers := dst, m.cfg.Workers
 	if m.tiled {
 		s.tileView = mat.Matrix{Rows: hi - lo, Cols: dst.Cols, Data: m.tile.Data[:(hi-lo)*dst.Cols]}
 		out, workers = &s.tileView, 1
 	}
+	if last == op {
+		m.opRowsF64(op, out, m.srcRowsF64(op, lo, hi), lo, hi, workers)
+	} else {
+		w := m.prog.vals[op.Dst].width
+		for b := lo; b < hi; b += chainBand {
+			e := min(b+chainBand, hi)
+			s.bandMat = mat.Matrix{Rows: e - b, Cols: w, Data: s.band[:(e-b)*w]}
+			m.opRowsF64(op, &s.bandMat, m.srcRowsF64(op, b, e), b, e, 1)
+			s.bandSrc[0] = &s.bandMat
+			m.opRowsF64(last, out.ViewRows(b-lo, e-lo, &s.bandOut), s.bandSrc[:], b, e, 1)
+		}
+	}
+	if m.tiled {
+		mat.CopyInto(dst, out)
+	}
+}
+
+// srcRowsF64 views rows [lo, hi) of each of op's sources.
+func (m *Machine) srcRowsF64(op *Op, lo, hi int) []*mat.Matrix {
+	s := &m.scratch
+	srcs := s.srcPtrs[:len(op.Srcs)]
+	for i, v := range op.Srcs {
+		srcs[i] = m.views[v].ViewRows(lo, hi, &s.srcTiles[i])
+	}
+	return srcs
+}
+
+// opRowsF64 computes rows [lo, hi) of op into out from srcs, its sources'
+// rows [lo, hi) (a SpMM and an Attn read their gathered operands whole).
+func (m *Machine) opRowsF64(op *Op, out *mat.Matrix, srcs []*mat.Matrix, lo, hi, workers int) {
 	var res *mat.Matrix
 	if op.Epi.Res >= 0 {
-		res = m.views[op.Epi.Res].ViewRows(lo, hi, &s.resTile)
+		res = m.views[op.Epi.Res].ViewRows(lo, hi, &m.scratch.resTile)
 	}
 	switch op.Kind {
 	case OpMatMul:
@@ -865,9 +929,6 @@ func (m *Machine) runRowsF64(op *Op, lo, hi int, labels []int) {
 		m.attnRowsF64(out, op, lo, hi, res)
 	default:
 		panic(fmt.Sprintf("exec: no fp64 body for op kind %s", op.Kind))
-	}
-	if m.tiled {
-		mat.CopyInto(dst, out)
 	}
 }
 

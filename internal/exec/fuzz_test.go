@@ -80,12 +80,17 @@ func FuzzTiledExec(f *testing.F) {
 // older one — so live ranges nest, cross and end at every distance — at
 // random widths, must give the same output and labels, bit for bit, as
 // the same program with every value kept, where no two values share a
-// slot. Both element types, direct and tiled; the int8 machines run on
-// one calibration of the planned program.
+// slot. Both element types, direct and tiled — a tiled machine chains
+// what fuse.go lets it, the keep-all reference nothing; the int8 machines
+// run on one calibration of the planned program.
 func FuzzBufferPlan(f *testing.F) {
 	f.Add(uint8(20), uint8(4), []byte{0, 1, 2, 3, 4, 0, 1, 5, 9, 13}, int64(1))
 	f.Add(uint8(1), uint8(1), []byte{3, 3, 3}, int64(2))
 	f.Add(uint8(63), uint8(7), []byte{4, 7, 1, 0, 2, 4, 4, 3, 6, 2, 0, 1, 8, 1, 3}, int64(3))
+	// SpMM, MatMul, SpMM, MatMul: both SpMM outputs chain into their
+	// MatMul in the tiled machines (fuse.go), in one band per 41-row tile;
+	// the second MatMul then stages its own output for the head.
+	f.Add(uint8(63), uint8(5), []byte{1, 0, 1, 0}, int64(40))
 	f.Fuzz(func(t *testing.T, nRaw, dRaw uint8, chain []byte, seed int64) {
 		n := int(nRaw)%64 + 1
 		d := int(dRaw)%8 + 1

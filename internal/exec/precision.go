@@ -50,13 +50,14 @@ func (e Elem) String() string {
 }
 
 // quantized holds an I8 machine's state: code buffers, staging tiles,
-// quantized operands and scratch. The boundary buffers (in receives the
-// quantized inputs; out64 holds the dequantized output) are simulation
-// conveniences of the untrusted caller side — BufferBytes/TileBytes
-// charge only spill and tiles, matching what a real enclave would keep
-// resident.
+// quantized operands and scratch. BufferBytes/TileBytes count neither
+// boundary buffer. in receives the quantized inputs: core prices those
+// codes as the plan's payload, billed as ECALL transfer by every plan and
+// charged to the EPC by a direct plan only (a tiled one streams them).
+// out64 holds the dequantized output and is charged nowhere (ROADMAP item
+// 11 owns that).
 type quantized struct {
-	spill []*mat.MatrixI8 // per value, over its slot; nil for inputs and dead values
+	spill []*mat.MatrixI8 // per value, over its slot; nil for inputs, dead and chained values
 	views []mat.MatrixI8  // per value, bound per Run
 	in    []*mat.MatrixI8 // per program input: boundary quantization buffer
 	tile  *mat.MatrixI8   // staging tile (tiled mode)
@@ -115,6 +116,13 @@ type scratchI8 struct {
 	resTile  mat.MatrixI8
 	acc      []int32
 	alpha    []float64 // attention coefficients of the row in hand, as scratchF64's
+
+	// Chaining, as scratchF64's: the band scratch of codes, its header,
+	// the chained MatMul's argument list and the band's rows of the tile.
+	band    []int8
+	bandMat mat.MatrixI8
+	bandSrc [1]*mat.MatrixI8
+	bandOut mat.MatrixI8
 }
 
 // planI8 allocates the code slots of an I8 machine under the buffer plan
@@ -141,6 +149,7 @@ func (m *Machine) planI8(bp bufferPlan) error {
 			srcPtrs:  make([]*mat.MatrixI8, p.maxArity),
 			acc:      make([]int32, p.maxWidth),
 			alpha:    make([]float64, m.attnRow),
+			band:     make([]int8, min(chainBand, cfg.TileRows)*p.chainWidth),
 		},
 		out64: mat.New(p.MaxRows, p.vals[p.output].width),
 	}
@@ -272,7 +281,7 @@ func (m *Machine) bindI8(rows int, inputs []*mat.Matrix, recOn bool) {
 			if !keep {
 				mat.QuantizeColumnsI8Into(&q.views[i], inputs[v.input], m.cfg.Scales[i])
 			}
-		case !v.dead:
+		case q.spill[i] != nil:
 			q.spill[i].ViewRows(0, rows+v.extra, &q.views[i])
 		}
 	}
@@ -324,33 +333,68 @@ func (m *Machine) finishI8(rows int) {
 }
 
 // runRowsI8 is the int8 op body, runRowsF64 over codes: the same source
-// views, the same direct-or-staged destination, plus what int8 adds — the
-// per-value scales, the int32 accumulator row and, on the wide head, the
-// labels its epilogue writes. The in-enclave direct form is
-// single-threaded by construction, so the int8 kernels are serial and take
-// no worker budget.
+// views, the same direct-or-staged destination and the same chained bands
+// — a chained value's band holds its codes under its calibrated scales,
+// and the MatMul multiplies them by its folded weight codes — plus what
+// int8 adds: the per-value scales, the int32 accumulator row and, on the
+// wide head, the labels its epilogue writes. The in-enclave direct form
+// is single-threaded by construction, so the int8 kernels are serial and
+// take no worker budget.
 func (m *Machine) runRowsI8(idx int, op *Op, lo, hi int, labels []int) {
-	q, sc := m.q, m.cfg.Scales
+	q := m.q
 	s := &q.scr
-	srcs := s.srcPtrs[:len(op.Srcs)]
-	for i, v := range op.Srcs {
-		srcs[i] = q.views[v].ViewRows(lo, hi, &s.srcTiles[i])
-	}
 	if op.Kind == OpArgmax {
 		// Code-space argmax, unless the head's epilogue labelled these
 		// rows already.
 		if labels != nil && q.wideHead < 0 {
-			srcs[0].ArgmaxRowsScaledInto(labels[lo:hi], sc[op.Srcs[0]])
+			q.views[op.Srcs[0]].ViewRows(lo, hi, &s.srcTiles[0]).ArgmaxRowsScaledInto(labels[lo:hi], m.cfg.Scales[op.Srcs[0]])
 		}
 		return
 	}
-	a := &q.aux[idx]
-	dst := q.views[op.Dst].ViewRows(lo, hi, &s.dstTile)
+	last := idx
+	if m.prog.chains(idx) {
+		last = idx + 1
+	}
+	dst := q.views[m.prog.ops[last].Dst].ViewRows(lo, hi, &s.dstTile)
 	out := dst
 	if m.tiled {
 		s.tileView = mat.MatrixI8{Rows: hi - lo, Cols: dst.Cols, Data: q.tile.Data[:(hi-lo)*dst.Cols]}
 		out = &s.tileView
 	}
+	if last == idx {
+		m.opRowsI8(idx, out, m.srcRowsI8(op, lo, hi), lo, hi, labels)
+	} else {
+		w := m.prog.vals[op.Dst].width
+		for b := lo; b < hi; b += chainBand {
+			e := min(b+chainBand, hi)
+			s.bandMat = mat.MatrixI8{Rows: e - b, Cols: w, Data: s.band[:(e-b)*w]}
+			m.opRowsI8(idx, &s.bandMat, m.srcRowsI8(op, b, e), b, e, labels)
+			s.bandSrc[0] = &s.bandMat
+			m.opRowsI8(last, out.ViewRows(b-lo, e-lo, &s.bandOut), s.bandSrc[:], b, e, labels)
+		}
+	}
+	if m.tiled {
+		mat.CopyI8Into(dst, out)
+	}
+}
+
+// srcRowsI8 views rows [lo, hi) of each of op's sources' codes.
+func (m *Machine) srcRowsI8(op *Op, lo, hi int) []*mat.MatrixI8 {
+	s := &m.q.scr
+	srcs := s.srcPtrs[:len(op.Srcs)]
+	for i, v := range op.Srcs {
+		srcs[i] = m.q.views[v].ViewRows(lo, hi, &s.srcTiles[i])
+	}
+	return srcs
+}
+
+// opRowsI8 computes rows [lo, hi) of op idx into out from srcs, its
+// sources' rows [lo, hi) (a SpMM and an Attn read their gathered operands
+// whole), and on the wide head labels rows [lo, hi).
+func (m *Machine) opRowsI8(idx int, out *mat.MatrixI8, srcs []*mat.MatrixI8, lo, hi int, labels []int) {
+	q, sc := m.q, m.cfg.Scales
+	s := &q.scr
+	op, a := &m.prog.ops[idx], &q.aux[idx]
 	var res *mat.MatrixI8
 	var resScales []float64
 	if op.Epi.Res >= 0 {
@@ -379,9 +423,6 @@ func (m *Machine) runRowsI8(idx int, op *Op, lo, hi int, labels []int) {
 		m.attnRowsI8(out, a, op, lo, hi, res, resScales, wide)
 	default:
 		panic(fmt.Sprintf("exec: no int8 body for op kind %s", op.Kind))
-	}
-	if m.tiled {
-		mat.CopyI8Into(dst, out)
 	}
 }
 

@@ -247,13 +247,22 @@ func TestShardedHaloAccounting(t *testing.T) {
 		}
 		rows := part.Rows(s)
 		// SpillTraffic counts the halo rows of each halo destination on
-		// top of the local rows of every op output.
+		// top of the local rows of every op output the machine stores:
+		// the hidden SpMM output is chained into the second MatMul and
+		// never flushed.
 		spill := m.SpillTraffic(rows)
-		base := int64(0)
-		for _, op := range p.Ops() {
-			if op.Dst >= 0 {
+		base, chained := int64(0), 0
+		for _, op := range m.prog.Ops() {
+			switch {
+			case op.Dst < 0:
+			case m.prog.vals[op.Dst].chained:
+				chained++
+			default:
 				base += int64(rows) * int64(p.vals[op.Dst].width) * 8
 			}
+		}
+		if chained != 1 {
+			t.Fatalf("shard %d: %d values chained, want the hidden one", s, chained)
 		}
 		if spill != base+wantHalo {
 			t.Fatalf("shard %d SpillTraffic %d, want %d local + %d halo", s, spill, base, wantHalo)
