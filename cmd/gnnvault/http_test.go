@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"gnnvault/internal/core"
+	"gnnvault/internal/registry"
 	"gnnvault/internal/serve"
 )
 
@@ -19,7 +19,9 @@ import (
 // server (it used to be held open forever), and while it stalls a
 // well-formed /predict on another connection still answers.
 func TestAPIServerHangsUpOnStalledHeaders(t *testing.T) {
-	fl := buildFleet("cora", "parallel", "knn", 2, 1, 96, 1, 2, core.PlanConfig{}, nil, nil)
+	_, c := serveFlags() // the serve defaults: cora/parallel on one 96 MB enclave
+	c.opts.Epochs = 2
+	fl := buildFleet(&c.opts, registry.Config{})
 	defer fl.reg.Close()
 	srv := serve.NewMulti(fl.reg, serve.Config{Workers: 1})
 	defer srv.Close()

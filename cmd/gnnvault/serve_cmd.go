@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"gnnvault/internal/core"
 	"gnnvault/internal/datasets"
 	"gnnvault/internal/enclave"
+	"gnnvault/internal/knob"
 	"gnnvault/internal/obs"
 	"gnnvault/internal/registry"
 	"gnnvault/internal/serve"
@@ -44,6 +46,94 @@ type fleet struct {
 	nodeQueries bool
 }
 
+// serveOpts are the serve command's own options: what it trains and
+// deploys, the enclaves it deploys into, and how it drives and observes
+// the serving stack. Every other serve flag sets a library config.
+type serveOpts struct {
+	Dataset, Design, Sub, HTTP                                  string
+	Epochs, Shards, Clients, Requests, Hops, Chaos, TraceBuffer int
+	Seed, EPCMB, EPCBudgetMB                                    int64
+	Metrics, Pprof                                              bool
+}
+
+// maxMB is the largest MB count whose byte count, MB << 20, fits an int64.
+const maxMB = math.MaxInt64 >> 20
+
+// serveOptKnobs declares the serve command's own options. An EPC below
+// 1 MB would fail every deploy as "EPC exhausted"; the budget's 0 is its
+// documented "untiled".
+var serveOptKnobs = knob.Table[serveOpts]{
+	{Field: "Dataset", Flag: "dataset", Default: "cora", Doc: "comma-separated built-in dataset names"},
+	{Field: "Design", Flag: "design", Default: "parallel", Doc: "comma-separated rectifier designs: parallel|series|cascaded"},
+	{Field: "Sub", Flag: "sub", Default: "knn", Doc: "substitute graph: knn|cosine|random|dnn"},
+	{Field: "Epochs", Flag: "epochs", Range: knob.AtLeast(0), Default: 100, Doc: "training epochs"},
+	{Field: "Seed", Flag: "seed", Range: knob.Any, Default: 1, Doc: "random seed"},
+	{Field: "Shards", Flag: "shards", Range: knob.AtLeast(1), Default: 1, Doc: "shard the vault across this many enclaves: the private CSR splits at nnz-balanced row boundaries, each shard sealed in its own enclave with its own -epc-mb budget, coupled through halo-exchange SpMM (>1 requires a single dataset × design)"},
+	{Field: "EPCMB", Flag: "epc-mb", Unit: "MB", Range: knob.Range{Min: 1, Max: maxMB}, Default: 96, Doc: "enclave EPC capacity in MB (lower it to force eviction churn)"},
+	{Field: "EPCBudgetMB", Flag: "epc-budget-mb", Unit: "MB", Range: knob.Range{Min: 0, Max: maxMB}, Zero: "classic untiled plans", Doc: "per-workspace EPC budget in MB: plans execute tile-streamed under this bound"},
+	{Field: "Clients", Flag: "clients", Range: knob.AtLeast(0), Default: 8, Doc: "concurrent synthetic clients"},
+	{Field: "Requests", Flag: "requests", Range: knob.AtLeast(0), Default: 25, Doc: "requests per client"},
+	{Field: "HTTP", Flag: "http", Doc: "serve the HTTP/JSON API on this address (e.g. :8080) instead of the synthetic stream"},
+	{Field: "Hops", Flag: "hops", Range: knob.AtLeast(0), Zero: "full-graph only", Doc: "enable node-level serving with this L-hop expansion depth"},
+	{Field: "Chaos", Flag: "chaos", Range: knob.AtLeast(0), Zero: "off", Doc: "inject this many seeded shard kills (alternating ECALL-abort storms and enclave loss) during the sharded synthetic stream and report breaker trips, restarts and time-to-recovery (requires -shards > 1, no -http)"},
+	{Field: "Metrics", Flag: "metrics", Doc: "record flight-recorder spans (per-op, ECALL, plan/evict) into a live telemetry ring; implied by -trace-buffer"},
+	{Field: "TraceBuffer", Flag: "trace-buffer", Range: knob.AtLeast(0), Zero: "4096 when -metrics is set, else tracing off", Doc: "span ring capacity behind GET /debug/trace"},
+	{Field: "Pprof", Flag: "pprof", Doc: "mount net/http/pprof under /debug/pprof on the HTTP API"},
+}
+
+// serveConfig is everything gnnvault serve sets from its flags: its own
+// options and one value of each library config type, every field a flag
+// names bound straight to it.
+type serveConfig struct {
+	opts  serveOpts
+	serve serve.Config
+	limit serve.RateLimit
+	reg   registry.Config
+	nq    registry.NodeQueryConfig
+}
+
+// serveFlags registers every serve flag on a fresh flag set, from the
+// knob tables of the config types they set.
+func serveFlags() (*flag.FlagSet, *serveConfig) {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	c := &serveConfig{nq: registry.NodeQueryConfig{Fanout: 10}}
+	serveOptKnobs.Register(fs, &c.opts)
+	serve.ConfigKnobs.Register(fs, &c.serve)
+	serve.RateLimitKnobs.Register(fs, &c.limit)
+	registry.ConfigKnobs.Register(fs, &c.reg)
+	registry.NodeQueryKnobs.Register(fs, &c.nq)
+	core.PlanKnobs.Register(fs, &c.reg.Plan)
+	return fs, c
+}
+
+// validate copies the command's own options into the library configs
+// they shape — the seed, the EPC budget and, with -hops > 0, the
+// node-query geometry — then validates every config, and the options
+// that only apply together.
+func (c *serveConfig) validate() error {
+	o := &c.opts
+	c.serve.Seed = o.Seed
+	c.reg.Plan.EPCBudgetBytes = o.EPCBudgetMB << 20
+	if o.Hops > 0 {
+		c.nq.Hops, c.nq.Seed = o.Hops, uint64(o.Seed)
+		c.reg.NodeQuery = &c.nq
+	}
+	for _, err := range []error{serveOptKnobs.Check(*o), c.serve.Validate(), c.limit.Validate(), c.reg.Validate()} {
+		if err != nil {
+			return err
+		}
+	}
+	switch {
+	case o.Shards > 1 && (len(splitCSV(o.Dataset)) != 1 || len(splitCSV(o.Design)) != 1):
+		return errors.New("-shards > 1 serves a single dataset × design pair")
+	case o.Shards == 1 && (c.serve.MaxRetries > 0 || o.Chaos > 0):
+		return errors.New("-max-retries and -chaos apply to a shard fleet; set -shards > 1")
+	case o.Chaos > 0 && o.HTTP != "":
+		return errors.New("-chaos drives the synthetic stream; it cannot be combined with -http")
+	}
+	return nil
+}
+
 // cmdServe trains and deploys a fleet of vaults — every requested dataset ×
 // design pair — into one shared enclave behind the EPC-aware registry, or
 // with -shards > 1 one pair across a multi-enclave shard fleet registered
@@ -52,100 +142,33 @@ type fleet struct {
 // HTTP/JSON API (-http). Lowering -epc-mb below the fleet's working set
 // makes the scheduler's plan/evict churn visible in the reported stats.
 func cmdServe(args []string) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	dataset := fs.String("dataset", "cora", "comma-separated built-in dataset names")
-	design := fs.String("design", "parallel", "comma-separated rectifier designs: parallel|series|cascaded")
-	sub := fs.String("sub", "knn", "substitute graph: knn|cosine|random|dnn")
-	epochs := fs.Int("epochs", 100, "training epochs")
-	seed := fs.Int64("seed", 1, "random seed")
-	workers := fs.Int("workers", 2, "inference workers shared across the fleet")
-	batch := fs.Int("batch", 8, "max requests coalesced per worker wake-up")
-	shards := fs.Int("shards", 1, "shard the vault across this many enclaves: the private CSR splits at nnz-balanced row boundaries, each shard sealed in its own enclave with its own -epc-mb budget, coupled through halo-exchange SpMM (>1 requires a single dataset × design)")
-	wsPerVault := fs.Int("ws-per-vault", 2, "max concurrent inference workspaces per vault")
-	epcMB := fs.Int64("epc-mb", 96, "enclave EPC capacity in MB (lower it to force eviction churn)")
-	epcBudgetMB := fs.Int64("epc-budget-mb", 0, "per-workspace EPC budget in MB: plans execute tile-streamed under this bound (0 = classic untiled plans)")
-	precision := fs.String("precision", "fp64", "in-enclave kernel precision: fp64|int8 — int8 shrinks EPC, spill and transfer 8x; int8 plans are calibrated against the fp64 reference and refused below the agreement floor")
-	minAgree := fs.Float64("min-agreement", 0, "argmax-agreement floor for int8 plans on the calibration batch (0 = default 0.99)")
-	clients := fs.Int("clients", 8, "concurrent synthetic clients")
-	requests := fs.Int("requests", 25, "requests per client")
-	httpAddr := fs.String("http", "", "serve the HTTP/JSON API on this address (e.g. :8080) instead of the synthetic stream")
-	hops := fs.Int("hops", 0, "enable node-level serving with this L-hop expansion depth (0 = full-graph only)")
-	fanout := fs.Int("fanout", 10, "sampled neighbours per node per hop for node-level serving (0 = unlimited, exact L-hop)")
-	maxSeeds := fs.Int("max-seeds", 16, "max seed nodes per coalesced subgraph extraction")
-	exposeScores := fs.Bool("expose-scores", false, "serve per-class softmax posteriors alongside labels (widens the attack surface; label-only is the paper's default posture)")
-	roundDigits := fs.Int("round-digits", 0, "round exposed scores to this many decimal digits, argmax-preserving (0 = exact scores)")
-	topK := fs.Int("topk", 0, "expose only the K largest score entries per row, zeroing the rest (0 = all classes)")
-	rateLimit := fs.Float64("rate-limit", 0, "per-client sustained answered-labels/second over the HTTP API (0 = unlimited)")
-	rateBurst := fs.Int("rate-burst", 0, "per-client token-bucket capacity in labels (0 = derived from -rate-limit)")
-	queryBudget := fs.Int("query-budget", 0, "per-client lifetime cap on total answered labels (0 = unlimited)")
-	deadline := fs.Duration("deadline", 0, "per-request serving deadline, enqueue to answer — expired requests fail with 503 and a Retry-After (0 = unbounded)")
-	maxRetries := fs.Int("max-retries", 0, "node-query admission retries while the owning shard's breaker is open, each a jittered backoff bounded by -deadline (sharded only)")
-	chaosKills := fs.Int("chaos", 0, "inject this many seeded shard kills (alternating ECALL-abort storms and enclave loss) during the sharded synthetic stream and report breaker trips, restarts and time-to-recovery (requires -shards > 1, no -http)")
-	metricsOn := fs.Bool("metrics", false, "record flight-recorder spans (per-op, ECALL, plan/evict) into a live telemetry ring; implied by -trace-buffer")
-	traceBuffer := fs.Int("trace-buffer", 0, "span ring capacity behind GET /debug/trace (0 = 4096 when -metrics is set, else tracing off)")
-	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the HTTP API")
+	fs, c := serveFlags()
 	fs.Parse(args) //nolint:errcheck
-
-	if err := checkServeFlags(fs); err != nil {
+	if err := c.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
 	}
-	var nq *registry.NodeQueryConfig
-	if *hops > 0 {
-		nq = &registry.NodeQueryConfig{Hops: *hops, Fanout: *fanout, MaxSeeds: *maxSeeds, Seed: uint64(*seed)}
-	}
-	prec, err := core.ParsePrecision(*precision)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(2)
-	}
-	plan := core.PlanConfig{
-		EPCBudgetBytes: *epcBudgetMB << 20,
-		Precision:      prec,
-		MinAgreement:   *minAgree,
-	}
+	o := &c.opts
 	// The flight-recorder ring doubles as the live span recorder for every
 	// layer below: plan/evict events, per-query ECALL spans and per-op tile
 	// timings all land in one buffer that /debug/trace reads back out.
 	var ring *obs.Ring
-	var recorder obs.Recorder
-	if *metricsOn || *traceBuffer > 0 {
-		capacity := *traceBuffer
-		if capacity <= 0 {
+	if o.Metrics || o.TraceBuffer > 0 {
+		capacity := o.TraceBuffer
+		if capacity == 0 {
 			capacity = 4096
 		}
 		ring = obs.NewRing(capacity)
-		recorder = ring
-	}
-	if *shards > 1 && (len(splitCSV(*dataset)) != 1 || len(splitCSV(*design)) != 1) {
-		fmt.Fprintln(os.Stderr, "serve: -shards > 1 serves a single dataset × design pair")
-		os.Exit(2)
-	}
-	if *shards == 1 && (*maxRetries > 0 || *chaosKills > 0) {
-		fmt.Fprintln(os.Stderr, "serve: -max-retries and -chaos apply to a shard fleet; set -shards > 1")
-		os.Exit(2)
-	}
-	if *chaosKills > 0 && *httpAddr != "" {
-		fmt.Fprintln(os.Stderr, "serve: -chaos drives the synthetic stream; it cannot be combined with -http")
-		os.Exit(2)
+		c.reg.Recorder = ring
 	}
 	// -chaos reports per-outage recovery times from the fault/recover
 	// spans, so it gets a trace ring even when -metrics is off.
-	if ring == nil && *chaosKills > 0 {
+	if ring == nil && o.Chaos > 0 {
 		ring = obs.NewRing(256)
 	}
-	fl := buildFleet(*dataset, *design, *sub, *epochs, *seed, *epcMB, *shards, *wsPerVault, plan, nq, recorder)
-	srv := serve.NewMulti(fl.reg, serve.Config{
-		Workers:      *workers,
-		MaxBatch:     *batch,
-		ExposeScores: *exposeScores,
-		RoundDigits:  *roundDigits,
-		TopK:         *topK,
-		Deadline:     *deadline,
-		MaxRetries:   *maxRetries,
-		Seed:         *seed,
-		Trace:        ring,
-	})
+	fl := buildFleet(o, c.reg)
+	c.serve.Trace = ring
+	srv := serve.NewMulti(fl.reg, c.serve)
 	defer func() {
 		srv.Close()
 		fl.reg.Close()
@@ -154,92 +177,48 @@ func cmdServe(args []string) {
 		}
 	}()
 	var limit *serve.RateLimit
-	if *rateLimit > 0 || *queryBudget > 0 {
-		limit = &serve.RateLimit{PerSec: *rateLimit, Burst: *rateBurst, Budget: *queryBudget}
+	if c.limit.PerSec > 0 || c.limit.Budget > 0 {
+		limit = &c.limit
 	}
 
 	mode := "untiled workspaces"
-	if *epcBudgetMB > 0 {
-		mode = fmt.Sprintf("tiled workspaces ≤ %d MB each", *epcBudgetMB)
+	if o.EPCBudgetMB > 0 {
+		mode = fmt.Sprintf("tiled workspaces ≤ %d MB each", o.EPCBudgetMB)
 	}
-	if prec != core.PrecisionFP64 {
-		mode += ", " + prec.String() + " enclave kernels"
+	if c.reg.Plan.Precision != core.PrecisionFP64 {
+		mode += ", " + c.reg.Plan.Precision.String() + " enclave kernels"
 	}
 	if fl.sv != nil {
 		bounds := fl.sv.Bounds()
 		fmt.Printf("shard fleet: %d enclaves (EPC %d MB each), rows cut at %v, %d workers, %s\n",
-			fl.sv.Shards(), *epcMB, bounds, *workers, mode)
+			fl.sv.Shards(), o.EPCMB, bounds, c.serve.Workers, mode)
 		for i := 0; i < fl.sv.Shards(); i++ {
 			fmt.Printf("  shard %d: rows %d, %.2f MB EPC used\n",
 				i, bounds[i+1]-bounds[i], float64(fl.sv.Shard(i).Enclave.EPCUsed())/(1<<20))
 		}
 	} else {
 		fmt.Printf("fleet of %d vaults on one enclave (EPC %.2f MB used of %d MB), %d workers, %s\n",
-			len(fl.vaults), float64(fl.encl.EPCUsed())/(1<<20), fl.encl.EPCLimit()>>20, *workers, mode)
+			len(fl.vaults), float64(fl.encl.EPCUsed())/(1<<20), fl.encl.EPCLimit()>>20, c.serve.Workers, mode)
 	}
 
-	if *httpAddr != "" {
-		listenAPI(*httpAddr, serve.NewAPI(srv, fl.reg, apiConfig(fl, limit, prec.String(), ring, *pprofOn)), ring, *pprofOn)
+	if o.HTTP != "" {
+		listenAPI(o.HTTP, serve.NewAPI(srv, fl.reg, apiConfig(fl, limit, c.reg.Plan.Precision.String(), ring, o.Pprof)), ring, o.Pprof)
 		return
 	}
-	runSyntheticStream(fl, srv, *clients, *requests, *chaosKills, *seed, ring)
+	runSyntheticStream(fl, srv, o.Clients, o.Requests, o.Chaos, o.Seed, ring)
 }
 
-// serveFlagFloors is the least legal value of every other integer serve
-// flag: 1 where 0 means nothing, 0 where 0 is the documented "off",
-// "unlimited" or "derived" setting. Below it a value would otherwise be
-// reinterpreted silently — as a default, as "off", or as unsharded.
-var serveFlagFloors = []struct {
-	name string
-	min  int
-}{
-	{"workers", 1}, {"batch", 1}, {"shards", 1}, {"ws-per-vault", 1}, {"max-seeds", 1},
-	{"hops", 0}, {"fanout", 0}, {"round-digits", 0}, {"topk", 0}, {"rate-burst", 0},
-	{"query-budget", 0}, {"max-retries", 0}, {"chaos", 0}, {"trace-buffer", 0},
-}
-
-// checkServeFlags rejects flag values no serve path can use: an EPC
-// capacity below 1 MB (every deploy would fail as "EPC exhausted"), a
-// negative workspace budget (0 already means untiled plans), any size
-// whose byte count, MB << 20, overflows int64, an agreement floor that is
-// not a share (NaN included), a negative or NaN -rate-limit, a negative
-// -deadline, and any integer flag below its serveFlagFloors entry.
-func checkServeFlags(fs *flag.FlagSet) error {
-	get := func(name string) any { return fs.Lookup(name).Value.(flag.Getter).Get() }
-	epcMB, budgetMB, minAgree := get("epc-mb").(int64), get("epc-budget-mb").(int64), get("min-agreement").(float64)
-	rate, deadline := get("rate-limit").(float64), get("deadline").(time.Duration)
-	const maxMB = math.MaxInt64 >> 20
-	switch {
-	case epcMB < 1 || epcMB > maxMB:
-		return fmt.Errorf("-epc-mb %d outside [1, %d]", epcMB, int64(maxMB))
-	case budgetMB < 0 || budgetMB > maxMB:
-		return fmt.Errorf("-epc-budget-mb %d outside [0, %d]", budgetMB, int64(maxMB))
-	case !(minAgree >= 0 && minAgree <= 1):
-		return fmt.Errorf("-min-agreement %v outside [0, 1]", minAgree)
-	case !(rate >= 0):
-		return fmt.Errorf("-rate-limit %v must be ≥ 0", rate)
-	case deadline < 0:
-		return fmt.Errorf("-deadline %v must be ≥ 0", deadline)
-	}
-	for _, f := range serveFlagFloors {
-		if v := get(f.name).(int); v < f.min {
-			return fmt.Errorf("-%s %d must be ≥ %d", f.name, v, f.min)
-		}
-	}
-	return nil
-}
-
-// buildFleet trains one backbone per dataset and one rectifier per
-// dataset × design pair, then deploys every pair into a single enclave
-// measured over all rectifier identities — or, with shards > 1, the one
-// pair across a shard fleet, every shard its own enclave of epcMB,
-// registered as one entry of an enclave-less registry. plan shapes every
-// workspace the registry admits (EPC budget → tiled streaming; per shard on
-// a fleet); a non-nil nq additionally enables node-level (subgraph)
-// serving on every GNN-backed vault.
-func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcMB int64, shards, wsPerVault int, plan core.PlanConfig, nq *registry.NodeQueryConfig, rec obs.Recorder) *fleet {
-	dsNames := splitCSV(datasetCSV)
-	designs := splitCSV(designCSV)
+// buildFleet trains one backbone per o.Dataset and one rectifier per
+// dataset × o.Design pair, then deploys every pair into a single enclave
+// measured over all rectifier identities — or, with o.Shards > 1, the one
+// pair across a shard fleet, every shard its own enclave of o.EPCMB,
+// registered as one entry of an enclave-less registry. cfg configures the
+// registry: its Plan shapes every workspace it admits (EPC budget → tiled
+// streaming; per shard on a fleet), and a non-nil NodeQuery additionally
+// enables node-level (subgraph) serving on every GNN-backed vault.
+func buildFleet(o *serveOpts, cfg registry.Config) *fleet {
+	dsNames := splitCSV(o.Dataset)
+	designs := splitCSV(o.Design)
 	if len(dsNames) == 0 || len(designs) == 0 {
 		fmt.Fprintln(os.Stderr, "serve: need at least one dataset and one design")
 		os.Exit(2)
@@ -257,10 +236,10 @@ func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcM
 	for _, name := range dsNames {
 		ds := loadDataset(name)
 		data[name] = ds
-		train := core.TrainConfig{Epochs: epochs, LR: 0.01, WeightDecay: 5e-4, Seed: seed}
+		train := core.TrainConfig{Epochs: o.Epochs, LR: 0.01, WeightDecay: 5e-4, Seed: o.Seed}
 		spec := core.SpecForDataset(name)
-		kind := substitute.Kind(sub)
-		subGraph := substitute.Build(kind, ds.X, 2, ds.Graph.NumUndirectedEdges(), seed)
+		kind := substitute.Kind(o.Sub)
+		subGraph := substitute.Build(kind, ds.X, 2, ds.Graph.NumUndirectedEdges(), o.Seed)
 		fmt.Printf("training backbone on %s (%s substitute) …\n", name, kind)
 		bb := core.TrainBackbone(ds, spec, kind, subGraph, train)
 		for _, d := range designs {
@@ -281,11 +260,11 @@ func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcM
 	}
 
 	cost := enclave.DefaultCostModel()
-	cost.EPCBytes = epcMB << 20 // per shard on a fleet: each enclave has its own EPC
-	fl := &fleet{data: data, nodeQueries: nq != nil}
-	if shards > 1 {
+	cost.EPCBytes = o.EPCMB << 20 // per shard on a fleet: each enclave has its own EPC
+	fl := &fleet{data: data, nodeQueries: cfg.NodeQuery != nil}
+	if o.Shards > 1 {
 		m := fleetMembers[0]
-		sv, err := core.DeploySharded(m.bb, m.rec, m.ds.Graph, cost, shards)
+		sv, err := core.DeploySharded(m.bb, m.rec, m.ds.Graph, cost, o.Shards)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sharded deploy failed: %v\n", err)
 			os.Exit(1)
@@ -294,7 +273,7 @@ func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcM
 	} else {
 		fl.encl = enclave.New(cost, identities...)
 	}
-	reg := registry.New(fl.encl, registry.Config{WorkspacesPerVault: wsPerVault, Plan: plan, NodeQuery: nq, Recorder: rec})
+	reg := registry.New(fl.encl, cfg)
 	fl.reg = reg
 	for _, m := range fleetMembers {
 		// Register the dataset's own public features — the same matrix
@@ -320,7 +299,7 @@ func buildFleet(datasetCSV, designCSV string, sub string, epochs int, seed, epcM
 			fmt.Fprintf(os.Stderr, "register %s failed: %v\n", m.info.ID, err)
 			os.Exit(1)
 		}
-		if nq != nil {
+		if fl.nodeQueries {
 			if err := reg.EnableNodeQueries(m.info.ID, m.ds.X); err != nil {
 				fmt.Fprintf(os.Stderr, "enable node queries on %s failed: %v\n", m.info.ID, err)
 				os.Exit(1)

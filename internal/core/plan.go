@@ -11,6 +11,7 @@ import (
 	"gnnvault/internal/enclave"
 	"gnnvault/internal/exec"
 	"gnnvault/internal/graph"
+	"gnnvault/internal/knob"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
 )
@@ -44,7 +45,9 @@ import (
 // plans flush roughly half the tiles.
 
 // PlanConfig tunes one inference plan. The zero value reproduces the
-// classic untiled plan.
+// classic untiled plan. PlanKnobs declares each field's range and what its
+// zero means; every planner refuses a field outside its range with the
+// *knob.RangeError of Validate, instead of reinterpreting it.
 type PlanConfig struct {
 	// EPCBudgetBytes caps the enclave bytes this plan's *workspace* may
 	// charge (persistent deploy-time residents are separate). A non-zero
@@ -54,10 +57,10 @@ type PlanConfig struct {
 	// plans buy proportionally taller tiles from the same budget. Every
 	// conv kind tiles. A GAT plan additionally charges one attention
 	// scratch row (8 B × the structure's longest row), declared by the
-	// program, on top of the tile the budget sizes. Negative is refused.
+	// program, on top of the tile the budget sizes.
 	EPCBudgetBytes int64
 	// TileRows, when non-zero, fixes the tile height directly and
-	// overrides the budget derivation. Negative is refused.
+	// overrides the budget derivation.
 	TileRows int
 	// Workers is the normal-world backbone's kernel parallelism budget
 	// (0 = GOMAXPROCS, 1 = inline), carried in the workspace so concurrent
@@ -71,9 +74,8 @@ type PlanConfig struct {
 	// always checked against the fp64 reference on them, failing with
 	// ErrCalibrationFailed below MinAgreement.
 	Precision Precision
-	// MinAgreement overrides the argmax-agreement floor an int8 plan
-	// must reach on the calibration batch (0 = DefaultMinAgreement). A
-	// share: values outside [0, 1], and NaN, are refused.
+	// MinAgreement is the argmax-agreement floor an int8 plan must reach
+	// on the calibration batch, a share in [0, 1] (0 = DefaultMinAgreement).
 	MinAgreement float64
 	// Recorder receives the plan's flight-recorder spans: one query root
 	// per call plus backbone/ECALL stage spans and the executor's per-op
@@ -83,27 +85,25 @@ type PlanConfig struct {
 	Recorder obs.Recorder
 }
 
+// PlanKnobs declares PlanConfig's knobs: a negative budget or tile height
+// would plan untiled, a negative worker budget would mean GOMAXPROCS, and a
+// floor outside [0, 1] (NaN included) would refuse every int8 plan or
+// none, so each is refused instead.
+var PlanKnobs = knob.Table[PlanConfig]{
+	{Field: "EPCBudgetBytes", Unit: "B", Range: knob.AtLeast(0), Zero: "untiled"},
+	{Field: "TileRows", Range: knob.AtLeast(0), Zero: "derived from EPCBudgetBytes"},
+	{Field: "Workers", Range: knob.AtLeast(0), Zero: "GOMAXPROCS"},
+	{Field: "Precision", Flag: "precision", Range: knob.Range{Min: 0, Max: float64(PrecisionInt8)}, Doc: "in-enclave kernel precision: fp64|int8 — int8 shrinks EPC, spill and transfer 8x; int8 plans are calibrated against the fp64 reference and refused below the agreement floor"},
+	{Field: "MinAgreement", Flag: "min-agreement", Range: knob.Range{Min: 0, Max: 1}, Default: DefaultMinAgreement, Doc: "argmax-agreement floor for int8 plans on the calibration batch"},
+	{Field: "Recorder", Default: obs.Nop},
+}
+
+// Validate refuses a field outside its PlanKnobs range with a
+// *knob.RangeError.
+func (c PlanConfig) Validate() error { return PlanKnobs.Check(c) }
+
 // tiled reports whether the config selects tiled streaming execution.
 func (c PlanConfig) tiled() bool { return c.EPCBudgetBytes > 0 || c.TileRows > 0 }
-
-// validate refuses a config whose fields are out of range, naming the
-// field, instead of letting a planner reinterpret it: a negative tile
-// height or budget would plan untiled, a NaN or negative floor would
-// become the default, and a floor above 1 would refuse every int8 plan
-// as an accuracy failure.
-func (c PlanConfig) validate() error {
-	switch {
-	case !c.Precision.valid():
-		return fmt.Errorf("core: unknown plan precision %d", c.Precision)
-	case c.EPCBudgetBytes < 0:
-		return fmt.Errorf("core: negative PlanConfig.EPCBudgetBytes %d", c.EPCBudgetBytes)
-	case c.TileRows < 0:
-		return fmt.Errorf("core: negative PlanConfig.TileRows %d", c.TileRows)
-	case !(c.MinAgreement >= 0 && c.MinAgreement <= 1):
-		return fmt.Errorf("core: PlanConfig.MinAgreement %v outside [0, 1]", c.MinAgreement)
-	}
-	return nil
-}
 
 // fleetOwner is what a full-graph plan is made for: a Vault, which is a
 // fleet of one part over its private operator, or a ShardedVault, one part
@@ -220,14 +220,12 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 	if n := v0.op.N; rows != n {
 		return nil, fmt.Errorf("core: plan rows %d != deployed graph nodes %d", rows, n)
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	PlanKnobs.Defaults(&cfg)
 	elem := cfg.Precision.Elem()
 	rec := cfg.Recorder
-	if rec == nil {
-		rec = obs.Nop
-	}
 
 	// Part programs: identical lowering everywhere (the fleet checks),
 	// with a halo gather between each conv's MatMul and SpMM whenever the

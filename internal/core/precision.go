@@ -32,23 +32,29 @@ const (
 	PrecisionInt8                  // calibrated symmetric int8, ⅛ the bytes
 )
 
-// ParsePrecision maps a user-facing precision name to its tier. The
-// empty string means fp64; unknown names are refused, never clamped.
-func ParsePrecision(s string) (Precision, error) {
+// Set parses a user-facing precision name into its tier, so a *Precision
+// is the value of a -precision flag. The empty string means fp64; unknown
+// names are refused, never clamped.
+func (p *Precision) Set(s string) error {
 	switch strings.ToLower(s) {
 	case "", "fp64", "f64", "float64":
-		return PrecisionFP64, nil
+		*p = PrecisionFP64
 	case "int8", "i8":
-		return PrecisionInt8, nil
+		*p = PrecisionInt8
+	default:
+		return fmt.Errorf("core: unknown precision %q (want fp64 or int8)", s)
 	}
-	return 0, fmt.Errorf("core: unknown precision %q (want fp64 or int8)", s)
+	return nil
 }
 
-// String names the tier for flags, logs and benchmark rows.
-func (p Precision) String() string { return p.Elem().String() }
-
-// valid reports whether p is a known tier.
-func (p Precision) valid() bool { return p <= PrecisionInt8 }
+// String names the tier for flags, logs and benchmark rows, and an
+// unknown one by its number.
+func (p Precision) String() string {
+	if p > PrecisionInt8 {
+		return fmt.Sprintf("Precision(%d)", p)
+	}
+	return p.Elem().String()
+}
 
 // Elem returns the exec element type of the tier.
 func (p Precision) Elem() exec.Elem {
@@ -81,14 +87,6 @@ var ErrCalibrationRequired = errors.New("core: int8 plan needs calibration featu
 // registry's admission loop evicts residents on EPC pressure, and an
 // accuracy refusal must not trigger evictions.
 var ErrCalibrationFailed = errors.New("core: reduced-precision plan below accuracy floor")
-
-// minAgreement resolves the configured agreement floor.
-func (c PlanConfig) minAgreement() float64 {
-	if c.MinAgreement > 0 {
-		return c.MinAgreement
-	}
-	return DefaultMinAgreement
-}
 
 // calibration is a registration's int8 calibration, taken by the first
 // int8 plan of any kind on it and read by every later one: the per-value
@@ -130,7 +128,7 @@ func int8Scales(v *Vault, reg *registration, bbMach *exec.Machine, own []*mat.Ma
 	if n := reg.x.Rows; n > 0 {
 		frac = float64(c.agree) / float64(n)
 	}
-	if floor := cfg.minAgreement(); frac < floor {
+	if floor := cfg.MinAgreement; frac < floor {
 		return nil, fmt.Errorf("%w: %s plan under the agreement floor %.4f", ErrCalibrationFailed, cfg.Precision, floor)
 	}
 	return c.scales, nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gnnvault/internal/enclave"
+	"gnnvault/internal/knob"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/subgraph"
 )
@@ -23,20 +24,21 @@ func TestParsePrecision(t *testing.T) {
 		"int8": PrecisionInt8, "I8": PrecisionInt8,
 	}
 	for s, want := range cases {
-		got, err := ParsePrecision(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePrecision(%q) = %v, %v; want %v", s, got, err, want)
+		got := PrecisionInt8 + 1
+		if err := got.Set(s); err != nil || got != want {
+			t.Fatalf("Set(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
 	// fp32 was a tier once; it is refused like any other unknown name,
 	// by an error that lists exactly the tiers there are.
 	for _, s := range []string{"fp16", "int4", "double", "quantized", "fp32", "F32", "float32"} {
-		_, err := ParsePrecision(s)
+		var p Precision
+		err := p.Set(s)
 		if err == nil {
-			t.Fatalf("ParsePrecision(%q) accepted, want refusal", s)
+			t.Fatalf("Set(%q) accepted, want refusal", s)
 		}
 		if !strings.HasSuffix(err.Error(), "(want fp64 or int8)") {
-			t.Fatalf("ParsePrecision(%q): %q does not name exactly fp64 and int8", s, err)
+			t.Fatalf("Set(%q): %q does not name exactly fp64 and int8", s, err)
 		}
 	}
 	if PrecisionFP64.ElemBytes() != 8 || PrecisionInt8.ElemBytes() != 1 {
@@ -156,9 +158,10 @@ func TestAgreementFloorRefusesPlan(t *testing.T) {
 }
 
 // TestPlanConfigOutOfRangeRefused: every planner refuses an out-of-range
-// PlanConfig field by name, before planning anything — a negative tile
-// height or budget is not an untiled plan, a NaN or negative floor not
-// the default one, and a floor above 1 not an accuracy failure.
+// PlanConfig field with the *knob.RangeError naming it, before planning
+// anything — a negative tile height or budget is not an untiled plan, a
+// negative worker budget not GOMAXPROCS, a NaN or negative floor not the
+// default one, and a floor above 1 not an accuracy failure.
 func TestPlanConfigOutOfRangeRefused(t *testing.T) {
 	ds, v := planTestVault(t, Parallel)
 	if err := v.SetCalibrationFeatures(ds.X); err != nil {
@@ -174,9 +177,10 @@ func TestPlanConfigOutOfRangeRefused(t *testing.T) {
 		field string
 		cfg   PlanConfig
 	}{
-		{"precision", PlanConfig{Precision: PrecisionInt8 + 1}},
+		{"Precision", PlanConfig{Precision: PrecisionInt8 + 1}},
 		{"EPCBudgetBytes", PlanConfig{EPCBudgetBytes: -1}},
 		{"TileRows", PlanConfig{TileRows: -7}},
+		{"Workers", PlanConfig{Workers: -1}},
 		{"MinAgreement", PlanConfig{Precision: PrecisionInt8, MinAgreement: -0.5}},
 		{"MinAgreement", PlanConfig{Precision: PrecisionInt8, MinAgreement: math.NaN()}},
 		{"MinAgreement", PlanConfig{Precision: PrecisionInt8, MinAgreement: 1.5}},
@@ -186,8 +190,9 @@ func TestPlanConfigOutOfRangeRefused(t *testing.T) {
 		_, err2 := v.PlanSubgraphWith(4, subConfigForTest(), c.cfg)
 		_, err3 := sv.PlanSharded(n, c.cfg)
 		for _, err := range []error{err1, err2, err3} {
-			if err == nil || errors.Is(err, ErrCalibrationFailed) || !strings.Contains(err.Error(), c.field) {
-				t.Fatalf("%+v: err = %v, want a config error naming %s", c.cfg, err, c.field)
+			var rangeErr *knob.RangeError
+			if !errors.As(err, &rangeErr) || rangeErr.Field != c.field {
+				t.Fatalf("%+v: err = %v, want a *knob.RangeError naming %s", c.cfg, err, c.field)
 			}
 		}
 		if got := v.Enclave.EPCUsed(); got != used {

@@ -131,9 +131,10 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 	if v.undeployed.Load() {
 		return nil, fmt.Errorf("core: subgraph plan on undeployed vault")
 	}
-	if err := pcfg.validate(); err != nil {
+	if err := pcfg.Validate(); err != nil {
 		return nil, err
 	}
+	PlanKnobs.Defaults(&pcfg)
 	if v.Backbone.adj == nil {
 		return nil, fmt.Errorf("%w: DNN backbone has no public graph to expand over", ErrSubgraphUnsupported)
 	}
@@ -154,9 +155,6 @@ func (v *Vault) PlanSubgraphWith(maxSeeds int, cfg subgraph.Config, pcfg PlanCon
 	needed := v.rectifier.RequiredEmbeddings()
 	elem := pcfg.Precision.Elem()
 	rec := pcfg.Recorder
-	if rec == nil {
-		rec = obs.Nop
-	}
 	rectCfg := exec.Config{Workers: 1, Elem: elem, Recorder: rec}
 	if elem != exec.F64 {
 		var err error

@@ -627,19 +627,36 @@ func (m *Machine) BufferBytes() int64 { return int64(m.attnRow)*8 + m.bufBytes }
 // boundary-transfer payload per call. The count reflects the machine's
 // actual program — for a fused program, chains folded into an epilogue
 // flush once instead of once per element-wise op, and a chained value
-// (fuse.go) is never flushed. Direct machines spill nothing.
+// (fuse.go) is never flushed. A halo op flushes nothing through the
+// tile: it adds only the local rows it copies (haloLocalBytes), and its
+// gathered rows are HaloBytes. Direct machines spill nothing.
 func (m *Machine) SpillTraffic(rows int) int64 {
 	if !m.tiled {
 		return 0
 	}
 	es := int64(m.elem.Size())
 	n := int64(0)
-	for _, op := range m.prog.ops {
-		if op.Dst >= 0 && !m.prog.vals[op.Dst].chained {
-			n += int64(rows+m.prog.vals[op.Dst].extra) * int64(m.prog.vals[op.Dst].width) * es
+	for i := range m.prog.ops {
+		switch op := &m.prog.ops[i]; {
+		case op.Kind == OpHalo:
+			n += m.haloLocalBytes(op, rows)
+		case op.Dst >= 0 && !m.prog.vals[op.Dst].chained:
+			n += int64(rows) * int64(m.prog.vals[op.Dst].width) * es
 		}
 	}
 	return n
+}
+
+// haloLocalBytes returns the local rows a tiled halo op copies into its
+// destination: none when the source is hosted there (its producer wrote
+// them in place, and that flush is counted once, as the producer's), all
+// rows of the source otherwise (an input, which lives in the caller's
+// memory). Direct machines bill no local copy.
+func (m *Machine) haloLocalBytes(op *Op, rows int) int64 {
+	if !m.tiled || m.host[op.Srcs[0]] == op.Dst {
+		return 0
+	}
+	return int64(rows) * int64(m.prog.vals[op.Dst].width) * int64(m.elem.Size())
 }
 
 // HaloBytes returns the bytes one Run gathers from peer shards — Σ over
@@ -681,8 +698,8 @@ func (m *Machine) opDone(i, rows int, t0 int64) {
 	switch {
 	case op.Kind == OpHalo:
 		// Halo ops run full-height in every mode; the boundary traffic
-		// is the gathered peer rows.
-		bytes = int64(len(op.Halo)) * int64(m.prog.vals[op.Dst].width) * int64(m.elem.Size())
+		// is the gathered peer rows plus any local rows copied.
+		bytes = int64(len(op.Halo))*int64(m.prog.vals[op.Dst].width)*int64(m.elem.Size()) + m.haloLocalBytes(op, rows)
 	case m.tiled:
 		tiles = int32((rows + m.cfg.TileRows - 1) / m.cfg.TileRows)
 		if staged >= 0 {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gnnvault/internal/graph"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
 )
@@ -446,8 +447,40 @@ func (r *spanBytes) Record(s obs.Span) {
 // TestChainedTraceMatchesLedger ties the trace to the ledger: on a tiled
 // run the op spans' bytes sum to SpillTraffic + HaloBytes, the figure a
 // plan bills as boundary transfer, on a chained program (one span per
-// chained pair) and an unchained one, at both element types.
+// chained pair), an unchained one, and every shard of a tiled 2-shard
+// fleet, at both element types.
 func TestChainedTraceMatchesLedger(t *testing.T) {
+	t.Run("fleet", func(t *testing.T) {
+		const n, d0, h, classes = 40, 3, 6, 4
+		pr := newGCNParams(rand.New(rand.NewSource(5)), d0, h, classes)
+		part := graph.NewPartition(testCSR(n, 9), 2)
+		progs := buildShardProgs(part, d0, pr)
+		x := randMat(rand.New(rand.NewSource(66)), n, d0)
+		scales, _, err := CalibrateScales(buildGCN(n, d0, testCSR(n, 9), pr, nil, false), n, []*mat.Matrix{x})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, elem := range []Elem{F64, I8} {
+			recs := make([]*spanBytes, len(progs))
+			fleet := newTestFleet(t, progs, func(s int) Config {
+				cfg := Config{TileRows: 8, Elem: elem}
+				if elem == I8 {
+					if cfg.Scales, err = ShardScales(progs[s], scales); err != nil {
+						t.Fatalf("shard %d scales: %v", s, err)
+					}
+				}
+				recs[s] = &spanBytes{}
+				cfg.Recorder = recs[s]
+				return cfg
+			})
+			runFleetPass(t, fleet, part, x, make([]int, n))
+			for s, m := range fleet.machines {
+				if want := m.SpillTraffic(part.Rows(s)) + m.HaloBytes(); recs[s].bytes != want {
+					t.Fatalf("shard %d %s: op spans carry %d B, the ledger bills %d B", s, elem, recs[s].bytes, want)
+				}
+			}
+		}
+	})
 	const n, d, h, c = 97, 12, 19, 3
 	for _, tc := range chainCases(n, d, h, c) {
 		if tc.name != "gcn-series" && tc.name != "sage" {

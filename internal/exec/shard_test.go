@@ -217,8 +217,10 @@ func TestShardedExecBitIdentical(t *testing.T) {
 }
 
 // TestShardedHaloAccounting pins the halo/spill pricing: HaloBytes sums
-// slot×width bytes per halo op at the element width, a halo
-// destination's extra rows join SpillTraffic, and a gathered value is
+// slot×width bytes per halo op at the element width, a halo op adds
+// nothing to SpillTraffic when its source is hosted in it (the producer's
+// flush already wrote the local rows, and HaloBytes prices the gathered
+// ones), and a gathered value is
 // hosted in its destination's first rows — one buffer, counted once in
 // BufferBytes, not a second one copied over every run. BufferBytes is the
 // buffer plan's figure: every distinct slot once, which is less than a
@@ -246,14 +248,18 @@ func TestShardedHaloAccounting(t *testing.T) {
 			t.Fatalf("shard %d HaloBytes %d, want %d", s, got, wantHalo)
 		}
 		rows := part.Rows(s)
-		// SpillTraffic counts the halo rows of each halo destination on
-		// top of the local rows of every op output the machine stores:
-		// the hidden SpMM output is chained into the second MatMul and
-		// never flushed.
+		// SpillTraffic counts the local rows of every op output the
+		// machine flushes: a halo op, whose source is hosted in it, copies
+		// none, and the hidden SpMM output is chained into the second
+		// MatMul and never flushed.
 		spill := m.SpillTraffic(rows)
-		base, chained := int64(0), 0
+		base, chained, hosted := int64(0), 0, 0
 		for _, op := range m.prog.Ops() {
 			switch {
+			case op.Kind == OpHalo:
+				if m.host[op.Srcs[0]] == op.Dst {
+					hosted++
+				}
 			case op.Dst < 0:
 			case m.prog.vals[op.Dst].chained:
 				chained++
@@ -261,11 +267,11 @@ func TestShardedHaloAccounting(t *testing.T) {
 				base += int64(rows) * int64(p.vals[op.Dst].width) * 8
 			}
 		}
-		if chained != 1 {
-			t.Fatalf("shard %d: %d values chained, want the hidden one", s, chained)
+		if chained != 1 || hosted != 2 {
+			t.Fatalf("shard %d: %d values chained and %d halo sources hosted, want the hidden one and both", s, chained, hosted)
 		}
-		if spill != base+wantHalo {
-			t.Fatalf("shard %d SpillTraffic %d, want %d local + %d halo", s, spill, base, wantHalo)
+		if spill != base {
+			t.Fatalf("shard %d SpillTraffic %d, want the %d B of local flushes alone", s, spill, base)
 		}
 	}
 	machines := make([]*Machine, len(progs))

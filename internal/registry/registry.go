@@ -40,6 +40,7 @@ import (
 
 	"gnnvault/internal/core"
 	"gnnvault/internal/enclave"
+	"gnnvault/internal/knob"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
 	"gnnvault/internal/subgraph"
@@ -56,25 +57,13 @@ var ErrUnknownVault = errors.New("registry: unknown vault")
 // EnableNodeQueries (no feature matrix to gather from).
 var ErrNodeQueriesDisabled = errors.New("registry: node queries not enabled")
 
-// NodeQueryRangeError refuses a NodeQueryConfig field below zero — which
-// WithDefaults would otherwise have to reinterpret — naming the field.
-// EnableNodeQueries and RegisterFleet return it.
-type NodeQueryRangeError struct {
-	Field string
-	Value int
-}
-
-// Error names the field and its value.
-func (e *NodeQueryRangeError) Error() string {
-	return fmt.Sprintf("registry: negative NodeQueryConfig.%s %d", e.Field, e.Value)
-}
-
 // NodeQueryConfig fixes the subgraph sampling geometry for the
 // registry's node-level serving path. Subgraph workspaces are planned
 // (and evicted) by the same scheduler as full-graph workspaces, but their
 // EPC charge is bounded by hops × fanout × seeds instead of the graph
 // size — a vault whose full-graph plan can never be admitted may still
-// serve node queries.
+// serve node queries. NodeQueryKnobs declares each field's range and
+// default; a negative field is refused (Validate).
 type NodeQueryConfig struct {
 	// Hops is the neighborhood expansion depth L; 0 means the default, 2.
 	Hops int
@@ -88,44 +77,30 @@ type NodeQueryConfig struct {
 	Seed uint64
 }
 
-// WithDefaults returns the config with its zero Hops and MaxSeeds replaced
-// by the documented defaults (hops 2, 16 seeds); a zero Fanout stays
-// unlimited. Negative fields are left as they are, for check to refuse.
-func (c NodeQueryConfig) WithDefaults() NodeQueryConfig {
-	if c.Hops == 0 {
-		c.Hops = 2
-	}
-	if c.MaxSeeds == 0 {
-		c.MaxSeeds = 16
-	}
-	return c
+// NodeQueryKnobs declares NodeQueryConfig's knobs. The serve command's
+// -hops is its own option, since there 0 turns node queries off.
+var NodeQueryKnobs = knob.Table[NodeQueryConfig]{
+	{Field: "Hops", Range: knob.AtLeast(1), Default: 2},
+	{Field: "Fanout", Flag: "fanout", Range: knob.AtLeast(0), Zero: "unlimited, exact L-hop", Doc: "sampled neighbours per node per hop for node-level serving"},
+	{Field: "MaxSeeds", Flag: "max-seeds", Range: knob.AtLeast(1), Default: 16, Doc: "max seed nodes per coalesced subgraph extraction"},
 }
 
-// check refuses a negative field with a *NodeQueryRangeError.
-func (c NodeQueryConfig) check() error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"Hops", c.Hops}, {"Fanout", c.Fanout}, {"MaxSeeds", c.MaxSeeds}} {
-		if f.v < 0 {
-			return &NodeQueryRangeError{Field: f.name, Value: f.v}
-		}
-	}
-	return nil
-}
+// Validate refuses a field outside its NodeQueryKnobs range with a
+// *knob.RangeError.
+func (c NodeQueryConfig) Validate() error { return NodeQueryKnobs.Check(c) }
 
 // Subgraph returns the sampling geometry as a subgraph.Config.
 func (c NodeQueryConfig) Subgraph() subgraph.Config {
 	return subgraph.Config{Hops: c.Hops, Fanout: c.Fanout, Seed: c.Seed}
 }
 
-// Config tunes the scheduler.
+// Config tunes the scheduler. ConfigKnobs declares its knob's range and
+// default; Validate also validates Plan and NodeQuery.
 type Config struct {
 	// WorkspacesPerVault caps how many concurrent inference workspaces one
 	// vault may hold (its maximum worker parallelism). Default 2, matching
-	// serve.Config's worker default; a negative value is programmer error
-	// and New panics on it. Full-graph and subgraph workspaces are capped
-	// independently.
+	// serve.Config's worker default. Full-graph and subgraph workspaces are
+	// capped independently.
 	WorkspacesPerVault int
 	// Plan shapes every full-graph workspace the registry plans. Setting
 	// Plan.EPCBudgetBytes makes cold plans tile-streamed: a vault whose
@@ -151,24 +126,24 @@ type Config struct {
 	Recorder obs.Recorder
 }
 
-func (c Config) withDefaults() Config {
-	if c.WorkspacesPerVault < 0 {
-		panic(fmt.Sprintf("registry: negative Config.WorkspacesPerVault (%d)", c.WorkspacesPerVault))
-	}
-	if c.WorkspacesPerVault == 0 {
-		c.WorkspacesPerVault = 2
+// ConfigKnobs declares Config's own knobs.
+var ConfigKnobs = knob.Table[Config]{
+	{Field: "WorkspacesPerVault", Flag: "ws-per-vault", Range: knob.AtLeast(1), Default: 2, Doc: "max concurrent inference workspaces per vault"},
+	{Field: "Recorder", Default: obs.Nop},
+}
+
+// Validate refuses a field of the config, its Plan or its NodeQuery
+// outside its range with a *knob.RangeError.
+func (c Config) Validate() error {
+	if err := ConfigKnobs.Check(c); err != nil {
+		return err
 	}
 	if c.NodeQuery != nil {
-		nq := c.NodeQuery.WithDefaults()
-		c.NodeQuery = &nq
+		if err := c.NodeQuery.Validate(); err != nil {
+			return err
+		}
 	}
-	if c.Recorder == nil {
-		c.Recorder = obs.Nop
-	}
-	if c.Plan.Recorder == nil {
-		c.Plan.Recorder = c.Recorder
-	}
-	return c
+	return c.Plan.Validate()
 }
 
 // entry is one registered vault's — or shard fleet's — residency state.
@@ -289,11 +264,24 @@ type Registry struct {
 // typically created with enclave.New over every hosted rectifier's
 // Identity, then populated via core.DeployInto and Register. A registry
 // that only holds shard fleets, which bring their own enclaves, may be
-// created over a nil enclave.
+// created over a nil enclave. A cfg that fails Validate is programmer
+// error: New panics with its *knob.RangeError.
 func New(encl *enclave.Enclave, cfg Config) *Registry {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	ConfigKnobs.Defaults(&cfg)
+	if cfg.NodeQuery != nil {
+		nq := *cfg.NodeQuery
+		NodeQueryKnobs.Defaults(&nq)
+		cfg.NodeQuery = &nq
+	}
+	if cfg.Plan.Recorder == nil {
+		cfg.Plan.Recorder = cfg.Recorder
+	}
 	r := &Registry{
 		encl:   encl,
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		vaults: map[string]*entry{},
 	}
 	r.cond = sync.NewCond(&r.mu)
@@ -315,14 +303,8 @@ func (r *Registry) Register(id string, v *core.Vault) error {
 // RegisterFleet adds a deployed shard fleet under id, as one entry: its
 // full-graph workspaces come from core.ShardedVault.PlanSharded, charged
 // on every shard enclave, and its node-query pool is kept per shard
-// (AcquireSubgraphPart). Fails with a *NodeQueryRangeError when the
-// registry's NodeQuery config has a negative field.
+// (AcquireSubgraphPart).
 func (r *Registry) RegisterFleet(id string, sv *core.ShardedVault) error {
-	if nq := r.cfg.NodeQuery; nq != nil {
-		if err := nq.check(); err != nil {
-			return err
-		}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.addLocked(&entry{id: id, fleet: sv, parts: make([]part, sv.Shards())})
@@ -378,8 +360,7 @@ func (r *Registry) Fleet(id string) *core.ShardedVault {
 // matrix and opens the node-level serving path for it: subsequent
 // AcquireSubgraph calls may plan subgraph workspaces against the
 // registry's NodeQuery geometry. The registry itself must have been
-// created with Config.NodeQuery set, without a negative field (else a
-// *NodeQueryRangeError).
+// created with Config.NodeQuery set.
 func (r *Registry) EnableNodeQueries(id string, x *mat.Matrix) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -388,9 +369,6 @@ func (r *Registry) EnableNodeQueries(id string, x *mat.Matrix) error {
 	}
 	if r.cfg.NodeQuery == nil {
 		return fmt.Errorf("%w: registry has no NodeQuery config", ErrNodeQueriesDisabled)
-	}
-	if err := r.cfg.NodeQuery.check(); err != nil {
-		return err
 	}
 	e, ok := r.vaults[id]
 	if !ok {

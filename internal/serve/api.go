@@ -102,7 +102,8 @@ type API struct {
 // NewAPI builds the shared serving surface over a running MultiServer and
 // its registry. A catalogued vault that is a shard fleet in the registry
 // also gets the per-shard sections of /stats and /metrics, and its
-// breakers decide /readyz.
+// breakers decide /readyz. A Limit that fails Validate is programmer
+// error: NewAPI panics with its *knob.RangeError.
 func NewAPI(srv *MultiServer, reg *registry.Registry, cfg APIConfig) *API {
 	a := &API{
 		srv:       srv,
@@ -120,6 +121,9 @@ func NewAPI(srv *MultiServer, reg *registry.Registry, cfg APIConfig) *API {
 		a.vm[cfg.Vaults[i].ID] = &vaultMetrics{}
 	}
 	if cfg.Limit != nil {
+		if err := cfg.Limit.Validate(); err != nil {
+			panic(err)
+		}
 		a.lim = newLimiter(*cfg.Limit)
 	}
 	return a

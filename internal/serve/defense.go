@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"gnnvault/internal/knob"
 )
 
 // ErrScoresDisabled is returned by PredictScores/PredictNodesScores on a
@@ -25,21 +27,34 @@ var ErrRateLimited = errors.New("serve: client rate limited")
 // RateLimit caps what one client may extract from the serving surface.
 // Cost is measured in answered labels (a full-graph query costs the graph
 // size, a node query costs its seed count), so the limit prices exactly
-// the quantity an extraction attack consumes.
+// the quantity an extraction attack consumes. RateLimitKnobs declares
+// each field's range: zero keeps its meaning below, and a negative (or
+// NaN) field is refused — NewAPI panics with Validate's *knob.RangeError.
 type RateLimit struct {
 	// PerSec is the sustained answered-labels-per-second refill rate of
-	// each client's token bucket. <= 0 disables the rate component.
+	// each client's token bucket. 0 disables the rate component.
 	PerSec float64
-	// Burst is the bucket capacity in labels. Defaults to
-	// max(1, PerSec) when unset. A query costing more than Burst can
-	// never be admitted by the rate component.
+	// Burst is the bucket capacity in labels. 0 means max(1, PerSec). A
+	// query costing more than Burst can never be admitted by the rate
+	// component.
 	Burst int
 	// Budget is a lifetime per-client cap on total answered labels.
-	// <= 0 disables the budget component. Unlike the token bucket it is
+	// 0 disables the budget component. Unlike the token bucket it is
 	// clock-independent, so budget-limited configurations are
 	// deterministic under replay.
 	Budget int
 }
+
+// RateLimitKnobs declares RateLimit's knobs.
+var RateLimitKnobs = knob.Table[RateLimit]{
+	{Field: "PerSec", Flag: "rate-limit", Unit: "labels/s", Range: knob.AtLeast(0), Zero: "unlimited", Doc: "per-client sustained answered-labels/second over the HTTP API"},
+	{Field: "Burst", Flag: "rate-burst", Unit: "labels", Range: knob.AtLeast(0), Zero: "max(1, -rate-limit)", Doc: "per-client token-bucket capacity in labels"},
+	{Field: "Budget", Flag: "query-budget", Unit: "labels", Range: knob.AtLeast(0), Zero: "unlimited", Doc: "per-client lifetime cap on total answered labels"},
+}
+
+// Validate refuses a field outside its RateLimitKnobs range with a
+// *knob.RangeError.
+func (c RateLimit) Validate() error { return RateLimitKnobs.Check(c) }
 
 // bucket is one client's token-bucket state.
 type bucket struct {
@@ -59,7 +74,7 @@ type limiter struct {
 }
 
 func newLimiter(cfg RateLimit) *limiter {
-	if cfg.Burst <= 0 {
+	if cfg.Burst == 0 {
 		cfg.Burst = int(cfg.PerSec)
 		if cfg.Burst < 1 {
 			cfg.Burst = 1

@@ -366,14 +366,19 @@ type ShardedServer struct {
 // calibration features and node-query gather source, and one full-graph
 // workspace — plus one subgraph workspace per shard with NodeQuery —
 // planned per worker up front. Fails, releasing what it planned, when a
-// shard's share does not fit its enclave. It stays because bench/ names
-// it.
+// shard's share does not fit its enclave. A cfg that fails Validate, or
+// whose Plan or NodeQuery registry.New refuses, is programmer error: it
+// panics with the *knob.RangeError. It stays because bench/ names it.
 func NewSharded(sv *core.ShardedVault, cfg Config) (*ShardedServer, error) {
-	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	ConfigKnobs.Defaults(&cfg)
+	reg := registry.New(nil, registry.Config{WorkspacesPerVault: cfg.Workers, Plan: cfg.Plan, NodeQuery: cfg.NodeQuery})
 	if cfg.NodeQuery != nil && (cfg.Features == nil || cfg.Features.Rows != sv.Nodes()) {
+		reg.Close()
 		return nil, fmt.Errorf("serve: node queries need the deployed graph's %d-row feature matrix", sv.Nodes())
 	}
-	reg := registry.New(nil, registry.Config{WorkspacesPerVault: cfg.Workers, Plan: cfg.Plan, NodeQuery: cfg.NodeQuery})
 	if err := warmFleet(reg, sv, cfg); err != nil {
 		reg.Close()
 		return nil, err

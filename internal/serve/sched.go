@@ -85,9 +85,13 @@ type MultiServer struct {
 // demand-driven, so a fleet larger than the EPC starts instantly and pages
 // vaults in as traffic arrives. A single vault is served the same way, as
 // a one-vault registry. The caller keeps ownership of the registry; Close
-// stops the workers without closing it.
+// stops the workers without closing it. A cfg that fails Validate is
+// programmer error: NewMulti panics with its *knob.RangeError.
 func NewMulti(reg *registry.Registry, cfg Config) *MultiServer {
-	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	ConfigKnobs.Defaults(&cfg)
 	s := &MultiServer{
 		cfg:     cfg,
 		reg:     reg,

@@ -24,11 +24,11 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
 	"gnnvault/internal/core"
+	"gnnvault/internal/knob"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
 	"gnnvault/internal/registry"
@@ -48,10 +48,11 @@ var ErrNodeQueriesDisabled = registry.ErrNodeQueriesDisabled
 var errNoFeatures = errors.New("serve: no feature matrix for full-graph query")
 
 // Config tunes the worker pool. Every field is read by NewMulti, except
-// Plan, NodeQuery and Features, which only NewSharded reads. A negative
-// Workers, MaxBatch, MaxRetries or RecoveryBackoff is programmer error
-// (gnnvault serve refuses one when it parses its flags): NewMulti and
-// NewSharded panic on it, naming the field.
+// Plan, NodeQuery and Features, which only NewSharded reads. ConfigKnobs
+// declares each knob's range, default and flag: zero keeps its documented
+// meaning, and a field outside its range — a negative one, say — is
+// programmer error (gnnvault serve refuses it as it parses its flags), so
+// NewMulti and NewSharded panic with the *knob.RangeError of Validate.
 type Config struct {
 	// Workers is the number of inference workers. Default 2. They share
 	// the registry's workspaces; NewSharded plans one per worker up front.
@@ -129,31 +130,22 @@ const queueSlack = 2
 // circuit breaker (an enclave loss trips it immediately regardless).
 const breakerThreshold = 3
 
-// withDefaults gives the zero fields their documented defaults and
-// panics on a negative one.
-func (c Config) withDefaults() Config {
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{{"Workers", int64(c.Workers)}, {"MaxBatch", int64(c.MaxBatch)}, {"MaxRetries", int64(c.MaxRetries)}, {"RecoveryBackoff", int64(c.RecoveryBackoff)}} {
-		if f.v < 0 {
-			panic(fmt.Sprintf("serve: negative Config.%s (%d)", f.name, f.v))
-		}
-	}
-	if c.Workers == 0 {
-		c.Workers = 2
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 8
-	}
-	if c.RecoveryBackoff == 0 {
-		c.RecoveryBackoff = 5 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
+// ConfigKnobs declares Config's knobs.
+var ConfigKnobs = knob.Table[Config]{
+	{Field: "Workers", Flag: "workers", Range: knob.AtLeast(1), Default: 2, Doc: "inference workers shared across the fleet"},
+	{Field: "MaxBatch", Flag: "batch", Range: knob.AtLeast(1), Default: 8, Doc: "max requests coalesced per worker wake-up"},
+	{Field: "ExposeScores", Flag: "expose-scores", Doc: "serve per-class softmax posteriors alongside labels (widens the attack surface; label-only is the paper's default posture)"},
+	{Field: "RoundDigits", Flag: "round-digits", Range: knob.AtLeast(0), Zero: "exact scores", Doc: "round exposed scores to this many decimal digits, argmax-preserving"},
+	{Field: "TopK", Flag: "topk", Range: knob.AtLeast(0), Zero: "all classes", Doc: "expose only the K largest score entries per row, zeroing the rest"},
+	{Field: "Deadline", Flag: "deadline", Unit: "ns", Range: knob.AtLeast(0), Zero: "unbounded", Doc: "per-request serving deadline, enqueue to answer — expired requests fail with 503 and a Retry-After"},
+	{Field: "MaxRetries", Flag: "max-retries", Range: knob.AtLeast(0), Zero: "fail fast", Doc: "node-query admission retries while the owning shard's breaker is open, each a jittered backoff bounded by -deadline (sharded only)"},
+	{Field: "RecoveryBackoff", Unit: "ns", Range: knob.AtLeast(1), Default: 5 * time.Millisecond},
+	{Field: "Seed", Range: knob.Any, Default: 1},
 }
+
+// Validate refuses a field outside its ConfigKnobs range with a
+// *knob.RangeError. Plan and NodeQuery are registry.Config's to validate.
+func (c Config) Validate() error { return ConfigKnobs.Check(c) }
 
 // Stats is a snapshot of the server's counters since it started. The latency
 // fields all derive from one pair of histogram snapshots taken at the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,31 +170,6 @@ func TestServerBadInputSurfacesError(t *testing.T) {
 	}
 	if st := s.Stats(); st.Errors != 2 {
 		t.Fatalf("errors %d, want 2", st.Errors)
-	}
-
-	// A negative Config field is programmer error, not a request: NewMulti
-	// panics naming it. Zero keeps its documented default.
-	reg := registry.New(nil, registry.Config{})
-	defer reg.Close()
-	for _, c := range []struct {
-		field string
-		cfg   Config
-	}{
-		{"Workers", Config{Workers: -1}},
-		{"MaxBatch", Config{MaxBatch: -2}},
-		{"MaxRetries", Config{MaxRetries: -1}},
-		{"RecoveryBackoff", Config{RecoveryBackoff: -time.Millisecond}},
-		{"", Config{}},
-	} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if c.field != "" && !strings.Contains(msg, "Config."+c.field) || c.field == "" && msg != "" {
-					t.Errorf("%+v: NewMulti panicked with %q, want a panic naming %q", c.cfg, msg, c.field)
-				}
-			}()
-			NewMulti(reg, c.cfg).Close()
-		}()
 	}
 }
 
