@@ -20,11 +20,12 @@ import (
 // so every program tiles, quantises and declares the memory its ops
 // touch: BufferBytes counts a machine's value slots (values share them by
 // liveness) and TileBytes its staging tile and chaining band, each with
-// the attention scratch row. Neither counts inputs, which are the
-// caller's, nor an int8 machine's boundary codes and dequantised output.
-// A plan prices the input codes as payload: every plan bills them as
-// ECALL transfer, only a direct plan also charges them to the EPC (a
-// tiled one streams them), and the dequantised output is charged nowhere
+// the attention scratch row. Neither counts inputs, nor an int8 machine's
+// boundary codes and dequantised output. A plan prices the inputs (at
+// int8, their codes) as payload: a direct plan charges it to the EPC and
+// bills its transfer only when its machine does not already hold the
+// store record it reads; a tiled plan keeps it in sealed untrusted pages
+// and bills it on every pass. The dequantised output is charged nowhere
 // (ROADMAP item 11).
 //
 // Every program leaves the compilers epilogue-fused (exec.Program.Fused):

@@ -121,18 +121,26 @@ func shapeOf(v *Vault) publicShape {
 }
 
 // boundaryTrace is what the host sees of a plan and its passes: the
-// ledger's boundary counts, the EPC the plan charged, the traffic it
-// spills and the peak EPC of its passes.
+// ledger's boundary counts of each pass, the EPC the plan charged, the
+// traffic it spills and the peak EPC of its passes.
 type boundaryTrace struct {
-	ecalls, ocalls                int
-	bytesIn, bytesOut, pageSwaps  int64
+	passes                        [4]passLedger
 	enclaveBytes, spill, peakEPCB int64
+}
+
+// passLedger is the ledger's boundary counts over one pass.
+type passLedger struct {
+	ecalls, ocalls               int
+	bytesIn, bytesOut, pageSwaps int64
 }
 
 // TestBoundaryTraceIsPublic: one set of weights deployed over cora's
 // graph and over a lookalike with the same node and edge counts leaves
-// the same boundary trace on every single-enclave plan — fp64 and int8,
-// direct and tiled, and node queries.
+// the same boundary trace, pass by pass, on every single-enclave plan —
+// fp64 and int8, direct and tiled, and node queries. A full-graph cell
+// answers the caller's own features, then the registered ones three
+// times: the last pass reads the store record the one before bound, so a
+// direct plan's enclave holds its payload and bills none of it.
 //
 // The int8-refusal row holds two lookalikes the default floor refuses at
 // different agreements to the same error text.
@@ -170,15 +178,19 @@ func TestBoundaryTraceIsPublic(t *testing.T) {
 			}
 			defer ws.Release()
 			tr := boundaryTrace{enclaveBytes: ws.EnclaveBytes(), spill: ws.SpillBytes()}
-			before := v.Enclave.Ledger()
-			for _, x := range []*mat.Matrix{ownX, ds.X, ds.X} {
+			for i, x := range []*mat.Matrix{ownX, ds.X, ds.X, ds.X} {
+				before := v.Enclave.Ledger()
 				_, bd, err := v.PredictInto(x, ws)
 				if err != nil {
 					t.Fatal(err)
 				}
+				tr.passes[i] = ledgerDelta(before, v.Enclave.Ledger())
 				tr.peakEPCB = max(tr.peakEPCB, bd.PeakEPCBytes)
 			}
-			return tr.ledger(before, v.Enclave.Ledger())
+			if held := tr.passes[3].bytesIn; ws.TileRows() == 0 && held != 0 {
+				t.Fatalf("a direct plan's held pass billed %d B in", held)
+			}
+			return tr
 		}
 	}
 	nodeQuery := func(t *testing.T, v *Vault) boundaryTrace {
@@ -188,15 +200,16 @@ func TestBoundaryTraceIsPublic(t *testing.T) {
 		}
 		defer ws.Release()
 		tr := boundaryTrace{enclaveBytes: ws.EnclaveBytes()}
-		before := v.Enclave.Ledger()
-		for _, seeds := range [][]int{{0}, {5, 17}, {42, 99, 311, 5}} {
+		for i, seeds := range [][]int{{0}, {5, 17}, {42, 99, 311, 5}} {
+			before := v.Enclave.Ledger()
 			_, bd, err := v.PredictNodesInto(ds.X, seeds, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr.passes[i] = ledgerDelta(before, v.Enclave.Ledger())
 			tr.peakEPCB = max(tr.peakEPCB, bd.PeakEPCBytes)
 		}
-		return tr.ledger(before, v.Enclave.Ledger())
+		return tr
 	}
 	for _, cell := range []struct {
 		name  string
@@ -241,14 +254,15 @@ func TestBoundaryTraceIsPublic(t *testing.T) {
 	})
 }
 
-// ledger fills the trace's boundary counts from a ledger delta.
-func (tr boundaryTrace) ledger(before, after enclave.Ledger) boundaryTrace {
-	tr.ecalls = after.ECalls - before.ECalls
-	tr.ocalls = after.OCalls - before.OCalls
-	tr.bytesIn = after.BytesIn - before.BytesIn
-	tr.bytesOut = after.BytesOut - before.BytesOut
-	tr.pageSwaps = after.PageSwaps - before.PageSwaps
-	return tr
+// ledgerDelta returns the boundary counts between two ledger readings.
+func ledgerDelta(before, after enclave.Ledger) passLedger {
+	return passLedger{
+		ecalls:    after.ECalls - before.ECalls,
+		ocalls:    after.OCalls - before.OCalls,
+		bytesIn:   after.BytesIn - before.BytesIn,
+		bytesOut:  after.BytesOut - before.BytesOut,
+		pageSwaps: after.PageSwaps - before.PageSwaps,
+	}
 }
 
 // FuzzDeployGraph: over a fuzzed private graph — node count off the

@@ -152,7 +152,8 @@ type Workspace struct {
 	bounds     []int
 	partEmbs   [][]*mat.Matrix
 	partLabels [][]int
-	payload    []int64 // transferred embedding bytes per call
+	payload    []int64 // input embedding bytes per call, at the plan's element width
+	sent       []int64 // payload this pass transfers: payload, or 0 where the part's machine holds it
 	spill      []int64 // tiled only: modelled tile-flush traffic per call
 	halo       []int64 // gathered boundary-activation bytes per call
 	epc        []int64 // EPC charged at plan time
@@ -292,6 +293,7 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 		partEmbs:   make([][]*mat.Matrix, parts),
 		partLabels: make([][]int, parts),
 		payload:    make([]int64, parts),
+		sent:       make([]int64, parts),
 		spill:      make([]int64, parts),
 		halo:       make([]int64, parts),
 		epc:        make([]int64, parts),
@@ -315,9 +317,11 @@ func planFull(owner fleetOwner, part *graph.Partition, rows int, cfg PlanConfig)
 		}
 		ws.partLabels[s] = ws.labels[lo:hi:hi]
 		// The payload is the input embeddings at the plan's element width
-		// (at int8, the boundary codes): every plan bills it as ECALL
-		// transfer, and a direct plan also charges it to the EPC. The
-		// dequantised int8 output is charged nowhere (ROADMAP item 11).
+		// (at int8, the boundary codes). A direct plan charges it to the
+		// EPC and bills its transfer only on a pass whose machine does not
+		// hold the store record it reads (predict); a tiled plan bills it
+		// on every pass. The dequantised int8 output is charged nowhere
+		// (ROADMAP item 11).
 		for _, i := range needed {
 			ws.payload[s] += int64(v0.Backbone.BlockDims[i]) * int64(local) * cfg.Precision.ElemBytes()
 		}
@@ -430,9 +434,18 @@ func (ws *Workspace) Release() {
 		return
 	}
 	ws.released = true
+	ws.forget()
 	for s, v := range ws.vaults {
-		ws.fleet.Machine(s).SetInputEpoch(nil) // drop the store record the part's codes were keyed on
 		v.Enclave.Free(ws.epc[s])
+	}
+}
+
+// forget drops the store record every part's machine holds, so the next
+// pass transfers (and at int8 quantises) its payload afresh: called on
+// release and by a pass that fails, whose parts may have stopped anywhere.
+func (ws *Workspace) forget() {
+	for s := range ws.vaults {
+		ws.fleet.Machine(s).SetInputEpoch(nil)
 	}
 }
 
@@ -440,7 +453,7 @@ func (ws *Workspace) Release() {
 // workspace's labels. Part 0 runs on the calling goroutine and parts
 // 1…n−1 on one goroutine each — every part must reach the fleet barriers
 // for any to pass them. In a pass, each part is one ECALL on its part
-// vault's enclave carrying the part's payload, spill and halo in and
+// vault's enclave carrying the part's sent payload, spill and halo in and
 // resultWidth bytes per row out. A watcher poisons the fleet with
 // ctx's cause when ctx ends — started only for a ctx that can — and a part
 // whose ECALL fails at the enclave gate poisons it too, since its peers
@@ -482,7 +495,7 @@ func (ws *Workspace) watchCtx(ctx context.Context, quit chan struct{}) {
 // runPart runs part s's share of a fanOut round and records its error.
 func (ws *Workspace) runPart(s int, resultWidth int64) {
 	defer ws.parts.Done()
-	err := ws.vaults[s].Enclave.Ecall(ws.payload[s]+ws.spill[s]+ws.halo[s], int64(len(ws.partLabels[s]))*resultWidth, ws.ecalls[s])
+	err := ws.vaults[s].Enclave.Ecall(ws.sent[s]+ws.spill[s]+ws.halo[s], int64(len(ws.partLabels[s]))*resultWidth, ws.ecalls[s])
 	if err != nil && !errors.Is(err, exec.ErrFleetAborted) {
 		ws.fleet.Abort(&ShardFault{Shard: s, Err: err})
 	}
@@ -522,9 +535,12 @@ func (ws *Workspace) firstFault() error {
 // When x is the vault's registered feature matrix (SetCalibrationFeatures;
 // pointer identity), the backbone runs only on the first such pass: it
 // publishes its embeddings into the vault's public-half store and later
-// passes read them (InferenceBreakdown.BackboneReused). The ECALL carries
-// the same payload into the same machine either way, and answers are
-// bit-identical. Any other x runs the backbone as always.
+// passes read them (InferenceBreakdown.BackboneReused). An untiled plan's
+// enclave keeps the store blocks it was sent: from the second pass that
+// reads the same registration on, the ECALL carries no embedding payload.
+// Answers are bit-identical either way. Any other x runs the backbone and
+// pays the transfer as always, as does a tiled plan and the pass after a
+// failed one.
 //
 // The returned label slice is owned by the workspace and overwritten by the
 // next call. The breakdown is computed from enclave-ledger deltas; when
@@ -583,13 +599,14 @@ func (ws *Workspace) predict(ctx context.Context, owner fleetOwner, x *mat.Matri
 			return nil, nil, bd, fmt.Errorf("core: workspace planned against part %d's undeployed vault", s)
 		}
 	}
-	if ctx.Err() != nil {
-		return nil, nil, bd, fmt.Errorf("core: inference: %w", context.Cause(ctx))
-	}
 	if !ws.inflight.CompareAndSwap(false, true) {
 		return nil, nil, bd, fmt.Errorf("core: workspace already has a pass in flight")
 	}
 	defer ws.inflight.Store(false)
+	if ctx.Err() != nil {
+		ws.forget()
+		return nil, nil, bd, fmt.Errorf("core: inference: %w", context.Cause(ctx))
+	}
 	// An abort that landed after the last pass's parts returned left the
 	// barrier poisoned with a stale cause; re-arm before the pass begins.
 	ws.fleet.Reset()
@@ -631,25 +648,30 @@ func (ws *Workspace) predict(ctx context.Context, owner fleetOwner, x *mat.Matri
 	}
 
 	// One-way transfer of exactly the embeddings the design requires, one
-	// modelled ECALL per part (untiled plans hold the buffers EPC-resident
-	// since plan time; tiled plans stream them, plus the tile flushes,
-	// through the boundary). By default only the labels cross back — 8
-	// bytes per node; a scores call pays for the logits too. Every part's
-	// view headers are rebound onto its rows of embs, zero-alloc, and its
-	// machine told whether they are reg's stored blocks
-	// (registration.declareInputs: a part's rows of the store are as
+	// modelled ECALL per part. An untiled part's payload is EPC-charged
+	// since plan time and sent only when its machine does not already hold
+	// the store record this pass reads; a tiled part streams it, plus the
+	// tile flushes, through the boundary on every pass. By default only the
+	// labels cross back — 8 bytes per node; a scores call pays for the
+	// logits too. Every part's view headers are rebound onto its rows of
+	// embs, zero-alloc, and its machine told whether they are reg's stored
+	// blocks (registration.declareInputs: a part's rows of the store are as
 	// immutable as the whole).
 	for s, views := range ws.partEmbs {
 		for k, m := range embs {
 			m.ViewRows(ws.bounds[s], ws.bounds[s+1], views[k])
 		}
-		reg.declareInputs(ws.fleet.Machine(s), reused)
+		ws.sent[s] = ws.payload[s]
+		if reg.declareInputs(ws.fleet.Machine(s), reused) {
+			ws.sent[s] = 0
+		}
 	}
 	resultWidth := int64(8)
 	if wantScores {
 		resultWidth += int64(ws.fleet.Machine(0).OutputWidth()) * 8
 	}
 	if err := ws.fanOut(ctx, resultWidth); err != nil {
+		ws.forget()
 		return nil, nil, bd, err
 	}
 	if recOn {
@@ -657,7 +679,7 @@ func (ws *Workspace) predict(ctx context.Context, owner fleetOwner, x *mat.Matri
 		for s, id := range ws.ecIDs {
 			rows := int64(len(ws.partLabels[s]))
 			rec.Record(obs.Span{Trace: trace, ID: id, Parent: trace, Kind: obs.SpanECall,
-				Rows: int32(rows), Bytes: ws.payload[s] + ws.spill[s] + ws.halo[s] + rows*resultWidth,
+				Rows: int32(rows), Bytes: ws.sent[s] + ws.spill[s] + ws.halo[s] + rows*resultWidth,
 				Start: stageStart, Dur: now - stageStart})
 		}
 		rec.Record(obs.Span{Trace: trace, ID: trace, Kind: obs.SpanQuery,

@@ -18,7 +18,11 @@ import (
 // fault refuses every later pass, and a workspace re-planned on the
 // recovered fleet answers bit-identically to the pre-fault baseline —
 // whether the pass runs the backbone over the caller's own copy of the
-// features or reads the public-half store the recovery carried over.
+// features or reads the public-half store the recovery carried over. A
+// failed pass forgets the store record the machines held: the surviving
+// shards bill their payload in full on the pass after the abort, and so
+// does the re-planned workspace's first pass over the store, while the
+// pass after that bills none.
 func TestShardFaultRecoverBitIdentical(t *testing.T) {
 	ds, bb, rec := shardTestModel(t, Parallel)
 	cost := enclave.DefaultCostModel()
@@ -44,11 +48,27 @@ func TestShardFaultRecoverBitIdentical(t *testing.T) {
 				t.Fatalf("plan: %v", err)
 			}
 			defer ws.Release()
-			base, _, err := sv.PredictInto(ds.X, ws)
-			if err != nil {
-				t.Fatalf("baseline predict: %v", err)
+			// Three passes over the registered features: at the latest the
+			// last reads the record the one before bound, so its machines
+			// hold the payload.
+			var want []int
+			bound := false
+			for pass := 0; pass < 3; pass++ {
+				base, bd, err := sv.PredictInto(ds.X, ws)
+				if err != nil {
+					t.Fatalf("baseline predict %d: %v", pass, err)
+				}
+				if pass == 0 {
+					want = append([]int{}, base...)
+				}
+				requireLabels(t, "baseline", base, want)
+				held := bound && bd.BackboneReused
+				bound = bd.BackboneReused
+				requireBytesIn(t, "baseline pass", ws, bd, held)
+				if pass == 2 && !held {
+					t.Fatal("the third pass over the registered features did not hold its payload")
+				}
 			}
-			want := append([]int{}, base...)
 
 			// Kill shard 1 at its next ECALL.
 			const dead = 1
@@ -61,9 +81,23 @@ func TestShardFaultRecoverBitIdentical(t *testing.T) {
 			if !errors.As(err, &sf) || sf.Shard != dead {
 				t.Fatalf("faulted predict error %v does not attribute shard %d", err, dead)
 			}
-			// The shard is gone for good until recovered.
+			// The shard is gone for good until recovered, and the survivors
+			// have forgotten the record they held.
+			before := make([]enclave.Ledger, sv.Shards())
+			for s := range before {
+				before[s] = sv.Shard(s).Enclave.Ledger()
+			}
 			if _, _, err := sv.PredictInto(ds.X, ws); !errors.Is(err, enclave.ErrEnclaveLost) {
 				t.Fatalf("second faulted predict: %v, want ErrEnclaveLost", err)
+			}
+			for s := range before {
+				if s == dead {
+					continue
+				}
+				in := sv.Shard(s).Enclave.Ledger().BytesIn - before[s].BytesIn
+				if want := ws.payload[s] + ws.spill[s] + ws.halo[s]; in != want {
+					t.Fatalf("pass after the abort: shard %d billed %d B in, want its full payload, spill and halo %d", s, in, want)
+				}
 			}
 			if !sv.Shard(dead).Enclave.Lost() {
 				t.Fatal("faulted shard enclave not marked lost")
@@ -103,14 +137,30 @@ func TestShardFaultRecoverBitIdentical(t *testing.T) {
 				if bd.ECalls != sv.Shards() {
 					t.Fatalf("post-recovery pass %d: %d ECALLs, want %d", pass, bd.ECalls, sv.Shards())
 				}
+				requireBytesIn(t, "post-recovery pass", ws, bd, pass == 2)
 			}
 		})
 	}
 }
 
+// requireBytesIn checks what a pass over ws billed in: its spill and halo,
+// plus its full embedding payload unless held.
+func requireBytesIn(t *testing.T, what string, ws *Workspace, bd InferenceBreakdown, held bool) {
+	t.Helper()
+	want := ws.SpillBytes() + ws.HaloBytes()
+	if !held {
+		want += ws.payloadBytes()
+	}
+	if bd.BytesIn != want {
+		t.Fatalf("%s: BytesIn %d, want %d (payload held: %v)", what, bd.BytesIn, want, held)
+	}
+}
+
 // TestShardedPredictContextDeadline pins the deadline contract: an
 // already-expired context fails the pass with ctx.Err() wrapped, kills
-// no enclave, and the workspace serves the next pass normally.
+// no enclave, and the workspace serves the next pass normally. The
+// failed pass forgets the store record the machines held: the next pass
+// bills the full payload and the one after it none.
 func TestShardedPredictContextDeadline(t *testing.T) {
 	ds, bb, rec := shardTestModel(t, Parallel)
 	sv, err := DeploySharded(bb, rec, ds.Graph, enclave.DefaultCostModel(), 2)
@@ -123,11 +173,18 @@ func TestShardedPredictContextDeadline(t *testing.T) {
 		t.Fatalf("plan: %v", err)
 	}
 	defer ws.Release()
-	want, _, err := sv.PredictInto(ds.X, ws)
-	if err != nil {
+	if err := sv.SetCalibrationFeatures(ds.X); err != nil {
 		t.Fatal(err)
 	}
-	wantCopy := append([]int{}, want...)
+	var wantCopy []int
+	for pass := 0; pass < 3; pass++ { // fill the store, bind it, hold it
+		got, bd, err := sv.PredictInto(ds.X, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCopy = append(wantCopy[:0], got...)
+		requireBytesIn(t, "pass before the deadline", ws, bd, pass == 2)
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -139,14 +196,17 @@ func TestShardedPredictContextDeadline(t *testing.T) {
 			t.Fatalf("cancelled pass killed shard %d", s)
 		}
 	}
-	got, _, err := sv.PredictInto(ds.X, ws)
-	if err != nil {
-		t.Fatalf("predict after cancellation: %v", err)
-	}
-	for i := range wantCopy {
-		if got[i] != wantCopy[i] {
-			t.Fatalf("label[%d] = %d after cancellation, want %d", i, got[i], wantCopy[i])
+	for pass := 0; pass < 2; pass++ {
+		got, bd, err := sv.PredictInto(ds.X, ws)
+		if err != nil {
+			t.Fatalf("predict after cancellation: %v", err)
 		}
+		for i := range wantCopy {
+			if got[i] != wantCopy[i] {
+				t.Fatalf("label[%d] = %d after cancellation, want %d", i, got[i], wantCopy[i])
+			}
+		}
+		requireBytesIn(t, "pass after the deadline", ws, bd, pass == 1)
 	}
 }
 

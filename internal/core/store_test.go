@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,13 +35,13 @@ func requireLabels(t *testing.T, what string, got, want []int) {
 
 // storeTarget is a deployment the store tests drive alike — a Vault, or a
 // 3-shard fleet of the same model: how to register features on it, read
-// its current registration, and plan a workspace (as the pair predict /
-// release).
+// its current registration, plan a workspace and run a pass on one.
 type storeTarget struct {
 	name     string
 	register func(*mat.Matrix) error
 	current  func() *registration
-	plan     func(PlanConfig) (predict func(*mat.Matrix) ([]int, InferenceBreakdown, error), release func(), err error)
+	plan     func(PlanConfig) (*Workspace, error)
+	predict  func(*mat.Matrix, *Workspace) ([]int, InferenceBreakdown, error)
 }
 
 // storeTargets returns v and a 3-shard fleet deployed from v's model over
@@ -53,22 +54,11 @@ func storeTargets(t *testing.T, ds *datasets.Dataset, v *Vault) []storeTarget {
 	}
 	t.Cleanup(sv.Undeploy)
 	n := ds.X.Rows
-	type predictFn = func(*mat.Matrix) ([]int, InferenceBreakdown, error)
 	return []storeTarget{
-		{"vault", v.SetCalibrationFeatures, v.features.Load, func(cfg PlanConfig) (predictFn, func(), error) {
-			ws, err := v.PlanWith(n, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func(x *mat.Matrix) ([]int, InferenceBreakdown, error) { return v.PredictInto(x, ws) }, ws.Release, nil
-		}},
-		{"fleet", sv.SetCalibrationFeatures, sv.features.Load, func(cfg PlanConfig) (predictFn, func(), error) {
-			ws, err := sv.PlanSharded(n, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func(x *mat.Matrix) ([]int, InferenceBreakdown, error) { return sv.PredictInto(x, ws) }, ws.Release, nil
-		}},
+		{"vault", v.SetCalibrationFeatures, v.features.Load,
+			func(cfg PlanConfig) (*Workspace, error) { return v.PlanWith(n, cfg) }, v.PredictInto},
+		{"fleet", sv.SetCalibrationFeatures, sv.features.Load,
+			func(cfg PlanConfig) (*Workspace, error) { return sv.PlanSharded(n, cfg) }, sv.PredictInto},
 	}
 }
 
@@ -175,25 +165,25 @@ func TestRegisteredFeaturesNeverMixed(t *testing.T) {
 			if err := tg.register(a); err != nil {
 				t.Fatal(err)
 			}
-			var predicts [workers]func(*mat.Matrix) ([]int, InferenceBreakdown, error)
+			var wss [workers]*Workspace
 			var wants [workers][2][]int
-			for w := range predicts {
-				predict, release, err := tg.plan(cfgs[w])
+			for w := range wss {
+				ws, err := tg.plan(cfgs[w])
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer release()
-				predicts[w], wants[w] = predict, want
+				defer ws.Release()
+				wss[w], wants[w] = ws, want
 				if cfgs[w].Precision == PrecisionFP64 {
 					continue
 				}
-				twin, releaseTwin, err := tg.plan(cfgs[w])
+				twin, err := tg.plan(cfgs[w])
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer releaseTwin()
+				defer twin.Release()
 				for k, x := range copies {
-					got, _, err := twin(x)
+					got, _, err := tg.predict(x, twin)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -201,132 +191,161 @@ func TestRegisteredFeaturesNeverMixed(t *testing.T) {
 				}
 			}
 			hammer(t, wants, tg.register, func(w int, x *mat.Matrix) ([]int, InferenceBreakdown, error) {
-				return predicts[w](x)
+				return tg.predict(x, wss[w])
 			})
 		})
 	}
 }
 
-// TestInt8BoundaryCodesNeverStale walks one int8 workspace — direct and
-// tiled, on a Vault and on a 3-shard fleet — through every way the
+// TestInt8BoundaryCodesNeverStale is the staleness table of the inputs a
+// machine keeps between passes — int8 codes and, on a direct plan, the
+// payload itself — at int8 and fp64, direct and tiled, on a Vault and on a
+// 3-shard fleet. One workspace per cell walks through every way the
 // features behind it can change: registered A, the caller's own copy of
 // B, registered A again, B registered in A's place, B edited in place and
 // registered again under the same pointer; each registered matrix is
-// asked for three times, so the store is filled, read by a machine
-// holding other codes, and read by one holding its own. Every answer
-// must be the answer of a twin workspace that is only ever fed a fresh
-// copy of that call's matrix (so it quantises every pass), and the
-// quantise spans must show the boundary quantisation ran exactly when
-// the pass did not read the store record the machines' codes were
-// already keyed on — a plan leaves none behind, so the first pass
-// quantises even though planning filled the store.
+// asked for three times, so the store is filled, read by machines holding
+// another record or none, and read by machines holding its own. A pass
+// hits when it reads the store record the machines bound on the pass
+// before. At every pass:
+//
+//   - the answer is that of a twin workspace only ever fed a fresh copy of
+//     that call's matrix (so it never reads the store);
+//   - the ledger bills the spill and halo, plus the payload unless the
+//     pass hits on a direct plan (a tiled plan bills it on every pass);
+//   - at int8, the quantise spans show the boundary quantisation ran
+//     exactly when the pass missed.
+//
+// Planning binds no record, so a fresh plan's first pass misses even
+// where an int8 plan's calibration filled the store.
 func TestInt8BoundaryCodesNeverStale(t *testing.T) {
 	ds, v := convTestVault(t, "", Parallel, 5)
 	defer v.Undeploy()
-	n := ds.X.Rows
 	for _, tg := range storeTargets(t, ds, v) {
 		for _, mode := range []struct {
 			name string
 			cfg  PlanConfig
 		}{
-			{"direct", PlanConfig{Workers: 1, Precision: PrecisionInt8, MinAgreement: 0.5}},
-			{"tiled", PlanConfig{Workers: 1, Precision: PrecisionInt8, MinAgreement: 0.5, TileRows: 300}},
+			{"direct", PlanConfig{Workers: 1, MinAgreement: 0.5}},
+			{"tiled", PlanConfig{Workers: 1, MinAgreement: 0.5, TileRows: 300}},
 		} {
 			t.Run(tg.name+"/"+mode.name, func(t *testing.T) {
-				a, b := ds.X.Clone(), ds.X.Clone()
-				rotateRows(b)
-				if err := tg.register(a); err != nil {
-					t.Fatal(err)
-				}
-				ring := obs.NewRing(4096)
-				cfg := mode.cfg
-				cfg.Recorder = ring
-				predict, release, err := tg.plan(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer release()
-				twin, releaseTwin, err := tg.plan(mode.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer releaseTwin()
-
-				var held *registration // a fresh plan's machines hold no record's codes
-				skipped, differing := 0, 0
-				var last []int
-				pass := func(what string, x *mat.Matrix) {
-					t.Helper()
-					wantLabels, _, err := twin(x.Clone())
-					if err != nil {
-						t.Fatalf("%s: twin: %v", what, err)
-					}
-					t0 := ring.Clock()
-					got, bd, err := predict(x)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					requireLabels(t, what, got, wantLabels)
-					var key *registration
-					if bd.BackboneReused {
-						key = tg.current()
-					}
-					wantRows := int32(n)
-					if key != nil && key == held {
-						wantRows = 0
-						skipped++
-					}
-					held = key
-					var rows int32
-					spans := 0
-					for _, s := range ring.Last(0) {
-						if s.Start >= t0 && s.Kind == obs.SpanOp && exec.OpKind(s.Op).String() == "quantise" {
-							spans, rows = spans+1, rows+s.Rows
-						}
-					}
-					if spans == 0 || rows != wantRows {
-						t.Fatalf("%s: %d quantise spans over %d rows, want %d rows (store reused: %v)", what, spans, rows, wantRows, bd.BackboneReused)
-					}
-					if last != nil {
-						for i := range got {
-							if got[i] != last[i] {
-								differing++
-								break
-							}
-						}
-					}
-					last = append(last[:0], got...)
-				}
-				thrice := func(what string, x *mat.Matrix) {
-					t.Helper()
-					for i := 0; i < 3; i++ {
-						pass(what, x)
-					}
-				}
-				thrice("registered A", a)
-				pass("own copy of B", b.Clone())
-				thrice("registered A after B", a)
-				if err := tg.register(b); err != nil {
-					t.Fatal(err)
-				}
-				thrice("registered B", b)
-				rotateRows(b)
-				if err := tg.register(b); err != nil {
-					t.Fatal(err)
-				}
-				thrice("B edited in place and registered again", b)
-				// A: 2 of 3 twice (planning filled the store, the first pass
-				// reads it into machines holding no record's codes); each B: 1
-				// of 3 (one pass fills the store, one reads it into a machine
-				// holding no record's codes).
-				if skipped != 6 {
-					t.Errorf("%d passes skipped the boundary quantisation, want 6", skipped)
-				}
-				if differing < 4 {
-					t.Errorf("answers changed %d times over four changes of matrix: a stale pass would go unseen", differing)
+				for _, prec := range []Precision{PrecisionInt8, PrecisionFP64} {
+					cfg := mode.cfg
+					cfg.Precision = prec
+					t.Run(prec.String(), func(t *testing.T) { walkInputChanges(t, tg, cfg, ds.X) })
 				}
 			})
 		}
+	}
+}
+
+// walkInputChanges is one cell of TestInt8BoundaryCodesNeverStale, over
+// copies of x.
+func walkInputChanges(t *testing.T, tg storeTarget, cfg PlanConfig, x *mat.Matrix) {
+	n := x.Rows
+	a, b := x.Clone(), x.Clone()
+	rotateRows(b)
+	if err := tg.register(a); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := tg.plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Release()
+	ring := obs.NewRing(4096)
+	cfg.Recorder = ring
+	ws, err := tg.plan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Release()
+	direct, i8 := ws.TileRows() == 0, cfg.Precision == PrecisionInt8
+
+	var bound *registration // a fresh plan's machines hold no record
+	hits, differing := 0, 0
+	var last []int
+	pass := func(what string, x *mat.Matrix) {
+		t.Helper()
+		wantLabels, _, err := tg.predict(x.Clone(), twin)
+		if err != nil {
+			t.Fatalf("%s: twin: %v", what, err)
+		}
+		t0 := ring.Clock()
+		got, bd, err := tg.predict(x, ws)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		requireLabels(t, what, got, wantLabels)
+		var key *registration
+		if bd.BackboneReused {
+			key = tg.current()
+		}
+		hit := key != nil && key == bound
+		bound = key
+		if hit {
+			hits++
+		}
+		wantIn := ws.SpillBytes() + ws.HaloBytes()
+		if !hit || !direct {
+			wantIn += ws.payloadBytes()
+		}
+		if bd.BytesIn != wantIn {
+			t.Fatalf("%s: BytesIn %d, want %d (hit %v, direct %v)", what, bd.BytesIn, wantIn, hit, direct)
+		}
+		if i8 {
+			wantRows := int32(n)
+			if hit {
+				wantRows = 0
+			}
+			var rows int32
+			spans := 0
+			for _, s := range ring.Last(0) {
+				if s.Start >= t0 && s.Kind == obs.SpanOp && exec.OpKind(s.Op).String() == "quantise" {
+					spans, rows = spans+1, rows+s.Rows
+				}
+			}
+			if spans == 0 || rows != wantRows {
+				t.Fatalf("%s: %d quantise spans over %d rows, want %d rows (store reused: %v)", what, spans, rows, wantRows, bd.BackboneReused)
+			}
+		}
+		if last != nil && !slices.Equal(got, last) {
+			differing++
+		}
+		last = append(last[:0], got...)
+	}
+	thrice := func(what string, x *mat.Matrix) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			pass(what, x)
+		}
+	}
+	thrice("registered A", a)
+	pass("own copy of B", b.Clone())
+	thrice("registered A after B", a)
+	if err := tg.register(b); err != nil {
+		t.Fatal(err)
+	}
+	thrice("registered B", b)
+	rotateRows(b)
+	if err := tg.register(b); err != nil {
+		t.Fatal(err)
+	}
+	thrice("B edited in place and registered again", b)
+	// Each registration's first pass after a change of matrix misses. At
+	// int8 planning filled A's store, so its passes hit 2 of 3 twice; at
+	// fp64 the first pass fills it, so only 1 of 3 the first time. Each B:
+	// 1 of 3 (one pass fills the store, one binds it, one hits).
+	wantHits := 6
+	if !i8 {
+		wantHits = 5
+	}
+	if hits != wantHits {
+		t.Errorf("%d passes hit, want %d", hits, wantHits)
+	}
+	if differing < 4 {
+		t.Errorf("answers changed %d times over four changes of matrix: a stale pass would go unseen", differing)
 	}
 }
 

@@ -509,8 +509,13 @@ type Machine struct {
 	parent uint64
 
 	// epoch is the record the next Run's inputs were declared to belong
-	// to (SetInputEpoch); spent by that Run's bind step.
-	epoch any
+	// to (SetInputEpoch); spent by that Run's bind step. inEpoch is the
+	// record the last Run bound, over inRows rows, or nil when it bound the
+	// caller's own inputs. Holding the record by pointer keeps its address
+	// from being recycled while it is the key.
+	epoch   any
+	inEpoch any
+	inRows  int
 }
 
 // scratchF64 is the fp64 op body's pre-allocated header set.
@@ -616,9 +621,10 @@ func (m *Machine) TileBytes() int64 {
 // aside) the spilled, untrusted, uncharged residency of a tiled one. Values
 // share slots by liveness, so this is what is live at once, not the sum
 // of every value; a value hosted in its halo destination's buffer is
-// counted there, once. Inputs are the caller's. For I8 machines this
-// counts the code slots only, not the boundary buffers (see the quantized
-// type for what a plan charges for them).
+// counted there, once. Inputs are not counted: a direct plan charges them
+// to the EPC as its payload and the machine holds them across the passes
+// over one record (SetInputEpoch). For I8 machines this counts the code
+// slots only, not the boundary buffers (see the quantized type).
 func (m *Machine) BufferBytes() int64 { return int64(m.attnRow)*8 + m.bufBytes }
 
 // SpillTraffic returns the bytes a tiled run over rows rows streams from
@@ -682,6 +688,47 @@ func (m *Machine) HaloBytes() int64 {
 // each Run; it is a plain field write under the machine's one-goroutine
 // contract.
 func (m *Machine) SetTrace(trace, parent uint64) { m.trace, m.parent = trace, parent }
+
+// SetInputEpoch declares whose blocks the next Run's inputs are: epoch is
+// the identity of an immutable record (core passes its public-half store
+// registration) that those inputs belong to whole, or nil — the default —
+// for inputs the caller owns and may have rewritten. It reports whether
+// the machine already holds that record's rows, so the caller transfers
+// nothing for them: only a direct machine can, and only when its last Run
+// bound the same record; the next Run must then bind it at the same height.
+// A tiled machine streams its inputs from sealed untrusted pages and
+// always answers false. An I8 machine, direct or tiled, also skips the
+// boundary quantisation of a Run over the record whose codes it holds at
+// that height. The declaration is spent by the Run it precedes, so a
+// caller that forgets one pays a transfer and a quantisation, never
+// serves stale inputs; nil also drops the machine's reference to the
+// record it last bound. Shares the machine's one-goroutine-at-a-time
+// contract with Run.
+func (m *Machine) SetInputEpoch(epoch any) (held bool) {
+	m.epoch = epoch
+	if epoch == nil {
+		m.inEpoch = nil
+		return false
+	}
+	return !m.tiled && epoch == m.inEpoch
+}
+
+// takeEpoch spends the Run's declaration (SetInputEpoch) as it binds rows
+// rows of inputs, records the record they belong to, and reports whether
+// that record was already bound at that height. A direct machine that
+// answered held and is run at another height panics: its caller billed no
+// transfer for rows the machine never bound.
+func (m *Machine) takeEpoch(rows int) bool {
+	epoch := m.epoch
+	m.epoch = nil
+	same := epoch != nil && epoch == m.inEpoch
+	if same && !m.tiled && rows != m.inRows {
+		panic(fmt.Sprintf("exec: held inputs bound at %d rows, run over %d", m.inRows, rows))
+	}
+	keep := same && rows == m.inRows
+	m.inEpoch, m.inRows = epoch, rows
+	return keep
+}
 
 // opDone closes op i's span: it records a SpanOp carrying the op kind,
 // batch height, tile count and the bytes the op's tiles flushed across the
@@ -761,7 +808,7 @@ func (m *Machine) OutputWidth() int { return m.prog.vals[m.prog.output].width }
 // the span bookkeeping around it, then finish. Run keeps no clock of its
 // own: an in-enclave Run is billed by the enclave.Ecall that encloses it.
 // An I8 machine differs in three places only: bindI8 quantizes the inputs
-// (unless SetInputEpoch says its buffers hold their codes already) and
+// (unless SetInputEpoch's record is the one its buffers hold) and
 // refreshes each SpMM's value scale, runRows dispatches to the int8 op
 // body, and finishI8 dequantizes the output.
 func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix {
@@ -786,11 +833,13 @@ func (m *Machine) Run(rows int, inputs []*mat.Matrix, labels []int) *mat.Matrix 
 		}
 	}
 	recOn := m.rec.Enabled()
+	keep := m.takeEpoch(rows)
 	if m.elem == I8 {
-		m.bindI8(rows, inputs, recOn)
+		m.bindI8(rows, inputs, keep, recOn)
 	} else {
 		// Bind every value's full-rows view: inputs alias the caller's
-		// matrices, intermediates alias the first rows rows of their buffer
+		// matrices (a held record's are the same immutable blocks, read in
+		// place), intermediates alias the first rows rows of their buffer
 		// (plus the gathered halo rows for a halo destination); values the
 		// fusion pass eliminated and chained values have no buffer to bind.
 		for i, v := range p.vals {

@@ -51,11 +51,12 @@ func (e Elem) String() string {
 
 // quantized holds an I8 machine's state: code buffers, staging tiles,
 // quantized operands and scratch. BufferBytes/TileBytes count neither
-// boundary buffer. in receives the quantized inputs: core prices those
-// codes as the plan's payload, billed as ECALL transfer by every plan and
-// charged to the EPC by a direct plan only (a tiled one streams them).
-// out64 holds the dequantized output and is charged nowhere (ROADMAP item
-// 11 owns that).
+// boundary buffer. in receives the quantized inputs, which core prices as
+// the plan's payload: a direct plan charges them to the EPC and holds them
+// across the passes over one record (Machine.SetInputEpoch), a tiled plan
+// keeps them in sealed untrusted pages and bills their transfer on every
+// pass. out64 holds the dequantized output and is charged nowhere (ROADMAP
+// item 11 owns that).
 type quantized struct {
 	spill []*mat.MatrixI8 // per value, over its slot; nil for inputs, dead and chained values
 	views []mat.MatrixI8  // per value, bound per Run
@@ -64,13 +65,6 @@ type quantized struct {
 	aux   []opAuxI8       // per op
 	scr   scratchI8       // op-body headers and accumulator
 	out64 *mat.Matrix     // dequantized output, bound as the output view
-
-	// inEpoch names the immutable record whose blocks in currently holds
-	// the codes of, over inRows rows (Machine.SetInputEpoch); nil when the
-	// last quantised inputs were the caller's own. Holding the record by
-	// pointer keeps its address from being recycled while it is the key.
-	inEpoch any
-	inRows  int
 
 	// wideHead is the op index whose epilogue computes the program's
 	// argmax labels "wide" — from the pre-requantization floats instead of
@@ -238,42 +232,18 @@ func (m *Machine) planI8(bp bufferPlan) error {
 // own line instead of leaving it in the ECALL's self time.
 const opQuantise OpKind = 0xff
 
-// SetInputEpoch declares whose blocks the next Run's inputs are: epoch is
-// the identity of an immutable record (core passes its public-half store
-// registration) that those inputs belong to whole, or nil — the default —
-// for inputs the caller owns and may have rewritten. An I8 machine whose
-// boundary buffers already hold the codes of that same record, under its
-// fixed scales and at the same height, skips the boundary quantisation of
-// that Run; any other Run quantises as always. The declaration is spent
-// by the Run it precedes, so a caller that forgets one pays a
-// quantisation, never serves stale codes; nil also drops the machine's
-// reference to the record it last quantised. Shares the machine's
-// one-goroutine-at-a-time contract with Run; a no-op at fp64.
-func (m *Machine) SetInputEpoch(epoch any) {
-	if m.q == nil {
-		return
-	}
-	m.epoch = epoch
-	if epoch == nil {
-		m.q.inEpoch = nil
-	}
-}
-
 // bindI8 is Run's bind step on an I8 machine: quantize the (already
 // shape-checked) inputs at the boundary into their code buffers — unless
-// they are the record's whose codes the buffers hold (SetInputEpoch) —
+// keep says they are the record whose codes the buffers hold (takeEpoch) —
 // bind every intermediate's code view, and refresh each SpMM's value
 // scale. With the recorder on it is one op-level span (quantise; Rows is
 // the rows quantised, 0 when skipped).
-func (m *Machine) bindI8(rows int, inputs []*mat.Matrix, recOn bool) {
+func (m *Machine) bindI8(rows int, inputs []*mat.Matrix, keep, recOn bool) {
 	p, q := m.prog, m.q
 	var t0 int64
 	if recOn {
 		t0 = m.rec.Clock()
 	}
-	epoch := m.epoch
-	m.epoch = nil
-	keep := epoch != nil && epoch == q.inEpoch && rows == q.inRows
 	for i, v := range p.vals {
 		switch {
 		case v.input >= 0:
@@ -285,7 +255,6 @@ func (m *Machine) bindI8(rows int, inputs []*mat.Matrix, recOn bool) {
 			q.spill[i].ViewRows(0, rows+v.extra, &q.views[i])
 		}
 	}
-	q.inEpoch, q.inRows = epoch, rows
 	// The value scale comes from the operator's current contents: the
 	// subgraph path re-induces the CSR between runs, and quantizing values
 	// on the fly under a per-run scale keeps every execution mode (and

@@ -192,12 +192,16 @@ func TestReducedRunAllocFree(t *testing.T) {
 	}
 }
 
-// TestInputEpochSkipsOnlyItsRecord pins Machine.SetInputEpoch: a Run
-// whose inputs were declared as the record the boundary buffers already
-// hold the codes of does not quantise — shown by editing the matrix
-// behind the machine's back, which such a Run must not notice (the span's
-// Rows say so too) — and every other Run does: no declaration, a spent
-// declaration, another record, a nil declaration. Direct and tiled.
+// TestInputEpochSkipsOnlyItsRecord pins Machine.SetInputEpoch, fp64 and
+// int8, direct and tiled. The machine answers held only when it is direct
+// and its last Run bound the declared record: never on a first
+// declaration, after a Run over the caller's own inputs, for another
+// record or after a nil declaration, and never on a tiled machine. An
+// int8 Run over the record whose codes the boundary buffers hold, direct
+// or tiled, does not quantise — shown by editing the matrix behind the
+// machine's back, which such a Run must not notice (the span's Rows say
+// so too) — and every other Run does. An fp64 machine reads its inputs in
+// place, so it is fed the record's own matrix.
 func TestInputEpochSkipsOnlyItsRecord(t *testing.T) {
 	const n = 40
 	prog, x := buildPrecisionProg(n, 4, 6, 11)
@@ -210,6 +214,8 @@ func TestInputEpochSkipsOnlyItsRecord(t *testing.T) {
 		edited.Data[i] = -edited.Data[i]
 	}
 	for _, cfg := range []Config{
+		{Workers: 1},
+		{TileRows: 9},
 		{Workers: 1, Elem: I8, Scales: scales},
 		{TileRows: 9, Elem: I8, Scales: scales},
 	} {
@@ -219,13 +225,23 @@ func TestInputEpochSkipsOnlyItsRecord(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewMachine(%+v): %v", cfg, err)
 		}
-		run := func(what string, epoch any, in *mat.Matrix) (logits []float64, quantised int32) {
+		direct, i8 := cfg.TileRows == 0, cfg.Elem == I8
+		// run declares epoch (unless nil), checks the machine's answer
+		// against held on a direct machine (a tiled one must say false),
+		// and returns the output and the rows the int8 bind step quantised
+		// (n at fp64, which has no such step).
+		run := func(what string, epoch any, held bool, in *mat.Matrix) (logits []float64, quantised int32) {
 			t.Helper()
 			t0 := ring.Clock()
 			if epoch != nil {
-				m.SetInputEpoch(epoch)
+				if got := m.SetInputEpoch(epoch); got != (held && direct) {
+					t.Fatalf("%s %s: SetInputEpoch = %v, want %v", cfg.Elem, what, got, held && direct)
+				}
 			}
 			out := m.Run(n, []*mat.Matrix{in}, nil)
+			if !i8 {
+				return append([]float64(nil), out.Data...), n
+			}
 			spans := 0
 			for _, s := range ring.Last(0) {
 				if s.Start >= t0 && s.Kind == obs.SpanOp && OpKind(s.Op).String() == "quantise" {
@@ -238,35 +254,94 @@ func TestInputEpochSkipsOnlyItsRecord(t *testing.T) {
 			return append([]float64(nil), out.Data...), quantised
 		}
 		recA, recB := new(int), new(int)
-		wantX, q := run("undeclared", nil, x)
+		wantX, q := run("undeclared", nil, false, x)
 		if q != n {
 			t.Fatalf("undeclared Run quantised %d rows, want %d", q, n)
 		}
-		wantEdited, _ := run("undeclared edited", nil, edited)
+		wantEdited, _ := run("undeclared edited", nil, false, edited)
 		if slices.Equal(wantX, wantEdited) {
 			t.Fatal("the edit does not change the output: a skipped quantisation would go unseen")
 		}
-		if got, q := run("first of record A", recA, x); q != n || !slices.Equal(got, wantX) {
+		if got, q := run("first of record A", recA, false, x); q != n || !slices.Equal(got, wantX) {
 			t.Fatalf("first Run of a record quantised %d rows (want %d), output matches: %v", q, n, slices.Equal(got, wantX))
 		}
-		// Same record: the codes stay, whatever the matrix now says.
-		if got, q := run("second of record A", recA, edited); q != 0 || !slices.Equal(got, wantX) {
-			t.Fatalf("declared Run over the held record quantised %d rows (want 0), kept codes: %v", q, slices.Equal(got, wantX))
+		// Same record: an int8 machine keeps its codes, whatever the matrix
+		// now says.
+		if i8 {
+			if got, q := run("second of record A", recA, true, edited); q != 0 || !slices.Equal(got, wantX) {
+				t.Fatalf("declared Run over the held record quantised %d rows (want 0), kept codes: %v", q, slices.Equal(got, wantX))
+			}
+		} else if got, _ := run("second of record A", recA, true, x); !slices.Equal(got, wantX) {
+			t.Fatal("declared Run over the held record changed the output")
 		}
 		// The declaration was spent: the next Run reads what it is given.
-		if got, q := run("after a spent declaration", nil, edited); q != n || !slices.Equal(got, wantEdited) {
+		if got, q := run("after a spent declaration", nil, false, edited); q != n || !slices.Equal(got, wantEdited) {
 			t.Fatalf("undeclared Run quantised %d rows (want %d), fresh codes: %v", q, n, slices.Equal(got, wantEdited))
 		}
 		// …and left the buffers keyed to nothing.
-		if got, q := run("record A after own inputs", recA, x); q != n || !slices.Equal(got, wantX) {
+		if got, q := run("record A after own inputs", recA, false, x); q != n || !slices.Equal(got, wantX) {
 			t.Fatalf("record after the caller's own inputs quantised %d rows (want %d), fresh codes: %v", q, n, slices.Equal(got, wantX))
 		}
-		if got, q := run("record B", recB, edited); q != n || !slices.Equal(got, wantEdited) {
+		if got, q := run("record B", recB, false, edited); q != n || !slices.Equal(got, wantEdited) {
 			t.Fatalf("another record quantised %d rows (want %d), fresh codes: %v", q, n, slices.Equal(got, wantEdited))
 		}
-		m.SetInputEpoch(nil) // forget
-		if got, q := run("record B after forgetting", recB, x); q != n || !slices.Equal(got, wantX) {
+		if m.SetInputEpoch(nil) { // forget
+			t.Fatal("SetInputEpoch(nil) answered held")
+		}
+		if got, q := run("record B after forgetting", recB, false, x); q != n || !slices.Equal(got, wantX) {
 			t.Fatalf("Run after SetInputEpoch(nil) quantised %d rows (want %d), fresh codes: %v", q, n, slices.Equal(got, wantX))
+		}
+	}
+}
+
+// TestInputEpochHeldAtItsHeight: a record is held at the height its last
+// Run bound it. A direct machine answers held for the record at any
+// height it was last bound at, and a Run at another height after that
+// answer panics — its caller billed no transfer for rows the machine never
+// bound; a tiled machine never answers held and runs either height.
+func TestInputEpochHeldAtItsHeight(t *testing.T) {
+	const n, short = 30, 20
+	rng := rand.New(rand.NewSource(5))
+	b := NewBuilder(n)
+	b.Argmax(b.MatMul(b.Input(4), randMat(rng, 4, 3)))
+	prog := b.Build()
+	x := randMat(rng, n, 4)
+	var head mat.Matrix
+	in := func(rows int) []*mat.Matrix { return []*mat.Matrix{x.ViewRows(0, rows, &head)} }
+	for _, base := range elemConfigs(t, prog, n, []*mat.Matrix{x}) {
+		for _, tile := range []int{0, 7} {
+			cfg := base
+			cfg.TileRows = tile
+			m, err := prog.NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := tile == 0
+			rec := new(int)
+			declare := func(what string, want bool) {
+				t.Helper()
+				if got := m.SetInputEpoch(rec); got != (want && direct) {
+					t.Fatalf("%s tile %d, %s: SetInputEpoch = %v, want %v", cfg.Elem, tile, what, got, want && direct)
+				}
+			}
+			declare("first", false)
+			m.Run(n, in(n), nil)
+			declare("bound at full height", true)
+			m.Run(n, in(n), nil)
+			declare("bound at full height again", true)
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				m.Run(short, in(short), nil)
+				return
+			}()
+			if panicked != direct {
+				t.Fatalf("%s tile %d: Run at another height after a held answer panicked: %v, want %v", cfg.Elem, tile, panicked, direct)
+			}
+			m.SetInputEpoch(nil)
+			declare("after forgetting", false)
+			m.Run(short, in(short), nil)
+			declare("bound at the short height", true)
+			m.Run(short, in(short), nil)
 		}
 	}
 }

@@ -212,7 +212,7 @@ func writeEnclaveGauges(w http.ResponseWriter, used, free, limit int64, led encl
 	obs.WriteSample(w, mECalls, nil, float64(led.ECalls))
 	obs.WriteHeader(w, mOCalls, "counter", "Modelled world switches out of the enclave.")
 	obs.WriteSample(w, mOCalls, nil, float64(led.OCalls))
-	obs.WriteHeader(w, mBytesIn, "counter", "ECALL payload bytes crossing into the enclave (embeddings plus spill).")
+	obs.WriteHeader(w, mBytesIn, "counter", "ECALL payload bytes crossing into the enclave (embeddings not already held, spill and halo).")
 	obs.WriteSample(w, mBytesIn, nil, float64(led.BytesIn))
 	obs.WriteHeader(w, mBytesOut, "counter", "ECALL result bytes crossing out of the enclave.")
 	obs.WriteSample(w, mBytesOut, nil, float64(led.BytesOut))
